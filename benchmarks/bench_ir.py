@@ -1,18 +1,39 @@
-"""IR scheduler speedups: scheduled programs vs the hand-wired direct paths.
+"""IR scheduler speedups: scheduled kernels vs the naive run of their trace.
 
 Gate for the ciphertext-program IR and its fusing scheduler
-(:mod:`repro.core.ir`).  Two measurements, both BFV at N=4096:
+(:mod:`repro.core.ir`).  Kernels execute one way — body, trace, passes,
+scheduled run — so the baseline is the scheduler-off oracle over the SAME
+traced program (``kernel.scheduled(shape).run_reference``: one naive
+primitive call per node, one key-switch decompose per rotation, constants
+re-encoded every call).  The ratio therefore prices everything the passes
+add together: hoisting, weighted-sum fusion, NTT residency and cached
+plaintext tables.  Two measurements, both BFV at N=4096:
 
-* ``fig15_matvec`` — the Figure 15 style fully-connected diagonal matvec.
-  Scheduler-on (traced IR, weighted-sum fusion, cached plaintext NTT
-  tables, batch-encoded constants) against the current hand-wired path
-  (``use_scheduler=False``: per-call encodes + one-shot
-  ``rotate_weighted_sum``).  Must win by at least 1.2x.
+* ``fig15_matvec`` — the Figure 15 style fully-connected diagonal matvec
+  (31 rotations of one ciphertext).  Must win by at least 6.0x.
 * ``dnn_slice`` — a 2-layer dnn slice (3x3 conv then BSGS
-  fully-connected), scheduler-on vs scheduler-off, exactness asserted at
-  decrypt level.  The scheduler must win by at least 1.1x, and its
-  NTT-residency pass must demonstrably fire (``ntt_elided`` > 0 across
-  repeated calls).
+  fully-connected), exactness asserted at decrypt level.  The scheduler
+  must win by at least 1.5x, and its NTT-residency pass must demonstrably
+  fire (``ntt_elided`` > 0 across repeated calls).
+
+Floors, re-derived from ten runs (each interleaving its reference and
+scheduled timing windows) when the baseline moved from the removed
+hand-wired kernel path to the naive oracle:
+
+==============  ===================  ===================  ============
+kernel          old baseline         naive baseline       floor
+==============  ===================  ===================  ============
+fig15_matvec    105 ms, 2.68x        283-338 ms,          1.2x -> 6.0x
+                                     8.68-9.63x (med 9.1)
+dnn_slice       219 ms, 1.56x        262-310 ms,          1.1x -> 1.5x
+                                     2.21-2.47x (med 2.3)
+==============  ===================  ===================  ============
+
+The old matvec baseline already ran one fused ``rotate_weighted_sum``
+(one hoisted decompose), so its ratio priced only caching and batching;
+the new one also prices the 31 -> 1 decompose sharing, which is why it is
+3.4x larger.  Each floor sits at about two thirds of the lowest of the ten
+ratios.  The hoisting-only gain stays measured by ``bench_hoisting.py``.
 
 ``--check`` exits non-zero on a missed floor, a missing residency signal,
 or a >20% regression against the previous recorded run.  Results go to
@@ -33,11 +54,10 @@ from repro.hecore.params import SchemeType, small_test_parameters
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_ir.json"
 
-#: Scheduler-on must beat the hand-wired matvec path by 1.2x (issue floor);
-#: the dnn slice floor is set well under the ~1.7x typically measured.
+#: About two thirds of the lowest ratio in ten runs (see the table above).
 MIN_SPEEDUP = {
-    "fig15_matvec": 1.2,
-    "dnn_slice": 1.1,
+    "fig15_matvec": 6.0,
+    "dnn_slice": 1.5,
 }
 
 REGRESSION_TOLERANCE = 0.20
@@ -48,15 +68,15 @@ CONV_SPEC = dict(in_channels=1, out_channels=2, height=8, width=8,
 FC_SHAPE = (16, 32)
 
 
-def _best_of_pair(direct_fn, scheduled_fn, reps, rounds=6):
-    """Seconds-per-op for both implementations, interleaving their timing
-    windows so background load drift hits each side equally, and taking the
-    fastest window per side."""
-    direct_fn()  # warm caches / NTT plans / traced schedules
+def _best_of_pair(naive_fn, scheduled_fn, reps, rounds=6):
+    """Seconds-per-op for both runs of the same program, interleaving their
+    timing windows so background load drift hits each side equally, and
+    taking the fastest window per side."""
+    naive_fn()  # warm caches / NTT plans / traced schedules
     scheduled_fn()
     bests = [float("inf"), float("inf")]
     for _ in range(rounds):
-        for i, fn in enumerate((direct_fn, scheduled_fn)):
+        for i, fn in enumerate((naive_fn, scheduled_fn)):
             start = time.perf_counter()
             for _ in range(reps):
                 fn()
@@ -70,79 +90,82 @@ def _make_context():
     return BfvContext(params, seed=b"bench-ir")
 
 
+def _naive(ctx, kernel, ct):
+    """The kernel's own traced program run through the scheduler-off oracle
+    (one naive primitive call per node, nothing cached between calls)."""
+    sched = kernel.scheduled((1,))
+    return lambda: sched.run_reference(ctx, {"in0": ct})["out0"]
+
+
 def _measure_fig15_matvec(ctx):
-    """Scheduled diagonal matvec vs the hand-wired fused path."""
+    """Scheduled diagonal matvec vs the naive oracle over the same trace."""
     rng = np.random.default_rng(7)
     matrix = rng.integers(1, 16, size=(MATVEC_DIM, MATVEC_DIM))
-    scheduled_mv = EncryptedMatVec(ctx, matrix)
-    direct_mv = EncryptedMatVec(ctx, matrix, use_scheduler=False)
-    ctx.make_galois_keys(scheduled_mv.required_rotation_steps())
+    mv = EncryptedMatVec(ctx, matrix)
+    ctx.make_galois_keys(mv.required_rotation_steps())
     vec = rng.integers(0, 64, size=MATVEC_DIM)
-    ct = ctx.encrypt(ctx.encode(scheduled_mv.pack_input(vec).astype(np.int64)))
+    ct = ctx.encrypt(ctx.encode(mv.pack_input(vec).astype(np.int64)))
+    naive = _naive(ctx, mv, ct)
 
     t = ctx.params.plain_modulus
-    reference = scheduled_mv.reference(vec) % t
-    for mv in (scheduled_mv, direct_mv):
-        got = mv.unpack_output(np.asarray(ctx.decrypt(mv(ct))))
+    reference = mv.reference(vec) % t
+    for run in (lambda: mv(ct), naive):
+        got = mv.unpack_output(np.asarray(ctx.decrypt(run())))
         assert np.array_equal(got % t, reference), \
             "scheduled matvec produced wrong values"
 
-    report = scheduled_mv.schedule_report()
+    report = mv.schedule_report()
     assert report.weighted_sum_spans == 1, \
         "scheduler failed to fuse the diagonal add-tree into one span"
     assert report.batched_consts == MATVEC_DIM, \
         "scheduler failed to batch-encode the diagonal constants"
 
-    return _best_of_pair(lambda: direct_mv(ct), lambda: scheduled_mv(ct), 2)
+    return _best_of_pair(naive, lambda: mv(ct), 2)
 
 
 def _measure_dnn_slice(ctx):
-    """2-layer dnn slice (conv then BSGS fc), scheduled vs direct."""
+    """2-layer dnn slice (conv then BSGS fc), scheduled vs the naive oracle."""
     rng = np.random.default_rng(11)
     spec = Conv2dSpec(**CONV_SPEC)
     weights = rng.integers(-3, 4, (spec.out_channels, spec.in_channels,
                                    spec.kernel_size, spec.kernel_size))
     fc_matrix = rng.integers(-3, 4, FC_SHAPE)
 
-    scheduled_conv = EncryptedConv2d(ctx, spec, weights)
-    direct_conv = EncryptedConv2d(ctx, spec, weights, use_scheduler=False)
-    scheduled_fc = BsgsMatVec(ctx, fc_matrix)
-    direct_fc = BsgsMatVec(ctx, fc_matrix, use_scheduler=False)
-    ctx.make_galois_keys(scheduled_conv.required_rotation_steps()
-                         | scheduled_fc.required_rotation_steps())
+    conv = EncryptedConv2d(ctx, spec, weights)
+    fc = BsgsMatVec(ctx, fc_matrix)
+    ctx.make_galois_keys(conv.required_rotation_steps()
+                         | fc.required_rotation_steps())
 
     image = rng.integers(0, 4, (spec.in_channels, spec.height, spec.width))
-    packed = scheduled_conv.packing.pack(
+    packed = conv.packing.pack(
         [image[c].ravel() for c in range(spec.in_channels)])
     conv_ct = ctx.encrypt(packed.astype(np.int64))
     fc_vec = rng.integers(0, 8, FC_SHAPE[1])
-    fc_ct = ctx.encrypt(scheduled_fc.pack_input(fc_vec).astype(np.int64))
+    fc_ct = ctx.encrypt(fc.pack_input(fc_vec).astype(np.int64))
+    naive_conv, naive_fc = _naive(ctx, conv, conv_ct), _naive(ctx, fc, fc_ct)
 
-    # Exactness: the scheduled slice decrypts identically to the direct one.
-    for a, b in ((scheduled_conv, direct_conv), (scheduled_fc, direct_fc)):
-        got = np.asarray(ctx.decrypt(a(conv_ct if a is scheduled_conv
-                                       else fc_ct)))
-        want = np.asarray(ctx.decrypt(b(conv_ct if a is scheduled_conv
-                                        else fc_ct)))
-        assert np.array_equal(got, want), \
-            "scheduled dnn slice diverged from the direct path"
+    # Exactness: the scheduled slice decrypts identically to the oracle.
+    for got, want in ((conv(conv_ct), naive_conv()), (fc(fc_ct), naive_fc())):
+        assert np.array_equal(np.asarray(ctx.decrypt(got)),
+                              np.asarray(ctx.decrypt(want))), \
+            "scheduled dnn slice diverged from its reference run"
 
     # Residency telemetry: repeated scheduled calls must elide NTT pairs.
     before = ctx.counts.get("ntt_elided", 0)
-    scheduled_conv(conv_ct)
-    scheduled_fc(fc_ct)
+    conv(conv_ct)
+    fc(fc_ct)
     elided = ctx.counts.get("ntt_elided", 0) - before
     assert elided > 0, "NTT-residency pass did not fire on the dnn slice"
 
-    def direct():
-        direct_conv(conv_ct)
-        direct_fc(fc_ct)
+    def naive():
+        naive_conv()
+        naive_fc()
 
     def scheduled():
-        scheduled_conv(conv_ct)
-        scheduled_fc(fc_ct)
+        conv(conv_ct)
+        fc(fc_ct)
 
-    return _best_of_pair(direct, scheduled, 2) + (elided,)
+    return _best_of_pair(naive, scheduled, 2) + (elided,)
 
 
 def main(argv=None):
@@ -164,10 +187,10 @@ def main(argv=None):
 
     ctx = _make_context()
     matvec = _measure_fig15_matvec(ctx)
-    slice_direct, slice_sched, elided = _measure_dnn_slice(ctx)
+    slice_naive, slice_sched, elided = _measure_dnn_slice(ctx)
     measurements = {
         "fig15_matvec": matvec,
-        "dnn_slice": (slice_direct, slice_sched),
+        "dnn_slice": (slice_naive, slice_sched),
     }
 
     report = {
@@ -178,15 +201,15 @@ def main(argv=None):
         "kernels": {},
     }
     failures = []
-    for name, (direct_s, sched_s) in measurements.items():
-        speedup = direct_s / sched_s
+    for name, (naive_s, sched_s) in measurements.items():
+        speedup = naive_s / sched_s
         report["kernels"][name] = {
-            "direct_ms": round(1e3 * direct_s, 3),
+            "reference_ms": round(1e3 * naive_s, 3),
             "scheduled_ms": round(1e3 * sched_s, 3),
             "speedup": round(speedup, 3),
             "min_speedup": MIN_SPEEDUP[name],
         }
-        print(f"  {name:14s} direct {1e3 * direct_s:9.2f} ms   "
+        print(f"  {name:14s} reference {1e3 * naive_s:9.2f} ms   "
               f"scheduled {1e3 * sched_s:9.2f} ms   {speedup:5.2f}x "
               f"(floor {MIN_SPEEDUP[name]:.1f}x)")
         if speedup < MIN_SPEEDUP[name]:

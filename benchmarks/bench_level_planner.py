@@ -157,13 +157,14 @@ def _measure_dnn_slice(ctx):
     weights = rng.integers(-3, 4, (spec.out_channels, spec.in_channels,
                                    spec.kernel_size, spec.kernel_size))
     fc_matrix = rng.integers(-3, 4, FC_SHAPE)
-    conv = EncryptedConv2d(ctx, spec, weights, use_scheduler=False)
-    fc = BsgsMatVec(ctx, fc_matrix, use_scheduler=False)
+    conv = EncryptedConv2d(ctx, spec, weights)
+    fc = BsgsMatVec(ctx, fc_matrix)
 
-    conv_prog = trace_program(ctx.params,
-                              lambda tr, x: conv._direct(tr, x, None), ["x"])
-    fc_prog = trace_program(ctx.params,
-                            lambda tr, x: fc._direct(tr, x, None), ["out0"])
+    # Each kernel's own traced program; the fc input is renamed to the conv
+    # output it consumes so concat_programs can join them.
+    conv_prog, fc_prog = conv.program((1,)), fc.program((1,))
+    (fc_input,) = (n for n in fc_prog.nodes if n.kind == "input")
+    fc_input.name = "out0"
     slice_prog = concat_programs(conv_prog, fc_prog, boundary="recrypt")
 
     sched_off = compile_ir(slice_prog, ctx.params.scheme)
@@ -181,8 +182,8 @@ def _measure_dnn_slice(ctx):
                                 for c in range(spec.in_channels)])
     ct = ctx.encrypt(packed.astype(np.int64))
 
-    out_off = sched_off.run(ctx, {"x": ct})["out0"]
-    out_on = sched_on.run(ctx, {"x": ct})["out0"]
+    out_off = sched_off.run(ctx, {"in0": ct})["out0"]
+    out_on = sched_on.run(ctx, {"in0": ct})["out0"]
     got_off = np.asarray(ctx.decrypt(out_off))
     got_on = np.asarray(ctx.decrypt(out_on))
     t = ctx.params.plain_modulus
@@ -190,8 +191,8 @@ def _measure_dnn_slice(ctx):
         "the planned dnn slice diverged from the planner-off schedule"
 
     replans = plan.replans
-    off_s, on_s = _best_of_pair(lambda: sched_off.run(ctx, {"x": ct}),
-                                lambda: sched_on.run(ctx, {"x": ct}), 1)
+    off_s, on_s = _best_of_pair(lambda: sched_off.run(ctx, {"in0": ct}),
+                                lambda: sched_on.run(ctx, {"in0": ct}), 1)
     return off_s, on_s, replans
 
 

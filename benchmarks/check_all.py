@@ -21,9 +21,9 @@ a change:
   throughput through the router against a core-aware floor, plus the
   fleet chaos soak (worker kill, failover, exactly-once, ledger parity).
   Runs in ``--quick`` mode here to keep the tier within budget;
-* ``bench_ir`` — the ciphertext-program IR scheduler against the
-  hand-wired kernel paths (fig15 matvec and a 2-layer dnn slice), plus
-  the NTT-residency telemetry signal;
+* ``bench_ir`` — the ciphertext-program IR scheduler against the naive
+  ``run_reference`` of the same traced kernels (fig15 matvec and a
+  2-layer dnn slice), plus the NTT-residency telemetry signal;
 * ``bench_level_planner`` — the level-aware parameter planner against the
   planner-off scheduled paths (fig15 matvec chain and a Table-5 dnn
   slice with a recrypt boundary), plus limb-drop telemetry and wire-byte

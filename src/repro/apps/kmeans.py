@@ -26,7 +26,7 @@ from repro.core.distance import (
     DistanceProblem,
     MultiQueryDimensionMajor,
 )
-from repro.core.linalg import _rotate, rotate_and_accumulate, rotate_and_sum_steps
+from repro.core.linalg import rotate_and_accumulate, rotate_and_sum_steps
 from repro.core.protocol import ClientAidedSession
 
 

@@ -304,9 +304,10 @@ class RemoteKnn:
             self.ctx, DistanceProblem(n_points=len(points),
                                       dims=points.shape[1]))
         # Merged key set: every stored batch plus the new one, one keygen.
-        galois = ensure_galois_keys(
-            self.ctx, kernel.required_rotation_steps(),
+        # A rotation-free packing (dimension-major) needs no Galois keys.
+        steps = kernel.required_rotation_steps().union(
             *(k.required_rotation_steps() for k, _ in self._batches))
+        galois = ensure_galois_keys(self.ctx, steps) if steps else None
         await self.client.upload_keys(relin=self.ctx.relin_keys(),
                                       galois=galois)
         cts = self._encrypt_many(kernel.pack_points(points))

@@ -121,18 +121,10 @@ class ClientAidedPageRank:
         server rebuilds the margins with two rotations and adds — cheap in
         noise (no masking multiplies), which is what lets encrypted segments
         run back-to-back.  Both rotations act on the same ciphertext, so
-        they share one hoisted key-switch decompose when the context
-        supports it.
+        they share one hoisted key-switch decompose.
         """
         ctx = self.ctx
-        dim = self.matvec.dim
-        fused = getattr(ctx, "rotate_many", None)
-        if fused is not None:
-            left, right = fused(ct, (dim, -dim))
-        else:
-            rot = getattr(ctx, "rotate_rows", None) or ctx.rotate
-            left = rot(ct, dim, None)
-            right = rot(ct, -dim, None)
+        left, right = ctx.rotate_many(ct, (self.matvec.dim, -self.matvec.dim))
         return ctx.add(ctx.add(ct, left), right)
 
 

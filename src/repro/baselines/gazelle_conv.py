@@ -19,7 +19,7 @@ from typing import Set
 
 import numpy as np
 
-from repro.core.linalg import Conv2dSpec, _encode_vector, _rotate, row_slot_count
+from repro.core.linalg import Conv2dSpec, _encode_vector, row_slot_count
 from repro.core.permute import required_rotation_steps, windowed_rotation_masked
 
 
@@ -89,8 +89,8 @@ class GazelleStyleConv2d:
             if channel_acc is None:
                 continue
             if o:
-                channel_acc = _rotate(ctx, channel_acc, -(o * self.span),
-                                      galois_keys)
+                channel_acc = ctx.rotate(channel_acc, -(o * self.span),
+                                         galois_keys)
             acc = channel_acc if acc is None else ctx.add(acc, channel_acc)
         if acc is None:
             raise ValueError("convolution has no non-zero weights")

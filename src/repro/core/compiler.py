@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.ir import (IrBuilder, IrProgram, ScheduledProgram,
                            compile_ir, ensure_galois_keys)
 from repro.core.paramsearch import ParameterChoice, WorkloadProfile, select_parameters
-from repro.hecore.params import SchemeType
+from repro.hecore.params import EncryptionParameters, SchemeType
 
 
 class Expr:
@@ -244,45 +244,37 @@ class CompiledProgram:
     adds: int
     input_names: Set[str]
     recommended: ParameterChoice
-    _scheduled: Optional[ScheduledProgram] = field(default=None, repr=False)
+    _scheduled: Dict[EncryptionParameters, ScheduledProgram] = field(
+        default_factory=dict, repr=False)
 
     # ----------------------------------------------------------- scheduling
-    def scheduled(self, params=None) -> ScheduledProgram:
+    def scheduled(self, params) -> ScheduledProgram:
         """The program lowered to ciphertext IR and run through the
-        scheduler passes (rotation fusion, level planning when *params*
-        are supplied, level-drop sinking, NTT residency).  Cached on
-        first call: plaintext encodings and NTT tables survive across
-        :meth:`execute` calls."""
-        if self._scheduled is None:
-            self._scheduled = compile_ir(lower_to_ir(self.program),
-                                         SchemeType.CKKS, params=params)
-        return self._scheduled
+        scheduler passes (rotation fusion, level planning for *params* —
+        outputs go straight to the client — level-drop sinking, NTT
+        residency).  Cached per parameter set: plaintext encodings and
+        NTT tables survive across :meth:`execute` calls, and a level plan
+        never serves a modulus chain it was not made for."""
+        sched = self._scheduled.get(params)
+        if sched is None:
+            sched = self._scheduled[params] = compile_ir(
+                lower_to_ir(self.program), SchemeType.CKKS, params=params)
+        return sched
 
     # ----------------------------------------------------------- execution
-    def execute(self, ctx, inputs: Dict[str, object],
-                use_scheduler: bool = True,
-                use_level_planner: bool = True) -> Dict[str, np.ndarray]:
+    def execute(self, ctx, inputs: Dict[str, object]) -> Dict[str, np.ndarray]:
         """Run the program on a :class:`CkksContext`.
 
         *inputs* maps input names to plaintext vectors (encrypted here) or
         pre-encrypted ciphertexts.  Returns decrypted output vectors.
-        With ``use_scheduler=False`` the original direct executor runs —
-        the scheduler-off reference the exactness tests compare against.
-        ``use_level_planner=False`` schedules without the level planner
-        (the full modulus chain stays live end to end); the flag takes
-        effect on the first scheduled call, which caches the program.
         """
         if ctx.params.scheme is not SchemeType.CKKS:
             raise ValueError("Eva programs execute under CKKS")
         missing = self.input_names - set(inputs)
         if missing:
             raise ValueError(f"missing program inputs: {sorted(missing)}")
-        planner_params = ctx.params if use_level_planner else None
-        if use_scheduler:
-            ensure_galois_keys(
-                ctx, self.scheduled(planner_params).rotation_steps())
-        elif self.rotation_steps:
-            ctx.make_galois_keys(self.rotation_steps)
+        sched = self.scheduled(ctx.params)
+        ensure_galois_keys(ctx, sched.rotation_steps())
         # Encrypt all plaintext program inputs in one stacked client pass,
         # and decrypt all program outputs in another — the compiler is a
         # natural batch boundary for the client-crypto engine.
@@ -297,16 +289,11 @@ class CompiledProgram:
                 vec[: len(raw)] = raw
                 padded.append(vec)
             prepared.update(zip(plain_names, ctx.encrypt_many(padded)))
-        if use_scheduler:
-            outputs = self.scheduled(planner_params).run(ctx, prepared)
-            out_cts = [(name, outputs[name]) for name in self.program.outputs]
-        else:
-            executor = _Executor(ctx, self.program.slots, prepared)
-            out_cts = [(name, executor.evaluate(expr))
-                       for name, expr in self.program.outputs.items()]
-        decrypted = ctx.decrypt_many([ct for _, ct in out_cts])
+        outputs = sched.run(ctx, prepared)
+        names = list(self.program.outputs)
+        decrypted = ctx.decrypt_many([outputs[name] for name in names])
         return {name: np.real(vec)[: self.program.slots]
-                for (name, _), vec in zip(out_cts, decrypted)}
+                for name, vec in zip(names, decrypted)}
 
     def reference(self, inputs: Dict[str, Sequence[float]]) -> Dict[str, np.ndarray]:
         """Plaintext oracle evaluation of the same program."""
@@ -349,128 +336,13 @@ class CompiledProgram:
         return {name: ev(expr) for name, expr in self.program.outputs.items()}
 
 
-class _Executor:
-    """Evaluates a scheduled DAG on a live CKKS context.
-
-    Invariant: every ciphertext node sits at the context's nominal scale;
-    multiplications rescale immediately and normalize the tracked scale
-    (bias per level < 0.1% with near-scale rescale primes).
-    """
-
-    def __init__(self, ctx, slots: int, inputs: Dict[str, object]):
-        self.ctx = ctx
-        self.slots = slots
-        self.inputs = inputs
-        self._memo: Dict[int, object] = {}
-
-    # --------------------------------------------------------- level mgmt
-    def _align(self, a, b):
-        a, b = self.ctx.align(a, b)
-        return a, b
-
-    def _rescale_normalized(self, ct):
-        out = self.ctx.rescale(ct)
-        drift = out.scale / self.ctx.params.scale
-        if not 0.5 < drift < 2.0:
-            raise RuntimeError("scale drifted out of the normalization range")
-        out.scale = self.ctx.params.scale
-        return out
-
-    def _plain_vector(self, expr: Expr) -> np.ndarray:
-        if isinstance(expr, Constant):
-            v = np.zeros(self.slots)
-            v[: len(expr.values)] = expr.values
-            return v
-        if isinstance(expr, Scalar):
-            return np.full(self.slots, expr.value)
-        raise TypeError("not a plaintext node")
-
-    # ---------------------------------------------------------- evaluation
-    def evaluate(self, expr: Expr):
-        key = id(expr)
-        if key in self._memo:
-            return self._memo[key]
-        ct = self._evaluate(expr)
-        self._memo[key] = ct
-        return ct
-
-    def _evaluate(self, expr: Expr):
-        ctx = self.ctx
-        if isinstance(expr, Input):
-            value = self.inputs[expr.name]
-            if hasattr(value, "components"):
-                return value
-            padded = np.zeros(self.slots)
-            raw = np.asarray(value, dtype=float)
-            padded[: len(raw)] = raw
-            return ctx.encrypt(padded)
-        if _is_plain(expr):
-            raise TypeError("plaintext nodes are consumed by their parents")
-        if isinstance(expr, Neg):
-            return ctx.negate(self.evaluate(expr.operand))
-        if isinstance(expr, Rotate):
-            inner = self.evaluate(expr.operand)
-            return ctx.rotate(inner, expr.steps) if expr.steps else inner
-        if isinstance(expr, (Add, Sub)):
-            return self._binary_additive(expr)
-        if isinstance(expr, Mul):
-            return self._multiply(expr)
-        raise TypeError(type(expr).__name__)
-
-    def _binary_additive(self, expr):
-        ctx = self.ctx
-        op = ctx.add if isinstance(expr, Add) else ctx.sub
-        left_plain = _is_plain(expr.left)
-        right_plain = _is_plain(expr.right)
-        if left_plain and right_plain:
-            raise ValueError("fold constant-only expressions before compiling")
-        if right_plain or left_plain:
-            plain_expr, ct_expr = ((expr.left, expr.right) if left_plain
-                                   else (expr.right, expr.left))
-            ct = self.evaluate(ct_expr)
-            pt = ctx.encode(self._plain_vector(plain_expr), scale=ct.scale,
-                            base=ct.level_base)
-            if isinstance(expr, Add):
-                return ctx.add_plain(ct, pt)
-            if left_plain:                     # plain - ct
-                return ctx.add_plain(ctx.negate(ct), pt)
-            return ctx.add_plain(ct, _negate_plain(pt))   # ct - plain
-        a = self.evaluate(expr.left)
-        b = self.evaluate(expr.right)
-        a, b = self._align(a, b)
-        return op(a, b)
-
-    def _multiply(self, expr):
-        ctx = self.ctx
-        left_plain = _is_plain(expr.left)
-        right_plain = _is_plain(expr.right)
-        if left_plain and right_plain:
-            raise ValueError("fold constant-only expressions before compiling")
-        if left_plain or right_plain:
-            plain_expr, ct_expr = ((expr.left, expr.right) if left_plain
-                                   else (expr.right, expr.left))
-            ct = self.evaluate(ct_expr)
-            pt = ctx.encode(self._plain_vector(plain_expr), base=ct.level_base)
-            return self._rescale_normalized(ctx.multiply_plain(ct, pt))
-        a = self.evaluate(expr.left)
-        b = self.evaluate(expr.right)
-        a, b = self._align(a, b)
-        return self._rescale_normalized(ctx.multiply(a, b))
-
-
-def _negate_plain(pt):
-    from repro.hecore.plaintext import CkksPlaintext
-
-    return CkksPlaintext(-pt.poly, pt.scale)
-
-
 def lower_to_ir(program: EvaProgram) -> IrProgram:
     """Lower an Eva expression DAG to the linear ciphertext IR.
 
-    Mirrors the direct executor's schedule exactly: a normalized rescale
-    follows every multiplication, plaintext operands stay attached to the
-    consuming node (the IR runner encodes them at the consumer's level and
-    scale), and zero-step rotations vanish.  The scheduler passes in
+    A normalized rescale follows every multiplication (waterline
+    discipline), plaintext operands stay attached to the consuming node
+    (the IR runner encodes them at the consumer's level and scale), and
+    zero-step rotations vanish.  The scheduler passes in
     :mod:`repro.core.ir` then fuse rotations, sink the rescales, and keep
     plain-multiply products NTT-resident.
     """

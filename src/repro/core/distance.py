@@ -27,9 +27,8 @@ from typing import Dict, List, Sequence, Set, Tuple, Type
 
 import numpy as np
 
-from repro.core.ir import ScheduleError, compile_ir, trace_program
+from repro.core.ir import TracedKernel
 from repro.core.linalg import (
-    _rotate,
     rotate_and_accumulate,
     rotate_and_sum_steps,
     row_slot_count,
@@ -56,79 +55,35 @@ class DistanceProblem:
         return _pow2(self.n_points)
 
 
-class DistanceKernel:
+class DistanceKernel(TracedKernel):
     """Base class: packing, server compute, and result decoding."""
 
     name = "abstract"
+    #: Distance results go straight back to the client for decryption
+    #: (top-k happens client-side): the level planner drops them to the
+    #: decryptability floor — smaller downloads for free.
+    terminal_outputs = True
 
     def __init__(self, ctx, problem: DistanceProblem):
-        self.ctx = ctx
+        super().__init__(ctx)
         self.problem = problem
         self.slots = row_slot_count(ctx)
 
-    #: Route compute() through the traced-and-scheduled IR (the direct
-    #: path stays reachable as the exactness reference).
-    use_scheduler = True
-    #: Distance results go straight back to the client for decryption
-    #: (top-k happens client-side), so their outputs are terminal and the
-    #: level planner can drop them to the decryptability floor — smaller
-    #: downloads for free.  ``False`` schedules without the planner.
-    use_level_planner = True
-
-    # Subclasses implement these four (``_compute_direct`` runs against any
-    # evaluator surface — a live context or a recording tracer).
+    # Subclasses implement these four (``_body`` is the traced evaluation:
+    # ``_body(ev, point_cts, query_cts)`` returning the output list).
     def pack_points(self, points: np.ndarray) -> List[np.ndarray]:
         raise NotImplementedError
 
     def pack_query(self, query: np.ndarray) -> List[np.ndarray]:
         raise NotImplementedError
 
-    def _compute_direct(self, ctx, point_cts, query_cts, galois_keys=None):
-        raise NotImplementedError
-
     def decode(self, outputs: List[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
     # Shared helpers -------------------------------------------------------
-    def _schedule(self, n_points_cts: int, n_query_cts: int):
-        """Trace this kernel's direct path once per ciphertext-count shape
-        and cache the scheduled program (None when untraceable)."""
-        cache = getattr(self, "_sched_cache", None)
-        if cache is None:
-            cache = self._sched_cache = {}
-        key = (n_points_cts, n_query_cts)
-        if key not in cache:
-            names = ([f"p{i}" for i in range(n_points_cts)]
-                     + [f"q{i}" for i in range(n_query_cts)])
-
-            def body(tracer, *handles):
-                return self._compute_direct(
-                    tracer, list(handles[:n_points_cts]),
-                    list(handles[n_points_cts:]), None)
-
-            try:
-                ir = trace_program(self.ctx.params, body, names)
-                cache[key] = compile_ir(
-                    ir, self.ctx.params.scheme,
-                    params=self.ctx.params if self.use_level_planner
-                    else None)
-            except ScheduleError:
-                cache[key] = None
-        return cache[key]
-
     def compute(self, point_cts, query_cts, galois_keys=None):
-        """Evaluate the kernel, scheduled by default (rotation fusion,
-        rescale sinking, NTT residency); falls back to the hand-wired
-        direct path when the kernel cannot be traced."""
-        sched = (self._schedule(len(point_cts), len(query_cts))
-                 if self.use_scheduler else None)
-        if sched is None:
-            return self._compute_direct(self.ctx, point_cts, query_cts,
-                                        galois_keys)
-        inputs = {f"p{i}": ct for i, ct in enumerate(point_cts)}
-        inputs.update({f"q{i}": ct for i, ct in enumerate(query_cts)})
-        outputs = sched.run(self.ctx, inputs, galois_keys)
-        return [outputs[f"out{i}"] for i in range(len(outputs))]
+        """Evaluate the kernel; returns the output ciphertexts."""
+        return self.run((point_cts, query_cts), galois_keys)
 
     def required_rotation_steps(self) -> Set[int]:
         return set()
@@ -181,14 +136,11 @@ class PointMajorKernel(DistanceKernel):
         # dimension sum can run as one fused hoisted span.
         return rotate_and_sum_steps(self.problem.padded_dims)
 
-    def _compute_direct(self, ctx, point_cts, query_cts, galois_keys=None):
+    def _body(self, ev, point_cts, query_cts):
         q = query_cts[0]
-        out = []
-        for p in point_cts:
-            sq = self._squared_diff(ctx, p, q)
-            out.append(rotate_and_accumulate(ctx, sq, self.problem.padded_dims,
-                                             galois_keys))
-        return out
+        return [rotate_and_accumulate(ev, self._squared_diff(ev, p, q),
+                                      self.problem.padded_dims)
+                for p in point_cts]
 
     def decode(self, outputs):
         return np.array([o[0] for o in outputs])
@@ -207,11 +159,11 @@ class DimensionMajorKernel(DistanceKernel):
         n = self.problem.n_points
         return [np.full(n, float(q_k)) for q_k in query]
 
-    def _compute_direct(self, ctx, point_cts, query_cts, galois_keys=None):
+    def _body(self, ev, point_cts, query_cts):
         acc = None
         for p, q in zip(point_cts, query_cts):
-            sq = self._squared_diff(ctx, p, q)
-            acc = sq if acc is None else ctx.add(acc, sq)
+            sq = self._squared_diff(ev, p, q)
+            acc = sq if acc is None else ev.add(acc, sq)
         return [acc]
 
     def decode(self, outputs):
@@ -253,14 +205,11 @@ class StackedPointMajorKernel(DistanceKernel):
     def required_rotation_steps(self):
         return rotate_and_sum_steps(self.problem.padded_dims)
 
-    def _compute_direct(self, ctx, point_cts, query_cts, galois_keys=None):
+    def _body(self, ev, point_cts, query_cts):
         q = query_cts[0]
-        out = []
-        for p in point_cts:
-            sq = self._squared_diff(ctx, p, q)
-            out.append(rotate_and_accumulate(ctx, sq, self.problem.padded_dims,
-                                             galois_keys))
-        return out
+        return [rotate_and_accumulate(ev, self._squared_diff(ev, p, q),
+                                      self.problem.padded_dims)
+                for p in point_cts]
 
     def decode(self, outputs):
         d = self.problem.padded_dims
@@ -316,16 +265,16 @@ class StackedDimensionMajorKernel(DistanceKernel):
             stride //= 2
         return steps
 
-    def _compute_direct(self, ctx, point_cts, query_cts, galois_keys=None):
+    def _body(self, ev, point_cts, query_cts):
         n = self.problem.padded_points
         acc = None
         for p, q in zip(point_cts, query_cts):
-            sq = self._squared_diff(ctx, p, q)
-            acc = sq if acc is None else ctx.add(acc, sq)
+            sq = self._squared_diff(ev, p, q)
+            acc = sq if acc is None else ev.add(acc, sq)
         # Fold the per-window partial sums into window 0.
         stride = _pow2(self.dims_per_ct)
         while stride > 1:
-            acc = ctx.add(acc, _rotate(ctx, acc, (stride // 2) * n, galois_keys))
+            acc = ev.add(acc, ev.rotate(acc, (stride // 2) * n))
             stride //= 2
         return [acc]
 
@@ -355,29 +304,25 @@ class CollapsedPointMajorKernel(StackedPointMajorKernel):
             steps.add(-(g * self.points_per_ct))
         return {s for s in steps if s != 0}
 
-    def _compute_direct(self, ctx, point_cts, query_cts, galois_keys=None):
+    def _body(self, ev, point_cts, query_cts):
         d = self.problem.padded_dims
-        sparse = super()._compute_direct(ctx, point_cts, query_cts,
-                                         galois_keys)
+        sparse = super()._body(ev, point_cts, query_cts)
         collapsed = None
         for g, (block, (lo, hi)) in enumerate(zip(sparse, self._groups())):
             dense_block = None
             for i in range(hi - lo):
                 mask = np.zeros(self.slots)
                 mask[i * d] = 1.0
-                encoded = ctx.encode(mask, base=block.level_base)
-                picked = ctx.rescale(ctx.multiply_plain(block, encoded))
-                if i * d - i:
-                    picked = _rotate(ctx, picked, i * d - i, galois_keys)
-                dense_block = picked if dense_block is None else ctx.add(dense_block, picked)
-            if g:
-                dense_block = _rotate(ctx, dense_block,
-                                      -(g * self.points_per_ct), galois_keys)
+                encoded = ev.encode(mask, base=block.level_base)
+                picked = ev.rotate(ev.rescale(ev.multiply_plain(block, encoded)),
+                                   i * d - i)
+                dense_block = picked if dense_block is None else ev.add(dense_block, picked)
+            dense_block = ev.rotate(dense_block, -(g * self.points_per_ct))
             if collapsed is None:
                 collapsed = dense_block
             else:
-                collapsed, dense_block = ctx.align(collapsed, dense_block)
-                collapsed = ctx.add(collapsed, dense_block)
+                collapsed, dense_block = ev.align(collapsed, dense_block)
+                collapsed = ev.add(collapsed, dense_block)
         return [collapsed]
 
     def decode(self, outputs):
@@ -434,21 +379,16 @@ class MultiQueryDimensionMajor(DimensionMajorKernel):
             copies *= 2
         return steps
 
-    def _replicate_points(self, ctx, ct, galois_keys=None):
+    def _replicate_points(self, ev, ct):
         copies = 1
         while copies < self._regions:
-            ct = ctx.add(ct, _rotate(ctx, ct, -(self.stride * copies),
-                                     galois_keys))
+            ct = ev.add(ct, ev.rotate(ct, -(self.stride * copies)))
             copies *= 2
         return ct
 
-    def _compute_direct(self, ctx, point_cts, query_cts, galois_keys=None):
-        acc = None
-        for p, q in zip(point_cts, query_cts):
-            replicated = self._replicate_points(ctx, p, galois_keys)
-            sq = self._squared_diff(ctx, replicated, q)
-            acc = sq if acc is None else ctx.add(acc, sq)
-        return [acc]
+    def _body(self, ev, point_cts, query_cts):
+        return super()._body(
+            ev, [self._replicate_points(ev, p) for p in point_cts], query_cts)
 
     def decode_matrix(self, outputs: List[np.ndarray],
                       n_queries: int) -> np.ndarray:

@@ -33,14 +33,15 @@ directly.  A scheduler then runs ordered passes over the DAG:
    ``ntt_inverse``.
 
 The scheduler-off reference path (:meth:`ScheduledProgram.run_reference`)
-executes the same IR one primitive at a time — the bit-exactness oracle
-the randomized DAG tests compare against.
+executes the program as traced, before any pass, one naive primitive at a
+time — the bit-exactness oracle the randomized DAG and kernel tests compare
+against.
 
-``TracerContext`` lets existing consumer code *emit* IR without being
-rewritten: it mimics the evaluator surface of a context (encode, add,
-multiply_plain, rotate, rescale, ...), recording nodes instead of
-computing.  ``core.linalg`` and ``core.distance`` trace their own direct
-evaluation bodies once and replay the scheduled program thereafter.
+``TracerContext`` lets kernel code *emit* IR: it mimics the evaluator
+surface of a context (encode, add, multiply_plain, rotate, rescale, ...),
+recording nodes instead of computing.  :class:`TracedKernel` is the one
+execution pipeline built on it: a kernel writes its evaluation body once,
+and every call runs body → trace → passes → scheduled run.
 """
 
 from __future__ import annotations
@@ -243,14 +244,11 @@ class _TracePlain:
 class TracerContext:
     """A recording stand-in for a BFV/CKKS context.
 
-    Implements exactly the evaluator surface the linalg/distance direct
-    paths use.  Deliberately does **not** expose ``rotate_weighted_sum`` or
+    Implements exactly the evaluator surface the kernel bodies use.
+    Deliberately does **not** expose ``rotate_weighted_sum`` or
     ``rotate_many``: tracing captures the *unfused* rotate/mul/add chain
     and the scheduler re-derives the fusions as passes.
     """
-
-    #: Lets consumers skip real-plaintext caching while being traced.
-    is_tracer = True
 
     def __init__(self, params):
         self.params = params
@@ -342,6 +340,65 @@ def trace_program(params, fn, input_names: Sequence[str],
     for i, handle in enumerate(result):
         tracer.builder.output(f"out{i}", tracer._ct(handle))
     return tracer.builder.program
+
+
+class TracedKernel:
+    """The one way an encrypted kernel executes: body → trace → passes → run.
+
+    A subclass writes its evaluation once, as ``_body(ev, *groups)``
+    against the evaluator surface (:class:`TracerContext`), taking one list
+    of ciphertext handles per argument and returning a handle or a sequence
+    of handles.  A kernel's *shape* is the ciphertext count of each
+    argument; inputs are named ``in0..inN`` in flattened argument order.
+    A body the tracer cannot record raises :class:`ScheduleError` from the
+    first call — there is no other path to fall back to.
+    """
+
+    #: ``True`` when outputs go straight to the client for decryption: the
+    #: level planner then drops them to the decryptability floor.  ``False``
+    #: when callers chain the outputs into further encrypted compute, so
+    #: the schedule keeps the full modulus chain.
+    terminal_outputs = False
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self._schedules: Dict[Tuple[int, ...], ScheduledProgram] = {}
+
+    def _body(self, ev, *groups):
+        raise NotImplementedError
+
+    def program(self, shape: Tuple[int, ...]) -> IrProgram:
+        """The body traced for *shape*, before any scheduling pass."""
+        def body(ev, *handles):
+            rest = iter(handles)
+            return self._body(ev, *([next(rest) for _ in range(n)]
+                                    for n in shape))
+
+        return trace_program(self.ctx.params, body,
+                             [f"in{i}" for i in range(sum(shape))])
+
+    def scheduled(self, shape: Tuple[int, ...]) -> "ScheduledProgram":
+        """The compiled schedule for *shape*, cached on the kernel."""
+        sched = self._schedules.get(shape)
+        if sched is None:
+            params = self.ctx.params
+            sched = self._schedules[shape] = compile_ir(
+                self.program(shape), params.scheme,
+                params=params if self.terminal_outputs else None)
+        return sched
+
+    def schedule_report(self, shape: Tuple[int, ...] = (1,)
+                        ) -> "ScheduleReport":
+        """The scheduler's pass report (default: one input ciphertext)."""
+        return self.scheduled(shape).report
+
+    def run(self, groups: Sequence[Sequence], galois_keys=None) -> List:
+        """Execute on ``self.ctx``; returns the output ciphertexts in order."""
+        sched = self.scheduled(tuple(len(g) for g in groups))
+        inputs = {f"in{i}": ct
+                  for i, ct in enumerate(ct for g in groups for ct in g)}
+        outputs = sched.run(self.ctx, inputs, galois_keys)
+        return [outputs[f"out{i}"] for i in range(len(outputs))]
 
 
 def concat_programs(first: IrProgram, second: IrProgram,
@@ -641,12 +698,12 @@ def compile_ir(program: IrProgram, scheme: SchemeType, params=None,
     tune or disable it; without *params* the planner never runs — the
     pre-planner pipeline is unchanged.
     """
-    nodes = list(program.nodes)      # the passes rewrite a private copy
+    source = program                 # the passes rewrite a private copy
     program = IrProgram(nodes=[IrNode(n.kind, n.args, n.steps, n.width,
                                       n.values, n.name, n.terms, n.normalize,
                                       n.planned)
-                               for n in nodes],
-                        outputs=dict(program.outputs), slots=program.slots)
+                               for n in source.nodes],
+                        outputs=dict(source.outputs), slots=source.slots)
     report = ScheduleReport()
     _fuse_weighted_sums(program, scheme, report)
     if params is not None and (level_planner is None or level_planner.enabled):
@@ -657,7 +714,8 @@ def compile_ir(program: IrProgram, scheme: SchemeType, params=None,
     _sink_level_drops(program, report)
     groups = _group_rotations(program, report)
     resident = _mark_residency(program, report)
-    return ScheduledProgram(program, scheme, report, groups, resident)
+    return ScheduledProgram(program, scheme, report, groups, resident,
+                            source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +750,10 @@ class ScheduledProgram:
 
     def __init__(self, program: IrProgram, scheme: SchemeType,
                  report: ScheduleReport, groups: Dict[int, List[int]],
-                 resident: Set[int]):
+                 resident: Set[int], source: Optional[IrProgram] = None):
         self.program = program
+        #: The program as traced, before any pass: what the oracle runs.
+        self.source = program if source is None else source
         self.scheme = scheme
         self.report = report
         self.groups = groups
@@ -796,9 +856,12 @@ class ScheduledProgram:
         return _IrRunner(self, ctx, inputs, galois_keys, fused=True).run()
 
     def run_reference(self, ctx, inputs: Dict[str, object], galois_keys=None):
-        """Scheduler-off oracle: same IR, one primitive call per node —
-        no fusion, no residency, no caching."""
-        return _IrRunner(self, ctx, inputs, galois_keys, fused=False).run()
+        """Scheduler-off oracle: the program as traced, one naive primitive
+        call per node — no pass output, no hoisting, no residency, and
+        nothing cached from one call to the next."""
+        raw = ScheduledProgram(self.source, self.scheme, ScheduleReport(),
+                               {}, set())
+        return _IrRunner(raw, ctx, inputs, galois_keys, fused=False).run()
 
 
 class _IrRunner:
@@ -849,12 +912,9 @@ class _IrRunner:
         return self._to_coeff(a), self._to_coeff(b)
 
     # ------------------------------------------------------------- helpers
-    def _rotate_one(self, ct, steps):
-        rotate = getattr(self.ctx, "rotate_rows", None) or self.ctx.rotate
-        return rotate(ct, steps, self.keys)
-
     def _additive_plain(self, kind, ct, cid, const_left):
-        """add/sub with a plaintext operand — mirrors the Eva executor."""
+        """add/sub with a plaintext operand, encoded at the ciphertext's
+        level and scale (``ct - plain`` adds the negated plaintext)."""
         ctx = self.ctx
         ct = self._to_coeff(ct)
         if self.ckks:
@@ -904,12 +964,8 @@ class _IrRunner:
             members = self.sched.groups[src_nid]
             steps = [self.program.nodes[m].steps for m in members]
             src = self._to_coeff(self.memo[src_nid])
-            fused = getattr(self.ctx, "rotate_many", None)
-            if fused is not None:
-                cts = fused(src, steps, self.keys)
-            else:
-                cts = [self._rotate_one(src, s) for s in steps]
-            results = dict(zip(members, cts))
+            results = dict(zip(members,
+                               self.ctx.rotate_many(src, steps, self.keys)))
             self.memo[key] = results
         return results
 
@@ -976,8 +1032,8 @@ class _IrRunner:
         if kind == "rotate":
             if self.fused and nid in self.sched._group_of:
                 return self._group_results(self.sched._group_of[nid])[nid]
-            return self._rotate_one(self._to_coeff(self.memo[node.args[0]]),
-                                    node.steps)
+            return ctx.rotate(self._to_coeff(self.memo[node.args[0]]),
+                              node.steps, self.keys)
         if kind in ("add", "sub"):
             a, b = node.args
             a_const = self.program.is_const(a)
@@ -1037,7 +1093,7 @@ class _IrRunner:
                 return fused(ct, node.width, self.keys)
             step = node.width // 2
             while step >= 1:
-                ct = ctx.add(ct, self._rotate_one(ct, step))
+                ct = ctx.add(ct, ctx.rotate(ct, step, self.keys))
                 step //= 2
             return ct
         if kind == "weighted_sum":

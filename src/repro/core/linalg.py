@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
-from repro.core.ir import ScheduleError, compile_ir, trace_program
+from repro.core.ir import TracedKernel
 from repro.core.packing import ChannelLayout, RedundantPacking
 from repro.hecore.hoisting import rotate_and_sum_steps
 from repro.hecore.params import SchemeType
@@ -30,60 +30,6 @@ from repro.hecore.params import SchemeType
 
 def _is_bfv(ctx) -> bool:
     return ctx.params.scheme is SchemeType.BFV
-
-
-#: Sentinel: the kernel has not attempted to build its schedule yet.
-_UNSCHEDULED = object()
-
-
-class _ScheduledKernel:
-    """Mixin: trace the kernel's direct evaluation once, then replay it as
-    a scheduled ciphertext program.
-
-    Subclasses implement ``_direct(ctx, ct, galois_keys)`` — the original
-    hand-wired evaluation, written against the generic evaluator surface.
-    The first scheduled call runs ``_direct`` against a recording
-    :class:`~repro.core.ir.TracerContext` to capture the kernel's IR, then
-    the scheduler passes fuse its rotations into hoisted spans, batch its
-    constants, and keep intermediates NTT-resident.  The direct path stays
-    reachable (``use_scheduler=False``) as the bit-exactness reference.
-    """
-
-    use_scheduler = True
-    #: Opt-in: run the level planner over the kernel's schedule, dropping
-    #: modulus limbs down to the decryptability floor.  Off by default —
-    #: these kernels compose (callers chain their outputs into further
-    #: encrypted compute, and under CKKS they do level arithmetic keyed to
-    #: the planner-off output level), so only enable this when the kernel's
-    #: output goes straight back to the client.
-    use_level_planner = False
-    _sched = _UNSCHEDULED
-
-    def _schedule(self):
-        if self._sched is _UNSCHEDULED:
-            try:
-                ir = trace_program(self.ctx.params,
-                                   lambda tr, x: self._direct(tr, x, None),
-                                   ["x"])
-                planner_params = (self.ctx.params if self.use_level_planner
-                                  else None)
-                self._sched = compile_ir(ir, self.ctx.params.scheme,
-                                         params=planner_params)
-            except ScheduleError:
-                self._sched = None   # untraceable: stay on the direct path
-        return self._sched
-
-    def schedule_report(self):
-        """The scheduler's pass report, or None when running direct."""
-        sched = self._schedule() if self.use_scheduler else None
-        return None if sched is None else sched.report
-
-    def __call__(self, ct, galois_keys=None):
-        if self.use_scheduler:
-            sched = self._schedule()
-            if sched is not None:
-                return sched.run(self.ctx, {"x": ct}, galois_keys)["out0"]
-        return self._direct(self.ctx, ct, galois_keys)
 
 
 def _encode_vector(ctx, values: np.ndarray, ct=None):
@@ -94,19 +40,13 @@ def _encode_vector(ctx, values: np.ndarray, ct=None):
     return ctx.encode(np.asarray(values, dtype=np.float64), base=base)
 
 
-def _rotate(ctx, ct, steps: int, galois_keys=None):
-    rotate = getattr(ctx, "rotate_rows", None) or ctx.rotate
-    return rotate(ct, steps, galois_keys)
-
-
-def _rotate_many(ctx, ct, steps: Sequence[int], galois_keys=None) -> Dict:
-    """Rotate *ct* by each step, hoisting the decompose when the context
-    supports it; bit-exact with per-step :func:`_rotate` calls either way."""
-    steps = [s for s in steps if s]
-    fused = getattr(ctx, "rotate_many", None)
-    if fused is not None and steps:
-        return dict(zip(steps, fused(ct, steps, galois_keys)))
-    return {s: _rotate(ctx, ct, s, galois_keys) for s in steps}
+def _masked_sum(ev, terms):
+    """``sum(mask (*) ct)`` over (ciphertext, mask) *terms*; None if empty."""
+    acc = None
+    for ct, mask in terms:
+        term = ev.multiply_plain(ct, _encode_vector(ev, mask, ct))
+        acc = term if acc is None else ev.add(acc, term)
+    return acc
 
 
 def row_slot_count(ctx) -> int:
@@ -177,20 +117,17 @@ def conv_input_packing(ctx, spec: Conv2dSpec) -> RedundantPacking:
     return packing
 
 
-class EncryptedConv2d(_ScheduledKernel):
+class EncryptedConv2d(TracedKernel):
     """Server-side encrypted convolution over a redundantly packed input."""
 
     def __init__(self, ctx, spec: Conv2dSpec, weights: np.ndarray,
-                 packing: RedundantPacking | None = None,
-                 use_scheduler: bool = True, use_level_planner: bool = False):
+                 packing: RedundantPacking | None = None):
         weights = np.asarray(weights)
         if weights.shape != (spec.out_channels, spec.in_channels,
                              spec.kernel_size, spec.kernel_size):
             raise ValueError(f"bad weight shape {weights.shape}")
-        self.ctx = ctx
+        super().__init__(ctx)
         self.spec = spec
-        self.use_scheduler = use_scheduler
-        self.use_level_planner = use_level_planner
         self.packing = packing or conv_input_packing(ctx, spec)
         layout = self.packing.layout
         self._row_spans = row_slot_count(ctx) // layout.span
@@ -230,47 +167,23 @@ class EncryptedConv2d(_ScheduledKernel):
         return {rot for rot, _ in self._plan if rot != 0}
 
     # ------------------------------------------------------------ execution
-    def _direct(self, ctx, ct, galois_keys=None):
-        """Evaluate the convolution on an encrypted, packed input.
+    def _body(self, ev, cts):
+        """One rotation and one weight multiply per plan entry, summed.
 
-        Encoded weight plaintexts are cached after the first evaluation
-        (weights are static across inferences), so repeated calls skip the
-        encoding work.  All taps rotate the *same* packed input, so the
-        rotations share one hoisted key-switch decompose; under BFV the
-        whole plan runs as a single fused rotate-multiply-accumulate that
-        pays one inverse transform and one rescale.
+        All taps rotate the *same* packed input, so the scheduler shares
+        one hoisted key-switch decompose across them (and under BFV fuses
+        the whole plan into a single rotate-multiply-accumulate span).
         """
-        if getattr(ctx, "is_tracer", False):
-            cache = {}   # symbolic plaintexts must not poison the real cache
-        else:
-            cache = getattr(self, "_encoded_cache", None)
-            if cache is None:
-                cache = self._encoded_cache = {}
-        if _is_bfv(ctx) and hasattr(ctx, "rotate_weighted_sum"):
-            terms = []
-            for i, (rotation, mask) in enumerate(self._plan):
-                encoded = cache.get(i)
-                if encoded is None:
-                    encoded = cache[i] = _encode_vector(ctx, mask)
-                terms.append((rotation, encoded))
-            if not terms:
-                raise ValueError("convolution has no non-zero weights")
-            return ctx.rotate_weighted_sum(ct, terms, galois_keys)
-        shifted_by = _rotate_many(ctx, ct,
-                                  [rot for rot, _ in self._plan], galois_keys)
-        acc = None
-        for i, (rotation, mask) in enumerate(self._plan):
-            shifted = shifted_by[rotation] if rotation else ct
-            key = (i, getattr(shifted, "level_base", None))
-            encoded = cache.get(key)
-            if encoded is None:
-                encoded = _encode_vector(ctx, mask, shifted)
-                cache[key] = encoded
-            term = ctx.multiply_plain(shifted, encoded)
-            acc = term if acc is None else ctx.add(acc, term)
+        (ct,) = cts
+        acc = _masked_sum(ev, ((ev.rotate(ct, rotation), mask)
+                               for rotation, mask in self._plan))
         if acc is None:
             raise ValueError("convolution has no non-zero weights")
         return acc
+
+    def __call__(self, ct, galois_keys=None):
+        """Evaluate the convolution on an encrypted, packed input."""
+        return self.run(([ct],), galois_keys)[0]
 
     # ----------------------------------------------------------- unpacking
     def unpack_outputs(self, slots: np.ndarray) -> np.ndarray:
@@ -299,7 +212,7 @@ class EncryptedConv2d(_ScheduledKernel):
         return out
 
 
-class EncryptedMatVec(_ScheduledKernel):
+class EncryptedMatVec(TracedKernel):
     """Encrypted matrix-vector product via the windowed diagonal method.
 
     Packs the input vector in one fully-redundant window (redundancy =
@@ -307,14 +220,11 @@ class EncryptedMatVec(_ScheduledKernel):
     cheap ciphertext rotation.  Used for fully-connected layers.
     """
 
-    def __init__(self, ctx, matrix: np.ndarray, use_scheduler: bool = True,
-                 use_level_planner: bool = False):
+    def __init__(self, ctx, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        self.ctx = ctx
-        self.use_scheduler = use_scheduler
-        self.use_level_planner = use_level_planner
+        super().__init__(ctx)
         self.matrix = matrix
         self.n_out, self.n_in = matrix.shape
         self.dim = max(self.n_out, self.n_in)
@@ -351,23 +261,19 @@ class EncryptedMatVec(_ScheduledKernel):
             masks.append((j, mask))
         return masks
 
-    def _direct(self, ctx, ct, galois_keys=None):
-        masks = self._diagonal_masks()
-        if not masks:
+    def _body(self, ev, cts):
+        # Every diagonal rotates the same input ciphertext: the scheduler
+        # serves all of them from one hoisted decompose.
+        (ct,) = cts
+        acc = _masked_sum(ev, ((ev.rotate(ct, j), mask)
+                               for j, mask in self._diagonal_masks()))
+        if acc is None:
             raise ValueError("matrix is all zeros")
-        # Every diagonal rotates the same input ciphertext: one hoisted
-        # decompose serves all of them, and under BFV the multiplies and
-        # the accumulation fuse into a single NTT-domain pass.
-        if _is_bfv(ctx) and hasattr(ctx, "rotate_weighted_sum"):
-            terms = [(j, _encode_vector(ctx, mask)) for j, mask in masks]
-            return ctx.rotate_weighted_sum(ct, terms, galois_keys)
-        shifted_by = _rotate_many(ctx, ct, [j for j, _ in masks], galois_keys)
-        acc = None
-        for j, mask in masks:
-            shifted = shifted_by[j] if j else ct
-            term = ctx.multiply_plain(shifted, _encode_vector(ctx, mask, shifted))
-            acc = term if acc is None else ctx.add(acc, term)
         return acc
+
+    def __call__(self, ct, galois_keys=None):
+        """Evaluate the product on an encrypted, packed input vector."""
+        return self.run(([ct],), galois_keys)[0]
 
     def unpack_output(self, slots: np.ndarray) -> np.ndarray:
         return self.packing.unpack(slots)[0][: self.n_out]
@@ -390,10 +296,8 @@ class BsgsMatVec(EncryptedMatVec):
     by ``−g·b_count`` in plaintext so the algebra works out.
     """
 
-    def __init__(self, ctx, matrix: np.ndarray, baby_steps: int = 0,
-                 use_scheduler: bool = True, use_level_planner: bool = False):
-        super().__init__(ctx, matrix, use_scheduler=use_scheduler,
-                         use_level_planner=use_level_planner)
+    def __init__(self, ctx, matrix: np.ndarray, baby_steps: int = 0):
+        super().__init__(ctx, matrix)
         d = self.dim
         self.baby_count = baby_steps or max(1, int(math.isqrt(d)))
         self.giant_count = math.ceil(d / self.baby_count)
@@ -403,35 +307,24 @@ class BsgsMatVec(EncryptedMatVec):
         steps.update(g * self.baby_count for g in range(1, self.giant_count))
         return {s for s in steps if s}
 
-    def _direct(self, ctx, ct, galois_keys=None):
-        row = row_slot_count(ctx)
+    def _body(self, ev, cts):
+        (ct,) = cts
+        row = row_slot_count(ev)
         offset = self.packing.layout.window_offset(0)
-        d = self.dim
         # Hoist the baby rotations: computed once, reused by every giant
-        # step — and, when the context supports it, sharing one key-switch
-        # digit decompose across the whole baby set.
-        babies = {0: ct}
-        babies.update(_rotate_many(ctx, ct, range(1, self.baby_count),
-                                   galois_keys))
+        # step (the scheduler groups them onto one key-switch decompose).
+        babies = [ev.rotate(ct, b) for b in range(self.baby_count)]
         acc = None
         for g in range(self.giant_count):
             shift = g * self.baby_count
-            inner = None
-            for b in range(self.baby_count):
-                j = shift + b
-                if j >= d:
-                    break
-                if not np.any(self._diagonal(j)):
-                    continue
-                mask = self._bsgs_mask(j, shift, offset, row)
-                term = ctx.multiply_plain(babies[b],
-                                          _encode_vector(ctx, mask, babies[b]))
-                inner = term if inner is None else ctx.add(inner, term)
+            inner = _masked_sum(ev, (
+                (babies[j - shift], self._bsgs_mask(j, shift, offset, row))
+                for j in range(shift, min(shift + self.baby_count, self.dim))
+                if np.any(self._diagonal(j))))
             if inner is None:
                 continue
-            if shift:
-                inner = _rotate(ctx, inner, shift, galois_keys)
-            acc = inner if acc is None else ctx.add(acc, inner)
+            inner = ev.rotate(inner, shift)
+            acc = inner if acc is None else ev.add(acc, inner)
         if acc is None:
             raise ValueError("matrix is all zeros")
         return acc
@@ -473,6 +366,6 @@ def rotate_and_accumulate(ctx, ct, width: int, galois_keys=None):
         return fused(ct, width, galois_keys)
     step = width // 2
     while step >= 1:
-        ct = ctx.add(ct, _rotate(ctx, ct, step, galois_keys))
+        ct = ctx.add(ct, ctx.rotate(ct, step, galois_keys))
         step //= 2
     return ct

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Set
 
 import numpy as np
 
-from repro.core.linalg import _encode_vector, _rotate, row_slot_count
+from repro.core.linalg import _encode_vector, row_slot_count
 from repro.hecore.params import SchemeType
 
 
@@ -79,7 +79,7 @@ class AlternatingMatVec:
         ctx = self.ctx
         p = 1
         while p < self.n:
-            ct = ctx.add(ct, _rotate(ctx, ct, -(p * stride), galois_keys))
+            ct = ctx.add(ct, ctx.rotate(ct, -(p * stride), galois_keys))
             p *= 2
         return ct
 
@@ -88,7 +88,7 @@ class AlternatingMatVec:
         ctx = self.ctx
         p = self.n // 2
         while p >= 1:
-            ct = ctx.add(ct, _rotate(ctx, ct, p * stride, galois_keys))
+            ct = ctx.add(ct, ctx.rotate(ct, p * stride, galois_keys))
             p //= 2
         return ct
 

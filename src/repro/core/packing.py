@@ -139,9 +139,8 @@ def windowed_rotation_redundant(ctx, ct, rotation: int, layout: ChannelLayout,
 
     Contrast with :func:`repro.core.permute.windowed_rotation_masked`, which
     needs two rotations, two masking multiplies and an add.  Works for BFV
-    (``rotate_rows``) and CKKS (``rotate``) contexts alike.
+    and CKKS contexts alike.
     """
     if abs(rotation) > layout.redundancy:
         raise ValueError(f"rotation {rotation} exceeds redundancy {layout.redundancy}")
-    rotate = getattr(ctx, "rotate_rows", None) or ctx.rotate
-    return rotate(ct, rotation, galois_keys)
+    return ctx.rotate(ct, rotation, galois_keys)

@@ -14,11 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _rotate(ctx, ct, steps, galois_keys):
-    rotate = getattr(ctx, "rotate_rows", None) or ctx.rotate
-    return rotate(ct, steps, galois_keys)
-
-
 def _encode_mask(ctx, mask: np.ndarray):
     if hasattr(ctx, "encoder") and hasattr(ctx.encoder, "modulus"):  # BFV
         return ctx.encode(mask.astype(np.int64))
@@ -52,9 +47,9 @@ def windowed_rotation_masked(ctx, ct, rotation: int, offset: int, window: int,
     wrap = np.zeros(slot_count)
     wrap[offset + window - rotation: offset + window] = 1
 
-    shifted = _rotate(ctx, ct, rotation, galois_keys)
+    shifted = ctx.rotate(ct, rotation, galois_keys)
     part_keep = ctx.multiply_plain(shifted, _encode_mask(ctx, keep))
-    wrapped = _rotate(ctx, ct, -(window - rotation), galois_keys)
+    wrapped = ctx.rotate(ct, -(window - rotation), galois_keys)
     part_wrap = ctx.multiply_plain(wrapped, _encode_mask(ctx, wrap))
     return ctx.add(part_keep, part_wrap)
 

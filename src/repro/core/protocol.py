@@ -90,9 +90,9 @@ class CostLedger:
     def end_to_end_client_time(self, radio: BluetoothLink) -> float:
         """Client-perceived latency: active compute + radio (bytes and
         per-round link latency) + server."""
-        comm = radio.session_time(self.total_bytes, self.rounds) \
-            if hasattr(radio, "session_time") else self.communication_time(radio)
-        return self.client_compute_s + comm + self.server_compute_s
+        return (self.client_compute_s
+                + radio.session_time(self.total_bytes, self.rounds)
+                + self.server_compute_s)
 
     def end_to_end_client_energy(self, radio: BluetoothLink) -> float:
         """Client energy: active compute plus radio (server energy is free

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.linalg import Conv2dSpec, _encode_vector, _rotate, row_slot_count
+from repro.core.ir import TracedKernel
+from repro.core.linalg import Conv2dSpec, _masked_sum, row_slot_count
 from repro.core.packing import ChannelLayout, RedundantPacking
 
 
@@ -46,7 +47,7 @@ class TiledLayout:
         return divmod(channel, self.spans_per_ct)
 
 
-class TiledEncryptedConv2d:
+class TiledEncryptedConv2d(TracedKernel):
     """Encrypted convolution over channel-tiled ciphertext lists."""
 
     def __init__(self, ctx, spec: Conv2dSpec, weights: np.ndarray):
@@ -54,7 +55,7 @@ class TiledEncryptedConv2d:
         if weights.shape != (spec.out_channels, spec.in_channels,
                              spec.kernel_size, spec.kernel_size):
             raise ValueError(f"bad weight shape {weights.shape}")
-        self.ctx = ctx
+        super().__init__(ctx)
         self.spec = spec
         self.weights = weights
         row = row_slot_count(ctx)
@@ -131,6 +132,25 @@ class TiledEncryptedConv2d:
         return steps
 
     # ------------------------------------------------------------ execution
+    def _body(self, ev, input_cts):
+        rotated: Dict[Tuple[int, int], object] = {}   # shared across tiles
+
+        def shifted(ct_i, rotation):
+            key = (ct_i, rotation)
+            if key not in rotated:
+                rotated[key] = ev.rotate(input_cts[ct_i], rotation)
+            return rotated[key]
+
+        outputs = []
+        for out_ct in range(self.out_layout.ciphertexts):
+            acc = _masked_sum(ev, ((shifted(ct_i, rotation), mask)
+                                   for ct_i, rotation, mask
+                                   in self._plan[out_ct]))
+            if acc is None:
+                raise ValueError(f"output tile {out_ct} has no non-zero weights")
+            outputs.append(acc)
+        return outputs
+
     def __call__(self, input_cts, galois_keys=None) -> List:
         """Evaluate; returns one output ciphertext per output tile."""
         if len(input_cts) != self.in_layout.ciphertexts:
@@ -138,32 +158,7 @@ class TiledEncryptedConv2d:
                 f"expected {self.in_layout.ciphertexts} input ciphertexts, "
                 f"got {len(input_cts)}"
             )
-        ctx = self.ctx
-        outputs = []
-        rotated_cache: Dict[Tuple[int, int], object] = {}
-        encoded_cache = getattr(self, "_encoded_cache", None)
-        if encoded_cache is None:
-            encoded_cache = self._encoded_cache = {}
-        for out_ct in range(self.out_layout.ciphertexts):
-            acc = None
-            for term_idx, (ct_i, rotation, mask) in enumerate(self._plan[out_ct]):
-                key = (ct_i, rotation)
-                shifted = rotated_cache.get(key)
-                if shifted is None:
-                    shifted = (_rotate(ctx, input_cts[ct_i], rotation, galois_keys)
-                               if rotation else input_cts[ct_i])
-                    rotated_cache[key] = shifted
-                enc_key = (out_ct, term_idx, getattr(shifted, "level_base", None))
-                encoded = encoded_cache.get(enc_key)
-                if encoded is None:
-                    encoded = _encode_vector(ctx, mask, shifted)
-                    encoded_cache[enc_key] = encoded
-                term = ctx.multiply_plain(shifted, encoded)
-                acc = term if acc is None else ctx.add(acc, term)
-            if acc is None:
-                raise ValueError(f"output tile {out_ct} has no non-zero weights")
-            outputs.append(acc)
-        return outputs
+        return self.run((input_cts,), galois_keys)
 
     # ----------------------------------------------------------- unpacking
     def unpack_outputs(self, slot_vectors: Sequence[np.ndarray]) -> np.ndarray:

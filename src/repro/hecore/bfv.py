@@ -23,6 +23,7 @@ from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.keys import (
     GaloisKeys,
     KeyGenerator,
+    MissingEvaluationKey,
     RelinKeys,
     expand_uniform_poly,
     galois_element_for_conjugation,
@@ -581,12 +582,15 @@ class BfvContext:
             b = self.mod_switch_down(b)
         return a, b
 
-    def rotate_rows(self, ct: Ciphertext, steps: int,
-                    galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
+    def rotate(self, ct: Ciphertext, steps: int,
+               galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
         """Rotate each slot row left by *steps* (Table 1's Ciphertext Rotate)."""
         self.counts["rotate"] += 1
         g = galois_element_for_step(steps, self.params.poly_degree)
         return self._apply_galois(ct, g, galois_keys)
+
+    #: SEAL's name for the row rotation.
+    rotate_rows = rotate
 
     def rotate_columns(self, ct: Ciphertext,
                        galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
@@ -601,7 +605,7 @@ class BfvContext:
             return ct.copy()
         keys = galois_keys or self._galois
         if keys is None:
-            raise ValueError("rotation requires Galois keys")
+            raise MissingEvaluationKey("rotation requires Galois keys")
         if len(ct) != 2:
             raise ValueError("relinearize before rotating")
         self.counts["naive_decompose"] += 1

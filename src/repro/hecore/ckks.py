@@ -18,6 +18,7 @@ from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.keys import (
     GaloisKeys,
     KeyGenerator,
+    MissingEvaluationKey,
     RelinKeys,
     expand_uniform_poly,
     galois_element_for_conjugation,
@@ -494,7 +495,7 @@ class CkksContext:
             return ct.copy()
         keys = galois_keys or self._galois
         if keys is None:
-            raise ValueError("rotation requires Galois keys")
+            raise MissingEvaluationKey("rotation requires Galois keys")
         self.counts["naive_decompose"] += 1
         # apply_automorphism is form-agnostic (NTT form permutes evaluations
         # in place); switch_key converts to coefficient form itself.

@@ -49,6 +49,7 @@ from repro.hecore import ntt
 from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.keys import (
     GaloisKeys,
+    MissingEvaluationKey,
     decompose_for_keyswitch,
     galois_element_for_conjugation,
     galois_element_for_step,
@@ -163,7 +164,7 @@ def ntt_permutation(n: int, galois_elt: int) -> np.ndarray:
 def _resolve_keys(ctx, galois_keys: Optional[GaloisKeys]) -> GaloisKeys:
     keys = galois_keys or getattr(ctx, "_galois", None)
     if keys is None:
-        raise ValueError("rotation requires Galois keys")
+        raise MissingEvaluationKey("rotation requires Galois keys")
     return keys
 
 
@@ -458,10 +459,9 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
         return out
     # Log-tree fallback: rotates the updated accumulator each level, so no
     # decompose can be shared — but it only needs the power-of-two keys.
-    rotate = getattr(ctx, "rotate_rows", None) or ctx.rotate
     step = width // 2
     while step >= 1:
-        ct = ctx.add(ct, rotate(ct, step, keys))
+        ct = ctx.add(ct, ctx.rotate(ct, step, keys))
         step //= 2
     return ct
 

@@ -98,6 +98,10 @@ class RelinKeys(KeySwitchKey):
     """Key-switching key from ``s^2`` back to ``s``."""
 
 
+class MissingEvaluationKey(ValueError):
+    """An operation needed an evaluation key that was never provided."""
+
+
 class GaloisKeys:
     """Key-switching keys for a set of Galois automorphisms (rotations)."""
 
@@ -114,7 +118,7 @@ class GaloisKeys:
         try:
             return self.keys[galois_elt]
         except KeyError:
-            raise KeyError(
+            raise MissingEvaluationKey(
                 f"no Galois key for element {galois_elt}; generate it with "
                 f"KeyGenerator.galois_keys"
             ) from None

@@ -52,6 +52,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.protocol import ProtocolViolation
 from repro.hecore.ciphertext import Ciphertext
+from repro.hecore.keys import MissingEvaluationKey
 from repro.hecore.params import EncryptionParameters, SchemeType
 from repro.hecore.serialize import (
     deserialize_ciphertext,
@@ -83,10 +84,6 @@ from repro.runtime.metrics import RuntimeMetrics, SessionMetrics
 from repro.runtime.transport import TcpTransport, Transport
 
 logger = logging.getLogger("repro.runtime")
-
-
-class MissingEvaluationKey(ValueError):
-    """An operation needed an evaluation key the session never uploaded."""
 
 
 @dataclass
@@ -752,10 +749,8 @@ class OffloadServer:
             raise
         except Exception as exc:  # noqa: BLE001 — one bad request must not
             # take down the serving loop; the typed error reaches the client.
-            code = ErrorCode.HANDLER_FAILED
-            if isinstance(exc, ValueError) and "Galois" in str(exc):
-                code = ErrorCode.MISSING_KEYS
-            await self._send_error(session, request, code, exc)
+            await self._send_error(session, request,
+                                   ErrorCode.HANDLER_FAILED, exc)
         finally:
             session.executing = False
             self._slots.release()

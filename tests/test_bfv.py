@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hecore.bfv import BatchEncoder, BfvContext
+from repro.hecore.keys import MissingEvaluationKey
 from repro.hecore.params import SchemeType, small_test_parameters
 
 
@@ -148,7 +149,7 @@ def test_rotation_consumes_little_noise(bfv):
 def test_rotation_missing_key_raises(bfv):
     ct = bfv.encrypt([1])
     keys = bfv.make_galois_keys([1])
-    with pytest.raises(KeyError):
+    with pytest.raises(MissingEvaluationKey):
         bfv._apply_galois(ct, 3**200 % (2 * bfv.params.poly_degree), keys)
 
 

@@ -233,6 +233,61 @@ def test_eval_pool_matches_inline_knn(ckks_params):
     assert snapshot["respawns"] == 0
 
 
+@pytest.mark.parametrize("use_pool", [False, True], ids=["inline", "pooled"])
+def test_missing_rotation_key_answers_missing_keys(ckks_params, use_pool):
+    """A COMPUTE that needs a rotation the session never uploaded is
+    MISSING_KEYS by exception type — in the serving process and across
+    the eval-pool pipe alike."""
+    from repro.apps.knn import KnnOffloadService
+    from repro.core.distance import DistanceProblem, StackedPointMajorKernel
+    from repro.runtime import ErrorCode, OffloadError
+
+    points = np.random.default_rng(8).normal(size=(4, 4))
+
+    async def main():
+        pool = None
+        server = OffloadServer(ckks_params, concurrency=1)
+        if use_pool:
+            pool = EvalPool(ckks_params, 1, (KNN_POOLED_INSTALLER,))
+            server.eval_pool = pool
+            for op in pooled_op_names((KNN_POOLED_INSTALLER,)):
+                server.register_pooled(op)
+        else:
+            KnnOffloadService.install(server)
+        client_end, server_end = SimulatedLink.pair()
+        serve_task = asyncio.ensure_future(
+            server.serve_transport(server_end))
+        try:
+            ctx = CkksContext(ckks_params, seed=23)
+            kernel = StackedPointMajorKernel(
+                ctx, DistanceProblem(n_points=4, dims=4))
+            assert 2 in kernel.required_rotation_steps()
+            client = await OffloadClient(ckks_params,
+                                         transport=client_end).connect()
+            await client.upload_keys(relin=ctx.relin_keys(),
+                                     galois=ctx.make_galois_keys([1]))
+            await client.request(
+                KnnOffloadService.OP_STORE,
+                ctx.encrypt_symmetric_many(kernel.pack_points(points)),
+                {"n_points": 4, "dims": 4, "variant": kernel.name},
+                account=False)
+            with pytest.raises(OffloadError) as exc_info:
+                await client.request(
+                    KnnOffloadService.OP_QUERY,
+                    ctx.encrypt_symmetric_many(kernel.pack_query(points[0])),
+                    {"batch": 0})
+            await client.close()
+            return exc_info.value.code
+        finally:
+            await server.stop()
+            serve_task.cancel()
+            if pool is not None:
+                with contextlib.suppress(Exception):
+                    await pool.close()
+
+    assert run(main()) is ErrorCode.MISSING_KEYS
+
+
 # ---------------------------------------------------------------------------
 # Key-store LRU: eviction, KEYS_EVICTED signaling, charged re-upload
 # ---------------------------------------------------------------------------

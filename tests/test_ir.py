@@ -10,7 +10,13 @@ scheduler-off reference that runs one primitive call per IR node.
 import numpy as np
 import pytest
 
-from repro.core.distance import DimensionMajorKernel, DistanceProblem
+from repro.core.compiler import EvaProgram, Input, compile_program
+from repro.core.distance import (
+    KERNEL_VARIANTS,
+    DimensionMajorKernel,
+    DistanceProblem,
+    MultiQueryDimensionMajor,
+)
 from repro.core.ir import (
     IrBuilder,
     ScheduledProgram,
@@ -20,8 +26,16 @@ from repro.core.ir import (
     ensure_galois_keys,
     trace_program,
 )
-from repro.core.linalg import BsgsMatVec, EncryptedMatVec
-from repro.hecore.params import SchemeType
+from repro.core.linalg import (
+    BsgsMatVec,
+    Conv2dSpec,
+    EncryptedConv2d,
+    EncryptedMatVec,
+)
+from repro.core.tiling import TiledEncryptedConv2d
+from repro.hecore.bfv import BfvContext
+from repro.hecore.ckks import CkksContext
+from repro.hecore.params import SchemeType, small_test_parameters
 
 
 def _raw(program, scheme):
@@ -341,54 +355,227 @@ def test_randomized_dag_ckks_scheduled_matches_reference(ckks, ckks_params,
 
 # ------------------------------------------------------- kernel integration
 
+def _named(*groups):
+    """A kernel's run() inputs under the names its traced program uses."""
+    return {f"in{i}": ct
+            for i, ct in enumerate(ct for group in groups for ct in group)}
+
+
 def test_matvec_scheduled_matches_direct(bfv):
     rng = np.random.default_rng(9)
     matrix = rng.integers(0, 8, (16, 16))
-    scheduled = EncryptedMatVec(bfv, matrix)
-    direct = EncryptedMatVec(bfv, matrix, use_scheduler=False)
-    bfv.make_galois_keys(scheduled.required_rotation_steps())
+    kernel = EncryptedMatVec(bfv, matrix)
+    bfv.make_galois_keys(kernel.required_rotation_steps())
     vec = rng.integers(0, 9, 16)
-    ct = bfv.encrypt(scheduled.pack_input(vec).astype(np.int64))
+    ct = bfv.encrypt(kernel.pack_input(vec).astype(np.int64))
 
-    got = scheduled.unpack_output(np.asarray(bfv.decrypt(scheduled(ct))))
-    want = direct.unpack_output(np.asarray(bfv.decrypt(direct(ct))))
+    naive = kernel.scheduled((1,)).run_reference(bfv, _named([ct]))["out0"]
+    got = kernel.unpack_output(np.asarray(bfv.decrypt(kernel(ct))))
+    want = kernel.unpack_output(np.asarray(bfv.decrypt(naive)))
     t = bfv.params.plain_modulus
     assert np.array_equal(got % t, want % t)
-    assert np.array_equal(got % t, scheduled.reference(vec) % t)
+    assert np.array_equal(got % t, kernel.reference(vec) % t)
 
-    report = scheduled.schedule_report()
-    assert report is not None and report.weighted_sum_spans == 1
+    report = kernel.schedule_report()
+    assert report.weighted_sum_spans == 1
+    assert report.level_plan is None, "linalg outputs chain: planner off"
 
 
 def test_bsgs_scheduled_matches_direct(bfv):
     rng = np.random.default_rng(10)
     matrix = rng.integers(0, 8, (16, 16))
-    scheduled = BsgsMatVec(bfv, matrix)
-    direct = BsgsMatVec(bfv, matrix, use_scheduler=False)
-    bfv.make_galois_keys(scheduled.required_rotation_steps())
+    kernel = BsgsMatVec(bfv, matrix)
+    bfv.make_galois_keys(kernel.required_rotation_steps())
     vec = rng.integers(0, 9, 16)
-    ct = bfv.encrypt(scheduled.pack_input(vec).astype(np.int64))
+    ct = bfv.encrypt(kernel.pack_input(vec).astype(np.int64))
+    naive = kernel.scheduled((1,)).run_reference(bfv, _named([ct]))["out0"]
     t = bfv.params.plain_modulus
-    got = scheduled.unpack_output(np.asarray(bfv.decrypt(scheduled(ct)))) % t
-    want = direct.unpack_output(np.asarray(bfv.decrypt(direct(ct)))) % t
+    got = kernel.unpack_output(np.asarray(bfv.decrypt(kernel(ct)))) % t
+    want = kernel.unpack_output(np.asarray(bfv.decrypt(naive))) % t
     assert np.array_equal(got, want)
 
 
 def test_distance_kernel_scheduled_matches_direct(ckks):
     problem = DistanceProblem(n_points=4, dims=3)
-    scheduled = DimensionMajorKernel(ckks, problem)
-    direct = DimensionMajorKernel(ckks, problem)
-    direct.use_scheduler = False
-    ckks.make_galois_keys(scheduled.required_rotation_steps())
+    kernel = DimensionMajorKernel(ckks, problem)
     rng = np.random.default_rng(12)
     points = rng.uniform(-1, 1, (4, 3))
     query = rng.uniform(-1, 1, 3)
-    got = scheduled.distances(scheduled.encrypt_points(points),
-                              scheduled.encrypt_query(query))
-    want = direct.distances(direct.encrypt_points(points),
-                            direct.encrypt_query(query))
+    p_cts, q_cts = kernel.encrypt_points(points), kernel.encrypt_query(query)
+    got = kernel.distances(p_cts, q_cts)
+    naive = kernel.scheduled((len(p_cts), len(q_cts))).run_reference(
+        ckks, _named(p_cts, q_cts))
+    want = kernel.decode([np.real(ckks.decrypt(naive["out0"]))])
     assert np.allclose(got, want, atol=1e-3)
-    assert np.allclose(got, scheduled.reference(points, query), atol=0.05)
+    assert np.allclose(got, kernel.reference(points, query), atol=0.05)
+
+
+def _linalg_case(ctx, kernel, packed, unpack, want):
+    ensure_galois_keys(ctx, kernel.required_rotation_steps())
+    ct = ctx.encrypt(np.asarray(packed).astype(np.int64))
+    return (ctx, kernel.scheduled((1,)), _named([ct]), [kernel(ct)],
+            lambda slots: unpack(slots[0]), want)
+
+
+def _conv_case(bfv, _ckks):
+    rng = np.random.default_rng(31)
+    spec = Conv2dSpec(2, 2, 5, 5, 3)
+    conv = EncryptedConv2d(bfv, spec, rng.integers(-2, 3, (2, 2, 3, 3)))
+    image = rng.integers(0, 4, (2, 5, 5))
+    packed = conv.packing.pack([image[c].ravel() for c in range(2)])
+    return _linalg_case(bfv, conv, packed, conv.unpack_outputs,
+                        conv.reference(image))
+
+
+def _matvec_case(cls):
+    def build(bfv, _ckks):
+        rng = np.random.default_rng(32)
+        kernel = cls(bfv, rng.integers(0, 8, (12, 16)))
+        vec = rng.integers(0, 9, 16)
+        return _linalg_case(bfv, kernel, kernel.pack_input(vec),
+                            kernel.unpack_output, kernel.reference(vec))
+    return build
+
+
+def _tiled_case(bfv, _ckks):
+    rng = np.random.default_rng(33)
+    spec = Conv2dSpec(10, 10, 5, 5, 3)      # two input and two output tiles
+    conv = TiledEncryptedConv2d(bfv, spec,
+                                rng.integers(-2, 3, (10, 10, 3, 3)))
+    ensure_galois_keys(bfv, conv.required_rotation_steps())
+    image = rng.integers(0, 4, (10, 5, 5))
+    cts = conv.encrypt_input(image)
+    return (bfv, conv.scheduled((len(cts),)), _named(cts), conv(cts),
+            conv.unpack_outputs, conv.reference(image))
+
+
+def _distance_case(cls, n_points=6, dims=4, **extra):
+    def build(_bfv, ckks):
+        rng = np.random.default_rng(34)
+        kernel = cls(ckks, DistanceProblem(n_points=n_points, dims=dims),
+                     **extra)
+        ensure_galois_keys(ckks, kernel.required_rotation_steps())
+        points = rng.uniform(-1, 1, (n_points, dims))
+        p_cts = kernel.encrypt_points(points)
+        if extra:                           # multi-query: a query matrix
+            queries = rng.uniform(-1, 1, (extra["max_queries"], dims))
+            q_cts = ckks.encrypt_many(kernel.pack_queries(queries))
+            decode = lambda slots: kernel.decode_matrix(slots, len(queries))
+            want = kernel.reference_matrix(points, queries)
+        else:
+            query = rng.uniform(-1, 1, dims)
+            q_cts = kernel.encrypt_query(query)
+            decode, want = kernel.decode, kernel.reference(points, query)
+        return (ckks, kernel.scheduled((len(p_cts), len(q_cts))),
+                _named(p_cts, q_cts), kernel.compute(p_cts, q_cts),
+                decode, want)
+    return build
+
+
+def _eva_case(_bfv, ckks):
+    x = Input("x")
+    acc = x * [0.5, 0.25, 0.125, 1.0, 0.5, 0.25, 0.125, 1.0]
+    acc = acc + acc.rotate(4)
+    compiled = compile_program(EvaProgram({"y": acc * x + 1.0}, slots=8))
+    values = {"x": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]}
+    sched = compiled.scheduled(ckks.params)
+    ensure_galois_keys(ckks, sched.rotation_steps())
+    padded = np.zeros(ckks.params.poly_degree // 2)
+    padded[:8] = values["x"]
+    inputs = {"x": ckks.encrypt(padded)}
+    return (ckks, sched, inputs, list(sched.run(ckks, inputs).values()),
+            lambda slots: slots[0][:8], compiled.reference(values)["y"])
+
+
+KERNEL_FAMILIES = {
+    "conv2d": _conv_case,
+    "matvec": _matvec_case(EncryptedMatVec),
+    "bsgs-matvec": _matvec_case(BsgsMatVec),
+    "tiled-conv2d": _tiled_case,
+    **{name: _distance_case(cls) for name, cls in KERNEL_VARIANTS.items()},
+    "multi-query": _distance_case(MultiQueryDimensionMajor, max_queries=3),
+    "eva-program": _eva_case,
+}
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+def test_kernel_run_matches_its_reference_and_plaintext(family, bfv, ckks):
+    """Every kernel family executes one way — trace, schedule, run — and
+    the scheduled result equals the naive oracle over the kernel's own
+    traced program and the plaintext reference."""
+    ctx, sched, inputs, got_cts, decode, want = \
+        KERNEL_FAMILIES[family](bfv, ckks)
+    naive_cts = list(sched.run_reference(ctx, inputs).values())
+    assert len(got_cts) == len(naive_cts)
+    got = decode([np.real(v) for v in ctx.decrypt_many(got_cts)])
+    naive = decode([np.real(v) for v in ctx.decrypt_many(naive_cts)])
+    if ctx is bfv:
+        t = bfv.params.plain_modulus
+        assert np.array_equal(np.mod(got, t), np.mod(naive, t))
+        assert np.array_equal(np.mod(got, t), np.mod(want, t))
+    else:
+        assert np.allclose(got, naive, atol=1e-3)
+        assert np.allclose(got, want, atol=1e-3)
+
+
+def test_untraceable_kernel_body_raises_schedule_error(bfv):
+    """There is no direct path to fall back to: a body the tracer cannot
+    record is an error from the first call."""
+    class Untraceable(EncryptedMatVec):
+        def _body(self, ev, cts):
+            return ev.multiply(cts[0], cts[0], relinearize=False)
+
+    kernel = Untraceable(bfv, np.eye(4, dtype=np.int64))
+    ct = bfv.encrypt(kernel.pack_input(np.arange(4)).astype(np.int64))
+    with pytest.raises(ScheduleError):
+        kernel(ct)
+
+
+def test_tiled_conv_shares_one_hoisted_decompose(bfv):
+    """The e2e benchmark's conv (1 -> 4 channels, 12x12, k3): all 35
+    rotations of the one input tile ride a single key-switch decompose."""
+    rng = np.random.default_rng(35)
+    spec = Conv2dSpec(in_channels=1, out_channels=4, height=12, width=12,
+                      kernel_size=3)
+    params = small_test_parameters(SchemeType.BFV, poly_degree=2048,
+                                   plain_bits=16, data_bits=(30, 30))
+    ctx = BfvContext(params, seed=b"tiled-hoist")
+    conv = TiledEncryptedConv2d(ctx, spec, rng.integers(1, 4, (4, 1, 3, 3)))
+    steps = conv.required_rotation_steps()
+    assert len(steps) == 35
+    ctx.make_galois_keys(steps)
+    image = rng.integers(0, 16, (1, 12, 12))
+    cts = conv.encrypt_input(image)
+    before = dict(ctx.counts)
+    outs = conv(cts)
+    assert ctx.counts["hoisted_decompose"] - before.get(
+        "hoisted_decompose", 0) == 1
+    assert ctx.counts["naive_decompose"] == before.get("naive_decompose", 0)
+    got = conv.unpack_outputs(ctx.decrypt_many(outs))
+    t = params.plain_modulus
+    assert np.array_equal(np.mod(got, t), np.mod(conv.reference(image), t))
+
+
+def test_compiled_program_plans_levels_per_parameter_set(ckks):
+    """One compiled Eva program run under two parameter sets gets two
+    level plans, not the first caller's."""
+    x = Input("x")
+    compiled = compile_program(EvaProgram({"y": x * x + x.rotate(1)},
+                                          slots=4))
+    deep = CkksContext(small_test_parameters(
+        SchemeType.CKKS, poly_degree=1024, data_bits=(30, 24, 24, 24)),
+        seed=91)
+    values = {"x": [0.5, 0.25, -0.5, 0.125]}
+    want = compiled.reference(values)["y"]
+    for ctx in (ckks, deep, ckks):
+        assert np.allclose(compiled.execute(ctx, values)["y"], want,
+                           atol=1e-2)
+    first, second = (compiled.scheduled(c.params) for c in (ckks, deep))
+    assert first is not second
+    assert first is compiled.scheduled(ckks.params)       # memoised
+    assert first.report.level_plan is not second.report.level_plan
+    assert (second.report.level_plan.limb_rows_before
+            > first.report.level_plan.limb_rows_before)
 
 
 # -------------------------------------------------------------- galois keys

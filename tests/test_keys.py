@@ -5,6 +5,7 @@ import pytest
 
 from repro.hecore.keys import (
     KeyGenerator,
+    MissingEvaluationKey,
     expand_uniform_poly,
     galois_element_for_conjugation,
     galois_element_for_step,
@@ -77,7 +78,7 @@ def test_galois_keys_cover_requested_steps(keygen, params):
     for step in (1, 2, 5):
         assert galois_element_for_step(step, n) in keys
     assert galois_element_for_conjugation(n) in keys
-    with pytest.raises(KeyError):
+    with pytest.raises(MissingEvaluationKey):
         keys.key_for(999999)
 
 

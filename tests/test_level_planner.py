@@ -6,8 +6,8 @@ results, the options surface (disabled, drop caps, terminal-output
 reserves), per-segment replanning across explicit ``recrypt_boundary``
 nodes, the advisory-skip guard when runtime levels diverge from the plan,
 telemetry flow into context counters / CostLedger / session metrics, the
-kernel opt-in flag, and a fleet round trip (planner-on KNN through the
-router with resume-after-eviction).
+planner-on pipelines (Eva programs, distance kernels), and a fleet round
+trip (planner-on KNN through the router with resume-after-eviction).
 """
 
 import asyncio
@@ -25,7 +25,6 @@ from repro.core.ir import (
     trace_program,
 )
 from repro.core.levelplan import LevelPlan, PlannerOptions, plan_levels
-from repro.core.linalg import EncryptedMatVec
 from repro.core.protocol import ClientAidedSession
 from repro.hecore.params import SchemeType
 from tests.test_ir import _random_bfv_program, _random_ckks_program
@@ -335,88 +334,67 @@ def test_planner_counters_reach_ledger_and_metrics(bfv, bfv_params):
     assert f"{session.ledger.limb_drops} limb drop(s)" in rendered
 
 
-# --------------------------------------------------------- kernel opt-in
-
-def test_matvec_kernel_planner_opt_in_matches_direct(bfv):
-    rng = np.random.default_rng(41)
-    matrix = rng.integers(0, 8, (16, 16))
-    planned = EncryptedMatVec(bfv, matrix, use_level_planner=True)
-    direct = EncryptedMatVec(bfv, matrix, use_scheduler=False)
-    default = EncryptedMatVec(bfv, matrix)
-    bfv.make_galois_keys(planned.required_rotation_steps())
-
-    vec = rng.integers(0, 9, 16)
-    ct = bfv.encrypt(planned.pack_input(vec).astype(np.int64))
-    t = bfv.params.plain_modulus
-    got = planned.unpack_output(np.asarray(bfv.decrypt(planned(ct)))) % t
-    want = direct.unpack_output(np.asarray(bfv.decrypt(direct(ct)))) % t
-    assert np.array_equal(got, want)
-    assert np.array_equal(got, planned.reference(vec) % t)
-
-    report = planned.schedule_report()
-    assert report.level_plan is not None
-    assert report.level_plan.limb_drops > 0
-    # Kernels stay composable by default: no plan unless opted in.
-    default(ct)
-    assert default.schedule_report().level_plan is None
-
-
 # ----------------------------------------------- pipelines: dnn / knn apps
 
 def test_eva_dnn_pipeline_planner_equality(ckks):
     """A compiled Eva pipeline (fc-layer shape: plain mult + rotation sum)
-    run direct, scheduled planner-off, and scheduled planner-on must
-    agree — and the planner-on schedule must carry a level plan."""
-    from repro.core.compiler import EvaProgram, Input, compile_program
+    run planner-on (the one way it executes), as the same lowered program
+    compiled without the planner, and through the naive oracle must agree
+    — and the executed schedule must carry a level plan."""
+    from repro.core.compiler import (EvaProgram, Input, compile_program,
+                                     lower_to_ir)
 
     x = Input("x")
     acc = x * [0.5, 0.25, 0.125, 1.0, 0.5, 0.25, 0.125, 1.0]
     acc = acc + acc.rotate(4)
     acc = acc + acc.rotate(2) + 1.0
     program = EvaProgram({"y": acc}, slots=8)
-    inputs = {"x": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]}
+    values = {"x": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]}
 
-    planner_on = compile_program(program)
-    planner_off = compile_program(program)   # separate: scheduled() caches
-    got_on = planner_on.execute(ckks, inputs)
-    got_off = planner_off.execute(ckks, inputs, use_level_planner=False)
-    got_direct = planner_off.execute(ckks, inputs, use_scheduler=False)
-    want = planner_on.reference(inputs)
-    for got in (got_on, got_off, got_direct):
-        assert np.allclose(got["y"], want["y"], atol=0.05)
+    compiled = compile_program(program)
+    got_on = compiled.execute(ckks, values)["y"]
+    sched_on = compiled.scheduled(ckks.params)
+    sched_off = compile_ir(lower_to_ir(program), SchemeType.CKKS)
+    padded = np.zeros(ckks.params.poly_degree // 2)
+    padded[:8] = values["x"]
+    inputs = {"x": ckks.encrypt(padded)}
+    got_off = np.real(ckks.decrypt(sched_off.run(ckks, inputs)["y"]))[:8]
+    got_naive = np.real(ckks.decrypt(
+        sched_on.run_reference(ckks, inputs)["y"]))[:8]
+    want = compiled.reference(values)["y"]
+    for got in (got_on, got_off, got_naive):
+        assert np.allclose(got, want, atol=0.05)
 
-    plan = planner_on.scheduled().report.level_plan
+    plan = sched_on.report.level_plan
     assert plan is not None and plan.limb_drops > 0
-    assert planner_off.scheduled().report.level_plan is None
+    assert sched_off.report.level_plan is None
 
 
 def test_knn_distance_pipeline_planner_drops_download_bytes(ckks):
-    """Distance kernels are planner-on by default (their outputs download
-    immediately): same distances as a planner-off kernel, smaller result
-    ciphertexts on the wire."""
+    """Distance kernels are planner-on (their outputs download
+    immediately): same distances as the kernel's own program compiled
+    without the planner, smaller result ciphertexts on the wire."""
     from repro.core.distance import DimensionMajorKernel, DistanceProblem
 
-    problem = DistanceProblem(n_points=4, dims=3)
-    on = DimensionMajorKernel(ckks, problem)
-    off = DimensionMajorKernel(ckks, problem)
-    off.use_level_planner = False
-    ckks.make_galois_keys(on.required_rotation_steps())
-
+    kernel = DimensionMajorKernel(ckks, DistanceProblem(n_points=4, dims=3))
     rng = np.random.default_rng(19)
     points = rng.uniform(-1, 1, (4, 3))
     query = rng.uniform(-1, 1, 3)
-    p_cts, q_cts = on.encrypt_points(points), on.encrypt_query(query)
+    p_cts, q_cts = kernel.encrypt_points(points), kernel.encrypt_query(query)
+    shape = (len(p_cts), len(q_cts))
 
-    d_on = on.distances(p_cts, q_cts)
-    d_off = off.distances(p_cts, q_cts)
+    out_on = kernel.compute(p_cts, q_cts)
+    off = compile_ir(kernel.program(shape), SchemeType.CKKS)
+    out_off = list(off.run(ckks, {
+        f"in{i}": ct for i, ct in enumerate(p_cts + q_cts)}).values())
+    d_on, d_off = (kernel.decode([np.real(v) for v in ckks.decrypt_many(o)])
+                   for o in (out_on, out_off))
     assert np.allclose(d_on, d_off, atol=1e-3)
-    assert np.allclose(d_on, on.reference(points, query), atol=0.05)
+    assert np.allclose(d_on, kernel.reference(points, query), atol=0.05)
 
-    sched = on._schedule(len(p_cts), len(q_cts))
-    plan = sched.report.level_plan
+    plan = kernel.scheduled(shape).report.level_plan
     assert plan is not None and plan.limb_drops > 0
-    out_on = on.compute(p_cts, q_cts)
-    out_off = off.compute(p_cts, q_cts)
+    assert off.report.level_plan is None
     assert (sum(ct.size_bytes() for ct in out_on)
             < sum(ct.size_bytes() for ct in out_off))
 

@@ -227,6 +227,28 @@ def test_missing_keys_is_typed(bfv_params, bfv):
     run(main())
 
 
+def test_missing_keys_is_classified_by_type_not_message(bfv_params, bfv):
+    """A handler's own ValueError that happens to say "Galois" is a
+    handler failure, not a missing evaluation key."""
+    async def main():
+        server = OffloadServer(bfv_params)
+
+        def bad_input(session, request):
+            raise ValueError("Galois field size must be prime")
+
+        server.register("bad", bad_input)
+        host, port = await server.start()
+        try:
+            async with OffloadClient(bfv_params, host, port) as client:
+                with pytest.raises(OffloadError) as exc_info:
+                    await client.request("bad", [bfv.encrypt([2])])
+                assert exc_info.value.code is ErrorCode.HANDLER_FAILED
+        finally:
+            await server.stop()
+
+    run(main())
+
+
 # ---------------------------------------------------------------------------
 # Encrypted KNN end to end: the wire path is bit-identical to in-process
 # ---------------------------------------------------------------------------
@@ -312,6 +334,39 @@ def test_remote_knn_classifies(ckks_params):
         assert np.allclose(np.sort(result.distances), np.sort(truth),
                            atol=1e-2)
         assert set(result.neighbor_indices) == set(expected)
+
+
+def test_remote_knn_rotation_free_variant_matches_in_process(ckks_params):
+    """dimension-major needs no rotations: provisioning uploads the relin
+    key only (an empty Galois set cannot even be serialized), and the
+    served classification equals the in-process one."""
+    from repro.hecore.ckks import CkksContext
+
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(8, 4))
+    labels = (np.arange(8) % 3).tolist()
+    query = points[5] + 0.01
+
+    local = EncryptedKnn(CkksContext(ckks_params, seed=12), points, labels,
+                         k=3, variant="dimension-major").classify(query)
+
+    async def main():
+        server = OffloadServer(ckks_params)
+        KnnOffloadService.install(server)
+        host, port = await server.start()
+        ctx = CkksContext(ckks_params, seed=12)
+        try:
+            async with OffloadClient(ckks_params, host, port) as client:
+                knn = RemoteKnn(client, ctx, k=3, variant="dimension-major")
+                await knn.add_points(points, labels)
+                return await knn.classify(query)
+        finally:
+            await server.stop()
+
+    remote = run(main())
+    assert remote.label == local.label
+    assert list(remote.neighbor_indices) == list(local.neighbor_indices)
+    assert np.allclose(remote.distances, local.distances, atol=1e-3)
 
 
 # ---------------------------------------------------------------------------
