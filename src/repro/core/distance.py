@@ -22,6 +22,7 @@ applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple, Type
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.core.ir import TracedKernel
 from repro.core.linalg import (
+    _masked_sum,
     rotate_and_accumulate,
     rotate_and_sum_steps,
     row_slot_count,
@@ -285,38 +287,56 @@ class StackedDimensionMajorKernel(DistanceKernel):
 class CollapsedPointMajorKernel(StackedPointMajorKernel):
     """Stacked point-major plus a server-side collapse to one dense output.
 
-    After the per-point accumulation leaves distance *i* at slot ``i * d``,
-    the server masks each sparse distance and rotates it to slot ``i``,
-    producing one densely packed output ciphertext — extra masking
-    multiplies and rotations on the server buy minimal client decryption and
-    communication (the client-optimized pick of §5.4).
+    The per-point accumulation leaves distance *i* at slot ``i * d``; the
+    collapse ``out[i] = block[i * d]`` is a linear map with one-hot
+    diagonals at rotations ``i * (d - 1)``, evaluated baby-step/giant-step
+    like :class:`repro.core.linalg.BsgsMatVec`: with ``i = a + shift``,
+    ``shift`` a multiple of ``B = ceil(sqrt(occupied))``,
+
+        out = sum_shift rotate(rescale(sum_a mask_i (*) rotate(block, a(d-1))),
+                               shift(d-1))
+
+    where ``mask_i`` is one-hot at the pre-giant-rotation slot
+    ``i*d - a(d-1) = i + shift(d-1)``.  The ``B - 1`` baby rotations share
+    one hoisted decompose, only the giant rotations pay their own, and each
+    giant step sums before its single rescale (the terms share one scale
+    and level, and rescaling is linear) — extra masking multiplies and
+    ``~2 sqrt(n)`` rotations on the server buy minimal client decryption
+    and communication (the client-optimized pick of §5.4).
     """
 
     name = "collapsed"
 
+    def __init__(self, ctx, problem):
+        super().__init__(ctx, problem)
+        self.occupied = min(self.points_per_ct, problem.n_points)
+        self.baby_count = math.isqrt(self.occupied - 1) + 1
+
     def required_rotation_steps(self):
+        stride = self.problem.padded_dims - 1
         steps = set(super().required_rotation_steps())
-        d = self.problem.padded_dims
-        occupied = min(self.points_per_ct, self.problem.n_points)
-        for i in range(1, occupied):
-            steps.add(i * d - i)
-        for g in range(1, len(self._groups())):
-            steps.add(-(g * self.points_per_ct))
-        return {s for s in steps if s != 0}
+        steps.update(a * stride for a in range(self.baby_count))
+        steps.update(shift * stride
+                     for shift in range(0, self.occupied, self.baby_count))
+        steps.update(-(g * self.points_per_ct)
+                     for g in range(len(self._groups())))
+        return steps - {0}
 
     def _body(self, ev, point_cts, query_cts):
-        d = self.problem.padded_dims
+        stride = self.problem.padded_dims - 1
         sparse = super()._body(ev, point_cts, query_cts)
         collapsed = None
         for g, (block, (lo, hi)) in enumerate(zip(sparse, self._groups())):
+            babies = [ev.rotate(block, a * stride)
+                      for a in range(min(self.baby_count, hi - lo))]
             dense_block = None
-            for i in range(hi - lo):
-                mask = np.zeros(self.slots)
-                mask[i * d] = 1.0
-                encoded = ev.encode(mask, base=block.level_base)
-                picked = ev.rotate(ev.rescale(ev.multiply_plain(block, encoded)),
-                                   i * d - i)
-                dense_block = picked if dense_block is None else ev.add(dense_block, picked)
+            for shift in range(0, hi - lo, self.baby_count):
+                inner = _masked_sum(ev, (
+                    (babies[i - shift], self._one_hot(i + shift * stride))
+                    for i in range(shift, min(shift + self.baby_count, hi - lo))))
+                inner = ev.rotate(ev.rescale(inner), shift * stride)
+                dense_block = (inner if dense_block is None
+                               else ev.add(dense_block, inner))
             dense_block = ev.rotate(dense_block, -(g * self.points_per_ct))
             if collapsed is None:
                 collapsed = dense_block
@@ -324,6 +344,11 @@ class CollapsedPointMajorKernel(StackedPointMajorKernel):
                 collapsed, dense_block = ev.align(collapsed, dense_block)
                 collapsed = ev.add(collapsed, dense_block)
         return [collapsed]
+
+    def _one_hot(self, slot: int) -> np.ndarray:
+        mask = np.zeros(self.slots)
+        mask[slot] = 1.0
+        return mask
 
     def decode(self, outputs):
         return outputs[0][: self.problem.n_points]

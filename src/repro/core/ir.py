@@ -30,7 +30,11 @@ directly.  A scheduler then runs ordered passes over the DAG:
    coefficient-domain consumer.  Elided inverse→forward pairs are charged
    to ``ctx.counts['ntt_elided']`` (units: residue-row transform pairs);
    transforms the scheduler does perform charge ``ntt_forward`` /
-   ``ntt_inverse``.
+   ``ntt_inverse``.  A value consumed by several plain multiplies is
+   transformed once per run: ``ntt_forward`` is charged once per
+   transformed source, and a later consumer reusing that evaluation-form
+   copy charges neither ``ntt_forward`` nor ``ntt_elided`` (an elided pair
+   is an inverse *and* a forward skipped; the reuse skipped no inverse).
 
 The scheduler-off reference path (:meth:`ScheduledProgram.run_reference`)
 executes the program as traced, before any pass, one naive primitive at a
@@ -888,21 +892,28 @@ class _IrRunner:
         return Ciphertext(ct.params, [c.from_ntt() for c in ct.components],
                           scale=ct.scale)
 
-    def _to_ntt(self, ct):
+    def _to_ntt(self, nid: int):
+        """Evaluation-form copy of node *nid*'s value, transformed at most
+        once per run however many plain multiplies consume it."""
         from repro.hecore.ciphertext import Ciphertext
 
-        pending = _rows(ct, only_ntt=False)
-        if pending:
-            self.ctx.counts["ntt_forward"] += pending
+        key = ("ntt", nid)
+        ct_ntt = self.memo.get(key)
+        if ct_ntt is not None:
+            return ct_ntt
+        ct = self.memo[nid]
         resident = _rows(ct, only_ntt=True)
         if resident:
             # The producer skipped its inverse AND this forward: one
             # inverse->forward pair per already-resident residue row.
             self.ctx.counts["ntt_elided"] += resident
-        if not pending:
-            return ct
-        return Ciphertext(ct.params, [c.to_ntt() for c in ct.components],
-                          scale=ct.scale)
+        pending = _rows(ct, only_ntt=False)
+        if pending:
+            self.ctx.counts["ntt_forward"] += pending
+            ct = Ciphertext(ct.params, [c.to_ntt() for c in ct.components],
+                            scale=ct.scale)
+        self.memo[key] = ct
+        return ct
 
     def _matched_forms(self, a, b):
         a_ntt = any(c.is_ntt for c in a.components)
@@ -929,8 +940,9 @@ class _IrRunner:
             return ctx.add_plain(ctx.negate(ct), pt)
         return ctx.add_plain(ct, negate_pt(pt))   # ct - plain
 
-    def _mul_plain(self, ct, cid):
+    def _mul_plain(self, ct_id, cid):
         ctx = self.ctx
+        ct = self.memo[ct_id]
         if not self.fused:
             ct = self._to_coeff(ct)
             if self.ckks:
@@ -943,7 +955,7 @@ class _IrRunner:
         # exact inverses mod p); only the inverse transform is deferred.
         from repro.hecore.ciphertext import Ciphertext
 
-        ct_ntt = self._to_ntt(ct)
+        ct_ntt = self._to_ntt(ct_id)
         m_ntt, pt_scale = self.sched._plain_ntt(ctx, cid, ct.level_base)
         ctx.counts["multiply_plain"] += 1
         comps = [c * m_ntt for c in ct_ntt.components]
@@ -1052,7 +1064,7 @@ class _IrRunner:
             a, b = node.args
             if self.program.is_const(a) or self.program.is_const(b):
                 cid, ct_id = ((a, b) if self.program.is_const(a) else (b, a))
-                return self._mul_plain(self.memo[ct_id], cid)
+                return self._mul_plain(ct_id, cid)
             va, vb = self._align(self.memo[a], self.memo[b])
             if self.ckks and self.fused:
                 # CKKS ct-ct multiply starts in evaluation form anyway:

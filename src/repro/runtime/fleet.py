@@ -47,6 +47,7 @@ import asyncio
 import contextlib
 import logging
 import multiprocessing
+import multiprocessing.util
 import os
 import threading
 import time
@@ -285,8 +286,24 @@ class WorkerHandle:
             self.conn.close()
 
 
+def _reap_workers(workers: List[Optional[WorkerHandle]]) -> None:
+    """Finalizer of a fleet nobody stopped: closing a control pipe makes its
+    worker shut down cleanly (eval pool included); stragglers are killed."""
+    live = [h for h in workers if h is not None and h.alive()]
+    for handle in live:
+        handle.close()
+    for handle in live:
+        handle.process.join(5.0)
+        if handle.alive():
+            handle.process.terminate()
+
+
 class FleetServer:
-    """Front-end router plus N shared-nothing worker processes."""
+    """Front-end router plus N shared-nothing worker processes.
+
+    ``async with FleetServer(...) as fleet`` starts on an ephemeral loopback
+    port and stops on the way out, whatever the body raised.
+    """
 
     def __init__(self, params: EncryptionParameters, n_workers: int = 2, *,
                  installers: Tuple[str, ...] = (),
@@ -328,6 +345,12 @@ class FleetServer:
         self.metrics = FleetMetrics()
         self._mp = _mp_context()
         self._workers: List[Optional[WorkerHandle]] = [None] * n_workers
+        # Workers are non-daemon (they own eval-pool children), so the
+        # interpreter joins them at exit: a fleet dropped without stop()
+        # would never return to the shell.  multiprocessing runs finalizers
+        # with an exit priority *before* that join.
+        multiprocessing.util.Finalize(self, _reap_workers,
+                                      args=(self._workers,), exitpriority=10)
         self._generation = 0
         self._admitted = 0
         self._tcp_server: Optional[asyncio.AbstractServer] = None
@@ -348,6 +371,17 @@ class FleetServer:
         self.host, self.port = sockname[0], sockname[1]
         self._supervisor_task = asyncio.ensure_future(self._supervisor())
         return self.host, self.port
+
+    async def __aenter__(self) -> "FleetServer":
+        try:
+            await self.start()
+        except BaseException:
+            await self.stop()
+            raise
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.stop()
 
     async def stop(self) -> None:
         self._closing = True
@@ -373,7 +407,7 @@ class FleetServer:
                 handle.process.terminate()
                 await asyncio.to_thread(handle.process.join, 2.0)
             handle.close()
-        self._workers = [None] * self.n_workers
+        self._workers[:] = [None] * self.n_workers
 
     def _worker_config(self, index: int) -> WorkerConfig:
         return WorkerConfig(

@@ -12,6 +12,8 @@ from repro.core.distance import (
     StackedDimensionMajorKernel,
     StackedPointMajorKernel,
 )
+from repro.hecore.ckks import CkksContext
+from repro.hecore.params import SchemeType, small_test_parameters
 
 TOL = 0.05
 
@@ -147,3 +149,86 @@ def test_collapsed_puts_extra_work_on_server(ckks):
     collapsed.compute(collapsed.encrypt_points(points), collapsed.encrypt_query(query))
     collapsed_mults = ckks.counts["multiply_plain"] - base
     assert collapsed_mults > stacked_mults
+
+
+# ---------------------------------------------------------------------------
+# The collapse round at the served shape: N=4096, three 30-bit limbs
+# ---------------------------------------------------------------------------
+
+SERVED_TOL = 1e-2
+
+
+@pytest.fixture(scope="module")
+def served_ckks():
+    ctx = CkksContext(small_test_parameters(SchemeType.CKKS, 4096,
+                                            data_bits=(30, 30, 30)),
+                      seed=b"collapse")
+    ctx.relin_keys()
+    return ctx
+
+
+def _collapsed_case(ctx, n_points, dims):
+    """Kernel, input ciphertexts and the numpy answer for one shape.
+
+    Points stay inside the half-unit cube: no squared distance reaches the
+    ~32 at which the one-limb result ciphertext wraps."""
+    kernel = CollapsedPointMajorKernel(ctx, DistanceProblem(n_points, dims))
+    ctx.make_galois_keys(kernel.required_rotation_steps())
+    rng = np.random.default_rng([n_points, dims])
+    points = rng.uniform(-0.5, 0.5, (n_points, dims))
+    query = rng.uniform(-0.5, 0.5, dims)
+    return (kernel, kernel.encrypt_points(points),
+            kernel.encrypt_query(query), kernel.reference(points, query))
+
+
+# 130 x 16 fills two point ciphertexts: the multi-group align path.
+@pytest.mark.parametrize("n_points,dims", [(1, 16), (2, 16), (5, 16),
+                                           (64, 16), (130, 16), (7, 3)])
+def test_collapsed_matches_reference_and_numpy(served_ckks, n_points, dims):
+    ctx = served_ckks
+    kernel, point_cts, query_cts, want = _collapsed_case(ctx, n_points, dims)
+    assert len(point_cts) == (2 if n_points > 128 else 1)
+
+    def decode(cts):
+        assert len(cts) == 1
+        return kernel.decode([np.real(v) for v in ctx.decrypt_many(cts)])
+
+    got = decode(kernel.compute(point_cts, query_cts))
+    sched = kernel.scheduled((len(point_cts), len(query_cts)))
+    oracle = decode([sched.run_reference(
+        ctx, {f"in{i}": ct
+              for i, ct in enumerate(point_cts + query_cts)})["out0"]])
+    assert np.max(np.abs(got - want)) < SERVED_TOL
+    assert np.max(np.abs(oracle - want)) < SERVED_TOL
+    assert np.max(np.abs(got - oracle)) < SERVED_TOL
+
+
+def test_collapsed_served_shape_operation_counts(served_ckks):
+    """64 x 16 is B = G = 8: seven baby rotations on ONE hoisted decompose
+    (the dimension sum owns the other), seven giant rotations paying their
+    own, one rescale per giant step, and each baby transformed once."""
+    ctx = served_ckks
+    kernel, point_cts, query_cts, _ = _collapsed_case(ctx, 64, 16)
+    kernel.compute(point_cts, query_cts)      # compile + fill the caches
+    before = ctx.counts.copy()
+    kernel.compute(point_cts, query_cts)
+    per_call = {name: ctx.counts[name] - before[name]
+                for name in ("rotate", "hoisted_decompose", "naive_decompose",
+                             "rescale", "multiply_plain", "ntt_forward")}
+    assert per_call == {"rotate": 29, "hoisted_decompose": 2,
+                        "naive_decompose": 7, "rescale": 9,
+                        "multiply_plain": 64, "ntt_forward": 32}
+
+
+@pytest.mark.parametrize("variant", sorted(KERNEL_VARIANTS))
+@pytest.mark.parametrize("n_points,dims", [(64, 16), (130, 16), (7, 3)])
+def test_galois_key_set_is_exactly_what_the_program_rotates_by(
+        served_ckks, variant, n_points, dims):
+    """No key uploaded that the program never uses, none missing."""
+    kernel = KERNEL_VARIANTS[variant](served_ckks,
+                                      DistanceProblem(n_points, dims))
+    points = np.zeros((n_points, dims))
+    shape = (len(kernel.pack_points(points)),
+             len(kernel.pack_query(np.zeros(dims))))
+    assert (kernel.required_rotation_steps()
+            == kernel.scheduled(shape).rotation_steps())

@@ -9,6 +9,11 @@ lives in ``benchmarks/bench_fleet.py``.
 
 import asyncio
 import contextlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +165,75 @@ def test_fleet_admission_cap(bfv_params):
             await fleet.stop()
 
     run(main())
+
+
+# ---------------------------------------------------------------------------
+# Lifecycle: a client exception must not leave worker processes behind
+# ---------------------------------------------------------------------------
+
+def _child_pids(pid):
+    """Direct children of *pid* (the worker's eval-pool subprocesses)."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(p) for p in path.read_text().split()] if path.exists() else []
+
+
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_fleet_async_with_stops_on_exception(bfv_params):
+    """A body that raises inside ``async with FleetServer(...)`` leaves no
+    live worker and no live eval-pool child."""
+    seen = {}
+
+    async def main():
+        async with FleetServer(bfv_params, 2, eval_workers=1,
+                               pooled_installers=(KNN_POOLED_INSTALLER,)
+                               ) as fleet:
+            assert fleet.port
+            seen["workers"] = [fleet.worker(i).process for i in range(2)]
+            seen["children"] = [pid for proc in seen["workers"]
+                                for pid in _child_pids(proc.pid)]
+            raise RuntimeError("client blew up")
+
+    with pytest.raises(RuntimeError, match="client blew up"):
+        run(main())
+    assert len(seen["workers"]) == 2
+    assert len(seen["children"]) in (0, 2)      # 0: no /proc on this host
+    assert not any(proc.is_alive() for proc in seen["workers"])
+    assert not any(_pid_alive(pid) for pid in seen["children"])
+
+
+def test_fleet_never_stopped_still_returns_to_the_shell(tmp_path):
+    """Workers are non-daemon, so the interpreter joins them at exit: a
+    script that skips ``stop()`` must be reaped by the fleet's finalizer
+    instead of hanging forever."""
+    script = tmp_path / "leak.py"
+    script.write_text(textwrap.dedent("""
+        import asyncio
+        from repro.hecore.params import SchemeType, small_test_parameters
+        from repro.runtime.fleet import FleetServer
+
+        async def main():
+            fleet = FleetServer(small_test_parameters(SchemeType.BFV, 1024), 2)
+            await fleet.start()
+            print(*(fleet.worker(i).process.pid for i in range(2)), flush=True)
+            raise RuntimeError("skipped stop()")
+
+        asyncio.run(main())
+    """))
+    done = subprocess.run(
+        [sys.executable, str(script)], timeout=30, capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert "skipped stop()" in done.stderr
+    pids = [int(p) for p in done.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_pid_alive(pid) for pid in pids)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,44 @@ def test_residency_multiply_chain_is_bit_exact(bfv, bfv_params):
                           np.asarray(bfv.decrypt(want)))
 
 
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_shared_multiplicand_is_transformed_once(scheme, request):
+    """One source feeding k plain multiplies pays its forward transform
+    once per run, not k times; the reuse charges no elided pair either."""
+    ctx = request.getfixturevalue(scheme)
+    is_bfv = scheme == "bfv"
+    weights = [3, 5, 7, 11]
+
+    def body(tr, x):
+        src = tr.rotate(x, 1)           # coefficient form, four consumers
+        return [tr.multiply_plain(src, tr.encode(
+                    np.full(512, w if is_bfv else w / 16))) for w in weights]
+
+    program = trace_program(ctx.params, body, ["x"])
+    if is_bfv:
+        ct = ctx.encrypt(np.arange(512, dtype=np.int64) % 11)
+    else:
+        ct = ctx.encrypt(ctx.encode(np.linspace(-0.5, 0.5, 512)))
+    sched, got, want = _run_both(ctx, program, {"x": ct})
+    for name in got:
+        if is_bfv:
+            assert np.array_equal(np.asarray(ctx.decrypt(got[name])),
+                                  np.asarray(ctx.decrypt(want[name])))
+        else:
+            assert np.allclose(ctx.decrypt(got[name]),
+                               ctx.decrypt(want[name]), atol=1e-3)
+
+    # Warm run: the plaintext tables are cached (each hit is one elided
+    # row per limb), so every forward row charged belongs to the source.
+    keys = ensure_galois_keys(ctx, sched.rotation_steps())
+    forward, elided = ctx.counts["ntt_forward"], ctx.counts["ntt_elided"]
+    sched.run(ctx, {"x": ct}, keys)
+    assert (ctx.counts["ntt_forward"] - forward
+            == len(ct.components) * len(ct.level_base))
+    assert (ctx.counts["ntt_elided"] - elided
+            == len(weights) * len(ct.level_base))
+
+
 # ---------------------------------------------------------- randomized DAGs
 
 def _random_bfv_program(params, rng, n_ops):
@@ -393,6 +431,12 @@ def test_bsgs_scheduled_matches_direct(bfv):
     got = kernel.unpack_output(np.asarray(bfv.decrypt(kernel(ct)))) % t
     want = kernel.unpack_output(np.asarray(bfv.decrypt(naive))) % t
     assert np.array_equal(got, want)
+
+    # Each baby feeds one multiply per giant step but is transformed once.
+    before = bfv.counts["ntt_forward"]
+    kernel(ct)
+    assert (bfv.counts["ntt_forward"] - before
+            == kernel.baby_count * len(ct.components) * len(ct.level_base))
 
 
 def test_distance_kernel_scheduled_matches_direct(ckks):
