@@ -169,15 +169,6 @@ def _resolve_params(preset: str):
                      f"{', '.join(_PARAM_PRESETS)}")
 
 
-def _make_context(params, seed):
-    from repro.hecore.bfv import BfvContext
-    from repro.hecore.ckks import CkksContext
-    from repro.hecore.params import SchemeType
-
-    cls = BfvContext if params.scheme is SchemeType.BFV else CkksContext
-    return cls(params, seed=seed)
-
-
 def _install_demo_ops(server) -> None:
     """Ops the ``offload`` client exercises (beyond the built-in echo)."""
 
@@ -203,10 +194,11 @@ async def _serve_selftest(params, host, port) -> int:
     """One encrypted round trip against the server we just started."""
     import numpy as np
 
+    from repro.hecore import context_for
     from repro.hecore.params import SchemeType
     from repro.runtime import OffloadClient
 
-    ctx = _make_context(params, seed=b"serve-selftest")
+    ctx = context_for(params, seed=b"serve-selftest")
     client = await OffloadClient(params, host, port).connect()
     try:
         await client.upload_keys(relin=ctx.relin_keys())
@@ -291,6 +283,7 @@ def _cmd_offload(args) -> int:
 
     import numpy as np
 
+    from repro.hecore import context_for
     from repro.hecore.params import SchemeType
     from repro.runtime import OffloadClient, OffloadServer
 
@@ -307,7 +300,7 @@ def _cmd_offload(args) -> int:
             server = OffloadServer(params)
             _install_demo_ops(server)
             host, port = await server.start("127.0.0.1", 0)
-        ctx = _make_context(params, seed=b"offload-cli-client")
+        ctx = context_for(params, seed=b"offload-cli-client")
         client = await OffloadClient(params, host, port).connect()
         try:
             await client.upload_keys(relin=ctx.relin_keys())

@@ -798,14 +798,9 @@ class ScheduledProgram:
             live = self.program.live_set()
             cids = [nid for nid in sorted(live)
                     if self.program.nodes[nid].kind == "const"]
-            encoder = getattr(ctx, "encoder", None)
-            if encoder is not None and hasattr(encoder, "encode_many") and cids:
-                pts = encoder.encode_many(
-                    [np.asarray(self._const_values(c), dtype=np.int64)
-                     for c in cids])
-            else:
-                pts = [ctx.encode(np.asarray(self._const_values(c),
-                                             dtype=np.int64)) for c in cids]
+            pts = ctx.encoder.encode_many(
+                [np.asarray(self._const_values(c), dtype=np.int64)
+                 for c in cids])
             batch = self._bfv_batch[t] = dict(zip(cids, pts))
             self.report.batched_consts = len(cids)
         return batch[cid]
@@ -963,9 +958,7 @@ class _IrRunner:
 
     def _align(self, a, b):
         if a.level_base != b.level_base:
-            align = getattr(self.ctx, "align", None)
-            if align is not None:
-                a, b = align(self._to_coeff(a), self._to_coeff(b))
+            a, b = self.ctx.align(self._to_coeff(a), self._to_coeff(b))
         return a, b
 
     def _group_results(self, src_nid: int):
@@ -1100,9 +1093,8 @@ class _IrRunner:
             return ctx.mod_switch_down(ct)
         if kind == "rotate_sum":
             ct = self._to_coeff(self.memo[node.args[0]])
-            fused = getattr(ctx, "rotate_and_sum", None)
-            if self.fused and fused is not None:
-                return fused(ct, node.width, self.keys)
+            if self.fused:
+                return ctx.rotate_and_sum(ct, node.width, self.keys)
             step = node.width // 2
             while step >= 1:
                 ct = ctx.add(ct, ctx.rotate(ct, step, self.keys))

@@ -25,19 +25,12 @@ import numpy as np
 from repro.core.ir import TracedKernel
 from repro.core.packing import ChannelLayout, RedundantPacking
 from repro.hecore.hoisting import rotate_and_sum_steps
-from repro.hecore.params import SchemeType
-
-
-def _is_bfv(ctx) -> bool:
-    return ctx.params.scheme is SchemeType.BFV
 
 
 def _encode_vector(ctx, values: np.ndarray, ct=None):
-    """Encode a plaintext vector, level-matched to *ct* under CKKS."""
-    if _is_bfv(ctx):
-        return ctx.encode(np.asarray(values, dtype=np.int64))
-    base = ct.level_base if ct is not None else None
-    return ctx.encode(np.asarray(values, dtype=np.float64), base=base)
+    """Encode a plaintext vector, level-matched to *ct* (BFV plaintexts are
+    level-free; a traced *ct* has no level yet and defers the match)."""
+    return ctx.encode(values, base=None if ct is None else ct.level_base)
 
 
 def _masked_sum(ev, terms):
@@ -353,19 +346,12 @@ def rotate_and_accumulate(ctx, ct, width: int, galois_keys=None):
 
     Only the window's first slot (and every ``width``-aligned slot) holds a
     valid total afterwards — the client discards the rest, per the CHOCO
-    packing discipline.  Contexts exposing the fused
-    :meth:`~repro.hecore.hoisting.rotate_and_sum` kernel run the span with a
-    hoisted key-switch decompose when the session holds the richer step set
-    of :func:`rotate_and_sum_steps`; otherwise (or for plain contexts) this
-    is the classic log2(width) rotate/add tree.
+    packing discipline.  Runs the context's fused
+    :meth:`~repro.hecore.rlwe.RlweContext.rotate_and_sum`: one or two
+    hoisted key-switch decomposes when the session holds the richer step
+    set of :func:`rotate_and_sum_steps`, the classic log2(width) rotate/add
+    tree over the power-of-two keys otherwise.
     """
     if width & (width - 1):
         raise ValueError(f"width {width} must be a power of two")
-    fused = getattr(ctx, "rotate_and_sum", None)
-    if fused is not None:
-        return fused(ct, width, galois_keys)
-    step = width // 2
-    while step >= 1:
-        ct = ctx.add(ct, ctx.rotate(ct, step, galois_keys))
-        step //= 2
-    return ct
+    return ctx.rotate_and_sum(ct, width, galois_keys)

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _encode_mask(ctx, mask: np.ndarray):
-    if hasattr(ctx, "encoder") and hasattr(ctx.encoder, "modulus"):  # BFV
-        return ctx.encode(mask.astype(np.int64))
-    return ctx.encode(mask.astype(np.float64))
+from repro.core.linalg import _encode_vector
 
 
 def windowed_rotation_masked(ctx, ct, rotation: int, offset: int, window: int,
@@ -48,9 +44,9 @@ def windowed_rotation_masked(ctx, ct, rotation: int, offset: int, window: int,
     wrap[offset + window - rotation: offset + window] = 1
 
     shifted = ctx.rotate(ct, rotation, galois_keys)
-    part_keep = ctx.multiply_plain(shifted, _encode_mask(ctx, keep))
+    part_keep = ctx.multiply_plain(shifted, _encode_vector(ctx, keep, shifted))
     wrapped = ctx.rotate(ct, -(window - rotation), galois_keys)
-    part_wrap = ctx.multiply_plain(wrapped, _encode_mask(ctx, wrap))
+    part_wrap = ctx.multiply_plain(wrapped, _encode_vector(ctx, wrap, wrapped))
     return ctx.add(part_keep, part_wrap)
 
 

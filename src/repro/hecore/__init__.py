@@ -18,8 +18,16 @@ from repro.hecore.params import (
 from repro.hecore.keys import KeyGenerator, SecretKey, PublicKey, RelinKeys, GaloisKeys
 from repro.hecore.bfv import BfvContext, BatchEncoder
 from repro.hecore.ckks import CkksContext, CkksEncoder
+from repro.hecore.rlwe import RlweContext
 from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.plaintext import Plaintext
+
+
+def context_for(params: EncryptionParameters, seed=None) -> RlweContext:
+    """The context of *params*' scheme (:class:`BfvContext` / :class:`CkksContext`)."""
+    cls = BfvContext if params.scheme is SchemeType.BFV else CkksContext
+    return cls(params, seed)
+
 
 __all__ = [
     "EncryptionParameters",
@@ -37,6 +45,8 @@ __all__ = [
     "BatchEncoder",
     "CkksContext",
     "CkksEncoder",
+    "RlweContext",
+    "context_for",
     "Ciphertext",
     "Plaintext",
 ]

@@ -72,7 +72,7 @@ def polyval(ctx, ct: Ciphertext, coefficients: Sequence[float]) -> Ciphertext:
     slots = ctx.params.slot_count
 
     def encode_const(value, like_ct):
-        vec = np.full(slots if not is_ckks else slots, value)
+        vec = np.full(slots, value)
         if is_ckks:
             return ctx.encode(vec.astype(float), scale=like_ct.scale,
                               base=like_ct.level_base)

@@ -2,8 +2,8 @@
 
 The client-side cost CHOCO offloads is dominated by per-ciphertext work:
 sampling, the forward/inverse NTTs and the Δ-scaling of encrypt, and the CRT
-scaling of decrypt.  ``encrypt_many`` / ``decrypt_many`` (in :mod:`bfv` and
-:mod:`ckks`) process M ciphertexts at once by stacking their residue
+scaling of decrypt.  ``encrypt_many`` / ``decrypt_many`` (in :mod:`rlwe`,
+for both schemes) process M ciphertexts at once by stacking their residue
 matrices into one ``(m, k, n)`` int64 block and pushing the whole block
 through :class:`~repro.hecore.ntt.NttStackPlan`'s batch transforms — one
 ``(m*k, n)`` stacked NTT instead of M k-row ones, and every modular fixup a

@@ -5,36 +5,27 @@ and ciphertext add, plaintext and ciphertext multiply, and rotation — plus
 SEAL-style invariant-noise-budget measurement, which Table 4 of the paper is
 built on.
 
-Encryption follows the paper's Figure 5 pipeline: sample ``u`` (ternary) and
-``e1, e2`` (error), multiply with the public keys over the full RNS base,
-modulus-switch away the key primes, and only then add the scaled message
-``Δm`` over the remaining ``k − 1`` residues.
+Everything BFV shares with CKKS — keys, the Figure 5 encrypt pipeline,
+decryption, add/sub, relinearization, rotation — lives in
+:class:`repro.hecore.rlwe.RlweContext`; this module holds what is BFV's
+own: the batching encoder, the Δ-scaled message embedding ``Δm`` and its
+``round(t/q ⋅ x)`` recovery, the exact tensor multiply, the noise budget.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.hecore import batchcrypt, hoisting, ntt
 from repro.hecore.ciphertext import Ciphertext
-from repro.hecore.keys import (
-    GaloisKeys,
-    KeyGenerator,
-    MissingEvaluationKey,
-    RelinKeys,
-    expand_uniform_poly,
-    galois_element_for_conjugation,
-    galois_element_for_step,
-    switch_key,
-)
+from repro.hecore.keys import GaloisKeys
 from repro.hecore.params import EncryptionParameters, SchemeType
 from repro.hecore.plaintext import Plaintext
 from repro.hecore.polyring import RnsPoly, aux_base_for
-from repro.hecore.random import BlakePrng
-from repro.hecore.rns import centered_mod, scale_and_round
+from repro.hecore.rlwe import RlweContext
+from repro.hecore.rns import RnsBase, scale_and_round
 
 
 class BatchEncoder:
@@ -66,8 +57,11 @@ class BatchEncoder:
     def slot_count(self) -> int:
         return self.params.poly_degree
 
-    def encode(self, values: Sequence[int]) -> Plaintext:
-        """Pack up to N integers (reduced mod t) into a plaintext."""
+    def encode(self, values: Sequence[int], scale: Optional[float] = None,
+               base: Optional[RnsBase] = None) -> Plaintext:
+        """Pack up to N integers (reduced mod t) into a plaintext.  BFV
+        plaintexts are exact and level-free, so *scale* and *base* (the
+        signature both encoders share) are ignored."""
         n = self.params.poly_degree
         if len(values) > n:
             raise ValueError(f"too many values ({len(values)}) for {n} slots")
@@ -102,57 +96,24 @@ class BatchEncoder:
         evals = self._plan.forward(plaintext.coeffs[None, :])[0]
         return evals[self._positions]
 
-    def decode_rows(self, coeff_rows: np.ndarray) -> np.ndarray:
+    def decode_rows(self, coeff_rows: np.ndarray, scales=None) -> np.ndarray:
         """Decode M coefficient rows ``(m, n)`` → slot rows ``(m, n)`` with
-        one stacked forward NTT; bit-identical to M :meth:`decode` calls."""
+        one stacked forward NTT; bit-identical to M :meth:`decode` calls.
+        BFV slots are exact, so *scales* (the signature both encoders share)
+        is ignored."""
         evals = self._plan.forward_batch(coeff_rows[:, None, :])[:, 0, :]
         return evals[:, self._positions]
 
 
-class BfvContext:
-    """Keys, encoder and evaluator for one BFV parameter set.
+class BfvContext(RlweContext):
+    """Keys, encoder and evaluator for one BFV parameter set (the shared
+    surface is :class:`RlweContext`'s)."""
 
-    The ``counts`` attribute tallies every HE operation executed, which the
-    client-aided protocol layer multiplies by per-operation platform costs —
-    the paper's own §5.2 methodology.
-    """
-
-    def __init__(self, params: EncryptionParameters, seed: Optional[object] = None):
-        if params.scheme is not SchemeType.BFV:
-            raise ValueError("BfvContext requires BFV parameters")
-        self.params = params
-        self.keygen = KeyGenerator(params, seed)
-        self.encoder = BatchEncoder(params)
-        self._prng = BlakePrng(seed).fork("bfv-encryptor") if seed is not None else BlakePrng()
-        self._relin: Optional[RelinKeys] = None
-        self._galois: Optional[GaloisKeys] = None
-        self.counts: Counter = Counter()
-
-    # --------------------------------------------------------------- keys
-    def relin_keys(self) -> RelinKeys:
-        if self._relin is None:
-            self._relin = self.keygen.relin_keys()
-        return self._relin
-
-    def make_galois_keys(self, steps: Iterable[int], include_conjugation: bool = False):
-        """Generate (or extend) rotation keys for the given step set.
-
-        Elements already generated are reused as-is (same key objects, so
-        their pre-stacked digit caches survive); only missing elements cost
-        keygen work.
-        """
-        self._galois = self.keygen.galois_keys(
-            steps, include_conjugation=include_conjugation,
-            existing=self._galois)
-        return self._galois
+    scheme = SchemeType.BFV
+    plaintext_type = Plaintext
+    encoder_class = BatchEncoder
 
     # ------------------------------------------------------------ encoding
-    def encode(self, values: Sequence[int]) -> Plaintext:
-        return self.encoder.encode(values)
-
-    def decode(self, plaintext: Plaintext) -> np.ndarray:
-        return self.encoder.decode(plaintext)
-
     def _as_plaintexts(self, values_list: Sequence) -> List[Plaintext]:
         """Encode the raw entries of a mixed values/plaintexts batch with one
         stacked inverse NTT, passing pre-encoded plaintexts through."""
@@ -165,196 +126,21 @@ class BfvContext:
                           for pt in plaintexts]
         return plaintexts
 
-    # ------------------------------------------------------- encrypt/decrypt
-    def encrypt(self, values, rng: Optional[BlakePrng] = None) -> Ciphertext:
-        """Encrypt a slot vector (or a pre-encoded :class:`Plaintext`).
+    def _message_block(self, base: RnsBase, plaintexts: Sequence[Plaintext]
+                       ) -> np.ndarray:
+        """``Δ·m`` with ``Δ = floor(q/t)`` for the *base* modulus ``q``."""
+        delta = base.modulus // self.params.plain_modulus
+        msg = batchcrypt.signed_block(
+            base, np.stack([pt.coeffs for pt in plaintexts]))
+        return batchcrypt.scalar_multiply_block(base, msg, delta)
 
-        *rng* overrides the context PRNG (used by the batch-equivalence
-        property tests to replay :meth:`encrypt_many`'s fork schedule); the
-        default draws from the context stream exactly as before.
-        """
-        plaintext = values if isinstance(values, Plaintext) else self.encode(values)
-        self.counts["encrypt"] += 1
-        params = self.params
-        n = params.poly_degree
-        full = params.full_base
-        pk = self.keygen.public_key()
-        rng = self._prng if rng is None else rng
-
-        u = RnsPoly.from_signed_array(full, rng.sample_ternary(n)).to_ntt()
-        e1 = RnsPoly.from_signed_array(full, rng.sample_error(n))
-        e2 = RnsPoly.from_signed_array(full, rng.sample_error(n))
-        c0 = (pk.p0 * u).from_ntt() + e1
-        c1 = (pk.p1 * u).from_ntt() + e2
-        # Modulus-switch away the key primes (Figure 5's Mod Switching stage).
-        for _ in params.special_primes:
-            c0 = c0.divide_and_round_by_last()
-            c1 = c1.divide_and_round_by_last()
-        # Scale the encoded message by Δ = floor(q/t) and add over k−1 residues.
-        delta = params.data_base.modulus // params.plain_modulus
-        m_poly = RnsPoly.from_signed_array(params.data_base, plaintext.coeffs)
-        c0 = c0 + m_poly.scalar_multiply(delta)
-        return Ciphertext(params, [c0, c1])
-
-    def encrypt_many(self, values_list: Sequence,
-                     rng: Optional[BlakePrng] = None) -> List[Ciphertext]:
-        """Encrypt M slot vectors (or plaintexts) as one stacked batch.
-
-        All randomness for the batch is drawn as ``(M, N)`` blocks from
-        labeled forks of the context PRNG (``batch-encrypt`` → ``u`` /
-        ``e1`` / ``e2``), so row ``i`` of each block equals the ``i``-th
-        sequential draw from the same fork — the schedule the equivalence
-        tests replay.  Both public-key products run through a single
-        ``(2M·k, N)`` stacked NTT pair, and the mod-switch and Δ-scaling are
-        one vectorized pass over the whole block.
-        """
-        plaintexts = self._as_plaintexts(values_list)
-        m = len(plaintexts)
-        if m == 0:
-            return []
-        self.counts["encrypt"] += m
-        params = self.params
-        n = params.poly_degree
-        full = params.full_base
-        pk = self.keygen.public_key()
-        rng = self._prng.fork("batch-encrypt") if rng is None else rng
-
-        u_all = rng.fork("u").sample_ternary((m, n))
-        e1_all = rng.fork("e1").sample_error((m, n))
-        e2_all = rng.fork("e2").sample_error((m, n))
-        msg_all = np.stack([pt.coeffs for pt in plaintexts])
-        delta = params.data_base.modulus // params.plain_modulus
-        out: List[Ciphertext] = []
-        # Sampling above is one (M, N) draw per stream; the kernel pipeline
-        # below runs over cache-sized ciphertext tiles so each tile's blocks
-        # stay resident from the NTT through the Δ-scaling.
-        tile = batchcrypt.tile_size(full, n, parts=2)
-        for start in range(0, m, tile):
-            stop = min(start + tile, m)
-            g = stop - start
-            u = batchcrypt.signed_block(full, u_all[start:stop])
-            e1 = batchcrypt.signed_block(full, e1_all[start:stop])
-            e2 = batchcrypt.signed_block(full, e2_all[start:stop])
-            # Raw butterfly-order sandwich: forward without the unscramble
-            # gather, Shoup dyadic against the pre-permuted public key, and a
-            # prescrambled inverse — the two permutation passes cancel.
-            u_ntt = batchcrypt.forward_block(full, n, u, raw=True)
-            # c0 and c1 products stacked into one (2g, k, n) block: a single
-            # inverse transform covers both components of every ciphertext.
-            prod = np.concatenate([
-                batchcrypt.dyadic_block_raw(full, u_ntt, pk.p0),
-                batchcrypt.dyadic_block_raw(full, u_ntt, pk.p1),
-            ])
-            block = batchcrypt.inverse_block(full, n, prod, raw=True)
-            block = batchcrypt.add_blocks(full, block,
-                                          np.concatenate([e1, e2]))
-            base = full
-            for _ in params.special_primes:
-                base, block = batchcrypt.divide_and_round_by_last_block(
-                    base, block)
-            msg = batchcrypt.signed_block(base, msg_all[start:stop])
-            c0 = batchcrypt.add_blocks(
-                base, block[:g],
-                batchcrypt.scalar_multiply_block(base, msg, delta))
-            c0_polys = batchcrypt.split_polys(base, n, c0)
-            c1_polys = batchcrypt.split_polys(base, n, block[g:])
-            out.extend(Ciphertext(params, [p0, p1])
-                       for p0, p1 in zip(c0_polys, c1_polys))
-        return out
-
-    def encrypt_symmetric(self, values, seed: Optional[bytes] = None,
-                          rng: Optional[BlakePrng] = None) -> Ciphertext:
-        """Symmetric (secret-key) encryption with a seed-expanded ``c1``.
-
-        Fresh client uploads don't need public-key encryption: the client
-        owns the secret key, and deriving the uniform component from a seed
-        lets the wire format carry only ``c0`` plus 32 bytes (the
-        seed-compression extension; see Ciphertext.size_bytes).
-        """
-        plaintext = values if isinstance(values, Plaintext) else self.encode(values)
-        self.counts["encrypt"] += 1
-        params = self.params
-        n = params.poly_degree
-        base = params.data_base
-        rng = self._prng if rng is None else rng
-        if seed is None:
-            seed = rng.random_bytes(32)
-        a = expand_uniform_poly(seed, base, n)
-        e = RnsPoly.from_signed_array(base, rng.sample_error(n))
-        s_ntt = self.keygen.secret_key().restricted_ntt(base, params.full_base)
-        c0 = -(a.to_ntt() * s_ntt).from_ntt() + e
-        delta = base.modulus // params.plain_modulus
-        m_poly = RnsPoly.from_signed_array(base, plaintext.coeffs)
-        c0 = c0 + m_poly.scalar_multiply(delta)
-        return Ciphertext(params, [c0, a], seed=bytes(seed))
-
-    def encrypt_symmetric_many(self, values_list: Sequence,
-                               rng: Optional[BlakePrng] = None
-                               ) -> List[Ciphertext]:
-        """Seed-compressed symmetric encryption of M vectors as one batch.
-
-        PRNG schedule: the 32-byte seeds come sequentially from the ``seed``
-        fork of a ``batch-encrypt-symmetric`` fork, the error block as one
-        ``(M, N)`` draw from its ``e`` fork.  The ``a·s`` products share one
-        stacked forward/inverse NTT pair across the batch.
-        """
-        plaintexts = self._as_plaintexts(values_list)
-        m = len(plaintexts)
-        if m == 0:
-            return []
-        self.counts["encrypt"] += m
-        params = self.params
-        n = params.poly_degree
-        base = params.data_base
-        rng = (self._prng.fork("batch-encrypt-symmetric")
-               if rng is None else rng)
-        seed_rng = rng.fork("seed")
-        seeds = [seed_rng.random_bytes(32) for _ in range(m)]
-        e_all = rng.fork("e").sample_error((m, n))
-        s_ntt = self.keygen.secret_key().restricted_ntt(base, params.full_base)
-        delta = base.modulus // params.plain_modulus
-        msg_all = np.stack([pt.coeffs for pt in plaintexts])
-        out: List[Ciphertext] = []
-        tile = batchcrypt.tile_size(base, n, parts=2)
-        for start in range(0, m, tile):
-            stop = min(start + tile, m)
-            e = batchcrypt.signed_block(base, e_all[start:stop])
-            a_block = np.stack([expand_uniform_poly(seed, base, n).data
-                                for seed in seeds[start:stop]])
-            a_ntt = batchcrypt.forward_block(base, n, a_block, raw=True)
-            prod = batchcrypt.inverse_block(
-                base, n, batchcrypt.dyadic_block_raw(base, a_ntt, s_ntt),
-                raw=True)
-            c0 = batchcrypt.add_blocks(
-                base, batchcrypt.negate_block(base, prod), e)
-            msg = batchcrypt.signed_block(base, msg_all[start:stop])
-            c0 = batchcrypt.add_blocks(
-                base, c0, batchcrypt.scalar_multiply_block(base, msg, delta))
-            c0_polys = batchcrypt.split_polys(base, n, c0)
-            a_polys = batchcrypt.split_polys(base, n, a_block)
-            out.extend(
-                Ciphertext(params, [p0, a], seed=bytes(seed))
-                for p0, a, seed in zip(c0_polys, a_polys, seeds[start:stop]))
-        return out
-
-    def _raw_decrypt_poly(self, ct: Ciphertext) -> RnsPoly:
-        """``[c0 + c1 s (+ c2 s^2)]_q`` in coefficient form over the level base."""
-        params = self.params
-        base = ct.level_base
-        s_ntt = self.keygen.secret_key().restricted_ntt(base, params.full_base)
-        acc = ct.components[0].from_ntt()
-        s_power = s_ntt
-        for comp in ct.components[1:]:
-            acc = acc + (comp.to_ntt() * s_power).from_ntt()
-            s_power = s_power * s_ntt
-        return acc.from_ntt()
-
+    # -------------------------------------------------------------- decrypt
     def _raw_decrypt_ints(self, ct: Ciphertext) -> List[int]:
         """CRT-composed ``[c0 + c1 s (+ c2 s^2)]_q`` as canonical integers."""
         acc = self._raw_decrypt_poly(ct)
         return acc.base.compose(acc.data)
 
-    def _scale_to_plain(self, base, block: np.ndarray) -> np.ndarray:
+    def _plain_rows(self, base: RnsBase, block: np.ndarray) -> np.ndarray:
         """``round(t/q · x) mod t`` over an ``(m, k, n)`` residue block.
 
         The bigint-free RNS scaling (:meth:`RnsBase.scale_and_round_mod`);
@@ -370,17 +156,6 @@ class BfvContext:
                 values[mi, col] = scale_and_round(x, t, q)[0] % t
         return values
 
-    def decrypt(self, ct: Ciphertext) -> np.ndarray:
-        """Decrypt to the slot vector (Eq. 3: round(t/q ⋅ [c0 + c1 s]_q) mod t).
-
-        Runs entirely in vectorized RNS arithmetic — no big-integer CRT
-        composition; see :meth:`RnsBase.scale_and_round_mod`.
-        """
-        self.counts["decrypt"] += 1
-        acc = self._raw_decrypt_poly(ct)
-        coeffs = self._scale_to_plain(acc.base, acc.data[None])[0]
-        return self.decode(Plaintext(coeffs, self.params.plain_modulus))
-
     def _decrypt_bigint(self, ct: Ciphertext) -> np.ndarray:
         """Exact big-integer reference decrypt (pre-RNS-scaling code path).
 
@@ -393,51 +168,6 @@ class BfvContext:
         x = self._raw_decrypt_ints(ct)
         coeffs = np.array([v % t for v in scale_and_round(x, t, q)], dtype=np.int64)
         return self.decode(Plaintext(coeffs, t))
-
-    def decrypt_many(self, cts: Sequence[Ciphertext]) -> List[np.ndarray]:
-        """Decrypt M ciphertexts as stacked batches.
-
-        Two-component ciphertexts sharing a level base form one ``(M, k, n)``
-        block: a single stacked NTT pair for the ``c1·s`` products, one
-        vectorized RNS scaling, and one stacked decode.  Odd ciphertexts
-        (3-component, lone bases) fall back to :meth:`decrypt` individually.
-        Results are bit-identical to looped :meth:`decrypt` calls.
-        """
-        results: List[Optional[np.ndarray]] = [None] * len(cts)
-        groups = {}
-        for i, ct in enumerate(cts):
-            if len(ct) == 2:
-                groups.setdefault(ct.level_base.moduli, []).append(i)
-            else:
-                results[i] = self.decrypt(ct)
-        params = self.params
-        n = params.poly_degree
-        for indices in groups.values():
-            base = cts[indices[0]].level_base
-            s_ntt = self.keygen.secret_key().restricted_ntt(base, params.full_base)
-            coeff_rows = []
-            # Cache-sized ciphertext tiles: each tile's block stays resident
-            # from the c1 forward transform through the RNS scaling.
-            tile = batchcrypt.tile_size(base, n, parts=2)
-            for start in range(0, len(indices), tile):
-                chunk = indices[start:start + tile]
-                c0 = batchcrypt.stack_components(
-                    [cts[i].components[0] for i in chunk])
-                c1 = batchcrypt.stack_components(
-                    [cts[i].components[1] for i in chunk])
-                prod = batchcrypt.inverse_block(
-                    base, n,
-                    batchcrypt.dyadic_block_raw(
-                        base, batchcrypt.forward_block(base, n, c1, raw=True),
-                        s_ntt),
-                    raw=True)
-                acc = batchcrypt.add_blocks(base, c0, prod)
-                coeff_rows.append(self._scale_to_plain(base, acc))
-            slots = self.encoder.decode_rows(np.concatenate(coeff_rows))
-            for row, i in enumerate(indices):
-                results[i] = slots[row]
-            self.counts["decrypt"] += len(indices)
-        return results
 
     def noise_budget(self, ct: Ciphertext) -> int:
         """Invariant noise budget in bits (SEAL's ``invariant_noise_budget``).
@@ -467,29 +197,6 @@ class BfvContext:
         return max(0, budget)
 
     # ------------------------------------------------------------ evaluator
-    def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self.counts["add"] += 1
-        if len(a) != len(b):
-            raise ValueError("cannot add ciphertexts of different sizes")
-        comps = [x + y for x, y in zip(a.components, b.components)]
-        return Ciphertext(self.params, comps)
-
-    def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self.counts["add"] += 1
-        comps = [x - y for x, y in zip(a.components, b.components)]
-        return Ciphertext(self.params, comps)
-
-    def negate(self, a: Ciphertext) -> Ciphertext:
-        return Ciphertext(self.params, [-c for c in a.components])
-
-    def add_plain(self, ct: Ciphertext, plaintext: Plaintext) -> Ciphertext:
-        self.counts["add_plain"] += 1
-        delta = ct.level_base.modulus // self.params.plain_modulus
-        m_poly = RnsPoly.from_signed_array(ct.level_base, plaintext.coeffs)
-        comps = [c.copy() for c in ct.components]
-        comps[0] = comps[0] + m_poly.scalar_multiply(delta)
-        return Ciphertext(self.params, comps)
-
     def multiply_plain(self, ct: Ciphertext, plaintext: Plaintext) -> Ciphertext:
         self.counts["multiply_plain"] += 1
         m_ntt = RnsPoly.from_signed_array(ct.level_base, plaintext.coeffs).to_ntt()
@@ -538,22 +245,6 @@ class BfvContext:
             out = self.relinearize(out)
         return out
 
-    def square(self, a: Ciphertext, relinearize: bool = True) -> Ciphertext:
-        return self.multiply(a, a, relinearize=relinearize)
-
-    def relinearize(self, ct: Ciphertext) -> Ciphertext:
-        """Reduce a 3-component ciphertext back to 2 via the relin keys."""
-        if len(ct) == 2:
-            return ct
-        if len(ct) != 3:
-            raise ValueError("relinearize expects a 3-component ciphertext")
-        self.counts["relinearize"] += 1
-        u0, u1 = switch_key(ct.components[2].from_ntt(), self.relin_keys(), self.params)
-        return Ciphertext(
-            self.params,
-            [ct.components[0] + u0, ct.components[1] + u1],
-        )
-
     def mod_switch_down(self, ct: Ciphertext) -> Ciphertext:
         """Drop the last data residue, rescaling the ciphertext by 1/p.
 
@@ -570,66 +261,12 @@ class BfvContext:
         comps = [c.from_ntt().divide_and_round_by_last() for c in ct.components]
         return Ciphertext(self.params, comps)
 
-    def align(self, a: Ciphertext, b: Ciphertext):
-        """Bring two ciphertexts to a common chain for add/multiply.
+    def _align_down(self, ct: Ciphertext) -> Ciphertext:
+        return self.mod_switch_down(ct)
 
-        The deeper-chained operand is switched down; decrypted values are
-        unchanged (the level planner uses this as its alignment primitive).
-        """
-        while len(a.level_base) > len(b.level_base):
-            a = self.mod_switch_down(a)
-        while len(b.level_base) > len(a.level_base):
-            b = self.mod_switch_down(b)
-        return a, b
-
-    def rotate(self, ct: Ciphertext, steps: int,
-               galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-        """Rotate each slot row left by *steps* (Table 1's Ciphertext Rotate)."""
-        self.counts["rotate"] += 1
-        g = galois_element_for_step(steps, self.params.poly_degree)
-        return self._apply_galois(ct, g, galois_keys)
-
-    #: SEAL's name for the row rotation.
-    rotate_rows = rotate
-
-    def rotate_columns(self, ct: Ciphertext,
-                       galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-        """Swap the two slot rows."""
-        self.counts["rotate"] += 1
-        g = galois_element_for_conjugation(self.params.poly_degree)
-        return self._apply_galois(ct, g, galois_keys)
-
-    def _apply_galois(self, ct: Ciphertext, galois_elt: int,
-                      galois_keys: Optional[GaloisKeys]) -> Ciphertext:
-        if galois_elt == 1:
-            return ct.copy()
-        keys = galois_keys or self._galois
-        if keys is None:
-            raise MissingEvaluationKey("rotation requires Galois keys")
-        if len(ct) != 2:
-            raise ValueError("relinearize before rotating")
-        self.counts["naive_decompose"] += 1
-        # apply_automorphism is form-agnostic (NTT form permutes evaluations
-        # in place); switch_key converts to coefficient form itself.
-        c0 = ct.components[0].apply_automorphism(galois_elt).from_ntt()
-        c1 = ct.components[1].apply_automorphism(galois_elt)
-        u0, u1 = switch_key(c1, keys.key_for(galois_elt), self.params)
-        return Ciphertext(self.params, [c0 + u0, u1])
-
-    # ------------------------------------------------- hoisted rotations
-    def rotate_many(self, ct: Ciphertext, steps: Sequence[int],
-                    galois_keys: Optional[GaloisKeys] = None,
-                    include_conjugation: bool = False) -> List[Ciphertext]:
-        """Rotate *ct* by every step in *steps*, sharing one hoisted
-        key-switch decomposition; bit-exact with sequential
-        :meth:`rotate_rows` calls (see :mod:`repro.hecore.hoisting`)."""
-        return hoisting.rotate_many(self, ct, steps, galois_keys,
-                                    include_conjugation=include_conjugation)
-
-    def rotate_and_sum(self, ct: Ciphertext, width: int,
-                       galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-        """Fused sum of the first *width* rotations of *ct* (power of two)."""
-        return hoisting.rotate_and_sum(self, ct, width, galois_keys)
+    #: SEAL's names for the row rotation and the row swap.
+    rotate_rows = RlweContext.rotate
+    rotate_columns = RlweContext._rotate_conjugation
 
     def rotate_weighted_sum(self, ct: Ciphertext, terms,
                             galois_keys: Optional[GaloisKeys] = None

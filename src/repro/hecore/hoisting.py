@@ -49,7 +49,6 @@ from repro.hecore import ntt
 from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.keys import (
     GaloisKeys,
-    MissingEvaluationKey,
     decompose_for_keyswitch,
     galois_element_for_conjugation,
     galois_element_for_step,
@@ -161,13 +160,6 @@ def ntt_permutation(n: int, galois_elt: int) -> np.ndarray:
     return perm
 
 
-def _resolve_keys(ctx, galois_keys: Optional[GaloisKeys]) -> GaloisKeys:
-    keys = galois_keys or getattr(ctx, "_galois", None)
-    if keys is None:
-        raise MissingEvaluationKey("rotation requires Galois keys")
-    return keys
-
-
 def _steps_available(keys: Optional[GaloisKeys], steps, n: int) -> bool:
     if keys is None:
         return False
@@ -194,7 +186,7 @@ class HoistedRotator:
             raise ValueError("relinearize before rotating")
         self.ctx = ctx
         self.ct = ct
-        self.keys = _resolve_keys(ctx, galois_keys)
+        self.keys = ctx._resolve_galois(galois_keys)
         self.params = ctx.params
         self.n = self.params.poly_degree
         self.current = ct.level_base
@@ -449,7 +441,7 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
         return ct
     if width & (width - 1):
         raise ValueError(f"rotate_and_sum width {width} must be a power of two")
-    keys = galois_keys or getattr(ctx, "_galois", None)
+    keys = galois_keys or ctx._galois
     n = ctx.params.poly_degree
     phase1, phase2 = _sum_span_steps(width)
     if _steps_available(keys, phase1 + phase2, n):

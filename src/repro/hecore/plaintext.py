@@ -19,6 +19,9 @@ class Plaintext:
 
     __slots__ = ("coeffs", "modulus")
 
+    #: BFV is exact: plaintexts (like BFV ciphertexts) carry unit scale.
+    scale = 1.0
+
     def __init__(self, coeffs: np.ndarray, modulus: int):
         self.coeffs = coeffs.astype(np.int64)
         self.modulus = int(modulus)

@@ -22,7 +22,7 @@ Pooled operations are **pure functions** ``fn(ctx, state, meta, cts)``
 returning ``cts`` or ``(cts, meta)``, registered by installer specs of the
 form ``"module:attr"`` (resolved inside the subprocess, so the pool works
 under both ``fork`` and ``spawn`` start methods).  ``ctx`` is the same
-decrypt-forbidden restricted context the in-process server builds; ``state``
+secret-key-free restricted context the in-process server builds; ``state``
 is a per-session dict living in the subprocess, so stateful services (the
 KNN batch store) keep working.  Sessions are hash-pinned to one subprocess
 — per-session execution stays serialized, sessions stay parallel.

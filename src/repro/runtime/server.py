@@ -53,7 +53,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.core.protocol import ProtocolViolation
 from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.keys import MissingEvaluationKey
-from repro.hecore.params import EncryptionParameters, SchemeType
+from repro.hecore.params import EncryptionParameters
 from repro.hecore.serialize import (
     deserialize_ciphertext,
     deserialize_galois_keys,
@@ -781,27 +781,28 @@ class OffloadServer:
 def build_restricted_context(params: EncryptionParameters,
                              keystore: Dict[KeyKind, Any],
                              context_seed: bytes):
-    """A decrypt-forbidden evaluator built from *uploaded* keys only.
+    """A secret-key-free evaluator built from *uploaded* keys only.
 
     The context class generates its own (unrelated, never-used) key
-    material at construction; what matters is that decryption is
-    mechanically forbidden and relinearization/rotation resolve to the
-    keys the client uploaded — the server cannot fabricate either.
+    material at construction; what matters is that every secret-key
+    operation — ``decrypt``/``decrypt_many``, ``noise_budget``,
+    ``encrypt_symmetric*`` — is mechanically forbidden (they all reach the
+    key through ``RlweContext._secret_ntt``) and relinearization/rotation
+    resolve to the keys the client uploaded — the server cannot fabricate
+    either.
     Shared by :class:`OffloadServer` sessions and by eval-pool subprocesses
     (:mod:`repro.runtime.evalpool`), which rebuild the same restricted
     context from serialized params and shipped key blobs.
     """
-    from repro.hecore.bfv import BfvContext
-    from repro.hecore.ckks import CkksContext
+    from repro.hecore import context_for
 
-    cls = (BfvContext if params.scheme is SchemeType.BFV
-           else CkksContext)
-    ctx = cls(params, seed=context_seed)
+    ctx = context_for(params, seed=context_seed)
 
-    def _forbidden_decrypt(*_args, **_kwargs):
+    def _forbidden_secret_key(_base):
         raise ProtocolViolation(
-            "offload server attempted a decryption; the secret key "
-            "never leaves the client"
+            "offload server attempted a secret-key operation (decrypt, "
+            "noise budget or symmetric encrypt); the secret key never "
+            "leaves the client"
         )
 
     def _session_relin_keys():
@@ -811,7 +812,7 @@ def build_restricted_context(params: EncryptionParameters,
                 "relinearization key not uploaded for this session")
         return key
 
-    ctx.decrypt = _forbidden_decrypt
+    ctx._secret_ntt = _forbidden_secret_key
     ctx.relin_keys = _session_relin_keys
     ctx._relin = None
     ctx._galois = keystore.get(KeyKind.GALOIS)

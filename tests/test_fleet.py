@@ -362,6 +362,66 @@ def test_missing_rotation_key_answers_missing_keys(ckks_params, use_pool):
     assert run(main()) is ErrorCode.MISSING_KEYS
 
 
+def _decrypting_op(ctx, _state, meta, cts):
+    """A handler that tries each secret-key entry point on its eval context."""
+    attempt = {"decrypt_many": lambda: ctx.decrypt_many(cts),
+               "noise_budget": lambda: ctx.noise_budget(cts[0]),
+               "bigint": lambda: ctx._decrypt_bigint(cts[0]),
+               "symmetric": lambda: ctx.encrypt_symmetric_many([[1, 2]])}
+    attempt[meta["how"]]()
+    return []
+
+
+def _install_decrypting_op(registry) -> None:
+    registry["evil/decrypt"] = _decrypting_op
+
+
+@pytest.mark.parametrize("use_pool", [False, True], ids=["inline", "pooled"])
+def test_eval_context_cannot_use_a_secret_key(bfv_params, bfv, use_pool):
+    """No secret-key operation is callable on a session's eval context —
+    not just ``decrypt``: ``decrypt_many``, ``noise_budget``, the bigint
+    oracle and symmetric encryption all answer PROTOCOL_VIOLATION, in the
+    serving process and in an eval-pool subprocess."""
+    from repro.runtime import ErrorCode, OffloadError
+
+    installer = f"{__name__}:_install_decrypting_op"
+
+    async def main():
+        pool = None
+        server = OffloadServer(bfv_params, concurrency=1)
+        if use_pool:
+            pool = EvalPool(bfv_params, 1, (installer,))
+            server.eval_pool = pool
+            for op in pooled_op_names((installer,)):
+                server.register_pooled(op)
+        else:
+            server.register("evil/decrypt", lambda session, request:
+                            _decrypting_op(session.ctx, session.state,
+                                           request.meta, request.cts))
+        client_end, server_end = SimulatedLink.pair()
+        serve_task = asyncio.ensure_future(
+            server.serve_transport(server_end))
+        codes = []
+        try:
+            client = await OffloadClient(bfv_params,
+                                         transport=client_end).connect()
+            for how in ("decrypt_many", "noise_budget", "bigint", "symmetric"):
+                with pytest.raises(OffloadError) as exc_info:
+                    await client.request("evil/decrypt", [bfv.encrypt([1])],
+                                         {"how": how})
+                codes.append(exc_info.value.code)
+            await client.close()
+            return codes
+        finally:
+            await server.stop()
+            serve_task.cancel()
+            if pool is not None:
+                with contextlib.suppress(Exception):
+                    await pool.close()
+
+    assert run(main()) == [ErrorCode.PROTOCOL_VIOLATION] * 4
+
+
 # ---------------------------------------------------------------------------
 # Key-store LRU: eviction, KEYS_EVICTED signaling, charged re-upload
 # ---------------------------------------------------------------------------

@@ -1,0 +1,237 @@
+"""The surface BFV and CKKS share (:class:`repro.hecore.rlwe.RlweContext`).
+
+Two kinds of test pin the base-class refactor:
+
+* **golden digests** — SHA-256 of ``serialize_ciphertext`` for a fixed,
+  seeded operation sequence per scheme.  The digests were recorded at the
+  commit *before* the contexts were merged (``python tests/test_rlwe.py``
+  prints them), so a changed PRNG draw order, fork label or rounding step
+  in any shared method fails here, by name;
+* **contract** — both contexts are ``RlweContext`` instances exposing the
+  shared methods with identical signatures, and the shared validation
+  (component counts) holds for both.
+"""
+
+import hashlib
+import inspect
+import json
+
+import numpy as np
+import pytest
+
+from repro.hecore.bfv import BfvContext
+from repro.hecore.ckks import CkksContext
+from repro.hecore.hoisting import rotate_and_sum_steps
+from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.serialize import serialize_ciphertext
+
+SCHEMES = {
+    "bfv": (BfvContext, SchemeType.BFV, (30, 30, 30)),
+    "ckks": (CkksContext, SchemeType.CKKS, (30, 24, 24)),
+}
+
+
+def _context(scheme: str):
+    cls, kind, data_bits = SCHEMES[scheme]
+    params = small_test_parameters(kind, poly_degree=1024, plain_bits=16,
+                                   data_bits=data_bits)
+    return cls(params, seed=b"golden-" + scheme.encode())
+
+
+def _vectors(scheme: str):
+    rows = np.random.default_rng(7).integers(-40, 40, size=(3, 16))
+    if scheme == "ckks":
+        return [row / 8.0 for row in rows]
+    return [row for row in rows]
+
+
+def _digest(cts) -> str:
+    if not isinstance(cts, (list, tuple)):
+        cts = [cts]
+    h = hashlib.sha256()
+    for ct in cts:
+        h.update(serialize_ciphertext(ct))
+    return h.hexdigest()
+
+
+def golden_digests(scheme: str) -> dict:
+    """One seeded context driven through every shared entry point, in a
+    fixed order (the context PRNG stream carries from step to step)."""
+    ctx = _context(scheme)
+    v0, v1, v2 = _vectors(scheme)
+    out = {}
+    ct = ctx.encrypt(v0)
+    out["encrypt"] = _digest(ct)
+    batch = ctx.encrypt_many([v0, ctx.encode(v1), v2])
+    out["encrypt_many"] = _digest(batch)
+    out["encrypt_symmetric"] = _digest(ctx.encrypt_symmetric(v1))
+    out["encrypt_symmetric_many"] = _digest(
+        ctx.encrypt_symmetric_many([ctx.encode(v0), v1, v2]))
+    out["encrypt_after_batches"] = _digest(ctx.encrypt(v2))
+
+    ctx.make_galois_keys([1, 3, -2], include_conjugation=True)
+    out["rotate"] = _digest(ctx.rotate(ct, 3))
+    out["rotate_many"] = _digest(
+        ctx.rotate_many(ct, [1, 3, -2], include_conjugation=True))
+    conj = ctx.rotate_columns if scheme == "bfv" else ctx.conjugate
+    out["conjugate"] = _digest(conj(ct))
+    ctx.make_galois_keys(sorted(rotate_and_sum_steps(8)))
+    out["rotate_and_sum"] = _digest(ctx.rotate_and_sum(ct, 8))
+
+    out["add_sub_negate"] = _digest(
+        [ctx.add(ct, batch[0]), ctx.sub(ct, batch[1]), ctx.negate(batch[2])])
+    out["plain_ops"] = _digest(
+        [ctx.add_plain(ct, ctx.encode(v1)),
+         ctx.multiply_plain(ct, ctx.encode(v2))])
+    product = ctx.multiply(ct, batch[1], relinearize=False)
+    out["multiply"] = _digest(product)
+    out["relinearize"] = _digest(ctx.relinearize(product))
+    dropped = ctx.mod_switch_down(ct)
+    out["mod_switch_down"] = _digest(dropped)
+    out["align"] = _digest(list(ctx.align(dropped, batch[2])))
+    return out
+
+
+#: Recorded at commit 20906ae (PR 13), before ``hecore/rlwe.py`` existed.
+GOLDEN = {
+    "bfv": {
+        "encrypt": "d6c919bd9763f243be67008e19288cc19c3ff65dd0b3a71edb135cc462ed7840",
+        "encrypt_many": "76380157ce25e15ad4cd4bb30c450d11cf4b5513a02c6365499e5b70724c9678",
+        "encrypt_symmetric": "72795bc725724f1b8ebc3cd354b054823bb3bf229ad1280090ee5800d3b2df04",
+        "encrypt_symmetric_many": "b5bbbcad3b1038b7d3a7a68b00c1b7481cbec45fdac2cf6e8b5b284d1b4c73ce",
+        "encrypt_after_batches": "215ca9c00fd24b43def1f19d6555294f10a4cc260a2e0132dfe62bb6dc814f35",
+        "rotate": "59a1b9f7a75cc1a4ece629db3ca6d84b0cd66eb94548952f394149c65d1f8e7e",
+        "rotate_many": "06f0392e4a3635fa254aa82d8f7764db9663cdadb5d07dd347a94c08910ee73f",
+        "conjugate": "885a8a4096778e099d95adfc64e854e87f420d857b99c8de256e42564b1c19e9",
+        "rotate_and_sum": "34a74087f26c58d5b4dde51287624734c432ac573604c9927cfe8a0ed0ea2436",
+        "add_sub_negate": "fb7bd8a31121231bda2d8b83fbf03192e0d7cfef5c6bc7fce23ab0019ea44809",
+        "plain_ops": "c8ead30b69d085d462291d7be7f3608938f6806659200dc65ecf628d676451b9",
+        "multiply": "314ff603844f72e62f0c7c3e148b23f8172ed111a23aa4ea2ae5b72c798cbd11",
+        "relinearize": "f9fc34136c4008245b9797e5deb4c49c04a5ad14b1b918cc748bce2344b64d3d",
+        "mod_switch_down": "dc3ffee305ffe03b9a3db567a4e96ad04c1975fdd3eb8b3a00f097a8d1fa8c6b",
+        "align": "336c56452ec28bd86e9987b188a5051c5dc7f3473c6b611c6d12a79b6dc14553"
+    },
+    "ckks": {
+        "encrypt": "180fe35cc7051864c70eba975c80ac7e61c8ba7022a67515a9f36690beda100b",
+        "encrypt_many": "3e4664c3987135230e6bbcf03af1407e879794ba1904e9bf1c8f8d3cb6b838d4",
+        "encrypt_symmetric": "155a0d1dd9436f7013d8036b36838aee0a47d5ffb2f47bbf10c6326ffc557c92",
+        "encrypt_symmetric_many": "89f53066dfff49f3f1c2a1139339aba9dbed19d7299a85e4a1cd94cafd5495ba",
+        "encrypt_after_batches": "23415133a70bd2b94c94e4060a6fa65a33a5caab1bac73d13f3b297a0677d034",
+        "rotate": "d4a0d4398a0890dc97f9ea3b5a05012e0a5dd3b48eebd506b9d0fbc8227d2ad7",
+        "rotate_many": "393dc3fbba9af1b0bad66c621f032f82e36b0949042a21d539ae187a0ec0f79a",
+        "conjugate": "a32641edb419f315020ed461794e18c9764300f0d22b357adcb11ea87fe50bcb",
+        "rotate_and_sum": "119fb9f9137426585c0403df1228442626c0b22ab77d2e45244c0fe9a0cfb9c9",
+        "add_sub_negate": "efb83699dbad9f1bbec8857990bf5a51c473eec7dda90f4247f10855ce55332d",
+        "plain_ops": "4f9b3489f75e99a9dbf9e845392217bfc968bf768c53bad2ad8cd3f59a00e47a",
+        "multiply": "c196c5eaf77ed92738329f5553d1e1455489f1eb95c785d9066a8b5d1edfba63",
+        "relinearize": "37feb04d9016743285483ebbdb7217775804ec44742a3937565a070fc551c3f8",
+        "mod_switch_down": "0a9d34695132c939b8c83b6a8607f53c5da9a22f5d7184a5a35c9a0794576380",
+        "align": "7158f3f8dcc03f27e2d74bd3477012719e1da3db773859d9644e31f9609e6da9"
+    }
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_golden_digests_unchanged(scheme):
+    got = golden_digests(scheme)
+    changed = sorted(k for k in GOLDEN[scheme] if got.get(k) != GOLDEN[scheme][k])
+    assert not changed and got.keys() == GOLDEN[scheme].keys(), changed
+
+
+# ---------------------------------------------------------------------------
+# The shared surface is one type
+# ---------------------------------------------------------------------------
+
+SHARED_SURFACE = (
+    "relin_keys", "make_galois_keys", "encode", "decode",
+    "encrypt", "encrypt_many", "encrypt_symmetric", "encrypt_symmetric_many",
+    "decrypt", "decrypt_many", "_raw_decrypt_poly", "_decrypt_bigint",
+    "add", "sub", "negate", "add_plain", "multiply_plain", "multiply",
+    "square", "relinearize", "mod_switch_down", "align",
+    "rotate", "_apply_galois", "rotate_many", "rotate_and_sum",
+)
+
+
+def _parameter_shape(fn):
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(fn).parameters.values()]
+
+
+def test_contexts_share_one_surface():
+    from repro.hecore import RlweContext, context_for
+
+    bfv, ckks = _context("bfv"), _context("ckks")
+    for ctx in (bfv, ckks):
+        assert isinstance(ctx, RlweContext)
+        assert type(context_for(ctx.params, seed=1)) is type(ctx)
+        assert isinstance(ctx.counts, dict) and ctx.keygen and ctx.encoder
+        assert ctx.__dict__                # no __slots__: methods rebind per instance
+    assert bfv.rotate_rows.__func__ is bfv.rotate.__func__
+    for name in SHARED_SURFACE:
+        assert _parameter_shape(getattr(bfv, name)) == \
+            _parameter_shape(getattr(ckks, name)), name
+    for name in ("encode", "decode", "decode_rows"):   # BFV defaults scales
+        assert list(inspect.signature(getattr(bfv.encoder, name)).parameters) \
+            == list(inspect.signature(getattr(ckks.encoder, name)).parameters)
+    with pytest.raises(ValueError, match="requires CKKS parameters"):
+        CkksContext(bfv.params)
+    with pytest.raises(ValueError, match="requires BFV parameters"):
+        BfvContext(ckks.params)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_unrelinearized_product_is_rejected_not_truncated(scheme):
+    """``sub``/``add``/``rotate`` of a 3-component product used to ``zip``
+    away ``c2`` (CKKS, and BFV ``sub``) and decrypt wrong."""
+    ctx = _context(scheme)
+    v0, v1, _ = _vectors(scheme)
+    a, b = ctx.encrypt(v0), ctx.encrypt(v1)
+    ctx.make_galois_keys([1])
+    product = ctx.multiply(a, b, relinearize=False)
+    assert len(product) == 3
+    for combine in (ctx.add, ctx.sub):
+        with pytest.raises(ValueError, match="relinearize"):
+            combine(product, a)
+        with pytest.raises(ValueError, match="relinearize"):
+            combine(a, product)
+    with pytest.raises(ValueError, match="relinearize"):
+        ctx.rotate(product, 1)
+    # Two un-relinearized products still combine (decrypt handles c2).
+    expected = 2 * ctx.decrypt(product)[:16]
+    if scheme == "bfv":
+        expected %= ctx.params.plain_modulus
+    assert np.allclose(ctx.decrypt(ctx.add(product, product))[:16], expected,
+                       atol=1e-2)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_secret_key_is_reached_through_one_accessor(scheme):
+    """Every secret-key operation goes through ``_secret_ntt`` — what
+    ``build_restricted_context`` forbids; public-key work does not."""
+    ctx = _context(scheme)
+    v0, v1, _ = _vectors(scheme)
+    ct = ctx.encrypt(v0)
+    product = ctx.multiply(ct, ct, relinearize=False)
+
+    def forbidden(_base):
+        raise PermissionError("secret key")
+
+    ctx._secret_ntt = forbidden
+    secret_ops = [
+        lambda: ctx.decrypt(ct), lambda: ctx.decrypt_many([ct, product]),
+        lambda: ctx._decrypt_bigint(ct), lambda: ctx._raw_decrypt_poly(ct),
+        lambda: ctx.encrypt_symmetric(v1),
+        lambda: ctx.encrypt_symmetric_many([v0, v1]),
+    ]
+    if scheme == "bfv":
+        secret_ops += [lambda: ctx.noise_budget(ct),
+                       lambda: ctx._raw_decrypt_ints(ct)]
+    for op in secret_ops:
+        with pytest.raises(PermissionError):
+            op()
+    assert len(ctx.encrypt_many([v0, v1])) == 2
+    assert len(ctx.relinearize(product)) == 2
+
+
+if __name__ == "__main__":
+    print(json.dumps({s: golden_digests(s) for s in sorted(SCHEMES)}, indent=4))
