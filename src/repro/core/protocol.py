@@ -16,7 +16,8 @@ accelerator (HEAX/FPGA), or CHOCO-TACO (:class:`AcceleratorModel`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from repro.hecore.params import EncryptionParameters, SchemeType
@@ -25,8 +26,68 @@ from repro.platforms.radio import BluetoothLink
 from repro.platforms.server import XeonServer
 
 
+#: Every metered kernel quantity, declared once: ``ctx.counts`` key ->
+#: (reported name, help).  :class:`KernelCounted` turns each row into an
+#: ``int`` field of :class:`CostLedger` and of the runtime's
+#: ``SessionMetrics``, and the worker / fleet totals sum the same names, so
+#: a new counter is one row here plus the kernel's ``ctx.counts[key] +=``.
+KERNEL_COUNTERS = {
+    # Rotation accounting.  A healthy hoisted hot path shows
+    # rotations >> hoisted + naive decomposes.
+    "rotate": ("rotations", "slot rotations the server evaluated"),
+    "hoisted_decompose": ("hoisted_decomposes",
+                          "key-switch digit decomposes shared via hoisting"),
+    "naive_decompose": ("naive_decomposes",
+                        "per-rotation (unshared) key-switch decomposes"),
+    # NTT-residency accounting (units: residue-row transform passes).
+    "ntt_forward": ("ntt_forward",
+                    "forward NTT residue-rows the scheduler ran"),
+    "ntt_inverse": ("ntt_inverse",
+                    "inverse NTT residue-rows the scheduler ran"),
+    "ntt_elided": ("ntt_elided", "inverse->forward row pairs the residency "
+                                 "pass skipped across op boundaries"),
+    # Level-planner accounting.  A lower limbs-live integral means the
+    # planner ran more of the program on a trimmed chain.
+    "limb_drops": ("limb_drops", "planned mod-switch limb drops executed"),
+    "limbs_live": ("limbs_live", "live residue count summed over every "
+                                 "ciphertext the server produced"),
+    "level_replans": ("level_replans",
+                      "recrypt segments re-entered on a trimmed chain"),
+}
+
+#: The reported names, in table order.
+KERNEL_COUNTER_NAMES = tuple(name for name, _ in KERNEL_COUNTERS.values())
+
+
+class KernelCounted:
+    """Dataclass mixin: one ``int`` field per :data:`KERNEL_COUNTERS` row
+    (appended after the subclass's own fields), :meth:`add_counts` to meter
+    a ``ctx.counts`` delta into them and :meth:`merge` to sum two records."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Runs before ``@dataclass`` sees the class, so the rows become
+        # ordinary defaulted fields (keyword-constructible, in ``fields()``).
+        for name in KERNEL_COUNTER_NAMES:
+            cls.__annotations__[name] = "int"
+            setattr(cls, name, 0)
+
+    def add_counts(self, delta) -> None:
+        """Charge a ``ctx.counts`` delta (``ctx.counts - before``)."""
+        for key, (name, _help) in KERNEL_COUNTERS.items():
+            setattr(self, name, getattr(self, name) + delta.get(key, 0))
+
+    def merge(self, other) -> None:
+        """Add every accumulator of *other* (the fields that default to
+        zero); identity fields such as a session's id and peer stay."""
+        for f in fields(self):
+            if f.default == 0:
+                setattr(self, f.name,
+                        getattr(self, f.name) + getattr(other, f.name))
+
+
 @dataclass
-class CostLedger:
+class CostLedger(KernelCounted):
     """Everything the evaluation charges to the client, server, or link."""
 
     client_encrypt_ops: int = 0
@@ -42,27 +103,6 @@ class CostLedger:
     bytes_down: int = 0
     rounds: int = 0
     server_compute_s: float = 0.0
-    # Rotation accounting: how many slot rotations the server performed and
-    # how many key-switch digit decomposes backed them.  A healthy hoisted
-    # hot path shows rotations >> hoisted + naive decomposes.
-    rotations: int = 0
-    hoisted_decomposes: int = 0
-    naive_decomposes: int = 0
-    # NTT-residency accounting (units: residue-row transform passes).  The
-    # scheduler charges forward/inverse transforms it performs and credits
-    # ``ntt_elided`` for every inverse->forward pair its residency pass
-    # skipped across op boundaries.
-    ntt_forward: int = 0
-    ntt_inverse: int = 0
-    ntt_elided: int = 0
-    # Level-planner accounting.  ``limbs_live`` is the limbs-live integral:
-    # live residue count summed over every ciphertext the server produced —
-    # lower means the planner ran more of the program on a trimmed chain.
-    # ``limb_drops`` counts planned mod-switch frontier executions and
-    # ``level_replans`` the recrypt segments re-entered on a trimmed chain.
-    limb_drops: int = 0
-    limbs_live: int = 0
-    level_replans: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -98,27 +138,6 @@ class CostLedger:
         """Client energy: active compute plus radio (server energy is free
         to the client — the point of offloading)."""
         return self.client_energy_j + self.communication_energy(radio)
-
-    def merge(self, other: "CostLedger") -> None:
-        self.client_encrypt_ops += other.client_encrypt_ops
-        self.client_decrypt_ops += other.client_decrypt_ops
-        self.client_encrypt_batches += other.client_encrypt_batches
-        self.client_decrypt_batches += other.client_decrypt_batches
-        self.client_compute_s += other.client_compute_s
-        self.client_energy_j += other.client_energy_j
-        self.bytes_up += other.bytes_up
-        self.bytes_down += other.bytes_down
-        self.rounds += other.rounds
-        self.server_compute_s += other.server_compute_s
-        self.rotations += other.rotations
-        self.hoisted_decomposes += other.hoisted_decomposes
-        self.naive_decomposes += other.naive_decomposes
-        self.ntt_forward += other.ntt_forward
-        self.ntt_inverse += other.ntt_inverse
-        self.ntt_elided += other.ntt_elided
-        self.limb_drops += other.limb_drops
-        self.limbs_live += other.limbs_live
-        self.level_replans += other.level_replans
 
 
 class ClientCostModel:
@@ -334,10 +353,9 @@ class ClientAidedSession:
         Raises :class:`ProtocolViolation` if the work decrypts — server
         code has no business holding the secret key (§3.1).
         """
-        before = dict(self.ctx.counts)
+        before = Counter(self.ctx.counts)
         result = fn(*args, **kwargs)
-        delta = {op: self.ctx.counts[op] - before.get(op, 0)
-                 for op in self.ctx.counts}
+        delta = self.ctx.counts - before
         if delta.get("decrypt", 0):
             raise ProtocolViolation(
                 "server-side computation performed a decryption; the secret "
@@ -347,15 +365,7 @@ class ClientAidedSession:
         self.ledger.server_compute_s += self.server.time_for_counts(
             delta, self.params.poly_degree, residues
         )
-        self.ledger.rotations += delta.get("rotate", 0)
-        self.ledger.hoisted_decomposes += delta.get("hoisted_decompose", 0)
-        self.ledger.naive_decomposes += delta.get("naive_decompose", 0)
-        self.ledger.ntt_forward += delta.get("ntt_forward", 0)
-        self.ledger.ntt_inverse += delta.get("ntt_inverse", 0)
-        self.ledger.ntt_elided += delta.get("ntt_elided", 0)
-        self.ledger.limb_drops += delta.get("limb_drops", 0)
-        self.ledger.limbs_live += delta.get("limbs_live", 0)
-        self.ledger.level_replans += delta.get("level_replans", 0)
+        self.ledger.add_counts(delta)
         ops = ", ".join(f"{op}x{n}" for op, n in sorted(delta.items()) if n)
         self._record("server", f"encrypted compute: {ops or 'no-op'}")
         return result

@@ -36,7 +36,8 @@ import multiprocessing
 import os
 import stat
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.core.protocol import ProtocolViolation
 from repro.hecore.params import EncryptionParameters
@@ -195,12 +196,10 @@ def _eval_main(conn, params_blob: bytes, installers: Tuple[str, ...],
                 ctx = entry["ctx"]
                 cts = [deserialize_ciphertext(blob, params)
                        for blob in blobs]
-                counts_before = dict(ctx.counts)
+                before = Counter(ctx.counts)
                 out_cts, out_meta = _normalize_result(
                     fn(ctx, entry["state"], dict(meta), cts))
-                counters = {k: v - counts_before.get(k, 0)
-                            for k, v in ctx.counts.items()
-                            if v != counts_before.get(k, 0)}
+                counters = ctx.counts - before
                 out_blobs = tuple(
                     serialize_ciphertext(ct, compress_seed=False)
                     for ct in out_cts)

@@ -12,16 +12,31 @@ let any session starve behind a chatty neighbor.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass, field, fields
+from typing import Deque, Dict, List, Optional
+
+from repro.core.protocol import KERNEL_COUNTER_NAMES, KernelCounted
 
 #: Cap on retained latency samples per session (newest wins); enough for
 #: stable p99 estimates without unbounded growth on long-lived sessions.
 MAX_LATENCY_SAMPLES = 4096
 
+#: Cap on closed sessions kept as individual rows (newest win); older ones
+#: are folded into one totals row so a server that opens a session per query
+#: does not hold — and ship on every snapshot poll — all of them forever.
+MAX_CLOSED_SESSIONS = 1024
+
 #: Cap on the retained dispatch-order trace.
 MAX_SERVICE_ORDER = 65536
+
+#: Per-session counters the worker and fleet snapshots total: the serving
+#: counters below plus every kernel counter of ``KERNEL_COUNTERS``.
+SUMMED_COUNTERS = (
+    "key_evictions", "reupload_signals", "handler_invocations",
+    "duplicates_suppressed", "results_replayed", "requests", "responses",
+    "errors", "busy_rejections", "bytes_up", "bytes_down",
+) + KERNEL_COUNTER_NAMES
 
 
 def percentile(samples: List[float], fraction: float) -> float:
@@ -34,12 +49,11 @@ def percentile(samples: List[float], fraction: float) -> float:
 
 
 @dataclass
-class SessionMetrics:
+class SessionMetrics(KernelCounted):
     """Counters for one client session."""
 
     session_id: int
     peer: str = "?"
-    opened_at: float = field(default_factory=time.monotonic)
     requests: int = 0            # COMPUTE frames accepted into the queue
     responses: int = 0           # RESULT frames sent
     errors: int = 0              # ERROR frames sent
@@ -55,15 +69,6 @@ class SessionMetrics:
     bytes_up: int = 0            # physical payload bytes, client -> server
     bytes_down: int = 0          # physical payload bytes, server -> client
     queue_depth: int = 0         # current backlog
-    rotations: int = 0           # slot rotations evaluated for this session
-    hoisted_decomposes: int = 0  # key-switch decomposes shared via hoisting
-    naive_decomposes: int = 0    # per-rotation (unshared) decomposes
-    ntt_forward: int = 0         # forward NTT residue-rows the scheduler ran
-    ntt_inverse: int = 0         # inverse NTT residue-rows the scheduler ran
-    ntt_elided: int = 0          # inverse->forward row pairs residency skipped
-    limb_drops: int = 0          # planned mod-switch limb drops executed
-    limbs_live: int = 0          # limbs-live integral over produced ciphertexts
-    level_replans: int = 0       # recrypt segments re-entered on a trimmed chain
     key_evictions: int = 0       # key-store LRU dropped this session's keys
     reupload_signals: int = 0    # KEYS_EVICTED errors sent to the client
     _latencies_s: List[float] = field(default_factory=list, repr=False)
@@ -81,38 +86,11 @@ class SessionMetrics:
         return 1e3 * percentile(self._latencies_s, 0.99)
 
     def snapshot(self) -> Dict:
-        return {
-            "session_id": self.session_id,
-            "peer": self.peer,
-            "requests": self.requests,
-            "responses": self.responses,
-            "errors": self.errors,
-            "busy_rejections": self.busy_rejections,
-            "key_uploads": self.key_uploads,
-            "handler_invocations": self.handler_invocations,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "results_replayed": self.results_replayed,
-            "resumes": self.resumes,
-            "pings": self.pings,
-            "ciphertexts_in": self.ciphertexts_in,
-            "ciphertexts_out": self.ciphertexts_out,
-            "bytes_up": self.bytes_up,
-            "bytes_down": self.bytes_down,
-            "queue_depth": self.queue_depth,
-            "rotations": self.rotations,
-            "hoisted_decomposes": self.hoisted_decomposes,
-            "naive_decomposes": self.naive_decomposes,
-            "ntt_forward": self.ntt_forward,
-            "ntt_inverse": self.ntt_inverse,
-            "ntt_elided": self.ntt_elided,
-            "limb_drops": self.limb_drops,
-            "limbs_live": self.limbs_live,
-            "level_replans": self.level_replans,
-            "key_evictions": self.key_evictions,
-            "reupload_signals": self.reupload_signals,
-            "latency_p50_ms": round(self.latency_p50_ms(), 3),
-            "latency_p99_ms": round(self.latency_p99_ms(), 3),
-        }
+        snap = {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.name.startswith("_")}
+        snap["latency_p50_ms"] = round(self.latency_p50_ms(), 3)
+        snap["latency_p99_ms"] = round(self.latency_p99_ms(), 3)
+        return snap
 
 
 class RuntimeMetrics:
@@ -120,6 +98,10 @@ class RuntimeMetrics:
 
     def __init__(self):
         self.sessions: Dict[int, SessionMetrics] = {}
+        #: Ids of closed sessions still in ``sessions``, oldest first.
+        self._closed: Deque[int] = deque()
+        #: Totals of the closed sessions that aged out of ``sessions``.
+        self._folded = SessionMetrics(session_id=0)
         self.service_order: List[int] = []
         self.sessions_opened = 0
         self.sessions_rejected = 0
@@ -138,6 +120,14 @@ class RuntimeMetrics:
         self.sessions_opened += 1
         return metrics
 
+    def close_session(self, session_id: int) -> None:
+        """The session is gone for good: its row stays while it is among
+        the newest ``MAX_CLOSED_SESSIONS`` closed ones, then only its
+        counters do (folded into the totals every snapshot sums)."""
+        self._closed.append(session_id)
+        if len(self._closed) > MAX_CLOSED_SESSIONS:
+            self._folded.merge(self.sessions.pop(self._closed.popleft()))
+
     def record_dispatch(self, session_id: int) -> None:
         self.service_order.append(session_id)
         if len(self.service_order) > MAX_SERVICE_ORDER:
@@ -148,7 +138,7 @@ class RuntimeMetrics:
         return self.sessions.get(session_id)
 
     def snapshot(self) -> Dict:
-        sessions = {sid: m.snapshot() for sid, m in self.sessions.items()}
+        rows = [self._folded, *self.sessions.values()]
         return {
             "sessions_opened": self.sessions_opened,
             "sessions_rejected": self.sessions_rejected,
@@ -157,36 +147,10 @@ class RuntimeMetrics:
             "resumes_rejected": self.resumes_rejected,
             "scheduler_restarts": self.scheduler_restarts,
             "last_scheduler_error": self.last_scheduler_error,
-            "key_evictions": sum(m.key_evictions
-                                 for m in self.sessions.values()),
-            "reupload_signals": sum(m.reupload_signals
-                                    for m in self.sessions.values()),
-            "handler_invocations": sum(m.handler_invocations
-                                       for m in self.sessions.values()),
-            "duplicates_suppressed": sum(m.duplicates_suppressed
-                                         for m in self.sessions.values()),
-            "results_replayed": sum(m.results_replayed
-                                    for m in self.sessions.values()),
-            "requests": sum(m.requests for m in self.sessions.values()),
-            "responses": sum(m.responses for m in self.sessions.values()),
-            "errors": sum(m.errors for m in self.sessions.values()),
-            "busy_rejections": sum(m.busy_rejections
-                                   for m in self.sessions.values()),
-            "bytes_up": sum(m.bytes_up for m in self.sessions.values()),
-            "bytes_down": sum(m.bytes_down for m in self.sessions.values()),
-            "rotations": sum(m.rotations for m in self.sessions.values()),
-            "hoisted_decomposes": sum(m.hoisted_decomposes
-                                      for m in self.sessions.values()),
-            "naive_decomposes": sum(m.naive_decomposes
-                                    for m in self.sessions.values()),
-            "ntt_forward": sum(m.ntt_forward for m in self.sessions.values()),
-            "ntt_inverse": sum(m.ntt_inverse for m in self.sessions.values()),
-            "ntt_elided": sum(m.ntt_elided for m in self.sessions.values()),
-            "limb_drops": sum(m.limb_drops for m in self.sessions.values()),
-            "limbs_live": sum(m.limbs_live for m in self.sessions.values()),
-            "level_replans": sum(m.level_replans
-                                 for m in self.sessions.values()),
-            "sessions": sessions,
+            **{name: sum(getattr(m, name) for m in rows)
+               for name in SUMMED_COUNTERS},
+            "sessions": {sid: m.snapshot()
+                         for sid, m in self.sessions.items()},
         }
 
     def render(self) -> str:
@@ -263,13 +227,9 @@ class FleetMetrics:
             last["retired"] = True
             self.retired.append(last)
 
-    def _all_snapshots(self) -> List[Dict]:
-        return list(self.retired) + [
-            self.workers[i] for i in sorted(self.workers)]
-
     def snapshot(self) -> Dict:
         """Fleet aggregate plus the per-worker breakdown, JSON-friendly."""
-        snaps = self._all_snapshots()
+        snaps = self.retired + [self.workers[i] for i in sorted(self.workers)]
 
         def total(key: str) -> int:
             return sum(s.get("metrics", {}).get(key, 0) or 0 for s in snaps)
@@ -284,13 +244,7 @@ class FleetMetrics:
             "connections_total": self.connections_total,
             "connections_active": self.connections_active,
             "queue_depth": sum(s.get("queue_depth", 0) for s in snaps),
-            "handler_invocations": total("handler_invocations"),
-            "responses": total("responses"),
-            "key_evictions": total("key_evictions"),
-            "reupload_signals": total("reupload_signals"),
-            "limb_drops": total("limb_drops"),
-            "limbs_live": total("limbs_live"),
-            "level_replans": total("level_replans"),
+            **{name: total(name) for name in SUMMED_COUNTERS},
             "scheduler_restarts": total("scheduler_restarts"),
             "executor_utilization": round(sum(
                 (s.get("eval_pool") or {}).get("utilization", 0.0)

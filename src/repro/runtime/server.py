@@ -46,7 +46,7 @@ import itertools
 import logging
 import secrets
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -181,21 +181,6 @@ class ServerSession:
         for kind in self.keystore:
             mask |= 1 << (int(kind) - 1)
         return mask
-
-
-#: Context-counter -> SessionMetrics-field pairs metered per request, in
-#: both the process-pool and inline execution paths.
-_METERED_COUNTERS = (
-    ("rotate", "rotations"),
-    ("hoisted_decompose", "hoisted_decomposes"),
-    ("naive_decompose", "naive_decomposes"),
-    ("ntt_forward", "ntt_forward"),
-    ("ntt_inverse", "ntt_inverse"),
-    ("ntt_elided", "ntt_elided"),
-    ("limb_drops", "limb_drops"),
-    ("limbs_live", "limbs_live"),
-    ("level_replans", "level_replans"),
-)
 
 
 class OffloadServer:
@@ -584,6 +569,7 @@ class OffloadServer:
         except ValueError:
             pass
         session.metrics.queue_depth = 0
+        self.metrics.close_session(session.id)
 
     # ---------------------------------------------------- key-store LRU
     def _touch_keys(self, session: ServerSession) -> None:
@@ -701,27 +687,18 @@ class OffloadServer:
                 session.metrics.handler_invocations += 1
                 blobs, meta, counters = await self.eval_pool.execute(
                     session, request)
-                blobs = tuple(blobs)
-                for count_key, metric_key in _METERED_COUNTERS:
-                    setattr(session.metrics, metric_key,
-                            getattr(session.metrics, metric_key)
-                            + counters.get(count_key, 0))
+                session.metrics.add_counts(counters)
             else:
                 handler = self._handlers[request.op]
                 session.ensure_context()
                 session.metrics.handler_invocations += 1
-                counts_before = dict(session.ctx.counts)
+                before = Counter(session.ctx.counts)
                 if asyncio.iscoroutinefunction(handler):
                     result = await handler(session, request)
                 else:
                     result = await asyncio.to_thread(handler, session,
                                                      request)
-                counts = session.ctx.counts
-                for count_key, metric_key in _METERED_COUNTERS:
-                    setattr(session.metrics, metric_key,
-                            getattr(session.metrics, metric_key)
-                            + counts.get(count_key, 0)
-                            - counts_before.get(count_key, 0))
+                session.metrics.add_counts(session.ctx.counts - before)
                 cts, meta = _normalize_result(result)
                 blobs = tuple(serialize_ciphertext(ct, compress_seed=False)
                               for ct in cts)
