@@ -5,10 +5,12 @@ Two legs, both against a real :class:`~repro.runtime.fleet.FleetServer`
 
 * **throughput** — N concurrent KNN sessions classify through the router;
   aggregate COMPUTE throughput with ``--workers`` sharded workers must
-  beat the 1-worker fleet by a core-aware floor.  On a multi-core host
-  the target is the issue's 2.5x at 4 workers; on the 1-2 core CI boxes
-  the floor drops to "don't collapse" territory, because four processes
-  on one core can only add IPC overhead.
+  beat the 1-worker fleet by 2.5x at 4 workers.  The comparison runs only
+  with at least ``MIN_CORES`` usable cores: four processes on one or two
+  cores can only add IPC overhead, and on the 2-vCPU host the ratio read
+  0.70-1.41x run to run — a coin flip, not a gate.  Below that the leg is
+  recorded as ``"speedup": "skipped (N cores)"`` (never as a pass) and the
+  chaos leg alone decides.
 * **chaos** — the fleet soak kills a worker mid-traffic and audits
   exactly-once execution, byte-identical ledger parity across failover,
   and supervision (every kill produced a restart, failover was
@@ -42,12 +44,10 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_fleet.json"
 
 KNN_INSTALLER = "repro.apps.knn:KnnOffloadService.install_pooled"
 
-#: Aggregate-throughput floor (sharded / single-worker) by usable cores.
-#: Process sharding cannot beat the GIL it escapes when there is only one
-#: core to escape to; the floors below assert "scales where it can, does
-#: not collapse where it can't".
-CORE_FLOORS = {1: 0.45, 2: 1.1, 3: 1.8}
-DEFAULT_FLOOR = 2.5
+#: Aggregate-throughput floor (sharded / single-worker), and the usable
+#: cores below which measuring it says nothing about the fleet.
+FLOOR = 2.5
+MIN_CORES = 4
 
 
 def usable_cores() -> int:
@@ -146,30 +146,38 @@ def main(argv=None):
     n_sessions = args.sessions or (3 if args.quick else 4)
     n_queries = args.queries or (3 if args.quick else 6)
     cores = usable_cores()
-    floor = CORE_FLOORS.get(cores, DEFAULT_FLOOR)
     params = knn_params()
     failures = []
+    throughput = {}
 
-    print(f"fleet throughput: {n_sessions} session(s) x {n_queries} "
-          f"KNN queries, {cores} usable core(s), floor {floor:.2f}x")
-    single = asyncio.run(measure_fleet(params, 1, n_sessions, n_queries))
-    sharded = asyncio.run(measure_fleet(params, args.workers, n_sessions,
-                                        n_queries))
-    speedup = sharded["queries_per_s"] / max(single["queries_per_s"], 1e-9)
-    for leg in (single, sharded):
-        spread = ", ".join(
-            f"w{w['worker']}={w['handler_invocations']}"
-            for w in leg["per_worker"])
-        print(f"  {leg['n_workers']} worker(s): "
-              f"{leg['queries_per_s']:.2f} queries/s "
-              f"({leg['queries']} in {leg['elapsed_s']:.2f}s; {spread})")
-    verdict = "ok" if speedup >= floor else "BELOW FLOOR"
-    print(f"  aggregate speedup {speedup:.2f}x (floor {floor:.2f}x at "
-          f"{cores} core(s)) [{verdict}]")
-    if speedup < floor:
-        failures.append(
-            f"throughput: {args.workers}-worker fleet at {speedup:.2f}x "
-            f"vs single worker, below the {floor:.2f}x floor")
+    if cores < MIN_CORES:
+        speedup = f"skipped ({cores} cores)"
+        print(f"fleet throughput: SKIPPED — {cores} usable core(s), the "
+              f"speedup comparison needs {MIN_CORES}; NOT a pass, the "
+              f"scaling claim stays unobserved on this host")
+    else:
+        print(f"fleet throughput: {n_sessions} session(s) x {n_queries} "
+              f"KNN queries, {cores} usable core(s), floor {FLOOR:.2f}x")
+        single = asyncio.run(measure_fleet(params, 1, n_sessions, n_queries))
+        sharded = asyncio.run(measure_fleet(params, args.workers, n_sessions,
+                                            n_queries))
+        throughput = {"single": single, "sharded": sharded}
+        ratio = sharded["queries_per_s"] / max(single["queries_per_s"], 1e-9)
+        speedup = round(ratio, 3)
+        for leg in (single, sharded):
+            spread = ", ".join(
+                f"w{w['worker']}={w['handler_invocations']}"
+                for w in leg["per_worker"])
+            print(f"  {leg['n_workers']} worker(s): "
+                  f"{leg['queries_per_s']:.2f} queries/s "
+                  f"({leg['queries']} in {leg['elapsed_s']:.2f}s; {spread})")
+        verdict = "ok" if ratio >= FLOOR else "BELOW FLOOR"
+        print(f"  aggregate speedup {ratio:.2f}x (floor {FLOOR:.2f}x at "
+              f"{cores} core(s)) [{verdict}]")
+        if ratio < FLOOR:
+            failures.append(
+                f"throughput: {args.workers}-worker fleet at {ratio:.2f}x "
+                f"vs single worker, below the {FLOOR:.2f}x floor")
 
     soak_sessions = 3 if args.quick else 4
     soak_requests = 6 if args.quick else 10
@@ -188,10 +196,9 @@ def main(argv=None):
 
     out = {
         "usable_cores": cores,
-        "floor": floor,
-        "speedup": round(speedup, 3),
-        "single": single,
-        "sharded": sharded,
+        "floor": FLOOR,
+        "speedup": speedup,
+        **throughput,
         "soak": soak,
         "failures": failures,
     }

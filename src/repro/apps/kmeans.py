@@ -28,10 +28,7 @@ from repro.core.distance import (
 )
 from repro.core.linalg import rotate_and_accumulate, rotate_and_sum_steps
 from repro.core.protocol import ClientAidedSession
-
-
-def _pow2(n: int) -> int:
-    return 1 << max(0, (n - 1)).bit_length()
+from repro.hecore.modmath import next_power_of_two
 
 
 @dataclass
@@ -55,7 +52,7 @@ class EncryptedKMeans:
         self.kernel = MultiQueryDimensionMajor(ctx, self.problem,
                                                max_queries=n_clusters)
         steps = set(self.kernel.required_rotation_steps())
-        width = _pow2(self.n)
+        width = next_power_of_two(self.n)
         # Hoisted step set (plus pow2 fallback ladder) so the per-cluster
         # coordinate sums run as fused hoisted spans.
         steps.update(rotate_and_sum_steps(width))

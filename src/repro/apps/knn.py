@@ -187,23 +187,18 @@ class KnnOffloadService:
 
     @classmethod
     def install(cls, server) -> None:
-        """Register the KNN operations on *server* (inline execution)."""
-        server.register(cls.OP_STORE, cls._store)
-        server.register(cls.OP_QUERY, cls._query)
+        """Register the KNN operations on *server*."""
+        server.register_op(cls.OP_STORE, cls.store_op)
+        server.register_op(cls.OP_QUERY, cls.query_op)
 
     @classmethod
     def install_pooled(cls, registry) -> None:
-        """Register the KNN operations as pooled pure functions.
-
-        This is an :mod:`repro.runtime.evalpool` installer: *registry* maps
-        op names to ``fn(ctx, state, meta, cts)``.  Store and query share
-        their implementation with the inline handlers, so a pooled fleet
-        worker and a single-process server compute identical bytes.
-        """
+        """The same two ops as an :mod:`repro.runtime.evalpool` installer:
+        *registry* maps op names to ``fn(ctx, state, meta, cts)``."""
         registry[cls.OP_STORE] = cls.store_op
         registry[cls.OP_QUERY] = cls.query_op
 
-    # Pure implementations, shared by the inline and pooled paths --------
+    # The served ops: pure, so they run unchanged in either process -------
     @staticmethod
     def store_op(ctx, state, meta, cts):
         try:
@@ -231,18 +226,6 @@ class KnnOffloadService:
             raise ValueError(f"no stored batch {index} in this session")
         kernel, point_cts = batches[index]
         return kernel.compute(point_cts, list(cts)), {}
-
-    @staticmethod
-    def _store(session, request):
-        return KnnOffloadService.store_op(
-            session.ensure_context(), session.state, request.meta,
-            request.cts)
-
-    @staticmethod
-    def _query(session, request):
-        return KnnOffloadService.query_op(
-            session.ensure_context(), session.state, request.meta,
-            request.cts)
 
 
 class RemoteKnn:

@@ -21,10 +21,7 @@ import numpy as np
 
 from repro.core.linalg import Conv2dSpec, _encode_vector, row_slot_count
 from repro.core.permute import required_rotation_steps, windowed_rotation_masked
-
-
-def _pow2(n: int) -> int:
-    return 1 << max(0, (n - 1)).bit_length()
+from repro.hecore.modmath import next_power_of_two
 
 
 class GazelleStyleConv2d:
@@ -46,7 +43,7 @@ class GazelleStyleConv2d:
         self.spec = spec
         self.weights = weights
         self.window = spec.height * spec.width
-        self.span = _pow2(self.window)       # NO redundancy margins
+        self.span = next_power_of_two(self.window)       # NO redundancy margins
         row = row_slot_count(ctx)
         if spec.out_channels * self.span > row:
             raise ValueError("layer does not fit one rotating row")

@@ -171,20 +171,13 @@ def _resolve_params(preset: str):
 
 def _install_demo_ops(server) -> None:
     """Ops the ``offload`` client exercises (beyond the built-in echo)."""
-
-    def square(session, request):
-        ctx = session.ctx
-        return [ctx.multiply(ct, ct) for ct in request.cts]
-
-    server.register("square", square)
+    server.register_op("square", lambda ctx, _state, _meta, cts: [
+        ctx.multiply(ct, ct) for ct in cts])
 
 
 #: Installer specs for the fleet path — worker processes resolve these by
 #: name, so the same ops are served whether sharded or single-process.
-_SERVE_INSTALLERS = (
-    "repro.apps.knn:KnnOffloadService.install",
-    "repro.cli:_install_demo_ops",
-)
+_SERVE_INSTALLERS = ("repro.cli:_install_demo_ops",)
 _SERVE_POOLED_INSTALLERS = (
     "repro.apps.knn:KnnOffloadService.install_pooled",
 )
@@ -224,14 +217,12 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.apps.knn import KnnOffloadService
-    from repro.runtime import OffloadServer
+    from repro.runtime import EvalPool, FleetServer, OffloadServer
 
     params = _resolve_params(args.params)
 
     async def run() -> int:
         if args.workers > 0:
-            from repro.runtime.fleet import FleetServer
-
             server = FleetServer(
                 params, args.workers,
                 installers=_SERVE_INSTALLERS,
@@ -246,8 +237,6 @@ def _cmd_serve(args) -> int:
         else:
             eval_pool = None
             if args.eval_workers > 0:
-                from repro.runtime import EvalPool, pooled_op_names
-
                 eval_pool = EvalPool(params, args.eval_workers,
                                      _SERVE_POOLED_INSTALLERS)
             server = OffloadServer(params, queue_limit=args.queue_limit,
@@ -255,9 +244,6 @@ def _cmd_serve(args) -> int:
                                    eval_pool=eval_pool, verbose=True)
             KnnOffloadService.install(server)
             _install_demo_ops(server)
-            if eval_pool is not None:
-                for op in pooled_op_names(_SERVE_POOLED_INSTALLERS):
-                    server.register_pooled(op)
             host, port = await server.start(args.host, args.port)
             print(f"offload server on {host}:{port} "
                   f"({params.describe()}); Ctrl-C to stop")

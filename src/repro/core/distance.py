@@ -35,10 +35,7 @@ from repro.core.linalg import (
     rotate_and_sum_steps,
     row_slot_count,
 )
-
-
-def _pow2(n: int) -> int:
-    return 1 << max(0, (n - 1)).bit_length()
+from repro.hecore.modmath import next_power_of_two
 
 
 @dataclass(frozen=True)
@@ -50,11 +47,11 @@ class DistanceProblem:
 
     @property
     def padded_dims(self) -> int:
-        return _pow2(self.dims)
+        return next_power_of_two(self.dims)
 
     @property
     def padded_points(self) -> int:
-        return _pow2(self.n_points)
+        return next_power_of_two(self.n_points)
 
 
 class DistanceKernel(TracedKernel):
@@ -274,7 +271,7 @@ class StackedDimensionMajorKernel(DistanceKernel):
             sq = self._squared_diff(ev, p, q)
             acc = sq if acc is None else ev.add(acc, sq)
         # Fold the per-window partial sums into window 0.
-        stride = _pow2(self.dims_per_ct)
+        stride = next_power_of_two(self.dims_per_ct)
         while stride > 1:
             acc = ev.add(acc, ev.rotate(acc, (stride // 2) * n))
             stride //= 2
@@ -373,7 +370,7 @@ class MultiQueryDimensionMajor(DimensionMajorKernel):
             raise ValueError("need at least one query")
         self.max_queries = max_queries
         self.stride = problem.padded_points
-        self._regions = _pow2(max_queries)
+        self._regions = next_power_of_two(max_queries)
         if self.stride * self._regions > self.slots:
             raise ValueError(
                 f"{max_queries} queries x stride {self.stride} exceed "

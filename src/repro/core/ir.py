@@ -249,9 +249,9 @@ class TracerContext:
     """A recording stand-in for a BFV/CKKS context.
 
     Implements exactly the evaluator surface the kernel bodies use.
-    Deliberately does **not** expose ``rotate_weighted_sum`` or
-    ``rotate_many``: tracing captures the *unfused* rotate/mul/add chain
-    and the scheduler re-derives the fusions as passes.
+    Deliberately does **not** expose the fused primitives (weighted-sum
+    spans, ``rotate_many``): tracing captures the *unfused* rotate/mul/add
+    chain and the scheduler re-derives the fusions as passes.
     """
 
     def __init__(self, params):

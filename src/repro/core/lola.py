@@ -27,11 +27,8 @@ from typing import Optional, Sequence, Set
 import numpy as np
 
 from repro.core.linalg import _encode_vector, row_slot_count
+from repro.hecore.modmath import next_power_of_two
 from repro.hecore.params import SchemeType
-
-
-def _pow2(n: int) -> int:
-    return 1 << max(0, (n - 1)).bit_length()
 
 
 class AlternatingMatVec:
@@ -43,7 +40,7 @@ class AlternatingMatVec:
             raise ValueError("alternating products need a square matrix")
         self.ctx = ctx
         self.matrix = matrix
-        self.n = _pow2(matrix.shape[0])
+        self.n = next_power_of_two(matrix.shape[0])
         self._square = np.zeros((self.n, self.n), dtype=matrix.dtype)
         self._square[: matrix.shape[0], : matrix.shape[0]] = matrix
         self.slots = row_slot_count(ctx)

@@ -25,9 +25,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-
-def _next_power_of_two(n: int) -> int:
-    return 1 << max(0, (n - 1)).bit_length()
+from repro.hecore.modmath import next_power_of_two
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class RedundantPacking:
 
     def __init__(self, window: int, redundancy: int, count: int = 1,
                  slot_limit: int | None = None):
-        span = _next_power_of_two(window + 2 * redundancy)
+        span = next_power_of_two(window + 2 * redundancy)
         self.layout = ChannelLayout(window=window, redundancy=redundancy,
                                     span=span, count=count)
         if slot_limit is not None and self.layout.total_slots > slot_limit:

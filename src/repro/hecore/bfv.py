@@ -18,9 +18,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.hecore import batchcrypt, hoisting, ntt
+from repro.hecore import batchcrypt, ntt
 from repro.hecore.ciphertext import Ciphertext
-from repro.hecore.keys import GaloisKeys
 from repro.hecore.params import EncryptionParameters, SchemeType
 from repro.hecore.plaintext import Plaintext
 from repro.hecore.polyring import RnsPoly, aux_base_for
@@ -267,11 +266,3 @@ class BfvContext(RlweContext):
     #: SEAL's names for the row rotation and the row swap.
     rotate_rows = RlweContext.rotate
     rotate_columns = RlweContext._rotate_conjugation
-
-    def rotate_weighted_sum(self, ct: Ciphertext, terms,
-                            galois_keys: Optional[GaloisKeys] = None
-                            ) -> Ciphertext:
-        """Fused diagonal matvec: ``sum(m (*) rotate(ct, s))`` over
-        ``(step, Plaintext)`` *terms*, one hoisted decompose + one rescale."""
-        coeff_terms = [(step, pt.coeffs) for step, pt in terms]
-        return hoisting.rotate_weighted_sum(self, ct, coeff_terms, galois_keys)

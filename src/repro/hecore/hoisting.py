@@ -32,7 +32,7 @@ primitives consumed across the eval hot path:
   kernels, with NTT-domain accumulation (one inverse transform + one
   special-prime rescale for the whole span) and a baby-step/giant-step
   split for wide spans;
-* :func:`rotate_weighted_sum` — the diagonal-matvec kernel: plaintext
+* :class:`WeightedSumSpan` — the diagonal-matvec kernel: plaintext
   diagonals multiply each rotation in the NTT domain and the whole sum pays
   a single inverse transform + rescale.
 
@@ -441,7 +441,7 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
         return ct
     if width & (width - 1):
         raise ValueError(f"rotate_and_sum width {width} must be a power of two")
-    keys = galois_keys or ctx._galois
+    keys = galois_keys or ctx.held_galois_keys()
     n = ctx.params.poly_degree
     phase1, phase2 = _sum_span_steps(width)
     if _steps_available(keys, phase1 + phase2, n):
@@ -573,26 +573,3 @@ class WeightedSumSpan:
         if c1_out is None:
             c1_out = RnsPoly.zero(current, n, is_ntt=False)
         return Ciphertext(rotator.params, [c0_out, c1_out], scale=ct.scale)
-
-
-def rotate_weighted_sum(ctx, ct: Ciphertext,
-                        terms: Sequence[Tuple[int, np.ndarray]],
-                        galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-    """``sum(m_j (*) rotate(ct, s_j))`` with one hoisted decompose.
-
-    *terms* are ``(step, coeffs)`` pairs, *coeffs* the encoded plaintext's
-    signed coefficient vector (a BFV ``Plaintext.coeffs``).  This is the
-    diagonal-matvec inner loop: each term costs the cached NTT permutation,
-    one stacked inner product, and two dyadic multiplies; the inverse
-    transforms and the special-prime rescale are paid once for the whole
-    sum.  The permuted ``c0`` components never leave the NTT domain — they
-    multiply the diagonal and accumulate as ``(k, n)`` dyadic kernels.
-
-    Decrypts identically to the naive rotate-multiply-add chain (the
-    plaintext algebra is the same; only rounding-level noise placement
-    differs), with strictly less noise accumulation in practice.
-
-    One-shot convenience over :class:`WeightedSumSpan`; repeated calls on
-    the same terms should hold a span to reuse its plaintext NTT tables.
-    """
-    return WeightedSumSpan(terms)(ctx, ct, galois_keys)

@@ -113,6 +113,11 @@ def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def next_power_of_two(n: int) -> int:
+    """The smallest power of two that is at least *n* (1 for ``n <= 1``)."""
+    return 1 << max(0, (n - 1)).bit_length()
+
+
 def bit_length(n: int) -> int:
     """Bit length of a non-negative integer (0 has bit length 0)."""
     return int(n).bit_length()

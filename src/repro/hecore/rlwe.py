@@ -86,8 +86,13 @@ class RlweContext:
             existing=self._galois)
         return self._galois
 
+    def held_galois_keys(self) -> Optional[GaloisKeys]:
+        """The rotation keys this context holds, or ``None`` — the one place
+        they are found (a session's eval context answers from its keystore)."""
+        return self._galois
+
     def _resolve_galois(self, galois_keys: Optional[GaloisKeys]) -> GaloisKeys:
-        keys = galois_keys or self._galois
+        keys = galois_keys or self.held_galois_keys()
         if keys is None:
             raise MissingEvaluationKey("rotation requires Galois keys")
         return keys

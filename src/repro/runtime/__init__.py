@@ -28,7 +28,7 @@ from repro.runtime.client import (
     OffloadTimeout,
     ServerBusy,
 )
-from repro.runtime.evalpool import EvalPool, pooled_op_names, resolve_spec
+from repro.runtime.evalpool import EvalPool, resolve_spec
 from repro.runtime.fleet import FleetServer, WorkerConfig, WorkerHandle
 from repro.runtime.framing import (
     FRAME_MAGIC,
@@ -54,6 +54,7 @@ from repro.runtime.server import (
     MissingEvaluationKey,
     OffloadServer,
     ServerSession,
+    SessionEvaluator,
     build_restricted_context,
 )
 from repro.runtime.transport import SimulatedLink, TcpTransport, Transport
@@ -84,6 +85,7 @@ __all__ = [
     "RuntimeMetrics",
     "ServerBusy",
     "ServerSession",
+    "SessionEvaluator",
     "SessionMetrics",
     "SimulatedLink",
     "SoakReport",
@@ -97,7 +99,6 @@ __all__ = [
     "encode_frame",
     "fleet_chaos_soak",
     "percentile",
-    "pooled_op_names",
     "read_frame",
     "resolve_spec",
     "run_chaos_soak",

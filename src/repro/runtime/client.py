@@ -85,7 +85,12 @@ from repro.runtime.framing import (
     Resume,
     ResumeAck,
 )
-from repro.runtime.transport import TcpTransport, Transport
+from repro.runtime.transport import (
+    MAX_BACKOFF_S,
+    TcpTransport,
+    Transport,
+    backoff_delays,
+)
 
 #: A coroutine factory producing a fresh connected transport; used for the
 #: initial connection and for every reconnect-and-resume.
@@ -141,7 +146,8 @@ class OffloadClient:
                  transport: Optional[Transport] = None,
                  transport_factory: Optional[TransportFactory] = None,
                  request_timeout: float = 30.0, max_retries: int = 4,
-                 backoff_s: float = 0.05, max_backoff_s: float = 2.0,
+                 backoff_s: float = 0.05,
+                 max_backoff_s: float = MAX_BACKOFF_S,
                  suspect_after: int = 2, connect_retries: int = 3,
                  compress_seed: bool = True,
                  auto_resume: bool = True,
@@ -227,7 +233,7 @@ class OffloadClient:
         retries on a fresh connection, surfacing :class:`ServerBusy` when
         ``max_retries`` run out.
         """
-        delay = self.backoff_s
+        delays = backoff_delays(self.backoff_s, self.max_backoff_s)
         for attempt in range(self.max_retries + 1):
             if self.transport is None:
                 self.transport = await self._new_transport()
@@ -240,31 +246,31 @@ class OffloadClient:
             self.stats.busy_waits += 1
             await self.transport.close()
             self.transport = None
-            reconnectable = (self._transport_factory is not None
-                             or (self.host is not None
-                                 and self.port is not None))
-            if attempt == self.max_retries or not reconnectable:
+            if attempt == self.max_retries or not self._can_reconnect():
                 raise ServerBusy(
                     f"admission rejected: fleet at capacity "
                     f"({attempt + 1} attempt(s))", busy.retry_after_ms)
-            await asyncio.sleep(max(busy.retry_after_ms / 1000.0, delay))
-            delay = min(delay * 2, self.max_backoff_s)
+            await asyncio.sleep(
+                max(busy.retry_after_ms / 1000.0, next(delays)))
         if mtype is MessageType.ERROR:
             err = Error.unpack(payload)
             raise OffloadError(f"handshake rejected: {err.message}", err.code)
         if mtype is not MessageType.HELLO_ACK:
             raise OffloadError(f"expected HELLO_ACK, got {mtype.name}")
-        ack = HelloAck.unpack(payload)
+        self._adopt(HelloAck.unpack(payload))
+        self._pump_task = asyncio.ensure_future(self._pump())
+        if self.heartbeat_s is not None and self.heartbeat_s > 0:
+            self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
+        return self
+
+    def _adopt(self, ack: HelloAck) -> None:
+        """Take on the session a HELLO_ACK grants (first connect, failover)."""
         self.session_id = ack.session_id
         self.server_queue_limit = ack.queue_limit
         self.server_concurrency = ack.concurrency
         self.banner = ack.banner
         self.resume_token = ack.resume_token or None
         self.grace_period_ms = ack.grace_ms
-        self._pump_task = asyncio.ensure_future(self._pump())
-        if self.heartbeat_s is not None and self.heartbeat_s > 0:
-            self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
-        return self
 
     async def close(self) -> None:
         """Send BYE (best effort) and tear the connection down."""
@@ -390,10 +396,28 @@ class OffloadClient:
         return self._session_errors[0] if self._session_errors else None
 
     # --------------------------------------------------------- resumption
+    def _can_reconnect(self) -> bool:
+        return (self._transport_factory is not None
+                or (self.host is not None and self.port is not None))
+
     def _can_resume(self) -> bool:
         return (self.auto_resume and self.resume_token is not None
-                and (self._transport_factory is not None
-                     or (self.host is not None and self.port is not None)))
+                and self._can_reconnect())
+
+    def _suspect_half_open(self, silent_timeouts: int, what: str) -> int:
+        """One more silent timeout; returns the new streak.  At
+        ``suspect_after`` in a row the link is taken for half-open (writes
+        land, nothing comes back) and declared lost, so the next attempt
+        reconnects via RESUME/failover instead of resending into the void."""
+        silent_timeouts += 1
+        if (silent_timeouts >= self.suspect_after
+                and self._conn_error is None and self._can_resume()):
+            self.stats.half_open_resets += 1
+            self._conn_error = ConnectionError(
+                f"suspected half-open connection: {silent_timeouts} "
+                f"consecutive {what} timeouts")
+            return 0
+        return silent_timeouts
 
     async def resume(self) -> None:
         """Reconnect and reattach to the server-side session.
@@ -420,7 +444,7 @@ class OffloadClient:
                 self._pump_task = None
             if self.transport is not None:
                 await self.transport.close()
-            delay = self.backoff_s
+            delays = backoff_delays(self.backoff_s, self.max_backoff_s)
             last_exc: Optional[Exception] = None
             for attempt in range(self.max_retries + 1):
                 transport: Optional[Transport] = None
@@ -437,8 +461,7 @@ class OffloadClient:
                     if transport is not None:
                         await transport.close()
                     if attempt < self.max_retries:
-                        await asyncio.sleep(delay)
-                        delay = min(delay * 2, self.max_backoff_s)
+                        await asyncio.sleep(next(delays))
                     continue
                 if mtype is MessageType.ERROR:
                     err = Error.unpack(payload)
@@ -455,8 +478,7 @@ class OffloadClient:
                                 asyncio.TimeoutError) as exc:
                             last_exc = exc
                             if attempt < self.max_retries:
-                                await asyncio.sleep(delay)
-                                delay = min(delay * 2, self.max_backoff_s)
+                                await asyncio.sleep(next(delays))
                             continue
                     self.stats.reconnect_failures += 1
                     raise OffloadError(
@@ -520,13 +542,7 @@ class OffloadClient:
             await transport.close()
             raise ConnectionError(
                 f"failover expected HELLO_ACK, got {mtype.name}")
-        ack = HelloAck.unpack(payload)
-        self.session_id = ack.session_id
-        self.server_queue_limit = ack.queue_limit
-        self.server_concurrency = ack.concurrency
-        self.banner = ack.banner
-        self.resume_token = ack.resume_token or None
-        self.grace_period_ms = ack.grace_ms
+        self._adopt(HelloAck.unpack(payload))
         self.transport = transport
         self._conn_error = None
         self._pump_task = asyncio.ensure_future(self._pump())
@@ -605,7 +621,7 @@ class OffloadClient:
         ``_resume_lock`` is already held: connection failures re-raise for
         the caller's retry loop instead of recursing into ``resume()``.
         """
-        delay = self.backoff_s
+        delays = backoff_delays(self.backoff_s, self.max_backoff_s)
         payload = KeyUpload(kind, blob).pack()
         silent_timeouts = 0
         for attempt in range(self.max_retries + 1):
@@ -626,19 +642,10 @@ class OffloadClient:
                         f"no KEY_ACK for {kind.name} key within "
                         f"{self.request_timeout}s "
                         f"({attempt + 1} attempt(s))")
-                silent_timeouts += 1
-                if (ensure_live and silent_timeouts >= self.suspect_after
-                        and self._conn_error is None
-                        and self._can_resume()):
-                    # Same half-open defense as request(): writes land,
-                    # replies never come — reconnect instead of resending.
-                    self.stats.half_open_resets += 1
-                    self._conn_error = ConnectionError(
-                        f"suspected half-open connection: "
-                        f"{silent_timeouts} consecutive KEY_ACK timeouts")
-                    silent_timeouts = 0
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, self.max_backoff_s)
+                if ensure_live:
+                    silent_timeouts = self._suspect_half_open(
+                        silent_timeouts, "KEY_ACK")
+                await asyncio.sleep(next(delays))
             except (ConnectionError, OSError, FrameError) as exc:
                 self._discard_key_waiter(kind, waiter)
                 if self._conn_error is None:
@@ -649,8 +656,7 @@ class OffloadClient:
                     raise OffloadError(
                         f"connection lost during {kind.name} key "
                         f"upload: {exc}")
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, self.max_backoff_s)
+                await asyncio.sleep(next(delays))
 
     def _discard_key_waiter(self, kind: KeyKind,
                             waiter: asyncio.Future) -> None:
@@ -692,7 +698,7 @@ class OffloadClient:
         if account:
             for ct in cts:
                 self.transport.account_upload(ct.size_bytes())
-        delay = self.backoff_s
+        delays = backoff_delays(self.backoff_s, self.max_backoff_s)
         last_busy: Optional[Busy] = None
         silent_timeouts = 0
         for attempt in range(retries + 1):
@@ -714,22 +720,9 @@ class OffloadClient:
                     raise OffloadTimeout(
                         f"request {op!r} timed out after {attempt + 1} "
                         f"attempt(s) of {timeout}s")
-                silent_timeouts += 1
-                if (silent_timeouts >= self.suspect_after
-                        and self._conn_error is None
-                        and self._can_resume()):
-                    # The connection accepts writes but nothing ever comes
-                    # back — a half-open TCP link (dead peer, proxy holding
-                    # our socket open).  Declare it lost so the next
-                    # attempt reconnects via RESUME/failover instead of
-                    # resubmitting into the void forever.
-                    self.stats.half_open_resets += 1
-                    self._conn_error = ConnectionError(
-                        f"suspected half-open connection: "
-                        f"{silent_timeouts} consecutive request timeouts")
-                    silent_timeouts = 0
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, self.max_backoff_s)
+                silent_timeouts = self._suspect_half_open(
+                    silent_timeouts, "request")
+                await asyncio.sleep(next(delays))
                 continue
             except (ConnectionError, OSError, FrameError) as exc:
                 self._pending.pop(request_id, None)
@@ -739,8 +732,7 @@ class OffloadClient:
                 if attempt == retries or not self._can_resume():
                     raise OffloadError(
                         f"request {op!r}: connection lost: {exc}")
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, self.max_backoff_s)
+                await asyncio.sleep(next(delays))
                 continue
             silent_timeouts = 0  # any reply proves the connection is live
             if kind == "result":
@@ -755,9 +747,8 @@ class OffloadClient:
                 self.stats.busy_waits += 1
                 if attempt == retries:
                     break
-                wait_s = max(reply.retry_after_ms / 1000.0, delay)
-                await asyncio.sleep(wait_s)
-                delay = min(delay * 2, self.max_backoff_s)
+                await asyncio.sleep(
+                    max(reply.retry_after_ms / 1000.0, next(delays)))
                 continue
             err: Error = reply
             if (err.code is ErrorCode.KEYS_EVICTED

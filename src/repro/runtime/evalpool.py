@@ -14,56 +14,54 @@ Nothing live crosses the process boundary:
   spec blob; each subprocess re-derives bit-identical moduli;
 * evaluation keys travel as the exact ``hecore.serialize`` blobs the
   client uploaded (the server retains them per session), shipped lazily
-  and re-shipped only when the session's key version changes;
+  and re-shipped only after a new upload of that kind;
 * requests and results travel as wire-format ciphertext blobs — the same
   bytes the CHOF frames carry, no pickled HE objects anywhere.
 
-Pooled operations are **pure functions** ``fn(ctx, state, meta, cts)``
-returning ``cts`` or ``(cts, meta)``, registered by installer specs of the
-form ``"module:attr"`` (resolved inside the subprocess, so the pool works
-under both ``fork`` and ``spawn`` start methods).  ``ctx`` is the same
-secret-key-free restricted context the in-process server builds; ``state``
-is a per-session dict living in the subprocess, so stateful services (the
-KNN batch store) keep working.  Sessions are hash-pinned to one subprocess
-— per-session execution stays serialized, sessions stay parallel.
+Pooled operations are served ops — **pure functions** ``fn(ctx, state,
+meta, cts)`` returning ``cts`` or ``(cts, meta)`` — registered by installer
+specs of the form ``"module:attr"`` (resolved inside the subprocess, so the
+pool works under both ``fork`` and ``spawn`` start methods).  A subprocess
+keeps one :class:`~repro.runtime.server.SessionEvaluator` per session id,
+the class the serving process itself uses, so ``ctx``, ``state`` (the KNN
+batch store), key installation and key eviction are the same on both sides
+of the pipe.  Sessions are hash-pinned to one subprocess — per-session
+execution stays serialized, sessions stay parallel.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import importlib
 import multiprocessing
 import os
 import stat
 import time
-from collections import Counter
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from collections import defaultdict
+from typing import Dict, Iterable, Tuple
 
 from repro.core.protocol import ProtocolViolation
 from repro.hecore.params import EncryptionParameters
 from repro.hecore.serialize import (
     deserialize_ciphertext,
-    deserialize_galois_keys,
     deserialize_params,
-    deserialize_public_key,
-    deserialize_relin_key,
     serialize_ciphertext,
     serialize_params,
 )
 from repro.runtime.framing import KeyKind
 from repro.runtime.server import (
     MissingEvaluationKey,
-    _normalize_result,
-    build_restricted_context,
+    ServedOp,
+    SessionEvaluator,
 )
 
-#: A pooled operation: ``(ctx, state, meta, cts) -> cts | (cts, meta)``.
-PooledOp = Callable[[Any, Dict, Dict, List], Any]
-
-#: A pooled installer: ``(registry: Dict[str, PooledOp]) -> None``.
-PooledInstaller = Callable[[Dict[str, PooledOp]], None]
-
 _CALL_TIMEOUT_S = 300.0
+
+#: Exception types a subprocess reports by name and the parent re-raises as
+#: themselves (the server maps them to typed ERROR codes).
+_TYPED_ERRORS = {cls.__name__: cls for cls in (
+    ProtocolViolation, MissingEvaluationKey, ValueError)}
 
 
 def resolve_spec(spec: str) -> Any:
@@ -78,24 +76,28 @@ def resolve_spec(spec: str) -> Any:
 
 
 def build_pooled_registry(installers: Tuple[str, ...],
-                          ) -> Dict[str, PooledOp]:
-    registry: Dict[str, PooledOp] = {}
+                          ) -> Dict[str, ServedOp]:
+    """Run each ``installer(registry)`` spec; returns ``name -> fn``."""
+    registry: Dict[str, ServedOp] = {}
     for spec in installers:
         resolve_spec(spec)(registry)
     return registry
-
-
-def pooled_op_names(installers: Tuple[str, ...]) -> Tuple[str, ...]:
-    """The op names a set of installer specs would register."""
-    return tuple(sorted(build_pooled_registry(tuple(installers))))
 
 
 def _mp_context():
     """fork where available (instant, shares loaded numpy); spawn elsewhere."""
     try:
         return multiprocessing.get_context("fork")
-    except ValueError:
+    except ValueError:  # pragma: no cover - non-POSIX fallback
         return multiprocessing.get_context("spawn")
+
+
+def pipe_roundtrip(conn, msg: tuple, timeout: float, who: str):
+    """Blocking request/reply on a process pipe (run via ``to_thread``)."""
+    conn.send(msg)
+    if not conn.poll(timeout):
+        raise RuntimeError(f"{who} timed out after {timeout}s")
+    return conn.recv()
 
 
 def close_inherited_sockets(keep: Iterable[int] = ()) -> None:
@@ -133,27 +135,14 @@ def close_inherited_sockets(keep: Iterable[int] = ()) -> None:
 # Subprocess side
 # ---------------------------------------------------------------------------
 
-def _deserialize_key(kind: KeyKind, blob: bytes,
-                     params: EncryptionParameters):
-    if kind is KeyKind.PUBLIC:
-        return deserialize_public_key(blob, params)
-    if kind is KeyKind.RELIN:
-        return deserialize_relin_key(blob, params)
-    return deserialize_galois_keys(blob, params)
-
-
 def _eval_main(conn, params_blob: bytes, installers: Tuple[str, ...],
                context_seed: bytes) -> None:
     """Subprocess loop: rebuild params, register pooled ops, serve calls."""
     close_inherited_sockets(keep=(conn.fileno(),))
     params = deserialize_params(params_blob)
     registry = build_pooled_registry(installers)
-    # sid -> {"keystore": {KeyKind: key}, "state": {}, "ctx": restricted}
-    sessions: Dict[int, Dict[str, Any]] = {}
-
-    def entry_for(sid: int) -> Dict[str, Any]:
-        return sessions.setdefault(
-            sid, {"keystore": {}, "state": {}, "ctx": None})
+    sessions: Dict[int, SessionEvaluator] = defaultdict(
+        lambda: SessionEvaluator(params, context_seed))
 
     while True:
         try:
@@ -166,40 +155,26 @@ def _eval_main(conn, params_blob: bytes, installers: Tuple[str, ...],
         try:
             if cmd == "keys":
                 _sid, kind_code, blobs = msg[1], msg[2], msg[3]
-                entry = entry_for(_sid)
-                kind = KeyKind(kind_code)
-                merged = None
                 for blob in blobs:
-                    key = _deserialize_key(kind, blob, params)
-                    if merged is None:
-                        merged = key
-                    else:
-                        merged.keys.update(key.keys)
-                # Mutate the keystore in place: the restricted context's
-                # relin_keys closure holds a reference to this dict.
-                entry["keystore"][kind] = merged
-                if entry["ctx"] is not None and kind is KeyKind.GALOIS:
-                    entry["ctx"]._galois = merged
+                    sessions[_sid].install_key(KeyKind(kind_code), blob)
                 conn.send(("ok",))
-            elif cmd == "evict":
+            elif cmd == "drop_keys":
+                # Key eviction, not session close: the stored state stays.
+                if msg[1] in sessions:
+                    sessions[msg[1]].drop_keys()
+                conn.send(("ok",))
+            elif cmd == "close":
                 sessions.pop(msg[1], None)
                 conn.send(("ok",))
             elif cmd == "exec":
                 _sid, op, meta, blobs = msg[1], msg[2], msg[3], msg[4]
-                entry = entry_for(_sid)
                 fn = registry.get(op)
                 if fn is None:
                     raise RuntimeError(f"op {op!r} not in the pooled registry")
-                if entry["ctx"] is None:
-                    entry["ctx"] = build_restricted_context(
-                        params, entry["keystore"], context_seed)
-                ctx = entry["ctx"]
                 cts = [deserialize_ciphertext(blob, params)
                        for blob in blobs]
-                before = Counter(ctx.counts)
-                out_cts, out_meta = _normalize_result(
-                    fn(ctx, entry["state"], dict(meta), cts))
-                counters = ctx.counts - before
+                out_cts, out_meta, counters = sessions[_sid].run(
+                    fn, dict(meta), cts)
                 out_blobs = tuple(
                     serialize_ciphertext(ct, compress_seed=False)
                     for ct in out_cts)
@@ -223,8 +198,8 @@ class _Slot:
         self.process = None
         self.conn = None
         self.lock = asyncio.Lock()
-        #: (session_id, KeyKind) -> key version already shipped.
-        self.shipped: Dict[Tuple[int, KeyKind], int] = {}
+        #: (session_id, KeyKind) -> the ``session.key_blobs`` tuple shipped.
+        self.shipped: Dict[Tuple[int, KeyKind], Tuple[bytes, ...]] = {}
 
 
 class EvalPool:
@@ -246,6 +221,9 @@ class EvalPool:
             raise ValueError("eval pool needs at least one worker")
         self.size = size
         self.installers = tuple(installers)
+        #: ``name -> fn`` as every subprocess will register it; a server
+        #: runs an op here exactly when this registry has it.
+        self.ops = build_pooled_registry(self.installers)
         self._params_blob = serialize_params(params)
         self._context_seed = context_seed
         self._mp = _mp_context()
@@ -284,23 +262,17 @@ class EvalPool:
         self._spawn(slot)
 
     def _call(self, slot: _Slot, msg: tuple,
-              timeout: float = _CALL_TIMEOUT_S):
-        """Blocking roundtrip on the slot's pipe (run via to_thread)."""
-        slot.conn.send(msg)
-        if not slot.conn.poll(timeout):
-            raise RuntimeError(
-                f"eval-pool worker {slot.index} timed out after {timeout}s")
-        return slot.conn.recv()
-
-    @staticmethod
-    def _raise_remote(tname: str, message: str) -> None:
-        if tname == "ProtocolViolation":
-            raise ProtocolViolation(message)
-        if tname == "MissingEvaluationKey":
-            raise MissingEvaluationKey(message)
-        if tname == "ValueError":
-            raise ValueError(message)
-        raise RuntimeError(f"{tname}: {message}")
+              timeout: float = _CALL_TIMEOUT_S) -> tuple:
+        """One command on the slot's pipe (blocking: run via ``to_thread``);
+        an ``("error", type name, message)`` reply raises as that type."""
+        reply = pipe_roundtrip(slot.conn, msg, timeout,
+                               f"eval-pool worker {slot.index}")
+        if reply[0] == "error":
+            _tag, tname, message = reply
+            if tname in _TYPED_ERRORS:
+                raise _TYPED_ERRORS[tname](message)
+            raise RuntimeError(f"{tname}: {message}")
+        return reply
 
     # ------------------------------------------------------------ dispatch
     async def execute(self, session, request,
@@ -312,18 +284,13 @@ class EvalPool:
         async with slot.lock:
             started = time.monotonic()
             try:
-                for kind, version in list(session.key_versions.items()):
-                    if slot.shipped.get((session.id, kind)) == version:
+                for kind, blobs in list(session.key_blobs.items()):
+                    if slot.shipped.get((session.id, kind)) is blobs:
                         continue
-                    blobs = tuple(session.key_blobs.get(kind, ()))
-                    if not blobs:
-                        continue  # evicted since: nothing to ship
-                    reply = await asyncio.to_thread(
+                    await asyncio.to_thread(
                         self._call, slot,
                         ("keys", session.id, int(kind), blobs))
-                    if reply[0] == "error":
-                        self._raise_remote(reply[1], reply[2])
-                    slot.shipped[(session.id, kind)] = version
+                    slot.shipped[(session.id, kind)] = blobs
                     self.key_ships += 1
                 reply = await asyncio.to_thread(
                     self._call, slot,
@@ -336,39 +303,39 @@ class EvalPool:
                     f"{request.op!r}: {exc}") from exc
             finally:
                 self.busy_s += time.monotonic() - started
-        if reply[0] == "error":
-            self._raise_remote(reply[1], reply[2])
         self.executions += 1
         _tag, out_blobs, out_meta, counters = reply
         return tuple(out_blobs), dict(out_meta), dict(counters)
 
-    def forget_session(self, session_id: int) -> None:
-        """Drop a session's shipped-key state (eviction or close).
+    def drop_keys(self, session_id: int) -> None:
+        """Key eviction: the subprocess drops the session's keys and keeps
+        its state; the next ``execute`` re-ships whatever was re-uploaded."""
+        self._forget(session_id, "drop_keys")
 
-        Synchronous and non-blocking: the subprocess purge rides on a
+    def close_session(self, session_id: int) -> None:
+        """Session close: the subprocess drops everything it holds for it."""
+        self._forget(session_id, "close")
+
+    def _forget(self, session_id: int, cmd: str) -> None:
+        """Forget what was shipped for a session and tell its subprocess.
+
+        Synchronous and non-blocking: the subprocess command rides on a
         fire-and-forget task when a loop is running, so the server can call
         this from teardown paths without awaiting pipe traffic.
         """
-        owner = self._slots[session_id % self.size]
-        for key in [k for k in owner.shipped if k[0] == session_id]:
-            owner.shipped.pop(key, None)
-        if self._closed:
-            return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            return
-        loop.create_task(self._purge(owner, session_id))
+        slot = self._slots[session_id % self.size]
+        for key in [k for k in slot.shipped if k[0] == session_id]:
+            del slot.shipped[key]
 
-    async def _purge(self, slot: _Slot, session_id: int) -> None:
-        try:
-            async with slot.lock:
-                if self._closed:
-                    return
-                await asyncio.to_thread(self._call, slot,
-                                        ("evict", session_id), 10.0)
-        except Exception:  # noqa: BLE001 — best-effort memory hygiene
-            pass
+        async def tell() -> None:
+            with contextlib.suppress(Exception):  # best-effort hygiene
+                async with slot.lock:
+                    if not self._closed:
+                        await asyncio.to_thread(
+                            self._call, slot, (cmd, session_id), 10.0)
+
+        with contextlib.suppress(RuntimeError):  # no loop: nothing to tell
+            asyncio.get_running_loop().create_task(tell())
 
     # ------------------------------------------------------------ lifecycle
     def snapshot(self) -> Dict:

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import logging
-import multiprocessing
 import multiprocessing.util
 import os
 import threading
@@ -58,8 +58,9 @@ from repro.hecore.params import EncryptionParameters
 from repro.hecore.serialize import deserialize_params, serialize_params
 from repro.runtime.evalpool import (
     EvalPool,
+    _mp_context,
     close_inherited_sockets,
-    pooled_op_names,
+    pipe_roundtrip,
     resolve_spec,
 )
 from repro.runtime.framing import (
@@ -84,13 +85,6 @@ IDLE_KILL_EXIT_CODE = 17
 _SPAWN_TIMEOUT_S = 60.0
 
 
-def _mp_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context("spawn")
-
-
 @dataclass(frozen=True)
 class WorkerConfig:
     """Everything a worker process needs, as picklable primitives.
@@ -99,12 +93,24 @@ class WorkerConfig:
     :func:`~repro.hecore.serialize.serialize_params` blob and operation
     registries travel as ``"module:attr"`` installer specs resolved inside
     the worker (so the fleet works under both ``fork`` and ``spawn``).
+
+    It is also the one declaration of a worker's options:
+    :class:`FleetServer` takes every field from ``installers`` down as a
+    keyword argument.
     """
+
+    #: Fields that place the worker and pick its ops; every other field is
+    #: an ``OffloadServer`` keyword argument of the same name.
+    PLACEMENT = ("index", "stride", "params_blob", "installers",
+                 "pooled_installers", "eval_workers")
 
     index: int
     stride: int
     params_blob: bytes
+    #: ``installer(server)`` specs: ``server.register`` / ``register_op``.
     installers: Tuple[str, ...] = ()
+    #: ``installer(registry)`` specs of pure ops: run in the eval pool when
+    #: ``eval_workers > 0``, in the worker process itself otherwise.
     pooled_installers: Tuple[str, ...] = ()
     eval_workers: int = 0
     queue_limit: int = 16
@@ -116,6 +122,16 @@ class WorkerConfig:
     idle_timeout_s: Optional[float] = None
     banner: str = "choco-fleet"
     op_config: Dict[str, Any] = field(default_factory=dict)
+
+    def server_options(self) -> Dict[str, Any]:
+        """The :class:`OffloadServer` keyword arguments of this worker."""
+        options = {f.name: getattr(self, f.name)
+                   for f in dataclasses.fields(self)
+                   if f.name not in self.PLACEMENT}
+        options.update(banner=f"{self.banner}/w{self.index}",
+                       session_id_start=self.index + 1,
+                       session_id_step=self.stride)
+        return options
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +158,12 @@ async def _worker_serve(conn, config: WorkerConfig) -> None:
     if config.eval_workers > 0 and config.pooled_installers:
         eval_pool = EvalPool(params, config.eval_workers,
                              config.pooled_installers)
-    server = OffloadServer(
-        params,
-        queue_limit=config.queue_limit,
-        concurrency=config.concurrency,
-        retry_after_ms=config.retry_after_ms,
-        banner=f"{config.banner}/w{config.index}",
-        dedupe_window=config.dedupe_window,
-        resume_grace_s=config.resume_grace_s,
-        idle_timeout_s=config.idle_timeout_s,
-        session_id_start=config.index + 1,
-        session_id_step=config.stride,
-        keystore_limit=config.keystore_limit,
-        eval_pool=eval_pool,
-        op_config=dict(config.op_config),
-    )
+    server = OffloadServer(params, eval_pool=eval_pool,
+                           **config.server_options())
     for spec in config.installers:
         resolve_spec(spec)(server)
-    if eval_pool is not None:
-        for op in pooled_op_names(config.pooled_installers):
-            server.register_pooled(op)
+    for spec in config.pooled_installers:
+        resolve_spec(spec)(server.ops)
 
     _host, port = await server.start("127.0.0.1", 0)
     loop = asyncio.get_running_loop()
@@ -267,14 +269,9 @@ class WorkerHandle:
     async def control(self, msg: tuple, timeout: float = 10.0):
         """One request/reply roundtrip on the control pipe."""
         async with self._lock:
-            return await asyncio.to_thread(self._roundtrip, msg, timeout)
-
-    def _roundtrip(self, msg: tuple, timeout: float):
-        self.conn.send(msg)
-        if not self.conn.poll(timeout):
-            raise RuntimeError(
-                f"worker {self.index} control timeout after {timeout}s")
-        return self.conn.recv()
+            return await asyncio.to_thread(
+                pipe_roundtrip, self.conn, msg, timeout,
+                f"worker {self.index} control pipe")
 
     async def send(self, msg: tuple) -> None:
         """Fire-and-forget control message (kill fates have no reply)."""
@@ -303,45 +300,28 @@ class FleetServer:
 
     ``async with FleetServer(...) as fleet`` starts on an ephemeral loopback
     port and stops on the way out, whatever the body raised.
+
+    *worker_options* are the :class:`WorkerConfig` fields from
+    ``installers`` down, the same for every worker.
     """
 
     def __init__(self, params: EncryptionParameters, n_workers: int = 2, *,
-                 installers: Tuple[str, ...] = (),
-                 pooled_installers: Tuple[str, ...] = (),
-                 eval_workers: int = 0,
                  session_cap: Optional[int] = None,
-                 queue_limit: int = 16, concurrency: int = 1,
-                 retry_after_ms: int = 50,
-                 keystore_limit: Optional[int] = None,
-                 resume_grace_s: float = 30.0,
-                 dedupe_window: int = 64,
-                 idle_timeout_s: Optional[float] = None,
-                 banner: str = "choco-fleet",
-                 op_config: Optional[Dict[str, Any]] = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
+                 max_frame_bytes: int = MAX_FRAME_BYTES,
+                 **worker_options):
         if n_workers < 1:
             raise ValueError("a fleet needs at least one worker")
         if session_cap is not None and session_cap < 1:
             raise ValueError("session_cap must be at least 1 (or None)")
         self.params = params
         self.n_workers = n_workers
-        self.installers = tuple(installers)
-        self.pooled_installers = tuple(pooled_installers)
-        self.eval_workers = eval_workers
         self.session_cap = session_cap
-        self.queue_limit = queue_limit
-        self.concurrency = concurrency
-        self.retry_after_ms = retry_after_ms
-        self.keystore_limit = keystore_limit
-        self.resume_grace_s = resume_grace_s
-        self.dedupe_window = dedupe_window
-        self.idle_timeout_s = idle_timeout_s
-        self.banner = banner
-        self.op_config = dict(op_config or {})
         self.max_frame_bytes = max_frame_bytes
         # Serializing up front also validates the params are spec-complete
         # enough for workers to rebuild them bit-identically.
-        self._params_blob = serialize_params(params)
+        self._config = WorkerConfig(
+            index=0, stride=n_workers, params_blob=serialize_params(params),
+            **worker_options)
         self.metrics = FleetMetrics()
         self._mp = _mp_context()
         self._workers: List[Optional[WorkerHandle]] = [None] * n_workers
@@ -409,24 +389,6 @@ class FleetServer:
             handle.close()
         self._workers[:] = [None] * self.n_workers
 
-    def _worker_config(self, index: int) -> WorkerConfig:
-        return WorkerConfig(
-            index=index, stride=self.n_workers,
-            params_blob=self._params_blob,
-            installers=self.installers,
-            pooled_installers=self.pooled_installers,
-            eval_workers=self.eval_workers,
-            queue_limit=self.queue_limit,
-            concurrency=self.concurrency,
-            retry_after_ms=self.retry_after_ms,
-            keystore_limit=self.keystore_limit,
-            resume_grace_s=self.resume_grace_s,
-            dedupe_window=self.dedupe_window,
-            idle_timeout_s=self.idle_timeout_s,
-            banner=self.banner,
-            op_config=self.op_config,
-        )
-
     async def _spawn_worker(self, index: int) -> WorkerHandle:
         generation = self._generation
         self._generation += 1
@@ -438,7 +400,8 @@ class FleetServer:
         parent_conn, child_conn = self._mp.Pipe()
         process = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, self._worker_config(index)),
+            args=(child_conn,
+                  dataclasses.replace(self._config, index=index)),
             daemon=False,  # workers may own eval-pool subprocess children
             name=f"choco-worker-{index}.g{generation}")
         process.start()
@@ -506,14 +469,14 @@ class FleetServer:
                         and self._admitted >= self.session_cap):
                     self.metrics.admission_rejections += 1
                     await self._reply(writer, MessageType.BUSY, Busy(
-                        0, self.retry_after_ms,
+                        0, self._config.retry_after_ms,
                         min(self._admitted, 0xFFFF)).pack())
                     return
                 handle = self._pick_for_hello()
                 if handle is None:
                     self.metrics.admission_rejections += 1
                     await self._reply(writer, MessageType.BUSY, Busy(
-                        0, self.retry_after_ms, 0).pack())
+                        0, self._config.retry_after_ms, 0).pack())
                     return
                 self.metrics.sessions_routed += 1
                 admitted = True

@@ -42,6 +42,7 @@ evaluation keys the client never sent.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import logging
 import secrets
@@ -109,6 +110,11 @@ class ComputeRequest:
 #: coroutine functions are awaited on the loop.
 Handler = Callable[["ServerSession", ComputeRequest], Any]
 
+#: A served op: a pure ``fn(ctx, state, meta, cts)`` returning ``cts`` or
+#: ``(cts, meta)``; ``ctx`` / ``state`` are the session's evaluation context
+#: and application-state dict in whichever process runs it.
+ServedOp = Callable[[Any, Dict, Dict, List], Any]
+
 
 class ServerSession:
     """One client's server-side state: keys, queue, metrics, eval context."""
@@ -119,20 +125,19 @@ class ServerSession:
         self.transport = transport
         self.server = server
         self.metrics = metrics
-        self.keystore: Dict[KeyKind, Any] = {}
+        #: Keys, application state and evaluation context.
+        self.evaluator = SessionEvaluator(server.params, server._context_seed)
+        #: Free-form per-session application state (e.g. stored KNN batches).
+        self.state = self.evaluator.state
         #: Raw uploaded key blobs, retained so a pooled evaluation executor
-        #: can re-ship them to its subprocess (Galois uploads accumulate).
-        self.key_blobs: Dict[KeyKind, List[bytes]] = {}
-        #: Monotonic per-kind upload counters; the eval pool compares them
-        #: against what it already shipped to each subprocess.
-        self.key_versions: Dict[KeyKind, int] = {}
+        #: can ship them to its subprocess (Galois uploads accumulate).  Each
+        #: upload binds a new tuple; the pool ships a kind again exactly
+        #: when the tuple is not the one it shipped.
+        self.key_blobs: Dict[KeyKind, Tuple[bytes, ...]] = {}
         #: Kinds dropped by the key-store LRU; non-empty means the next
         #: COMPUTE is answered with a KEYS_EVICTED re-upload signal.
         self.evicted_kinds: set = set()
-        #: Free-form per-session application state (e.g. stored KNN batches).
-        self.state: Dict[str, Any] = {}
         self.queue: Deque[ComputeRequest] = deque()
-        self.ctx = None
         self._send_lock = asyncio.Lock()
         self.closed = False
         #: Secret the client must present in a RESUME frame to reattach.
@@ -153,15 +158,11 @@ class ServerSession:
         #: connection.
         self.bye_received = False
 
-    @property
-    def params(self) -> EncryptionParameters:
-        return self.server.params
-
     def ensure_context(self):
         """The session's evaluation context, built on first use."""
-        if self.ctx is None:
-            self.ctx = self.server._make_eval_context(self)
-        return self.ctx
+        return self.evaluator.context()
+
+    ctx = property(ensure_context)
 
     async def send(self, mtype: MessageType, payload: bytes) -> None:
         """Serialized frame send (workers and the session loop interleave)."""
@@ -178,7 +179,7 @@ class ServerSession:
 
     def key_mask(self) -> int:
         mask = 0
-        for kind in self.keystore:
+        for kind in self.evaluator.keystore:
             mask |= 1 << (int(kind) - 1)
         return mask
 
@@ -222,8 +223,8 @@ class OffloadServer:
         #: Fleet workers bound this to a cap so N shared-nothing processes
         #: don't hold N full key sets for every historical session.
         self.keystore_limit = keystore_limit
-        #: Optional :class:`~repro.runtime.evalpool.EvalPool`; ops marked
-        #: via :meth:`register_pooled` execute in its subprocesses.
+        #: Optional :class:`~repro.runtime.evalpool.EvalPool`; the ops in
+        #: its registry (``eval_pool.ops``) execute in its subprocesses.
         self.eval_pool = eval_pool
         #: Free-form per-deployment handler configuration (e.g. the fleet
         #: soak's execution-log directory), reachable as
@@ -232,7 +233,8 @@ class OffloadServer:
         self._context_seed = context_seed
         self.metrics = RuntimeMetrics()
         self._handlers: Dict[str, Handler] = {}
-        self._pooled_ops: set = set()
+        #: Served ops by name (an eval-pool installer can fill it directly).
+        self.ops: Dict[str, ServedOp] = {}
         self._sessions: Dict[int, ServerSession] = {}
         self._rr: Deque[int] = deque()
         #: Sharded deployments give each worker a disjoint arithmetic
@@ -251,25 +253,22 @@ class OffloadServer:
         self._closing = False
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        self.register("echo", _echo_handler)
+        # Built-in liveness op: returns the request's ciphertexts unchanged.
+        self.register_op("echo", lambda _ctx, _state, _meta, cts: cts)
 
     # --------------------------------------------------------------- setup
     def register(self, op: str, handler: Handler) -> None:
         """Register (or replace) the handler for operation *op*."""
         self._handlers[op] = handler
 
-    def register_pooled(self, op: str) -> None:
-        """Mark *op* for execution in the server's eval pool.
+    def register_op(self, op: str, fn: ServedOp) -> None:
+        """Register (or replace) the served op ``fn(ctx, state, meta, cts)``.
+        It runs in the eval pool when the pool's own registry has *op*, in
+        this process otherwise — through :meth:`SessionEvaluator.run` both."""
+        self.ops[op] = fn
 
-        The op must also be registered (or be registrable) as a pure pooled
-        function in the pool's own registry; the inline handler registered
-        via :meth:`register` remains the fallback when no pool is attached.
-        """
-        if op not in self._handlers:
-            # Admission checks key off _handlers; a pooled-only op still
-            # needs an entry so UNKNOWN_OP is not returned for it.
-            self._handlers[op] = _pooled_only_handler(op)
-        self._pooled_ops.add(op)
+    def _pooled(self, op: str) -> bool:
+        return self.eval_pool is not None and op in self.eval_pool.ops
 
     async def start(self, host: str = "127.0.0.1", port: int = 0,
                     ) -> Tuple[str, int]:
@@ -463,29 +462,16 @@ class OffloadServer:
                                  payload: bytes) -> None:
         try:
             upload = KeyUpload.unpack(payload)
-            if upload.kind is KeyKind.PUBLIC:
-                key = deserialize_public_key(upload.blob, self.params)
-            elif upload.kind is KeyKind.RELIN:
-                key = deserialize_relin_key(upload.blob, self.params)
-            else:
-                key = deserialize_galois_keys(upload.blob, self.params)
+            session.evaluator.install_key(upload.kind, upload.blob)
         except ValueError as exc:
             session.metrics.errors += 1
             await session.send(MessageType.ERROR, Error(
                 0, ErrorCode.BAD_FRAME, f"bad key upload: {exc}").pack())
             return
-        if upload.kind is KeyKind.GALOIS and upload.kind in session.keystore:
-            # Incremental key provisioning: later uploads extend the set.
-            session.keystore[upload.kind].keys.update(key.keys)
-            session.key_blobs.setdefault(upload.kind, []).append(upload.blob)
-        else:
-            session.keystore[upload.kind] = key
-            session.key_blobs[upload.kind] = [upload.blob]
-        session.key_versions[upload.kind] = (
-            session.key_versions.get(upload.kind, 0) + 1)
+        held = (session.key_blobs.get(upload.kind, ())
+                if upload.kind is KeyKind.GALOIS else ())
+        session.key_blobs[upload.kind] = (*held, upload.blob)
         session.evicted_kinds.discard(upload.kind)
-        if session.ctx is not None and upload.kind is KeyKind.GALOIS:
-            session.ctx._galois = session.keystore[KeyKind.GALOIS]
         session.metrics.key_uploads += 1
         self._touch_keys(session)
         self._maybe_evict_keys(keep=session)
@@ -511,7 +497,8 @@ class OffloadServer:
             # retry (same request id on the same connection).
             session.metrics.duplicates_suppressed += 1
             return
-        if compute.op not in self._handlers:
+        if not (compute.op in self._handlers or compute.op in self.ops
+                or self._pooled(compute.op)):
             session.metrics.errors += 1
             await session.send(MessageType.ERROR, Error(
                 compute.request_id, ErrorCode.UNKNOWN_OP,
@@ -550,7 +537,7 @@ class OffloadServer:
         session.metrics.requests += 1
         session.metrics.ciphertexts_in += len(cts)
         session.metrics.queue_depth = len(session.queue)
-        if session.keystore:
+        if session.evaluator.keystore:
             self._touch_keys(session)  # active sessions stay LRU-hot
         self._work.set()
 
@@ -563,7 +550,7 @@ class OffloadServer:
         self._sessions.pop(session.id, None)
         self._key_lru.pop(session.id, None)
         if self.eval_pool is not None:
-            self.eval_pool.forget_session(session.id)
+            self.eval_pool.close_session(session.id)
         try:
             self._rr.remove(session.id)
         except ValueError:
@@ -603,13 +590,12 @@ class OffloadServer:
             session = self._sessions.get(victim)
             if session is None:
                 continue
-            session.evicted_kinds = set(session.keystore)
-            session.keystore.clear()
+            session.evicted_kinds = set(session.evaluator.keystore)
+            session.evaluator.drop_keys()
             session.key_blobs.clear()
-            session.ctx = None  # rebuilt from the re-uploaded keys
             session.metrics.key_evictions += 1
             if self.eval_pool is not None:
-                self.eval_pool.forget_session(session.id)
+                self.eval_pool.drop_keys(session.id)
 
     # ----------------------------------------------------------- scheduling
     def _next_request(self,
@@ -679,29 +665,19 @@ class OffloadServer:
         self.metrics.record_dispatch(session.id)
         started = time.monotonic()
         try:
-            if self.eval_pool is not None and request.op in self._pooled_ops:
-                # Process-pool path: the handler runs in a subprocess with
-                # its own rebuilt context; the asyncio loop stays free for
+            session.metrics.handler_invocations += 1
+            if self._pooled(request.op):
+                # Process-pool path: the op runs in a subprocess on that
+                # side's SessionEvaluator; the asyncio loop stays free for
                 # keys/heartbeats.  Raw request blobs go over as-is and
                 # serialized results come back — no pickled HE objects.
-                session.metrics.handler_invocations += 1
                 blobs, meta, counters = await self.eval_pool.execute(
                     session, request)
-                session.metrics.add_counts(counters)
             else:
-                handler = self._handlers[request.op]
-                session.ensure_context()
-                session.metrics.handler_invocations += 1
-                before = Counter(session.ctx.counts)
-                if asyncio.iscoroutinefunction(handler):
-                    result = await handler(session, request)
-                else:
-                    result = await asyncio.to_thread(handler, session,
-                                                     request)
-                session.metrics.add_counts(session.ctx.counts - before)
-                cts, meta = _normalize_result(result)
+                cts, meta, counters = await self._run_inline(session, request)
                 blobs = tuple(serialize_ciphertext(ct, compress_seed=False)
                               for ct in cts)
+            session.metrics.add_counts(counters)
             payload = Result(request.request_id, meta, blobs).pack()
             # Cache BEFORE sending: if the connection is dead the client
             # resumes and replays the id, and the cached RESULT answers it.
@@ -749,10 +725,91 @@ class OffloadServer:
         except (ConnectionError, OSError):
             pass
 
-    # ------------------------------------------------------- eval contexts
-    def _make_eval_context(self, session: ServerSession):
-        return build_restricted_context(self.params, session.keystore,
-                                        self._context_seed)
+    async def _run_inline(self, session: ServerSession,
+                          request: ComputeRequest):
+        """Run *request* on this process's evaluator for the session."""
+        evaluator = session.evaluator
+        fn = self.ops.get(request.op)
+        if fn is None:
+            handler = self._handlers[request.op]
+            if asyncio.iscoroutinefunction(handler):
+                # Awaited on the loop (it may wait on loop-bound events).
+                with evaluator.metered() as counters:
+                    result = await handler(session, request)
+                return (*_normalize_result(result), counters)
+
+            def fn(_ctx, _state, _meta, _cts):
+                return handler(session, request)
+        return await asyncio.to_thread(evaluator.run, fn, request.meta,
+                                       request.cts)
+
+
+#: ``hecore.serialize`` reader of each uploadable key kind.
+_KEY_READERS = {
+    KeyKind.PUBLIC: deserialize_public_key,
+    KeyKind.RELIN: deserialize_relin_key,
+    KeyKind.GALOIS: deserialize_galois_keys,
+}
+
+
+class SessionEvaluator:
+    """What one process can compute for one session: the uploaded keys, the
+    application ``state`` and the restricted context that evaluates on them.
+
+    A :class:`ServerSession` owns one in the serving process and an
+    eval-pool subprocess keeps one per session id, so installing a key,
+    evicting the keys and running a served op mean the same thing on both
+    sides of the pipe.
+    """
+
+    def __init__(self, params: EncryptionParameters, context_seed: bytes):
+        self.params = params
+        self._context_seed = context_seed
+        #: Never rebound: the context (and every kernel built on it and
+        #: parked in ``state``) resolves its keys through this dict at use.
+        self.keystore: Dict[KeyKind, Any] = {}
+        self.state: Dict[str, Any] = {}
+        self._ctx = None
+
+    def install_key(self, kind: KeyKind, blob: bytes) -> None:
+        """Deserialize one uploaded blob (``ValueError`` if malformed).
+        Galois uploads extend the held set; public and relin replace."""
+        key = _KEY_READERS[kind](blob, self.params)
+        held = self.keystore.get(kind)
+        if kind is KeyKind.GALOIS and held is not None:
+            held.keys.update(key.keys)
+        else:
+            self.keystore[kind] = key
+
+    def drop_keys(self) -> None:
+        """Key eviction: every key becomes unreachable.  ``state`` stays, and
+        so does the context: it holds no key, and the kernels parked in
+        ``state`` evaluate (and are metered) on it."""
+        self.keystore.clear()
+
+    def context(self):
+        """The restricted evaluation context, built on first use."""
+        if self._ctx is None:
+            self._ctx = build_restricted_context(
+                self.params, self.keystore, self._context_seed)
+        return self._ctx
+
+    @contextlib.contextmanager
+    def metered(self):
+        """Yields a counter that holds, on exit, the kernel operations the
+        body ran on this session's context."""
+        ctx = self.context()
+        before = Counter(ctx.counts)
+        delta: Counter = Counter()
+        yield delta
+        delta.update(ctx.counts - before)
+
+    def run(self, fn: ServedOp, meta: Dict, cts: List[Ciphertext],
+            ) -> Tuple[List[Ciphertext], Dict, Counter]:
+        """Run one served op; returns ``(cts, meta, counter_delta)``."""
+        with self.metered() as counters:
+            result = fn(self.context(), self.state, meta, cts)
+        return (*_normalize_result(result), counters)
 
 
 def build_restricted_context(params: EncryptionParameters,
@@ -765,11 +822,8 @@ def build_restricted_context(params: EncryptionParameters,
     operation — ``decrypt``/``decrypt_many``, ``noise_budget``,
     ``encrypt_symmetric*`` — is mechanically forbidden (they all reach the
     key through ``RlweContext._secret_ntt``) and relinearization/rotation
-    resolve to the keys the client uploaded — the server cannot fabricate
-    either.
-    Shared by :class:`OffloadServer` sessions and by eval-pool subprocesses
-    (:mod:`repro.runtime.evalpool`), which rebuild the same restricted
-    context from serialized params and shipped key blobs.
+    resolve, at each use, to whatever *keystore* holds then — the server
+    cannot fabricate either, and a key the keystore dropped is gone.
     """
     from repro.hecore import context_for
 
@@ -791,19 +845,8 @@ def build_restricted_context(params: EncryptionParameters,
 
     ctx._secret_ntt = _forbidden_secret_key
     ctx.relin_keys = _session_relin_keys
-    ctx._relin = None
-    ctx._galois = keystore.get(KeyKind.GALOIS)
+    ctx.held_galois_keys = lambda: keystore.get(KeyKind.GALOIS)
     return ctx
-
-
-def _pooled_only_handler(op: str) -> Handler:
-    """Inline fallback for an op registered only in the eval pool."""
-
-    def _unavailable(_session, _request):
-        raise RuntimeError(
-            f"operation {op!r} is pooled-only and no eval pool is attached")
-
-    return _unavailable
 
 
 def _normalize_result(result) -> Tuple[List[Ciphertext], Dict]:
@@ -813,9 +856,3 @@ def _normalize_result(result) -> Tuple[List[Ciphertext], Dict]:
         cts, meta = result
         return list(cts), dict(meta or {})
     return list(result), {}
-
-
-def _echo_handler(session: ServerSession,
-                  request: ComputeRequest) -> List[Ciphertext]:
-    """Built-in liveness op: returns the request's ciphertexts unchanged."""
-    return request.cts

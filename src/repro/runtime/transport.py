@@ -35,6 +35,17 @@ from repro.runtime.framing import (
 )
 
 
+#: Ceiling on the runtime's exponential retry delays.
+MAX_BACKOFF_S = 2.0
+
+
+def backoff_delays(start_s: float, ceiling_s: float = MAX_BACKOFF_S):
+    """The delays of one retry loop: *start_s*, doubling, capped."""
+    while True:
+        yield start_s
+        start_s = min(start_s * 2, ceiling_s)
+
+
 class Transport:
     """A framed, ordered, bidirectional message channel."""
 
@@ -91,8 +102,8 @@ class TcpTransport(Transport):
                       retries: int = 3, backoff_s: float = 0.1,
                       max_frame_bytes: int = MAX_FRAME_BYTES,
                       ) -> "TcpTransport":
-        """Open a connection, retrying with exponential backoff."""
-        delay = backoff_s
+        """Open a connection, retrying with capped exponential backoff."""
+        delays = backoff_delays(backoff_s)
         for attempt in range(retries + 1):
             try:
                 reader, writer = await asyncio.open_connection(host, port)
@@ -100,8 +111,7 @@ class TcpTransport(Transport):
             except OSError:
                 if attempt == retries:
                     raise
-                await asyncio.sleep(delay)
-                delay *= 2
+                await asyncio.sleep(next(delays))
         raise AssertionError("unreachable")
 
     @property

@@ -54,10 +54,8 @@ def _served_session_metrics(params, ctx, use_pool) -> SessionMetrics:
         if use_pool:
             pool = EvalPool(params, 1, (installer,))
             server.eval_pool = pool
-            server.register_pooled("bump")
         else:
-            server.register("bump", lambda session, request: _bump_op(
-                session.ctx, session.state, request.meta, request.cts))
+            server.register_op("bump", _bump_op)
         client_end, server_end = SimulatedLink.pair()
         serve_task = asyncio.ensure_future(
             server.serve_transport(server_end))
@@ -106,6 +104,64 @@ def test_inline_and_pooled_session_metrics_are_identical(metered):
     for snap in (inline, pooled):
         assert snap["handler_invocations"] == snap["responses"] == 2
         del snap["peer"], snap["latency_p50_ms"], snap["latency_p99_ms"]
+    assert inline == pooled
+
+
+def test_knn_ops_serve_the_same_bytes_and_counts_inline_and_pooled(
+        ckks_params):
+    """Every ``KnnOffloadService`` op runs through one ``SessionEvaluator.
+    run`` whichever process executes it: the packed RESULT payloads are
+    byte-identical and each op moves the kernel counters by the same
+    amount."""
+    import numpy as np
+
+    from repro.apps.knn import KnnOffloadService, RemoteKnn
+    from repro.hecore.ckks import CkksContext
+
+    rng = np.random.default_rng(13)
+    points = rng.normal(size=(8, 4))
+    labels = (np.arange(8) % 3).tolist()
+
+    def kernel_counts(metrics):
+        return {name: getattr(metrics, name) for name in KERNEL_COUNTER_NAMES}
+
+    def served(use_pool):
+        async def main():
+            pool = None
+            server = OffloadServer(ckks_params, concurrency=1)
+            if use_pool:
+                pool = EvalPool(ckks_params, 1, (
+                    "repro.apps.knn:KnnOffloadService.install_pooled",))
+                server.eval_pool = pool
+            else:
+                KnnOffloadService.install(server)
+            client_end, server_end = SimulatedLink.pair()
+            serve_task = asyncio.ensure_future(
+                server.serve_transport(server_end))
+            try:
+                client = await OffloadClient(ckks_params,
+                                             transport=client_end).connect()
+                knn = RemoteKnn(client, CkksContext(ckks_params, seed=31),
+                                k=3, variant="collapsed")
+                metrics = server.metrics.get(client.session_id)
+                await knn.add_points(points, labels)          # knn/store
+                after_store = kernel_counts(metrics)
+                await knn.classify(points[3] + 0.01)          # knn/query
+                payloads = dict(
+                    server._sessions[client.session_id].completed)
+                await client.close()
+                return payloads, after_store, kernel_counts(metrics)
+            finally:
+                await server.stop()
+                serve_task.cancel()
+                if pool is not None:
+                    with contextlib.suppress(Exception):
+                        await pool.close()
+
+        return asyncio.run(main())
+
+    inline, pooled = served(use_pool=False), served(use_pool=True)
+    assert len(inline[0]) == 2 and sum(inline[2].values()) > 0
     assert inline == pooled
 
 

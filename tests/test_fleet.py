@@ -29,7 +29,7 @@ from repro.runtime import (
     SimulatedLink,
 )
 from repro.runtime.chaos import fleet_chaos_soak
-from repro.runtime.evalpool import EvalPool, pooled_op_names
+from repro.runtime.evalpool import EvalPool
 from repro.runtime.fleet import FleetServer
 
 CHAOS_INSTALLER = "repro.runtime.chaos:install_chaos_ops"
@@ -274,8 +274,6 @@ def test_eval_pool_matches_inline_knn(ckks_params):
         if use_pool:
             pool = EvalPool(ckks_params, 1, (KNN_POOLED_INSTALLER,))
             server.eval_pool = pool
-            for op in pooled_op_names((KNN_POOLED_INSTALLER,)):
-                server.register_pooled(op)
         else:
             KnnOffloadService.install(server)
         client_end, server_end = SimulatedLink.pair()
@@ -307,6 +305,39 @@ def test_eval_pool_matches_inline_knn(ckks_params):
     assert snapshot["respawns"] == 0
 
 
+@pytest.mark.parametrize("eval_workers", [0, 1])
+def test_fleet_runs_pure_ops_where_a_pool_exists(ckks_params, eval_workers):
+    """Where a served op runs is observed, not declared: the same
+    ``pooled_installers`` are served by the eval pool when the worker has
+    one and in the worker process itself when it has none (the parent
+    answered UNKNOWN_OP there)."""
+    from repro.apps.knn import RemoteKnn
+
+    points = np.random.default_rng(4).normal(size=(8, 4))
+    labels = (np.arange(8) % 3).tolist()
+
+    async def main():
+        async with FleetServer(ckks_params, 1, eval_workers=eval_workers,
+                               pooled_installers=(KNN_POOLED_INSTALLER,)
+                               ) as fleet:
+            client = await OffloadClient(ckks_params, fleet.host,
+                                         fleet.port).connect()
+            try:
+                knn = RemoteKnn(client, CkksContext(ckks_params, seed=19),
+                                k=3, variant="collapsed")
+                await knn.add_points(points, labels)
+                result = await knn.classify(points[6] + 0.01)
+            finally:
+                await client.close()
+            snapshot = await fleet.refresh_metrics()
+            pool = snapshot["per_worker"][0]["eval_pool"]
+            return result.label, pool
+
+    label, pool = run(main())
+    assert label == labels[6]
+    assert (pool["executions"] == 2) if eval_workers else (pool is None)
+
+
 @pytest.mark.parametrize("use_pool", [False, True], ids=["inline", "pooled"])
 def test_missing_rotation_key_answers_missing_keys(ckks_params, use_pool):
     """A COMPUTE that needs a rotation the session never uploaded is
@@ -324,8 +355,6 @@ def test_missing_rotation_key_answers_missing_keys(ckks_params, use_pool):
         if use_pool:
             pool = EvalPool(ckks_params, 1, (KNN_POOLED_INSTALLER,))
             server.eval_pool = pool
-            for op in pooled_op_names((KNN_POOLED_INSTALLER,)):
-                server.register_pooled(op)
         else:
             KnnOffloadService.install(server)
         client_end, server_end = SimulatedLink.pair()
@@ -392,12 +421,8 @@ def test_eval_context_cannot_use_a_secret_key(bfv_params, bfv, use_pool):
         if use_pool:
             pool = EvalPool(bfv_params, 1, (installer,))
             server.eval_pool = pool
-            for op in pooled_op_names((installer,)):
-                server.register_pooled(op)
         else:
-            server.register("evil/decrypt", lambda session, request:
-                            _decrypting_op(session.ctx, session.state,
-                                           request.meta, request.cts))
+            server.register_op("evil/decrypt", _decrypting_op)
         client_end, server_end = SimulatedLink.pair()
         serve_task = asyncio.ensure_future(
             server.serve_transport(server_end))
@@ -490,6 +515,79 @@ def test_keystore_eviction_reupload_charged_once(bfv_params, bfv):
             await server.stop()
             t1.cancel()
             t2.cancel()
+
+    run(main())
+
+
+@pytest.mark.parametrize("use_pool", [False, True], ids=["inline", "pooled"])
+def test_key_eviction_drops_keys_and_only_keys(ckks_params, use_pool):
+    """An eviction means one thing in the serving process and in an
+    eval-pool child: the keys go, the stored KNN batch stays.  After the
+    transparent re-upload the same query classifies to the same label, is
+    metered the same, and the stored kernel rotates with the *new* key
+    set — nothing keeps the evicted one alive."""
+    import gc
+    import weakref
+
+    from repro.apps.knn import KnnOffloadService, RemoteKnn
+    from repro.runtime import KeyKind
+
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(8, 4))
+    labels = (np.arange(8) % 3).tolist()
+    query = points[5] + 0.01
+
+    async def main():
+        pool = None
+        server = OffloadServer(ckks_params, keystore_limit=1)
+        if use_pool:
+            pool = EvalPool(ckks_params, 1, (KNN_POOLED_INSTALLER,))
+            server.eval_pool = pool
+        else:
+            KnnOffloadService.install(server)
+        c1_end, s1_end = SimulatedLink.pair()
+        c2_end, s2_end = SimulatedLink.pair()
+        tasks = [asyncio.ensure_future(server.serve_transport(end))
+                 for end in (s1_end, s2_end)]
+        try:
+            ctx = CkksContext(ckks_params, seed=29)
+            client1 = await OffloadClient(ckks_params,
+                                          transport=c1_end).connect()
+            knn = RemoteKnn(client1, ctx, k=3, variant="collapsed")
+            await knn.add_points(points, labels)
+            metrics = server.metrics.get(client1.session_id)
+            before = await knn.classify(query)
+            rotations = metrics.rotations
+            assert rotations > 0
+
+            evaluator = server._sessions[client1.session_id].evaluator
+            evicted = weakref.ref(evaluator.keystore[KeyKind.GALOIS])
+            client2 = await OffloadClient(ckks_params,
+                                          transport=c2_end).connect()
+            await client2.upload_keys(relin=ctx.relin_keys())
+            assert metrics.key_evictions == 1
+            assert not evaluator.keystore
+            gc.collect()
+            assert evicted() is None  # the LRU freed what it evicted
+
+            after = await knn.classify(query)
+            assert client1.stats.key_reuploads == 1
+            assert after.label == before.label == labels[5]
+            assert metrics.rotations == 2 * rotations
+            if not use_pool:
+                kernel, _cts = evaluator.state["knn_batches"][0]
+                held = kernel.ctx.held_galois_keys()
+                assert held is not None
+                assert held is evaluator.keystore[KeyKind.GALOIS]
+            await client1.close()
+            await client2.close()
+        finally:
+            await server.stop()
+            for task in tasks:
+                task.cancel()
+            if pool is not None:
+                with contextlib.suppress(Exception):
+                    await pool.close()
 
     run(main())
 

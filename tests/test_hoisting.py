@@ -173,11 +173,11 @@ def test_rotate_weighted_sum_matches_naive_chain():
     terms = []
     for j, mask in mv._diagonal_masks():
         encoded = ctx.encode(mask.astype(np.int64))
-        terms.append((j, encoded))
+        terms.append((j, encoded.coeffs))
         shifted = ctx.rotate_rows(ct, j) if j else ct
         term = ctx.multiply_plain(shifted, encoded)
         naive = term if naive is None else ctx.add(naive, term)
-    fused = ctx.rotate_weighted_sum(ct, terms)
+    fused = hoisting.WeightedSumSpan(terms)(ctx, ct)
     assert np.array_equal(ctx.decrypt(fused), ctx.decrypt(naive))
     assert np.array_equal(mv.unpack_output(ctx.decrypt(fused)),
                           mv.reference(vec))

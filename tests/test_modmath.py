@@ -75,6 +75,11 @@ def test_check_modulus_rejects_wide():
     assert modmath.check_modulus(PRIME) == PRIME
 
 
+def test_next_power_of_two():
+    assert [modmath.next_power_of_two(n) for n in (0, 1, 2, 3, 4, 5, 1025)] \
+        == [1, 1, 2, 4, 4, 8, 2048]
+
+
 def test_is_power_of_two():
     assert modmath.is_power_of_two(1024)
     assert not modmath.is_power_of_two(0)

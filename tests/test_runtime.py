@@ -578,6 +578,28 @@ def test_request_timeout_exhausted(bfv_params):
     run(main())
 
 
+def test_tcp_connect_backoff_is_capped(monkeypatch):
+    """``TcpTransport.connect`` doubles its retry delay like every other
+    retry loop of the runtime — up to ``MAX_BACKOFF_S``, never past it."""
+    from repro.runtime.transport import MAX_BACKOFF_S, TcpTransport
+
+    sleeps = []
+
+    async def refuse(_host, _port):
+        raise ConnectionRefusedError("nobody listening")
+
+    async def record(seconds):
+        sleeps.append(seconds)
+
+    monkeypatch.setattr(asyncio, "open_connection", refuse)
+    monkeypatch.setattr(asyncio, "sleep", record)
+    with pytest.raises(ConnectionRefusedError):
+        run(TcpTransport.connect("127.0.0.1", 1, retries=10, backoff_s=0.1))
+    assert len(sleeps) == 10
+    assert sleeps[:5] == pytest.approx([0.1, 0.2, 0.4, 0.8, 1.6])
+    assert max(sleeps) == MAX_BACKOFF_S == sleeps[-1]
+
+
 # ---------------------------------------------------------------------------
 # SimulatedLink: wire traffic reproduces the analytical cost model exactly
 # ---------------------------------------------------------------------------
