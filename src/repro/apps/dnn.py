@@ -156,7 +156,9 @@ class ClientAidedDnnPlan:
         """One-time key material the client ships to the server.
 
         Public key, relinearization key, and a power-of-two Galois key set
-        (2·log2(N) keys generate every rotation).  Unlike MPC protocols'
+        (2·log2(N) keys generate every rotation).  Evaluation keys ship
+        seed-compressed — one ``k0`` per digit plus a 32-byte seed, the
+        server regenerates the uniform halves.  Unlike MPC protocols'
         per-inference preprocessing, HE keys are reusable across all
         inferences, so this is *not* part of per-inference communication —
         it amortizes to zero (§2.2's centralization argument).
@@ -164,7 +166,7 @@ class ClientAidedDnnPlan:
         n = self.params.poly_degree
         k = self.params.logical_residue_count
         digits = k - 1
-        per_switch_key = digits * 2 * k * n * 8
+        per_switch_key = digits * k * n * 8 + 32
         galois_count = 2 * (n.bit_length() - 1)
         public_key = 2 * k * n * 8
         return public_key + (galois_count + 1) * per_switch_key

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.core.distance import (
 )
 from repro.core.ir import ensure_galois_keys
 from repro.core.protocol import ClientAidedSession
+from repro.hecore.keys import GaloisKeys
 
 
 @dataclass
@@ -258,10 +259,29 @@ class RemoteKnn:
         self.labels = np.asarray([], dtype=np.int64)
         self.dims: Optional[int] = None
         self._batches: List[Tuple[DistanceKernel, int]] = []
+        #: What this client already holds for the session (and replays by
+        #: itself after an eviction or failover): provisioning sends each
+        #: key once, never the merged set again.
+        self._relin_sent = False
+        self._galois_sent: Set[int] = set()
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    async def _upload_missing_keys(self, kernel: DistanceKernel) -> None:
+        """Send the relin key once and only the Galois elements *kernel*
+        needs that no earlier batch sent.  A rotation-free packing
+        (dimension-major) needs no Galois keys."""
+        steps = kernel.required_rotation_steps()
+        held = ensure_galois_keys(self.ctx, steps).keys if steps else {}
+        missing = set(held) - self._galois_sent
+        await self.client.upload_keys(
+            relin=None if self._relin_sent else self.ctx.relin_keys(),
+            galois=(GaloisKeys({g: held[g] for g in missing})
+                    if missing else None))
+        self._relin_sent = True
+        self._galois_sent |= missing
 
     def _encrypt(self, values):
         if self.symmetric:
@@ -286,13 +306,7 @@ class RemoteKnn:
         kernel = self.variant_cls(
             self.ctx, DistanceProblem(n_points=len(points),
                                       dims=points.shape[1]))
-        # Merged key set: every stored batch plus the new one, one keygen.
-        # A rotation-free packing (dimension-major) needs no Galois keys.
-        steps = kernel.required_rotation_steps().union(
-            *(k.required_rotation_steps() for k, _ in self._batches))
-        galois = ensure_galois_keys(self.ctx, steps) if steps else None
-        await self.client.upload_keys(relin=self.ctx.relin_keys(),
-                                      galois=galois)
+        await self._upload_missing_keys(kernel)
         cts = self._encrypt_many(kernel.pack_points(points))
         _, meta = await self.client.request(
             KnnOffloadService.OP_STORE, cts,

@@ -25,6 +25,10 @@ from repro.hecore.random import BlakePrng
 from repro.hecore.rns import RnsBase
 
 
+#: Length of the public seed a key-switching key's uniform halves expand from.
+SEED_BYTES = 32
+
+
 class SecretKey:
     """A ternary RLWE secret key over the full (data + special) base."""
 
@@ -59,10 +63,19 @@ class PublicKey:
 
 
 class KeySwitchKey:
-    """One key-switching key: a pair of NTT polys per data-residue digit."""
+    """One key-switching key: a pair of NTT polys per data-residue digit.
 
-    def __init__(self, digits: List[Tuple[RnsPoly, RnsPoly]]):
+    Every digit's uniform half ``k1 = a_i`` is the expansion of the key's
+    one public 32-byte *seed* (:func:`expand_keyswitch_uniform`), so the
+    wire format ships ``k0`` and the seed and the receiver regenerates the
+    rest.  A key assembled by hand from digits has no seed and cannot be
+    serialized.
+    """
+
+    def __init__(self, digits: List[Tuple[RnsPoly, RnsPoly]],
+                 seed: Optional[bytes] = None):
         self.digits = digits
+        self.seed = seed
         #: Per-restriction stacked views of the digit polys, filled lazily by
         #: :meth:`stacked_digits` (and pre-seeded by deserialization, which
         #: lays key blobs out contiguously so the full-level entry is free).
@@ -89,9 +102,10 @@ class KeySwitchKey:
         return block
 
     def size_bytes(self, params: EncryptionParameters) -> int:
-        """Serialized size under logical accounting (k residues, 8 B words)."""
+        """Serialized size under logical accounting (k residues, 8 B words):
+        every digit's ``k0`` plus the seed the uniform halves expand from."""
         k = params.logical_residue_count
-        return len(self.digits) * 2 * k * params.poly_degree * 8
+        return len(self.digits) * k * params.poly_degree * 8 + SEED_BYTES
 
 
 class RelinKeys(KeySwitchKey):
@@ -152,11 +166,34 @@ def expand_uniform_poly(seed: bytes, base: RnsBase, degree: int) -> RnsPoly:
 
     Used for seed-compressed symmetric ciphertexts: instead of shipping the
     uniform component ``c1``, the sender ships the seed and the receiver
-    regenerates ``c1`` — halving fresh-upload sizes.
+    regenerates ``c1`` — halving fresh-upload sizes.  The result is in
+    *coefficient* form, the form a fresh ciphertext is in;
+    :func:`expand_keyswitch_uniform` is its evaluation-form counterpart for
+    keys.  Both exist because each is defined in the form its consumer
+    stores, so neither side of either wire pays a transform to expand.
     """
     prng = BlakePrng(bytes(seed))
     rows = [prng.sample_uniform(degree, p) for p in base.moduli]
     return RnsPoly(base, degree, np.stack(rows), is_ntt=False)
+
+
+def expand_keyswitch_uniform(seed: bytes, full_base: RnsBase, degree: int,
+                             n_digits: int) -> np.ndarray:
+    """The uniform halves ``a_0 .. a_{L-1}`` of one key-switching key.
+
+    Returns an ``(n_digits, len(full_base), degree)`` int64 block *defined
+    in evaluation (NTT) form* — uniform is uniform in either form, so the
+    key generator and the deserializer both use the block as drawn.  One
+    stream per key, digit-major / residue-row-minor.  This is the only
+    definition of a key's uniform half: keygen and
+    :mod:`repro.hecore.serialize` both call it.
+    """
+    prng = BlakePrng(bytes(seed))
+    block = np.empty((n_digits, len(full_base), degree), dtype=np.int64)
+    for digit in block:
+        for row, p in zip(digit, full_base.moduli):
+            row[:] = prng.sample_uniform(degree, p)
+    return block
 
 
 def galois_element_for_step(step: int, poly_degree: int) -> int:
@@ -187,6 +224,10 @@ class KeyGenerator:
         s = RnsPoly.from_signed_array(full, self._prng.sample_ternary(n))
         self._secret = SecretKey(s)
         self._public = self._make_public_key()
+        # Key-switching keys ship their seed in the clear, so it comes from
+        # a stream that yields nothing else: no byte of the secret/error
+        # stream is ever published.
+        self._seed_prng = self._prng.fork("keyswitch-seed")
 
     # ----------------------------------------------------------- primitives
     def _sample_uniform_ntt(self, base: RnsBase) -> RnsPoly:
@@ -222,9 +263,12 @@ class KeyGenerator:
         for p in params.special_primes:
             special_product *= p
         s_ntt = self._secret.poly_ntt
+        n = params.poly_degree
+        seed = self._seed_prng.random_bytes(SEED_BYTES)
+        uniform = expand_keyswitch_uniform(seed, full, n, data_count)
         digits = []
         for i in range(data_count):
-            a_i = self._sample_uniform_ntt(full)
+            a_i = RnsPoly(full, n, uniform[i], is_ntt=True)
             e_i = self._sample_error_ntt(full)
             k0 = -(a_i * s_ntt + e_i)
             # Add P * s_src concentrated on residue i (NTT form is per-row
@@ -237,12 +281,12 @@ class KeyGenerator:
                 p_i,
             )
             digits.append((k0, a_i))
-        return KeySwitchKey(digits)
+        return KeySwitchKey(digits, seed)
 
     def relin_keys(self) -> RelinKeys:
         s_sq = self._secret.poly_ntt * self._secret.poly_ntt
         key = self._make_keyswitch_key(s_sq)
-        return RelinKeys(key.digits)
+        return RelinKeys(key.digits, key.seed)
 
     def galois_keys(self, steps: Iterable[int] = (), galois_elts: Iterable[int] = (),
                     include_conjugation: bool = False,

@@ -16,15 +16,31 @@ Ciphertext format (little-endian):
     [seed: 32 bytes, if flag SEEDED]
     component data: int64[n_moduli * poly_degree] per stored component
 
-Evaluation keys (relinearization and Galois) serialize the full SEAL-style
-digit decomposition over the data+special base; a real offload server needs
-them on the wire once per key lifetime (the offline phase of
-``docs/PROTOCOL.md``).
+Evaluation keys (relinearization and Galois) are always seed-compressed:
+a key-switching key is ``L`` digit pairs ``(k0, k1 = a_i)`` over the
+data+special base whose uniform halves all expand from one public seed
+(:func:`repro.hecore.keys.expand_keyswitch_uniform`), so only ``k0``
+travels.  There is no "full" key format.  Key blob format (little-endian):
+
+    magic "CHOC" | version u8 | kind u8 | poly_degree u32 | n_moduli u8
+    moduli u64[n_moduli]
+    relin:   key
+    Galois:  n_keys u16 | (galois_elt u32 | key) * n_keys, ascending elt
+    key:     n_digits u8 | seed 32 B | k0 int64[n_digits * n_moduli * degree]
+
+A real offload server needs them on the wire once per key lifetime (the
+offline phase of ``docs/PROTOCOL.md``).  Public keys (kind 1) ship both
+components.
+
+``VERSION`` is one constant for every blob kind.  Version 2 introduced the
+seeded key layout; there is no negotiation and a version-1 blob of any kind
+is refused with ``unsupported version 1``.
 
 Every deserializer validates magic, version, declared counts, and the exact
-blob length *before* touching numpy, and — when parameters are supplied —
-checks the declared moduli against them.  Malformed input raises
-:class:`ValueError`; it never crashes in low-level array code.
+blob length *before* touching numpy or expanding a seed, and — when
+parameters are supplied — checks the declared moduli against them.
+Malformed input raises :class:`ValueError`; it never crashes in low-level
+array code.
 """
 
 from __future__ import annotations
@@ -35,7 +51,9 @@ from typing import Optional
 import numpy as np
 
 from repro.hecore.ciphertext import Ciphertext
+from repro.hecore import keys as _keys
 from repro.hecore.keys import (
+    SEED_BYTES,
     GaloisKeys,
     KeySwitchKey,
     PublicKey,
@@ -47,7 +65,7 @@ from repro.hecore.polyring import RnsPoly
 from repro.hecore.rns import RnsBase
 
 MAGIC = b"CHOC"
-VERSION = 1
+VERSION = 2
 
 _FLAG_SEEDED = 1
 _FLAG_NTT = 2
@@ -181,8 +199,10 @@ def _read_key_header(blob: bytes, kind: int, what: str):
     if len(blob) < _KEY_HEADER.size:
         raise ValueError(f"{what} blob shorter than its header")
     magic, version, blob_kind, degree, n_moduli = _KEY_HEADER.unpack_from(blob, 0)
-    if magic != MAGIC or version != VERSION:
+    if magic != MAGIC:
         raise ValueError(f"not a CHOCO {what} blob")
+    if version != VERSION:
+        raise ValueError(f"unsupported version {version}")
     if blob_kind != kind:
         raise ValueError(f"blob is not a {what} (kind {blob_kind})")
     if n_moduli < 1:
@@ -232,48 +252,65 @@ def deserialize_public_key(blob: bytes,
 # Evaluation keys (relinearization / Galois)
 # ---------------------------------------------------------------------------
 
+_KSK_HEADER = struct.Struct(f"<B{SEED_BYTES}s")        # n_digits, seed
+
+
 def _pack_ksk(ksk: KeySwitchKey) -> bytes:
-    parts = [struct.pack("<B", len(ksk.digits))]
-    for k0, k1 in ksk.digits:
-        parts.append(k0.data.astype("<i8").tobytes())
-        parts.append(k1.data.astype("<i8").tobytes())
+    if ksk.seed is None:
+        raise ValueError("key-switching key has no seed: only generated or "
+                         "deserialized keys can be serialized")
+    parts = [_KSK_HEADER.pack(len(ksk.digits), ksk.seed)]
+    parts.extend(k0.data.astype("<i8").tobytes() for k0, _k1 in ksk.digits)
     return b"".join(parts)
 
 
-def _unpack_ksk(blob: bytes, offset: int, base: RnsBase, degree: int,
-                expected_digits: int) -> "tuple[KeySwitchKey, int]":
-    if offset + 1 > len(blob):
-        raise ValueError("key blob truncated before a digit count")
+def _ksk_size(params: EncryptionParameters) -> int:
+    """Exact wire size of one key-switching key under *params*."""
+    return _KSK_HEADER.size + 8 * (len(params.data_base)
+                                   * len(params.full_base)
+                                   * params.poly_degree)
+
+
+def _check_ksk_header(blob: bytes, offset: int,
+                      params: EncryptionParameters) -> None:
     (n_digits,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
-    if n_digits != expected_digits:
+    if n_digits != len(params.data_base):
         raise ValueError(
             f"key-switching key has {n_digits} digits, parameters require "
-            f"{expected_digits}"
+            f"{len(params.data_base)}"
         )
+
+
+def _unpack_ksk(blob: bytes, offset: int, params: EncryptionParameters,
+                cls=KeySwitchKey) -> KeySwitchKey:
+    """Build the key at *offset* of a blob whose length and digit counts
+    were already validated (nothing is allocated or expanded before that).
+    """
+    base, degree = params.full_base, params.poly_degree
+    n_digits, seed = _KSK_HEADER.unpack_from(blob, offset)
     n_moduli = len(base)
-    row_bytes = 8 * n_moduli * degree
-    if offset + 2 * n_digits * row_bytes > len(blob):
-        raise ValueError("key blob truncated inside its digit data")
     # Deserialize straight into the stacked cache layout: one contiguous
     # (digits, 2, k, n) block whose slices back the per-digit RnsPolys as
     # views.  The full-level stacked_digits() restriction — what every key
     # switch at the top level (and every hoisted rotation) asks for — is
     # then the block itself, so deserialized keys skip the re-layout copy
-    # entirely.
-    store = np.frombuffer(
-        blob, dtype="<i8", count=2 * n_digits * n_moduli * degree,
-        offset=offset,
-    ).reshape(n_digits, 2, n_moduli, degree).astype(np.int64)
-    offset += 2 * n_digits * row_bytes
+    # entirely.  k0 comes off the wire; k1 is regenerated from the seed by
+    # the key generator's own expansion (looked up on the module at each
+    # call: there is one definition of a key's uniform half).
+    store = np.empty((n_digits, 2, n_moduli, degree), dtype=np.int64)
+    store[:, 0] = np.frombuffer(
+        blob, dtype="<i8", count=n_digits * n_moduli * degree,
+        offset=offset + _KSK_HEADER.size,
+    ).reshape(n_digits, n_moduli, degree)
+    store[:, 1] = _keys.expand_keyswitch_uniform(seed, base, degree, n_digits)
     digits = [
         (RnsPoly(base, degree, store[d, 0], is_ntt=True),
          RnsPoly(base, degree, store[d, 1], is_ntt=True))
         for d in range(n_digits)
     ]
-    ksk = KeySwitchKey(digits)
+    ksk = cls(digits, seed)
     ksk._stacked[(tuple(range(n_moduli)), n_digits)] = store
-    return ksk, offset
+    return ksk
 
 
 def _key_preamble(kind: int, params_like: RnsPoly) -> "list[bytes]":
@@ -285,32 +322,38 @@ def _key_preamble(kind: int, params_like: RnsPoly) -> "list[bytes]":
 
 
 def serialize_relin_key(rk: RelinKeys) -> bytes:
-    """Serialize a relinearization key (all digits over the full base)."""
+    """Serialize a relinearization key (``k0`` of every digit + the seed)."""
     parts = _key_preamble(_KIND_RELIN, rk.digits[0][0])
     parts.append(_pack_ksk(rk))
     return b"".join(parts)
 
 
 def _validate_key_base(moduli, degree: int, params: EncryptionParameters,
-                       what: str) -> RnsBase:
+                       what: str) -> None:
     if degree != params.poly_degree:
         raise ValueError(f"{what} degree does not match the supplied "
                          f"parameters")
     if moduli != params.full_base.moduli:
         raise ValueError(f"{what} moduli do not match the supplied parameters")
-    return params.full_base
+
+
+def _check_key_length(blob: bytes, expected: int, what: str) -> None:
+    if len(blob) != expected:
+        raise ValueError(
+            f"{what} blob is {len(blob)} bytes, expected {expected} "
+            f"(truncated or trailing bytes)"
+        )
 
 
 def deserialize_relin_key(blob: bytes,
                           params: EncryptionParameters) -> RelinKeys:
-    degree, n_moduli = _read_key_header(blob, _KIND_RELIN, "relinearization-key")
+    what = "relinearization-key"
+    degree, n_moduli = _read_key_header(blob, _KIND_RELIN, what)
     moduli, offset = _read_moduli(blob, _KEY_HEADER.size, n_moduli)
-    base = _validate_key_base(moduli, degree, params, "relinearization-key")
-    ksk, offset = _unpack_ksk(blob, offset, base, degree,
-                              len(params.data_base))
-    if offset != len(blob):
-        raise ValueError("trailing bytes in relinearization-key blob")
-    return RelinKeys(ksk.digits)
+    _validate_key_base(moduli, degree, params, what)
+    _check_key_length(blob, offset + _ksk_size(params), what)
+    _check_ksk_header(blob, offset, params)
+    return _unpack_ksk(blob, offset, params, RelinKeys)
 
 
 def serialize_galois_keys(gk: GaloisKeys) -> bytes:
@@ -328,30 +371,32 @@ def serialize_galois_keys(gk: GaloisKeys) -> bytes:
 
 def deserialize_galois_keys(blob: bytes,
                             params: EncryptionParameters) -> GaloisKeys:
-    degree, n_moduli = _read_key_header(blob, _KIND_GALOIS, "Galois-key")
+    what = "Galois-key"
+    degree, n_moduli = _read_key_header(blob, _KIND_GALOIS, what)
     moduli, offset = _read_moduli(blob, _KEY_HEADER.size, n_moduli)
-    base = _validate_key_base(moduli, degree, params, "Galois-key")
+    _validate_key_base(moduli, degree, params, what)
     if offset + 2 > len(blob):
         raise ValueError("Galois-key blob truncated before its key count")
     (n_keys,) = struct.unpack_from("<H", blob, offset)
     offset += 2
     if n_keys < 1:
         raise ValueError("Galois-key blob declares no keys")
-    keys = {}
-    for _ in range(n_keys):
-        if offset + 4 > len(blob):
-            raise ValueError("Galois-key blob truncated before an element id")
-        (elt,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
+    # Every key has the same size under *params*, so the whole structure —
+    # length, element ids, digit counts — is checked at fixed strides
+    # before the first key is built.
+    stride = 4 + _ksk_size(params)
+    _check_key_length(blob, offset + n_keys * stride, what)
+    key_offsets = {}
+    for at in range(offset, len(blob), stride):
+        (elt,) = struct.unpack_from("<I", blob, at)
         if elt < 3 or elt >= 2 * degree or elt % 2 == 0:
             raise ValueError(f"invalid Galois element {elt}")
-        if elt in keys:
+        if elt in key_offsets:
             raise ValueError(f"duplicate Galois element {elt}")
-        keys[elt], offset = _unpack_ksk(blob, offset, base, degree,
-                                        len(params.data_base))
-    if offset != len(blob):
-        raise ValueError("trailing bytes in Galois-key blob")
-    return GaloisKeys(keys)
+        _check_ksk_header(blob, at + 4, params)
+        key_offsets[elt] = at + 4
+    return GaloisKeys({elt: _unpack_ksk(blob, at, params)
+                       for elt, at in key_offsets.items()})
 
 
 # ---------------------------------------------------------------------------

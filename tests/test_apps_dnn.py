@@ -110,6 +110,11 @@ def test_plan_describe_lists_every_round():
 def test_offline_key_bytes_amortize():
     plan = ClientAidedDnnPlan(NETWORK_BUILDERS["LeNetLg"]())
     offline = plan.offline_key_bytes()
+    # A public key plus relin and 2·log2(N) Galois keys, each shipped as k0
+    # of every digit and one 32-byte seed (the server expands the rest).
+    n, k = plan.params.poly_degree, plan.params.logical_residue_count
+    keys = 1 + 2 * (n.bit_length() - 1)
+    assert offline == 2 * k * n * 8 + keys * ((k - 1) * k * n * 8 + 32)
     assert offline > plan.communication_bytes()      # keys are bulky...
     # ...but one-time: over a thousand inferences they are noise.
     assert offline / 1000 < 0.05 * plan.communication_bytes()

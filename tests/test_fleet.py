@@ -447,6 +447,72 @@ def test_eval_context_cannot_use_a_secret_key(bfv_params, bfv, use_pool):
     assert run(main()) == [ErrorCode.PROTOCOL_VIOLATION] * 4
 
 
+def _keyswitch_op(ctx, state, meta, cts):
+    """One key-switching evaluation on the session's uploaded keys."""
+    how = {"rotate": lambda ct: ctx.rotate(ct, 3),
+           "rotate_and_sum": lambda ct: ctx.rotate_and_sum(ct, 8),
+           "relinearize": ctx.relinearize}
+    return [how[meta["how"]](cts[0])]
+
+
+def _install_keyswitch_op(registry) -> None:
+    registry["test/keyswitch"] = _keyswitch_op
+
+
+def test_seeded_keys_evaluate_identically_inline_and_pooled(bfv_params):
+    """Equality by construction, across processes: the serving process and
+    an eval-pool child each expand the uniform halves of the same uploaded
+    key blobs for themselves, and a rotation, a ``rotate_and_sum`` and a
+    relinearisation come back as byte-identical ciphertexts."""
+    import hashlib
+
+    from repro.hecore.hoisting import rotate_and_sum_steps
+    from repro.hecore.serialize import serialize_ciphertext
+
+    hows = ("rotate", "rotate_and_sum", "relinearize")
+
+    async def evaluate(use_pool):
+        pool = None
+        server = OffloadServer(bfv_params, concurrency=1)
+        if use_pool:
+            pool = EvalPool(bfv_params, 1,
+                            (f"{__name__}:_install_keyswitch_op",))
+            server.eval_pool = pool
+        else:
+            server.register_op("test/keyswitch", _keyswitch_op)
+        client_end, server_end = SimulatedLink.pair()
+        serve_task = asyncio.ensure_future(
+            server.serve_transport(server_end))
+        try:
+            ctx = BfvContext(bfv_params, seed=41)
+            client = await OffloadClient(bfv_params,
+                                         transport=client_end).connect()
+            await client.upload_keys(
+                relin=ctx.relin_keys(),
+                galois=ctx.make_galois_keys({3} | rotate_and_sum_steps(8)))
+            ct = ctx.encrypt_symmetric(list(range(16)))
+            inputs = {"rotate": ct, "rotate_and_sum": ct,
+                      "relinearize": ctx.multiply(ct, ct, relinearize=False)}
+            digests = {"blobs": dict(client._key_blob_cache)}
+            for how in hows:
+                out, _meta = await client.request(
+                    "test/keyswitch", [inputs[how]], {"how": how})
+                digests[how] = hashlib.sha256(
+                    serialize_ciphertext(out[0])).hexdigest()
+            if use_pool:
+                assert pool.snapshot()["executions"] == len(hows)
+            await client.close()
+            return digests
+        finally:
+            await server.stop()
+            serve_task.cancel()
+            if pool is not None:
+                with contextlib.suppress(Exception):
+                    await pool.close()
+
+    assert run(evaluate(use_pool=True)) == run(evaluate(use_pool=False))
+
+
 # ---------------------------------------------------------------------------
 # Key-store LRU: eviction, KEYS_EVICTED signaling, charged re-upload
 # ---------------------------------------------------------------------------
@@ -588,6 +654,100 @@ def test_key_eviction_drops_keys_and_only_keys(ckks_params, use_pool):
             if pool is not None:
                 with contextlib.suppress(Exception):
                     await pool.close()
+
+    run(main())
+
+
+def test_remote_knn_sends_each_key_once(ckks_params):
+    """``add_points`` provisions incrementally: the relin key once per
+    session and only the Galois elements no earlier batch sent.  A second
+    batch of the same shape sends no key bytes, a new shape sends only its
+    new elements, and a KEYS_EVICTED replay restores — and is charged for —
+    exactly the held set, once."""
+    from repro.apps.knn import KnnOffloadService, RemoteKnn
+    from repro.hecore.serialize import deserialize_galois_keys
+    from repro.runtime import KeyKind
+
+    rng = np.random.default_rng(11)
+    labels = (np.arange(24) % 3).tolist()
+
+    async def main():
+        server = OffloadServer(ckks_params, keystore_limit=1)
+        KnnOffloadService.install(server)
+        ledger = CostLedger()
+        c1_end, s1_end = SimulatedLink.pair(ledger=ledger)
+        c2_end, s2_end = SimulatedLink.pair()
+        tasks = [asyncio.ensure_future(server.serve_transport(end))
+                 for end in (s1_end, s2_end)]
+        try:
+            ctx = CkksContext(ckks_params, seed=37)
+            client1 = await OffloadClient(ckks_params,
+                                          transport=c1_end).connect()
+            knn = RemoteKnn(client1, ctx, k=3, variant="collapsed")
+            session = server._sessions[client1.session_id]
+            metrics = server.metrics.get(client1.session_id)
+
+            def cached():
+                return {kind: list(blobs) for kind, blobs
+                        in client1._key_blob_cache.items()}
+
+            def elements(blob):
+                return set(deserialize_galois_keys(blob, ckks_params).keys)
+
+            await knn.add_points(rng.normal(size=(8, 4)), labels[:8])
+            first = cached()
+            assert [len(first[k]) for k in (KeyKind.RELIN, KeyKind.GALOIS)] \
+                == [1, 1]
+            assert metrics.key_uploads == 2
+
+            # Same shape again: nothing new to send, nothing sent.
+            await knn.add_points(rng.normal(size=(8, 4)), labels[:8])
+            assert cached() == first
+            assert metrics.key_uploads == 2
+
+            # A new shape: one more Galois blob holding only new elements.
+            await knn.add_points(rng.normal(size=(24, 4)), labels)
+            held = cached()
+            assert held[KeyKind.RELIN] == first[KeyKind.RELIN]
+            assert held[KeyKind.GALOIS][:1] == first[KeyKind.GALOIS]
+            old, new = map(elements, held[KeyKind.GALOIS])
+            assert new and not new & old
+            assert metrics.key_uploads == 3
+            assert ledger.bytes_up == 0              # provisioning is offline
+            held_bytes = sum(len(b) for blobs in held.values() for b in blobs)
+
+            def server_holds_exactly_the_set():
+                assert {k: list(v) for k, v in session.key_blobs.items()} \
+                    == held
+                galois = session.evaluator.keystore[KeyKind.GALOIS]
+                assert set(galois.keys) == old | new
+
+            server_holds_exactly_the_set()
+            query = rng.normal(size=4)
+            before = ledger.bytes_up
+            want = await knn.classify(query)
+            query_up = ledger.bytes_up - before
+
+            client2 = await OffloadClient(ckks_params,
+                                          transport=c2_end).connect()
+            await client2.upload_keys(relin=ctx.relin_keys())
+            assert metrics.key_evictions == 1
+            assert not session.key_blobs
+
+            # One replay: every held blob once, charged its own length.
+            before = ledger.bytes_up
+            got = await knn.classify(query)
+            assert got.label == want.label
+            assert client1.stats.key_reuploads == 1
+            assert ledger.bytes_up - before == query_up + held_bytes
+            assert cached() == held
+            server_holds_exactly_the_set()
+            await client1.close()
+            await client2.close()
+        finally:
+            await server.stop()
+            for task in tasks:
+                task.cancel()
 
     run(main())
 

@@ -118,7 +118,8 @@ def test_key_sizes_scale_with_parameters(params, keygen):
     size = ksk.size_bytes(params)
     digits = len(params.data_base)
     k = params.logical_residue_count
-    assert size == digits * 2 * k * params.poly_degree * 8
+    # k0 of every digit plus the 32-byte seed the uniform halves expand from.
+    assert size == digits * k * params.poly_degree * 8 + 32
 
 
 def test_expand_uniform_poly_deterministic(params):

@@ -6,7 +6,15 @@ Two kinds of test pin the base-class refactor:
   seeded operation sequence per scheme.  The digests were recorded at the
   commit *before* the contexts were merged (``python tests/test_rlwe.py``
   prints them), so a changed PRNG draw order, fork label or rounding step
-  in any shared method fails here, by name;
+  in any shared method fails here, by name.  The five rows that evaluate
+  through a key-switching key (``rotate``, ``rotate_many``, ``conjugate``,
+  ``rotate_and_sum``, ``relinearize``) were re-recorded once, when those
+  keys began drawing their uniform halves from a per-key public seed
+  (``expand_keyswitch_uniform``) instead of the key generator's main
+  stream.  Every ``encrypt*``, ``multiply``, ``plain_ops``,
+  ``mod_switch_down``, ``add_sub_negate`` and ``align`` row is
+  byte-identical to the original recording: the secret-key, public-key and
+  encryptor streams were not touched;
 * **contract** — both contexts are ``RlweContext`` instances exposing the
   shared methods with identical signatures, and the shared validation
   (component counts) holds for both.
@@ -45,12 +53,21 @@ def _vectors(scheme: str):
     return [row for row in rows]
 
 
+#: The digests pin PRNG streams and arithmetic, not the wire-format number:
+#: the version byte (offset 4, after the magic) is hashed as the value it had
+#: when they were first recorded, so a format bump that leaves ciphertext
+#: bodies alone leaves every digest alone.
+_RECORDED_VERSION = 1
+
+
 def _digest(cts) -> str:
     if not isinstance(cts, (list, tuple)):
         cts = [cts]
     h = hashlib.sha256()
     for ct in cts:
-        h.update(serialize_ciphertext(ct))
+        blob = bytearray(serialize_ciphertext(ct))
+        blob[4] = _RECORDED_VERSION
+        h.update(blob)
     return h.hexdigest()
 
 
@@ -92,7 +109,8 @@ def golden_digests(scheme: str) -> dict:
     return out
 
 
-#: Recorded at commit 20906ae (PR 13), before ``hecore/rlwe.py`` existed.
+#: Recorded at commit 20906ae (PR 13), before ``hecore/rlwe.py`` existed;
+#: the five key-switch rows re-recorded with seed-expanded key-switching keys.
 GOLDEN = {
     "bfv": {
         "encrypt": "d6c919bd9763f243be67008e19288cc19c3ff65dd0b3a71edb135cc462ed7840",
@@ -100,14 +118,14 @@ GOLDEN = {
         "encrypt_symmetric": "72795bc725724f1b8ebc3cd354b054823bb3bf229ad1280090ee5800d3b2df04",
         "encrypt_symmetric_many": "b5bbbcad3b1038b7d3a7a68b00c1b7481cbec45fdac2cf6e8b5b284d1b4c73ce",
         "encrypt_after_batches": "215ca9c00fd24b43def1f19d6555294f10a4cc260a2e0132dfe62bb6dc814f35",
-        "rotate": "59a1b9f7a75cc1a4ece629db3ca6d84b0cd66eb94548952f394149c65d1f8e7e",
-        "rotate_many": "06f0392e4a3635fa254aa82d8f7764db9663cdadb5d07dd347a94c08910ee73f",
-        "conjugate": "885a8a4096778e099d95adfc64e854e87f420d857b99c8de256e42564b1c19e9",
-        "rotate_and_sum": "34a74087f26c58d5b4dde51287624734c432ac573604c9927cfe8a0ed0ea2436",
+        "rotate": "0fb4a4c0fe3fd1d74e8e2ba8c54d8133de592742709a9aaf85373028cde697b7",
+        "rotate_many": "f313b931cae67116a5551e20fb82c19f7e83cc1c5db0dfe3badebbfc596112d4",
+        "conjugate": "c37769d041c613900c2af6d5a3c0919853f1fa12ff7a14eb36e69140f292478d",
+        "rotate_and_sum": "682f90c6c75b009c3136ee6fb7132ec995fd95c8f090021f74d65b2b2967e373",
         "add_sub_negate": "fb7bd8a31121231bda2d8b83fbf03192e0d7cfef5c6bc7fce23ab0019ea44809",
         "plain_ops": "c8ead30b69d085d462291d7be7f3608938f6806659200dc65ecf628d676451b9",
         "multiply": "314ff603844f72e62f0c7c3e148b23f8172ed111a23aa4ea2ae5b72c798cbd11",
-        "relinearize": "f9fc34136c4008245b9797e5deb4c49c04a5ad14b1b918cc748bce2344b64d3d",
+        "relinearize": "9d433a8fd9b493e21d7080571f3738cde5527d1eb32e841c66fb37beb3974ffa",
         "mod_switch_down": "dc3ffee305ffe03b9a3db567a4e96ad04c1975fdd3eb8b3a00f097a8d1fa8c6b",
         "align": "336c56452ec28bd86e9987b188a5051c5dc7f3473c6b611c6d12a79b6dc14553"
     },
@@ -117,14 +135,14 @@ GOLDEN = {
         "encrypt_symmetric": "155a0d1dd9436f7013d8036b36838aee0a47d5ffb2f47bbf10c6326ffc557c92",
         "encrypt_symmetric_many": "89f53066dfff49f3f1c2a1139339aba9dbed19d7299a85e4a1cd94cafd5495ba",
         "encrypt_after_batches": "23415133a70bd2b94c94e4060a6fa65a33a5caab1bac73d13f3b297a0677d034",
-        "rotate": "d4a0d4398a0890dc97f9ea3b5a05012e0a5dd3b48eebd506b9d0fbc8227d2ad7",
-        "rotate_many": "393dc3fbba9af1b0bad66c621f032f82e36b0949042a21d539ae187a0ec0f79a",
-        "conjugate": "a32641edb419f315020ed461794e18c9764300f0d22b357adcb11ea87fe50bcb",
-        "rotate_and_sum": "119fb9f9137426585c0403df1228442626c0b22ab77d2e45244c0fe9a0cfb9c9",
+        "rotate": "b9fa75bfcd215984f23065f885393661fad2e14201d8ef0736856b8a40a6a721",
+        "rotate_many": "0b4bd049b9a920972bc4318f5e76efa87ee518f6255b731d18267279d677cfe8",
+        "conjugate": "6069fe9329b9bd59d7785bbbc7e9bd496c79f93cfe84bd43ce8a60cd2ed909fe",
+        "rotate_and_sum": "0cf8a6e5cf78bdb125f3be83f99af8af986c0bbde12a1cfe51627fafdb2c555e",
         "add_sub_negate": "efb83699dbad9f1bbec8857990bf5a51c473eec7dda90f4247f10855ce55332d",
         "plain_ops": "4f9b3489f75e99a9dbf9e845392217bfc968bf768c53bad2ad8cd3f59a00e47a",
         "multiply": "c196c5eaf77ed92738329f5553d1e1455489f1eb95c785d9066a8b5d1edfba63",
-        "relinearize": "37feb04d9016743285483ebbdb7217775804ec44742a3937565a070fc551c3f8",
+        "relinearize": "bb01eb1d1c5ae66c886b88477a8c08afcc7a89fbe63b254057e574d872174316",
         "mod_switch_down": "0a9d34695132c939b8c83b6a8607f53c5da9a22f5d7184a5a35c9a0794576380",
         "align": "7158f3f8dcc03f27e2d74bd3477012719e1da3db773859d9644e31f9609e6da9"
     }

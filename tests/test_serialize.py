@@ -150,6 +150,24 @@ def test_rejects_wrong_version(bfv):
         deserialize_ciphertext(bytes(blob), bfv.params)
 
 
+def test_version_1_blobs_are_refused_by_name(bfv):
+    """Format v2 (seeded evaluation keys) has no negotiation: a v1 blob of
+    any kind is refused, and the error names the version."""
+    blobs = {
+        deserialize_ciphertext: serialize_ciphertext(bfv.encrypt([1])),
+        deserialize_relin_key: serialize_relin_key(bfv.relin_keys()),
+        deserialize_galois_keys:
+            serialize_galois_keys(bfv.make_galois_keys([1])),
+        deserialize_public_key:
+            serialize_public_key(bfv.keygen.public_key()),
+    }
+    for reader, blob in blobs.items():
+        assert blob[4] == 2
+        v1 = blob[:4] + b"\x01" + blob[5:]
+        with pytest.raises(ValueError, match="unsupported version 1"):
+            reader(v1, bfv.params)
+
+
 def test_rejects_corrupted_magic(bfv):
     blob = bytearray(serialize_ciphertext(bfv.encrypt([1])))
     blob[0:4] = b"HCOC"
@@ -205,19 +223,104 @@ def _ksk_equal(a, b) -> bool:
     )
 
 
-def test_relin_key_roundtrip(bfv):
-    rk = bfv.relin_keys()
-    restored = deserialize_relin_key(serialize_relin_key(rk), bfv.params)
-    assert _ksk_equal(rk, restored)
+def _assert_same_key(restored, generated, params):
+    """Equality by construction: the deserialized key's stacked block — k0
+    off the wire, k1 regenerated from the seed — is bit-equal to the
+    generator's, and it re-serialises to the identical bytes."""
+    assert _ksk_equal(generated, restored)
+    assert restored.seed == generated.seed
     assert all(k0.is_ntt and k1.is_ntt for k0, k1 in restored.digits)
+    rows, count = range(len(params.full_base)), len(params.data_base)
+    assert np.array_equal(restored.stacked_digits(rows, count),
+                          generated.stacked_digits(rows, count))
 
 
-def test_galois_keys_roundtrip(bfv):
+def test_relin_key_roundtrip(bfv, ckks):
+    for ctx in (bfv, ckks):
+        rk = ctx.relin_keys()
+        blob = serialize_relin_key(rk)
+        restored = deserialize_relin_key(blob, ctx.params)
+        _assert_same_key(restored, rk, ctx.params)
+        assert serialize_relin_key(restored) == blob
+
+
+def test_galois_keys_roundtrip(bfv, ckks):
+    for ctx in (bfv, ckks):
+        gk = ctx.make_galois_keys([1, 2, 4], include_conjugation=True)
+        blob = serialize_galois_keys(gk)
+        restored = deserialize_galois_keys(blob, ctx.params)
+        assert set(restored.keys) == set(gk.keys)
+        for elt in gk.keys:
+            _assert_same_key(restored.keys[elt], gk.keys[elt], ctx.params)
+        assert serialize_galois_keys(restored) == blob
+
+
+def test_key_wire_size_is_k0_plus_seed(bfv):
+    """A uniform key polynomial never crosses the wire: each key is its
+    digit count, one 32-byte seed and k0 of every digit."""
+    params = bfv.params
+    per_key = (1 + 32 + len(params.data_base) * len(params.full_base)
+               * params.poly_degree * 8)
+    header = 11 + 8 * len(params.full_base)
+    assert len(serialize_relin_key(bfv.relin_keys())) == header + per_key
     gk = bfv.make_galois_keys([1, 2, 4])
-    restored = deserialize_galois_keys(serialize_galois_keys(gk), bfv.params)
-    assert set(restored.keys) == set(gk.keys)
-    for elt in gk.keys:
-        assert _ksk_equal(gk.keys[elt], restored.keys[elt])
+    assert (len(serialize_galois_keys(gk))
+            == header + 2 + len(gk.keys) * (4 + per_key))
+
+
+def test_logical_key_accounting_reconciles_with_the_wire():
+    """``size_bytes`` (what the plans and the CostLedger charge) is the
+    physical blob minus its framing whenever the logical and physical
+    residue counts agree — payload and seed, byte for byte.  (The default
+    parameter sets split the logical key prime into two 30-bit special
+    limbs, so they carry one more physical residue than logical.)"""
+    from repro.hecore.bfv import BfvContext
+    from repro.hecore.ckks import CkksContext
+    from repro.hecore.params import EncryptionParameters, SchemeType
+
+    for scheme, cls in ((SchemeType.BFV, BfvContext),
+                        (SchemeType.CKKS, CkksContext)):
+        params = EncryptionParameters.create(
+            scheme, 256, (28, 24, 30), plain_bits=14, scale_bits=24,
+            enforce_security=False, special_prime_count=1)
+        assert params.logical_residue_count == len(params.full_base)
+        ctx = cls(params, seed=23)
+        header = 11 + 8 * len(params.full_base)
+        rk = ctx.relin_keys()
+        assert rk.size_bytes(params) == len(serialize_relin_key(rk)) - header - 1
+        gk = ctx.make_galois_keys([1, 2, 4])
+        framing = header + 2 + len(gk.keys) * (4 + 1)
+        assert (gk.size_bytes(params)
+                == len(serialize_galois_keys(gk)) - framing)
+
+
+def test_keygen_and_deserialization_share_one_expansion(bfv_params,
+                                                        monkeypatch):
+    """There is one definition of a key's uniform half: patching it once
+    changes what the generator produces AND what a deserializer rebuilds."""
+    from repro.hecore import keys
+    from repro.hecore.bfv import BfvContext
+
+    blob = serialize_relin_key(BfvContext(bfv_params, seed=3).relin_keys())
+
+    def all_sevens(seed, full_base, degree, n_digits):
+        return np.full((n_digits, len(full_base), degree), 7, dtype=np.int64)
+
+    monkeypatch.setattr(keys, "expand_keyswitch_uniform", all_sevens)
+    generated = BfvContext(bfv_params, seed=3).relin_keys()
+    restored = deserialize_relin_key(blob, bfv_params)
+    for key in (generated, restored):
+        assert all(np.all(k1.data == 7) for _k0, k1 in key.digits)
+
+
+def test_key_without_a_seed_cannot_be_serialized(bfv):
+    from repro.hecore.keys import GaloisKeys, KeySwitchKey, RelinKeys
+
+    digits = bfv.relin_keys().digits
+    with pytest.raises(ValueError, match="no seed"):
+        serialize_relin_key(RelinKeys(digits))
+    with pytest.raises(ValueError, match="no seed"):
+        serialize_galois_keys(GaloisKeys({3: KeySwitchKey(digits)}))
 
 
 def test_deserialized_galois_keys_prestack_without_copy(bfv):
@@ -288,11 +391,87 @@ def test_key_blob_trailing_bytes_rejected(bfv):
         deserialize_galois_keys(gblob + b"\0", bfv.params)
 
 
-def test_key_blob_truncation_rejected(bfv):
-    blob = serialize_galois_keys(bfv.make_galois_keys([1]))
-    for cut in (3, len(blob) // 2, len(blob) - 1):
+def _galois_layout(params):
+    """Offsets into a Galois blob: (first element id, per-key stride)."""
+    first = 11 + 8 * len(params.full_base) + 2
+    stride = 4 + 1 + 32 + (len(params.data_base) * len(params.full_base)
+                           * params.poly_degree * 8)
+    return first, stride
+
+
+@pytest.fixture
+def no_expansion(monkeypatch):
+    """Fails the test if a key's uniform half is expanded: malformed blobs
+    must be refused before any seed is expanded or key store allocated."""
+    from repro.hecore import keys
+
+    def refuse(*_args):
+        raise AssertionError("expanded a seed from a malformed key blob")
+
+    monkeypatch.setattr(keys, "expand_keyswitch_uniform", refuse)
+
+
+def test_key_blob_truncation_rejected(bfv, no_expansion):
+    """Cuts in the header, the key count, an element id, inside the seed,
+    inside k0 of the first and of the last key, and one byte short."""
+    blob = serialize_galois_keys(bfv.make_galois_keys([1, 2]))
+    first, stride = _galois_layout(bfv.params)
+    cuts = (3, first - 1, first + 2, first + 4 + 1 + 16, first + stride // 2,
+            first + stride + stride // 2, len(blob) - 1)
+    for cut in cuts:
         with pytest.raises(ValueError):
             deserialize_galois_keys(blob[:cut], bfv.params)
+    rblob = serialize_relin_key(bfv.relin_keys())
+    for cut in (3, len(rblob) - stride + 4 + 10, len(rblob) // 2,
+                len(rblob) - 1):
+        with pytest.raises(ValueError):
+            deserialize_relin_key(rblob[:cut], bfv.params)
+
+
+def test_key_blob_length_is_checked_before_anything_is_built(
+        bfv, no_expansion, monkeypatch):
+    """The exact-length check comes first: a one-byte-short (or long) blob
+    — at full scale, 24 MB of it — costs the server neither an expansion
+    nor a key-store allocation."""
+    from repro.hecore import serialize
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("allocated a key store for a malformed blob")
+
+    monkeypatch.setattr(serialize, "_unpack_ksk", refuse)
+    gblob = serialize_galois_keys(bfv.make_galois_keys([1, 2, 4]))
+    rblob = serialize_relin_key(bfv.relin_keys())
+    for bad in (gblob[:-1], gblob + b"\0"):
+        with pytest.raises(ValueError, match="truncated or trailing"):
+            deserialize_galois_keys(bad, bfv.params)
+    for bad in (rblob[:-1], rblob + b"\0"):
+        with pytest.raises(ValueError, match="truncated or trailing"):
+            deserialize_relin_key(bad, bfv.params)
+
+
+def test_key_blob_digit_count_must_match_parameters(bfv, no_expansion):
+    """A digit count that disagrees with the parameter set is refused in
+    any key of the set — the last one too — before the first is built."""
+    gk = bfv.make_galois_keys([1, 2])
+    first, stride = _galois_layout(bfv.params)
+    for index in range(len(gk.keys)):
+        blob = bytearray(serialize_galois_keys(gk))
+        blob[first + index * stride + 4] -= 1
+        with pytest.raises(ValueError, match="digits"):
+            deserialize_galois_keys(bytes(blob), bfv.params)
+    rblob = bytearray(serialize_relin_key(bfv.relin_keys()))
+    rblob[first - 2] += 1
+    with pytest.raises(ValueError, match="digits"):
+        deserialize_relin_key(bytes(rblob), bfv.params)
+
+
+def test_galois_blob_duplicate_element_rejected(bfv, no_expansion):
+    gk = bfv.make_galois_keys([1, 2])
+    blob = bytearray(serialize_galois_keys(gk))
+    first, stride = _galois_layout(bfv.params)
+    blob[first + stride: first + stride + 4] = blob[first: first + 4]
+    with pytest.raises(ValueError, match="duplicate Galois element"):
+        deserialize_galois_keys(bytes(blob), bfv.params)
 
 
 def test_galois_blob_invalid_element_rejected(bfv):
@@ -301,7 +480,7 @@ def test_galois_blob_invalid_element_rejected(bfv):
     gk = bfv.make_galois_keys([1])
     blob = bytearray(serialize_galois_keys(gk))
     # The first element id sits right after the key header, moduli and count.
-    offset = 10 + 8 * len(bfv.params.full_base) + 2
+    offset = 11 + 8 * len(bfv.params.full_base) + 2
     _struct.pack_into("<I", blob, offset, 6)     # even => not a valid element
     with pytest.raises(ValueError, match="Galois element"):
         deserialize_galois_keys(bytes(blob), bfv.params)
@@ -375,7 +554,44 @@ def bfv_key_blob():
     params = small_test_parameters(SchemeType.BFV, poly_degree=256,
                                    plain_bits=16, data_bits=(28, 28))
     ctx = BfvContext(params, seed=17)
-    return serialize_relin_key(ctx.relin_keys()), params
+    return (serialize_relin_key(ctx.relin_keys()), params,
+            serialize_galois_keys(ctx.make_galois_keys([1, 2])))
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 255),
+       st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_galois_deserializer_rejects_before_expanding(bfv_key_blob, position,
+                                                      flip, resize):
+    """Structure bytes of the seeded layout (headers, key count, element
+    ids, digit counts) flipped and the blob resized: whenever the blob is
+    refused, it is refused before a single seed was expanded."""
+    from repro.hecore import keys
+
+    _relin, params, galois = bfv_key_blob
+    first, stride = _galois_layout(params)
+    structure = (list(range(first))
+                 + [first + k * stride + b for k in range(2) for b in range(5)])
+    blob = bytearray(galois)
+    blob[structure[position % len(structure)]] ^= flip
+    blob = bytes(blob[:resize]) if resize < 0 else bytes(blob) + b"\0" * resize
+
+    expansions = []
+    real = keys.expand_keyswitch_uniform
+
+    def counting(*args):
+        expansions.append(args)
+        return real(*args)
+
+    keys.expand_keyswitch_uniform = counting
+    try:
+        restored = deserialize_galois_keys(blob, params)
+    except ValueError:
+        assert not expansions
+    else:
+        assert len(expansions) == len(restored.keys) == 2
+    finally:
+        keys.expand_keyswitch_uniform = real
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1 << 15), min_size=1,
