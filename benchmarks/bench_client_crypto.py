@@ -22,13 +22,12 @@ recorded run.  Results go to ``benchmarks/results/BENCH_client_crypto.json``.
 """
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from _gate import best_of_pair, run_speedup_gate
 from repro.hecore.bfv import BfvContext
 from repro.hecore.params import SchemeType, small_test_parameters
 
@@ -50,25 +49,7 @@ MIN_SPEEDUP = {
     "decrypt_n4096": 1.7,
 }
 
-REGRESSION_TOLERANCE = 0.20
-
 BATCH = 16
-
-
-def _best_of_pair(looped_fn, batched_fn, reps, rounds=6):
-    """Seconds-per-op for both implementations, interleaving their timing
-    windows so background load drift hits each side equally, and taking the
-    fastest window per side."""
-    looped_fn()  # warm caches / NTT plans / restricted secret keys
-    batched_fn()
-    bests = [float("inf"), float("inf")]
-    for _ in range(rounds):
-        for i, fn in enumerate((looped_fn, batched_fn)):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            bests[i] = min(bests[i], (time.perf_counter() - start) / reps)
-    return tuple(bests)
 
 
 def _make_context(degree):
@@ -101,7 +82,7 @@ def _measure_encrypt(ctx):
     for ct, v in zip(batched(), vals):
         assert np.array_equal(ctx.decrypt(ct), np.mod(v, t)), \
             "batched encrypt round-trip produced wrong values"
-    return _best_of_pair(looped, batched, 1)
+    return best_of_pair(looped, batched, 1)
 
 
 def _measure_decrypt(ctx):
@@ -125,7 +106,7 @@ def _measure_decrypt(ctx):
     # More interleaved windows than the encrypt pair: the decrypt floor is
     # the hard acceptance gate, so give each side enough windows that one
     # scheduler hiccup cannot decide the ratio.
-    return _best_of_pair(looped_bigint, batched, 1, rounds=12)
+    return best_of_pair(looped_bigint, batched, 1, rounds=12)
 
 
 def main(argv=None):
@@ -141,61 +122,16 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    previous = None
-    if args.output.exists():
-        previous = json.loads(args.output.read_text())
-
     measurements = {}
     degrees = {}
     for degree in (2048, 4096):
         ctx = _make_context(degree)
         measurements[f"encrypt_n{degree}"] = _measure_encrypt(ctx)
         measurements[f"decrypt_n{degree}"] = _measure_decrypt(ctx)
-        degrees[degree] = [int(p) for p in ctx.params.data_base.moduli]
-
-    report = {
-        "batch": BATCH,
-        "data_moduli": {str(n): mods for n, mods in degrees.items()},
-        "tolerance": REGRESSION_TOLERANCE,
-        "kernels": {},
-    }
-    failures = []
-    for name, (looped_s, batched_s) in measurements.items():
-        speedup = looped_s / batched_s
-        report["kernels"][name] = {
-            "looped_ms": round(1e3 * looped_s, 3),
-            "batched_ms": round(1e3 * batched_s, 3),
-            "speedup": round(speedup, 3),
-            "min_speedup": MIN_SPEEDUP[name],
-        }
-        print(f"  {name:16s} looped {1e3 * looped_s:9.2f} ms   "
-              f"batched {1e3 * batched_s:9.2f} ms   {speedup:5.2f}x "
-              f"(floor {MIN_SPEEDUP[name]:.1f}x)")
-        if speedup < MIN_SPEEDUP[name]:
-            failures.append(
-                f"{name}: {speedup:.2f}x is below the required "
-                f"{MIN_SPEEDUP[name]:.1f}x speedup"
-            )
-        if previous is not None:
-            prev = previous.get("kernels", {}).get(name)
-            if prev is not None:
-                reference = prev["speedup"]
-                if speedup < reference * (1.0 - REGRESSION_TOLERANCE):
-                    failures.append(
-                        f"{name}: {speedup:.2f}x is more than "
-                        f"{REGRESSION_TOLERANCE:.0%} below the previous run "
-                        f"({reference:.2f}x)"
-                    )
-
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    if args.check and failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    return 0
+        degrees[str(degree)] = [int(p) for p in ctx.params.data_base.moduli]
+    extra = {"batch": BATCH, "data_moduli": degrees}
+    return run_speedup_gate(measurements, MIN_SPEEDUP, ("looped", "batched"),
+                            extra, args.output, args.check)
 
 
 if __name__ == "__main__":

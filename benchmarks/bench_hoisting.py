@@ -20,13 +20,12 @@ against the previous recorded run.  Results go to
 """
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from _gate import best_of_pair, run_speedup_gate
 from repro.core.linalg import EncryptedMatVec, rotate_and_sum_steps
 from repro.hecore.bfv import BfvContext
 from repro.hecore.hoisting import WeightedSumSpan
@@ -41,26 +40,8 @@ MIN_SPEEDUP = {
     "dnn_matvec": 1.5,
 }
 
-REGRESSION_TOLERANCE = 0.20
-
 SUM_WIDTH = 8
 MATVEC_DIM = 32
-
-
-def _best_of_pair(naive_fn, hoisted_fn, reps, rounds=6):
-    """Seconds-per-op for both implementations, interleaving their timing
-    windows so background load drift hits each side equally, and taking the
-    fastest window per side."""
-    naive_fn()  # warm caches / NTT plans / encoded plaintexts
-    hoisted_fn()
-    bests = [float("inf"), float("inf")]
-    for _ in range(rounds):
-        for i, fn in enumerate((naive_fn, hoisted_fn)):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            bests[i] = min(bests[i], (time.perf_counter() - start) / reps)
-    return tuple(bests)
 
 
 def _make_context():
@@ -89,7 +70,7 @@ def _measure_rotate_and_sum(ctx):
 
     assert np.array_equal(ctx.decrypt(naive()), ctx.decrypt(hoisted())), \
         "fused rotate_and_sum disagrees with the log tree"
-    return _best_of_pair(naive, hoisted, 4)
+    return best_of_pair(naive, hoisted, 4)
 
 
 def _measure_dnn_matvec(ctx):
@@ -123,7 +104,7 @@ def _measure_dnn_matvec(ctx):
         got = mv.unpack_output(np.asarray(ctx.decrypt(impl())))
         assert np.array_equal(got % ctx.params.plain_modulus, reference), \
             f"{impl.__name__} matvec produced wrong values"
-    return _best_of_pair(naive, hoisted, 2)
+    return best_of_pair(naive, hoisted, 2)
 
 
 def main(argv=None):
@@ -139,59 +120,17 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    previous = None
-    if args.output.exists():
-        previous = json.loads(args.output.read_text())
-
     ctx = _make_context()
     measurements = {
         "rotate_and_sum_8": _measure_rotate_and_sum(ctx),
         "dnn_matvec": _measure_dnn_matvec(ctx),
     }
-
-    report = {
+    extra = {
         "poly_degree": ctx.params.poly_degree,
         "data_moduli": [int(p) for p in ctx.params.data_base.moduli],
-        "tolerance": REGRESSION_TOLERANCE,
-        "kernels": {},
     }
-    failures = []
-    for name, (naive_s, hoisted_s) in measurements.items():
-        speedup = naive_s / hoisted_s
-        report["kernels"][name] = {
-            "naive_ms": round(1e3 * naive_s, 3),
-            "hoisted_ms": round(1e3 * hoisted_s, 3),
-            "speedup": round(speedup, 3),
-            "min_speedup": MIN_SPEEDUP[name],
-        }
-        print(f"  {name:18s} naive {1e3 * naive_s:9.2f} ms   "
-              f"hoisted {1e3 * hoisted_s:9.2f} ms   {speedup:5.2f}x "
-              f"(floor {MIN_SPEEDUP[name]:.1f}x)")
-        if speedup < MIN_SPEEDUP[name]:
-            failures.append(
-                f"{name}: {speedup:.2f}x is below the required "
-                f"{MIN_SPEEDUP[name]:.1f}x speedup"
-            )
-        if previous is not None:
-            prev = previous.get("kernels", {}).get(name)
-            if prev is not None:
-                reference = prev["speedup"]
-                if speedup < reference * (1.0 - REGRESSION_TOLERANCE):
-                    failures.append(
-                        f"{name}: {speedup:.2f}x is more than "
-                        f"{REGRESSION_TOLERANCE:.0%} below the previous run "
-                        f"({reference:.2f}x)"
-                    )
-
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    if args.check and failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    return 0
+    return run_speedup_gate(measurements, MIN_SPEEDUP, ("naive", "hoisted"),
+                            extra, args.output, args.check)
 
 
 if __name__ == "__main__":

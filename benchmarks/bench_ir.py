@@ -52,13 +52,12 @@ or a >20% regression against the previous recorded run.  Results go to
 """
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from _gate import best_of_pair, run_speedup_gate
 from repro.core.distance import CollapsedPointMajorKernel, DistanceProblem
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d, EncryptedMatVec
 from repro.hecore.bfv import BfvContext
@@ -74,8 +73,6 @@ MIN_SPEEDUP = {
     "knn_collapsed": 2.8,
 }
 
-REGRESSION_TOLERANCE = 0.20
-
 #: The served ``knn_collapsed`` shape; the scheduled run may pay this many
 #: unshared key-switch decomposes (the collapse round's giant rotations).
 KNN_SHAPE = dict(n_points=64, dims=16)
@@ -86,22 +83,6 @@ MATVEC_DIM = 32
 CONV_SPEC = dict(in_channels=1, out_channels=2, height=8, width=8,
                  kernel_size=3)
 FC_SHAPE = (16, 32)
-
-
-def _best_of_pair(naive_fn, scheduled_fn, reps, rounds=6):
-    """Seconds-per-op for both runs of the same program, interleaving their
-    timing windows so background load drift hits each side equally, and
-    taking the fastest window per side."""
-    naive_fn()  # warm caches / NTT plans / traced schedules
-    scheduled_fn()
-    bests = [float("inf"), float("inf")]
-    for _ in range(rounds):
-        for i, fn in enumerate((naive_fn, scheduled_fn)):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            bests[i] = min(bests[i], (time.perf_counter() - start) / reps)
-    return tuple(bests)
 
 
 def _make_context():
@@ -140,7 +121,7 @@ def _measure_fig15_matvec(ctx):
     assert report.batched_consts == MATVEC_DIM, \
         "scheduler failed to batch-encode the diagonal constants"
 
-    return _best_of_pair(naive, lambda: mv(ct), 2)
+    return best_of_pair(naive, lambda: mv(ct), 2)
 
 
 def _measure_dnn_slice(ctx):
@@ -185,7 +166,7 @@ def _measure_dnn_slice(ctx):
         conv(conv_ct)
         fc(fc_ct)
 
-    return _best_of_pair(naive, scheduled, 2) + (elided,)
+    return best_of_pair(naive, scheduled, 2) + (elided,)
 
 
 def _measure_knn_collapsed():
@@ -222,7 +203,7 @@ def _measure_knn_collapsed():
     assert unshared <= KNN_NAIVE_DECOMPOSES, \
         f"collapse round paid {unshared} unshared key-switch decomposes"
 
-    return _best_of_pair(naive, scheduled, 1)
+    return best_of_pair(naive, scheduled, 1)
 
 
 def main(argv=None):
@@ -238,10 +219,6 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    previous = None
-    if args.output.exists():
-        previous = json.loads(args.output.read_text())
-
     ctx = _make_context()
     matvec = _measure_fig15_matvec(ctx)
     slice_naive, slice_sched, elided = _measure_dnn_slice(ctx)
@@ -250,52 +227,15 @@ def main(argv=None):
         "dnn_slice": (slice_naive, slice_sched),
         "knn_collapsed": _measure_knn_collapsed(),
     }
-
-    report = {
+    extra = {
         "poly_degree": ctx.params.poly_degree,
         "data_moduli": [int(p) for p in ctx.params.data_base.moduli],
-        "tolerance": REGRESSION_TOLERANCE,
         "ntt_elided_per_slice": int(elided),
-        "kernels": {},
     }
-    failures = []
-    for name, (naive_s, sched_s) in measurements.items():
-        speedup = naive_s / sched_s
-        report["kernels"][name] = {
-            "reference_ms": round(1e3 * naive_s, 3),
-            "scheduled_ms": round(1e3 * sched_s, 3),
-            "speedup": round(speedup, 3),
-            "min_speedup": MIN_SPEEDUP[name],
-        }
-        print(f"  {name:14s} reference {1e3 * naive_s:9.2f} ms   "
-              f"scheduled {1e3 * sched_s:9.2f} ms   {speedup:5.2f}x "
-              f"(floor {MIN_SPEEDUP[name]:.1f}x)")
-        if speedup < MIN_SPEEDUP[name]:
-            failures.append(
-                f"{name}: {speedup:.2f}x is below the required "
-                f"{MIN_SPEEDUP[name]:.1f}x speedup"
-            )
-        if previous is not None:
-            prev = previous.get("kernels", {}).get(name)
-            if prev is not None:
-                reference = prev["speedup"]
-                if speedup < reference * (1.0 - REGRESSION_TOLERANCE):
-                    failures.append(
-                        f"{name}: {speedup:.2f}x is more than "
-                        f"{REGRESSION_TOLERANCE:.0%} below the previous run "
-                        f"({reference:.2f}x)"
-                    )
     print(f"  ntt pairs elided per scheduled dnn slice: {elided}")
-
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    if args.check and failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    return 0
+    return run_speedup_gate(measurements, MIN_SPEEDUP,
+                            ("reference", "scheduled"), extra, args.output,
+                            args.check)
 
 
 if __name__ == "__main__":

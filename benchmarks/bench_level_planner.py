@@ -26,13 +26,12 @@ recorded run.  Results go to ``benchmarks/results/BENCH_level_planner.json``.
 """
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from _gate import best_of_pair, run_speedup_gate
 from repro.core.ir import compile_ir, concat_programs, trace_program
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d
 from repro.core.protocol import ClientAidedSession
@@ -48,28 +47,11 @@ MIN_SPEEDUP = {
     "dnn_slice": 1.25,
 }
 
-REGRESSION_TOLERANCE = 0.20
-
 CHAIN_DIM = 16
 CHAIN_LAYERS = 4
 CONV_SPEC = dict(in_channels=1, out_channels=2, height=8, width=8,
                  kernel_size=3)
 FC_SHAPE = (16, 32)
-
-
-def _best_of_pair(off_fn, on_fn, reps, rounds=4):
-    """Seconds-per-op for both compilations, interleaving their timing
-    windows so load drift hits each side equally; fastest window wins."""
-    off_fn()   # warm caches / NTT plans / encoded constants
-    on_fn()
-    bests = [float("inf"), float("inf")]
-    for _ in range(rounds):
-        for i, fn in enumerate((off_fn, on_fn)):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            bests[i] = min(bests[i], (time.perf_counter() - start) / reps)
-    return tuple(bests)
 
 
 def _make_context():
@@ -145,14 +127,15 @@ def _measure_matvec_chain(ctx):
     assert session.ledger.limbs_live > 0, \
         "limbs_live did not reach the CostLedger"
 
-    off_s, on_s = _best_of_pair(lambda: sched_off.run(ctx, {"x": ct}),
-                                lambda: sched_on.run(ctx, {"x": ct}), 1)
+    off_s, on_s = best_of_pair(lambda: sched_off.run(ctx, {"x": ct}),
+                               lambda: sched_on.run(ctx, {"x": ct}), 1,
+                               rounds=4)
     return off_s, on_s, drops, bytes_off, bytes_on
 
 
-def _measure_dnn_slice(ctx):
-    """Conv -> recrypt_boundary -> fc slice, planner-on vs planner-off."""
-    rng = np.random.default_rng(11)
+def _trace_slice(ctx, rng):
+    """Conv -> recrypt_boundary -> fc traced as one program; returns it
+    with the conv kernel (whose packing lays out the input image)."""
     spec = Conv2dSpec(**CONV_SPEC)
     weights = rng.integers(-3, 4, (spec.out_channels, spec.in_channels,
                                    spec.kernel_size, spec.kernel_size))
@@ -165,7 +148,14 @@ def _measure_dnn_slice(ctx):
     conv_prog, fc_prog = conv.program((1,)), fc.program((1,))
     (fc_input,) = (n for n in fc_prog.nodes if n.kind == "input")
     fc_input.name = "out0"
-    slice_prog = concat_programs(conv_prog, fc_prog, boundary="recrypt")
+    return concat_programs(conv_prog, fc_prog, boundary="recrypt"), conv
+
+
+def _measure_dnn_slice(ctx):
+    """Conv -> recrypt_boundary -> fc slice, planner-on vs planner-off."""
+    rng = np.random.default_rng(11)
+    slice_prog, conv = _trace_slice(ctx, rng)
+    spec = conv.spec
 
     sched_off = compile_ir(slice_prog, ctx.params.scheme)
     sched_on = compile_ir(slice_prog, ctx.params.scheme, params=ctx.params)
@@ -191,8 +181,9 @@ def _measure_dnn_slice(ctx):
         "the planned dnn slice diverged from the planner-off schedule"
 
     replans = plan.replans
-    off_s, on_s = _best_of_pair(lambda: sched_off.run(ctx, {"in0": ct}),
-                                lambda: sched_on.run(ctx, {"in0": ct}), 1)
+    off_s, on_s = best_of_pair(lambda: sched_off.run(ctx, {"in0": ct}),
+                               lambda: sched_on.run(ctx, {"in0": ct}), 1,
+                               rounds=4)
     return off_s, on_s, replans
 
 
@@ -209,10 +200,6 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    previous = None
-    if args.output.exists():
-        previous = json.loads(args.output.read_text())
-
     ctx = _make_context()
     chain_off, chain_on, drops, bytes_off, bytes_on = \
         _measure_matvec_chain(ctx)
@@ -221,59 +208,22 @@ def main(argv=None):
         "fig15_matvec_chain": (chain_off, chain_on),
         "dnn_slice": (slice_off, slice_on),
     }
-
-    report = {
+    extra = {
         "poly_degree": ctx.params.poly_degree,
         "data_moduli": [int(p) for p in ctx.params.data_base.moduli],
-        "tolerance": REGRESSION_TOLERANCE,
         "limb_drops_per_chain": int(drops),
         "segment_replans": int(replans),
         "result_bytes_planner_off": int(bytes_off),
         "result_bytes_planner_on": int(bytes_on),
         "wire_reduction": round(bytes_off / bytes_on, 3),
-        "kernels": {},
     }
-    failures = []
-    for name, (off_s, on_s) in measurements.items():
-        speedup = off_s / on_s
-        report["kernels"][name] = {
-            "planner_off_ms": round(1e3 * off_s, 3),
-            "planner_on_ms": round(1e3 * on_s, 3),
-            "speedup": round(speedup, 3),
-            "min_speedup": MIN_SPEEDUP[name],
-        }
-        print(f"  {name:18s} off {1e3 * off_s:9.2f} ms   "
-              f"on {1e3 * on_s:9.2f} ms   {speedup:5.2f}x "
-              f"(floor {MIN_SPEEDUP[name]:.2f}x)")
-        if speedup < MIN_SPEEDUP[name]:
-            failures.append(
-                f"{name}: {speedup:.2f}x is below the required "
-                f"{MIN_SPEEDUP[name]:.2f}x speedup"
-            )
-        if previous is not None:
-            prev = previous.get("kernels", {}).get(name)
-            if prev is not None:
-                reference = prev["speedup"]
-                if speedup < reference * (1.0 - REGRESSION_TOLERANCE):
-                    failures.append(
-                        f"{name}: {speedup:.2f}x is more than "
-                        f"{REGRESSION_TOLERANCE:.0%} below the previous run "
-                        f"({reference:.2f}x)"
-                    )
     print(f"  limb drops per planned chain: {drops}; "
           f"segment replans on the dnn slice: {replans}")
     print(f"  result ciphertext: {bytes_off} B -> {bytes_on} B "
           f"({bytes_off / bytes_on:.2f}x smaller)")
-
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
-
-    if args.check and failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    return 0
+    return run_speedup_gate(measurements, MIN_SPEEDUP,
+                            ("planner_off", "planner_on"), extra,
+                            args.output, args.check)
 
 
 if __name__ == "__main__":

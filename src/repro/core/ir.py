@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -82,6 +82,9 @@ CT_KINDS = frozenset({
 #: made visible to the scheduler, and ``decrypt`` exits to plaintext.
 BOUNDARY_KINDS = frozenset({"encrypt", "decrypt", "recrypt_boundary"})
 
+#: Kinds whose value enters the encrypted domain fresh, on the full chain.
+ENTRY_KINDS = frozenset({"input", "encrypt", "recrypt_boundary"})
+
 #: Kinds whose output may legally stay in NTT (evaluation) form.
 _FORM_AGNOSTIC = frozenset({"add", "sub", "neg"})
 
@@ -101,6 +104,34 @@ class IrNode:
     planned: bool = False           # mod_switch inserted by the level planner
 
 
+#: A ciphertext value's static level: (limbs dropped since entry, CKKS scale
+#: exponent — the power of the nominal scale the value carries).
+Level = Tuple[int, int]
+
+
+def level_after(node: IrNode, scheme: SchemeType,
+                operands: Sequence[Level]) -> Level:
+    """The one per-node level rule: *node*'s level from its ciphertext
+    operands' levels.  Binary operands meet at the lower one (the executor
+    aligns them); ``mod_switch`` drops a limb and keeps the scale; a CKKS
+    ``rescale`` drops a limb and a scale power (BFV has no rescale: it
+    costs no level); multiplies stack scale powers."""
+    if node.kind in ENTRY_KINDS or not operands:
+        return 0, 1
+    dropped = max(d for d, _ in operands)
+    if node.kind != "mul":
+        sexp = max(s for _, s in operands)
+    elif len(operands) == 2:
+        sexp = operands[0][1] + operands[1][1]
+    else:
+        sexp = operands[0][1] + 1
+    if node.kind == "mod_switch":
+        dropped += 1
+    elif node.kind == "rescale" and scheme is SchemeType.CKKS:
+        dropped, sexp = dropped + 1, max(1, sexp - 1)
+    return dropped, sexp
+
+
 @dataclass
 class IrProgram:
     """A linear ciphertext program: nodes in emission order plus outputs."""
@@ -108,6 +139,31 @@ class IrProgram:
     nodes: List[IrNode] = field(default_factory=list)
     outputs: Dict[str, int] = field(default_factory=dict)
     slots: int = 0
+
+    def levels(self, scheme: SchemeType) -> Dict[int, Optional[Level]]:
+        """The static level analysis: :func:`level_after` over every live
+        node, ``None`` for consts.  Demand-driven from the outputs (sunk
+        drops reference nodes appended after them), so the returned dict
+        iterates in dependency order."""
+        nodes = self.nodes
+        levels: Dict[int, Optional[Level]] = {}
+        stack = list(self.outputs.values())
+        while stack:
+            nid = stack[-1]
+            if nid in levels:
+                stack.pop()
+                continue
+            node = nodes[nid]
+            missing = [a for a in (*node.args, *(c for _, c in node.terms))
+                       if a not in levels]
+            if missing:
+                stack.extend(missing)
+                continue
+            levels[nid] = None if node.kind == "const" else level_after(
+                node, scheme, [levels[a] for a in node.args
+                               if levels[a] is not None])
+            stack.pop()
+        return levels
 
     def is_const(self, nid: int) -> bool:
         return self.nodes[nid].kind == "const"
@@ -419,9 +475,7 @@ def concat_programs(first: IrProgram, second: IrProgram,
     if boundary not in ("recrypt", "none"):
         raise ScheduleError(f"unknown boundary kind {boundary!r}")
     out = IrProgram(slots=first.slots or second.slots)
-    out.nodes = [IrNode(n.kind, n.args, n.steps, n.width, n.values,
-                        n.name, n.terms, n.normalize, n.planned)
-                 for n in first.nodes]
+    out.nodes = [replace(n) for n in first.nodes]
     mapping: Dict[int, int] = {}
     for nid, node in enumerate(second.nodes):
         if node.kind == "input":
@@ -436,11 +490,9 @@ def concat_programs(first: IrProgram, second: IrProgram,
             else:
                 mapping[nid] = src
             continue
-        args = tuple(mapping[a] for a in node.args)
-        terms = tuple((s, mapping[c]) for s, c in node.terms)
-        out.nodes.append(IrNode(node.kind, args, node.steps, node.width,
-                                node.values, node.name, terms,
-                                node.normalize, node.planned))
+        out.nodes.append(replace(
+            node, args=tuple(mapping[a] for a in node.args),
+            terms=tuple((s, mapping[c]) for s, c in node.terms)))
         mapping[nid] = len(out.nodes) - 1
     out.outputs = {name: mapping[nid] for name, nid in second.outputs.items()}
     return out
@@ -557,67 +609,22 @@ def _fuse_weighted_sums(program: IrProgram, scheme: SchemeType,
         consumers = program.consumers(live)
 
 
-def _sink_level_drops(program: IrProgram, report: ScheduleReport) -> None:
+def _sink_level_drops(program: IrProgram, scheme: SchemeType,
+                      report: ScheduleReport) -> None:
     """Rewrite ``add(drop(a), drop(b))`` → ``drop(add(a, b))`` to fixpoint.
 
     Legal only when both drops are single-consumer siblings at the same
-    (level, scale-exponent) state: the merged drop then divides the summed
-    value exactly as the two separate drops would have (up to CKKS rescale
-    rounding noise, which lives below the noise floor by construction).
+    static level (:meth:`IrProgram.levels`): the merged drop then divides
+    the summed value exactly as the two separate drops would have (up to
+    CKKS rescale rounding noise, which lives below the noise floor by
+    construction).
     """
     nodes = program.nodes
-
-    def states() -> Dict[int, Optional[Tuple[int, int]]]:
-        # Demand-driven: sunk drops reference nodes appended after them,
-        # so a simple id-order sweep would hit unresolved arguments.
-        state: Dict[int, Optional[Tuple[int, int]]] = {}
-        stack = list(range(len(nodes)))
-        while stack:
-            nid = stack[-1]
-            if nid in state:
-                stack.pop()
-                continue
-            node = nodes[nid]
-            if node.kind == "const":
-                state[nid] = None
-                stack.pop()
-                continue
-            if node.kind in ("encrypt", "recrypt_boundary"):
-                # Crypto boundaries reset the level state: the value on the
-                # far side is freshly encrypted at the full chain.
-                state[nid] = (0, 1)
-                stack.pop()
-                continue
-            missing = [a for a in node.args if a not in state]
-            if missing:
-                stack.extend(missing)
-                continue
-            ct_args = [a for a in node.args if state[a] is not None]
-            if node.kind in ("rescale", "mod_switch"):
-                lvl, sexp = state[node.args[0]]
-                state[nid] = (lvl + 1, max(1, sexp - 1))
-            elif node.kind == "mul":
-                if len(ct_args) == 2:
-                    (l1, s1), (l2, s2) = (state[a] for a in ct_args)
-                    state[nid] = (max(l1, l2), s1 + s2)
-                elif ct_args:
-                    lvl, sexp = state[ct_args[0]]
-                    state[nid] = (lvl, sexp + 1)
-                else:
-                    state[nid] = (0, 1)
-            elif ct_args:
-                pairs = [state[a] for a in ct_args]
-                state[nid] = (max(l for l, _ in pairs),
-                              max(s for _, s in pairs))
-            else:
-                state[nid] = (0, 1)
-            stack.pop()
-        return state
 
     changed = True
     while changed:
         changed = False
-        state = states()
+        level = program.levels(scheme)
         live = program.live_set()
         consumers = program.consumers(live)
         out_ids = set(program.outputs.values())
@@ -633,20 +640,18 @@ def _sink_level_drops(program: IrProgram, report: ScheduleReport) -> None:
             if any(len(consumers.get(d, ())) != 1 or d in out_ids
                    for d in (a, b)):
                 continue
-            if state[da.args[0]] != state[db.args[0]]:
+            if level[da.args[0]] != level[db.args[0]]:
                 continue
             inner = len(nodes)
             nodes.append(IrNode(node.kind, (da.args[0], db.args[0])))
-            nodes[root] = IrNode(da.kind, (inner,),
-                                 width=da.width if da.width == db.width else 0,
-                                 normalize=da.normalize,
+            nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize,
                                  planned=da.planned and db.planned)
             if da.kind == "rescale":
                 report.rescales_sunk += 1
             else:
                 report.mod_switches_sunk += 1
             changed = True
-            break   # indices shifted; recompute state and rescan
+            break   # indices shifted; re-analyse and rescan
 
 
 def _group_rotations(program: IrProgram, report: ScheduleReport
@@ -688,34 +693,30 @@ def _mark_residency(program: IrProgram, report: ScheduleReport) -> Set[int]:
     return resident
 
 
-def compile_ir(program: IrProgram, scheme: SchemeType, params=None,
-               level_planner=None) -> "ScheduledProgram":
+def compile_ir(program: IrProgram, scheme: SchemeType,
+               params=None) -> "ScheduledProgram":
     """Run the pass pipeline and return an executable scheduled program.
 
-    With *params* (an :class:`EncryptionParameters`) the level-aware
-    parameter planner runs between weighted-sum fusion and the remaining
-    passes: it walks the program with the static noise estimator, drops
-    modulus-chain limbs the moment no downstream consumer needs their
-    headroom, and re-plans each post-``recrypt_boundary`` segment onto a
-    trimmed entry chain (see :mod:`repro.core.levelplan`).  Pass
-    *level_planner* (a :class:`repro.core.levelplan.PlannerOptions`) to
-    tune or disable it; without *params* the planner never runs — the
-    pre-planner pipeline is unchanged.
+    With *params* (an :class:`EncryptionParameters`) the level planner runs
+    between weighted-sum fusion and the remaining passes: it walks the
+    program with the static noise estimator, drops modulus-chain limbs the
+    moment no downstream consumer needs their headroom, and re-plans each
+    post-``recrypt_boundary`` segment onto a trimmed entry chain (see
+    :mod:`repro.core.levelplan`).  The schedule is then a contract for
+    *params*' modulus chain: :meth:`ScheduledProgram.run` refuses any other
+    chain and any input that does not arrive on all of it.  Without
+    *params* the planner never runs and the schedule serves any chain.
     """
     source = program                 # the passes rewrite a private copy
-    program = IrProgram(nodes=[IrNode(n.kind, n.args, n.steps, n.width,
-                                      n.values, n.name, n.terms, n.normalize,
-                                      n.planned)
-                               for n in source.nodes],
+    program = IrProgram(nodes=[replace(n) for n in source.nodes],
                         outputs=dict(source.outputs), slots=source.slots)
     report = ScheduleReport()
     _fuse_weighted_sums(program, scheme, report)
-    if params is not None and (level_planner is None or level_planner.enabled):
+    if params is not None:
         from repro.core.levelplan import plan_levels
 
-        program, report.level_plan = plan_levels(program, params,
-                                                 options=level_planner)
-    _sink_level_drops(program, report)
+        program, report.level_plan = plan_levels(program, params)
+    _sink_level_drops(program, scheme, report)
     groups = _group_rotations(program, report)
     resident = _mark_residency(program, report)
     return ScheduledProgram(program, scheme, report, groups, resident,
@@ -745,7 +746,8 @@ def _negate_ckks_plain(pt):
 
 
 class ScheduledProgram:
-    """An IR program plus its schedule; reusable across calls and contexts.
+    """An IR program plus its schedule; reusable across calls and contexts
+    on the planned chain (any chain when compiled without a level plan).
 
     Plaintext encodings, NTT-form plaintext tables, and weighted-sum spans
     are cached per modulus chain, so repeated executions (the static-weight
@@ -848,11 +850,37 @@ class ScheduledProgram:
 
     # ------------------------------------------------------------ execution
     def run(self, ctx, inputs: Dict[str, object], galois_keys=None):
-        """Execute the scheduled program; returns output ciphertexts."""
+        """Execute the scheduled program; returns output ciphertexts.
+
+        A level plan is a contract, checked here once before any node
+        runs: *ctx* must carry the chain the plan was made for and every
+        entering ciphertext must arrive on all of it (:class:`ScheduleError`
+        otherwise) — so every planned drop is taken, never skipped.
+        """
         plan = self.report.level_plan
-        if plan is not None and plan.replans:
+        if plan is not None:
+            self._check_entry(ctx, inputs, plan.chain)
+        outputs = _IrRunner(self, ctx, inputs, galois_keys, fused=True).run()
+        if plan is not None:        # metered once the work has happened
             ctx.counts["level_replans"] += plan.replans
-        return _IrRunner(self, ctx, inputs, galois_keys, fused=True).run()
+        return outputs
+
+    def _check_entry(self, ctx, inputs, chain: Tuple[int, ...]) -> None:
+        live_chain = ctx.params.data_base.moduli
+        if live_chain != chain:
+            raise ScheduleError(
+                f"schedule planned for the {len(chain)}-limb chain {chain} "
+                f"cannot run on the {len(live_chain)}-limb chain {live_chain}")
+        for nid in sorted(self.program.live_set()):
+            node = self.program.nodes[nid]
+            if node.kind not in ("input", "encrypt"):
+                continue
+            # A missing or plaintext operand is the runner's to report.
+            base = getattr(inputs.get(node.name), "level_base", None)
+            if base is not None and base.moduli != chain:
+                raise ScheduleError(
+                    f"input {node.name!r} arrives on {len(base)} limb(s); "
+                    f"the level plan needs all {len(chain)}")
 
     def run_reference(self, ctx, inputs: Dict[str, object], galois_keys=None):
         """Scheduler-off oracle: the program as traced, one naive primitive
@@ -876,6 +904,8 @@ class _IrRunner:
         self.fused = fused
         self.ckks = ctx.params.scheme is SchemeType.CKKS
         self.memo: Dict[int, object] = {}
+        #: Level telemetry, charged to ``ctx.counts`` when the run returns.
+        self.tally: Counter = Counter()
 
     # ------------------------------------------------------- form handling
     def _to_coeff(self, ct):
@@ -983,12 +1013,12 @@ class _IrRunner:
             if hasattr(value, "components"):
                 value = self._to_coeff(value)
             outputs[name] = value
+        self.ctx.counts.update(self.tally)
         return outputs
 
     def _eval(self, root: int):
         stack = [root]
         nodes = self.program.nodes
-        counts = self.ctx.counts
         while stack:
             nid = stack[-1]
             if nid in self.memo:
@@ -1003,7 +1033,7 @@ class _IrRunner:
             if hasattr(value, "level_base"):
                 # Limbs-live integral: live limb count summed over every
                 # executed ciphertext-producing op (CostLedger telemetry).
-                counts["limbs_live"] += len(value.level_base)
+                self.tally["limbs_live"] += len(value.level_base)
             stack.pop()
 
     def _compute(self, nid: int):
@@ -1078,19 +1108,9 @@ class _IrRunner:
                 out.scale = ctx.params.scale
             return out
         if kind == "mod_switch":
-            ct = self._to_coeff(self.memo[node.args[0]])
             if node.planned:
-                # Planned drops are advisory: the planner modeled inputs at
-                # the full chain, but a caller may feed a ciphertext that
-                # already shed residues (e.g. a downstream segment reusing a
-                # rescaled value).  ``width`` records the live-limb count
-                # the planner expected; on divergence — or with no limb to
-                # spare — the drop is skipped, which is always value-safe.
-                if len(ct.level_base) < 2 or (
-                        node.width and len(ct.level_base) != node.width):
-                    return ct
-                ctx.counts["limb_drops"] += 1
-            return ctx.mod_switch_down(ct)
+                self.tally["limb_drops"] += 1
+            return ctx.mod_switch_down(self._to_coeff(self.memo[node.args[0]]))
         if kind == "rotate_sum":
             ct = self._to_coeff(self.memo[node.args[0]])
             if self.fused:

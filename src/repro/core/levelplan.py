@@ -1,46 +1,48 @@
-"""Level-aware parameter planner: per-segment modulus-chain tuning.
+"""Level planner: per-segment modulus-chain tuning.
 
 The paper's client-optimized thesis is to never pay for more crypto than a
-computation step needs.  This pass family applies that idea to the modulus
-chain of a traced ciphertext program (Cheetah-style per-layer parameter
-tuning, see PAPERS.md): every residue limb kept alive past its usefulness
-taxes *every* downstream NTT row, key-switch decompose, and serialized
-byte, so the planner drops limbs the moment no consumer needs their noise
-headroom.
+computation step needs.  This pass applies that idea to the modulus chain
+of a traced ciphertext program (Cheetah-style per-layer parameter tuning,
+see PAPERS.md): every residue limb kept alive past its usefulness taxes
+*every* downstream NTT row, key-switch decompose, and serialized byte, so
+the planner drops limbs the moment no consumer needs their noise headroom.
 
 Two cooperating analyses over the IR DAG:
 
-1. **Noise-driven level planning** (BFV) — a reverse walk prices the
-   noise budget every node's downstream consumers will spend (the static
-   :class:`repro.hecore.noise.NoiseEstimator` transitions); a forward walk
-   then inserts the cheapest legal ``mod_switch`` frontier eagerly: at each
-   drop site, trailing limbs whose headroom exceeds the remaining spend
-   (plus slack) are switched away.  CKKS uses the level/scale analog:
-   limbs beyond the downstream rescale depth drop via the scale-preserving
-   ``drop_modulus`` as long as the coefficient magnitude still fits.
-2. **Per-segment parameter selection** — ``recrypt_boundary`` nodes split
-   the program into client-refresh segments.  Each downstream segment is
-   re-planned onto a trimmed entry chain: the noise spend bound meets a
+1. **Noise-driven level planning** (BFV) — a reverse walk sums the noise
+   bits every node's downstream consumers will spend
+   (:meth:`repro.hecore.noise.NoiseEstimator.node_cost_bits`, the table the
+   forward budget prediction spends from); a forward rebuild then inserts
+   the cheapest legal ``mod_switch`` frontier eagerly: at each drop site,
+   trailing limbs whose headroom exceeds the remaining spend (plus
+   :data:`SLACK_BITS`) are switched away.  CKKS uses the level/scale
+   analog: limbs beyond the downstream rescale depth drop via the
+   scale-preserving ``drop_modulus`` as long as the coefficient magnitude
+   still fits.  Levels come from the one per-node rule,
+   :func:`repro.core.ir.level_after`.
+2. **Per-segment entry trimming** — ``recrypt_boundary`` nodes split the
+   program into client-refresh segments.  Each downstream segment enters
+   on a trimmed chain: the noise spend bound meets a
    :mod:`repro.core.paramsearch` workload-profile bound (the same model
-   that sizes whole parameter sets), and the matching
-   :class:`~repro.core.paramsearch.ParameterChoice` — plus, optionally, an
-   :mod:`repro.accel.dse` operating point for the trimmed residue count —
-   is recorded in the plan for telemetry.
+   that sizes whole parameter sets).
 
 The planner preserves decrypted values exactly: BFV mod-switch moves noise,
 not plaintext, and CKKS ``drop_modulus`` removes CRT residues without
 touching the scale.  Binary operands are re-aligned with explicit switches
-so every emitted program is level-monotone.
+so every emitted program is level-monotone.  The result is a contract for
+one modulus chain (:attr:`LevelPlan.chain`):
+:meth:`repro.core.ir.ScheduledProgram.run` refuses any other, so every
+planned switch executes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import paramsearch
-from repro.core.ir import IrNode, IrProgram
+from repro.core.ir import ENTRY_KINDS, IrNode, IrProgram, Level, level_after
 from repro.hecore.noise import (
     MOD_SWITCH_GUARD_BITS,
     NoiseEstimator,
@@ -51,55 +53,32 @@ from repro.hecore.params import SchemeType
 #: Node kinds after which an eager limb drop is considered.  Chosen to sit
 #: at coefficient-form reduction points (span outputs, ct-ct multiplies,
 #: fresh entries) so the NTT-residency pass keeps its plain-multiply chains.
-DROP_SITE_KINDS = frozenset({
-    "input", "encrypt", "recrypt_boundary",
-    "rotate_sum", "weighted_sum",
-})
+DROP_SITE_KINDS = ENTRY_KINDS | {"rotate_sum", "weighted_sum"}
+
+#: Margin kept above the modeled downstream spend before a BFV drop.
+SLACK_BITS = SAFETY_BITS + 1.0
 
 #: CKKS coefficient-magnitude guard: live bits kept above the scale stack.
 CKKS_VALUE_GUARD_BITS = 20
 
 
 @dataclass
-class PlannerOptions:
-    """Tuning knobs for :func:`plan_levels`."""
-
-    enabled: bool = True
-    #: Margin kept above the modeled downstream spend before a drop.
-    slack_bits: float = SAFETY_BITS + 1.0
-    #: Hard cap on planned drops (None = unlimited).
-    max_drops: Optional[int] = None
-    #: Trim post-``recrypt_boundary`` entry chains via paramsearch.
-    replan_segments: bool = True
-    #: Also pick an accelerator operating point per segment (accel.dse).
-    use_dse: bool = False
-    #: ``True`` when program outputs go straight to the client (drop them
-    #: to the decryptability floor — maximal wire savings).  Kernel
-    #: schedules set ``False``: their outputs may feed further caller-side
-    #: compute, so each output keeps a one-layer continuation reserve
-    #: (one plain multiply + rotation + accumulation of headroom).
-    terminal_outputs: bool = True
-
-
-@dataclass
 class SegmentPlan:
-    """One client-refresh segment's re-planned entry parameters."""
+    """One client-refresh segment's re-planned entry chain."""
 
     index: int
     full_limbs: int
     entry_limbs: int
     spend_bits: float               # modeled noise the segment consumes
-    #: ``ParameterChoice.describe()`` for the segment's workload profile
-    #: (what a from-scratch selection would pick), when computable.
-    choice: Optional[str] = None
-    #: ``accel.dse`` operating point at the trimmed residue count.
-    operating_point: Optional[str] = None
 
 
 @dataclass
 class LevelPlan:
     """What the planner did — wired into ScheduleReport and CostLedger."""
 
+    #: The data-modulus chain the plan was made for; the only chain
+    #: :meth:`repro.core.ir.ScheduledProgram.run` executes it on.
+    chain: Tuple[int, ...] = ()
     limb_drops: int = 0             # eager drops inserted at drop sites
     align_switches: int = 0         # switches inserted to level-match operands
     replans: int = 0                # segments entered below the full chain
@@ -116,72 +95,20 @@ class LevelPlan:
                 f"{saved} limb-row(s) saved")
 
 
-def _op_cost(node: IrNode, nodes: List[IrNode], t_bits: float,
-             log_n: float) -> float:
-    """Modeled noise bits *node* charges the value flowing into it."""
-    kind = node.kind
-    if kind == "rotate":
-        return 2.0
-    if kind in ("add", "sub"):
-        if any(nodes[a].kind == "const" for a in node.args):
-            return 0.5
-        return 1.0
-    if kind == "mul":
-        if any(nodes[a].kind == "const" for a in node.args):
-            return t_bits + log_n / 2
-        return t_bits + log_n + 8
-    if kind == "rotate_sum":
-        rounds = max(1, math.ceil(math.log2(max(node.width, 2))))
-        return 2.0 + math.log2(rounds + 1) + rounds
-    if kind == "weighted_sum":
-        count = max(1, len(node.terms))
-        return (2.0 + math.log2(count + 1) + t_bits + log_n / 2
-                + math.ceil(math.log2(count + 1)))
-    return 0.0      # neg, rescale, mod_switch, boundaries
-
-
-def _downstream_spend(program: IrProgram, t_bits: float, log_n: float,
-                      output_reserve: float = 0.0) -> Dict[int, float]:
-    """Noise bits every node's live consumers will still spend on it.
-
-    Crypto boundaries cut the propagation: a value feeding only a
-    ``decrypt``/``recrypt_boundary`` just has to stay decryptable.
-    *output_reserve* seeds each program output with headroom for unmodeled
-    caller-side compute (non-terminal kernel outputs).
-    """
+def _downstream(program: IrProgram, cost) -> Dict[int, float]:
+    """Largest sum of *cost(node)* over any consumer path ahead of each
+    live node.  Crypto boundaries cut the propagation: a value feeding only
+    a ``decrypt``/``recrypt_boundary`` just has to stay decryptable."""
     nodes = program.nodes
     live = program.live_set()
     consumers = program.consumers(live)
-    outputs = set(program.outputs.values())
-    spend = {nid: 0.0 for nid in live}
+    ahead: Dict[int, float] = {}
     for nid in sorted(live, reverse=True):      # emission order = topological
-        best = output_reserve if nid in outputs else 0.0
-        for c in consumers.get(nid, ()):
-            node = nodes[c]
-            if node.kind in ("decrypt", "recrypt_boundary"):
-                continue
-            best = max(best, _op_cost(node, nodes, t_bits, log_n) + spend[c])
-        spend[nid] = best
-    return spend
-
-
-def _downstream_rescales(program: IrProgram,
-                         output_reserve: int = 0) -> Dict[int, int]:
-    """CKKS analog of the spend walk: rescale depth still ahead of a node."""
-    nodes = program.nodes
-    live = program.live_set()
-    consumers = program.consumers(live)
-    outputs = set(program.outputs.values())
-    depth = {nid: 0 for nid in live}
-    for nid in sorted(live, reverse=True):
-        best = output_reserve if nid in outputs else 0
-        for c in consumers.get(nid, ()):
-            node = nodes[c]
-            if node.kind in ("decrypt", "recrypt_boundary"):
-                continue
-            best = max(best, depth[c] + (1 if node.kind == "rescale" else 0))
-        depth[nid] = best
-    return depth
+        ahead[nid] = max(
+            (cost(nodes[c]) + ahead[c] for c in consumers.get(nid, ())
+             if nodes[c].kind not in ("decrypt", "recrypt_boundary")),
+            default=0)
+    return ahead
 
 
 def _segment_ids(program: IrProgram) -> Dict[int, int]:
@@ -236,294 +163,153 @@ def _segment_profile(program: IrProgram, seg: Dict[int, int], index: int,
     )
 
 
-def _dse_operating_point(poly_degree: int, residues: int) -> Optional[str]:
-    """A small accel.dse sweep at the segment's trimmed residue count."""
-    from repro.accel import dse
-
-    grid = {
-        "prng_lanes": (2, 4),
-        "ntt_pes": (4, 8),
-        "intt_pes": (4,),
-        "dyadic_pes": (4,),
-        "add_pes": (2,),
-        "modswitch_pes": (2,),
-        "encode_pes": (2,),
-    }
-    try:
-        points = dse.explore_design_space(grid, poly_degree=poly_degree,
-                                          residues=max(1, residues))
-        best = dse.select_operating_point(points)
-    except ValueError:
-        return None
-    return (f"ntt={best.config.ntt_pes} prng={best.config.prng_lanes} "
-            f"{1e3 * best.time_s:.2f}ms {1e3 * best.power_w:.0f}mW")
-
-
 class _Planner:
     """Single forward rebuild of the program with eager drop frontiers."""
 
-    def __init__(self, program: IrProgram, params, options: PlannerOptions):
+    def __init__(self, program: IrProgram, params, plan: LevelPlan):
         self.src = program
         self.params = params
-        self.options = options
         self.scheme = params.scheme
-        self.bfv = params.scheme is SchemeType.BFV
-        self.limb_bits = [int(p).bit_length()
-                          for p in params.data_base.moduli]
+        self.plan = plan
+        self.limb_bits = [p.bit_length() for p in plan.chain]
         self.full = len(self.limb_bits)
-        self.plan = LevelPlan()
         self.out = IrProgram(slots=program.slots)
-        if self.bfv:
-            self.estimator = NoiseEstimator(params)
-            self.t_bits = float(self.estimator.t_bits)
-            self.log_n = self.estimator.log_n
+        nodes = program.nodes
+        if self.scheme is SchemeType.BFV:
+            # Noise bits every node's consumers will still spend on it.
+            self.estimator = est = NoiseEstimator(params)
+            self.ahead = _downstream(
+                program, lambda node: est.node_cost_bits(node, nodes))
         else:
+            # The CKKS analog: rescale depth still ahead of a node.
             self.estimator = None
-            self.t_bits = 0.0
-            self.log_n = math.log2(params.poly_degree)
             self.scale_bits = max(1.0, math.log2(max(2.0, params.scale)))
-        # Non-terminal outputs keep headroom for one unmodeled caller-side
-        # layer: a plain multiply, a rotation, and an accumulation.
-        reserve = 0.0 if options.terminal_outputs else (
-            self.t_bits + self.log_n / 2 + 10.0)
-        self.spend = _downstream_spend(program, self.t_bits, self.log_n,
-                                       output_reserve=reserve)
-        self.rescales = ({} if self.bfv else _downstream_rescales(
-            program, output_reserve=0 if options.terminal_outputs else 1))
+            self.ahead = _downstream(
+                program, lambda node: int(node.kind == "rescale"))
         self.seg = _segment_ids(program)
         self.live_set = program.live_set()
-        consumers = program.consumers(self.live_set)
-        outputs = set(program.outputs.values())
         # Values about to cross a boundary or leave the program: dropping
-        # there shrinks the download even when no compute follows.  When
-        # outputs are non-terminal they are not free drop triggers.
-        self.pre_boundary = {
-            a for nid in self.live_set
-            for a in program.nodes[nid].args
-            if program.nodes[nid].kind in ("decrypt", "recrypt_boundary")
+        # there shrinks the download even when no compute follows.
+        self.pre_boundary = set(program.outputs.values()) | {
+            a for nid in self.live_set for a in nodes[nid].args
+            if nodes[nid].kind in ("decrypt", "recrypt_boundary")
         }
-        if options.terminal_outputs:
-            self.pre_boundary |= outputs
-        self.consumers = consumers
 
     # ------------------------------------------------------------ plumbing
     def _emit(self, node: IrNode) -> int:
         self.out.nodes.append(node)
         return len(self.out.nodes) - 1
 
-    def _bits(self, live: int) -> float:
-        return float(sum(self.limb_bits[:live]))
-
     # ------------------------------------------------------------ dropping
-    def _drop_chain(self, new_id: int, live: int, target: int) -> Tuple[int, int]:
-        """Switch *new_id* down to *target* live limbs; returns (id, live).
+    def _drop_chain(self, new_id: int, drops: int) -> int:
+        """Switch *new_id* down *drops* limbs; returns the last switch."""
+        for _ in range(drops):
+            new_id = self._emit(IrNode("mod_switch", (new_id,), planned=True))
+        return new_id
 
-        ``width`` carries the expected pre-drop live count so the executor
-        can skip the drop if the runtime value entered at another level.
-        """
-        while live > target:
-            new_id = self._emit(IrNode("mod_switch", (new_id,), width=live,
-                                       planned=True))
-            live -= 1
-        return new_id, live
-
-    def _droppable(self, nid: int, live: int, floor_bits: float) -> int:
-        """Largest legal drop target (live limbs) for node *nid*."""
+    def _droppable(self, nid: int, level: Level, floor_bits: float) -> int:
+        """How many trailing limbs node *nid*'s value can legally shed."""
+        live = self.full - level[0]
+        bits = float(sum(self.limb_bits[:live]))
         target = live
-        bits = self._bits(live)
         while target > 1:
-            if (self.options.max_drops is not None
-                    and self.plan.limb_drops + (live - target) + 1
-                    > self.options.max_drops):
-                break
             after = bits - self.limb_bits[target - 1]
             if after < floor_bits:
                 break
-            if self.bfv:
-                ceiling = (after - self.t_bits - self.log_n
-                           - MOD_SWITCH_GUARD_BITS)
-                if ceiling < self.spend[nid] + self.options.slack_bits:
+            if self.estimator is not None:
+                ceiling = (after - self.estimator.t_bits
+                           - self.estimator.log_n - MOD_SWITCH_GUARD_BITS)
+                if ceiling < self.ahead[nid] + SLACK_BITS:
                     break
-            else:
-                if target - 1 < 1 + self.rescales.get(nid, 0):
-                    break
-                need = (self.sexp[nid] * self.scale_bits
-                        + CKKS_VALUE_GUARD_BITS)
-                if after < need:
-                    break
+            elif (target - 1 < 1 + self.ahead[nid]
+                    or after < level[1] * self.scale_bits
+                    + CKKS_VALUE_GUARD_BITS):
+                break
             bits = after
             target -= 1
-        return target
+        return live - target
 
     def _entry_floor_bits(self, nid: int) -> float:
-        """Paramsearch bound on a recrypt segment's entry chain (bits)."""
-        if not (self.bfv and self.options.replan_segments):
-            return 0.0
-        index = self.seg[nid]
-        profile = _segment_profile(self.src, self.seg, index,
-                                   int(self.t_bits), self.src.slots)
-        floor = (2 * self.t_bits + paramsearch.FRESH_NOISE_BITS
-                 + paramsearch.SAFETY_MARGIN_BITS
-                 + paramsearch.noise_cost_bits(profile, int(self.t_bits),
-                                               self.params.poly_degree))
-        try:
-            choice = paramsearch.select_parameters(profile).describe()
-        except ValueError:
-            choice = None
-        seg_plan = SegmentPlan(index=index, full_limbs=self.full,
-                               entry_limbs=self.full,
-                               spend_bits=round(self.spend[nid], 2),
-                               choice=choice)
-        self.plan.segments.append(seg_plan)
-        return float(floor)
+        """Paramsearch bound on a recrypt segment's entry chain (bits);
+        records the segment."""
+        t_bits = self.estimator.t_bits
+        profile = _segment_profile(self.src, self.seg, self.seg[nid],
+                                   t_bits, self.src.slots)
+        self.plan.segments.append(SegmentPlan(
+            index=self.seg[nid], full_limbs=self.full, entry_limbs=self.full,
+            spend_bits=round(self.ahead[nid], 2)))
+        return float(2 * t_bits + paramsearch.FRESH_NOISE_BITS
+                     + paramsearch.SAFETY_MARGIN_BITS
+                     + paramsearch.noise_cost_bits(profile, t_bits,
+                                                   self.params.poly_degree))
 
     # ------------------------------------------------------------- rebuild
     def run(self) -> Tuple[IrProgram, LevelPlan]:
-        src = self.src
-        nodes = src.nodes
-        if not self.bfv:
-            self.sexp = self._scale_exponents()
+        nodes = self.src.nodes
+        plan = self.plan
         new_id: Dict[int, int] = {}
-        live: Dict[int, int] = {}
+        level: Dict[int, Optional[Level]] = {}
         for nid, node in enumerate(nodes):
             if nid not in self.live_set:
                 continue        # live_set is dependency-closed over outputs
             if node.kind == "const":
-                new_id[nid] = self._emit(IrNode("const", values=node.values))
-                live[nid] = self.full
+                new_id[nid], level[nid] = self._emit(replace(node)), None
                 continue
-            args, arg_live = self._aligned_args(node, new_id, live)
-            terms = tuple((s, new_id[c]) for s, c in node.terms)
-            nid2 = self._emit(IrNode(node.kind, args, node.steps, node.width,
-                                     node.values, node.name, terms,
-                                     node.normalize, node.planned))
-            lv = self._result_live(node, arg_live)
-            if node.kind not in ("mod_switch", "decrypt"):
-                self.plan.limb_rows_before += self.full
-            seg_plan = None
-            if node.kind == "recrypt_boundary":
-                floor_bits = self._entry_floor_bits(nid)
-                seg_plan = self.plan.segments[-1] if self.plan.segments \
-                    else None
-            else:
-                floor_bits = 0.0
-            if (node.kind in DROP_SITE_KINDS or nid in self.pre_boundary):
-                target = self._droppable(nid, lv, floor_bits)
-                if target < lv:
-                    before = lv
-                    nid2, lv = self._drop_chain(nid2, lv, target)
-                    self.plan.limb_drops += before - lv
-            if seg_plan is not None:
-                seg_plan.entry_limbs = lv
-                if lv < self.full:
-                    self.plan.replans += 1
-                    if self.options.use_dse:
-                        seg_plan.operating_point = _dse_operating_point(
-                            self.params.poly_degree, lv)
-            new_id[nid] = nid2
-            live[nid] = lv
-        for name, nid in src.outputs.items():
-            self.out.outputs[name] = new_id[nid]
-        self.plan.limb_rows_after = self._rows_after()
-        return self.out, self.plan
-
-    def _rows_after(self) -> int:
-        """Static limbs-live integral of the planned program."""
-        out = self.out
-        live_nodes = out.live_set()
-        lv = {}
-        total = 0
-        for nid, node in enumerate(out.nodes):
-            if node.kind == "const":
-                lv[nid] = self.full
-                continue
-            deps = [a for a in node.args if out.nodes[a].kind != "const"]
-            base = min((lv[a] for a in deps), default=self.full)
-            if node.kind in ("input", "encrypt", "recrypt_boundary"):
-                base = self.full
-            elif node.kind == "mod_switch":
-                base -= 1
-            elif node.kind == "rescale" and self.scheme is SchemeType.CKKS:
-                base -= 1
-            lv[nid] = max(1, base)
+            args, operands = self._aligned_args(node, new_id, level)
+            nid2 = self._emit(replace(node, args=args, terms=tuple(
+                (s, new_id[c]) for s, c in node.terms)))
+            lv = level_after(node, self.scheme, operands)
             # mod_switch rows are bookkeeping (no NTT/key-switch work):
             # count only the limbs real compute nodes touch, so the
             # before/after delta reflects saved kernel work.
-            if nid in live_nodes and node.kind not in ("decrypt",
-                                                       "mod_switch"):
-                total += lv[nid]
-        return total
-
-    def _scale_exponents(self) -> Dict[int, int]:
-        """CKKS per-node scale-exponent forward walk."""
-        sexp: Dict[int, int] = {}
-        nodes = self.src.nodes
-        for nid, node in enumerate(nodes):
-            if node.kind == "const":
-                sexp[nid] = 0
-                continue
-            deps = [a for a in node.args if nodes[a].kind != "const"]
-            base = max((sexp[a] for a in deps), default=1)
-            if node.kind == "mul":
-                if any(nodes[a].kind == "const" for a in node.args):
-                    base += 1
-                elif len(deps) == 2:
-                    base = sexp[deps[0]] + sexp[deps[1]]
-            elif node.kind == "rescale":
-                base = max(1, base - 1)
-            elif node.kind in ("input", "encrypt", "recrypt_boundary"):
-                base = 1
-            sexp[nid] = base
-        return sexp
-
-    def _result_live(self, node: IrNode, arg_live: List[int]) -> int:
-        if node.kind in ("input", "encrypt", "recrypt_boundary"):
-            return self.full
-        base = min(arg_live, default=self.full)
-        if node.kind == "mod_switch":
-            return max(1, base - 1)
-        if node.kind == "rescale" and self.scheme is SchemeType.CKKS:
-            return max(1, base - 1)
-        return base
+            if node.kind not in ("mod_switch", "decrypt"):
+                plan.limb_rows_before += self.full
+                plan.limb_rows_after += self.full - lv[0]
+            replan = (node.kind == "recrypt_boundary"
+                      and self.estimator is not None)
+            floor_bits = self._entry_floor_bits(nid) if replan else 0.0
+            if node.kind in DROP_SITE_KINDS or nid in self.pre_boundary:
+                drops = self._droppable(nid, lv, floor_bits)
+                nid2 = self._drop_chain(nid2, drops)
+                lv = (lv[0] + drops, lv[1])
+                plan.limb_drops += drops
+            if replan:
+                plan.segments[-1].entry_limbs = self.full - lv[0]
+                plan.replans += 1 if lv[0] else 0
+            new_id[nid], level[nid] = nid2, lv
+        for name, nid in self.src.outputs.items():
+            self.out.outputs[name] = new_id[nid]
+        return self.out, plan
 
     def _aligned_args(self, node: IrNode, new_id: Dict[int, int],
-                      live: Dict[int, int]) -> Tuple[Tuple[int, ...],
-                                                     List[int]]:
+                      level: Dict[int, Optional[Level]]
+                      ) -> Tuple[Tuple[int, ...], List[Level]]:
         """Map args, level-matching binary ciphertext operands."""
-        nodes = self.src.nodes
-        ct_args = [a for a in node.args if nodes[a].kind != "const"]
-        target = min((live[a] for a in ct_args), default=self.full)
+        operands = [level[a] for a in node.args if level[a] is not None]
+        align = node.kind in ("add", "sub", "mul") and len(operands) == 2
+        target = max((lv[0] for lv in operands), default=0)
         args: List[int] = []
-        arg_live: List[int] = []
         for a in node.args:
-            if nodes[a].kind == "const":
-                args.append(new_id[a])
-                continue
-            mapped, lv = new_id[a], live[a]
-            if (node.kind in ("add", "sub", "mul") and len(ct_args) == 2
-                    and lv > target):
-                mapped, lv = self._drop_chain(mapped, lv, target)
-                self.plan.align_switches += live[a] - target
+            mapped = new_id[a]
+            if align and level[a][0] < target:
+                gap = target - level[a][0]
+                mapped = self._drop_chain(mapped, gap)
+                self.plan.align_switches += gap
             args.append(mapped)
-            arg_live.append(lv)
-        return tuple(args), arg_live
+        return tuple(args), operands     # level_after meets them at target
 
 
-def plan_levels(program: IrProgram, params,
-                options: Optional[PlannerOptions] = None
-                ) -> Tuple[IrProgram, LevelPlan]:
-    """Run the level planner; returns the rewritten program and its plan.
-
-    A no-op (original program, empty plan) when the chain has a single
-    limb or the options disable the planner.
-    """
-    options = options or PlannerOptions()
-    if not options.enabled or len(params.data_base.moduli) < 2:
-        return program, LevelPlan()
-    planner = _Planner(program, params, options)
+def plan_levels(program: IrProgram, params) -> Tuple[IrProgram, LevelPlan]:
+    """Run the level planner; returns the rewritten program and its plan
+    (the program unchanged when the chain has a single limb)."""
+    plan = LevelPlan(chain=params.data_base.moduli)
+    if len(plan.chain) < 2:
+        return program, plan
+    planner = _Planner(program, params, plan)
     out, plan = planner.run()
     if planner.estimator is not None:
-        for est in planner.estimator.budget_after(out).values():
-            if est is not None and not est.is_safe():
-                plan.predicted_unsafe += 1
+        plan.predicted_unsafe = sum(
+            not est.is_safe()
+            for est in planner.estimator.budget_after(out).values()
+            if est is not None)
     return out, plan

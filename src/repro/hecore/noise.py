@@ -166,13 +166,39 @@ class NoiseEstimator:
         return est.is_safe()
 
     # ------------------------------------------------------------ programs
+    def node_cost_bits(self, node, nodes) -> float:
+        """Noise bits IR node *node* charges the value flowing into it —
+        the one per-kind table :meth:`budget_after` spends forward and the
+        level planner sums backward.  ``rotate_sum`` / ``weighted_sum`` are
+        hoisted spans (:meth:`after_hoisted_rotations`) plus their
+        accumulation; kinds that move no noise (``neg``, ``rescale``,
+        ``mod_switch``, crypto boundaries) cost nothing."""
+        kind = node.kind
+        plain = any(nodes[a].kind == "const" for a in node.args)
+        if kind == "rotate":
+            return ROTATION_BITS
+        if kind in ("add", "sub"):
+            return 0.5 if plain else 1.0
+        if kind == "mul":
+            return self.t_bits + (self.log_n / 2 if plain
+                                  else self.log_n + 8)
+        if kind == "rotate_sum":
+            rounds = max(1, math.ceil(math.log2(max(node.width, 2))))
+            return ROTATION_BITS + math.log2(rounds + 1) + rounds
+        if kind == "weighted_sum":
+            count = max(1, len(node.terms))
+            return (ROTATION_BITS + math.log2(count + 1) + self.t_bits
+                    + self.log_n / 2 + math.ceil(math.log2(count + 1)))
+        return 0.0
+
     def budget_after(self, program) -> dict:
         """Predicted budget for every output of a ciphertext IR program.
 
-        Walks a :class:`repro.core.ir.IrProgram` (duck-typed: ``nodes`` with
-        ``kind``/``args``/``terms``/``width``, plus ``outputs``) applying
-        the per-operation transitions, including planner-inserted
-        ``mod_switch`` limb drops.  Returns ``{output_name: NoiseEstimate}``.
+        Walks a :class:`repro.core.ir.IrProgram` in the dependency order of
+        its static level analysis (``program.levels``), spending
+        :meth:`node_cost_bits` from the tightest operand at every node and
+        pricing ``mod_switch`` limb drops (planner-inserted or traced) at
+        the analysed level.  Returns ``{output_name: NoiseEstimate}``.
 
         Predictions are conservative: measured budgets exceed them by up to
         :data:`PROGRAM_SLACK_BITS` (the model assumes worst-case ``t``-sized
@@ -183,62 +209,21 @@ class NoiseEstimator:
         nodes = program.nodes
         limb_bits = [int(p).bit_length()
                      for p in self.params.data_base.moduli]
-        # est[nid] -> (NoiseEstimate | None for consts, live limb count)
-        state: dict = {}
-        stack = list(program.outputs.values())
-        while stack:
-            nid = stack[-1]
-            if nid in state:
-                stack.pop()
-                continue
+        state: dict = {}        # nid -> NoiseEstimate (None for consts)
+        for nid, level in program.levels(self.params.scheme).items():
             node = nodes[nid]
-            deps = list(node.args) + [cid for _, cid in node.terms]
-            missing = [a for a in deps if a not in state]
-            if missing:
-                stack.extend(missing)
-                continue
-            state[nid] = self._after_node(node, nodes, state, limb_bits)
-            stack.pop()
-        return {name: state[nid][0]
-                for name, nid in program.outputs.items()}
-
-    def _after_node(self, node, nodes, state, limb_bits):
-        """One (estimate, live-limb-count) transition for *node*."""
-        kind = node.kind
-        full = len(limb_bits)
-        if kind == "const":
-            return None, full
-        if kind in ("input", "encrypt", "recrypt_boundary"):
-            return self.fresh(), full
-        ct_states = [state[a] for a in node.args
-                     if state[a][0] is not None]
-        est, live = ct_states[0] if ct_states else (self.fresh(), full)
-        live = min(lv for _, lv in ct_states) if ct_states else full
-        if kind == "mod_switch":
-            return self.after_mod_switch(est, limb_bits[live - 1]), live - 1
-        if kind in ("decrypt", "neg", "rescale"):
-            return est, live
-        if kind == "rotate":
-            return self.after_rotation(est), live
-        if kind == "rotate_sum":
-            rounds = max(1, math.ceil(math.log2(max(node.width, 2))))
-            est = self.after_hoisted_rotations(est, rounds)
-            return self._spend(est, rounds), live
-        if kind == "weighted_sum":
-            count = max(1, len(node.terms))
-            est = self.after_hoisted_rotations(est, count)
-            est = self.after_multiply_plain(est)
-            return self._spend(est, math.ceil(math.log2(count + 1))), live
-        has_const = any(nodes[a].kind == "const" for a in node.args)
-        if kind in ("add", "sub"):
-            if has_const:
-                return self.after_add_plain(est), live
-            other = ct_states[1][0] if len(ct_states) > 1 else None
-            return self.after_add(est, other), live
-        if kind == "mul":
-            if has_const or len(ct_states) < 2:
-                return self.after_multiply_plain(est), live
-            floor = min(e.budget_bits for e, _ in ct_states)
-            est = replace(est, budget_bits=floor)
-            return self.after_multiply(est), live
-        raise ValueError(f"unknown IR node kind {kind!r}")
+            operands = [state[a] for a in node.args if state[a] is not None]
+            if level is None:
+                state[nid] = None
+            elif node.kind in ("input", "encrypt", "recrypt_boundary") \
+                    or not operands:
+                state[nid] = self.fresh()
+            elif node.kind == "mod_switch":
+                state[nid] = self.after_mod_switch(
+                    operands[0], limb_bits[len(limb_bits) - level[0]])
+            else:
+                floor = min(e.budget_bits for e in operands)
+                state[nid] = self._spend(
+                    replace(operands[0], budget_bits=floor),
+                    self.node_cost_bits(node, nodes))
+        return {name: state[nid] for name, nid in program.outputs.items()}

@@ -1,0 +1,114 @@
+"""The level planner's emitted programs, pinned over a fixed corpus.
+
+``tests/level_corpus.json`` was recorded at the commit *before* the four
+level walks (sink-pass states, planner scale exponents / result levels /
+row integral, estimator live-limb bookkeeping) became one analysis
+(:meth:`repro.core.ir.IrProgram.levels`) and the two noise tables became
+one (:meth:`repro.hecore.noise.NoiseEstimator.node_cost_bits`).  Every
+plan total and the position of every planned switch must repeat exactly:
+a refactor of the planner that moves a decision fails here first.
+
+Re-record (only for a deliberate planner change) with
+``PYTHONPATH=src python -m tests.test_level_corpus > tests/level_corpus.json``.
+"""
+
+import json
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.compiler import Constant, EvaProgram, Input, Scalar, lower_to_ir
+from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
+from repro.core.ir import compile_ir
+from repro.hecore.params import SchemeType, small_test_parameters
+from tests.test_level_planner import _light_trace
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+import bench_level_planner as bench  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "level_corpus.json"
+
+
+def _eva_programs():
+    """The programs of ``tests/test_compiler.py``."""
+    x, w, c = Input("x"), Input("w"), Input("c")
+    dot = x * w
+    dot = dot + dot.rotate(2)
+    sq = (x - c) * (x - c)
+    dist = sq + sq.rotate(2)
+    shared = x * x
+    return {
+        "affine": {"y": 2.0 * x + Constant([1, 2, 3, 4])},
+        "poly2": {"y": (x * x) * 0.5 + x},
+        "two_io": {"prod": x * w, "diff": x - w, "neg": -x},
+        "plain_minus": {"y": Scalar(1.0) - x},
+        "rotation": {"y": x + x.rotate(1)},
+        "dot": {"dot": dot + dot.rotate(1)},
+        "level_align": {"y": (x * x) * 0.25 + x + 1.0},
+        "sqdist": {"dist": dist + dist.rotate(1)},
+        "memo": {"y": shared + shared},
+    }
+
+
+def _corpus():
+    """name -> (traced program, parameters it is planned for)."""
+    knn = small_test_parameters(SchemeType.CKKS, 4096, data_bits=(30, 30, 30))
+    ckks = small_test_parameters(SchemeType.CKKS, 1024, data_bits=(30, 24, 24))
+    bfv3 = small_test_parameters(SchemeType.BFV, 1024, plain_bits=16,
+                                 data_bits=(30, 30, 30))
+    corpus = {}
+    points, query = np.zeros((64, 16)), np.zeros(16)
+    for name, cls in KERNEL_VARIANTS.items():
+        kernel = cls(types.SimpleNamespace(params=knn),
+                     DistanceProblem(n_points=64, dims=16))
+        shape = (len(kernel.pack_points(points)), len(kernel.pack_query(query)))
+        corpus[f"knn/{name}"] = kernel.program(shape), knn
+    for name, outputs in _eva_programs().items():
+        corpus[f"eva/{name}"] = lower_to_ir(EvaProgram(outputs, slots=4)), ckks
+    corpus["light/bfv3"] = _light_trace(bfv3), bfv3
+    for limbs in (3, 6):
+        params = small_test_parameters(SchemeType.BFV, 4096, plain_bits=16,
+                                       data_bits=(30,) * limbs)
+        ctx = types.SimpleNamespace(params=params)
+        rng = np.random.default_rng(7)
+        mats = [rng.integers(0, 7, size=(bench.CHAIN_DIM, bench.CHAIN_DIM))
+                for _ in range(bench.CHAIN_LAYERS)]
+        corpus[f"bench/chain/bfv{limbs}"] = bench._trace_chain(ctx, mats), params
+        corpus[f"bench/slice/bfv{limbs}"] = bench._trace_slice(
+            ctx, np.random.default_rng(11))[0], params
+    return corpus
+
+
+def _fingerprint(program, params):
+    sched = compile_ir(program, params.scheme, params=params)
+    plan = sched.report.level_plan
+    live = sched.program.live_set()
+    return {
+        "plan": [plan.limb_drops, plan.align_switches, plan.replans,
+                 plan.limb_rows_before, plan.limb_rows_after],
+        "sunk": [sched.report.rescales_sunk, sched.report.mod_switches_sunk],
+        "planned_switches": [nid for nid in sorted(live)
+                             if sched.program.nodes[nid].planned],
+    }
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_emitted_program_did_not_move(name):
+    want = json.loads(GOLDEN.read_text())[name]
+    assert _fingerprint(*CORPUS[name]) == want
+
+
+def test_golden_covers_exactly_the_corpus():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CORPUS)
+
+
+if __name__ == "__main__":
+    print("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {json.dumps(_fingerprint(*CORPUS[name]))}"
+        for name in sorted(CORPUS)) + "\n}")

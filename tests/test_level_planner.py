@@ -2,30 +2,38 @@
 
 Covers the planner's contract end to end: eager limb drops at
 coefficient-form sites with bit-exact BFV (and tight-tolerance CKKS)
-results, the options surface (disabled, drop caps, terminal-output
-reserves), per-segment replanning across explicit ``recrypt_boundary``
-nodes, the advisory-skip guard when runtime levels diverge from the plan,
-telemetry flow into context counters / CostLedger / session metrics, the
-planner-on pipelines (Eva programs, distance kernels), and a fleet round
-trip (planner-on KNN through the router with resume-after-eviction).
+results, per-segment replanning across explicit ``recrypt_boundary``
+nodes, the plan as a checked contract (a diverged entry level or a foreign
+modulus chain is refused before anything runs, and a refused or failed run
+is not metered), the static level analysis against what the executor
+counts over everything shipped, the single noise-cost table, telemetry
+flow into context counters / CostLedger / session metrics, the planner-on
+pipelines (Eva programs, distance kernels), and a fleet round trip
+(planner-on KNN through the router with resume-after-eviction).
 """
 
 import asyncio
 import contextlib
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.ir import (
     ScheduledProgram,
+    ScheduleError,
     ScheduleReport,
     compile_ir,
     concat_programs,
     ensure_galois_keys,
     trace_program,
 )
-from repro.core.levelplan import LevelPlan, PlannerOptions, plan_levels
+from repro.core.levelplan import LevelPlan, plan_levels
 from repro.core.protocol import ClientAidedSession
+from repro.hecore.keys import MissingEvaluationKey
+from repro.hecore.noise import NoiseEstimator
 from repro.hecore.params import SchemeType
 from tests.test_ir import _random_bfv_program, _random_ckks_program
 
@@ -74,14 +82,6 @@ def test_compile_without_params_has_no_plan(bfv_params):
     assert sched.report.level_plan is None
 
 
-def test_disabled_planner_is_a_noop(bfv_params):
-    sched = compile_ir(_light_trace(bfv_params), SchemeType.BFV,
-                       params=bfv_params,
-                       level_planner=PlannerOptions(enabled=False))
-    assert sched.report.level_plan is None
-    assert not any(n.planned for n in sched.program.nodes)
-
-
 def test_plan_levels_reports_row_savings(bfv_params):
     program = _light_trace(bfv_params)
     planned, plan = plan_levels(program, bfv_params)
@@ -90,33 +90,10 @@ def test_plan_levels_reports_row_savings(bfv_params):
     assert plan.limb_rows_after < plan.limb_rows_before
     assert "limb drop(s)" in plan.describe()
     assert plan.predicted_unsafe == 0
-    # Planner-inserted switches carry the advisory markers the executor
-    # keys its skip guard on: planned=True plus the expected live count.
-    switches = [n for n in planned.nodes
-                if n.kind == "mod_switch" and n.planned]
-    assert switches and all(n.width > 0 for n in switches)
-
-
-def test_max_drops_caps_the_frontier(bfv_params):
-    program = _light_trace(bfv_params)
-    _, plan = plan_levels(program, bfv_params)
-    assert plan.limb_drops >= 1
-    _, capped = plan_levels(program, bfv_params,
-                            PlannerOptions(max_drops=1))
-    assert capped.limb_drops == 1
-    _, frozen = plan_levels(program, bfv_params,
-                            PlannerOptions(max_drops=0))
-    assert frozen.limb_drops == 0
-
-
-def test_terminal_output_reserve_is_conservative(bfv_params):
-    program = _light_trace(bfv_params)
-    _, terminal = plan_levels(program, bfv_params,
-                              PlannerOptions(terminal_outputs=True))
-    _, reserved = plan_levels(program, bfv_params,
-                              PlannerOptions(terminal_outputs=False))
-    # A continuation reserve can only hold limbs back, never drop more.
-    assert reserved.limb_drops <= terminal.limb_drops
+    # The plan names the chain it is a contract for, and its switches
+    # carry the ``planned`` marker the executor meters ``limb_drops`` on.
+    assert plan.chain == tuple(int(p) for p in bfv_params.data_base.moduli)
+    assert sum(n.planned for n in planned.nodes) == plan.limb_drops
 
 
 # ----------------------------------------------------- exactness with drops
@@ -272,38 +249,211 @@ def test_shallow_chain_keeps_segment_at_full_depth(bfv_params):
     assert plan.segments[-1].entry_limbs == plan.segments[-1].full_limbs
 
 
-def test_segment_replan_with_dse_records_operating_point(wide_bfv):
-    params = wide_bfv.params
-    rng = np.random.default_rng(32)
-    program = _recrypt_program(params, rng)
-    _, plan = plan_levels(program, params, PlannerOptions(use_dse=True))
-    replanned = [s for s in plan.segments if s.entry_limbs < s.full_limbs]
-    assert replanned
-    assert all(s.operating_point for s in replanned)
+# ------------------------------------------------ the plan is a contract
+
+LEVEL_COUNTERS = ("level_replans", "limb_drops", "limbs_live")
 
 
-# -------------------------------------------------- advisory-skip guard
+def _level_counts(ctx):
+    return {k: ctx.counts.get(k, 0) for k in LEVEL_COUNTERS}
+
 
 def test_planned_drop_skips_on_level_divergence(bfv, bfv_params):
-    """A planned program fed a ciphertext already below the planned level
-    must skip its advisory drops (no underflow) and stay bit-exact."""
-    program = _light_trace(bfv_params)
-    sched = compile_ir(program, SchemeType.BFV, params=bfv_params)
+    """A ciphertext entering below the planned level is refused before
+    anything runs, naming the input and both widths, and the refused run
+    is billed nothing — a planned drop is never skipped."""
+    sched = compile_ir(_light_trace(bfv_params), SchemeType.BFV,
+                       params=bfv_params)
     assert sched.report.level_plan.limb_drops > 0
-    raw = _raw(program, SchemeType.BFV)
-    keys = ensure_galois_keys(bfv, sched.rotation_steps(),
-                              raw.rotation_steps())
+    keys = ensure_galois_keys(bfv, sched.rotation_steps())
 
     ct = bfv.encrypt(np.arange(512, dtype=np.int64) % 7)
     low = bfv.mod_switch_down(bfv.mod_switch_down(ct))   # 3 -> 1 limb
-    before = bfv.counts.get("limb_drops", 0)
-    got = sched.run(bfv, {"x": low}, keys)["out0"]
-    assert bfv.counts.get("limb_drops", 0) == before, \
-        "a diverged level must skip the planned drop, not count it"
-    want = raw.run_reference(bfv, {"x": low}, keys)["out0"]
-    assert np.array_equal(np.asarray(bfv.decrypt(got)),
-                          np.asarray(bfv.decrypt(want)))
-    assert len(got.level_base) == 1
+    before = _level_counts(bfv)
+    with pytest.raises(ScheduleError,
+                       match=r"input 'x' arrives on 1 limb\(s\).*all 3"):
+        sched.run(bfv, {"x": low}, keys)
+    assert _level_counts(bfv) == before
+    # The unplanned source program still serves any entry level.
+    want = sched.run_reference(bfv, {"x": low}, keys)["out0"]
+    assert len(want.level_base) == 1
+
+
+def test_schedule_refuses_a_foreign_chain(bfv_params, wide_bfv):
+    """A level plan is made for one modulus chain; a context with another
+    raises instead of executing drops priced for different limbs."""
+    sched = compile_ir(_light_trace(bfv_params), SchemeType.BFV,
+                       params=bfv_params)
+    ct = wide_bfv.encrypt(np.arange(512, dtype=np.int64) % 7)
+    before = Counter(wide_bfv.counts)
+    with pytest.raises(ScheduleError, match="3-limb chain.*5-limb chain"):
+        sched.run(wide_bfv, {"x": ct})
+    assert wide_bfv.counts == before, "nothing may execute before the check"
+
+
+def test_failed_run_is_not_metered(wide_bfv):
+    """A run that dies on a missing Galois key is billed no replan, no
+    limb drop and no limbs-live: level telemetry is charged on return."""
+    from repro.hecore.bfv import BfvContext
+
+    params = wide_bfv.params
+    sched = compile_ir(_recrypt_program(params, np.random.default_rng(31)),
+                       SchemeType.BFV, params=params)
+    assert sched.report.level_plan.replans >= 1
+    keyless = BfvContext(params, seed=78)
+    ct = keyless.encrypt(np.arange(512, dtype=np.int64) % 7)
+    with pytest.raises(MissingEvaluationKey):
+        sched.run(keyless, {"x": ct})
+    assert _level_counts(keyless) == dict.fromkeys(LEVEL_COUNTERS, 0)
+
+
+def test_one_cost_table_moves_estimator_and_planner(bfv_params, monkeypatch):
+    """``NoiseEstimator.node_cost_bits`` is the only per-op noise table:
+    making rotations dearer there lowers ``budget_after`` *and* pulls the
+    planner's drop frontier back."""
+    program = _light_trace(bfv_params)
+    estimator = NoiseEstimator(bfv_params)
+    budget = estimator.budget_after(program)["out0"].budget_bits
+    _, plan = plan_levels(program, bfv_params)
+    assert plan.limb_drops > 0
+
+    real = NoiseEstimator.node_cost_bits
+    monkeypatch.setattr(
+        NoiseEstimator, "node_cost_bits",
+        lambda self, node, nodes: real(self, node, nodes)
+        + (30.0 if node.kind == "rotate" else 0.0))
+    assert estimator.budget_after(program)["out0"].budget_bits == budget - 30
+    # The input-side drop is no longer affordable: it moves to the output,
+    # so every node in between runs on the full chain again.
+    _, dearer = plan_levels(program, bfv_params)
+    assert dearer.limb_rows_after > plan.limb_rows_after
+
+
+def test_diverged_entry_over_the_wire_fails_one_request(ckks_params):
+    """Served: a query below the planned entry level answers
+    HANDLER_FAILED (counted as an error, no kernel counter moved) and the
+    session serves the next well-formed query."""
+    from repro.apps.knn import KnnOffloadService, RemoteKnn
+    from repro.core.protocol import KERNEL_COUNTER_NAMES
+    from repro.hecore.ckks import CkksContext
+    from repro.runtime import OffloadClient, OffloadError, OffloadServer
+    from repro.runtime.framing import ErrorCode
+
+    rng = np.random.default_rng(9)
+    points, query = rng.normal(size=(8, 4)), rng.normal(size=4)
+
+    async def main():
+        server = OffloadServer(ckks_params)
+        KnnOffloadService.install(server)
+        host, port = await server.start()
+        ctx = CkksContext(ckks_params, seed=29)
+        try:
+            async with OffloadClient(ckks_params, host, port) as client:
+                knn = RemoteKnn(client, ctx, k=3, variant="collapsed")
+                batch = await knn.add_points(points, np.arange(8) % 2)
+                kernel = knn._batches[0][0]
+                stats = server.metrics.get(1)
+                before = {n: getattr(stats, n) for n in KERNEL_COUNTER_NAMES}
+
+                low = [ctx.mod_switch_down(ct)
+                       for ct in ctx.encrypt_many(kernel.pack_query(query))]
+                with pytest.raises(OffloadError) as refused:
+                    await client.request(KnnOffloadService.OP_QUERY, low,
+                                         {"batch": batch})
+                assert refused.value.code is ErrorCode.HANDLER_FAILED
+                assert "2 limb(s)" in str(refused.value)
+                assert "all 3" in str(refused.value)
+                assert stats.errors == 1
+                assert before == {n: getattr(stats, n)
+                                  for n in KERNEL_COUNTER_NAMES}
+
+                served = await knn.classify(query)
+                assert stats.errors == 1 and stats.limbs_live > 0
+                return served
+        finally:
+            await server.stop()
+
+    assert asyncio.run(main()).label in (0, 1)
+
+
+# ------------------------------- static analysis == what the executor counts
+
+def _assert_static_matches_run(sched, ctx, inputs, keys=None):
+    """Σ statically analysed live limbs over executed ciphertext nodes ==
+    the run's ``limbs_live``; live planned switches == its ``limb_drops``."""
+    full = len(ctx.params.data_base.moduli)
+    nodes = sched.program.nodes
+    levels = sched.program.levels(sched.scheme)
+    want = {
+        "limbs_live": sum(full - level[0] for nid, level in levels.items()
+                          if level is not None and nodes[nid].kind != "decrypt"),
+        "limb_drops": sum(nodes[nid].planned for nid in levels),
+    }
+    before = Counter(ctx.counts)
+    sched.run(ctx, inputs, keys)
+    delta = ctx.counts - before
+    assert {k: delta[k] for k in want} == want
+
+
+@pytest.mark.parametrize("variant", [
+    "point-major", "dimension-major", "stacked-point", "stacked-dimension",
+    "collapsed", "multi-query"])
+def test_static_levels_match_executed_distance_kernels(ckks, variant):
+    from repro.core.distance import (KERNEL_VARIANTS, DistanceProblem,
+                                     MultiQueryDimensionMajor)
+
+    rng = np.random.default_rng(17)
+    points = rng.uniform(-1, 1, (4, 3))
+    problem = DistanceProblem(n_points=4, dims=3)
+    if variant == "multi-query":
+        kernel = MultiQueryDimensionMajor(ckks, problem, max_queries=2)
+        q_cts = ckks.encrypt_many(
+            kernel.pack_queries(rng.uniform(-1, 1, (2, 3))))
+    else:
+        kernel = KERNEL_VARIANTS[variant](ckks, problem)
+        q_cts = kernel.encrypt_query(rng.uniform(-1, 1, 3))
+    p_cts = kernel.encrypt_points(points)
+    sched = kernel.scheduled((len(p_cts), len(q_cts)))
+    assert sched.report.level_plan is not None
+    keys = ensure_galois_keys(ckks, sched.rotation_steps())
+    _assert_static_matches_run(
+        sched, ckks, {f"in{i}": ct for i, ct in enumerate(p_cts + q_cts)},
+        keys)
+
+
+def test_static_levels_match_executed_eva_program(ckks):
+    from repro.core.compiler import EvaProgram, Input, compile_program
+
+    x = Input("x")
+    acc = (x * x) * 0.25 + x + 1.0
+    compiled = compile_program(EvaProgram({"y": acc + acc.rotate(1)}, slots=4))
+    sched = compiled.scheduled(ckks.params)
+    keys = ensure_galois_keys(ckks, sched.rotation_steps())
+    padded = np.zeros(ckks.params.poly_degree // 2)
+    padded[:4] = [0.3, 0.6, -0.3, -0.6]
+    _assert_static_matches_run(sched, ckks, {"x": ckks.encrypt(padded)}, keys)
+
+
+@pytest.mark.parametrize("which", ["matvec_chain", "dnn_slice"])
+def test_static_levels_match_executed_bench_programs(wide_bfv, which):
+    """The two BFV programs ``bench_level_planner.py`` gates on (four
+    matvec layers; conv -> recrypt -> fc), on the five-limb test chain."""
+    sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+    import bench_level_planner as bench
+
+    params = wide_bfv.params
+    rng = np.random.default_rng(7)
+    if which == "matvec_chain":
+        mats = [rng.integers(0, 7, size=(bench.CHAIN_DIM, bench.CHAIN_DIM))
+                for _ in range(bench.CHAIN_LAYERS)]
+        program, name = bench._trace_chain(wide_bfv, mats), "x"
+    else:
+        program, name = bench._trace_slice(wide_bfv, rng)[0], "in0"
+    sched = compile_ir(program, SchemeType.BFV, params=params)
+    assert sched.report.level_plan.limb_drops > 0
+    keys = ensure_galois_keys(wide_bfv, sched.rotation_steps())
+    ct = wide_bfv.encrypt(rng.integers(0, 4, params.poly_degree))
+    _assert_static_matches_run(sched, wide_bfv, {name: ct}, keys)
 
 
 # ------------------------------------------------------- telemetry surfaces
