@@ -1,35 +1,56 @@
 """Batched client-crypto throughput: stacked kernels vs looped single-shot.
 
 Engineering telemetry for the batched client-crypto engine
-(:func:`repro.hecore.bfv.BfvContext.encrypt_many` /
-:func:`~repro.hecore.bfv.BfvContext.decrypt_many`): M ciphertexts share one
-``(M, N)`` sampler draw, one stacked forward/inverse NTT over the
-``(M*k, N)`` residue block, and one vectorized RNS scale-and-round, instead
-of M independent passes.  Two kernels, each at N=2048 and N=4096:
+(:class:`repro.hecore.rlwe.RlweContext`'s ``encrypt_many`` /
+``encrypt_symmetric_many`` / ``decrypt_many``): M ciphertexts share one
+``(M, N)`` sampler draw, one stacked NTT over the ``(M*k, N)`` residue
+block, and one vectorized RNS scale-and-round, instead of M independent
+passes.  Two BFV kernels, each at N=2048 and N=4096:
 
 * ``encrypt`` — ``encrypt_many`` of M=16 packed vectors vs a loop of
-  single-shot ``encrypt`` calls;
+  single-shot ``encrypt`` calls (public-key, pre-encoded plaintexts);
 * ``decrypt`` — ``decrypt_many`` (vectorized CRT scaling with float
   correction) vs a loop of the exact big-integer decrypt path it replaced
   (``compose`` + per-coefficient ``scale_and_round``).  The N=4096 context
   uses three 30-bit data limbs so the baseline pays the real multi-limb
   big-integer cost.
 
-Both assert value-level equality between the implementations before timing
-anything.  ``--check`` exits non-zero when a batched kernel falls below its
-minimum required speedup or regresses more than 20% against the previous
-recorded run.  Results go to ``benchmarks/results/BENCH_client_crypto.json``.
+and the call the served client actually makes — raw slot vectors in,
+seed-compressed evaluation-form ciphertexts out — CKKS, N=4096, three
+30-bit limbs:
+
+* ``ckks_encode`` — one ``CkksEncoder.encode`` against the same embedding
+  rounded by the exact Python-integer fallback the encoder keeps for
+  coefficients of 2**62 and beyond (the per-coefficient loop every encode
+  used to run);
+* ``ckks_symmetric`` — ``encrypt_symmetric_many`` of M=16 raw vectors vs
+  a loop of ``encrypt_symmetric``, encode included on both sides.
+
+The record's header also prices one ``ckks_symmetric`` ciphertext in units
+of one ``NttStackPlan.forward`` residue row (``ntt_rows_per_symmetric_ct``;
+three of them are the transform itself), so this layer reconciles with
+``bench_he_throughput``'s ``ntt_forward``.
+
+Every kernel asserts equality between its two implementations before
+timing anything (values for the BFV pairs, bits for the CKKS ones).
+``--check`` exits non-zero when a batched kernel falls below its minimum
+required speedup or regresses more than 20% against the previous recorded
+run.  Results go to ``benchmarks/results/BENCH_client_crypto.json``.
 """
 
 import argparse
 import sys
+import timeit
 from pathlib import Path
 
 import numpy as np
 
 from _gate import best_of_pair, run_speedup_gate
+from repro.hecore import ckks, ntt
 from repro.hecore.bfv import BfvContext
+from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.random import BlakePrng
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_client_crypto.json"
 
@@ -42,11 +63,16 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_client_crypto.json"
 #: floors only guard against the batch path degrading below looped speed —
 #: encrypt is NTT-bound, so batching buys amortized Python/sampling
 #: overhead, not kernel time.
+#: ``ckks_symmetric`` guards like the BFV encrypt rows (ten runs read
+#: 1.15-1.25x); the ``ckks_encode`` floor is two thirds of the lowest of ten
+#: runs, 26.3-28.4x (``benchmarks/results/README.md``).
 MIN_SPEEDUP = {
     "encrypt_n2048": 0.9,
     "encrypt_n4096": 0.9,
     "decrypt_n2048": 1.8,
     "decrypt_n4096": 1.7,
+    "ckks_encode": 17.0,
+    "ckks_symmetric": 0.9,
 }
 
 BATCH = 16
@@ -109,6 +135,77 @@ def _measure_decrypt(ctx):
     return best_of_pair(looped_bigint, batched, 1, rounds=12)
 
 
+def _make_ckks_context():
+    params = small_test_parameters(SchemeType.CKKS, poly_degree=4096,
+                                   data_bits=(30, 30, 30))
+    return CkksContext(params, seed=b"bench-client-crypto")
+
+
+def _ckks_vectors(ctx):
+    rng = np.random.default_rng(5)
+    return [rng.uniform(-1, 1, ctx.encoder.slot_count) for _ in range(BATCH)]
+
+
+def _measure_ckks_encode(ctx):
+    """One vectorised encode vs the same embedding through the encoder's
+    exact Python-integer rounding."""
+    encoder, base, scale = ctx.encoder, ctx.params.data_base, ctx.params.scale
+    values = _ckks_vectors(ctx)[0]
+
+    def exact():
+        return ckks._round_exact(
+            base, encoder._scaled_coefficients([values], scale))[0]
+
+    def vectorised():
+        return encoder.encode(values).poly.data
+
+    assert np.array_equal(exact(), vectorised()), \
+        "vectorised CKKS encode disagrees with the exact rounding"
+    return best_of_pair(exact, vectorised, 4)
+
+
+class _SymmetricSchedule:
+    """``encrypt_symmetric_many``'s PRNG schedule, one ciphertext at a time
+    (seeds from the ``seed`` fork, errors from the ``e`` fork)."""
+
+    def __init__(self, root):
+        self.random_bytes = root.fork("seed").random_bytes
+        self.sample_error = root.fork("e").sample_error
+
+
+def _measure_ckks_symmetric(ctx):
+    """The served upload: BATCH raw slot vectors through one
+    ``encrypt_symmetric_many`` vs BATCH ``encrypt_symmetric`` calls."""
+    vals = _ckks_vectors(ctx)
+
+    def looped(rng=None):
+        return [ctx.encrypt_symmetric(v, rng=rng) for v in vals]
+
+    def batched(rng=None):
+        return ctx.encrypt_symmetric_many(vals, rng=rng)
+
+    pairs = zip(looped(_SymmetricSchedule(BlakePrng(b"pin"))),
+                batched(BlakePrng(b"pin")))
+    for one, many in pairs:
+        assert one.seed == many.seed and one.is_ntt and many.is_ntt
+        assert all(np.array_equal(a.data, b.data)
+                   for a, b in zip(one.components, many.components)), \
+            "batched symmetric encrypt is not bit-identical to the loop"
+    return best_of_pair(looped, batched, 1)
+
+
+def _ntt_row_seconds(ctx):
+    """Seconds per residue row of one ``NttStackPlan.forward`` over the
+    context's data base — ``bench_he_throughput``'s ``ntt_forward`` unit."""
+    base, n = ctx.params.data_base, ctx.params.poly_degree
+    plan = ntt.get_stack_plan(n, base.moduli)
+    stack = np.mod(np.arange(len(base) * n, dtype=np.int64)
+                   .reshape(len(base), n), base.moduli_col)
+    plan.forward(stack)                          # build the plan's tables
+    runs = timeit.repeat(lambda: plan.forward(stack), number=20, repeat=6)
+    return min(runs) / 20 / len(base)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -129,7 +226,17 @@ def main(argv=None):
         measurements[f"encrypt_n{degree}"] = _measure_encrypt(ctx)
         measurements[f"decrypt_n{degree}"] = _measure_decrypt(ctx)
         degrees[str(degree)] = [int(p) for p in ctx.params.data_base.moduli]
-    extra = {"batch": BATCH, "data_moduli": degrees}
+    ckks_ctx = _make_ckks_context()
+    measurements["ckks_encode"] = _measure_ckks_encode(ckks_ctx)
+    measurements["ckks_symmetric"] = _measure_ckks_symmetric(ckks_ctx)
+    row_s = _ntt_row_seconds(ckks_ctx)
+    per_ct_s = measurements["ckks_symmetric"][1] / BATCH
+    extra = {
+        "batch": BATCH,
+        "data_moduli": degrees,
+        "ntt_forward_row_us": round(1e6 * row_s, 2),
+        "ntt_rows_per_symmetric_ct": round(per_ct_s / row_s, 2),
+    }
     return run_speedup_gate(measurements, MIN_SPEEDUP, ("looped", "batched"),
                             extra, args.output, args.check)
 

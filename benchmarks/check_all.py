@@ -33,7 +33,10 @@ a change:
 A per-gate wall-clock summary prints at the end, so a gate quietly eating
 the tier's time budget is visible before it becomes a problem.  The same
 summary is written as JSON (``benchmarks/results/check_all_summary.json``
-by default) so tooling can consume gate outcomes without scraping stdout.
+by default) so tooling can consume gate outcomes without scraping stdout;
+for the paired-implementation gates it carries every kernel's ``speedup``
+and ``min_speedup`` (CI prints them on the run's summary page, so a
+re-derived floor is visible on the PR that re-derives it).
 
 Usage::
 
@@ -65,6 +68,15 @@ GATES = [
     ("bench_ir.py", []),
     ("bench_level_planner.py", []),
 ]
+
+#: Where the paired-implementation gates (``_gate.run_speedup_gate``) record
+#: their kernels; the summary carries each one's speedup beside its floor.
+SPEEDUP_RECORDS = {
+    "bench_hoisting.py": "BENCH_hoisting.json",
+    "bench_client_crypto.py": "BENCH_client_crypto.json",
+    "bench_ir.py": "BENCH_ir.json",
+    "bench_level_planner.py": "BENCH_level_planner.json",
+}
 
 #: Short gate aliases accepted by ``--only`` alongside the script names.
 ALIASES = {
@@ -106,6 +118,18 @@ def _select(patterns, only):
         if not patterns or any(pattern in gate for pattern in patterns)
     ]
     return (selected or None), patterns
+
+
+def _recorded_speedups(gate):
+    """``{kernel: {speedup, min_speedup}}`` from the record *gate* just
+    wrote, or ``{}`` for a gate that records no speedups."""
+    path = BENCH_DIR / "results" / SPEEDUP_RECORDS.get(gate, "")
+    if not path.is_file():
+        return {}
+    kernels = json.loads(path.read_text()).get("kernels", {})
+    return {name: {"speedup": kernel["speedup"],
+                   "min_speedup": kernel["min_speedup"]}
+            for name, kernel in kernels.items()}
 
 
 def main(argv=None):
@@ -160,7 +184,8 @@ def main(argv=None):
         "ok": not failed,
         "total_seconds": round(total, 3),
         "gates": [
-            {"gate": gate, "seconds": round(elapsed, 3), "ok": ok}
+            {"gate": gate, "seconds": round(elapsed, 3), "ok": ok,
+             "kernels": _recorded_speedups(gate)}
             for gate, elapsed, ok in timings
         ],
     }

@@ -1110,7 +1110,10 @@ class _IrRunner:
         if kind == "mod_switch":
             if node.planned:
                 self.tally["limb_drops"] += 1
-            return ctx.mod_switch_down(self._to_coeff(self.memo[node.args[0]]))
+            ct = self.memo[node.args[0]]
+            # A CKKS drop is a row slice in either form; BFV divides and
+            # rounds, which needs coefficients.
+            return ctx.mod_switch_down(ct if self.ckks else self._to_coeff(ct))
         if kind == "rotate_sum":
             ct = self._to_coeff(self.memo[node.args[0]])
             if self.fused:

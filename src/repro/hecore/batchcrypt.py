@@ -140,9 +140,14 @@ def add_blocks(base: RnsBase, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def negate_block(base: RnsBase, block: np.ndarray) -> np.ndarray:
-    """Elementwise modular negation of a canonical block."""
-    return np.where(block == 0, 0, base.moduli_col - block)
+def sub_blocks(base: RnsBase, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise modular difference of canonical blocks: viewed as uint64
+    a negative ``a - b`` wraps above ``2**63``, so the same unsigned minimum
+    picks ``a - b + p`` exactly when the difference went negative."""
+    diff = a - b
+    du = diff.view(np.uint64)
+    np.minimum(du, du + base.moduli_col.view(np.uint64), out=du)
+    return diff
 
 
 def scalar_multiply_block(base: RnsBase, block: np.ndarray, scalar: int) -> np.ndarray:
@@ -181,7 +186,3 @@ def split_polys(
     return [RnsPoly(base, degree, np.ascontiguousarray(row), is_ntt=is_ntt)
             for row in block]
 
-
-def stack_components(polys: List[RnsPoly]) -> np.ndarray:
-    """m coefficient-form polys over one base → ``(m, k, n)`` block."""
-    return np.stack([p.from_ntt().data for p in polys])

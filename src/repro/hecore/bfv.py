@@ -113,18 +113,6 @@ class BfvContext(RlweContext):
     encoder_class = BatchEncoder
 
     # ------------------------------------------------------------ encoding
-    def _as_plaintexts(self, values_list: Sequence) -> List[Plaintext]:
-        """Encode the raw entries of a mixed values/plaintexts batch with one
-        stacked inverse NTT, passing pre-encoded plaintexts through."""
-        plaintexts = [v if isinstance(v, Plaintext) else None
-                      for v in values_list]
-        raw = [v for v, pt in zip(values_list, plaintexts) if pt is None]
-        if raw:
-            encoded = iter(self.encoder.encode_many(raw))
-            plaintexts = [pt if pt is not None else next(encoded)
-                          for pt in plaintexts]
-        return plaintexts
-
     def _message_block(self, base: RnsBase, plaintexts: Sequence[Plaintext]
                        ) -> np.ndarray:
         """``Δ·m`` with ``Δ = floor(q/t)`` for the *base* modulus ``q``."""

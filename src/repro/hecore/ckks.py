@@ -13,7 +13,7 @@ the scale-tracking multiplies, and rescaling.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,29 @@ from repro.hecore.plaintext import CkksPlaintext
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.rlwe import RlweContext
 from repro.hecore.rns import RnsBase
+
+
+#: Below this magnitude a rounded float is exact in int64, so a whole block
+#: rounds and reduces in numpy; at or above it the rounding runs on Python
+#: integers (the same values wherever both apply).
+_INT64_EXACT = float(2 ** 62)
+
+
+def _round_exact(base: RnsBase, scaled: np.ndarray) -> np.ndarray:
+    """Round ``(m, n)`` scaled float coefficients to the nearest integers
+    (ties to even) as Python integers of any size and reduce them:
+    ``(m, k, n)`` canonical residues."""
+    return np.stack([base.decompose([int(round(c)) for c in row])
+                     for row in scaled])
+
+
+def _round_to_residues(base: RnsBase, scaled: np.ndarray) -> np.ndarray:
+    """:func:`_round_exact`'s residues, computed in int64 when every rounded
+    coefficient fits."""
+    if np.abs(scaled).max() < _INT64_EXACT:
+        return np.mod(np.rint(scaled).astype(np.int64)[:, None, :],
+                      base.moduli_col)
+    return _round_exact(base, scaled)
 
 
 class CkksEncoder:
@@ -52,21 +75,38 @@ class CkksEncoder:
     def encode(self, values: Sequence[float], scale: Optional[float] = None,
                base: Optional[RnsBase] = None) -> CkksPlaintext:
         """Encode up to N/2 values at the given *scale* over *base*."""
+        return self.encode_many([values], scale=scale, base=base)[0]
+
+    def encode_many(self, values_list: Sequence[Sequence[float]],
+                    scale: Optional[float] = None,
+                    base: Optional[RnsBase] = None) -> List[CkksPlaintext]:
+        """Encode M slot vectors with one stacked ``(m, n)`` FFT; row ``i``
+        is bit-identical to ``encode(values_list[i])``."""
+        if len(values_list) == 0:
+            return []
         params = self.params
         scale = params.scale if scale is None else float(scale)
         base = params.data_base if base is None else base
-        n = params.poly_degree
-        if len(values) > n // 2:
-            raise ValueError(f"too many values ({len(values)}) for {n // 2} slots")
-        slots = np.zeros(n // 2, dtype=np.complex128)
-        slots[: len(values)] = np.asarray(values, dtype=np.complex128)
-        evals = np.zeros(n, dtype=np.complex128)
-        evals[self._positions] = slots
-        evals[self._conj_positions] = np.conj(slots)
-        x = np.fft.fft(evals) / n
-        coeffs = np.real(x * np.conj(self._psi_powers))
-        scaled = [int(round(c * scale)) for c in coeffs]
-        return CkksPlaintext(RnsPoly.from_int_coeffs(base, scaled, n), scale)
+        blocks = _round_to_residues(
+            base, self._scaled_coefficients(values_list, scale))
+        return [CkksPlaintext(RnsPoly(base, params.poly_degree, block), scale)
+                for block in blocks]
+
+    def _scaled_coefficients(self, values_list: Sequence[Sequence[float]],
+                             scale: float) -> np.ndarray:
+        """The ``(m, n)`` real coefficient rows whose canonical embedding
+        holds the slot vectors, times *scale*, before rounding."""
+        n = self.params.poly_degree
+        evals = np.zeros((len(values_list), n), dtype=np.complex128)
+        for row, values in zip(evals, values_list):
+            if len(values) > n // 2:
+                raise ValueError(
+                    f"too many values ({len(values)}) for {n // 2} slots")
+            slots = np.asarray(values, dtype=np.complex128)
+            row[self._positions[: len(slots)]] = slots
+            row[self._conj_positions[: len(slots)]] = np.conj(slots)
+        x = np.fft.fft(evals, axis=-1) / n
+        return np.real(x * np.conj(self._psi_powers)) * scale
 
     def decode(self, plaintext: CkksPlaintext) -> np.ndarray:
         """Decode back to N/2 (complex) slot values."""
@@ -168,11 +208,11 @@ class CkksContext(RlweContext):
         return Ciphertext(self.params, comps, scale=ct.scale / dropped)
 
     def drop_modulus(self, ct: Ciphertext) -> Ciphertext:
-        """Drop the last prime *without* changing the scale (level alignment)."""
-        comps = []
-        for c in ct.components:
-            c = c.from_ntt()
-            comps.append(RnsPoly(c.base.drop_last(), c.degree, c.data[:-1], is_ntt=False))
+        """Drop the last prime *without* changing the scale (level
+        alignment): a row slice, valid in either form since residue rows
+        are independent."""
+        comps = [RnsPoly(c.base.drop_last(), c.degree, c.data[:-1],
+                         is_ntt=c.is_ntt) for c in ct.components]
         return Ciphertext(self.params, comps, scale=ct.scale)
 
     def mod_switch_down(self, ct: Ciphertext) -> Ciphertext:

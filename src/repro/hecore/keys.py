@@ -161,22 +161,6 @@ class GaloisKeys:
         return sum(k.size_bytes(params) for k in self.keys.values())
 
 
-def expand_uniform_poly(seed: bytes, base: RnsBase, degree: int) -> RnsPoly:
-    """Deterministically expand a 32-byte seed into a uniform polynomial.
-
-    Used for seed-compressed symmetric ciphertexts: instead of shipping the
-    uniform component ``c1``, the sender ships the seed and the receiver
-    regenerates ``c1`` — halving fresh-upload sizes.  The result is in
-    *coefficient* form, the form a fresh ciphertext is in;
-    :func:`expand_keyswitch_uniform` is its evaluation-form counterpart for
-    keys.  Both exist because each is defined in the form its consumer
-    stores, so neither side of either wire pays a transform to expand.
-    """
-    prng = BlakePrng(bytes(seed))
-    rows = [prng.sample_uniform(degree, p) for p in base.moduli]
-    return RnsPoly(base, degree, np.stack(rows), is_ntt=False)
-
-
 def expand_keyswitch_uniform(seed: bytes, full_base: RnsBase, degree: int,
                              n_digits: int) -> np.ndarray:
     """The uniform halves ``a_0 .. a_{L-1}`` of one key-switching key.
@@ -184,9 +168,9 @@ def expand_keyswitch_uniform(seed: bytes, full_base: RnsBase, degree: int,
     Returns an ``(n_digits, len(full_base), degree)`` int64 block *defined
     in evaluation (NTT) form* — uniform is uniform in either form, so the
     key generator and the deserializer both use the block as drawn.  One
-    stream per key, digit-major / residue-row-minor.  This is the only
-    definition of a key's uniform half: keygen and
-    :mod:`repro.hecore.serialize` both call it.
+    stream per seed, digit-major / residue-row-minor.  This is the only
+    definition of a seed's expansion: keygen, :mod:`repro.hecore.serialize`
+    and (as its one-digit case) :func:`expand_uniform_poly` all call it.
     """
     prng = BlakePrng(bytes(seed))
     block = np.empty((n_digits, len(full_base), degree), dtype=np.int64)
@@ -194,6 +178,18 @@ def expand_keyswitch_uniform(seed: bytes, full_base: RnsBase, degree: int,
         for row, p in zip(digit, full_base.moduli):
             row[:] = prng.sample_uniform(degree, p)
     return block
+
+
+def expand_uniform_poly(seed: bytes, base: RnsBase, degree: int) -> RnsPoly:
+    """The uniform component ``c1 = a`` of a seed-compressed symmetric
+    ciphertext: the sender ships the 32-byte seed and the receiver
+    regenerates ``a``, halving fresh-upload sizes.  It is the one-digit case
+    of :func:`expand_keyswitch_uniform`, so it too is *defined in
+    evaluation form*: the encryptor multiplies it by the secret key and the
+    receiver stores it, both as drawn.
+    """
+    block = expand_keyswitch_uniform(seed, base, degree, 1)
+    return RnsPoly(base, degree, block[0], is_ntt=True)
 
 
 def galois_element_for_step(step: int, poly_degree: int) -> int:

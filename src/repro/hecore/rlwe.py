@@ -3,8 +3,11 @@
 Both schemes run the paper's Figure 5 client pipeline — sample ``u``
 (ternary) and ``e1, e2`` (error), multiply with the public keys over the
 full RNS base, modulus-switch away the key primes, and only then add the
-message over the remaining ``k − 1`` residues — and the same server-side
-key-switch primitives.  They disagree only on how a message is embedded
+message over the remaining ``k − 1`` residues — the one-transform symmetric
+pipeline served uploads use (seed → evaluation-form ``a``;
+``c0 = NTT(e + m) − a ⊙ s``, evaluation form out), and the same server-side
+key-switch primitives.  Evaluator entry points take ciphertexts in either
+form.  The schemes disagree only on how a message is embedded
 and recovered, so :class:`RlweContext` owns keys, the four encrypt entry
 points, decryption, add/sub/negate, relinearization, level alignment and
 rotation; a scheme sets three class attributes and defines the methods
@@ -117,7 +120,16 @@ class RlweContext:
         return values if isinstance(values, self.plaintext_type) else self.encode(values)
 
     def _as_plaintexts(self, values_list: Sequence) -> list:
-        return [self._as_plaintext(v) for v in values_list]
+        """Encode the raw entries of a mixed values/plaintexts batch in one
+        stacked ``encode_many`` pass, passing plaintexts through."""
+        plaintexts = [v if isinstance(v, self.plaintext_type) else None
+                      for v in values_list]
+        raw = [v for v, pt in zip(values_list, plaintexts) if pt is None]
+        if raw:
+            encoded = iter(self.encoder.encode_many(raw))
+            plaintexts = [pt if pt is not None else next(encoded)
+                          for pt in plaintexts]
+        return plaintexts
 
     def _message_block(self, base: RnsBase, plaintexts: Sequence) -> np.ndarray:
         """The ``(m, k, n)`` residues M plaintexts add to ``c0`` over *base*
@@ -228,6 +240,11 @@ class RlweContext:
         owns the secret key, and deriving the uniform component from a seed
         lets the wire format carry only ``c0`` plus 32 bytes (the
         seed-compression extension; see Ciphertext.size_bytes).
+
+        The seed expands to ``a`` directly in evaluation form, so
+        ``c0 = NTT(e + m) − a ⊙ s`` costs one forward transform and the
+        ciphertext is returned in evaluation form; the error ``e`` is still
+        sampled small in the coefficient domain.
         """
         plaintext = self._as_plaintext(values)
         self.counts["encrypt"] += 1
@@ -239,8 +256,8 @@ class RlweContext:
             seed = rng.random_bytes(32)
         a = expand_uniform_poly(seed, base, n)
         e = RnsPoly.from_signed_array(base, rng.sample_error(n))
-        c0 = -(a.to_ntt() * self._secret_ntt(base)).from_ntt() + e
-        c0 = c0 + self._message_poly(base, plaintext)
+        c0 = ((e + self._message_poly(base, plaintext)).to_ntt()
+              - a * self._secret_ntt(base))
         return Ciphertext(params, [c0, a], scale=plaintext.scale,
                           seed=bytes(seed))
 
@@ -251,8 +268,9 @@ class RlweContext:
 
         PRNG schedule: the 32-byte seeds come sequentially from the ``seed``
         fork of a ``batch-encrypt-symmetric`` fork, the error block as one
-        ``(M, N)`` draw from its ``e`` fork.  The ``a·s`` products share one
-        stacked forward/inverse NTT pair across the batch.
+        ``(M, N)`` draw from its ``e`` fork.  The ``e + m`` sums share one
+        stacked forward NTT across the batch — the only transform, since
+        every ``a`` is drawn in evaluation form.
         """
         plaintexts = self._as_plaintexts(values_list)
         m = len(plaintexts)
@@ -272,20 +290,17 @@ class RlweContext:
         tile = batchcrypt.tile_size(base, n, parts=2)
         for start in range(0, m, tile):
             stop = min(start + tile, m)
-            e = batchcrypt.signed_block(base, e_all[start:stop])
-            a_block = np.stack([expand_uniform_poly(seed, base, n).data
-                                for seed in seeds[start:stop]])
-            a_ntt = batchcrypt.forward_block(base, n, a_block, raw=True)
-            prod = batchcrypt.inverse_block(
-                base, n, batchcrypt.dyadic_block_raw(base, a_ntt, s_ntt),
-                raw=True)
-            c0 = batchcrypt.add_blocks(
-                base, batchcrypt.negate_block(base, prod), e)
             tile_pts = plaintexts[start:stop]
-            c0 = batchcrypt.add_blocks(
-                base, c0, self._message_block(base, tile_pts))
-            c0_polys = batchcrypt.split_polys(base, n, c0)
-            a_polys = batchcrypt.split_polys(base, n, a_block)
+            noisy = batchcrypt.add_blocks(
+                base, batchcrypt.signed_block(base, e_all[start:stop]),
+                self._message_block(base, tile_pts))
+            a_polys = [expand_uniform_poly(seed, base, n)
+                       for seed in seeds[start:stop]]
+            c0 = batchcrypt.sub_blocks(
+                base, batchcrypt.forward_block(base, n, noisy),
+                batchcrypt.dyadic_block(
+                    base, np.stack([a.data for a in a_polys]), s_ntt))
+            c0_polys = batchcrypt.split_polys(base, n, c0, is_ntt=True)
             out.extend(
                 Ciphertext(params, [p0, a], scale=pt.scale, seed=bytes(seed))
                 for p0, a, pt, seed in zip(c0_polys, a_polys, tile_pts,
@@ -293,14 +308,23 @@ class RlweContext:
         return out
 
     def _raw_decrypt_poly(self, ct: Ciphertext) -> RnsPoly:
-        """``[c0 + c1 s (+ c2 s^2)]_q`` in coefficient form over the level base."""
+        """``[c0 + c1 s (+ c2 s^2)]_q`` in coefficient form over the level
+        base.  Components are used in the form they arrive in: the products
+        accumulate in evaluation form and an evaluation-form ``c0`` joins
+        them before the single inverse transform."""
         s_ntt = self._secret_ntt(ct.level_base)
-        acc = ct.components[0].from_ntt()
+        c0 = ct.components[0]
+        acc = None
         s_power = s_ntt
         for comp in ct.components[1:]:
-            acc = acc + (comp.to_ntt() * s_power).from_ntt()
+            term = comp.to_ntt() * s_power
+            acc = term if acc is None else acc + term
             s_power = s_power * s_ntt
-        return acc.from_ntt()
+        if acc is None:
+            return c0.from_ntt()
+        if c0.is_ntt:
+            return (c0 + acc).from_ntt()
+        return c0 + acc.from_ntt()
 
     def _plain_rows(self, base: RnsBase, block: np.ndarray) -> np.ndarray:
         """Message coefficients ``(m, n)`` of an ``(m, k, n)`` block of raw
@@ -324,21 +348,25 @@ class RlweContext:
     def decrypt_many(self, cts: Sequence[Ciphertext]) -> List[np.ndarray]:
         """Decrypt M ciphertexts as stacked batches.
 
-        Two-component ciphertexts sharing a level base form one ``(M, k, n)``
-        block: a single stacked NTT pair for the ``c1·s`` products, one
-        vectorized message recovery, and one stacked decode.  Odd ciphertexts
-        (3-component, lone bases) fall back to :meth:`decrypt` individually.
-        Results are bit-identical to looped :meth:`decrypt` calls.
+        Two-component ciphertexts sharing a level base and a form make one
+        ``(M, k, n)`` block: the ``c1·s`` products run stacked (a forward /
+        inverse NTT pair for coefficient-form ciphertexts, the inverse alone
+        for evaluation-form ones), then one vectorized message recovery and
+        one stacked decode.  Odd ciphertexts (3-component, mixed-form) fall
+        back to :meth:`decrypt` individually.  Results are bit-identical to
+        looped :meth:`decrypt` calls.
         """
         results: List[Optional[np.ndarray]] = [None] * len(cts)
         groups = {}
         for i, ct in enumerate(cts):
-            if len(ct) == 2:
-                groups.setdefault(ct.level_base.moduli, []).append(i)
+            forms = {c.is_ntt for c in ct.components}
+            if len(ct) == 2 and len(forms) == 1:
+                key = (ct.level_base.moduli, forms.pop())
+                groups.setdefault(key, []).append(i)
             else:
                 results[i] = self.decrypt(ct)
         n = self.params.poly_degree
-        for indices in groups.values():
+        for (_, is_ntt), indices in groups.items():
             base = cts[indices[0]].level_base
             s_ntt = self._secret_ntt(base)
             coeff_rows = []
@@ -347,17 +375,21 @@ class RlweContext:
             tile = batchcrypt.tile_size(base, n, parts=2)
             for start in range(0, len(indices), tile):
                 chunk = indices[start:start + tile]
-                c0 = batchcrypt.stack_components(
-                    [cts[i].components[0] for i in chunk])
-                c1 = batchcrypt.stack_components(
-                    [cts[i].components[1] for i in chunk])
-                prod = batchcrypt.inverse_block(
-                    base, n,
-                    batchcrypt.dyadic_block_raw(
-                        base, batchcrypt.forward_block(base, n, c1, raw=True),
-                        s_ntt),
-                    raw=True)
-                acc = batchcrypt.add_blocks(base, c0, prod)
+                c0, c1 = (np.stack([cts[i].components[part].data
+                                    for i in chunk]) for part in (0, 1))
+                if is_ntt:
+                    acc = batchcrypt.inverse_block(
+                        base, n, batchcrypt.add_blocks(
+                            base, c0, batchcrypt.dyadic_block(base, c1, s_ntt)))
+                else:
+                    prod = batchcrypt.inverse_block(
+                        base, n,
+                        batchcrypt.dyadic_block_raw(
+                            base,
+                            batchcrypt.forward_block(base, n, c1, raw=True),
+                            s_ntt),
+                        raw=True)
+                    acc = batchcrypt.add_blocks(base, c0, prod)
                 coeff_rows.append(self._plain_rows(base, acc))
             scales = np.array([cts[i].scale for i in indices])
             slots = self.encoder.decode_rows(np.concatenate(coeff_rows), scales)
@@ -376,24 +408,34 @@ class RlweContext:
         if a.level_base != b.level_base:
             raise ValueError("align ciphertext levels before combining them")
 
+    @staticmethod
+    def _same_form(x: RnsPoly, y: RnsPoly):
+        """Two polys as they are when their forms agree, else both in
+        coefficient form (the NTT is linear, so either form adds exactly)."""
+        return (x, y) if x.is_ntt == y.is_ntt else (x.from_ntt(), y.from_ntt())
+
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self.counts["add"] += 1
         self._check_aligned(a, b)
-        comps = [x + y for x, y in zip(a.components, b.components)]
+        comps = [x + y for x, y in map(self._same_form, a.components,
+                                       b.components)]
         return Ciphertext(self.params, comps, scale=a.scale)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self.counts["add"] += 1
         self._check_aligned(a, b)
-        comps = [x - y for x, y in zip(a.components, b.components)]
+        comps = [x - y for x, y in map(self._same_form, a.components,
+                                       b.components)]
         return Ciphertext(self.params, comps, scale=a.scale)
 
     def negate(self, a: Ciphertext) -> Ciphertext:
         return Ciphertext(self.params, [-c for c in a.components], scale=a.scale)
 
     def add_plain(self, ct: Ciphertext, plaintext) -> Ciphertext:
+        """Add a (coefficient-form) plaintext; an evaluation-form *ct* is
+        brought to coefficient form to meet it."""
         self.counts["add_plain"] += 1
-        comps = [c.copy() for c in ct.components]
+        comps = [c.from_ntt() if c.is_ntt else c.copy() for c in ct.components]
         comps[0] = comps[0] + self._message_poly(ct.level_base, plaintext)
         return Ciphertext(self.params, comps, scale=ct.scale)
 

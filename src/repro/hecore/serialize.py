@@ -7,7 +7,9 @@ modeled.  Two ciphertext representations exist:
 * **full** — every polynomial component, 8 bytes per (residue, coefficient);
 * **seed-compressed** — for fresh symmetric ciphertexts, only ``c0`` plus
   the 32-byte seed of the uniform component (the receiver regenerates
-  ``c1``), halving upload sizes.
+  ``c1`` with :func:`repro.hecore.keys.expand_uniform_poly`, the same
+  expansion evaluation keys use), halving upload sizes.  Always in
+  evaluation form, the form the seed expands to.
 
 Ciphertext format (little-endian):
 
@@ -33,8 +35,10 @@ offline phase of ``docs/PROTOCOL.md``).  Public keys (kind 1) ship both
 components.
 
 ``VERSION`` is one constant for every blob kind.  Version 2 introduced the
-seeded key layout; there is no negotiation and a version-1 blob of any kind
-is refused with ``unsupported version 1``.
+seeded key layout; version 3 redefined a ciphertext seed's expansion as the
+evaluation-form ``c1`` (a SEEDED blob always carries NTT too).  There is no
+negotiation: an older blob of any kind is refused with ``unsupported
+version N``.
 
 Every deserializer validates magic, version, declared counts, and the exact
 blob length *before* touching numpy or expanding a seed, and — when
@@ -65,7 +69,7 @@ from repro.hecore.polyring import RnsPoly
 from repro.hecore.rns import RnsBase
 
 MAGIC = b"CHOC"
-VERSION = 2
+VERSION = 3
 
 _FLAG_SEEDED = 1
 _FLAG_NTT = 2
@@ -88,6 +92,9 @@ _KIND_GALOIS = 3
 def serialize_ciphertext(ct: Ciphertext, compress_seed: bool = True) -> bytes:
     """Serialize a ciphertext, seed-compressing when possible."""
     seeded = compress_seed and ct.seed is not None and len(ct.components) == 2
+    if seeded and not ct.is_ntt:
+        raise ValueError("a seeded ciphertext is in evaluation form: its "
+                         "seed expands to c1 there")
     flags = (_FLAG_SEEDED if seeded else 0) | (_FLAG_NTT if ct.is_ntt else 0)
     moduli = ct.level_base.moduli
     parts = [_HEADER.pack(
@@ -141,6 +148,9 @@ def deserialize_ciphertext(blob: bytes,
     if seeded and n_components != 2:
         raise ValueError("seed compression applies only to 2-component "
                          "ciphertexts")
+    if seeded and not flags & _FLAG_NTT:
+        raise ValueError("seeded ciphertext blob without _FLAG_NTT: a seed "
+                         "expands to an evaluation-form c1")
     stored_count = n_components - 1 if seeded else n_components
 
     offset = _HEADER.size
@@ -173,8 +183,7 @@ def deserialize_ciphertext(blob: bytes,
                                   is_ntt=is_ntt))
 
     if seed is not None:
-        c1 = expand_uniform_poly(seed, base, degree)
-        components.append(c1.to_ntt() if is_ntt else c1)
+        components.append(expand_uniform_poly(seed, base, degree))
     return Ciphertext(params, components, scale=scale, seed=seed)
 
 

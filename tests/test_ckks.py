@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.polyring import RnsPoly
+from repro.hecore.rns import RnsBase
 
 TOL = 1e-2
 
@@ -134,3 +138,76 @@ def test_scale_mismatch_rejected(ckks):
     b = ckks.multiply_plain(ckks.encrypt(values(ckks, seed=20)), ckks.encode([1.0]))
     with pytest.raises(ValueError):
         ckks.add(a, b)
+
+
+# ------------------------------------------- vectorised encode == exact encode
+
+def _encode_reference(encoder, values, scale, base):
+    """The per-coefficient Python-integer encoder every ``encode`` used to
+    run, kept here as the oracle: round each scaled coefficient on its own,
+    then decompose the (arbitrarily large) integers."""
+    n = encoder.params.poly_degree
+    slots = np.zeros(n // 2, dtype=np.complex128)
+    slots[: len(values)] = np.asarray(values, dtype=np.complex128)
+    evals = np.zeros(n, dtype=np.complex128)
+    evals[encoder._positions] = slots
+    evals[encoder._conj_positions] = np.conj(slots)
+    coeffs = np.real(np.fft.fft(evals) / n * np.conj(encoder._psi_powers))
+    scaled = [int(round(c * scale)) for c in coeffs]
+    return RnsPoly.from_int_coeffs(base, scaled, n).data
+
+
+def _level_base(ckks, limbs):
+    return RnsBase(ckks.params.data_base.moduli[:limbs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=24),
+                     min_size=1, max_size=3),
+       scale_bits=st.integers(10, 70), limbs=st.integers(1, 3))
+def test_vectorised_encode_matches_exact_rounding(ckks, rows, scale_bits, limbs):
+    """``encode`` / ``encode_many`` == the per-coefficient oracle bit for
+    bit, on either side of the 2**62 switch to Python integers and over
+    every level base."""
+    scale, base = float(2 ** scale_bits), _level_base(ckks, limbs)
+    want = [_encode_reference(ckks.encoder, row, scale, base) for row in rows]
+    many = ckks.encoder.encode_many(rows, scale=scale, base=base)
+    for row, expected, batched in zip(rows, want, many):
+        single = ckks.encoder.encode(row, scale=scale, base=base)
+        assert np.array_equal(single.poly.data, expected)
+        assert np.array_equal(batched.poly.data, expected)
+        assert single.scale == batched.scale == scale
+        assert single.poly.base == base and not single.poly.is_ntt
+
+
+def test_encode_is_exact_across_the_int64_switch(ckks):
+    """One row whose coefficients straddle 2**62 (so the whole row takes the
+    Python-integer path), and a batch mixing a small row with it."""
+    from repro.hecore.ckks import _INT64_EXACT
+
+    encoder, base = ckks.encoder, ckks.params.data_base
+    big, small = values(ckks, seed=21), values(ckks, scale=1e-6, seed=22)
+    scale = float(2 ** 67)
+    magnitudes = np.abs(encoder._scaled_coefficients([big], scale))
+    assert (magnitudes < _INT64_EXACT).any() and (magnitudes >= _INT64_EXACT).any()
+    assert np.abs(encoder._scaled_coefficients([small], scale)).max() < _INT64_EXACT
+    for row, pt in zip((small, big), encoder.encode_many([small, big], scale=scale)):
+        want = _encode_reference(encoder, row, scale, base)
+        assert np.array_equal(pt.poly.data, want)
+        assert np.array_equal(encoder.encode(row, scale=scale).poly.data, want)
+    assert encoder.encode_many([]) == []
+
+
+def test_batch_entry_points_encode_raw_vectors_in_one_pass(ckks, monkeypatch):
+    """``encrypt_many`` / ``encrypt_symmetric_many`` send the raw entries of
+    a mixed batch through one ``encode_many`` and pass plaintexts through."""
+    v = [values(ckks, seed=s) for s in (23, 24, 25)]
+    mixed = [v[0], ckks.encode(v[1]), v[2]]
+    calls = []
+    encode_many = ckks.encoder.encode_many
+    monkeypatch.setattr(ckks.encoder, "encode_many",
+                        lambda raw: calls.append(len(raw)) or encode_many(raw))
+    for cts in (ckks.encrypt_many(mixed), ckks.encrypt_symmetric_many(mixed)):
+        for ct, want in zip(cts, v):
+            assert np.allclose(np.real(ckks.decrypt(ct)), want, atol=TOL)
+    assert calls == [2, 2]

@@ -131,6 +131,25 @@ def test_expand_uniform_poly_deterministic(params):
     assert not np.array_equal(a.data, c.data)
 
 
+def test_one_seed_expansion_serves_ciphertexts_and_keys(params):
+    """``expand_uniform_poly`` is the one-digit case of
+    ``expand_keyswitch_uniform`` — evaluation form, and the same
+    ``BlakePrng(seed)`` stream (one ``sample_uniform`` row per modulus, in
+    base order) ciphertext seeds have always expanded with."""
+    from repro.hecore.keys import expand_keyswitch_uniform
+    from repro.hecore.random import BlakePrng
+
+    seed, base, n = b"\x03" * 32, params.data_base, params.poly_degree
+    a = expand_uniform_poly(seed, base, n)
+    assert a.is_ntt and a.base == base
+    assert np.array_equal(a.data, expand_keyswitch_uniform(seed, base, n, 1)[0])
+    prng = BlakePrng(seed)
+    assert np.array_equal(
+        a.data, np.stack([prng.sample_uniform(n, p) for p in base.moduli]))
+    # A key's first digit over the same base is the same block.
+    assert np.array_equal(a.data, expand_keyswitch_uniform(seed, base, n, 2)[0])
+
+
 def test_keygen_deterministic_with_seed(params):
     a = KeyGenerator(params, seed=7).secret_key().poly.data
     b = KeyGenerator(params, seed=7).secret_key().poly.data

@@ -11,10 +11,14 @@ Two kinds of test pin the base-class refactor:
   ``rotate_and_sum``, ``relinearize``) were re-recorded once, when those
   keys began drawing their uniform halves from a per-key public seed
   (``expand_keyswitch_uniform``) instead of the key generator's main
-  stream.  Every ``encrypt*``, ``multiply``, ``plain_ops``,
-  ``mod_switch_down``, ``add_sub_negate`` and ``align`` row is
-  byte-identical to the original recording: the secret-key, public-key and
-  encryptor streams were not touched;
+  stream.  The four ``encrypt_symmetric*`` rows were re-recorded once, when
+  a ciphertext seed began expanding to an evaluation-form ``c1`` and the
+  fresh ciphertext to ship in that form (same PRNG draws, same plaintext:
+  only the representation moved).  Every public-key ``encrypt*``,
+  ``multiply``, ``plain_ops``, ``mod_switch_down``, ``add_sub_negate`` and
+  ``align`` row is byte-identical to the original recording — the
+  secret-key, public-key and encryptor streams were not touched — and
+  ``test_only_the_symmetric_rows_were_rerecorded`` pins the table itself;
 * **contract** — both contexts are ``RlweContext`` instances exposing the
   shared methods with identical signatures, and the shared validation
   (component counts) holds for both.
@@ -110,13 +114,14 @@ def golden_digests(scheme: str) -> dict:
 
 
 #: Recorded at commit 20906ae (PR 13), before ``hecore/rlwe.py`` existed;
-#: the five key-switch rows re-recorded with seed-expanded key-switching keys.
+#: the five key-switch rows re-recorded with seed-expanded key-switching
+#: keys, the four ``encrypt_symmetric*`` rows with evaluation-form uploads.
 GOLDEN = {
     "bfv": {
         "encrypt": "d6c919bd9763f243be67008e19288cc19c3ff65dd0b3a71edb135cc462ed7840",
         "encrypt_many": "76380157ce25e15ad4cd4bb30c450d11cf4b5513a02c6365499e5b70724c9678",
-        "encrypt_symmetric": "72795bc725724f1b8ebc3cd354b054823bb3bf229ad1280090ee5800d3b2df04",
-        "encrypt_symmetric_many": "b5bbbcad3b1038b7d3a7a68b00c1b7481cbec45fdac2cf6e8b5b284d1b4c73ce",
+        "encrypt_symmetric": "317e32db71c6ebe37b757640ddb2bcd9dadfdc966954646ae26efad210f7325f",
+        "encrypt_symmetric_many": "aff17ced3ca7f9b462ad04bb88b4edcf138529358b17bf196ce561cda03b0d87",
         "encrypt_after_batches": "215ca9c00fd24b43def1f19d6555294f10a4cc260a2e0132dfe62bb6dc814f35",
         "rotate": "0fb4a4c0fe3fd1d74e8e2ba8c54d8133de592742709a9aaf85373028cde697b7",
         "rotate_many": "f313b931cae67116a5551e20fb82c19f7e83cc1c5db0dfe3badebbfc596112d4",
@@ -132,8 +137,8 @@ GOLDEN = {
     "ckks": {
         "encrypt": "180fe35cc7051864c70eba975c80ac7e61c8ba7022a67515a9f36690beda100b",
         "encrypt_many": "3e4664c3987135230e6bbcf03af1407e879794ba1904e9bf1c8f8d3cb6b838d4",
-        "encrypt_symmetric": "155a0d1dd9436f7013d8036b36838aee0a47d5ffb2f47bbf10c6326ffc557c92",
-        "encrypt_symmetric_many": "89f53066dfff49f3f1c2a1139339aba9dbed19d7299a85e4a1cd94cafd5495ba",
+        "encrypt_symmetric": "e2b7fdbdff4955d2af34db0b346071d55b6ceb9f54549f328d5b72df3a7e2d3a",
+        "encrypt_symmetric_many": "7d6f059b6561a77c184e97db8e10907cb23eba1a8ca818fff10a7cb6ea9c22d5",
         "encrypt_after_batches": "23415133a70bd2b94c94e4060a6fa65a33a5caab1bac73d13f3b297a0677d034",
         "rotate": "b9fa75bfcd215984f23065f885393661fad2e14201d8ef0736856b8a40a6a721",
         "rotate_many": "0b4bd049b9a920972bc4318f5e76efa87ee518f6255b731d18267279d677cfe8",
@@ -149,11 +154,29 @@ GOLDEN = {
 }
 
 
+#: SHA-256 of the non-``encrypt_symmetric*`` rows above (sorted JSON), taken
+#: from the table as committed at c9604c3.
+_KEPT_ROWS_DIGEST = ("181d66e11504b765dc275fae31666dbfba717a0d1659f3a987e773b3ec"
+                     "68744d")
+
+
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_golden_digests_unchanged(scheme):
     got = golden_digests(scheme)
     changed = sorted(k for k in GOLDEN[scheme] if got.get(k) != GOLDEN[scheme][k])
     assert not changed and got.keys() == GOLDEN[scheme].keys(), changed
+
+
+def test_only_the_symmetric_rows_were_rerecorded():
+    """The 26 rows that do not go through ``encrypt_symmetric*`` hash to
+    what they did at commit c9604c3, the parent of the evaluation-form
+    symmetric encrypt."""
+    kept = {scheme: {k: v for k, v in rows.items()
+                     if not k.startswith("encrypt_symmetric")}
+            for scheme, rows in GOLDEN.items()}
+    assert sum(map(len, kept.values())) == 26
+    assert hashlib.sha256(json.dumps(kept, sort_keys=True).encode()
+                          ).hexdigest() == _KEPT_ROWS_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +243,94 @@ def test_unrelinearized_product_is_rejected_not_truncated(scheme):
         expected %= ctx.params.plain_modulus
     assert np.allclose(ctx.decrypt(ctx.add(product, product))[:16], expected,
                        atol=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Operands arrive in either form
+# ---------------------------------------------------------------------------
+
+def _evaluator_ops(ctx, scheme, v2):
+    """name -> (arity, fn) for every public evaluator op; a fresh plaintext
+    per call, since plaintexts are coefficient-form by contract."""
+    ops = {
+        "add": (2, ctx.add),
+        "sub": (2, ctx.sub),
+        "negate": (1, ctx.negate),
+        "add_plain": (1, lambda a: ctx.add_plain(a, ctx.encode(v2))),
+        "multiply_plain": (1, lambda a: ctx.multiply_plain(a, ctx.encode(v2))),
+        "multiply": (2, ctx.multiply),
+        "multiply_unrelinearized":
+            (2, lambda a, b: ctx.multiply(a, b, relinearize=False)),
+        "square": (1, ctx.square),
+        "relinearize": (1, lambda a: ctx.relinearize(
+            ctx.multiply(a, a, relinearize=False).to_ntt())),
+        "rotate": (1, lambda a: ctx.rotate(a, 3)),
+        "rotate_many": (1, lambda a: ctx.rotate_many(
+            a, [1, 3, -2], include_conjugation=True)),
+        "rotate_and_sum": (1, lambda a: ctx.rotate_and_sum(a, 8)),
+        "mod_switch_down": (1, ctx.mod_switch_down),
+        "align": (2, lambda a, b: list(ctx.align(ctx.mod_switch_down(a), b))),
+    }
+    if scheme == "ckks":
+        ops["rescale"] = (1, lambda a: ctx.rescale(ctx.square(a)))
+    return ops
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_every_evaluator_op_takes_operands_in_either_form(scheme):
+    """Coefficient-form, evaluation-form and mixed operands decrypt to the
+    same values through every evaluator op (BFV bit for bit, CKKS within
+    1e-6): the form a ciphertext arrives in is never the caller's problem."""
+    ctx = _context(scheme)
+    v0, v1, v2 = _vectors(scheme)
+    ctx.make_galois_keys(sorted({1, 3, -2} | rotate_and_sum_steps(8)),
+                         include_conjugation=True)
+    a, b = ctx.encrypt(v0), ctx.encrypt(v1)
+    assert not a.is_ntt and a.to_ntt().is_ntt
+
+    def decrypted(result):
+        results = result if isinstance(result, list) else [result]
+        return np.stack(ctx.decrypt_many(results))
+
+    def same(got, want):
+        if scheme == "bfv":
+            return np.array_equal(got, want)
+        return np.allclose(got, want, rtol=0, atol=1e-6)
+
+    for name, (arity, fn) in _evaluator_ops(ctx, scheme, v2).items():
+        if arity == 1:
+            want = decrypted(fn(a))
+            assert same(decrypted(fn(a.to_ntt())), want), name
+            continue
+        want = decrypted(fn(a, b))
+        for x, y in ((a.to_ntt(), b.to_ntt()), (a.to_ntt(), b), (a, b.to_ntt())):
+            assert same(decrypted(fn(x, y)), want), name
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_decrypt_uses_components_in_the_form_they_arrive(scheme):
+    """``decrypt`` / ``decrypt_many`` of coefficient-form, evaluation-form
+    and mixed-form (per component) ciphertexts agree bit for bit, batched
+    or one at a time."""
+    from repro.hecore.ciphertext import Ciphertext
+
+    ctx = _context(scheme)
+    v0, v1, _ = _vectors(scheme)
+    fresh = ctx.encrypt_symmetric_many([v0, v1])
+    assert all(ct.is_ntt and ct.seed for ct in fresh)
+    coeff = [ct.from_ntt() for ct in fresh]
+    mixed = [Ciphertext(ct.params, [ct.components[0].from_ntt(),
+                                    ct.components[1]], scale=ct.scale)
+             for ct in fresh]
+    product = ctx.multiply(coeff[0], coeff[1], relinearize=False)
+    batch = fresh + coeff + mixed + [product, product.to_ntt()]
+    looped = [ctx.decrypt(ct) for ct in batch]
+    for got, want in zip(ctx.decrypt_many(batch), looped):
+        assert np.array_equal(got, want)
+    for i in (0, 1):
+        assert np.array_equal(looped[i], looped[i + 2])
+        assert np.array_equal(looped[i], looped[i + 4])
+    assert np.array_equal(looped[6], looped[7])
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))

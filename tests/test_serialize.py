@@ -48,6 +48,61 @@ def test_seed_compression_halves_size(bfv):
     assert len(uncompressed) == len(public)
 
 
+# ------------------------------------------- seeded => evaluation form (v3)
+
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_fresh_upload_is_seeded_evaluation_form_and_one_component_wide(scheme):
+    """At the served shape (N = 4096, three 30-bit limbs) a fresh upload is
+    exactly 98,381 B — header 21 + moduli 24 + seed 32 + one component —
+    the ``symmetric_seeded`` size ``bench_wire_format`` gates, single-shot
+    or batched: nothing on the client path may ship ``c1``."""
+    from repro.hecore import context_for
+    from repro.hecore.params import SchemeType, small_test_parameters
+
+    kind = SchemeType.BFV if scheme == "bfv" else SchemeType.CKKS
+    params = small_test_parameters(kind, poly_degree=4096, plain_bits=16,
+                                   data_bits=(30, 30, 30))
+    ctx = context_for(params, seed=b"wire")
+    for ct in [ctx.encrypt_symmetric([1, 2])] + ctx.encrypt_symmetric_many(
+            [[3], [4]]):
+        assert ct.is_ntt and all(c.is_ntt for c in ct.components)
+        blob = serialize_ciphertext(ct)
+        assert len(blob) == serialized_size(ct) == 98_381
+        assert blob[6] == 3                      # SEEDED | NTT
+        restored = deserialize_ciphertext(blob, params)
+        assert restored.seed == ct.seed and restored.is_ntt
+        for got, want in zip(restored.components, ct.components):
+            assert got.is_ntt and np.array_equal(got.data, want.data)
+        assert serialize_ciphertext(restored) == blob
+
+
+def test_seeded_blob_without_the_ntt_flag_is_refused_by_name(bfv):
+    blob = bytearray(serialize_ciphertext(bfv.encrypt_symmetric([5])))
+    assert blob[6] == 3
+    blob[6] = 1                                   # SEEDED, NTT cleared
+    with pytest.raises(ValueError, match="_FLAG_NTT"):
+        deserialize_ciphertext(bytes(blob), bfv.params)
+
+
+def test_seed_survives_copy_only(bfv):
+    """The seed names the evaluation-form ``c1`` it expands to, so every
+    form change drops it (the blob then ships both components) and a
+    hand-built coefficient-form ciphertext cannot claim one."""
+    from repro.hecore.ciphertext import Ciphertext
+
+    ct = bfv.encrypt_symmetric([5, 6])
+    assert ct.copy().seed == ct.seed
+    assert ct.to_ntt().seed is None and ct.from_ntt().seed is None
+    full = serialize_ciphertext(ct.from_ntt())
+    assert len(full) == len(serialize_ciphertext(bfv.encrypt([5, 6])))
+    assert np.array_equal(
+        bfv.decrypt(deserialize_ciphertext(full, bfv.params))[:2], [5, 6])
+    forged = Ciphertext(ct.params, [c.from_ntt() for c in ct.components],
+                        seed=ct.seed)
+    with pytest.raises(ValueError, match="evaluation form"):
+        serialize_ciphertext(forged)
+
+
 def test_symmetric_decrypts_and_operates(bfv):
     t = bfv.params.plain_modulus
     a = np.arange(20, dtype=np.int64)
@@ -151,8 +206,9 @@ def test_rejects_wrong_version(bfv):
 
 
 def test_version_1_blobs_are_refused_by_name(bfv):
-    """Format v2 (seeded evaluation keys) has no negotiation: a v1 blob of
-    any kind is refused, and the error names the version."""
+    """No negotiation: a v1 blob (full evaluation keys) or a v2 blob
+    (coefficient-form ciphertext seeds) of any kind is refused, and the
+    error names the version."""
     blobs = {
         deserialize_ciphertext: serialize_ciphertext(bfv.encrypt([1])),
         deserialize_relin_key: serialize_relin_key(bfv.relin_keys()),
@@ -162,10 +218,11 @@ def test_version_1_blobs_are_refused_by_name(bfv):
             serialize_public_key(bfv.keygen.public_key()),
     }
     for reader, blob in blobs.items():
-        assert blob[4] == 2
-        v1 = blob[:4] + b"\x01" + blob[5:]
-        with pytest.raises(ValueError, match="unsupported version 1"):
-            reader(v1, bfv.params)
+        assert blob[4] == 3
+        for old in (1, 2):
+            stale = blob[:4] + bytes([old]) + blob[5:]
+            with pytest.raises(ValueError, match=f"unsupported version {old}"):
+                reader(stale, bfv.params)
 
 
 def test_rejects_corrupted_magic(bfv):
