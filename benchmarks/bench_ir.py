@@ -56,6 +56,23 @@ is two thirds of the lowest, 1.7x, and the ratio now prices what the
 docstring says it does.  The hoisting-only gain stays measured by
 ``bench_hoisting.py``.
 
+``cold_second_session`` prices something else: not the passes but sharing
+their output.  It replays the server half of the e2e ``dnn_cold_sessions``
+query (Table-3 set B, tiled 3x3 conv 1 -> 4 channels over 12x12, then BSGS
+fc 64 -> 10) as a worker sees a *new* session: a fresh restricted context,
+fresh kernel instances, the first call of each.  The ``reference_ms`` side
+clears ``core.ir``'s shared schedule cache first, so the session compiles
+both programs and encodes and forward-transforms every weight plaintext
+(517 ``ntt_forward`` rows); the ``scheduled_ms`` side finds the programs
+another session left behind and transforms its own ciphertext rows only
+(42).  Ten runs, interleaved pairs, read cold 373-423 ms, warm 221-271 ms,
+1.51-1.78x (median 1.68).  Two thirds of the lowest would be 1.0x, which
+is what a cache that shares nothing reads, so this floor sits midway
+between that and the lowest run: 1.25x.  Both sides decrypt to
+``reference()`` exactly, and the warm side must record no cache miss.  In
+the record its ``reference_ms`` is the cleared-cache session and its
+``scheduled_ms`` the warm one.
+
 ``--check`` exits non-zero on a missed floor, a missing residency signal,
 or a >20% regression against the previous recorded run.  Results go to
 ``benchmarks/results/BENCH_ir.json``.
@@ -68,19 +85,29 @@ from pathlib import Path
 import numpy as np
 
 from _gate import best_of_pair, run_speedup_gate
+from repro.core import ir
 from repro.core.distance import CollapsedPointMajorKernel, DistanceProblem
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d, EncryptedMatVec
+from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
-from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.params import (
+    PARAMETER_SET_B,
+    SchemeType,
+    small_test_parameters,
+)
+from repro.runtime import KeyKind
+from repro.runtime.server import build_restricted_context
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_ir.json"
 
-#: About two thirds of the lowest ratio in ten runs (see the table above).
+#: About two thirds of the lowest ratio in ten runs (see the table above;
+#: ``cold_second_session`` has its own derivation there).
 MIN_SPEEDUP = {
     "fig15_matvec": 6.0,
     "dnn_slice": 1.5,
     "knn_collapsed": 1.7,
+    "cold_second_session": 1.25,
 }
 
 #: The served ``knn_collapsed`` shape; the scheduled run may pay this many
@@ -93,6 +120,11 @@ MATVEC_DIM = 32
 CONV_SPEC = dict(in_channels=1, out_channels=2, height=8, width=8,
                  kernel_size=3)
 FC_SHAPE = (16, 32)
+
+#: The e2e ``dnn_cold_sessions`` model (``benchmarks/e2e/handlers.py``).
+COLD_CONV_SPEC = dict(in_channels=1, out_channels=4, height=12, width=12,
+                      kernel_size=3)
+COLD_FC_SHAPE = (10, 64)
 
 
 def _make_context():
@@ -216,6 +248,57 @@ def _measure_knn_collapsed():
     return best_of_pair(naive, scheduled, 1)
 
 
+def _measure_cold_second_session():
+    """A new session's first conv + fc call, shared cache cleared vs warm."""
+    params = PARAMETER_SET_B
+    rng = np.random.default_rng(17)
+    spec = Conv2dSpec(**COLD_CONV_SPEC)
+    conv_w = rng.integers(1, 4, (spec.out_channels, spec.in_channels,
+                                 spec.kernel_size, spec.kernel_size))
+    fc_w = rng.integers(1, 4, COLD_FC_SHAPE)
+
+    def kernels(ctx):
+        return TiledEncryptedConv2d(ctx, spec, conv_w), BsgsMatVec(ctx, fc_w)
+
+    client = BfvContext(params, seed=b"bench-ir-cold")
+    conv, fc = kernels(client)
+    keystore = {
+        KeyKind.RELIN: client.relin_keys(),
+        KeyKind.GALOIS: client.make_galois_keys(
+            conv.required_rotation_steps() | fc.required_rotation_steps()),
+    }
+    image = rng.integers(0, 16, (spec.in_channels, spec.height, spec.width))
+    vec = rng.integers(0, 8, COLD_FC_SHAPE[1])
+    conv_cts = client.encrypt_symmetric_many(
+        [v.astype(np.int64) for v in conv.pack_input(image)])
+    (fc_ct,) = client.encrypt_symmetric_many(
+        [fc.pack_input(vec).astype(np.int64)])
+
+    def session():
+        ctx = build_restricted_context(params, keystore, b"bench-ir")
+        server_conv, server_fc = kernels(ctx)
+        return server_conv(conv_cts) + [server_fc(fc_ct)], ctx.counts
+
+    def cold():
+        ir.clear_program_cache()
+        return session()
+
+    t = params.plain_modulus
+    for run, misses in ((cold, 2), (session, 0)):
+        outs, counts = run()
+        slots = client.decrypt_many(outs)
+        assert np.array_equal(conv.unpack_outputs(slots[:-1]) % t,
+                              conv.reference(image) % t), \
+            "cold-session conv produced wrong values"
+        assert np.array_equal(fc.unpack_output(slots[-1]) % t,
+                              fc.reference(vec) % t), \
+            "cold-session fc produced wrong values"
+        assert counts["program_cache_misses"] == misses, \
+            "shared schedule cache did not serve the second session"
+
+    return best_of_pair(cold, session, 1)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -236,6 +319,7 @@ def main(argv=None):
         "fig15_matvec": matvec,
         "dnn_slice": (slice_naive, slice_sched),
         "knn_collapsed": _measure_knn_collapsed(),
+        "cold_second_session": _measure_cold_second_session(),
     }
     extra = {
         "poly_degree": ctx.params.poly_degree,

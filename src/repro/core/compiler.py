@@ -28,15 +28,16 @@ Example
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.ir import (IrBuilder, IrProgram, ScheduledProgram,
-                           compile_ir, ensure_galois_keys)
+                           ensure_galois_keys, shared_schedule)
 from repro.core.paramsearch import ParameterChoice, WorkloadProfile, select_parameters
-from repro.hecore.params import EncryptionParameters, SchemeType
+from repro.hecore.params import SchemeType
 
 
 class Expr:
@@ -244,22 +245,19 @@ class CompiledProgram:
     adds: int
     input_names: Set[str]
     recommended: ParameterChoice
-    _scheduled: Dict[EncryptionParameters, ScheduledProgram] = field(
-        default_factory=dict, repr=False)
 
     # ----------------------------------------------------------- scheduling
     def scheduled(self, params) -> ScheduledProgram:
         """The program lowered to ciphertext IR and run through the
         scheduler passes (rotation fusion, level planning for *params* —
         outputs go straight to the client — level-drop sinking, NTT
-        residency).  Cached per parameter set: plaintext encodings and
-        NTT tables survive across :meth:`execute` calls, and a level plan
-        never serves a modulus chain it was not made for."""
-        sched = self._scheduled.get(params)
-        if sched is None:
-            sched = self._scheduled[params] = compile_ir(
-                lower_to_ir(self.program), SchemeType.CKKS, params=params)
-        return sched
+        residency).  The process's shared copy for this program and
+        parameter set (:func:`repro.core.ir.shared_schedule`): plaintext
+        encodings and NTT tables survive across :meth:`execute` calls, and
+        a level plan never serves a modulus chain it was not made for."""
+        # No session to charge: whoever holds the program compiles it.
+        return shared_schedule(lower_to_ir(self.program), params, True,
+                               Counter())
 
     # ----------------------------------------------------------- execution
     def execute(self, ctx, inputs: Dict[str, object]) -> Dict[str, np.ndarray]:

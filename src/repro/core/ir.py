@@ -50,9 +50,12 @@ and every call runs body → trace → passes → scheduled run.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
+import os
+import threading
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -438,13 +441,14 @@ class TracedKernel:
                              [f"in{i}" for i in range(sum(shape))])
 
     def scheduled(self, shape: Tuple[int, ...]) -> "ScheduledProgram":
-        """The compiled schedule for *shape*, cached on the kernel."""
+        """The compiled schedule for *shape*: the body is traced once per
+        instance and shape, the compiled program it names is the process's
+        shared copy (:func:`shared_schedule`)."""
         sched = self._schedules.get(shape)
         if sched is None:
-            params = self.ctx.params
-            sched = self._schedules[shape] = compile_ir(
-                self.program(shape), params.scheme,
-                params=params if self.terminal_outputs else None)
+            sched = self._schedules[shape] = shared_schedule(
+                self.program(shape), self.ctx.params, self.terminal_outputs,
+                self.ctx.counts)
         return sched
 
     def schedule_report(self, shape: Tuple[int, ...] = (1,)
@@ -724,6 +728,109 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
 
 
 # ---------------------------------------------------------------------------
+# The shared schedule cache
+# ---------------------------------------------------------------------------
+
+#: Compiled programs the process keeps; the least recently used goes first.
+PROGRAM_CACHE_SIZE = 32
+
+#: Programs one session (one context's ``counts``) may *insert*.  Past it
+#: the session still gets hits and still compiles, but what it compiles
+#: lives on its own kernel instance only — so a client that names forty
+#: kernel shapes in its request metadata cannot flush the programs every
+#: other session is running.
+SESSION_PROGRAM_CAP = 8
+
+_programs: "OrderedDict[bytes, ScheduledProgram]" = OrderedDict()
+_programs_lock = threading.Lock()
+
+#: Every :class:`IrNode` field but the const payload, hashed by ``repr``.
+_NODE_ATTRS = tuple(f.name for f in fields(IrNode) if f.name != "values")
+
+
+def _reset_program_cache_lock() -> None:
+    global _programs_lock
+    _programs_lock = threading.Lock()
+
+
+# An eval-pool respawn forks a serving process whose inline ops compile on
+# worker threads: the child must not inherit the lock mid-compile.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_program_cache_lock)
+
+
+def clear_program_cache() -> None:
+    """Forget every shared program (tests and cold-start measurements)."""
+    with _programs_lock:
+        _programs.clear()
+
+
+def _program_digest(program: IrProgram, params, planned: bool) -> bytes:
+    """The cache key: *program*'s whole content — every node's kind, args
+    and attributes, the dtype, shape and bytes of every const — with the
+    parameter-set fingerprint and whether the level planner runs.  Each
+    hashed piece is self-delimiting, so two different programs cannot
+    serialise to one byte stream."""
+    h = hashlib.blake2b(digest_size=32)
+    h.update(repr((params.fingerprint(), planned, program.slots,
+                   list(program.outputs.items()))).encode())
+    for node in program.nodes:
+        h.update(repr(tuple(getattr(node, a) for a in _NODE_ATTRS)).encode())
+        values = node.values
+        if values is not None:
+            h.update(repr((values.dtype.str, values.shape)).encode())
+            h.update(repr(values.tolist()).encode() if values.dtype.hasobject
+                     else np.ascontiguousarray(values).data)
+    return h.digest()
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values = np.array(values)
+    values.setflags(write=False)
+    return values
+
+
+def shared_schedule(program: IrProgram, params, planned: bool,
+                    counts: Counter) -> "ScheduledProgram":
+    """The process's one compiled copy of *program* under *params*.
+
+    Keyed by content (:func:`_program_digest`), so a false hit is
+    impossible by construction: sessions share a :class:`ScheduledProgram`
+    — node list, plaintext, NTT and weighted-sum-span tables — exactly when
+    they traced the same computation over the same constants for the same
+    parameter set.  *planned* runs the level planner (``compile_ir(...,
+    params=params)``).  A cached program owns read-only copies of its
+    consts and holds model constants and parameters only: no context, key
+    or ciphertext.
+
+    *counts* is the calling session's ``ctx.counts``: it is charged one
+    ``program_cache_hits`` or ``program_cache_misses``, and its miss count
+    is the session's admission budget (:data:`SESSION_PROGRAM_CAP`).  The
+    lock is held across the compile, so sessions cold-starting one program
+    together compile it once.
+    """
+    key = _program_digest(program, params, planned)
+    with _programs_lock:
+        sched = _programs.get(key)
+        if sched is not None:
+            _programs.move_to_end(key)
+            counts["program_cache_hits"] += 1
+            return sched
+        private = IrProgram(
+            nodes=[replace(n, values=None if n.values is None
+                           else _frozen(n.values)) for n in program.nodes],
+            outputs=dict(program.outputs), slots=program.slots)
+        sched = compile_ir(private, params.scheme,
+                           params=params if planned else None)
+        if counts["program_cache_misses"] < SESSION_PROGRAM_CAP:
+            _programs[key] = sched
+            if len(_programs) > PROGRAM_CACHE_SIZE:
+                _programs.popitem(last=False)
+        counts["program_cache_misses"] += 1
+        return sched
+
+
+# ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
@@ -752,6 +859,15 @@ class ScheduledProgram:
     Plaintext encodings, NTT-form plaintext tables, and weighted-sum spans
     are cached per modulus chain, so repeated executions (the static-weight
     inference loop) skip all plaintext transform work.
+
+    One instance serves every session of the process that runs the same
+    program (:func:`shared_schedule`), possibly from several threads at
+    once: it holds nothing of a run or a session (the per-run NTT memo and
+    level tallies live on the runner), and each lazy table fill computes a
+    value that depends only on the program and the parameter set, so two
+    sessions filling one slot together store the same thing twice.  The
+    fill is charged (``ntt_forward``) to whichever session did it, a reuse
+    (``ntt_elided``) to the session that reused.
     """
 
     def __init__(self, program: IrProgram, scheme: SchemeType,

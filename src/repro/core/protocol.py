@@ -53,6 +53,13 @@ KERNEL_COUNTERS = {
                                  "ciphertext the server produced"),
     "level_replans": ("level_replans",
                       "recrypt segments re-entered on a trimmed chain"),
+    # Shared schedule cache (``core.ir``), once per kernel instance and
+    # shape.  A cold session of a model another session already ran shows
+    # hits and no misses.
+    "program_cache_hits": ("program_cache_hits",
+                           "kernel schedules served from the shared cache"),
+    "program_cache_misses": ("program_cache_misses",
+                             "kernel schedules this session had to compile"),
 }
 
 #: The reported names, in table order.

@@ -24,6 +24,7 @@ Two implementations coexist (docs/KERNELS.md has the full story):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -235,7 +236,7 @@ class NttStackPlan:
         n_inv = np.array([mod_inv(n, p) for p in self.moduli], dtype=np.int64)
         self._n_inv_col = n_inv.reshape(k, 1)
 
-        self._scratch_bufs = None
+        self._scratch_local = threading.local()
         self._use_shoup = max(self.moduli) < SHOUP_MODULUS_BOUND
         if self._use_shoup:
             self._p_u = self._pcol.astype(np.uint64)
@@ -371,17 +372,21 @@ class NttStackPlan:
     def _scratch(self, k: int) -> Tuple[np.ndarray, ...]:
         """Reusable uint64 work buffers: two ping-pong arrays plus three
         half-width temporaries.  Owned by the (cached) plan so the butterfly
-        loop allocates nothing per stage."""
-        if self._scratch_bufs is None or self._scratch_bufs[0].shape[0] != k:
+        loop allocates nothing per stage — one set per thread: numpy drops
+        the GIL inside the butterfly ufuncs, and plans are shared by every
+        context of the process, so two served sessions evaluating at once
+        would otherwise transform in each other's buffers."""
+        bufs = getattr(self._scratch_local, "bufs", None)
+        if bufs is None or bufs[0].shape[0] != k:
             hn = max(self.n // 2, 1)
-            self._scratch_bufs = (
+            bufs = self._scratch_local.bufs = (
                 np.empty((k, self.n), dtype=np.uint64),
                 np.empty((k, self.n), dtype=np.uint64),
                 np.empty((k, hn), dtype=np.uint64),
                 np.empty((k, hn), dtype=np.uint64),
                 np.empty((k, hn), dtype=np.uint64),
             )
-        return self._scratch_bufs
+        return bufs
 
     def _forward_shoup(self, work: np.ndarray, check_bounds: bool,
                        unscramble: bool = True,

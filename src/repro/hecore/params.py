@@ -234,6 +234,15 @@ class EncryptionParameters:
     def special_primes(self) -> Tuple[int, ...]:
         return self.full_base.moduli[len(self.data_base):]
 
+    def fingerprint(self) -> Tuple:
+        """What makes two parameter sets the same one — ``(scheme, N, plain
+        modulus, scale bits, data moduli, special primes)``: the fields of
+        the runtime handshake, and the parameter half of the schedule-cache
+        key.  Equal fingerprints evaluate identically."""
+        return (self.scheme, self.poly_degree, self.plain_modulus,
+                self.scale_bits or 0, self.data_base.moduli,
+                self.special_primes)
+
     def describe(self) -> str:
         """One-line summary in the paper's Table 3 format."""
         t = f"log2 t={self.plain_bits}" if self.scheme is SchemeType.BFV else "t=N/A"

@@ -21,6 +21,7 @@ schedule through the *rng* arguments).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import Iterable, List, Optional, Sequence
 
@@ -63,7 +64,7 @@ class RlweContext:
             raise ValueError(f"{type(self).__name__} requires "
                              f"{self.scheme.name} parameters")
         self.params = params
-        self.keygen = KeyGenerator(params, seed)
+        self._seed = seed
         self.encoder = self.encoder_class(params)
         self._prng = (BlakePrng(seed).fork(f"{self.scheme.value}-encryptor")
                       if seed is not None else BlakePrng())
@@ -72,6 +73,13 @@ class RlweContext:
         self.counts: Counter = Counter()
 
     # --------------------------------------------------------------- keys
+    @functools.cached_property
+    def keygen(self) -> KeyGenerator:
+        """This context's key pair, generated on first use (from its own
+        ``BlakePrng(seed)``, so when changes nothing): a context that only
+        evaluates on uploaded keys never makes, or holds, a secret key."""
+        return KeyGenerator(self.params, self._seed)
+
     def relin_keys(self) -> RelinKeys:
         if self._relin is None:
             self._relin = self.keygen.relin_keys()

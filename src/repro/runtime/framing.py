@@ -40,7 +40,7 @@ import asyncio
 import enum
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hecore.params import EncryptionParameters, SchemeType
@@ -202,7 +202,8 @@ def _unpack_blobs(cur: _Cursor) -> List[bytes]:
 
 @dataclass(frozen=True)
 class Hello:
-    """Client handshake: a full fingerprint of its parameter set.
+    """Client handshake: its parameter set's
+    :meth:`EncryptionParameters.fingerprint`, field for field in that order.
 
     Layout: scheme u8 | poly_degree u32 | plain_modulus u64 | scale_bits u16
     | n_data u8 | n_special u8 | moduli u64[n_data + n_special].
@@ -217,23 +218,14 @@ class Hello:
 
     @classmethod
     def from_params(cls, params: EncryptionParameters) -> "Hello":
-        return cls(
-            scheme=params.scheme,
-            poly_degree=params.poly_degree,
-            plain_modulus=params.plain_modulus,
-            scale_bits=params.scale_bits or 0,
-            data_moduli=params.data_base.moduli,
-            special_moduli=params.special_primes,
-        )
+        return cls(*params.fingerprint())
 
     def mismatch(self, params: EncryptionParameters) -> Optional[str]:
         """Why this fingerprint cannot be served under *params* (or None)."""
-        ours = Hello.from_params(params)
-        for name in ("scheme", "poly_degree", "plain_modulus", "scale_bits",
-                     "data_moduli", "special_moduli"):
-            if getattr(self, name) != getattr(ours, name):
-                return (f"{name}: client {getattr(self, name)!r} != "
-                        f"server {getattr(ours, name)!r}")
+        for f, ours in zip(fields(self), params.fingerprint()):
+            theirs = getattr(self, f.name)
+            if theirs != ours:
+                return f"{f.name}: client {theirs!r} != server {ours!r}"
         return None
 
     def pack(self) -> bytes:

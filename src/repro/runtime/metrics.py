@@ -172,6 +172,8 @@ class RuntimeMetrics:
             f"  level planner: {total['limb_drops']} limb drop(s), "
             f"{total['limbs_live']} limb-row(s) live, "
             f"{total['level_replans']} replan(s)",
+            f"  schedule cache: {total['program_cache_hits']} hit(s) / "
+            f"{total['program_cache_misses']} miss(es)",
             f"  resilience: {total['sessions_resumed']} resume(s), "
             f"{total['sessions_reaped']} reaped, "
             f"{total['duplicates_suppressed']} duplicate(s) suppressed, "
@@ -263,6 +265,8 @@ class FleetMetrics:
             f"queue depth {snap['queue_depth']}, "
             f"{snap['key_evictions']} eviction(s) / "
             f"{snap['reupload_signals']} re-upload signal(s)",
+            f"  schedule cache: {snap['program_cache_hits']} hit(s) / "
+            f"{snap['program_cache_misses']} miss(es)",
         ]
         for s in snap["per_worker"]:
             pool = s.get("eval_pool") or {}

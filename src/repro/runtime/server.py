@@ -817,13 +817,14 @@ def build_restricted_context(params: EncryptionParameters,
                              context_seed: bytes):
     """A secret-key-free evaluator built from *uploaded* keys only.
 
-    The context class generates its own (unrelated, never-used) key
-    material at construction; what matters is that every secret-key
-    operation — ``decrypt``/``decrypt_many``, ``noise_budget``,
+    A context makes its own key pair only when something asks for it
+    (``RlweContext.keygen`` is lazy), and nothing served does: every
+    secret-key operation — ``decrypt``/``decrypt_many``, ``noise_budget``,
     ``encrypt_symmetric*`` — is mechanically forbidden (they all reach the
     key through ``RlweContext._secret_ntt``) and relinearization/rotation
     resolve, at each use, to whatever *keystore* holds then — the server
-    cannot fabricate either, and a key the keystore dropped is gone.
+    cannot fabricate either, and a key the keystore dropped is gone.  So
+    no secret key, not even an unrelated one, sits in the worker.
     """
     from repro.hecore import context_for
 

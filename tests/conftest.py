@@ -7,9 +7,18 @@ from hypothesis import settings
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
 
+from repro.core import ir
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
+
+
+@pytest.fixture(autouse=True)
+def _cold_program_cache():
+    """Every test starts with an empty shared schedule cache: first-call
+    fill counts (``ntt_forward`` rows, ``batched_consts``) must not depend
+    on which test compiled the same program earlier."""
+    ir.clear_program_cache()
 
 
 @pytest.fixture(scope="session")

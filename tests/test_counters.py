@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.core import ir
 from repro.core.protocol import (
     KERNEL_COUNTER_NAMES,
     KERNEL_COUNTERS,
@@ -126,6 +127,10 @@ def test_knn_ops_serve_the_same_bytes_and_counts_inline_and_pooled(
         return {name: getattr(metrics, name) for name in KERNEL_COUNTER_NAMES}
 
     def served(use_pool):
+        # Both serves start cold: a forked pool child inherits the programs
+        # this process already compiled.
+        ir.clear_program_cache()
+
         async def main():
             pool = None
             server = OffloadServer(ckks_params, concurrency=1)
@@ -189,7 +194,7 @@ def test_ledger_keyword_construction_and_merge_cover_the_table():
 
 # ------------------------------------------------------------------ golden
 
-#: SessionMetrics' counter fields at the parent commit (snapshot keys too).
+#: SessionMetrics' counter fields (snapshot keys too).
 SESSION_COUNTERS = (
     "requests", "responses", "errors", "busy_rejections", "key_uploads",
     "handler_invocations", "duplicates_suppressed", "results_replayed",
@@ -197,19 +202,20 @@ SESSION_COUNTERS = (
     "bytes_down", "queue_depth", "rotations", "hoisted_decomposes",
     "naive_decomposes", "ntt_forward", "ntt_inverse", "ntt_elided",
     "limb_drops", "limbs_live", "level_replans", "key_evictions",
-    "reupload_signals",
+    "reupload_signals", "program_cache_hits", "program_cache_misses",
 )
 
 SESSION_KEYS = frozenset(SESSION_COUNTERS) | {
     "session_id", "peer", "latency_p50_ms", "latency_p99_ms"}
 
-#: The 20 per-session counters the parent's worker snapshot totals.
+#: The 22 per-session counters the worker snapshot totals.
 RUNTIME_TOTALS = (
     "key_evictions", "reupload_signals", "handler_invocations",
     "duplicates_suppressed", "results_replayed", "requests", "responses",
     "errors", "busy_rejections", "bytes_up", "bytes_down", "rotations",
     "hoisted_decomposes", "naive_decomposes", "ntt_forward", "ntt_inverse",
     "ntt_elided", "limb_drops", "limbs_live", "level_replans",
+    "program_cache_hits", "program_cache_misses",
 )
 
 RUNTIME_KEYS = frozenset(RUNTIME_TOTALS) | {
@@ -232,6 +238,7 @@ offload-server metrics: 2 session(s), 3016/3002 requests served, \
   rotations: 3212 (3226 hoisted / 3240 naive decomposes)
   ntt residency: 3254 forward / 3268 inverse row(s), 3282 pair(s) elided
   level planner: 3296 limb drop(s), 3310 limb-row(s) live, 3324 replan(s)
+  schedule cache: 3366 hit(s) / 3380 miss(es)
   resilience: 2 resume(s), 3 reaped, 3086 duplicate(s) suppressed, \
 3100 result(s) replayed
   sess peer                  reqs  resp  busy  err       up B     down B \
@@ -246,6 +253,7 @@ fleet metrics: 2 live worker(s), 1 restart(s), 6 session(s) routed, \
 2 admission rejection(s)
   fleet totals: 69048 response(s), queue depth 6, 70014 eviction(s) / \
 70056 re-upload signal(s)
+  schedule cache: 70098 hit(s) / 70140 miss(es)
   worker 1 (retired): 2 session(s), queue 2, 23016 response(s), \
 exec util 0.50
   worker 0: 2 session(s), queue 1, 3016 response(s), exec util 0.25

@@ -223,3 +223,45 @@ def test_compose_wide_base_pair_folded_path():
     centered = base.compose_centered(residues)
     half = base.modulus // 2
     assert all(-half <= c <= half for c in centered)
+
+
+# ------------------------------------------------------------ shared plans
+
+def test_one_plan_transforms_correctly_from_several_threads():
+    """Plans are cached per ``(n, moduli)`` and shared by every context of
+    the process; numpy releases the GIL inside the butterfly ufuncs, so the
+    work buffers are per thread.  Six threads round-tripping through one
+    set-B-sized plan (rows large enough that the GIL really is dropped)
+    must each get the single-threaded answer."""
+    import sys
+    import threading
+
+    n = PARAMETER_SET_B.poly_degree
+    plan = ntt.get_stack_plan(n, PARAMETER_SET_B.full_base.moduli)
+    rng = np.random.default_rng(77)
+    stacks = [_random_stack(rng, plan.moduli, n) for _ in range(6)]
+    want = [plan.forward(s) for s in stacks]
+    barrier = threading.Barrier(len(stacks))
+    bad = []
+
+    def spin(i):
+        barrier.wait(timeout=30)
+        for _ in range(40):
+            fwd = plan.forward(stacks[i])
+            if not (np.array_equal(fwd, want[i])
+                    and np.array_equal(plan.inverse(fwd), stacks[i])):
+                bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=spin, args=(i,))
+                   for i in range(len(stacks))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not bad
