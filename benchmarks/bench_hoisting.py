@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from _gate import best_of_pair, run_speedup_gate
-from repro.core.linalg import EncryptedMatVec, rotate_and_sum_steps
+from repro.core.linalg import EncryptedMatVec
 from repro.hecore.bfv import BfvContext
-from repro.hecore.hoisting import WeightedSumSpan
+from repro.hecore.hoisting import WeightedSumSpan, rotate_and_sum_steps
 from repro.hecore.params import SchemeType, small_test_parameters
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_hoisting.json"

@@ -273,13 +273,15 @@ def run_encrypted_inference(ctx, network: Network, image: np.ndarray,
     if ctx.params.scheme is not SchemeType.BFV:
         raise ValueError("functional encrypted inference runs under BFV")
     session = session or ClientAidedSession(ctx)
-    # ONE merged Galois key set for the whole network, fed by every linear
-    # layer's required_rotation_steps — no per-layer keygen below.
-    ensure_galois_keys(ctx, inference_rotation_steps(ctx, network))
+    # Every linear layer's kernel is built once; ONE merged Galois key set
+    # for the whole network is read off them — no per-layer keygen below.
+    kernels = _layer_kernels(ctx, network)
+    ensure_galois_keys(
+        ctx, *(k.required_rotation_steps() for k in kernels.values()))
     logits = _run_inference(
         network, image, bits,
-        conv_fn=lambda conv, x: _encrypted_conv(session, conv, x),
-        fc_fn=lambda fc, x: _encrypted_fc(session, fc, x),
+        conv_fn=lambda conv, x: _encrypted_conv(session, kernels[id(conv)], x),
+        fc_fn=lambda fc, x: _encrypted_fc(session, kernels[id(fc)], x),
         modulus=ctx.params.plain_modulus,
     )
     return logits, session.ledger
@@ -333,54 +335,43 @@ def _run_inference(network: Network, image: np.ndarray, bits: int,
     return x
 
 
-def inference_rotation_steps(ctx, network: Network) -> set:
-    """Merged rotation-step set for every offloaded layer of *network*.
-
-    Reconstructs each layer's encrypted-kernel plan (tiled conv specs from
-    the padded activation shapes, BSGS baby/giant ladders for FC weights)
-    and unions their ``required_rotation_steps`` — the scheduler-fed
-    single-keygen path the dnn/knn pipelines use instead of per-op calls.
-    """
+def _layer_kernels(ctx, network: Network) -> dict:
+    """``id(layer)`` -> the encrypted kernel of every offloaded layer of
+    *network*: tiled convolutions (any channel count — layers whose channels
+    exceed one ciphertext simply occupy several) sized from the padded
+    activation shapes, baby-step/giant-step products (~2*sqrt(d) rotations
+    and Galois keys instead of d - 1) for FC weights."""
     from repro.core.tiling import TiledEncryptedConv2d
 
-    def conv_steps(conv: ConvLayer, in_shape) -> set:
+    kernels = {}
+
+    def add_conv(conv: ConvLayer, in_shape) -> None:
         p = conv.pad
         c, h, w = in_shape
         spec = Conv2dSpec(conv.in_channels, conv.out_channels,
                           h + 2 * p, w + 2 * p, conv.kernel_size)
-        return TiledEncryptedConv2d(ctx, spec,
-                                    conv.weights).required_rotation_steps()
+        kernels[id(conv)] = TiledEncryptedConv2d(ctx, spec, conv.weights)
 
-    steps = set()
     for layer, in_shape in network.linear_layers():
         if isinstance(layer, FireLayer):
-            steps |= conv_steps(layer.squeeze_conv, in_shape)
+            add_conv(layer.squeeze_conv, in_shape)
             mid = layer.squeeze_conv.output_shape(in_shape)
-            steps |= conv_steps(layer.expand1_conv, mid)
-            steps |= conv_steps(layer.expand3_conv, mid)
+            add_conv(layer.expand1_conv, mid)
+            add_conv(layer.expand3_conv, mid)
         elif isinstance(layer, ConvLayer):
-            steps |= conv_steps(layer, in_shape)
+            add_conv(layer, in_shape)
         elif isinstance(layer, FcLayer):
-            steps |= BsgsMatVec(ctx, layer.weights).required_rotation_steps()
-    return {s for s in steps if s}
+            kernels[id(layer)] = BsgsMatVec(ctx, layer.weights)
+    return kernels
 
 
-def _encrypted_conv(session: ClientAidedSession, conv: ConvLayer,
+def _encrypted_conv(session: ClientAidedSession, enc_conv,
                     x: np.ndarray) -> np.ndarray:
-    """One conv layer offloaded: pack (with client-side zero padding for
-    'same' convs), encrypt, upload, evaluate, download, decrypt, unpack.
-
-    Uses the tiled implementation, so any channel count works — layers
-    whose channels exceed one ciphertext simply occupy several.
-    """
-    from repro.core.tiling import TiledEncryptedConv2d
-
-    ctx = session.ctx
-    p = conv.pad
+    """One conv layer offloaded: pack (with client-side zero padding up to
+    the kernel's spec for 'same' convs), encrypt, upload, evaluate,
+    download, decrypt, unpack."""
+    p = (enc_conv.spec.height - x.shape[1]) // 2
     padded = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    c, h, w = padded.shape
-    spec = Conv2dSpec(conv.in_channels, conv.out_channels, h, w, conv.kernel_size)
-    enc_conv = TiledEncryptedConv2d(ctx, spec, conv.weights)
     cts = [session.upload(ct) for ct in session.client_encrypt_many(
         [v.astype(np.int64) for v in enc_conv.pack_input(padded)])]
     out_cts = session.server_compute(enc_conv, cts)
@@ -389,15 +380,10 @@ def _encrypted_conv(session: ClientAidedSession, conv: ConvLayer,
     return enc_conv.unpack_outputs(slots)
 
 
-def _encrypted_fc(session: ClientAidedSession, fc: FcLayer,
+def _encrypted_fc(session: ClientAidedSession, mv: BsgsMatVec,
                   x: np.ndarray) -> np.ndarray:
-    """FC layers use the baby-step/giant-step diagonal product: ~2*sqrt(d)
-    rotations and Galois keys instead of d - 1.  The baby rotations share
-    one hoisted key-switch decompose; the session's merged key set (one
-    :func:`inference_rotation_steps` keygen per inference) already covers
-    this layer's ladder."""
-    ctx = session.ctx
-    mv = BsgsMatVec(ctx, fc.weights)
+    """One FC layer offloaded; the baby rotations share one hoisted
+    key-switch decompose."""
     ct = session.upload(session.client_encrypt(mv.pack_input(x.ravel()).astype(np.int64)))
     out_ct = session.server_compute(mv, ct)
     return mv.unpack_output(session.client_decrypt(session.download(out_ct)))

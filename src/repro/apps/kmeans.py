@@ -26,8 +26,8 @@ from repro.core.distance import (
     DistanceProblem,
     MultiQueryDimensionMajor,
 )
-from repro.core.linalg import rotate_and_accumulate, rotate_and_sum_steps
 from repro.core.protocol import ClientAidedSession
+from repro.hecore.hoisting import rotate_and_sum_steps
 from repro.hecore.modmath import next_power_of_two
 
 
@@ -53,8 +53,8 @@ class EncryptedKMeans:
                                                max_queries=n_clusters)
         steps = set(self.kernel.required_rotation_steps())
         width = next_power_of_two(self.n)
-        # Hoisted step set (plus pow2 fallback ladder) so the per-cluster
-        # coordinate sums run as fused hoisted spans.
+        # Hoisted step set, so the per-cluster coordinate sums run as fused
+        # hoisted spans.
         steps.update(rotate_and_sum_steps(width))
         ctx.make_galois_keys(steps)
         self._sum_width = width
@@ -116,11 +116,13 @@ class EncryptedKMeans:
             mask[: self.n][assignments == cluster] = 1.0
 
             def cluster_sums():
+                # Direct evaluator calls, not a traced kernel: the mask is
+                # per-call client data and the IR has no plaintext input.
                 sums = []
                 for x_k in self.point_cts:
                     masked = ctx.multiply_plain(x_k, ctx.encode(mask))
                     masked = ctx.rescale(masked)
-                    sums.append(rotate_and_accumulate(ctx, masked, self._sum_width))
+                    sums.append(ctx.rotate_and_sum(masked, self._sum_width))
                 return sums
 
             sum_cts = session.server_compute(cluster_sums)

@@ -129,46 +129,6 @@ class EncryptedKnn:
         return KnnResult(label=label, neighbor_indices=neighbors,
                          distances=all_distances)
 
-    # ------------------------------------------------------------ oracles
-    def reference_classify(self, query: np.ndarray) -> int:
-        """Plaintext oracle for correctness checks."""
-        points = np.stack(self._plaintext_points())
-        distances = np.sum((points - np.asarray(query)) ** 2, axis=1)
-        neighbors = np.argsort(distances)[: self.k]
-        return Counter(self.labels[neighbors].tolist()).most_common(1)[0][0]
-
-    def _plaintext_points(self) -> List[np.ndarray]:
-        """Decrypt the stored database (test helper: the client owns the key)."""
-        out = []
-        for batch in self._batches:
-            decrypted = [np.real(v)
-                         for v in self.ctx.decrypt_many(batch.point_cts)]
-            for i in range(batch.count):
-                out.append(self._unpack_point(batch, decrypted, i))
-        return out
-
-    def _unpack_point(self, batch: _Batch, decrypted: List[np.ndarray],
-                      index: int) -> np.ndarray:
-        kernel = batch.kernel
-        d = batch.dims
-        name = kernel.name
-        if name == "point-major":
-            return decrypted[index][:d]
-        if name == "dimension-major":
-            return np.array([decrypted[j][index] for j in range(d)])
-        if name in ("stacked-point", "collapsed"):
-            per = kernel.points_per_ct
-            block = decrypted[index // per]
-            off = (index % per) * kernel.problem.padded_dims
-            return block[off: off + d]
-        if name == "stacked-dimension":
-            n = kernel.problem.padded_points
-            per = kernel.dims_per_ct
-            return np.array([
-                decrypted[j // per][(j % per) * n + index] for j in range(d)
-            ])
-        raise ValueError(f"unhandled kernel {name}")
-
 
 # ---------------------------------------------------------------------------
 # Served KNN: the same application over the offload runtime

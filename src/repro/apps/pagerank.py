@@ -54,6 +54,33 @@ def pagerank_reference(adjacency: np.ndarray, damping: float = 0.85,
     return rank
 
 
+class _FinalIteration(EncryptedMatVec):
+    """A segment's last PageRank iteration: mat-vec, then the CKKS rescale."""
+
+    def _body(self, ev, cts):
+        out = super()._body(ev, cts)
+        if ev.params.scheme is SchemeType.CKKS:
+            out = ev.rescale(out)
+        return out
+
+
+class _Iteration(_FinalIteration):
+    """An iteration another follows: the server also repacks.
+
+    The matvec output occupies the window without redundant margins; a
+    further iteration needs the rotational redundancy restored.  The server
+    rebuilds the margins with two rotations and adds — cheap in noise (no
+    masking multiplies), which is what lets encrypted segments run
+    back-to-back.  Both rotations act on the same value, so the scheduler
+    serves them from one hoisted key-switch decompose.
+    """
+
+    def _body(self, ev, cts):
+        out = super()._body(ev, cts)
+        return ev.add(ev.add(out, ev.rotate(out, self.dim)),
+                      ev.rotate(out, -self.dim))
+
+
 class ClientAidedPageRank:
     """Functional encrypted PageRank with a configurable refresh schedule.
 
@@ -77,10 +104,10 @@ class ClientAidedPageRank:
         else:
             self.scale = 1.0
             matrix = self.matrix
-        self.matvec = EncryptedMatVec(ctx, matrix)
-        steps = set(self.matvec.required_rotation_steps())
-        steps.update((self.matvec.dim, -self.matvec.dim))
-        ctx.make_galois_keys(steps)
+        self._iteration = _Iteration(ctx, matrix)
+        self.matvec = _FinalIteration(ctx, matrix)
+        # The repacking body extends the final one: its keys cover both.
+        ctx.make_galois_keys(self._iteration.required_rotation_steps())
 
     def run(self, schedule: Sequence[int],
             session: Optional[ClientAidedSession] = None) -> Tuple[np.ndarray, object]:
@@ -91,7 +118,8 @@ class ClientAidedPageRank:
             ct = session.upload(session.client_encrypt(self._pack(rank)))
             for step in range(segment):
                 last = step == segment - 1
-                ct = session.server_compute(self._one_iteration, ct, last)
+                ct = session.server_compute(
+                    self.matvec if last else self._iteration, ct)
             slots = np.asarray(session.client_decrypt(session.download(ct)))
             raw = np.real(self.matvec.unpack_output(slots))
             if self.is_bfv:
@@ -104,28 +132,6 @@ class ClientAidedPageRank:
         if self.is_bfv:
             return np.rint(self.matvec.pack_input(rank) * self.scale).astype(np.int64)
         return self.matvec.pack_input(rank)
-
-    def _one_iteration(self, ct, last: bool):
-        ct = self.matvec(ct)
-        if not self.is_bfv:
-            ct = self.ctx.rescale(ct)
-        if not last:
-            ct = self._refresh_packing(ct)
-        return ct
-
-    def _refresh_packing(self, ct):
-        """Server-side repack between iterations.
-
-        The matvec output occupies the window without redundant margins; a
-        further iteration needs the rotational redundancy restored.  The
-        server rebuilds the margins with two rotations and adds — cheap in
-        noise (no masking multiplies), which is what lets encrypted segments
-        run back-to-back.  Both rotations act on the same ciphertext, so
-        they share one hoisted key-switch decompose.
-        """
-        ctx = self.ctx
-        left, right = ctx.rotate_many(ct, (self.matvec.dim, -self.matvec.dim))
-        return ctx.add(ctx.add(ct, left), right)
 
 
 class FullyEncryptedPageRank:

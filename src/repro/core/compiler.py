@@ -182,57 +182,6 @@ def _is_plain(expr: Expr) -> bool:
     return isinstance(expr, (Constant, Scalar))
 
 
-class _Analysis:
-    """Single pass over the DAG: depth, rotations, op counts."""
-
-    def __init__(self, program: EvaProgram):
-        self.depth: Dict[int, int] = {}
-        self.rotation_steps: Set[int] = set()
-        self.ct_mults = 0
-        self.plain_mults = 0
-        self.adds = 0
-        self.inputs: Set[str] = set()
-        self._memo: Dict[int, int] = {}
-        for expr in program.outputs.values():
-            self._visit(expr)
-
-    def _visit(self, expr: Expr) -> int:
-        """Returns the node's multiplicative depth (plaintext nodes: 0)."""
-        key = id(expr)
-        if key in self._memo:
-            return self._memo[key]
-        if isinstance(expr, Input):
-            self.inputs.add(expr.name)
-            d = 0
-        elif _is_plain(expr):
-            d = 0
-        elif isinstance(expr, Mul):
-            dl = self._visit(expr.left)
-            dr = self._visit(expr.right)
-            if _is_plain(expr.left) or _is_plain(expr.right):
-                self.plain_mults += 1
-            else:
-                self.ct_mults += 1
-            d = max(dl, dr) + 1
-        elif isinstance(expr, (Add, Sub)):
-            self.adds += 1
-            d = max(self._visit(expr.left), self._visit(expr.right))
-        elif isinstance(expr, Neg):
-            d = self._visit(expr.operand)
-        elif isinstance(expr, Rotate):
-            if expr.steps:
-                self.rotation_steps.add(expr.steps)
-            d = self._visit(expr.operand)
-        else:
-            raise TypeError(f"unknown expression node {type(expr).__name__}")
-        self._memo[key] = d
-        return d
-
-    @property
-    def max_depth(self) -> int:
-        return max(self._memo.values(), default=0)
-
-
 @dataclass
 class CompiledProgram:
     """A scheduled program: analysis results plus an executable plan."""
@@ -245,10 +194,11 @@ class CompiledProgram:
     adds: int
     input_names: Set[str]
     recommended: ParameterChoice
+    ir: IrProgram
 
     # ----------------------------------------------------------- scheduling
     def scheduled(self, params) -> ScheduledProgram:
-        """The program lowered to ciphertext IR and run through the
+        """The lowered program (:attr:`ir`) run through the
         scheduler passes (rotation fusion, level planning for *params* —
         outputs go straight to the client — level-drop sinking, NTT
         residency).  The process's shared copy for this program and
@@ -256,8 +206,7 @@ class CompiledProgram:
         encodings and NTT tables survive across :meth:`execute` calls, and
         a level plan never serves a modulus chain it was not made for."""
         # No session to charge: whoever holds the program compiles it.
-        return shared_schedule(lower_to_ir(self.program), params, True,
-                               Counter())
+        return shared_schedule(self.ir, params, True, Counter())
 
     # ----------------------------------------------------------- execution
     def execute(self, ctx, inputs: Dict[str, object]) -> Dict[str, np.ndarray]:
@@ -385,24 +334,32 @@ def lower_to_ir(program: EvaProgram) -> IrProgram:
 
 
 def compile_program(program: EvaProgram) -> CompiledProgram:
-    """Analyze and schedule *program*, recommending minimal parameters."""
-    analysis = _Analysis(program)
+    """Lower *program* once and read its analysis off the IR: depth from
+    the static levels, the rotation-step set, and the live op counts."""
+    ir = lower_to_ir(program)
+    live = [(nid, ir.nodes[nid]) for nid in ir.live_set()]
+    # Multiplies by how many of their operands are ciphertexts.
+    mults = Counter(len(ir.ct_args(nid)) for nid, node in live
+                    if node.kind == "mul")
+    depth = max(level[0] for level in ir.levels(SchemeType.CKKS).values()
+                if level is not None)
+    rotation_steps = ir.rotation_steps()
     profile = WorkloadProfile(
         value_bits=8,
         fan_in=max(2, program.slots),
-        rotations=len(analysis.rotation_steps),
-        plain_mult_depth=max(1, analysis.max_depth),
+        rotations=len(rotation_steps),
+        plain_mult_depth=max(1, depth),
         ct_mult_depth=0,
         min_slots=program.slots,
     )
-    recommended = select_parameters(profile, SchemeType.CKKS)
     return CompiledProgram(
         program=program,
-        multiplicative_depth=analysis.max_depth,
-        rotation_steps=analysis.rotation_steps,
-        ct_mults=analysis.ct_mults,
-        plain_mults=analysis.plain_mults,
-        adds=analysis.adds,
-        input_names=analysis.inputs,
-        recommended=recommended,
+        multiplicative_depth=depth,
+        rotation_steps=rotation_steps,
+        ct_mults=mults[2],
+        plain_mults=mults[1],
+        adds=sum(node.kind in ("add", "sub") for _, node in live),
+        input_names={node.name for _, node in live if node.kind == "input"},
+        recommended=select_parameters(profile, SchemeType.CKKS),
+        ir=ir,
     )

@@ -16,25 +16,19 @@ server time, client time, and communication that Figure 11 explores:
   client-optimized choice (§5.4).
 
 All variants run on CKKS.  Dimensions are padded to a power of two so the
-log-rotation accumulation of :func:`repro.core.linalg.rotate_and_accumulate`
-applies.
+dimension sum is one ``rotate_and_sum`` span.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 import numpy as np
 
 from repro.core.ir import TracedKernel
-from repro.core.linalg import (
-    _masked_sum,
-    rotate_and_accumulate,
-    rotate_and_sum_steps,
-    row_slot_count,
-)
+from repro.core.linalg import _masked_sum, row_slot_count
 from repro.hecore.modmath import next_power_of_two
 
 
@@ -84,8 +78,12 @@ class DistanceKernel(TracedKernel):
         """Evaluate the kernel; returns the output ciphertexts."""
         return self.run((point_cts, query_cts), galois_keys)
 
-    def required_rotation_steps(self) -> Set[int]:
-        return set()
+    @property
+    def input_shape(self) -> Tuple[int, int]:
+        """(point, query) ciphertext counts, asked of the packers."""
+        p = self.problem
+        return (len(self.pack_points(np.zeros((p.n_points, p.dims)))),
+                len(self.pack_query(np.zeros(p.dims))))
 
     def encrypt_points(self, points: np.ndarray):
         return self.ctx.encrypt_many(self.pack_points(points))
@@ -103,8 +101,8 @@ class DistanceKernel(TracedKernel):
         if n != self.problem.n_points or d != self.problem.dims:
             raise ValueError(f"points shape {points.shape} does not match problem")
 
-    def _squared_diff(self, ctx, a, b):
-        return ctx.rescale(ctx.square(ctx.sub(a, b)))
+    def _squared_diff(self, ev, a, b):
+        return ev.rescale(ev.square(ev.sub(a, b)))
 
     def reference(self, points: np.ndarray, query: np.ndarray) -> np.ndarray:
         return np.sum((points - query) ** 2, axis=1)
@@ -130,15 +128,10 @@ class PointMajorKernel(DistanceKernel):
         v[: self.problem.dims] = query
         return [v]
 
-    def required_rotation_steps(self):
-        # Hoisted step set plus the power-of-two fallback ladder, so the
-        # dimension sum can run as one fused hoisted span.
-        return rotate_and_sum_steps(self.problem.padded_dims)
-
     def _body(self, ev, point_cts, query_cts):
         q = query_cts[0]
-        return [rotate_and_accumulate(ev, self._squared_diff(ev, p, q),
-                                      self.problem.padded_dims)
+        return [ev.rotate_and_sum(self._squared_diff(ev, p, q),
+                                  self.problem.padded_dims)
                 for p in point_cts]
 
     def decode(self, outputs):
@@ -201,13 +194,10 @@ class StackedPointMajorKernel(DistanceKernel):
             v[i * d: i * d + self.problem.dims] = query
         return [v]
 
-    def required_rotation_steps(self):
-        return rotate_and_sum_steps(self.problem.padded_dims)
-
     def _body(self, ev, point_cts, query_cts):
         q = query_cts[0]
-        return [rotate_and_accumulate(ev, self._squared_diff(ev, p, q),
-                                      self.problem.padded_dims)
+        return [ev.rotate_and_sum(self._squared_diff(ev, p, q),
+                                  self.problem.padded_dims)
                 for p in point_cts]
 
     def decode(self, outputs):
@@ -255,15 +245,6 @@ class StackedDimensionMajorKernel(DistanceKernel):
             out.append(v)
         return out
 
-    def required_rotation_steps(self):
-        n = self.problem.padded_points
-        steps = set()
-        stride = self.dims_per_ct
-        while stride > 1:
-            steps.add((stride // 2) * n)
-            stride //= 2
-        return steps
-
     def _body(self, ev, point_cts, query_cts):
         n = self.problem.padded_points
         acc = None
@@ -308,16 +289,6 @@ class CollapsedPointMajorKernel(StackedPointMajorKernel):
         super().__init__(ctx, problem)
         self.occupied = min(self.points_per_ct, problem.n_points)
         self.baby_count = math.isqrt(self.occupied - 1) + 1
-
-    def required_rotation_steps(self):
-        stride = self.problem.padded_dims - 1
-        steps = set(super().required_rotation_steps())
-        steps.update(a * stride for a in range(self.baby_count))
-        steps.update(shift * stride
-                     for shift in range(0, self.occupied, self.baby_count))
-        steps.update(-(g * self.points_per_ct)
-                     for g in range(len(self._groups())))
-        return steps - {0}
 
     def _body(self, ev, point_cts, query_cts):
         stride = self.problem.padded_dims - 1
@@ -392,14 +363,6 @@ class MultiQueryDimensionMajor(DimensionMajorKernel):
                 v[start: start + self.problem.n_points] = query[k]
             out.append(v)
         return out
-
-    def required_rotation_steps(self) -> Set[int]:
-        steps = set()
-        copies = 1
-        while copies < self._regions:
-            steps.add(-(self.stride * copies))
-            copies *= 2
-        return steps
 
     def _replicate_points(self, ev, ct):
         copies = 1

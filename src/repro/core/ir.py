@@ -168,6 +168,22 @@ class IrProgram:
             stack.pop()
         return levels
 
+    def rotation_steps(self) -> Set[int]:
+        """The Galois steps the live program rotates by: the one definition
+        of the keys a computation needs (no scheduling pass adds or removes
+        a step, so the traced and the compiled program agree)."""
+        steps: Set[int] = set()
+        for nid in self.live_set():
+            node = self.nodes[nid]
+            if node.kind == "rotate":
+                steps.add(node.steps)
+            elif node.kind == "rotate_sum":
+                steps |= hoisting.rotate_and_sum_steps(node.width)
+            elif node.kind == "weighted_sum":
+                steps |= {s for s, _ in node.terms}
+        steps.discard(0)
+        return steps
+
     def is_const(self, nid: int) -> bool:
         return self.nodes[nid].kind == "const"
 
@@ -271,6 +287,9 @@ class IrBuilder:
         self._require_ct(a, "rotate_sum")
         if width <= 1:
             return a
+        if width & (width - 1):
+            raise ScheduleError(
+                f"rotate_sum width {width} must be a power of two")
         return self._emit(IrNode("rotate_sum", (a,), width=int(width)))
 
     def output(self, name: str, a: int) -> None:
@@ -423,27 +442,41 @@ class TracedKernel:
     #: the schedule keeps the full modulus chain.
     terminal_outputs = False
 
+    #: The shape the kernel is served with — what its Galois keys are
+    #: provisioned for.  A declaration of the packing, not an option.
+    input_shape: Tuple[int, ...] = (1,)
+
     def __init__(self, ctx):
         self.ctx = ctx
+        self._programs: Dict[Tuple[int, ...], IrProgram] = {}
         self._schedules: Dict[Tuple[int, ...], ScheduledProgram] = {}
 
     def _body(self, ev, *groups):
         raise NotImplementedError
 
     def program(self, shape: Tuple[int, ...]) -> IrProgram:
-        """The body traced for *shape*, before any scheduling pass."""
-        def body(ev, *handles):
-            rest = iter(handles)
-            return self._body(ev, *([next(rest) for _ in range(n)]
-                                    for n in shape))
+        """The body traced for *shape*, before any scheduling pass; traced
+        once per instance and shape, so key provisioning and the run that
+        follows share one trace."""
+        program = self._programs.get(shape)
+        if program is None:
+            def body(ev, *handles):
+                rest = iter(handles)
+                return self._body(ev, *([next(rest) for _ in range(n)]
+                                        for n in shape))
 
-        return trace_program(self.ctx.params, body,
-                             [f"in{i}" for i in range(sum(shape))])
+            program = self._programs[shape] = trace_program(
+                self.ctx.params, body, [f"in{i}" for i in range(sum(shape))])
+        return program
+
+    def required_rotation_steps(self) -> Set[int]:
+        """The Galois keys a session must hold to run this kernel: read off
+        the traced program, never kept by hand next to the body."""
+        return self.program(self.input_shape).rotation_steps()
 
     def scheduled(self, shape: Tuple[int, ...]) -> "ScheduledProgram":
-        """The compiled schedule for *shape*: the body is traced once per
-        instance and shape, the compiled program it names is the process's
-        shared copy (:func:`shared_schedule`)."""
+        """The compiled schedule for *shape*: the compiled program the
+        trace names is the process's shared copy (:func:`shared_schedule`)."""
         sched = self._schedules.get(shape)
         if sched is None:
             sched = self._schedules[shape] = shared_schedule(
@@ -888,18 +921,8 @@ class ScheduledProgram:
 
     # ------------------------------------------------------------ metadata
     def rotation_steps(self) -> Set[int]:
-        """Merged Galois step set the whole program needs (satellite: one
-        ``make_galois_keys`` call per pipeline, not one per op)."""
-        steps: Set[int] = set()
-        for nid in self.program.live_set():
-            node = self.program.nodes[nid]
-            if node.kind == "rotate":
-                steps.add(node.steps)
-            elif node.kind == "rotate_sum":
-                steps |= hoisting.rotate_and_sum_steps(node.width)
-            elif node.kind == "weighted_sum":
-                steps |= {s for s, _ in node.terms}
-        return {s for s in steps if s}
+        """The compiled program's :meth:`IrProgram.rotation_steps`."""
+        return self.program.rotation_steps()
 
     # ------------------------------------------------------------ plaintexts
     def _const_values(self, cid: int) -> np.ndarray:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.ir import TracedKernel
 from repro.core.packing import ChannelLayout, RedundantPacking
-from repro.hecore.hoisting import rotate_and_sum_steps
 
 
 def _encode_vector(ctx, values: np.ndarray, ct=None):
@@ -155,10 +154,6 @@ class EncryptedConv2d(TracedKernel):
                     plan.append((j * layout.span + delta, mask))
         return plan
 
-    def required_rotation_steps(self) -> Set[int]:
-        """Rotation amounts the evaluation performs (for Galois key gen)."""
-        return {rot for rot, _ in self._plan if rot != 0}
-
     # ------------------------------------------------------------ execution
     def _body(self, ev, cts):
         """One rotation and one weight multiply per plan entry, summed.
@@ -232,13 +227,9 @@ class EncryptedMatVec(TracedKernel):
         padded[: self.n_in] = vector
         return self.packing.pack([padded])
 
-    def required_rotation_steps(self) -> Set[int]:
-        return {j for j in range(1, self.dim)
-                if np.any(self._diagonal(j))}
-
     def _diagonal(self, j: int) -> np.ndarray:
-        d = self.dim
-        return np.array([self._square[i, (i + j) % d] for i in range(d)])
+        rows = np.arange(self.dim)
+        return self._square[rows, (rows + j) % self.dim]
 
     def _diagonal_masks(self) -> List[Tuple[int, np.ndarray]]:
         """(rotation, full-row mask) for every non-zero diagonal."""
@@ -295,11 +286,6 @@ class BsgsMatVec(EncryptedMatVec):
         self.baby_count = baby_steps or max(1, int(math.isqrt(d)))
         self.giant_count = math.ceil(d / self.baby_count)
 
-    def required_rotation_steps(self) -> Set[int]:
-        steps = set(range(1, self.baby_count))
-        steps.update(g * self.baby_count for g in range(1, self.giant_count))
-        return {s for s in steps if s}
-
     def _body(self, ev, cts):
         (ct,) = cts
         row = row_slot_count(ev)
@@ -331,27 +317,8 @@ class BsgsMatVec(EncryptedMatVec):
         ``x_circ[(i + shift) + b] = x[(i + j) mod d]`` (redundant window), so
         the mask simply places ``diag_j[i]`` at slot ``offset + i + shift``.
         """
-        d = self.dim
-        diag = self._diagonal(j)
         mask = np.zeros(row)
-        for i in range(d):
-            pos = offset + i + shift
-            if pos < row:
-                mask[pos] = diag[i]
+        start = offset + shift      # shift < d, so the 3d - 2 slot span holds it
+        mask[start: start + self.dim] = self._diagonal(j)
         return mask
 
-
-def rotate_and_accumulate(ctx, ct, width: int, galois_keys=None):
-    """Sum *width* (a power of two) adjacent slots into slot 0 of each window.
-
-    Only the window's first slot (and every ``width``-aligned slot) holds a
-    valid total afterwards — the client discards the rest, per the CHOCO
-    packing discipline.  Runs the context's fused
-    :meth:`~repro.hecore.rlwe.RlweContext.rotate_and_sum`: one or two
-    hoisted key-switch decomposes when the session holds the richer step
-    set of :func:`rotate_and_sum_steps`, the classic log2(width) rotate/add
-    tree over the power-of-two keys otherwise.
-    """
-    if width & (width - 1):
-        raise ValueError(f"width {width} must be a power of two")
-    return ctx.rotate_and_sum(ct, width, galois_keys)

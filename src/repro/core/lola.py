@@ -11,7 +11,8 @@ compose without any repacking or masking permutations:
 A product consuming dense input emits spread output and vice versa; each
 direction costs two plaintext multiplies (the weight mask, plus a 0/1
 cleanup mask that zeroes the tree-accumulation's partial sums so the next
-product's replication step starts clean) and ``2·log2(n)`` rotations.
+product's replication step starts clean — one extra level, the latency
+price of continuous server-side execution) and ``2·log2(n)`` rotations.
 CHOCO's fully offloaded PageRank variant is built on exactly this
 alternation.
 
@@ -21,24 +22,32 @@ tradeoff of packed algorithms, §2.1).
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence, Set
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.linalg import _encode_vector, row_slot_count
+from repro.core.ir import TracedKernel
+from repro.core.linalg import _masked_sum, row_slot_count
 from repro.hecore.modmath import next_power_of_two
 from repro.hecore.params import SchemeType
 
 
-class AlternatingMatVec:
-    """Matrix-vector products that alternate dense and spread packings."""
+class AlternatingMatVec(TracedKernel):
+    """Matrix-vector products that alternate dense and spread packings.
+
+    The traced body takes the dense-packed inputs and the spread-packed
+    inputs as its two arguments and emits one product per input, each in
+    the other packing.
+    """
+
+    #: One product in each direction: the keys of the whole alternation.
+    input_shape = (1, 1)
 
     def __init__(self, ctx, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("alternating products need a square matrix")
-        self.ctx = ctx
+        super().__init__(ctx)
         self.matrix = matrix
         self.n = next_power_of_two(matrix.shape[0])
         self._square = np.zeros((self.n, self.n), dtype=matrix.dtype)
@@ -62,87 +71,52 @@ class AlternatingMatVec:
         idx = np.arange(self.matrix.shape[0]) * self.n
         return np.asarray(slots)[idx].copy()
 
-    def required_rotation_steps(self) -> Set[int]:
-        steps = set()
-        p = 1
-        while p < self.n:
-            steps.update({p, -p, p * self.n, -(p * self.n)})
-            p *= 2
-        return steps
-
-    # ----------------------------------------------------------- internals
-    def _replicate(self, ct, stride: int, galois_keys=None):
-        """Fill slots by doubling right-rotations: out[b + k*stride] = in[b]."""
-        ctx = self.ctx
-        p = 1
-        while p < self.n:
-            ct = ctx.add(ct, ctx.rotate(ct, -(p * stride), galois_keys))
-            p *= 2
-        return ct
-
-    def _accumulate(self, ct, stride: int, galois_keys=None):
-        """Tree-sum left-rotations: out[b] = sum_k in[b + k*stride]."""
-        ctx = self.ctx
-        p = self.n // 2
-        while p >= 1:
-            ct = ctx.add(ct, ctx.rotate(ct, p * stride, galois_keys))
-            p //= 2
-        return ct
-
-    def _masked_multiply(self, ct, mask: np.ndarray):
-        ctx = self.ctx
-        product = ctx.multiply_plain(ct, _encode_vector(ctx, mask, ct))
-        if ctx.params.scheme is SchemeType.CKKS:
-            product = ctx.rescale(product)
+    # ------------------------------------------------------------ products
+    def _masked(self, ev, ct, mask: np.ndarray):
+        product = _masked_sum(ev, [(ct, mask)])
+        if ev.params.scheme is SchemeType.CKKS:
+            product = ev.rescale(product)
         return product
 
-    def _cleanup(self, ct, fmt: str):
-        """Zero everything but the format's payload slots.
+    def _product(self, ev, ct, spread: bool):
+        """``y = M x`` for *ct* in one packing; ``y`` leaves in the other.
 
-        Tree accumulation leaves partial sums in the non-target slots; the
-        next product's replication would smear them into the payload, so
-        each product ends with a 0/1 mask (one extra plaintext-multiply
-        level — the latency price of continuous server-side execution).
-        """
-        mask = np.zeros(self.slots)
-        if fmt == "dense":
-            mask[: self.n] = 1.0
-        else:
-            mask[np.arange(self.n) * self.n] = 1.0
-        return self._masked_multiply(ct, mask)
-
-    # ------------------------------------------------------------ products
-    def dense_to_spread(self, ct, galois_keys=None):
-        """y = M x for dense-packed x; emits spread-packed y.
-
-        Replicate the dense block across all n windows, multiply by the mask
-        ``W[k*n + j] = M[k, j]``, and tree-sum within each window, leaving
-        ``y_k`` at slot ``k * n``.
+        Dense input: replicate the block across all n windows, multiply by
+        ``W[k*n + j] = M[k, j]`` and tree-sum within each window, leaving
+        ``y_k`` at slot ``k * n``.  Spread input is the transposed walk:
+        fill each window with its value, multiply by ``W[k*n + i] =
+        M[i, k]`` and tree-sum across windows, leaving ``y_i`` at slot ``i``.
         """
         n = self.n
-        replicated = self._replicate(ct, stride=n, galois_keys=galois_keys)
-        mask = np.zeros(self.slots)
-        for k in range(n):
-            mask[k * n: k * n + n] = self._square[k]
-        product = self._masked_multiply(replicated, mask)
-        out = self._accumulate(product, stride=1, galois_keys=galois_keys)
-        return self._cleanup(out, "spread")
+        fill, fold = (1, n) if spread else (n, 1)
+        p = 1
+        while p < n:                # out[b + k*fill] = in[b]
+            ct = ev.add(ct, ev.rotate(ct, -(p * fill)))
+            p *= 2
+        weights = np.zeros(self.slots)
+        weights[: n * n] = (self._square.T if spread else self._square).ravel()
+        ct = self._masked(ev, ct, weights)
+        p = n // 2
+        while p >= 1:               # out[b] = sum_k in[b + k*fold]
+            ct = ev.add(ct, ev.rotate(ct, p * fold))
+            p //= 2
+        # The tree leaves partial sums outside the payload slots; the next
+        # product's replication would smear them in, so zero them here.
+        payload = np.zeros(self.slots)
+        payload[np.arange(n) * fill] = 1.0
+        return self._masked(ev, ct, payload)
+
+    def _body(self, ev, dense_cts, spread_cts):
+        return ([self._product(ev, ct, spread=False) for ct in dense_cts]
+                + [self._product(ev, ct, spread=True) for ct in spread_cts])
+
+    def dense_to_spread(self, ct, galois_keys=None):
+        """y = M x for dense-packed x; emits spread-packed y."""
+        return self.run(([ct], []), galois_keys)[0]
 
     def spread_to_dense(self, ct, galois_keys=None):
-        """y = M x for spread-packed x; emits dense-packed y.
-
-        Fill each window with its spread value, multiply by the transposed
-        mask ``W[k*n + i] = M[i, k]``, and tree-sum across windows, leaving
-        ``y_i`` at slot ``i``.
-        """
-        n = self.n
-        filled = self._replicate(ct, stride=1, galois_keys=galois_keys)
-        mask = np.zeros(self.slots)
-        for k in range(n):
-            mask[k * n: k * n + n] = self._square[:, k]
-        product = self._masked_multiply(filled, mask)
-        out = self._accumulate(product, stride=n, galois_keys=galois_keys)
-        return self._cleanup(out, "dense")
+        """y = M x for spread-packed x; emits dense-packed y."""
+        return self.run(([], [ct]), galois_keys)[0]
 
     def power_iteration(self, ct, iterations: int, galois_keys=None):
         """Apply M *iterations* times, alternating packings server-side.

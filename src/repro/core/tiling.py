@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class TiledEncryptedConv2d(TracedKernel):
                                         count=spans_per_ct)
         self.in_layout = TiledLayout(span, spans_per_ct, spec.in_channels)
         self.out_layout = TiledLayout(span, spans_per_ct, spec.out_channels)
+        self.input_shape = (self.in_layout.ciphertexts,)
         self._plan = self._build_plan()
 
     # ------------------------------------------------------------- packing
@@ -124,12 +125,6 @@ class TiledEncryptedConv2d(TracedKernel):
             plan[out_ct] = [(ct_i, rot, mask)
                             for (ct_i, rot), mask in sorted(terms.items())]
         return plan
-
-    def required_rotation_steps(self) -> Set[int]:
-        steps = set()
-        for terms in self._plan.values():
-            steps.update(rot for _, rot, _ in terms if rot)
-        return steps
 
     # ------------------------------------------------------------ execution
     def _body(self, ev, input_cts):

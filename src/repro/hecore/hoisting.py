@@ -363,20 +363,17 @@ def _sum_span_steps(width: int) -> Tuple[List[int], List[int]]:
 
 
 def rotate_and_sum_steps(width: int) -> Set[int]:
-    """Galois-key steps :func:`rotate_and_sum` wants for *width*.
-
-    Includes both the hoisted step set (baby steps plus giant multiples for
-    wide spans) and the power-of-two ladder of the log-tree fallback, so one
-    key upload serves either path.
+    """Galois-key steps :func:`rotate_and_sum` wants for a power-of-two
+    *width*: the hoisted step set (baby steps plus giant multiples for wide
+    spans).  The power-of-two ladder of the log-tree fallback is always
+    inside it — powers below the baby count are baby steps, the rest are
+    giant multiples — so one key upload serves either path.
     """
     width = int(width)
     if width <= 1:
         return set()
-    steps = {width >> k for k in range(1, width.bit_length())} - {0}
     phase1, phase2 = _sum_span_steps(width)
-    steps.update(phase1)
-    steps.update(phase2)
-    return steps
+    return {*phase1, *phase2}
 
 
 def _hoisted_span_sum(ctx, ct: Ciphertext, steps: Sequence[int],
@@ -428,13 +425,12 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
     """Sum of ``rotate(ct, i)`` for ``i in range(width)`` (power-of-two span).
 
     Every width-aligned window of slots ends up holding the window total in
-    each of its positions — the same all-prefix semantics as the log-tree
-    ``rotate_and_accumulate``, which remains the fallback when the session
-    only holds the power-of-two key ladder.  With the hoisted step set
-    available (see :func:`rotate_and_sum_steps`) the span runs as one or two
-    hoisted phases: flat up to ``FLAT_SUM_LIMIT``, baby-step/giant-step
-    beyond it (two decomposes + ~2*sqrt(width) cheap rotations, versus
-    log2(width) full key switches for the tree).
+    each of its positions.  A log2(width) rotate/add tree remains the
+    fallback when the session only holds the power-of-two key ladder.  With
+    the hoisted step set available (see :func:`rotate_and_sum_steps`) the
+    span runs as one or two hoisted phases: flat up to ``FLAT_SUM_LIMIT``,
+    baby-step/giant-step beyond it (two decomposes + ~2*sqrt(width) cheap
+    rotations, versus log2(width) full key switches for the tree).
     """
     width = int(width)
     if width <= 1:

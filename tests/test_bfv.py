@@ -210,7 +210,7 @@ def test_deterministic_with_seed(bfv_params):
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=16))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 def test_homomorphic_add_property(values):
     params = small_test_parameters(SchemeType.BFV, poly_degree=256, plain_bits=14,
                                    data_bits=(28, 28))

@@ -161,7 +161,7 @@ def _level_base(ckks, limbs):
     return RnsBase(ckks.params.data_base.moduli[:limbs])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(rows=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=24),
                      min_size=1, max_size=3),
        scale_bits=st.integers(10, 70), limbs=st.integers(1, 3))

@@ -132,6 +132,44 @@ def test_rejects_constant_only_expression(ckks):
         compile_program(program).execute(ckks, {"x": [1.0]})
 
 
+def _example_program():
+    """``examples/eva_compiler.py``'s calibration + anomaly-score pipeline."""
+    x = Input("x")
+    calibrated = (Constant([1.02, 0.98, 1.05, 0.95]) * x
+                  + Constant([-0.1, 0.0, 0.1, 0.05]))
+    squared = calibrated * calibrated
+    acc = squared + squared.rotate(2)
+    return {"calibrated": calibrated, "score": acc + acc.rotate(1)}
+
+
+#: (depth, rotation steps, ct-ct mults, plain mults, adds, inputs) as the
+#: expression-DAG walk reported them before ``compile_program`` read them
+#: off the lowered IR.
+ANALYSED = {
+    "affine": (1, set(), 0, 1, 1, {"x"}),
+    "poly2": (2, set(), 1, 1, 1, {"x"}),
+    "two_io": (1, set(), 1, 0, 1, {"w", "x"}),
+    "plain_minus": (0, set(), 0, 0, 1, {"x"}),
+    "rotation": (0, {1}, 0, 0, 1, {"x"}),
+    "dot": (1, {1, 2}, 1, 0, 2, {"w", "x"}),
+    "level_align": (2, set(), 1, 1, 2, {"x"}),
+    "sqdist": (1, {1, 2}, 1, 0, 4, {"c", "x"}),
+    "memo": (1, set(), 1, 0, 1, {"x"}),
+    "example": (2, {1, 2}, 1, 1, 3, {"x"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSED))
+def test_analysis_read_off_the_ir_matches_the_dag_walk(name):
+    from tests.test_level_corpus import _eva_programs
+
+    outputs = {**_eva_programs(), "example": _example_program()}[name]
+    compiled = compile_program(EvaProgram(outputs, slots=4))
+    assert (compiled.multiplicative_depth, compiled.rotation_steps,
+            compiled.ct_mults, compiled.plain_mults, compiled.adds,
+            compiled.input_names) == ANALYSED[name]
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,7 +207,7 @@ def _random_program(draw, slots=4, max_depth=2):
 
 
 @given(st.data())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_random_programs_match_oracle(ckks_session, data):
     """Property: any random expression DAG the compiler accepts executes to
     (approximately) its plaintext-oracle value."""

@@ -12,6 +12,7 @@ from repro.core.distance import (
     StackedDimensionMajorKernel,
     StackedPointMajorKernel,
 )
+from repro.core.ir import compile_ir
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
 
@@ -80,6 +81,7 @@ def test_multi_query_kernel(ckks):
 
     problem = DistanceProblem(n_points=6, dims=3)
     kernel = MultiQueryDimensionMajor(ckks, problem, max_queries=3)
+    assert kernel.required_rotation_steps() == {-16, -8}
     ckks.make_galois_keys(kernel.required_rotation_steps())
     rng = np.random.default_rng(21)
     points = rng.uniform(-1, 1, (6, 3))
@@ -220,15 +222,30 @@ def test_collapsed_served_shape_operation_counts(served_ckks):
                         "multiply_plain": 64, "ntt_forward": 32}
 
 
+#: Galois keys per shape and packing when the sets were still written by
+#: hand: what the derivation must reproduce, and ROADMAP 3a's baseline.
+KEY_COUNTS = {
+    (64, 16): {"collapsed": 28, "dimension-major": 0, "point-major": 15,
+               "stacked-dimension": 5, "stacked-point": 15},
+    (130, 16): {"collapsed": 36, "dimension-major": 0, "point-major": 15,
+                "stacked-dimension": 3, "stacked-point": 15},
+    (7, 3): {"collapsed": 6, "dimension-major": 0, "point-major": 3,
+             "stacked-dimension": 8, "stacked-point": 3},
+}
+
+
 @pytest.mark.parametrize("variant", sorted(KERNEL_VARIANTS))
-@pytest.mark.parametrize("n_points,dims", [(64, 16), (130, 16), (7, 3)])
+@pytest.mark.parametrize("n_points,dims", list(KEY_COUNTS))
 def test_galois_key_set_is_exactly_what_the_program_rotates_by(
         served_ckks, variant, n_points, dims):
-    """No key uploaded that the program never uses, none missing."""
+    """No key uploaded that the program never uses, none missing: the set
+    is read off the trace, and no pass — planner on or off — adds a step to
+    it or removes one."""
     kernel = KERNEL_VARIANTS[variant](served_ckks,
                                       DistanceProblem(n_points, dims))
-    points = np.zeros((n_points, dims))
-    shape = (len(kernel.pack_points(points)),
-             len(kernel.pack_query(np.zeros(dims))))
-    assert (kernel.required_rotation_steps()
-            == kernel.scheduled(shape).rotation_steps())
+    steps = kernel.required_rotation_steps()
+    assert len(steps) == KEY_COUNTS[n_points, dims][variant]
+    program = kernel.program(kernel.input_shape)
+    for params in (None, served_ckks.params):
+        sched = compile_ir(program, SchemeType.CKKS, params=params)
+        assert sched.rotation_steps() == steps

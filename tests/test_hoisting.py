@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.linalg import EncryptedMatVec, rotate_and_sum_steps
+from repro.core.linalg import EncryptedMatVec
 from repro.hecore import hoisting
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
@@ -12,6 +12,7 @@ from repro.hecore.hoisting import (
     FLAT_SUM_LIMIT,
     HoistedRotator,
     ntt_permutation,
+    rotate_and_sum_steps,
 )
 from repro.hecore.noise import NoiseEstimator
 from repro.hecore.params import SchemeType, small_test_parameters
@@ -115,6 +116,15 @@ def test_rotate_and_sum_matches_log_tree_bfv(width_log2):
         tree = ctx.add(tree, ctx.rotate_rows(tree, step))
         step //= 2
     assert np.array_equal(ctx.decrypt(fused), ctx.decrypt(tree))
+
+
+@given(width_log2=st.integers(min_value=1, max_value=11))
+def test_rotate_and_sum_steps_contain_the_log_tree_ladder(width_log2):
+    """The hoisted step set holds every power of two below the width, so
+    the log-tree fallback and ``run_reference`` work on the same keys."""
+    width = 1 << width_log2
+    assert {width >> k for k in range(1, width_log2 + 1)} \
+        <= rotate_and_sum_steps(width)
 
 
 def test_rotate_and_sum_matches_log_tree_ckks():

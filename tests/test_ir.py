@@ -7,9 +7,14 @@ randomized expression DAGs where the scheduled execution must match a
 scheduler-off reference that runs one primitive call per IR node.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.apps.pagerank import ClientAidedPageRank
 from repro.core.compiler import EvaProgram, Input, compile_program
 from repro.core.distance import (
     KERNEL_VARIANTS,
@@ -32,6 +37,7 @@ from repro.core.linalg import (
     EncryptedConv2d,
     EncryptedMatVec,
 )
+from repro.core.lola import AlternatingMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
@@ -75,6 +81,8 @@ def test_builder_rejects_const_const_and_elides_identity_ops():
         b.add(c, b.const(np.zeros(4)))
     assert b.rotate(x, 0) == x          # rotation by zero is the identity
     assert b.rotate_sum(x, 1) == x      # width-1 fold is the identity
+    with pytest.raises(ScheduleError):
+        b.rotate_sum(x, 6)              # a fold is a power-of-two log tree
     with pytest.raises(ScheduleError):
         b.rotate(c, 1)                  # constants never rotate
 
@@ -516,6 +524,27 @@ def _distance_case(cls, n_points=6, dims=4, **extra):
     return build
 
 
+def _lola_case(_bfv, ckks):
+    rng = np.random.default_rng(36)
+    kernel = AlternatingMatVec(ckks, rng.uniform(-0.5, 0.5, (4, 4)))
+    ensure_galois_keys(ckks, kernel.required_rotation_steps())
+    vec = rng.uniform(-1, 1, 4)
+    ct = ckks.encrypt(kernel.pack_dense(vec))
+    return (ckks, kernel.scheduled((1, 0)), _named([ct]),
+            [kernel.dense_to_spread(ct)],
+            lambda slots: kernel.unpack_spread(slots[0]), kernel.matrix @ vec)
+
+
+def _pagerank_case(_bfv, ckks):
+    rng = np.random.default_rng(37)
+    kernel = ClientAidedPageRank(ckks, rng.integers(0, 2, (4, 4)))._iteration
+    rank = rng.uniform(0, 1, 4)
+    ct = ckks.encrypt(kernel.pack_input(rank))
+    return (ckks, kernel.scheduled((1,)), _named([ct]), [kernel(ct)],
+            lambda slots: kernel.unpack_output(slots[0]),
+            kernel.reference(rank))
+
+
 def _eva_case(_bfv, ckks):
     x = Input("x")
     acc = x * [0.5, 0.25, 0.125, 1.0, 0.5, 0.25, 0.125, 1.0]
@@ -538,6 +567,8 @@ KERNEL_FAMILIES = {
     "tiled-conv2d": _tiled_case,
     **{name: _distance_case(cls) for name, cls in KERNEL_VARIANTS.items()},
     "multi-query": _distance_case(MultiQueryDimensionMajor, max_queries=3),
+    "lola-product": _lola_case,
+    "pagerank-iteration": _pagerank_case,
     "eva-program": _eva_case,
 }
 
@@ -560,6 +591,11 @@ def test_kernel_run_matches_its_reference_and_plaintext(family, bfv, ckks):
     else:
         assert np.allclose(got, naive, atol=1e-3)
         assert np.allclose(got, want, atol=1e-3)
+    # Keys are read off the trace: no pass, planner on or off, may add a
+    # rotation step to it or remove one.
+    for params in (None, ctx.params):
+        compiled = compile_ir(sched.source, sched.scheme, params=params)
+        assert compiled.rotation_steps() == sched.source.rotation_steps()
 
 
 def test_untraceable_kernel_body_raises_schedule_error(bfv):
@@ -620,6 +656,68 @@ def test_compiled_program_plans_levels_per_parameter_set(ckks):
     assert first.report.level_plan is not second.report.level_plan
     assert (second.report.level_plan.limb_rows_before
             > first.report.level_plan.limb_rows_before)
+
+
+# ------------------------------------------------ one path, and who is off it
+
+#: Every caller of an evaluator primitive on a live context, with the
+#: reason it is not a traced kernel.  The scheduler, the level planner, the
+#: program cache and the key derivation see nothing these do.
+DIRECT_CALLERS = {
+    "apps/kmeans.py::cluster_sums":
+        "the mask is per-call client data: tracing it needs a plaintext-"
+        "input IR node, or a recompile per cluster per round",
+    "core/permute.py":
+        "Fig. 4A's masked permutation, measured naive on purpose: Table 4 "
+        "reads noise_budget off a live context",
+    "core/packing.py::windowed_rotation_redundant":
+        "Fig. 4B's single rotation, the other half of that measured pair",
+    "baselines/gazelle_conv.py":
+        "the server-optimized baseline the pair is measured against",
+}
+
+PRIMITIVES = {"rotate", "rotate_many", "rotate_and_sum", "multiply",
+              "multiply_plain", "square", "rescale", "mod_switch_down",
+              "relinearize"}
+
+#: Receivers that emit IR instead of computing: ``ev`` in a kernel body,
+#: ``builder`` in the Eva lowering.
+EMITTERS = {"ev", "builder"}
+
+
+class _DirectCalls(ast.NodeVisitor):
+    """Innermost function name of every primitive call off an emitter."""
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        fn = node.func
+        if (isinstance(fn, ast.Attribute) and fn.attr in PRIMITIVES
+                and not (isinstance(fn.value, ast.Name)
+                         and fn.value.id in EMITTERS)):
+            self.found.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_evaluator_primitives_are_called_only_on_the_traced_evaluator():
+    src = Path(repro.__file__).parent
+    found = set()
+    for path in sorted(p for package in ("core", "apps", "baselines")
+                       for p in (src / package).glob("*.py")):
+        name = path.relative_to(src).as_posix()
+        if name == "core/ir.py":            # the tracer and the runner
+            continue
+        calls = _DirectCalls()
+        calls.visit(ast.parse(path.read_text()))
+        found |= {name if name in DIRECT_CALLERS else f"{name}::{fn}"
+                  for fn in calls.found}
+    assert found == set(DIRECT_CALLERS)
 
 
 # -------------------------------------------------------------- galois keys

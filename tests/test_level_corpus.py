@@ -104,6 +104,17 @@ def test_emitted_program_did_not_move(name):
     assert _fingerprint(*CORPUS[name]) == want
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_no_pass_adds_or_removes_a_rotation_step(name):
+    """What makes reading the Galois-key set off the *traced* program
+    sound: fusion, planning, sinking and grouping rewrite nodes but never
+    the steps they rotate by, planner on or off."""
+    program, params = CORPUS[name]
+    for planned in (None, params):
+        sched = compile_ir(program, params.scheme, params=planned)
+        assert sched.rotation_steps() == program.rotation_steps()
+
+
 def test_golden_covers_exactly_the_corpus():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CORPUS)
 

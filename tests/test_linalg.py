@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.ir import ScheduleError, TracedKernel, _program_digest
 from repro.core.linalg import (
     BsgsMatVec,
     Conv2dSpec,
     EncryptedConv2d,
     EncryptedMatVec,
     conv_input_packing,
-    rotate_and_accumulate,
 )
 
 
@@ -175,22 +175,62 @@ def test_matvec_rejects_zero_matrix(bfv):
         mv(ct)
 
 
+class _LoopMasks:
+    """The per-element mask builders the vectorised ones replaced."""
+
+    def _diagonal(self, j):
+        d = self.dim
+        return np.array([self._square[i, (i + j) % d] for i in range(d)])
+
+    def _bsgs_mask(self, j, shift, offset, row):
+        diag = self._diagonal(j)
+        mask = np.zeros(row)
+        for i in range(self.dim):
+            mask[offset + i + shift] = diag[i]
+        return mask
+
+
+@pytest.mark.parametrize("cls", [EncryptedMatVec, BsgsMatVec])
+def test_vectorised_masks_leave_the_program_digest_alone(bfv, cls):
+    """Bit-identical masks: every cache key and golden plan stays put."""
+    matrix = np.random.default_rng(9).integers(-3, 4, (10, 64))
+    loops = type("Loops", (_LoopMasks, cls), {})
+    fast, slow = (kernel(bfv, matrix).program((1,)) for kernel in (cls, loops))
+    assert (_program_digest(fast, bfv.params, False)
+            == _program_digest(slow, bfv.params, False))
+
+
+class _WindowSum(TracedKernel):
+    """The smallest kernel there is: one rotate-and-sum span."""
+
+    def __init__(self, ctx, width):
+        super().__init__(ctx)
+        self.width = width
+
+    def _body(self, ev, cts):
+        return ev.rotate_and_sum(cts[0], self.width)
+
+
 def test_rotate_and_accumulate(bfv):
+    """The power-of-two ladder is enough keys for a traced window sum."""
     width = 8
+    kernel = _WindowSum(bfv, width)
+    assert {1, 2, 4} <= kernel.required_rotation_steps()
     bfv.make_galois_keys([1, 2, 4])
     values = np.zeros(bfv.params.poly_degree, dtype=np.int64)
     values[:width] = np.arange(1, width + 1)
     values[width: 2 * width] = 10
-    ct = rotate_and_accumulate(bfv, bfv.encrypt(values), width)
+    (ct,) = kernel.run(([bfv.encrypt(values)],))
     out = bfv.decrypt(ct)
     assert out[0] == np.arange(1, width + 1).sum()
     assert out[width] == 10 * width
 
 
 def test_rotate_and_accumulate_rejects_non_pow2(bfv):
-    ct = bfv.encrypt([1, 2, 3])
-    with pytest.raises(ValueError):
-        rotate_and_accumulate(bfv, ct, 6)
+    """Refused when the body is traced — not at execution, and not summed
+    over the wrong slots by the oracle's log tree."""
+    with pytest.raises(ScheduleError):
+        _WindowSum(bfv, 6).required_rotation_steps()
 
 
 def test_ckks_conv(ckks):

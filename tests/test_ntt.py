@@ -49,7 +49,7 @@ def test_roundtrip(plan):
 
 
 @given(st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_roundtrip_property(seed):
     plan = ntt.get_plan(N, P)
     a = np.random.default_rng(seed).integers(0, P, N, dtype=np.int64)

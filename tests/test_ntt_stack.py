@@ -98,7 +98,7 @@ def test_non_canonical_input_reduced(stack_plan):
     assert np.array_equal(stack_plan.forward(shifted), stack_plan.forward(a))
 
 
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_negacyclic_multiply_matches_naive(seed):
     rng = np.random.default_rng(seed)
@@ -112,7 +112,7 @@ def test_negacyclic_multiply_matches_naive(seed):
         assert np.array_equal(out[r], ntt.negacyclic_multiply_naive(a[r], b[r], p))
 
 
-@settings(deadline=None, max_examples=10)
+@settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_lazy_bounds_hold_on_random_input(seed):
     rng = np.random.default_rng(seed)
@@ -181,7 +181,7 @@ def test_automorphism_rejects_even_element():
 
 
 # ------------------------------------------------------ batch modular inverse
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(1, 97))
 def test_batch_inverse_matches_scalar(seed, size):
     p = PRIMES[0]

@@ -84,7 +84,7 @@ from hypothesis import strategies as st
     masks=st.integers(min_value=0, max_value=2),
     depth=st.integers(min_value=1, max_value=3),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_selection_monotone_property(value_bits, fan_in, rotations, masks, depth):
     """Harder workloads never select smaller moduli, and every selection is
     128-bit secure with a valid residue split."""

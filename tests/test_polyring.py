@@ -126,7 +126,7 @@ def test_switch_base_small_values(base):
 
 
 @given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_exact_negacyclic_multiply_vs_schoolbook(seed):
     rng = np.random.default_rng(seed)
     n = 16

@@ -43,7 +43,7 @@ def test_generate_plain_modulus():
 
 
 @given(st.sampled_from([256, 512, 1024, 2048]))
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=4)
 def test_primitive_root_order(n):
     p = primes.generate_ntt_primes(28, 1, n)[0]
     root = primes.primitive_root_of_unity(2 * n, p)

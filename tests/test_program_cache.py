@@ -514,3 +514,32 @@ def test_restricted_context_serves_a_dnn_query_without_a_key_generator(
     assert _same(run["got"], run["want"])
     assert "keygen" not in vars(build_restricted_context(
         PARAMETER_SET_B, {}, b"x"))
+
+
+# ------------------------------ the key bill is read off the same one trace
+
+def test_cold_dnn_session_key_bill(dnn_clients):
+    """35 conv + 14 fc Galois keys, 48 merged — nearly all of what a cold
+    ``dnn_cold_sessions`` client uploads, and ROADMAP 3a's baseline."""
+    conv, fc = _dnn_kernels(dnn_clients[0][0])
+    conv_steps, fc_steps = (k.required_rotation_steps() for k in (conv, fc))
+    assert (len(conv_steps), len(fc_steps), len(conv_steps | fc_steps)
+            ) == (35, 14, 48)
+
+
+def test_key_provisioning_and_the_run_share_one_trace(bfv_params):
+    traced = []
+
+    class Counted(BsgsMatVec):
+        def _body(self, ev, cts):
+            traced.append(len(cts))
+            return super()._body(ev, cts)
+
+    ctx = BfvContext(bfv_params, seed=31)
+    kernel = Counted(ctx, np.random.default_rng(5).integers(1, 4, (4, 16)))
+    ctx.make_galois_keys(kernel.required_rotation_steps())
+    ct = ctx.encrypt(kernel.pack_input(np.arange(16)).astype(np.int64))
+    kernel(ct)
+    kernel(ct)
+    kernel.required_rotation_steps()
+    assert traced == [1]

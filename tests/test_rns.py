@@ -39,7 +39,7 @@ def test_decompose_compose_roundtrip(base):
 
 
 @given(st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1, max_size=8))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_compose_decompose_property(values):
     base = RnsBase(MODULI)
     recovered = base.compose(base.decompose(values))

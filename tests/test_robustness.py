@@ -79,7 +79,7 @@ def test_relinearize_rejects_wrong_size(params):
 
 
 @given(st.data())
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 def test_random_op_sequences_match_oracle(data):
     """Property: arbitrary add/sub/mul-plain/rotate sequences agree with a
     plaintext oracle (the homomorphism property, Eq. 1, composed)."""
@@ -126,7 +126,7 @@ def test_random_op_sequences_match_oracle(data):
 @given(st.lists(st.floats(min_value=-1, max_value=1,
                           allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=16))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 def test_ckks_add_mul_property(values):
     params = small_test_parameters(SchemeType.CKKS, poly_degree=512,
                                    data_bits=(30, 24, 24))

@@ -170,7 +170,7 @@ def test_public_key_roundtrip(bfv):
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 255))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_deserializer_survives_fuzzing(bfv_fuzz_blob, position, flip):
     """Corrupted blobs either raise ValueError or decode to *something* —
     never crash with unguarded low-level errors."""
@@ -592,7 +592,7 @@ def test_eval_keys_validate_params(bfv, bfv_params):
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 255))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_key_deserializer_survives_fuzzing(bfv_key_blob, position, flip):
     blob = bytearray(bfv_key_blob[0])
     params = bfv_key_blob[1]
@@ -617,7 +617,7 @@ def bfv_key_blob():
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(1, 255),
        st.integers(-3, 3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_galois_deserializer_rejects_before_expanding(bfv_key_blob, position,
                                                       flip, resize):
     """Structure bytes of the seeded layout (headers, key count, element
@@ -653,7 +653,7 @@ def test_galois_deserializer_rejects_before_expanding(bfv_key_blob, position,
 
 @given(st.lists(st.integers(min_value=0, max_value=1 << 15), min_size=1,
                 max_size=32))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 def test_roundtrip_property(values):
     from repro.hecore.bfv import BfvContext
     from repro.hecore.params import SchemeType, small_test_parameters

@@ -74,7 +74,7 @@ from hypothesis import strategies as st
     kernel=st.sampled_from([1, 3]),
     seed=st.integers(min_value=0, max_value=10**6),
 )
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 def test_tiled_conv_property(bfv, in_ch, out_ch, size, kernel, seed):
     """Property: tiled encrypted conv == plaintext conv for random shapes."""
     if kernel >= size:
