@@ -7,7 +7,9 @@ rather than one-shot timing.
 
 Run directly (``python benchmarks/bench_he_throughput.py``) it measures the
 stacked-kernel hot path (forward/inverse NTT, dyadic multiply, key switch,
-rotate, BFV ciphertext multiply) at the seed parameter sets and writes
+rotate, BFV ciphertext multiply) and the residue primitives every operation
+is assembled from (polynomial add, modulus switch, NTT-form automorphism) at
+the seed parameter sets and writes
 ``benchmarks/results/BENCH_he_kernels.json`` with the pre-refactor baseline,
 current throughput, and speedup per op.  ``--check`` exits non-zero if any op
 regresses more than 20% against the previous recorded run (or, on a first
@@ -92,7 +94,10 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_he_kernels.json"
 #: Throughput (ops/sec, best-of-5 rounds) of the pre-stacked-kernel hecore on
 #: the reference container, recorded immediately before the NttStackPlan
 #: refactor landed.  These stay fixed so every later run reports its speedup
-#: against the same pre-refactor floor.
+#: against the same pre-refactor floor.  ``poly_add`` / ``mod_switch`` /
+#: ``automorphism_ntt`` were recorded the same way at 946fb03, immediately
+#: before each residue formula got its one body on ``RnsBase``
+#: (``benchmarks/results/README.md`` says how).
 PRE_REFACTOR_BASELINE = {
     "B": {
         "ntt_forward": 396.14,
@@ -101,6 +106,9 @@ PRE_REFACTOR_BASELINE = {
         "key_switch": 43.00,
         "rotate": 43.07,
         "bfv_multiply": 4.523,
+        "poly_add": 14968.44,
+        "mod_switch": 2884.33,
+        "automorphism_ntt": 13370.79,
     },
     "A": {
         "ntt_forward": 146.32,
@@ -109,6 +117,9 @@ PRE_REFACTOR_BASELINE = {
         "key_switch": 14.47,
         "rotate": 13.32,
         "bfv_multiply": 1.379,
+        "poly_add": 5423.55,
+        "mod_switch": 1098.54,
+        "automorphism_ntt": 6935.39,
     },
 }
 
@@ -159,6 +170,11 @@ def _measure_set(params):
     from repro.hecore.polyring import RnsPoly
 
     target = RnsPoly(base, n, stack.copy(), is_ntt=False)
+    evals_poly = RnsPoly(base, n, evals, is_ntt=True)
+    # A key-switch accumulator: one row per data prime plus the special ones.
+    full = params.full_base
+    wide = RnsPoly(full, n, np.stack(
+        [rng.integers(0, p, n, dtype=np.int64) for p in full.moduli]))
 
     scale = 4096 // n if n < 4096 else 1
     results = {}
@@ -172,6 +188,10 @@ def _measure_set(params):
     )
     results["rotate"] = _best_of(lambda: ctx.rotate_rows(ct1, 1), 8, rounds=4)
     results["bfv_multiply"] = _best_of(lambda: ctx.multiply(ct1, ct2), 3, rounds=4)
+    results["poly_add"] = _best_of(lambda: target + target, 400 * scale)
+    results["mod_switch"] = _best_of(wide.divide_and_round_by_last, 200 * scale)
+    results["automorphism_ntt"] = _best_of(
+        lambda: evals_poly.apply_automorphism(3), 400 * scale)
     return results
 
 

@@ -243,11 +243,6 @@ class RemoteKnn:
         self._relin_sent = True
         self._galois_sent |= missing
 
-    def _encrypt(self, values):
-        if self.symmetric:
-            return self.ctx.encrypt_symmetric(values)
-        return self.ctx.encrypt(values)
-
     def _encrypt_many(self, values_list):
         """Batch upload path: one stacked client pass for the whole list
         (seed-compressed when symmetric)."""

@@ -96,12 +96,6 @@ class BatchedDnnPlan:
         """(encryptions, decryptions) per batch — one per ciphertext."""
         return self.upload_ciphertexts, self.download_ciphertexts
 
-    def single_image_overhead_vs(self, packed_comm_bytes: int) -> float:
-        """How much worse single-image batched communication is than a
-        packed plan's (the §2.1 'inefficient for few inputs' factor)."""
-        single = BatchedDnnPlan(self.network, batch_size=1, params=self.params)
-        return single.communication_bytes_per_batch() / packed_comm_bytes
-
 
 def crossover_batch_size(network: Network, packed_comm_bytes: int,
                          params: Optional[EncryptionParameters] = None) -> int:

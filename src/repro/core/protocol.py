@@ -128,9 +128,6 @@ class CostLedger(KernelCounted):
         """One server->client ciphertext download (no extra round)."""
         self.bytes_down += int(nbytes)
 
-    def communication_time(self, radio: BluetoothLink) -> float:
-        return radio.transfer_time(self.total_bytes)
-
     def communication_energy(self, radio: BluetoothLink) -> float:
         return radio.transfer_energy(self.total_bytes)
 
@@ -335,11 +332,6 @@ class ClientAidedSession:
         self.ledger.client_energy_j += self.cost_model.decrypt_many_j(m)
         self._record("decrypt", f"client decrypts batch of {m}")
         return out
-
-    def client_plain_compute(self, seconds: float) -> None:
-        """Charge client-side plaintext work (activations, packing)."""
-        self.ledger.client_compute_s += seconds
-        self.ledger.client_energy_j += Imx6SoftwareClient().energy(seconds)
 
     # ----------------------------------------------------------- transfers
     def upload(self, ct):

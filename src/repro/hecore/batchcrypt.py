@@ -9,10 +9,13 @@ through :class:`~repro.hecore.ntt.NttStackPlan`'s batch transforms — one
 ``(m*k, n)`` stacked NTT instead of M k-row ones, and every modular fixup a
 single vectorized pass.
 
-Every helper here replicates the corresponding :class:`RnsPoly` formula
-verbatim (same conditional-subtract adds, same centered mod-switch
-remainder), so batch results are bit-identical to the looped single-shot
-path — the property tests in ``tests/test_batch_crypto.py`` pin this.
+Only what is specific to that pipeline lives here: the tile size, the
+stacked transforms and the dyadic products against cached key material.
+The residue arithmetic around them (signed lift, add, sub, scale, modulus
+switch) is :class:`~repro.hecore.rns.RnsBase`'s, whose bodies take a block
+of any rank — the very ones :class:`RnsPoly` calls, which is why batch
+results are bit-identical to the looped single-shot path
+(``tests/test_batch_crypto.py`` pins it).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.hecore import ntt
-from repro.hecore.modmath import center, mod_inv
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.rns import RnsBase
 
@@ -41,14 +43,6 @@ def tile_size(base: RnsBase, degree: int, parts: int = 1) -> int:
     """Ciphertexts per pipeline tile for blocks of ``parts`` components."""
     per_ct = parts * len(base.moduli) * degree * 8
     return max(1, _TILE_BYTES // per_ct)
-
-
-def signed_block(base: RnsBase, values: np.ndarray) -> np.ndarray:
-    """``(m, n)`` small signed values → ``(m, k, n)`` canonical residues.
-
-    The batch analogue of :meth:`RnsPoly.from_signed_array`.
-    """
-    return np.mod(values.astype(np.int64)[:, None, :], base.moduli_col)
 
 
 def forward_block(base: RnsBase, degree: int, block: np.ndarray,
@@ -124,57 +118,6 @@ def dyadic_block_raw(base: RnsBase, block: np.ndarray, poly: RnsPoly) -> np.ndar
     pu = prod.view(np.uint64)
     np.minimum(pu, pu - base.moduli_col.view(np.uint64), out=pu)
     return prod
-
-
-def add_blocks(base: RnsBase, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise modular sum of canonical blocks (conditional subtract).
-
-    The subtract is the unsigned-minimum trick from the NTT kernels: viewed
-    as uint64, ``total - p`` wraps above ``2**63`` whenever ``total < p``, so
-    an in-place elementwise minimum selects the reduced representative
-    without a boolean mask or a second temporary.
-    """
-    total = a + b
-    tu = total.view(np.uint64)
-    np.minimum(tu, tu - base.moduli_col.view(np.uint64), out=tu)
-    return total
-
-
-def sub_blocks(base: RnsBase, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise modular difference of canonical blocks: viewed as uint64
-    a negative ``a - b`` wraps above ``2**63``, so the same unsigned minimum
-    picks ``a - b + p`` exactly when the difference went negative."""
-    diff = a - b
-    du = diff.view(np.uint64)
-    np.minimum(du, du + base.moduli_col.view(np.uint64), out=du)
-    return diff
-
-
-def scalar_multiply_block(base: RnsBase, block: np.ndarray, scalar: int) -> np.ndarray:
-    """Multiply every coefficient by a (possibly big) integer scalar."""
-    scol = np.array([int(scalar) % p for p in base.moduli],
-                    dtype=np.int64).reshape(-1, 1)
-    return np.mod(block * scol, base.moduli_col)
-
-
-def divide_and_round_by_last_block(
-    base: RnsBase, block: np.ndarray
-) -> Tuple[RnsBase, np.ndarray]:
-    """Batch modulus switch: the :meth:`RnsPoly.divide_and_round_by_last`
-    formula applied to a whole ``(m, k, n)`` block at once.
-
-    Returns ``(dropped_base, (m, k-1, n) block)``.
-    """
-    last = base.moduli[-1]
-    target = base.drop_last()
-    tcol = target.moduli_col
-    remainder = center(block[:, -1, :], last)
-    inv_last_col = np.array(
-        [mod_inv(last % p, p) for p in target.moduli], dtype=np.int64
-    ).reshape(-1, 1)
-    diff = block[:, :-1, :] - np.mod(remainder[:, None, :], tcol)
-    diff = np.where(diff < 0, diff + tcol, diff)
-    return target, np.mod(diff * inv_last_col, tcol)
 
 
 def split_polys(

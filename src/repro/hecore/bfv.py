@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.hecore import batchcrypt, ntt
+from repro.hecore import ntt
 from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.params import EncryptionParameters, SchemeType
 from repro.hecore.plaintext import Plaintext
@@ -117,9 +117,8 @@ class BfvContext(RlweContext):
                        ) -> np.ndarray:
         """``Δ·m`` with ``Δ = floor(q/t)`` for the *base* modulus ``q``."""
         delta = base.modulus // self.params.plain_modulus
-        msg = batchcrypt.signed_block(
-            base, np.stack([pt.coeffs for pt in plaintexts]))
-        return batchcrypt.scalar_multiply_block(base, msg, delta)
+        msg = base.lift_signed(np.stack([pt.coeffs for pt in plaintexts]))
+        return base.scale(msg, delta)
 
     # -------------------------------------------------------------- decrypt
     def _raw_decrypt_ints(self, ct: Ciphertext) -> List[int]:
@@ -172,8 +171,7 @@ class BfvContext(RlweContext):
         q = base.modulus
         t = self.params.plain_modulus
         acc = self._raw_decrypt_poly(ct)
-        tcol = np.array([t % p for p in base.moduli], dtype=np.int64).reshape(-1, 1)
-        tz = np.mod(acc.data * tcol, base.moduli_col)
+        tz = base.scale(acc.data, t)
         frac = base.fractional_positions(tz)
         dist = np.minimum(frac, 1.0 - frac)
         candidates = np.nonzero(dist >= dist.max() - 2.0 ** -40)[0]

@@ -43,8 +43,7 @@ def _round_to_residues(base: RnsBase, scaled: np.ndarray) -> np.ndarray:
     """:func:`_round_exact`'s residues, computed in int64 when every rounded
     coefficient fits."""
     if np.abs(scaled).max() < _INT64_EXACT:
-        return np.mod(np.rint(scaled).astype(np.int64)[:, None, :],
-                      base.moduli_col)
+        return base.lift_signed(np.rint(scaled).astype(np.int64))
     return _round_exact(base, scaled)
 
 

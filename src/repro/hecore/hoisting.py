@@ -41,7 +41,7 @@ Everything is server-local: ciphertext and key wire formats are unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,111 +53,21 @@ from repro.hecore.keys import (
     galois_element_for_conjugation,
     galois_element_for_step,
     keyswitch_ext_base,
+    keyswitch_finish,
     keyswitch_inner_product,
     keyswitch_rows,
 )
-from repro.hecore.polyring import RnsPoly
+from repro.hecore.polyring import (
+    RnsPoly,
+    coeff_automorphism_perm,
+    ntt_permutation,
+)
 
 #: rotate_and_sum spans up to this width run flat (one hoisted decompose,
 #: width-1 cheap rotations); wider spans split baby-step/giant-step so the
 #: cheap-rotation count stays ~2*sqrt(width) at the cost of one extra
 #: decompose.
 FLAT_SUM_LIMIT = 32
-
-_PERM_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-
-_COEFF_PERM_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-_RESCALE_CACHE: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def coeff_automorphism_perm(n: int, galois_elt: int) -> Tuple[np.ndarray,
-                                                              np.ndarray]:
-    """Gather form of x -> x^g on coefficient vectors: ``(source, sign)``.
-
-    ``auto(a)[j] == sign[j] * a[source[j]]`` modulo each prime — the exact
-    inverse of the scatter in :meth:`RnsPoly.apply_automorphism`, cached per
-    ``(n, g)``.  Gather form lets hoisted span sums accumulate every
-    rotation's first component with one fancy index + signed sum, no
-    NTT round trip.
-    """
-    galois_elt = galois_elt % (2 * n)
-    key = (n, galois_elt)
-    cached = _COEFF_PERM_CACHE.get(key)
-    if cached is None:
-        indices = (np.arange(n, dtype=np.int64) * galois_elt) % (2 * n)
-        negate = indices >= n
-        targets = np.where(negate, indices - n, indices)
-        source = np.empty(n, dtype=np.int64)
-        source[targets] = np.arange(n, dtype=np.int64)
-        sign = np.empty(n, dtype=np.int64)
-        sign[targets] = np.where(negate, -1, 1)
-        cached = (source, sign)
-        _COEFF_PERM_CACHE[key] = cached
-    return cached
-
-
-def _rescale_constants(base, drops: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-stage ``(last_prime, P^-1 mod p)`` columns for dropping the last
-    *drops* primes of *base*, cached per moduli tuple."""
-    from repro.hecore.modmath import mod_inv
-
-    key = tuple(int(p) for p in base.moduli) + (int(drops),)
-    cached = _RESCALE_CACHE.get(key)
-    if cached is None:
-        moduli = [int(p) for p in base.moduli]
-        lasts = np.array(moduli[-drops:][::-1], dtype=np.int64)
-        inv_cols = []
-        for stage in range(drops):
-            last = moduli[-1 - stage]
-            remaining = moduli[: len(moduli) - 1 - stage]
-            inv_cols.append(np.array(
-                [mod_inv(last % p, p) for p in remaining],
-                dtype=np.int64).reshape(-1, 1))
-        cached = (lasts, inv_cols)
-        _RESCALE_CACHE[key] = cached
-    return cached
-
-
-def _rescale_batch(coeff: np.ndarray, base, drops: int) -> np.ndarray:
-    """Vectorized :meth:`RnsPoly.divide_and_round_by_last` over a
-    ``(B, k, n)`` coefficient batch, dropping the last *drops* primes.
-
-    Bit-exact with *drops* sequential per-polynomial divisions, but every
-    batch entry shares one numpy sweep per dropped prime and the modular
-    inverses are computed once per base instead of per call.
-    """
-    from repro.hecore.modmath import center
-
-    lasts, inv_cols = _rescale_constants(base, drops)
-    moduli = [int(p) for p in base.moduli]
-    for stage in range(drops):
-        last = int(lasts[stage])
-        tcol = np.array(moduli[: len(moduli) - 1 - stage],
-                        dtype=np.int64).reshape(-1, 1)
-        remainder = center(coeff[:, -1, :], last)
-        diff = coeff[:, :-1, :] - np.mod(remainder[:, None, :], tcol)
-        diff = np.where(diff < 0, diff + tcol, diff)
-        coeff = np.mod(diff * inv_cols[stage], tcol)
-    return coeff
-
-
-def ntt_permutation(n: int, galois_elt: int) -> np.ndarray:
-    """Column permutation implementing x -> x^g on NTT-form evaluations.
-
-    Position ``j`` holds the evaluation at ``psi^(2j+1)``; the automorphism
-    moves it to the position whose odd exponent is ``(2j+1)*g mod 2n`` —
-    the same index arithmetic as :meth:`RnsPoly.apply_automorphism`, cached
-    per ``(n, g)`` so hoisted paths pay the modular index computation once.
-    """
-    galois_elt = galois_elt % (2 * n)
-    key = (n, galois_elt)
-    perm = _PERM_CACHE.get(key)
-    if perm is None:
-        sources = ((2 * np.arange(n, dtype=np.int64) + 1) * galois_elt) % (2 * n)
-        perm = (sources - 1) >> 1
-        _PERM_CACHE[key] = perm
-    return perm
 
 
 def _steps_available(keys: Optional[GaloisKeys], steps, n: int) -> bool:
@@ -199,25 +109,14 @@ class HoistedRotator:
         ctx.counts["hoisted_decompose"] += 1
 
     # ------------------------------------------------------------ kernels
-    def inner_product(self, galois_elt: int) -> np.ndarray:
-        """``(2, k_ext, n)`` NTT-form key-switch accumulator for one element.
-
-        Permuting the pre-transformed digits equals decomposing the
-        automorphed ciphertext (the centered lift commutes with the
-        automorphism), so this is the entire per-rotation cost before the
-        inverse transform.
-        """
-        perm = ntt_permutation(self.n, galois_elt)
-        permuted = self.digits_ntt[:, :, perm]
-        key_block = self.keys.key_for(galois_elt).stacked_digits(
-            self.rows, len(self.current))
-        return keyswitch_inner_product(permuted, key_block, self.ext_base)
-
     def _gathered_digits(self, galois_elts: Sequence[int]) -> np.ndarray:
         """``(R, L, k_ext, n)`` contiguous gather of the decomposed digits
         through every element's cached NTT permutation."""
         n_digits, k_ext, _ = self.digits_ntt.shape
         perms = np.stack([ntt_permutation(self.n, g) for g in galois_elts])
+        # Broadcast fancy index writes the gather R-major and contiguous in
+        # one pass (a plain axis gather would land (L, k, R, n) and need a
+        # copy to flatten).
         return self.digits_ntt[
             np.arange(n_digits)[None, :, None, None],
             np.arange(k_ext)[None, None, :, None],
@@ -227,73 +126,42 @@ class HoistedRotator:
     def inner_product_many(self, galois_elts: Sequence[int]) -> np.ndarray:
         """``(R, 2, k_ext, n)`` key-switch accumulators, one numpy pass.
 
-        The decomposed digits are gathered through every element's cached
-        NTT permutation at once, multiplied against the pre-stacked
-        multi-key block (:meth:`GaloisKeys.stacked_block`), and reduced
-        with the same lazy digit sum as the single-element path — no
-        per-rotation numpy dispatch at all.
+        Permuting the pre-transformed digits equals decomposing the
+        automorphed ciphertext (the centered lift commutes with the
+        automorphism), so the gathered digits against the pre-stacked
+        multi-key block (:meth:`GaloisKeys.stacked_block`) are the R-key
+        case of the one key-switch inner product.
         """
-        # Broadcast fancy index writes the gather R-major and contiguous in
-        # one pass (a plain axis gather would land (L, k, R, n) and need a
-        # copy to flatten).
-        permuted = self._gathered_digits(galois_elts)   # (R, L, k, n)
         keys = self.keys.stacked_block(galois_elts, self.rows,
                                        len(self.current))
-        pcol = self.ext_base.moduli_col
-        n_digits = permuted.shape[1]
-        if n_digits <= 8 and int(pcol.max()) <= (1 << 30):
-            # Lazy digit sum (exact for <= 8 thirty-bit digit products),
-            # accumulated in place so the (R, L, 2, k, n) product tensor is
-            # never materialized.
-            acc = permuted[:, 0, None] * keys[:, 0]     # (R, 2, k, n)
-            for l in range(1, n_digits):
-                acc += permuted[:, l, None] * keys[:, l]
-            return np.mod(acc, pcol)
-        products = permuted[:, :, None] * keys          # (R, L, 2, k, n)
-        return np.mod(np.mod(products, pcol).sum(axis=1), pcol)
+        return keyswitch_inner_product(self._gathered_digits(galois_elts),
+                                       keys, self.ext_base)
 
     def inner_product_sum(self, galois_elts: Sequence[int]) -> np.ndarray:
         """``(2, k_ext, n)`` sum of every element's key-switch accumulator.
 
-        The span-sum kernel: all (rotation x digit) products collapse through
-        fused multiply-accumulate (einsum) without materializing per-rotation
-        results.  Chunks of eight 30-bit digit products stay within the
-        int64 lazy-reduction bound, so the result is bit-exact with summing
+        The span-sum kernel: summing over rotations and digits alike, the
+        ``R·L`` gathered digits against the flattened key block are ONE
+        inner product with ``R·L`` digits — no per-rotation result is
+        materialized, and the result is bit-exact with summing
         :meth:`inner_product_many` over the batch.
         """
         gathered = self._gathered_digits(galois_elts)   # (R, L, k, n)
-        n_digits, k_ext = gathered.shape[1], gathered.shape[2]
-        m = len(galois_elts) * n_digits
-        flat = gathered.reshape(m, k_ext, self.n)
         keys = self.keys.stacked_block(
             galois_elts, self.rows, len(self.current))
-        key_flat = keys.reshape(m, 2, k_ext, self.n)
-        pcol = self.ext_base.moduli_col
-        if int(pcol.max()) <= (1 << 30):
-            acc = None
-            for lo in range(0, m, 8):
-                part = np.mod(np.einsum('mkn,mckn->ckn', flat[lo:lo + 8],
-                                        key_flat[lo:lo + 8]), pcol)
-                acc = part if acc is None else acc + part
-            return np.mod(acc, pcol)
-        products = np.mod(flat[:, None] * key_flat, pcol)
-        return np.mod(products.sum(axis=0), pcol)
-
-    def _rescale(self, poly: RnsPoly) -> RnsPoly:
-        for _ in range(len(self.params.special_primes)):
-            poly = poly.divide_and_round_by_last()
-        return poly
+        return keyswitch_inner_product(
+            gathered.reshape(-1, *gathered.shape[2:]),
+            keys.reshape(-1, *keys.shape[2:]), self.ext_base)
 
     def finish_batch(self, accs: np.ndarray) -> List[Tuple[RnsPoly, RnsPoly]]:
         """Inverse-transform + special-prime rescale of ``(R, 2, k_ext, n)``
-        accumulators; the inverse NTTs of the whole rotation batch run as a
-        single ``(2R*k_ext, n)`` stacked pass, and the rescale divides every
-        component in one vectorized sweep per special prime."""
+        accumulators: the whole rotation batch goes through the key-switch
+        tail (:func:`~repro.hecore.keys.keyswitch_finish`) as one
+        ``(2R, k_ext, n)`` block."""
         r = accs.shape[0]
-        k_ext = len(self.ext_base)
-        coeff = self.plan.inverse_batch(accs.reshape(r * 2, k_ext, self.n))
-        rescaled = _rescale_batch(coeff, self.ext_base,
-                                  len(self.params.special_primes))
+        rescaled = keyswitch_finish(
+            accs.reshape(r * 2, len(self.ext_base), self.n), self.ext_base,
+            len(self.params.special_primes))
         return [
             (RnsPoly(self.current, self.n, rescaled[2 * i], is_ntt=False),
              RnsPoly(self.current, self.n, rescaled[2 * i + 1], is_ntt=False))
@@ -317,19 +185,6 @@ class HoistedRotator:
                 out[i] = Ciphertext(self.params, [c0 + u0, u1],
                                     scale=self.ct.scale)
         return out
-
-    def apply_galois(self, galois_elt: int) -> Ciphertext:
-        return self.apply_many([galois_elt])[0]
-
-    def rotate(self, steps: int) -> Ciphertext:
-        return self.apply_galois(galois_element_for_step(steps, self.n))
-
-    def rotate_many(self, steps: Sequence[int]) -> List[Ciphertext]:
-        return self.apply_many(
-            [galois_element_for_step(s, self.n) for s in steps])
-
-    def conjugate(self) -> Ciphertext:
-        return self.apply_galois(galois_element_for_conjugation(self.n))
 
 
 def rotate_many(ctx, ct: Ciphertext, steps: Sequence[int],
@@ -492,7 +347,6 @@ class WeightedSumSpan:
             ctx.counts["ntt_elided"] += table["rows"]
             return table
         n = rotator.n
-        cur_pcol = current.moduli_col
         plan_cur = ntt.get_stack_plan(n, current.moduli)
         resolved = [(galois_element_for_step(step, n), coeffs)
                     for step, coeffs in self.terms]
@@ -504,16 +358,16 @@ class WeightedSumSpan:
                  "rows": 0}
         if identity:
             table["m_id"] = plan_cur.forward_batch(
-                np.mod(np.stack(identity)[:, None, :], cur_pcol))
+                current.lift_signed(np.stack(identity)))
             table["rows"] += len(identity) * len(current)
         if live:
-            coeff_stack = np.stack([coeffs for _, coeffs in live])[:, None, :]
+            coeff_stack = np.stack([coeffs for _, coeffs in live])
             # Batched plaintext transforms: every diagonal over the current
             # base and the extended base in two stacked passes.
             table["m_cur"] = plan_cur.forward_batch(
-                np.mod(coeff_stack, cur_pcol))
+                current.lift_signed(coeff_stack))
             table["m_ext"] = rotator.plan.forward_batch(
-                np.mod(coeff_stack, rotator.ext_base.moduli_col))
+                rotator.ext_base.lift_signed(coeff_stack))
             table["perms"] = np.stack(
                 [ntt_permutation(n, g) for g in table["elements"]])
             table["rows"] += len(live) * (len(current)

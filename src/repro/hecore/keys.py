@@ -315,7 +315,7 @@ class KeyGenerator:
 
 def keyswitch_ext_base(current: RnsBase, params: EncryptionParameters) -> RnsBase:
     """The extended base (current data moduli + special primes) of a switch."""
-    return RnsBase(list(current.moduli) + list(params.special_primes))
+    return RnsBase.of(current.moduli + params.special_primes)
 
 
 def keyswitch_rows(current: RnsBase, params: EncryptionParameters) -> List[int]:
@@ -345,30 +345,53 @@ def decompose_for_keyswitch(target: RnsPoly, ext_base: RnsBase) -> np.ndarray:
         target = target.from_ntt()
     pcol = target.base.moduli_col
     centered = np.where(target.data > pcol >> 1, target.data - pcol, target.data)
-    lifted = np.mod(centered[:, None, :], ext_base.moduli_col[None, :, :])
     plan = ntt.get_stack_plan(target.degree, ext_base.moduli)
-    return plan.forward_batch(lifted)
+    return plan.forward_batch(ext_base.lift_signed(centered))
 
 
 def keyswitch_inner_product(digits_ntt: np.ndarray,
                             key_block: np.ndarray,
                             ext_base: RnsBase) -> np.ndarray:
-    """Dyadic inner product of decomposed digits with one key's digit block.
+    """Dyadic inner product of decomposed digits with key digit blocks.
 
-    ``digits_ntt`` is ``(L, k_ext, n)`` (from :func:`decompose_for_keyswitch`,
-    possibly permuted by a Galois element), ``key_block`` is the matching
-    ``(L, 2, k_ext, n)`` from :meth:`KeySwitchKey.stacked_digits`.  Returns
-    the ``(2, k_ext, n)`` NTT-form accumulator.
+    ``digits_ntt`` is ``(..., L, k_ext, n)`` (from
+    :func:`decompose_for_keyswitch`, possibly gathered through Galois
+    permutations), ``key_block`` the matching ``(..., L, 2, k_ext, n)`` from
+    :meth:`KeySwitchKey.stacked_digits` (one key) or
+    :meth:`GaloisKeys.stacked_block` (a leading axis of R keys, or flattened
+    into ``R·L`` digits for a span sum).  Returns the ``(..., 2, k_ext, n)``
+    NTT-form accumulators.
 
-    Lazy reduction: each product is below ``2**60`` (30-bit moduli), so up
-    to 8 digits sum exactly in int64 BEFORE any reduction — one mod for the
-    whole inner product instead of one per digit.
+    Lazy reduction: each product is below ``2**60`` (30-bit moduli), so
+    chunks of 8 digits sum exactly in int64 BEFORE any reduction — one mod
+    per chunk instead of one per digit — through a fused multiply-accumulate
+    (einsum) that never materializes the product tensor.
     """
     pcol = ext_base.moduli_col
-    products = digits_ntt[:, None] * key_block
-    if len(digits_ntt) <= 8 and int(pcol.max()) <= (1 << 30):
-        return np.mod(products.sum(axis=0), pcol)
-    return np.mod(np.mod(products, pcol).sum(axis=0), pcol)
+    if int(pcol.max()) > (1 << 30):
+        products = np.mod(digits_ntt[..., None, :, :] * key_block, pcol)
+        return np.mod(products.sum(axis=-4), pcol)
+    n_digits = digits_ntt.shape[-3]
+    acc = None
+    for lo in range(0, n_digits, 8):
+        part = np.mod(np.einsum('...lkn,...lckn->...ckn',
+                                digits_ntt[..., lo:lo + 8, :, :],
+                                key_block[..., lo:lo + 8, :, :, :]), pcol)
+        acc = part if acc is None else acc + part
+    return acc if n_digits <= 8 else np.mod(acc, pcol)
+
+
+def keyswitch_finish(accs: np.ndarray, ext_base: RnsBase,
+                     drops: int) -> np.ndarray:
+    """The tail every key switch ends with: inverse-transform a
+    ``(B, k_ext, n)`` block of NTT-form accumulators in one stacked pass,
+    then divide the whole block by each of the *drops* special primes.
+    Returns the ``(B, k_ext - drops, n)`` coefficient-form block."""
+    plan = ntt.get_stack_plan(accs.shape[-1], ext_base.moduli)
+    block = plan.inverse_batch(accs)
+    for _ in range(drops):
+        ext_base, block = ext_base.divide_and_round_by_last(block)
+    return block
 
 
 def switch_key(
@@ -383,19 +406,12 @@ def switch_key(
         target = target.from_ntt()
     current = target.base
     n = params.poly_degree
-    special = params.special_primes
     ext_base = keyswitch_ext_base(current, params)
     rows = keyswitch_rows(current, params)
 
     digits_ntt = decompose_for_keyswitch(target, ext_base)
     key_block = ksk.stacked_digits(rows, len(current))
     acc = keyswitch_inner_product(digits_ntt, key_block, ext_base)
-
-    plan = ntt.get_stack_plan(n, ext_base.moduli)
-    coeff = plan.inverse_batch(acc)
-    u0 = RnsPoly(ext_base, n, coeff[0], is_ntt=False)
-    u1 = RnsPoly(ext_base, n, coeff[1], is_ntt=False)
-    for _ in range(len(special)):
-        u0 = u0.divide_and_round_by_last()
-        u1 = u1.divide_and_round_by_last()
-    return u0, u1
+    u0, u1 = keyswitch_finish(acc, ext_base, len(params.special_primes))
+    return (RnsPoly(current, n, u0, is_ntt=False),
+            RnsPoly(current, n, u1, is_ntt=False))

@@ -89,9 +89,6 @@ class NoiseEstimator:
                     other.budget_bits if other else est.budget_bits)
         return replace(est, budget_bits=max(0.0, floor - 1))
 
-    def after_add_plain(self, est: NoiseEstimate) -> NoiseEstimate:
-        return self._spend(est, 0.5)
-
     def after_rotation(self, est: NoiseEstimate) -> NoiseEstimate:
         return self._spend(est, ROTATION_BITS)
 
@@ -124,10 +121,6 @@ class NoiseEstimator:
         est = self.after_multiply_plain(est)
         return self.after_add(est)
 
-    def after_multiply(self, est: NoiseEstimate) -> NoiseEstimate:
-        """Ciphertext multiply: the Table 1 'large' growth."""
-        return self._spend(est, self.t_bits + self.log_n + 8)
-
     def after_mod_switch(self, est: NoiseEstimate,
                          dropped_bits: float) -> NoiseEstimate:
         """Dropping *dropped_bits* of trailing data residue.
@@ -145,13 +138,6 @@ class NoiseEstimator:
         return replace(est, budget_bits=budget, q_bits_live=live)
 
     # ------------------------------------------------------------ planning
-    def budget_after_conv(self, taps: int, shifts: int) -> NoiseEstimate:
-        """A rotationally-redundant convolution: parallel rotations of the
-        fresh input, one weight multiply each, log-tree accumulation."""
-        est = self.after_multiply_plain(self.after_rotation(self.fresh()))
-        accumulation = math.ceil(math.log2(max(taps * shifts, 2)))
-        return self._spend(est, accumulation)
-
     def segment_is_feasible(self, plain_mult_depth: int, rotations: int,
                             masked_permutations: int = 0) -> bool:
         """Whether an encrypted segment finishes with budget to spare."""

@@ -24,9 +24,10 @@ Two implementations coexist (docs/KERNELS.md has the full story):
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -125,17 +126,17 @@ class NttPlan:
         return self.inverse(mod_mul(self.forward(a), self.forward(b), self.p))
 
 
-_PLAN_CACHE: Dict[Tuple[int, int], NttPlan] = {}
+#: Capacity of each plan memo (:func:`get_plan`, :func:`get_stack_plan`).
+#: Degree and moduli arrive from clients, so this is what bounds a worker's
+#: tables; a level needs one plan per batch-group row count
+#: (:meth:`NttStackPlan.batch_plan`), and an evicted plan is rebuilt on use.
+PLAN_MEMO_SIZE = 64
 
 
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
 def get_plan(n: int, p: int) -> NttPlan:
-    """Return (and cache) the :class:`NttPlan` for transform size *n* mod *p*."""
-    key = (n, p)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = NttPlan(n, p)
-        _PLAN_CACHE[key] = plan
-    return plan
+    """Return (and memoise) the :class:`NttPlan` for transform size *n* mod *p*."""
+    return NttPlan(n, p)
 
 
 def _power_table_stack(bases: Sequence[int], count: int, pcol: np.ndarray) -> np.ndarray:
@@ -281,13 +282,6 @@ class NttStackPlan:
         """One conditional subtract: ``[0, 2p)`` → ``[0, p)`` without division."""
         return np.where(values >= pc, values - pc, values)
 
-    @staticmethod
-    def _lazy_reduce_u(values: np.ndarray, pc: np.ndarray) -> np.ndarray:
-        """Unsigned conditional subtract: ``values - pc`` wraps above 2**63
-        whenever ``values < pc``, so the element-wise minimum selects the
-        reduced representative without a boolean mask."""
-        return np.minimum(values, values - pc)
-
     def _check_shape(self, stack: np.ndarray) -> np.ndarray:
         stack = np.asarray(stack, dtype=np.int64)
         if stack.ndim != 2 or stack.shape != (len(self.moduli), self.n):
@@ -353,13 +347,6 @@ class NttStackPlan:
         return self._inverse_generic(work, check_bounds, prescrambled, out)
 
     # ------------------------------------------------- Shoup (division-free)
-    @staticmethod
-    def _shoup_mulmod(x: np.ndarray, w: np.ndarray, wq: np.ndarray,
-                      p: np.ndarray) -> np.ndarray:
-        """``x * w mod p`` into the lazy range ``[0, 2p)``; needs ``x < 2**32``."""
-        q = (x * wq) >> _U32
-        return x * w - q * p
-
     # The Shoup kernels run the butterfly network in constant-geometry (Pease)
     # dataflow: every stage reads the pair (i, i + n/2) and writes it to
     # (2i, 2i + 1).  For the factor-tree network this pairing is exact at every
@@ -558,8 +545,8 @@ class NttStackPlan:
         Every kernel above is purely row-wise (tables broadcast along the
         ``k`` axis), so transforming ``batch`` stacks at once is exactly the
         plan whose moduli sequence is this one's repeated ``batch`` times.
-        The tiled plan shares the module-level cache, so its twiddle tables
-        and scratch buffers are built once per ``(n, moduli, batch)``.
+        The tiled plan shares :func:`get_stack_plan`'s memo, so its twiddle
+        tables and scratch buffers are built once per ``(n, moduli, batch)``.
         """
         if batch < 1:
             raise ValueError(f"batch size {batch} must be >= 1")
@@ -645,17 +632,12 @@ class NttStackPlan:
         return self.inverse(self.dyadic_multiply(self.forward(a), self.forward(b)))
 
 
-_STACK_PLAN_CACHE: Dict[Tuple[int, Tuple[int, ...]], NttStackPlan] = {}
+_memoised_stack_plan = functools.lru_cache(maxsize=PLAN_MEMO_SIZE)(NttStackPlan)
 
 
 def get_stack_plan(n: int, moduli: Sequence[int]) -> NttStackPlan:
-    """Return (and cache) the :class:`NttStackPlan` for ``(n, moduli)``."""
-    key = (n, tuple(int(p) for p in moduli))
-    plan = _STACK_PLAN_CACHE.get(key)
-    if plan is None:
-        plan = NttStackPlan(n, key[1])
-        _STACK_PLAN_CACHE[key] = plan
-    return plan
+    """Return (and memoise) the :class:`NttStackPlan` for ``(n, moduli)``."""
+    return _memoised_stack_plan(n, tuple(int(p) for p in moduli))
 
 
 def negacyclic_multiply_naive(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

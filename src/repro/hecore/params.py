@@ -184,8 +184,8 @@ class EncryptionParameters:
         special = generate_ntt_primes(COMPUTE_LIMB_MAX_BITS, special_prime_count + 4,
                                       poly_degree)
         special = [p for p in special if p not in data_primes][:special_prime_count]
-        data_base = RnsBase(data_primes)
-        full_base = RnsBase(data_primes + special)
+        data_base = RnsBase.of(tuple(data_primes))
+        full_base = RnsBase.of(tuple(data_primes + special))
         return cls(
             scheme=scheme,
             poly_degree=poly_degree,

@@ -9,14 +9,62 @@ the CHOCO-TACO accelerator exploits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import functools
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.hecore import ntt
-from repro.hecore.modmath import center, mod_inv
+from repro.hecore.modmath import center
 from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.rns import RnsBase
+
+#: Capacity of each Galois index-table memo (:func:`ntt_permutation`,
+#: :func:`coeff_automorphism_perm`).  Elements are client-chosen, so this is
+#: what bounds a worker's tables; the shipped kernels need 28 (``collapsed``
+#: 64×16) to 48 (the e2e DNN), and an evicted table is one index computation.
+GALOIS_MEMO_SIZE = 256
+
+#: Capacity of :func:`aux_base_for`'s memo.
+AUX_BASE_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=GALOIS_MEMO_SIZE)
+def ntt_permutation(n: int, galois_elt: int) -> np.ndarray:
+    """Column permutation implementing x -> x^g on NTT-form evaluations.
+
+    Position ``j`` holds the evaluation at ``psi^(2j+1)``, and ``a(x^g)``
+    evaluated there equals ``a`` at ``psi^((2j+1)g)`` — another odd power —
+    so ``auto(a)[:, j] == a[:, perm[j]]`` with no INTT/NTT round trip.
+    Memoised per ``(n, g)``; the shared table is read-only.
+    """
+    sources = ((2 * np.arange(n, dtype=np.int64) + 1) * galois_elt) % (2 * n)
+    perm = (sources - 1) >> 1
+    perm.setflags(write=False)
+    return perm
+
+
+@functools.lru_cache(maxsize=GALOIS_MEMO_SIZE)
+def coeff_automorphism_perm(n: int, galois_elt: int) -> Tuple[np.ndarray,
+                                                              np.ndarray]:
+    """Gather form of x -> x^g on coefficient vectors: ``(source, sign)``.
+
+    ``auto(a)[j] == sign[j] * a[source[j]]`` modulo each prime: coefficient
+    ``i`` lands at ``i*g mod 2n``, negated when that wraps past ``x^n = -1``.
+    Gather form lets hoisted span sums accumulate every rotation's first
+    component with one fancy index + signed sum.  Memoised per ``(n, g)``;
+    the shared tables are read-only.
+    """
+    indices = (np.arange(n, dtype=np.int64) * galois_elt) % (2 * n)
+    negate = indices >= n
+    targets = np.where(negate, indices - n, indices)
+    source = np.empty(n, dtype=np.int64)
+    source[targets] = np.arange(n, dtype=np.int64)
+    sign = np.empty(n, dtype=np.int64)
+    sign[targets] = np.where(negate, -1, 1)
+    source.setflags(write=False)
+    sign.setflags(write=False)
+    return source, sign
 
 
 class RnsPoly:
@@ -52,8 +100,7 @@ class RnsPoly:
     @classmethod
     def from_signed_array(cls, base: RnsBase, values: np.ndarray) -> "RnsPoly":
         """Build from a small signed int64 vector (e.g. error polynomials)."""
-        data = np.mod(values.astype(np.int64)[None, :], base.moduli_col)
-        return cls(base, len(values), data, is_ntt=False)
+        return cls(base, len(values), base.lift_signed(values), is_ntt=False)
 
     def copy(self) -> "RnsPoly":
         return RnsPoly(self.base, self.degree, self.data.copy(), self.is_ntt)
@@ -70,23 +117,17 @@ class RnsPoly:
 
     def __add__(self, other: "RnsPoly") -> "RnsPoly":
         self._check_compatible(other)
-        # Rows are canonical [0, p), so one conditional subtract replaces the
-        # per-row division-based np.mod.
-        total = self.data + other.data
-        pcol = self.base.moduli_col
-        out = np.where(total >= pcol, total - pcol, total)
-        return RnsPoly(self.base, self.degree, out, self.is_ntt)
+        return RnsPoly(self.base, self.degree,
+                       self.base.add(self.data, other.data), self.is_ntt)
 
     def __sub__(self, other: "RnsPoly") -> "RnsPoly":
         self._check_compatible(other)
-        diff = self.data - other.data
-        pcol = self.base.moduli_col
-        out = np.where(diff < 0, diff + pcol, diff)
-        return RnsPoly(self.base, self.degree, out, self.is_ntt)
+        return RnsPoly(self.base, self.degree,
+                       self.base.sub(self.data, other.data), self.is_ntt)
 
     def __neg__(self) -> "RnsPoly":
-        out = np.where(self.data == 0, 0, self.base.moduli_col - self.data)
-        return RnsPoly(self.base, self.degree, out, self.is_ntt)
+        return RnsPoly(self.base, self.degree,
+                       self.base.sub(0, self.data), self.is_ntt)
 
     def __mul__(self, other: "RnsPoly") -> "RnsPoly":
         """Ring product.  Uses dyadic products in NTT form, else NTT round-trips."""
@@ -100,12 +141,8 @@ class RnsPoly:
 
     def scalar_multiply(self, scalar: int) -> "RnsPoly":
         """Multiply every coefficient by a (possibly big) integer scalar."""
-        scalar = int(scalar)
-        scol = np.array(
-            [scalar % p for p in self.base.moduli], dtype=np.int64
-        ).reshape(-1, 1)
-        out = np.mod(self.data * scol, self.base.moduli_col)
-        return RnsPoly(self.base, self.degree, out, self.is_ntt)
+        return RnsPoly(self.base, self.degree,
+                       self.base.scale(self.data, scalar), self.is_ntt)
 
     # ---------------------------------------------------------- representation
     def to_ntt(self) -> "RnsPoly":
@@ -125,52 +162,30 @@ class RnsPoly:
         """Apply ``x -> x^g`` for odd *g*, in either representation.
 
         This is the Galois automorphism behind HE slot rotation (Table 1's
-        "Ciphertext Rotate" uses it followed by key switching).  In
-        coefficient form it scatters coefficients with a sign fixup for the
-        ``x^n = -1`` wraparound.  In NTT (evaluation) form it is a pure
-        permutation: position ``j`` holds the evaluation at ``psi**(2j+1)``,
-        and ``a(x^g)`` evaluated there equals ``a`` at ``psi**((2j+1)g)`` —
-        another odd power — so no INTT/NTT round trip is needed.
+        "Ciphertext Rotate" uses it followed by key switching).  In NTT
+        (evaluation) form it is a pure column permutation
+        (:func:`ntt_permutation`); in coefficient form a gather with a sign
+        fixup for the ``x^n = -1`` wraparound
+        (:func:`coeff_automorphism_perm`).
         """
         n = self.degree
         g = galois_elt % (2 * n)
         if g % 2 == 0:
             raise ValueError(f"Galois element {galois_elt} must be odd")
         if self.is_ntt:
-            sources = ((2 * np.arange(n, dtype=np.int64) + 1) * g) % (2 * n)
-            out = self.data[:, (sources - 1) >> 1]
-            return RnsPoly(self.base, self.degree, out, is_ntt=True)
-        pcol = self.base.moduli_col
-        indices = (np.arange(n, dtype=np.int64) * g) % (2 * n)
-        negate = indices >= n
-        targets = np.where(negate, indices - n, indices)
-        negated = np.where(self.data == 0, 0, pcol - self.data)
-        signed = np.where(negate[None, :], negated, self.data)
-        out = np.empty_like(self.data)
-        out[:, targets] = signed
-        return RnsPoly(self.base, self.degree, out, is_ntt=False)
+            out = np.take(self.data, ntt_permutation(n, g), axis=1)
+        else:
+            source, sign = coeff_automorphism_perm(n, g)
+            moved = np.take(self.data, source, axis=1)
+            out = np.where(sign < 0, self.base.sub(0, moved), moved)
+        return RnsPoly(self.base, n, out, self.is_ntt)
 
     def divide_and_round_by_last(self) -> "RnsPoly":
-        """Exact modulus switch: drop the base's last prime, scaling by 1/P.
-
-        Computes ``round(x / P)`` (up to ±1 rounding slack, as in SEAL) using
-        only word arithmetic: subtract the centered residue mod P, then
-        multiply by ``P^{-1}`` modulo each remaining prime.  This is the
-        "Mod Switching" module of the CHOCO-TACO pipeline (Figure 5) and the
-        only step that couples RNS residues.
-        """
+        """Exact modulus switch: drop the base's last prime, scaling by 1/P
+        (:meth:`RnsBase.divide_and_round_by_last` on this one polynomial)."""
         if self.is_ntt:
             raise ValueError("modulus switching requires coefficient form")
-        last = self.base.moduli[-1]
-        target = self.base.drop_last()
-        tcol = target.moduli_col
-        remainder = center(self.data[-1], last)
-        inv_last_col = np.array(
-            [mod_inv(last % p, p) for p in target.moduli], dtype=np.int64
-        ).reshape(-1, 1)
-        diff = self.data[:-1] - np.mod(remainder[None, :], tcol)
-        diff = np.where(diff < 0, diff + tcol, diff)
-        out = np.mod(diff * inv_last_col, tcol)
+        target, out = self.base.divide_and_round_by_last(self.data)
         return RnsPoly(target, self.degree, out, is_ntt=False)
 
     def switch_base(self, target: RnsBase) -> "RnsPoly":
@@ -209,18 +224,10 @@ class RnsPoly:
 # must be computed over Z before scaling by t/q.
 # --------------------------------------------------------------------------
 
-_AUX_BASE_CACHE: Dict[Tuple[int, int], RnsBase] = {}
-
-
+@functools.lru_cache(maxsize=AUX_BASE_MEMO_SIZE)
 def aux_base_for(degree: int, bound_bits: int) -> RnsBase:
     """An RNS base of NTT-friendly primes whose product exceeds 2**bound_bits."""
-    count = bound_bits // 28 + 2
-    key = (degree, count)
-    base = _AUX_BASE_CACHE.get(key)
-    if base is None:
-        base = RnsBase(generate_ntt_primes(29, count, degree))
-        _AUX_BASE_CACHE[key] = base
-    return base
+    return RnsBase(generate_ntt_primes(29, bound_bits // 28 + 2, degree))
 
 
 def exact_negacyclic_multiply(

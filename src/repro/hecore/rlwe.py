@@ -211,9 +211,9 @@ class RlweContext:
         for start in range(0, m, tile):
             stop = min(start + tile, m)
             g = stop - start
-            u = batchcrypt.signed_block(full, u_all[start:stop])
-            e1 = batchcrypt.signed_block(full, e1_all[start:stop])
-            e2 = batchcrypt.signed_block(full, e2_all[start:stop])
+            u = full.lift_signed(u_all[start:stop])
+            e1 = full.lift_signed(e1_all[start:stop])
+            e2 = full.lift_signed(e2_all[start:stop])
             # Raw butterfly-order sandwich: forward without the unscramble
             # gather, Shoup dyadic against the pre-permuted public key, and a
             # prescrambled inverse — the two permutation passes cancel.
@@ -225,15 +225,12 @@ class RlweContext:
                 batchcrypt.dyadic_block_raw(full, u_ntt, pk.p1),
             ])
             block = batchcrypt.inverse_block(full, n, prod, raw=True)
-            block = batchcrypt.add_blocks(full, block,
-                                          np.concatenate([e1, e2]))
+            block = full.add(block, np.concatenate([e1, e2]))
             base = full
             for _ in params.special_primes:
-                base, block = batchcrypt.divide_and_round_by_last_block(
-                    base, block)
+                base, block = base.divide_and_round_by_last(block)
             tile_pts = plaintexts[start:stop]
-            c0 = batchcrypt.add_blocks(
-                base, block[:g], self._message_block(base, tile_pts))
+            c0 = base.add(block[:g], self._message_block(base, tile_pts))
             c0_polys = batchcrypt.split_polys(base, n, c0)
             c1_polys = batchcrypt.split_polys(base, n, block[g:])
             out.extend(Ciphertext(params, [p0, p1], scale=pt.scale)
@@ -299,13 +296,12 @@ class RlweContext:
         for start in range(0, m, tile):
             stop = min(start + tile, m)
             tile_pts = plaintexts[start:stop]
-            noisy = batchcrypt.add_blocks(
-                base, batchcrypt.signed_block(base, e_all[start:stop]),
-                self._message_block(base, tile_pts))
+            noisy = base.add(base.lift_signed(e_all[start:stop]),
+                             self._message_block(base, tile_pts))
             a_polys = [expand_uniform_poly(seed, base, n)
                        for seed in seeds[start:stop]]
-            c0 = batchcrypt.sub_blocks(
-                base, batchcrypt.forward_block(base, n, noisy),
+            c0 = base.sub(
+                batchcrypt.forward_block(base, n, noisy),
                 batchcrypt.dyadic_block(
                     base, np.stack([a.data for a in a_polys]), s_ntt))
             c0_polys = batchcrypt.split_polys(base, n, c0, is_ntt=True)
@@ -387,8 +383,8 @@ class RlweContext:
                                     for i in chunk]) for part in (0, 1))
                 if is_ntt:
                     acc = batchcrypt.inverse_block(
-                        base, n, batchcrypt.add_blocks(
-                            base, c0, batchcrypt.dyadic_block(base, c1, s_ntt)))
+                        base, n,
+                        base.add(c0, batchcrypt.dyadic_block(base, c1, s_ntt)))
                 else:
                     prod = batchcrypt.inverse_block(
                         base, n,
@@ -397,7 +393,7 @@ class RlweContext:
                             batchcrypt.forward_block(base, n, c1, raw=True),
                             s_ntt),
                         raw=True)
-                    acc = batchcrypt.add_blocks(base, c0, prod)
+                    acc = base.add(c0, prod)
                 coeff_rows.append(self._plain_rows(base, acc))
             scales = np.array([cts[i].scale for i in indices])
             slots = self.encoder.decode_rows(np.concatenate(coeff_rows), scales)

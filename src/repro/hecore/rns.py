@@ -9,8 +9,8 @@ BFV multiplication compose back to Python big integers.
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -26,9 +26,18 @@ from repro.hecore.modmath import mod_inv
 #: spurious fallback astronomically unlikely.
 SCALE_ROUND_GUARD = 1e-9
 
+#: Capacity of :meth:`RnsBase.of`'s intern table: a parameter set needs its
+#: chain's prefixes plus one key-switch extension per level (2k bases).
+BASE_MEMO_SIZE = 64
+
 
 class RnsBase:
-    """An ordered base of pairwise-coprime word-sized moduli."""
+    """An ordered base of pairwise-coprime word-sized moduli, and the one
+    home of residue arithmetic: :meth:`lift_signed`, :meth:`add`,
+    :meth:`sub`, :meth:`scale` and :meth:`divide_and_round_by_last` have
+    their only body here, over canonical (rows in ``[0, p)``) int64 blocks
+    ``(..., k, n)`` — a polynomial is rank 2, a ciphertext or rotation batch
+    rank 3."""
 
     def __init__(self, moduli: Sequence[int]):
         moduli = [int(m) for m in moduli]
@@ -43,10 +52,12 @@ class RnsBase:
                 if math.gcd(a, b) != 1:
                     raise ValueError(f"moduli {a} and {b} are not coprime")
         self.moduli: Tuple[int, ...] = tuple(moduli)
-        self.modulus: int = reduce(lambda a, b: a * b, moduli, 1)
+        self.modulus: int = functools.reduce(lambda a, b: a * b, moduli, 1)
         #: ``(k, 1)`` int64 column of the moduli, broadcast against ``(k, n)``
-        #: residue matrices by the vectorized fast paths.
+        #: residue matrices by the vectorized fast paths.  Read-only: interned
+        #: bases are shared by every context of the process.
         self.moduli_col: np.ndarray = np.array(self.moduli, dtype=np.int64).reshape(-1, 1)
+        self.moduli_col.setflags(write=False)
         # Punctured products q_i = q / p_i and their inverses mod p_i,
         # needed for CRT composition and base conversion.
         self._punctured = [self.modulus // p for p in moduli]
@@ -83,11 +94,88 @@ class RnsBase:
         """Total bit width of the composed modulus."""
         return self.modulus.bit_length()
 
-    def drop_last(self) -> "RnsBase":
-        """The base with its final modulus removed (modulus switching)."""
+    @staticmethod
+    @functools.lru_cache(maxsize=BASE_MEMO_SIZE)
+    def of(moduli: Tuple[int, ...]) -> "RnsBase":
+        """The process's shared base over *moduli* (a tuple), validated on
+        first use: level and key-switch bases are prefixes and extensions of
+        one chain, resolved here instead of rebuilt per operation.  Moduli
+        from outside the program are checked against the chain *before*
+        this lookup."""
+        return RnsBase(moduli)
+
+    @functools.cached_property
+    def _switch_down(self) -> Tuple["RnsBase", np.ndarray]:
+        """What dropping the last prime ``P`` needs, derived once per base:
+        the base without it and the ``(k-1, 1)`` column of ``P^-1 mod p``."""
         if len(self.moduli) < 2:
             raise ValueError("cannot drop the only modulus in a base")
-        return RnsBase(self.moduli[:-1])
+        target = RnsBase.of(self.moduli[:-1])
+        last = self.moduli[-1]
+        inv_last = [mod_inv(last % p, p) for p in target.moduli]
+        return target, np.array(inv_last, dtype=np.int64).reshape(-1, 1)
+
+    def drop_last(self) -> "RnsBase":
+        """The base with its final modulus removed (modulus switching)."""
+        return self._switch_down[0]
+
+    # ---------------------------------------------------- residue arithmetic
+    def lift_signed(self, values: np.ndarray) -> np.ndarray:
+        """Small signed integers ``(..., n)`` (error and ternary samples,
+        plaintext coefficients) → canonical residues ``(..., k, n)``."""
+        return np.mod(np.asarray(values, dtype=np.int64)[..., None, :],
+                      self.moduli_col)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise modular sum of canonical blocks.
+
+        One conditional subtract, as an unsigned minimum: viewed as uint64,
+        ``total - p`` wraps above ``2**63`` whenever ``total < p``, so the
+        in-place elementwise minimum selects the reduced representative
+        without a boolean mask or a second temporary.
+        """
+        total = a + b
+        tu = total.view(np.uint64)
+        np.minimum(tu, tu - self.moduli_col.view(np.uint64), out=tu)
+        return total
+
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise modular difference of canonical blocks (negation is
+        ``sub(0, a)``): a negative ``a - b`` wraps above ``2**63`` as uint64,
+        so the same minimum picks ``a - b + p`` exactly when it went
+        negative."""
+        diff = a - b
+        du = diff.view(np.uint64)
+        np.minimum(du, du + self.moduli_col.view(np.uint64), out=du)
+        return diff
+
+    def scale(self, block: np.ndarray, scalar: int) -> np.ndarray:
+        """Multiply every coefficient by a (possibly big) integer scalar."""
+        scalar = int(scalar)
+        scol = np.array([scalar % p for p in self.moduli],
+                        dtype=np.int64).reshape(-1, 1)
+        return np.mod(block * scol, self.moduli_col)
+
+    def divide_and_round_by_last(
+        self, block: np.ndarray
+    ) -> Tuple["RnsBase", np.ndarray]:
+        """Exact modulus switch of a coefficient-form block: drop the last
+        prime ``P``, scaling by ``1/P``.
+
+        Computes ``round(x / P)`` (up to ±1 rounding slack, as in SEAL) using
+        only word arithmetic: subtract the centered residue mod ``P``, then
+        multiply by ``P^-1`` modulo each remaining prime.  This is the "Mod
+        Switching" module of the CHOCO-TACO pipeline (Figure 5) and the only
+        step that couples RNS residues.  Returns ``(dropped_base,
+        (..., k-1, n) block)``.
+        """
+        target, inv_last_col = self._switch_down
+        tcol = target.moduli_col
+        last = self.moduli[-1]
+        remainder = block[..., -1:, :]
+        centered = np.where(remainder > last // 2, remainder - last, remainder)
+        diff = target.sub(block[..., :-1, :], np.mod(centered, tcol))
+        return target, np.mod(diff * inv_last_col, tcol)
 
     def decompose(self, values: Sequence[int]) -> np.ndarray:
         """Integer vector → residue matrix of shape ``(k, len(values))``.
@@ -121,8 +209,8 @@ class RnsBase:
         """Residue matrix ``(k, n)`` → canonical integers in ``[0, q)``.
 
         When the composed modulus fits the int64-exactness envelope the whole
-        CRT sum runs vectorized (each term ``scaled_i * q_i < q < 2**62`` and
-        partial sums stay below ``2q < 2**63``).  Wider bases pair-fold:
+        CRT sum runs vectorized (:meth:`_compose_array62`).  Wider bases
+        pair-fold:
         ``scaled_i*q_i + scaled_j*q_j = Q_g * (scaled_i*p_j + scaled_j*p_i)``
         with ``Q_g = q/(p_i p_j)``, so the inner combination is one int64
         vector op and only one big-integer multiply per element per *pair*.
@@ -131,17 +219,12 @@ class RnsBase:
             raise ValueError(
                 f"residue matrix has {residues.shape[0]} rows, base has {len(self.moduli)}"
             )
+        residues = residues.astype(np.int64)
+        if self.bit_size <= 62:
+            return self._compose_array62(residues).tolist()
         q = self.modulus
         n = residues.shape[1]
-        scaled = np.mod(
-            residues.astype(np.int64) * self._punctured_inv_col, self.moduli_col
-        )
-        if self.bit_size <= 62:
-            acc = np.zeros(n, dtype=np.int64)
-            for row, q_i in zip(scaled, self._punctured):
-                acc += row * np.int64(q_i)
-                np.mod(acc, np.int64(q), out=acc)
-            return [int(v) for v in acc]
+        scaled = np.mod(residues * self._punctured_inv_col, self.moduli_col)
         k = len(self.moduli)
         acc = [0] * n
         for i in range(0, k - 1, 2):
@@ -263,24 +346,18 @@ class RnsBase:
         unsafe = np.abs(shifted - np.round(shifted)) < guard
         return out, unsafe
 
+    @functools.cached_property
     def _small_prefix(self) -> "RnsBase":
-        """Largest prefix sub-base whose product fits the int64 envelope.
-
-        Cached; used by :meth:`compose_centered_small` to recover small
-        centered values exactly without big integers.
-        """
-        cached = getattr(self, "_small_prefix_base", None)
-        if cached is not None:
-            return cached
+        """Largest prefix sub-base whose product fits the int64 envelope;
+        used by :meth:`compose_centered_small` to recover small centered
+        values exactly without big integers."""
         product, count = 1, 0
         for p in self.moduli:
             if (product * p).bit_length() > 62:
                 break
             product *= p
             count += 1
-        sub = self if count == len(self.moduli) else RnsBase(self.moduli[:count])
-        self._small_prefix_base = sub
-        return sub
+        return self if count == len(self.moduli) else RnsBase.of(self.moduli[:count])
 
     def _compose_array62(self, residues: np.ndarray) -> np.ndarray:
         """Vectorized canonical CRT for bases with ``bit_size <= 62``.
@@ -314,11 +391,11 @@ class RnsBase:
         int64 and only valid where ``unsafe`` is False — the caller resolves
         flagged coefficients via the exact big-integer path.
         """
-        sub = self._small_prefix()
+        sub = self._small_prefix
         vals = sub._compose_array62(residues[..., :len(sub), :])
         half = sub.modulus >> 1
         vals = np.where(vals > half, vals - np.int64(sub.modulus), vals)
-        if sub is self or len(sub) == len(self.moduli):
+        if sub is self:
             return vals, np.zeros(vals.shape, dtype=bool)
         f = self.fractional_positions(residues)
         magnitude = np.minimum(f, 1.0 - f) * float(self.modulus)

@@ -165,7 +165,7 @@ def deserialize_ciphertext(blob: bytes,
     offset += 8 * n_moduli
     if moduli != data_moduli[:n_moduli]:
         raise ValueError("blob moduli do not match the supplied parameters")
-    base = RnsBase(moduli)
+    base = RnsBase.of(moduli)
 
     seed: Optional[bytes] = None
     if seeded:
@@ -247,7 +247,7 @@ def deserialize_public_key(blob: bytes,
     row_bytes = 8 * n_moduli * degree
     if len(blob) != offset + 2 * row_bytes:
         raise ValueError("public-key blob has a truncated or oversized body")
-    base = RnsBase(moduli)
+    base = RnsBase.of(moduli)
     polys = []
     for _ in range(2):
         data = np.frombuffer(blob, dtype="<i8", count=n_moduli * degree,

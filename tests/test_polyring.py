@@ -139,3 +139,125 @@ def test_exact_negacyclic_multiply_vs_schoolbook(seed):
             k, sign = (i + j, 1) if i + j < n else (i + j - n, -1)
             expected[k] += sign * a[i] * b[j]
     assert got == expected
+
+
+# --------------------------------------------------------------------------
+# RnsBase's residue arithmetic — the one body RnsPoly (rank 2) and the batch
+# engines (rank 3) both call — against an oracle that shares no code with it:
+# Python integers, reduced with ``%``.
+# --------------------------------------------------------------------------
+
+LEADS = [(), (3,), (2, 3)]      # rank 2 (one polynomial), rank 3, rank 4
+
+
+@pytest.fixture(scope="module", params=[30, 31], ids=["30-bit", "31-bit"])
+def wide_base(request):
+    return RnsBase(generate_ntt_primes(request.param, 3, N))
+
+
+def _int_block(base, lead, seed, bound=None):
+    """Random integers in ``[0, bound)`` (default: the whole modulus) of shape
+    ``lead + (N,)`` as an object array, with their residue block."""
+    rng = np.random.default_rng(seed)
+    bound = base.modulus if bound is None else bound
+    ints = np.empty(lead + (N,), dtype=object)
+    for idx in np.ndindex(ints.shape):
+        ints[idx] = int(rng.integers(0, 2**62)) * int(rng.integers(0, 2**62)) % bound
+    return ints, _residues(base.moduli, ints)
+
+
+def _residues(moduli, ints):
+    """``(..., n)`` Python integers → ``(..., k, n)`` int64 residues."""
+    rows = [np.array([v % p for v in ints.ravel()], dtype=np.int64)
+            .reshape(ints.shape) for p in moduli]
+    return np.stack(rows, axis=-2)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lambda lead: f"rank{len(lead) + 2}")
+def test_residue_add_sub_neg_scale_match_bigint(wide_base, lead):
+    base, q = wide_base, wide_base.modulus
+    x, bx = _int_block(base, lead, 21)
+    y, by = _int_block(base, lead, 22)
+    scalar = q // 3 + 1
+    for got, want in [
+        (base.add(bx, by), (x + y) % q),
+        (base.sub(bx, by), (x - y) % q),
+        (base.sub(0, bx), (-x) % q),
+        (base.scale(bx, scalar), (x * scalar) % q),
+        (base.scale(bx, -7), (x * -7) % q),
+    ]:
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _residues(base.moduli, want))
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lambda lead: f"rank{len(lead) + 2}")
+def test_residue_lift_signed_matches_bigint(wide_base, lead):
+    rng = np.random.default_rng(23)
+    values = rng.integers(-2**40, 2**40, lead + (N,))
+    want = _residues(wide_base.moduli, values.astype(object))
+    assert np.array_equal(wide_base.lift_signed(values), want)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lambda lead: f"rank{len(lead) + 2}")
+def test_residue_divide_and_round_exact_and_error_bound(wide_base, lead):
+    base = wide_base
+    last = base.moduli[-1]
+    x, bx = _int_block(base, lead, 24)
+    dropped, got = base.divide_and_round_by_last(bx)
+    assert dropped.moduli == base.moduli[:-1]
+    # Exact: (x - c) / P with c the centered remainder of x modulo P.
+    want = np.empty(x.shape, dtype=object)
+    for idx in np.ndindex(x.shape):
+        c = x[idx] % last
+        c -= last if c > last // 2 else 0
+        assert (x[idx] - c) % last == 0
+        want[idx] = (x[idx] - c) // last
+        # Inside SEAL's ±1 slack of x / P (here: the nearest integer).
+        assert 2 * abs(want[idx] * last - x[idx]) <= last
+    assert np.array_equal(got, _residues(dropped.moduli, want))
+    # Multiples of P divide cleanly.
+    multiples, bm = _int_block(base, lead, 25, bound=dropped.modulus)
+    _, clean = base.divide_and_round_by_last(_residues(base.moduli,
+                                                       multiples * last))
+    assert np.array_equal(clean, bm[..., :-1, :])
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       m=st.integers(min_value=1, max_value=4))
+@settings(max_examples=20)
+def test_residue_ops_act_per_leading_index(wide_base, seed, m):
+    """``f(base, block)[i] == f(base, block[i])``: a batch is its rows."""
+    base = wide_base
+    rng = np.random.default_rng(seed)
+    a, b = (np.stack([rng.integers(0, p, (m, N)) for p in base.moduli], axis=1)
+            for _ in range(2))
+    signed = rng.integers(-5, 6, (m, N))
+    scalar = int(rng.integers(1, 2**62))
+    for i in range(m):
+        assert np.array_equal(base.add(a, b)[i], base.add(a[i], b[i]))
+        assert np.array_equal(base.sub(a, b)[i], base.sub(a[i], b[i]))
+        assert np.array_equal(base.scale(a, scalar)[i],
+                              base.scale(a[i], scalar))
+        assert np.array_equal(base.lift_signed(signed)[i],
+                              base.lift_signed(signed[i]))
+        assert np.array_equal(base.divide_and_round_by_last(a)[1][i],
+                              base.divide_and_round_by_last(a[i])[1])
+
+
+@pytest.mark.parametrize("is_ntt", [False, True], ids=["coeff", "ntt"])
+def test_automorphism_is_the_definition(base, is_ntt):
+    """``a(x^g) mod (x^n + 1)`` computed on Python integers: coefficient
+    ``i`` moves to ``i*g mod 2n``, negated past the ``x^n = -1`` wrap."""
+    rng = np.random.default_rng(26)
+    coeffs = [int(v) for v in rng.integers(-2**40, 2**40, N)]
+    poly = RnsPoly.from_int_coeffs(base, coeffs, N)
+    if is_ntt:
+        poly = poly.to_ntt()
+    for g in range(1, 2 * N, 2):
+        want = [0] * N
+        for i, c in enumerate(coeffs):
+            e = (i * g) % (2 * N)
+            want[e % N] = c if e < N else -c
+        got = poly.apply_automorphism(g)
+        assert got.is_ntt == is_ntt
+        assert got.to_int_coeffs(centered=True) == want
