@@ -31,6 +31,13 @@ of one ``NttStackPlan.forward`` residue row (``ntt_rows_per_symmetric_ct``;
 three of them are the transform itself), so this layer reconciles with
 ``bench_he_throughput``'s ``ntt_forward``.
 
+The header's ``keygen_ms_per_key`` is the layer bench under the cold
+client's largest cost: milliseconds to generate ONE Galois key-switch key
+at Table-3 set B (three digits, error sampling plus four-limb forward
+transforms), and ``ntt_rows_per_key`` the same in forward-NTT rows.  A cold
+``dnn_cold_sessions`` query pays it 17 times plus one relinearisation key;
+it has no second implementation to race, so it is recorded, not gated.
+
 Every kernel asserts equality between its two implementations before
 timing anything (values for the BFV pairs, bits for the CKKS ones).
 ``--check`` exits non-zero when a batched kernel falls below its minimum
@@ -49,7 +56,11 @@ from _gate import best_of_pair, run_speedup_gate
 from repro.hecore import ckks, ntt
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
-from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.params import (
+    PARAMETER_SET_B,
+    SchemeType,
+    small_test_parameters,
+)
 from repro.hecore.random import BlakePrng
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_client_crypto.json"
@@ -194,6 +205,23 @@ def _measure_ckks_symmetric(ctx):
     return best_of_pair(looped, batched, 1)
 
 
+#: Galois keys generated per keygen timing window.
+KEYGEN_KEYS = 8
+
+
+def _keygen_key_seconds(ctx):
+    """Seconds per Galois key-switch key on *ctx*: the fastest of six
+    windows, each generating ``KEYGEN_KEYS`` keys for steps the context
+    does not hold yet (``make_galois_keys`` reuses the ones it does)."""
+    ctx.make_galois_keys([1])                    # secret key, plans, tables
+    steps = iter(range(2, 2 + 6 * KEYGEN_KEYS))
+    runs = timeit.repeat(
+        lambda: ctx.make_galois_keys([next(steps) for _ in range(KEYGEN_KEYS)]),
+        number=1, repeat=6)
+    assert len(ctx.held_galois_keys().keys) == 1 + 6 * KEYGEN_KEYS
+    return min(runs) / KEYGEN_KEYS
+
+
 def _ntt_row_seconds(ctx):
     """Seconds per residue row of one ``NttStackPlan.forward`` over the
     context's data base — ``bench_he_throughput``'s ``ntt_forward`` unit."""
@@ -231,12 +259,18 @@ def main(argv=None):
     measurements["ckks_symmetric"] = _measure_ckks_symmetric(ckks_ctx)
     row_s = _ntt_row_seconds(ckks_ctx)
     per_ct_s = measurements["ckks_symmetric"][1] / BATCH
+    set_b_ctx = BfvContext(PARAMETER_SET_B, seed=b"bench-client-crypto")
+    key_s = _keygen_key_seconds(set_b_ctx)
     extra = {
         "batch": BATCH,
         "data_moduli": degrees,
         "ntt_forward_row_us": round(1e6 * row_s, 2),
         "ntt_rows_per_symmetric_ct": round(per_ct_s / row_s, 2),
+        "keygen_ms_per_key": round(1e3 * key_s, 3),
+        "ntt_rows_per_key": round(key_s / _ntt_row_seconds(set_b_ctx), 1),
     }
+    print(f"  {'keygen (set B)':18s} {1e3 * key_s:9.2f} ms per key-switch key "
+          f"({extra['ntt_rows_per_key']} forward-NTT rows)")
     return run_speedup_gate(measurements, MIN_SPEEDUP, ("looped", "batched"),
                             extra, args.output, args.check)
 

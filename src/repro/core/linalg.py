@@ -1,11 +1,13 @@
 """Encrypted linear algebra built on rotational redundancy (§3.3).
 
 The workhorse is :class:`EncryptedConv2d`: input channels are packed
-redundantly into power-of-two spans (one per channel), and every
-(input-channel, filter-tap) pair becomes a **single** ciphertext rotation by
-``j * span + delta`` followed by one plaintext weight multiply — no masking
-multiplies, no arbitrary permutations.  That is the paper's "convolution with
-optimal multiplication efficiency".
+redundantly into power-of-two spans (one per channel), so every filter tap
+is a **single** ciphertext rotation by ``delta`` and every channel alignment
+a single rotation by ``j * span``, with one plaintext weight multiply per
+(shift, tap) pair between them — no masking multiplies, no arbitrary
+permutations.  That is the paper's "convolution with optimal multiplication
+efficiency"; factoring the alignment as taps (baby steps) x shifts (giant
+steps) keeps the client's Galois-key bill at taps + shifts.
 
 Boundary semantics are client-aided: rotations are circular within each
 redundant window, so the server computes *valid* convolution outputs at
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.core.ir import TracedKernel
 from repro.core.packing import ChannelLayout, RedundantPacking
+from repro.hecore.modmath import next_power_of_two
 
 
 def _encode_vector(ctx, values: np.ndarray, ct=None):
@@ -39,6 +42,40 @@ def _masked_sum(ev, terms):
         term = ev.multiply_plain(ct, _encode_vector(ev, mask, ct))
         acc = term if acc is None else ev.add(acc, term)
     return acc
+
+
+def _baby_giant_sums(ev, cts, plans):
+    """Per plan ``sum_giant rotate(sum_baby roll(mask, giant) (*)
+    rotate(cts[i], baby), giant)`` over its ``(i, baby, giant, mask)``
+    terms; None where a plan is empty.
+
+    Each baby rotation is made once and shared by every giant step and
+    plan (the scheduler serves them from one hoisted decompose per input);
+    each giant rotation is paid once, after the multiplies, and brings the
+    pre-rolled masks home — the rotation (and Galois key) count is
+    babies + giants, not their product.
+    """
+    babies = {}
+
+    def baby(i, step):
+        if (i, step) not in babies:
+            babies[i, step] = ev.rotate(cts[i], step)
+        return babies[i, step]
+
+    def giant_of(term):
+        return term[2]
+
+    sums = []
+    for terms in plans:
+        acc = None
+        for giant, group in itertools.groupby(sorted(terms, key=giant_of),
+                                              key=giant_of):
+            inner = ev.rotate(_masked_sum(ev, (
+                (baby(i, step), np.roll(mask, giant))
+                for i, step, _, mask in group)), giant)
+            acc = inner if acc is None else ev.add(acc, inner)
+        sums.append(acc)
+    return sums
 
 
 def row_slot_count(ctx) -> int:
@@ -127,8 +164,9 @@ class EncryptedConv2d(TracedKernel):
         self._plan = self._build_plan()
 
     # ------------------------------------------------------------- planning
-    def _build_plan(self) -> List[Tuple[int, np.ndarray]]:
-        """One (rotation, weight-vector) pair per non-zero (shift, tap)."""
+    def _build_plan(self) -> List[Tuple[int, int, int, np.ndarray]]:
+        """One (input, tap, shift, weight-vector) term per non-zero
+        (shift, tap): the taps are the baby steps, the shifts the giants."""
         spec, layout = self.spec, self.packing.layout
         row = row_slot_count(self.ctx)
         spans = self._row_spans
@@ -151,20 +189,15 @@ class EncryptedConv2d(TracedKernel):
                         start = o * layout.span
                         mask[start: start + layout.span] = w
                 if np.any(mask):
-                    plan.append((j * layout.span + delta, mask))
+                    plan.append((0, delta, j * layout.span, mask))
         return plan
 
     # ------------------------------------------------------------ execution
     def _body(self, ev, cts):
-        """One rotation and one weight multiply per plan entry, summed.
-
-        All taps rotate the *same* packed input, so the scheduler shares
-        one hoisted key-switch decompose across them (and under BFV fuses
-        the whole plan into a single rotate-multiply-accumulate span).
-        """
-        (ct,) = cts
-        acc = _masked_sum(ev, ((ev.rotate(ct, rotation), mask)
-                               for rotation, mask in self._plan))
+        """One weight multiply per plan entry; one rotation per tap (all of
+        the *same* packed input, so the scheduler shares one hoisted
+        key-switch decompose across them) and one per channel shift."""
+        (acc,) = _baby_giant_sums(ev, cts, [self._plan])
         if acc is None:
             raise ValueError("convolution has no non-zero weights")
         return acc
@@ -221,6 +254,7 @@ class EncryptedMatVec(TracedKernel):
         # Square the matrix up to dim x dim with zeros.
         self._square = np.zeros((self.dim, self.dim), dtype=matrix.dtype)
         self._square[: self.n_out, : self.n_in] = matrix
+        self.diagonals = self.dim
 
     def pack_input(self, vector: np.ndarray) -> np.ndarray:
         padded = np.zeros(self.dim, dtype=np.asarray(vector).dtype)
@@ -228,15 +262,16 @@ class EncryptedMatVec(TracedKernel):
         return self.packing.pack([padded])
 
     def _diagonal(self, j: int) -> np.ndarray:
+        """Extended diagonal *j*: ``M[i mod diagonals, (i + j) mod dim]``."""
         rows = np.arange(self.dim)
-        return self._square[rows, (rows + j) % self.dim]
+        return self._square[rows % self.diagonals, (rows + j) % self.dim]
 
     def _diagonal_masks(self) -> List[Tuple[int, np.ndarray]]:
         """(rotation, full-row mask) for every non-zero diagonal."""
         row = row_slot_count(self.ctx)
         offset = self.packing.layout.window_offset(0)
         masks = []
-        for j in range(self.dim):
+        for j in range(self.diagonals):
             diag = self._diagonal(j)
             if not np.any(diag):
                 continue
@@ -267,58 +302,47 @@ class EncryptedMatVec(TracedKernel):
 
 
 class BsgsMatVec(EncryptedMatVec):
-    """Baby-step/giant-step diagonal matrix-vector product.
+    """Hybrid-diagonal, baby-step/giant-step matrix-vector product.
 
-    The plain diagonal method needs ``d − 1`` distinct rotations (and as
-    many Galois keys).  Writing each diagonal index as ``j = g·b_count + b``
-    and hoisting the giant rotations outside the weight multiplies gives
+    The plain diagonal method needs ``d - 1`` distinct rotations (and as
+    many Galois keys) however few rows the matrix has.  A short matrix is
+    covered by ``r = 2^ceil(log2 n_out)`` *extended* diagonals
+    ``diag_j[i] = M[i mod r, (i + j) mod d]`` instead of ``d`` (Gazelle's
+    hybrid layout): their sum leaves the partial products of output row
+    ``i`` at slots ``i, i + r, i + 2r, ...``, which a ``log2(d / r)`` fold
+    ``acc += rotate(acc, d/2), ..., rotate(acc, r)`` adds up.  When
+    ``d / r`` is not a power of two the kernel keeps the square form,
+    ``r = d``.  Writing each diagonal index as ``j = g * b_count + b`` and
+    hoisting the giant rotations outside the weight multiplies gives
 
-        y = Σ_g rotate( Σ_b diag'_{g,b} ⊙ rotate(x, b),  g·b_count )
+        y = fold( sum_g rotate( sum_b diag'_{g,b} (*) rotate(x, b), g * b_count ) )
 
-    with only ``b_count + g_count ≈ 2·√d`` rotations/keys — the standard
-    Halevi-Shoup/Gazelle optimization.  The inner diagonals are pre-rotated
-    by ``−g·b_count`` in plaintext so the algebra works out.
+    with ``(b_count - 1) + (g_count - 1) + log2(d / r)`` rotations and keys,
+    ``b_count ~ g_count ~ sqrt(r)`` — the standard Halevi-Shoup/Gazelle
+    optimization.  ``diag'`` is the diagonal pre-rotated by ``-g * b_count``
+    in plaintext: output slot ``i`` (after the giant rotation) reads slot
+    ``i + g * b_count`` of a baby-rotated input that holds
+    ``x[(i + j) mod d]`` there (redundant window of ``3d - 2`` slots).
     """
 
-    def __init__(self, ctx, matrix: np.ndarray, baby_steps: int = 0):
+    def __init__(self, ctx, matrix: np.ndarray):
         super().__init__(ctx, matrix)
-        d = self.dim
-        self.baby_count = baby_steps or max(1, int(math.isqrt(d)))
-        self.giant_count = math.ceil(d / self.baby_count)
+        rows = next_power_of_two(self.n_out)
+        fold, rest = divmod(self.dim, rows)
+        if not rest and not fold & (fold - 1):
+            self.diagonals = rows
+        self.baby_count = max(1, math.isqrt(self.diagonals))
+        self.giant_count = math.ceil(self.diagonals / self.baby_count)
 
     def _body(self, ev, cts):
-        (ct,) = cts
-        row = row_slot_count(ev)
-        offset = self.packing.layout.window_offset(0)
-        # Hoist the baby rotations: computed once, reused by every giant
-        # step (the scheduler groups them onto one key-switch decompose).
-        babies = [ev.rotate(ct, b) for b in range(self.baby_count)]
-        acc = None
-        for g in range(self.giant_count):
-            shift = g * self.baby_count
-            inner = _masked_sum(ev, (
-                (babies[j - shift], self._bsgs_mask(j, shift, offset, row))
-                for j in range(shift, min(shift + self.baby_count, self.dim))
-                if np.any(self._diagonal(j))))
-            if inner is None:
-                continue
-            inner = ev.rotate(inner, shift)
-            acc = inner if acc is None else ev.add(acc, inner)
+        b = self.baby_count
+        (acc,) = _baby_giant_sums(ev, cts, [[
+            (0, j % b, j - j % b, mask)
+            for j, mask in self._diagonal_masks()]])
         if acc is None:
             raise ValueError("matrix is all zeros")
+        step = self.dim // 2
+        while step >= self.diagonals:
+            acc = ev.add(acc, ev.rotate(acc, step))
+            step //= 2
         return acc
-
-    def _bsgs_mask(self, j: int, shift: int, offset: int, row: int) -> np.ndarray:
-        """Mask applied before the giant rotation for diagonal *j*.
-
-        Output slot ``i`` (after rotating left by *shift*) reads pre-rotation
-        slot ``i + shift``; it must contain ``diag_j[i] * x[(i + j) mod d]``.
-        The baby-rotated input at pre-rotation slot ``i + shift`` holds
-        ``x_circ[(i + shift) + b] = x[(i + j) mod d]`` (redundant window), so
-        the mask simply places ``diag_j[i]`` at slot ``offset + i + shift``.
-        """
-        mask = np.zeros(row)
-        start = offset + shift      # shift < d, so the 3d - 2 slot span holds it
-        mask[start: start + self.dim] = self._diagonal(j)
-        return mask
-

@@ -4,14 +4,15 @@
 fit one rotating row; real layers (Table 5's networks) need dozens of
 ciphertexts.  This module tiles channels across ciphertexts while keeping
 CHOCO's rotational-redundancy discipline: every alignment inside a tile is
-still a single rotation (span-aligned shift + tap offset, no masking
+still single rotations (a tap offset, then a span-aligned shift; no masking
 permutations), and cross-tile channel reductions are plain ciphertext adds.
 
 Layout: input channels are packed ``spans_per_ct`` at a time into a list of
 ciphertexts; output channels likewise.  For an output tile position ``p_out``
 receiving input channel at tile position ``p_in`` of input ciphertext ``i``,
-the server rotates ciphertext ``i`` by ``(p_in - p_out) * span + delta`` and
-weight-multiplies — exactly the single-ciphertext algorithm, generalized.
+the server rotates ciphertext ``i`` by the tap offset ``delta``,
+weight-multiplies, and rotates the per-shift sum by ``(p_in - p_out) * span``
+— exactly the single-ciphertext algorithm, generalized.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.ir import TracedKernel
-from repro.core.linalg import Conv2dSpec, _masked_sum, row_slot_count
+from repro.core.linalg import Conv2dSpec, _baby_giant_sums, row_slot_count
 from repro.core.packing import ChannelLayout, RedundantPacking
 
 
@@ -96,14 +97,15 @@ class TiledEncryptedConv2d(TracedKernel):
         return np.int64 if self.ctx.params.scheme is SchemeType.BFV else np.float64
 
     # ------------------------------------------------------------ planning
-    def _build_plan(self) -> Dict[int, List[Tuple[int, int, np.ndarray]]]:
-        """out-ct index -> [(in-ct index, rotation, weight mask), ...]."""
+    def _build_plan(self) -> List[List[Tuple[int, int, int, np.ndarray]]]:
+        """Per output ciphertext, its (in-ct index, tap, shift, weight mask)
+        terms: the taps are the baby steps, the shifts the giants."""
         spec = self.spec
         span = self.in_layout.span
         row = row_slot_count(self.ctx)
-        plan: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}
+        plan = []
         for out_ct in range(self.out_layout.ciphertexts):
-            terms: Dict[Tuple[int, int], np.ndarray] = {}
+            terms: Dict[Tuple[int, int, int], np.ndarray] = {}
             for o in range(spec.out_channels):
                 ct_o, p_out = self.out_layout.position(o)
                 if ct_o != out_ct:
@@ -115,35 +117,22 @@ class TiledEncryptedConv2d(TracedKernel):
                         w = self.weights[o, c, dy + spec.pad, dx + spec.pad]
                         if not w:
                             continue
-                        rotation = shift + spec.tap_offset(dy, dx)
-                        mask = terms.get((ct_i, rotation))
+                        key = (ct_i, spec.tap_offset(dy, dx), shift)
+                        mask = terms.get(key)
                         if mask is None:
-                            mask = np.zeros(row)
-                            terms[(ct_i, rotation)] = mask
+                            mask = terms[key] = np.zeros(row)
                         start = p_out * span
                         mask[start: start + span] = w
-            plan[out_ct] = [(ct_i, rot, mask)
-                            for (ct_i, rot), mask in sorted(terms.items())]
+            plan.append([(*key, mask) for key, mask in sorted(terms.items())])
         return plan
 
     # ------------------------------------------------------------ execution
     def _body(self, ev, input_cts):
-        rotated: Dict[Tuple[int, int], object] = {}   # shared across tiles
-
-        def shifted(ct_i, rotation):
-            key = (ct_i, rotation)
-            if key not in rotated:
-                rotated[key] = ev.rotate(input_cts[ct_i], rotation)
-            return rotated[key]
-
-        outputs = []
-        for out_ct in range(self.out_layout.ciphertexts):
-            acc = _masked_sum(ev, ((shifted(ct_i, rotation), mask)
-                                   for ct_i, rotation, mask
-                                   in self._plan[out_ct]))
+        # Tap rotations are shared across shifts and output tiles.
+        outputs = _baby_giant_sums(ev, input_cts, self._plan)
+        for out_ct, acc in enumerate(outputs):
             if acc is None:
                 raise ValueError(f"output tile {out_ct} has no non-zero weights")
-            outputs.append(acc)
         return outputs
 
     def __call__(self, input_cts, galois_keys=None) -> List:

@@ -264,13 +264,16 @@ def deserialize_public_key(blob: bytes,
 _KSK_HEADER = struct.Struct(f"<B{SEED_BYTES}s")        # n_digits, seed
 
 
-def _pack_ksk(ksk: KeySwitchKey) -> bytes:
+def _ksk_parts(ksk: KeySwitchKey) -> list:
+    """The key's wire pieces, each digit's ``k0`` as a view of its own
+    array: the caller's single ``join`` sizes the blob, allocates it once
+    and copies every ``k0`` straight into its slice."""
     if ksk.seed is None:
         raise ValueError("key-switching key has no seed: only generated or "
                          "deserialized keys can be serialized")
-    parts = [_KSK_HEADER.pack(len(ksk.digits), ksk.seed)]
-    parts.extend(k0.data.astype("<i8").tobytes() for k0, _k1 in ksk.digits)
-    return b"".join(parts)
+    return [_KSK_HEADER.pack(len(ksk.digits), ksk.seed),
+            *(np.ascontiguousarray(k0.data, dtype="<i8").data
+              for k0, _k1 in ksk.digits)]
 
 
 def _ksk_size(params: EncryptionParameters) -> int:
@@ -332,9 +335,8 @@ def _key_preamble(kind: int, params_like: RnsPoly) -> "list[bytes]":
 
 def serialize_relin_key(rk: RelinKeys) -> bytes:
     """Serialize a relinearization key (``k0`` of every digit + the seed)."""
-    parts = _key_preamble(_KIND_RELIN, rk.digits[0][0])
-    parts.append(_pack_ksk(rk))
-    return b"".join(parts)
+    return b"".join(_key_preamble(_KIND_RELIN, rk.digits[0][0])
+                    + _ksk_parts(rk))
 
 
 def _validate_key_base(moduli, degree: int, params: EncryptionParameters,
@@ -374,7 +376,7 @@ def serialize_galois_keys(gk: GaloisKeys) -> bytes:
     parts.append(struct.pack("<H", len(gk.keys)))
     for elt in sorted(gk.keys):
         parts.append(struct.pack("<I", elt))
-        parts.append(_pack_ksk(gk.keys[elt]))
+        parts.extend(_ksk_parts(gk.keys[elt]))
     return b"".join(parts)
 
 

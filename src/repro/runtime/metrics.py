@@ -35,7 +35,8 @@ MAX_SERVICE_ORDER = 65536
 SUMMED_COUNTERS = (
     "key_evictions", "reupload_signals", "handler_invocations",
     "duplicates_suppressed", "results_replayed", "requests", "responses",
-    "errors", "busy_rejections", "bytes_up", "bytes_down",
+    "errors", "busy_rejections", "bytes_up", "bytes_down", "key_bytes",
+    "galois_keys_held",
 ) + KERNEL_COUNTER_NAMES
 
 
@@ -59,6 +60,8 @@ class SessionMetrics(KernelCounted):
     errors: int = 0              # ERROR frames sent
     busy_rejections: int = 0     # BUSY frames sent (queue-full backpressure)
     key_uploads: int = 0
+    key_bytes: int = 0           # KEY_UPLOAD payload bytes (within bytes_up)
+    galois_keys_held: int = 0    # rotation keys in the session's key store
     handler_invocations: int = 0  # handlers actually run (exactly-once audit)
     duplicates_suppressed: int = 0  # retried ids already queued or in flight
     results_replayed: int = 0    # retried ids answered from the dedupe window

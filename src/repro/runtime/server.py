@@ -473,6 +473,9 @@ class OffloadServer:
         session.key_blobs[upload.kind] = (*held, upload.blob)
         session.evicted_kinds.discard(upload.kind)
         session.metrics.key_uploads += 1
+        session.metrics.key_bytes += len(payload)
+        galois = session.evaluator.keystore.get(KeyKind.GALOIS)
+        session.metrics.galois_keys_held = len(galois.keys) if galois else 0
         self._touch_keys(session)
         self._maybe_evict_keys(keep=session)
         await session.send(MessageType.KEY_ACK, KeyAck(upload.kind).pack())
@@ -593,6 +596,7 @@ class OffloadServer:
             session.evicted_kinds = set(session.evaluator.keystore)
             session.evaluator.drop_keys()
             session.key_blobs.clear()
+            session.metrics.galois_keys_held = 0
             session.metrics.key_evictions += 1
             if self.eval_pool is not None:
                 self.eval_pool.drop_keys(session.id)

@@ -203,19 +203,21 @@ SESSION_COUNTERS = (
     "naive_decomposes", "ntt_forward", "ntt_inverse", "ntt_elided",
     "limb_drops", "limbs_live", "level_replans", "key_evictions",
     "reupload_signals", "program_cache_hits", "program_cache_misses",
+    "key_bytes", "galois_keys_held",
 )
 
 SESSION_KEYS = frozenset(SESSION_COUNTERS) | {
     "session_id", "peer", "latency_p50_ms", "latency_p99_ms"}
 
-#: The 22 per-session counters the worker snapshot totals.
+#: The 24 per-session counters the worker snapshot totals.
 RUNTIME_TOTALS = (
     "key_evictions", "reupload_signals", "handler_invocations",
     "duplicates_suppressed", "results_replayed", "requests", "responses",
     "errors", "busy_rejections", "bytes_up", "bytes_down", "rotations",
     "hoisted_decomposes", "naive_decomposes", "ntt_forward", "ntt_inverse",
     "ntt_elided", "limb_drops", "limbs_live", "level_replans",
-    "program_cache_hits", "program_cache_misses",
+    "program_cache_hits", "program_cache_misses", "key_bytes",
+    "galois_keys_held",
 )
 
 RUNTIME_KEYS = frozenset(RUNTIME_TOTALS) | {

@@ -777,6 +777,14 @@ def test_keystore_eviction_through_fleet(bfv_params):
             snapshot = await fleet.refresh_metrics()
             assert snapshot["key_evictions"] >= 1
             assert snapshot["reupload_signals"] >= 1
+            # Three uploads were paid for; only the re-provisioned session
+            # still holds its key (its re-upload evicted the other's).
+            uploads = [s for w in snapshot["per_worker"]
+                       for s in w["metrics"]["sessions"].values()]
+            assert snapshot["key_bytes"] == sum(
+                s["key_bytes"] for s in uploads) > 0
+            assert sorted(s["key_uploads"] for s in uploads) == [1, 2]
+            assert snapshot["galois_keys_held"] == 1
             for client in clients:
                 await client.close()
         finally:

@@ -8,7 +8,12 @@ one (:meth:`repro.hecore.noise.NoiseEstimator.node_cost_bits`).  Every
 plan total and the position of every planned switch must repeat exactly:
 a refactor of the planner that moves a decision fails here first.
 
-Re-record (only for a deliberate planner change) with
+``bench/slice/bfv3`` and ``bench/slice/bfv6`` were re-recorded when the
+slice's conv became taps x shifts and its fc hybrid diagonals: the traced
+program is a different (smaller) node list, so the planned switches sit at
+other node ids; every plan total (drops, replans, limb rows) repeated.
+
+Re-record (only for a deliberate planner or kernel-body change) with
 ``PYTHONPATH=src python -m tests.test_level_corpus > tests/level_corpus.json``.
 """
 

@@ -176,18 +176,18 @@ def test_matvec_rejects_zero_matrix(bfv):
 
 
 class _LoopMasks:
-    """The per-element mask builders the vectorised ones replaced."""
+    """The per-element diagonal builder the vectorised one replaced.
+
+    Re-recorded with the hybrid-diagonal fc: a 10 x 64 ``BsgsMatVec`` is
+    covered by ``diagonals = 16`` extended diagonals, so the row index is
+    ``i mod diagonals`` (``diagonals == dim`` for ``EncryptedMatVec``), and
+    the giant pre-roll is the shared helper's ``np.roll``, no longer a mask
+    builder of the kernel's.
+    """
 
     def _diagonal(self, j):
-        d = self.dim
-        return np.array([self._square[i, (i + j) % d] for i in range(d)])
-
-    def _bsgs_mask(self, j, shift, offset, row):
-        diag = self._diagonal(j)
-        mask = np.zeros(row)
-        for i in range(self.dim):
-            mask[offset + i + shift] = diag[i]
-        return mask
+        d, r = self.dim, self.diagonals
+        return np.array([self._square[i % r, (i + j) % d] for i in range(d)])
 
 
 @pytest.mark.parametrize("cls", [EncryptedMatVec, BsgsMatVec])

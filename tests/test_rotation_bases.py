@@ -1,0 +1,200 @@
+"""The linear layers' rotation bases: taps x shifts conv, hybrid-diagonal fc.
+
+A kernel's Galois-key bill is read off its traced body, so these tests pin
+the factorings from both sides: every answer stays exact (against the
+plaintext ``reference()`` and the naive oracle over the same trace), and the
+key sets are sums of baby and giant steps, never products.
+"""
+
+import itertools
+import math
+import types
+
+import numpy as np
+import pytest
+
+from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
+from repro.core.ir import _program_digest, ensure_galois_keys
+from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d
+from repro.core.tiling import TiledEncryptedConv2d
+from repro.hecore.bfv import BfvContext
+from repro.hecore.noise import NoiseEstimator
+from repro.hecore.params import (
+    PARAMETER_SET_B,
+    SchemeType,
+    small_test_parameters,
+)
+from tests.test_ir import _named
+
+
+def _conv_weights(rng, spec, zeroed, draw):
+    weights = draw(rng, (spec.out_channels, spec.in_channels,
+                         spec.kernel_size, spec.kernel_size))
+    if zeroed:
+        weights[:, :, 0, 1] = 0         # a whole tap: one baby step fewer
+        weights[0, -1] = 0              # a whole (output, input) channel pair
+        weights[-1, 0, 2, 2] = 0
+    return weights
+
+
+def _single_ct_conv(ctx, spec, weights, image):
+    conv = EncryptedConv2d(ctx, spec, weights)
+    packed = conv.packing.pack([image[c].ravel()
+                                for c in range(spec.in_channels)])
+    return conv, [packed], lambda slots: conv.unpack_outputs(slots[0])
+
+
+def _tiled_conv(ctx, spec, weights, image):
+    conv = TiledEncryptedConv2d(ctx, spec, weights)
+    return conv, conv.pack_input(image), conv.unpack_outputs
+
+
+def _assert_taps_plus_shifts(conv, spec):
+    """Every key is a tap offset or a span-aligned channel shift."""
+    span = conv.packing.layout.span
+    steps = conv.required_rotation_steps()
+    taps = {s for s in steps if abs(s) <= spec.max_tap_offset}
+    assert all(s % span == 0 for s in steps - taps)
+    assert len(taps) <= spec.kernel_size ** 2 - 1
+
+
+# 5x5: span 64, eight channels a ciphertext.  12x12: span 256, two a
+# ciphertext — up to two input and three output tiles.
+CONV_CASES = [
+    (build, size, cin, cout, zeroed)
+    for build, sizes in ((_single_ct_conv, (5,)), (_tiled_conv, (5, 12)))
+    for size, cin, cout, zeroed in itertools.product(
+        sizes, (1, 2, 3), (1, 4, 5), (False, True))
+]
+
+
+@pytest.mark.parametrize(
+    "build,size,cin,cout,zeroed", CONV_CASES,
+    ids=[f"{b.__name__.strip('_')}-{s}x{s}-{i}to{o}{'-zeroed' if z else ''}"
+         for b, s, i, o, z in CONV_CASES])
+def test_bfv_conv_is_bit_exact(bfv, build, size, cin, cout, zeroed):
+    spec = Conv2dSpec(cin, cout, size, size, 3)
+    rng = np.random.default_rng([size, cin, cout, zeroed])
+    weights = _conv_weights(rng, spec, zeroed,
+                            lambda r, shape: r.integers(-2, 3, shape))
+    weights[0, 0, 1, 1] = weights[-1, -1, 1, 1] = 1    # no all-zero tile
+    image = rng.integers(0, 4, (cin, size, size))
+    conv, packed, unpack = build(bfv, spec, weights, image)
+    assert len(packed) == conv.input_shape[0]
+    _assert_taps_plus_shifts(conv, spec)
+    ensure_galois_keys(bfv, conv.required_rotation_steps())
+    cts = bfv.encrypt_many([v.astype(np.int64) for v in packed])
+    outs = conv.run((cts,))
+    naive = conv.scheduled(conv.input_shape).run_reference(bfv, _named(cts))
+    t = bfv.params.plain_modulus
+    want = np.mod(conv.reference(image), t)
+    assert np.array_equal(np.mod(unpack(bfv.decrypt_many(outs)), t), want)
+    assert np.array_equal(
+        np.mod(unpack(bfv.decrypt_many(list(naive.values()))), t), want)
+
+
+@pytest.mark.parametrize("build", [_single_ct_conv, _tiled_conv])
+@pytest.mark.parametrize("cin,cout,zeroed", [(1, 4, False), (3, 5, True),
+                                             (2, 1, True)])
+def test_ckks_conv_within_tolerance(ckks, build, cin, cout, zeroed):
+    spec = Conv2dSpec(cin, cout, 5, 5, 3)
+    rng = np.random.default_rng([cin, cout, zeroed])
+    weights = _conv_weights(rng, spec, zeroed,
+                            lambda r, shape: r.uniform(-1, 1, shape))
+    image = rng.uniform(0, 1, (cin, 5, 5))
+    conv, packed, unpack = build(ckks, spec, weights, image)
+    _assert_taps_plus_shifts(conv, spec)
+    ensure_galois_keys(ckks, conv.required_rotation_steps())
+    cts = ckks.encrypt_many(packed)
+    got = unpack([np.real(v) for v in ckks.decrypt_many(conv.run((cts,)))])
+    assert np.allclose(got, conv.reference(image), atol=0.05)
+
+
+# (n_out, n_in) -> extended diagonals r: 2^ceil(log2 n_out) when d / r is a
+# power of two, the square form r = d otherwise.
+FC_CASES = {(1, 64): 1, (10, 64): 16, (16, 64): 16, (10, 48): 48,
+            (64, 10): 64, (64, 64): 64}
+
+
+@pytest.mark.parametrize("shape", sorted(FC_CASES))
+def test_hybrid_fc_is_bit_exact_with_a_summed_key_bill(bfv, shape):
+    rng = np.random.default_rng(shape)
+    kernel = BsgsMatVec(bfv, rng.integers(1, 4, shape)
+                        * rng.choice((-1, 1), shape))
+    d, r = max(shape), FC_CASES[shape]
+    b, g = kernel.baby_count, kernel.giant_count
+    assert (kernel.dim, kernel.diagonals) == (d, r)
+    assert b * g >= r > b * (g - 1) and abs(b - g) <= 2
+    steps = kernel.required_rotation_steps()
+    assert len(steps) == (b - 1) + (g - 1) + int(math.log2(d // r))
+    assert kernel.program((1,)).rotation_steps() == steps
+    ensure_galois_keys(bfv, steps)
+    vec = rng.integers(0, 8, shape[1])
+    ct = bfv.encrypt(kernel.pack_input(vec).astype(np.int64))
+    naive = kernel.scheduled((1,)).run_reference(bfv, _named([ct]))["out0"]
+    t = bfv.params.plain_modulus
+    want = np.mod(kernel.reference(vec), t)
+    for out in (kernel(ct), naive):
+        assert np.array_equal(
+            np.mod(kernel.unpack_output(bfv.decrypt(out)), t), want)
+
+
+def test_e2e_layers_keep_a_noise_floor_at_set_b():
+    """Rotating after the weight multiplies (3 giant steps in the conv, 3 +
+    2 fold steps in the fc) spends budget the one-rotation-per-term bodies
+    kept: 6-7 bits left after the e2e conv (was 8-9) and 4-5 after the fc
+    (was 6), over 20 draws of the e2e benchmark's weight range.  The
+    estimator stays on the safe side of every measurement."""
+    spec = Conv2dSpec(in_channels=1, out_channels=4, height=12, width=12,
+                      kernel_size=3)
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"rotation-bases")
+    estimator = NoiseEstimator(PARAMETER_SET_B)
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 0xD77])
+
+        def draw(shape):
+            return rng.integers(1, 4, shape) * rng.choice((-1, 1), shape)
+
+        conv = TiledEncryptedConv2d(ctx, spec, draw((4, 1, 3, 3)))
+        fc = BsgsMatVec(ctx, draw((10, 64)))
+        ensure_galois_keys(ctx, conv.required_rotation_steps(),
+                           fc.required_rotation_steps())
+        image, vec = rng.integers(0, 16, (1, 12, 12)), rng.integers(0, 8, 64)
+        conv_cts = ctx.encrypt_symmetric_many(
+            [v.astype(np.int64) for v in conv.pack_input(image)])
+        fc_cts = ctx.encrypt_symmetric_many(
+            [fc.pack_input(vec).astype(np.int64)])
+        for kernel, cts, floor in ((conv, conv_cts, 5), (fc, fc_cts, 4)):
+            (out,) = kernel.run((cts,))
+            measured = ctx.noise_budget(out)
+            assert measured >= floor, (seed, type(kernel).__name__, measured)
+            predicted = estimator.budget_after(
+                kernel.program(kernel.input_shape))["out0"].budget_bits
+            assert predicted <= measured
+
+
+# Recorded at the parent of the taps x shifts / hybrid-diagonal change with
+# ``_program_digest(kernel.program(kernel.input_shape), params, True).hex()``.
+KNN_DIGESTS = {
+    "collapsed":
+        "9502c91af0386006bf28acb23be66637a9ea465fa0bdcbfda1e4b96e11fc6e1e",
+    "dimension-major":
+        "1093bcef9ad1f42757859a8792412a65bfc8d737e4d53c9d6b3990962bb8ab5b",
+    "stacked-point":
+        "35bb28ef518b80b98f43e664e1a62ad57294a2d896db3a71f8c7c1cc53f852e9",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(KNN_DIGESTS))
+def test_knn_workload_programs_did_not_move(variant):
+    """The e2e KNN workloads (64 x 16, CKKS N = 4096, 3 x 30 bits) trace the
+    programs they traced before the shared baby/giant helper existed: the
+    collapse round keeps its own body, so their schedules, key sets and
+    cache keys are the parent's."""
+    params = small_test_parameters(SchemeType.CKKS, 4096,
+                                   data_bits=(30, 30, 30))
+    kernel = KERNEL_VARIANTS[variant](
+        types.SimpleNamespace(params=params),
+        DistanceProblem(n_points=64, dims=16))
+    program = kernel.program(kernel.input_shape)
+    assert _program_digest(program, params, True).hex() == KNN_DIGESTS[variant]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps.knn import EncryptedKnn, KnnOffloadService, RemoteKnn
 from repro.core.protocol import ClientAidedSession, CostLedger
+from repro.hecore.bfv import BfvContext
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.serialize import serialize_ciphertext
 from repro.runtime import (
@@ -809,6 +810,34 @@ def test_concurrent_same_kind_key_uploads(bfv_params, bfv):
                                  client.upload_keys(relin=relin))
             assert server.metrics.get(1).key_uploads == 2
             assert not client._key_waiters.get(KeyKind.RELIN)
+            await client.close()
+        finally:
+            await server.stop()
+
+    run(main())
+
+
+def test_session_metrics_show_the_key_bill(bfv_params):
+    """What a session's keys cost is visible from the server: KEY_UPLOAD
+    payload bytes (a part of ``bytes_up``) and the rotation keys held."""
+    async def main():
+        server = OffloadServer(bfv_params)
+        host, port = await server.start()
+        try:
+            client = await OffloadClient(bfv_params, host, port).connect()
+            ctx = BfvContext(bfv_params, seed=77)
+            await client.upload_keys(relin=ctx.relin_keys(),
+                                     galois=ctx.make_galois_keys([1, 2]))
+            m = server.metrics.get(1)
+            assert (m.key_uploads, m.galois_keys_held) == (2, 2)
+            assert m.key_bytes == m.bytes_up > 2 * 8 * bfv_params.poly_degree
+            first = m.key_bytes
+            await client.upload_keys(
+                galois=BfvContext(bfv_params, seed=77).make_galois_keys([3]))
+            assert m.galois_keys_held == 3 and first < m.key_bytes == m.bytes_up
+            snap = server.metrics.snapshot()
+            assert (snap["key_bytes"], snap["galois_keys_held"]) == (
+                m.key_bytes, 3)
             await client.close()
         finally:
             await server.stop()
