@@ -25,6 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.hecore import ntt
+from repro.hecore.modmath import mod_mul, shoup_mul_mod
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.rns import RnsBase
 
@@ -68,12 +69,8 @@ def inverse_block(base: RnsBase, degree: int, block: np.ndarray,
 
 
 def dyadic_block(base: RnsBase, block: np.ndarray, poly: RnsPoly) -> np.ndarray:
-    """Pointwise NTT-domain product of every block row with one poly.
-
-    Plain mul-mod, exact in int64: both factors are canonical ``< 2**30``.
-    Matches ``NttStackPlan.dyadic_multiply`` (``np.mod(a * b, p)``).
-    """
-    return np.mod(block * poly.data[None, :, :], base.moduli_col)
+    """Pointwise NTT-domain product of every block row with one poly."""
+    return mod_mul(block, poly.data, base.moduli_col)
 
 
 def raw_tables(poly: RnsPoly) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,22 +99,12 @@ def dyadic_block_raw(base: RnsBase, block: np.ndarray, poly: RnsPoly) -> np.ndar
     """Pointwise product with a cached key poly, both sides in raw butterfly
     order (``forward_block(..., raw=True)`` output).
 
-    Uses Shoup's precomputed-quotient multiply — ``q = (x * floor(w * 2**32 /
-    p)) >> 32``; ``x*w - q*p`` lands in ``[0, 2p)`` for canonical ``x`` — so
-    the hot dyadic step contains no division.  One conditional subtract
-    restores the canonical range, making the result bit-identical to
-    :func:`dyadic_block` up to the (cancelled) permutation.
+    Shoup's precomputed-quotient multiply, so the hot dyadic step contains
+    no division; bit-identical to :func:`dyadic_block` up to the (cancelled)
+    permutation.
     """
     data, shoup = raw_tables(poly)
-    if shoup is None:
-        return np.mod(block * data[None, :, :], base.moduli_col)
-    q = (block * shoup[None, :, :]) >> 32
-    q *= base.moduli_col
-    prod = block * data[None, :, :]
-    prod -= q
-    pu = prod.view(np.uint64)
-    np.minimum(pu, pu - base.moduli_col.view(np.uint64), out=pu)
-    return prod
+    return shoup_mul_mod(block, data, shoup, base.moduli_col)
 
 
 def split_polys(

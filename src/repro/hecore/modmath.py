@@ -40,12 +40,35 @@ def mod_neg(a: np.ndarray, p: int) -> np.ndarray:
     return np.mod(np.negative(a.astype(np.int64)), p)
 
 
-def mod_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Element-wise ``(a * b) mod p``.
+def mod_mul(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """Element-wise ``(a * b) mod p`` — the one dyadic product; *p* is a
+    modulus or a ``(k, 1)`` column of them against ``(..., k, n)`` blocks.
 
     Exact because residues are below ``2**31`` (see :data:`MAX_MODULUS_BITS`).
     """
     return np.mod(np.multiply(a, b, dtype=np.int64), p)
+
+
+def shoup_mul_mod(x: np.ndarray, c: np.ndarray, c_shoup, p: np.ndarray) -> np.ndarray:
+    """Element-wise ``(x * c) mod p`` against a precomputed constant, without
+    a division: with Shoup's quotient ``c_shoup = floor(c * 2**32 / p)``,
+    ``q = (x * c_shoup) >> 32`` and ``x*c - q*p`` lands in ``[0, 2p)`` for
+    canonical ``x < p < 2**30`` (every product int64-exact); one conditional
+    subtract restores the canonical range, so the fresh array returned is
+    bit-identical to :func:`mod_mul`'s — which ``c_shoup=None`` (a wider
+    modulus) falls back to.  *p* is an int64 array broadcast like *c*.
+    """
+    if c_shoup is None:
+        return mod_mul(x, c, p)
+    q = (x * c_shoup) >> 32
+    q *= p
+    prod = x * c
+    prod -= q
+    # Unsigned-minimum conditional subtract: prod - p wraps above 2**63 for
+    # prod < p, so the elementwise minimum reduces [0, 2p) -> [0, p).
+    pu = prod.view(np.uint64)
+    np.minimum(pu, pu - p.view(np.uint64), out=pu)
+    return prod
 
 
 def mod_pow(base: int, exponent: int, p: int) -> int:

@@ -625,7 +625,7 @@ class NttStackPlan:
 
     def dyadic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Point-wise product of two stacked evaluation matrices."""
-        return np.mod(np.asarray(a, dtype=np.int64) * b, self._pcol)
+        return mod_mul(a, b, self._pcol)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise product in ``Z_{p_r}[x]/(x^n + 1)`` for every residue row."""

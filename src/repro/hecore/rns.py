@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.hecore.modmath import mod_inv
+from repro.hecore.modmath import mod_inv, shoup_mul_mod
 
 #: Distance from the rounding boundary below which the floating-point
 #: correction of :meth:`RnsBase.scale_and_round_mod` is not trusted and the
@@ -261,28 +261,14 @@ class RnsBase:
         return f - np.floor(f)
 
     def _y_residues(self, residues: np.ndarray) -> np.ndarray:
-        """``y_i = x_i * (q/p_i)^{-1} mod p_i`` for canonical residues.
+        """``y_i = x_i * (q/p_i)^{-1} mod p_i`` for canonical residues
+        (``[0, p)`` rows, the :class:`RnsPoly` invariant), in a fresh array.
 
         The CRT reconstruction coefficients shared by the float estimators
-        and the RNS decrypt scaling.  For library-sized moduli (< 2**30) the
-        mul-mod uses Shoup's precomputed quotient — ``q = (x * floor(c *
-        2**32 / p)) >> 32``; ``x*c - q*p`` lands in ``[0, 2p)`` — plus one
-        conditional subtract, replacing the division-based ``np.mod`` pass.
-        Inputs must be canonical (``[0, p)`` rows, the :class:`RnsPoly`
-        invariant); the result is bit-identical either way.
+        and the RNS decrypt scaling; division-free for library-sized moduli.
         """
-        shoup = self._punctured_inv_shoup_col
-        if shoup is None:
-            return np.mod(residues * self._punctured_inv_col, self.moduli_col)
-        q_est = (residues * shoup) >> 32
-        q_est *= self.moduli_col
-        y = residues * self._punctured_inv_col
-        y -= q_est
-        # Unsigned-minimum conditional subtract: y - p wraps above 2**63 for
-        # y < p, so the elementwise minimum reduces [0, 2p) -> [0, p).
-        yu = y.view(np.uint64)
-        np.minimum(yu, yu - self.moduli_col.view(np.uint64), out=yu)
-        return y
+        return shoup_mul_mod(residues, self._punctured_inv_col,
+                             self._punctured_inv_shoup_col, self.moduli_col)
 
     def scale_and_round_mod(
         self,

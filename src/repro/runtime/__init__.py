@@ -19,7 +19,6 @@ from repro.runtime.chaos import (
     chaos_soak,
     fleet_chaos_soak,
     run_chaos_soak,
-    run_fleet_chaos_soak,
 )
 from repro.runtime.client import (
     ClientStats,
@@ -102,5 +101,4 @@ __all__ = [
     "read_frame",
     "resolve_spec",
     "run_chaos_soak",
-    "run_fleet_chaos_soak",
 ]

@@ -31,7 +31,8 @@ import shutil
 import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.protocol import CostLedger
@@ -92,9 +93,6 @@ class FaultEvent:
     index: int       # per-direction frame index
     mtype: str       # frame type the fault hit
     detail: str = ""
-
-    def key(self) -> Tuple[str, str, int]:
-        return (self.kind, self.direction, self.index)
 
 
 class FaultyTransport(Transport):
@@ -160,13 +158,11 @@ class FaultyTransport(Transport):
         self.events.append(FaultEvent(kind, direction, index,
                                       mtype.name, detail))
 
-    async def _sever(self) -> None:
+    async def force_disconnect(self) -> None:
+        """Sever the connection now (how disconnect and truncate faults
+        land, and the hook for targeted resume tests)."""
         self._severed = True
         await self.inner.close()
-
-    async def force_disconnect(self) -> None:
-        """Sever the connection now (test hook for targeted resume tests)."""
-        await self._sever()
 
     # ------------------------------------------------------------ transport
     @property
@@ -200,11 +196,11 @@ class FaultyTransport(Transport):
             self._record("truncate", "send", index, mtype,
                          f"{cut}/{len(frame)}B")
             await self.inner.send_raw(frame[:cut])
-            await self._sever()
+            await self.force_disconnect()
             raise ConnectionError("chaos: frame truncated mid-stream")
         elif fault == "disconnect":
             self._record("disconnect", "send", index, mtype)
-            await self._sever()
+            await self.force_disconnect()
             raise ConnectionError("chaos: injected disconnect")
         await self.inner.send_frame(mtype, payload, flags)
         self.bytes_sent = self.inner.bytes_sent
@@ -234,7 +230,7 @@ class FaultyTransport(Transport):
                 await asyncio.sleep(d)
             elif fault == "disconnect":
                 self._record("disconnect", "recv", index, mtype)
-                await self._sever()
+                await self.force_disconnect()
                 raise ConnectionError("chaos: injected disconnect")
             return frame
 
@@ -298,39 +294,13 @@ class SoakReport:
         return not self.failures
 
     def as_dict(self) -> Dict:
-        """Machine-readable form (consumed by the fleet bench gate)."""
-        return {
-            "ok": self.ok,
-            "n_sessions": self.n_sessions,
-            "n_requests": self.n_requests,
-            "n_workers": self.n_workers,
-            "seed": self.seed,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "logical_requests": self.logical_requests,
-            "handler_invocations": self.handler_invocations,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "results_replayed": self.results_replayed,
-            "resumes": self.resumes,
-            "reaped": self.reaped,
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "key_reuploads": self.key_reuploads,
-            "worker_restarts": self.worker_restarts,
-            "admission_rejections": self.admission_rejections,
-            "fault_counts": dict(self.fault_counts),
-            "bytes_up": self.bytes_up,
-            "bytes_down": self.bytes_down,
-            "oracle_bytes_up": self.oracle_bytes_up,
-            "oracle_bytes_down": self.oracle_bytes_down,
-            "key_uploads": self.key_uploads,
-            "leaks": {
-                "futures": self.leaked_futures,
-                "workers": self.leaked_workers,
-                "sessions": self.leaked_sessions,
-            },
-            "per_worker": [dict(w) for w in self.per_worker],
-            "failures": list(self.failures),
-        }
+        """Machine-readable form (consumed by the fleet bench gate): every
+        field, with the three leak counts nested under ``"leaks"``."""
+        out = {"ok": self.ok, **asdict(self)}
+        out["elapsed_s"] = round(self.elapsed_s, 3)
+        out["leaks"] = {kind: out.pop(f"leaked_{kind}")
+                        for kind in ("futures", "workers", "sessions")}
+        return out
 
     def render(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -380,10 +350,23 @@ def _counting_echo(session, request):
                                "seq": request.meta.get("seq")}
 
 
-async def _oracle_session(params: EncryptionParameters, ctx: BfvContext,
+async def _counted_request(client: OffloadClient, ctx: BfvContext, seq: int,
+                           who: str, failures: List[str], **meta) -> Dict:
+    """Request *seq* of the soaks' one workload shape — echo ``[seq + 1,
+    0]`` through the counting handler — with the echo checked."""
+    vec = [seq + 1, 0]
+    out, result_meta = await client.request(
+        "chaos/count", [ctx.encrypt_symmetric(vec)], {"seq": seq, **meta})
+    if len(out) != 1 or list(ctx.decrypt(out[0])[:2]) != vec:
+        failures.append(f"{who}: request {seq} returned a wrong result")
+    return result_meta
+
+
+async def _oracle_session(params: EncryptionParameters,
                           n_requests: int) -> CostLedger:
     """A fault-free run of the soak workload over a SimulatedLink; its
     ledger is the byte-exact target every chaotic session must match."""
+    ctx = BfvContext(params, seed=8999)
     ledger = CostLedger()
     client_end, server_end = SimulatedLink.pair(ledger=ledger)
     server = OffloadServer(params, concurrency=1, resume_grace_s=0)
@@ -392,12 +375,47 @@ async def _oracle_session(params: EncryptionParameters, ctx: BfvContext,
     client = await OffloadClient(params, transport=client_end).connect()
     await client.upload_keys(galois=ctx.make_galois_keys([1]))
     for seq in range(n_requests):
-        ct = ctx.encrypt_symmetric([seq + 1, 0])
-        await client.request("chaos/count", [ct], {"seq": seq})
+        await _counted_request(client, ctx, seq, "oracle", [])
     await client.close()
     await server.stop()
     serve_task.cancel()
     return ledger
+
+
+async def _run_sessions(report: SoakReport, one_session) -> None:
+    """Drive every session to completion.  Sessions file the invariants they
+    see violated in ``report.failures`` themselves; a crash is one more."""
+    results = await asyncio.gather(
+        *(one_session(i) for i in range(report.n_sessions)),
+        return_exceptions=True)
+    report.failures.extend(
+        f"session {i} crashed: {res!r}" for i, res in enumerate(results)
+        if isinstance(res, BaseException))
+
+
+async def _audit_clients(report: SoakReport, params: EncryptionParameters,
+                         clients: List[OffloadClient],
+                         ledgers: List[CostLedger], reason: str) -> None:
+    """The client side of a soak's end state: what recovery cost in retries,
+    failovers and key re-uploads, and that it cost no transfer — every
+    session's ledger byte-identical to a fault-free single-process oracle
+    run of the same workload; *reason* says what a mismatch means here."""
+    for stat in ("retries", "failovers", "key_reuploads"):
+        setattr(report, stat, sum(getattr(c.stats, stat) for c in clients))
+    oracle = await _oracle_session(params, report.n_requests)
+    report.oracle_bytes_up = oracle.bytes_up
+    report.oracle_bytes_down = oracle.bytes_down
+    for i, ledger in enumerate(ledgers):
+        if (ledger.bytes_up != oracle.bytes_up
+                or ledger.bytes_down != oracle.bytes_down
+                or ledger.rounds != oracle.rounds):
+            report.failures.append(
+                f"session {i}: ledger {ledger.bytes_up}B up / "
+                f"{ledger.bytes_down}B down / {ledger.rounds} round(s) "
+                f"!= oracle {oracle.bytes_up}B / {oracle.bytes_down}B / "
+                f"{oracle.rounds} ({reason})")
+    report.bytes_up = sum(ledger.bytes_up for ledger in ledgers)
+    report.bytes_down = sum(ledger.bytes_down for ledger in ledgers)
 
 
 async def chaos_soak(params: Optional[EncryptionParameters] = None, *,
@@ -427,8 +445,8 @@ async def chaos_soak(params: Optional[EncryptionParameters] = None, *,
     ledgers: List[CostLedger] = []
     clients: List[OffloadClient] = []
 
-    async def one_session(i: int) -> List[str]:
-        failures: List[str] = []
+    async def one_session(i: int) -> None:
+        failures = report.failures
         ctx = BfvContext(params, seed=9000 + i)
         ledger = CostLedger()
         ledgers.append(ledger)
@@ -459,17 +477,12 @@ async def chaos_soak(params: Optional[EncryptionParameters] = None, *,
         session_transports[0].armed = True  # provisioning done: go hostile
         try:
             for seq in range(n_requests):
-                vec = [seq + 1, 0]
-                ct = ctx.encrypt_symmetric(vec)
-                out, meta = await client.request("chaos/count", [ct],
-                                                 {"seq": seq})
+                meta = await _counted_request(client, ctx, seq,
+                                              f"session {i}", failures)
                 if meta.get("n") != seq + 1:
                     failures.append(
                         f"session {i}: request {seq} saw state n={meta.get('n')}"
                         f", expected {seq + 1} (duplicate or lost execution)")
-                if len(out) != 1 or list(ctx.decrypt(out[0])[:2]) != vec:
-                    failures.append(
-                        f"session {i}: request {seq} returned a wrong result")
         finally:
             for t in session_transports:
                 t.armed = False  # clean goodbye
@@ -487,32 +500,10 @@ async def chaos_soak(params: Optional[EncryptionParameters] = None, *,
                     f"future(s)")
                 report.leaked_futures += len(client._pending)
             await client.close()
-        return failures
 
-    results = await asyncio.gather(
-        *(one_session(i) for i in range(n_sessions)), return_exceptions=True)
-    for i, res in enumerate(results):
-        if isinstance(res, BaseException):
-            report.failures.append(f"session {i} crashed: {res!r}")
-        else:
-            report.failures.extend(res)
-
-    # Fault-free oracle: byte-exact ledger target (same workload shape).
-    oracle = await _oracle_session(params, BfvContext(params, seed=8999),
-                                   n_requests)
-    report.oracle_bytes_up = oracle.bytes_up
-    report.oracle_bytes_down = oracle.bytes_down
-    for i, ledger in enumerate(ledgers):
-        if (ledger.bytes_up != oracle.bytes_up
-                or ledger.bytes_down != oracle.bytes_down
-                or ledger.rounds != oracle.rounds):
-            report.failures.append(
-                f"session {i}: ledger {ledger.bytes_up}B up / "
-                f"{ledger.bytes_down}B down / {ledger.rounds} round(s) "
-                f"!= oracle {oracle.bytes_up}B / {oracle.bytes_down}B / "
-                f"{oracle.rounds} (retries were double-charged)")
-    report.bytes_up = sum(ledger.bytes_up for ledger in ledgers)
-    report.bytes_down = sum(ledger.bytes_down for ledger in ledgers)
+    await _run_sessions(report, one_session)
+    await _audit_clients(report, params, clients, ledgers,
+                         "retries were double-charged")
 
     # Server-side end state: exactly-once execution, no re-provisioning.
     snap = server.metrics.snapshot()
@@ -524,7 +515,6 @@ async def chaos_soak(params: Optional[EncryptionParameters] = None, *,
     report.reaped = snap["sessions_reaped"]
     report.key_uploads = sum(m["key_uploads"]
                              for m in snap["sessions"].values())
-    report.retries = sum(c.stats.retries for c in clients)
     if report.handler_invocations != report.logical_requests:
         report.failures.append(
             f"exactly-once violated: {report.handler_invocations} handler "
@@ -550,9 +540,8 @@ async def chaos_soak(params: Optional[EncryptionParameters] = None, *,
             f"{report.leaked_workers} worker task(s) still alive")
     await server.stop()
 
-    for t in transports:
-        for k, v in t.fault_counts().items():
-            report.fault_counts[k] = report.fault_counts.get(k, 0) + v
+    report.fault_counts = dict(Counter(
+        event.kind for t in transports for event in t.events))
     report.elapsed_s = time.monotonic() - started
     return report
 
@@ -598,7 +587,6 @@ async def fleet_chaos_soak(params: Optional[EncryptionParameters] = None, *,
                            session_cap: Optional[int] = None,
                            request_timeout: float = 2.0,
                            max_retries: int = 40,
-                           exec_log_dir: Optional[str] = None,
                            ) -> SoakReport:
     """Kill workers under live sharded traffic and audit exactly-once.
 
@@ -625,12 +613,10 @@ async def fleet_chaos_soak(params: Optional[EncryptionParameters] = None, *,
     from repro.runtime.fleet import FleetServer
 
     report = SoakReport(n_sessions=n_sessions, n_requests=n_requests,
-                        seed=seed)
-    report.n_workers = n_workers
+                        seed=seed, n_workers=n_workers)
     started = time.monotonic()
     total = n_sessions * n_requests
-    own_log_dir = exec_log_dir is None
-    log_dir = exec_log_dir or tempfile.mkdtemp(prefix="choco-fleet-soak-")
+    log_dir = tempfile.mkdtemp(prefix="choco-fleet-soak-")
 
     fleet = FleetServer(
         params, n_workers,
@@ -668,8 +654,7 @@ async def fleet_chaos_soak(params: Optional[EncryptionParameters] = None, *,
         finally:
             kills_done.set()
 
-    async def one_session(i: int) -> List[str]:
-        failures: List[str] = []
+    async def one_session(i: int) -> None:
         ctx = BfvContext(params, seed=9100 + i)
         ledger = CostLedger()
         ledgers.append(ledger)
@@ -694,29 +679,14 @@ async def fleet_chaos_soak(params: Optional[EncryptionParameters] = None, *,
             for seq in range(n_requests):
                 if seq == n_requests - 1:
                     await asyncio.wait_for(kills_done.wait(), timeout=60.0)
-                vec = [seq + 1, 0]
-                ct = ctx.encrypt_symmetric(vec)
-                out, _meta = await client.request(
-                    "chaos/count", [ct],
-                    {"uid": f"s{i}q{seq}", "seq": seq})
-                if len(out) != 1 or list(ctx.decrypt(out[0])[:2]) != vec:
-                    failures.append(
-                        f"session {i}: request {seq} returned a wrong "
-                        f"result")
+                await _counted_request(client, ctx, seq, f"session {i}",
+                                       report.failures, uid=f"s{i}q{seq}")
                 completions[0] += 1
         finally:
             await client.close()
-        return failures
 
     killer_task = asyncio.ensure_future(killer())
-    results = await asyncio.gather(
-        *(one_session(i) for i in range(n_sessions)),
-        return_exceptions=True)
-    for i, res in enumerate(results):
-        if isinstance(res, BaseException):
-            report.failures.append(f"session {i} crashed: {res!r}")
-        else:
-            report.failures.extend(res)
+    await _run_sessions(report, one_session)
     if report.failures:
         killer_task.cancel()
         await asyncio.gather(killer_task, return_exceptions=True)
@@ -734,21 +704,12 @@ async def fleet_chaos_soak(params: Optional[EncryptionParameters] = None, *,
     report.admission_rejections = fleet.metrics.admission_rejections
     report.resumes = sum(w.get("metrics", {}).get("sessions_resumed", 0)
                          for w in report.per_worker)
-    report.failovers = sum(c.stats.failovers for c in clients)
-    report.key_reuploads = sum(c.stats.key_reuploads for c in clients)
-    report.retries = sum(c.stats.retries for c in clients)
     report.logical_requests = total
 
     # Exactly-once across worker generations, from the execution logs.
-    counts: Counter = Counter()
-    for name in sorted(os.listdir(log_dir)):
-        if not name.startswith("exec-"):
-            continue
-        with open(os.path.join(log_dir, name), encoding="ascii") as fh:
-            for line in fh:
-                uid = line.strip()
-                if uid:
-                    counts[uid] += 1
+    counts = Counter(
+        uid for path in sorted(Path(log_dir).glob("exec-*"))
+        for uid in path.read_text("ascii").split())
     report.handler_invocations = sum(counts.values())
     expected = {f"s{i}q{seq}"
                 for i in range(n_sessions) for seq in range(n_requests)}
@@ -772,22 +733,8 @@ async def fleet_chaos_soak(params: Optional[EncryptionParameters] = None, *,
             f"exactly-once violated: {len(dupes)} request(s) executed "
             f"more than once (e.g. {dupes[:3]})")
 
-    # Byte-identical ledger parity with a fault-free single-process run.
-    oracle = await _oracle_session(params, BfvContext(params, seed=8999),
-                                   n_requests)
-    report.oracle_bytes_up = oracle.bytes_up
-    report.oracle_bytes_down = oracle.bytes_down
-    for i, ledger in enumerate(ledgers):
-        if (ledger.bytes_up != oracle.bytes_up
-                or ledger.bytes_down != oracle.bytes_down
-                or ledger.rounds != oracle.rounds):
-            report.failures.append(
-                f"session {i}: ledger {ledger.bytes_up}B up / "
-                f"{ledger.bytes_down}B down / {ledger.rounds} round(s) "
-                f"!= oracle {oracle.bytes_up}B / {oracle.bytes_down}B / "
-                f"{oracle.rounds} (failover was not transfer-free)")
-    report.bytes_up = sum(ledger.bytes_up for ledger in ledgers)
-    report.bytes_down = sum(ledger.bytes_down for ledger in ledgers)
+    await _audit_clients(report, params, clients, ledgers,
+                         "failover was not transfer-free")
 
     if not report.failures and kill_workers:
         if report.worker_restarts < kill_workers:
@@ -800,12 +747,6 @@ async def fleet_chaos_soak(params: Optional[EncryptionParameters] = None, *,
                 "kill")
 
     await fleet.stop()
-    if own_log_dir:
-        shutil.rmtree(log_dir, ignore_errors=True)
+    shutil.rmtree(log_dir, ignore_errors=True)
     report.elapsed_s = time.monotonic() - started
     return report
-
-
-def run_fleet_chaos_soak(**kwargs) -> SoakReport:
-    """Synchronous wrapper around :func:`fleet_chaos_soak`."""
-    return asyncio.run(fleet_chaos_soak(**kwargs))

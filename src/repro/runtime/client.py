@@ -5,27 +5,34 @@
 reads frames off the connection and resolves per-request futures, so many
 requests can be in flight concurrently (the server schedules them fairly).
 
-Reliability knobs match what a battery-powered client on a lossy link
-needs:
+What a battery-powered client on a lossy link needs lives in two bodies:
 
-* connection retries with exponential backoff (in ``TcpTransport.connect``),
-* per-request timeouts, retried with exponential backoff up to
-  ``max_retries`` before surfacing :class:`OffloadTimeout`,
-* **idempotent retries**: one ``request_id`` per *logical* request, reused
-  verbatim by every resubmission, so the server's dedupe window can replay
-  a lost ``RESULT`` instead of executing the handler twice,
-* **reconnect and replay**: when the connection dies mid-request the client
-  opens a fresh transport, presents its resume token (``RESUME``), and
-  resubmits the same request ids — the server-side session (keystore,
+* **One handshake** (``_handshake``) starts every connection: fresh
+  transport, first frame (``HELLO`` for ``connect`` and failover, ``RESUME``
+  for ``resume``), its one reply awaited under ``request_timeout``, the
+  transport closed on any failure.  ``_open`` repeats it ``max_retries``
+  times with exponential backoff over busy (fleet admission control — the
+  server's ``retry_after`` hint is honored), silent and broken links; a
+  rejection is final, except that a rejected ``RESUME`` (the owning fleet
+  worker died) becomes a fresh session re-provisioned from the key-blob
+  cache when ``failover`` is set.
+* **One attempt loop** (``_await_reply``) runs under every frame that
+  awaits a reply, ``COMPUTE`` and ``KEY_UPLOAD``: per-attempt timeouts,
+  resubmitted with exponential backoff up to ``max_retries`` times before
+  :class:`OffloadTimeout`; ``SUSPECT_AFTER`` silent timeouts in a row
+  declare the link half-open; a lost connection is reattached through
+  ``resume`` before the next attempt — the server-side session (keystore,
   state, dedupe window) survives, so megabytes of Galois keys are never
-  re-uploaded,
-* ``PING``/``PONG`` heartbeats (``heartbeat_s``) that detect a dead peer
-  between requests instead of at the next timeout,
-* ``BUSY`` backpressure honored by waiting the server's ``retry_after`` hint
-  before re-submitting (surfacing :class:`ServerBusy` when retries run out),
-* seed-compressed symmetric uploads by default (``compress_seed=True``) —
-  the paper's halve-the-upload optimization (§4.3) applies on the wire
-  exactly as in the analytical model.
+  re-uploaded.
+
+``request`` adds **idempotent retries** — one ``request_id`` per *logical*
+request, reused verbatim by every resubmission, so the server's dedupe
+window can replay a lost ``RESULT`` instead of executing the handler twice —
+plus ``BUSY`` backpressure and ``KEYS_EVICTED`` replay.  ``PING``/``PONG``
+heartbeats (``heartbeat_s``) detect a dead peer between requests instead of
+at the next timeout, and symmetric uploads are always seed-compressed: the
+paper's halve-the-upload optimization (§4.3) applies on the wire exactly as
+in the analytical model.
 
 Transfer accounting goes through ``transport.account_upload`` /
 ``account_download`` with *logical* ciphertext bytes
@@ -45,7 +52,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Awaitable,
     Callable,
@@ -67,7 +74,6 @@ from repro.hecore.serialize import (
     serialize_relin_key,
 )
 from repro.runtime.framing import (
-    MAX_FRAME_BYTES,
     Busy,
     Compute,
     Error,
@@ -80,21 +86,30 @@ from repro.runtime.framing import (
     KeyKind,
     MessageType,
     Ping,
-    Pong,
     Result,
     Resume,
     ResumeAck,
 )
-from repro.runtime.transport import (
-    MAX_BACKOFF_S,
-    TcpTransport,
-    Transport,
-    backoff_delays,
-)
+from repro.runtime.transport import TcpTransport, Transport, backoff_delays
 
 #: A coroutine factory producing a fresh connected transport; used for the
 #: initial connection and for every reconnect-and-resume.
 TransportFactory = Callable[[], Awaitable[Transport]]
+
+#: Consecutive silent timeouts on one connection before the client
+#: declares it half-open and reconnects.  A NAT, a proxy, or a fork
+#: that duplicated the peer's socket can leave a TCP connection
+#: writable-but-unread forever; without this the retry loop would
+#: resubmit into the void and never trigger RESUME/failover.
+SUSPECT_AFTER = 2
+
+#: TCP connection attempts retried per fresh transport.  The other fixed
+#: policy is the transport's own: retry delays stop doubling at
+#: ``MAX_BACKOFF_S``, frames stop at ``MAX_FRAME_BYTES``.
+CONNECT_RETRIES = 3
+
+#: What a dead or misbehaving link raises; every retry loop treats them alike.
+_LINK_ERRORS = (ConnectionError, OSError, FrameError)
 
 
 class OffloadError(RuntimeError):
@@ -147,47 +162,29 @@ class OffloadClient:
                  transport_factory: Optional[TransportFactory] = None,
                  request_timeout: float = 30.0, max_retries: int = 4,
                  backoff_s: float = 0.05,
-                 max_backoff_s: float = MAX_BACKOFF_S,
-                 suspect_after: int = 2, connect_retries: int = 3,
-                 compress_seed: bool = True,
                  auto_resume: bool = True,
                  failover: bool = False,
-                 on_failover: Optional[Callable[["OffloadClient"],
-                                               object]] = None,
-                 heartbeat_s: Optional[float] = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
-        if (transport is None and transport_factory is None
-                and (host is None or port is None)):
-            raise ValueError(
-                "need host/port, an explicit transport, or a factory")
+                 heartbeat_s: Optional[float] = None):
         self.params = params
-        self.host = host
-        self.port = port
         self.request_timeout = request_timeout
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        #: Retry backoff doubles per attempt but never past this ceiling —
-        #: an uncapped exponential turns a retry budget of 40 into hours.
-        self.max_backoff_s = max_backoff_s
-        #: Consecutive silent timeouts on one connection before the client
-        #: declares it half-open and reconnects.  A NAT, a proxy, or a fork
-        #: that duplicated the peer's socket can leave a TCP connection
-        #: writable-but-unread forever; without this the retry loop would
-        #: resubmit into the void and never trigger RESUME/failover.
-        self.suspect_after = max(1, suspect_after)
-        self.connect_retries = connect_retries
-        self.compress_seed = compress_seed
         self.auto_resume = auto_resume
         #: When a RESUME is rejected (the owning fleet worker died and took
         #: the session with it), fall back to a fresh HELLO handshake and
         #: re-provision cached keys instead of failing the session.
-        self.failover = failover or on_failover is not None
-        #: Application hook invoked after a successful failover handshake,
-        #: for rebuilding server-side session state (may be a coroutine).
-        self.on_failover = on_failover
+        self.failover = failover
         self.heartbeat_s = heartbeat_s
-        self.max_frame_bytes = max_frame_bytes
+        if transport_factory is None and host is not None and port is not None:
+            def transport_factory() -> Awaitable[Transport]:
+                return TcpTransport.connect(host, port, retries=CONNECT_RETRIES,
+                                            backoff_s=self.backoff_s)
+        if transport is None and transport_factory is None:
+            raise ValueError(
+                "need host/port, an explicit transport, or a factory")
         self.transport = transport
+        #: Opens each fresh connection; ``None`` when the caller's one
+        #: ``transport=`` is all there is (nothing to reconnect with).
         self._transport_factory = transport_factory
         self.session_id: Optional[int] = None
         self.server_queue_limit: Optional[int] = None
@@ -215,56 +212,47 @@ class OffloadClient:
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
-    async def _new_transport(self) -> Transport:
-        if self._transport_factory is not None:
-            return await self._transport_factory()
-        if self.host is None or self.port is None:
-            raise OffloadError(
-                "cannot open a new connection: no host/port or factory")
-        return await TcpTransport.connect(
-            self.host, self.port, retries=self.connect_retries,
-            backoff_s=self.backoff_s, max_frame_bytes=self.max_frame_bytes)
-
-    async def connect(self) -> "OffloadClient":
-        """Open the transport, handshake, and start the reader pump.
-
-        A ``BUSY`` answer to ``HELLO`` is fleet admission control (the
-        session cap is reached): the client honors ``retry_after_ms`` and
-        retries on a fresh connection, surfacing :class:`ServerBusy` when
-        ``max_retries`` run out.
-        """
-        delays = backoff_delays(self.backoff_s, self.max_backoff_s)
-        for attempt in range(self.max_retries + 1):
-            if self.transport is None:
-                self.transport = await self._new_transport()
-            hello = Hello.from_params(self.params)
-            await self.transport.send_frame(MessageType.HELLO, hello.pack())
-            mtype, _flags, payload = await self.transport.recv_frame()
-            if mtype is not MessageType.BUSY:
-                break
-            busy = Busy.unpack(payload)
-            self.stats.busy_waits += 1
-            await self.transport.close()
-            self.transport = None
-            if attempt == self.max_retries or not self._can_reconnect():
-                raise ServerBusy(
-                    f"admission rejected: fleet at capacity "
-                    f"({attempt + 1} attempt(s))", busy.retry_after_ms)
-            await asyncio.sleep(
-                max(busy.retry_after_ms / 1000.0, next(delays)))
-        if mtype is MessageType.ERROR:
-            err = Error.unpack(payload)
-            raise OffloadError(f"handshake rejected: {err.message}", err.code)
-        if mtype is not MessageType.HELLO_ACK:
-            raise OffloadError(f"expected HELLO_ACK, got {mtype.name}")
-        self._adopt(HelloAck.unpack(payload))
+    async def _handshake(self, first: MessageType, payload: bytes,
+                         expect: MessageType, unpack: Callable,
+                         transport: Optional[Transport] = None):
+        """The one way a connection starts: on a fresh transport (or the
+        caller-supplied first one) send *first* and await its one reply
+        under ``request_timeout``.  ``BUSY`` is :class:`ServerBusy` with the
+        server's hint, ``ERROR`` an :class:`OffloadError` with its code,
+        anything but *expect* a :class:`FrameError`; each closes the
+        transport on its way out.  On *expect* the transport becomes the
+        live connection and the unpacked ack is returned."""
+        if transport is None:
+            transport = await self._transport_factory()
+        try:
+            await transport.send_frame(first, payload)
+            mtype, _flags, reply = await asyncio.wait_for(
+                transport.recv_frame(), self.request_timeout)
+            if mtype is MessageType.BUSY:
+                self.stats.busy_waits += 1
+                raise ServerBusy(f"{first.name} refused: fleet at capacity",
+                                 Busy.unpack(reply).retry_after_ms)
+            if mtype is MessageType.ERROR:
+                err = Error.unpack(reply)
+                raise OffloadError(
+                    f"{first.name} rejected: {err.message}", err.code)
+            if mtype is not expect:
+                raise FrameError(f"expected {expect.name}, got {mtype.name}")
+            ack = unpack(reply)
+        except BaseException:
+            await transport.close()
+            raise
+        self.transport = transport
+        self._conn_error = None
         self._pump_task = asyncio.ensure_future(self._pump())
-        if self.heartbeat_s is not None and self.heartbeat_s > 0:
-            self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
-        return self
+        return ack
 
-    def _adopt(self, ack: HelloAck) -> None:
-        """Take on the session a HELLO_ACK grants (first connect, failover)."""
+    async def _hello(self, transport: Optional[Transport] = None) -> None:
+        """Open a session (first connect, failover) and take on what its
+        HELLO_ACK grants."""
+        ack = await self._handshake(
+            MessageType.HELLO, Hello.from_params(self.params).pack(),
+            MessageType.HELLO_ACK, HelloAck.unpack, transport)
         self.session_id = ack.session_id
         self.server_queue_limit = ack.queue_limit
         self.server_concurrency = ack.concurrency
@@ -272,20 +260,60 @@ class OffloadClient:
         self.resume_token = ack.resume_token or None
         self.grace_period_ms = ack.grace_ms
 
+    async def _open(self, attempt: Callable[[], Awaitable[None]],
+                    what: str) -> None:
+        """Repeat one handshake *attempt* until it succeeds.  A busy fleet
+        (the session cap is reached) is waited out for its ``retry_after``
+        hint, a silent or broken link backed off from — ``max_retries``
+        times, while there is a way to reconnect, before the failure
+        surfaces.  A rejection (``ERROR``) is final at once."""
+        delays = backoff_delays(self.backoff_s)
+        for n in range(1, self.max_retries + 2):
+            wait_s = 0.0
+            try:
+                return await attempt()
+            except ServerBusy as busy:
+                failure, wait_s = busy, busy.retry_after_ms / 1000.0
+            except asyncio.TimeoutError:
+                failure = OffloadTimeout(
+                    f"{what}: no reply within {self.request_timeout}s "
+                    f"({n} attempt(s))")
+            except _LINK_ERRORS as exc:
+                failure = OffloadError(
+                    f"{what} failed after {n} attempt(s): {exc}")
+            if n > self.max_retries or self._transport_factory is None:
+                raise failure
+            await asyncio.sleep(max(wait_s, next(delays)))
+
+    async def connect(self) -> "OffloadClient":
+        """Open the transport, handshake, and start the reader pump
+        (retrying as ``_open`` does; a caller-supplied ``transport=`` is
+        spent on the first attempt)."""
+        async def hello() -> None:
+            first, self.transport = self.transport, None
+            await self._hello(first)
+
+        await self._open(hello, "connect")
+        if self.heartbeat_s is not None and self.heartbeat_s > 0:
+            self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
+        return self
+
+    @staticmethod
+    async def _cancel(task: Optional[asyncio.Task]) -> None:
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
+
     async def close(self) -> None:
         """Send BYE (best effort) and tear the connection down."""
         if self._closed:
             return
         self._closed = True
-        for task in (self._heartbeat_task, self._pump_task):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._heartbeat_task = None
-        self._pump_task = None
+        await self._cancel(self._heartbeat_task)
+        await self._cancel(self._pump_task)
         if self.transport is not None:
             if self._conn_error is None:
                 try:
@@ -335,9 +363,7 @@ class OffloadClient:
                 elif mtype is MessageType.BYE:
                     raise ConnectionError("server said BYE")
                 # Anything else is a server bug; ignore rather than dying.
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, FrameError, OSError) as exc:
+        except _LINK_ERRORS as exc:
             self._conn_error = exc
             self._fail_waiters(exc)
 
@@ -360,23 +386,13 @@ class OffloadClient:
         if future is not None and not future.done():
             future.set_result(value)
 
-    @staticmethod
-    def _abandon(future: Optional[asyncio.Future]) -> None:
-        """Drop a future no one will await again.  The pump may have failed
-        it concurrently (``_fail_waiters``); mark that exception retrieved
-        so the event loop doesn't log it at garbage collection."""
-        if future is not None and future.done() and not future.cancelled():
-            future.exception()
-
     def _fail_waiters(self, exc: Exception) -> None:
-        for future in list(self._pending.values()):
-            if not future.done():
-                future.set_exception(exc)
-        self._pending.clear()
-        for waiters in self._key_waiters.values():
-            for future in waiters:
+        for parked in (self._pending.values(), *self._key_waiters.values()):
+            for future in parked:
                 if not future.done():
                     future.set_exception(exc)
+        self._pending.clear()
+        for waiters in self._key_waiters.values():
             waiters.clear()
 
     def _check_closed(self) -> None:
@@ -396,28 +412,9 @@ class OffloadClient:
         return self._session_errors[0] if self._session_errors else None
 
     # --------------------------------------------------------- resumption
-    def _can_reconnect(self) -> bool:
-        return (self._transport_factory is not None
-                or (self.host is not None and self.port is not None))
-
     def _can_resume(self) -> bool:
         return (self.auto_resume and self.resume_token is not None
-                and self._can_reconnect())
-
-    def _suspect_half_open(self, silent_timeouts: int, what: str) -> int:
-        """One more silent timeout; returns the new streak.  At
-        ``suspect_after`` in a row the link is taken for half-open (writes
-        land, nothing comes back) and declared lost, so the next attempt
-        reconnects via RESUME/failover instead of resending into the void."""
-        silent_timeouts += 1
-        if (silent_timeouts >= self.suspect_after
-                and self._conn_error is None and self._can_resume()):
-            self.stats.half_open_resets += 1
-            self._conn_error = ConnectionError(
-                f"suspected half-open connection: {silent_timeouts} "
-                f"consecutive {what} timeouts")
-            return 0
-        return silent_timeouts
+                and self._transport_factory is not None)
 
     async def resume(self) -> None:
         """Reconnect and reattach to the server-side session.
@@ -427,141 +424,124 @@ class OffloadClient:
         rejects the token or every reconnect attempt fails.
         """
         async with self._resume_lock:
-            if self._closed:
-                raise OffloadError("client is closed")
+            self._check_closed()
             if self._conn_error is None:
                 return
-            if self.resume_token is None or self.session_id is None:
+            if self.resume_token is None or self._transport_factory is None:
                 raise OffloadError(
                     f"connection lost: {self._conn_error} "
-                    f"(no resume token to reattach with)")
-            if self._pump_task is not None:
-                self._pump_task.cancel()
-                try:
-                    await self._pump_task
-                except asyncio.CancelledError:
-                    pass
-                self._pump_task = None
+                    f"(no resume token or no way to reconnect)")
+            await self._cancel(self._pump_task)
             if self.transport is not None:
                 await self.transport.close()
-            delays = backoff_delays(self.backoff_s, self.max_backoff_s)
-            last_exc: Optional[Exception] = None
-            for attempt in range(self.max_retries + 1):
-                transport: Optional[Transport] = None
-                try:
-                    transport = await self._new_transport()
-                    await transport.send_frame(
-                        MessageType.RESUME,
-                        Resume(self.session_id, self.resume_token).pack())
-                    mtype, _flags, payload = await asyncio.wait_for(
-                        transport.recv_frame(), self.request_timeout)
-                except (ConnectionError, OSError, FrameError,
-                        asyncio.TimeoutError) as exc:
-                    last_exc = exc
-                    if transport is not None:
-                        await transport.close()
-                    if attempt < self.max_retries:
-                        await asyncio.sleep(next(delays))
-                    continue
-                if mtype is MessageType.ERROR:
-                    err = Error.unpack(payload)
-                    await transport.close()
-                    if (err.code is ErrorCode.RESUME_REJECTED
-                            and self.failover):
-                        # The owning worker lost the session (killed and
-                        # restarted, or the grace period lapsed): open a
-                        # fresh session and re-provision from the cache.
-                        try:
-                            await self._failover()
-                            return
-                        except (ConnectionError, OSError, FrameError,
-                                asyncio.TimeoutError) as exc:
-                            last_exc = exc
-                            if attempt < self.max_retries:
-                                await asyncio.sleep(next(delays))
-                            continue
-                    self.stats.reconnect_failures += 1
-                    raise OffloadError(
-                        f"resume rejected: {err.message}", err.code)
-                if mtype is not MessageType.RESUME_ACK:
-                    last_exc = OffloadError(
-                        f"expected RESUME_ACK, got {mtype.name}")
-                    await transport.close()
-                    continue
-                ResumeAck.unpack(payload)  # validates the frame
-                self.transport = transport
-                self._conn_error = None
-                self._pump_task = asyncio.ensure_future(self._pump())
-                self.stats.resumes += 1
-                if self._reprovision_needed:
-                    # A previous failover was cut short mid-provisioning;
-                    # finish it now (Galois re-uploads merge server-side).
-                    await self._reupload_cached_keys(ensure_live=False)
-                    self._reprovision_needed = False
-                return
-            self.stats.reconnect_failures += 1
-            raise OffloadError(
-                f"resume failed after {self.max_retries + 1} attempt(s): "
-                f"{last_exc}")
+            try:
+                await self._open(self._reattach, "resume")
+            except OffloadError:
+                self.stats.reconnect_failures += 1
+                raise
 
-    async def _failover(self) -> None:
-        """Fresh-session fallback after a rejected RESUME (one attempt).
-
-        Performs a full HELLO handshake on a new connection, adopts the new
-        session id and resume token, restarts the pump, replays every
-        cached key blob (uncharged — provisioning is the offline phase,
-        exactly like the originals), then invokes ``on_failover`` so the
-        application can rebuild server-side state.  In-flight request ids
-        stay valid: their retry loops resubmit against the new session.
-        Called under ``_resume_lock``; raises connection-class errors so
-        the resume retry loop treats a failed attempt as retryable.
-        """
-        transport = await self._new_transport()
+    async def _reattach(self) -> None:
+        """One resume attempt (under ``_resume_lock``): RESUME, or — when
+        the server no longer has the session and ``failover`` is set — a
+        fresh HELLO session, its keys replayed from the blob cache uncharged
+        (provisioning is the offline phase, exactly like the originals).
+        In-flight request ids stay valid: their attempt loops resubmit
+        against whichever session this leaves."""
         try:
-            await transport.send_frame(
-                MessageType.HELLO, Hello.from_params(self.params).pack())
-            mtype, _flags, payload = await asyncio.wait_for(
-                transport.recv_frame(), self.request_timeout)
-        except BaseException:
-            await transport.close()
-            raise
-        if mtype is MessageType.BUSY:
-            busy = Busy.unpack(payload)
-            self.stats.busy_waits += 1
-            await transport.close()
-            await asyncio.sleep(max(busy.retry_after_ms / 1000.0,
-                                    self.backoff_s))
-            raise ConnectionError("fleet at capacity during failover")
-        if mtype is MessageType.ERROR:
-            err = Error.unpack(payload)
-            await transport.close()
-            self.stats.reconnect_failures += 1
-            raise OffloadError(
-                f"failover handshake rejected: {err.message}", err.code)
-        if mtype is not MessageType.HELLO_ACK:
-            await transport.close()
-            raise ConnectionError(
-                f"failover expected HELLO_ACK, got {mtype.name}")
-        self._adopt(HelloAck.unpack(payload))
-        self.transport = transport
-        self._conn_error = None
-        self._pump_task = asyncio.ensure_future(self._pump())
-        self.stats.failovers += 1
-        self._reprovision_needed = True
-        await self._reupload_cached_keys(ensure_live=False)
-        self._reprovision_needed = False
-        if self.on_failover is not None:
-            result = self.on_failover(self)
-            if asyncio.iscoroutine(result):
-                await result
+            await self._handshake(
+                MessageType.RESUME,
+                Resume(self.session_id, self.resume_token).pack(),
+                MessageType.RESUME_ACK, ResumeAck.unpack)
+            self.stats.resumes += 1
+        except OffloadError as err:
+            if err.code is not ErrorCode.RESUME_REJECTED or not self.failover:
+                raise
+            # The owning worker lost the session (killed and restarted, or
+            # the grace period lapsed).
+            await self._hello()
+            self.stats.failovers += 1
+            self._reprovision_needed = True
+        if self._reprovision_needed:
+            # Also finishes a failover that an earlier attempt left cut
+            # short mid-provisioning (Galois re-uploads merge server-side).
+            await self._reupload_cached_keys(ensure_live=False)
+            self._reprovision_needed = False
 
-    async def _ensure_live(self) -> None:
-        """Raise, or transparently resume, when the connection is down."""
-        if self._conn_error is None:
-            return
-        if not self._can_resume():
-            raise OffloadError(f"connection lost: {self._conn_error}")
-        await self.resume()
+    # ----------------------------------------------------- the attempt loop
+    async def _await_reply(self, mtype: MessageType, payload: bytes,
+                           park: Callable, unpark: Callable,
+                           on_outcome: Optional[Callable] = None, *,
+                           timeout: float, retries: int, what: str,
+                           ensure_live: bool = True):
+        """The one attempt loop under every frame that awaits a reply (the
+        module docstring has its policy).  Each attempt first resumes a lost
+        connection, or raises when it cannot; ``park(attempt, future)`` puts
+        the attempt's future where the pump will find it.
+        ``on_outcome(reply, last)`` sees every reply (``None``: timed out)
+        and returns ``(True, value)`` to finish or ``(False, wait_s)`` to
+        spend another attempt after at least ``wait_s`` (``None``: at once);
+        without it the first reply is the answer.  ``ensure_live=False`` is
+        re-provisioning under ``_resume_lock``: link errors re-raise for
+        ``resume``'s own loop instead of recursing into it.
+        """
+        delays = backoff_delays(self.backoff_s)
+        silent_timeouts = 0
+        for attempt in range(retries + 1):
+            last = attempt == retries
+            self._check_closed()
+            if ensure_live and self._conn_error is not None:
+                if not self._can_resume():
+                    raise OffloadError(f"connection lost: {self._conn_error}")
+                await self.resume()
+            future = asyncio.get_running_loop().create_future()
+            park(attempt, future)
+            wait_s: Optional[float] = 0.0
+            try:
+                await self.transport.send_frame(mtype, payload)
+                reply = await asyncio.wait_for(future, timeout)
+            except asyncio.TimeoutError:
+                if on_outcome is not None:
+                    await on_outcome(None, last)
+                if last:
+                    raise OffloadTimeout(
+                        f"{what} timed out after {attempt + 1} "
+                        f"attempt(s) of {timeout}s")
+                silent_timeouts += 1
+                if (ensure_live and silent_timeouts >= SUSPECT_AFTER
+                        and self._conn_error is None and self._can_resume()):
+                    # Half-open: writes land, nothing comes back.  Declare
+                    # the link lost, so the next attempt reconnects via
+                    # RESUME/failover instead of resending into the void.
+                    self.stats.half_open_resets += 1
+                    self._conn_error = ConnectionError(
+                        f"suspected half-open connection: {silent_timeouts} "
+                        f"consecutive timeouts of {what}")
+                    silent_timeouts = 0
+            except _LINK_ERRORS as exc:
+                if self._conn_error is None:
+                    self._conn_error = exc
+                if not ensure_live:
+                    raise
+                if last or not self._can_resume():
+                    raise OffloadError(f"{what}: connection lost: {exc}")
+            else:
+                silent_timeouts = 0  # any reply proves the connection is live
+                if on_outcome is None:
+                    return reply
+                done, value = await on_outcome(reply, last)
+                if done:
+                    return value
+                wait_s = value
+            finally:
+                unpark(future)
+                # The pump may have failed the future concurrently
+                # (``_fail_waiters``); mark that exception retrieved so the
+                # event loop doesn't log it at garbage collection.
+                if future.done() and not future.cancelled():
+                    future.exception()
+            if wait_s is not None:
+                await asyncio.sleep(max(wait_s, next(delays)))
+        raise AssertionError("unreachable")
 
     # ------------------------------------------------------------- key sync
     async def upload_keys(self, public=None, relin=None, galois=None) -> None:
@@ -576,27 +556,21 @@ class OffloadClient:
         """
         self._check_closed()
         self._raise_session_error()
-        uploads = []
-        if public is not None:
-            uploads.append((KeyKind.PUBLIC, serialize_public_key(public)))
-        if relin is not None:
-            uploads.append((KeyKind.RELIN, serialize_relin_key(relin)))
-        if galois is not None:
-            uploads.append((KeyKind.GALOIS, serialize_galois_keys(galois)))
-        for kind, blob in uploads:
-            self._remember_key_blob(kind, blob)
+        for kind, key, serialize in (
+                (KeyKind.PUBLIC, public, serialize_public_key),
+                (KeyKind.RELIN, relin, serialize_relin_key),
+                (KeyKind.GALOIS, galois, serialize_galois_keys)):
+            if key is None:
+                continue
+            blob = serialize(key)
+            # Cached for KEYS_EVICTED / failover re-provisioning.  Galois
+            # uploads are incremental server-side, so their blobs accumulate;
+            # public and relin uploads replace the previous blob.
+            if kind is KeyKind.GALOIS:
+                self._key_blob_cache.setdefault(kind, []).append(blob)
+            else:
+                self._key_blob_cache[kind] = [blob]
             await self._upload_blob(kind, blob)
-
-    def _remember_key_blob(self, kind: KeyKind, blob: bytes) -> None:
-        """Cache the blob for KEYS_EVICTED / failover re-provisioning.
-
-        Galois uploads are incremental server-side, so their blobs
-        accumulate; public and relin uploads replace the previous blob.
-        """
-        if kind is KeyKind.GALOIS:
-            self._key_blob_cache.setdefault(kind, []).append(blob)
-        else:
-            self._key_blob_cache[kind] = [blob]
 
     async def _reupload_cached_keys(self, *, charge: bool = False,
                                     ensure_live: bool = True) -> None:
@@ -615,58 +589,19 @@ class OffloadClient:
 
     async def _upload_blob(self, kind: KeyKind, blob: bytes, *,
                            ensure_live: bool = True) -> None:
-        """One key blob with the client's retry policy.
+        """One key blob through the attempt loop; its KEY_ACK carries no
+        id, so the waiter queues up behind earlier uploads of its kind."""
+        waiters = self._key_waiters.setdefault(kind, deque())
 
-        ``ensure_live=False`` is the re-provisioning path, called while
-        ``_resume_lock`` is already held: connection failures re-raise for
-        the caller's retry loop instead of recursing into ``resume()``.
-        """
-        delays = backoff_delays(self.backoff_s, self.max_backoff_s)
-        payload = KeyUpload(kind, blob).pack()
-        silent_timeouts = 0
-        for attempt in range(self.max_retries + 1):
-            self._check_closed()
-            if ensure_live:
-                await self._ensure_live()
-            waiter = asyncio.get_running_loop().create_future()
-            self._key_waiters.setdefault(kind, deque()).append(waiter)
-            try:
-                await self.transport.send_frame(
-                    MessageType.KEY_UPLOAD, payload)
-                await asyncio.wait_for(waiter, self.request_timeout)
-                return
-            except asyncio.TimeoutError:
-                self._discard_key_waiter(kind, waiter)
-                if attempt == self.max_retries:
-                    raise OffloadTimeout(
-                        f"no KEY_ACK for {kind.name} key within "
-                        f"{self.request_timeout}s "
-                        f"({attempt + 1} attempt(s))")
-                if ensure_live:
-                    silent_timeouts = self._suspect_half_open(
-                        silent_timeouts, "KEY_ACK")
-                await asyncio.sleep(next(delays))
-            except (ConnectionError, OSError, FrameError) as exc:
-                self._discard_key_waiter(kind, waiter)
-                if self._conn_error is None:
-                    self._conn_error = exc
-                if not ensure_live:
-                    raise
-                if attempt == self.max_retries or not self._can_resume():
-                    raise OffloadError(
-                        f"connection lost during {kind.name} key "
-                        f"upload: {exc}")
-                await asyncio.sleep(next(delays))
-
-    def _discard_key_waiter(self, kind: KeyKind,
-                            waiter: asyncio.Future) -> None:
-        waiters = self._key_waiters.get(kind)
-        if waiters is not None:
-            try:
+        def unpark(waiter: asyncio.Future) -> None:
+            if waiter in waiters:  # else answered, or drained by the pump
                 waiters.remove(waiter)
-            except ValueError:
-                pass  # already drained by _fail_waiters
-        self._abandon(waiter)
+
+        await self._await_reply(
+            MessageType.KEY_UPLOAD, KeyUpload(kind, blob).pack(),
+            lambda _attempt, waiter: waiters.append(waiter), unpark,
+            timeout=self.request_timeout, retries=self.max_retries,
+            what=f"{kind.name} key upload", ensure_live=ensure_live)
 
     # -------------------------------------------------------------- compute
     async def request(self, op: str, cts: Iterable[Ciphertext] = (),
@@ -691,79 +626,52 @@ class OffloadClient:
         timeout = self.request_timeout if timeout is None else timeout
         retries = self.max_retries if retries is None else retries
         cts = list(cts)
-        blobs = tuple(serialize_ciphertext(ct, compress_seed=self.compress_seed)
-                      for ct in cts)
+        blobs = tuple(serialize_ciphertext(ct) for ct in cts)
         request_id = next(self._rid)
         payload = Compute(request_id, op, dict(meta or {}), blobs).pack()
         if account:
             for ct in cts:
                 self.transport.account_upload(ct.size_bytes())
-        delays = backoff_delays(self.backoff_s, self.max_backoff_s)
-        last_busy: Optional[Busy] = None
-        silent_timeouts = 0
-        for attempt in range(retries + 1):
-            self._check_closed()
-            await self._ensure_live()
-            future = asyncio.get_running_loop().create_future()
+
+        def park(attempt: int, future: asyncio.Future) -> None:
             self._pending[request_id] = future
             self.stats.attempts += 1
             if attempt:
                 self.stats.retries += 1
-            try:
-                await self.transport.send_frame(MessageType.COMPUTE, payload)
-                kind, reply = await asyncio.wait_for(future, timeout)
-            except asyncio.TimeoutError:
-                self._pending.pop(request_id, None)
-                self._abandon(future)
+
+        async def on_outcome(outcome, last: bool):
+            if outcome is None:
                 self.stats.timeouts += 1
-                if attempt == retries:
-                    raise OffloadTimeout(
-                        f"request {op!r} timed out after {attempt + 1} "
-                        f"attempt(s) of {timeout}s")
-                silent_timeouts = self._suspect_half_open(
-                    silent_timeouts, "request")
-                await asyncio.sleep(next(delays))
-                continue
-            except (ConnectionError, OSError, FrameError) as exc:
-                self._pending.pop(request_id, None)
-                self._abandon(future)
-                if self._conn_error is None:
-                    self._conn_error = exc
-                if attempt == retries or not self._can_resume():
-                    raise OffloadError(
-                        f"request {op!r}: connection lost: {exc}")
-                await asyncio.sleep(next(delays))
-                continue
-            silent_timeouts = 0  # any reply proves the connection is live
+                return False, 0.0
+            kind, reply = outcome
             if kind == "result":
                 out_cts = [deserialize_ciphertext(blob, self.params)
                            for blob in reply.blobs]
                 if account:
                     for ct in out_cts:
                         self.transport.account_download(ct.size_bytes())
-                return out_cts, reply.meta
+                return True, (out_cts, reply.meta)
             if kind == "busy":
-                last_busy = reply
                 self.stats.busy_waits += 1
-                if attempt == retries:
-                    break
-                await asyncio.sleep(
-                    max(reply.retry_after_ms / 1000.0, next(delays)))
-                continue
-            err: Error = reply
-            if (err.code is ErrorCode.KEYS_EVICTED
-                    and self._key_blob_cache and attempt < retries):
+                if last:
+                    raise ServerBusy(
+                        f"server busy: request {op!r} rejected "
+                        f"{retries + 1} time(s)", reply.retry_after_ms)
+                return False, reply.retry_after_ms / 1000.0
+            if (reply.code is ErrorCode.KEYS_EVICTED
+                    and self._key_blob_cache and not last):
                 # The server's key-store LRU dropped our keys while idle.
                 # Re-provision from the cache — charged once per eviction
                 # event, retries within the upload are free — and resubmit
                 # the same request id (nothing executed server-side).
                 self.stats.key_reuploads += 1
                 await self._reupload_cached_keys(charge=account)
-                continue
+                return False, None
             raise OffloadError(
-                f"request {op!r} failed [{err.code.name}]: {err.message}",
-                err.code)
-        raise ServerBusy(
-            f"server busy: request {op!r} rejected "
-            f"{retries + 1} time(s)",
-            last_busy.retry_after_ms if last_busy else 0)
+                f"request {op!r} failed [{reply.code.name}]: "
+                f"{reply.message}", reply.code)
+
+        return await self._await_reply(
+            MessageType.COMPUTE, payload, park,
+            lambda _future: self._pending.pop(request_id, None), on_outcome,
+            timeout=timeout, retries=retries, what=f"request {op!r}")

@@ -16,6 +16,7 @@ from repro.runtime import (
     FaultyTransport,
     OffloadClient,
     OffloadServer,
+    OffloadTimeout,
     SimulatedLink,
     chaos_soak,
 )
@@ -189,6 +190,68 @@ def test_force_disconnect_recovers_midstream(bfv_params, bfv):
             assert np.array_equal(bfv.decrypt(out[0])[:1], [8])
             assert client.stats.resumes == 1
             assert len(faulties) == 2
+            await client.close()
+        finally:
+            await server.stop()
+
+    run(main())
+
+
+@pytest.mark.parametrize("auto_resume", [True, False])
+def test_two_silent_timeouts_declare_the_link_half_open(bfv_params, bfv,
+                                                        auto_resume):
+    """Two COMPUTE frames in a row vanish on a connection that still
+    accepts writes.  A client that can resume takes the link for half-open,
+    RESUMEs on a fresh connection and lands the third submission of the
+    *same* request id; one that cannot (no auto-resume) never declares it
+    and runs out of attempts."""
+    async def main():
+        server = OffloadServer(bfv_params, resume_grace_s=5.0)
+        seen = []
+
+        def count(session, request):
+            seen.append(request.request_id)
+            return list(request.cts)
+
+        server.register("count", count)
+        host, port = await server.start()
+        try:
+            from repro.runtime.transport import TcpTransport
+            faulties = []
+
+            async def factory():
+                inner = await TcpTransport.connect(host, port)
+                # Connection 1: frame 0 is HELLO, frames 1 and 2 — the first
+                # two COMPUTE submissions — are swallowed.  Later
+                # connections are clean.
+                plan = FaultPlan() if faulties else FaultPlan(
+                    drop_send_frames=(1, 2))
+                faulties.append(FaultyTransport(inner, plan, seed=5))
+                return faulties[-1]
+
+            client = OffloadClient(bfv_params, transport_factory=factory,
+                                   request_timeout=0.15, backoff_s=0.01,
+                                   auto_resume=auto_resume)
+            await client.connect()
+            ct = bfv.encrypt_symmetric([9])
+            if auto_resume:
+                out, _ = await client.request("count", [ct])
+                assert np.array_equal(bfv.decrypt(out[0])[:1], [9])
+                assert seen == [1]          # one id, executed exactly once
+                assert client.stats.attempts == 3
+                assert client.stats.timeouts == 2
+                assert client.stats.half_open_resets == 1
+                assert client.stats.resumes == 1
+                assert len(faulties) == 2
+            else:
+                with pytest.raises(OffloadTimeout):
+                    await client.request("count", [ct], retries=1)
+                assert seen == []
+                assert client.stats.half_open_resets == 0
+                assert client.stats.resumes == 0
+                assert len(faulties) == 1
+            assert faulties[0].fault_counts() == {"drop": 2}
+            assert not client._pending
             await client.close()
         finally:
             await server.stop()

@@ -900,6 +900,109 @@ def test_resume_with_bad_token_rejected(bfv_params):
     run(main())
 
 
+def test_connect_times_out_against_a_silent_peer(bfv_params):
+    """A link that never answers HELLO must not hang ``connect()``: the
+    reply is awaited under ``request_timeout``, once when the caller's
+    ``transport=`` is all there is and ``max_retries + 1`` times when the
+    client can reconnect — and every transport it gave up on is closed.
+    The outer ``wait_for`` turns a hang into a failure."""
+    async def main():
+        client_end, _silent_peer = SimulatedLink.pair()
+        client = OffloadClient(bfv_params, transport=client_end,
+                               request_timeout=0.2, max_retries=1)
+        started = asyncio.get_running_loop().time()
+        with pytest.raises(OffloadTimeout):
+            await asyncio.wait_for(client.connect(), 2.0)
+        # One attempt: nothing to reconnect with.
+        assert asyncio.get_running_loop().time() - started < 0.4
+        with pytest.raises(ConnectionError):
+            await client_end.send_frame(MessageType.PING, Ping(1).pack())
+        await client.close()
+
+        opened = []
+
+        async def factory():
+            opened.append(SimulatedLink.pair())
+            return opened[-1][0]
+
+        client = OffloadClient(bfv_params, transport_factory=factory,
+                               request_timeout=0.05, max_retries=2,
+                               backoff_s=0.01)
+        with pytest.raises(OffloadTimeout):
+            await asyncio.wait_for(client.connect(), 2.0)
+        assert len(opened) == 3
+        for client_end, _peer in opened:
+            with pytest.raises(ConnectionError):
+                await client_end.send_frame(MessageType.PING, Ping(1).pack())
+        await client.close()
+
+    run(main())
+
+
+def test_rejected_handshake_closes_the_transport(bfv_params, ckks_params):
+    """A HELLO answered with ERROR (parameter mismatch) is final, and the
+    client does not leak the connection it was refused on."""
+    async def main():
+        client_end, server_end = SimulatedLink.pair()
+        server = OffloadServer(bfv_params)
+        serve_task = asyncio.ensure_future(server.serve_transport(server_end))
+        with pytest.raises(OffloadError, match="mismatch") as exc_info:
+            await OffloadClient(ckks_params, transport=client_end).connect()
+        assert exc_info.value.code is ErrorCode.PARAMS_MISMATCH
+        with pytest.raises(ConnectionError):
+            await client_end.send_frame(MessageType.PING, Ping(1).pack())
+        await server.stop()
+        serve_task.cancel()
+
+    run(main())
+
+
+def test_resume_backs_off_when_the_reply_is_not_a_resume_ack(bfv_params):
+    """A peer that answers RESUME with something else (here PONG) is retried
+    like any broken link — ``max_retries + 1`` attempts spaced by the capped
+    exponential backoff, each transport closed — and then surfaces as an
+    :class:`OffloadError` counted in ``reconnect_failures``."""
+    async def main():
+        server = OffloadServer(bfv_params, resume_grace_s=5.0)
+        attempts = []       # when each RESUME arrived at the confused peer
+        peers = []
+
+        async def confused_peer(link):
+            mtype, _flags, _payload = await link.recv_frame()
+            assert mtype is MessageType.RESUME
+            attempts.append(asyncio.get_running_loop().time())
+            await link.send_frame(MessageType.PONG, Pong(1).pack())
+
+        async def factory():
+            client_end, server_end = SimulatedLink.pair()
+            serve = confused_peer if peers else server.serve_transport
+            peers.append((client_end,
+                          asyncio.ensure_future(serve(server_end))))
+            return client_end
+
+        client = OffloadClient(bfv_params, transport_factory=factory,
+                               request_timeout=0.5, max_retries=2,
+                               backoff_s=0.05)
+        await client.connect()
+        client._conn_error = ConnectionError("injected for test")
+        with pytest.raises(OffloadError, match="RESUME_ACK"):
+            await client.resume()
+        assert len(attempts) == 3
+        gaps = [b - a for a, b in zip(attempts, attempts[1:])]
+        assert gaps[0] >= 0.045 and gaps[1] >= 0.09
+        assert client.stats.reconnect_failures == 1
+        assert client.stats.resumes == 0
+        for client_end, _task in peers[1:]:
+            with pytest.raises(ConnectionError):
+                await client_end.send_frame(MessageType.PING, Ping(1).pack())
+        await client.close()
+        await server.stop()
+        for _end, task in peers:
+            task.cancel()
+
+    run(main())
+
+
 def test_heartbeat_ping_pong(bfv_params):
     async def main():
         server = OffloadServer(bfv_params)
