@@ -78,19 +78,13 @@ def raw_tables(poly: RnsPoly) -> Tuple[np.ndarray, np.ndarray]:
 
     Cached on the poly (see ``RnsPoly._raw_tables``), so it must only be used
     on long-lived key material that is never mutated in place — the secret
-    key's restricted forms and the public key components.  The Shoup table is
-    ``None`` for moduli at or above :data:`ntt.SHOUP_MODULUS_BOUND` (no
-    library parameter set reaches it; callers then fall back to ``np.mod``).
+    key's restricted forms and the public key components.
     """
     cached = poly._raw_tables
     if cached is None:
         plan = ntt.get_stack_plan(poly.degree, poly.base.moduli)
         data = np.ascontiguousarray(poly.data[:, plan.scramble_order])
-        if max(poly.base.moduli) < ntt.SHOUP_MODULUS_BOUND:
-            shoup = (data << 32) // poly.base.moduli_col
-        else:
-            shoup = None
-        cached = (data, shoup)
+        cached = (data, (data << 32) // poly.base.moduli_col)
         poly._raw_tables = cached
     return cached
 

@@ -61,21 +61,11 @@ class BatchEncoder:
         """Pack up to N integers (reduced mod t) into a plaintext.  BFV
         plaintexts are exact and level-free, so *scale* and *base* (the
         signature both encoders share) are ignored."""
-        n = self.params.poly_degree
-        if len(values) > n:
-            raise ValueError(f"too many values ({len(values)}) for {n} slots")
-        slots = np.zeros(n, dtype=np.int64)
-        slots[: len(values)] = np.mod(np.asarray(values, dtype=np.int64), self.modulus)
-        evals = np.zeros(n, dtype=np.int64)
-        evals[self._positions] = slots
-        return Plaintext(self._plan.inverse(evals[None, :])[0], self.modulus)
+        return self.encode_many([values])[0]
 
     def encode_many(self, values_list: Sequence[Sequence[int]]) -> List[Plaintext]:
-        """Encode M slot vectors with one stacked inverse NTT.
-
-        Bit-identical to M :meth:`encode` calls (the stacked transform is
-        bit-exact with the per-row one).
-        """
+        """Encode M slot vectors with one stacked inverse NTT; row ``i`` is
+        ``encode(values_list[i])``."""
         n = self.params.poly_degree
         m = len(values_list)
         if m == 0:
@@ -92,12 +82,11 @@ class BatchEncoder:
 
     def decode(self, plaintext: Plaintext) -> np.ndarray:
         """Unpack a plaintext back into its N slot values."""
-        evals = self._plan.forward(plaintext.coeffs[None, :])[0]
-        return evals[self._positions]
+        return self.decode_rows(plaintext.coeffs[None, :])[0]
 
     def decode_rows(self, coeff_rows: np.ndarray, scales=None) -> np.ndarray:
         """Decode M coefficient rows ``(m, n)`` → slot rows ``(m, n)`` with
-        one stacked forward NTT; bit-identical to M :meth:`decode` calls.
+        one stacked forward NTT; row ``i`` is ``decode`` of row ``i``.
         BFV slots are exact, so *scales* (the signature both encoders share)
         is ignored."""
         evals = self._plan.forward_batch(coeff_rows[:, None, :])[:, 0, :]

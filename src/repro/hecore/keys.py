@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hecore import ntt
-from repro.hecore.modmath import mod_add
+from repro.hecore.modmath import MAX_MODULUS_BITS, mod_add
 from repro.hecore.params import EncryptionParameters, SPECIAL_PRIME_COUNT
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.random import BlakePrng
@@ -362,23 +362,22 @@ def keyswitch_inner_product(digits_ntt: np.ndarray,
     into ``R·L`` digits for a span sum).  Returns the ``(..., 2, k_ext, n)``
     NTT-form accumulators.
 
-    Lazy reduction: each product is below ``2**60`` (30-bit moduli), so
-    chunks of 8 digits sum exactly in int64 BEFORE any reduction — one mod
-    per chunk instead of one per digit — through a fused multiply-accumulate
-    (einsum) that never materializes the product tensor.
+    Lazy reduction: each product is below ``2**(2 * MAX_MODULUS_BITS)``, so
+    chunks of ``2**(63 - 2 * MAX_MODULUS_BITS)`` (8) digits sum exactly in
+    int64 BEFORE any reduction — one mod per chunk instead of one per digit
+    — through a fused multiply-accumulate (einsum) that never materializes
+    the product tensor.
     """
     pcol = ext_base.moduli_col
-    if int(pcol.max()) > (1 << 30):
-        products = np.mod(digits_ntt[..., None, :, :] * key_block, pcol)
-        return np.mod(products.sum(axis=-4), pcol)
+    chunk = 1 << (63 - 2 * MAX_MODULUS_BITS)
     n_digits = digits_ntt.shape[-3]
     acc = None
-    for lo in range(0, n_digits, 8):
+    for lo in range(0, n_digits, chunk):
         part = np.mod(np.einsum('...lkn,...lckn->...ckn',
-                                digits_ntt[..., lo:lo + 8, :, :],
-                                key_block[..., lo:lo + 8, :, :, :]), pcol)
+                                digits_ntt[..., lo:lo + chunk, :, :],
+                                key_block[..., lo:lo + chunk, :, :, :]), pcol)
         acc = part if acc is None else acc + part
-    return acc if n_digits <= 8 else np.mod(acc, pcol)
+    return acc if n_digits <= chunk else np.mod(acc, pcol)
 
 
 def keyswitch_finish(accs: np.ndarray, ext_base: RnsBase,

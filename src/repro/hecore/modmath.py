@@ -1,27 +1,30 @@
 """Vectorized modular arithmetic over word-sized primes.
 
-All computational moduli in this library are below 2**31 so that a product of
-two residues fits exactly in a signed 64-bit integer.  This mirrors SEAL's
-word-sized RNS limbs (SEAL uses up to 60-bit limbs on native 128-bit
-arithmetic, which numpy lacks); DESIGN.md documents the substitution.  The
-*total* modulus width, which is what determines noise budgets and ciphertext
-sizes, is preserved by using more limbs.
+Every computational modulus in this library is below ``2**MAX_MODULUS_BITS``
+(``2**30``), so a product of two residues fits exactly in a signed 64-bit
+integer and the Shoup kernels' ``4p`` envelope fits a 32-bit word.  This
+mirrors SEAL's word-sized RNS limbs (SEAL uses up to 60-bit limbs on native
+128-bit arithmetic, which numpy lacks); DESIGN.md documents the
+substitution.  The *total* modulus width, which is what determines noise
+budgets and ciphertext sizes, is preserved by using more limbs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Largest permitted computational modulus.  ``MAX_MODULUS_BITS``-bit residues
-#: guarantee that ``a * b`` for ``a, b < 2**31`` stays below ``2**62`` and is
-#: exact in int64.
-MAX_MODULUS_BITS = 31
+#: The limb width — the one statement of it.  Residues below ``2**30`` keep
+#: ``a * b`` below ``2**60`` (eight such products still sum exactly in int64)
+#: and ``4p`` below ``2**32``, the lazy envelope of the division-free
+#: butterflies.  :func:`check_modulus` enforces it where moduli enter:
+#: ``RnsBase`` and ``NttStackPlan`` construction.
+MAX_MODULUS_BITS = 30
 
 
 def check_modulus(p: int) -> int:
     """Validate that *p* can be used as a computational modulus."""
     if not 1 < p < (1 << MAX_MODULUS_BITS):
-        raise ValueError(f"modulus {p} outside supported range (2, 2**{MAX_MODULUS_BITS})")
+        raise ValueError(f"modulus {p} outside supported range (1, 2**{MAX_MODULUS_BITS})")
     return p
 
 
@@ -44,22 +47,21 @@ def mod_mul(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Element-wise ``(a * b) mod p`` — the one dyadic product; *p* is a
     modulus or a ``(k, 1)`` column of them against ``(..., k, n)`` blocks.
 
-    Exact because residues are below ``2**31`` (see :data:`MAX_MODULUS_BITS`).
+    Exact because residues are below ``2**30`` (see :data:`MAX_MODULUS_BITS`).
     """
     return np.mod(np.multiply(a, b, dtype=np.int64), p)
 
 
-def shoup_mul_mod(x: np.ndarray, c: np.ndarray, c_shoup, p: np.ndarray) -> np.ndarray:
+def shoup_mul_mod(x: np.ndarray, c: np.ndarray, c_shoup: np.ndarray,
+                  p: np.ndarray) -> np.ndarray:
     """Element-wise ``(x * c) mod p`` against a precomputed constant, without
     a division: with Shoup's quotient ``c_shoup = floor(c * 2**32 / p)``,
     ``q = (x * c_shoup) >> 32`` and ``x*c - q*p`` lands in ``[0, 2p)`` for
-    canonical ``x < p < 2**30`` (every product int64-exact); one conditional
-    subtract restores the canonical range, so the fresh array returned is
-    bit-identical to :func:`mod_mul`'s — which ``c_shoup=None`` (a wider
-    modulus) falls back to.  *p* is an int64 array broadcast like *c*.
+    canonical ``x < p`` (every product int64-exact under
+    :data:`MAX_MODULUS_BITS`); one conditional subtract restores the
+    canonical range, so the fresh array returned is bit-identical to
+    :func:`mod_mul`'s.  *p* is an int64 array broadcast like *c*.
     """
-    if c_shoup is None:
-        return mod_mul(x, c, p)
     q = (x * c_shoup) >> 32
     q *= p
     prod = x * c
@@ -92,7 +94,7 @@ def mod_inv_array(a: np.ndarray, p: int) -> np.ndarray:
     log-depth (Hillis–Steele) scans, the combined product is inverted once
     with Fermat's little theorem, and each element's inverse is recovered as
     ``prefix[i-1] * suffix[i+1] * total**-1``.  All intermediate products
-    stay below ``2**62`` because residues are below ``2**31``.
+    stay below ``2**60`` because residues are below ``2**30``.
     """
     flat = np.mod(a.astype(np.int64).ravel(), p)
     n = flat.size

@@ -19,7 +19,9 @@ Two implementations coexist (docs/KERNELS.md has the full story):
   (the per-residue parallelism CHOCO-TACO exploits in hardware), merges the
   negacyclic psi-twist into the per-stage twiddle tables (Longa–Naehrig
   style, eliminating the separate twist multiply), and replaces per-stage
-  division-based ``np.mod`` with lazy conditional-subtract reduction.
+  division-based ``np.mod`` with lazy conditional-subtract reduction and
+  Shoup multiplies.  It has one kernel pair, division-free, because every
+  modulus is below ``2**MAX_MODULUS_BITS`` — checked when the plan is built.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.hecore.modmath import mod_inv, mod_mul, mod_pow
+from repro.hecore.modmath import check_modulus, mod_inv, mod_mul, mod_pow
 from repro.hecore.primes import primitive_root_of_unity
 
 
@@ -157,18 +159,6 @@ def _power_table_stack(bases: Sequence[int], count: int, pcol: np.ndarray) -> np
     return result
 
 
-#: Lazy intermediates in the generic path stay below ``2 * p < 2**32`` and
-#: their butterfly products below ``p**2 < 2**62`` — the int64-exactness
-#: envelope.  The Shoup path keeps intermediates below ``4 * p < 2**32`` so
-#: every uint64 product is exact (below ``2**64``).
-LAZY_PRODUCT_BOUND = 1 << 62
-
-#: Moduli below this bound use the division-free Shoup/Harvey kernels
-#: (``4p`` must fit a 32-bit word).  Every modulus the library generates is
-#: below it (``COMPUTE_LIMB_MAX_BITS`` caps limbs at 30 bits); wider moduli
-#: fall back to a generic lazy kernel with one ``np.mod`` per stage.
-SHOUP_MODULUS_BOUND = 1 << 30
-
 _U32 = np.uint64(32)
 
 #: Target payload per butterfly pass of the batch kernels.  Each stage
@@ -190,7 +180,9 @@ class NttStackPlan:
     stages, renormalized with conditional subtracts instead of division, and
     twiddle products are reduced with Shoup's precomputed-quotient trick
     (``q = x * floor(W * 2**32 / p) >> 32``; ``x*W - q*p < 2p``) so the
-    butterfly network contains no division at all.
+    butterfly network contains no division at all.  Moduli below
+    ``2**MAX_MODULUS_BITS`` keep ``4p`` inside a 32-bit word, so every
+    uint64 product of an intermediate and a twiddle or quotient is exact.
 
     Outputs are bit-exact with the per-row scalar :class:`NttPlan` (same
     primitive roots, same natural evaluation ordering: position ``j`` of row
@@ -204,6 +196,7 @@ class NttStackPlan:
         if not self.moduli:
             raise ValueError("stack plan needs at least one modulus")
         for p in self.moduli:
+            check_modulus(p)
             if (p - 1) % (2 * n) != 0:
                 raise ValueError(f"prime {p} is not NTT-friendly for degree {n}")
         self.n = n
@@ -232,39 +225,37 @@ class NttStackPlan:
         unscramble = np.empty(n, dtype=np.int64)
         unscramble[leaf_slots] = np.arange(n, dtype=np.int64)
         self._unscramble = unscramble
-        self._fwd_twiddles = [psi_pow[:, e] for e in stage_exponents]
-        self._inv_twiddles = [psi_pow[:, 2 * n - e] for e in stage_exponents]
+        fwd_twiddles = [psi_pow[:, e] for e in stage_exponents]
+        inv_twiddles = [psi_pow[:, 2 * n - e] for e in stage_exponents]
         n_inv = np.array([mod_inv(n, p) for p in self.moduli], dtype=np.int64)
-        self._n_inv_col = n_inv.reshape(k, 1)
+        n_inv_col = n_inv.reshape(k, 1)
 
         self._scratch_local = threading.local()
-        self._use_shoup = max(self.moduli) < SHOUP_MODULUS_BOUND
-        if self._use_shoup:
-            self._p_u = self._pcol.astype(np.uint64)
-            self._two_p_u = self._p_u * np.uint64(2)
-            self._p_u3 = self._p_u[:, :, None]
-            # Constant-geometry twiddle vectors: at stage s, butterfly pair i
-            # uses the stage-s group twiddle with group index i mod 2**s, so
-            # the (k, 2**s) stage table tiles into a periodic vector.  Tiling
-            # up to a 256-wide chunk keeps the broadcast inner loops long even
-            # in the early stages where the pattern period is tiny.
-            chunk = min(256, max(n // 2, 1))
-            self._fwd_tw_u, self._fwd_tw_q = zip(
-                *(self._cg_tables(t, chunk) for t in self._fwd_twiddles)
-            )
-            self._inv_tw_u, self._inv_tw_q = zip(
-                *(self._cg_tables(t, chunk) for t in self._inv_twiddles)
-            )
-            self._n_inv_u = self._n_inv_col.astype(np.uint64)
-            self._n_inv_q = ((self._n_inv_col << 32) // self._pcol).astype(np.uint64)
+        self._p_u = self._pcol.astype(np.uint64)
+        self._two_p_u = self._p_u * np.uint64(2)
+        self._p_u3 = self._p_u[:, :, None]
+        # Constant-geometry twiddle vectors: at stage s, butterfly pair i
+        # uses the stage-s group twiddle with group index i mod 2**s, so
+        # the (k, 2**s) stage table tiles into a periodic vector.  Tiling
+        # up to a 256-wide chunk keeps the broadcast inner loops long even
+        # in the early stages where the pattern period is tiny.
+        chunk = min(256, max(n // 2, 1))
+        self._fwd_tw_u, self._fwd_tw_q = zip(
+            *(self._cg_tables(t, chunk) for t in fwd_twiddles)
+        )
+        self._inv_tw_u, self._inv_tw_q = zip(
+            *(self._cg_tables(t, chunk) for t in inv_twiddles)
+        )
+        self._n_inv_u = n_inv_col.astype(np.uint64)
+        self._n_inv_q = ((n_inv_col << 32) // self._pcol).astype(np.uint64)
 
     def _cg_tables(self, table: np.ndarray, chunk: int) -> Tuple[np.ndarray, np.ndarray]:
         """Tiled twiddles and Shoup quotients for one constant-geometry stage.
 
         Returns ``(W, floor(W * 2**32 / p))`` as ``(k, 1, T)`` uint64 arrays
         with ``T = max(pattern, chunk)`` so they broadcast over the stage work
-        array viewed as ``(k, (n/2) / T, T)``.  ``W < p < 2**30`` keeps the
-        shifted quotient computation int64-exact.
+        array viewed as ``(k, (n/2) / T, T)``.  ``W < p < 2**MAX_MODULUS_BITS``
+        keeps the shifted quotient computation int64-exact.
         """
         reps = max(chunk // table.shape[1], 1)
         tiled = np.tile(table, (1, reps))
@@ -276,11 +267,6 @@ class NttStackPlan:
 
     def __len__(self) -> int:
         return len(self.moduli)
-
-    @staticmethod
-    def _lazy_reduce(values: np.ndarray, pc: np.ndarray) -> np.ndarray:
-        """One conditional subtract: ``[0, 2p)`` → ``[0, p)`` without division."""
-        return np.where(values >= pc, values - pc, values)
 
     def _check_shape(self, stack: np.ndarray) -> np.ndarray:
         stack = np.asarray(stack, dtype=np.int64)
@@ -327,10 +313,8 @@ class NttStackPlan:
         passes — the forward → dyadic → inverse sandwich of the batch
         encrypt/decrypt pipelines.
         """
-        work = self._canonical(stack)
-        if self._use_shoup:
-            return self._forward_shoup(work, check_bounds, unscramble, out)
-        return self._forward_generic(work, check_bounds, unscramble, out)
+        return self._forward_shoup(self._canonical(stack), check_bounds,
+                                   unscramble, out)
 
     def inverse(self, stack: np.ndarray, check_bounds: bool = False,
                 prescrambled: bool = False,
@@ -341,10 +325,8 @@ class NttStackPlan:
         :attr:`scramble_order` (i.e. produced by ``forward(...,
         unscramble=False)`` plus pointwise ops), skipping the entry gather.
         """
-        work = self._canonical(stack)
-        if self._use_shoup:
-            return self._inverse_shoup(work, check_bounds, prescrambled, out)
-        return self._inverse_generic(work, check_bounds, prescrambled, out)
+        return self._inverse_shoup(self._canonical(stack), check_bounds,
+                                   prescrambled, out)
 
     # ------------------------------------------------- Shoup (division-free)
     # The Shoup kernels run the butterfly network in constant-geometry (Pease)
@@ -480,63 +462,6 @@ class NttStackPlan:
             return zin.astype(np.int64)
         np.copyto(out, zin.view(np.int64))
         return out
-
-    # ------------------------------------------ generic (31-bit safe) kernels
-    def _forward_generic(self, work: np.ndarray, check_bounds: bool,
-                         unscramble: bool = True,
-                         out: np.ndarray = None) -> np.ndarray:
-        k = work.shape[0]
-        for tw in self._fwd_twiddles:
-            m = tw.shape[1]
-            blocks = work.reshape(k, m, -1)
-            half = blocks.shape[2] // 2
-            pc = self._pcol[:, :, None]
-            even = self._lazy_reduce(blocks[:, :, :half], pc)
-            odd = self._lazy_reduce(blocks[:, :, half:], pc)
-            product = odd * tw[:, :, None]
-            if check_bounds:
-                assert int(blocks.max(initial=0)) < int(2 * self._pcol.max())
-                assert int(product.max(initial=0)) < LAZY_PRODUCT_BOUND
-            v = np.mod(product, pc)
-            stage_out = np.empty_like(blocks)
-            # Lazy butterflies: even + v < 2p and even - v + p in (0, 2p),
-            # so the stage output needs no division.
-            stage_out[:, :, :half] = even + v
-            stage_out[:, :, half:] = even - v + pc
-            work = stage_out.reshape(k, -1)
-        work = self._lazy_reduce(work, self._pcol)
-        result = work if not unscramble else work[:, self._unscramble]
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
-
-    def _inverse_generic(self, work: np.ndarray, check_bounds: bool,
-                         prescrambled: bool = False,
-                         out: np.ndarray = None) -> np.ndarray:
-        if not prescrambled:
-            work = work[:, self._scramble]
-        k = work.shape[0]
-        for tw in reversed(self._inv_twiddles):
-            m = tw.shape[1]
-            blocks = work.reshape(k, m, -1)
-            half = blocks.shape[2] // 2
-            pc = self._pcol[:, :, None]
-            u = self._lazy_reduce(blocks[:, :, :half], pc)
-            v = self._lazy_reduce(blocks[:, :, half:], pc)
-            diff = self._lazy_reduce(u - v + pc, pc)
-            product = diff * tw[:, :, None]
-            if check_bounds:
-                assert int(blocks.max(initial=0)) < int(2 * self._pcol.max())
-                assert int(product.max(initial=0)) < LAZY_PRODUCT_BOUND
-            stage_out = np.empty_like(blocks)
-            stage_out[:, :, :half] = u + v
-            stage_out[:, :, half:] = np.mod(product, pc)
-            work = stage_out.reshape(k, -1)
-        # Entries are < 2p and n_inv < p, so the product stays int64-exact.
-        if out is None:
-            return np.mod(work * self._n_inv_col, self._pcol)
-        return np.mod(work * self._n_inv_col, self._pcol, out=out)
 
     # --------------------------------------------------------- batch axis
     def batch_plan(self, batch: int) -> "NttStackPlan":

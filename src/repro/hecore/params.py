@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.hecore.modmath import MAX_MODULUS_BITS
 from repro.hecore.primes import generate_ntt_primes, is_prime
 from repro.hecore.rns import RnsBase
 
@@ -48,9 +49,6 @@ SEAL_DEFAULT_COEFF_BITS: Dict[int, Tuple[int, ...]] = {
     16384: (48, 48, 48, 49, 49, 49, 49, 49, 49),
     32768: tuple([55] * 15 + [56]),
 }
-
-#: Width of the computational limbs substituted for SEAL's 60-bit limbs.
-COMPUTE_LIMB_MAX_BITS = 30
 
 #: Number of word-sized special primes whose product plays the role of
 #: SEAL's single large key prime during key switching.
@@ -101,7 +99,7 @@ def generate_primes_near(target: int, count: int, poly_degree: int,
         for candidate in (start + offset, start - offset) if offset else (start,):
             if candidate in excluded or candidate in primes:
                 continue
-            if 2 < candidate < (1 << 31) and is_prime(candidate):
+            if 2 < candidate < (1 << MAX_MODULUS_BITS) and is_prime(candidate):
                 primes.append(candidate)
                 if len(primes) == count:
                     break
@@ -162,7 +160,7 @@ class EncryptionParameters:
             if plain_bits is None:
                 raise ValueError("BFV requires plain_bits")
             plain_modulus = generate_ntt_primes(plain_bits, 1, poly_degree)[0]
-            limb_sizes = _split_bits(data_bits, COMPUTE_LIMB_MAX_BITS)
+            limb_sizes = _split_bits(data_bits, MAX_MODULUS_BITS)
             data_primes = _generate_limb_primes(limb_sizes, poly_degree)
             scale = 0.0
         elif scheme is SchemeType.CKKS:
@@ -171,7 +169,7 @@ class EncryptionParameters:
             plain_modulus = 0
             plain_bits = None
             scale = float(1 << scale_bits)
-            base_prime_bits = min(COMPUTE_LIMB_MAX_BITS, data_bits)
+            base_prime_bits = min(MAX_MODULUS_BITS, data_bits)
             levels = max(1, round((data_bits - base_prime_bits) / scale_bits))
             base_prime = generate_ntt_primes(base_prime_bits, 1, poly_degree)[0]
             rescale = generate_primes_near(
@@ -181,7 +179,7 @@ class EncryptionParameters:
         else:
             raise ValueError(f"unknown scheme {scheme}")
 
-        special = generate_ntt_primes(COMPUTE_LIMB_MAX_BITS, special_prime_count + 4,
+        special = generate_ntt_primes(MAX_MODULUS_BITS, special_prime_count + 4,
                                       poly_degree)
         special = [p for p in special if p not in data_primes][:special_prime_count]
         data_base = RnsBase.of(tuple(data_primes))

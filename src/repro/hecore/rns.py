@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.hecore.modmath import mod_inv, shoup_mul_mod
+from repro.hecore.modmath import check_modulus, mod_inv, shoup_mul_mod
 
 #: Distance from the rounding boundary below which the floating-point
 #: correction of :meth:`RnsBase.scale_and_round_mod` is not trusted and the
@@ -45,8 +45,8 @@ class RnsBase:
             raise ValueError("RNS base must contain at least one modulus")
         if len(set(moduli)) != len(moduli):
             raise ValueError("RNS moduli must be distinct")
-        if any(m < 2 for m in moduli):
-            raise ValueError("RNS moduli must exceed 1")
+        for m in moduli:
+            check_modulus(m)
         for i, a in enumerate(moduli):
             for b in moduli[i + 1:]:
                 if math.gcd(a, b) != 1:
@@ -64,15 +64,12 @@ class RnsBase:
         self._punctured_inv = [mod_inv(q_i % p, p) for q_i, p in zip(self._punctured, moduli)]
         self._punctured_inv_col = np.array(self._punctured_inv, dtype=np.int64).reshape(-1, 1)
         # Shoup quotients floor(c * 2**32 / p) for the punctured inverses:
-        # for canonical x < p < 2**30 every product in the division-free
-        # mul-mod stays int64-exact.  Wider moduli fall back to np.mod.
-        if max(moduli).bit_length() <= 30:
-            self._punctured_inv_shoup_col = np.array(
-                [(c << 32) // p for c, p in zip(self._punctured_inv, moduli)],
-                dtype=np.int64,
-            ).reshape(-1, 1)
-        else:
-            self._punctured_inv_shoup_col = None
+        # for canonical x < p (below 2**MAX_MODULUS_BITS) every product in
+        # the division-free mul-mod stays int64-exact.
+        self._punctured_inv_shoup_col = np.array(
+            [(c << 32) // p for c, p in zip(self._punctured_inv, moduli)],
+            dtype=np.int64,
+        ).reshape(-1, 1)
         #: Float reciprocals of the moduli: the fractional estimators multiply
         #: by these instead of dividing (same ~ulp accuracy, ~3x the speed).
         self._recip_moduli_col = 1.0 / self.moduli_col.astype(np.float64)
@@ -265,7 +262,7 @@ class RnsBase:
         (``[0, p)`` rows, the :class:`RnsPoly` invariant), in a fresh array.
 
         The CRT reconstruction coefficients shared by the float estimators
-        and the RNS decrypt scaling; division-free for library-sized moduli.
+        and the RNS decrypt scaling; division-free (Shoup).
         """
         return shoup_mul_mod(residues, self._punctured_inv_col,
                              self._punctured_inv_shoup_col, self.moduli_col)

@@ -135,14 +135,13 @@ def close_inherited_sockets(keep: Iterable[int] = ()) -> None:
 # Subprocess side
 # ---------------------------------------------------------------------------
 
-def _eval_main(conn, params_blob: bytes, installers: Tuple[str, ...],
-               context_seed: bytes) -> None:
+def _eval_main(conn, params_blob: bytes, installers: Tuple[str, ...]) -> None:
     """Subprocess loop: rebuild params, register pooled ops, serve calls."""
     close_inherited_sockets(keep=(conn.fileno(),))
     params = deserialize_params(params_blob)
     registry = build_pooled_registry(installers)
     sessions: Dict[int, SessionEvaluator] = defaultdict(
-        lambda: SessionEvaluator(params, context_seed))
+        lambda: SessionEvaluator(params))
 
     while True:
         try:
@@ -215,8 +214,7 @@ class EvalPool:
     """
 
     def __init__(self, params: EncryptionParameters, size: int,
-                 installers: Tuple[str, ...] = (), *,
-                 context_seed: bytes = b"offload-server-eval"):
+                 installers: Tuple[str, ...] = ()):
         if size < 1:
             raise ValueError("eval pool needs at least one worker")
         self.size = size
@@ -225,7 +223,6 @@ class EvalPool:
         #: runs an op here exactly when this registry has it.
         self.ops = build_pooled_registry(self.installers)
         self._params_blob = serialize_params(params)
-        self._context_seed = context_seed
         self._mp = _mp_context()
         self._slots = [_Slot(i) for i in range(size)]
         self._closed = False
@@ -242,8 +239,7 @@ class EvalPool:
         parent_conn, child_conn = self._mp.Pipe()
         process = self._mp.Process(
             target=_eval_main,
-            args=(child_conn, self._params_blob, self.installers,
-                  self._context_seed),
+            args=(child_conn, self._params_blob, self.installers),
             daemon=True, name=f"choco-eval-{slot.index}")
         process.start()
         child_conn.close()

@@ -64,7 +64,6 @@ from repro.runtime.evalpool import (
     resolve_spec,
 )
 from repro.runtime.framing import (
-    MAX_FRAME_BYTES,
     Busy,
     Error,
     ErrorCode,
@@ -119,7 +118,6 @@ class WorkerConfig:
     keystore_limit: Optional[int] = None
     resume_grace_s: float = 30.0
     dedupe_window: int = 64
-    idle_timeout_s: Optional[float] = None
     banner: str = "choco-fleet"
     op_config: Dict[str, Any] = field(default_factory=dict)
 
@@ -307,7 +305,6 @@ class FleetServer:
 
     def __init__(self, params: EncryptionParameters, n_workers: int = 2, *,
                  session_cap: Optional[int] = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
                  **worker_options):
         if n_workers < 1:
             raise ValueError("a fleet needs at least one worker")
@@ -316,7 +313,6 @@ class FleetServer:
         self.params = params
         self.n_workers = n_workers
         self.session_cap = session_cap
-        self.max_frame_bytes = max_frame_bytes
         # Serializing up front also validates the params are spec-complete
         # enough for workers to rebuild them bit-identically.
         self._config = WorkerConfig(
@@ -460,8 +456,7 @@ class FleetServer:
         counted = False
         try:
             try:
-                mtype, flags, payload = await read_frame(
-                    reader, self.max_frame_bytes)
+                mtype, flags, payload = await read_frame(reader)
             except (ConnectionError, FrameError):
                 return
             if mtype is MessageType.HELLO:

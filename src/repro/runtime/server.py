@@ -29,8 +29,7 @@ The server is built for lossy links (the paper's client model, §7):
   Galois keys are never re-uploaded.  Work queued before the disconnect keeps
   executing while detached; its results wait in the dedupe window.
 * **Heartbeats and reaping.**  ``PING`` is answered with ``PONG``; a reaper
-  task closes detached sessions whose grace period expired and (optionally)
-  live sessions idle past ``idle_timeout_s``.
+  task closes detached sessions whose grace period expired.
 
 The server-side evaluation context is built from the *uploaded* keys only.
 It mechanically forbids decryption (raising
@@ -63,7 +62,6 @@ from repro.hecore.serialize import (
     serialize_ciphertext,
 )
 from repro.runtime.framing import (
-    MAX_FRAME_BYTES,
     Busy,
     Compute,
     Error,
@@ -85,6 +83,10 @@ from repro.runtime.metrics import RuntimeMetrics, SessionMetrics
 from repro.runtime.transport import TcpTransport, Transport
 
 logger = logging.getLogger("repro.runtime")
+
+#: Seed of every session's evaluation context, inline and in the eval pool
+#: alike: both sides must build the same context for the same session.
+EVAL_CONTEXT_SEED = b"offload-server-eval"
 
 
 @dataclass
@@ -126,7 +128,7 @@ class ServerSession:
         self.server = server
         self.metrics = metrics
         #: Keys, application state and evaluation context.
-        self.evaluator = SessionEvaluator(server.params, server._context_seed)
+        self.evaluator = SessionEvaluator(server.params)
         #: Free-form per-session application state (e.g. stored KNN batches).
         self.state = self.evaluator.state
         #: Raw uploaded key blobs, retained so a pooled evaluation executor
@@ -152,8 +154,6 @@ class ServerSession:
         self.executing = False
         #: When the connection died (None while attached).
         self.detached_at: Optional[float] = None
-        #: Monotonic timestamp of the last frame received from the client.
-        self.last_seen: float = time.monotonic()
         #: The client said BYE: no retention, the session dies with the
         #: connection.
         self.bye_received = False
@@ -190,11 +190,8 @@ class OffloadServer:
     def __init__(self, params: EncryptionParameters, *,
                  queue_limit: int = 16, concurrency: int = 1,
                  retry_after_ms: int = 50, banner: str = "choco-offload",
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
-                 context_seed: bytes = b"offload-server-eval",
                  dedupe_window: int = 64,
                  resume_grace_s: float = 30.0,
-                 idle_timeout_s: Optional[float] = None,
                  session_id_start: int = 1, session_id_step: int = 1,
                  keystore_limit: Optional[int] = None,
                  eval_pool=None,
@@ -215,10 +212,8 @@ class OffloadServer:
         self.concurrency = concurrency
         self.retry_after_ms = retry_after_ms
         self.banner = banner
-        self.max_frame_bytes = max_frame_bytes
         self.dedupe_window = dedupe_window
         self.resume_grace_s = resume_grace_s
-        self.idle_timeout_s = idle_timeout_s
         self.verbose = verbose
         #: Fleet workers bound this to a cap so N shared-nothing processes
         #: don't hold N full key sets for every historical session.
@@ -230,7 +225,6 @@ class OffloadServer:
         #: soak's execution-log directory), reachable as
         #: ``session.server.op_config`` from any handler.
         self.op_config: Dict[str, Any] = dict(op_config or {})
-        self._context_seed = context_seed
         self.metrics = RuntimeMetrics()
         self._handlers: Dict[str, Handler] = {}
         #: Served ops by name (an eval-pool installer can fill it directly).
@@ -336,8 +330,7 @@ class OffloadServer:
     # ----------------------------------------------------- session serving
     async def _on_tcp_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        await self.serve_transport(
-            TcpTransport(reader, writer, self.max_frame_bytes))
+        await self.serve_transport(TcpTransport(reader, writer))
 
     async def serve_transport(self, transport: Transport) -> None:
         """Serve one session over any :class:`Transport` until it closes."""
@@ -415,7 +408,6 @@ class OffloadServer:
         old = session.transport
         session.transport = transport
         session.detached_at = None
-        session.last_seen = time.monotonic()
         session.metrics.resumes += 1
         self.metrics.sessions_resumed += 1
         if old is not transport:
@@ -430,7 +422,6 @@ class OffloadServer:
     async def _session_loop(self, session: ServerSession) -> None:
         while True:
             mtype, _flags, payload = await session.transport.recv_frame()
-            session.last_seen = time.monotonic()
             session.metrics.bytes_up += len(payload)
             if mtype is MessageType.BYE:
                 session.bye_received = True
@@ -645,21 +636,14 @@ class OffloadServer:
             task.add_done_callback(self._worker_tasks.discard)
 
     async def _reaper(self) -> None:
-        """Close detached sessions past grace and (optionally) idle ones."""
+        """Close detached sessions whose grace period expired."""
         interval = max(0.02, min(1.0, max(self.resume_grace_s, 0.1) / 5))
         while True:
             await asyncio.sleep(interval)
             now = time.monotonic()
             for session in list(self._sessions.values()):
-                expired_detach = (
-                    session.detached_at is not None
-                    and now - session.detached_at >= self.resume_grace_s)
-                idle = (
-                    self.idle_timeout_s is not None
-                    and session.detached_at is None
-                    and now - session.last_seen >= self.idle_timeout_s
-                    and not session.queue and not session.executing)
-                if expired_detach or idle:
+                if (session.detached_at is not None
+                        and now - session.detached_at >= self.resume_grace_s):
                     self._unregister(session)
                     self.metrics.sessions_reaped += 1
                     await session.transport.close()
@@ -766,7 +750,8 @@ class SessionEvaluator:
     sides of the pipe.
     """
 
-    def __init__(self, params: EncryptionParameters, context_seed: bytes):
+    def __init__(self, params: EncryptionParameters,
+                 context_seed: bytes = EVAL_CONTEXT_SEED):
         self.params = params
         self._context_seed = context_seed
         #: Never rebound: the context (and every kernel built on it and

@@ -5,7 +5,8 @@ parameters (degree, moduli, Galois element) that a client chooses, and is
 read from ``asyncio.to_thread`` workers.  So it must be *bounded* (a fixed
 capacity, least recently used out), *read-only* (one shared array, many
 readers) and *defined once* (an ``ast`` walk, so a new module-level dict or
-a second copy of a modulus-switch constant fails here, not in production).
+a second copy of a modulus-switch constant or of the limb width fails here,
+not in production).
 """
 
 import ast
@@ -87,6 +88,41 @@ def test_base_prime_inverses_are_derived_in_one_layer():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call) and _call_name(node) == "mod_inv"
     ]
+    assert not offenders, offenders
+
+
+def _int(node: ast.AST):
+    """The value of an integer literal, ``None`` for any other node."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    return None
+
+
+def test_limb_width_is_spelled_only_in_modmath():
+    """``modmath.MAX_MODULUS_BITS`` is the one statement of the limb width:
+    a ``1 << 30``, a ``2 ** 31``, either value as a bare integer, or a
+    ``bit_length()`` compared to 30 or 31 anywhere else is a second copy of
+    the decision (four of them, and a 31-bit kernel path, at f39ace9).
+    Shoup's ``<< 32`` word shifts are another constant and pass."""
+    widths = {30, 31}
+    offenders = []
+    for path in MODULES:
+        if path.name == "modmath.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.BinOp) and (
+                    isinstance(node.op, ast.LShift) and _int(node.left) == 1
+                    or isinstance(node.op, ast.Pow) and _int(node.left) == 2):
+                if _int(node.right) in widths:
+                    offenders.append(f"{where} {ast.unparse(node)}")
+            if _int(node) in {1 << w for w in widths}:
+                offenders.append(f"{where} {node.value}")
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(_call_name(s) == "bit_length" for s in sides)
+                        and any(_int(s) in widths for s in sides)):
+                    offenders.append(f"{where} {ast.unparse(node)}")
     assert not offenders, offenders
 
 

@@ -9,11 +9,15 @@ from repro.hecore.keys import (
     expand_uniform_poly,
     galois_element_for_conjugation,
     galois_element_for_step,
+    keyswitch_inner_product,
     switch_key,
 )
+from repro.hecore.modmath import MAX_MODULUS_BITS
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.polyring import RnsPoly
+from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.random import BlakePrng
+from repro.hecore.rns import RnsBase
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +74,26 @@ def test_switch_key_preserves_relation(params, keygen):
     # Key-switch noise divided by the two special primes is tiny relative
     # to the data modulus.
     assert noise < params.data_base.modulus >> 20
+
+
+@pytest.mark.parametrize("n_digits", [8, 9, 17])
+def test_keyswitch_inner_product_matches_python_ints(n_digits):
+    """The lazy digit sum at the edge of the limb width — the largest NTT
+    primes below ``2**MAX_MODULUS_BITS`` at N = 4096, every residue ``p - 1``
+    in the first column — across the 8-digit chunk it sums in int64."""
+    base = RnsBase(generate_ntt_primes(MAX_MODULUS_BITS, 3, 4096))
+    k, n = len(base), 16
+    rng = np.random.default_rng(n_digits)
+    pcol = base.moduli_col
+    digits = rng.integers(0, 1 << 62, (n_digits, k, n)) % pcol
+    keys = rng.integers(0, 1 << 62, (n_digits, 2, k, n)) % pcol
+    digits[..., 0] = pcol[:, 0] - 1
+    keys[..., 0] = pcol[:, 0] - 1
+    got = keyswitch_inner_product(digits, keys, base)
+    products = digits.astype(object)[:, None] * keys.astype(object)
+    want = products.sum(axis=0) % pcol.astype(object)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want.astype(np.int64))
 
 
 def test_galois_keys_cover_requested_steps(keygen, params):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hecore import modmath
+from repro.hecore.primes import generate_ntt_primes
 
 PRIME = (1 << 30) - 35  # 30-bit prime 1073741789
 
@@ -72,7 +73,24 @@ def test_center_bounds(x):
 def test_check_modulus_rejects_wide():
     with pytest.raises(ValueError):
         modmath.check_modulus(1 << 32)
+    with pytest.raises(ValueError, match=r"2\*\*30"):
+        modmath.check_modulus(1 << modmath.MAX_MODULUS_BITS)
     assert modmath.check_modulus(PRIME) == PRIME
+
+
+#: The largest NTT-friendly primes below the limb width at N = 4096.
+EDGE_PRIMES = generate_ntt_primes(modmath.MAX_MODULUS_BITS, 3, 4096)
+
+
+@pytest.mark.parametrize("p", [PRIME] + EDGE_PRIMES)
+def test_shoup_mul_mod_matches_python_ints(p):
+    rng = np.random.default_rng(p)
+    x = np.concatenate([[0, 1, p - 1], rng.integers(0, p, 500)])
+    c = np.concatenate([[p - 1, p - 1, p - 1], rng.integers(0, p, 500)])
+    pcol = np.array([p], dtype=np.int64)
+    got = modmath.shoup_mul_mod(x, c, (c << 32) // pcol, pcol)
+    assert got.tolist() == [int(a) * int(b) % p for a, b in zip(x, c)]
+    assert np.array_equal(got, modmath.mod_mul(x, c, p))
 
 
 def test_next_power_of_two():

@@ -3,9 +3,11 @@
 The stacked kernels (:class:`repro.hecore.ntt.NttStackPlan`) must be bit-exact
 with the scalar reference plan (:class:`repro.hecore.ntt.NttPlan`) and with the
 schoolbook negacyclic product — across random inputs, every seed parameter
-set, both the Shoup (< 2**30 moduli) and generic kernels, canonical and
-non-canonical inputs, and with the lazy-reduction invariants asserted at every
-butterfly stage.
+set and the widest moduli the limb width admits (the largest NTT primes below
+``2**MAX_MODULUS_BITS``), canonical and non-canonical inputs, natural and raw
+butterfly order, single stacks and cache-grouped batches, and with the
+lazy-reduction invariants asserted at every butterfly stage.  A modulus at or
+above the limb width is refused where it enters.
 """
 
 import numpy as np
@@ -14,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hecore import ntt
-from repro.hecore.modmath import mod_inv, mod_inv_array
+from repro.hecore.bfv import BfvContext
+from repro.hecore.modmath import MAX_MODULUS_BITS, mod_inv, mod_inv_array
 from repro.hecore.params import (
     PARAMETER_SET_A,
     PARAMETER_SET_B,
     PARAMETER_SET_C,
+    SchemeType,
+    small_test_parameters,
 )
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.primes import generate_ntt_primes
@@ -26,6 +31,11 @@ from repro.hecore.rns import RnsBase
 
 N = 64
 PRIMES = tuple(generate_ntt_primes(20, 3, N))
+
+#: The edge of the limb-width contract at the served degree: the largest
+#: NTT-friendly primes below ``2**MAX_MODULUS_BITS`` for N = 4096.
+EDGE_N = 4096
+EDGE_PRIMES = tuple(generate_ntt_primes(MAX_MODULUS_BITS, 3, EDGE_N))
 
 
 @pytest.fixture(scope="module")
@@ -127,39 +137,63 @@ def test_lazy_bounds_hold_on_random_input(seed):
 
 
 # ------------------------------------------------------- seed parameter sets
+def _evaluate_at(coeffs, psi, j, p):
+    """Python-int reference: the polynomial at ``psi ** (2j + 1)`` mod p."""
+    root = pow(psi, 2 * j + 1, p)
+    acc = 0
+    for c in reversed(coeffs.tolist()):
+        acc = (acc * root + c) % p
+    return acc
+
+
 @pytest.mark.parametrize(
-    "params", [PARAMETER_SET_A, PARAMETER_SET_B, PARAMETER_SET_C], ids="ABC"
+    "n, moduli",
+    [(params.poly_degree, params.full_base.moduli)
+     for params in (PARAMETER_SET_A, PARAMETER_SET_B, PARAMETER_SET_C)]
+    + [(EDGE_N, EDGE_PRIMES)],
+    ids=["A", "B", "C", "edge30"],
 )
-def test_seed_parameter_sets_bit_exact(params):
-    n = params.poly_degree
-    moduli = params.full_base.moduli
+def test_seed_parameter_sets_bit_exact(n, moduli):
     plan = ntt.get_stack_plan(n, moduli)
     rng = np.random.default_rng(hash(moduli) & 0xFFFF)
     a = _random_stack(rng, moduli, n)
+    a[:, 0] = np.array(moduli) - 1          # the largest canonical residue
     evals = plan.forward(a, check_bounds=True)
     for r, p in enumerate(moduli):
         assert np.array_equal(evals[r], ntt.get_plan(n, p).forward(a[r]))
+        for j in (0, 1, n // 2, n - 1):
+            assert evals[r, j] == _evaluate_at(a[r], plan.psis[r], j, p)
     assert np.array_equal(plan.inverse(evals, check_bounds=True), a)
+    # Raw butterfly order: the same values permuted, and back.
+    raw = plan.forward(a, check_bounds=True, unscramble=False)
+    assert np.array_equal(raw, evals[:, plan.scramble_order])
+    assert np.array_equal(
+        plan.inverse(raw, check_bounds=True, prescrambled=True), a)
+    # A batch large enough to run in cache-sized groups of stacks.
+    batch = np.stack([a] + [_random_stack(rng, moduli, n) for _ in range(4)])
+    assert plan._batch_group(len(batch)) < len(batch)
+    out = plan.forward_batch(batch, check_bounds=True)
+    for i, stack in enumerate(batch):
+        assert np.array_equal(out[i], plan.forward(stack))
+    assert np.array_equal(plan.inverse_batch(out, check_bounds=True), batch)
 
 
-# ----------------------------------------------------- generic (wide) kernel
-def test_generic_kernel_for_wide_moduli():
-    n = 128
-    moduli = tuple(generate_ntt_primes(31, 2, n))
-    plan = ntt.get_stack_plan(n, moduli)
-    assert not plan._use_shoup  # 31-bit primes exceed the Shoup bound
-    rng = np.random.default_rng(21)
-    a = _random_stack(rng, moduli, n)
-    b = _random_stack(rng, moduli, n)
-    evals = plan.forward(a, check_bounds=True)
-    for r, p in enumerate(moduli):
-        assert np.array_equal(evals[r], ntt.get_plan(n, p).forward(a[r]))
-    assert np.array_equal(plan.inverse(evals, check_bounds=True), a)
-    out = plan.negacyclic_multiply(a, b)
-    for r, p in enumerate(moduli):
-        assert np.array_equal(
-            out[r], ntt.get_plan(n, p).negacyclic_multiply(a[r], b[r])
-        )
+# --------------------------------------------------- the limb-width contract
+_P31 = generate_ntt_primes(MAX_MODULUS_BITS + 1, 2, N)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RnsBase([_P31[0], PRIMES[0]]),
+    lambda: ntt.get_stack_plan(N, (_P31[0],)),
+    # The plain modulus reaches NttStackPlan through BatchEncoder.
+    lambda: BfvContext(small_test_parameters(
+        SchemeType.BFV, poly_degree=N, plain_bits=MAX_MODULUS_BITS + 1)),
+], ids=["rns_base", "stack_plan", "bfv_plain_modulus"])
+def test_moduli_at_or_above_the_limb_width_are_refused(build):
+    """Construction is where a modulus enters, so the refusal comes before
+    any key or ciphertext exists."""
+    with pytest.raises(ValueError, match=rf"2\*\*{MAX_MODULUS_BITS}\b"):
+        build()
 
 
 # --------------------------------------------------- NTT-form automorphism

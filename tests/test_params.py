@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.hecore.modmath import MAX_MODULUS_BITS
 from repro.hecore.params import (
-    COMPUTE_LIMB_MAX_BITS,
     PARAMETER_SET_A,
     PARAMETER_SET_B,
     PARAMETER_SET_C,
@@ -36,7 +36,7 @@ def test_computational_limbs_match_logical_width():
         computational_bits = sum(
             p.bit_length() for p in params.data_base.moduli)
         assert computational_bits == logical_data_bits
-        assert all(p.bit_length() <= COMPUTE_LIMB_MAX_BITS
+        assert all(p.bit_length() <= MAX_MODULUS_BITS
                    for p in params.data_base.moduli)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hecore.modmath import MAX_MODULUS_BITS
 from repro.hecore.polyring import RnsPoly, exact_negacyclic_multiply
 from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.rns import RnsBase
@@ -150,8 +151,10 @@ def test_exact_negacyclic_multiply_vs_schoolbook(seed):
 LEADS = [(), (3,), (2, 3)]      # rank 2 (one polynomial), rank 3, rank 4
 
 
-@pytest.fixture(scope="module", params=[30, 31], ids=["30-bit", "31-bit"])
+@pytest.fixture(scope="module", params=[MAX_MODULUS_BITS], ids=["30-bit"])
 def wide_base(request):
+    """The widest base the limb-width contract admits: the three largest
+    NTT primes below ``2**MAX_MODULUS_BITS``."""
     return RnsBase(generate_ntt_primes(request.param, 3, N))
 
 
