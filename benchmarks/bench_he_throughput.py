@@ -171,7 +171,7 @@ def _measure_set(params):
 
     target = RnsPoly(base, n, stack.copy(), is_ntt=False)
     evals_poly = RnsPoly(base, n, evals, is_ntt=True)
-    # A key-switch accumulator: one row per data prime plus the special ones.
+    # A key-switch accumulator: one row per data prime plus the special prime.
     full = params.full_base
     wide = RnsPoly(full, n, np.stack(
         [rng.integers(0, p, n, dtype=np.int64) for p in full.moduli]))

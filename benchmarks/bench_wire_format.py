@@ -94,14 +94,16 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_wire_format.json"
 #: + a 32-byte seed; the receiver regenerates the uniform halves).
 #: ``serialize_relin`` keeps its floor — it writes half the bytes and
 #: should read ~2x.  ``deserialize_relin`` is re-derived, not relaxed: the
-#: old 8,000/s measured one ``frombuffer`` copy; a set-B relin key now also
-#: expands 3 digits x 5 residue rows = 15 ``sample_uniform`` rows of 4096
-#: (~39 us each, 0.58 ms) on top of the 0.14 ms ``k0`` copy and views:
-#: 0.72 ms = 1,390/s on the idle 2-vCPU reference host, recorded at under
-#: half of that like every other entry.  The 48-element Galois set
-#: (``GALOIS_ELEMENTS``, the DNN cold-session upload) measures 38 ms to
-#: write and 70 ms to read there (48 x (0.58 ms expansion + a page-faulting
-#: 0.98 MB store)); floors at half.
+#: old 8,000/s measured one ``frombuffer`` copy; a key now also expands one
+#: ``sample_uniform`` row of 4096 (~39 us) per digit x full-base residue.
+#: The floors were recorded when set B key-switched with two special primes
+#: (3 digits x 5 rows = 0.58 ms on top of the 0.14 ms ``k0`` copy and
+#: views: 0.72 ms = 1,390/s on the idle 2-vCPU reference host), at under
+#: half of that like every other entry; with one special prime a key is
+#: 3 x 4 rows and reads faster.  The 48-element Galois set
+#: (``GALOIS_ELEMENTS``) measured 38 ms to write and 70 ms to read there
+#: (48 x (0.58 ms expansion + a page-faulting 0.98 MB store)); floors at
+#: half.
 WIRE_BASELINE = {
     "serialize_public": 30000.0,
     "serialize_seeded": 50000.0,

@@ -27,10 +27,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from repro.hecore.params import (
-    MAX_COEFF_MODULUS_BITS_128,
-    SchemeType,
-)
+from repro.hecore.params import SchemeType
+from repro.hecore.security import max_coeff_modulus_bits
 
 #: Empirical noise costs, bits (see module docstring).
 FRESH_NOISE_BITS = 7
@@ -159,8 +157,7 @@ def select_parameters(profile: WorkloadProfile,
         if n < 2 * profile.min_slots:   # slots: N for BFV rows, N/2 rotating
             continue
         data_bits, t_bits = required_data_bits(profile, n, scheme)
-        limit = MAX_COEFF_MODULUS_BITS_128[n]
-        if data_bits + KEY_PRIME_BITS > limit:
+        if data_bits + KEY_PRIME_BITS > max_coeff_modulus_bits(n):
             continue
         if scheme is SchemeType.BFV and t_bits is not None and t_bits >= n.bit_length() + 24:
             # plaintext modulus must stay well below the residue word size

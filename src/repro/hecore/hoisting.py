@@ -3,7 +3,7 @@
 A naive slot rotation pays a full key switch: decompose the ciphertext's
 second component into RNS digits, lift each digit to the extended
 (current + special) base, forward-NTT every lifted digit, inner-product with
-the Galois key, inverse-NTT, and rescale away the special primes.  When many
+the Galois key, inverse-NTT, and rescale away the special prime.  When many
 rotations apply to the *same* ciphertext — the diagonal matvec, the
 rotate-and-sum distance reductions, PageRank's packing refresh — everything
 up to the inner product is identical across rotations except for the Galois
@@ -160,8 +160,7 @@ class HoistedRotator:
         ``(2R, k_ext, n)`` block."""
         r = accs.shape[0]
         rescaled = keyswitch_finish(
-            accs.reshape(r * 2, len(self.ext_base), self.n), self.ext_base,
-            len(self.params.special_primes))
+            accs.reshape(r * 2, len(self.ext_base), self.n), self.ext_base)
         return [
             (RnsPoly(self.current, self.n, rescaled[2 * i], is_ntt=False),
              RnsPoly(self.current, self.n, rescaled[2 * i + 1], is_ntt=False))

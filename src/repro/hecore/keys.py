@@ -5,10 +5,11 @@ public keys (the ``P0, P1`` of the paper's Eq. 2), relinearization keys (for
 ciphertext multiplication) and Galois keys (for slot rotation — Table 1's
 "Ciphertext Rotate").
 
-Key switching uses RNS digit decomposition with a special-prime product ``P``
-(SEAL's hybrid method): each digit of the target polynomial multiplies a key
-that encrypts ``P · s_src`` concentrated on that digit's residue, and the
-accumulated result is scaled down by ``1/P``, keeping the added noise small.
+Key switching uses RNS digit decomposition with one special prime ``P``
+above every data prime (SEAL's hybrid method): each digit of the target
+polynomial multiplies a key that encrypts ``P · s_src`` concentrated on that
+digit's residue, and the accumulated result is scaled down by ``1/P``,
+keeping the added noise small.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.hecore import ntt
 from repro.hecore.modmath import MAX_MODULUS_BITS, mod_add
-from repro.hecore.params import EncryptionParameters, SPECIAL_PRIME_COUNT
+from repro.hecore.params import EncryptionParameters
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.random import BlakePrng
 from repro.hecore.rns import RnsBase
@@ -255,9 +256,6 @@ class KeyGenerator:
         params = self.params
         full = params.full_base
         data_count = len(params.data_base)
-        special_product = 1
-        for p in params.special_primes:
-            special_product *= p
         s_ntt = self._secret.poly_ntt
         n = params.poly_degree
         seed = self._seed_prng.random_bytes(SEED_BYTES)
@@ -270,7 +268,7 @@ class KeyGenerator:
             # Add P * s_src concentrated on residue i (NTT form is per-row
             # linear, so a row-local addition is valid).
             p_i = full.moduli[i]
-            factor = np.int64(special_product % p_i)
+            factor = np.int64(params.special_prime % p_i)
             k0.data[i] = mod_add(
                 k0.data[i],
                 (factor * source_key_ntt.data[i]) % p_i,
@@ -314,15 +312,13 @@ class KeyGenerator:
 
 
 def keyswitch_ext_base(current: RnsBase, params: EncryptionParameters) -> RnsBase:
-    """The extended base (current data moduli + special primes) of a switch."""
-    return RnsBase.of(current.moduli + params.special_primes)
+    """The extended base (current data moduli + the special prime) of a switch."""
+    return RnsBase.of(current.moduli + (params.special_prime,))
 
 
 def keyswitch_rows(current: RnsBase, params: EncryptionParameters) -> List[int]:
     """Full-base row indices of the extended base's residues."""
-    full = params.full_base
-    special_rows = [full.moduli.index(p) for p in params.special_primes]
-    return list(range(len(current))) + special_rows
+    return list(range(len(current))) + [len(params.full_base) - 1]
 
 
 def decompose_for_keyswitch(target: RnsPoly, ext_base: RnsBase) -> np.ndarray:
@@ -380,17 +376,13 @@ def keyswitch_inner_product(digits_ntt: np.ndarray,
     return acc if n_digits <= chunk else np.mod(acc, pcol)
 
 
-def keyswitch_finish(accs: np.ndarray, ext_base: RnsBase,
-                     drops: int) -> np.ndarray:
+def keyswitch_finish(accs: np.ndarray, ext_base: RnsBase) -> np.ndarray:
     """The tail every key switch ends with: inverse-transform a
     ``(B, k_ext, n)`` block of NTT-form accumulators in one stacked pass,
-    then divide the whole block by each of the *drops* special primes.
-    Returns the ``(B, k_ext - drops, n)`` coefficient-form block."""
+    then divide the whole block by the special prime.  Returns the
+    ``(B, k_ext - 1, n)`` coefficient-form block."""
     plan = ntt.get_stack_plan(accs.shape[-1], ext_base.moduli)
-    block = plan.inverse_batch(accs)
-    for _ in range(drops):
-        ext_base, block = ext_base.divide_and_round_by_last(block)
-    return block
+    return ext_base.divide_and_round_by_last(plan.inverse_batch(accs))[1]
 
 
 def switch_key(
@@ -411,6 +403,6 @@ def switch_key(
     digits_ntt = decompose_for_keyswitch(target, ext_base)
     key_block = ksk.stacked_digits(rows, len(current))
     acc = keyswitch_inner_product(digits_ntt, key_block, ext_base)
-    u0, u1 = keyswitch_finish(acc, ext_base, len(params.special_primes))
+    u0, u1 = keyswitch_finish(acc, ext_base)
     return (RnsPoly(current, n, u0, is_ntt=False),
             RnsPoly(current, n, u1, is_ntt=False))

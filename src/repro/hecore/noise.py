@@ -24,7 +24,7 @@ from repro.hecore.params import EncryptionParameters, SchemeType
 #: value because parameter selection should match SEAL-class systems).
 FRESH_OFFSET_BITS = 0
 
-#: Bits one rotation's key-switching contributes (two special primes).
+#: Bits one rotation's key-switching contributes (one 30-bit special prime).
 ROTATION_BITS = 2
 
 #: Safety slack applied by :meth:`NoiseEstimate.is_safe`.

@@ -12,7 +12,10 @@ Two views of the coefficient modulus coexist:
   ``s * (k - 1) * N * 8`` bytes (the key prime never travels).
 * **Computational** moduli — word-sized primes with the *same total bit
   width* as the logical data modulus, used by the functional scheme
-  (DESIGN.md documents the 60-bit→30-bit limb substitution).
+  (DESIGN.md documents the 60-bit→30-bit limb substitution), plus ONE
+  special prime for key switching: the largest 30-bit NTT prime for ``N``,
+  so it is above every data prime.  Security is checked on these executed
+  moduli, ``log2 Q·P``, not on the logical column.
 """
 
 from __future__ import annotations
@@ -25,20 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.hecore.modmath import MAX_MODULUS_BITS
 from repro.hecore.primes import generate_ntt_primes, is_prime
 from repro.hecore.rns import RnsBase
+from repro.hecore.security import max_coeff_modulus_bits
 
 #: Bytes per encrypted coefficient word (`w` in Table 2).
 WORD_BYTES = 8
-
-#: Maximum total coefficient-modulus bits for 128-bit security, per the
-#: Homomorphic Encryption Standard (the table SEAL enforces).
-MAX_COEFF_MODULUS_BITS_128 = {
-    1024: 27,
-    2048: 54,
-    4096: 109,
-    8192: 218,
-    16384: 438,
-    32768: 881,
-}
 
 #: SEAL's default coefficient modulus bit decompositions at 128-bit security,
 #: used by the paper's software baselines ("SEAL's default parameters").
@@ -49,10 +42,6 @@ SEAL_DEFAULT_COEFF_BITS: Dict[int, Tuple[int, ...]] = {
     16384: (48, 48, 48, 49, 49, 49, 49, 49, 49),
     32768: tuple([55] * 15 + [56]),
 }
-
-#: Number of word-sized special primes whose product plays the role of
-#: SEAL's single large key prime during key switching.
-SPECIAL_PRIME_COUNT = 2
 
 
 class SchemeType(enum.Enum):
@@ -139,29 +128,23 @@ class EncryptionParameters:
         scale_bits: Optional[int] = None,
         label: str = "",
         enforce_security: bool = True,
-        special_prime_count: int = SPECIAL_PRIME_COUNT,
     ) -> "EncryptionParameters":
         if poly_degree & (poly_degree - 1) or poly_degree < 8:
             raise ValueError(f"poly_degree {poly_degree} must be a power of two >= 8")
         logical = tuple(int(b) for b in logical_coeff_bits)
         if len(logical) < 2:
             raise ValueError("need at least one data prime and one key prime")
-        total_bits = sum(logical)
-        if enforce_security:
-            limit = MAX_COEFF_MODULUS_BITS_128.get(poly_degree)
-            if limit is None or total_bits > limit:
-                raise ValueError(
-                    f"log2(q)={total_bits} exceeds the 128-bit security limit "
-                    f"{limit} for N={poly_degree}"
-                )
         data_bits = sum(logical[:-1])
 
+        # The special prime draws first from the 30-bit pool, so it is the
+        # largest 30-bit NTT prime and every data prime comes from below it.
         if scheme is SchemeType.BFV:
             if plain_bits is None:
                 raise ValueError("BFV requires plain_bits")
             plain_modulus = generate_ntt_primes(plain_bits, 1, poly_degree)[0]
             limb_sizes = _split_bits(data_bits, MAX_MODULUS_BITS)
-            data_primes = _generate_limb_primes(limb_sizes, poly_degree)
+            special, *data_primes = _generate_limb_primes(
+                [MAX_MODULUS_BITS] + limb_sizes, poly_degree)
             scale = 0.0
         elif scheme is SchemeType.CKKS:
             if scale_bits is None:
@@ -170,20 +153,28 @@ class EncryptionParameters:
             plain_bits = None
             scale = float(1 << scale_bits)
             base_prime_bits = min(MAX_MODULUS_BITS, data_bits)
-            levels = max(1, round((data_bits - base_prime_bits) / scale_bits))
-            base_prime = generate_ntt_primes(base_prime_bits, 1, poly_degree)[0]
+            # Whole levels only: the rescale chain never outgrows the
+            # logical data width it substitutes for.
+            levels = max(1, (data_bits - base_prime_bits) // scale_bits)
+            special, base_prime = _generate_limb_primes(
+                [MAX_MODULUS_BITS, base_prime_bits], poly_degree)
             rescale = generate_primes_near(
-                1 << scale_bits, levels, poly_degree, exclude=[base_prime]
+                1 << scale_bits, levels, poly_degree, exclude=[special, base_prime]
             )
             data_primes = [base_prime] + rescale
         else:
             raise ValueError(f"unknown scheme {scheme}")
 
-        special = generate_ntt_primes(MAX_MODULUS_BITS, special_prime_count + 4,
-                                      poly_degree)
-        special = [p for p in special if p not in data_primes][:special_prime_count]
+        full_base = RnsBase.of(tuple(data_primes) + (special,))
+        if enforce_security:
+            executed_bits = math.log2(full_base.modulus)
+            limit = max_coeff_modulus_bits(poly_degree)
+            if executed_bits > limit:
+                raise ValueError(
+                    f"executed log2(Q*P)={executed_bits:.1f} exceeds the "
+                    f"128-bit security limit {limit} for N={poly_degree}"
+                )
         data_base = RnsBase.of(tuple(data_primes))
-        full_base = RnsBase.of(tuple(data_primes + special))
         return cls(
             scheme=scheme,
             poly_degree=poly_degree,
@@ -229,17 +220,19 @@ class EncryptionParameters:
         return self.poly_degree
 
     @property
-    def special_primes(self) -> Tuple[int, ...]:
-        return self.full_base.moduli[len(self.data_base):]
+    def special_prime(self) -> int:
+        """The key-switching modulus ``P``: the full base's last residue."""
+        return self.full_base.moduli[-1]
 
     def fingerprint(self) -> Tuple:
         """What makes two parameter sets the same one — ``(scheme, N, plain
-        modulus, scale bits, data moduli, special primes)``: the fields of
+        modulus, scale bits, data moduli, (special prime,))``: the fields of
         the runtime handshake, and the parameter half of the schedule-cache
-        key.  Equal fingerprints evaluate identically."""
+        key.  Equal fingerprints evaluate identically.  The last field stays
+        a tuple so the HELLO frame keeps its ``n_special`` layout."""
         return (self.scheme, self.poly_degree, self.plain_modulus,
                 self.scale_bits or 0, self.data_base.moduli,
-                self.special_primes)
+                (self.special_prime,))
 
     def describe(self) -> str:
         """One-line summary in the paper's Table 3 format."""

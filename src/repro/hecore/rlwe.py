@@ -170,10 +170,9 @@ class RlweContext:
         e2 = RnsPoly.from_signed_array(full, rng.sample_error(n))
         c0 = (pk.p0 * u).from_ntt() + e1
         c1 = (pk.p1 * u).from_ntt() + e2
-        # Modulus-switch away the key primes (Figure 5's Mod Switching stage).
-        for _ in params.special_primes:
-            c0 = c0.divide_and_round_by_last()
-            c1 = c1.divide_and_round_by_last()
+        # Modulus-switch away the special prime (Figure 5's Mod Switching stage).
+        c0 = c0.divide_and_round_by_last()
+        c1 = c1.divide_and_round_by_last()
         c0 = c0 + self._message_poly(c0.base, plaintext)
         return Ciphertext(params, [c0, c1], scale=plaintext.scale)
 
@@ -226,9 +225,7 @@ class RlweContext:
             ])
             block = batchcrypt.inverse_block(full, n, prod, raw=True)
             block = full.add(block, np.concatenate([e1, e2]))
-            base = full
-            for _ in params.special_primes:
-                base, block = base.divide_and_round_by_last(block)
+            base, block = full.divide_and_round_by_last(block)
             tile_pts = plaintexts[start:stop]
             c0 = base.add(block[:g], self._message_block(base, tile_pts))
             c0_polys = batchcrypt.split_polys(base, n, c0)

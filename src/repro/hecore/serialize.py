@@ -415,7 +415,8 @@ def deserialize_galois_keys(blob: bytes,
 # ---------------------------------------------------------------------------
 
 #: Parameter-spec blobs: magic, version, scheme, poly_degree, plain_bits
-#: (-1 when absent), scale_bits (-1 when absent), n_logical, n_special.
+#: (-1 when absent), scale_bits (-1 when absent), n_logical, n_special
+#: (always 1: ``create`` derives the one special prime).
 _PARAMS_MAGIC = b"CHOP"
 _PARAMS_HEADER = struct.Struct("<4sBBIhhBB")
 
@@ -440,7 +441,7 @@ def serialize_params(params: EncryptionParameters) -> bytes:
         params.poly_degree,
         -1 if params.plain_bits is None else params.plain_bits,
         -1 if params.scale_bits is None else params.scale_bits,
-        len(logical), len(params.special_primes),
+        len(logical), 1,
     )]
     parts.append(struct.pack(f"<{len(logical)}H", *logical))
     parts.append(struct.pack("<H", len(label)))
@@ -461,6 +462,9 @@ def deserialize_params(blob: bytes) -> EncryptionParameters:
     scheme = _SCHEME_FROM_CODE.get(scheme_code)
     if scheme is None:
         raise ValueError(f"unknown scheme code {scheme_code}")
+    if n_special != 1:
+        raise ValueError(f"parameter blob declares {n_special} special primes; "
+                         f"key switching uses exactly one")
     offset = _PARAMS_HEADER.size
     need = 2 * n_logical + 2
     if len(blob) < offset + need:
@@ -481,8 +485,7 @@ def deserialize_params(blob: bytes) -> EncryptionParameters:
         scheme, poly_degree, logical,
         plain_bits=None if plain_bits < 0 else plain_bits,
         scale_bits=None if scale_bits < 0 else scale_bits,
-        label=label, enforce_security=False,
-        special_prime_count=n_special)
+        label=label, enforce_security=False)
 
 
 # ---------------------------------------------------------------------------

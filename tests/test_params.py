@@ -1,5 +1,8 @@
 """Direct tests for EncryptionParameters construction and accounting."""
 
+import functools
+import math
+
 import pytest
 
 from repro.hecore.modmath import MAX_MODULUS_BITS
@@ -13,6 +16,7 @@ from repro.hecore.params import (
     seal_default_parameters,
     small_test_parameters,
 )
+from repro.hecore.security import max_coeff_modulus_bits
 
 
 def test_preset_labels_and_schemes():
@@ -45,10 +49,90 @@ def test_slot_counts():
     assert PARAMETER_SET_C.slot_count == 4096       # CKKS: N/2 slots
 
 
-def test_special_primes_disjoint_from_data():
-    for params in (PARAMETER_SET_A, PARAMETER_SET_B, PARAMETER_SET_C):
-        assert not set(params.special_primes) & set(params.data_base.moduli)
-        assert len(params.special_primes) == 2
+def _paramsearch_sets():
+    """The parameter points ``select_parameters`` picks for the Table-5 DNN
+    profile (with and without rotational redundancy) and for every Figure-13
+    PageRank segment length (each total divides 48), built through
+    ``create``."""
+    from repro.apps.pagerank import segment_profile
+    from repro.core.paramsearch import select_parameters
+    from tests.test_paramsearch import DNN_PROFILE
+
+    profiles = [(DNN_PROFILE, SchemeType.BFV),
+                (DNN_PROFILE.with_rotational_redundancy(), SchemeType.BFV)]
+    profiles += [(segment_profile(s, 64, scheme), scheme)
+                 for scheme in SchemeType
+                 for s in (1, 2, 3, 4, 6, 8, 12, 16, 24, 48)]
+    choices = set()
+    for profile, scheme in profiles:
+        try:
+            choices.add(select_parameters(profile, scheme))
+        except ValueError:
+            continue            # a segment too deep for any secure set
+    return {f"search-{c.scheme.value}-{c.poly_degree}-{'-'.join(map(str, c.residue_bits))}":
+            functools.partial(EncryptionParameters.create, c.scheme,
+                              c.poly_degree, c.residue_bits,
+                              plain_bits=c.plain_bits)
+            for c in choices}
+
+
+NAMED_SETS = {
+    "A": lambda: PARAMETER_SET_A,
+    "B": lambda: PARAMETER_SET_B,
+    "C": lambda: PARAMETER_SET_C,
+    **{f"SEAL-{n}-{scheme.value}": functools.partial(
+        seal_default_parameters, n, scheme)
+       for n in (4096, 8192, 16384, 32768) for scheme in SchemeType},
+    **_paramsearch_sets(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SETS))
+def test_one_special_prime_above_every_data_prime_within_the_limit(name):
+    """Key switching uses exactly one special prime, above every data prime;
+    the moduli that execute, ``Q·P``, fit the 128-bit limit; and ``create``
+    refuses a set whose data modulus plus that 30-bit prime does not fit,
+    even when its logical total does."""
+    params = NAMED_SETS[name]()
+    n = params.poly_degree
+    assert params.full_base.moduli == (params.data_base.moduli
+                                       + (params.special_prime,))
+    assert params.fingerprint()[-1] == (params.special_prime,)
+    assert params.special_prime > max(params.data_base.moduli)
+    limit = max_coeff_modulus_bits(n)
+    assert math.log2(params.full_base.modulus) <= limit
+    with pytest.raises(ValueError, match="executed"):
+        EncryptionParameters.create(SchemeType.BFV, n, (limit - 28, 28),
+                                    plain_bits=20)
+
+
+def test_seal_16384_rotation_burns_no_key_switch_bits():
+    """With a special prime above every data limb, a rotation at SEAL-16384
+    costs what it costs at SEAL-8192: nothing measurable."""
+    from repro.hecore.bfv import BfvContext
+
+    ctx = BfvContext(seal_default_parameters(16384), seed=b"seal-16384")
+    ctx.make_galois_keys([1])
+    ct = ctx.encrypt(list(range(64)))
+    before = ctx.noise_budget(ct)
+    rotated = ctx.rotate(ct, 1)
+    assert before - ctx.noise_budget(rotated) <= 2
+    assert list(ctx.decrypt(rotated)[:63]) == list(range(1, 64))
+
+
+@pytest.mark.parametrize("n_special", [0, 2])
+def test_params_blob_declaring_other_special_counts_is_rejected(n_special):
+    from repro.hecore.serialize import (
+        _PARAMS_HEADER,
+        deserialize_params,
+        serialize_params,
+    )
+
+    blob = bytearray(serialize_params(PARAMETER_SET_B))
+    assert deserialize_params(bytes(blob)) == PARAMETER_SET_B
+    blob[_PARAMS_HEADER.size - 1] = n_special
+    with pytest.raises(ValueError, match="special"):
+        deserialize_params(bytes(blob))
 
 
 def test_describe_mentions_essentials():

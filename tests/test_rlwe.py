@@ -14,10 +14,14 @@ Two kinds of test pin the base-class refactor:
   stream.  The four ``encrypt_symmetric*`` rows were re-recorded once, when
   a ciphertext seed began expanding to an evaluation-form ``c1`` and the
   fresh ciphertext to ship in that form (same PRNG draws, same plaintext:
-  only the representation moved).  Every public-key ``encrypt*``,
-  ``multiply``, ``plain_ops``, ``mod_switch_down``, ``add_sub_negate`` and
-  ``align`` row is byte-identical to the original recording — the
-  secret-key, public-key and encryptor streams were not touched — and
+  only the representation moved).  Up to then every public-key
+  ``encrypt*``, ``multiply``, ``plain_ops``, ``mod_switch_down``,
+  ``add_sub_negate`` and ``align`` row was byte-identical to the original
+  recording.  All 30 rows were re-recorded once more when key switching
+  moved to ONE special prime derived above every data prime: the moduli
+  themselves moved (the special prime takes the largest 30-bit NTT prime,
+  so the BFV data limbs and the CKKS base prime step down one), so every
+  residue of every ciphertext did, with the PRNG streams untouched.
   ``test_only_the_symmetric_rows_were_rerecorded`` pins the table itself;
 * **contract** — both contexts are ``RlweContext`` instances exposing the
   shared methods with identical signatures, and the shared validation
@@ -113,51 +117,53 @@ def golden_digests(scheme: str) -> dict:
     return out
 
 
-#: Recorded at commit 20906ae (PR 13), before ``hecore/rlwe.py`` existed;
-#: the five key-switch rows re-recorded with seed-expanded key-switching
-#: keys, the four ``encrypt_symmetric*`` rows with evaluation-form uploads.
+#: First recorded at commit 20906ae (PR 13), before ``hecore/rlwe.py``
+#: existed; the five key-switch rows re-recorded with seed-expanded
+#: key-switching keys, the four ``encrypt_symmetric*`` rows with
+#: evaluation-form uploads, and every row with the one derived special prime.
 GOLDEN = {
     "bfv": {
-        "encrypt": "d6c919bd9763f243be67008e19288cc19c3ff65dd0b3a71edb135cc462ed7840",
-        "encrypt_many": "76380157ce25e15ad4cd4bb30c450d11cf4b5513a02c6365499e5b70724c9678",
-        "encrypt_symmetric": "317e32db71c6ebe37b757640ddb2bcd9dadfdc966954646ae26efad210f7325f",
-        "encrypt_symmetric_many": "aff17ced3ca7f9b462ad04bb88b4edcf138529358b17bf196ce561cda03b0d87",
-        "encrypt_after_batches": "215ca9c00fd24b43def1f19d6555294f10a4cc260a2e0132dfe62bb6dc814f35",
-        "rotate": "0fb4a4c0fe3fd1d74e8e2ba8c54d8133de592742709a9aaf85373028cde697b7",
-        "rotate_many": "f313b931cae67116a5551e20fb82c19f7e83cc1c5db0dfe3badebbfc596112d4",
-        "conjugate": "c37769d041c613900c2af6d5a3c0919853f1fa12ff7a14eb36e69140f292478d",
-        "rotate_and_sum": "682f90c6c75b009c3136ee6fb7132ec995fd95c8f090021f74d65b2b2967e373",
-        "add_sub_negate": "fb7bd8a31121231bda2d8b83fbf03192e0d7cfef5c6bc7fce23ab0019ea44809",
-        "plain_ops": "c8ead30b69d085d462291d7be7f3608938f6806659200dc65ecf628d676451b9",
-        "multiply": "314ff603844f72e62f0c7c3e148b23f8172ed111a23aa4ea2ae5b72c798cbd11",
-        "relinearize": "9d433a8fd9b493e21d7080571f3738cde5527d1eb32e841c66fb37beb3974ffa",
-        "mod_switch_down": "dc3ffee305ffe03b9a3db567a4e96ad04c1975fdd3eb8b3a00f097a8d1fa8c6b",
-        "align": "336c56452ec28bd86e9987b188a5051c5dc7f3473c6b611c6d12a79b6dc14553"
+        "encrypt": "8d67a3cc205169c7fb9a29d9b3a7f799af008bd5eb8d69c225203acf9438bdd0",
+        "encrypt_many": "b956320c174a64aeb6e060d7981fe2881eb42a72c7d4fc83f8e33673b856a273",
+        "encrypt_symmetric": "cfcfb72499bb59ef755f001145ed92709e1be085a51577d477a842bc99b15756",
+        "encrypt_symmetric_many": "baea1460b5707a5cc068e593b4fa1f4032138dc1f7efce77ed70c71ce3ff7ff9",
+        "encrypt_after_batches": "3f8d790c34d465684e95e15360ab733cb44f97b7f39997181edfa8ed58868253",
+        "rotate": "e2ab5fbc85690a13587c47ce6ca16cdd98bcfacfa83d27591cd931ad749c2e51",
+        "rotate_many": "5ba1f2069bdcfbc7de036ea05b52c2d456b70a26e8d7f7e8f4776af49d47a12f",
+        "conjugate": "2b28771eb1d1872cc8362d33bde3fdff862cd41ba25281b54a1dd98c35ff68e2",
+        "rotate_and_sum": "8bf573dd61a40ac8da1ffc6f3cf1f28be824684528870977dbb3fbd941fa17bd",
+        "add_sub_negate": "9b07873c363b8c3a3159eebdedbbc34a88c23696d27129cbc2560cfe368fc6f3",
+        "plain_ops": "eb45eb68c61194ef115ea26efdc10ace21090b36a1a6aa6ae43876e276a1ce3b",
+        "multiply": "16fe2b8e8b4c0f0014260fe0d3d78b89ef7e18f8422670b5fb92a8c9a1b7bef6",
+        "relinearize": "89d4d38e80b983b10186d99a78cb2822f45b0072a057337b578f7a87e8f0c158",
+        "mod_switch_down": "fd54752ed65974cd4e3b34ea279c39f4769a2355b47eefdb9d21c9313ba35cfe",
+        "align": "9b3b5fcba39c56aade837d8a445c6ea99574a069a4189e39aa57f588a8bfe1e6"
     },
     "ckks": {
-        "encrypt": "180fe35cc7051864c70eba975c80ac7e61c8ba7022a67515a9f36690beda100b",
-        "encrypt_many": "3e4664c3987135230e6bbcf03af1407e879794ba1904e9bf1c8f8d3cb6b838d4",
-        "encrypt_symmetric": "e2b7fdbdff4955d2af34db0b346071d55b6ceb9f54549f328d5b72df3a7e2d3a",
-        "encrypt_symmetric_many": "7d6f059b6561a77c184e97db8e10907cb23eba1a8ca818fff10a7cb6ea9c22d5",
-        "encrypt_after_batches": "23415133a70bd2b94c94e4060a6fa65a33a5caab1bac73d13f3b297a0677d034",
-        "rotate": "b9fa75bfcd215984f23065f885393661fad2e14201d8ef0736856b8a40a6a721",
-        "rotate_many": "0b4bd049b9a920972bc4318f5e76efa87ee518f6255b731d18267279d677cfe8",
-        "conjugate": "6069fe9329b9bd59d7785bbbc7e9bd496c79f93cfe84bd43ce8a60cd2ed909fe",
-        "rotate_and_sum": "0cf8a6e5cf78bdb125f3be83f99af8af986c0bbde12a1cfe51627fafdb2c555e",
-        "add_sub_negate": "efb83699dbad9f1bbec8857990bf5a51c473eec7dda90f4247f10855ce55332d",
-        "plain_ops": "4f9b3489f75e99a9dbf9e845392217bfc968bf768c53bad2ad8cd3f59a00e47a",
-        "multiply": "c196c5eaf77ed92738329f5553d1e1455489f1eb95c785d9066a8b5d1edfba63",
-        "relinearize": "bb01eb1d1c5ae66c886b88477a8c08afcc7a89fbe63b254057e574d872174316",
-        "mod_switch_down": "0a9d34695132c939b8c83b6a8607f53c5da9a22f5d7184a5a35c9a0794576380",
-        "align": "7158f3f8dcc03f27e2d74bd3477012719e1da3db773859d9644e31f9609e6da9"
+        "encrypt": "bfd1e3d41d6041a4b76f7fa2b6c59933cfb5123dd53ecd44521e30088dc449ec",
+        "encrypt_many": "19a74552ac2b8638dfb599f61e4ded2d1369a1989511274bbcf032fae6d08ebd",
+        "encrypt_symmetric": "b4b0dd596340250727143bfda7f015f77322666ab13f5ca4609ac9d4b9e7db7e",
+        "encrypt_symmetric_many": "97c67d8e7392b452bd62703459725e490a587f67d997f30f7655170c8375ad8d",
+        "encrypt_after_batches": "77d103b4cb81040f3fd5b200ac886e5ff672b1ee22091931f411ac1397fdf30a",
+        "rotate": "51fe91eb605f0268853d1cf52e953ecd188dc7ce92f6cb63864e8b1f10123aaf",
+        "rotate_many": "a50ab4d2ff09f3e742e34f97ebc37a02be1ca082cf7f7b19a6d6d96d999c13e8",
+        "conjugate": "b12489dfb8633d85184489829e9eabc0567037baf87ec1ec51f284f9dd3430c3",
+        "rotate_and_sum": "70066d1f8367b120f044b0a0174f657b333de17b1d64ece5c0283c3ad82edcc6",
+        "add_sub_negate": "3fcb1c0cca745a2e1efa711a29d095ffccf82922daaeb98eaed43dd4889da58e",
+        "plain_ops": "ee746c0d395f27f5171397b688472cccb1bd6bc7714f74bad1641c7490531f41",
+        "multiply": "a7302f5c4b0f37a6474d78a4cb4c7ff23bf8521528dff4a001fec154ea65cd29",
+        "relinearize": "06167481ae2596f8ba8ac3987d88020ef7ab0cccde8e80f70e65459b3c78acb4",
+        "mod_switch_down": "13d1344ee82886d29aff9bce224890eb46fcee22e2ac6e3354a2d602e6b29dca",
+        "align": "d5306f72ada79bc29916099f444977a6cd890322b01735b1ffa1973da0204424"
     }
 }
 
 
 #: SHA-256 of the non-``encrypt_symmetric*`` rows above (sorted JSON), taken
-#: from the table as committed at c9604c3.
-_KEPT_ROWS_DIGEST = ("181d66e11504b765dc275fae31666dbfba717a0d1659f3a987e773b3ec"
-                     "68744d")
+#: from the table as re-recorded for the one derived special prime (it was
+#: ``181d66e1…b3ec68744d`` from c9604c3 until then).
+_KEPT_ROWS_DIGEST = ("02020742a8640e0412bdba5bac051714736b4ab8332a91cf5bdbc8de4a"
+                     "060bf0")
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -169,8 +175,9 @@ def test_golden_digests_unchanged(scheme):
 
 def test_only_the_symmetric_rows_were_rerecorded():
     """The 26 rows that do not go through ``encrypt_symmetric*`` hash to
-    what they did at commit c9604c3, the parent of the evaluation-form
-    symmetric encrypt."""
+    what they were re-recorded as for the one derived special prime: the
+    evaluation-form symmetric encrypt moved no other row, and a later
+    change cannot re-record one without editing this digest too."""
     kept = {scheme: {k: v for k, v in rows.items()
                      if not k.startswith("encrypt_symmetric")}
             for scheme, rows in GOLDEN.items()}

@@ -24,6 +24,7 @@ from repro.hecore.params import (
     SchemeType,
     small_test_parameters,
 )
+from repro.hecore.primes import generate_ntt_primes
 from tests.test_ir import _named
 
 
@@ -173,9 +174,21 @@ def test_e2e_layers_keep_a_noise_floor_at_set_b():
             assert predicted <= measured
 
 
-# Recorded at the parent of the taps x shifts / hybrid-diagonal change with
-# ``_program_digest(kernel.program(kernel.input_shape), params, True).hex()``.
+# ``_program_digest(kernel.program(kernel.input_shape), params, True).hex()``,
+# re-recorded when key switching moved to one derived special prime (the
+# parameter fingerprint moved).  FORMER_KNN_DIGESTS were recorded at the
+# parent of the taps x shifts / hybrid-diagonal change, under the former
+# fingerprint: base prime the largest 30-bit NTT prime, two special primes
+# below it.
 KNN_DIGESTS = {
+    "collapsed":
+        "c06e21c1d67930c9741214f78d7342b29d621870a9c2b11863dd0c243813f27f",
+    "dimension-major":
+        "6c60840a37ff184d07c484cf64e4db381c180e01551562eec40119f794af34ac",
+    "stacked-point":
+        "7b00f5a00ad65ad32f0115a5a68a899e2fe5a3e43ed71c29359584089d51cc03",
+}
+FORMER_KNN_DIGESTS = {
     "collapsed":
         "9502c91af0386006bf28acb23be66637a9ea465fa0bdcbfda1e4b96e11fc6e1e",
     "dimension-major":
@@ -190,7 +203,8 @@ def test_knn_workload_programs_did_not_move(variant):
     """The e2e KNN workloads (64 x 16, CKKS N = 4096, 3 x 30 bits) trace the
     programs they traced before the shared baby/giant helper existed: the
     collapse round keeps its own body, so their schedules, key sets and
-    cache keys are the parent's."""
+    cache keys are the parent's.  Under the former parameter fingerprint
+    they still hash to the former digests: only the parameter half moved."""
     params = small_test_parameters(SchemeType.CKKS, 4096,
                                    data_bits=(30, 30, 30))
     kernel = KERNEL_VARIANTS[variant](
@@ -198,3 +212,10 @@ def test_knn_workload_programs_did_not_move(variant):
         DistanceProblem(n_points=64, dims=16))
     program = kernel.program(kernel.input_shape)
     assert _program_digest(program, params, True).hex() == KNN_DIGESTS[variant]
+
+    top = generate_ntt_primes(30, 3, 4096)
+    scheme, n, t, scale_bits, data, _special = params.fingerprint()
+    former = types.SimpleNamespace(fingerprint=lambda: (
+        scheme, n, t, scale_bits, (top[0],) + data[1:], tuple(top[1:])))
+    assert (_program_digest(program, former, True).hex()
+            == FORMER_KNN_DIGESTS[variant])

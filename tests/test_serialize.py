@@ -328,9 +328,10 @@ def test_key_wire_size_is_k0_plus_seed(bfv):
 def test_logical_key_accounting_reconciles_with_the_wire():
     """``size_bytes`` (what the plans and the CostLedger charge) is the
     physical blob minus its framing whenever the logical and physical
-    residue counts agree — payload and seed, byte for byte.  (The default
-    parameter sets split the logical key prime into two 30-bit special
-    limbs, so they carry one more physical residue than logical.)"""
+    residue counts agree — payload and seed, byte for byte.  (Every set
+    key-switches with one 30-bit special prime standing in for the logical
+    key prime; the counts differ only where a logical data prime is split
+    into several 30-bit limbs.)"""
     from repro.hecore.bfv import BfvContext
     from repro.hecore.ckks import CkksContext
     from repro.hecore.params import EncryptionParameters, SchemeType
@@ -339,7 +340,7 @@ def test_logical_key_accounting_reconciles_with_the_wire():
                         (SchemeType.CKKS, CkksContext)):
         params = EncryptionParameters.create(
             scheme, 256, (28, 24, 30), plain_bits=14, scale_bits=24,
-            enforce_security=False, special_prime_count=1)
+            enforce_security=False)
         assert params.logical_residue_count == len(params.full_base)
         ctx = cls(params, seed=23)
         header = 11 + 8 * len(params.full_base)
