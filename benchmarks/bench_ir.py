@@ -7,7 +7,8 @@ traced program (``kernel.scheduled(shape).run_reference``: one naive
 primitive call per node, one key-switch decompose per rotation, constants
 re-encoded every call).  The ratio therefore prices everything the passes
 add together: hoisting, weighted-sum fusion, NTT residency and cached
-plaintext tables.  Three measurements at N=4096, two BFV and one CKKS:
+plaintext tables, and relinearisation sinking.  Four measurements at
+N=4096, two BFV and two CKKS:
 
 * ``fig15_matvec`` — the Figure 15 style fully-connected diagonal matvec
   (31 rotations of one ciphertext).  Must win by at least 6.0x.
@@ -20,6 +21,11 @@ plaintext tables.  Three measurements at N=4096, two BFV and one CKKS:
   share one decompose (``naive_decompose`` <= 7 per call, where the naive
   run pays one per rotation, 29), distances checked against numpy.  Must
   win by at least 1.7x.
+* ``knn_dimmajor`` — the served dimension-major KNN query (same set and
+  shape, evaluation-form uploads): the scheduled run sums the 16 squares
+  in evaluation form and relinearises the sum once (``relinearize`` 1 per
+  call, where the naive run pays 16), distances checked against numpy.
+  Must win by at least 11.0x.
 
 Floors, re-derived from ten runs (each interleaving its reference and
 scheduled timing windows) when the baseline moved from the removed
@@ -34,6 +40,8 @@ dnn_slice       219 ms, 1.56x        262-310 ms,          1.1x -> 1.5x
                                      2.21-2.47x (med 2.3)
 knn_collapsed   (new case)           517-726 ms,          2.8x -> 1.7x
                                      4.25-5.12x (med 4.6)  (see below)
+knn_dimmajor    (new case)           255-265 ms,          11.0x
+                                     16.6-20.3x (med 19.5)
 ==============  ===================  ===================  ============
 
 The old matvec baseline already ran one fused weighted-sum span
@@ -61,6 +69,13 @@ runs read reference 258-278 ms, scheduled 97-109 ms, 2.54-2.68x; the floor
 is two thirds of the lowest, 1.7x, and the ratio now prices what the
 docstring says it does.  The hoisting-only gain stays measured by
 ``bench_hoisting.py``.
+
+``knn_dimmajor`` joined when ``mul`` and ``relin`` became separate IR
+nodes and the sinking pass began to merge ``relin`` pairs below add-trees.
+Its ten runs read scheduled 12.8-16.0 ms against the same 255-265 ms
+reference; with every product relinearised on the spot the scheduled side
+read 95-97 ms (2.7x), so the floor, two thirds of the lowest ratio, fails
+a schedule that relinearises per product again.
 
 ``cold_second_session`` prices something else: not the passes but sharing
 their output.  It replays the server half of the e2e ``dnn_cold_sessions``
@@ -97,7 +112,11 @@ import numpy as np
 
 from _gate import best_of_pair, run_speedup_gate
 from repro.core import ir
-from repro.core.distance import CollapsedPointMajorKernel, DistanceProblem
+from repro.core.distance import (
+    CollapsedPointMajorKernel,
+    DimensionMajorKernel,
+    DistanceProblem,
+)
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d, EncryptedMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
@@ -118,6 +137,7 @@ MIN_SPEEDUP = {
     "fig15_matvec": 6.0,
     "dnn_slice": 1.5,
     "knn_collapsed": 1.7,
+    "knn_dimmajor": 11.0,
     "cold_second_session": 1.15,
 }
 
@@ -222,19 +242,21 @@ def _measure_dnn_slice(ctx):
     return best_of_pair(naive, scheduled, 2) + (elided,)
 
 
-def _measure_knn_collapsed():
-    """Collapsed point-major KNN query (CKKS), scheduled vs the naive oracle."""
+def _knn_query(kernel_cls, encrypt):
+    """A served-shape KNN query (CKKS, 64 points x 16 dims, three 30-bit
+    limbs) uploaded through ``ctx.<encrypt>``: its context and the naive /
+    scheduled calls, both checked against numpy."""
     ctx = CkksContext(small_test_parameters(SchemeType.CKKS, poly_degree=4096,
                                             data_bits=(30, 30, 30)),
                       seed=b"bench-ir")
     ctx.relin_keys()
-    kernel = CollapsedPointMajorKernel(ctx, DistanceProblem(**KNN_SHAPE))
+    kernel = kernel_cls(ctx, DistanceProblem(**KNN_SHAPE))
     ctx.make_galois_keys(kernel.required_rotation_steps())
     rng = np.random.default_rng(13)
     points = rng.uniform(-0.5, 0.5, (KNN_SHAPE["n_points"], KNN_SHAPE["dims"]))
     query = rng.uniform(-0.5, 0.5, KNN_SHAPE["dims"])
-    point_cts = kernel.encrypt_points(points)
-    query_cts = kernel.encrypt_query(query)
+    point_cts = getattr(ctx, encrypt)(kernel.pack_points(points))
+    query_cts = getattr(ctx, encrypt)(kernel.pack_query(query))
     sched = kernel.scheduled((len(point_cts), len(query_cts)))
     inputs = {f"in{i}": ct for i, ct in enumerate(point_cts + query_cts)}
 
@@ -248,8 +270,14 @@ def _measure_knn_collapsed():
     for run in (scheduled, naive):
         got = kernel.decode([np.real(v) for v in ctx.decrypt_many(run())])
         assert np.max(np.abs(got - want)) < KNN_TOLERANCE, \
-            "collapsed knn kernel produced wrong distances"
+            f"{kernel.name} knn kernel produced wrong distances"
+    return ctx, naive, scheduled
 
+
+def _measure_knn_collapsed():
+    """Collapsed point-major KNN query (CKKS), scheduled vs the naive oracle."""
+    ctx, naive, scheduled = _knn_query(CollapsedPointMajorKernel,
+                                       "encrypt_many")
     before = ctx.counts["naive_decompose"]
     scheduled()
     unshared = ctx.counts["naive_decompose"] - before
@@ -257,6 +285,22 @@ def _measure_knn_collapsed():
         f"collapse round paid {unshared} unshared key-switch decomposes"
 
     return best_of_pair(naive, scheduled, 1)
+
+
+def _measure_knn_dimmajor():
+    """Dimension-major KNN query (CKKS, evaluation-form uploads as served):
+    the scheduled run relinearises the sum of its 16 squares once, the
+    naive run each square."""
+    ctx, naive, scheduled = _knn_query(DimensionMajorKernel,
+                                       "encrypt_symmetric_many")
+    for run, want in ((scheduled, 1), (naive, KNN_SHAPE["dims"])):
+        before = ctx.counts["relinearize"]
+        run()
+        paid = ctx.counts["relinearize"] - before
+        assert paid == want, \
+            f"dimension-major query paid {paid} relinearizations, not {want}"
+
+    return best_of_pair(naive, scheduled, 2)
 
 
 def _measure_cold_second_session():
@@ -330,6 +374,7 @@ def main(argv=None):
         "fig15_matvec": matvec,
         "dnn_slice": (slice_naive, slice_sched),
         "knn_collapsed": _measure_knn_collapsed(),
+        "knn_dimmajor": _measure_knn_dimmajor(),
         "cold_second_session": _measure_cold_second_session(),
     }
     extra = {

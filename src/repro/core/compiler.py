@@ -290,8 +290,9 @@ def lower_to_ir(program: EvaProgram) -> IrProgram:
     discipline), plaintext operands stay attached to the consuming node
     (the IR runner encodes them at the consumer's level and scale), and
     zero-step rotations vanish.  The scheduler passes in
-    :mod:`repro.core.ir` then fuse rotations, sink the rescales, and keep
-    plain-multiply products NTT-resident.
+    :mod:`repro.core.ir` then fuse rotations, sink the rescales and the
+    relinearisations ``IrBuilder.mul`` emits, and keep products
+    NTT-resident.
     """
     builder = IrBuilder(slots=program.slots)
     memo: Dict[int, int] = {}

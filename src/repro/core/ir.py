@@ -2,9 +2,13 @@
 
 Consumers (``core.linalg``, ``core.distance``, the Eva compiler, apps)
 describe their homomorphic computation as a linear **ciphertext IR** —
-rotate / mul / add / sub / neg / rescale / mod-switch nodes over input
-ciphertexts and plaintext constants — instead of calling scheme primitives
-directly.  A scheduler then runs ordered passes over the DAG:
+rotate / mul / relin / add / sub / neg / rescale / mod-switch nodes over
+input ciphertexts and plaintext constants — instead of calling scheme
+primitives directly.  A ciphertext×ciphertext ``mul`` is the 3-component
+tensor product; the builder emits it with the ``relin`` that is its only
+consumer, so a traced program relinearises every product on the spot and
+the scheduler decides where the key switches happen.  A scheduler then
+runs ordered passes over the DAG:
 
 1. **Weighted-sum fusion** (BFV) — maximal add-trees of
    ``mul(rotate(x, s_j), const_j)`` over one source ciphertext collapse
@@ -19,22 +23,26 @@ directly.  A scheduler then runs ordered passes over the DAG:
    encoded in one stacked :meth:`BatchEncoder.encode_many` pass; encrypts
    and decrypts batch at the program boundary (``encrypt_many`` /
    ``decrypt_many`` in the callers).
-4. **Mod-switch sinking** — ``add(rescale(a), rescale(b))`` rewrites to
-   ``rescale(add(a, b))`` whenever both operands sit at the same level and
-   scale exponent, merging redundant level drops (same for BFV
-   ``mod_switch``).  Exact for BFV (mod-switch only moves noise);
-   rounding-noise-level drift for CKKS.
-5. **NTT-domain residency** — plain-multiply products stay in evaluation
-   (NTT) form; adds/subs/negs of resident values accumulate without leaving
-   it, and the deferred inverse transform is paid once at the first
-   coefficient-domain consumer.  Elided inverse→forward pairs are charged
-   to ``ctx.counts['ntt_elided']`` (units: residue-row transform pairs);
-   transforms the scheduler does perform charge ``ntt_forward`` /
-   ``ntt_inverse``.  A value consumed by several plain multiplies is
-   transformed once per run: ``ntt_forward`` is charged once per
-   transformed source, and a later consumer reusing that evaluation-form
-   copy charges neither ``ntt_forward`` nor ``ntt_elided`` (an elided pair
-   is an inverse *and* a forward skipped; the reuse skipped no inverse).
+4. **Mod-switch and relinearisation sinking** — ``add(rescale(a),
+   rescale(b))`` rewrites to ``rescale(add(a, b))`` whenever both operands
+   sit at the same level and scale exponent, merging redundant level drops
+   (same for ``mod_switch``).  Exact for BFV (mod-switch only moves noise);
+   rounding-noise-level drift for CKKS.  ``relin`` pairs sink the same way
+   (relinearisation is linear): a sum of k products pays one key switch,
+   and the 3-component sum feeds only its ``relin``.
+5. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
+   products, stay in evaluation (NTT) form; adds/subs/negs of resident
+   values accumulate without leaving it, and the deferred inverse
+   transform is paid once at the first coefficient-domain consumer (a
+   ``relin`` takes its sum in either form).  Elided inverse→forward pairs
+   are charged to ``ctx.counts['ntt_elided']`` (units: residue-row
+   transform pairs); transforms the scheduler does perform charge
+   ``ntt_forward`` / ``ntt_inverse``.  A value consumed by several plain
+   multiplies is transformed once per run: ``ntt_forward`` is charged once
+   per transformed source, and a later consumer reusing that
+   evaluation-form copy charges neither ``ntt_forward`` nor ``ntt_elided``
+   (an elided pair is an inverse *and* a forward skipped; the reuse
+   skipped no inverse).
 
 The scheduler-off reference path (:meth:`ScheduledProgram.run_reference`)
 executes the program as traced, before any pass, one naive primitive at a
@@ -74,7 +82,7 @@ class ScheduleError(ValueError):
 
 #: Node kinds producing ciphertext values.
 CT_KINDS = frozenset({
-    "input", "rotate", "add", "sub", "neg", "mul",
+    "input", "rotate", "add", "sub", "neg", "mul", "relin",
     "rescale", "mod_switch", "rotate_sum", "weighted_sum",
     "encrypt", "recrypt_boundary",
 })
@@ -118,7 +126,8 @@ def level_after(node: IrNode, scheme: SchemeType,
     operands' levels.  Binary operands meet at the lower one (the executor
     aligns them); ``mod_switch`` drops a limb and keeps the scale; a CKKS
     ``rescale`` drops a limb and a scale power (BFV has no rescale: it
-    costs no level); multiplies stack scale powers."""
+    costs no level); multiplies stack scale powers; ``relin`` moves
+    neither."""
     if node.kind in ENTRY_KINDS or not operands:
         return 0, 1
     dropped = max(d for d, _ in operands)
@@ -269,7 +278,13 @@ class IrBuilder:
         return self._binary("sub", a, b)
 
     def mul(self, a: int, b: int) -> int:
-        return self._binary("mul", a, b)
+        """A product; a ciphertext×ciphertext one is a 3-component ``mul``
+        whose only consumer is the ``relin`` emitted with it (the scheduler
+        may sink that ``relin`` below an add-tree of such products)."""
+        nid = self._binary("mul", a, b)
+        if self.program.is_const(a) or self.program.is_const(b):
+            return nid
+        return self._emit(IrNode("relin", (nid,)))
 
     def neg(self, a: int) -> int:
         self._require_ct(a, "neg")
@@ -371,7 +386,8 @@ class TracerContext:
 
     def multiply(self, a, b, relinearize: bool = True) -> _TraceValue:
         if not relinearize:
-            raise ScheduleError("IR multiplies always relinearize")
+            raise ScheduleError("IR multiplies always relinearize; where is "
+                                "the scheduler's choice")
         return _TraceValue(self.builder.mul(self._ct(a), self._ct(b)))
 
     def square(self, a, relinearize: bool = True) -> _TraceValue:
@@ -549,6 +565,7 @@ class ScheduleReport:
     weighted_sum_terms: int = 0     # mul terms those spans absorbed
     rescales_sunk: int = 0          # rescale pairs merged below an add/sub
     mod_switches_sunk: int = 0      # mod-switch pairs merged likewise
+    relins_sunk: int = 0            # relinearisation pairs merged likewise
     resident_nodes: int = 0         # values planned to stay in NTT form
     batched_consts: int = 0         # BFV consts encoded in one stacked pass
     #: The level planner's :class:`repro.core.levelplan.LevelPlan`, when the
@@ -561,7 +578,8 @@ class ScheduleReport:
                 f"{self.rotation_groups} rotation group(s) "
                 f"({self.fused_rotations} rotations), "
                 f"{self.rescales_sunk + self.mod_switches_sunk} level drop(s) "
-                f"sunk, {self.resident_nodes} NTT-resident node(s), "
+                f"and {self.relins_sunk} relinearisation(s) sunk, "
+                f"{self.resident_nodes} NTT-resident node(s), "
                 f"{self.batched_consts} const(s) batch-encoded")
         if self.level_plan is not None:
             text += f"; {self.level_plan.describe()}"
@@ -646,15 +664,25 @@ def _fuse_weighted_sums(program: IrProgram, scheme: SchemeType,
         consumers = program.consumers(live)
 
 
+#: Linear unary kinds the sinking pass moves below an add/sub, and the
+#: :class:`ScheduleReport` field each merged pair is counted in.
+_SINKABLE = {"rescale": "rescales_sunk", "mod_switch": "mod_switches_sunk",
+             "relin": "relins_sunk"}
+
+
 def _sink_level_drops(program: IrProgram, scheme: SchemeType,
                       report: ScheduleReport) -> None:
-    """Rewrite ``add(drop(a), drop(b))`` → ``drop(add(a, b))`` to fixpoint.
+    """Rewrite ``add(op(a), op(b))`` → ``op(add(a, b))`` to fixpoint, for
+    ``op`` a level drop (``rescale``, ``mod_switch``) or a ``relin``.
 
-    Legal only when both drops are single-consumer siblings at the same
+    Legal only when both ops are single-consumer siblings at the same
     static level (:meth:`IrProgram.levels`): the merged drop then divides
     the summed value exactly as the two separate drops would have (up to
     CKKS rescale rounding noise, which lives below the noise floor by
-    construction).
+    construction), and the merged ``relin`` key-switches the summed
+    ``c2`` once — relinearisation is linear, so the sum decrypts the same
+    and carries one key switch's noise instead of one per product.  The
+    3-component sum only ever feeds its ``relin``.
     """
     nodes = program.nodes
 
@@ -670,7 +698,7 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
                 continue
             a, b = node.args
             da, db = nodes[a], nodes[b]
-            if da.kind != db.kind or da.kind not in ("rescale", "mod_switch"):
+            if da.kind != db.kind or da.kind not in _SINKABLE:
                 continue
             if da.normalize != db.normalize:
                 continue
@@ -683,10 +711,8 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
             nodes.append(IrNode(node.kind, (da.args[0], db.args[0])))
             nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize,
                                  planned=da.planned and db.planned)
-            if da.kind == "rescale":
-                report.rescales_sunk += 1
-            else:
-                report.mod_switches_sunk += 1
+            field_name = _SINKABLE[da.kind]
+            setattr(report, field_name, getattr(report, field_name) + 1)
             changed = True
             break   # indices shifted; re-analyse and rescan
 
@@ -709,23 +735,26 @@ def _group_rotations(program: IrProgram, report: ScheduleReport
     return groups
 
 
-def _mark_residency(program: IrProgram, report: ScheduleReport) -> Set[int]:
+def _mark_residency(program: IrProgram, scheme: SchemeType,
+                    report: ScheduleReport) -> Set[int]:
     """Nodes whose value stays in NTT form until a coefficient consumer.
 
-    Plain-multiplies produce NTT-form values; adds/subs/negs stay resident
-    when every ciphertext operand is.  Everything else (rotation spans,
-    level drops, ct-ct multiplies, outputs) consumes coefficient form — the
-    deferred inverse is paid there, once."""
+    Plain-multiplies produce NTT-form values, and so do CKKS ct-ct
+    multiplies (the tensor product is dyadic); adds/subs/negs stay
+    resident when every ciphertext operand is.  Everything else (rotation
+    spans, level drops, ``relin``, BFV ct-ct multiplies, outputs) consumes
+    or produces coefficient form — the deferred inverse is paid there,
+    once."""
     resident: Set[int] = set()
-    for nid, node in enumerate(program.nodes):
-        if node.kind == "mul" and len(program.ct_args(nid)) == 1:
+    for nid in program.levels(scheme):          # dependency order, live only
+        node = program.nodes[nid]
+        ct_args = program.ct_args(nid)
+        if node.kind == "mul" and (len(ct_args) == 1
+                                   or scheme is SchemeType.CKKS):
             resident.add(nid)
         elif node.kind in _FORM_AGNOSTIC:
-            ct_args = program.ct_args(nid)
             if ct_args and all(a in resident for a in ct_args):
                 resident.add(nid)
-    live = program.live_set()
-    resident &= live
     report.resident_nodes = len(resident)
     return resident
 
@@ -755,7 +784,7 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
         program, report.level_plan = plan_levels(program, params)
     _sink_level_drops(program, scheme, report)
     groups = _group_rotations(program, report)
-    resident = _mark_residency(program, report)
+    resident = _mark_residency(program, scheme, report)
     return ScheduledProgram(program, scheme, report, groups, resident,
                             source=source)
 
@@ -1236,7 +1265,11 @@ class _IrRunner:
                     ctx.counts["ntt_elided"] += elided
             else:
                 va, vb = self._to_coeff(va), self._to_coeff(vb)
-            return ctx.multiply(va, vb)
+            return ctx.multiply(va, vb, relinearize=False)
+        if kind == "relin":
+            # relinearize takes the sum in the form it arrives in (a CKKS
+            # sum is still evaluation form) and returns coefficient form.
+            return ctx.relinearize(self.memo[node.args[0]])
         if kind == "rescale":
             out = ctx.rescale(self._to_coeff(self.memo[node.args[0]]))
             if node.normalize:

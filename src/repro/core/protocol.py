@@ -39,6 +39,10 @@ KERNEL_COUNTERS = {
                           "key-switch digit decomposes shared via hoisting"),
     "naive_decompose": ("naive_decomposes",
                         "per-rotation (unshared) key-switch decomposes"),
+    # One per relinearisation the scheduler left live: one per sum of
+    # ct-ct products, not one per product.
+    "relinearize": ("relinearizations",
+                    "ct-ct key switches the server evaluated"),
     # NTT-residency accounting (units: residue-row transform passes).
     "ntt_forward": ("ntt_forward",
                     "forward NTT residue-rows the scheduler ran"),

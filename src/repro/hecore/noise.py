@@ -158,7 +158,9 @@ class NoiseEstimator:
         level planner sums backward.  ``rotate_sum`` / ``weighted_sum`` are
         hoisted spans (:meth:`after_hoisted_rotations`) plus their
         accumulation; kinds that move no noise (``neg``, ``rescale``,
-        ``mod_switch``, crypto boundaries) cost nothing."""
+        ``mod_switch``, crypto boundaries) cost nothing, and neither does
+        ``relin``: a ct-ct ``mul`` prices its own key switch, so a sum whose
+        ``relin`` the scheduler sank is over-priced, never under."""
         kind = node.kind
         plain = any(nodes[a].kind == "const" for a in node.args)
         if kind == "rotate":

@@ -1,10 +1,12 @@
 """Tests for the ciphertext-program IR and its fusing scheduler.
 
 Covers the tracer/builder surface, each scheduling pass in isolation
-(weighted-sum fusion, rotation grouping, level-drop sinking, NTT
-residency), the residency telemetry counters, and — the main invariant —
-randomized expression DAGs where the scheduled execution must match a
-scheduler-off reference that runs one primitive call per IR node.
+(weighted-sum fusion, rotation grouping, level-drop and relinearisation
+sinking, NTT residency), the residency telemetry counters, and — the main
+invariant — randomized expression DAGs where the scheduled execution must
+match a scheduler-off reference that runs one primitive call per IR node,
+and where no 3-component value (a ct x ct product or a sum of them) feeds
+anything but a ``relin``.
 """
 
 import ast
@@ -224,6 +226,165 @@ def test_sinking_respects_multi_consumer_drops(ckks_params):
     assert sched.report.rescales_sunk == 0
 
 
+# ------------------------------------------- pass: relinearisation sinking
+
+def _assert_three_components_reach_only_relin(sched):
+    """Structural invariant of a compiled program: a 3-component value (a
+    ct x ct ``mul``, or a sum of them) feeds only a ``relin`` or another
+    such sum — never a rotation, span, level drop, multiply or output, and
+    never an add beside a 2-component operand."""
+    program = sched.program
+    wide = set()
+    for nid in program.levels(sched.scheme):        # live, dependency order
+        node = program.nodes[nid]
+        ct_args = program.ct_args(nid)
+        fed = [a for a in ct_args if a in wide]
+        if node.kind == "mul" and len(ct_args) == 2:
+            wide.add(nid)
+        elif fed and node.kind in ("add", "sub", "neg"):
+            assert fed == list(ct_args), f"node {nid} mixes sizes"
+            wide.add(nid)
+        assert not fed or node.kind in ("relin", "add", "sub", "neg"), \
+            f"3-component value reaches {node.kind} node {nid}"
+    assert not wide & set(program.outputs.values())
+
+
+def _live_kind(sched, kind):
+    return [nid for nid in sorted(sched.program.live_set())
+            if sched.program.nodes[nid].kind == kind]
+
+
+def _encrypt_inputs(ctx, rng, names):
+    bfv = ctx.params.scheme is SchemeType.BFV
+    values = [rng.integers(0, 7, 512) if bfv else rng.uniform(-0.5, 0.5, 512)
+              for _ in names]
+    return dict(zip(names, ctx.encrypt_many(values)))
+
+
+def _assert_same_decrypt(ctx, got, want):
+    for name in want:
+        if ctx.params.scheme is SchemeType.BFV:
+            assert np.array_equal(np.asarray(ctx.decrypt(got[name])),
+                                  np.asarray(ctx.decrypt(want[name]))), name
+        else:
+            assert np.allclose(ctx.decrypt(got[name]),
+                               ctx.decrypt(want[name]), atol=1e-3), name
+
+
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_sum_of_products_relinearises_once(scheme, request):
+    """Σ of k ct x ct products (rescaled first under CKKS): the traced
+    program relinearises each product, the compiled one the sum, once."""
+    ctx = request.getfixturevalue(scheme)
+    ckks = scheme == "ckks"
+    k = 4
+    names = [f"x{i}" for i in range(k)]
+
+    def body(tr, *xs):
+        acc = None
+        for x in xs:
+            sq = tr.multiply(x, x)
+            sq = tr.rescale(sq) if ckks else sq
+            acc = sq if acc is None else tr.add(acc, sq)
+        return acc
+
+    program = trace_program(ctx.params, body, names)
+    assert sum(n.kind == "relin" for n in program.nodes) == k
+    sched = compile_ir(program, ctx.params.scheme)
+    assert sched.report.relins_sunk == k - 1
+    assert sched.report.rescales_sunk == (k - 1 if ckks else 0)
+    assert len(_live_kind(sched, "relin")) == 1
+    assert f"{k - 1} relinearisation(s) sunk" in sched.report.describe()
+    _assert_three_components_reach_only_relin(sched)
+
+    inputs = _encrypt_inputs(ctx, np.random.default_rng(41), names)
+    before = ctx.counts["relinearize"]
+    got = sched.run(ctx, inputs)
+    assert ctx.counts["relinearize"] - before == 1
+    before = ctx.counts["relinearize"]
+    want = sched.run_reference(ctx, inputs)
+    assert ctx.counts["relinearize"] - before == k
+    _assert_same_decrypt(ctx, got, want)
+
+
+def _unsinkable(case, ckks):
+    """A sum of two products whose ``relin`` pair must stay apart."""
+    def body(tr, x, y):
+        a = tr.multiply(x, x)
+        if case == "plain_leaf":
+            weight = np.full(512, 0.5 if ckks else 3)
+            b = tr.multiply_plain(y, tr.encode(weight))
+        elif case == "levels":
+            y = tr.mod_switch_down(y)
+            b = tr.multiply(y, y)
+        else:
+            b = tr.multiply(y, y)
+        total = tr.add(a, b)
+        return [total, tr.negate(a)] if case == "two_consumers" else total
+    return body
+
+
+@pytest.mark.parametrize("case", ["two_consumers", "plain_leaf", "levels"])
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_relin_sinking_leaves_illegal_pairs(scheme, case, request):
+    """No sinking when one ``relin`` has a second consumer, when one leaf
+    is a plain multiply, or when the two products sit at different levels
+    (the executor aligns the relinearized values instead)."""
+    ctx = request.getfixturevalue(scheme)
+    program = trace_program(ctx.params, _unsinkable(case, scheme == "ckks"),
+                            ["x", "y"])
+    relins = sum(n.kind == "relin" for n in program.nodes)
+    sched = compile_ir(program, ctx.params.scheme)
+    assert sched.report.relins_sunk == 0
+    assert len(_live_kind(sched, "relin")) == relins
+    _assert_three_components_reach_only_relin(sched)
+    inputs = _encrypt_inputs(ctx, np.random.default_rng(42), ["x", "y"])
+    _assert_same_decrypt(ctx, sched.run(ctx, inputs),
+                         sched.run_reference(ctx, inputs))
+
+
+def _random_product_sums(params, rng):
+    """Sums and differences of ct x ct products over rotated / negated
+    inputs (rescaled under CKKS), one product sometimes also rotated: the
+    trees the sinking pass rewrites, and a shared leaf it must leave."""
+    ckks = params.scheme is SchemeType.CKKS
+
+    def body(tr, x, y):
+        leaves = [x, y, tr.rotate(x, 1), tr.negate(y)]
+        terms = []
+        for _ in range(int(rng.integers(2, 6))):
+            a = leaves[rng.integers(len(leaves))]
+            b = leaves[rng.integers(len(leaves))]
+            product = tr.multiply(a, b)
+            terms.append(tr.rescale(product) if ckks else product)
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = (tr.add if rng.integers(2) else tr.sub)(acc, term)
+        if rng.integers(2):
+            return [acc, tr.rotate(terms[rng.integers(len(terms))], 2)]
+        return acc
+
+    return trace_program(params, body, ["x", "y"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_randomized_product_sums_relinearise_once_per_sum(scheme, seed,
+                                                          request):
+    ctx = request.getfixturevalue(scheme)
+    rng = np.random.default_rng(200 + seed)
+    program = _random_product_sums(ctx.params, rng)
+    traced = sum(n.kind == "relin" for n in program.nodes)
+    inputs = _encrypt_inputs(ctx, rng, ["x", "y"])
+    before = ctx.counts["relinearize"]
+    sched, got, want = _run_both(ctx, program, inputs)
+    _assert_three_components_reach_only_relin(sched)
+    live = len(_live_kind(sched, "relin"))
+    assert live == traced - sched.report.relins_sunk
+    assert ctx.counts["relinearize"] - before == live + traced
+    _assert_same_decrypt(ctx, got, want)
+
+
 # --------------------------------------------------- pass: NTT residency
 
 def test_residency_counters_and_plain_cache(bfv, bfv_params):
@@ -353,7 +514,8 @@ def test_randomized_dag_bfv_scheduled_matches_reference(bfv, bfv_params,
     program = _random_bfv_program(bfv_params, rng, n_ops=12)
     x = bfv.encrypt(rng.integers(0, 7, 512))
     y = bfv.encrypt(rng.integers(0, 7, 512))
-    _, got, want = _run_both(bfv, program, {"x": x, "y": y})
+    sched, got, want = _run_both(bfv, program, {"x": x, "y": y})
+    _assert_three_components_reach_only_relin(sched)
     for name in got:
         assert np.array_equal(np.asarray(bfv.decrypt(got[name])),
                               np.asarray(bfv.decrypt(want[name]))), \
@@ -392,7 +554,8 @@ def test_randomized_dag_ckks_scheduled_matches_reference(ckks, ckks_params,
     program = _random_ckks_program(ckks_params, rng, n_ops=10)
     x = ckks.encrypt(ckks.encode(rng.uniform(-0.5, 0.5, 512)))
     y = ckks.encrypt(ckks.encode(rng.uniform(-0.5, 0.5, 512)))
-    _, got, want = _run_both(ckks, program, {"x": x, "y": y})
+    sched, got, want = _run_both(ckks, program, {"x": x, "y": y})
+    _assert_three_components_reach_only_relin(sched)
     for name in got:
         assert np.allclose(ckks.decrypt(got[name]),
                            ckks.decrypt(want[name]), atol=1e-3), \

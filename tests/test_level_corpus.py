@@ -13,6 +13,15 @@ slice's conv became taps x shifts and its fc hybrid diagonals: the traced
 program is a different (smaller) node list, so the planned switches sit at
 other node ids; every plan total (drops, replans, limb rows) repeated.
 
+Every entry with a ciphertext x ciphertext product (the five ``knn/*`` and
+six of the ``eva/*`` programs) was re-recorded when a product began to
+trace as ``mul`` + ``relin`` and the sinking pass to merge ``relin`` pairs:
+``sunk`` gained its third count, ``relins_sunk``; planned switches sit one
+node id further on per ``relin`` emitted before them; and
+``limb_rows_before`` / ``limb_rows_after`` count the ``relin`` rows.  Every
+``limb_drops``, ``align_switches``, ``replans``, ``rescales_sunk`` and
+``mod_switches_sunk`` repeated.
+
 Re-record (only for a deliberate planner or kernel-body change) with
 ``PYTHONPATH=src python -m tests.test_level_corpus > tests/level_corpus.json``.
 """
@@ -94,7 +103,8 @@ def _fingerprint(program, params):
     return {
         "plan": [plan.limb_drops, plan.align_switches, plan.replans,
                  plan.limb_rows_before, plan.limb_rows_after],
-        "sunk": [sched.report.rescales_sunk, sched.report.mod_switches_sunk],
+        "sunk": [sched.report.rescales_sunk, sched.report.mod_switches_sunk,
+                 sched.report.relins_sunk],
         "planned_switches": [nid for nid in sorted(live)
                              if sched.program.nodes[nid].planned],
     }

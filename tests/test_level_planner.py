@@ -421,13 +421,14 @@ def test_static_levels_match_executed_distance_kernels(ckks, variant):
         keys)
 
 
-def test_evaluation_form_uploads_reach_the_first_multiply_untransformed(
-        ckks, monkeypatch):
+def test_evaluation_form_uploads_reach_the_first_multiply_untransformed(ckks):
     """The served dimension-major query: every input arrives in evaluation
     form (``encrypt_symmetric_many``), the plan drops a limb on each of
-    them, and the subtract feeds the multiply — no ``ntt_inverse`` row is
-    charged before the first multiply (a CKKS limb drop is a row slice in
-    either form), and static levels still equal executed ``limbs_live``."""
+    them (a CKKS limb drop is a row slice in either form), the subtracts
+    feed the squares, and the squares' 3-component sum stays in evaluation
+    form down to its one ``relin`` — which takes it in that form.  So the
+    whole query charges no ``ntt_inverse`` row and one relinearization,
+    and static levels still equal executed ``limbs_live``."""
     from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
 
     rng = np.random.default_rng(19)
@@ -439,22 +440,17 @@ def test_evaluation_form_uploads_reach_the_first_multiply_untransformed(
     assert all(ct.is_ntt for ct in p_cts + q_cts)
     sched = kernel.scheduled((len(p_cts), len(q_cts)))
     assert sched.report.level_plan.limb_drops == len(p_cts + q_cts)
+    assert sched.report.relins_sunk == len(p_cts) - 1
+    (relin,) = [nid for nid in sched.program.live_set()
+                if sched.program.nodes[nid].kind == "relin"]
+    assert sched.program.nodes[relin].args[0] in sched.resident
 
-    inverse_rows_at_multiply = []
-    multiply = ckks.multiply
-
-    def counting_multiply(a, b, **kwargs):
-        inverse_rows_at_multiply.append(ckks.counts["ntt_inverse"])
-        assert a.is_ntt and b.is_ntt
-        return multiply(a, b, **kwargs)
-
-    monkeypatch.setattr(ckks, "multiply", counting_multiply)
     inputs = {f"in{i}": ct for i, ct in enumerate(p_cts + q_cts)}
-    start = ckks.counts["ntt_inverse"]
+    before = Counter(ckks.counts)
     _assert_static_matches_run(sched, ckks, inputs)
-    assert inverse_rows_at_multiply[0] == start
+    delta = ckks.counts - before
+    assert (delta["ntt_inverse"], delta["relinearize"]) == (0, 1)
 
-    monkeypatch.undo()
     got = kernel.decode([np.real(v) for v in ckks.decrypt_many(
         [sched.run(ckks, inputs)["out0"]])])
     assert np.allclose(got, kernel.reference(points, query), atol=1e-2)

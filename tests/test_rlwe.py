@@ -21,7 +21,10 @@ Two kinds of test pin the base-class refactor:
   moved to ONE special prime derived above every data prime: the moduli
   themselves moved (the special prime takes the largest 30-bit NTT prime,
   so the BFV data limbs and the CKKS base prime step down one), so every
-  residue of every ciphertext did, with the PRNG streams untouched.
+  residue of every ciphertext did, with the PRNG streams untouched.  The
+  CKKS ``multiply`` row was re-recorded once since, when an unrelinearized
+  CKKS product began to stay in evaluation form (same residues, other
+  form; its coefficient form still hashes to the former row).
   ``test_only_the_symmetric_rows_were_rerecorded`` pins the table itself;
 * **contract** — both contexts are ``RlweContext`` instances exposing the
   shared methods with identical signatures, and the shared validation
@@ -82,6 +85,12 @@ def _digest(cts) -> str:
 def golden_digests(scheme: str) -> dict:
     """One seeded context driven through every shared entry point, in a
     fixed order (the context PRNG stream carries from step to step)."""
+    return _golden_run(scheme)[0]
+
+
+def _golden_run(scheme: str):
+    """:func:`golden_digests`' run: (digests, context, the unrelinearized
+    product and its two factors)."""
     ctx = _context(scheme)
     v0, v1, v2 = _vectors(scheme)
     out = {}
@@ -114,13 +123,14 @@ def golden_digests(scheme: str) -> dict:
     dropped = ctx.mod_switch_down(ct)
     out["mod_switch_down"] = _digest(dropped)
     out["align"] = _digest(list(ctx.align(dropped, batch[2])))
-    return out
+    return out, ctx, product, (ct, batch[1])
 
 
 #: First recorded at commit 20906ae (PR 13), before ``hecore/rlwe.py``
 #: existed; the five key-switch rows re-recorded with seed-expanded
 #: key-switching keys, the four ``encrypt_symmetric*`` rows with
-#: evaluation-form uploads, and every row with the one derived special prime.
+#: evaluation-form uploads, every row with the one derived special prime,
+#: and the CKKS ``multiply`` row with the evaluation-form tensor product.
 GOLDEN = {
     "bfv": {
         "encrypt": "8d67a3cc205169c7fb9a29d9b3a7f799af008bd5eb8d69c225203acf9438bdd0",
@@ -151,7 +161,7 @@ GOLDEN = {
         "rotate_and_sum": "70066d1f8367b120f044b0a0174f657b333de17b1d64ece5c0283c3ad82edcc6",
         "add_sub_negate": "3fcb1c0cca745a2e1efa711a29d095ffccf82922daaeb98eaed43dd4889da58e",
         "plain_ops": "ee746c0d395f27f5171397b688472cccb1bd6bc7714f74bad1641c7490531f41",
-        "multiply": "a7302f5c4b0f37a6474d78a4cb4c7ff23bf8521528dff4a001fec154ea65cd29",
+        "multiply": "c8e07f4821682e22c7ea9f3376119e070acbcfe48498129105da37eb6c351c9f",
         "relinearize": "06167481ae2596f8ba8ac3987d88020ef7ab0cccde8e80f70e65459b3c78acb4",
         "mod_switch_down": "13d1344ee82886d29aff9bce224890eb46fcee22e2ac6e3354a2d602e6b29dca",
         "align": "d5306f72ada79bc29916099f444977a6cd890322b01735b1ffa1973da0204424"
@@ -161,9 +171,16 @@ GOLDEN = {
 
 #: SHA-256 of the non-``encrypt_symmetric*`` rows above (sorted JSON), taken
 #: from the table as re-recorded for the one derived special prime (it was
-#: ``181d66e1…b3ec68744d`` from c9604c3 until then).
+#: ``181d66e1…b3ec68744d`` from c9604c3 until then), with the CKKS
+#: ``multiply`` row at :data:`FORMER_CKKS_MULTIPLY`.
 _KEPT_ROWS_DIGEST = ("02020742a8640e0412bdba5bac051714736b4ab8332a91cf5bdbc8de4a"
                      "060bf0")
+
+#: The CKKS ``multiply`` row until an unrelinearized CKKS product began to
+#: stay in evaluation form; the product's coefficient form still serialises
+#: to it (:func:`test_unrelinearized_ckks_product_stays_in_evaluation_form`).
+FORMER_CKKS_MULTIPLY = ("a7302f5c4b0f37a6474d78a4cb4c7ff23bf8521528dff4a001fec15"
+                        "4ea65cd29")
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -177,13 +194,32 @@ def test_only_the_symmetric_rows_were_rerecorded():
     """The 26 rows that do not go through ``encrypt_symmetric*`` hash to
     what they were re-recorded as for the one derived special prime: the
     evaluation-form symmetric encrypt moved no other row, and a later
-    change cannot re-record one without editing this digest too."""
+    change cannot re-record one without editing this digest too.  The one
+    row re-recorded since, the CKKS ``multiply`` (same residues, now in
+    evaluation form), enters at its former value."""
     kept = {scheme: {k: v for k, v in rows.items()
                      if not k.startswith("encrypt_symmetric")}
             for scheme, rows in GOLDEN.items()}
     assert sum(map(len, kept.values())) == 26
+    kept["ckks"]["multiply"] = FORMER_CKKS_MULTIPLY
     assert hashlib.sha256(json.dumps(kept, sort_keys=True).encode()
                           ).hexdigest() == _KEPT_ROWS_DIGEST
+
+
+def test_unrelinearized_ckks_product_stays_in_evaluation_form():
+    """The golden run's CKKS product skips its three inverse transforms: it
+    is the former coefficient-form product in evaluation form, so it
+    decrypts and relinearizes to exactly what that one does, and a
+    relinearizing multiply is this product relinearized."""
+    _, ctx, product, (a, b) = _golden_run("ckks")
+    assert len(product) == 3 and all(c.is_ntt for c in product.components)
+    coeff = product.from_ntt()
+    assert _digest(coeff) == FORMER_CKKS_MULTIPLY
+    assert np.array_equal(ctx.decrypt(product), ctx.decrypt(coeff))
+    relinearized = _digest(ctx.relinearize(product))
+    assert relinearized == _digest(ctx.relinearize(coeff))
+    assert relinearized == GOLDEN["ckks"]["relinearize"]
+    assert _digest(ctx.multiply(a, b)) == relinearized
 
 
 # ---------------------------------------------------------------------------

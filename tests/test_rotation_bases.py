@@ -9,12 +9,13 @@ key sets are sums of baby and giant steps, never products.
 import itertools
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
-from repro.core.ir import _program_digest, ensure_galois_keys
+from repro.core.ir import IrProgram, _program_digest, ensure_galois_keys
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
@@ -175,12 +176,23 @@ def test_e2e_layers_keep_a_noise_floor_at_set_b():
 
 
 # ``_program_digest(kernel.program(kernel.input_shape), params, True).hex()``,
-# re-recorded when key switching moved to one derived special prime (the
-# parameter fingerprint moved).  FORMER_KNN_DIGESTS were recorded at the
-# parent of the taps x shifts / hybrid-diagonal change, under the former
+# re-recorded when every ct x ct ``mul`` began to trace as ``mul`` + ``relin``
+# (each square gained a node; nothing else moved).  UNSPLIT_KNN_DIGESTS are
+# the same programs with their ``relin`` nodes deleted and re-indexed: the
+# digests recorded when key switching moved to one derived special prime
+# (the parameter fingerprint moved).  FORMER_KNN_DIGESTS were recorded at
+# the parent of the taps x shifts / hybrid-diagonal change, under the former
 # fingerprint: base prime the largest 30-bit NTT prime, two special primes
 # below it.
 KNN_DIGESTS = {
+    "collapsed":
+        "e69c28ff7d17e8c45f7426e565e2981d70f79ca58d88226b6274d3eceacd6883",
+    "dimension-major":
+        "c2084cfcbedda69c496ff079f3d2595d6e163c6a370c35828088f7b5b8c76134",
+    "stacked-point":
+        "a67895ed51cd5374e810de34e4034dc3fefce2c38b6e9ec1c343bb81e2f11e63",
+}
+UNSPLIT_KNN_DIGESTS = {
     "collapsed":
         "c06e21c1d67930c9741214f78d7342b29d621870a9c2b11863dd0c243813f27f",
     "dimension-major":
@@ -198,13 +210,31 @@ FORMER_KNN_DIGESTS = {
 }
 
 
+def _without_relins(program: IrProgram) -> IrProgram:
+    """*program* with every ``relin`` node deleted and its consumers
+    pointed at the product it relinearised, node ids re-indexed."""
+    new_id, out = {}, IrProgram(slots=program.slots)
+    for nid, node in enumerate(program.nodes):
+        if node.kind == "relin":
+            new_id[nid] = new_id[node.args[0]]
+            continue
+        out.nodes.append(replace(
+            node, args=tuple(new_id[a] for a in node.args),
+            terms=tuple((s, new_id[c]) for s, c in node.terms)))
+        new_id[nid] = len(out.nodes) - 1
+    out.outputs = {name: new_id[nid] for name, nid in program.outputs.items()}
+    return out
+
+
 @pytest.mark.parametrize("variant", sorted(KNN_DIGESTS))
 def test_knn_workload_programs_did_not_move(variant):
     """The e2e KNN workloads (64 x 16, CKKS N = 4096, 3 x 30 bits) trace the
     programs they traced before the shared baby/giant helper existed: the
     collapse round keeps its own body, so their schedules, key sets and
-    cache keys are the parent's.  Under the former parameter fingerprint
-    they still hash to the former digests: only the parameter half moved."""
+    cache keys are the parent's.  With the ``relin`` nodes of the split
+    multiply deleted they hash to what they hashed before the split, and
+    under the former parameter fingerprint to the former digests: only the
+    ``relin`` nodes and the parameter half moved."""
     params = small_test_parameters(SchemeType.CKKS, 4096,
                                    data_bits=(30, 30, 30))
     kernel = KERNEL_VARIANTS[variant](
@@ -212,10 +242,15 @@ def test_knn_workload_programs_did_not_move(variant):
         DistanceProblem(n_points=64, dims=16))
     program = kernel.program(kernel.input_shape)
     assert _program_digest(program, params, True).hex() == KNN_DIGESTS[variant]
+    unsplit = _without_relins(program)
+    assert sum(n.kind == "relin" for n in program.nodes) == (
+        len(program.nodes) - len(unsplit.nodes)) > 0
+    assert (_program_digest(unsplit, params, True).hex()
+            == UNSPLIT_KNN_DIGESTS[variant])
 
     top = generate_ntt_primes(30, 3, 4096)
     scheme, n, t, scale_bits, data, _special = params.fingerprint()
     former = types.SimpleNamespace(fingerprint=lambda: (
         scheme, n, t, scale_bits, (top[0],) + data[1:], tuple(top[1:])))
-    assert (_program_digest(program, former, True).hex()
+    assert (_program_digest(unsplit, former, True).hex()
             == FORMER_KNN_DIGESTS[variant])

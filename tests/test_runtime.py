@@ -370,6 +370,45 @@ def test_remote_knn_rotation_free_variant_matches_in_process(ckks_params):
     assert np.allclose(remote.distances, local.distances, atol=1e-3)
 
 
+@pytest.mark.parametrize("variant,relinearizations", [
+    ("dimension-major", 1),     # 16 squares summed, relinearised once
+    ("collapsed", 1),           # one square per point ciphertext, as before
+])
+def test_served_query_meters_its_relinearizations(ckks_params, variant,
+                                                  relinearizations):
+    """The session metrics count the key switches a query's squares cost:
+    one per sum of products.  A dimension-major query over 16 dimensions
+    used to relinearise each of its 16 squares; the collapsed query's one
+    square feeds a rotation, so it keeps its one relinearization."""
+    from repro.hecore.ckks import CkksContext
+
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-0.5, 0.5, (8, 16))
+    labels = (np.arange(8) % 3).tolist()
+    query = points[2] + 0.01
+
+    async def main():
+        server = OffloadServer(ckks_params)
+        KnnOffloadService.install(server)
+        host, port = await server.start()
+        try:
+            async with OffloadClient(ckks_params, host, port) as client:
+                knn = RemoteKnn(client, CkksContext(ckks_params, seed=14),
+                                k=3, variant=variant)
+                await knn.add_points(points, labels)
+                metrics = server.metrics.get(client.session_id)
+                before = metrics.relinearizations
+                result = await knn.classify(query)
+                return result, metrics.relinearizations - before
+        finally:
+            await server.stop()
+
+    result, metered = run(main())
+    assert metered == relinearizations
+    truth = np.sum((points - query) ** 2, axis=1)
+    assert np.allclose(result.distances, truth, atol=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # Fair scheduling across concurrent sessions
 # ---------------------------------------------------------------------------
