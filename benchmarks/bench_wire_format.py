@@ -2,11 +2,14 @@
 
 Table 3 sizes use the *logical* view: ``(k−1)`` residues of 8-byte words.
 This repository's computational limbs are ≤30-bit (DESIGN.md substitution),
-so the physical blob of a set-B ciphertext carries 3 word-sized rows where
-SEAL would carry 2.  This benchmark serializes real ciphertexts and checks
-that (a) the logical accounting matches Table 3 exactly, (b) the physical
-blob matches its own formula exactly, and (c) seed compression halves
-fresh symmetric uploads on the real wire, not just in the model.
+so the physical blob of a set-B ciphertext carries 3 rows where SEAL would
+carry 2 — but each residue travels as one 4-byte word, so the blob sits
+*below* the logical size: 98,349 B physical against 131,072 B logical
+(196,653 B while residues travelled as 8-byte words).  This benchmark
+serializes real ciphertexts and checks that (a) the logical accounting
+matches Table 3 exactly, (b) the physical blob matches its own formula
+exactly, and (c) seed compression halves fresh symmetric uploads on the
+real wire, not just in the model.
 """
 
 import argparse
@@ -53,16 +56,16 @@ def test_wire_format_vs_logical_accounting(benchmark):
 
     # (a) Logical accounting is exactly Table 3's set-B size.
     assert public_ct.size_bytes() == 131072
-    # (b) Physical blob: header + 2 components x limbs x N x 8B.
+    # (b) Physical blob: header + 2 components x limbs x N x 4B.
     limbs = len(PARAMETER_SET_B.data_base)
-    body = 2 * limbs * 4096 * 8
+    body = 2 * limbs * 4096 * 4
     assert len(blob_public) == serialized_size(public_ct)
     assert body < len(blob_public) < body + 128
     # (c) Seed compression ~halves the real wire size.
     assert len(blob_seeded) < 0.55 * len(blob_public)
     # Mod-switching sheds one limb of physical payload (plus its 8-byte
     # modulus entry in the header).
-    assert len(blob_public) - len(blob_switched) == 2 * 4096 * 8 + 8
+    assert len(blob_public) - len(blob_switched) == 2 * 4096 * 4 + 8
 
 
 def test_decrypt_after_wire_roundtrip(benchmark):
@@ -145,7 +148,7 @@ def _expected_sizes(params):
     Sizes here are exact — any drift means old clients can no longer talk
     to new servers, so ``--check`` fails hard rather than within a
     tolerance.  Layout: 21-byte CHOC header, one u64 per modulus, then
-    8-byte coefficient rows (and a 32-byte seed in place of the second
+    rows of 4-byte residue words (and a 32-byte seed in place of the second
     component for seed-compressed blobs).  Key blobs: 11-byte header, one
     u64 per full-base modulus, then per key-switching key a digit-count
     byte, the 32-byte seed and ``k0`` of every digit over the full base —
@@ -155,7 +158,7 @@ def _expected_sizes(params):
     n = params.poly_degree
     limbs = len(params.data_base)
     header = 21 + 8 * limbs
-    body = n * 8                     # one component-limb row
+    body = n * 4                     # one component-limb row of u32 words
     key_header = 11 + 8 * len(params.full_base)
     switch_key = 1 + 32 + limbs * len(params.full_base) * body
     return {

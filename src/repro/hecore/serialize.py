@@ -4,19 +4,26 @@ The paper's communication costs are serialized-ciphertext bytes; this module
 provides the actual wire format so byte counts are measurable, not just
 modeled.  Two ciphertext representations exist:
 
-* **full** — every polynomial component, 8 bytes per (residue, coefficient);
+* **full** — every polynomial component, one 4-byte word per (residue,
+  coefficient);
 * **seed-compressed** — for fresh symmetric ciphertexts, only ``c0`` plus
   the 32-byte seed of the uniform component (the receiver regenerates
   ``c1`` with :func:`repro.hecore.keys.expand_uniform_poly`, the same
   expansion evaluation keys use), halving upload sizes.  Always in
   evaluation form, the form the seed expands to.
 
+Every residue body travels as a little-endian ``u32`` word (``_WORD``).
+The word is derived, not chosen: every modulus is below
+``2**modmath.MAX_MODULUS_BITS`` (30), so a canonical residue fits 32 bits,
+and the module refuses to import if the limb width ever outgrows the word.
+Moduli themselves stay ``u64`` header entries.
+
 Ciphertext format (little-endian):
 
     magic "CHOC" | version u8 | scheme u8 | flags u8 | n_components u8
     poly_degree u32 | scale f64 | n_moduli u8 | moduli u64[n]
     [seed: 32 bytes, if flag SEEDED]
-    component data: int64[n_moduli * poly_degree] per stored component
+    component data: u32[n_moduli * poly_degree] per stored component
 
 Evaluation keys (relinearization and Galois) are always seed-compressed:
 a key-switching key is ``L`` digit pairs ``(k0, k1 = a_i)`` over the
@@ -26,9 +33,10 @@ travels.  There is no "full" key format.  Key blob format (little-endian):
 
     magic "CHOC" | version u8 | kind u8 | poly_degree u32 | n_moduli u8
     moduli u64[n_moduli]
+    public:  p0 u32[n_moduli * degree] | p1 u32[n_moduli * degree]
     relin:   key
     Galois:  n_keys u16 | (galois_elt u32 | key) * n_keys, ascending elt
-    key:     n_digits u8 | seed 32 B | k0 int64[n_digits * n_moduli * degree]
+    key:     n_digits u8 | seed 32 B | k0 u32[n_digits * n_moduli * degree]
 
 A real offload server needs them on the wire once per key lifetime (the
 offline phase of ``docs/PROTOCOL.md``).  Public keys (kind 1) ship both
@@ -36,15 +44,19 @@ components.
 
 ``VERSION`` is one constant for every blob kind.  Version 2 introduced the
 seeded key layout; version 3 redefined a ciphertext seed's expansion as the
-evaluation-form ``c1`` (a SEEDED blob always carries NTT too).  There is no
+evaluation-form ``c1`` (a SEEDED blob always carries NTT too); version 4
+narrowed every residue word from ``int64`` to ``u32``.  There is no
 negotiation: an older blob of any kind is refused with ``unsupported
 version N``.
 
 Every deserializer validates magic, version, declared counts, and the exact
 blob length *before* touching numpy or expanding a seed, and — when
-parameters are supplied — checks the declared moduli against them.
-Malformed input raises :class:`ValueError`; it never crashes in low-level
-array code.
+parameters are supplied — checks the declared moduli against them.  It then
+checks every residue row against its modulus (one max reduction) before
+widening the words into the ``int64`` arrays the arithmetic uses: the lazy
+and Shoup kernels assume canonical inputs, so a word at or above its
+modulus is refused by name, not computed with.  Malformed input raises
+:class:`ValueError`; it never crashes in low-level array code.
 """
 
 from __future__ import annotations
@@ -64,12 +76,20 @@ from repro.hecore.keys import (
     RelinKeys,
     expand_uniform_poly,
 )
+from repro.hecore.modmath import MAX_MODULUS_BITS
 from repro.hecore.params import EncryptionParameters, SchemeType
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.rns import RnsBase
 
 MAGIC = b"CHOC"
-VERSION = 3
+VERSION = 4
+
+#: The one wire word for a residue, following the one limb width: a
+#: canonical residue is below ``2**MAX_MODULUS_BITS``, so it fits 32 bits.
+if MAX_MODULUS_BITS >= 32:
+    raise ImportError(f"{MAX_MODULUS_BITS}-bit residues do not fit the "
+                      f"4-byte wire word")
+_WORD = np.dtype("<u4")
 
 _FLAG_SEEDED = 1
 _FLAG_NTT = 2
@@ -87,6 +107,30 @@ _KEY_HEADER = struct.Struct("<4sBBIB")
 _KIND_PUBLIC = 1
 _KIND_RELIN = 2
 _KIND_GALOIS = 3
+
+
+def _words(data: np.ndarray) -> memoryview:
+    """A residue array as its wire words, ready for ``b"".join``."""
+    return data.astype(_WORD).data
+
+
+def _checked_words(blob: bytes, offset: int, base: RnsBase, blocks: int,
+                   degree: int, what: str, block: str) -> np.ndarray:
+    """The ``(blocks, len(base), degree)`` residue words at *offset*, once
+    every row's largest word is below its modulus; callers widen them to
+    ``int64`` only after this returns."""
+    words = np.frombuffer(blob, dtype=_WORD, count=blocks * len(base) * degree,
+                          offset=offset).reshape(blocks, len(base), degree)
+    # One max per modulus over every block; the offender is located only
+    # on the way out.
+    peaks = words.max(axis=(0, 2)).tolist()
+    if any(peak >= q for peak, q in zip(peaks, base.moduli)):
+        row_peaks = words.max(axis=2)
+        at, row = np.argwhere(row_peaks >= base.moduli_col.ravel())[0]
+        raise ValueError(
+            f"{what} {block} {at} residue {row}: word {row_peaks[at, row]} "
+            f"is not below its modulus {base.moduli[row]}")
+    return words
 
 
 def serialize_ciphertext(ct: Ciphertext, compress_seed: bool = True) -> bytes:
@@ -110,8 +154,7 @@ def serialize_ciphertext(ct: Ciphertext, compress_seed: bool = True) -> bytes:
         stored = ct.components[:1]
     else:
         stored = ct.components
-    for comp in stored:
-        parts.append(comp.data.astype("<i8").tobytes())
+    parts.extend(_words(comp.data) for comp in stored)
     return b"".join(parts)
 
 
@@ -122,7 +165,8 @@ def deserialize_ciphertext(blob: bytes,
     Validation is strict: the blob's magic, version, scheme, degree,
     component count, moduli (which must be a prefix of the parameter set's
     data base — ciphertexts only shed residues from the top), and its exact
-    length are all checked before any array is built.
+    length are all checked before any array is built, and every residue
+    word against its modulus before the components are widened.
     """
     if len(blob) < _HEADER.size:
         raise ValueError("ciphertext blob shorter than its header")
@@ -155,7 +199,7 @@ def deserialize_ciphertext(blob: bytes,
 
     offset = _HEADER.size
     expected = (offset + 8 * n_moduli + (32 if seeded else 0)
-                + stored_count * 8 * n_moduli * degree)
+                + stored_count * _WORD.itemsize * n_moduli * degree)
     if len(blob) != expected:
         raise ValueError(
             f"ciphertext blob is {len(blob)} bytes, expected {expected} "
@@ -173,15 +217,9 @@ def deserialize_ciphertext(blob: bytes,
         offset += 32
 
     is_ntt = bool(flags & _FLAG_NTT)
-    components = []
-    row_bytes = 8 * n_moduli * degree
-    for _ in range(stored_count):
-        data = np.frombuffer(blob, dtype="<i8", count=n_moduli * degree,
-                             offset=offset).reshape(n_moduli, degree)
-        offset += row_bytes
-        components.append(RnsPoly(base, degree, data.astype(np.int64),
-                                  is_ntt=is_ntt))
-
+    wide = _checked_words(blob, offset, base, stored_count, degree,
+                          "ciphertext", "component").astype(np.int64)
+    components = [RnsPoly(base, degree, data, is_ntt=is_ntt) for data in wide]
     if seed is not None:
         components.append(expand_uniform_poly(seed, base, degree))
     return Ciphertext(params, components, scale=scale, seed=seed)
@@ -198,8 +236,8 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     parts = [_KEY_HEADER.pack(MAGIC, VERSION, _KIND_PUBLIC, p0.degree,
                               len(moduli))]
     parts.append(struct.pack(f"<{len(moduli)}Q", *moduli))
-    parts.append(p0.data.astype("<i8").tobytes())
-    parts.append(p1.data.astype("<i8").tobytes())
+    parts.append(_words(p0.data))
+    parts.append(_words(p1.data))
     return b"".join(parts)
 
 
@@ -244,17 +282,13 @@ def deserialize_public_key(blob: bytes,
         if moduli != params.full_base.moduli:
             raise ValueError("public-key moduli do not match the supplied "
                              "parameters")
-    row_bytes = 8 * n_moduli * degree
-    if len(blob) != offset + 2 * row_bytes:
+    if len(blob) != offset + 2 * _WORD.itemsize * n_moduli * degree:
         raise ValueError("public-key blob has a truncated or oversized body")
     base = RnsBase.of(moduli)
-    polys = []
-    for _ in range(2):
-        data = np.frombuffer(blob, dtype="<i8", count=n_moduli * degree,
-                             offset=offset).reshape(n_moduli, degree)
-        offset += row_bytes
-        polys.append(RnsPoly(base, degree, data.astype(np.int64), is_ntt=True))
-    return PublicKey(polys[0], polys[1])
+    p0, p1 = (RnsPoly(base, degree, data, is_ntt=True) for data in
+              _checked_words(blob, offset, base, 2, degree, "public-key",
+                             "component").astype(np.int64))
+    return PublicKey(p0, p1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,39 +299,42 @@ _KSK_HEADER = struct.Struct(f"<B{SEED_BYTES}s")        # n_digits, seed
 
 
 def _ksk_parts(ksk: KeySwitchKey) -> list:
-    """The key's wire pieces, each digit's ``k0`` as a view of its own
-    array: the caller's single ``join`` sizes the blob, allocates it once
+    """The key's wire pieces, each digit's ``k0`` as its own array of
+    words: the caller's single ``join`` sizes the blob, allocates it once
     and copies every ``k0`` straight into its slice."""
     if ksk.seed is None:
         raise ValueError("key-switching key has no seed: only generated or "
                          "deserialized keys can be serialized")
     return [_KSK_HEADER.pack(len(ksk.digits), ksk.seed),
-            *(np.ascontiguousarray(k0.data, dtype="<i8").data
-              for k0, _k1 in ksk.digits)]
+            *(_words(k0.data) for k0, _k1 in ksk.digits)]
 
 
 def _ksk_size(params: EncryptionParameters) -> int:
     """Exact wire size of one key-switching key under *params*."""
-    return _KSK_HEADER.size + 8 * (len(params.data_base)
-                                   * len(params.full_base)
-                                   * params.poly_degree)
+    return _KSK_HEADER.size + _WORD.itemsize * (len(params.data_base)
+                                                * len(params.full_base)
+                                                * params.poly_degree)
 
 
-def _check_ksk_header(blob: bytes, offset: int,
-                      params: EncryptionParameters) -> None:
+def _check_ksk(blob: bytes, offset: int, params: EncryptionParameters,
+               what: str) -> np.ndarray:
+    """Validate the key at *offset* of a blob of checked length — its digit
+    count, then every ``k0`` residue — and return its ``k0`` words."""
     (n_digits,) = struct.unpack_from("<B", blob, offset)
     if n_digits != len(params.data_base):
         raise ValueError(
             f"key-switching key has {n_digits} digits, parameters require "
             f"{len(params.data_base)}"
         )
+    return _checked_words(blob, offset + _KSK_HEADER.size, params.full_base,
+                          n_digits, params.poly_degree, what, "digit")
 
 
-def _unpack_ksk(blob: bytes, offset: int, params: EncryptionParameters,
+def _unpack_ksk(blob: bytes, offset: int, words: np.ndarray,
+                params: EncryptionParameters,
                 cls=KeySwitchKey) -> KeySwitchKey:
-    """Build the key at *offset* of a blob whose length and digit counts
-    were already validated (nothing is allocated or expanded before that).
-    """
+    """Build the key at *offset* from its :func:`_check_ksk`-validated
+    ``k0`` *words* (nothing is allocated or expanded before that)."""
     base, degree = params.full_base, params.poly_degree
     n_digits, seed = _KSK_HEADER.unpack_from(blob, offset)
     n_moduli = len(base)
@@ -306,14 +343,11 @@ def _unpack_ksk(blob: bytes, offset: int, params: EncryptionParameters,
     # views.  The full-level stacked_digits() restriction — what every key
     # switch at the top level (and every hoisted rotation) asks for — is
     # then the block itself, so deserialized keys skip the re-layout copy
-    # entirely.  k0 comes off the wire; k1 is regenerated from the seed by
-    # the key generator's own expansion (looked up on the module at each
+    # entirely.  k0 is widened off the wire; k1 is regenerated from the seed
+    # by the key generator's own expansion (looked up on the module at each
     # call: there is one definition of a key's uniform half).
     store = np.empty((n_digits, 2, n_moduli, degree), dtype=np.int64)
-    store[:, 0] = np.frombuffer(
-        blob, dtype="<i8", count=n_digits * n_moduli * degree,
-        offset=offset + _KSK_HEADER.size,
-    ).reshape(n_digits, n_moduli, degree)
+    store[:, 0] = words
     store[:, 1] = _keys.expand_keyswitch_uniform(seed, base, degree, n_digits)
     digits = [
         (RnsPoly(base, degree, store[d, 0], is_ntt=True),
@@ -363,8 +397,8 @@ def deserialize_relin_key(blob: bytes,
     moduli, offset = _read_moduli(blob, _KEY_HEADER.size, n_moduli)
     _validate_key_base(moduli, degree, params, what)
     _check_key_length(blob, offset + _ksk_size(params), what)
-    _check_ksk_header(blob, offset, params)
-    return _unpack_ksk(blob, offset, params, RelinKeys)
+    words = _check_ksk(blob, offset, params, what)
+    return _unpack_ksk(blob, offset, words, params, RelinKeys)
 
 
 def serialize_galois_keys(gk: GaloisKeys) -> bytes:
@@ -392,22 +426,22 @@ def deserialize_galois_keys(blob: bytes,
     offset += 2
     if n_keys < 1:
         raise ValueError("Galois-key blob declares no keys")
-    # Every key has the same size under *params*, so the whole structure —
-    # length, element ids, digit counts — is checked at fixed strides
-    # before the first key is built.
+    # Every key has the same size under *params*, so the whole blob —
+    # length, element ids, digit counts, every k0 residue — is checked at
+    # fixed strides before the first key is built.
     stride = 4 + _ksk_size(params)
     _check_key_length(blob, offset + n_keys * stride, what)
-    key_offsets = {}
+    checked = {}
     for at in range(offset, len(blob), stride):
         (elt,) = struct.unpack_from("<I", blob, at)
         if elt < 3 or elt >= 2 * degree or elt % 2 == 0:
             raise ValueError(f"invalid Galois element {elt}")
-        if elt in key_offsets:
+        if elt in checked:
             raise ValueError(f"duplicate Galois element {elt}")
-        _check_ksk_header(blob, at + 4, params)
-        key_offsets[elt] = at + 4
-    return GaloisKeys({elt: _unpack_ksk(blob, at, params)
-                       for elt, at in key_offsets.items()})
+        checked[elt] = (at + 4, _check_ksk(blob, at + 4, params,
+                                           f"{what} element {elt}"))
+    return GaloisKeys({elt: _unpack_ksk(blob, at, words, params)
+                       for elt, (at, words) in checked.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -498,4 +532,4 @@ def serialized_size(ct: Ciphertext, compress_seed: bool = True) -> int:
     n_moduli = len(ct.level_base)
     header = _HEADER.size + 8 * n_moduli + (32 if seeded else 0)
     stored = 1 if seeded else len(ct.components)
-    return header + stored * 8 * n_moduli * ct.params.poly_degree
+    return header + stored * _WORD.itemsize * n_moduli * ct.params.poly_degree

@@ -2,8 +2,10 @@
 
 Two kinds of test pin the base-class refactor:
 
-* **golden digests** — SHA-256 of ``serialize_ciphertext`` for a fixed,
-  seeded operation sequence per scheme.  The digests were recorded at the
+* **golden digests** — SHA-256 of every ciphertext's values for a fixed,
+  seeded operation sequence per scheme, hashed in the layout
+  ``serialize_ciphertext`` had when they were first recorded (version-1
+  header, ``int64`` residues: :func:`_digest`).  The digests were recorded at the
   commit *before* the contexts were merged (``python tests/test_rlwe.py``
   prints them), so a changed PRNG draw order, fork label or rounding step
   in any shared method fails here, by name.  The five rows that evaluate
@@ -24,7 +26,10 @@ Two kinds of test pin the base-class refactor:
   residue of every ciphertext did, with the PRNG streams untouched.  The
   CKKS ``multiply`` row was re-recorded once since, when an unrelinearized
   CKKS product began to stay in evaluation form (same residues, other
-  form; its coefficient form still hashes to the former row).
+  form; its coefficient form still hashes to the former row).  When the
+  wire narrowed every residue to a 4-byte word (serialize version 4),
+  :func:`_digest` stopped hashing ``serialize_ciphertext`` output and began
+  encoding the same values itself, in the recorded layout: no row moved.
   ``test_only_the_symmetric_rows_were_rerecorded`` pins the table itself;
 * **contract** — both contexts are ``RlweContext`` instances exposing the
   shared methods with identical signatures, and the shared validation
@@ -34,6 +39,7 @@ Two kinds of test pin the base-class refactor:
 import hashlib
 import inspect
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -42,7 +48,6 @@ from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
 from repro.hecore.hoisting import rotate_and_sum_steps
 from repro.hecore.params import SchemeType, small_test_parameters
-from repro.hecore.serialize import serialize_ciphertext
 
 SCHEMES = {
     "bfv": (BfvContext, SchemeType.BFV, (30, 30, 30)),
@@ -64,11 +69,28 @@ def _vectors(scheme: str):
     return [row for row in rows]
 
 
-#: The digests pin PRNG streams and arithmetic, not the wire-format number:
-#: the version byte (offset 4, after the magic) is hashed as the value it had
-#: when they were first recorded, so a format bump that leaves ciphertext
-#: bodies alone leaves every digest alone.
+#: The digests pin PRNG streams and arithmetic, not the wire format: they
+#: hash each ciphertext in the layout ``serialize_ciphertext`` wrote when
+#: they were first recorded — the version byte at this value, u64 moduli,
+#: the seed, ``int64`` residues — so no format change moves a digest.
 _RECORDED_VERSION = 1
+_RECORDED_HEADER = struct.Struct("<4sBBBBIdB")
+_RECORDED_SCHEME = {SchemeType.BFV: 0, SchemeType.CKKS: 1}
+
+
+def _recorded_encoding(ct) -> bytes:
+    seeded = ct.seed is not None and len(ct.components) == 2
+    moduli = ct.level_base.moduli
+    parts = [_RECORDED_HEADER.pack(
+        b"CHOC", _RECORDED_VERSION, _RECORDED_SCHEME[ct.params.scheme],
+        (1 if seeded else 0) | (2 if ct.is_ntt else 0), len(ct.components),
+        ct.params.poly_degree, float(ct.scale), len(moduli)),
+        struct.pack(f"<{len(moduli)}Q", *moduli)]
+    if seeded:
+        parts.append(ct.seed)
+    stored = ct.components[:1] if seeded else ct.components
+    parts.extend(c.data.astype("<i8").tobytes() for c in stored)
+    return b"".join(parts)
 
 
 def _digest(cts) -> str:
@@ -76,53 +98,50 @@ def _digest(cts) -> str:
         cts = [cts]
     h = hashlib.sha256()
     for ct in cts:
-        blob = bytearray(serialize_ciphertext(ct))
-        blob[4] = _RECORDED_VERSION
-        h.update(blob)
+        h.update(_recorded_encoding(ct))
     return h.hexdigest()
 
 
 def golden_digests(scheme: str) -> dict:
     """One seeded context driven through every shared entry point, in a
     fixed order (the context PRNG stream carries from step to step)."""
-    return _golden_run(scheme)[0]
+    return {row: _digest(cts) for row, cts in _golden_run(scheme)[0].items()}
 
 
 def _golden_run(scheme: str):
-    """:func:`golden_digests`' run: (digests, context, the unrelinearized
-    product and its two factors)."""
+    """:func:`golden_digests`' run: (each row's ciphertexts, context, the
+    unrelinearized product and its two factors)."""
     ctx = _context(scheme)
     v0, v1, v2 = _vectors(scheme)
     out = {}
     ct = ctx.encrypt(v0)
-    out["encrypt"] = _digest(ct)
+    out["encrypt"] = ct
     batch = ctx.encrypt_many([v0, ctx.encode(v1), v2])
-    out["encrypt_many"] = _digest(batch)
-    out["encrypt_symmetric"] = _digest(ctx.encrypt_symmetric(v1))
-    out["encrypt_symmetric_many"] = _digest(
-        ctx.encrypt_symmetric_many([ctx.encode(v0), v1, v2]))
-    out["encrypt_after_batches"] = _digest(ctx.encrypt(v2))
+    out["encrypt_many"] = batch
+    out["encrypt_symmetric"] = ctx.encrypt_symmetric(v1)
+    out["encrypt_symmetric_many"] = ctx.encrypt_symmetric_many(
+        [ctx.encode(v0), v1, v2])
+    out["encrypt_after_batches"] = ctx.encrypt(v2)
 
     ctx.make_galois_keys([1, 3, -2], include_conjugation=True)
-    out["rotate"] = _digest(ctx.rotate(ct, 3))
-    out["rotate_many"] = _digest(
-        ctx.rotate_many(ct, [1, 3, -2], include_conjugation=True))
+    out["rotate"] = ctx.rotate(ct, 3)
+    out["rotate_many"] = ctx.rotate_many(ct, [1, 3, -2],
+                                         include_conjugation=True)
     conj = ctx.rotate_columns if scheme == "bfv" else ctx.conjugate
-    out["conjugate"] = _digest(conj(ct))
+    out["conjugate"] = conj(ct)
     ctx.make_galois_keys(sorted(rotate_and_sum_steps(8)))
-    out["rotate_and_sum"] = _digest(ctx.rotate_and_sum(ct, 8))
+    out["rotate_and_sum"] = ctx.rotate_and_sum(ct, 8)
 
-    out["add_sub_negate"] = _digest(
-        [ctx.add(ct, batch[0]), ctx.sub(ct, batch[1]), ctx.negate(batch[2])])
-    out["plain_ops"] = _digest(
-        [ctx.add_plain(ct, ctx.encode(v1)),
-         ctx.multiply_plain(ct, ctx.encode(v2))])
+    out["add_sub_negate"] = [ctx.add(ct, batch[0]), ctx.sub(ct, batch[1]),
+                             ctx.negate(batch[2])]
+    out["plain_ops"] = [ctx.add_plain(ct, ctx.encode(v1)),
+                        ctx.multiply_plain(ct, ctx.encode(v2))]
     product = ctx.multiply(ct, batch[1], relinearize=False)
-    out["multiply"] = _digest(product)
-    out["relinearize"] = _digest(ctx.relinearize(product))
+    out["multiply"] = product
+    out["relinearize"] = ctx.relinearize(product)
     dropped = ctx.mod_switch_down(ct)
-    out["mod_switch_down"] = _digest(dropped)
-    out["align"] = _digest(list(ctx.align(dropped, batch[2])))
+    out["mod_switch_down"] = dropped
+    out["align"] = list(ctx.align(dropped, batch[2]))
     return out, ctx, product, (ct, batch[1])
 
 

@@ -790,6 +790,58 @@ def test_anonymous_error_surfaces_without_killing_pump(bfv_params, bfv):
     run(main())
 
 
+def test_hostile_residues_are_refused_and_the_session_keeps_serving(
+        bfv_params, bfv):
+    """A residue word at or above its modulus — the 4-byte wire word can
+    carry one — never reaches the evaluator: a COMPUTE blob holding one is
+    answered BAD_FRAME, a KEY_UPLOAD holding one gets the key-rejection
+    error, and the session serves the next valid request after each."""
+    import struct
+
+    from repro.hecore.serialize import serialize_relin_key
+
+    q0 = bfv_params.data_base.moduli[0]
+
+    async def main():
+        server = OffloadServer(bfv_params)
+        server.register("square", lambda session, request: [
+            session.ctx.multiply(request.cts[0], request.cts[0])])
+        host, port = await server.start()
+        try:
+            client = await OffloadClient(bfv_params, host, port).connect()
+            hostile = bfv.encrypt_symmetric([3])
+            hostile.components[0].data[0, 5] = q0      # ships as word q0
+            with pytest.raises(OffloadError, match="residue 0: word") as exc:
+                await client.request("echo", [hostile])
+            assert exc.value.code is ErrorCode.BAD_FRAME
+            out, _ = await client.request("echo", [bfv.encrypt_symmetric([4])])
+            assert bfv.decrypt(out[0])[0] == 4
+
+            blob = bytearray(serialize_relin_key(bfv.relin_keys()))
+            struct.pack_into("<I", blob, len(blob) - 4, 0xFFFFFFFF)
+            await client.transport.send_frame(
+                MessageType.KEY_UPLOAD,
+                KeyUpload(KeyKind.RELIN, bytes(blob)).pack())
+            while client.session_error is None:
+                await asyncio.sleep(0.005)
+            assert client.session_error.code is ErrorCode.BAD_FRAME
+            with pytest.raises(OffloadError, match="bad key upload: .*word "
+                                                   "4294967295 is not below"):
+                await client.request("echo")
+
+            await client.upload_keys(relin=bfv.relin_keys())
+            out, _ = await client.request("square",
+                                          [bfv.encrypt_symmetric([5])])
+            assert bfv.decrypt(out[0])[0] == 25
+            m = server.metrics.get(1)
+            assert (m.errors, m.key_uploads) == (2, 1)
+            await client.close()
+        finally:
+            await server.stop()
+
+    run(main())
+
+
 def test_busy_retries_charge_ledger_once(bfv_params, bfv):
     """BUSY-driven resubmissions are a transport artifact: each logical
     request charges the analytical ledger exactly once."""

@@ -1,10 +1,13 @@
 """Tests for ciphertext/key serialization and seed compression."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.distance import KERNEL_VARIANTS
 from repro.hecore.serialize import (
     deserialize_ciphertext,
     deserialize_galois_keys,
@@ -16,6 +19,11 @@ from repro.hecore.serialize import (
     serialize_relin_key,
     serialized_size,
 )
+from tests.test_rlwe import GOLDEN, _golden_run
+
+#: Bytes per residue on the wire: one ``u32`` word (version 4).  Stated
+#: here, not imported, so the size tests pin the contract.
+WORD_BYTES = 4
 
 
 def test_roundtrip_public_ciphertext(bfv):
@@ -53,9 +61,10 @@ def test_seed_compression_halves_size(bfv):
 @pytest.mark.parametrize("scheme", ["bfv", "ckks"])
 def test_fresh_upload_is_seeded_evaluation_form_and_one_component_wide(scheme):
     """At the served shape (N = 4096, three 30-bit limbs) a fresh upload is
-    exactly 98,381 B — header 21 + moduli 24 + seed 32 + one component —
-    the ``symmetric_seeded`` size ``bench_wire_format`` gates, single-shot
-    or batched: nothing on the client path may ship ``c1``."""
+    exactly 49,229 B — header 21 + moduli 24 + seed 32 + one component of
+    4-byte words — the ``symmetric_seeded`` size ``bench_wire_format``
+    gates, single-shot or batched: nothing on the client path may ship
+    ``c1``."""
     from repro.hecore import context_for
     from repro.hecore.params import SchemeType, small_test_parameters
 
@@ -67,7 +76,7 @@ def test_fresh_upload_is_seeded_evaluation_form_and_one_component_wide(scheme):
             [[3], [4]]):
         assert ct.is_ntt and all(c.is_ntt for c in ct.components)
         blob = serialize_ciphertext(ct)
-        assert len(blob) == serialized_size(ct) == 98_381
+        assert len(blob) == serialized_size(ct) == 49_229
         assert blob[6] == 3                      # SEEDED | NTT
         restored = deserialize_ciphertext(blob, params)
         assert restored.seed == ct.seed and restored.is_ntt
@@ -206,9 +215,9 @@ def test_rejects_wrong_version(bfv):
 
 
 def test_version_1_blobs_are_refused_by_name(bfv):
-    """No negotiation: a v1 blob (full evaluation keys) or a v2 blob
-    (coefficient-form ciphertext seeds) of any kind is refused, and the
-    error names the version."""
+    """No negotiation: a v1 blob (full evaluation keys), a v2 blob
+    (coefficient-form ciphertext seeds) or a v3 blob (8-byte residue words)
+    of any kind is refused, and the error names the version."""
     blobs = {
         deserialize_ciphertext: serialize_ciphertext(bfv.encrypt([1])),
         deserialize_relin_key: serialize_relin_key(bfv.relin_keys()),
@@ -218,8 +227,8 @@ def test_version_1_blobs_are_refused_by_name(bfv):
             serialize_public_key(bfv.keygen.public_key()),
     }
     for reader, blob in blobs.items():
-        assert blob[4] == 3
-        for old in (1, 2):
+        assert blob[4] == 4
+        for old in (1, 2, 3):
             stale = blob[:4] + bytes([old]) + blob[5:]
             with pytest.raises(ValueError, match=f"unsupported version {old}"):
                 reader(stale, bfv.params)
@@ -317,7 +326,7 @@ def test_key_wire_size_is_k0_plus_seed(bfv):
     digit count, one 32-byte seed and k0 of every digit."""
     params = bfv.params
     per_key = (1 + 32 + len(params.data_base) * len(params.full_base)
-               * params.poly_degree * 8)
+               * params.poly_degree * WORD_BYTES)
     header = 11 + 8 * len(params.full_base)
     assert len(serialize_relin_key(bfv.relin_keys())) == header + per_key
     gk = bfv.make_galois_keys([1, 2, 4])
@@ -326,12 +335,13 @@ def test_key_wire_size_is_k0_plus_seed(bfv):
 
 
 def test_logical_key_accounting_reconciles_with_the_wire():
-    """``size_bytes`` (what the plans and the CostLedger charge) is the
-    physical blob minus its framing whenever the logical and physical
-    residue counts agree — payload and seed, byte for byte.  (Every set
-    key-switches with one 30-bit special prime standing in for the logical
-    key prime; the counts differ only where a logical data prime is split
-    into several 30-bit limbs.)"""
+    """``size_bytes`` (what the plans and the CostLedger charge) reconciles
+    with the physical blob whenever the logical and physical residue counts
+    agree: its 8-byte logical words are twice the blob's 4-byte physical
+    words, byte for byte, and the seed and framing are the same on both
+    sides.  (Every set key-switches with one 30-bit special prime standing
+    in for the logical key prime; the counts differ only where a logical
+    data prime is split into several 30-bit limbs.)"""
     from repro.hecore.bfv import BfvContext
     from repro.hecore.ckks import CkksContext
     from repro.hecore.params import EncryptionParameters, SchemeType
@@ -345,11 +355,13 @@ def test_logical_key_accounting_reconciles_with_the_wire():
         ctx = cls(params, seed=23)
         header = 11 + 8 * len(params.full_base)
         rk = ctx.relin_keys()
-        assert rk.size_bytes(params) == len(serialize_relin_key(rk)) - header - 1
+        physical = len(serialize_relin_key(rk)) - header - 1 - 32
+        assert rk.size_bytes(params) - 32 == 2 * physical
         gk = ctx.make_galois_keys([1, 2, 4])
         framing = header + 2 + len(gk.keys) * (4 + 1)
-        assert (gk.size_bytes(params)
-                == len(serialize_galois_keys(gk)) - framing)
+        seeds = 32 * len(gk.keys)
+        physical = len(serialize_galois_keys(gk)) - framing - seeds
+        assert gk.size_bytes(params) - seeds == 2 * physical
 
 
 def test_keygen_and_deserialization_share_one_expansion(bfv_params,
@@ -453,7 +465,7 @@ def _galois_layout(params):
     """Offsets into a Galois blob: (first element id, per-key stride)."""
     first = 11 + 8 * len(params.full_base) + 2
     stride = 4 + 1 + 32 + (len(params.data_base) * len(params.full_base)
-                           * params.poly_degree * 8)
+                           * params.poly_degree * WORD_BYTES)
     return first, stride
 
 
@@ -549,6 +561,75 @@ def test_empty_galois_set_rejected():
 
     with pytest.raises(ValueError, match="empty"):
         serialize_galois_keys(GaloisKeys({}))
+
+
+# ---------------------------------------------------------------------------
+# Hostile residues: a word at or above its modulus never reaches arithmetic
+# ---------------------------------------------------------------------------
+
+def _hostile_site(kind, ctx):
+    """(reader, blob, byte offset of one residue word, its modulus, how the
+    error names it) for one blob of *kind*: coefficient 7 of the last
+    residue row of the last component or digit (of the second Galois key)."""
+    params = ctx.params
+    n, full = params.poly_degree, params.full_base.moduli
+    row = WORD_BYTES * n
+    word = 7 * WORD_BYTES
+    key_header = 11 + 8 * len(full)
+    if kind == "ciphertext":
+        data = params.data_base.moduli
+        blob = serialize_ciphertext(ctx.encrypt([1, 2]))
+        at = 21 + 8 * len(data) + (2 * len(data) - 1) * row + word
+        return (deserialize_ciphertext, blob, at, data[-1],
+                f"ciphertext component 1 residue {len(data) - 1}")
+    if kind == "public":
+        blob = serialize_public_key(ctx.keygen.public_key())
+        at = key_header + (2 * len(full) - 1) * row + word
+        return (deserialize_public_key, blob, at, full[-1],
+                f"public-key component 1 residue {len(full) - 1}")
+    digits = len(params.data_base)
+    last = (digits * len(full) - 1) * row + word
+    where = f"digit {digits - 1} residue {len(full) - 1}"
+    if kind == "relin":
+        blob = serialize_relin_key(ctx.relin_keys())
+        return (deserialize_relin_key, blob, key_header + 33 + last,
+                full[-1], where)
+    gk = ctx.make_galois_keys([1, 2])
+    first, stride = _galois_layout(params)
+    return (deserialize_galois_keys, serialize_galois_keys(gk),
+            first + stride + 4 + 33 + last, full[-1],
+            f"element {sorted(gk.keys)[1]} {where}")
+
+
+@pytest.mark.parametrize("word", ["modulus", 0xFFFFFFFF])
+@pytest.mark.parametrize("kind", ["ciphertext", "public", "relin", "galois"])
+def test_residue_at_or_above_its_modulus_is_refused_by_name(
+        bfv, no_expansion, kind, word):
+    """The 4-byte word carries values up to 2**32 - 1 where a residue is
+    below a 30-bit modulus: every reader checks each row against its
+    modulus before widening, and names the residue it refuses — before any
+    key seed is expanded."""
+    import struct as _struct
+
+    reader, blob, at, modulus, where = _hostile_site(kind, bfv)
+    value = modulus if word == "modulus" else word
+    hostile = bytearray(blob)
+    _struct.pack_into("<I", hostile, at, value)
+    with pytest.raises(ValueError, match=f"{where}: word {value} is not "
+                                         f"below its modulus {modulus}"):
+        reader(bytes(hostile), bfv.params)
+
+
+@pytest.mark.parametrize("kind", ["ciphertext", "public"])
+def test_largest_residue_is_accepted(bfv, kind):
+    import struct as _struct
+
+    reader, blob, at, modulus, _where = _hostile_site(kind, bfv)
+    edge = bytearray(blob)
+    _struct.pack_into("<I", edge, at, modulus - 1)
+    restored = reader(bytes(edge), bfv.params)
+    poly = restored.components[1] if kind == "ciphertext" else restored.p1
+    assert poly.data[-1, 7] == modulus - 1
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +747,94 @@ def test_roundtrip_property(values):
     restored = deserialize_ciphertext(serialize_ciphertext(ct), params)
     t = params.plain_modulus
     assert list(ctx.decrypt(restored)[: len(values)]) == [v % t for v in values]
+
+
+# ---------------------------------------------------------------------------
+# Round-trip exactness: every value the library produces survives the wire
+# ---------------------------------------------------------------------------
+
+def _assert_exact_roundtrip(blob, params, want):
+    """*blob* deserializes to *want*'s residues, form, level and scale, and
+    re-serializes to the identical bytes — a non-canonical residue from any
+    kernel fails here rather than on a client."""
+    restored = deserialize_ciphertext(blob, params)
+    assert len(restored.components) == len(want.components)
+    assert restored.is_ntt == want.is_ntt and restored.scale == want.scale
+    for got, expect in zip(restored.components, want.components):
+        assert np.array_equal(got.data, expect.data)
+    assert serialize_ciphertext(restored) == blob
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_ciphertexts(scheme):
+    rows, ctx, _product, _factors = _golden_run(scheme)
+    return ctx.params, {row: cts if isinstance(cts, (list, tuple)) else [cts]
+                        for row, cts in rows.items()}
+
+
+@pytest.mark.parametrize("scheme,row", [
+    (scheme, row) for scheme in sorted(GOLDEN) for row in GOLDEN[scheme]])
+def test_every_golden_ciphertext_roundtrips_exactly(scheme, row):
+    """Both schemes' golden run — fresh, seeded, rotated, the 3-component
+    product, the mod-switched and the aligned values — in either
+    representation the wire offers."""
+    params, rows = _golden_ciphertexts(scheme)
+    for ct in rows[row]:
+        for compress in (True, False):
+            blob = serialize_ciphertext(ct, compress_seed=compress)
+            assert len(blob) == serialized_size(ct, compress_seed=compress)
+            _assert_exact_roundtrip(blob, params, ct)
+
+
+@pytest.mark.parametrize("variant", sorted(KERNEL_VARIANTS))
+def test_served_knn_results_roundtrip_exactly(ckks_params, ckks, monkeypatch,
+                                              variant):
+    """One served query per KNN packing: the RESULT blobs as they came off
+    the wire hold the in-process kernel's residues exactly and re-serialize
+    to the same bytes."""
+    import asyncio
+
+    from repro.apps.knn import KnnOffloadService
+    from repro.core.distance import DistanceProblem
+    from repro.runtime import OffloadClient, OffloadServer
+    from repro.runtime import client as client_module
+
+    rng = np.random.default_rng(19)
+    points, query = rng.normal(size=(10, 4)), rng.normal(size=4)
+    kernel = KERNEL_VARIANTS[variant](
+        ckks, DistanceProblem(n_points=len(points), dims=4))
+    galois = ckks.make_galois_keys(kernel.required_rotation_steps() or [1])
+    point_cts = [ckks.encrypt(v) for v in kernel.pack_points(points)]
+    query_cts = [ckks.encrypt(v) for v in kernel.pack_query(query)]
+    local = kernel.compute(point_cts, query_cts)
+
+    received = []
+
+    def recording(blob, params):
+        received.append(blob)
+        return deserialize_ciphertext(blob, params)
+
+    monkeypatch.setattr(client_module, "deserialize_ciphertext", recording)
+
+    async def main():
+        server = OffloadServer(ckks_params)
+        KnnOffloadService.install(server)
+        host, port = await server.start()
+        try:
+            async with OffloadClient(ckks_params, host, port) as client:
+                await client.upload_keys(relin=ckks.relin_keys(),
+                                         galois=galois)
+                _, meta = await client.request(
+                    "knn/store", point_cts,
+                    {"n_points": len(points), "dims": 4, "variant": variant},
+                    account=False)
+                received.clear()
+                await client.request("knn/query", query_cts,
+                                     {"batch": meta["batch"]})
+        finally:
+            await server.stop()
+
+    asyncio.run(main())
+    assert len(received) == len(local) >= 1
+    for blob, want in zip(received, local):
+        _assert_exact_roundtrip(blob, ckks_params, want)
