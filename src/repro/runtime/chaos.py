@@ -169,8 +169,8 @@ class FaultyTransport(Transport):
     def peer_name(self) -> str:
         return f"chaos:{self.inner.peer_name}"
 
-    async def send_frame(self, mtype: MessageType, payload: bytes = b"",
-                         flags: int = 0) -> None:
+    async def send_frame(self, mtype: MessageType,
+                         payload: bytes = b"") -> None:
         if self._severed:
             raise ConnectionError("chaos: transport severed")
         index = self._sent_i
@@ -185,13 +185,13 @@ class FaultyTransport(Transport):
             self._record("delay", "send", index, mtype, f"{d * 1e3:.1f}ms")
             await asyncio.sleep(d)
         elif fault == "corrupt":
-            frame = bytearray(encode_frame(mtype, payload, flags))
+            frame = bytearray(encode_frame(mtype, payload))
             frame[0] ^= 0xFF  # garble the magic: always connection-fatal
             self._record("corrupt", "send", index, mtype)
             await self.inner.send_raw(bytes(frame))
             return
         elif fault == "truncate":
-            frame = encode_frame(mtype, payload, flags)
+            frame = encode_frame(mtype, payload)
             cut = 1 + int(aux * max(len(frame) - 1, 1))
             self._record("truncate", "send", index, mtype,
                          f"{cut}/{len(frame)}B")
@@ -202,7 +202,7 @@ class FaultyTransport(Transport):
             self._record("disconnect", "send", index, mtype)
             await self.force_disconnect()
             raise ConnectionError("chaos: injected disconnect")
-        await self.inner.send_frame(mtype, payload, flags)
+        await self.inner.send_frame(mtype, payload)
         self.bytes_sent = self.inner.bytes_sent
 
     async def send_raw(self, data: bytes) -> None:

@@ -456,7 +456,7 @@ class FleetServer:
         counted = False
         try:
             try:
-                mtype, flags, payload = await read_frame(reader)
+                mtype, _flags, payload = await read_frame(reader)
             except (ConnectionError, FrameError):
                 return
             if mtype is MessageType.HELLO:
@@ -506,7 +506,7 @@ class FleetServer:
                     0, ErrorCode.BAD_FRAME,
                     f"expected HELLO or RESUME, got {mtype.name}").pack())
                 return
-            await self._relay(handle, mtype, flags, payload, reader, writer)
+            await self._relay(handle, mtype, payload, reader, writer)
         finally:
             if counted and handle is not None:
                 handle.active_conns -= 1
@@ -524,7 +524,7 @@ class FleetServer:
             await writer.drain()
 
     async def _relay(self, handle: WorkerHandle, mtype: MessageType,
-                     flags: int, payload: bytes,
+                     payload: bytes,
                      client_reader: asyncio.StreamReader,
                      client_writer: asyncio.StreamWriter) -> None:
         """Forward the sniffed first frame, then pump raw bytes both ways."""
@@ -539,7 +539,7 @@ class FleetServer:
             return
         self.metrics.connections_active += 1
         try:
-            backend_writer.write(encode_frame(mtype, payload, flags))
+            backend_writer.write(encode_frame(mtype, payload))
             await backend_writer.drain()
             up = asyncio.ensure_future(
                 self._pipe(client_reader, backend_writer))

@@ -4,44 +4,35 @@ Every message on a runtime connection is one **frame**:
 
     magic "CHOF" | version u8 | type u8 | flags u16 | payload_len u32 | payload
 
-The payload of each frame type has its own fixed little-endian layout
-(documented per dataclass below) wrapping the ``hecore.serialize`` blobs for
-ciphertexts and keys.  Parsing is strict: unknown magic, version, or type,
-an oversized payload, a truncated field, or trailing bytes all raise
-:class:`FrameError` (a :class:`ValueError`) — a malformed peer can never
-crash the runtime in low-level array code.
+``flags`` is reserved: it is written 0 and a nonzero value is refused.
 
-The session flow (see ``docs/PROTOCOL.md`` for the narrative version):
+Each payload is a dataclass whose fields declare their codec once, in
+wire order: one ``pack`` and one ``unpack`` walk that schema, and each
+class's ``LAYOUT`` (and ``Layout:`` docstring line) is derived from it.
+Integers are little-endian; ``bytes16`` / ``str16`` are a u16 length then
+the bytes (UTF-8 for ``str16``), ``json32`` a u32 length then a JSON
+object, ``blobs`` a u16 count then a u32 length and the bytes per blob, and
+``rest`` the rest of the payload: a ``hecore.serialize`` blob, opaque
+here.  Parsing is strict: unknown magic, version, type or enum code,
+nonzero flags, an oversized payload, a truncated field, or trailing bytes
+all raise :class:`FrameError` (a :class:`ValueError`), and so does packing
+a value that does not fit its field — a malformed peer can never crash the
+runtime in low-level array code.
 
-    C -> S : HELLO        parameter fingerprint (scheme, N, moduli, ...)
-    S -> C : HELLO_ACK    session id, queue limit, concurrency, resume token
-    C -> S : KEY_UPLOAD   public / relinearization / Galois key blobs
-    S -> C : KEY_ACK
-    C -> S : COMPUTE      op name, JSON metadata, ciphertext batch
-    S -> C : RESULT       ciphertext batch + metadata
-           | BUSY         queue full: retry after the given delay
-           | ERROR        typed failure
-    C -> S : PING         liveness probe (any time after the handshake)
-    S -> C : PONG         echoes the probe nonce
-    C -> S : BYE
-
-A client that lost its connection mid-session opens a new one and sends
-``RESUME`` (session id + the resume token from ``HELLO_ACK``) instead of
-``HELLO``; the server reattaches the existing session — keys, state,
-metrics, dedupe window — and answers ``RESUME_ACK``.  ``COMPUTE`` request
-ids are idempotency keys: the client reuses one id for every resubmission
-of a logical request, and the server replays the cached ``RESULT`` rather
-than re-executing (see the dedupe-window contract in ``docs/PROTOCOL.md``).
+The session flow, resumption and the dedupe window are documented in
+``docs/PROTOCOL.md``, whose frame-type table carries these layouts.
 """
 
 from __future__ import annotations
 
 import asyncio
 import enum
+import inspect
 import json
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.hecore.params import EncryptionParameters, SchemeType
 
@@ -57,9 +48,7 @@ FRAME_VERSION = 2
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct("<4sBBHI")
-
-_SCHEME_CODES = {SchemeType.BFV: 0, SchemeType.CKKS: 1}
-_SCHEME_FROM_CODE = {v: k for k, v in _SCHEME_CODES.items()}
+HEADER_SIZE = _FRAME_HEADER.size
 
 
 class FrameError(ValueError):
@@ -101,120 +90,193 @@ class ErrorCode(enum.IntEnum):
 
 
 # ---------------------------------------------------------------------------
-# Strict cursor-based parsing
+# Field codecs: ``put(value, out)`` appends the bytes to *out*; ``read(buf,
+# off)`` returns ``(value, next_offset)``.  A short buffer or a value that
+# does not fit raises struct.error / KeyError, which unpack / pack name.
 # ---------------------------------------------------------------------------
 
-class _Cursor:
-    """Sequential reader over a payload with explicit bounds checking."""
+class _Codec:
+    label = ""
+    layout = "{name} {label}"   # this field's part of the payload's LAYOUT
+    arity = 1                   # consecutive dataclass fields it carries
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
 
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.off + n > len(self.buf):
+class _Int(_Codec):
+    def __init__(self, fmt: str):
+        self.struct = struct.Struct("<" + fmt)
+        self.label = f"u{8 * self.struct.size}"
+        self.max = (1 << 8 * self.struct.size) - 1
+
+    def put(self, value, out):
+        out.append(self.struct.pack(value))
+
+    def read(self, buf, off):
+        return self.struct.unpack_from(buf, off)[0], off + self.struct.size
+
+
+class _Bytes(_Codec):
+    """Bytes after a *prefix*-wide length, or the rest of the payload."""
+
+    def __init__(self, prefix: Optional[_Int], label: str):
+        self.prefix, self.label = prefix, label
+
+    def put(self, data, out):
+        if self.prefix:
+            self.prefix.put(len(data), out)
+        out.append(data)
+
+    def read(self, buf, off):
+        n, off = (self.prefix.read(buf, off) if self.prefix
+                  else (len(buf) - off, off))
+        if off + n > len(buf):
             raise FrameError("frame payload truncated")
-        out = self.buf[self.off: self.off + n]
-        self.off += n
-        return out
+        return buf[off:off + n], off + n
 
-    def _unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))[0]
 
-    def u8(self) -> int:
-        return self._unpack("<B")
+class _Mapped(_Codec):
+    """*inner*'s value mapped through *encode* / *decode*; a wire value
+    that *decode* refuses is a :class:`FrameError` saying *what*."""
 
-    def u16(self) -> int:
-        return self._unpack("<H")
+    def __init__(self, inner: _Codec, encode, decode, what: str, label=""):
+        self.inner, self.encode, self.decode = inner, encode, decode
+        self.what, self.label = what, label or inner.label
 
-    def u32(self) -> int:
-        return self._unpack("<I")
+    def put(self, value, out):
+        self.inner.put(self.encode(value), out)
 
-    def u64(self) -> int:
-        return self._unpack("<Q")
-
-    def bytes16(self) -> bytes:
-        return self.take(self.u16())
-
-    def bytes32(self) -> bytes:
-        return self.take(self.u32())
-
-    def str16(self) -> str:
+    def read(self, buf, off):
+        raw, off = self.inner.read(buf, off)
         try:
-            return self.bytes16().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameError("invalid UTF-8 in frame string") from exc
-
-    def finish(self) -> None:
-        if self.off != len(self.buf):
-            raise FrameError(
-                f"trailing bytes in frame payload ({len(self.buf) - self.off})"
-            )
+            return self.decode(raw), off
+        except (ValueError, KeyError, RecursionError) as exc:
+            raise FrameError(f"{self.what}: {exc}") from exc
 
 
-def _pack_bytes16(data: bytes) -> bytes:
-    if len(data) > 0xFFFF:
-        raise FrameError("string field exceeds 64 KiB")
-    return struct.pack("<H", len(data)) + data
+def _enum(width: _Int, codes) -> _Mapped:
+    """A member as its *width* code: *codes* maps member -> code, or is an
+    ``IntEnum`` whose values are the codes."""
+    if not isinstance(codes, dict):
+        codes = {member: int(member) for member in codes}
+    members = {code: member for member, code in codes.items()}
+    what = f"unknown {type(next(iter(codes))).__name__}"
+    return _Mapped(width, codes.__getitem__, members.__getitem__, what)
 
 
-def _pack_bytes32(data: bytes) -> bytes:
-    if len(data) > 0xFFFFFFFF:
-        raise FrameError("blob field exceeds u32 range")
-    return struct.pack("<I", len(data)) + data
-
-
-def _pack_str16(text: str) -> bytes:
-    return _pack_bytes16(text.encode("utf-8"))
-
-
-def _pack_meta(meta: Optional[dict]) -> bytes:
-    return _pack_bytes32(json.dumps(meta or {}).encode("utf-8"))
-
-
-def _unpack_meta(cur: _Cursor) -> dict:
-    raw = cur.bytes32()
-    try:
-        meta = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError("invalid JSON metadata in frame") from exc
+def _json_object(raw: bytes) -> dict:
+    meta = json.loads(raw.decode("utf-8"))
     if not isinstance(meta, dict):
-        raise FrameError("frame metadata must be a JSON object")
+        raise ValueError("not a JSON object")
     return meta
 
 
-def _pack_blobs(blobs: Sequence[bytes]) -> bytes:
-    if len(blobs) > 0xFFFF:
-        raise FrameError("too many ciphertexts in one frame")
-    parts = [struct.pack("<H", len(blobs))]
-    parts.extend(_pack_bytes32(b) for b in blobs)
-    return b"".join(parts)
+class _Blobs(_Codec):
+    label = "blobs"
+
+    def put(self, blobs, out):
+        U16.put(len(blobs), out)
+        for blob in blobs:
+            _BYTES32.put(blob, out)
+
+    def read(self, buf, off):
+        count, off = U16.read(buf, off)
+        blobs = []
+        for _ in range(count):
+            blob, off = _BYTES32.read(buf, off)
+            blobs.append(blob)
+        return tuple(blobs), off
 
 
-def _unpack_blobs(cur: _Cursor) -> List[bytes]:
-    return [cur.bytes32() for _ in range(cur.u16())]
+class _Moduli(_Codec):
+    layout = "n_data u8 | n_special u8 | moduli u64[n_data + n_special]"
+    arity = 2           # Hello's data_moduli and special_moduli, jointly
+
+    def put(self, moduli, out):
+        data, special = moduli
+        out.append(struct.pack(f"<BB{len(data) + len(special)}Q",
+                               len(data), len(special), *data, *special))
+
+    def read(self, buf, off):
+        n_data, n_special = struct.unpack_from("<BB", buf, off)
+        moduli = struct.unpack_from(f"<{n_data + n_special}Q", buf, off + 2)
+        return (moduli[:n_data], moduli[n_data:]), off + 2 + 8 * len(moduli)
+
+
+U8, U16, U32, U64 = map(_Int, "BHIQ")
+BYTES16, _BYTES32 = _Bytes(U16, "bytes16"), _Bytes(U32, "bytes32")
+REST, BLOBS = _Bytes(None, "rest"), _Blobs()
+STR16 = _Mapped(BYTES16, str.encode, bytes.decode,
+                "invalid UTF-8 in frame string", "str16")
+META = _Mapped(_BYTES32, lambda meta: json.dumps(meta or {}).encode(),
+               _json_object, "invalid JSON metadata in frame", "json32")
+
+
+def _f(codec: _Codec, **kwargs):
+    """A payload field carried by *codec* (``field`` keywords pass on)."""
+    return field(metadata={"codec": codec}, **kwargs)
+
+
+class _Payload:
+    """Every frame payload: a subclass becomes a frozen dataclass whose
+    fields' codecs, in declaration order, are its wire layout, walked by
+    the one ``pack`` and ``unpack`` and spelled out in ``LAYOUT``."""
+
+    def __init_subclass__(cls):
+        dataclass(frozen=True)(cls)
+        names = [f.name for f in fields(cls)]
+        cls._schema = tuple(
+            (names[i], attrgetter(*names[i:i + codec.arity]), codec)
+            for i, codec in enumerate(f.metadata.get("codec")
+                                      for f in fields(cls)) if codec)
+        cls.LAYOUT = " | ".join(c.layout.format(name=name, label=c.label)
+                                for name, _, c in cls._schema)
+        cls.__doc__ = (f"{inspect.cleandoc(cls.__doc__)}\n\n"
+                       f"Layout: {cls.LAYOUT}.")
+
+    def pack(self) -> bytes:
+        out: List[bytes] = []
+        for name, get, codec in self._schema:
+            try:
+                codec.put(get(self), out)
+            except (struct.error, KeyError) as exc:
+                raise FrameError(f"{type(self).__name__}.{name} does not fit "
+                                 f"its field: {exc}") from None
+        return b"".join(out)
+
+    @classmethod
+    def unpack(cls, payload: bytes):
+        values, off = [], 0
+        try:
+            for _, _, codec in cls._schema:
+                value, off = codec.read(payload, off)
+                values += value if codec.arity > 1 else (value,)
+        except struct.error:
+            raise FrameError("frame payload truncated") from None
+        if off != len(payload):
+            raise FrameError(
+                f"trailing bytes in frame payload ({len(payload) - off})")
+        message = cls(*values)
+        message._check()
+        return message
+
+    def _check(self) -> None:
+        """The message's own invariant beyond its field codecs."""
 
 
 # ---------------------------------------------------------------------------
 # Frame payloads
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hello:
+class Hello(_Payload):
     """Client handshake: its parameter set's
-    :meth:`EncryptionParameters.fingerprint`, field for field in that order.
+    :meth:`EncryptionParameters.fingerprint`, field for field in order."""
 
-    Layout: scheme u8 | poly_degree u32 | plain_modulus u64 | scale_bits u16
-    | n_data u8 | n_special u8 | moduli u64[n_data + n_special].
-    """
-
-    scheme: SchemeType
-    poly_degree: int
-    plain_modulus: int
-    scale_bits: int
-    data_moduli: Tuple[int, ...]
-    special_moduli: Tuple[int, ...]
+    scheme: SchemeType = _f(_enum(U8, {SchemeType.BFV: 0,
+                                       SchemeType.CKKS: 1}))
+    poly_degree: int = _f(U32)
+    plain_modulus: int = _f(U64)
+    scale_bits: int = _f(U16)
+    data_moduli: Tuple[int, ...] = _f(_Moduli())
+    special_moduli: Tuple[int, ...]     # carried by data_moduli's codec
 
     @classmethod
     def from_params(cls, params: EncryptionParameters) -> "Hello":
@@ -228,323 +290,120 @@ class Hello:
                 return f"{f.name}: client {theirs!r} != server {ours!r}"
         return None
 
-    def pack(self) -> bytes:
-        moduli = self.data_moduli + self.special_moduli
-        return struct.pack(
-            "<BIQHBB", _SCHEME_CODES[self.scheme], self.poly_degree,
-            self.plain_modulus, self.scale_bits,
-            len(self.data_moduli), len(self.special_moduli),
-        ) + struct.pack(f"<{len(moduli)}Q", *moduli)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Hello":
-        cur = _Cursor(payload)
-        scheme_code = cur.u8()
-        scheme = _SCHEME_FROM_CODE.get(scheme_code)
-        if scheme is None:
-            raise FrameError(f"unknown scheme code {scheme_code}")
-        degree = cur.u32()
-        plain_modulus = cur.u64()
-        scale_bits = cur.u16()
-        n_data, n_special = cur.u8(), cur.u8()
-        if n_data < 1:
+    def _check(self) -> None:
+        if not self.data_moduli:
             raise FrameError("handshake declares no data moduli")
-        moduli = tuple(cur.u64() for _ in range(n_data + n_special))
-        cur.finish()
-        return cls(scheme, degree, plain_modulus, scale_bits,
-                   moduli[:n_data], moduli[n_data:])
 
 
-@dataclass(frozen=True)
-class HelloAck:
-    """Server handshake reply.
+class HelloAck(_Payload):
+    """Server handshake reply."""
 
-    Layout: session_id u32 | queue_limit u16 | concurrency u16
-    | resume_token bytes16 | grace_ms u32 | banner str16.
-
-    ``resume_token`` is the secret a reconnecting client must present in a
-    :class:`Resume` frame; ``grace_ms`` is how long the server retains a
-    disconnected session before reaping it.
-    """
-
-    session_id: int
-    queue_limit: int
-    concurrency: int
-    banner: str = ""
-    resume_token: bytes = b""
-    grace_ms: int = 0
-
-    def pack(self) -> bytes:
-        return (struct.pack("<IHH", self.session_id, self.queue_limit,
-                            self.concurrency)
-                + _pack_bytes16(self.resume_token)
-                + struct.pack("<I", self.grace_ms)
-                + _pack_str16(self.banner))
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "HelloAck":
-        cur = _Cursor(payload)
-        session_id, queue_limit, concurrency = cur.u32(), cur.u16(), cur.u16()
-        resume_token = cur.bytes16()
-        grace_ms = cur.u32()
-        banner = cur.str16()
-        cur.finish()
-        return cls(session_id, queue_limit, concurrency, banner,
-                   resume_token, grace_ms)
+    session_id: int = _f(U32)
+    queue_limit: int = _f(U16)
+    concurrency: int = _f(U16)
+    resume_token: bytes = _f(BYTES16, default=b"")  # what RESUME presents
+    grace_ms: int = _f(U32, default=0)  # how long a lost session is kept
+    banner: str = _f(STR16, default="")
 
 
-@dataclass(frozen=True)
-class Resume:
-    """Reattach to an existing session after a lost connection.
+class Resume(_Payload):
+    """Reattach after a lost connection: a first frame, in place of HELLO."""
 
-    Sent as the *first* frame on a fresh connection, in place of
-    :class:`Hello`.  Layout: session_id u32 | token bytes16.
-    """
-
-    session_id: int
-    token: bytes
-
-    def pack(self) -> bytes:
-        return struct.pack("<I", self.session_id) + _pack_bytes16(self.token)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Resume":
-        cur = _Cursor(payload)
-        out = cls(cur.u32(), cur.bytes16())
-        cur.finish()
-        return out
+    session_id: int = _f(U32)
+    token: bytes = _f(BYTES16)
 
 
-@dataclass(frozen=True)
-class ResumeAck:
-    """Successful reattach.
+class ResumeAck(_Payload):
+    """Successful reattach."""
 
-    Layout: session_id u32 | queue_limit u16 | concurrency u16 | key_mask u8
-    | banner str16.  ``key_mask`` has bit ``1 << (kind - 1)`` set for every
-    :class:`KeyKind` the session already holds, so the client knows nothing
-    needs re-uploading.
-    """
-
-    session_id: int
-    queue_limit: int
-    concurrency: int
-    key_mask: int = 0
-    banner: str = ""
+    session_id: int = _f(U32)
+    queue_limit: int = _f(U16)
+    concurrency: int = _f(U16)
+    key_mask: int = _f(U8, default=0)   # bit 1 << (kind - 1) per key held
+    banner: str = _f(STR16, default="")
 
     def has_key(self, kind: KeyKind) -> bool:
         return bool(self.key_mask & (1 << (int(kind) - 1)))
 
-    def pack(self) -> bytes:
-        return (struct.pack("<IHHB", self.session_id, self.queue_limit,
-                            self.concurrency, self.key_mask)
-                + _pack_str16(self.banner))
 
-    @classmethod
-    def unpack(cls, payload: bytes) -> "ResumeAck":
-        cur = _Cursor(payload)
-        out = cls(cur.u32(), cur.u16(), cur.u16(), cur.u8(), cur.str16())
-        cur.finish()
-        return out
+class Ping(_Payload):
+    """Client liveness probe."""
+
+    nonce: int = _f(U64)
 
 
-@dataclass(frozen=True)
-class Ping:
-    """Client liveness probe.  Layout: nonce u64."""
+class Pong(_Payload):
+    """Server liveness reply, echoing the probe nonce."""
 
-    nonce: int
-
-    def pack(self) -> bytes:
-        return struct.pack("<Q", self.nonce)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Ping":
-        cur = _Cursor(payload)
-        out = cls(cur.u64())
-        cur.finish()
-        return out
+    nonce: int = _f(U64)
 
 
-@dataclass(frozen=True)
-class Pong:
-    """Server liveness reply, echoing the probe nonce.  Layout: nonce u64."""
+class KeyUpload(_Payload):
+    """One evaluation-key blob."""
 
-    nonce: int
-
-    def pack(self) -> bytes:
-        return struct.pack("<Q", self.nonce)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Pong":
-        cur = _Cursor(payload)
-        out = cls(cur.u64())
-        cur.finish()
-        return out
+    kind: KeyKind = _f(_enum(U8, KeyKind))
+    blob: bytes = _f(REST)
 
 
-@dataclass(frozen=True)
-class KeyUpload:
-    """One evaluation-key blob.  Layout: kind u8 | blob (rest of payload)."""
+class KeyAck(_Payload):
+    """The server installed the uploaded key."""
 
-    kind: KeyKind
-    blob: bytes
-
-    def pack(self) -> bytes:
-        return struct.pack("<B", int(self.kind)) + self.blob
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "KeyUpload":
-        cur = _Cursor(payload)
-        kind_code = cur.u8()
-        try:
-            kind = KeyKind(kind_code)
-        except ValueError as exc:
-            raise FrameError(f"unknown key kind {kind_code}") from exc
-        return cls(kind, cur.take(len(payload) - cur.off))
+    kind: KeyKind = _f(_enum(U8, KeyKind))
 
 
-@dataclass(frozen=True)
-class KeyAck:
-    """Layout: kind u8."""
+class Compute(_Payload):
+    """One offload request."""
 
-    kind: KeyKind
+    request_id: int = _f(U32)
+    op: str = _f(STR16)
+    meta: Dict = _f(META, default_factory=dict)
+    blobs: Tuple[bytes, ...] = _f(BLOBS, default=())
 
-    def pack(self) -> bytes:
-        return struct.pack("<B", int(self.kind))
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "KeyAck":
-        cur = _Cursor(payload)
-        try:
-            kind = KeyKind(cur.u8())
-        except ValueError as exc:
-            raise FrameError("unknown key kind in ack") from exc
-        cur.finish()
-        return cls(kind)
-
-
-@dataclass(frozen=True)
-class Compute:
-    """One offload request.
-
-    Layout: request_id u32 | op str16 | meta json bytes32 | n_cts u16
-    | (blob bytes32) * n_cts.
-    """
-
-    request_id: int
-    op: str
-    meta: Dict = field(default_factory=dict)
-    blobs: Tuple[bytes, ...] = ()
-
-    def pack(self) -> bytes:
-        return (struct.pack("<I", self.request_id) + _pack_str16(self.op)
-                + _pack_meta(self.meta) + _pack_blobs(self.blobs))
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Compute":
-        cur = _Cursor(payload)
-        request_id = cur.u32()
-        op = cur.str16()
-        if not op:
+    def _check(self) -> None:
+        if not self.op:
             raise FrameError("compute frame names no operation")
-        meta = _unpack_meta(cur)
-        blobs = tuple(_unpack_blobs(cur))
-        cur.finish()
-        return cls(request_id, op, meta, blobs)
 
 
-@dataclass(frozen=True)
-class Result:
-    """A successful reply.  Layout mirrors :class:`Compute` minus the op."""
+class Result(_Payload):
+    """A successful reply: :class:`Compute` minus the op."""
 
-    request_id: int
-    meta: Dict = field(default_factory=dict)
-    blobs: Tuple[bytes, ...] = ()
-
-    def pack(self) -> bytes:
-        return (struct.pack("<I", self.request_id) + _pack_meta(self.meta)
-                + _pack_blobs(self.blobs))
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Result":
-        cur = _Cursor(payload)
-        request_id = cur.u32()
-        meta = _unpack_meta(cur)
-        blobs = tuple(_unpack_blobs(cur))
-        cur.finish()
-        return cls(request_id, meta, blobs)
+    request_id: int = _f(U32)
+    meta: Dict = _f(META, default_factory=dict)
+    blobs: Tuple[bytes, ...] = _f(BLOBS, default=())
 
 
-@dataclass(frozen=True)
-class Busy:
-    """Backpressure: the session queue is full; retry after the given delay.
+class Busy(_Payload):
+    """Backpressure: the session queue is full; retry after the delay."""
 
-    Layout: request_id u32 | retry_after_ms u32 | queue_depth u16.
-    """
-
-    request_id: int
-    retry_after_ms: int
-    queue_depth: int
-
-    def pack(self) -> bytes:
-        return struct.pack("<IIH", self.request_id, self.retry_after_ms,
-                           self.queue_depth)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Busy":
-        cur = _Cursor(payload)
-        out = cls(cur.u32(), cur.u32(), cur.u16())
-        cur.finish()
-        return out
+    request_id: int = _f(U32)
+    retry_after_ms: int = _f(U32)
+    queue_depth: int = _f(U16)
 
 
-@dataclass(frozen=True)
-class Error:
-    """A typed failure.  Layout: request_id u32 | code u16 | message str16.
+class Error(_Payload):
+    """A typed failure; ``request_id`` 0 marks a connection-level one."""
 
-    ``request_id`` 0 marks a connection-level error (e.g. a handshake
-    rejection) rather than a per-request one.
-    """
-
-    request_id: int
-    code: ErrorCode
-    message: str
-
-    def pack(self) -> bytes:
-        return (struct.pack("<IH", self.request_id, int(self.code))
-                + _pack_str16(self.message))
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "Error":
-        cur = _Cursor(payload)
-        request_id = cur.u32()
-        code_val = cur.u16()
-        try:
-            code = ErrorCode(code_val)
-        except ValueError as exc:
-            raise FrameError(f"unknown error code {code_val}") from exc
-        message = cur.str16()
-        cur.finish()
-        return cls(request_id, code, message)
+    request_id: int = _f(U32)
+    code: ErrorCode = _f(_enum(U16, ErrorCode))
+    message: str = _f(STR16)
 
 
 # ---------------------------------------------------------------------------
 # Frame encode / decode
 # ---------------------------------------------------------------------------
 
-def encode_frame(mtype: MessageType, payload: bytes = b"",
-                 flags: int = 0) -> bytes:
-    """One wire frame: header plus payload."""
-    if len(payload) > 0xFFFFFFFF:
+def encode_frame(mtype: MessageType, payload: bytes = b"") -> bytes:
+    """One wire frame: header (reserved flags 0) plus payload."""
+    if len(payload) > U32.max:
         raise FrameError("frame payload exceeds u32 length")
-    return _FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(mtype), flags,
+    return _FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(mtype), 0,
                               len(payload)) + payload
 
 
-def decode_header(header: bytes,
-                  max_payload: int = MAX_FRAME_BYTES,
+def decode_header(header: bytes, max_payload: int = MAX_FRAME_BYTES,
                   ) -> Tuple[MessageType, int, int]:
     """Validate a 12-byte frame header; returns (type, flags, payload_len)."""
-    if len(header) != _FRAME_HEADER.size:
+    if len(header) != HEADER_SIZE:
         raise FrameError("short frame header")
     magic, version, type_code, flags, length = _FRAME_HEADER.unpack(header)
     if magic != FRAME_MAGIC:
@@ -555,39 +414,30 @@ def decode_header(header: bytes,
         mtype = MessageType(type_code)
     except ValueError as exc:
         raise FrameError(f"unknown frame type {type_code}") from exc
+    if flags:
+        raise FrameError(f"reserved frame flags must be 0, got {flags:#x}")
     if length > max_payload:
-        raise FrameError(
-            f"frame payload of {length} bytes exceeds the {max_payload}-byte "
-            f"limit"
-        )
+        raise FrameError(f"frame payload of {length} bytes exceeds the "
+                         f"{max_payload}-byte limit")
     return mtype, flags, length
 
 
-def decode_frame(frame: bytes,
-                 max_payload: int = MAX_FRAME_BYTES,
+def decode_frame(frame: bytes, max_payload: int = MAX_FRAME_BYTES,
                  ) -> Tuple[MessageType, int, bytes]:
     """Decode one complete frame held in memory (the SimulatedLink path)."""
-    mtype, flags, length = decode_header(frame[:_FRAME_HEADER.size],
-                                         max_payload)
-    payload = frame[_FRAME_HEADER.size:]
+    mtype, flags, length = decode_header(frame[:HEADER_SIZE], max_payload)
+    payload = frame[HEADER_SIZE:]
     if len(payload) != length:
         raise FrameError(
-            f"frame body is {len(payload)} bytes, header declared {length}"
-        )
+            f"frame body is {len(payload)} bytes, header declared {length}")
     return mtype, flags, payload
-
-
-HEADER_SIZE = _FRAME_HEADER.size
 
 
 async def read_frame(reader: "asyncio.StreamReader",
                      max_payload: int = MAX_FRAME_BYTES,
                      ) -> Tuple[MessageType, int, bytes]:
-    """Read exactly one frame from an asyncio stream.
-
-    Raises :class:`ConnectionError` on EOF and :class:`FrameError` on a
-    malformed header — callers treat both as fatal for the connection.
-    """
+    """Read exactly one frame from an asyncio stream: EOF raises
+    :class:`ConnectionError`, a malformed header :class:`FrameError`."""
     try:
         header = await reader.readexactly(HEADER_SIZE)
     except asyncio.IncompleteReadError as exc:

@@ -122,7 +122,8 @@ class ServerSession:
     """One client's server-side state: keys, queue, metrics, eval context."""
 
     def __init__(self, session_id: int, transport: Transport,
-                 server: "OffloadServer", metrics: SessionMetrics):
+                 server: "OffloadServer", metrics: SessionMetrics,
+                 resume_token: bytes):
         self.id = session_id
         self.transport = transport
         self.server = server
@@ -143,7 +144,7 @@ class ServerSession:
         self._send_lock = asyncio.Lock()
         self.closed = False
         #: Secret the client must present in a RESUME frame to reattach.
-        self.resume_token: bytes = secrets.token_bytes(16)
+        self.resume_token = resume_token
         #: Request ids currently queued or executing (idempotency guard).
         self.inflight_ids: set = set()
         #: Recently completed ids -> packed RESULT payload, bounded by the
@@ -215,6 +216,11 @@ class OffloadServer:
         self.dedupe_window = dedupe_window
         self.resume_grace_s = resume_grace_s
         self.verbose = verbose
+        # The handshake and backpressure frames carry these settings: one
+        # their fields cannot hold is refused here, by a FrameError (a
+        # ValueError) naming the field, instead of failing every handshake.
+        self._hello_ack(session_id_start, b"")
+        Busy(0, retry_after_ms, queue_limit).pack()
         #: Fleet workers bound this to a cap so N shared-nothing processes
         #: don't hold N full key sets for every historical session.
         self.keystore_limit = keystore_limit
@@ -377,16 +383,22 @@ class OffloadServer:
                 0, ErrorCode.PARAMS_MISMATCH,
                 f"parameter mismatch: {mismatch}").pack())
             return None
-        session_id = next(self._ids)
+        session_id, token = next(self._ids), secrets.token_bytes(16)
+        # Packed before the session is registered: a reply that cannot be
+        # encoded must not leave a session behind.
+        ack = self._hello_ack(session_id, token)
         metrics = self.metrics.open_session(session_id, transport.peer_name)
-        session = ServerSession(session_id, transport, self, metrics)
+        session = ServerSession(session_id, transport, self, metrics, token)
         self._sessions[session_id] = session
         self._rr.append(session_id)
-        await transport.send_frame(MessageType.HELLO_ACK, HelloAck(
-            session_id, self.queue_limit, self.concurrency, self.banner,
-            session.resume_token,
-            int(max(self.resume_grace_s, 0) * 1000)).pack())
+        await transport.send_frame(MessageType.HELLO_ACK, ack)
         return session
+
+    def _hello_ack(self, session_id: int, token: bytes) -> bytes:
+        return HelloAck(session_id=session_id, queue_limit=self.queue_limit,
+                        concurrency=self.concurrency, resume_token=token,
+                        grace_ms=int(max(self.resume_grace_s, 0) * 1000),
+                        banner=self.banner).pack()
 
     async def _handle_resume(self, transport: Transport, payload: bytes,
                              ) -> Optional[ServerSession]:

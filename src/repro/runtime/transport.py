@@ -54,8 +54,8 @@ class Transport:
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    async def send_frame(self, mtype: MessageType, payload: bytes = b"",
-                         flags: int = 0) -> None:
+    async def send_frame(self, mtype: MessageType,
+                         payload: bytes = b"") -> None:
         raise NotImplementedError
 
     async def send_raw(self, data: bytes) -> None:
@@ -119,9 +119,9 @@ class TcpTransport(Transport):
         peer = self._writer.get_extra_info("peername")
         return f"{peer[0]}:{peer[1]}" if peer else "tcp:?"
 
-    async def send_frame(self, mtype: MessageType, payload: bytes = b"",
-                         flags: int = 0) -> None:
-        frame = encode_frame(mtype, payload, flags)
+    async def send_frame(self, mtype: MessageType,
+                         payload: bytes = b"") -> None:
+        frame = encode_frame(mtype, payload)
         self._writer.write(frame)
         self.bytes_sent += len(frame)
         await self._writer.drain()
@@ -185,11 +185,11 @@ class SimulatedLink(Transport):
     def peer_name(self) -> str:
         return self._name
 
-    async def send_frame(self, mtype: MessageType, payload: bytes = b"",
-                         flags: int = 0) -> None:
+    async def send_frame(self, mtype: MessageType,
+                         payload: bytes = b"") -> None:
         if self._closed:
             raise ConnectionError("simulated link is closed")
-        frame = encode_frame(mtype, payload, flags)
+        frame = encode_frame(mtype, payload)
         self.bytes_sent += len(frame)
         await self._outbox.put(frame)
 

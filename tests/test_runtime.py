@@ -6,6 +6,8 @@ plugin dependency.
 """
 
 import asyncio
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.runtime.framing import (
     Error,
     Hello,
     HelloAck,
+    KeyAck,
     KeyKind,
     KeyUpload,
     Ping,
@@ -59,10 +62,17 @@ def run(coro):
 def test_frame_roundtrip():
     payload = b"hello choco"
     mtype, flags, out = decode_frame(
-        encode_frame(MessageType.COMPUTE, payload, flags=7))
+        encode_frame(MessageType.COMPUTE, payload))
     assert mtype is MessageType.COMPUTE
-    assert flags == 7
+    assert flags == 0
     assert out == payload
+
+
+def test_frame_rejects_reserved_flags():
+    frame = bytearray(encode_frame(MessageType.COMPUTE, b"x"))
+    frame[6:8] = (7).to_bytes(2, "little")
+    with pytest.raises(FrameError, match="reserved"):
+        decode_frame(bytes(frame))
 
 
 def test_frame_rejects_bad_magic():
@@ -104,9 +114,12 @@ def test_payload_roundtrips(bfv_params):
     hello = Hello.from_params(bfv_params)
     assert Hello.unpack(hello.pack()) == hello
     assert hello.mismatch(bfv_params) is None
-    ack = HelloAck(3, 16, 2, "banner")
+    ack = HelloAck(session_id=3, queue_limit=16, concurrency=2,
+                   banner="banner")
     assert HelloAck.unpack(ack.pack()) == ack
-    full_ack = HelloAck(3, 16, 2, "banner", b"t" * 16, 30_000)
+    full_ack = HelloAck(session_id=3, queue_limit=16, concurrency=2,
+                        banner="banner", resume_token=b"t" * 16,
+                        grace_ms=30_000)
     assert HelloAck.unpack(full_ack.pack()) == full_ack
     compute = Compute(9, "knn/query", {"batch": 1}, (b"ct0", b"ct1"))
     assert Compute.unpack(compute.pack()) == compute
@@ -134,6 +147,45 @@ def test_compute_payload_rejects_garbage():
     good = Compute(1, "op", {}, ()).pack()
     with pytest.raises(FrameError, match="trailing"):
         Compute.unpack(good + b"\0")
+
+
+def test_payload_invariants_beyond_the_codecs_are_refused():
+    with pytest.raises(FrameError, match="no operation"):
+        Compute.unpack(Compute(1, "", {}, ()).pack())
+    with pytest.raises(FrameError, match="no data moduli"):
+        Hello.unpack(Hello(SchemeType.BFV, 8, 17, 0, (), (97,)).pack())
+
+
+def test_pack_names_the_field_a_value_does_not_fit():
+    with pytest.raises(FrameError, match=r"HelloAck\.queue_limit"):
+        HelloAck(session_id=1, queue_limit=70_000, concurrency=1).pack()
+    with pytest.raises(FrameError, match=r"Busy\.request_id"):
+        Busy(-1, 0, 0).pack()
+    with pytest.raises(FrameError, match=r"Error\.message"):
+        Error(0, ErrorCode.BAD_FRAME, "x" * 65_536).pack()
+    with pytest.raises(FrameError, match=r"Compute\.blobs"):
+        Compute(1, "op", {}, (b"",) * 65_536).pack()
+    with pytest.raises(FrameError, match=r"KeyAck\.kind"):
+        KeyAck(7).pack()
+    with pytest.raises(FrameError, match=r"Hello\.data_moduli"):
+        Hello(SchemeType.BFV, 8, 17, 0, (97,) * 256, ()).pack()
+
+
+def test_protocol_doc_layouts_are_the_schema():
+    """docs/PROTOCOL.md's frame-type table shows each payload's derived
+    ``LAYOUT`` (escaped pipes inside a code span)."""
+    from tests.test_frame_corpus import PAYLOADS
+
+    doc = Path(__file__).parent.parent / "docs" / "PROTOCOL.md"
+    rows = {}
+    for line in doc.read_text().splitlines():
+        if re.match(r"\| \d+ \| `[A-Z_]+` \|", line):
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows[cells[1].strip("`")] = cells[-1].strip("`").replace(
+                "\\|", "|")
+    assert set(rows) == {mtype.name for mtype in MessageType}
+    for mtype, cls in PAYLOADS.items():
+        assert rows[mtype.name] == (cls.LAYOUT if cls else "(empty)"), mtype
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +229,35 @@ def test_unknown_op_and_params_mismatch(bfv_params, ckks_params):
             assert server.metrics.sessions_rejected == 1
         finally:
             await server.stop()
+
+    run(main())
+
+
+@pytest.mark.parametrize("knob", [
+    {"queue_limit": 70_000}, {"concurrency": 1 << 16},
+    {"banner": "x" * 65_536}, {"retry_after_ms": 1 << 32}])
+def test_server_refuses_settings_its_frames_cannot_carry(bfv_params, knob):
+    (name, _), = knob.items()
+    with pytest.raises(ValueError, match=name):
+        OffloadServer(bfv_params, **knob)
+
+
+def test_unencodable_hello_ack_leaves_no_session(bfv_params):
+    """The HELLO_ACK is packed before the session is registered: a reply
+    that cannot be encoded drops the connection and leaks nothing."""
+    async def main():
+        server = OffloadServer(bfv_params)
+        server.queue_limit = 70_000          # past the constructor's check
+        client_end, server_end = SimulatedLink.pair()
+        serving = asyncio.ensure_future(server.serve_transport(server_end))
+        await client_end.send_frame(MessageType.HELLO,
+                                    Hello.from_params(bfv_params).pack())
+        with pytest.raises(ConnectionError):
+            await client_end.recv_frame()
+        await serving
+        assert not server._sessions and not server.metrics.sessions
+        assert server.metrics.sessions_opened == 0
+        await server.stop()
 
     run(main())
 
