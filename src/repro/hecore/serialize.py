@@ -18,29 +18,20 @@ The word is derived, not chosen: every modulus is below
 and the module refuses to import if the limb width ever outgrows the word.
 Moduli themselves stay ``u64`` header entries.
 
-Ciphertext format (little-endian):
-
-    magic "CHOC" | version u8 | scheme u8 | flags u8 | n_components u8
-    poly_degree u32 | scale f64 | n_moduli u8 | moduli u64[n]
-    [seed: 32 bytes, if flag SEEDED]
-    component data: u32[n_moduli * poly_degree] per stored component
-
 Evaluation keys (relinearization and Galois) are always seed-compressed:
 a key-switching key is ``L`` digit pairs ``(k0, k1 = a_i)`` over the
 data+special base whose uniform halves all expand from one public seed
 (:func:`repro.hecore.keys.expand_keyswitch_uniform`), so only ``k0``
-travels.  There is no "full" key format.  Key blob format (little-endian):
+travels.  There is no "full" key format.  A real offload server needs
+keys on the wire once per key lifetime (the offline phase of
+``docs/PROTOCOL.md``).  Public keys ship both components.
 
-    magic "CHOC" | version u8 | kind u8 | poly_degree u32 | n_moduli u8
-    moduli u64[n_moduli]
-    public:  p0 u32[n_moduli * degree] | p1 u32[n_moduli * degree]
-    relin:   key
-    Galois:  n_keys u16 | (galois_elt u32 | key) * n_keys, ascending elt
-    key:     n_digits u8 | seed 32 B | k0 u32[n_digits * n_moduli * degree]
-
-A real offload server needs them on the wire once per key lifetime (the
-offline phase of ``docs/PROTOCOL.md``).  Public keys (kind 1) ship both
-components.
+Every header is a record declared once on this module's field codecs —
+the blob headers below, and the runtime's frame header and payloads
+(:mod:`repro.runtime.framing`): one ``pack``, one ``unpack_from`` and the
+record's ``LAYOUT`` are derived from the declaration.  The blob-layout
+table of ``docs/PROTOCOL.md`` shows each header's ``LAYOUT`` beside the
+body it precedes, and a test keeps the two equal.
 
 ``VERSION`` is one constant for every blob kind.  Version 2 introduced the
 seeded key layout; version 3 redefined a ciphertext seed's expansion as the
@@ -61,8 +52,14 @@ modulus is refused by name, not computed with.  Malformed input raises
 
 from __future__ import annotations
 
+import enum
+import inspect
+import math
 import struct
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from operator import attrgetter
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -94,19 +91,348 @@ _WORD = np.dtype("<u4")
 _FLAG_SEEDED = 1
 _FLAG_NTT = 2
 
-_SCHEME_CODES = {SchemeType.BFV: 0, SchemeType.CKKS: 1}
-_SCHEME_FROM_CODE = {v: k for k, v in _SCHEME_CODES.items()}
-
-_HEADER = struct.Struct("<4sBBBBIdB")
-
 #: Ciphertexts carry at most three components (pre-relinearization product).
 _MAX_COMPONENTS = 3
 
-# Key blobs: magic, version, kind, poly_degree, n_moduli.
-_KEY_HEADER = struct.Struct("<4sBBIB")
-_KIND_PUBLIC = 1
-_KIND_RELIN = 2
-_KIND_GALOIS = 3
+
+class KeyKind(enum.IntEnum):
+    """What a key blob (and a ``KEY_UPLOAD`` frame) carries."""
+
+    PUBLIC = 1
+    RELIN = 2
+    GALOIS = 3
+
+
+# ---------------------------------------------------------------------------
+# Field codecs: ``put(value, out)`` appends the bytes to *out*; ``read(buf,
+# off)`` returns ``(value, next_offset)``.  A short buffer or a value that
+# does not fit raises struct.error / KeyError, which unpack / pack name; a
+# wire value a codec refuses raises ValueError.
+# ---------------------------------------------------------------------------
+
+class _Codec:
+    label = ""
+    layout = "{name} {label}"   # this field's part of the record's LAYOUT
+    arity = 1                   # consecutive dataclass fields it carries
+    size = None                 # fixed wire width in bytes (None: varies)
+
+
+class _Int(_Codec):
+    """One little-endian number of ``struct`` format *fmt*."""
+
+    def __init__(self, fmt: str, label: str = ""):
+        self.fmt, self.struct = fmt, struct.Struct("<" + fmt)
+        self.size = self.struct.size
+        self.label = label or f"u{8 * self.size}"
+
+    def put(self, value, out):
+        out.append(self.struct.pack(value))
+
+    def read(self, buf, off):
+        return self.struct.unpack_from(buf, off)[0], off + self.size
+
+
+class _Bytes(_Codec):
+    """Bytes after a *prefix*-wide length, exactly *size* bytes, or the
+    rest of the buffer."""
+
+    def __init__(self, prefix: Optional[_Int] = None, label: str = "",
+                 size: Optional[int] = None):
+        self.prefix, self.size = prefix, size
+        self.label = label or f"u8[{size}]"
+
+    def put(self, data, out):
+        if self.prefix:
+            self.prefix.put(len(data), out)
+        elif self.size not in (None, len(data)):
+            raise struct.error(f"{len(data)} bytes, not {self.size}")
+        out.append(data)
+
+    def read(self, buf, off):
+        n, off = (self.prefix.read(buf, off) if self.prefix
+                  else (self.size or len(buf) - off, off))
+        if off + n > len(buf):
+            raise struct.error("buffer truncated")
+        return buf[off:off + n], off + n
+
+
+class _Mapped(_Codec):
+    """*inner*'s value mapped through *encode* / *decode*; a wire value
+    that *decode* refuses is a ValueError saying *what*."""
+
+    def __init__(self, inner: _Codec, encode, decode, what: str, label=""):
+        self.inner, self.encode, self.decode = inner, encode, decode
+        self.what, self.label = what, label or inner.label
+        self.size = inner.size
+
+    def put(self, value, out):
+        self.inner.put(self.encode(value), out)
+
+    def read(self, buf, off):
+        raw, off = self.inner.read(buf, off)
+        try:
+            return self.decode(raw), off
+        except (ValueError, KeyError, RecursionError) as exc:
+            raise ValueError(f"{self.what}: {exc}") from exc
+
+
+def _enum(width: _Int, codes, what: str = "") -> _Mapped:
+    """A member as its *width* code: *codes* maps member -> code, or is an
+    ``IntEnum`` whose values are the codes."""
+    if not isinstance(codes, dict):
+        codes = {member: int(member) for member in codes}
+    members = {code: member for member, code in codes.items()}
+    what = what or f"unknown {type(next(iter(codes))).__name__}"
+    return _Mapped(width, codes.__getitem__, members.__getitem__, what)
+
+
+class _List(_Codec):
+    """A *count*-prefixed list of *item* numbers."""
+
+    def __init__(self, count: _Int, item: _Int):
+        self.count, self.item = count, item
+        self.layout = (f"n_{{name}} {count.label} | "
+                       f"{{name}} {item.label}[n_{{name}}]")
+
+    def put(self, values, out):
+        out.append(struct.pack(f"<{self.count.fmt}{len(values)}"
+                               f"{self.item.fmt}", len(values), *values))
+
+    def read(self, buf, off):
+        n, off = self.count.read(buf, off)
+        return (struct.unpack_from(f"<{n}{self.item.fmt}", buf, off),
+                off + n * self.item.size)
+
+
+class _LogicalBits(_Codec):
+    """The parameter spec's logical prime sizes, with the special-prime
+    count between count and list: always 1, as ``create`` derives the one
+    special prime."""
+
+    layout = "n_logical u8 | n_special u8 | {name} u16[n_logical]"
+
+    def put(self, bits, out):
+        out.append(struct.pack(f"<BB{len(bits)}H", len(bits), 1, *bits))
+
+    def read(self, buf, off):
+        n, n_special = struct.unpack_from("<BB", buf, off)
+        if n_special != 1:
+            raise ValueError(f"parameter blob declares {n_special} special "
+                             f"primes; key switching uses exactly one")
+        return struct.unpack_from(f"<{n}H", buf, off + 2), off + 2 + 2 * n
+
+
+U8, U16, U32, U64 = map(_Int, "BHIQ")
+F64 = _Int("d", "f64")
+BYTES16 = _Bytes(U16, "bytes16")
+STR16 = _Mapped(BYTES16, str.encode, bytes.decode,
+                "invalid UTF-8 in str16 field", "str16")
+SCHEME = _enum(U8, {SchemeType.BFV: 0, SchemeType.CKKS: 1},
+               "unknown scheme code")
+_MODULI = _List(U8, U64)
+_SEED = _Bytes(size=SEED_BYTES)
+#: A bit count that may be absent: ``i16``, -1 when it is.
+_OPTIONAL_BITS = _Mapped(_Int("h", "i16"),
+                         lambda bits: -1 if bits is None else bits,
+                         lambda raw: None if raw < 0 else raw, "")
+
+
+def _f(codec: _Codec, refuse: str = "", **kwargs):
+    """A record field carried by *codec* (``field`` keywords pass on).
+    With *refuse* it is a constant: its ``default`` is always written, and
+    reading anything else is refused with *refuse*, formatted with the
+    record's ``what`` and the value read as ``got``."""
+    if refuse:
+        kwargs["init"] = False
+    return field(metadata={"codec": codec, "refuse": refuse}, **kwargs)
+
+
+def _shown(value) -> str:
+    """A constant as ``LAYOUT`` shows it: ``"CHOC"`` or ``4``."""
+    if isinstance(value, bytes):
+        return f'"{value.decode()}"'
+    return str(int(value))
+
+
+class _Record:
+    """Every binary header and frame payload: a subclass becomes a frozen
+    dataclass whose fields' codecs, in declaration order, are its wire
+    layout, walked by the one ``pack`` and ``unpack_from`` and spelled out
+    in ``LAYOUT``; ``SIZE`` is its wire width when that is fixed.  A
+    subclass that declares no field only sets the error texts below."""
+
+    error, what = ValueError, "blob"
+    short = "{what} blob shorter than its header"      # a truncated record
+    trailing = "{what} blob has {n} trailing bytes"   # ``unpack`` only
+
+    def __init_subclass__(cls):
+        if "__annotations__" not in cls.__dict__:
+            return
+        dataclass(frozen=True)(cls)
+        names = [f.name for f in fields(cls)]
+        cls._schema = tuple(
+            (f.name, attrgetter(*names[i:i + codec.arity]), codec,
+             f.metadata["refuse"], f.default)
+            for i, f in enumerate(fields(cls))
+            if (codec := f.metadata.get("codec")))
+        cls.LAYOUT = " | ".join(
+            c.layout.format(name=name, label=c.label)
+            + (f" = {_shown(want)}" if refuse else "")
+            for name, _, c, refuse, want in cls._schema)
+        sizes = [c.size for _, _, c, _, _ in cls._schema]
+        cls.SIZE = None if None in sizes else sum(sizes)
+        cls.__doc__ = (f"{inspect.cleandoc(cls.__doc__)}\n\n"
+                       f"Layout: {cls.LAYOUT}.")
+
+    def pack(self) -> bytes:
+        out: List[bytes] = []
+        for name, get, codec, _, _ in self._schema:
+            try:
+                codec.put(get(self), out)
+            except (struct.error, KeyError) as exc:
+                raise self.error(f"{type(self).__name__}.{name} does not fit "
+                                 f"its field: {exc}") from None
+        return b"".join(out)
+
+    @classmethod
+    def unpack_from(cls, buf: bytes, off: int = 0):
+        """The record at *off* of *buf*, and the offset after it."""
+        values = []
+        try:
+            for _, _, codec, refuse, want in cls._schema:
+                value, off = codec.read(buf, off)
+                if not refuse:
+                    values += value if codec.arity > 1 else (value,)
+                elif value != want:
+                    raise ValueError(refuse.format(what=cls.what, got=value))
+        except struct.error:
+            raise cls.error(cls.short.format(what=cls.what)) from None
+        except ValueError as exc:
+            raise cls.error(str(exc)) from None
+        record = cls(*values)
+        record._check()
+        return record, off
+
+    @classmethod
+    def unpack(cls, buf: bytes):
+        """The record that is all of *buf*."""
+        record, off = cls.unpack_from(buf)
+        if off != len(buf):
+            raise cls.error(cls.trailing.format(what=cls.what,
+                                                n=len(buf) - off))
+        return record
+
+    def _check(self) -> None:
+        """The record's own invariant beyond its field codecs."""
+
+
+# ---------------------------------------------------------------------------
+# Blob headers
+# ---------------------------------------------------------------------------
+
+_WRONG_KIND = "blob is not a {what} (kind {got})"
+
+
+class _BlobHeader(_Record):
+    """What every blob starts with."""
+
+    magic: bytes = _f(_Bytes(size=4), "not a CHOCO {what} blob", default=MAGIC)
+    version: int = _f(U8, "unsupported version {got}", default=VERSION)
+
+
+class _CiphertextHeader(_BlobHeader):
+    """A ciphertext blob's header."""
+
+    what = "ciphertext"
+    scheme: SchemeType = _f(SCHEME)
+    flags: int = _f(U8)
+    n_components: int = _f(U8)
+    poly_degree: int = _f(U32)
+    scale: float = _f(F64)
+    moduli: Tuple[int, ...] = _f(_MODULI)
+
+    def _check(self) -> None:
+        if not 1 <= self.n_components <= _MAX_COMPONENTS:
+            raise ValueError(
+                f"implausible component count {self.n_components}")
+        if not self.moduli:
+            raise ValueError("ciphertext blob declares no moduli")
+        seeded = self.flags & _FLAG_SEEDED
+        if seeded and self.n_components != 2:
+            raise ValueError("seed compression applies only to 2-component "
+                             "ciphertexts")
+        if seeded and not self.flags & _FLAG_NTT:
+            raise ValueError("seeded ciphertext blob without _FLAG_NTT: a "
+                             "seed expands to an evaluation-form c1")
+        # Decryption divides by the scale (BFV never reads it, CKKS does):
+        # NaN, an infinity, zero or a negative value is never one.
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"ciphertext scale {self.scale} is not a finite "
+                             f"positive number")
+
+
+class _KeyHeader(_BlobHeader):
+    """A key blob's header: a public key's (kind 1), whose two components
+    follow."""
+
+    what = "public-key"
+    kind: int = _f(U8, _WRONG_KIND, default=KeyKind.PUBLIC)
+    poly_degree: int = _f(U32)
+    moduli: Tuple[int, ...] = _f(_MODULI)
+
+    def _check(self) -> None:
+        if not self.moduli:
+            raise ValueError("key blob declares no moduli")
+
+
+class _RelinHeader(_KeyHeader):
+    """A relinearization-key blob's header: one key-switching key follows."""
+
+    what = "relinearization-key"
+    kind: int = _f(U8, _WRONG_KIND, default=KeyKind.RELIN)
+
+
+class _GaloisHeader(_KeyHeader):
+    """A Galois-key blob's header: ``n_keys`` entries follow, each an
+    element id and its key-switching key, ascending element."""
+
+    what = "Galois-key"
+    kind: int = _f(U8, _WRONG_KIND, default=KeyKind.GALOIS)
+    n_keys: int = _f(U16)
+
+    def _check(self) -> None:
+        super()._check()
+        if self.n_keys < 1:
+            raise ValueError("Galois-key blob declares no keys")
+
+
+class _KskHeader(_Record):
+    """One key-switching key: ``k0`` of every digit follows; the uniform
+    halves expand from the seed."""
+
+    n_digits: int = _f(U8)
+    seed: bytes = _f(_SEED)
+
+
+class _GaloisEntry(_Record):
+    """One key of a Galois set: its element id, then its key."""
+
+    elt: int = _f(U32)
+
+
+class _ParamsSpec(_BlobHeader):
+    """A parameter set's spec: everything ``EncryptionParameters.create``
+    derives the rest from."""
+
+    what = "parameter"
+    magic: bytes = _f(_Bytes(size=4), "not a CHOCO {what} blob (bad magic)",
+                      default=b"CHOP")
+    scheme: SchemeType = _f(SCHEME)
+    poly_degree: int = _f(U32)
+    plain_bits: Optional[int] = _f(_OPTIONAL_BITS)
+    scale_bits: Optional[int] = _f(_OPTIONAL_BITS)
+    logical_coeff_bits: Tuple[int, ...] = _f(_LogicalBits())
+    label: str = _f(STR16)
 
 
 def _words(data: np.ndarray) -> memoryview:
@@ -133,29 +459,45 @@ def _checked_words(blob: bytes, offset: int, base: RnsBase, blocks: int,
     return words
 
 
-def serialize_ciphertext(ct: Ciphertext, compress_seed: bool = True) -> bytes:
-    """Serialize a ciphertext, seed-compressing when possible."""
+@lru_cache(maxsize=256)
+def _ciphertext_header(*values) -> bytes:
+    """The packed :class:`_CiphertextHeader` of *values*.  Memoised: a
+    session's ciphertexts share scheme, flags, degree, moduli and (per
+    level) scale, and the header walk would otherwise cost about half of a
+    seeded upload's serialization."""
+    return _CiphertextHeader(*values).pack()
+
+
+def _stored(ct: Ciphertext, compress_seed: bool):
+    """*ct*'s header bytes, the components its blob stores, and the seed
+    that stands in for ``c1`` (``b""`` when the blob is full)."""
     seeded = compress_seed and ct.seed is not None and len(ct.components) == 2
     if seeded and not ct.is_ntt:
         raise ValueError("a seeded ciphertext is in evaluation form: its "
                          "seed expands to c1 there")
-    flags = (_FLAG_SEEDED if seeded else 0) | (_FLAG_NTT if ct.is_ntt else 0)
-    moduli = ct.level_base.moduli
-    parts = [_HEADER.pack(
-        MAGIC, VERSION, _SCHEME_CODES[ct.params.scheme], flags,
+    header = _ciphertext_header(
+        ct.params.scheme,
+        (_FLAG_SEEDED if seeded else 0) | (_FLAG_NTT if ct.is_ntt else 0),
         len(ct.components), ct.params.poly_degree, float(ct.scale),
-        len(moduli),
-    )]
-    parts.append(struct.pack(f"<{len(moduli)}Q", *moduli))
+        ct.level_base.moduli)
     if seeded:
-        if len(ct.seed) != 32:
-            raise ValueError("seed must be 32 bytes")
-        parts.append(ct.seed)
-        stored = ct.components[:1]
-    else:
-        stored = ct.components
-    parts.extend(_words(comp.data) for comp in stored)
-    return b"".join(parts)
+        return header, ct.components[:1], ct.seed
+    return header, ct.components, b""
+
+
+def serialize_ciphertext(ct: Ciphertext, compress_seed: bool = True) -> bytes:
+    """Serialize a ciphertext, seed-compressing when possible."""
+    header, stored, seed = _stored(ct, compress_seed)
+    if seed and len(seed) != SEED_BYTES:
+        raise ValueError("seed must be 32 bytes")
+    return b"".join([header, seed, *(_words(comp.data) for comp in stored)])
+
+
+def serialized_size(ct: Ciphertext, compress_seed: bool = True) -> int:
+    """Exact wire size without materializing the residue words."""
+    header, stored, seed = _stored(ct, compress_seed)
+    return len(header) + len(seed) + _WORD.itemsize * (
+        len(stored) * len(ct.level_base) * ct.params.poly_degree)
 
 
 def deserialize_ciphertext(blob: bytes,
@@ -163,105 +505,66 @@ def deserialize_ciphertext(blob: bytes,
     """Reconstruct a ciphertext serialized by :func:`serialize_ciphertext`.
 
     Validation is strict: the blob's magic, version, scheme, degree,
-    component count, moduli (which must be a prefix of the parameter set's
-    data base — ciphertexts only shed residues from the top), and its exact
-    length are all checked before any array is built, and every residue
-    word against its modulus before the components are widened.
+    component count, scale, moduli (which must be a prefix of the parameter
+    set's data base — ciphertexts only shed residues from the top), and its
+    exact length are all checked before any array is built, and every
+    residue word against its modulus before the components are widened.
     """
-    if len(blob) < _HEADER.size:
-        raise ValueError("ciphertext blob shorter than its header")
-    magic, version, scheme_code, flags, n_components, degree, scale, n_moduli = (
-        _HEADER.unpack_from(blob, 0)
-    )
-    if magic != MAGIC:
-        raise ValueError("not a CHOCO ciphertext blob")
-    if version != VERSION:
-        raise ValueError(f"unsupported version {version}")
-    scheme = _SCHEME_FROM_CODE.get(scheme_code)
-    if scheme is None:
-        raise ValueError(f"unknown scheme code {scheme_code}")
-    if scheme is not params.scheme or degree != params.poly_degree:
+    header, offset = _CiphertextHeader.unpack_from(blob)
+    moduli, degree = header.moduli, header.poly_degree
+    if header.scheme is not params.scheme or degree != params.poly_degree:
         raise ValueError("blob does not match the supplied parameters")
-    if not 1 <= n_components <= _MAX_COMPONENTS:
-        raise ValueError(f"implausible component count {n_components}")
-    data_moduli = params.data_base.moduli
-    if not 1 <= n_moduli <= len(data_moduli):
-        raise ValueError(f"implausible modulus count {n_moduli}")
-
-    seeded = bool(flags & _FLAG_SEEDED)
-    if seeded and n_components != 2:
-        raise ValueError("seed compression applies only to 2-component "
-                         "ciphertexts")
-    if seeded and not flags & _FLAG_NTT:
-        raise ValueError("seeded ciphertext blob without _FLAG_NTT: a seed "
-                         "expands to an evaluation-form c1")
-    stored_count = n_components - 1 if seeded else n_components
-
-    offset = _HEADER.size
-    expected = (offset + 8 * n_moduli + (32 if seeded else 0)
-                + stored_count * _WORD.itemsize * n_moduli * degree)
+    seeded = bool(header.flags & _FLAG_SEEDED)
+    stored_count = header.n_components - seeded
+    expected = (offset + seeded * SEED_BYTES
+                + stored_count * _WORD.itemsize * len(moduli) * degree)
     if len(blob) != expected:
         raise ValueError(
             f"ciphertext blob is {len(blob)} bytes, expected {expected} "
             f"(truncated or trailing bytes)"
         )
-    moduli = struct.unpack_from(f"<{n_moduli}Q", blob, offset)
-    offset += 8 * n_moduli
-    if moduli != data_moduli[:n_moduli]:
+    if moduli != params.data_base.moduli[:len(moduli)]:
         raise ValueError("blob moduli do not match the supplied parameters")
     base = RnsBase.of(moduli)
 
     seed: Optional[bytes] = None
     if seeded:
-        seed = blob[offset: offset + 32]
-        offset += 32
+        seed, offset = _SEED.read(blob, offset)
 
-    is_ntt = bool(flags & _FLAG_NTT)
+    is_ntt = bool(header.flags & _FLAG_NTT)
     wide = _checked_words(blob, offset, base, stored_count, degree,
                           "ciphertext", "component").astype(np.int64)
     components = [RnsPoly(base, degree, data, is_ntt=is_ntt) for data in wide]
     if seed is not None:
         components.append(expand_uniform_poly(seed, base, degree))
-    return Ciphertext(params, components, scale=scale, seed=seed)
+    return Ciphertext(params, components, scale=header.scale, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Public keys
+# Keys
 # ---------------------------------------------------------------------------
+
+def _check_key(header: _KeyHeader, blob: bytes,
+               params: Optional[EncryptionParameters], expected: int) -> None:
+    """Refuse a key blob that is not over *params*' full base (when given)
+    or is not exactly *expected* bytes long."""
+    if params is not None and header.poly_degree != params.poly_degree:
+        raise ValueError(f"{header.what} degree does not match the supplied "
+                         f"parameters")
+    if params is not None and header.moduli != params.full_base.moduli:
+        raise ValueError(f"{header.what} moduli do not match the supplied "
+                         f"parameters")
+    if len(blob) != expected:
+        raise ValueError(
+            f"{header.what} blob is {len(blob)} bytes, expected {expected} "
+            f"(truncated or trailing bytes)")
+
 
 def serialize_public_key(pk: PublicKey) -> bytes:
     """Serialize a public key (both components over the full base, NTT)."""
     p0, p1 = pk.p0, pk.p1
-    moduli = p0.base.moduli
-    parts = [_KEY_HEADER.pack(MAGIC, VERSION, _KIND_PUBLIC, p0.degree,
-                              len(moduli))]
-    parts.append(struct.pack(f"<{len(moduli)}Q", *moduli))
-    parts.append(_words(p0.data))
-    parts.append(_words(p1.data))
-    return b"".join(parts)
-
-
-def _read_key_header(blob: bytes, kind: int, what: str):
-    """Validate a key blob's fixed header; returns (degree, n_moduli)."""
-    if len(blob) < _KEY_HEADER.size:
-        raise ValueError(f"{what} blob shorter than its header")
-    magic, version, blob_kind, degree, n_moduli = _KEY_HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ValueError(f"not a CHOCO {what} blob")
-    if version != VERSION:
-        raise ValueError(f"unsupported version {version}")
-    if blob_kind != kind:
-        raise ValueError(f"blob is not a {what} (kind {blob_kind})")
-    if n_moduli < 1:
-        raise ValueError("key blob declares no moduli")
-    return degree, n_moduli
-
-
-def _read_moduli(blob: bytes, offset: int, n_moduli: int):
-    if offset + 8 * n_moduli > len(blob):
-        raise ValueError("key blob truncated inside its modulus list")
-    moduli = struct.unpack_from(f"<{n_moduli}Q", blob, offset)
-    return moduli, offset + 8 * n_moduli
+    return b"".join([_KeyHeader(p0.degree, p0.base.moduli).pack(),
+                     _words(p0.data), _words(p1.data)])
 
 
 def deserialize_public_key(blob: bytes,
@@ -273,29 +576,15 @@ def deserialize_public_key(blob: bytes,
     are supplied the blob's degree and moduli must match them exactly —
     the same contract :func:`deserialize_ciphertext` enforces.
     """
-    degree, n_moduli = _read_key_header(blob, _KIND_PUBLIC, "public-key")
-    moduli, offset = _read_moduli(blob, _KEY_HEADER.size, n_moduli)
-    if params is not None:
-        if degree != params.poly_degree:
-            raise ValueError("public-key degree does not match the supplied "
-                             "parameters")
-        if moduli != params.full_base.moduli:
-            raise ValueError("public-key moduli do not match the supplied "
-                             "parameters")
-    if len(blob) != offset + 2 * _WORD.itemsize * n_moduli * degree:
-        raise ValueError("public-key blob has a truncated or oversized body")
-    base = RnsBase.of(moduli)
+    header, offset = _KeyHeader.unpack_from(blob)
+    degree = header.poly_degree
+    _check_key(header, blob, params,
+               offset + 2 * _WORD.itemsize * len(header.moduli) * degree)
+    base = RnsBase.of(header.moduli)
     p0, p1 = (RnsPoly(base, degree, data, is_ntt=True) for data in
-              _checked_words(blob, offset, base, 2, degree, "public-key",
+              _checked_words(blob, offset, base, 2, degree, header.what,
                              "component").astype(np.int64))
     return PublicKey(p0, p1)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation keys (relinearization / Galois)
-# ---------------------------------------------------------------------------
-
-_KSK_HEADER = struct.Struct(f"<B{SEED_BYTES}s")        # n_digits, seed
 
 
 def _ksk_parts(ksk: KeySwitchKey) -> list:
@@ -305,39 +594,40 @@ def _ksk_parts(ksk: KeySwitchKey) -> list:
     if ksk.seed is None:
         raise ValueError("key-switching key has no seed: only generated or "
                          "deserialized keys can be serialized")
-    return [_KSK_HEADER.pack(len(ksk.digits), ksk.seed),
+    return [_KskHeader(len(ksk.digits), ksk.seed).pack(),
             *(_words(k0.data) for k0, _k1 in ksk.digits)]
 
 
 def _ksk_size(params: EncryptionParameters) -> int:
     """Exact wire size of one key-switching key under *params*."""
-    return _KSK_HEADER.size + _WORD.itemsize * (len(params.data_base)
-                                                * len(params.full_base)
-                                                * params.poly_degree)
+    return _KskHeader.SIZE + _WORD.itemsize * (len(params.data_base)
+                                               * len(params.full_base)
+                                               * params.poly_degree)
 
 
 def _check_ksk(blob: bytes, offset: int, params: EncryptionParameters,
-               what: str) -> np.ndarray:
+               what: str):
     """Validate the key at *offset* of a blob of checked length — its digit
-    count, then every ``k0`` residue — and return its ``k0`` words."""
-    (n_digits,) = struct.unpack_from("<B", blob, offset)
-    if n_digits != len(params.data_base):
+    count, then every ``k0`` residue — and return its header and ``k0``
+    words."""
+    header, offset = _KskHeader.unpack_from(blob, offset)
+    if header.n_digits != len(params.data_base):
         raise ValueError(
-            f"key-switching key has {n_digits} digits, parameters require "
-            f"{len(params.data_base)}"
+            f"key-switching key has {header.n_digits} digits, parameters "
+            f"require {len(params.data_base)}"
         )
-    return _checked_words(blob, offset + _KSK_HEADER.size, params.full_base,
-                          n_digits, params.poly_degree, what, "digit")
+    return header, _checked_words(blob, offset, params.full_base,
+                                  header.n_digits, params.poly_degree, what,
+                                  "digit")
 
 
-def _unpack_ksk(blob: bytes, offset: int, words: np.ndarray,
+def _unpack_ksk(header: _KskHeader, words: np.ndarray,
                 params: EncryptionParameters,
                 cls=KeySwitchKey) -> KeySwitchKey:
-    """Build the key at *offset* from its :func:`_check_ksk`-validated
-    ``k0`` *words* (nothing is allocated or expanded before that)."""
+    """Build a key from its :func:`_check_ksk`-validated header and ``k0``
+    *words* (nothing is allocated or expanded before that)."""
     base, degree = params.full_base, params.poly_degree
-    n_digits, seed = _KSK_HEADER.unpack_from(blob, offset)
-    n_moduli = len(base)
+    n_digits, n_moduli = header.n_digits, len(base)
     # Deserialize straight into the stacked cache layout: one contiguous
     # (digits, 2, k, n) block whose slices back the per-digit RnsPolys as
     # views.  The full-level stacked_digits() restriction — what every key
@@ -348,112 +638,69 @@ def _unpack_ksk(blob: bytes, offset: int, words: np.ndarray,
     # call: there is one definition of a key's uniform half).
     store = np.empty((n_digits, 2, n_moduli, degree), dtype=np.int64)
     store[:, 0] = words
-    store[:, 1] = _keys.expand_keyswitch_uniform(seed, base, degree, n_digits)
+    store[:, 1] = _keys.expand_keyswitch_uniform(header.seed, base, degree,
+                                                 n_digits)
     digits = [
         (RnsPoly(base, degree, store[d, 0], is_ntt=True),
          RnsPoly(base, degree, store[d, 1], is_ntt=True))
         for d in range(n_digits)
     ]
-    ksk = cls(digits, seed)
+    ksk = cls(digits, header.seed)
     ksk._stacked[(tuple(range(n_moduli)), n_digits)] = store
     return ksk
 
 
-def _key_preamble(kind: int, params_like: RnsPoly) -> "list[bytes]":
-    moduli = params_like.base.moduli
-    return [
-        _KEY_HEADER.pack(MAGIC, VERSION, kind, params_like.degree, len(moduli)),
-        struct.pack(f"<{len(moduli)}Q", *moduli),
-    ]
-
-
 def serialize_relin_key(rk: RelinKeys) -> bytes:
     """Serialize a relinearization key (``k0`` of every digit + the seed)."""
-    return b"".join(_key_preamble(_KIND_RELIN, rk.digits[0][0])
-                    + _ksk_parts(rk))
-
-
-def _validate_key_base(moduli, degree: int, params: EncryptionParameters,
-                       what: str) -> None:
-    if degree != params.poly_degree:
-        raise ValueError(f"{what} degree does not match the supplied "
-                         f"parameters")
-    if moduli != params.full_base.moduli:
-        raise ValueError(f"{what} moduli do not match the supplied parameters")
-
-
-def _check_key_length(blob: bytes, expected: int, what: str) -> None:
-    if len(blob) != expected:
-        raise ValueError(
-            f"{what} blob is {len(blob)} bytes, expected {expected} "
-            f"(truncated or trailing bytes)"
-        )
+    k0 = rk.digits[0][0]
+    return b"".join([_RelinHeader(k0.degree, k0.base.moduli).pack(),
+                     *_ksk_parts(rk)])
 
 
 def deserialize_relin_key(blob: bytes,
                           params: EncryptionParameters) -> RelinKeys:
-    what = "relinearization-key"
-    degree, n_moduli = _read_key_header(blob, _KIND_RELIN, what)
-    moduli, offset = _read_moduli(blob, _KEY_HEADER.size, n_moduli)
-    _validate_key_base(moduli, degree, params, what)
-    _check_key_length(blob, offset + _ksk_size(params), what)
-    words = _check_ksk(blob, offset, params, what)
-    return _unpack_ksk(blob, offset, words, params, RelinKeys)
+    header, offset = _RelinHeader.unpack_from(blob)
+    _check_key(header, blob, params, offset + _ksk_size(params))
+    ksk, words = _check_ksk(blob, offset, params, header.what)
+    return _unpack_ksk(ksk, words, params, RelinKeys)
 
 
 def serialize_galois_keys(gk: GaloisKeys) -> bytes:
     """Serialize a Galois key set: ``(galois_elt, key)`` pairs."""
     if not gk.keys:
         raise ValueError("cannot serialize an empty Galois key set")
-    sample = next(iter(gk.keys.values())).digits[0][0]
-    parts = _key_preamble(_KIND_GALOIS, sample)
-    parts.append(struct.pack("<H", len(gk.keys)))
+    k0 = next(iter(gk.keys.values())).digits[0][0]
+    parts = [_GaloisHeader(k0.degree, k0.base.moduli, len(gk.keys)).pack()]
     for elt in sorted(gk.keys):
-        parts.append(struct.pack("<I", elt))
-        parts.extend(_ksk_parts(gk.keys[elt]))
+        parts += [_GaloisEntry(elt).pack(), *_ksk_parts(gk.keys[elt])]
     return b"".join(parts)
 
 
 def deserialize_galois_keys(blob: bytes,
                             params: EncryptionParameters) -> GaloisKeys:
-    what = "Galois-key"
-    degree, n_moduli = _read_key_header(blob, _KIND_GALOIS, what)
-    moduli, offset = _read_moduli(blob, _KEY_HEADER.size, n_moduli)
-    _validate_key_base(moduli, degree, params, what)
-    if offset + 2 > len(blob):
-        raise ValueError("Galois-key blob truncated before its key count")
-    (n_keys,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    if n_keys < 1:
-        raise ValueError("Galois-key blob declares no keys")
+    header, offset = _GaloisHeader.unpack_from(blob)
     # Every key has the same size under *params*, so the whole blob —
     # length, element ids, digit counts, every k0 residue — is checked at
     # fixed strides before the first key is built.
-    stride = 4 + _ksk_size(params)
-    _check_key_length(blob, offset + n_keys * stride, what)
+    stride = _GaloisEntry.SIZE + _ksk_size(params)
+    _check_key(header, blob, params, offset + header.n_keys * stride)
     checked = {}
     for at in range(offset, len(blob), stride):
-        (elt,) = struct.unpack_from("<I", blob, at)
-        if elt < 3 or elt >= 2 * degree or elt % 2 == 0:
+        entry, key_at = _GaloisEntry.unpack_from(blob, at)
+        elt = entry.elt
+        if elt < 3 or elt >= 2 * header.poly_degree or elt % 2 == 0:
             raise ValueError(f"invalid Galois element {elt}")
         if elt in checked:
             raise ValueError(f"duplicate Galois element {elt}")
-        checked[elt] = (at + 4, _check_ksk(blob, at + 4, params,
-                                           f"{what} element {elt}"))
-    return GaloisKeys({elt: _unpack_ksk(blob, at, words, params)
-                       for elt, (at, words) in checked.items()})
+        checked[elt] = _check_ksk(blob, key_at, params,
+                                  f"{header.what} element {elt}")
+    return GaloisKeys({elt: _unpack_ksk(ksk, words, params)
+                       for elt, (ksk, words) in checked.items()})
 
 
 # ---------------------------------------------------------------------------
 # Parameter specs (for rebuilding contexts in other processes)
 # ---------------------------------------------------------------------------
-
-#: Parameter-spec blobs: magic, version, scheme, poly_degree, plain_bits
-#: (-1 when absent), scale_bits (-1 when absent), n_logical, n_special
-#: (always 1: ``create`` derives the one special prime).
-_PARAMS_MAGIC = b"CHOP"
-_PARAMS_HEADER = struct.Struct("<4sBBIhhBB")
-
 
 def serialize_params(params: EncryptionParameters) -> bytes:
     """Serialize the *spec* of a parameter set, not its derived material.
@@ -464,72 +711,17 @@ def serialize_params(params: EncryptionParameters) -> bytes:
     bit-identical moduli — the fleet runtime ships this blob instead of
     pickling live parameter objects (or, worse, live contexts).
     """
-    label = params.label.encode("utf-8")
-    if len(label) > 0xFFFF:
-        raise ValueError("parameter label exceeds 64 KiB")
-    logical = params.logical_coeff_bits
-    if len(logical) > 0xFF:
-        raise ValueError("too many logical moduli to serialize")
-    parts = [_PARAMS_HEADER.pack(
-        _PARAMS_MAGIC, VERSION, _SCHEME_CODES[params.scheme],
-        params.poly_degree,
-        -1 if params.plain_bits is None else params.plain_bits,
-        -1 if params.scale_bits is None else params.scale_bits,
-        len(logical), 1,
-    )]
-    parts.append(struct.pack(f"<{len(logical)}H", *logical))
-    parts.append(struct.pack("<H", len(label)))
-    parts.append(label)
-    return b"".join(parts)
+    return _ParamsSpec(params.scheme, params.poly_degree, params.plain_bits,
+                       params.scale_bits, params.logical_coeff_bits,
+                       params.label).pack()
 
 
 def deserialize_params(blob: bytes) -> EncryptionParameters:
     """Rebuild a parameter set from a :func:`serialize_params` spec blob."""
-    if len(blob) < _PARAMS_HEADER.size:
-        raise ValueError("parameter blob shorter than its header")
-    (magic, version, scheme_code, poly_degree, plain_bits, scale_bits,
-     n_logical, n_special) = _PARAMS_HEADER.unpack_from(blob)
-    if magic != _PARAMS_MAGIC:
-        raise ValueError("not a CHOCO parameter blob (bad magic)")
-    if version != VERSION:
-        raise ValueError(f"unsupported parameter blob version {version}")
-    scheme = _SCHEME_FROM_CODE.get(scheme_code)
-    if scheme is None:
-        raise ValueError(f"unknown scheme code {scheme_code}")
-    if n_special != 1:
-        raise ValueError(f"parameter blob declares {n_special} special primes; "
-                         f"key switching uses exactly one")
-    offset = _PARAMS_HEADER.size
-    need = 2 * n_logical + 2
-    if len(blob) < offset + need:
-        raise ValueError("parameter blob truncated")
-    logical = struct.unpack_from(f"<{n_logical}H", blob, offset)
-    offset += 2 * n_logical
-    (label_len,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
-    if len(blob) != offset + label_len:
-        raise ValueError("parameter blob length mismatch")
-    try:
-        label = blob[offset:].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError("invalid UTF-8 in parameter label") from exc
+    spec = _ParamsSpec.unpack(blob)
     # enforce_security=False: the derivation is identical either way, and
     # deliberately-small test parameter sets must round-trip too.
     return EncryptionParameters.create(
-        scheme, poly_degree, logical,
-        plain_bits=None if plain_bits < 0 else plain_bits,
-        scale_bits=None if scale_bits < 0 else scale_bits,
-        label=label, enforce_security=False)
-
-
-# ---------------------------------------------------------------------------
-# Size accounting
-# ---------------------------------------------------------------------------
-
-def serialized_size(ct: Ciphertext, compress_seed: bool = True) -> int:
-    """Exact wire size without materializing the blob."""
-    seeded = compress_seed and ct.seed is not None and len(ct.components) == 2
-    n_moduli = len(ct.level_base)
-    header = _HEADER.size + 8 * n_moduli + (32 if seeded else 0)
-    stored = 1 if seeded else len(ct.components)
-    return header + stored * _WORD.itemsize * n_moduli * ct.params.poly_degree
+        spec.scheme, spec.poly_degree, spec.logical_coeff_bits,
+        plain_bits=spec.plain_bits, scale_bits=spec.scale_bits,
+        label=spec.label, enforce_security=False)

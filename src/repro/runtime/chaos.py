@@ -108,7 +108,7 @@ class FaultyTransport(Transport):
     def __init__(self, inner: Transport, plan: FaultPlan = DEFAULT_PLAN, *,
                  seed: object = 0, armed: bool = True,
                  ledger: Optional[CostLedger] = None):
-        super().__init__(inner.max_frame_bytes)
+        super().__init__()
         self.inner = inner
         self.plan = plan
         self.armed = armed

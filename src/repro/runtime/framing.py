@@ -1,13 +1,12 @@
 """Length-prefixed message framing for the CHOCO offload wire protocol.
 
-Every message on a runtime connection is one **frame**:
+Every message on a runtime connection is one **frame**: a 12-byte header
+(``_FrameHeader``) and a payload.  ``flags`` in the header is reserved: it
+is written 0 and a nonzero value is refused.
 
-    magic "CHOF" | version u8 | type u8 | flags u16 | payload_len u32 | payload
-
-``flags`` is reserved: it is written 0 and a nonzero value is refused.
-
-Each payload is a dataclass whose fields declare their codec once, in
-wire order: one ``pack`` and one ``unpack`` walk that schema, and each
+The header and every payload are records on :mod:`repro.hecore.serialize`'s
+codecs, the ones the blob headers use: each field declares its codec once,
+in wire order, one ``pack`` and one ``unpack`` walk that schema, and each
 class's ``LAYOUT`` (and ``Layout:`` docstring line) is derived from it.
 Integers are little-endian; ``bytes16`` / ``str16`` are a u16 length then
 the bytes (UTF-8 for ``str16``), ``json32`` a u32 length then a JSON
@@ -27,14 +26,16 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import inspect
 import json
 import struct
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from dataclasses import fields
+from typing import Dict, Optional, Tuple
 
 from repro.hecore.params import EncryptionParameters, SchemeType
+# The shared codecs and record base; KeyKind is re-exported.
+from repro.hecore.serialize import (  # noqa: F401
+    BYTES16, SCHEME, STR16, U8, U16, U32, U64, KeyKind,
+    _Bytes, _Codec, _enum, _f, _Mapped, _Record)
 
 FRAME_MAGIC = b"CHOF"
 #: Version 2 added RESUME / RESUME_ACK / PING / PONG and the resume token in
@@ -42,13 +43,10 @@ FRAME_MAGIC = b"CHOF"
 #: deployment ship from this repository.
 FRAME_VERSION = 2
 
-#: Default ceiling on a single frame's payload.  Generous enough for a full
-#: Galois key set at production parameters, small enough to bound a hostile
-#: peer's memory demand.
+#: Ceiling on a single frame's payload.  Generous enough for a full Galois
+#: key set at production parameters, small enough to bound a hostile peer's
+#: memory demand.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
-
-_FRAME_HEADER = struct.Struct("<4sBBHI")
-HEADER_SIZE = _FRAME_HEADER.size
 
 
 class FrameError(ValueError):
@@ -71,12 +69,6 @@ class MessageType(enum.IntEnum):
     PONG = 13
 
 
-class KeyKind(enum.IntEnum):
-    PUBLIC = 1
-    RELIN = 2
-    GALOIS = 3
-
-
 class ErrorCode(enum.IntEnum):
     BAD_FRAME = 1          # unparseable or out-of-order message
     PARAMS_MISMATCH = 2    # HELLO fingerprint differs from the server's set
@@ -89,77 +81,26 @@ class ErrorCode(enum.IntEnum):
     #                        re-upload them and resubmit the same request id
 
 
-# ---------------------------------------------------------------------------
-# Field codecs: ``put(value, out)`` appends the bytes to *out*; ``read(buf,
-# off)`` returns ``(value, next_offset)``.  A short buffer or a value that
-# does not fit raises struct.error / KeyError, which unpack / pack name.
-# ---------------------------------------------------------------------------
+class _FrameHeader(_Record):
+    """Every frame's header; ``payload_len`` bytes of payload follow."""
 
-class _Codec:
-    label = ""
-    layout = "{name} {label}"   # this field's part of the payload's LAYOUT
-    arity = 1                   # consecutive dataclass fields it carries
+    error, short = FrameError, "short frame header"
+    magic: bytes = _f(_Bytes(size=4), "bad frame magic (not a CHOCO offload "
+                      "connection)", default=FRAME_MAGIC)
+    version: int = _f(U8, "unsupported frame version {got}",
+                      default=FRAME_VERSION)
+    type: MessageType = _f(_enum(U8, MessageType, "unknown frame type"))
+    flags: int = _f(U16, "reserved frame flags must be 0, got {got:#x}",
+                    default=0)
+    payload_len: int = _f(U32)
 
-
-class _Int(_Codec):
-    def __init__(self, fmt: str):
-        self.struct = struct.Struct("<" + fmt)
-        self.label = f"u{8 * self.struct.size}"
-        self.max = (1 << 8 * self.struct.size) - 1
-
-    def put(self, value, out):
-        out.append(self.struct.pack(value))
-
-    def read(self, buf, off):
-        return self.struct.unpack_from(buf, off)[0], off + self.struct.size
+    def _check(self) -> None:
+        if self.payload_len > MAX_FRAME_BYTES:
+            raise FrameError(f"frame payload of {self.payload_len} bytes "
+                             f"exceeds the {MAX_FRAME_BYTES}-byte limit")
 
 
-class _Bytes(_Codec):
-    """Bytes after a *prefix*-wide length, or the rest of the payload."""
-
-    def __init__(self, prefix: Optional[_Int], label: str):
-        self.prefix, self.label = prefix, label
-
-    def put(self, data, out):
-        if self.prefix:
-            self.prefix.put(len(data), out)
-        out.append(data)
-
-    def read(self, buf, off):
-        n, off = (self.prefix.read(buf, off) if self.prefix
-                  else (len(buf) - off, off))
-        if off + n > len(buf):
-            raise FrameError("frame payload truncated")
-        return buf[off:off + n], off + n
-
-
-class _Mapped(_Codec):
-    """*inner*'s value mapped through *encode* / *decode*; a wire value
-    that *decode* refuses is a :class:`FrameError` saying *what*."""
-
-    def __init__(self, inner: _Codec, encode, decode, what: str, label=""):
-        self.inner, self.encode, self.decode = inner, encode, decode
-        self.what, self.label = what, label or inner.label
-
-    def put(self, value, out):
-        self.inner.put(self.encode(value), out)
-
-    def read(self, buf, off):
-        raw, off = self.inner.read(buf, off)
-        try:
-            return self.decode(raw), off
-        except (ValueError, KeyError, RecursionError) as exc:
-            raise FrameError(f"{self.what}: {exc}") from exc
-
-
-def _enum(width: _Int, codes) -> _Mapped:
-    """A member as its *width* code: *codes* maps member -> code, or is an
-    ``IntEnum`` whose values are the codes."""
-    if not isinstance(codes, dict):
-        codes = {member: int(member) for member in codes}
-    members = {code: member for member, code in codes.items()}
-    what = f"unknown {type(next(iter(codes))).__name__}"
-    return _Mapped(width, codes.__getitem__, members.__getitem__, what)
+HEADER_SIZE = _FrameHeader.SIZE
 
 
 def _json_object(raw: bytes) -> dict:
@@ -201,65 +142,17 @@ class _Moduli(_Codec):
         return (moduli[:n_data], moduli[n_data:]), off + 2 + 8 * len(moduli)
 
 
-U8, U16, U32, U64 = map(_Int, "BHIQ")
-BYTES16, _BYTES32 = _Bytes(U16, "bytes16"), _Bytes(U32, "bytes32")
-REST, BLOBS = _Bytes(None, "rest"), _Blobs()
-STR16 = _Mapped(BYTES16, str.encode, bytes.decode,
-                "invalid UTF-8 in frame string", "str16")
+_BYTES32 = _Bytes(U32, "bytes32")
+REST, BLOBS = _Bytes(label="rest"), _Blobs()
 META = _Mapped(_BYTES32, lambda meta: json.dumps(meta or {}).encode(),
                _json_object, "invalid JSON metadata in frame", "json32")
 
 
-def _f(codec: _Codec, **kwargs):
-    """A payload field carried by *codec* (``field`` keywords pass on)."""
-    return field(metadata={"codec": codec}, **kwargs)
+class _Payload(_Record):
+    """Every frame payload: a record whose refusals are FrameErrors."""
 
-
-class _Payload:
-    """Every frame payload: a subclass becomes a frozen dataclass whose
-    fields' codecs, in declaration order, are its wire layout, walked by
-    the one ``pack`` and ``unpack`` and spelled out in ``LAYOUT``."""
-
-    def __init_subclass__(cls):
-        dataclass(frozen=True)(cls)
-        names = [f.name for f in fields(cls)]
-        cls._schema = tuple(
-            (names[i], attrgetter(*names[i:i + codec.arity]), codec)
-            for i, codec in enumerate(f.metadata.get("codec")
-                                      for f in fields(cls)) if codec)
-        cls.LAYOUT = " | ".join(c.layout.format(name=name, label=c.label)
-                                for name, _, c in cls._schema)
-        cls.__doc__ = (f"{inspect.cleandoc(cls.__doc__)}\n\n"
-                       f"Layout: {cls.LAYOUT}.")
-
-    def pack(self) -> bytes:
-        out: List[bytes] = []
-        for name, get, codec in self._schema:
-            try:
-                codec.put(get(self), out)
-            except (struct.error, KeyError) as exc:
-                raise FrameError(f"{type(self).__name__}.{name} does not fit "
-                                 f"its field: {exc}") from None
-        return b"".join(out)
-
-    @classmethod
-    def unpack(cls, payload: bytes):
-        values, off = [], 0
-        try:
-            for _, _, codec in cls._schema:
-                value, off = codec.read(payload, off)
-                values += value if codec.arity > 1 else (value,)
-        except struct.error:
-            raise FrameError("frame payload truncated") from None
-        if off != len(payload):
-            raise FrameError(
-                f"trailing bytes in frame payload ({len(payload) - off})")
-        message = cls(*values)
-        message._check()
-        return message
-
-    def _check(self) -> None:
-        """The message's own invariant beyond its field codecs."""
+    error, short = FrameError, "frame payload truncated"
+    trailing = "trailing bytes in frame payload ({n})"
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +163,7 @@ class Hello(_Payload):
     """Client handshake: its parameter set's
     :meth:`EncryptionParameters.fingerprint`, field for field in order."""
 
-    scheme: SchemeType = _f(_enum(U8, {SchemeType.BFV: 0,
-                                       SchemeType.CKKS: 1}))
+    scheme: SchemeType = _f(SCHEME)
     poly_degree: int = _f(U32)
     plain_modulus: int = _f(U64)
     scale_bits: int = _f(U16)
@@ -394,57 +286,30 @@ class Error(_Payload):
 
 def encode_frame(mtype: MessageType, payload: bytes = b"") -> bytes:
     """One wire frame: header (reserved flags 0) plus payload."""
-    if len(payload) > U32.max:
-        raise FrameError("frame payload exceeds u32 length")
-    return _FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(mtype), 0,
-                              len(payload)) + payload
+    return _FrameHeader(mtype, len(payload)).pack() + payload
 
 
-def decode_header(header: bytes, max_payload: int = MAX_FRAME_BYTES,
-                  ) -> Tuple[MessageType, int, int]:
-    """Validate a 12-byte frame header; returns (type, flags, payload_len)."""
-    if len(header) != HEADER_SIZE:
-        raise FrameError("short frame header")
-    magic, version, type_code, flags, length = _FRAME_HEADER.unpack(header)
-    if magic != FRAME_MAGIC:
-        raise FrameError("bad frame magic (not a CHOCO offload connection)")
-    if version != FRAME_VERSION:
-        raise FrameError(f"unsupported frame version {version}")
-    try:
-        mtype = MessageType(type_code)
-    except ValueError as exc:
-        raise FrameError(f"unknown frame type {type_code}") from exc
-    if flags:
-        raise FrameError(f"reserved frame flags must be 0, got {flags:#x}")
-    if length > max_payload:
-        raise FrameError(f"frame payload of {length} bytes exceeds the "
-                         f"{max_payload}-byte limit")
-    return mtype, flags, length
-
-
-def decode_frame(frame: bytes, max_payload: int = MAX_FRAME_BYTES,
-                 ) -> Tuple[MessageType, int, bytes]:
+def decode_frame(frame: bytes) -> Tuple[MessageType, int, bytes]:
     """Decode one complete frame held in memory (the SimulatedLink path)."""
-    mtype, flags, length = decode_header(frame[:HEADER_SIZE], max_payload)
+    header = _FrameHeader.unpack(frame[:HEADER_SIZE])
     payload = frame[HEADER_SIZE:]
-    if len(payload) != length:
-        raise FrameError(
-            f"frame body is {len(payload)} bytes, header declared {length}")
-    return mtype, flags, payload
+    if len(payload) != header.payload_len:
+        raise FrameError(f"frame body is {len(payload)} bytes, header "
+                         f"declared {header.payload_len}")
+    return header.type, header.flags, payload
 
 
 async def read_frame(reader: "asyncio.StreamReader",
-                     max_payload: int = MAX_FRAME_BYTES,
                      ) -> Tuple[MessageType, int, bytes]:
     """Read exactly one frame from an asyncio stream: EOF raises
     :class:`ConnectionError`, a malformed header :class:`FrameError`."""
     try:
-        header = await reader.readexactly(HEADER_SIZE)
+        header = _FrameHeader.unpack(await reader.readexactly(HEADER_SIZE))
     except asyncio.IncompleteReadError as exc:
         raise ConnectionError("peer closed the connection") from exc
-    mtype, flags, length = decode_header(header, max_payload)
+    length = header.payload_len
     try:
         payload = await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError as exc:
         raise ConnectionError("connection closed mid-frame") from exc
-    return mtype, flags, payload
+    return header.type, header.flags, payload

@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 from repro.platforms.radio import BluetoothLink
 from repro.runtime.framing import (
-    MAX_FRAME_BYTES,
+    HEADER_SIZE,
     MessageType,
     decode_frame,
     encode_frame,
@@ -49,8 +49,7 @@ def backoff_delays(start_s: float, ceiling_s: float = MAX_BACKOFF_S):
 class Transport:
     """A framed, ordered, bidirectional message channel."""
 
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
-        self.max_frame_bytes = max_frame_bytes
+    def __init__(self):
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -91,23 +90,21 @@ class TcpTransport(Transport):
     """Frames over an asyncio TCP stream."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
-        super().__init__(max_frame_bytes)
+                 writer: asyncio.StreamWriter):
+        super().__init__()
         self._reader = reader
         self._writer = writer
 
     @classmethod
     async def connect(cls, host: str, port: int, *,
                       retries: int = 3, backoff_s: float = 0.1,
-                      max_frame_bytes: int = MAX_FRAME_BYTES,
                       ) -> "TcpTransport":
         """Open a connection, retrying with capped exponential backoff."""
         delays = backoff_delays(backoff_s)
         for attempt in range(retries + 1):
             try:
                 reader, writer = await asyncio.open_connection(host, port)
-                return cls(reader, writer, max_frame_bytes)
+                return cls(reader, writer)
             except OSError:
                 if attempt == retries:
                     raise
@@ -132,9 +129,8 @@ class TcpTransport(Transport):
         await self._writer.drain()
 
     async def recv_frame(self) -> Tuple[MessageType, int, bytes]:
-        mtype, flags, payload = await read_frame(self._reader,
-                                                 self.max_frame_bytes)
-        self.bytes_received += len(payload) + 12
+        mtype, flags, payload = await read_frame(self._reader)
+        self.bytes_received += HEADER_SIZE + len(payload)
         return mtype, flags, payload
 
     async def close(self) -> None:
@@ -157,9 +153,8 @@ class SimulatedLink(Transport):
 
     def __init__(self, inbox: "asyncio.Queue", outbox: "asyncio.Queue",
                  name: str, ledger=None,
-                 radio: Optional[BluetoothLink] = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES):
-        super().__init__(max_frame_bytes)
+                 radio: Optional[BluetoothLink] = None):
+        super().__init__()
         self._inbox = inbox
         self._outbox = outbox
         self._name = name
@@ -170,15 +165,12 @@ class SimulatedLink(Transport):
 
     @classmethod
     def pair(cls, ledger=None, radio: Optional[BluetoothLink] = None,
-             max_frame_bytes: int = MAX_FRAME_BYTES,
              ) -> Tuple["SimulatedLink", "SimulatedLink"]:
         """A connected (client_end, server_end) pair of simulated links."""
         a_to_b: asyncio.Queue = asyncio.Queue()
         b_to_a: asyncio.Queue = asyncio.Queue()
-        client = cls(b_to_a, a_to_b, "sim-client", ledger=ledger, radio=radio,
-                     max_frame_bytes=max_frame_bytes)
-        server = cls(a_to_b, b_to_a, "sim-server",
-                     max_frame_bytes=max_frame_bytes)
+        client = cls(b_to_a, a_to_b, "sim-client", ledger=ledger, radio=radio)
+        server = cls(a_to_b, b_to_a, "sim-server")
         return client, server
 
     @property
@@ -204,7 +196,7 @@ class SimulatedLink(Transport):
         if frame is None:
             raise ConnectionError("peer closed the simulated link")
         self.bytes_received += len(frame)
-        return decode_frame(frame, self.max_frame_bytes)
+        return decode_frame(frame)
 
     async def close(self) -> None:
         if not self._closed:

@@ -122,15 +122,13 @@ def test_seal_16384_rotation_burns_no_key_switch_bits():
 
 @pytest.mark.parametrize("n_special", [0, 2])
 def test_params_blob_declaring_other_special_counts_is_rejected(n_special):
-    from repro.hecore.serialize import (
-        _PARAMS_HEADER,
-        deserialize_params,
-        serialize_params,
-    )
+    from repro.hecore.serialize import deserialize_params, serialize_params
 
     blob = bytearray(serialize_params(PARAMETER_SET_B))
     assert deserialize_params(bytes(blob)) == PARAMETER_SET_B
-    blob[_PARAMS_HEADER.size - 1] = n_special
+    # n_special follows magic 4, version 1, scheme 1, poly_degree 4,
+    # plain_bits 2, scale_bits 2 and n_logical 1.
+    blob[15] = n_special
     with pytest.raises(ValueError, match="special"):
         deserialize_params(bytes(blob))
 

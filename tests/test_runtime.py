@@ -6,6 +6,7 @@ plugin dependency.
 """
 
 import asyncio
+import math
 import re
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from repro.hecore.bfv import BfvContext
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.serialize import serialize_ciphertext
 from repro.runtime import (
+    HEADER_SIZE,
+    MAX_FRAME_BYTES,
     ErrorCode,
     FrameError,
     MessageType,
@@ -97,9 +100,13 @@ def test_frame_rejects_unknown_type():
 
 
 def test_frame_rejects_oversize():
-    frame = encode_frame(MessageType.COMPUTE, b"y" * 100)
+    """A header declaring one byte past ``MAX_FRAME_BYTES`` is refused from
+    the header alone, before any payload is awaited."""
+    header = bytearray(encode_frame(MessageType.COMPUTE))
+    header[8:12] = (MAX_FRAME_BYTES + 1).to_bytes(4, "little")
+    assert len(header) == HEADER_SIZE == 12
     with pytest.raises(FrameError, match="exceeds"):
-        decode_frame(frame, max_payload=10)
+        decode_frame(bytes(header))
 
 
 def test_frame_rejects_length_mismatch():
@@ -186,6 +193,30 @@ def test_protocol_doc_layouts_are_the_schema():
     assert set(rows) == {mtype.name for mtype in MessageType}
     for mtype, cls in PAYLOADS.items():
         assert rows[mtype.name] == (cls.LAYOUT if cls else "(empty)"), mtype
+
+
+def test_protocol_doc_record_layouts_are_the_schema():
+    """docs/PROTOCOL.md's blob-layout and frame-header tables show every
+    header record (each blob header and the frame header) with its
+    derived ``LAYOUT``."""
+    from repro.hecore import serialize
+    from repro.runtime import framing
+
+    doc = Path(__file__).parent.parent / "docs" / "PROTOCOL.md"
+    rows = {}
+    for line in doc.read_text().splitlines():
+        if re.match(r"\| [^|`]+ \| `_[A-Za-z]+` \|", line):
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows[cells[1].strip("`")] = cells[2].strip("`").replace(
+                "\\|", "|")
+    records = {
+        name: cls for module in (serialize, framing)
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and issubclass(cls, serialize._Record)
+        and "_schema" in vars(cls) and not issubclass(cls, framing._Payload)}
+    assert set(rows) == set(records)
+    for name, cls in records.items():
+        assert rows[name] == cls.LAYOUT, name
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +895,34 @@ def test_anonymous_error_surfaces_without_killing_pump(bfv_params, bfv):
             out, _ = await client.request("echo", [ct])
             assert np.array_equal(bfv.decrypt(out[0])[:1], [5])
             assert client.session_error is None
+            await client.close()
+        finally:
+            await server.stop()
+
+    run(main())
+
+
+def test_non_finite_or_non_positive_scale_is_refused_and_served_after(
+        bfv_params, bfv):
+    """A COMPUTE blob whose scale is NaN, infinite, zero or negative is
+    answered BAD_FRAME "bad ciphertext" before any kernel sees it, and the
+    session serves the next valid request after each."""
+    async def main():
+        server = OffloadServer(bfv_params)
+        host, port = await server.start()
+        try:
+            client = await OffloadClient(bfv_params, host, port).connect()
+            for scale in (math.nan, math.inf, 0.0, -1.0):
+                hostile = bfv.encrypt_symmetric([3])
+                hostile.scale = scale
+                with pytest.raises(OffloadError,
+                                   match="bad ciphertext: .*scale") as exc:
+                    await client.request("echo", [hostile])
+                assert exc.value.code is ErrorCode.BAD_FRAME
+                out, _ = await client.request("echo",
+                                              [bfv.encrypt_symmetric([4])])
+                assert bfv.decrypt(out[0])[0] == 4
+            assert server.metrics.get(1).errors == 4
             await client.close()
         finally:
             await server.stop()

@@ -270,6 +270,25 @@ def test_ntt_flag_roundtrips(ckks):
     assert np.allclose(v, [0.5, 0.25], atol=1e-2)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_non_finite_or_non_positive_scale_is_refused_by_name(request, scheme,
+                                                            scale):
+    """Decryption divides by a ciphertext's scale, so a blob whose ``f64``
+    scale (offset 12, after magic, version, scheme, flags, component count
+    and degree) is NaN, infinite, zero or negative is refused — in both
+    schemes, though BFV never reads it."""
+    import struct as _struct
+
+    ctx = request.getfixturevalue(scheme)
+    ct = ctx.encrypt_symmetric([1, 2])
+    blob = bytearray(serialize_ciphertext(ct))
+    assert _struct.unpack_from("<d", blob, 12)[0] == ct.scale > 0
+    _struct.pack_into("<d", blob, 12, scale)
+    with pytest.raises(ValueError, match=f"scale {scale} is not a finite"):
+        deserialize_ciphertext(bytes(blob), ctx.params)
+
+
 def test_ckks_scale_preserved_exactly(ckks):
     v = np.linspace(0.1, 0.9, 8)
     ct = ckks.rescale(ckks.square(ckks.encrypt(v)))
