@@ -158,6 +158,20 @@ class FaultyTransport(Transport):
         self.events.append(FaultEvent(kind, direction, index,
                                       mtype.name, detail))
 
+    async def _delay_or_sever(self, fault: Optional[str], aux: float,
+                              direction: str, index: int,
+                              mtype: MessageType) -> None:
+        """The faults both directions share: a drawn delay, or a cut."""
+        if fault == "delay":
+            lo, hi = self.plan.delay_range_s
+            d = lo + aux * (hi - lo)
+            self._record("delay", direction, index, mtype, f"{d * 1e3:.1f}ms")
+            await asyncio.sleep(d)
+        elif fault == "disconnect":
+            self._record("disconnect", direction, index, mtype)
+            await self.force_disconnect()
+            raise ConnectionError("chaos: injected disconnect")
+
     async def force_disconnect(self) -> None:
         """Sever the connection now (how disconnect and truncate faults
         land, and the hook for targeted resume tests)."""
@@ -179,18 +193,13 @@ class FaultyTransport(Transport):
         if fault == "drop":
             self._record("drop", "send", index, mtype)
             return
-        if fault == "delay":
-            lo, hi = self.plan.delay_range_s
-            d = lo + aux * (hi - lo)
-            self._record("delay", "send", index, mtype, f"{d * 1e3:.1f}ms")
-            await asyncio.sleep(d)
-        elif fault == "corrupt":
+        if fault == "corrupt":
             frame = bytearray(encode_frame(mtype, payload))
             frame[0] ^= 0xFF  # garble the magic: always connection-fatal
             self._record("corrupt", "send", index, mtype)
             await self.inner.send_raw(bytes(frame))
             return
-        elif fault == "truncate":
+        if fault == "truncate":
             frame = encode_frame(mtype, payload)
             cut = 1 + int(aux * max(len(frame) - 1, 1))
             self._record("truncate", "send", index, mtype,
@@ -198,10 +207,7 @@ class FaultyTransport(Transport):
             await self.inner.send_raw(frame[:cut])
             await self.force_disconnect()
             raise ConnectionError("chaos: frame truncated mid-stream")
-        elif fault == "disconnect":
-            self._record("disconnect", "send", index, mtype)
-            await self.force_disconnect()
-            raise ConnectionError("chaos: injected disconnect")
+        await self._delay_or_sever(fault, aux, "send", index, mtype)
         await self.inner.send_frame(mtype, payload)
         self.bytes_sent = self.inner.bytes_sent
 
@@ -223,15 +229,7 @@ class FaultyTransport(Transport):
             if fault == "drop":
                 self._record("drop", "recv", index, mtype)
                 continue  # the frame evaporates in flight
-            if fault == "delay":
-                lo, hi = self.plan.delay_range_s
-                d = lo + aux * (hi - lo)
-                self._record("delay", "recv", index, mtype, f"{d * 1e3:.1f}ms")
-                await asyncio.sleep(d)
-            elif fault == "disconnect":
-                self._record("disconnect", "recv", index, mtype)
-                await self.force_disconnect()
-                raise ConnectionError("chaos: injected disconnect")
+            await self._delay_or_sever(fault, aux, "recv", index, mtype)
             return frame
 
     async def close(self) -> None:

@@ -5,51 +5,25 @@
 reads frames off the connection and resolves per-request futures, so many
 requests can be in flight concurrently (the server schedules them fairly).
 
-What a battery-powered client on a lossy link needs lives in two bodies:
-
-* **One handshake** (``_handshake``) starts every connection: fresh
-  transport, first frame (``HELLO`` for ``connect`` and failover, ``RESUME``
-  for ``resume``), its one reply awaited under ``request_timeout``, the
-  transport closed on any failure.  ``_open`` repeats it ``max_retries``
-  times with exponential backoff over busy (fleet admission control — the
-  server's ``retry_after`` hint is honored), silent and broken links; a
-  rejection is final, except that a rejected ``RESUME`` (the owning fleet
-  worker died) becomes a fresh session re-provisioned from the key-blob
-  cache when ``failover`` is set.
-* **One attempt loop** (``_await_reply``) runs under every frame that
-  awaits a reply, ``COMPUTE`` and ``KEY_UPLOAD``: per-attempt timeouts,
-  resubmitted with exponential backoff up to ``max_retries`` times before
-  :class:`OffloadTimeout`; ``SUSPECT_AFTER`` silent timeouts in a row
-  declare the link half-open; a lost connection is reattached through
-  ``resume`` before the next attempt — the server-side session (keystore,
-  state, dedupe window) survives, so megabytes of Galois keys are never
-  re-uploaded.
-
-``request`` adds **idempotent retries** — one ``request_id`` per *logical*
-request, reused verbatim by every resubmission, so the server's dedupe
-window can replay a lost ``RESULT`` instead of executing the handler twice —
-plus ``BUSY`` backpressure and ``KEYS_EVICTED`` replay.  ``PING``/``PONG``
-heartbeats (``heartbeat_s``) detect a dead peer between requests instead of
-at the next timeout, and symmetric uploads are always seed-compressed: the
-paper's halve-the-upload optimization (§4.3) applies on the wire exactly as
-in the analytical model.
-
-Transfer accounting goes through ``transport.account_upload`` /
-``account_download`` with *logical* ciphertext bytes
-(:meth:`Ciphertext.size_bytes`), charged **once per logical request** no
-matter how many times the frames are retried — a :class:`SimulatedLink`
-therefore reproduces the in-process :class:`CostLedger` numbers exactly,
-faults or no faults.
-
-Connection-level ``ERROR`` frames that arrive mid-session (``request_id ==
-0``, e.g. the server's "unexpected frame" complaint) do **not** kill the
-pump or the in-flight requests: they are recorded and surfaced as an
-:class:`OffloadError` on the *next* API call.
+What a battery-powered client on a lossy link needs lives in two bodies
+(docs/PROTOCOL.md, *The client*).  **One handshake** (``_handshake``, under
+the ``_open`` retry loop) starts every connection: ``connect``, ``resume``
+and failover.  **One attempt loop** (``_await_reply``) runs under every
+frame that awaits a reply, ``COMPUTE`` and ``KEY_UPLOAD``, and reattaches a
+lost connection through ``resume``, so keys are never re-uploaded.
+``request`` reuses one ``request_id`` per *logical* request, so the
+server's dedupe window replays a lost ``RESULT`` instead of running the
+handler twice, and charges the transfer ledger once, in logical ciphertext
+bytes: a :class:`SimulatedLink` reproduces the in-process
+:class:`CostLedger` numbers exactly, faults or no faults.  A
+connection-scoped ``ERROR`` (``request_id == 0``) does not kill the pump:
+it is recorded and raised on the next API call.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -74,21 +48,21 @@ from repro.hecore.serialize import (
     serialize_relin_key,
 )
 from repro.runtime.framing import (
+    PAYLOADS,
+    TRANSITIONS,
     Busy,
     Compute,
     Error,
     ErrorCode,
     FrameError,
     Hello,
-    HelloAck,
     KeyAck,
     KeyUpload,
     KeyKind,
     MessageType,
     Ping,
-    Result,
     Resume,
-    ResumeAck,
+    SessionState,
 )
 from repro.runtime.transport import TcpTransport, Transport, backoff_delays
 
@@ -110,6 +84,11 @@ CONNECT_RETRIES = 3
 
 #: What a dead or misbehaving link raises; every retry loop treats them alike.
 _LINK_ERRORS = (ConnectionError, OSError, FrameError)
+
+#: What answers a COMPUTE, matched to its request by ``request_id``.
+_REQUEST_REPLIES = (*TRANSITIONS[SessionState.ATTACHED,
+                                 MessageType.COMPUTE].replies,
+                    MessageType.ERROR)
 
 
 class OffloadError(RuntimeError):
@@ -212,33 +191,33 @@ class OffloadClient:
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
-    async def _handshake(self, first: MessageType, payload: bytes,
-                         expect: MessageType, unpack: Callable,
-                         transport: Optional[Transport] = None):
+    async def _handshake(self, first, transport: Optional[Transport] = None):
         """The one way a connection starts: on a fresh transport (or the
-        caller-supplied first one) send *first* and await its one reply
-        under ``request_timeout``.  ``BUSY`` is :class:`ServerBusy` with the
-        server's hint, ``ERROR`` an :class:`OffloadError` with its code,
-        anything but *expect* a :class:`FrameError`; each closes the
-        transport on its way out.  On *expect* the transport becomes the
-        live connection and the unpacked ack is returned."""
+        caller-supplied first one) send the *first* record and await its one
+        reply under ``request_timeout``.  ``BUSY`` is :class:`ServerBusy`
+        with the hint, ``ERROR`` an :class:`OffloadError` with its code,
+        anything but the ack *first*'s opening row names a
+        :class:`FrameError`, each closing the transport; the ack makes it
+        the live connection and is returned."""
+        name = first.TYPE.name
+        expect = TRANSITIONS[SessionState.OPENING, first.TYPE].replies[0]
         if transport is None:
             transport = await self._transport_factory()
         try:
-            await transport.send_frame(first, payload)
+            await transport.send(first)
             mtype, _flags, reply = await asyncio.wait_for(
                 transport.recv_frame(), self.request_timeout)
             if mtype is MessageType.BUSY:
                 self.stats.busy_waits += 1
-                raise ServerBusy(f"{first.name} refused: fleet at capacity",
+                raise ServerBusy(f"{name} refused: fleet at capacity",
                                  Busy.unpack(reply).retry_after_ms)
             if mtype is MessageType.ERROR:
                 err = Error.unpack(reply)
-                raise OffloadError(
-                    f"{first.name} rejected: {err.message}", err.code)
+                raise OffloadError(f"{name} rejected: {err.message}",
+                                   err.code)
             if mtype is not expect:
                 raise FrameError(f"expected {expect.name}, got {mtype.name}")
-            ack = unpack(reply)
+            ack = PAYLOADS[expect].unpack(reply)
         except BaseException:
             await transport.close()
             raise
@@ -250,9 +229,7 @@ class OffloadClient:
     async def _hello(self, transport: Optional[Transport] = None) -> None:
         """Open a session (first connect, failover) and take on what its
         HELLO_ACK grants."""
-        ack = await self._handshake(
-            MessageType.HELLO, Hello.from_params(self.params).pack(),
-            MessageType.HELLO_ACK, HelloAck.unpack, transport)
+        ack = await self._handshake(Hello.from_params(self.params), transport)
         self.session_id = ack.session_id
         self.server_queue_limit = ack.queue_limit
         self.server_concurrency = ack.concurrency
@@ -302,10 +279,8 @@ class OffloadClient:
     async def _cancel(task: Optional[asyncio.Task]) -> None:
         if task is not None:
             task.cancel()
-            try:
+            with contextlib.suppress(asyncio.CancelledError):
                 await task
-            except asyncio.CancelledError:
-                pass
 
     async def close(self) -> None:
         """Send BYE (best effort) and tear the connection down."""
@@ -316,10 +291,8 @@ class OffloadClient:
         await self._cancel(self._pump_task)
         if self.transport is not None:
             if self._conn_error is None:
-                try:
+                with contextlib.suppress(ConnectionError, OSError):
                     await self.transport.send_frame(MessageType.BYE)
-                except (ConnectionError, OSError):
-                    pass
             await self.transport.close()
         self._fail_waiters(OffloadError("connection closed"))
 
@@ -334,12 +307,17 @@ class OffloadClient:
         try:
             while True:
                 mtype, _flags, payload = await self.transport.recv_frame()
-                if mtype is MessageType.RESULT:
-                    result = Result.unpack(payload)
-                    self._resolve(result.request_id, ("result", result))
-                elif mtype is MessageType.BUSY:
-                    busy = Busy.unpack(payload)
-                    self._resolve(busy.request_id, ("busy", busy))
+                if mtype in _REQUEST_REPLIES:
+                    reply = PAYLOADS[mtype].unpack(payload)
+                    if reply.request_id in self._pending:
+                        self._resolve(reply.request_id,
+                                      (mtype.name.lower(), reply))
+                    elif mtype is MessageType.ERROR:
+                        # Connection-scoped (request_id == 0) or stale error:
+                        # record it for the next API call instead of killing
+                        # the pump and every in-flight request with it.
+                        self.stats.session_errors += 1
+                        self._session_errors.append(reply)
                 elif mtype is MessageType.KEY_ACK:
                     ack = KeyAck.unpack(payload)
                     waiters = self._key_waiters.get(ack.kind)
@@ -350,16 +328,6 @@ class OffloadClient:
                             break
                 elif mtype is MessageType.PONG:
                     self.stats.pongs_received += 1
-                elif mtype is MessageType.ERROR:
-                    err = Error.unpack(payload)
-                    if err.request_id and err.request_id in self._pending:
-                        self._resolve(err.request_id, ("error", err))
-                    else:
-                        # Connection-scoped (request_id == 0) or stale error:
-                        # record it for the next API call instead of killing
-                        # the pump and every in-flight request with it.
-                        self.stats.session_errors += 1
-                        self._session_errors.append(err)
                 elif mtype is MessageType.BYE:
                     raise ConnectionError("server said BYE")
                 # Anything else is a server bug; ignore rather than dying.
@@ -374,8 +342,7 @@ class OffloadClient:
             if self._conn_error is not None:
                 continue  # a reconnect (or the next request) will recover
             try:
-                await self.transport.send_frame(
-                    MessageType.PING, Ping(next(nonce)).pack())
+                await self.transport.send(Ping(next(nonce)))
                 self.stats.pings_sent += 1
             except (ConnectionError, OSError) as exc:
                 if self._conn_error is None:
@@ -448,10 +415,7 @@ class OffloadClient:
         In-flight request ids stay valid: their attempt loops resubmit
         against whichever session this leaves."""
         try:
-            await self._handshake(
-                MessageType.RESUME,
-                Resume(self.session_id, self.resume_token).pack(),
-                MessageType.RESUME_ACK, ResumeAck.unpack)
+            await self._handshake(Resume(self.session_id, self.resume_token))
             self.stats.resumes += 1
         except OffloadError as err:
             if err.code is not ErrorCode.RESUME_REJECTED or not self.failover:

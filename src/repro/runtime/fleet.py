@@ -12,27 +12,16 @@ The sharding trick is in the session ids.  Worker *i* of *n* allocates ids
 from the arithmetic progression ``start=i+1, step=n``, so the owner of any
 session is the pure function ``(session_id - 1) % n`` — sticky routing
 needs no shared table, no coordination, and survives router restarts for
-free.  A ``HELLO`` (new session) goes to the least-loaded live worker; a
-``RESUME`` is routed to the owner computed from its session id.  After the
-first frame the router is a dumb byte pump: it never parses ciphertexts
-and adds no per-request work.
-
-Failure handling composes with the v2 protocol instead of duplicating it:
-
-* A worker death closes its relayed connections; clients RESUME, the
-  router routes the RESUME to the (respawned, blank) owner, the worker
-  answers ``RESUME_REJECTED``, and a failover-enabled client opens a fresh
-  session and replays its cached keys (see ``OffloadClient(failover=True)``).
-  Exactly-once is preserved end to end because request ids are idempotency
-  keys and nothing re-executes without the client resubmitting.
-* Admission control is fleet-wide: beyond ``session_cap`` concurrently
-  connected sessions a ``HELLO`` is answered with ``BUSY`` (retry-after
-  hint included) and the connection is closed.  RESUMEs are always
-  admitted — reattachment never grows the fleet.
-* A supervisor task respawns dead workers (a fresh *generation* on a fresh
-  port) and retires the dead generation's last metrics snapshot into
-  :class:`~repro.runtime.metrics.FleetMetrics`, so fleet totals never
-  forget work a killed worker already served.
+free.  The router reads a connection's first frame through the opening
+rows of :data:`repro.runtime.framing.TRANSITIONS`, the server's own: a
+``HELLO`` goes to the least-loaded live worker while the fleet is under
+``session_cap``, else it is answered ``BUSY`` and retried; a ``RESUME``
+goes to the owner of its session id, else it is ``RESUME_REJECTED`` and a
+failover client opens a fresh session.  After that the router is a byte
+pump: it never parses ciphertexts and adds no per-request work.  A
+supervisor respawns dead workers and retires each dead generation's last
+metrics snapshot into :class:`~repro.runtime.metrics.FleetMetrics`
+(docs/PROTOCOL.md, *Fleet serving*).
 
 Workers are driven over a control pipe (``snapshot`` / ``kill_idle`` /
 ``stop``); ``kill_idle`` is the chaos fate the fleet soak uses — the worker
@@ -68,8 +57,10 @@ from repro.runtime.framing import (
     Error,
     ErrorCode,
     FrameError,
-    MessageType,
+    Hello,
     Resume,
+    SessionState,
+    decode,
     encode_frame,
     read_frame,
 )
@@ -331,7 +322,6 @@ class FleetServer:
         self._admitted = 0
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._supervisor_task: Optional[asyncio.Task] = None
-        self._closing = False
         self.host: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -360,7 +350,6 @@ class FleetServer:
         await self.stop()
 
     async def stop(self) -> None:
-        self._closing = True
         if self._supervisor_task is not None:
             self._supervisor_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -434,112 +423,90 @@ class FleetServer:
                     logger.exception("fleet worker %d respawn failed", index)
 
     # -------------------------------------------------------------- routing
-    def _pick_for_hello(self) -> Optional[WorkerHandle]:
-        """Least-loaded live worker (ties break toward the lowest index)."""
-        best = None
-        for handle in self._workers:
-            if handle is None or not handle.alive():
-                continue
-            if best is None or handle.active_conns < best.active_conns:
-                best = handle
-        return best
-
     def owner_index(self, session_id: int) -> int:
         """Sticky routing: the worker whose id progression minted *sid*."""
         return (session_id - 1) % self.n_workers
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        """Route a connection by its first frame, read through the opening
+        rows of ``framing.TRANSITIONS`` (the server's own), to the row's
+        ``_open_<action>``."""
         self.metrics.connections_total += 1
-        handle: Optional[WorkerHandle] = None
-        admitted = False
-        counted = False
         try:
             try:
                 mtype, _flags, payload = await read_frame(reader)
             except (ConnectionError, FrameError):
                 return
-            if mtype is MessageType.HELLO:
-                if (self.session_cap is not None
-                        and self._admitted >= self.session_cap):
-                    self.metrics.admission_rejections += 1
-                    await self._reply(writer, MessageType.BUSY, Busy(
-                        0, self._config.retry_after_ms,
-                        min(self._admitted, 0xFFFF)).pack())
-                    return
-                handle = self._pick_for_hello()
-                if handle is None:
-                    self.metrics.admission_rejections += 1
-                    await self._reply(writer, MessageType.BUSY, Busy(
-                        0, self._config.retry_after_ms, 0).pack())
-                    return
-                self.metrics.sessions_routed += 1
-                admitted = True
-                self._admitted += 1
-                # Count the pick immediately (no await in between) so
-                # concurrent HELLOs spread instead of dog-piling one worker.
-                handle.active_conns += 1
-                counted = True
-            elif mtype is MessageType.RESUME:
-                try:
-                    resume = Resume.unpack(payload)
-                except FrameError as exc:
-                    await self._reply(writer, MessageType.ERROR, Error(
-                        0, ErrorCode.BAD_FRAME, str(exc)).pack())
-                    return
-                handle = self._workers[self.owner_index(resume.session_id)]
-                if handle is None or not handle.alive():
-                    # The owner is down right now; the client's failover
-                    # path treats this exactly like the respawned worker's
-                    # own rejection: fresh HELLO, new session.
-                    self.metrics.resumes_bounced += 1
-                    await self._reply(writer, MessageType.ERROR, Error(
-                        0, ErrorCode.RESUME_REJECTED,
-                        f"worker for session {resume.session_id} is "
-                        f"unavailable").pack())
-                    return
-                self.metrics.resumes_routed += 1
-                handle.active_conns += 1
-                counted = True
-            else:
-                await self._reply(writer, MessageType.ERROR, Error(
-                    0, ErrorCode.BAD_FRAME,
-                    f"expected HELLO or RESUME, got {mtype.name}").pack())
+            try:
+                row, first = decode(SessionState.OPENING, mtype, payload)
+            except FrameError as exc:
+                await self._reply(writer, Error(0, ErrorCode.BAD_FRAME,
+                                                str(exc)))
                 return
-            await self._relay(handle, mtype, payload, reader, writer)
+            await getattr(self, f"_open_{row.action}")(
+                first, encode_frame(mtype, payload), reader, writer)
         finally:
-            if counted and handle is not None:
-                handle.active_conns -= 1
-            if admitted:
-                self._admitted -= 1
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
+    async def _open_hello(self, hello: Hello, frame: bytes,
+                          reader, writer) -> None:
+        """To the least-loaded live worker (the lowest index on a tie)
+        under the session cap; else, or unreachable, ``BUSY``: retryable."""
+        live = [h for h in self._workers if h is not None and h.alive()]
+        if live and (self.session_cap is None
+                     or self._admitted < self.session_cap):
+            self.metrics.sessions_routed += 1
+            self._admitted += 1
+            try:
+                handle = min(live, key=lambda h: h.active_conns)
+                if await self._relay(handle, frame, reader, writer):
+                    return
+            finally:
+                self._admitted -= 1
+        self.metrics.admission_rejections += 1
+        await self._reply(writer, Busy(0, self._config.retry_after_ms,
+                                       min(self._admitted, 0xFFFF)))
+
+    async def _open_resume(self, resume: Resume, frame: bytes,
+                           reader, writer) -> None:
+        """To the worker that minted the session id; while it is down or
+        unreachable, ``RESUME_REJECTED`` (a failover client starts afresh)."""
+        handle = self._workers[self.owner_index(resume.session_id)]
+        if handle is not None and handle.alive():
+            self.metrics.resumes_routed += 1
+            if await self._relay(handle, frame, reader, writer):
+                return
+        self.metrics.resumes_bounced += 1
+        await self._reply(writer, Error(
+            0, ErrorCode.RESUME_REJECTED,
+            f"worker for session {resume.session_id} is unavailable"))
+
     @staticmethod
-    async def _reply(writer: asyncio.StreamWriter, mtype: MessageType,
-                     payload: bytes) -> None:
+    async def _reply(writer: asyncio.StreamWriter, record) -> None:
         with contextlib.suppress(ConnectionError, OSError):
-            writer.write(encode_frame(mtype, payload))
+            writer.write(encode_frame(record.TYPE, record.pack()))
             await writer.drain()
 
-    async def _relay(self, handle: WorkerHandle, mtype: MessageType,
-                     payload: bytes,
+    async def _relay(self, handle: WorkerHandle, frame: bytes,
                      client_reader: asyncio.StreamReader,
-                     client_writer: asyncio.StreamWriter) -> None:
-        """Forward the sniffed first frame, then pump raw bytes both ways."""
+                     client_writer: asyncio.StreamWriter) -> bool:
+        """Forward the sniffed first *frame*, then pump raw bytes both
+        ways; False when the worker cannot be reached."""
+        # Counted before the first await so concurrent HELLOs spread
+        # instead of dog-piling one worker.
+        handle.active_conns += 1
         try:
             backend_reader, backend_writer = await asyncio.open_connection(
                 "127.0.0.1", handle.port)
         except OSError:
-            await self._reply(client_writer, MessageType.ERROR, Error(
-                0, ErrorCode.RESUME_REJECTED
-                if mtype is MessageType.RESUME else ErrorCode.BAD_FRAME,
-                "fleet worker unreachable").pack())
-            return
+            handle.active_conns -= 1
+            return False
         self.metrics.connections_active += 1
         try:
-            backend_writer.write(encode_frame(mtype, payload))
+            backend_writer.write(frame)
             await backend_writer.drain()
             up = asyncio.ensure_future(
                 self._pipe(client_reader, backend_writer))
@@ -554,10 +521,12 @@ class FleetServer:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         finally:
+            handle.active_conns -= 1
             self.metrics.connections_active -= 1
             backend_writer.close()
             with contextlib.suppress(Exception):
                 await backend_writer.wait_closed()
+        return True
 
     @staticmethod
     async def _pipe(reader: asyncio.StreamReader,

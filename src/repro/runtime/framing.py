@@ -18,8 +18,10 @@ all raise :class:`FrameError` (a :class:`ValueError`), and so does packing
 a value that does not fit its field — a malformed peer can never crash the
 runtime in low-level array code.
 
-The session flow, resumption and the dedupe window are documented in
-``docs/PROTOCOL.md``, whose frame-type table carries these layouts.
+The session protocol is declared here too: ``PAYLOADS`` (frame type ->
+record) and ``TRANSITIONS`` (every legal state x frame pair), read by the
+server's dispatch and the fleet router through :func:`decode`;
+``docs/PROTOCOL.md``'s tables are tested equal to them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import enum
 import json
 import struct
 from dataclasses import fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.hecore.params import EncryptionParameters, SchemeType
 # The shared codecs and record base; KeyKind is re-exported.
@@ -278,6 +280,83 @@ class Error(_Payload):
     request_id: int = _f(U32)
     code: ErrorCode = _f(_enum(U16, ErrorCode))
     message: str = _f(STR16)
+
+
+# ---------------------------------------------------------------------------
+# The session protocol
+# ---------------------------------------------------------------------------
+
+#: The record each frame type carries (BYE carries none); each record class
+#: knows its frame type as ``TYPE``.
+PAYLOADS = {
+    MessageType.HELLO: Hello, MessageType.HELLO_ACK: HelloAck,
+    MessageType.KEY_UPLOAD: KeyUpload, MessageType.KEY_ACK: KeyAck,
+    MessageType.COMPUTE: Compute, MessageType.RESULT: Result,
+    MessageType.BUSY: Busy, MessageType.ERROR: Error, MessageType.BYE: None,
+    MessageType.RESUME: Resume, MessageType.RESUME_ACK: ResumeAck,
+    MessageType.PING: Ping, MessageType.PONG: Pong,
+}
+for _mtype, _cls in PAYLOADS.items():
+    if _cls is not None:
+        _cls.TYPE = _mtype
+
+
+class SessionState(enum.Enum):
+    OPENING = "opening"    # a connection before its first frame: no session
+    ATTACHED = "attached"  # a session serving its connection
+    DETACHED = "detached"  # its connection was lost without BYE: kept for
+    #                        the resume grace period, then reaped
+    CLOSED = "closed"      # unregistered: BYE, rejected, reaped or stopped
+
+
+class Row(NamedTuple):
+    """One legal ``(state, frame)`` pair: its *action* on the decoded record
+    (``None`` reads no payload), the state and reply its success leads to,
+    and the ``ErrorCode`` s it may answer instead, the state unchanged."""
+
+    action: Optional[str]
+    next: SessionState
+    replies: Tuple[MessageType, ...] = ()
+    errors: Tuple[ErrorCode, ...] = ()
+
+
+_S, _M, _E = SessionState, MessageType, ErrorCode
+
+#: The session protocol: every legal ``(state, frame)`` pair.  Any other
+#: pair is answered ``ERROR(BAD_FRAME)`` with :func:`decode`'s refusal.
+#: A connection is served while its session is attached: one still opening
+#: after its first frame is closed.
+TRANSITIONS = {
+    (_S.OPENING, _M.HELLO): Row("hello", _S.ATTACHED, (_M.HELLO_ACK, _M.BUSY),
+                                (_E.BAD_FRAME, _E.PARAMS_MISMATCH)),
+    (_S.OPENING, _M.RESUME): Row("resume", _S.ATTACHED, (_M.RESUME_ACK,),
+                                 (_E.BAD_FRAME, _E.RESUME_REJECTED)),
+    (_S.ATTACHED, _M.KEY_UPLOAD): Row("key_upload", _S.ATTACHED,
+                                      (_M.KEY_ACK,), (_E.BAD_FRAME,)),
+    (_S.ATTACHED, _M.COMPUTE): Row(
+        "compute", _S.ATTACHED, (_M.RESULT, _M.BUSY),
+        (_E.BAD_FRAME, _E.UNKNOWN_OP, _E.KEYS_EVICTED, _E.MISSING_KEYS,
+         _E.HANDLER_FAILED, _E.PROTOCOL_VIOLATION)),
+    (_S.ATTACHED, _M.PING): Row("ping", _S.ATTACHED, (_M.PONG,),
+                                (_E.BAD_FRAME,)),
+    (_S.ATTACHED, _M.BYE): Row(None, _S.CLOSED),
+    (_S.ATTACHED, _M.ERROR): Row(None, _S.DETACHED),
+}
+
+
+def decode(state: SessionState, mtype: MessageType,
+           payload: bytes) -> Tuple[Row, Optional[_Payload]]:
+    """The row *state* has for an *mtype* frame and the record its payload
+    carries: the one place a received payload is decoded.  A pair without
+    a row (one refusal, naming the state's rows), or a payload that does
+    not decode, is a :class:`FrameError`."""
+    row = TRANSITIONS.get((state, mtype))
+    if row is None:
+        legal = " or ".join(m.name for s, m in TRANSITIONS if s is state)
+        raise FrameError(f"unexpected {mtype.name} frame: an {state.value} "
+                         f"session takes {legal}")
+    cls = PAYLOADS[mtype] if row.action else None
+    return row, cls and cls.unpack(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,17 @@ parallel.  When a session's queue is full the server answers ``BUSY`` with a
 retry-after hint instead of buffering unboundedly — backpressure is part of
 the wire contract, not an afterthought.
 
-The server is built for lossy links (the paper's client model, §7):
-
-* **Idempotent compute.**  ``COMPUTE`` request ids are idempotency keys.
-  A resubmitted id that is still queued or executing is silently absorbed
-  (the original's ``RESULT`` answers both); an id in the recently-completed
-  dedupe window gets the cached ``RESULT`` replayed without re-executing the
-  handler.  A timed-out retry can therefore never run a handler twice.
-* **Session resumption.**  A lost connection *detaches* the session rather
-  than destroying it.  Within ``resume_grace_s`` the client can open a new
-  connection and present its resume token (``RESUME``); the server reattaches
-  the session — keystore, state, metrics, dedupe window — so megabytes of
-  Galois keys are never re-uploaded.  Work queued before the disconnect keeps
-  executing while detached; its results wait in the dedupe window.
-* **Heartbeats and reaping.**  ``PING`` is answered with ``PONG``; a reaper
-  task closes detached sessions whose grace period expired.
+The server is built for lossy links (the paper's client model, §7).
+``COMPUTE`` request ids are idempotency keys: a retry of a queued or
+executing id is absorbed, one in the dedupe window is answered from it, and
+a handler never runs twice.  A connection lost without ``BYE`` *detaches*
+its session for ``resume_grace_s``: a ``RESUME`` reattaches it (keystore,
+state, dedupe window) so keys are never re-uploaded, and a reaper closes it
+once the grace expires.  Which frame is legal in which session state, where
+it moves the session and what it may answer is declared once, in
+:data:`repro.runtime.framing.TRANSITIONS`: ``serve_transport`` looks every
+frame up there, decodes it once and runs the row's ``_on_<action>``.
+docs/PROTOCOL.md spells all of it out.
 
 The server-side evaluation context is built from the *uploaded* keys only.
 It mechanically forbids decryption (raising
@@ -72,12 +68,13 @@ from repro.runtime.framing import (
     KeyAck,
     KeyKind,
     KeyUpload,
-    MessageType,
     Ping,
     Pong,
     Result,
     Resume,
     ResumeAck,
+    SessionState,
+    decode,
 )
 from repro.runtime.metrics import RuntimeMetrics, SessionMetrics
 from repro.runtime.transport import TcpTransport, Transport
@@ -142,7 +139,8 @@ class ServerSession:
         self.evicted_kinds: set = set()
         self.queue: Deque[ComputeRequest] = deque()
         self._send_lock = asyncio.Lock()
-        self.closed = False
+        #: Where the session stands; ``framing.TRANSITIONS`` moves it.
+        self.phase = SessionState.ATTACHED
         #: Secret the client must present in a RESUME frame to reattach.
         self.resume_token = resume_token
         #: Request ids currently queued or executing (idempotency guard).
@@ -153,11 +151,8 @@ class ServerSession:
         #: True while a worker runs this session's handler (per-session
         #: execution is serialized; sessions stay parallel across each other).
         self.executing = False
-        #: When the connection died (None while attached).
-        self.detached_at: Optional[float] = None
-        #: The client said BYE: no retention, the session dies with the
-        #: connection.
-        self.bye_received = False
+        #: When the connection was lost: the reaper's clock while detached.
+        self.detached_at = 0.0
 
     def ensure_context(self):
         """The session's evaluation context, built on first use."""
@@ -165,10 +160,10 @@ class ServerSession:
 
     ctx = property(ensure_context)
 
-    async def send(self, mtype: MessageType, payload: bytes) -> None:
-        """Serialized frame send (workers and the session loop interleave)."""
+    async def send(self, record, payload: Optional[bytes] = None) -> None:
+        """``Transport.send``, serialized: workers and the loop interleave."""
         async with self._send_lock:
-            await self.transport.send_frame(mtype, payload)
+            await self.transport.send(record, payload)
 
     def remember_result(self, request_id: int, payload: bytes) -> None:
         """Retire *request_id* into the dedupe window (replayable RESULT)."""
@@ -179,10 +174,7 @@ class ServerSession:
             self.completed.popitem(last=False)
 
     def key_mask(self) -> int:
-        mask = 0
-        for kind in self.evaluator.keystore:
-            mask |= 1 << (int(kind) - 1)
-        return mask
+        return sum(1 << (int(kind) - 1) for kind in self.evaluator.keystore)
 
 
 class OffloadServer:
@@ -275,7 +267,7 @@ class OffloadServer:
         """Listen on TCP; returns the bound (host, port)."""
         self._ensure_scheduler()
         self._tcp_server = await asyncio.start_server(
-            self._on_tcp_connection, host, port)
+            lambda r, w: self.serve_transport(TcpTransport(r, w)), host, port)
         sockname = self._tcp_server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
@@ -293,10 +285,8 @@ class OffloadServer:
         for task in (self._scheduler_task, self._reaper_task):
             if task is not None:
                 task.cancel()
-                try:
+                with contextlib.suppress(asyncio.CancelledError):
                     await task
-                except asyncio.CancelledError:
-                    pass
         self._scheduler_task = None
         self._reaper_task = None
         for task in list(self._worker_tasks):
@@ -308,13 +298,8 @@ class OffloadServer:
 
     def _note_task_death(self, task: Optional[asyncio.Task],
                          name: str) -> None:
-        """Surface why a core task died before it gets respawned.
-
-        A dead scheduler used to be respawned silently — the server kept
-        working but the exception (and the fact it ever happened) was
-        unobservable.  Now every crash-respawn is counted and the last
-        error is retained in the metrics snapshot.
-        """
+        """Surface why a core task died before it gets respawned: every
+        crash-respawn is counted and the last error kept in the metrics."""
         if task is None or not task.done() or task.cancelled():
             return
         exc = task.exception()
@@ -334,54 +319,53 @@ class OffloadServer:
             self._reaper_task = asyncio.ensure_future(self._reaper())
 
     # ----------------------------------------------------- session serving
-    async def _on_tcp_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        await self.serve_transport(TcpTransport(reader, writer))
-
     async def serve_transport(self, transport: Transport) -> None:
-        """Serve one session over any :class:`Transport` until it closes."""
+        """Serve one connection over any :class:`Transport` while its
+        session is attached: each frame is decoded under the connection's
+        state (opening until a session attaches), the row's action runs and
+        the session takes the row's next state."""
         self._ensure_scheduler()
         session: Optional[ServerSession] = None
         try:
-            session = await self._handshake(transport)
-            if session is None:
-                return
-            await self._session_loop(session)
+            while True:
+                mtype, _flags, payload = await transport.recv_frame()
+                state = SessionState.OPENING
+                if session is not None:
+                    state = session.phase
+                    session.metrics.bytes_up += len(payload)
+                try:
+                    row, record = decode(state, mtype, payload)
+                except FrameError as exc:
+                    if session is not None:
+                        session.metrics.errors += 1
+                    await (session or transport).send(
+                        Error(0, ErrorCode.BAD_FRAME, str(exc)))
+                else:
+                    action = row.action and getattr(self, f"_on_{row.action}")
+                    if session is None:
+                        session = await action(transport, record)
+                    elif action:
+                        await action(session, record)
+                    if session is not None:
+                        session.phase = row.next
+                if not (session and session.phase is SessionState.ATTACHED):
+                    return
         except (ConnectionError, FrameError):
             pass  # peer vanished or spoke garbage: drop the connection
         finally:
-            # Only the transport currently attached may detach the session —
+            # Only the transport currently attached may leave the session —
             # a connection superseded by RESUME must not tear down its heir.
-            if (session is not None and session.transport is transport
-                    and not session.closed):
-                if (session.bye_received or self._closing
-                        or self.resume_grace_s <= 0):
-                    self._unregister(session)
-                else:
-                    self._detach(session)
+            if session is not None and session.transport is transport:
+                self._leave(session)
             await transport.close()
 
-    async def _handshake(self, transport: Transport,
-                         ) -> Optional[ServerSession]:
-        mtype, _flags, payload = await transport.recv_frame()
-        if mtype is MessageType.RESUME:
-            return await self._handle_resume(transport, payload)
-        if mtype is not MessageType.HELLO:
-            await transport.send_frame(MessageType.ERROR, Error(
-                0, ErrorCode.BAD_FRAME, "expected HELLO").pack())
-            return None
-        try:
-            hello = Hello.unpack(payload)
-        except FrameError as exc:
-            await transport.send_frame(MessageType.ERROR, Error(
-                0, ErrorCode.BAD_FRAME, str(exc)).pack())
-            return None
+    async def _on_hello(self, transport: Transport,
+                        hello: Hello) -> Optional[ServerSession]:
         mismatch = hello.mismatch(self.params)
         if mismatch is not None:
             self.metrics.sessions_rejected += 1
-            await transport.send_frame(MessageType.ERROR, Error(
-                0, ErrorCode.PARAMS_MISMATCH,
-                f"parameter mismatch: {mismatch}").pack())
+            await transport.send(Error(0, ErrorCode.PARAMS_MISMATCH,
+                                       f"parameter mismatch: {mismatch}"))
             return None
         session_id, token = next(self._ids), secrets.token_bytes(16)
         # Packed before the session is registered: a reply that cannot be
@@ -391,7 +375,7 @@ class OffloadServer:
         session = ServerSession(session_id, transport, self, metrics, token)
         self._sessions[session_id] = session
         self._rr.append(session_id)
-        await transport.send_frame(MessageType.HELLO_ACK, ack)
+        await transport.send(HelloAck, ack)
         return session
 
     def _hello_ack(self, session_id: int, token: bytes) -> bytes:
@@ -400,103 +384,63 @@ class OffloadServer:
                         grace_ms=int(max(self.resume_grace_s, 0) * 1000),
                         banner=self.banner).pack()
 
-    async def _handle_resume(self, transport: Transport, payload: bytes,
-                             ) -> Optional[ServerSession]:
-        try:
-            resume = Resume.unpack(payload)
-        except FrameError as exc:
-            await transport.send_frame(MessageType.ERROR, Error(
-                0, ErrorCode.BAD_FRAME, str(exc)).pack())
-            return None
+    async def _on_resume(self, transport: Transport,
+                         resume: Resume) -> Optional[ServerSession]:
+        # A registered session is detached, or attached to a connection
+        # this one supersedes; BYE and the reaper unregister it.
         session = self._sessions.get(resume.session_id)
-        if (session is None or session.closed or session.bye_received
-                or not secrets.compare_digest(session.resume_token,
-                                              resume.token)):
+        if session is None or not secrets.compare_digest(
+                session.resume_token, resume.token):
             self.metrics.resumes_rejected += 1
-            await transport.send_frame(MessageType.ERROR, Error(
+            await transport.send(Error(
                 0, ErrorCode.RESUME_REJECTED,
-                f"no resumable session {resume.session_id}").pack())
+                f"no resumable session {resume.session_id}"))
             return None
         old = session.transport
         session.transport = transport
-        session.detached_at = None
         session.metrics.resumes += 1
         self.metrics.sessions_resumed += 1
         if old is not transport:
             # Kick the superseded connection loose; its serve loop sees the
             # closed transport and exits without touching the session.
             await old.close()
-        await transport.send_frame(MessageType.RESUME_ACK, ResumeAck(
-            session.id, self.queue_limit, self.concurrency,
-            session.key_mask(), self.banner).pack())
+        await transport.send(ResumeAck(session.id, self.queue_limit,
+                                       self.concurrency, session.key_mask(),
+                                       self.banner))
         return session
 
-    async def _session_loop(self, session: ServerSession) -> None:
-        while True:
-            mtype, _flags, payload = await session.transport.recv_frame()
-            session.metrics.bytes_up += len(payload)
-            if mtype is MessageType.BYE:
-                session.bye_received = True
-                return
-            if mtype is MessageType.KEY_UPLOAD:
-                await self._handle_key_upload(session, payload)
-            elif mtype is MessageType.COMPUTE:
-                await self._handle_compute(session, payload)
-            elif mtype is MessageType.PING:
-                await self._handle_ping(session, payload)
-            elif mtype is MessageType.ERROR:
-                return  # client-side fatal error: drop the session
-            else:
-                session.metrics.errors += 1
-                await session.send(MessageType.ERROR, Error(
-                    0, ErrorCode.BAD_FRAME,
-                    f"unexpected {mtype.name} frame").pack())
-
-    async def _handle_ping(self, session: ServerSession,
-                           payload: bytes) -> None:
-        try:
-            ping = Ping.unpack(payload)
-        except FrameError:
-            ping = Ping(0)
+    async def _on_ping(self, session: ServerSession, ping: Ping) -> None:
         session.metrics.pings += 1
-        await session.send(MessageType.PONG, Pong(ping.nonce).pack())
+        await session.send(Pong(ping.nonce))
 
-    async def _handle_key_upload(self, session: ServerSession,
-                                 payload: bytes) -> None:
+    async def _on_key_upload(self, session: ServerSession,
+                             upload: KeyUpload) -> None:
         try:
-            upload = KeyUpload.unpack(payload)
             session.evaluator.install_key(upload.kind, upload.blob)
         except ValueError as exc:
             session.metrics.errors += 1
-            await session.send(MessageType.ERROR, Error(
-                0, ErrorCode.BAD_FRAME, f"bad key upload: {exc}").pack())
+            await session.send(Error(0, ErrorCode.BAD_FRAME,
+                                     f"bad key upload: {exc}"))
             return
         held = (session.key_blobs.get(upload.kind, ())
                 if upload.kind is KeyKind.GALOIS else ())
         session.key_blobs[upload.kind] = (*held, upload.blob)
         session.evicted_kinds.discard(upload.kind)
         session.metrics.key_uploads += 1
-        session.metrics.key_bytes += len(payload)
+        session.metrics.key_bytes += 1 + len(upload.blob)  # kind u8 | blob
         galois = session.evaluator.keystore.get(KeyKind.GALOIS)
         session.metrics.galois_keys_held = len(galois.keys) if galois else 0
         self._touch_keys(session)
         self._maybe_evict_keys(keep=session)
-        await session.send(MessageType.KEY_ACK, KeyAck(upload.kind).pack())
+        await session.send(KeyAck(upload.kind))
 
-    async def _handle_compute(self, session: ServerSession,
-                              payload: bytes) -> None:
-        try:
-            compute = Compute.unpack(payload)
-        except FrameError as exc:
-            session.metrics.errors += 1
-            await session.send(MessageType.ERROR, Error(
-                0, ErrorCode.BAD_FRAME, str(exc)).pack())
-            return
+    async def _on_compute(self, session: ServerSession,
+                          compute: Compute) -> None:
         # Idempotency: a resubmitted request id is answered, never re-run.
         cached = session.completed.get(compute.request_id)
         if cached is not None:
             session.metrics.results_replayed += 1
-            await session.send(MessageType.RESULT, cached)
+            await session.send(Result, cached)
             return
         if compute.request_id in session.inflight_ids:
             # Still queued or executing: the original's RESULT answers the
@@ -506,9 +450,8 @@ class OffloadServer:
         if not (compute.op in self._handlers or compute.op in self.ops
                 or self._pooled(compute.op)):
             session.metrics.errors += 1
-            await session.send(MessageType.ERROR, Error(
-                compute.request_id, ErrorCode.UNKNOWN_OP,
-                f"unknown operation {compute.op!r}").pack())
+            await session.send(Error(compute.request_id, ErrorCode.UNKNOWN_OP,
+                                     f"unknown operation {compute.op!r}"))
             return
         if session.evicted_kinds:
             # Re-upload-on-miss: the LRU dropped this session's keys while
@@ -517,24 +460,22 @@ class OffloadServer:
             # exactly-once window is untouched (nothing ran).
             session.metrics.reupload_signals += 1
             kinds = ",".join(sorted(k.name for k in session.evicted_kinds))
-            await session.send(MessageType.ERROR, Error(
-                compute.request_id, ErrorCode.KEYS_EVICTED,
-                f"keys evicted: {kinds}").pack())
+            await session.send(Error(compute.request_id,
+                                     ErrorCode.KEYS_EVICTED,
+                                     f"keys evicted: {kinds}"))
             return
         if len(session.queue) >= self.queue_limit:
             session.metrics.busy_rejections += 1
-            await session.send(MessageType.BUSY, Busy(
-                compute.request_id, self.retry_after_ms,
-                len(session.queue)).pack())
+            await session.send(Busy(compute.request_id, self.retry_after_ms,
+                                    len(session.queue)))
             return
         try:
             cts = [deserialize_ciphertext(blob, self.params)
                    for blob in compute.blobs]
         except ValueError as exc:
             session.metrics.errors += 1
-            await session.send(MessageType.ERROR, Error(
-                compute.request_id, ErrorCode.BAD_FRAME,
-                f"bad ciphertext: {exc}").pack())
+            await session.send(Error(compute.request_id, ErrorCode.BAD_FRAME,
+                                     f"bad ciphertext: {exc}"))
             return
         session.queue.append(ComputeRequest(
             compute.request_id, compute.op, compute.meta, cts,
@@ -547,20 +488,26 @@ class OffloadServer:
             self._touch_keys(session)  # active sessions stay LRU-hot
         self._work.set()
 
-    def _detach(self, session: ServerSession) -> None:
-        """Keep the session for ``resume_grace_s``; the reaper enforces it."""
-        session.detached_at = time.monotonic()
+    def _leave(self, session: ServerSession) -> None:
+        """Its connection is gone: a session lost without BYE is detached
+        for ``resume_grace_s`` (the reaper enforces it), else closed."""
+        if session.phase is SessionState.ATTACHED:
+            session.phase = SessionState.DETACHED
+        if (session.phase is SessionState.DETACHED and not self._closing
+                and self.resume_grace_s > 0):
+            session.detached_at = time.monotonic()
+        else:
+            self._unregister(session)
 
     def _unregister(self, session: ServerSession) -> None:
-        session.closed = True
-        self._sessions.pop(session.id, None)
+        session.phase = SessionState.CLOSED
+        if self._sessions.pop(session.id, None) is None:
+            return
         self._key_lru.pop(session.id, None)
         if self.eval_pool is not None:
             self.eval_pool.close_session(session.id)
-        try:
+        with contextlib.suppress(ValueError):
             self._rr.remove(session.id)
-        except ValueError:
-            pass
         session.metrics.queue_depth = 0
         self.metrics.close_session(session.id)
 
@@ -654,7 +601,7 @@ class OffloadServer:
             await asyncio.sleep(interval)
             now = time.monotonic()
             for session in list(self._sessions.values()):
-                if (session.detached_at is not None
+                if (session.phase is SessionState.DETACHED
                         and now - session.detached_at >= self.resume_grace_s):
                     self._unregister(session)
                     self.metrics.sessions_reaped += 1
@@ -682,9 +629,9 @@ class OffloadServer:
             # Cache BEFORE sending: if the connection is dead the client
             # resumes and replays the id, and the cached RESULT answers it.
             session.remember_result(request.request_id, payload)
-            if not session.closed:
+            if session.phase is not SessionState.CLOSED:
                 try:
-                    await session.send(MessageType.RESULT, payload)
+                    await session.send(Result, payload)
                 except (ConnectionError, OSError):
                     pass  # detached mid-send; the dedupe window serves it
                 else:
@@ -692,38 +639,29 @@ class OffloadServer:
                     session.metrics.ciphertexts_out += len(blobs)
                     session.metrics.bytes_down += len(payload)
                     session.metrics.observe_latency(time.monotonic() - started)
-        except ProtocolViolation as exc:
-            await self._send_error(session, request,
-                                   ErrorCode.PROTOCOL_VIOLATION, exc)
-        except MissingEvaluationKey as exc:
-            await self._send_error(session, request, ErrorCode.MISSING_KEYS,
-                                   exc)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 — one bad request must not
             # take down the serving loop; the typed error reaches the client.
-            await self._send_error(session, request,
-                                   ErrorCode.HANDLER_FAILED, exc)
+            await self._send_error(session, request, exc)
         finally:
             session.executing = False
             self._slots.release()
             self._work.set()  # re-check queues freed up by this completion
 
     async def _send_error(self, session: ServerSession,
-                          request: ComputeRequest, code: ErrorCode,
-                          exc: Exception) -> None:
+                          request: ComputeRequest, exc: Exception) -> None:
         session.metrics.errors += 1
         # Failed ids leave the idempotency window: an explicit client retry
         # after a typed error is a fresh execution, not a replay.
         session.inflight_ids.discard(request.request_id)
-        if session.closed:
+        if session.phase is SessionState.CLOSED:
             return
-        try:
-            await session.send(MessageType.ERROR, Error(
-                request.request_id, code, f"{type(exc).__name__}: {exc}"
-            ).pack())
-        except (ConnectionError, OSError):
-            pass
+        code = next((code for kind, code in _HANDLER_ERRORS
+                     if isinstance(exc, kind)), ErrorCode.HANDLER_FAILED)
+        with contextlib.suppress(ConnectionError, OSError):
+            await session.send(Error(request.request_id, code,
+                                     f"{type(exc).__name__}: {exc}"))
 
     async def _run_inline(self, session: ServerSession,
                           request: ComputeRequest):
@@ -743,6 +681,11 @@ class OffloadServer:
         return await asyncio.to_thread(evaluator.run, fn, request.meta,
                                        request.cts)
 
+
+#: The ``ErrorCode`` a handler's exception earns by its type; any other
+#: exception is ``HANDLER_FAILED``.
+_HANDLER_ERRORS = ((ProtocolViolation, ErrorCode.PROTOCOL_VIOLATION),
+                   (MissingEvaluationKey, ErrorCode.MISSING_KEYS))
 
 #: ``hecore.serialize`` reader of each uploadable key kind.
 _KEY_READERS = {

@@ -57,6 +57,12 @@ class Transport:
                          payload: bytes = b"") -> None:
         raise NotImplementedError
 
+    async def send(self, record, payload: Optional[bytes] = None) -> None:
+        """Send one payload record as its ``TYPE``'s frame (or, given its
+        packed *payload*, the record's class)."""
+        await self.send_frame(record.TYPE,
+                              record.pack() if payload is None else payload)
+
     async def send_raw(self, data: bytes) -> None:
         """Put raw bytes on the wire, bypassing frame encoding.
 
