@@ -1,11 +1,12 @@
 """Chaos soak — the offload runtime's resilience contract, under load.
 
 Tier-1 runs one short seeded soak (tests/test_chaos.py); this gate runs the
-*long* version: several independent seeds, a harsher fault plan, and more
-requests per session, auditing the same end-state invariants each time:
+*long* version of the same driver (``_soak.py``, one in-process server):
+several independent seeds, a harsher fault plan, and more requests per
+session, auditing the same end-state invariants each time:
 
-* exactly-once handler execution (server-side invocation counters equal the
-  number of logical requests, under drops, duplicates, and reconnects);
+* exactly-once handler execution (every logical request's ``uid`` once in
+  the execution logs, under drops, duplicates, and reconnects);
 * per-session transfer-ledger totals byte-identical to a fault-free oracle
   run (retries and resumes are transport artifacts the analytical cost
   model never sees);
@@ -17,11 +18,13 @@ in any seed is a hard failure.
 """
 
 import argparse
+import asyncio
 import json
 import sys
 from pathlib import Path
 
-from repro.runtime import DEFAULT_PLAN, FaultPlan, run_chaos_soak
+from _soak import soak
+from repro.runtime import DEFAULT_PLAN, FaultPlan
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_chaos_soak.json"
 
@@ -55,9 +58,9 @@ def main(argv=None):
     failures = []
     scenarios = {}
     for name, seed, plan in SCENARIOS:
-        report = run_chaos_soak(n_sessions=args.sessions,
-                                n_requests=args.requests,
-                                seed=seed, plan=plan)
+        report = asyncio.run(soak(n_sessions=args.sessions,
+                                  n_requests=args.requests,
+                                  seed=seed, plan=plan))
         print(report.render())
         print()
         scenarios[name] = report.as_dict()

@@ -33,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
+from _soak import soak
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.apps.knn import KnnOffloadService, RemoteKnn
 from repro.runtime import OffloadClient
-from repro.runtime.chaos import fleet_chaos_soak
 from repro.runtime.fleet import FleetServer
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_fleet.json"
@@ -183,23 +183,17 @@ def main(argv=None):
     soak_requests = 6 if args.quick else 10
     print(f"fleet chaos soak: {soak_sessions} session(s) x "
           f"{soak_requests} request(s), 1 worker kill")
-    report = asyncio.run(fleet_chaos_soak(
-        n_workers=2, n_sessions=soak_sessions, n_requests=soak_requests,
-        kill_workers=1, seed=2027))
+    report = asyncio.run(soak(workers=2, n_sessions=soak_sessions,
+                              n_requests=soak_requests, seed=2027))
     print(report.render())
-    soak = report.as_dict()
-    failures.extend(f"soak: {f}" for f in soak["failures"])
-    if soak["handler_invocations"] != soak["logical_requests"]:
-        failures.append(
-            f"soak: {soak['handler_invocations']} handler run(s) for "
-            f"{soak['logical_requests']} logical request(s)")
+    failures.extend(f"soak: {f}" for f in report.failures)
 
     out = {
         "usable_cores": cores,
         "floor": FLOOR,
         "speedup": speedup,
         **throughput,
-        "soak": soak,
+        "soak": report.as_dict(),
         "failures": failures,
     }
     args.output.parent.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,6 @@ import asyncio
 import numpy as np
 
 from repro.apps.knn import KnnOffloadService, RemoteKnn
-from repro.core.protocol import CostLedger
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.platforms.radio import BluetoothLink
@@ -62,9 +61,7 @@ async def main():
     await server.stop()
 
     # ------------------------------------------------- simulated Bluetooth
-    ledger = CostLedger()
-    client_end, server_end = SimulatedLink.pair(ledger=ledger,
-                                               radio=BluetoothLink())
+    client_end, server_end = SimulatedLink.pair()
     sim_server = OffloadServer(params)
     KnnOffloadService.install(sim_server)
     serve_task = asyncio.ensure_future(sim_server.serve_transport(server_end))
@@ -76,11 +73,13 @@ async def main():
                         symmetric=False)
     await sim_knn.add_points(points, labels)
     result = await sim_knn.classify(rng.normal(size=4))
+    ledger, radio = sim_client.ledger, BluetoothLink()
+    link_s = radio.session_time(ledger.total_bytes, ledger.rounds)
     print(f"\nsimulated link: label {result.label}; ledger charged "
           f"{ledger.bytes_up} B up / {ledger.bytes_down} B down over "
           f"{ledger.rounds} round(s)")
-    print(f"Bluetooth session time {client_end.link_time_s() * 1e3:.1f} ms, "
-          f"radio energy {client_end.link_energy_j() * 1e3:.2f} mJ")
+    print(f"Bluetooth session time {link_s * 1e3:.1f} ms, "
+          f"radio energy {ledger.communication_energy(radio) * 1e3:.2f} mJ")
     await sim_client.close()
     await sim_server.stop()
     serve_task.cancel()

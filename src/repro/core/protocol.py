@@ -120,7 +120,7 @@ class CostLedger(KernelCounted):
         return self.bytes_up + self.bytes_down
 
     # Single source of truth for transfer accounting: the in-process
-    # ClientAidedSession and the runtime's SimulatedLink charge through the
+    # ClientAidedSession and the runtime's OffloadClient charge through the
     # same two methods, so the analytical byte/round model cannot drift from
     # the served path.
     def charge_upload(self, nbytes: int) -> None:

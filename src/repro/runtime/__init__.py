@@ -3,11 +3,12 @@
 Real sessions, framing, fair scheduling, and backpressure over the CHOCO
 wire format: an :class:`OffloadServer` serves HE compute to many
 :class:`OffloadClient` sessions over TCP or over an in-memory
-:class:`SimulatedLink` that drives the analytical cost model.  The
-protocol survives hostile networks: idempotent compute (exactly-once
+:class:`SimulatedLink`, and each client charges its own logical
+:class:`~repro.core.protocol.CostLedger` (``client.ledger``) over either.
+The protocol survives hostile networks: idempotent compute (exactly-once
 handler execution under retries), ``RESUME`` session reattachment, and
 ``PING``/``PONG`` heartbeats — all reproducibly testable with the seeded
-fault injection in :mod:`repro.runtime.chaos`.
+fault injector in :mod:`repro.runtime.chaos`.
 """
 
 from repro.runtime.chaos import (
@@ -15,10 +16,6 @@ from repro.runtime.chaos import (
     FaultEvent,
     FaultPlan,
     FaultyTransport,
-    SoakReport,
-    chaos_soak,
-    fleet_chaos_soak,
-    run_chaos_soak,
 )
 from repro.runtime.client import (
     ClientStats,
@@ -87,18 +84,14 @@ __all__ = [
     "SessionEvaluator",
     "SessionMetrics",
     "SimulatedLink",
-    "SoakReport",
     "TcpTransport",
     "Transport",
     "WorkerConfig",
     "WorkerHandle",
     "build_restricted_context",
-    "chaos_soak",
     "decode_frame",
     "encode_frame",
-    "fleet_chaos_soak",
     "percentile",
     "read_frame",
     "resolve_spec",
-    "run_chaos_soak",
 ]

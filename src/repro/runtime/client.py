@@ -13,9 +13,10 @@ frame that awaits a reply, ``COMPUTE`` and ``KEY_UPLOAD``, and reattaches a
 lost connection through ``resume``, so keys are never re-uploaded.
 ``request`` reuses one ``request_id`` per *logical* request, so the
 server's dedupe window replays a lost ``RESULT`` instead of running the
-handler twice, and charges the transfer ledger once, in logical ciphertext
-bytes: a :class:`SimulatedLink` reproduces the in-process
-:class:`CostLedger` numbers exactly, faults or no faults.  A
+handler twice, and charges the client's own ``ledger`` (a
+:class:`~repro.core.protocol.CostLedger`) once, in logical ciphertext
+bytes: over any transport it reads what the in-process
+``ClientAidedSession`` charges, faults or no faults.  A
 connection-scoped ``ERROR`` (``request_id == 0``) does not kill the pump:
 it is recorded and raised on the next API call.
 """
@@ -38,6 +39,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.protocol import CostLedger
 from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.params import EncryptionParameters
 from repro.hecore.serialize import (
@@ -172,6 +174,10 @@ class OffloadClient:
         self.resume_token: Optional[bytes] = None
         self.grace_period_ms: int = 0
         self.stats = ClientStats()
+        #: The logical transfer ledger (§5.2): ciphertext bytes and rounds,
+        #: charged once per logical request and per KEYS_EVICTED replay,
+        #: never per retry; the transport's own counters are physical.
+        self.ledger = CostLedger()
         #: Serialized key blobs by kind, exactly as uploaded (Galois blobs
         #: accumulate).  This is what KEYS_EVICTED re-uploads and failover
         #: re-provisioning replay — keys are regenerated from bytes, never
@@ -548,7 +554,7 @@ class OffloadClient:
         for kind, blobs in list(self._key_blob_cache.items()):
             for blob in blobs:
                 if charge:
-                    self.transport.account_upload(len(blob))
+                    self.ledger.charge_upload(len(blob))
                 await self._upload_blob(kind, blob, ensure_live=ensure_live)
 
     async def _upload_blob(self, kind: KeyKind, blob: bytes, *,
@@ -595,7 +601,7 @@ class OffloadClient:
         payload = Compute(request_id, op, dict(meta or {}), blobs).pack()
         if account:
             for ct in cts:
-                self.transport.account_upload(ct.size_bytes())
+                self.ledger.charge_upload(ct.size_bytes())
 
         def park(attempt: int, future: asyncio.Future) -> None:
             self._pending[request_id] = future
@@ -613,7 +619,7 @@ class OffloadClient:
                            for blob in reply.blobs]
                 if account:
                     for ct in out_cts:
-                        self.transport.account_download(ct.size_bytes())
+                        self.ledger.charge_download(ct.size_bytes())
                 return True, (out_cts, reply.meta)
             if kind == "busy":
                 self.stats.busy_waits += 1

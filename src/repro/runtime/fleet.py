@@ -24,10 +24,10 @@ metrics snapshot into :class:`~repro.runtime.metrics.FleetMetrics`
 (docs/PROTOCOL.md, *Fleet serving*).
 
 Workers are driven over a control pipe (``snapshot`` / ``kill_idle`` /
-``stop``); ``kill_idle`` is the chaos fate the fleet soak uses — the worker
-``os._exit(17)``-s at the next instant no handler is executing and no
-queue holds work, which kills it *between* requests and lets the soak
-assert exactly-once without racing a half-executed handler.
+``stop``); ``kill_idle`` is the one injected death (``kill_worker``) — the
+worker ``os._exit(17)``-s at the next instant no handler is executing and
+no queue holds work, which kills it *between* requests, so exactly-once can
+be asserted across it without racing a half-executed handler.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class WorkerConfig:
 
 def _worker_main(conn, config: WorkerConfig) -> None:
     """Process entry point: run one sharded worker until told to stop."""
-    # A worker respawned mid-soak forks off a router that is actively
+    # A worker respawned mid-traffic forks off a router that is actively
     # relaying traffic; the inherited socket duplicates would hold every
     # in-flight client connection half-open after the router closes its
     # side (no FIN reaches the client, which then blocks forever).  Drop
@@ -560,25 +560,15 @@ class FleetServer:
                 self.metrics.update_worker(handle.index, snap)
         return self.metrics.snapshot()
 
-    async def kill_worker(self, index: int, fate: str = "idle") -> int:
-        """Chaos entry point: kill worker *index*; returns its generation.
-
-        ``fate="idle"`` asks the worker to ``os._exit`` at the next moment
-        no handler is executing and no queue holds work (preserves
-        exactly-once accounting); ``fate="hard"`` SIGKILLs immediately
-        (in-flight work is lost and must be replayed by clients).
-        """
+    async def kill_worker(self, index: int) -> int:
+        """Chaos entry point: worker *index* ``os._exit``-s at the next
+        moment no handler is executing and no queue holds work, so
+        exactly-once accounting survives it; returns its generation."""
         handle = self._workers[index]
         if handle is None:
             raise RuntimeError(f"worker {index} is not running")
-        generation = handle.generation
-        if fate == "idle":
-            await handle.send(("kill_idle",))
-        elif fate == "hard":
-            handle.process.kill()
-        else:
-            raise ValueError(f"unknown worker fate {fate!r}")
-        return generation
+        await handle.send(("kill_idle",))
+        return handle.generation
 
     async def wait_worker_restart(self, index: int, old_generation: int,
                                   timeout: float = 30.0) -> WorkerHandle:

@@ -219,9 +219,9 @@ class OffloadServer:
         #: Optional :class:`~repro.runtime.evalpool.EvalPool`; the ops in
         #: its registry (``eval_pool.ops``) execute in its subprocesses.
         self.eval_pool = eval_pool
-        #: Free-form per-deployment handler configuration (e.g. the fleet
-        #: soak's execution-log directory), reachable as
-        #: ``session.server.op_config`` from any handler.
+        #: Free-form per-deployment handler configuration (e.g. a served
+        #: model's weight seed), reachable as ``session.server.op_config``
+        #: from any handler.
         self.op_config: Dict[str, Any] = dict(op_config or {})
         self.metrics = RuntimeMetrics()
         self._handlers: Dict[str, Handler] = {}

@@ -6,18 +6,17 @@ Two implementations of one small interface:
   capable, so the full client/server runtime is exercised in tests and in
   the two-terminal ``repro serve`` / ``repro offload`` demo.
 * :class:`SimulatedLink` — an in-memory duplex pair that still encodes and
-  decodes every frame (the wire format is exercised byte for byte) but
-  *accounts* transfers into the existing analytical model: logical
-  ciphertext bytes and rounds go through :meth:`CostLedger.charge_upload` /
-  :meth:`CostLedger.charge_download`, exactly as the in-process
-  :class:`ClientAidedSession` charges them, and a
-  :class:`~repro.platforms.radio.BluetoothLink` converts the ledger into
-  link time/energy.  Every analytical experiment therefore works unchanged
-  on top of the served path.
+  decodes every frame, so the wire format is exercised byte for byte
+  without a socket.
 
-Both transports also count *physical* frame bytes (`bytes_sent` /
-`bytes_received`), which the metrics layer reports alongside the logical
-accounting.
+A transport moves frames and counts their *physical* bytes (`bytes_sent` /
+`bytes_received`), which the metrics layer reports.  The *logical* cost —
+§5.2's ciphertext bytes and rounds — is not a transport's: the
+:class:`~repro.runtime.client.OffloadClient` charges its own
+:class:`~repro.core.protocol.CostLedger` through the two methods the
+in-process :class:`ClientAidedSession` uses, over any transport, and a
+:class:`~repro.platforms.radio.BluetoothLink` turns that ledger into link
+time and energy.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Tuple
 
-from repro.platforms.radio import BluetoothLink
 from repro.runtime.framing import (
     HEADER_SIZE,
     MessageType,
@@ -80,16 +78,6 @@ class Transport:
     @property
     def peer_name(self) -> str:
         return "?"
-
-    # ---------------------------------------------------------- accounting
-    # Logical-byte hooks driven by the client layer; the TCP transport
-    # ignores them (its cost is real), the SimulatedLink forwards them to
-    # the analytical CostLedger.
-    def account_upload(self, logical_bytes: int) -> None:
-        pass
-
-    def account_download(self, logical_bytes: int) -> None:
-        pass
 
 
 class TcpTransport(Transport):
@@ -148,7 +136,7 @@ class TcpTransport(Transport):
 
 
 class SimulatedLink(Transport):
-    """In-memory transport endpoint that drives the analytical cost model.
+    """In-memory transport endpoint.
 
     Create both ends with :meth:`pair`; hand the server end to
     :meth:`OffloadServer.serve_transport` and the client end to an
@@ -158,26 +146,20 @@ class SimulatedLink(Transport):
     """
 
     def __init__(self, inbox: "asyncio.Queue", outbox: "asyncio.Queue",
-                 name: str, ledger=None,
-                 radio: Optional[BluetoothLink] = None):
+                 name: str):
         super().__init__()
         self._inbox = inbox
         self._outbox = outbox
         self._name = name
         self._closed = False
-        #: Analytical accounting target (client end only, usually).
-        self.ledger = ledger
-        self.radio = radio or BluetoothLink()
 
     @classmethod
-    def pair(cls, ledger=None, radio: Optional[BluetoothLink] = None,
-             ) -> Tuple["SimulatedLink", "SimulatedLink"]:
+    def pair(cls) -> Tuple["SimulatedLink", "SimulatedLink"]:
         """A connected (client_end, server_end) pair of simulated links."""
         a_to_b: asyncio.Queue = asyncio.Queue()
         b_to_a: asyncio.Queue = asyncio.Queue()
-        client = cls(b_to_a, a_to_b, "sim-client", ledger=ledger, radio=radio)
-        server = cls(a_to_b, b_to_a, "sim-server")
-        return client, server
+        return (cls(b_to_a, a_to_b, "sim-client"),
+                cls(a_to_b, b_to_a, "sim-server"))
 
     @property
     def peer_name(self) -> str:
@@ -208,25 +190,3 @@ class SimulatedLink(Transport):
         if not self._closed:
             self._closed = True
             await self._outbox.put(None)
-
-    # ---------------------------------------------------------- accounting
-    def account_upload(self, logical_bytes: int) -> None:
-        if self.ledger is not None:
-            self.ledger.charge_upload(logical_bytes)
-
-    def account_download(self, logical_bytes: int) -> None:
-        if self.ledger is not None:
-            self.ledger.charge_download(logical_bytes)
-
-    def link_time_s(self) -> float:
-        """Simulated radio time for everything charged so far."""
-        if self.ledger is None:
-            return 0.0
-        return self.radio.session_time(self.ledger.total_bytes,
-                                       self.ledger.rounds)
-
-    def link_energy_j(self) -> float:
-        """Simulated client radio energy for everything charged so far."""
-        if self.ledger is None:
-            return 0.0
-        return self.radio.transfer_energy(self.ledger.total_bytes)

@@ -1,25 +1,33 @@
 """Chaos-transport tests: deterministic fault schedules, targeted failure
 modes (dropped acks, corrupted frames, forced disconnects), and the short
-tier-1 soak that checks the runtime's end-state invariants — exactly-once
-execution, byte-exact ledger parity with a fault-free oracle, resumption
-without re-provisioning, and zero leaks.
+tier-1 run of the soak (``benchmarks/_soak.py``) that checks the runtime's
+end-state invariants — exactly-once execution, byte-exact ledger parity
+with a fault-free oracle, resumption without re-provisioning, and zero
+leaks — plus proof that its audit can fail.
 """
 
 import asyncio
+import contextlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.protocol import CostLedger
 from repro.runtime import (
     DEFAULT_PLAN,
     FaultPlan,
     FaultyTransport,
+    MessageType,
     OffloadClient,
     OffloadServer,
     OffloadTimeout,
     SimulatedLink,
-    chaos_soak,
 )
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+from _soak import SoakReport, audit, soak  # noqa: E402
 
 
 def run(coro):
@@ -74,6 +82,23 @@ def test_unarmed_transport_is_transparent(bfv_params, bfv):
         await client.close()
         await server.stop()
         serve_task.cancel()
+
+    run(main())
+
+
+@pytest.mark.parametrize("fault", ["corrupt", "truncate"])
+def test_byte_counters_are_the_inner_transports(fault):
+    """A corrupt or truncate fault reaches the wire through ``send_raw``;
+    the decorator's byte counter still reads what the wrapped transport
+    sent."""
+    async def main():
+        inner, _server_end = SimulatedLink.pair()
+        faulty = FaultyTransport(
+            inner, FaultPlan(skip_first_frames=0, **{f"{fault}_p": 1.0}))
+        with contextlib.suppress(ConnectionError):  # a truncation severs
+            await faulty.send_frame(MessageType.PING, bytes(8))
+        assert faulty.fault_counts() == {fault: 1}
+        assert faulty.bytes_sent == inner.bytes_sent > 0
 
     run(main())
 
@@ -267,8 +292,8 @@ def test_chaos_soak_invariants(bfv_params):
     """8 concurrent sessions through a seeded hostile link: exactly-once
     handler execution, ledger totals byte-identical to the fault-free
     oracle, resumption without re-uploading keys, and no leaks."""
-    report = run(chaos_soak(bfv_params, n_sessions=8, n_requests=4,
-                            seed=2026))
+    report = run(soak(bfv_params, n_sessions=8, n_requests=4, seed=2026,
+                      plan=DEFAULT_PLAN))
     assert report.ok, report.render()
     assert report.handler_invocations == report.logical_requests == 32
     assert report.key_uploads == 8
@@ -284,3 +309,29 @@ def test_chaos_soak_invariants(bfv_params):
     assert report.resumes >= 1
     assert report.retries >= 1
     assert report.duplicates_suppressed + report.results_replayed >= 1
+
+
+def test_soak_audit_files_each_violation(tmp_path):
+    """The audit is not vacuous: a uid logged twice, a uid never logged and
+    a session ledger one byte off the oracle each file one failure."""
+    oracle = CostLedger()
+    oracle.charge_upload(100)
+    oracle.charge_download(50)
+    off_by_one = CostLedger()
+    off_by_one.charge_upload(101)
+    off_by_one.charge_download(50)
+
+    def failures(logged, ledger):
+        (tmp_path / "exec-1.log").write_text(
+            "".join(f"{uid}\n" for uid in logged))
+        report = SoakReport(n_sessions=1, n_requests=2, seed=0)
+        audit(report, str(tmp_path), [ledger], oracle)
+        return report.failures
+
+    assert failures(["s0q0", "s0q1"], oracle) == []
+    for logged, ledger, says in (
+            (["s0q0", "s0q1", "s0q1"], oracle, "executed more than once"),
+            (["s0q0"], oracle, "never executed"),
+            (["s0q0", "s0q1"], off_by_one, "ledger 101B up")):
+        found = failures(logged, ledger)
+        assert len(found) == 1 and says in found[0], found

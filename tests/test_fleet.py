@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.protocol import CostLedger
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
 from repro.hecore.serialize import deserialize_params, serialize_params
@@ -28,11 +27,14 @@ from repro.runtime import (
     ServerBusy,
     SimulatedLink,
 )
-from repro.runtime.chaos import fleet_chaos_soak
 from repro.runtime.evalpool import EvalPool
 from repro.runtime.fleet import FleetServer
 
-CHAOS_INSTALLER = "repro.runtime.chaos:install_chaos_ops"
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+from _soak import soak  # noqa: E402
+
+#: The soak's stateful counting op (``chaos/count``), served in the worker.
+SOAK_OPS = "_soak:install"
 KNN_POOLED_INSTALLER = "repro.apps.knn:KnnOffloadService.install_pooled"
 
 
@@ -68,7 +70,7 @@ def test_fleet_shards_sessions_across_workers(bfv_params):
     """Session ids shard onto workers by ``(sid - 1) % n``; the per-worker
     banner exposes the placement, and requests execute on the owner."""
     async def main():
-        fleet = FleetServer(bfv_params, 2, installers=(CHAOS_INSTALLER,))
+        fleet = FleetServer(bfv_params, 2, pooled_installers=(SOAK_OPS,))
         host, port = await fleet.start()
         clients = []
         try:
@@ -107,7 +109,7 @@ def test_fleet_resume_routes_to_owner(bfv_params):
     """A RESUME lands on the worker that owns the session id — same
     session, same worker, no re-provisioning."""
     async def main():
-        fleet = FleetServer(bfv_params, 2, installers=(CHAOS_INSTALLER,),
+        fleet = FleetServer(bfv_params, 2, pooled_installers=(SOAK_OPS,),
                             resume_grace_s=10.0)
         host, port = await fleet.start()
         try:
@@ -139,7 +141,7 @@ def test_fleet_admission_cap(bfv_params):
     """The fleet-wide session cap answers HELLO with BUSY + retry_after;
     a slot freed by a disconnect is grantable again."""
     async def main():
-        fleet = FleetServer(bfv_params, 1, installers=(CHAOS_INSTALLER,),
+        fleet = FleetServer(bfv_params, 1, pooled_installers=(SOAK_OPS,),
                             session_cap=1, retry_after_ms=10,
                             resume_grace_s=0.0)
         host, port = await fleet.start()
@@ -244,8 +246,7 @@ def test_fleet_chaos_soak_short():
     """One worker killed mid-traffic: every logical request executes
     exactly once, ledgers stay byte-identical to the fault-free oracle,
     and the supervisor restarts the dead worker."""
-    report = run(fleet_chaos_soak(n_workers=2, n_sessions=2, n_requests=4,
-                                  kill_workers=1, seed=7))
+    report = run(soak(workers=2, n_sessions=2, n_requests=4, seed=7))
     assert report.failures == []
     d = report.as_dict()
     assert d["handler_invocations"] == d["logical_requests"]
@@ -530,14 +531,14 @@ def test_keystore_eviction_reupload_charged_once(bfv_params, bfv):
 
         server.register("count", count)
 
-        ledger = CostLedger()
-        c1_end, s1_end = SimulatedLink.pair(ledger=ledger)
+        c1_end, s1_end = SimulatedLink.pair()
         c2_end, s2_end = SimulatedLink.pair()
         t1 = asyncio.ensure_future(server.serve_transport(s1_end))
         t2 = asyncio.ensure_future(server.serve_transport(s2_end))
         try:
             client1 = await OffloadClient(bfv_params,
                                           transport=c1_end).connect()
+            ledger = client1.ledger
             await client1.upload_keys(relin=bfv.relin_keys())
             blob_bytes = sum(len(b) for blobs in
                              client1._key_blob_cache.values() for b in blobs)
@@ -674,8 +675,7 @@ def test_remote_knn_sends_each_key_once(ckks_params):
     async def main():
         server = OffloadServer(ckks_params, keystore_limit=1)
         KnnOffloadService.install(server)
-        ledger = CostLedger()
-        c1_end, s1_end = SimulatedLink.pair(ledger=ledger)
+        c1_end, s1_end = SimulatedLink.pair()
         c2_end, s2_end = SimulatedLink.pair()
         tasks = [asyncio.ensure_future(server.serve_transport(end))
                  for end in (s1_end, s2_end)]
@@ -683,6 +683,7 @@ def test_remote_knn_sends_each_key_once(ckks_params):
             ctx = CkksContext(ckks_params, seed=37)
             client1 = await OffloadClient(ckks_params,
                                           transport=c1_end).connect()
+            ledger = client1.ledger
             knn = RemoteKnn(client1, ctx, k=3, variant="collapsed")
             session = server._sessions[client1.session_id]
             metrics = server.metrics.get(client1.session_id)
@@ -757,7 +758,7 @@ def test_keystore_eviction_through_fleet(bfv_params):
     re-provision transparently, and the fleet snapshot aggregates the
     eviction and re-upload counters."""
     async def main():
-        fleet = FleetServer(bfv_params, 1, installers=(CHAOS_INSTALLER,),
+        fleet = FleetServer(bfv_params, 1, pooled_installers=(SOAK_OPS,),
                             keystore_limit=1)
         host, port = await fleet.start()
         try:

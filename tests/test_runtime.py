@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from repro.apps.knn import EncryptedKnn, KnnOffloadService, RemoteKnn
-from repro.core.protocol import ClientAidedSession, CostLedger
+from repro.core.protocol import ClientAidedSession
 from repro.hecore.bfv import BfvContext
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.serialize import serialize_ciphertext
+from repro.platforms.radio import BluetoothLink
 from repro.runtime import (
     HEADER_SIZE,
     MAX_FRAME_BYTES,
@@ -776,8 +777,7 @@ def test_simulated_link_matches_cost_ledger(ckks_params):
 
     # Served path over the simulated radio.
     async def main():
-        ledger = CostLedger()
-        client_end, server_end = SimulatedLink.pair(ledger=ledger)
+        client_end, server_end = SimulatedLink.pair()
         server = OffloadServer(ckks_params)
         KnnOffloadService.install(server)
         serve_task = asyncio.ensure_future(server.serve_transport(server_end))
@@ -793,15 +793,16 @@ def test_simulated_link_matches_cost_ledger(ckks_params):
         await client.close()
         await server.stop()
         serve_task.cancel()
-        return ledger, result, client_end
+        return client.ledger, result, client_end
 
     ledger, remote_result, link = run(main())
     assert ledger.bytes_up == local_ledger.bytes_up
     assert ledger.bytes_down == local_ledger.bytes_down
     assert ledger.rounds == local_ledger.rounds
     assert remote_result.label == local_result.label
-    assert link.link_time_s() > 0
-    assert link.link_energy_j() > 0
+    radio = BluetoothLink()
+    assert radio.session_time(ledger.total_bytes, ledger.rounds) > 0
+    assert ledger.communication_energy(radio) > 0
     # Physical frame bytes flowed in both directions too.
     assert link.bytes_sent > 0 and link.bytes_received > 0
 
@@ -994,8 +995,7 @@ def test_busy_retries_charge_ledger_once(bfv_params, bfv):
             await release.wait()
             return []
 
-        ledger = CostLedger()
-        client_end, server_end = SimulatedLink.pair(ledger=ledger)
+        client_end, server_end = SimulatedLink.pair()
         server = OffloadServer(bfv_params, queue_limit=1, concurrency=1,
                                retry_after_ms=5)
         server.register("stall", stall)
@@ -1019,8 +1019,8 @@ def test_busy_retries_charge_ledger_once(bfv_params, bfv):
         await asyncio.gather(first, second, third)
         assert client.stats.busy_waits >= 2
         # Three logical uploads -> three charges, regardless of retries.
-        assert ledger.bytes_up == 3 * ct.size_bytes()
-        assert ledger.rounds == 3
+        assert client.ledger.bytes_up == 3 * ct.size_bytes()
+        assert client.ledger.rounds == 3
         await client.close()
         await server.stop()
         serve_task.cancel()
@@ -1277,11 +1277,11 @@ def test_detached_session_reaped_after_grace(bfv_params):
 
 def test_simulated_link_key_uploads_not_charged(bfv_params, bfv):
     async def main():
-        ledger = CostLedger()
-        client_end, server_end = SimulatedLink.pair(ledger=ledger)
+        client_end, server_end = SimulatedLink.pair()
         server = OffloadServer(bfv_params)
         serve_task = asyncio.ensure_future(server.serve_transport(server_end))
         client = await OffloadClient(bfv_params, transport=client_end).connect()
+        ledger = client.ledger
         await client.upload_keys(relin=bfv.relin_keys())
         assert ledger.total_bytes == 0 and ledger.rounds == 0
         ct = bfv.encrypt_symmetric([9])
