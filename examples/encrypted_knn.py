@@ -52,7 +52,7 @@ def main():
     problem = DistanceProblem(n_points=18, dims=4)
     for name, cls in KERNEL_VARIANTS.items():
         kernel = cls(ctx, problem)
-        ups = len(kernel.pack_query(queries[0]))
+        ups = len(kernel.query_slots(queries[0]))
         db = len(kernel.pack_points(points))
         print(f"  {name:18s} database cts: {db:2d}   query cts: {ups:2d}")
 

@@ -59,6 +59,7 @@ and every call runs body → trace → passes → scheduled run.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import os
 import threading
@@ -95,6 +96,10 @@ BOUNDARY_KINDS = frozenset({"encrypt", "decrypt", "recrypt_boundary"})
 
 #: Kinds whose value enters the encrypted domain fresh, on the full chain.
 ENTRY_KINDS = frozenset({"input", "encrypt", "recrypt_boundary"})
+
+#: Kinds whose ciphertext the caller supplies: each has an entry level
+#: (:meth:`ScheduledProgram.entry_limbs`).
+INPUT_KINDS = frozenset({"input", "encrypt"})
 
 #: Kinds whose output may legally stay in NTT (evaluation) form.
 _FORM_AGNOSTIC = frozenset({"add", "sub", "neg"})
@@ -682,39 +687,64 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
     construction), and the merged ``relin`` key-switches the summed
     ``c2`` once — relinearisation is linear, so the sum decrypts the same
     and carries one key switch's noise instead of one per product.  The
-    3-component sum only ever feeds its ``relin``.
+    3-component sum only ever feeds its ``relin``.  A planned drop taken
+    directly on an input (:data:`INPUT_KINDS`) stays where it is: it marks
+    that input's entry level (:meth:`ScheduledProgram.entry_limbs`), which
+    the client encrypts at instead of uploading a limb the server drops.
+
+    One pass, rewriting the lowest-numbered qualifying root first (the
+    order, and so the node list, of rescanning from node 0 after every
+    rewrite).  A rewrite changes no existing node's level and no consumer
+    count but its own: the two sunk ops die, the new inner sum takes
+    their operands, and only the rewritten root's consumers and the inner
+    sum can start to qualify.
     """
     nodes = program.nodes
+    level = program.levels(scheme)
+    live = program.live_set()
+    consumers = program.consumers(live)
+    out_ids = set(program.outputs.values())
 
-    changed = True
-    while changed:
-        changed = False
-        level = program.levels(scheme)
-        live = program.live_set()
-        consumers = program.consumers(live)
-        out_ids = set(program.outputs.values())
-        for root, node in enumerate(nodes):
-            if root not in live or node.kind not in ("add", "sub"):
-                continue
-            a, b = node.args
-            da, db = nodes[a], nodes[b]
-            if da.kind != db.kind or da.kind not in _SINKABLE:
-                continue
-            if da.normalize != db.normalize:
-                continue
-            if any(len(consumers.get(d, ())) != 1 or d in out_ids
-                   for d in (a, b)):
-                continue
-            if level[da.args[0]] != level[db.args[0]]:
-                continue
-            inner = len(nodes)
-            nodes.append(IrNode(node.kind, (da.args[0], db.args[0])))
-            nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize,
-                                 planned=da.planned and db.planned)
-            field_name = _SINKABLE[da.kind]
-            setattr(report, field_name, getattr(report, field_name) + 1)
-            changed = True
-            break   # indices shifted; re-analyse and rescan
+    def qualifies(root: int) -> bool:
+        node = nodes[root]
+        if root not in live or node.kind not in ("add", "sub"):
+            return False
+        a, b = node.args
+        da, db = nodes[a], nodes[b]
+        return (da.kind == db.kind and da.kind in _SINKABLE
+                and da.normalize == db.normalize
+                and not any(d.planned and nodes[d.args[0]].kind in INPUT_KINDS
+                            for d in (da, db))
+                and all(len(consumers.get(d, ())) == 1 and d not in out_ids
+                        for d in (a, b))
+                and level[da.args[0]] == level[db.args[0]])
+
+    heap = [nid for nid in sorted(live) if qualifies(nid)]
+    while heap:
+        root = heapq.heappop(heap)
+        if not qualifies(root):
+            continue
+        node = nodes[root]
+        a, b = node.args
+        da, db = nodes[a], nodes[b]
+        x, y = da.args[0], db.args[0]
+        inner = len(nodes)
+        nodes.append(IrNode(node.kind, (x, y)))
+        nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize,
+                             planned=da.planned and db.planned)
+        field_name = _SINKABLE[da.kind]
+        setattr(report, field_name, getattr(report, field_name) + 1)
+        live -= {a, b}
+        live.add(inner)
+        for dead, arg in ((a, x), (b, y)):
+            del consumers[dead]
+            consumers[arg].remove(dead)
+            consumers[arg].append(inner)
+        consumers[inner] = [root]
+        level[inner] = level_after(nodes[inner], scheme, [level[x], level[y]])
+        for nid in (*consumers.get(root, ()), inner):
+            if qualifies(nid):
+                heapq.heappush(heap, nid)
 
 
 def _group_rotations(program: IrProgram, report: ScheduleReport
@@ -943,6 +973,20 @@ class ScheduledProgram:
         self.groups = groups
         self.resident = resident
         self._group_of = {m: src for src, ms in groups.items() for m in ms}
+        plan = report.level_plan
+        #: Planned live-limb count of every live ciphertext node, read once
+        #: off the static levels; empty without a level plan.
+        self.limbs: Dict[int, int] = {} if plan is None else {
+            nid: len(plan.chain) - level[0]
+            for nid, level in program.levels(scheme).items()
+            if level is not None}
+        #: Input name -> the planned drops its value takes before anything
+        #: else reads it (ids in order; empty when none): what a client can
+        #: skip by encrypting at :meth:`entry_limbs`.
+        self.entry_chains: Dict[str, Tuple[int, ...]] = (
+            {} if plan is None else self._entry_chains())
+        self._entry_drop_ids = frozenset(
+            nid for chain in self.entry_chains.values() for nid in chain)
         self._spans: Dict[Tuple, hoisting.WeightedSumSpan] = {}
         self._plain_cache: Dict[Tuple, object] = {}
         self._ntt_plain_cache: Dict[Tuple, object] = {}
@@ -952,6 +996,41 @@ class ScheduledProgram:
     def rotation_steps(self) -> Set[int]:
         """The compiled program's :meth:`IrProgram.rotation_steps`."""
         return self.program.rotation_steps()
+
+    def _entry_chains(self) -> Dict[str, Tuple[int, ...]]:
+        program = self.program
+        nodes = program.nodes
+        live = program.live_set()
+        consumers = program.consumers(live)
+        out_ids = set(program.outputs.values())
+        chains: Dict[str, Tuple[int, ...]] = {}
+        for nid in sorted(live):
+            if nodes[nid].kind not in INPUT_KINDS:
+                continue
+            chain: List[int] = []
+            cur = nid
+            while cur not in out_ids and len(consumers.get(cur, ())) == 1:
+                nxt = consumers[cur][0]
+                if nodes[nxt].kind != "mod_switch" or not nodes[nxt].planned:
+                    break
+                chain.append(nxt)
+                cur = nxt
+            name = nodes[nid].name
+            # Two input nodes may share a name (two Eva ``Input("x")``
+            # objects): the input enters at the higher of their levels.
+            if name in chains:
+                chain = min(chain, chains[name], key=len)
+            chains[name] = tuple(chain)
+        return chains
+
+    def entry_limbs(self) -> Dict[str, int]:
+        """Input name -> the live-limb count the level plan first reads it
+        at (its entry level): a ciphertext on that prefix of the chain
+        skips the planned drops above it, one that arrives higher takes
+        them, one below it is refused.  Empty without a level plan."""
+        plan = self.report.level_plan
+        return {name: self.limbs[chain[-1]] if chain else len(plan.chain)
+                for name, chain in self.entry_chains.items()}
 
     # ------------------------------------------------------------ plaintexts
     def _const_values(self, cid: int) -> np.ndarray:
@@ -1022,8 +1101,11 @@ class ScheduledProgram:
 
         A level plan is a contract, checked here once before any node
         runs: *ctx* must carry the chain the plan was made for and every
-        entering ciphertext must arrive on all of it (:class:`ScheduleError`
-        otherwise) — so every planned drop is taken, never skipped.
+        entering ciphertext must arrive on a prefix of it no shorter than
+        its :meth:`entry_limbs` (:class:`ScheduleError` otherwise).  A
+        planned drop takes its value down to the node's planned level, so
+        an input on its entry chain skips the drops it has already taken
+        and every other value takes each of them.
         """
         plan = self.report.level_plan
         if plan is not None:
@@ -1039,16 +1121,19 @@ class ScheduledProgram:
             raise ScheduleError(
                 f"schedule planned for the {len(chain)}-limb chain {chain} "
                 f"cannot run on the {len(live_chain)}-limb chain {live_chain}")
-        for nid in sorted(self.program.live_set()):
-            node = self.program.nodes[nid]
-            if node.kind not in ("input", "encrypt"):
-                continue
+        for name, entry in self.entry_limbs().items():
             # A missing or plaintext operand is the runner's to report.
-            base = getattr(inputs.get(node.name), "level_base", None)
-            if base is not None and base.moduli != chain:
+            base = getattr(inputs.get(name), "level_base", None)
+            if base is None:
+                continue
+            if base.moduli != chain[:len(base)]:
                 raise ScheduleError(
-                    f"input {node.name!r} arrives on {len(base)} limb(s); "
-                    f"the level plan needs all {len(chain)}")
+                    f"input {name!r} is not on a prefix of the planned chain")
+            if len(base) < entry:
+                raise ScheduleError(
+                    f"input {name!r} arrives on {len(base)} limb(s), below "
+                    f"its entry level: the level plan enters it on {entry} "
+                    f"of all {len(chain)}")
 
     def run_reference(self, ctx, inputs: Dict[str, object], galois_keys=None):
         """Scheduler-off oracle: the program as traced, one naive primitive
@@ -1280,12 +1365,22 @@ class _IrRunner:
                 out.scale = ctx.params.scale
             return out
         if kind == "mod_switch":
-            if node.planned:
-                self.tally["limb_drops"] += 1
             ct = self.memo[node.args[0]]
+            # A planned drop goes down to its planned level (an input that
+            # arrived on its entry chain has taken it already); a traced
+            # one drops one limb.
+            target = self.sched.limbs.get(nid) if node.planned else None
+            drops = 1 if target is None else len(ct.level_base) - target
+            if drops > 0 and node.planned:
+                self.tally["limb_drops"] += drops
+                if nid in self.sched._entry_drop_ids:
+                    self.tally["entry_drops"] += drops
             # A CKKS drop is a row slice in either form; BFV divides and
             # rounds, which needs coefficients.
-            return ctx.mod_switch_down(ct if self.ckks else self._to_coeff(ct))
+            for _ in range(drops):
+                ct = ctx.mod_switch_down(ct if self.ckks
+                                         else self._to_coeff(ct))
+            return ct
         if kind == "rotate_sum":
             ct = self._to_coeff(self.memo[node.args[0]])
             if self.fused:

@@ -53,6 +53,10 @@ KERNEL_COUNTERS = {
     # Level-planner accounting.  A lower limbs-live integral means the
     # planner ran more of the program on a trimmed chain.
     "limb_drops": ("limb_drops", "planned mod-switch limb drops executed"),
+    # The share of limb_drops taken on an input that arrived above its
+    # entry level: limbs a client or store carried that the plan discards.
+    "entry_drops": ("entry_drops", "planned drops executed on inputs that "
+                                   "arrived above their entry level"),
     "limbs_live": ("limbs_live", "live residue count summed over every "
                                  "ciphertext the server produced"),
     "level_replans": ("level_replans",

@@ -132,6 +132,15 @@ class CkksContext(RlweContext):
     encoder_class = CkksEncoder
 
     # ------------------------------------------------------------ encoding
+    def _level_base(self, plaintext: CkksPlaintext) -> RnsBase:
+        """A plaintext encrypts over the chain it was encoded on, which
+        must be a prefix of the data chain."""
+        base = plaintext.poly.base
+        if base.moduli != self.params.data_base.moduli[:len(base)]:
+            raise ValueError("plaintext is not encoded on a prefix of the "
+                             "data chain")
+        return base
+
     def _message_block(self, base: RnsBase, plaintexts: Sequence[CkksPlaintext]
                        ) -> np.ndarray:
         """The encoded polynomials as they are; they must live over *base*."""

@@ -61,6 +61,21 @@ class PublicKey:
     def __init__(self, p0: RnsPoly, p1: RnsPoly):
         self.p0 = p0
         self.p1 = p1
+        self._restricted: Dict[Tuple[int, ...], Tuple[RnsPoly, RnsPoly]] = {}
+
+    def restricted(self, base: RnsBase) -> Tuple[RnsPoly, RnsPoly]:
+        """``(P0, P1)`` over a sub-base of the full base (a data-chain
+        prefix plus the special prime), cached per base: the batch
+        encryptor caches raw-order tables on the polys it is given."""
+        if base == self.p0.base:
+            return self.p0, self.p1
+        cached = self._restricted.get(base.moduli)
+        if cached is None:
+            rows = [self.p0.base.moduli.index(p) for p in base.moduli]
+            cached = tuple(RnsPoly(base, p.degree, p.data[rows], is_ntt=True)
+                           for p in (self.p0, self.p1))
+            self._restricted[base.moduli] = cached
+        return cached
 
 
 class KeySwitchKey:

@@ -22,6 +22,14 @@ node id further on per ``relin`` emitted before them; and
 ``limb_drops``, ``align_switches``, ``replans``, ``rescales_sunk`` and
 ``mod_switches_sunk`` repeated.
 
+``knn/dimension-major``, ``knn/stacked-point`` and ``knn/stacked-dimension``
+were re-recorded when the sinking pass stopped merging a planned drop taken
+directly on an input (that drop marks the input's entry level, which the
+client now encrypts at): ``mod_switches_sunk`` went 16 -> 0, 1 -> 0 and
+1 -> 0, and the planned switches now sit right after the inputs (ids 1, 3,
+...); every ``limb_drops``, ``align_switches``, ``replans``, limb-row
+integral, ``rescales_sunk`` and ``relins_sunk`` repeated.
+
 Re-record (only for a deliberate planner or kernel-body change) with
 ``PYTHONPATH=src python -m tests.test_level_corpus > tests/level_corpus.json``.
 """
@@ -74,12 +82,10 @@ def _corpus():
     bfv3 = small_test_parameters(SchemeType.BFV, 1024, plain_bits=16,
                                  data_bits=(30, 30, 30))
     corpus = {}
-    points, query = np.zeros((64, 16)), np.zeros(16)
     for name, cls in KERNEL_VARIANTS.items():
         kernel = cls(types.SimpleNamespace(params=knn),
                      DistanceProblem(n_points=64, dims=16))
-        shape = (len(kernel.pack_points(points)), len(kernel.pack_query(query)))
-        corpus[f"knn/{name}"] = kernel.program(shape), knn
+        corpus[f"knn/{name}"] = kernel.program(kernel.input_shape), knn
     for name, outputs in _eva_programs().items():
         corpus[f"eva/{name}"] = lower_to_ir(EvaProgram(outputs, slots=4)), ckks
     corpus["light/bfv3"] = _light_trace(bfv3), bfv3

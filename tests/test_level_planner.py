@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.ir import (
+    INPUT_KINDS,
     ScheduledProgram,
     ScheduleError,
     ScheduleReport,
@@ -259,9 +260,9 @@ def _level_counts(ctx):
 
 
 def test_planned_drop_skips_on_level_divergence(bfv, bfv_params):
-    """A ciphertext entering below the planned level is refused before
-    anything runs, naming the input and both widths, and the refused run
-    is billed nothing — a planned drop is never skipped."""
+    """A ciphertext entering below its entry level is refused before
+    anything runs, naming the input, its width and the entry level, and
+    the refused run is billed nothing."""
     sched = compile_ir(_light_trace(bfv_params), SchemeType.BFV,
                        params=bfv_params)
     assert sched.report.level_plan.limb_drops > 0
@@ -271,7 +272,9 @@ def test_planned_drop_skips_on_level_divergence(bfv, bfv_params):
     low = bfv.mod_switch_down(bfv.mod_switch_down(ct))   # 3 -> 1 limb
     before = _level_counts(bfv)
     with pytest.raises(ScheduleError,
-                       match=r"input 'x' arrives on 1 limb\(s\).*all 3"):
+                       match=r"input 'x' arrives on 1 limb\(s\), below its "
+                             r"entry level: the level plan enters it on 2 "
+                             r"of all 3"):
         sched.run(bfv, {"x": low}, keys)
     assert _level_counts(bfv) == before
     # The unplanned source program still serves any entry level.
@@ -380,14 +383,28 @@ def test_diverged_entry_over_the_wire_fails_one_request(ckks_params):
 
 def _assert_static_matches_run(sched, ctx, inputs, keys=None):
     """Σ statically analysed live limbs over executed ciphertext nodes ==
-    the run's ``limbs_live``; live planned switches == its ``limb_drops``."""
+    the run's ``limbs_live``; live planned switches == its ``limb_drops``.
+    An input's entry chain runs from the limbs it arrived on: each drop
+    there goes down to its planned level, so one on the entry chain skips
+    them and one above it takes them (its ``entry_drops``)."""
     full = len(ctx.params.data_base.moduli)
     nodes = sched.program.nodes
     levels = sched.program.levels(sched.scheme)
+    limbs = {nid: full - level[0] for nid, level in levels.items()
+             if level is not None and nodes[nid].kind != "decrypt"}
+    entry = {nid for chain in sched.entry_chains.values() for nid in chain}
+    taken = 0
+    for nid, node in enumerate(nodes):
+        if nid in limbs and node.kind in INPUT_KINDS:
+            limbs[nid] = arrived = len(inputs[node.name].level_base)
+            for drop in sched.entry_chains[node.name]:
+                taken += arrived > limbs[drop]
+                arrived = limbs[drop] = min(arrived, limbs[drop])
     want = {
-        "limbs_live": sum(full - level[0] for nid, level in levels.items()
-                          if level is not None and nodes[nid].kind != "decrypt"),
-        "limb_drops": sum(nodes[nid].planned for nid in levels),
+        "limbs_live": sum(limbs.values()),
+        "limb_drops": sum(nodes[nid].planned and nid not in entry
+                          for nid in levels) + taken,
+        "entry_drops": taken,
     }
     before = Counter(ctx.counts)
     sched.run(ctx, inputs, keys)
@@ -407,18 +424,23 @@ def test_static_levels_match_executed_distance_kernels(ckks, variant):
     problem = DistanceProblem(n_points=4, dims=3)
     if variant == "multi-query":
         kernel = MultiQueryDimensionMajor(ckks, problem, max_queries=2)
-        q_cts = ckks.encrypt_many(
-            kernel.pack_queries(rng.uniform(-1, 1, (2, 3))))
+        queries = rng.uniform(-1, 1, (2, 3))
+        q_cts = ckks.encrypt_many(kernel.pack_queries(queries))
+        full_q = ckks.encrypt_many(kernel.queries_slots(queries))
     else:
         kernel = KERNEL_VARIANTS[variant](ckks, problem)
-        q_cts = kernel.encrypt_query(rng.uniform(-1, 1, 3))
+        query = rng.uniform(-1, 1, 3)
+        q_cts = kernel.encrypt_query(query)
+        full_q = ckks.encrypt_many(kernel.query_slots(query))
     p_cts = kernel.encrypt_points(points)
     sched = kernel.scheduled((len(p_cts), len(q_cts)))
     assert sched.report.level_plan is not None
     keys = ensure_galois_keys(ckks, sched.rotation_steps())
-    _assert_static_matches_run(
-        sched, ckks, {f"in{i}": ct for i, ct in enumerate(p_cts + q_cts)},
-        keys)
+    # Queries on their entry chain, then as a full-chain client sends them.
+    for queries in (q_cts, full_q):
+        _assert_static_matches_run(
+            sched, ckks,
+            {f"in{i}": ct for i, ct in enumerate(p_cts + queries)}, keys)
 
 
 def test_evaluation_form_uploads_reach_the_first_multiply_untransformed(ckks):
@@ -569,9 +591,11 @@ def test_knn_distance_pipeline_planner_drops_download_bytes(ckks):
     shape = (len(p_cts), len(q_cts))
 
     out_on = kernel.compute(p_cts, q_cts)
+    # Without a plan there is no entry level: the query rides the full chain.
     off = compile_ir(kernel.program(shape), SchemeType.CKKS)
+    full_q = ckks.encrypt_many(kernel.query_slots(query))
     out_off = list(off.run(ckks, {
-        f"in{i}": ct for i, ct in enumerate(p_cts + q_cts)}).values())
+        f"in{i}": ct for i, ct in enumerate(p_cts + full_q)}).values())
     d_on, d_off = (kernel.decode([np.real(v) for v in ckks.decrypt_many(o)])
                    for o in (out_on, out_off))
     assert np.allclose(d_on, d_off, atol=1e-3)
