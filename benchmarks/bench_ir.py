@@ -42,6 +42,9 @@ knn_collapsed   (new case)           517-726 ms,          2.8x -> 1.7x
                                      4.25-5.12x (med 4.6)  (see below)
 knn_dimmajor    (new case)           255-265 ms,          11.0x
                                      16.6-20.3x (med 19.5)
+knn_dimmajor,   full-chain query,    237-254 ms,          11.0x (kept)
+entry chain     16.6-20.3x           14.51-15.09x
+                                     (med 14.94)
 ==============  ===================  ===================  ============
 
 The old matvec baseline already ran one fused weighted-sum span
@@ -75,7 +78,12 @@ nodes and the sinking pass began to merge ``relin`` pairs below add-trees.
 Its ten runs read scheduled 12.8-16.0 ms against the same 255-265 ms
 reference; with every product relinearised on the spot the scheduled side
 read 95-97 ms (2.7x), so the floor, two thirds of the lowest ratio, fails
-a schedule that relinearises per product again.
+a schedule that relinearises per product again.  Since ``pack_query``
+returns plaintexts on the query's entry chain, the naive reference runs on
+the same two-limb queries as the scheduled side, so the input changed under
+both: ten runs on it read reference 237-254 ms, scheduled 16.0-16.9 ms,
+14.51-15.09x (the last table row).  The previous-run record is the
+lower-median run (14.89x); the floor stays 11.0x.
 
 ``cold_second_session`` prices something else: not the passes but sharing
 their output.  It replays the server half of the e2e ``dnn_cold_sessions``

@@ -6,10 +6,10 @@ so the physical blob of a set-B ciphertext carries 3 rows where SEAL would
 carry 2 — but each residue travels as one 4-byte word, so the blob sits
 *below* the logical size: 98,349 B physical against 131,072 B logical
 (196,653 B while residues travelled as 8-byte words).  This benchmark
-serializes real ciphertexts and checks that (a) the logical accounting
-matches Table 3 exactly, (b) the physical blob matches its own formula
-exactly, and (c) seed compression halves fresh symmetric uploads on the
-real wire, not just in the model.
+serializes real ciphertexts and keys, checks every blob against its exact
+size formula and gates (de)serialization throughput; the logical-vs-physical
+report (``results/wire_format.txt``) is the ``wire_format`` row of
+``figures.py``.
 """
 
 import argparse
@@ -19,69 +19,10 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
-
-try:
-    from _report import format_table, write_report
-    from conftest import run_once
-except ImportError:          # standalone `python benchmarks/bench_wire_format.py`
-    sys.path.insert(0, str(Path(__file__).parent))
-    from _report import format_table, write_report
-    from conftest import run_once
 
 from repro.hecore.bfv import BfvContext
 from repro.hecore.params import PARAMETER_SET_B
-from repro.hecore.serialize import serialize_ciphertext, serialized_size
-
-
-def test_wire_format_vs_logical_accounting(benchmark):
-    ctx = run_once(benchmark, BfvContext, PARAMETER_SET_B, 99)
-    values = np.arange(64, dtype=np.int64)
-    public_ct = ctx.encrypt(values)
-    seeded_ct = ctx.encrypt_symmetric(values)
-    switched = ctx.mod_switch_down(public_ct)
-
-    blob_public = serialize_ciphertext(public_ct)
-    blob_seeded = serialize_ciphertext(seeded_ct)
-    blob_switched = serialize_ciphertext(switched)
-
-    rows = [
-        ("public fresh", public_ct.size_bytes(), len(blob_public)),
-        ("symmetric seeded", seeded_ct.size_bytes(), len(blob_seeded)),
-        ("after mod-switch", switched.size_bytes(), len(blob_switched)),
-    ]
-    write_report("wire_format", format_table(
-        ["Ciphertext", "Logical bytes (paper)", "Physical bytes (this repo)"],
-        rows))
-
-    # (a) Logical accounting is exactly Table 3's set-B size.
-    assert public_ct.size_bytes() == 131072
-    # (b) Physical blob: header + 2 components x limbs x N x 4B.
-    limbs = len(PARAMETER_SET_B.data_base)
-    body = 2 * limbs * 4096 * 4
-    assert len(blob_public) == serialized_size(public_ct)
-    assert body < len(blob_public) < body + 128
-    # (c) Seed compression ~halves the real wire size.
-    assert len(blob_seeded) < 0.55 * len(blob_public)
-    # Mod-switching sheds one limb of physical payload (plus its 8-byte
-    # modulus entry in the header).
-    assert len(blob_public) - len(blob_switched) == 2 * 4096 * 4 + 8
-
-
-def test_decrypt_after_wire_roundtrip(benchmark):
-    from repro.hecore.serialize import deserialize_ciphertext
-
-    ctx = BfvContext(PARAMETER_SET_B, seed=100)
-    values = np.arange(128, dtype=np.int64)
-    ct = run_once(benchmark, ctx.encrypt_symmetric, values)
-    restored = deserialize_ciphertext(serialize_ciphertext(ct),
-                                      PARAMETER_SET_B)
-    assert np.array_equal(ctx.decrypt(restored)[:128], values)
-
-
-# ---------------------------------------------------------------------------
-# Standalone wire-format report (BENCH_wire_format.json)
-# ---------------------------------------------------------------------------
+from repro.hecore.serialize import serialize_ciphertext
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_wire_format.json"
 

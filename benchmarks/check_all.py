@@ -28,7 +28,10 @@ a change:
 * ``bench_level_planner`` — the level-aware parameter planner against the
   planner-off scheduled paths (fig15 matvec chain and a Table-5 dnn
   slice with a recrypt boundary), plus limb-drop telemetry and wire-byte
-  reductions.
+  reductions;
+* ``figures`` — regenerates every paper table and figure (``figures.py``)
+  and diffs each untimed report byte for byte against
+  ``benchmarks/results/``, so a change that moves a figure shows the diff.
 
 A per-gate wall-clock summary prints at the end, so a gate quietly eating
 the tier's time budget is visible before it becomes a problem.  The same
@@ -44,6 +47,7 @@ Usage::
     python benchmarks/check_all.py hoisting        # run a subset by substring
     python benchmarks/check_all.py --only bench_ir # run one gate by exact name
     python benchmarks/check_all.py --only he_kernels,ir,wire_format  # aliases
+    python benchmarks/check_all.py --only figures  # the figure-drift gate
 """
 
 import argparse
@@ -67,6 +71,7 @@ GATES = [
     ("bench_fleet.py", ["--quick"]),
     ("bench_ir.py", []),
     ("bench_level_planner.py", []),
+    ("figures.py", []),
 ]
 
 #: Where the paired-implementation gates (``_gate.run_speedup_gate``) record
@@ -88,6 +93,7 @@ ALIASES = {
     "fleet": "bench_fleet.py",
     "ir": "bench_ir.py",
     "level_planner": "bench_level_planner.py",
+    "figures": "figures.py",
 }
 
 

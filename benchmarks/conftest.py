@@ -1,25 +1,9 @@
 """Benchmark-suite fixtures."""
 
-import sys
-import pathlib
-
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
-
-from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
-
-
-@pytest.fixture(scope="session")
-def bfv_small():
-    """A fast BFV context for timing HE primitives."""
-    params = small_test_parameters(SchemeType.BFV, poly_degree=2048,
-                                   plain_bits=18, data_bits=(30, 30))
-    ctx = BfvContext(params, seed=11)
-    ctx.make_galois_keys([1])
-    return ctx
 
 
 @pytest.fixture(scope="session")
@@ -27,9 +11,3 @@ def ckks_small():
     params = small_test_parameters(SchemeType.CKKS, poly_degree=1024,
                                    data_bits=(30, 24, 24))
     return CkksContext(params, seed=12)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Time *fn* exactly once (for heavyweight table generators)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)

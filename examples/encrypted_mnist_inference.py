@@ -8,7 +8,7 @@ requantization in plaintext (refreshing the noise budget), re-encrypts, and
 uploads — the protocol of Figure 3.
 
 The demo network is sized to fit fast parameters; the full Table 5 networks
-are priced with the same machinery in benchmarks/bench_table5_networks.py.
+are priced with the same machinery by the table5 row of benchmarks/figures.py.
 
 Run:  python examples/encrypted_mnist_inference.py
 """

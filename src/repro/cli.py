@@ -94,21 +94,16 @@ def _cmd_advisor(args) -> int:
 
 
 def _cmd_report(_args) -> int:
-    """Regenerate every table/figure via the benchmark harness."""
+    """Regenerate every table/figure with ``benchmarks/figures.py``."""
     import pathlib
+    import runpy
 
-    import pytest
-
-    repo_root = pathlib.Path(__file__).resolve().parents[2]
-    bench_dir = repo_root / "benchmarks"
-    if not bench_dir.is_dir():
+    runner = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/figures.py"
+    if not runner.is_file():
         print("benchmarks/ not found next to the package; run from a source "
               "checkout", file=sys.stderr)
         return 2
-    code = pytest.main([str(bench_dir), "--benchmark-only", "-q"])
-    if code == 0:
-        print(f"\nreports written under {bench_dir / 'results'}")
-    return int(code)
+    return runpy.run_path(str(runner))["main"]([])
 
 
 def _cmd_demo(_args) -> int:
@@ -330,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="LeNetSm | LeNetLg | SqzNet | VGG16")
     sub.add_parser("demo", help="tiny end-to-end encrypted demo")
     sub.add_parser("report", help="regenerate every table/figure "
-                                  "(runs the benchmark harness)")
+                                  "(runs benchmarks/figures.py)")
     srv = sub.add_parser("serve", help="run the offload runtime server")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=7700)

@@ -8,7 +8,7 @@ client-first inversion of the usual server-first parameter choice, and the
 machinery behind Figure 13's communication-vs-schedule sweep.
 
 The noise model is empirical, matching Table 4's structure (and this
-repository's measured budgets, see ``benchmarks/bench_table4_noise.py``):
+repository's measured budgets: ``benchmarks/figures.py``'s ``table4`` row):
 
 * initial budget ≈ ``log2(q_data) − 2·log2(t) − 7``
 * a rotation costs ~2 bits;
