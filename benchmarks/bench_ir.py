@@ -11,7 +11,7 @@ plaintext tables, and relinearisation sinking.  Four measurements at
 N=4096, two BFV and two CKKS:
 
 * ``fig15_matvec`` — the Figure 15 style fully-connected diagonal matvec
-  (31 rotations of one ciphertext).  Must win by at least 6.0x.
+  (31 rotations of one ciphertext).  Must win by at least 3.4x.
 * ``dnn_slice`` — a 2-layer dnn slice (3x3 conv then BSGS
   fully-connected), exactness asserted at decrypt level.  The scheduler
   must win by at least 1.5x, and its NTT-residency pass must demonstrably
@@ -25,7 +25,7 @@ N=4096, two BFV and two CKKS:
   shape, evaluation-form uploads): the scheduled run sums the 16 squares
   in evaluation form and relinearises the sum once (``relinearize`` 1 per
   call, where the naive run pays 16), distances checked against numpy.
-  Must win by at least 11.0x.
+  Must win by at least 6.6x.
 
 Floors, re-derived from ten runs (each interleaving its reference and
 scheduled timing windows) when the baseline moved from the removed
@@ -46,6 +46,39 @@ knn_dimmajor,   full-chain query,    237-254 ms,          11.0x (kept)
 entry chain     16.6-20.3x           14.51-15.09x
                                      (med 14.94)
 ==============  ===================  ===================  ============
+
+The four-step NTT (every transform two exact float64 matmuls per modulus
+instead of a butterfly network, ~1.8x faster per row) runs under both
+sides, and the naive side transforms more rows per call, so every ratio
+fell while every side got faster.  Ten interleaved runs at the parent
+(butterflies) and at the change (four-step), one fresh process each, BFV /
+CKKS as above:
+
+===================  ==========================  ==========================  ============
+kernel               parent: reference, sched,   four-step: reference,       floor
+                     ratio (median)              sched, ratio (median)
+===================  ==========================  ==========================  ============
+fig15_matvec         205-320 ms, 25.6-37.8 ms    125-182 ms, 23.8-34.2 ms    6.0x -> 3.4x
+                     (med 34.3), 7.06-8.94x      (med 28.8), 5.06-6.18x
+                     (med 8.36)                  (med 5.38)
+dnn_slice            139-220 ms, 66.9-100 ms     83-134 ms, 41.2-65.6 ms     1.5x (kept)
+                     (med 93.3), 2.08-2.43x      (med 55.5), 1.76-2.28x
+knn_collapsed        242-399 ms, 79.7-125 ms     149-243 ms, 56.5-89.5 ms    1.7x (kept)
+                     (med 111), 2.88-3.64x       (med 79.3), 2.34-2.81x
+knn_dimmajor         162-263 ms, 12.2-19.1 ms    91-144 ms, 9.0-13.6 ms      11.0x -> 6.6x
+                     (med 16.5), 13.28-14.92x    (med 11.9), 9.88-11.44x
+                     (med 14.49)                 (med 10.65)
+cold_second_session  186-292 ms, 130-198 ms      124-223 ms, 90.7-143 ms     1.15x (kept)
+                     (med 172), 1.42-1.56x       (med 123), 1.35-1.64x
+===================  ==========================  ==========================  ============
+
+Two floors moved, by the rule above (about two thirds of the lowest
+four-step ratio) and only because every four-step ``scheduled_ms`` is at
+or below the parent's median: the scheduled program is no slower, its
+naive reference is just cheaper.  No count assertion moved
+(``relinearize`` 1, ``weighted_sum_spans`` 1, ``naive_decompose`` <= 7,
+``ntt_elided`` > 0).  Each previous-run record is that kernel's
+lower-median four-step run.
 
 The old matvec baseline already ran one fused weighted-sum span
 (one hoisted decompose), so its ratio priced only caching and batching;
@@ -142,10 +175,10 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_ir.json"
 #: About two thirds of the lowest ratio in ten runs (see the table above;
 #: ``cold_second_session`` has its own derivation there).
 MIN_SPEEDUP = {
-    "fig15_matvec": 6.0,
+    "fig15_matvec": 3.4,
     "dnn_slice": 1.5,
     "knn_collapsed": 1.7,
-    "knn_dimmajor": 11.0,
+    "knn_dimmajor": 6.6,
     "cold_second_session": 1.15,
 }
 

@@ -50,9 +50,9 @@ def forward_block(base: RnsBase, degree: int, block: np.ndarray,
                   raw: bool = False) -> np.ndarray:
     """Stacked forward NTT over an ``(m, k, n)`` coefficient block.
 
-    ``raw=True`` leaves the evaluations in raw butterfly order (no final
-    unscramble gather) — pair with :func:`dyadic_block_raw` and
-    ``inverse_block(..., raw=True)`` so the two permutation passes cancel.
+    ``raw=True`` leaves the evaluations in raw order (no final transpose)
+    — pair with :func:`dyadic_block_raw` and ``inverse_block(...,
+    raw=True)`` so the two permutation passes cancel.
     """
     return ntt.get_stack_plan(degree, base.moduli).forward_batch(
         block, unscramble=not raw)
@@ -62,7 +62,7 @@ def inverse_block(base: RnsBase, degree: int, block: np.ndarray,
                   raw: bool = False) -> np.ndarray:
     """Stacked inverse NTT over an ``(m, k, n)`` evaluation block.
 
-    ``raw=True`` declares the input already in raw butterfly order.
+    ``raw=True`` declares the input already in raw order.
     """
     return ntt.get_stack_plan(degree, base.moduli).inverse_batch(
         block, prescrambled=raw)
@@ -74,7 +74,7 @@ def dyadic_block(base: RnsBase, block: np.ndarray, poly: RnsPoly) -> np.ndarray:
 
 
 def raw_tables(poly: RnsPoly) -> Tuple[np.ndarray, np.ndarray]:
-    """This NTT poly's residues in raw butterfly order, plus Shoup quotients.
+    """This NTT poly's residues in raw order, plus Shoup quotients.
 
     Cached on the poly (see ``RnsPoly._raw_tables``), so it must only be used
     on long-lived key material that is never mutated in place — the secret
@@ -90,8 +90,8 @@ def raw_tables(poly: RnsPoly) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def dyadic_block_raw(base: RnsBase, block: np.ndarray, poly: RnsPoly) -> np.ndarray:
-    """Pointwise product with a cached key poly, both sides in raw butterfly
-    order (``forward_block(..., raw=True)`` output).
+    """Pointwise product with a cached key poly, both sides in raw order
+    (``forward_block(..., raw=True)`` output).
 
     Shoup's precomputed-quotient multiply, so the hot dyadic step contains
     no division; bit-identical to :func:`dyadic_block` up to the (cancelled)

@@ -13,6 +13,7 @@ the scale-tracking multiplies, and rescaling.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,14 @@ def _round_to_residues(base: RnsBase, scaled: np.ndarray) -> np.ndarray:
     if np.abs(scaled).max() < _INT64_EXACT:
         return base.lift_signed(np.rint(scaled).astype(np.int64))
     return _round_exact(base, scaled)
+
+
+def scales_close(a: float, b: float) -> bool:
+    """``np.isclose(a, b, rtol=1e-9)`` on Python floats — the check every
+    CKKS add/sub makes, without numpy's per-call overhead.  Equal
+    infinities match; NaN, or an infinity against anything else, does not."""
+    a, b = float(a), float(b)
+    return a == b or abs(a - b) <= 1e-8 + 1e-9 * abs(b) < math.inf
 
 
 class CkksEncoder:
@@ -182,7 +191,7 @@ class CkksContext(RlweContext):
     # ------------------------------------------------------------ evaluator
     def _check_aligned(self, a: Ciphertext, b: Ciphertext) -> None:
         super()._check_aligned(a, b)
-        if not np.isclose(a.scale, b.scale, rtol=1e-9):
+        if not scales_close(a.scale, b.scale):
             raise ValueError(f"scale mismatch: {a.scale} vs {b.scale}")
 
     def multiply_plain(self, ct: Ciphertext, plaintext: CkksPlaintext) -> Ciphertext:

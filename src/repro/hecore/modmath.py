@@ -2,7 +2,7 @@
 
 Every computational modulus in this library is below ``2**MAX_MODULUS_BITS``
 (``2**30``), so a product of two residues fits exactly in a signed 64-bit
-integer and the Shoup kernels' ``4p`` envelope fits a 32-bit word.  This
+integer and a Shoup quotient times a residue stays below ``2**62``.  This
 mirrors SEAL's word-sized RNS limbs (SEAL uses up to 60-bit limbs on native
 128-bit arithmetic, which numpy lacks); DESIGN.md documents the
 substitution.  The *total* modulus width, which is what determines noise
@@ -15,9 +15,9 @@ import numpy as np
 
 #: The limb width — the one statement of it.  Residues below ``2**30`` keep
 #: ``a * b`` below ``2**60`` (eight such products still sum exactly in int64)
-#: and ``4p`` below ``2**32``, the lazy envelope of the division-free
-#: butterflies.  :func:`check_modulus` enforces it where moduli enter:
-#: ``RnsBase`` and ``NttStackPlan`` construction.
+#: and the NTT's float64 matmul sums (``ntt.MAX_SUM_TERMS`` products of a
+#: residue and a 15-bit digit) below ``2**52``.  :func:`check_modulus`
+#: enforces it where moduli enter: ``RnsBase`` and ``NttStackPlan``.
 MAX_MODULUS_BITS = 30
 
 

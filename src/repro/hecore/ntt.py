@@ -1,4 +1,4 @@
-"""Iterative negacyclic Number Theoretic Transform.
+"""Negacyclic Number Theoretic Transform.
 
 The NTT is the workhorse of RLWE cryptography — it is also the computation
 that prior hardware (HEAX, BFV FPGA designs) accelerates and that the
@@ -15,13 +15,17 @@ Two implementations coexist (docs/KERNELS.md has the full story):
   multiply point-wise, invert, and unscale.  It is retained as the bit-exact
   reference oracle for the stacked kernels.
 * :class:`NttStackPlan` — the production kernel.  It transforms all ``k``
-  residue rows of a ``(k, N)`` RNS matrix in one set of 2-D butterfly passes
-  (the per-residue parallelism CHOCO-TACO exploits in hardware), merges the
-  negacyclic psi-twist into the per-stage twiddle tables (Longa–Naehrig
-  style, eliminating the separate twist multiply), and replaces per-stage
-  division-based ``np.mod`` with lazy conditional-subtract reduction and
-  Shoup multiplies.  It has one kernel pair, division-free, because every
-  modulus is below ``2**MAX_MODULUS_BITS`` — checked when the plan is built.
+  residue rows of a ``(k, N)`` RNS matrix at once (the per-residue
+  parallelism CHOCO-TACO exploits in hardware) as a four-step (Bailey)
+  factorisation ``N = n1 * n2``: per modulus, each row viewed as an
+  ``(n2, n1)`` matrix is multiplied by a constant matrix, twiddled
+  elementwise and multiplied by a second constant matrix, with the
+  negacyclic psi-twist and the inverse's ``1/N`` folded into the constants.
+  Every modular matmul is two float64 BLAS matmuls against the constant's
+  signed 15-bit digits, exact in any summation order because every partial
+  sum stays below ``2**52``: inputs below ``2**MAX_MODULUS_BITS``, digits at
+  most ``2**14``, at most :data:`MAX_SUM_TERMS` terms.  Plan construction
+  refuses a modulus or a degree outside that envelope.
 """
 
 from __future__ import annotations
@@ -29,11 +33,13 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.hecore.modmath import check_modulus, mod_inv, mod_mul, mod_pow
+from repro.hecore.modmath import (
+    MAX_MODULUS_BITS, check_modulus, mod_inv, mod_mul, mod_pow,
+)
 from repro.hecore.primes import primitive_root_of_unity
 
 
@@ -130,8 +136,7 @@ class NttPlan:
 
 #: Capacity of each plan memo (:func:`get_plan`, :func:`get_stack_plan`).
 #: Degree and moduli arrive from clients, so this is what bounds a worker's
-#: tables; a level needs one plan per batch-group row count
-#: (:meth:`NttStackPlan.batch_plan`), and an evicted plan is rebuilt on use.
+#: tables; an evicted plan is rebuilt on use.
 PLAN_MEMO_SIZE = 64
 
 
@@ -159,30 +164,225 @@ def _power_table_stack(bases: Sequence[int], count: int, pcol: np.ndarray) -> np
     return result
 
 
-_U32 = np.uint64(32)
+#: Constants are split into signed digits of this many bits: a centred
+#: residue ``c = hi * 2**15 + lo`` with ``|hi|, |lo| <= 2**14``.
+_DIGIT_BITS = 15
+_RADIX = float(1 << _DIGIT_BITS)
 
-#: Target payload per butterfly pass of the batch kernels.  Each stage
-#: streams the whole ``(rows, n)`` int64 ping-pong buffers, so batches are
-#: processed in row groups of roughly this many bytes to stay L2-resident
-#: (measured: per-row cost rises ~1.5x once the pass outgrows the cache;
-#: ~12 rows at n=4096 is the sweet spot on the reference machine).
+#: float64 holds every integer below ``2**53``; the kernels keep every matmul
+#: partial sum below ``2**_EXACT_BITS``, so BLAS may add in any order.
+_EXACT_BITS = 52
+
+#: Longest exact sum: ``2**8`` products of an input below
+#: ``2**MAX_MODULUS_BITS`` and a digit of at most ``2**14`` stay below
+#: ``2**52``.  A four-step sum runs over ``n2 = 2**ceil(log2(N) / 2)`` terms,
+#: so degrees up to ``2**16`` fit.
+MAX_SUM_TERMS = 1 << (_EXACT_BITS - MAX_MODULUS_BITS - (_DIGIT_BITS - 1))
+
+#: Target payload per group of the batch kernels.  Every elementwise pass
+#: streams the group's float64 work buffers, so batches are processed in
+#: groups of about this many bytes of int64 rows (measured at n=4096 on a
+#: 2-vCPU host: the per-row cost is flat from 8 to 16 rows and rises ~10 %
+#: by 32, ~25 % at 4 or fewer).
 _BATCH_CHUNK_BYTES = 3 << 17
+
+
+def _centred(table: np.ndarray, pcol: np.ndarray) -> np.ndarray:
+    """A ``(k, ...)`` residue table moved to ``|c| <= p // 2``."""
+    return np.where(table > pcol // 2, table - pcol, table)
+
+
+def _digits(centred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """float64 ``(hi, lo)`` with ``centred = hi * 2**15 + lo`` and
+    ``|hi|, |lo| <= 2**14``."""
+    half = 1 << (_DIGIT_BITS - 1)
+    lo = ((centred + half) & (2 * half - 1)) - half
+    return ((centred - lo) >> _DIGIT_BITS).astype(np.float64), lo.astype(np.float64)
+
+
+#: Multiply-adds per BLAS call.  A BLAS library splits a larger gemm across
+#: threads; at these sizes the split saves nothing, and on a loaded host a
+#: thread handoff can stall one call for milliseconds.  So every call stays
+#: at or below 64**3, where OpenBLAS runs it on the calling thread.
+_GEMM_MAX_MACS = 1 << 18
+
+
+class _MatmulStep(NamedTuple):
+    """One modular matmul, ``W @ x`` (*left*) or ``x @ W``, for a per-modulus
+    constant ``W`` kept as its two digits and run as row blocks of at most
+    ``_GEMM_MAX_MACS``: a left ``W`` is stored ``(k, 1, blocks, m / blocks,
+    m)`` against ``x`` viewed ``(k, g, 1, m, c)``, a right one ``(k, 1, 1, m,
+    m)`` against ``x`` viewed ``(k, g, blocks, rows / blocks, m)``.  Either
+    way the product lands in ``x``'s own layout."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+    left: bool
+    blocks: int
+
+    @classmethod
+    def of(cls, hi: np.ndarray, lo: np.ndarray, left: bool, rows: int, cols: int):
+        k, _, m, _ = hi.shape
+        blocks = max(1, rows * m * cols // _GEMM_MAX_MACS)
+        shape = (k, 1, blocks, -1, m) if left else (k, 1, 1, m, m)
+        return cls(hi.reshape(shape), lo.reshape(shape), left, blocks)
+
+
+class _FourStep:
+    """Per-modulus tables and the kernel of the four-step negacyclic NTT.
+
+    With ``i = i1 + n1*i2`` and ``j = j2 + n2*j1`` the forward transform is
+
+        X[j2 + n2*j1] = sum_i1 W1[i1, j1] * T[j2, i1]
+                              * sum_i2 W2[j2, i2] * a[i1 + n1*i2]
+
+    with ``W2[j2, i2] = psi**(n1*i2*(2*j2 + 1))``,
+    ``T[j2, i1] = psi**(i1*(2*j2 + 1))`` and ``W1[i1, j1] = psi**(2*n2*i1*j1)``
+    — the row as an ``(n2, n1)`` matrix ``D`` goes to ``(W2 @ D) * T @ W1``,
+    an ``(n2, n1)`` matrix indexed ``[j2, j1]`` (the raw order; natural order
+    is its transpose).  The inverse runs the same factorisation backwards on
+    the raw layout with negated exponents, ``1/N`` folded into its ``W2``.
+    """
+
+    def __init__(self, n: int, moduli: Tuple[int, ...], psis: Tuple[int, ...]):
+        k = len(moduli)
+        self.k = k
+        self.n1 = n1 = 1 << ((n.bit_length() - 1) // 2)
+        self.n2 = n2 = n // n1
+        # Work arrays are modulus-major, (k, g, n2, n1) for a group of g
+        # stacks, so every table broadcasts over the group axis.
+        pcol = np.array(moduli, dtype=np.int64).reshape(k, 1, 1, 1)
+        psi_pow = _power_table_stack(psis, 2 * n, pcol)[:, None]
+        odd = 2 * np.arange(n2)[:, None] + 1                # 2*j2 + 1
+        cols = np.arange(n1)
+        w2 = (n1 * np.arange(n2)[None, :] * odd) % (2 * n)  # [j2, i2]
+        tw = (cols[None, :] * odd) % (2 * n)                # [j2, i1]
+        w1 = (2 * n2 * cols[:, None] * cols[None, :]) % (2 * n)  # [i1, j1]
+        n_inv = np.array([mod_inv(n, p) for p in moduli],
+                         dtype=np.int64).reshape(pcol.shape)
+
+        def matmul(exponents, left, scale=1):
+            hi, lo = _digits(_centred(psi_pow[..., exponents] * scale % pcol, pcol))
+            return _MatmulStep.of(hi, lo, left, n2, n1)
+
+        def twiddle(exponents):
+            centred = _centred(psi_pow[..., exponents], pcol)
+            return centred / pcol.astype(np.float64), centred
+
+        def negated(exponents):
+            return (2 * n - exponents) % (2 * n)
+
+        self._forward = (matmul(w2, True), twiddle(tw), matmul(w1, False))
+        self._inverse = (matmul(negated(w1), False), twiddle(negated(tw)),
+                         matmul(negated(w2).T, True, n_inv))
+        self._pcol = pcol
+        self._p = pcol.astype(np.float64)
+        self._p_inv = 1.0 / self._p
+        self._p_u = pcol.reshape(k, 1).astype(np.uint64)
+        self._local = threading.local()
+
+    def _scratch(self, shape: Tuple[int, ...]) -> List[np.ndarray]:
+        """Four float64 work buffers of *shape*, carved from one per-thread
+        buffer that grows to the largest group seen.  Plans are shared by
+        every context of the process and numpy drops the GIL inside BLAS
+        and the ufuncs, so two threads never share a buffer."""
+        views = getattr(self._local, "views", None)
+        if views is None or views[0].shape != shape:
+            size = int(np.prod(shape))
+            buf = getattr(self._local, "buf", None)
+            if buf is None or buf.size < 4 * size:
+                buf = self._local.buf = np.empty(4 * size)
+            views = self._local.views = [
+                buf[i * size:(i + 1) * size].reshape(shape) for i in range(4)]
+        return views
+
+    def _reduce(self, x: np.ndarray, tmp: np.ndarray) -> None:
+        """``x -= rint(x / p) * p`` in place: exact for integers
+        ``|x| < 2**52``, leaving ``|x| <= p/2 + 1``."""
+        np.multiply(x, self._p_inv, out=tmp)
+        np.rint(tmp, out=tmp)
+        tmp *= self._p
+        x -= tmp
+
+    def _matmul(self, step: _MatmulStep, x: np.ndarray, hi: np.ndarray,
+                lo: np.ndarray, tmp: np.ndarray, check: bool) -> np.ndarray:
+        """``step`` applied to ``x`` (``|x| < 2**30``), reduced into *hi*."""
+        blocked = x.shape[:2] + (step.blocks, -1, x.shape[-1])
+        xv = x[:, :, None] if step.left else x.reshape(blocked)
+        for w, out in ((step.hi, hi), (step.lo, lo)):
+            pair = (w, xv) if step.left else (xv, w)
+            np.matmul(*pair, out=out.reshape(blocked))
+            if check:
+                # Every partial sum, in any order, is bounded by the same
+                # product of absolute values.
+                bound = np.matmul(*(np.abs(a) for a in pair))
+                assert bound.max() < 2.0 ** _EXACT_BITS, \
+                    "a matmul partial sum left the 2**52 exact envelope"
+        self._reduce(hi, tmp)           # |hi| <= p/2 + 1, so hi * 2**15 + lo
+        hi *= _RADIX                    # stays below 2**52 + 2**44
+        hi += lo
+        self._reduce(hi, tmp)
+        if check:
+            assert bool((np.abs(hi) < self._p).all()), "reduced value outside (-p, p)"
+        return hi
+
+    def _twiddle(self, table: Tuple[np.ndarray, ...], y: np.ndarray,
+                 q: np.ndarray, a: np.ndarray, b: np.ndarray, check: bool) -> None:
+        """``y = y * T mod p`` in place, for ``|y| <= p/2 + 1``: the quotient
+        ``q = rint(y * T / p)`` from the float ratio, then ``y*T - q*p`` in
+        int64 (both products below ``2**59``), in ``(-p, p)``."""
+        ratio, centred = table
+        np.multiply(y, ratio, out=q)
+        np.rint(q, out=q)
+        a, b = a.view(np.int64), b.view(np.int64)
+        np.copyto(a, y, casting="unsafe")
+        np.copyto(b, q, casting="unsafe")
+        a *= centred
+        b *= self._pcol
+        a -= b
+        np.copyto(y, a, casting="unsafe")
+        if check:
+            assert bool((np.abs(y) < self._p).all()), "twiddled value outside (-p, p)"
+
+    def run(self, block: np.ndarray, inverse: bool, raw: bool, check: bool,
+            out: np.ndarray) -> None:
+        """Transform a canonical ``(g, k, n)`` int64 block into *out*.
+
+        ``raw`` keeps evaluations in the untransposed ``[j2, j1]`` layout
+        (forward output / inverse input); see :attr:`NttStackPlan.scramble_order`.
+        """
+        g, k, n = block.shape
+        n1, n2 = self.n1, self.n2
+        x, s, t, u = self._scratch((k, g, n2, n1))
+        if inverse and not raw:
+            np.copyto(x, block.reshape(g, k, n1, n2).transpose(1, 0, 3, 2),
+                      casting="unsafe")
+        else:
+            np.copyto(x, block.reshape(g, k, n2, n1).swapaxes(0, 1), casting="unsafe")
+        first, table, second = self._inverse if inverse else self._forward
+        y = self._matmul(first, x, s, t, u, check)
+        self._twiddle(table, y, x, t, u, check)
+        z = self._matmul(second, y, x, t, u, check)
+        if inverse or raw:
+            np.copyto(out.reshape(g, k, n2, n1), z.swapaxes(0, 1), casting="unsafe")
+        else:
+            np.copyto(out.reshape(g, k, n1, n2), z.transpose(1, 0, 3, 2),
+                      casting="unsafe")
+        # (-p, p) -> [0, p): a negative value wraps above 2**63 as uint64,
+        # so min(v, v + p) picks v + p exactly for those.
+        ou = out.view(np.uint64)
+        tu = t.view(np.uint64).reshape(out.shape)
+        np.add(ou, self._p_u, out=tu)
+        np.minimum(ou, tu, out=ou)
 
 
 class NttStackPlan:
     """Stacked negacyclic NTT/INTT over a whole RNS base at once.
 
-    Operates on ``(k, N)`` residue matrices — one row per modulus — pushing
-    all rows through each butterfly stage in a single 2-D numpy pass with
-    per-row broadcast twiddles.  The psi-twist of the negacyclic transform is
-    fused into the stage twiddle tables (the factor-tree / Longa–Naehrig
-    formulation), and reduction is lazy: values live in ``[0, 4p)`` between
-    stages, renormalized with conditional subtracts instead of division, and
-    twiddle products are reduced with Shoup's precomputed-quotient trick
-    (``q = x * floor(W * 2**32 / p) >> 32``; ``x*W - q*p < 2p``) so the
-    butterfly network contains no division at all.  Moduli below
-    ``2**MAX_MODULUS_BITS`` keep ``4p`` inside a 32-bit word, so every
-    uint64 product of an intermediate and a twiddle or quotient is exact.
+    Operates on ``(k, N)`` residue matrices — one row per modulus — and on
+    ``(B, k, N)`` batches of them, as the four-step factorisation of
+    :class:`_FourStep`: two exact float64 modular matmuls per modulus and an
+    elementwise twiddle between them, every table broadcast over the batch.
 
     Outputs are bit-exact with the per-row scalar :class:`NttPlan` (same
     primitive roots, same natural evaluation ordering: position ``j`` of row
@@ -192,6 +392,12 @@ class NttStackPlan:
     def __init__(self, n: int, moduli: Sequence[int]):
         if n & (n - 1) or n < 2:
             raise ValueError(f"transform size {n} must be a power of two >= 2")
+        n1 = 1 << ((n.bit_length() - 1) // 2)
+        if n // n1 > MAX_SUM_TERMS:
+            raise ValueError(
+                f"transform size {n} sums {n // n1} terms; the float64 "
+                f"envelope (every partial sum below 2**{_EXACT_BITS}) allows "
+                f"{MAX_SUM_TERMS}")
         self.moduli: Tuple[int, ...] = tuple(int(p) for p in moduli)
         if not self.moduli:
             raise ValueError("stack plan needs at least one modulus")
@@ -202,276 +408,109 @@ class NttStackPlan:
         self.n = n
         k = len(self.moduli)
         self._pcol = np.array(self.moduli, dtype=np.int64).reshape(k, 1)
-        # Same deterministic primitive-root search as NttPlan => same psi per
-        # row => bit-identical outputs.
-        self.psis: Tuple[int, ...] = tuple(
-            primitive_root_of_unity(2 * n, p) for p in self.moduli
-        )
-        psi_pow = _power_table_stack(self.psis, 2 * n, self._pcol)
-
-        # Stage twiddle exponents from the factor tree of x^n + 1: a block
-        # with modulus (x^L - psi^r) splits into (x^{L/2} -+ psi^{r/2}), so
-        # the butterfly twiddle is psi^{r/2} and the children carry exponents
-        # r/2 and r/2 + n.  Leaves end up at the odd exponents 2j+1 in
-        # bit-reversed order; the permutations below restore natural order.
-        stage_exponents: List[np.ndarray] = []
-        exponents = np.array([n], dtype=np.int64)
-        while exponents.size < n:
-            half = exponents >> 1
-            stage_exponents.append(half)
-            exponents = np.stack([half, half + n], axis=1).reshape(-1)
-        leaf_slots = (exponents - 1) >> 1
-        self._scramble = leaf_slots
-        unscramble = np.empty(n, dtype=np.int64)
-        unscramble[leaf_slots] = np.arange(n, dtype=np.int64)
-        self._unscramble = unscramble
-        fwd_twiddles = [psi_pow[:, e] for e in stage_exponents]
-        inv_twiddles = [psi_pow[:, 2 * n - e] for e in stage_exponents]
-        n_inv = np.array([mod_inv(n, p) for p in self.moduli], dtype=np.int64)
-        n_inv_col = n_inv.reshape(k, 1)
-
-        self._scratch_local = threading.local()
-        self._p_u = self._pcol.astype(np.uint64)
-        self._two_p_u = self._p_u * np.uint64(2)
-        self._p_u3 = self._p_u[:, :, None]
-        # Constant-geometry twiddle vectors: at stage s, butterfly pair i
-        # uses the stage-s group twiddle with group index i mod 2**s, so
-        # the (k, 2**s) stage table tiles into a periodic vector.  Tiling
-        # up to a 256-wide chunk keeps the broadcast inner loops long even
-        # in the early stages where the pattern period is tiny.
-        chunk = min(256, max(n // 2, 1))
-        self._fwd_tw_u, self._fwd_tw_q = zip(
-            *(self._cg_tables(t, chunk) for t in fwd_twiddles)
-        )
-        self._inv_tw_u, self._inv_tw_q = zip(
-            *(self._cg_tables(t, chunk) for t in inv_twiddles)
-        )
-        self._n_inv_u = n_inv_col.astype(np.uint64)
-        self._n_inv_q = ((n_inv_col << 32) // self._pcol).astype(np.uint64)
-
-    def _cg_tables(self, table: np.ndarray, chunk: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Tiled twiddles and Shoup quotients for one constant-geometry stage.
-
-        Returns ``(W, floor(W * 2**32 / p))`` as ``(k, 1, T)`` uint64 arrays
-        with ``T = max(pattern, chunk)`` so they broadcast over the stage work
-        array viewed as ``(k, (n/2) / T, T)``.  ``W < p < 2**MAX_MODULUS_BITS``
-        keeps the shifted quotient computation int64-exact.
-        """
-        reps = max(chunk // table.shape[1], 1)
-        tiled = np.tile(table, (1, reps))
-        quotients = (tiled << 32) // self._pcol
-        return (
-            tiled[:, None, :].astype(np.uint64),
-            quotients[:, None, :].astype(np.uint64),
-        )
+        self._p_row = self._pcol.reshape(k).astype(np.uint64)
+        # A base repeated b times (batch_plan) shares its period's tables.
+        period = next(d for d in range(1, k + 1)
+                      if self.moduli == self.moduli[:d] * (k // d))
+        if period < k:
+            base = get_stack_plan(n, self.moduli[:period])
+            self.psis: Tuple[int, ...] = base.psis * (k // period)
+            self._steps = base._steps
+        else:
+            # Same deterministic primitive-root search as NttPlan => same psi
+            # per row => bit-identical outputs.
+            self.psis = tuple(primitive_root_of_unity(2 * n, p) for p in self.moduli)
+            self._steps = _FourStep(n, self.moduli, self.psis)
+        n2 = n // n1
+        self._scramble = (np.arange(n2)[:, None] + n2 * np.arange(n1)).reshape(-1)
 
     def __len__(self) -> int:
         return len(self.moduli)
 
-    def _check_shape(self, stack: np.ndarray) -> np.ndarray:
-        stack = np.asarray(stack, dtype=np.int64)
-        if stack.ndim != 2 or stack.shape != (len(self.moduli), self.n):
-            raise ValueError(
-                f"stack shape {stack.shape} != ({len(self.moduli)}, {self.n})"
-            )
-        return stack
+    def _checked(self, stacks: np.ndarray, batch: bool) -> np.ndarray:
+        """*stacks* as int64, refused unless ``(k, n)`` (``(B, k, n)`` for a
+        *batch*)."""
+        stacks = np.asarray(stacks, dtype=np.int64)
+        want = (len(self.moduli), self.n)
+        if stacks.ndim != 2 + batch or stacks.shape[batch:] != want:
+            raise ValueError(f"shape {stacks.shape} != {('B',) * batch + want}")
+        return stacks
 
-    def _canonical(self, stack: np.ndarray) -> np.ndarray:
-        """Rows reduced to ``[0, p)``; skips the division for canonical input.
-
-        The canonicity test is a single unsigned comparison pass: viewed as
-        uint64, negative int64 values wrap above ``2**63 > p``, so
-        ``0 <= x < p`` collapses to ``x_u < p_u``.
-        """
-        work = self._check_shape(stack)
-        if work.flags.c_contiguous:
-            if bool((work.view(np.uint64) < self._pcol.view(np.uint64)).all()):
-                return work
-        elif bool((work >= 0).all()) and bool((work < self._pcol).all()):
+    def _canonical(self, work: np.ndarray) -> np.ndarray:
+        """``(..., k, n)`` rows reduced to ``[0, p)``; skips the division for
+        canonical input.  The test is one row-maximum pass: viewed as
+        uint64, negative int64 values wrap above ``2**63 > p``."""
+        if bool((work.view(np.uint64).max(axis=-1) < self._p_row).all()):
             return work
         return np.mod(work, self._pcol)
 
     @property
     def scramble_order(self) -> np.ndarray:
         """Permutation taking standard evaluation order to the raw order the
-        butterfly network produces (see :meth:`forward`'s ``unscramble``)."""
+        four-step kernel produces (see :meth:`forward`'s ``unscramble``):
+        raw position ``j2*n1 + j1`` holds evaluation ``j2 + n2*j1``."""
         return self._scramble
+
+    def _batch_group(self, b: int) -> int:
+        """Stacks per kernel call out of *b* (a stack being one run of the
+        distinct moduli): the full batch only while the float64 work buffers
+        stay cache-resident (``_BATCH_CHUNK_BYTES``)."""
+        return max(1, min(b, _BATCH_CHUNK_BYTES // (8 * self.n * self._steps.k)))
+
+    def _transform(self, stacks: np.ndarray, inverse: bool, raw: bool,
+                   check_bounds: bool, out: np.ndarray = None) -> np.ndarray:
+        """Transform a ``(k, n)`` stack or a ``(B, k, n)`` batch, in
+        cache-sized groups of stacks; *out* must be C-contiguous."""
+        work = self._canonical(stacks)
+        out = np.empty(work.shape, dtype=np.int64) if out is None else out
+        blocks = work.reshape(-1, self._steps.k, self.n)
+        results = out.reshape(blocks.shape)
+        group = self._batch_group(len(blocks))
+        for rows in (slice(i, i + group) for i in range(0, len(blocks), group)):
+            self._steps.run(blocks[rows], inverse, raw, check_bounds, results[rows])
+        return out
 
     def forward(self, stack: np.ndarray, check_bounds: bool = False,
                 unscramble: bool = True,
                 out: np.ndarray = None) -> np.ndarray:
         """Negacyclic forward NTT of every row of a ``(k, n)`` matrix.
 
-        With ``check_bounds=True`` the kernel asserts the lazy-reduction
-        invariants at every stage (used by the property tests; costs extra
-        comparisons, so production callers leave it off).
+        With ``check_bounds=True`` the kernel asserts the exactness envelope
+        at every step: every matmul partial sum below ``2**52`` and every
+        reduced value in ``(-p, p)`` (used by the property tests; costs extra
+        matmuls, so production callers leave it off).
 
-        With ``unscramble=False`` the final gather into standard evaluation
-        order is skipped: the rows come back permuted by
+        With ``unscramble=False`` the final transpose into standard
+        evaluation order is skipped: the rows come back permuted by
         :attr:`scramble_order`.  A pointwise product in that order fed to
-        :meth:`inverse` with ``prescrambled=True`` cancels both permutation
-        passes — the forward → dyadic → inverse sandwich of the batch
-        encrypt/decrypt pipelines.
+        :meth:`inverse` with ``prescrambled=True`` skips both transposes —
+        the forward → dyadic → inverse sandwich of the batch encrypt/decrypt
+        pipelines.
         """
-        return self._forward_shoup(self._canonical(stack), check_bounds,
-                                   unscramble, out)
+        return self._transform(self._checked(stack, False), False, not unscramble,
+                               check_bounds, out)
 
     def inverse(self, stack: np.ndarray, check_bounds: bool = False,
                 prescrambled: bool = False,
                 out: np.ndarray = None) -> np.ndarray:
-        """Inverse of :meth:`forward` (Gentleman–Sande, fused 1/N scaling).
+        """Inverse of :meth:`forward` (``1/N`` folded into the last matmul).
 
         ``prescrambled=True`` declares the input already permuted by
         :attr:`scramble_order` (i.e. produced by ``forward(...,
-        unscramble=False)`` plus pointwise ops), skipping the entry gather.
+        unscramble=False)`` plus pointwise ops), skipping the entry transpose.
         """
-        return self._inverse_shoup(self._canonical(stack), check_bounds,
-                                   prescrambled, out)
-
-    # ------------------------------------------------- Shoup (division-free)
-    # The Shoup kernels run the butterfly network in constant-geometry (Pease)
-    # dataflow: every stage reads the pair (i, i + n/2) and writes it to
-    # (2i, 2i + 1).  For the factor-tree network this pairing is exact at every
-    # stage (pair i uses the stage-s group twiddle indexed i mod 2**s, and the
-    # final layout is the identity), so each pass touches two contiguous
-    # half-length blocks instead of the (k, m, L) group slices — whose inner
-    # axis collapses to a handful of elements in the late stages and leaves
-    # numpy's per-loop overhead dominating.
-
-    def _scratch(self, k: int) -> Tuple[np.ndarray, ...]:
-        """Reusable uint64 work buffers: two ping-pong arrays plus three
-        half-width temporaries.  Owned by the (cached) plan so the butterfly
-        loop allocates nothing per stage — one set per thread: numpy drops
-        the GIL inside the butterfly ufuncs, and plans are shared by every
-        context of the process, so two served sessions evaluating at once
-        would otherwise transform in each other's buffers."""
-        bufs = getattr(self._scratch_local, "bufs", None)
-        if bufs is None or bufs[0].shape[0] != k:
-            hn = max(self.n // 2, 1)
-            bufs = self._scratch_local.bufs = (
-                np.empty((k, self.n), dtype=np.uint64),
-                np.empty((k, self.n), dtype=np.uint64),
-                np.empty((k, hn), dtype=np.uint64),
-                np.empty((k, hn), dtype=np.uint64),
-                np.empty((k, hn), dtype=np.uint64),
-            )
-        return bufs
-
-    def _forward_shoup(self, work: np.ndarray, check_bounds: bool,
-                       unscramble: bool = True,
-                       out: np.ndarray = None) -> np.ndarray:
-        k = work.shape[0]
-        hn = self.n // 2
-        zin, zout, xb, qb, tb = self._scratch(k)
-        np.copyto(zin, work, casting="unsafe")
-        two_p = self._two_p_u
-        four_p = two_p * np.uint64(2)
-        for s, (w, wq) in enumerate(zip(self._fwd_tw_u, self._fwd_tw_q)):
-            chunk = w.shape[2]
-            if check_bounds:
-                assert bool((zin < four_p).all()), \
-                    "stage input exceeded the [0, 4p) lazy envelope"
-            u = zin[:, :hn]
-            v3 = zin.reshape(k, 2, hn // chunk, chunk)[:, 1]
-            q3 = qb.reshape(k, hn // chunk, chunk)
-            t3 = tb.reshape(k, hn // chunk, chunk)
-            if s == 0:
-                # Stage 0 input is canonical (< p), already inside [0, 2p).
-                x = u
-            else:
-                np.subtract(u, two_p, out=xb)
-                np.minimum(u, xb, out=xb)                  # [0, 2p)
-                x = xb
-            np.multiply(v3, wq, out=q3)
-            q3 >>= _U32
-            q3 *= self._p_u3
-            np.multiply(v3, w, out=t3)
-            t3 -= q3                                       # [0, 2p)
-            if check_bounds:
-                assert bool((x < two_p).all()) and bool((tb < two_p).all())
-            zo = zout.reshape(k, hn, 2)
-            np.add(x, tb, out=zo[:, :, 0])                 # < 4p
-            np.add(x, two_p, out=xb)
-            np.subtract(xb, tb, out=zo[:, :, 1])           # < 4p
-            zin, zout = zout, zin
-        # Epilogue: two in-place conditional subtracts (4p -> 2p -> p), then a
-        # single np.take gather into the int64 result.  The take reads the
-        # scratch buffer reinterpreted as int64 -- values are < p < 2**63, so
-        # the bit patterns coincide and no separate astype pass is needed.
-        np.subtract(zin, two_p, out=zout)
-        np.minimum(zin, zout, out=zin)
-        np.subtract(zin, self._p_u, out=zout)
-        np.minimum(zin, zout, out=zin)
-        result = out if out is not None else np.empty((k, self.n), dtype=np.int64)
-        if unscramble:
-            np.take(zin.view(np.int64), self._unscramble, axis=1, out=result)
-        else:
-            # Raw butterfly order: a contiguous copy out of the scratch buffer
-            # replaces the gather (the caller holds :attr:`scramble_order`).
-            np.copyto(result, zin.view(np.int64))
-        return result
-
-    def _inverse_shoup(self, work: np.ndarray, check_bounds: bool,
-                       prescrambled: bool = False,
-                       out: np.ndarray = None) -> np.ndarray:
-        k = work.shape[0]
-        hn = self.n // 2
-        zin, zout, xb, qb, db = self._scratch(k)
-        # Gather straight into the uint64 work buffer viewed as int64 (the
-        # canonical inputs are < p < 2**63, so the bit patterns coincide);
-        # np.take with ``out=`` avoids the fancy-indexing temporary.  Input
-        # already in raw butterfly order skips the gather entirely.
-        if prescrambled:
-            np.copyto(zin.view(np.int64), work)
-        else:
-            np.take(work, self._scramble, axis=1, out=zin.view(np.int64))
-        two_p = self._two_p_u
-        for w, wq in zip(reversed(self._inv_tw_u), reversed(self._inv_tw_q)):
-            chunk = w.shape[2]
-            if check_bounds:
-                assert bool((zin < two_p).all()), \
-                    "stage input exceeded the [0, 2p) lazy envelope"
-            zi = zin.reshape(k, hn, 2)
-            a = zi[:, :, 0]
-            b = zi[:, :, 1]
-            zob = zout.reshape(k, 2, hn // chunk, chunk)
-            d3 = db.reshape(k, hn // chunk, chunk)
-            q3 = qb.reshape(k, hn // chunk, chunk)
-            np.add(a, b, out=xb)                           # < 4p
-            np.add(a, two_p, out=db)
-            db -= b                                        # (0, 4p) < 2**32
-            np.subtract(xb, two_p, out=zout[:, :hn])
-            np.minimum(xb, zout[:, :hn], out=zout[:, :hn])  # [0, 2p)
-            np.multiply(d3, wq, out=q3)
-            q3 >>= _U32
-            q3 *= self._p_u3
-            d3 *= w
-            np.subtract(d3, q3, out=zob[:, 1])             # [0, 2p)
-            if check_bounds:
-                assert bool((zout < two_p).all())
-            zin, zout = zout, zin
-        # Fused 1/N scaling: inputs < 2p < 2**32, Shoup result < 2p.
-        np.multiply(zin, self._n_inv_q, out=zout)
-        zout >>= _U32
-        zout *= self._p_u
-        zin *= self._n_inv_u
-        zin -= zout                                        # [0, 2p)
-        np.subtract(zin, self._p_u, out=zout)
-        np.minimum(zin, zout, out=zin)
-        if out is None:
-            return zin.astype(np.int64)
-        np.copyto(out, zin.view(np.int64))
-        return out
+        return self._transform(self._checked(stack, False), True, prescrambled,
+                               check_bounds, out)
 
     # --------------------------------------------------------- batch axis
     def batch_plan(self, batch: int) -> "NttStackPlan":
         """Plan over *batch* tiled copies of this plan's residue stack.
 
-        Every kernel above is purely row-wise (tables broadcast along the
-        ``k`` axis), so transforming ``batch`` stacks at once is exactly the
-        plan whose moduli sequence is this one's repeated ``batch`` times.
-        The tiled plan shares :func:`get_stack_plan`'s memo, so its twiddle
-        tables and scratch buffers are built once per ``(n, moduli, batch)``.
+        Every kernel is purely row-wise, so transforming ``batch`` stacks at
+        once is exactly the plan whose moduli sequence is this one's
+        repeated ``batch`` times.  That plan shares this one's per-modulus
+        tables (broadcast over the batch axis), so its table bytes do not
+        grow with *batch*.
         """
         if batch < 1:
             raise ValueError(f"batch size {batch} must be >= 1")
@@ -479,74 +518,24 @@ class NttStackPlan:
             return self
         return get_stack_plan(self.n, self.moduli * batch)
 
-    def _check_batch_shape(self, stacks: np.ndarray) -> np.ndarray:
-        stacks = np.asarray(stacks, dtype=np.int64)
-        if stacks.ndim != 3 or stacks.shape[1:] != (len(self.moduli), self.n):
-            raise ValueError(
-                f"batch shape {stacks.shape} != (B, {len(self.moduli)}, {self.n})"
-            )
-        return stacks
-
-    def _batch_group(self, b: int) -> int:
-        """Stacks per butterfly pass: the full batch only while the working
-        set stays cache-resident.
-
-        Every stage of the row-wise kernels streams the whole ``(rows, n)``
-        ping-pong buffers, so once ``rows * n`` outgrows L2 the per-row cost
-        climbs ~1.5x.  Large batches are therefore processed in groups whose
-        row count stays near ``_BATCH_CHUNK_BYTES`` of payload; each group
-        size maps to one cached tiled plan, so scratch buffers and twiddle
-        tables are reused across calls regardless of the caller's batch size.
-        """
-        k = len(self.moduli)
-        target_rows = max(k, _BATCH_CHUNK_BYTES // (8 * self.n))
-        return max(1, min(b, target_rows // k))
-
-    def _transform_batch(self, stacks: np.ndarray, inverse: bool,
-                         check_bounds: bool, raw: bool = False) -> np.ndarray:
-        stacks = self._check_batch_shape(stacks)
-        b, k, n = stacks.shape
-        kwargs = ({"prescrambled": raw} if inverse else {"unscramble": not raw})
-        group = self._batch_group(b)
-        if group >= b:
-            plan = self.batch_plan(b)
-            kernel = plan.inverse if inverse else plan.forward
-            return kernel(stacks.reshape(b * k, n), check_bounds,
-                          **kwargs).reshape(b, k, n)
-        out = np.empty((b, k, n), dtype=np.int64)
-        for start in range(0, b, group):
-            stop = min(start + group, b)
-            rows = stop - start
-            plan = self.batch_plan(rows)
-            kernel = plan.inverse if inverse else plan.forward
-            # Writing the kernel epilogue straight into the output slice
-            # (contiguous view) saves one full-block copy per group.
-            kernel(stacks[start:stop].reshape(rows * k, n), check_bounds,
-                   out=out[start:stop].reshape(rows * k, n), **kwargs)
-        return out
-
     def forward_batch(self, stacks: np.ndarray, check_bounds: bool = False,
                       unscramble: bool = True) -> np.ndarray:
         """Forward NTT of a ``(B, k, n)`` batch of residue stacks.
 
         Bit-exact with ``B`` separate :meth:`forward` calls, but the batch
-        runs as cache-blocked ``(rows, n)`` passes through the butterfly
-        network — the stacked kernel hoisted rotations use to transform every
-        key-switch digit (and every rotation's accumulator) at once.
-        ``unscramble=False`` keeps rows in raw butterfly order (see
-        :meth:`forward`); the permutation is identical for every group
-        because :attr:`scramble_order` depends only on ``n``.
+        runs as cache-sized groups of stacks through one set of matmul
+        calls each — the stacked kernel hoisted rotations use to transform
+        every key-switch digit (and every rotation's accumulator) at once.
+        ``unscramble=False`` keeps rows in raw order (see :meth:`forward`).
         """
-        return self._transform_batch(stacks, inverse=False,
-                                     check_bounds=check_bounds,
-                                     raw=not unscramble)
+        return self._transform(self._checked(stacks, True), False,
+                               not unscramble, check_bounds)
 
     def inverse_batch(self, stacks: np.ndarray, check_bounds: bool = False,
                       prescrambled: bool = False) -> np.ndarray:
-        """Inverse of :meth:`forward_batch` (same cache-blocked passes)."""
-        return self._transform_batch(stacks, inverse=True,
-                                     check_bounds=check_bounds,
-                                     raw=prescrambled)
+        """Inverse of :meth:`forward_batch` (same cache-sized groups)."""
+        return self._transform(self._checked(stacks, True), True,
+                               prescrambled, check_bounds)
 
     def dyadic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Point-wise product of two stacked evaluation matrices."""

@@ -70,7 +70,7 @@ def coeff_automorphism_perm(n: int, galois_elt: int) -> Tuple[np.ndarray,
 class RnsPoly:
     """A polynomial over an RNS base, optionally in NTT form."""
 
-    # _raw_tables caches this poly's residues permuted into raw butterfly
+    # _raw_tables caches this poly's residues permuted into the NTT's raw
     # order (plus Shoup quotients) for the batch dyadic kernels; it is only
     # populated for long-lived, never-mutated key material (see
     # :func:`repro.hecore.batchcrypt.raw_tables`).

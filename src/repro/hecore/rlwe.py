@@ -238,9 +238,9 @@ class RlweContext:
             u = full.lift_signed(u_all[start:stop])
             e1 = full.lift_signed(e1_all[start:stop])
             e2 = full.lift_signed(e2_all[start:stop])
-            # Raw butterfly-order sandwich: forward without the unscramble
-            # gather, Shoup dyadic against the pre-permuted public key, and a
-            # prescrambled inverse — the two permutation passes cancel.
+            # Raw-order sandwich: forward without the final transpose, Shoup
+            # dyadic against the pre-permuted public key, and a prescrambled
+            # inverse — the two permutation passes cancel.
             u_ntt = batchcrypt.forward_block(full, n, u, raw=True)
             # c0 and c1 products stacked into one (2g, k, n) block: a single
             # inverse transform covers both components of every ciphertext.

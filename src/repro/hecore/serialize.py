@@ -44,7 +44,7 @@ Every deserializer validates magic, version, declared counts, and the exact
 blob length *before* touching numpy or expanding a seed, and — when
 parameters are supplied — checks the declared moduli against them.  It then
 checks every residue row against its modulus (one max reduction) before
-widening the words into the ``int64`` arrays the arithmetic uses: the lazy
+widening the words into the ``int64`` arrays the arithmetic uses: the NTT
 and Shoup kernels assume canonical inputs, so a word at or above its
 modulus is refused by name, not computed with.  Malformed input raises
 :class:`ValueError`; it never crashes in low-level array code.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hecore.ckks import CkksContext
+from repro.hecore.ckks import CkksContext, scales_close
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.rns import RnsBase
@@ -138,6 +138,21 @@ def test_scale_mismatch_rejected(ckks):
     b = ckks.multiply_plain(ckks.encrypt(values(ckks, seed=20)), ckks.encode([1.0]))
     with pytest.raises(ValueError):
         ckks.add(a, b)
+
+
+_SCALES = [0.0, -0.0, 1e-8, 2e-8, 1.0, 1.0 + 1e-9, 1.0 + 3e-9, 2.0 ** 28,
+           2.0 ** 28 * (1 + 5e-10), 2.0 ** 28 * (1 + 2e-9), 2.0 ** 56, 1e300,
+           -1.0, float("inf"), float("-inf"), float("nan")]
+
+
+@pytest.mark.parametrize("a", _SCALES)
+def test_scale_check_accepts_and_refuses_what_isclose_does(a):
+    """The float predicate behind every CKKS add/sub is ``np.isclose(a, b,
+    rtol=1e-9)`` on Python floats: same answer on every pair, including
+    equal and opposite infinities, NaN, and pairs either side of the
+    tolerance."""
+    for b in _SCALES:
+        assert scales_close(a, b) == bool(np.isclose(a, b, rtol=1e-9)), (a, b)
 
 
 # ------------------------------------------- vectorised encode == exact encode

@@ -1,13 +1,18 @@
 """Property tests for the stacked-residue NTT kernels and vectorized RNS paths.
 
-The stacked kernels (:class:`repro.hecore.ntt.NttStackPlan`) must be bit-exact
-with the scalar reference plan (:class:`repro.hecore.ntt.NttPlan`) and with the
-schoolbook negacyclic product — across random inputs, every seed parameter
-set and the widest moduli the limb width admits (the largest NTT primes below
-``2**MAX_MODULUS_BITS``), canonical and non-canonical inputs, natural and raw
-butterfly order, single stacks and cache-grouped batches, and with the
-lazy-reduction invariants asserted at every butterfly stage.  A modulus at or
-above the limb width is refused where it enters.
+The stacked kernels (:class:`repro.hecore.ntt.NttStackPlan`, a four-step
+transform of exact float64 matmuls) must be bit-exact with the scalar
+reference plan (:class:`repro.hecore.ntt.NttPlan`) and with the schoolbook
+negacyclic product — across random inputs, every power-of-two degree from 2
+to ``2**15`` (square and 1:2 splits), every seed parameter set and the widest
+moduli the limb width admits (the largest NTT primes below
+``2**MAX_MODULUS_BITS``, with all-``(p-1)`` and all-``p//2`` inputs),
+canonical and non-canonical inputs, natural and raw order, single stacks and
+cache-grouped batches.  ``check_bounds=True`` asserts the exactness envelope
+at every step: every matmul partial sum below ``2**52`` whatever the
+summation order, every reduced or twiddled value in ``(-p, p)``.  A modulus
+at or above the limb width, or a degree whose sums would leave the envelope,
+is refused where it enters.
 """
 
 import numpy as np
@@ -130,8 +135,8 @@ def test_lazy_bounds_hold_on_random_input(seed):
     moduli = tuple(generate_ntt_primes(28, 3, n))
     plan = ntt.get_stack_plan(n, moduli)
     a = _random_stack(rng, moduli, n)
-    # check_bounds=True asserts the [0, 4p) forward and [0, 2p) inverse
-    # envelopes at every butterfly stage.
+    # check_bounds=True asserts the 2**52 partial-sum envelope of every
+    # matmul and the (-p, p) range of every reduced value.
     evals = plan.forward(a, check_bounds=True)
     assert np.array_equal(plan.inverse(evals, check_bounds=True), a)
 
@@ -176,6 +181,80 @@ def test_seed_parameter_sets_bit_exact(n, moduli):
     for i, stack in enumerate(batch):
         assert np.array_equal(out[i], plan.forward(stack))
     assert np.array_equal(plan.inverse_batch(out, check_bounds=True), batch)
+
+
+# ------------------------------------------- every degree, the widest primes
+@pytest.mark.parametrize("n", [2 ** e for e in range(1, 16)])
+def test_every_degree_bit_exact_at_the_widest_primes(n):
+    """Square (n1 == n2) and 1:2 (n2 == 2 * n1) four-step splits alike, on
+    the largest NTT-friendly primes below the limb width, with the inputs
+    that push every sum to its extreme."""
+    moduli = tuple(generate_ntt_primes(MAX_MODULUS_BITS, 3, max(n, 4)))
+    plan = ntt.get_stack_plan(n, moduli)
+    pcol = np.array(moduli, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(n)
+    inputs = [pcol - 1 + np.zeros((1, n), dtype=np.int64),
+              pcol // 2 + np.zeros((1, n), dtype=np.int64),
+              _random_stack(rng, moduli, n)]
+    for a in inputs:
+        evals = plan.forward(a, check_bounds=True)
+        coeffs = plan.inverse(a, check_bounds=True)
+        for r, p in enumerate(moduli):
+            scalar = ntt.get_plan(n, p)
+            assert np.array_equal(evals[r], scalar.forward(a[r]))
+            assert np.array_equal(coeffs[r], scalar.inverse(a[r]))
+        assert np.array_equal(plan.inverse(evals, check_bounds=True), a)
+
+
+def test_check_bounds_catches_a_sum_outside_the_envelope():
+    """The envelope check is live: a constant whose digits are 2**20 times
+    too wide would let a partial sum pass 2**52, and check_bounds says so."""
+    moduli = tuple(generate_ntt_primes(MAX_MODULUS_BITS, 3, N))
+    plan = ntt.NttStackPlan(N, moduli)      # a private plan, not the memo's
+    plan._steps._forward[0].hi[...] *= 2 ** 20
+    a = np.array(moduli, dtype=np.int64)[:, None] - 1 + np.zeros((1, N), np.int64)
+    with pytest.raises(AssertionError, match="2\\*\\*52"):
+        plan.forward(a, check_bounds=True)
+
+
+def _table_bytes(plan) -> int:
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from arrays(item)
+    return sum(a.nbytes for value in vars(plan._steps).values()
+               for a in arrays(value))
+
+
+def test_batch_plan_shares_its_base_tables():
+    """A batch plan broadcasts the base plan's per-modulus tables over the
+    batch axis: its table bytes do not grow with the batch, and it still
+    transforms every tiled stack as the base plan does."""
+    plan = ntt.get_stack_plan(N, PRIMES)
+    rng = np.random.default_rng(21)
+    for b in (2, 3, 8):
+        tiled = plan.batch_plan(b)
+        assert tiled.moduli == PRIMES * b
+        assert _table_bytes(tiled) == _table_bytes(plan) > 0
+        stacks = np.stack([_random_stack(rng, PRIMES, N) for _ in range(b)])
+        want = plan.forward_batch(stacks).reshape(b * len(PRIMES), N)
+        assert np.array_equal(tiled.forward(stacks.reshape(-1, N)), want)
+
+
+def test_degree_beyond_the_float64_envelope_is_refused():
+    """n2 = 2**ceil(log2(N) / 2) terms per sum: 2**16 is the last degree whose
+    sums stay below 2**52 (and it is exact there); 2**17 is refused before
+    any table is built."""
+    edge, big = 2 ** 16, 2 ** 17
+    (p,) = generate_ntt_primes(MAX_MODULUS_BITS, 1, edge)
+    a = np.full((1, edge), p - 1, dtype=np.int64)
+    evals = ntt.NttStackPlan(edge, (p,)).forward(a, check_bounds=True)
+    assert np.array_equal(evals[0], ntt.NttPlan(edge, p).forward(a[0]))
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        ntt.NttStackPlan(big, tuple(generate_ntt_primes(MAX_MODULUS_BITS, 1, big)))
+    assert ntt.MAX_SUM_TERMS == 2 ** 8
 
 
 # --------------------------------------------------- the limb-width contract
