@@ -158,7 +158,7 @@ from repro.core.distance import (
     DimensionMajorKernel,
     DistanceProblem,
 )
-from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d, EncryptedMatVec
+from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
@@ -246,28 +246,28 @@ def _measure_dnn_slice(ctx):
                                    spec.kernel_size, spec.kernel_size))
     fc_matrix = rng.integers(-3, 4, FC_SHAPE)
 
-    conv = EncryptedConv2d(ctx, spec, weights)
+    conv = TiledEncryptedConv2d(ctx, spec, weights)
     fc = BsgsMatVec(ctx, fc_matrix)
     ctx.make_galois_keys(conv.required_rotation_steps()
                          | fc.required_rotation_steps())
 
     image = rng.integers(0, 4, (spec.in_channels, spec.height, spec.width))
-    packed = conv.packing.pack(
-        [image[c].ravel() for c in range(spec.in_channels)])
+    (packed,) = conv.pack_input(image)
     conv_ct = ctx.encrypt(packed.astype(np.int64))
     fc_vec = rng.integers(0, 8, FC_SHAPE[1])
     fc_ct = ctx.encrypt(fc.pack_input(fc_vec).astype(np.int64))
     naive_conv, naive_fc = _naive(ctx, conv, conv_ct), _naive(ctx, fc, fc_ct)
 
     # Exactness: the scheduled slice decrypts identically to the oracle.
-    for got, want in ((conv(conv_ct), naive_conv()), (fc(fc_ct), naive_fc())):
+    for got, want in ((conv([conv_ct])[0], naive_conv()),
+                      (fc(fc_ct), naive_fc())):
         assert np.array_equal(np.asarray(ctx.decrypt(got)),
                               np.asarray(ctx.decrypt(want))), \
             "scheduled dnn slice diverged from its reference run"
 
     # Residency telemetry: repeated scheduled calls must elide NTT pairs.
     before = ctx.counts.get("ntt_elided", 0)
-    conv(conv_ct)
+    conv([conv_ct])
     fc(fc_ct)
     elided = ctx.counts.get("ntt_elided", 0) - before
     assert elided > 0, "NTT-residency pass did not fire on the dnn slice"
@@ -277,7 +277,7 @@ def _measure_dnn_slice(ctx):
         naive_fc()
 
     def scheduled():
-        conv(conv_ct)
+        conv([conv_ct])
         fc(fc_ct)
 
     return best_of_pair(naive, scheduled, 2) + (elided,)

@@ -33,8 +33,9 @@ import numpy as np
 
 from _gate import best_of_pair, run_speedup_gate
 from repro.core.ir import compile_ir, concat_programs, trace_program
-from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d
+from repro.core.linalg import BsgsMatVec, Conv2dSpec
 from repro.core.protocol import ClientAidedSession
+from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
 from repro.hecore.params import SchemeType, small_test_parameters
 
@@ -140,7 +141,7 @@ def _trace_slice(ctx, rng):
     weights = rng.integers(-3, 4, (spec.out_channels, spec.in_channels,
                                    spec.kernel_size, spec.kernel_size))
     fc_matrix = rng.integers(-3, 4, FC_SHAPE)
-    conv = EncryptedConv2d(ctx, spec, weights)
+    conv = TiledEncryptedConv2d(ctx, spec, weights)
     fc = BsgsMatVec(ctx, fc_matrix)
 
     # Each kernel's own traced program; the fc input is renamed to the conv
@@ -168,8 +169,7 @@ def _measure_dnn_slice(ctx):
     assert plan.segments, "the recrypt boundary produced no segment plan"
 
     image = rng.integers(0, 4, (spec.in_channels, spec.height, spec.width))
-    packed = conv.packing.pack([image[c].ravel()
-                                for c in range(spec.in_channels)])
+    (packed,) = conv.pack_input(image)
     ct = ctx.encrypt(packed.astype(np.int64))
 
     out_off = sched_off.run(ctx, {"in0": ct})["out0"]

@@ -25,9 +25,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.ir import ensure_galois_keys
-from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d
+from repro.core.linalg import BsgsMatVec, Conv2dSpec
 from repro.core.packing import RedundantPacking
 from repro.core.protocol import ClientAidedSession, ClientCostModel, CostLedger
+from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.modmath import next_power_of_two
 from repro.hecore.params import (
     EncryptionParameters,
@@ -341,8 +342,6 @@ def _layer_kernels(ctx, network: Network) -> dict:
     exceed one ciphertext simply occupy several) sized from the padded
     activation shapes, baby-step/giant-step products (~2*sqrt(d) rotations
     and Galois keys instead of d - 1) for FC weights."""
-    from repro.core.tiling import TiledEncryptedConv2d
-
     kernels = {}
 
     def add_conv(conv: ConvLayer, in_shape) -> None:

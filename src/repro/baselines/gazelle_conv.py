@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.linalg import Conv2dSpec, _encode_vector, row_slot_count
 from repro.core.permute import required_rotation_steps, windowed_rotation_masked
+from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.modmath import next_power_of_two
 
 
@@ -105,7 +106,4 @@ class GazelleStyleConv2d:
             out[o] = grid[p: spec.height - p, p: spec.width - p]
         return out
 
-    def reference(self, image: np.ndarray) -> np.ndarray:
-        from repro.core.linalg import EncryptedConv2d
-
-        return EncryptedConv2d.reference(self, image)
+    reference = TiledEncryptedConv2d.reference

@@ -6,10 +6,12 @@ stored points ``x_i`` — the access pattern of a matrix-vector product.  How
 points and dimensions are packed into ciphertexts determines the balance of
 server time, client time, and communication that Figure 11 explores:
 
-* ``point-major``       — one point's dimensions per ciphertext;
-* ``dimension-major``   — one dimension of every point per ciphertext;
 * ``stacked-point``     — several points per ciphertext;
+* ``point-major``       — one point's dimensions per ciphertext: stacked-point
+  at one point a ciphertext;
 * ``stacked-dimension`` — several dimensions per ciphertext;
+* ``dimension-major``   — one dimension of every point per ciphertext:
+  stacked-dimension at one dimension a ciphertext;
 * ``collapsed``         — stacked-point compute plus an extra server-side
   mask-and-rotate round that compacts all distances into one dense
   ciphertext: more server work, minimal client/communication cost — the
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -83,7 +85,11 @@ class DistanceKernel(TracedKernel):
         raise NotImplementedError
 
     def pack_query(self, query: np.ndarray) -> list:
-        """The query's CKKS plaintexts, each on its input's entry chain."""
+        """The query's CKKS plaintexts, each on its input's entry chain; a
+        query of any shape but ``(dims,)`` is refused."""
+        if np.shape(query) != (self.problem.dims,):
+            raise ValueError(f"query shape {np.shape(query)} does not match "
+                             f"{self.problem.dims} dimensions")
         return self._at_entry(self.query_slots(query))
 
     def decode(self, outputs: List[np.ndarray]) -> np.ndarray:
@@ -134,69 +140,17 @@ class DistanceKernel(TracedKernel):
         return np.sum((points - query) ** 2, axis=1)
 
 
-class PointMajorKernel(DistanceKernel):
-    """One ciphertext per point; outputs one sparse ciphertext per point."""
-
-    name = "point-major"
-
-    def pack_points(self, points):
-        self._check(points)
-        d = self.problem.padded_dims
-        out = []
-        for row in points:
-            v = np.zeros(d)
-            v[: self.problem.dims] = row
-            out.append(v)
-        return out
-
-    def query_slots(self, query):
-        v = np.zeros(self.problem.padded_dims)
-        v[: self.problem.dims] = query
-        return [v]
-
-    def _body(self, ev, point_cts, query_cts):
-        q = query_cts[0]
-        return [ev.rotate_and_sum(self._squared_diff(ev, p, q),
-                                  self.problem.padded_dims)
-                for p in point_cts]
-
-    def decode(self, outputs):
-        return np.array([o[0] for o in outputs])
-
-
-class DimensionMajorKernel(DistanceKernel):
-    """One ciphertext per dimension; outputs one dense ciphertext."""
-
-    name = "dimension-major"
-
-    def pack_points(self, points):
-        self._check(points)
-        return [points[:, k].astype(float) for k in range(self.problem.dims)]
-
-    def query_slots(self, query):
-        n = self.problem.n_points
-        return [np.full(n, float(q_k)) for q_k in query]
-
-    def _body(self, ev, point_cts, query_cts):
-        acc = None
-        for p, q in zip(point_cts, query_cts):
-            sq = self._squared_diff(ev, p, q)
-            acc = sq if acc is None else ev.add(acc, sq)
-        return [acc]
-
-    def decode(self, outputs):
-        return outputs[0][: self.problem.n_points]
-
-
 class StackedPointMajorKernel(DistanceKernel):
     """Several points per ciphertext; output distances at stride ``d``."""
 
     name = "stacked-point"
+    #: Points a ciphertext holds; ``None`` stacks as many as the row fits.
+    points_per_ct: Optional[int] = None
 
     def __init__(self, ctx, problem):
         super().__init__(ctx, problem)
-        d = problem.padded_dims
-        self.points_per_ct = max(1, self.slots // d)
+        if self.points_per_ct is None:
+            self.points_per_ct = max(1, self.slots // problem.padded_dims)
 
     def _groups(self):
         n, per = self.problem.n_points, self.points_per_ct
@@ -236,15 +190,24 @@ class StackedPointMajorKernel(DistanceKernel):
         return np.array(dists[: self.problem.n_points])
 
 
+class PointMajorKernel(StackedPointMajorKernel):
+    """One ciphertext per point; outputs one sparse ciphertext per point."""
+
+    name = "point-major"
+    points_per_ct = 1
+
+
 class StackedDimensionMajorKernel(DistanceKernel):
     """Several dimensions per ciphertext; cross-window adds on the server."""
 
     name = "stacked-dimension"
+    #: Dimensions a ciphertext holds; ``None`` stacks as many as the row fits.
+    dims_per_ct: Optional[int] = None
 
     def __init__(self, ctx, problem):
         super().__init__(ctx, problem)
-        n = problem.padded_points
-        self.dims_per_ct = max(1, self.slots // n)
+        if self.dims_per_ct is None:
+            self.dims_per_ct = max(1, self.slots // problem.padded_points)
 
     def _groups(self):
         d, per = self.problem.dims, self.dims_per_ct
@@ -286,6 +249,13 @@ class StackedDimensionMajorKernel(DistanceKernel):
 
     def decode(self, outputs):
         return outputs[0][: self.problem.n_points]
+
+
+class DimensionMajorKernel(StackedDimensionMajorKernel):
+    """One ciphertext per dimension; outputs one dense ciphertext."""
+
+    name = "dimension-major"
+    dims_per_ct = 1
 
 
 class CollapsedPointMajorKernel(StackedPointMajorKernel):

@@ -1,18 +1,12 @@
 """Encrypted linear algebra built on rotational redundancy (§3.3).
 
-The workhorse is :class:`EncryptedConv2d`: input channels are packed
-redundantly into power-of-two spans (one per channel), so every filter tap
-is a **single** ciphertext rotation by ``delta`` and every channel alignment
-a single rotation by ``j * span``, with one plaintext weight multiply per
-(shift, tap) pair between them — no masking multiplies, no arbitrary
-permutations.  That is the paper's "convolution with optimal multiplication
-efficiency"; factoring the alignment as taps (baby steps) x shifts (giant
-steps) keeps the client's Galois-key bill at taps + shifts.
-
-Boundary semantics are client-aided: rotations are circular within each
-redundant window, so the server computes *valid* convolution outputs at
-interior positions; the client discards everything else when unpacking and
-re-pads when packing the next layer's input.
+The matrix-vector kernels (:class:`EncryptedMatVec`, :class:`BsgsMatVec`)
+pack the input vector in one fully redundant window, so every diagonal
+rotation is a single ciphertext rotation.  :class:`Conv2dSpec` describes a
+convolutional layer; its kernel is
+:class:`repro.core.tiling.TiledEncryptedConv2d`, for layers of one
+ciphertext or many.  The baby-step/giant-step loop both layer kinds share
+is :func:`_baby_giant_sums`.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.ir import TracedKernel
-from repro.core.packing import ChannelLayout, RedundantPacking
+from repro.core.packing import RedundantPacking
 from repro.hecore.modmath import next_power_of_two
 
 
@@ -127,110 +121,6 @@ class Conv2dSpec:
         """Multiply-accumulates for one plaintext evaluation of this layer."""
         return (self.out_height * self.out_width * self.out_channels
                 * self.in_channels * self.kernel_size ** 2)
-
-
-def conv_input_packing(ctx, spec: Conv2dSpec) -> RedundantPacking:
-    """The redundant channel packing a :class:`Conv2dSpec` needs.
-
-    Spans are sized so that the whole rotating row is an exact multiple of
-    the span, which makes channel-aligned rotations wrap cleanly.
-    """
-    row = row_slot_count(ctx)
-    window = spec.height * spec.width
-    packing = RedundantPacking(window=window, redundancy=spec.max_tap_offset,
-                               count=max(spec.in_channels, spec.out_channels))
-    if packing.layout.total_slots > row:
-        raise ValueError(
-            f"conv needs {packing.layout.total_slots} slots, row has {row}"
-        )
-    return packing
-
-
-class EncryptedConv2d(TracedKernel):
-    """Server-side encrypted convolution over a redundantly packed input."""
-
-    def __init__(self, ctx, spec: Conv2dSpec, weights: np.ndarray,
-                 packing: RedundantPacking | None = None):
-        weights = np.asarray(weights)
-        if weights.shape != (spec.out_channels, spec.in_channels,
-                             spec.kernel_size, spec.kernel_size):
-            raise ValueError(f"bad weight shape {weights.shape}")
-        super().__init__(ctx)
-        self.spec = spec
-        self.packing = packing or conv_input_packing(ctx, spec)
-        layout = self.packing.layout
-        self._row_spans = row_slot_count(ctx) // layout.span
-        self.weights = weights
-        self._plan = self._build_plan()
-
-    # ------------------------------------------------------------- planning
-    def _build_plan(self) -> List[Tuple[int, int, int, np.ndarray]]:
-        """One (input, tap, shift, weight-vector) term per non-zero
-        (shift, tap): the taps are the baby steps, the shifts the giants."""
-        spec, layout = self.spec, self.packing.layout
-        row = row_slot_count(self.ctx)
-        spans = self._row_spans
-        plan = []
-        for j in range(spans):
-            # Does any output span o see an input channel under shift j?
-            touched = [
-                o for o in range(spec.out_channels)
-                if (o + j) % spans < spec.in_channels
-            ]
-            if not touched:
-                continue
-            for dy, dx in spec.taps:
-                delta = spec.tap_offset(dy, dx)
-                mask = np.zeros(row)
-                for o in touched:
-                    c = (o + j) % spans
-                    w = self.weights[o, c, dy + spec.pad, dx + spec.pad]
-                    if w:
-                        start = o * layout.span
-                        mask[start: start + layout.span] = w
-                if np.any(mask):
-                    plan.append((0, delta, j * layout.span, mask))
-        return plan
-
-    # ------------------------------------------------------------ execution
-    def _body(self, ev, cts):
-        """One weight multiply per plan entry; one rotation per tap (all of
-        the *same* packed input, so the scheduler shares one hoisted
-        key-switch decompose across them) and one per channel shift."""
-        (acc,) = _baby_giant_sums(ev, cts, [self._plan])
-        if acc is None:
-            raise ValueError("convolution has no non-zero weights")
-        return acc
-
-    def __call__(self, ct, galois_keys=None):
-        """Evaluate the convolution on an encrypted, packed input."""
-        return self.run(([ct],), galois_keys)[0]
-
-    # ----------------------------------------------------------- unpacking
-    def unpack_outputs(self, slots: np.ndarray) -> np.ndarray:
-        """Extract the valid (out_channels, out_h, out_w) outputs."""
-        spec = self.spec
-        channels = self.packing.unpack(slots)
-        p = spec.pad
-        out = np.zeros((spec.out_channels, spec.out_height, spec.out_width),
-                       dtype=np.asarray(slots).dtype)
-        for o in range(spec.out_channels):
-            grid = np.asarray(channels[o]).reshape(spec.height, spec.width)
-            out[o] = grid[p: spec.height - p, p: spec.width - p]
-        return out
-
-    def reference(self, image: np.ndarray) -> np.ndarray:
-        """Plaintext oracle: valid cross-correlation of (C_in, H, W) input."""
-        spec = self.spec
-        p = spec.pad
-        out = np.zeros((spec.out_channels, spec.out_height, spec.out_width),
-                       dtype=np.result_type(image, self.weights))
-        for o in range(spec.out_channels):
-            for y in range(spec.out_height):
-                for x in range(spec.out_width):
-                    patch = image[:, y: y + spec.kernel_size, x: x + spec.kernel_size]
-                    out[o, y, x] = np.sum(patch * self.weights[o])
-        return out
 
 
 class EncryptedMatVec(TracedKernel):

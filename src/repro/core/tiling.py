@@ -1,23 +1,31 @@
-"""Multi-ciphertext (tiled) encrypted convolution.
+"""Encrypted convolution over channel-tiled ciphertexts (§3.3).
 
-:class:`repro.core.linalg.EncryptedConv2d` requires every channel span to
-fit one rotating row; real layers (Table 5's networks) need dozens of
-ciphertexts.  This module tiles channels across ciphertexts while keeping
-CHOCO's rotational-redundancy discipline: every alignment inside a tile is
-still single rotations (a tap offset, then a span-aligned shift; no masking
-permutations), and cross-tile channel reductions are plain ciphertext adds.
+Input channels are packed redundantly into power-of-two spans, as many a
+ciphertext as one rotating row holds, so every filter tap is a **single**
+ciphertext rotation by ``delta`` and every channel alignment a single
+rotation by a whole number of spans, with one plaintext weight multiply
+per (shift, tap) pair between them — no masking multiplies, no arbitrary
+permutations.  That is the paper's "convolution with optimal
+multiplication efficiency"; factoring the alignment as taps (baby steps)
+x shifts (giant steps) keeps the client's Galois-key bill at taps + shifts.
 
 Layout: input channels are packed ``spans_per_ct`` at a time into a list of
 ciphertexts; output channels likewise.  For an output tile position ``p_out``
 receiving input channel at tile position ``p_in`` of input ciphertext ``i``,
 the server rotates ciphertext ``i`` by the tap offset ``delta``,
 weight-multiplies, and rotates the per-shift sum by ``(p_in - p_out) * span``
-— exactly the single-ciphertext algorithm, generalized.
+taken mod the row, in ``(-row/2, row/2]``; cross-tile channel reductions are
+plain ciphertext adds.  A layer that fits one ciphertext is the one-tile
+case: one input and one output ciphertext.
+
+Boundary semantics are client-aided: rotations are circular within each
+redundant window, so the server computes *valid* convolution outputs at
+interior positions; the client discards everything else when unpacking and
+re-pads when packing the next layer's input.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -26,7 +34,7 @@ import numpy as np
 
 from repro.core.ir import TracedKernel
 from repro.core.linalg import Conv2dSpec, _baby_giant_sums, row_slot_count
-from repro.core.packing import ChannelLayout, RedundantPacking
+from repro.core.packing import RedundantPacking
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,11 @@ class TiledEncryptedConv2d(TracedKernel):
     # ------------------------------------------------------------ planning
     def _build_plan(self) -> List[List[Tuple[int, int, int, np.ndarray]]]:
         """Per output ciphertext, its (in-ct index, tap, shift, weight mask)
-        terms: the taps are the baby steps, the shifts the giants."""
+        terms: the taps are the baby steps, the shifts the giants.  A shift
+        and its wrap-around are one rotation of the row (one Galois
+        element), so each is kept as its representative in
+        ``(-row/2, row/2]``: ``p_in - p_out`` and ``p_in - p_out ± spans``
+        share one giant step."""
         spec = self.spec
         span = self.in_layout.span
         row = row_slot_count(self.ctx)
@@ -112,7 +124,9 @@ class TiledEncryptedConv2d(TracedKernel):
                     continue
                 for c in range(spec.in_channels):
                     ct_i, p_in = self.in_layout.position(c)
-                    shift = (p_in - p_out) * span
+                    shift = (p_in - p_out) * span % row
+                    if shift > row // 2:
+                        shift -= row
                     for dy, dx in spec.taps:
                         w = self.weights[o, c, dy + spec.pad, dx + spec.pad]
                         if not w:
@@ -159,7 +173,13 @@ class TiledEncryptedConv2d(TracedKernel):
         return out
 
     def reference(self, image: np.ndarray) -> np.ndarray:
-        """Plaintext oracle (valid cross-correlation)."""
-        from repro.core.linalg import EncryptedConv2d
-
-        return EncryptedConv2d.reference(self, image)
+        """Plaintext oracle: valid cross-correlation of (C_in, H, W) input."""
+        spec = self.spec
+        out = np.zeros((spec.out_channels, spec.out_height, spec.out_width),
+                       dtype=np.result_type(image, self.weights))
+        for o in range(spec.out_channels):
+            for y in range(spec.out_height):
+                for x in range(spec.out_width):
+                    patch = image[:, y: y + spec.kernel_size, x: x + spec.kernel_size]
+                    out[o, y, x] = np.sum(patch * self.weights[o])
+        return out

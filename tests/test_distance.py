@@ -76,6 +76,18 @@ def test_all_variants_agree(ckks):
         assert np.allclose(got, reference, atol=TOL), name
 
 
+@pytest.mark.parametrize("variant", sorted(KERNEL_VARIANTS))
+@pytest.mark.parametrize("shape", [(1,), (4,), (2, 3)],
+                         ids=["one", "dims+1", "two-queries"])
+def test_query_of_the_wrong_shape_is_refused(ckks, variant, shape):
+    """A length-1 query would broadcast to every dimension, a longer one
+    fill padding slots: wrong distances, not an error, unless refused."""
+    kernel = KERNEL_VARIANTS[variant](ckks, DistanceProblem(n_points=5, dims=3))
+    with pytest.raises(ValueError, match="query shape"):
+        kernel.pack_query(np.ones(shape))
+    assert len(kernel.pack_query(np.ones(3))) == kernel.input_shape[1]
+
+
 def test_multi_query_kernel(ckks):
     from repro.core.distance import MultiQueryDimensionMajor
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.gazelle_conv import GazelleStyleConv2d
-from repro.core.linalg import Conv2dSpec, EncryptedConv2d
+from repro.core.linalg import Conv2dSpec
+from repro.core.tiling import TiledEncryptedConv2d
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +33,16 @@ def test_gazelle_conv_burns_more_budget_than_choco(bfv, layer):
     spec, weights, image = layer
 
     gazelle = GazelleStyleConv2d(bfv, spec, weights)
-    choco = EncryptedConv2d(bfv, spec, weights)
+    choco = TiledEncryptedConv2d(bfv, spec, weights)
     bfv.make_galois_keys(gazelle.required_rotation_steps()
                          | choco.required_rotation_steps())
 
     ct_g = bfv.encrypt(gazelle.pack_input(image).astype(np.int64))
     budget_gazelle = bfv.noise_budget(gazelle(ct_g))
 
-    packed = choco.packing.pack([image[0].ravel()])
-    ct_c = bfv.encrypt(packed.astype(np.int64))
-    budget_choco = bfv.noise_budget(choco(ct_c))
+    ct_c = choco.encrypt_input(image)
+    (out_c,) = choco(ct_c)
+    budget_choco = bfv.noise_budget(out_c)
 
     assert budget_choco > budget_gazelle
     # The gap is on the order of a masking multiply: ~log2(t) bits.
@@ -54,14 +55,14 @@ def test_gazelle_conv_packs_denser(bfv, layer):
     density is what redundancy trades away (§3.3)."""
     spec, weights, _ = layer
     gazelle = GazelleStyleConv2d(bfv, spec, weights)
-    choco = EncryptedConv2d(bfv, spec, weights)
+    choco = TiledEncryptedConv2d(bfv, spec, weights)
     assert gazelle.span <= choco.packing.layout.span
 
 
 def test_gazelle_conv_costs_more_operations(bfv, layer):
     spec, weights, image = layer
     gazelle = GazelleStyleConv2d(bfv, spec, weights)
-    choco = EncryptedConv2d(bfv, spec, weights)
+    choco = TiledEncryptedConv2d(bfv, spec, weights)
     bfv.make_galois_keys(gazelle.required_rotation_steps()
                          | choco.required_rotation_steps())
 
@@ -71,7 +72,7 @@ def test_gazelle_conv_costs_more_operations(bfv, layer):
     gazelle_mults = bfv.counts["multiply_plain"] - m0
     gazelle_rots = bfv.counts["rotate"] - r0
 
-    ct_c = bfv.encrypt(choco.packing.pack([image[0].ravel()]).astype(np.int64))
+    ct_c = choco.encrypt_input(image)
     m0, r0 = bfv.counts["multiply_plain"], bfv.counts["rotate"]
     choco(ct_c)
     choco_mults = bfv.counts["multiply_plain"] - m0

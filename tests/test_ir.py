@@ -33,12 +33,7 @@ from repro.core.ir import (
     ensure_galois_keys,
     trace_program,
 )
-from repro.core.linalg import (
-    BsgsMatVec,
-    Conv2dSpec,
-    EncryptedConv2d,
-    EncryptedMatVec,
-)
+from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
 from repro.core.lola import AlternatingMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
@@ -632,16 +627,6 @@ def _linalg_case(ctx, kernel, packed, unpack, want):
             lambda slots: unpack(slots[0]), want)
 
 
-def _conv_case(bfv, _ckks):
-    rng = np.random.default_rng(31)
-    spec = Conv2dSpec(2, 2, 5, 5, 3)
-    conv = EncryptedConv2d(bfv, spec, rng.integers(-2, 3, (2, 2, 3, 3)))
-    image = rng.integers(0, 4, (2, 5, 5))
-    packed = conv.packing.pack([image[c].ravel() for c in range(2)])
-    return _linalg_case(bfv, conv, packed, conv.unpack_outputs,
-                        conv.reference(image))
-
-
 def _matvec_case(cls):
     def build(bfv, _ckks):
         rng = np.random.default_rng(32)
@@ -652,16 +637,18 @@ def _matvec_case(cls):
     return build
 
 
-def _tiled_case(bfv, _ckks):
-    rng = np.random.default_rng(33)
-    spec = Conv2dSpec(10, 10, 5, 5, 3)      # two input and two output tiles
-    conv = TiledEncryptedConv2d(bfv, spec,
-                                rng.integers(-2, 3, (10, 10, 3, 3)))
-    ensure_galois_keys(bfv, conv.required_rotation_steps())
-    image = rng.integers(0, 4, (10, 5, 5))
-    cts = conv.encrypt_input(image)
-    return (bfv, conv.scheduled((len(cts),)), _named(cts), conv(cts),
-            conv.unpack_outputs, conv.reference(image))
+def _conv_case(channels, seed):
+    def build(bfv, _ckks):
+        rng = np.random.default_rng(seed)
+        spec = Conv2dSpec(channels, channels, 5, 5, 3)
+        conv = TiledEncryptedConv2d(
+            bfv, spec, rng.integers(-2, 3, (channels, channels, 3, 3)))
+        ensure_galois_keys(bfv, conv.required_rotation_steps())
+        image = rng.integers(0, 4, (channels, 5, 5))
+        cts = conv.encrypt_input(image)
+        return (bfv, conv.scheduled((len(cts),)), _named(cts), conv(cts),
+                conv.unpack_outputs, conv.reference(image))
+    return build
 
 
 def _distance_case(cls, n_points=6, dims=4, **extra):
@@ -724,10 +711,10 @@ def _eva_case(_bfv, ckks):
 
 
 KERNEL_FAMILIES = {
-    "conv2d": _conv_case,
+    "conv2d": _conv_case(2, seed=31),           # one tile
     "matvec": _matvec_case(EncryptedMatVec),
     "bsgs-matvec": _matvec_case(BsgsMatVec),
-    "tiled-conv2d": _tiled_case,
+    "tiled-conv2d": _conv_case(10, seed=33),    # two input and two output tiles
     **{name: _distance_case(cls) for name, cls in KERNEL_VARIANTS.items()},
     "multi-query": _distance_case(MultiQueryDimensionMajor, max_queries=3),
     "lola-product": _lola_case,

@@ -1,16 +1,15 @@
-"""Tests for encrypted convolution and matrix-vector products."""
+"""Tests for encrypted convolution and matrix-vector products.
+
+The conv tests here are one-ciphertext layers: the one-tile case of
+:class:`repro.core.tiling.TiledEncryptedConv2d` (``tests/test_tiling.py``
+covers layers of several tiles)."""
 
 import numpy as np
 import pytest
 
 from repro.core.ir import ScheduleError, TracedKernel, _program_digest
-from repro.core.linalg import (
-    BsgsMatVec,
-    Conv2dSpec,
-    EncryptedConv2d,
-    EncryptedMatVec,
-    conv_input_packing,
-)
+from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
+from repro.core.tiling import TiledEncryptedConv2d
 
 
 def test_conv_spec_properties():
@@ -32,12 +31,12 @@ def _run_conv(bfv, spec, seed=0):
     weights = rng.integers(-2, 3, (spec.out_channels, spec.in_channels,
                                    spec.kernel_size, spec.kernel_size))
     image = rng.integers(0, 4, (spec.in_channels, spec.height, spec.width))
-    conv = EncryptedConv2d(bfv, spec, weights)
+    conv = TiledEncryptedConv2d(bfv, spec, weights)
     bfv.make_galois_keys(conv.required_rotation_steps())
-    packed = conv.packing.pack([image[c].ravel() for c in range(spec.in_channels)])
+    (packed,) = conv.pack_input(image)
     ct = bfv.encrypt(packed.astype(np.int64))
-    out_ct = conv(ct)
-    got = conv.unpack_outputs(bfv.decrypt(out_ct))
+    (out_ct,) = conv([ct])
+    got = conv.unpack_outputs([bfv.decrypt(out_ct)])
     want = conv.reference(image)
     t = bfv.params.plain_modulus
     assert np.array_equal(np.mod(got, t), np.mod(want, t))
@@ -63,11 +62,11 @@ def test_conv_uses_no_masking_multiplies(bfv):
     """Rotational redundancy: one multiply per (shift, tap), zero masks."""
     spec = Conv2dSpec(1, 1, 5, 5, 3)
     weights = np.ones((1, 1, 3, 3), dtype=np.int64)
-    conv = EncryptedConv2d(bfv, spec, weights)
+    conv = TiledEncryptedConv2d(bfv, spec, weights)
     bfv.make_galois_keys(conv.required_rotation_steps())
     ct = bfv.encrypt(conv.packing.pack([np.arange(25)]).astype(np.int64))
     r0, m0 = bfv.counts["rotate"], bfv.counts["multiply_plain"]
-    conv(ct)
+    conv([ct])
     assert bfv.counts["multiply_plain"] - m0 == 9       # one per tap
     assert bfv.counts["rotate"] - r0 == 8               # all taps but delta=0
 
@@ -75,13 +74,7 @@ def test_conv_uses_no_masking_multiplies(bfv):
 def test_conv_rejects_bad_weight_shape(bfv):
     spec = Conv2dSpec(1, 1, 5, 5, 3)
     with pytest.raises(ValueError):
-        EncryptedConv2d(bfv, spec, np.ones((1, 2, 3, 3)))
-
-
-def test_conv_packing_fits_check(bfv):
-    spec = Conv2dSpec(64, 64, 32, 32, 3)
-    with pytest.raises(ValueError):
-        conv_input_packing(bfv, spec)   # needs far more than 512 slots
+        TiledEncryptedConv2d(bfv, spec, np.ones((1, 2, 3, 3)))
 
 
 def test_matvec_square(bfv):
@@ -239,9 +232,9 @@ def test_ckks_conv(ckks):
     rng = np.random.default_rng(7)
     weights = rng.uniform(-1, 1, (1, 1, 3, 3))
     image = rng.uniform(0, 1, (1, 5, 5))
-    conv = EncryptedConv2d(ckks, spec, weights)
+    conv = TiledEncryptedConv2d(ckks, spec, weights)
     ckks.make_galois_keys(conv.required_rotation_steps())
-    ct = ckks.encrypt(conv.packing.pack([image[0].ravel()]))
-    out = np.real(ckks.decrypt(conv(ct)))
-    got = conv.unpack_outputs(out)
+    ct = ckks.encrypt(conv.pack_input(image)[0])
+    (out_ct,) = conv([ct])
+    got = conv.unpack_outputs([np.real(ckks.decrypt(out_ct))])
     assert np.allclose(got, conv.reference(image), atol=0.05)

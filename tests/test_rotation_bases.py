@@ -16,9 +16,10 @@ import pytest
 
 from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
 from repro.core.ir import IrProgram, _program_digest, ensure_galois_keys
-from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedConv2d
+from repro.core.linalg import BsgsMatVec, Conv2dSpec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
+from repro.hecore.keys import galois_element_for_step
 from repro.hecore.noise import NoiseEstimator
 from repro.hecore.params import (
     PARAMETER_SET_B,
@@ -39,16 +40,31 @@ def _conv_weights(rng, spec, zeroed, draw):
     return weights
 
 
-def _single_ct_conv(ctx, spec, weights, image):
-    conv = EncryptedConv2d(ctx, spec, weights)
-    packed = conv.packing.pack([image[c].ravel()
-                                for c in range(spec.in_channels)])
-    return conv, [packed], lambda slots: conv.unpack_outputs(slots[0])
-
-
 def _tiled_conv(ctx, spec, weights, image):
     conv = TiledEncryptedConv2d(ctx, spec, weights)
     return conv, conv.pack_input(image), conv.unpack_outputs
+
+
+def _single_ct_conv(ctx, spec, weights, image):
+    """The one-tile case, held to the single-ciphertext plan: one rotation
+    per tap offset and one per channel shift ``j * span`` that carries a
+    weight, ``j = (c_in - c_out) mod`` the spans a row holds — a shift and
+    its wrap-around are one rotation of the row."""
+    conv, packed, unpack = _tiled_conv(ctx, spec, weights, image)
+    assert conv.input_shape == (1,) and conv.out_layout.ciphertexts == 1
+    n, span = ctx.params.poly_degree, conv.packing.layout.span
+    spans = n // 2 // span
+    p = spec.pad
+    taps = {spec.tap_offset(dy, dx) for dy, dx in spec.taps
+            if np.any(weights[:, :, dy + p, dx + p])}
+    shifts = {int(c - o) % spans * span
+              for o, c in zip(*np.nonzero(np.any(weights, axis=(2, 3))))}
+    program = conv.program(conv.input_shape)
+    assert (sum(node.kind == "rotate" for node in program.nodes)
+            == len((taps | shifts) - {0}))
+    assert ({galois_element_for_step(s, n) for s in program.rotation_steps()}
+            == {galois_element_for_step(s, n) for s in (taps | shifts) - {0}})
+    return conv, packed, unpack
 
 
 def _assert_taps_plus_shifts(conv, spec):
@@ -61,7 +77,9 @@ def _assert_taps_plus_shifts(conv, spec):
 
 
 # 5x5: span 64, eight channels a ciphertext.  12x12: span 256, two a
-# ciphertext — up to two input and three output tiles.
+# ciphertext — up to two input and three output tiles.  The 5x5 layers are
+# one tile, so ``_single_ct_conv`` holds them to the single-ciphertext plan
+# too.
 CONV_CASES = [
     (build, size, cin, cout, zeroed)
     for build, sizes in ((_single_ct_conv, (5,)), (_tiled_conv, (5, 12)))
@@ -112,6 +130,31 @@ def test_ckks_conv_within_tolerance(ckks, build, cin, cout, zeroed):
     assert np.allclose(got, conv.reference(image), atol=0.05)
 
 
+# (parameters, channels in = out, image side) -> rotate nodes: the 8 taps
+# per input tile plus, per output tile, one giant step per non-zero channel
+# shift mod the row.  8 -> 8 at 12x12, set B (8 spans of 256 in a 2048-slot
+# row) is one tile whose 15 shift values are 8 rotations of the row: 8 + 7.
+# 12 -> 12 there, and 10 -> 10 at 5x5 on the N = 1024 fixture (8 spans of
+# 64), are two tiles each way: 2 * 8 + 2 * 7.
+GIANT_ROTATION_CASES = [("B", 8, 12, 15), ("B", 12, 12, 30),
+                        ("fixture", 10, 5, 30)]
+
+
+@pytest.mark.parametrize("params,channels,size,rotations",
+                         GIANT_ROTATION_CASES)
+def test_conv_pays_one_giant_rotation_per_galois_element(
+        bfv_params, params, channels, size, rotations):
+    params = PARAMETER_SET_B if params == "B" else bfv_params
+    spec = Conv2dSpec(channels, channels, size, size, 3)
+    conv = TiledEncryptedConv2d(types.SimpleNamespace(params=params), spec,
+                                np.ones((channels, channels, 3, 3), int))
+    program = conv.program(conv.input_shape)
+    assert sum(node.kind == "rotate" for node in program.nodes) == rotations
+    n = params.poly_degree
+    elements = {galois_element_for_step(s, n) for s in program.rotation_steps()}
+    assert len(elements) == len(program.rotation_steps())
+
+
 # (n_out, n_in) -> extended diagonals r: 2^ceil(log2 n_out) when d / r is a
 # power of two, the square form r = d otherwise.
 FC_CASES = {(1, 64): 1, (10, 64): 16, (16, 64): 16, (10, 48): 48,
@@ -141,24 +184,33 @@ def test_hybrid_fc_is_bit_exact_with_a_summed_key_bill(bfv, shape):
             np.mod(kernel.unpack_output(bfv.decrypt(out)), t), want)
 
 
+#: The e2e DNN slice (``dnn_cold_sessions``): conv 1 -> 4 at 12x12, fc 10x64.
+E2E_CONV = Conv2dSpec(in_channels=1, out_channels=4, height=12, width=12,
+                      kernel_size=3)
+
+
+def _e2e_layers(ctx, seed):
+    """The e2e conv and fc under draw *seed* of the e2e benchmark's weight
+    range, and the generator the draw leaves behind."""
+    rng = np.random.default_rng([seed, 0xD77])
+
+    def draw(shape):
+        return rng.integers(1, 4, shape) * rng.choice((-1, 1), shape)
+
+    return (TiledEncryptedConv2d(ctx, E2E_CONV, draw((4, 1, 3, 3))),
+            BsgsMatVec(ctx, draw((10, 64))), rng)
+
+
 def test_e2e_layers_keep_a_noise_floor_at_set_b():
     """Rotating after the weight multiplies (3 giant steps in the conv, 3 +
     2 fold steps in the fc) spends budget the one-rotation-per-term bodies
     kept: 6-7 bits left after the e2e conv (was 8-9) and 4-5 after the fc
     (was 6), over 20 draws of the e2e benchmark's weight range.  The
     estimator stays on the safe side of every measurement."""
-    spec = Conv2dSpec(in_channels=1, out_channels=4, height=12, width=12,
-                      kernel_size=3)
     ctx = BfvContext(PARAMETER_SET_B, seed=b"rotation-bases")
     estimator = NoiseEstimator(PARAMETER_SET_B)
     for seed in range(20):
-        rng = np.random.default_rng([seed, 0xD77])
-
-        def draw(shape):
-            return rng.integers(1, 4, shape) * rng.choice((-1, 1), shape)
-
-        conv = TiledEncryptedConv2d(ctx, spec, draw((4, 1, 3, 3)))
-        fc = BsgsMatVec(ctx, draw((10, 64)))
+        conv, fc, rng = _e2e_layers(ctx, seed)
         ensure_galois_keys(ctx, conv.required_rotation_steps(),
                            fc.required_rotation_steps())
         image, vec = rng.integers(0, 16, (1, 12, 12)), rng.integers(0, 8, 64)
@@ -173,6 +225,26 @@ def test_e2e_layers_keep_a_noise_floor_at_set_b():
             predicted = estimator.budget_after(
                 kernel.program(kernel.input_shape))["out0"].budget_bits
             assert predicted <= measured
+
+
+# The e2e DNN layers' programs under draw 0 of ``_e2e_layers`` at set B,
+# ``_program_digest(kernel.program(kernel.input_shape), params, True).hex()``
+# recorded before the single-ciphertext conv became the one-tile case of
+# the tiled kernel: the conv's shifts of -256 / -512 / -768 already lie in
+# ``(-row/2, row/2]``, so its program did not move.
+DNN_DIGESTS = {
+    "conv": "06c46dfc5ac5325cc944869a0c75c043d85919405dff439a7047cd65bb83427c",
+    "fc": "c148dfcae989037fcc213a249f333d8080bd9fcda838126c2d821af2df71485c",
+}
+
+
+@pytest.mark.parametrize("layer", sorted(DNN_DIGESTS))
+def test_dnn_workload_programs_did_not_move(layer):
+    conv, fc, _ = _e2e_layers(types.SimpleNamespace(params=PARAMETER_SET_B), 0)
+    kernel = {"conv": conv, "fc": fc}[layer]
+    program = kernel.program(kernel.input_shape)
+    assert (_program_digest(program, PARAMETER_SET_B, True).hex()
+            == DNN_DIGESTS[layer])
 
 
 # ``_program_digest(kernel.program(kernel.input_shape), params, True).hex()``,

@@ -122,6 +122,7 @@ def test_tiled_no_masking_permutations(bfv):
     # One weight multiply per (input-ct, rotation) term per output tile;
     # rotations are cached across output tiles.
     assert mults >= rotations
-    # Distinct rotations are bounded by (tile-position differences) x taps
-    # per input ciphertext — never by masking permutations (there are none).
-    assert rotations <= 2 * (10 + 4) * 9
+    # The 8 taps of each of the 2 input ciphertexts, plus one giant step per
+    # channel shift mod the 8-span row: the tile-position differences -3..7
+    # fold onto 7 non-zero rotations — never a masking permutation.
+    assert rotations == 2 * 8 + 7
