@@ -102,7 +102,8 @@ def _measure_dnn_matvec(ctx):
         return acc
 
     # Held across calls, as the IR scheduler holds one per fused node.
-    span = WeightedSumSpan([(j, pt.coeffs) for j, pt in encoded])
+    span = WeightedSumSpan.of_coeffs(ctx, ct.level_base,
+                                     [(j, pt.coeffs) for j, pt in encoded])
 
     def hoisted():
         return span(ctx, ct)

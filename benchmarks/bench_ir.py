@@ -140,6 +140,19 @@ exactly, and the warm side must record no cache miss.  In the record its
 ``reference_ms`` is the cleared-cache session and its ``scheduled_ms`` the
 warm one.
 
+Weighted-sum fusion then began to take baby-step/giant-step sums: each
+giant step of the dnn slice's conv and fc and of the collapse round is one
+span over shared baby rotations (one decompose and one inner product per
+baby for all of them).  Ten alternating runs per side, scheduled side and
+ratio medians, parent -> change: ``fig15_matvec`` 25.0 -> 24.3 ms, 5.52x ->
+6.27x; ``dnn_slice`` 46.9 -> 36.4 ms, 1.96x -> 3.04x; ``knn_collapsed``
+62.0 -> 55.1 ms, 2.73x -> 3.64x; ``cold_second_session`` 1.41x -> 1.65x;
+``knn_dimmajor`` (no span) unchanged.  No floor moved, and the count
+checks keep their meaning: ``weighted_sum_spans`` 1 on ``fig15_matvec``,
+``naive_decompose`` <= 7 (the collapse round's giant rotations), and
+``ntt_elided`` > 0, now 90 rows per slice, all of it the spans' cached
+multiplier tables (60 before).
+
 ``--check`` exits non-zero on a missed floor, a missing residency signal,
 or a >20% regression against the previous recorded run.  Results go to
 ``benchmarks/results/BENCH_ir.json``.

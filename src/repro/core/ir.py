@@ -10,11 +10,15 @@ consumer, so a traced program relinearises every product on the spot and
 the scheduler decides where the key switches happen.  A scheduler then
 runs ordered passes over the DAG:
 
-1. **Weighted-sum fusion** (BFV) — maximal add-trees of
+1. **Weighted-sum fusion** (BFV and CKKS) — maximal add-trees of
    ``mul(rotate(x, s_j), const_j)`` over one source ciphertext collapse
-   into a single :class:`repro.hecore.hoisting.WeightedSumSpan` node: one
-   hoisted key-switch decompose, one inverse-NTT pair, one rescale for the
-   whole diagonal sum, with the plaintext NTT tables cached across calls.
+   into a single ``weighted_sum`` node, run as a
+   :class:`repro.hecore.hoisting.WeightedSumSpan`: one inverse transform
+   and one mod-down for the whole masked sum, with the plaintext NTT
+   tables cached across calls.  Baby rotations shared by the giant steps
+   of a baby-step/giant-step sum fuse into every span that reads them:
+   all spans over one source share its one hoisted decompose and one
+   key-switch inner product per Galois element (double hoisting).
 2. **Rotation fusion** — remaining live rotations are grouped by source
    ciphertext and lowered onto one hoisted decompose per group
    (``rotate_many``); ``rotate_sum`` nodes pick flat or BSGS spans by
@@ -70,6 +74,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.hecore import hoisting
+from repro.hecore.keys import galois_element_for_step, keyswitch_ext_base
 from repro.hecore.params import SchemeType
 
 
@@ -131,12 +136,12 @@ def level_after(node: IrNode, scheme: SchemeType,
     operands' levels.  Binary operands meet at the lower one (the executor
     aligns them); ``mod_switch`` drops a limb and keeps the scale; a CKKS
     ``rescale`` drops a limb and a scale power (BFV has no rescale: it
-    costs no level); multiplies stack scale powers; ``relin`` moves
-    neither."""
+    costs no level); multiplies stack scale powers, and a ``weighted_sum``
+    is a sum of plain multiplies; ``relin`` moves neither."""
     if node.kind in ENTRY_KINDS or not operands:
         return 0, 1
     dropped = max(d for d, _ in operands)
-    if node.kind != "mul":
+    if node.kind not in ("mul", "weighted_sum"):
         sexp = max(s for _, s in operands)
     elif len(operands) == 2:
         sexp = operands[0][1] + operands[1][1]
@@ -591,18 +596,24 @@ class ScheduleReport:
         return text
 
 
-def _fuse_weighted_sums(program: IrProgram, scheme: SchemeType,
-                        report: ScheduleReport) -> None:
-    """Collapse BFV diagonal add-trees into ``weighted_sum`` nodes.
+def _fuse_weighted_sums(program: IrProgram, report: ScheduleReport) -> None:
+    """Collapse masked rotation sums into ``weighted_sum`` nodes.
 
-    A tree qualifies when every leaf is a single-consumer
-    ``mul(rotate(x, s) | x, const)`` over one common source ``x``, the
-    rotates themselves are single-consumer (shared baby rotations — BSGS —
-    stay with the rotation-fusion pass instead), and at least two leaves
-    carry distinct rotations.
+    A *leaf* is a single-consumer ``mul(rotate(x, s) | x, const)``; a
+    *tree* is a maximal add-tree of single-consumer adds over leaves that
+    all read one source ``x`` (a lone leaf is a one-leaf tree), inside an
+    add-tree whose leaves read no other source (multi-source trees are
+    left to rotation grouping).  A ``rotate`` is absorbed when every
+    consumer is a leaf of a fused tree: a baby rotation shared by the
+    giant steps of a baby-step/giant-step sum fuses into each of their
+    spans, and one consumed anywhere else stays — and so does every tree
+    reading it, to a fixpoint.  A tree fuses when it has a rotation term
+    and either reads a shared rotation or carries at least two leaves over
+    two distinct rotations.
+
+    Liveness and consumers are computed once: every decision is made
+    before the first rewrite, and a rewrite only kills nodes.
     """
-    if scheme is not SchemeType.BFV:
-        return
     nodes = program.nodes
     live = program.live_set()
     consumers = program.consumers(live)
@@ -611,62 +622,95 @@ def _fuse_weighted_sums(program: IrProgram, scheme: SchemeType,
     def single_consumer(nid: int) -> bool:
         return len(consumers.get(nid, ())) == 1 and nid not in out_ids
 
-    def leaf_term(nid: int, source: Optional[int]):
-        """(source, step, const) when *nid* is a fusable leaf, else None."""
+    leaves: Dict[int, Tuple[int, int]] = {}     # leaf -> (ct operand, const)
+    for nid in live:
         node = nodes[nid]
-        if node.kind != "mul":
-            return None
+        if node.kind != "mul" or not single_consumer(nid):
+            continue
         a, b = node.args
         if program.is_const(a):
             a, b = b, a
-        if not program.is_const(b) or program.is_const(a):
-            return None
-        rot = nodes[a]
-        if rot.kind == "rotate" and single_consumer(a):
-            src, step = rot.args[0], rot.steps
-        else:
-            src, step = a, 0
-        if source is not None and src != source:
-            return None
-        return src, step, b
+        if program.is_const(b) and not program.is_const(a):
+            leaves[nid] = (a, b)
+    absorbable = {nid for nid in live
+                  if nodes[nid].kind == "rotate" and nid not in out_ids
+                  and all(c in leaves for c in consumers[nid])}
+    adds = sorted(nid for nid in live if nodes[nid].kind == "add")
 
-    def maximal(nid: int) -> bool:
-        """True when no larger add-tree strictly contains *nid*."""
-        cons = consumers.get(nid, ())
-        return (nid in out_ids or len(cons) != 1
-                or nodes[cons[0]].kind != "add")
+    def term(leaf: int) -> Tuple[int, int, int]:
+        """(source, step, const) of *leaf* under the current absorption."""
+        a, cid = leaves[leaf]
+        if a in absorbable:
+            return nodes[a].args[0], nodes[a].steps, cid
+        return a, 0, cid
 
-    for root in range(len(nodes)):
-        if (root not in live or nodes[root].kind != "add"
-                or not maximal(root)):
-            continue
-        # Collect the maximal single-consumer add-tree under `root`.
-        terms: List[Tuple[int, int]] = []
-        source: Optional[int] = None
-        ok = True
-        stack = [root]
-        while stack and ok:
-            nid = stack.pop()
-            node = nodes[nid]
-            if node.kind == "add" and (nid == root or single_consumer(nid)):
-                stack.extend(node.args)
+    while True:
+        # Pure nodes (leaves, and adds of single-consumer pure nodes over
+        # one source) and their source; args precede their consumers.
+        source = {leaf: term(leaf)[0] for leaf in leaves}
+        for nid in adds:
+            args = nodes[nid].args
+            if (all(a in source and single_consumer(a) for a in args)
+                    and source[args[0]] == source[args[1]]):
+                source[nid] = source[args[0]]
+        mixed: Dict[int, bool] = {}
+
+        def multi_source(root: int) -> bool:
+            """Whether the maximal add-tree holding *root* has leaves over
+            more than one source (a multi-tile conv's giant step): such a
+            tree is left whole to rotation grouping."""
+            top = root
+            while (single_consumer(top)
+                   and nodes[consumers[top][0]].kind == "add"):
+                top = consumers[top][0]
+            if top not in mixed:
+                sources, stack = set(), [top]
+                while stack:
+                    nid = stack.pop()
+                    if nid in leaves:
+                        sources.add(term(nid)[0])
+                    elif nodes[nid].kind == "add" and (
+                            nid == top or single_consumer(nid)):
+                        stack.extend(nodes[nid].args)
+                mixed[top] = len(sources) > 1
+            return mixed[top]
+
+        fused: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+        covered: Set[int] = set()
+        for root in source:
+            cons = consumers.get(root, ())
+            if (single_consumer(root) and cons[0] in source
+                    and nodes[cons[0]].kind == "add"):
+                continue                    # inside a larger pure tree
+            if multi_source(root):
                 continue
-            leaf = leaf_term(nid, source)
-            if leaf is None or not single_consumer(nid):
-                ok = False
-                break
-            source = leaf[0]
-            terms.append((leaf[1], leaf[2]))
-        if not ok or source is None or len(terms) < 2:
-            continue
-        if len({step for step, _ in terms if step}) < 2:
-            continue
-        nodes[root] = IrNode("weighted_sum", (source,),
-                             terms=tuple(sorted(terms)))
+            tree_leaves, stack = [], [root]
+            while stack:
+                nid = stack.pop()
+                if nid in leaves:
+                    tree_leaves.append(nid)
+                else:
+                    stack.extend(nodes[nid].args)
+            terms = [term(leaf) for leaf in tree_leaves]
+            steps = {step for _, step, _ in terms if step}
+            shared = any(len(consumers[leaves[leaf][0]]) > 1
+                         for leaf in tree_leaves
+                         if leaves[leaf][0] in absorbable)
+            if steps and (shared or (len(terms) > 1 and len(steps) > 1)):
+                fused[root] = (source[root], tuple(sorted(
+                    (step, cid) for _, step, cid in terms)))
+                covered.update(tree_leaves)
+        kept = {nid for nid in absorbable
+                if not all(c in covered for c in consumers[nid])}
+        if not kept:
+            break
+        absorbable -= kept
+
+    for root in sorted(fused):
+        src, terms = fused[root]
+        nodes[root] = IrNode("weighted_sum", (src,), terms=terms)
         report.weighted_sum_spans += 1
         report.weighted_sum_terms += len(terms)
-        live = program.live_set()
-        consumers = program.consumers(live)
 
 
 #: Linear unary kinds the sinking pass moves below an add/sub, and the
@@ -807,7 +851,7 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
     program = IrProgram(nodes=[replace(n) for n in source.nodes],
                         outputs=dict(source.outputs), slots=source.slots)
     report = ScheduleReport()
-    _fuse_weighted_sums(program, scheme, report)
+    _fuse_weighted_sums(program, report)
     if params is not None:
         from repro.core.levelplan import plan_levels
 
@@ -1085,14 +1129,33 @@ class ScheduledProgram:
             ctx.counts["ntt_elided"] += len(base)
         return self._ntt_plain_cache[key]
 
-    def _span(self, ctx, nid: int) -> hoisting.WeightedSumSpan:
+    def _span(self, ctx, nid: int, current) -> hoisting.WeightedSumSpan:
+        """Node *nid*'s span over the chain *current*: its multipliers are
+        the plaintexts :meth:`_IrRunner._mul_plain` would use (the BFV
+        plaintext, the CKKS encoding at the default scale), over the
+        chain's extended base.  Built once per chain and encoding — a
+        reuse charges ``ntt_elided`` the rows the build transformed."""
         node = self.program.nodes[nid]
-        key = (nid, ctx.params.plain_modulus)
+        bfv = self.scheme is SchemeType.BFV
+        key = (nid, current.moduli,
+               ctx.params.plain_modulus if bfv else ctx.params.scale)
         span = self._spans.get(key)
-        if span is None:
-            terms = [(step, self._bfv_plain(ctx, cid).coeffs)
-                     for step, cid in node.terms]
-            span = self._spans[key] = hoisting.WeightedSumSpan(terms)
+        if span is not None:
+            ctx.counts["ntt_elided"] += span.rows
+            return span
+        if bfv:
+            span = hoisting.WeightedSumSpan.of_coeffs(ctx, current, [
+                (step, self._bfv_plain(ctx, cid).coeffs)
+                for step, cid in node.terms])
+        else:
+            pts = ctx.encoder.encode_many(
+                [np.asarray(self._const_values(cid), dtype=np.float64)
+                 for _, cid in node.terms],
+                base=keyswitch_ext_base(current, ctx.params))
+            span = hoisting.WeightedSumSpan(
+                ctx, current, [(step, pt.poly.data) for (step, _), pt
+                               in zip(node.terms, pts)], scale=pts[0].scale)
+        self._spans[key] = span
         return span
 
     # ------------------------------------------------------------ execution
@@ -1244,16 +1307,28 @@ class _IrRunner:
             a, b = self.ctx.align(self._to_coeff(a), self._to_coeff(b))
         return a, b
 
+    def _rotator(self, src_nid: int) -> hoisting.HoistedRotator:
+        """The run's one hoisted decompose of node *src_nid*'s value,
+        shared by every span and rotation group over it."""
+        key = ("rotator", src_nid)
+        rotator = self.memo.get(key)
+        if rotator is None:
+            rotator = self.memo[key] = hoisting.HoistedRotator(
+                self.ctx, self.memo[src_nid], self.keys)
+        return rotator
+
     def _group_results(self, src_nid: int):
-        """All rotations of a fused group, one hoisted decompose."""
+        """All rotations of a fused group, from the source's rotator."""
         key = ("group", src_nid)
         results = self.memo.get(key)
         if results is None:
             members = self.sched.groups[src_nid]
-            steps = [self.program.nodes[m].steps for m in members]
-            src = self._to_coeff(self.memo[src_nid])
+            n = self.ctx.params.poly_degree
+            elements = [galois_element_for_step(self.program.nodes[m].steps, n)
+                        for m in members]
+            self.ctx.counts["rotate"] += len(elements)
             results = dict(zip(members,
-                               self.ctx.rotate_many(src, steps, self.keys)))
+                               self._rotator(src_nid).apply_many(elements)))
             self.memo[key] = results
         return results
 
@@ -1391,8 +1466,8 @@ class _IrRunner:
                 step //= 2
             return ct
         if kind == "weighted_sum":
-            ct = self._to_coeff(self.memo[node.args[0]])
-            return self.sched._span(ctx, nid)(ctx, ct, self.keys)
+            rotator = self._rotator(node.args[0])
+            return self.sched._span(ctx, nid, rotator.current).apply(rotator)
         raise ScheduleError(f"unknown IR node kind {kind!r}")
 
 

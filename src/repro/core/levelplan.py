@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import paramsearch
 from repro.core.ir import ENTRY_KINDS, IrNode, IrProgram, Level, level_after
@@ -128,6 +128,7 @@ def _segment_profile(program: IrProgram, seg: Dict[int, int], index: int,
     live = program.live_set()
     rotations = 0
     fan_in = 1
+    span_rotations: Set[Tuple[int, int]] = set()
     plain_depth: Dict[int, int] = {}
     ct_depth: Dict[int, int] = {}
     for nid in sorted(live):
@@ -143,7 +144,11 @@ def _segment_profile(program: IrProgram, seg: Dict[int, int], index: int,
             rotations += max(1, math.ceil(math.log2(max(node.width, 2))))
             fan_in = max(fan_in, node.width)
         elif node.kind == "weighted_sum":
-            rotations += len(node.terms)
+            # Spans over one source share its rotations: each distinct
+            # one is counted once, as its traced ``rotate`` node was.
+            steps = {(node.args[0], s) for s, _ in node.terms if s}
+            rotations += len(steps - span_rotations)
+            span_rotations |= steps
             fan_in = max(fan_in, len(node.terms))
             p += 1
         elif node.kind == "mul":

@@ -32,9 +32,12 @@ primitives consumed across the eval hot path:
   kernels, with NTT-domain accumulation (one inverse transform + one
   special-prime rescale for the whole span) and a baby-step/giant-step
   split for wide spans;
-* :class:`WeightedSumSpan` — the diagonal-matvec kernel: plaintext
-  diagonals multiply each rotation in the NTT domain and the whole sum pays
-  a single inverse transform + rescale.
+* :class:`WeightedSumSpan` — the masked rotation sum behind every
+  diagonal matvec, conv and baby-step/giant-step collapse: plaintext
+  multipliers weight the rotations' key-switch accumulators in the NTT
+  domain over the extended base, and the whole sum pays a single inverse
+  transform + mod-down.  Spans over one ciphertext share its
+  :class:`HoistedRotator` and so its accumulators (double hoisting).
 
 Everything is server-local: ciphertext and key wire formats are unchanged.
 """
@@ -62,6 +65,7 @@ from repro.hecore.polyring import (
     coeff_automorphism_perm,
     ntt_permutation,
 )
+from repro.hecore.rns import RnsBase
 
 #: rotate_and_sum spans up to this width run flat (one hoisted decompose,
 #: width-1 cheap rotations); wider spans split baby-step/giant-step so the
@@ -107,6 +111,7 @@ class HoistedRotator:
         self.digits_ntt = decompose_for_keyswitch(
             ct.components[1].from_ntt(), self.ext_base)
         ctx.counts["hoisted_decompose"] += 1
+        self._accs: dict = {}
 
     # ------------------------------------------------------------ kernels
     def _gathered_digits(self, galois_elts: Sequence[int]) -> np.ndarray:
@@ -152,6 +157,35 @@ class HoistedRotator:
         return keyswitch_inner_product(
             gathered.reshape(-1, *gathered.shape[2:]),
             keys.reshape(-1, *keys.shape[2:]), self.ext_base)
+
+    def accumulators(self, galois_elts: Sequence[int]) -> np.ndarray:
+        """``(R, 2, k_ext, n)`` NTT-form accumulators of every element's
+        rotation *before* its mod-down: ``P·(c0∘g, 0)`` plus the key-switch
+        inner product (``P·(c0, c1)`` for the identity).  ``P·x`` vanishes
+        mod ``P``, so finishing one returns exactly the rotated ciphertext,
+        and a plaintext-weighted sum of them finishes to the weighted sum
+        of rotations with one mod-down.  Each element's block is built once
+        per rotator (the missing ones in one batch), and each non-identity
+        one is charged as one ``rotate``: every span over this ciphertext
+        shares them (double hoisting)."""
+        missing = [g for g in dict.fromkeys(galois_elts) if g not in self._accs]
+        if missing:
+            k = len(self.current)
+            c_ntt = np.stack([c.to_ntt().data for c in self.ct.components])
+            p_c = self.current.scale(c_ntt, self.params.special_prime)
+            live = [g for g in missing if g != 1]
+            if live:
+                self.ctx.counts["rotate"] += len(live)
+                blocks = self.inner_product_many(live)
+                perms = np.stack([ntt_permutation(self.n, g) for g in live])
+                moved = np.moveaxis(p_c[0][:, perms], 1, 0)     # (R, k, n)
+                blocks[:, 0, :k] = self.current.add(blocks[:, 0, :k], moved)
+                self._accs.update(zip(live, blocks))
+            if 1 in missing:
+                block = np.zeros((2, len(self.ext_base), self.n), np.int64)
+                block[:, :k] = p_c
+                self._accs[1] = block
+        return np.stack([self._accs[g] for g in galois_elts])
 
     def finish_batch(self, accs: np.ndarray) -> List[Tuple[RnsPoly, RnsPoly]]:
         """Inverse-transform + special-prime rescale of ``(R, 2, k_ext, n)``
@@ -309,116 +343,80 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
 
 
 # ---------------------------------------------------------------------------
-# Fused diagonal matvec (rotate, plain-multiply, accumulate — all in NTT form)
+# Fused weighted rotation sums (double-hoisted: weight, accumulate, one
+# mod-down — all in NTT form over the extended base)
 # ---------------------------------------------------------------------------
 
 class WeightedSumSpan:
-    """A reusable ``sum(m_j (*) rotate(ct, s_j))`` span with cached tables.
+    """A reusable ``sum(m_j (*) rotate(ct, s_j))`` over one modulus chain.
 
     The plaintext side of a weighted rotation span is static: the Galois
-    elements, the coefficient automorphism permutations, and — crucially —
-    the forward-NTT transforms of every diagonal over both the current and
-    the extended RNS base depend only on the terms and the ciphertext's
-    modulus chain, not on the ciphertext.  A span instance computes them
-    once per modulus chain and replays them on every call; the IR
-    scheduler keeps one span per fused ``weighted_sum`` node, so steady-
-    state matvecs pay zero plaintext transform work.
+    elements, their NTT permutations and the forward transforms of every
+    multiplier over the extended (current + special) base depend only on
+    the terms and the chain, not on the ciphertext.  A span builds them
+    once, at construction (charging ``ctx.counts['ntt_forward']``, units:
+    residue-row transforms; terms on one Galois element share one row
+    set); the IR scheduler keeps one span per fused ``weighted_sum`` node
+    and chain, so steady-state calls pay no plaintext transform.
 
-    Cache misses charge ``ctx.counts['ntt_forward']`` and hits charge
-    ``ntt_elided`` (units: residue-row transforms), making the residency
-    telemetry visible to the cost ledger and the benches.
+    Evaluation is double-hoisted (Bossuat et al., Eurocrypt 2021): the
+    rotations come from the source's :class:`HoistedRotator` as
+    extended-base accumulators, not yet mod-downed
+    (:meth:`HoistedRotator.accumulators`), so every span over one
+    ciphertext shares its one decompose and one inner product per Galois
+    element.  A span is then one inner product of its multipliers with
+    those accumulators, one inverse transform and one mod-down.  BFV
+    results are bit-identical to the rotate → multiply → add chain's
+    plaintext; CKKS ones differ by mod-down rounding only.
     """
 
-    def __init__(self, terms: Sequence[Tuple[int, np.ndarray]]):
+    def __init__(self, ctx, current: RnsBase,
+                 terms: Sequence[Tuple[int, np.ndarray]], scale: float = 1.0):
+        """*terms* are ``(step, residues)``: each multiplier as a
+        ``(k_ext, n)`` coefficient-form residue block over
+        ``keyswitch_ext_base(current)``.  *scale* is the multipliers'
+        CKKS scale (the product carries ``ct.scale * scale``)."""
         if not terms:
             raise ValueError("WeightedSumSpan needs at least one term")
-        self.terms = [(int(step), np.asarray(coeffs, dtype=np.int64))
-                      for step, coeffs in terms]
-        self._tables: dict = {}
+        params = ctx.params
+        n = params.poly_degree
+        ext = keyswitch_ext_base(current, params)
+        self.scale = float(scale)
+        self.term_count = len(terms)
+        by_element: dict = {}
+        for step, residues in terms:
+            g = galois_element_for_step(step, n)
+            by_element[g] = np.mod(by_element.get(g, 0) + residues,
+                                   ext.moduli_col)
+        self.elements = sorted(by_element)
+        self.m_ntt = ntt.get_stack_plan(n, ext.moduli).forward_batch(
+            np.stack([by_element[g] for g in self.elements]))
+        self.rows = len(self.elements) * len(ext)
+        ctx.counts["ntt_forward"] += self.rows
 
-    def steps(self) -> set:
-        return {step for step, _ in self.terms if step}
-
-    def _resolved(self, ctx, rotator, current):
-        key = tuple(int(p) for p in current.moduli)
-        table = self._tables.get(key)
-        if table is not None:
-            ctx.counts["ntt_elided"] += table["rows"]
-            return table
-        n = rotator.n
-        plan_cur = ntt.get_stack_plan(n, current.moduli)
-        resolved = [(galois_element_for_step(step, n), coeffs)
-                    for step, coeffs in self.terms]
-        live = [(g, coeffs) for g, coeffs in resolved if g != 1]
-        identity = [coeffs for g, coeffs in resolved if g == 1]
-        table = {"elements": [g for g, _ in live],
-                 "n_identity": len(identity),
-                 "m_id": None, "m_cur": None, "m_ext": None, "perms": None,
-                 "rows": 0}
-        if identity:
-            table["m_id"] = plan_cur.forward_batch(
-                current.lift_signed(np.stack(identity)))
-            table["rows"] += len(identity) * len(current)
-        if live:
-            coeff_stack = np.stack([coeffs for _, coeffs in live])
-            # Batched plaintext transforms: every diagonal over the current
-            # base and the extended base in two stacked passes.
-            table["m_cur"] = plan_cur.forward_batch(
-                current.lift_signed(coeff_stack))
-            table["m_ext"] = rotator.plan.forward_batch(
-                rotator.ext_base.lift_signed(coeff_stack))
-            table["perms"] = np.stack(
-                [ntt_permutation(n, g) for g in table["elements"]])
-            table["rows"] += len(live) * (len(current)
-                                          + len(rotator.ext_base))
-        ctx.counts["ntt_forward"] += table["rows"]
-        self._tables[key] = table
-        return table
+    @classmethod
+    def of_coeffs(cls, ctx, current: RnsBase,
+                  terms: Sequence[Tuple[int, np.ndarray]]) -> "WeightedSumSpan":
+        """A span over *current* from ``(step, coeffs)`` terms whose
+        multipliers are small signed integer polynomials (BFV plaintext
+        coefficients)."""
+        ext = keyswitch_ext_base(current, ctx.params)
+        return cls(ctx, current, [(step, ext.lift_signed(coeffs))
+                                  for step, coeffs in terms])
 
     def __call__(self, ctx, ct: Ciphertext,
                  galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-        rotator = HoistedRotator(ctx, ct, galois_keys)
-        n = rotator.n
-        current = ct.level_base
-        ext_pcol = rotator.ext_base.moduli_col
-        cur_pcol = current.moduli_col
-        plan_cur = ntt.get_stack_plan(n, current.moduli)
-        table = self._resolved(ctx, rotator, current)
-        elements = table["elements"]
-        ctx.counts["multiply_plain"] += len(self.terms)
-        ctx.counts["rotate"] += len(elements)
+        """One span over *ct* with its own hoisted decompose."""
+        return self.apply(HoistedRotator(ctx, ct, galois_keys))
 
-        c0_ntt = ct.components[0].to_ntt().data
-        acc_cur0 = np.zeros((len(current), n), dtype=np.int64)
-        acc_cur1 = None
-        if table["n_identity"]:
-            c1_ntt = ct.components[1].to_ntt().data
-            acc_cur1 = np.zeros_like(acc_cur0)
-            for m_cur_ntt in table["m_id"]:
-                acc_cur0 += np.mod(m_cur_ntt * c0_ntt, cur_pcol)
-                acc_cur1 += np.mod(m_cur_ntt * c1_ntt, cur_pcol)
-        if elements:
-            # (R, 2, k_ext, n) key-switch accumulators, weighted per-diagonal
-            # and reduced across the batch in one pass.
-            ks = rotator.inner_product_many(elements)
-            acc_ext = np.mod(
-                np.mod(ks * table["m_ext"][:, None], ext_pcol).sum(axis=0),
-                ext_pcol)
-            c0_perm = np.moveaxis(c0_ntt[:, table["perms"]], 1, 0)  # (R, k, n)
-            acc_cur0 += np.mod(c0_perm * table["m_cur"], cur_pcol).sum(axis=0)
-
-        c0_out = RnsPoly(current, n,
-                         plan_cur.inverse(np.mod(acc_cur0, cur_pcol)),
-                         is_ntt=False)
-        c1_out = None
-        if acc_cur1 is not None:
-            c1_out = RnsPoly(current, n,
-                             plan_cur.inverse(np.mod(acc_cur1, cur_pcol)),
-                             is_ntt=False)
-        if elements:
-            ((u0, u1),) = rotator.finish_batch(acc_ext[None])
-            c0_out = c0_out + u0
-            c1_out = u1 if c1_out is None else c1_out + u1
-        if c1_out is None:
-            c1_out = RnsPoly.zero(current, n, is_ntt=False)
-        return Ciphertext(rotator.params, [c0_out, c1_out], scale=ct.scale)
+    def apply(self, rotator: HoistedRotator) -> Ciphertext:
+        """The span over *rotator*'s ciphertext, sharing its decompose and
+        rotation accumulators with every other span over it: one inner
+        product of the multipliers with those accumulators, one inverse
+        transform, one mod-down."""
+        rotator.ctx.counts["multiply_plain"] += self.term_count
+        acc = keyswitch_inner_product(
+            self.m_ntt, rotator.accumulators(self.elements), rotator.ext_base)
+        ((u0, u1),) = rotator.finish_batch(acc[None])
+        return Ciphertext(rotator.params, [u0, u1],
+                          scale=rotator.ct.scale * self.scale)

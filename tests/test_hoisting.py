@@ -187,7 +187,7 @@ def test_rotate_weighted_sum_matches_naive_chain():
         shifted = ctx.rotate_rows(ct, j) if j else ct
         term = ctx.multiply_plain(shifted, encoded)
         naive = term if naive is None else ctx.add(naive, term)
-    fused = hoisting.WeightedSumSpan(terms)(ctx, ct)
+    fused = hoisting.WeightedSumSpan.of_coeffs(ctx, ct.level_base, terms)(ctx, ct)
     assert np.array_equal(ctx.decrypt(fused), ctx.decrypt(naive))
     assert np.array_equal(mv.unpack_output(ctx.decrypt(fused)),
                           mv.reference(vec))

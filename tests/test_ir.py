@@ -26,9 +26,11 @@ from repro.core.distance import (
 )
 from repro.core.ir import (
     IrBuilder,
+    IrProgram,
     ScheduledProgram,
     ScheduleError,
     ScheduleReport,
+    _fuse_weighted_sums,
     compile_ir,
     ensure_galois_keys,
     trace_program,
@@ -143,11 +145,108 @@ def test_weighted_sum_fusion_takes_maximal_tree(bfv_params):
     assert sched.report.weighted_sum_terms == 32
 
 
-def test_weighted_sum_fusion_is_bfv_only(ckks_params):
+def test_ckks_weighted_sum_span_matches_reference(ckks, ckks_params):
+    rng = np.random.default_rng(5)
+    steps = list(range(4))
     program = _diag_matvec_trace(
-        ckks_params, [np.ones(512) * 0.25 for _ in range(4)], range(4))
+        ckks_params, [rng.uniform(-1, 1, 512) for _ in steps], steps)
     sched = compile_ir(program, SchemeType.CKKS)
-    assert sched.report.weighted_sum_spans == 0
+    assert sched.report.weighted_sum_spans == 1
+    assert sched.report.weighted_sum_terms == len(steps)
+
+    keys = ensure_galois_keys(ckks, sched.rotation_steps())
+    ct = ckks.encrypt(ckks.encode(rng.uniform(-1, 1, 512)))
+    before = ckks.counts["hoisted_decompose"]
+    got = sched.run(ckks, {"x": ct}, keys)["out0"]
+    assert ckks.counts["hoisted_decompose"] - before == 1
+    want = _raw(program, SchemeType.CKKS).run_reference(
+        ckks, {"x": ct}, keys)["out0"]
+    assert got.scale == want.scale
+    assert np.allclose(ckks.decrypt(got), ckks.decrypt(want), atol=1e-3)
+
+
+def _bsgs_trace(params, giants, babies=4):
+    """``sum_g rotate(sum_b mask (*) rotate(x, b), g * babies)``: every
+    giant step's masked sum reads the same baby rotations."""
+    def body(tr, x):
+        shared = [x] + [tr.rotate(x, b) for b in range(1, babies)]
+        acc = None
+        for g in range(giants):
+            inner = None
+            for b, baby in enumerate(shared):
+                term = tr.multiply_plain(baby, tr.encode(
+                    np.full(512, g * babies + b + 1)))
+                inner = term if inner is None else tr.add(inner, term)
+            inner = tr.rotate(inner, g * babies)
+            acc = inner if acc is None else tr.add(acc, inner)
+        return acc
+
+    return trace_program(params, body, ["x"])
+
+
+def test_fusion_takes_every_giant_step_over_shared_babies(bfv, bfv_params):
+    program = _bsgs_trace(bfv_params, giants=4)
+    sched = compile_ir(program, SchemeType.BFV)
+    assert sched.report.weighted_sum_spans == 4
+    assert sched.report.weighted_sum_terms == 16
+    live = sched.program.live_set()
+    assert sorted(sched.program.nodes[n].steps for n in live
+                  if sched.program.nodes[n].kind == "rotate") == [4, 8, 12]
+    assert sched.rotation_steps() == program.rotation_steps()
+
+    keys = ensure_galois_keys(bfv, sched.rotation_steps())
+    ct = bfv.encrypt(np.arange(512, dtype=np.int64) % 31)
+    before = bfv.counts.copy()
+    got = sched.run(bfv, {"x": ct}, keys)["out0"]
+    assert bfv.counts["hoisted_decompose"] - before["hoisted_decompose"] == 1
+    # Three babies once each, three giant rotations.
+    assert bfv.counts["rotate"] - before["rotate"] == 6
+    want = _raw(program, SchemeType.BFV).run_reference(
+        bfv, {"x": ct}, keys)["out0"]
+    assert np.array_equal(bfv.decrypt(got), bfv.decrypt(want))
+
+
+def test_shared_baby_fuses_into_a_one_term_giant_step(bfv_params):
+    """A lone masked baby is a one-leaf tree: it fuses when its rotation is
+    shared, so the other giant steps can absorb that rotation too."""
+    def body(tr, x, outside):
+        pt = tr.encode(np.full(512, 3))
+        r1 = tr.rotate(x, 1)
+        first = tr.add(tr.multiply_plain(r1, pt),
+                       tr.multiply_plain(tr.rotate(x, 2), pt))
+        second = tr.multiply_plain(r1, pt)
+        out = tr.add(first, tr.rotate(second, 8))
+        return tr.add(out, r1) if outside else out
+
+    fused = compile_ir(trace_program(
+        bfv_params, lambda tr, x: body(tr, x, False), ["x"]), SchemeType.BFV)
+    assert fused.report.weighted_sum_spans == 2
+    assert fused.report.weighted_sum_terms == 3
+    # Consumed outside the trees, the baby stays live, and so does every
+    # masked sum reading it.
+    kept = compile_ir(trace_program(
+        bfv_params, lambda tr, x: body(tr, x, True), ["x"]), SchemeType.BFV)
+    assert kept.report.weighted_sum_spans == 0
+
+
+def test_fusion_pass_walks_liveness_once(bfv_params, monkeypatch):
+    """Liveness and consumers are computed once per pass, however many
+    trees fuse (the pass used to recompute both after every root)."""
+    calls = []
+    live_set = IrProgram.live_set
+
+    def counted(self):
+        calls.append(self)
+        return live_set(self)
+
+    monkeypatch.setattr(IrProgram, "live_set", counted)
+    for giants in (2, 16):
+        program = _bsgs_trace(bfv_params, giants)
+        report = ScheduleReport()
+        calls.clear()
+        _fuse_weighted_sums(program, report)
+        assert report.weighted_sum_spans == giants
+        assert len(calls) == 1
 
 
 def test_fusion_skips_multi_consumer_leaves(bfv_params):
@@ -598,11 +697,12 @@ def test_bsgs_scheduled_matches_direct(bfv):
     want = kernel.unpack_output(np.asarray(bfv.decrypt(naive))) % t
     assert np.array_equal(got, want)
 
-    # Each baby feeds one multiply per giant step but is transformed once.
-    before = bfv.counts["ntt_forward"]
+    # Each baby feeds one span per giant step but is never materialized:
+    # the warm call shares one decompose and transforms no row.
+    before = dict(bfv.counts)
     kernel(ct)
-    assert (bfv.counts["ntt_forward"] - before
-            == kernel.baby_count * len(ct.components) * len(ct.level_base))
+    assert bfv.counts["ntt_forward"] == before["ntt_forward"]
+    assert bfv.counts["hoisted_decompose"] - before["hoisted_decompose"] == 1
 
 
 def test_distance_kernel_scheduled_matches_direct(ckks):

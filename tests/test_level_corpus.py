@@ -30,6 +30,15 @@ client now encrypts at): ``mod_switches_sunk`` went 16 -> 0, 1 -> 0 and
 ...); every ``limb_drops``, ``align_switches``, ``replans``, limb-row
 integral, ``rescales_sunk`` and ``relins_sunk`` repeated.
 
+``bench/slice/bfv3``, ``bench/slice/bfv6`` and ``knn/collapsed`` were
+re-recorded when weighted-sum fusion began to take baby-step/giant-step
+sums (shared baby rotations, both schemes): each giant step of the slice's
+conv and fc and of the collapse round is now one ``weighted_sum`` node, so
+the limb-row integrals count fewer nodes (468 -> 111 and 295 -> 57 for
+``knn/collapsed``, whose ``limb_drops`` stayed 0), and each span is a drop
+site, so the slice's ``limb_drops`` went 2 -> 6 (bfv3) and 8 -> 12 (bfv6),
+its ``replans`` staying 0 and 1.  Every other entry repeated.
+
 Re-record (only for a deliberate planner or kernel-body change) with
 ``PYTHONPATH=src python -m tests.test_level_corpus > tests/level_corpus.json``.
 """

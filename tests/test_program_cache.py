@@ -121,7 +121,10 @@ def _same(a, b):
 def test_second_bfv_session_reuses_the_first_ones_program(dnn_clients):
     """Re-recorded with the shift x tap conv and the hybrid-diagonal fc: the
     fill a reuse saves is 36 + 16 weight plaintexts (was 36 + 64, which the
-    old ``> 10x`` forward-NTT ratio assumed), beside 66 ciphertext rows."""
+    old ``> 10x`` forward-NTT ratio assumed).  Since every giant step of
+    both is a double-hoisted weighted-sum span, those plaintexts are
+    transformed over the extended base (the data limbs plus the special
+    prime) and no ciphertext row is transformed forward at all."""
     first = _serve_dnn(*dnn_clients[0])
     second = _serve_dnn(*dnn_clients[1])
     for run in (first, second):
@@ -138,7 +141,7 @@ def test_second_bfv_session_reuses_the_first_ones_program(dnn_clients):
     # what any warm call pays — and is charged the reuse, not the fill.
     assert second["cold"]["ntt_forward"] == first["warm"]["ntt_forward"]
     assert (first["cold"]["ntt_forward"] - second["cold"]["ntt_forward"]
-            == (36 + 16) * len(PARAMETER_SET_B.data_base))
+            == (36 + 16) * (len(PARAMETER_SET_B.data_base) + 1))
     assert first["cold"]["ntt_forward"] > 3 * second["cold"]["ntt_forward"]
     assert second["cold"]["ntt_elided"] == first["warm"]["ntt_elided"]
     assert second["warm"] == first["warm"]
