@@ -32,11 +32,16 @@ three of them are the transform itself), so this layer reconciles with
 ``bench_he_throughput``'s ``ntt_forward``.
 
 The header's ``keygen_ms_per_key`` is the layer bench under the cold
-client's largest cost: milliseconds to generate ONE Galois key-switch key
-at Table-3 set B (three digits, error sampling plus four-limb forward
-transforms), and ``ntt_rows_per_key`` the same in forward-NTT rows.  A cold
-``dnn_cold_sessions`` query pays it 17 times plus one relinearisation key;
-it has no second implementation to race, so it is recorded, not gated.
+client's largest cost: milliseconds per Galois key-switch key at Table-3
+set B when ``KEYGEN_KEYS`` are made in one call, as a session makes its
+set.  A key is its seed's expansion into three four-limb uniform digits,
+three error rows drawn with the rest of the call's and sent through the
+small-input transform (``NttStackPlan.forward_small``: no lift, one
+full-width first-stage matmul), one dyadic product and a subtraction over
+the digit block; no full-width forward row.  ``ntt_rows_per_key`` is the
+same cost in forward-NTT rows.  A cold ``dnn_cold_sessions`` query pays it
+17 times plus one relinearisation key; it has no second implementation to
+race, so it is recorded, not gated.
 
 Every kernel asserts equality between its two implementations before
 timing anything (values for the BFV pairs, bits for the CKKS ones).

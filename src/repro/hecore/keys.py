@@ -18,8 +18,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hecore import ntt
-from repro.hecore.modmath import MAX_MODULUS_BITS, mod_add
+from repro.hecore import batchcrypt, ntt
+from repro.hecore.modmath import MAX_MODULUS_BITS, mod_add, mod_mul
 from repro.hecore.params import EncryptionParameters
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.random import BlakePrng
@@ -33,9 +33,9 @@ SEED_BYTES = 32
 class SecretKey:
     """A ternary RLWE secret key over the full (data + special) base."""
 
-    def __init__(self, poly: RnsPoly):
+    def __init__(self, poly: RnsPoly, poly_ntt: RnsPoly):
         self.poly = poly                      # coefficient form
-        self.poly_ntt = poly.to_ntt()
+        self.poly_ntt = poly_ntt
         self._restricted: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], RnsPoly] = {}
 
     def restricted_ntt(self, base: RnsBase, full_base: RnsBase) -> RnsPoly:
@@ -226,38 +226,49 @@ def galois_element_for_conjugation(poly_degree: int) -> int:
 
 
 class KeyGenerator:
-    """Deterministic key generation from a seed (for reproducible tests)."""
+    """Deterministic key generation from a seed (for reproducible tests).
+
+    PRNG schedule: the secret key, then the public key's uniform rows and
+    error, all from one stream; every key-switching key's public seed comes
+    from a ``keyswitch-seed`` fork of it, and every key-switching error from
+    the main stream, key-major and digit-minor.  Every error and ternary
+    polynomial goes to evaluation form through
+    :meth:`~repro.hecore.ntt.NttStackPlan.forward_small`.
+    """
 
     def __init__(self, params: EncryptionParameters, seed: Optional[object] = None):
         self.params = params
         self._prng = BlakePrng(seed)
         n = params.poly_degree
         full = params.full_base
-        s = RnsPoly.from_signed_array(full, self._prng.sample_ternary(n))
-        self._secret = SecretKey(s)
+        self._plan = ntt.get_stack_plan(n, full.moduli)
+        ternary = self._prng.sample_ternary((1, n))
+        self._secret = SecretKey(
+            RnsPoly.from_signed_array(full, ternary[0]),
+            RnsPoly(full, n, self._plan.forward_small(ternary)[0], is_ntt=True))
         self._public = self._make_public_key()
         # Key-switching keys ship their seed in the clear, so it comes from
         # a stream that yields nothing else: no byte of the secret/error
         # stream is ever published.
         self._seed_prng = self._prng.fork("keyswitch-seed")
 
-    # ----------------------------------------------------------- primitives
-    def _sample_uniform_ntt(self, base: RnsBase) -> RnsPoly:
-        n = self.params.poly_degree
-        rows = [self._prng.sample_uniform(n, p) for p in base.moduli]
-        return RnsPoly(base, n, np.stack(rows), is_ntt=True)
-
-    def _sample_error_ntt(self, base: RnsBase) -> RnsPoly:
-        n = self.params.poly_degree
-        return RnsPoly.from_signed_array(base, self._prng.sample_error(n)).to_ntt()
+    def _minus_as_plus_e(self, a: np.ndarray, errors: np.ndarray) -> np.ndarray:
+        """``-(a·s + e)`` in evaluation form for a block of uniform ``a``
+        (``(..., k, n)``) and the matching ``(m, n)`` signed error rows,
+        as ``NTT(-e) - a·s``: the transform is linear, so negating the
+        small rows saves a pass over the block."""
+        full = self.params.full_base
+        minus_e = self._plan.forward_small(-errors).reshape(a.shape)
+        return full.sub(minus_e,
+                        batchcrypt.dyadic_block(full, a, self._secret.poly_ntt))
 
     def _make_public_key(self) -> PublicKey:
         full = self.params.full_base
-        a = self._sample_uniform_ntt(full)
-        e = self._sample_error_ntt(full)
-        s_ntt = self._secret.poly_ntt
-        p0 = -(a * s_ntt + e)
-        return PublicKey(p0, a)
+        n = self.params.poly_degree
+        a = np.stack([self._prng.sample_uniform(n, p) for p in full.moduli])
+        p0 = self._minus_as_plus_e(a, self._prng.sample_error((1, n)))
+        return PublicKey(RnsPoly(full, n, p0, is_ntt=True),
+                         RnsPoly(full, n, a, is_ntt=True))
 
     # ------------------------------------------------------------- key API
     def secret_key(self) -> SecretKey:
@@ -266,35 +277,54 @@ class KeyGenerator:
     def public_key(self) -> PublicKey:
         return self._public
 
-    def _make_keyswitch_key(self, source_key_ntt: RnsPoly) -> KeySwitchKey:
-        """Key-switching key from *source_key_ntt* (over full base) to s."""
+    def _make_keyswitch_keys(self, source: RnsPoly,
+                             galois_elts: Sequence[int]) -> List[KeySwitchKey]:
+        """Key-switching keys to s from each image ``source(x^g)`` of
+        *source* (NTT form, over the full base), one per element of
+        *galois_elts*, in order (``g = 1`` is *source* itself).
+
+        Every seed is drawn first, then every error as one ``(keys ×
+        digits, n)`` draw — the stream a per-key, per-digit loop consumes.
+        The kernels then run over cache-sized tiles of keys
+        (:func:`batchcrypt.tile_size`): one stacked small-input transform of
+        the tile's errors, one dyadic product, and ``P · s_src`` added to
+        digit ``i``'s own residue row ``i`` (NTT form is per-row linear, so
+        a row-local addition is valid).  Each tile permutes only its own
+        sources (the NTT-form automorphism is a column permutation): a
+        source per key made up front would leave one freed hole per key
+        between the long-lived key blocks, and later allocations slow down.
+        """
         params = self.params
         full = params.full_base
-        data_count = len(params.data_base)
-        s_ntt = self._secret.poly_ntt
         n = params.poly_degree
-        seed = self._seed_prng.random_bytes(SEED_BYTES)
-        uniform = expand_keyswitch_uniform(seed, full, n, data_count)
-        digits = []
-        for i in range(data_count):
-            a_i = RnsPoly(full, n, uniform[i], is_ntt=True)
-            e_i = self._sample_error_ntt(full)
-            k0 = -(a_i * s_ntt + e_i)
-            # Add P * s_src concentrated on residue i (NTT form is per-row
-            # linear, so a row-local addition is valid).
-            p_i = full.moduli[i]
-            factor = np.int64(params.special_prime % p_i)
-            k0.data[i] = mod_add(
-                k0.data[i],
-                (factor * source_key_ntt.data[i]) % p_i,
-                p_i,
-            )
-            digits.append((k0, a_i))
-        return KeySwitchKey(digits, seed)
+        digits = len(params.data_base)
+        seeds = [self._seed_prng.random_bytes(SEED_BYTES) for _ in galois_elts]
+        errors = self._prng.sample_error((len(galois_elts) * digits, n))
+        pcol = full.moduli_col[:digits]
+        factors = params.special_prime % pcol
+        diag = np.arange(digits)
+        tile = batchcrypt.tile_size(full, n, parts=digits)
+        keys: List[KeySwitchKey] = []
+        for start in range(0, len(galois_elts), tile):
+            stop = min(start + tile, len(galois_elts))
+            uniform = np.stack([expand_keyswitch_uniform(seed, full, n, digits)
+                                for seed in seeds[start:stop]])
+            k0 = self._minus_as_plus_e(uniform,
+                                       errors[start * digits:stop * digits])
+            src = np.stack([source.apply_automorphism(g).data[:digits]
+                            for g in galois_elts[start:stop]])
+            k0[:, diag, diag] = mod_add(k0[:, diag, diag],
+                                        mod_mul(src, factors, pcol), pcol)
+            keys.extend(
+                KeySwitchKey([(RnsPoly(full, n, k0_i, is_ntt=True),
+                               RnsPoly(full, n, a_i, is_ntt=True))
+                              for k0_i, a_i in zip(key_k0, key_a)], seed)
+                for key_k0, key_a, seed in zip(k0, uniform, seeds[start:stop]))
+        return keys
 
     def relin_keys(self) -> RelinKeys:
         s_sq = self._secret.poly_ntt * self._secret.poly_ntt
-        key = self._make_keyswitch_key(s_sq)
+        (key,) = self._make_keyswitch_keys(s_sq, [1])
         return RelinKeys(key.digits, key.seed)
 
     def galois_keys(self, steps: Iterable[int] = (), galois_elts: Iterable[int] = (),
@@ -304,8 +334,8 @@ class KeyGenerator:
 
         With *existing*, elements already present keep their generated keys
         (same :class:`KeySwitchKey` objects, so stacked caches survive) and
-        only the missing ones are generated; the extended *existing* object
-        is returned.
+        only the missing ones are generated, in one sorted batch; the
+        extended *existing* object is returned.
         """
         n = self.params.poly_degree
         elements = {galois_element_for_step(s, n) for s in steps}
@@ -316,13 +346,9 @@ class KeyGenerator:
         # by step 0 are handled without key switching).
         elements.discard(1)
         keys = {} if existing is None else existing.keys
-        for g in sorted(elements):
-            if g in keys:
-                continue
-            # NTT-form automorphism: a pure index permutation, no INTT/NTT
-            # round trip per Galois element.
-            s_g = self._secret.poly_ntt.apply_automorphism(g)
-            keys[g] = self._make_keyswitch_key(s_g)
+        missing = sorted(g for g in elements if g not in keys)
+        keys.update(zip(missing, self._make_keyswitch_keys(
+            self._secret.poly_ntt, missing)))
         return existing if existing is not None else GaloisKeys(keys)
 
 

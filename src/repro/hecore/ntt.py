@@ -273,6 +273,8 @@ class _FourStep:
             return (2 * n - exponents) % (2 * n)
 
         self._forward = (matmul(w2, True), twiddle(tw), matmul(w1, False))
+        # The small-input first stage's full-width W2, in the digits' layout.
+        self._w2 = self._forward[0].hi * _RADIX + self._forward[0].lo
         self._inverse = (matmul(negated(w1), False), twiddle(negated(tw)),
                          matmul(negated(w2).T, True, n_inv))
         self._pcol = pcol
@@ -304,20 +306,26 @@ class _FourStep:
         tmp *= self._p
         x -= tmp
 
+    @staticmethod
+    def _gemm(pair: Tuple[np.ndarray, np.ndarray], out: np.ndarray,
+              check: bool) -> None:
+        """``out = pair[0] @ pair[1]``, every partial sum below ``2**52``."""
+        np.matmul(*pair, out=out)
+        if check:
+            # Every partial sum, in any order, is bounded by the same
+            # product of absolute values.
+            bound = np.matmul(*(np.abs(a) for a in pair))
+            assert bound.max() < 2.0 ** _EXACT_BITS, \
+                "a matmul partial sum left the 2**52 exact envelope"
+
     def _matmul(self, step: _MatmulStep, x: np.ndarray, hi: np.ndarray,
                 lo: np.ndarray, tmp: np.ndarray, check: bool) -> np.ndarray:
         """``step`` applied to ``x`` (``|x| < 2**30``), reduced into *hi*."""
         blocked = x.shape[:2] + (step.blocks, -1, x.shape[-1])
         xv = x[:, :, None] if step.left else x.reshape(blocked)
         for w, out in ((step.hi, hi), (step.lo, lo)):
-            pair = (w, xv) if step.left else (xv, w)
-            np.matmul(*pair, out=out.reshape(blocked))
-            if check:
-                # Every partial sum, in any order, is bounded by the same
-                # product of absolute values.
-                bound = np.matmul(*(np.abs(a) for a in pair))
-                assert bound.max() < 2.0 ** _EXACT_BITS, \
-                    "a matmul partial sum left the 2**52 exact envelope"
+            self._gemm((w, xv) if step.left else (xv, w),
+                       out.reshape(blocked), check)
         self._reduce(hi, tmp)           # |hi| <= p/2 + 1, so hi * 2**15 + lo
         hi *= _RADIX                    # stays below 2**52 + 2**44
         hi += lo
@@ -361,13 +369,44 @@ class _FourStep:
             np.copyto(x, block.reshape(g, k, n2, n1).swapaxes(0, 1), casting="unsafe")
         first, table, second = self._inverse if inverse else self._forward
         y = self._matmul(first, x, s, t, u, check)
+        self._finish(table, second, y, (x, t, u), not (inverse or raw), check,
+                     out)
+
+    def run_small(self, values: np.ndarray, check: bool, out: np.ndarray) -> None:
+        """Forward-transform ``(g, n)`` signed rows below
+        :attr:`NttStackPlan.small_bound` into a natural-order ``(g, k, n)``
+        block *out*.  The rows are the same under every modulus, so the
+        first stage is one matmul of each row against every modulus's
+        full-width centred ``W2``: no lift, no digit split."""
+        g = len(values)
+        n1, n2 = self.n1, self.n2
+        x, s, t, u = self._scratch((self.k, g, n2, n1))
+        d = u[0]
+        np.copyto(d, values.reshape(g, n2, n1), casting="unsafe")
+        self._gemm((self._w2, d[None, :, None]),
+                   s.reshape(self.k, g, self._w2.shape[2], -1, n1), check)
+        self._reduce(s, x)
+        if check:
+            assert bool((np.abs(s) < self._p).all()), "reduced value outside (-p, p)"
+        self._finish(self._forward[1], self._forward[2], s, (x, t, u), True,
+                     check, out)
+
+    def _finish(self, table: Tuple[np.ndarray, ...], second: _MatmulStep,
+                y: np.ndarray, scratch: Tuple[np.ndarray, ...], transpose: bool,
+                check: bool, out: np.ndarray) -> None:
+        """The twiddle and the second matmul of a reduced first stage *y*,
+        stored into *out* in ``[0, p)``: transposed when *transpose* (the
+        forward's natural evaluation order), else in *y*'s own layout."""
+        x, t, u = scratch
+        k, g = y.shape[:2]
+        n1, n2 = self.n1, self.n2
         self._twiddle(table, y, x, t, u, check)
         z = self._matmul(second, y, x, t, u, check)
-        if inverse or raw:
-            np.copyto(out.reshape(g, k, n2, n1), z.swapaxes(0, 1), casting="unsafe")
-        else:
+        if transpose:
             np.copyto(out.reshape(g, k, n1, n2), z.transpose(1, 0, 3, 2),
                       casting="unsafe")
+        else:
+            np.copyto(out.reshape(g, k, n2, n1), z.swapaxes(0, 1), casting="unsafe")
         # (-p, p) -> [0, p): a negative value wraps above 2**63 as uint64,
         # so min(v, v + p) picks v + p exactly for those.
         ou = out.view(np.uint64)
@@ -422,6 +461,11 @@ class NttStackPlan:
             self.psis = tuple(primitive_root_of_unity(2 * n, p) for p in self.moduli)
             self._steps = _FourStep(n, self.moduli, self.psis)
         n2 = n // n1
+        #: :meth:`forward_small` takes inputs below this magnitude: ``n2``
+        #: products with a centred ``W2`` entry (below ``2**29``) then sum
+        #: below ``2**52`` (``2**17`` at ``N = 4096``, ``2**15`` at ``2**16``).
+        self.small_bound = 1 << (_EXACT_BITS - (MAX_MODULUS_BITS - 1)
+                                 - (n2.bit_length() - 1))
         self._scramble = (np.arange(n2)[:, None] + n2 * np.arange(n1)).reshape(-1)
 
     def __len__(self) -> int:
@@ -530,6 +574,36 @@ class NttStackPlan:
         """
         return self._transform(self._checked(stacks, True), False,
                                not unscramble, check_bounds)
+
+    def forward_small(self, values: np.ndarray,
+                      check_bounds: bool = False) -> np.ndarray:
+        """Forward NTT of ``(B, n)`` small signed rows (error and ternary
+        samples) under every modulus: a ``(B, k, n)`` natural-order block,
+        bit-identical to ``forward_batch(base.lift_signed(values))``.
+
+        A row is the same integers under every modulus, so the first stage
+        is one exact float64 matmul against each modulus's full-width
+        centred ``W2`` instead of the lift and two 15-bit digit matmuls.
+        That is exact only below :attr:`small_bound`; larger input is
+        refused with ``ValueError``.  ``check_bounds`` asserts the envelope
+        as :meth:`forward` does.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.ndim != 2 or values.shape[1] != self.n:
+            raise ValueError(f"shape {values.shape} != ('B', {self.n})")
+        # |INT64_MIN| wraps to itself; viewed as uint64 it is 2**63.
+        peak = int(np.abs(values).view(np.uint64).max()) if values.size else 0
+        if peak >= self.small_bound:
+            raise ValueError(f"small-input transform needs |v| < "
+                             f"{self.small_bound}, got {peak}")
+        reps = len(self.moduli) // self._steps.k
+        if reps > 1:            # a batch plan: every period sees the row
+            values = np.repeat(values, reps, axis=0)
+        out = np.empty((len(values), self._steps.k, self.n), dtype=np.int64)
+        group = self._batch_group(len(values))
+        for rows in (slice(i, i + group) for i in range(0, len(values), group)):
+            self._steps.run_small(values[rows], check_bounds, out[rows])
+        return out.reshape(-1, len(self.moduli), self.n)
 
     def inverse_batch(self, stacks: np.ndarray, check_bounds: bool = False,
                       prescrambled: bool = False) -> np.ndarray:

@@ -25,9 +25,6 @@ Size = Union[int, Tuple[int, ...]]
 #: Standard deviation of the RLWE error distribution, matching SEAL's default.
 ERROR_STDDEV = 3.2
 
-#: Hard bound used when clipping error samples (SEAL uses 6 sigma).
-ERROR_BOUND = int(6 * ERROR_STDDEV)
-
 
 class BlakePrng:
     """BLAKE2b-seeded deterministic pseudo-random generator.
@@ -67,7 +64,8 @@ class BlakePrng:
         return self._generator.integers(-1, 2, size=size, dtype=np.int64)
 
     def sample_error(self, size: Size, stddev: float = ERROR_STDDEV) -> np.ndarray:
-        """Discrete-Gaussian-style error values (rounded normal, clipped)."""
+        """Discrete-Gaussian-style error values: a rounded normal clipped
+        at 6 sigma as SEAL does (``|e| <= 19`` at the default stddev)."""
         raw = np.rint(self._generator.normal(0.0, stddev, size=size)).astype(np.int64)
         bound = max(1, int(6 * stddev))
         return np.clip(raw, -bound, bound)

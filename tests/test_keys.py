@@ -1,8 +1,13 @@
 """Direct tests for key generation and key switching internals."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.ir import ensure_galois_keys
+from repro.hecore.bfv import BfvContext
+from repro.hecore.ckks import CkksContext
 from repro.hecore.keys import (
     KeyGenerator,
     MissingEvaluationKey,
@@ -13,11 +18,16 @@ from repro.hecore.keys import (
     switch_key,
 )
 from repro.hecore.modmath import MAX_MODULUS_BITS
-from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.params import (
+    PARAMETER_SET_B,
+    SchemeType,
+    small_test_parameters,
+)
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.random import BlakePrng
 from repro.hecore.rns import RnsBase
+from repro.hecore.serialize import serialize_galois_keys, serialize_relin_key
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +190,49 @@ def test_keygen_deterministic_with_seed(params):
     c = KeyGenerator(params, seed=8).secret_key().poly.data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+#: Rotation steps of the served e2e key sets: the set-B DNN's conv and fc,
+#: and the CKKS ``collapsed`` 64x16 KNN kernel.
+DNN_CONV_STEPS = (-768, -512, -256, -13, -12, -11, -1, 1, 11, 12, 13)
+DNN_FC_STEPS = (1, 2, 3, 4, 8, 12, 16, 32)
+COLLAPSED_STEPS = tuple(range(1, 16)) + tuple(range(30, 121, 15)) + tuple(
+    range(240, 841, 120))
+
+
+def _dnn_session():
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"e2e-1-dnn-1")
+    relin = ctx.relin_keys()
+    return relin, ensure_galois_keys(ctx, DNN_CONV_STEPS, DNN_FC_STEPS)
+
+
+def _ckks_collapsed_session():
+    params = small_test_parameters(SchemeType.CKKS, 4096, data_bits=(30, 30, 30))
+    ctx = CkksContext(params, seed=b"e2e-1-0")
+    relin = ctx.relin_keys()
+    return relin, ensure_galois_keys(ctx, COLLAPSED_STEPS)
+
+
+def _extended_in_two_calls():
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"bench-client-crypto")
+    relin = ctx.relin_keys()
+    ctx.make_galois_keys([1])
+    return relin, ctx.make_galois_keys(range(2, 10))
+
+
+@pytest.mark.parametrize("make, n_galois, digest", [
+    (_dnn_session, 17,
+     "9b3ae3550393a2522380c1101d01a537a8d037a16b3f1628c2bd60384dd7612e"),
+    (_ckks_collapsed_session, 28,
+     "a1f9ddcfa02afb89287b291bd74f6c669f19bfec3936a14b26aed4575911a22a"),
+    (_extended_in_two_calls, 9,
+     "9b884191475dab4f10bd7d2254d623e1697c53ce641f58724f47f62790545261"),
+], ids=["dnn-set-B", "ckks-collapsed", "two-call-extension"])
+def test_served_key_sets_are_byte_identical(make, n_galois, digest):
+    """The relin + Galois blobs a served session uploads, pinned by SHA-256
+    as the per-key, per-digit generator made them: same seeds, same draws,
+    same residues, whatever the kernels that produce them."""
+    relin, galois = make()
+    assert len(galois.keys) == n_galois
+    blob = serialize_relin_key(relin) + serialize_galois_keys(galois)
+    assert hashlib.sha256(blob).hexdigest() == digest

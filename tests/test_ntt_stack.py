@@ -8,7 +8,8 @@ to ``2**15`` (square and 1:2 splits), every seed parameter set and the widest
 moduli the limb width admits (the largest NTT primes below
 ``2**MAX_MODULUS_BITS``, with all-``(p-1)`` and all-``p//2`` inputs),
 canonical and non-canonical inputs, natural and raw order, single stacks and
-cache-grouped batches.  ``check_bounds=True`` asserts the exactness envelope
+cache-grouped batches, and the small-input transform of signed rows at the
+edge of its envelope.  ``check_bounds=True`` asserts the exactness envelope
 at every step: every matmul partial sum below ``2**52`` whatever the
 summation order, every reduced or twiddled value in ``(-p, p)``.  A modulus
 at or above the limb width, or a degree whose sums would leave the envelope,
@@ -204,6 +205,18 @@ def test_every_degree_bit_exact_at_the_widest_primes(n):
             assert np.array_equal(evals[r], scalar.forward(a[r]))
             assert np.array_equal(coeffs[r], scalar.inverse(a[r]))
         assert np.array_equal(plan.inverse(evals, check_bounds=True), a)
+    # The small-input transform at the edge of its envelope, both signs,
+    # and refused one past it.
+    edge = plan.small_bound - 1
+    small = np.stack([np.full(n, edge), np.full(n, -edge),
+                      rng.integers(-edge, edge + 1, n)])
+    base = RnsBase.of(moduli)
+    assert np.array_equal(plan.forward_small(small, check_bounds=True),
+                          plan.forward_batch(base.lift_signed(small)))
+    for past in (edge + 1, -edge - 1):
+        small[2, n // 2] = past
+        with pytest.raises(ValueError, match="small-input"):
+            plan.forward_small(small)
 
 
 def test_check_bounds_catches_a_sum_outside_the_envelope():
@@ -231,7 +244,8 @@ def _table_bytes(plan) -> int:
 def test_batch_plan_shares_its_base_tables():
     """A batch plan broadcasts the base plan's per-modulus tables over the
     batch axis: its table bytes do not grow with the batch, and it still
-    transforms every tiled stack as the base plan does."""
+    transforms every tiled stack (and every small row) as the base plan
+    does."""
     plan = ntt.get_stack_plan(N, PRIMES)
     rng = np.random.default_rng(21)
     for b in (2, 3, 8):
@@ -241,6 +255,10 @@ def test_batch_plan_shares_its_base_tables():
         stacks = np.stack([_random_stack(rng, PRIMES, N) for _ in range(b)])
         want = plan.forward_batch(stacks).reshape(b * len(PRIMES), N)
         assert np.array_equal(tiled.forward(stacks.reshape(-1, N)), want)
+        # A small row lifted to the tiled base is b copies of its stack.
+        small = rng.integers(-19, 20, (2, N))
+        assert np.array_equal(tiled.forward_small(small),
+                              np.tile(plan.forward_small(small), (1, b, 1)))
 
 
 def test_degree_beyond_the_float64_envelope_is_refused():

@@ -28,6 +28,19 @@ def test_fork_domain_separation():
                               child_b.sample_ternary(64))
 
 
+@pytest.mark.parametrize("draw", ["sample_error", "sample_ternary"])
+def test_batched_draws_are_stream_identical(draw):
+    """An ``(m, n)`` draw is ``m`` sequential ``(n,)`` draws bit for bit, and
+    leaves the stream where they leave it: key generation draws every
+    key-switching error of a key set at once."""
+    for n, m in ((4096, 6), (7, 5)):
+        batched, looped = BlakePrng(seed=n), BlakePrng(seed=n)
+        block = getattr(batched, draw)((m, n))
+        rows = [getattr(looped, draw)(n) for _ in range(m)]
+        assert np.array_equal(block, np.stack(rows))
+        assert batched.random_bytes(16) == looped.random_bytes(16)
+
+
 def test_uniform_range_and_spread():
     p = (1 << 29) - 3
     samples = BlakePrng(seed=2).sample_uniform(20000, p)
