@@ -23,8 +23,10 @@ N=4096, two BFV and two CKKS:
   win by at least 1.7x.
 * ``knn_dimmajor`` — the served dimension-major KNN query (same set and
   shape, evaluation-form uploads): the scheduled run sums the 16 squares
-  in evaluation form and relinearises the sum once (``relinearize`` 1 per
-  call, where the naive run pays 16), distances checked against numpy.
+  in evaluation form as one lazily reduced product sum (the report's one
+  ``product_sum`` of 16 terms) and relinearises the sum once
+  (``relinearize`` 1 per call, where the naive run pays 16), distances
+  checked against numpy.
   Must win by at least 6.6x.
 
 Floors, re-derived from ten runs (each interleaving its reference and
@@ -152,6 +154,15 @@ checks keep their meaning: ``weighted_sum_spans`` 1 on ``fig15_matvec``,
 ``naive_decompose`` <= 7 (the collapse round's giant rotations), and
 ``ntt_elided`` > 0, now 90 rows per slice, all of it the spans' cached
 multiplier tables (60 before).
+
+Product-sum fusion then folded ``knn_dimmajor``'s 16 squares and their
+sum into one ``product_sum`` node (one stacked block, three lazily reduced
+sums); ``_measure_knn_dimmajor`` asserts that one sum of 16 terms, so the
+gate fails if the fusion stops applying.  Three alternating runs per side,
+parent -> change: ``knn_dimmajor`` scheduled 9.3-11.3 -> 5.6-6.2 ms, ratio
+9.3-10.5x -> 15.6-16.8x; the other kernels have no product sum and read
+as before within the host's spread.  No floor moved; the record is the
+median change run.
 
 ``--check`` exits non-zero on a missed floor, a missing residency signal,
 or a >20% regression against the previous recorded run.  Results go to
@@ -299,7 +310,8 @@ def _measure_dnn_slice(ctx):
 def _knn_query(kernel_cls, encrypt):
     """A served-shape KNN query (CKKS, 64 points x 16 dims, three 30-bit
     limbs) uploaded through ``ctx.<encrypt>``: its context and the naive /
-    scheduled calls, both checked against numpy."""
+    scheduled calls, both checked against numpy, and the schedule's
+    report."""
     ctx = CkksContext(small_test_parameters(SchemeType.CKKS, poly_degree=4096,
                                             data_bits=(30, 30, 30)),
                       seed=b"bench-ir")
@@ -325,13 +337,13 @@ def _knn_query(kernel_cls, encrypt):
         got = kernel.decode([np.real(v) for v in ctx.decrypt_many(run())])
         assert np.max(np.abs(got - want)) < KNN_TOLERANCE, \
             f"{kernel.name} knn kernel produced wrong distances"
-    return ctx, naive, scheduled
+    return ctx, naive, scheduled, sched.report
 
 
 def _measure_knn_collapsed():
     """Collapsed point-major KNN query (CKKS), scheduled vs the naive oracle."""
-    ctx, naive, scheduled = _knn_query(CollapsedPointMajorKernel,
-                                       "encrypt_many")
+    ctx, naive, scheduled, _ = _knn_query(CollapsedPointMajorKernel,
+                                          "encrypt_many")
     before = ctx.counts["naive_decompose"]
     scheduled()
     unshared = ctx.counts["naive_decompose"] - before
@@ -343,10 +355,14 @@ def _measure_knn_collapsed():
 
 def _measure_knn_dimmajor():
     """Dimension-major KNN query (CKKS, evaluation-form uploads as served):
-    the scheduled run relinearises the sum of its 16 squares once, the
-    naive run each square."""
-    ctx, naive, scheduled = _knn_query(DimensionMajorKernel,
-                                       "encrypt_symmetric_many")
+    the scheduled run sums its 16 squares as one product sum and
+    relinearises the sum once, the naive run each square."""
+    ctx, naive, scheduled, report = _knn_query(DimensionMajorKernel,
+                                               "encrypt_symmetric_many")
+    fused = (report.product_sums, report.product_sum_terms)
+    assert fused == (1, KNN_SHAPE["dims"]), \
+        f"dimension-major schedule fused {fused} (sums, terms), not " \
+        f"one product sum of {KNN_SHAPE['dims']}"
     for run, want in ((scheduled, 1), (naive, KNN_SHAPE["dims"])):
         before = ctx.counts["relinearize"]
         run()

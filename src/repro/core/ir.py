@@ -34,7 +34,15 @@ runs ordered passes over the DAG:
    rounding-noise-level drift for CKKS.  ``relin`` pairs sink the same way
    (relinearisation is linear): a sum of k products pays one key switch,
    and the 3-component sum feeds only its ``relin``.
-5. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
+5. **Product-sum fusion** (CKKS) — each maximal add-tree of single-consumer
+   ct×ct products at one static level and scale exponent (what sinking
+   leaves under one ``relin``) becomes one ``product_sum`` node: the
+   operands are stacked once and the three tensor components are summed
+   as lazily reduced multiply-accumulates
+   (:func:`repro.hecore.modmath.mod_mac`), bit-identical to the add-tree
+   because modular sums are exact.  BFV keeps its add-trees: its tensor
+   product rounds per product.
+6. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
    products, stay in evaluation (NTT) form; adds/subs/negs of resident
    values accumulate without leaving it, and the deferred inverse
    transform is paid once at the first coefficient-domain consumer (a
@@ -75,6 +83,7 @@ import numpy as np
 
 from repro.hecore import hoisting
 from repro.hecore.keys import galois_element_for_step, keyswitch_ext_base
+from repro.hecore.modmath import mod_mac
 from repro.hecore.params import SchemeType
 
 
@@ -85,13 +94,6 @@ class ScheduleError(ValueError):
 # ---------------------------------------------------------------------------
 # IR nodes
 # ---------------------------------------------------------------------------
-
-#: Node kinds producing ciphertext values.
-CT_KINDS = frozenset({
-    "input", "rotate", "add", "sub", "neg", "mul", "relin",
-    "rescale", "mod_switch", "rotate_sum", "weighted_sum",
-    "encrypt", "recrypt_boundary",
-})
 
 #: Crypto-boundary kinds: the value crossing them is fresh (full budget).
 #: ``encrypt`` enters the encrypted domain from named plaintext inputs,
@@ -136,14 +138,15 @@ def level_after(node: IrNode, scheme: SchemeType,
     operands' levels.  Binary operands meet at the lower one (the executor
     aligns them); ``mod_switch`` drops a limb and keeps the scale; a CKKS
     ``rescale`` drops a limb and a scale power (BFV has no rescale: it
-    costs no level); multiplies stack scale powers, and a ``weighted_sum``
-    is a sum of plain multiplies; ``relin`` moves neither."""
+    costs no level); multiplies stack scale powers, a ``weighted_sum`` is a
+    sum of plain multiplies and a ``product_sum`` (operand pairs) one of
+    ct×ct multiplies at one level; ``relin`` moves neither."""
     if node.kind in ENTRY_KINDS or not operands:
         return 0, 1
     dropped = max(d for d, _ in operands)
-    if node.kind not in ("mul", "weighted_sum"):
+    if node.kind not in ("mul", "weighted_sum", "product_sum"):
         sexp = max(s for _, s in operands)
-    elif len(operands) == 2:
+    elif len(operands) >= 2:
         sexp = operands[0][1] + operands[1][1]
     else:
         sexp = operands[0][1] + 1
@@ -576,6 +579,8 @@ class ScheduleReport:
     rescales_sunk: int = 0          # rescale pairs merged below an add/sub
     mod_switches_sunk: int = 0      # mod-switch pairs merged likewise
     relins_sunk: int = 0            # relinearisation pairs merged likewise
+    product_sums: int = 0           # ct x ct add-trees fused to product sums
+    product_sum_terms: int = 0      # products those sums absorbed
     resident_nodes: int = 0         # values planned to stay in NTT form
     batched_consts: int = 0         # BFV consts encoded in one stacked pass
     #: The level planner's :class:`repro.core.levelplan.LevelPlan`, when the
@@ -589,6 +594,8 @@ class ScheduleReport:
                 f"({self.fused_rotations} rotations), "
                 f"{self.rescales_sunk + self.mod_switches_sunk} level drop(s) "
                 f"and {self.relins_sunk} relinearisation(s) sunk, "
+                f"{self.product_sums} product sum(s) "
+                f"({self.product_sum_terms} terms), "
                 f"{self.resident_nodes} NTT-resident node(s), "
                 f"{self.batched_consts} const(s) batch-encoded")
         if self.level_plan is not None:
@@ -791,6 +798,60 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
                 heapq.heappush(heap, nid)
 
 
+def _fuse_product_sums(program: IrProgram, scheme: SchemeType,
+                       report: ScheduleReport) -> None:
+    """Fold CKKS add-trees of ct×ct products into ``product_sum`` nodes.
+
+    A *leaf* is a single-consumer ``mul`` of two ciphertexts; a tree is a
+    maximal add-tree of single-consumer adds over leaves that all sit at
+    one static level and scale exponent — the shape relinearisation
+    sinking leaves under one ``relin``.  A tree of two or more leaves
+    becomes one ``product_sum`` whose args are its leaves' operand pairs,
+    left to right (the leftmost product's scale is the sum's, as for the
+    adds).  Leaves at different levels or scales stay unfused.  BFV is
+    left alone: its tensor product rounds per product, so a lazily reduced
+    sum would change its results.
+    """
+    if scheme is not SchemeType.CKKS:
+        return
+    nodes = program.nodes
+    level = program.levels(scheme)             # live, dependency order
+    consumers = program.consumers(set(level))
+    out_ids = set(program.outputs.values())
+
+    def single_consumer(nid: int) -> bool:
+        return len(consumers.get(nid, ())) == 1 and nid not in out_ids
+
+    # Pure nodes (leaves, and adds of single-consumer pure nodes at one
+    # level) -> that level; args precede their consumers.
+    pure: Dict[int, Level] = {}
+    for nid in level:
+        node = nodes[nid]
+        if node.kind == "mul":
+            if single_consumer(nid) and len(program.ct_args(nid)) == 2:
+                pure[nid] = level[nid]
+        elif node.kind == "add":
+            a, b = node.args
+            if (a in pure and b in pure and pure[a] == pure[b]
+                    and single_consumer(a) and single_consumer(b)):
+                pure[nid] = pure[a]
+    inner = {a for nid in pure if nodes[nid].kind == "add"
+             for a in nodes[nid].args}
+    for root in pure:
+        if nodes[root].kind != "add" or root in inner:
+            continue
+        pairs, stack = [], [root]
+        while stack:
+            node = nodes[stack.pop()]
+            if node.kind == "mul":
+                pairs.extend(node.args)
+            else:
+                stack.extend(reversed(node.args))
+        nodes[root] = IrNode("product_sum", tuple(pairs))
+        report.product_sums += 1
+        report.product_sum_terms += len(pairs) // 2
+
+
 def _group_rotations(program: IrProgram, report: ScheduleReport
                      ) -> Dict[int, List[int]]:
     """Group live rotations by source: one hoisted decompose per group.
@@ -814,17 +875,17 @@ def _mark_residency(program: IrProgram, scheme: SchemeType,
     """Nodes whose value stays in NTT form until a coefficient consumer.
 
     Plain-multiplies produce NTT-form values, and so do CKKS ct-ct
-    multiplies (the tensor product is dyadic); adds/subs/negs stay
-    resident when every ciphertext operand is.  Everything else (rotation
-    spans, level drops, ``relin``, BFV ct-ct multiplies, outputs) consumes
-    or produces coefficient form — the deferred inverse is paid there,
-    once."""
+    multiplies and product sums (the tensor product is dyadic);
+    adds/subs/negs stay resident when every ciphertext operand is.
+    Everything else (rotation spans, level drops, ``relin``, BFV ct-ct
+    multiplies, outputs) consumes or produces coefficient form — the
+    deferred inverse is paid there, once."""
     resident: Set[int] = set()
     for nid in program.levels(scheme):          # dependency order, live only
         node = program.nodes[nid]
         ct_args = program.ct_args(nid)
-        if node.kind == "mul" and (len(ct_args) == 1
-                                   or scheme is SchemeType.CKKS):
+        if node.kind == "product_sum" or (node.kind == "mul" and (
+                len(ct_args) == 1 or scheme is SchemeType.CKKS)):
             resident.add(nid)
         elif node.kind in _FORM_AGNOSTIC:
             if ct_args and all(a in resident for a in ct_args):
@@ -857,6 +918,7 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
 
         program, report.level_plan = plan_levels(program, params)
     _sink_level_drops(program, scheme, report)
+    _fuse_product_sums(program, scheme, report)
     groups = _group_rotations(program, report)
     resident = _mark_residency(program, scheme, report)
     return ScheduledProgram(program, scheme, report, groups, resident,
@@ -1304,8 +1366,63 @@ class _IrRunner:
 
     def _align(self, a, b):
         if a.level_base != b.level_base:
-            a, b = self.ctx.align(self._to_coeff(a), self._to_coeff(b))
+            if not self.ckks:       # a BFV drop divides: coefficients only
+                a, b = self._to_coeff(a), self._to_coeff(b)
+            a, b = self.ctx.align(a, b)     # a CKKS drop is a row slice
         return a, b
+
+    def _product_sum(self, pairs: Tuple[int, ...]):
+        """``Σ a_i·b_i`` over the operand pairs of a ``product_sum`` node:
+        every operand transformed once (:meth:`_to_ntt`) and stacked in
+        one block, then each tensor component summed as one lazily reduced
+        multiply-accumulate.  A square reads its one operand once, and its
+        cross term is ``2·Σ a0·a1``.  Bit-identical to the add-tree of
+        ``multiply`` calls it replaces: every modular sum is exact."""
+        from repro.hecore.ciphertext import Ciphertext
+        from repro.hecore.ckks import scales_close
+        from repro.hecore.polyring import RnsPoly
+
+        ctx = self.ctx
+        products = list(zip(pairs[::2], pairs[1::2]))
+        squares = [a for a, b in products if a == b]
+        distinct = [(a, b) for a, b in products if a != b]
+        cts = {nid: self._to_ntt(nid) for nid in pairs}
+        scales = [cts[a].scale * cts[b].scale for a, b in products]
+        for scale in scales[1:]:
+            if not scales_close(scale, scales[0]):
+                raise ValueError(f"scale mismatch: {scales[0]} vs {scale}")
+        # Operands meet at the lowest level among them (a CKKS level
+        # alignment is a row slice, in either form), as the adds did.
+        base = min((ct.level_base for ct in cts.values()), key=len)
+        k, n = len(base), ctx.params.poly_degree
+        order = squares + [a for a, _ in distinct] + [b for _, b in distinct]
+        block = np.stack([c.data[:k] for nid in order
+                          for c in cts[nid].components]
+                         ).reshape(len(order), 2, k, n)
+        s, d = len(squares), len(distinct)
+        x, a, b = block[:s], block[s:s + d], block[s + d:]
+        pcol, add = base.moduli_col, base.add
+
+        def mac(u, v):
+            return mod_mac("tkn,tkn->kn", u, v, pcol)
+
+        parts = []
+        if s:
+            cross = mac(x[:, 0], x[:, 1])
+            parts.append((mac(x[:, 0], x[:, 0]), add(cross, cross),
+                          mac(x[:, 1], x[:, 1])))
+        if d:
+            parts.append((mac(a[:, 0], b[:, 0]),
+                          mac(a.reshape(2 * d, k, n),
+                              b[:, ::-1].reshape(2 * d, k, n)),
+                          mac(a[:, 1], b[:, 1])))
+        comps = parts[0] if len(parts) == 1 else map(add, *parts)
+        # Charged as the add-tree it replaces: one per product and sum.
+        ctx.counts["multiply"] += len(products)
+        ctx.counts["add"] += len(products) - 1
+        return Ciphertext(ctx.params,
+                          [RnsPoly(base, n, c, is_ntt=True) for c in comps],
+                          scale=scales[0])
 
     def _rotator(self, src_nid: int) -> hoisting.HoistedRotator:
         """The run's one hoisted decompose of node *src_nid*'s value,
@@ -1416,16 +1533,16 @@ class _IrRunner:
             if self.program.is_const(a) or self.program.is_const(b):
                 cid, ct_id = ((a, b) if self.program.is_const(a) else (b, a))
                 return self._mul_plain(ct_id, cid)
-            va, vb = self._align(self.memo[a], self.memo[b])
             if self.ckks and self.fused:
                 # CKKS ct-ct multiply starts in evaluation form anyway:
-                # resident operands skip their inverse->forward round trip.
-                elided = _rows(va, only_ntt=True) + _rows(vb, only_ntt=True)
-                if elided:
-                    ctx.counts["ntt_elided"] += elided
+                # each operand is transformed (or found resident) once.
+                va, vb = self._align(self._to_ntt(a), self._to_ntt(b))
             else:
+                va, vb = self._align(self.memo[a], self.memo[b])
                 va, vb = self._to_coeff(va), self._to_coeff(vb)
             return ctx.multiply(va, vb, relinearize=False)
+        if kind == "product_sum":
+            return self._product_sum(node.args)
         if kind == "relin":
             # relinearize takes the sum in the form it arrives in (a CKKS
             # sum is still evaluation form) and returns coefficient form.

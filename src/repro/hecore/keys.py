@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hecore import batchcrypt, ntt
-from repro.hecore.modmath import MAX_MODULUS_BITS, mod_add, mod_mul
+from repro.hecore.modmath import mod_add, mod_mac, mod_mul
 from repro.hecore.params import EncryptionParameters
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.random import BlakePrng
@@ -399,22 +399,11 @@ def keyswitch_inner_product(digits_ntt: np.ndarray,
     into ``R·L`` digits for a span sum).  Returns the ``(..., 2, k_ext, n)``
     NTT-form accumulators.
 
-    Lazy reduction: each product is below ``2**(2 * MAX_MODULUS_BITS)``, so
-    chunks of ``2**(63 - 2 * MAX_MODULUS_BITS)`` (8) digits sum exactly in
-    int64 BEFORE any reduction — one mod per chunk instead of one per digit
-    — through a fused multiply-accumulate (einsum) that never materializes
-    the product tensor.
+    The sum over digits is :func:`repro.hecore.modmath.mod_mac`'s lazily
+    reduced multiply-accumulate: one ``mod`` per chunk of digits.
     """
-    pcol = ext_base.moduli_col
-    chunk = 1 << (63 - 2 * MAX_MODULUS_BITS)
-    n_digits = digits_ntt.shape[-3]
-    acc = None
-    for lo in range(0, n_digits, chunk):
-        part = np.mod(np.einsum('...lkn,...lckn->...ckn',
-                                digits_ntt[..., lo:lo + chunk, :, :],
-                                key_block[..., lo:lo + chunk, :, :, :]), pcol)
-        acc = part if acc is None else acc + part
-    return acc if n_digits <= chunk else np.mod(acc, pcol)
+    return mod_mac('...lkn,...lckn->...ckn', digits_ntt, key_block,
+                   ext_base.moduli_col)
 
 
 def keyswitch_finish(accs: np.ndarray, ext_base: RnsBase) -> np.ndarray:

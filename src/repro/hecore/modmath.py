@@ -52,6 +52,35 @@ def mod_mul(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     return np.mod(np.multiply(a, b, dtype=np.int64), p)
 
 
+#: Residue products (each below ``2**(2 * MAX_MODULUS_BITS)``) that sum
+#: exactly in int64 before one reduction: 8 at 30-bit limbs.
+LAZY_SUM_TERMS = 1 << (63 - 2 * MAX_MODULUS_BITS)
+
+
+def mod_mac(subscripts: str, a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """``einsum(subscripts, a, b) mod p`` over canonical residues — the one
+    lazily reduced multiply-accumulate.  *subscripts* contracts exactly the
+    first explicit axis of each operand (the one right after ``...``, e.g.
+    ``'...lkn,...lckn->...ckn'``); *p* broadcasts against the output like
+    :func:`mod_mul`'s.
+
+    That axis is cut into chunks of :data:`LAZY_SUM_TERMS` terms, each
+    summed exactly in int64 by one fused einsum that never materialises
+    the product tensor and reduced once: one ``mod`` per chunk instead of
+    one per product."""
+    sa, sb = subscripts.split("->")[0].replace("...", "").split(",")
+    n_terms = a.shape[-len(sa)]
+    acc = None
+    for lo in range(0, n_terms, LAZY_SUM_TERMS):
+        chunk = slice(lo, lo + LAZY_SUM_TERMS)
+        part = np.mod(np.einsum(
+            subscripts,
+            a[(Ellipsis, chunk) + (slice(None),) * (len(sa) - 1)],
+            b[(Ellipsis, chunk) + (slice(None),) * (len(sb) - 1)]), p)
+        acc = part if acc is None else acc + part
+    return acc if n_terms <= LAZY_SUM_TERMS else np.mod(acc, p)
+
+
 def shoup_mul_mod(x: np.ndarray, c: np.ndarray, c_shoup: np.ndarray,
                   p: np.ndarray) -> np.ndarray:
     """Element-wise ``(x * c) mod p`` against a precomputed constant, without

@@ -157,8 +157,9 @@ class NoiseEstimator:
         the one per-kind table :meth:`budget_after` spends forward and the
         level planner sums backward.  ``rotate_sum`` / ``weighted_sum`` are
         hoisted spans (:meth:`after_hoisted_rotations`) plus their
-        accumulation; kinds that move no noise (``neg``, ``rescale``,
-        ``mod_switch``, crypto boundaries) cost nothing, and neither does
+        accumulation, and a ``product_sum`` is a ct-ct ``mul`` plus its;
+        kinds that move no noise (``neg``, ``rescale``, ``mod_switch``,
+        crypto boundaries) cost nothing, and neither does
         ``relin``: a ct-ct ``mul`` prices its own key switch, so a sum whose
         ``relin`` the scheduler sank is over-priced, never under."""
         kind = node.kind
@@ -173,6 +174,9 @@ class NoiseEstimator:
         if kind == "rotate_sum":
             rounds = max(1, math.ceil(math.log2(max(node.width, 2))))
             return ROTATION_BITS + math.log2(rounds + 1) + rounds
+        if kind == "product_sum":
+            return (self.t_bits + self.log_n + 8
+                    + math.ceil(math.log2(len(node.args) // 2)))
         if kind == "weighted_sum":
             count = max(1, len(node.terms))
             return (ROTATION_BITS + math.log2(count + 1) + self.t_bits

@@ -16,23 +16,17 @@ the e2e CKKS set):
   plaintext reference, CKKS within the e2e tolerance of numpy.
 
 It also pins what the fusion change must not move: the bytes of an
-existing single-consumer BFV span, and the compiled schedules of the KNN
-packings that have no span.
+existing single-consumer BFV span (the compiled schedules of every KNN
+packing are pinned in ``test_served_schedules.py``).
 """
 
 import hashlib
-import types
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from repro.core.distance import (
-    KERNEL_VARIANTS,
-    CollapsedPointMajorKernel,
-    DistanceProblem,
-)
-from repro.core.ir import compile_ir, ensure_galois_keys
+from repro.core.distance import CollapsedPointMajorKernel, DistanceProblem
+from repro.core.ir import ensure_galois_keys
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
@@ -87,7 +81,8 @@ def _fc_case(ctx):
     return dict(kernel=kernel, inputs=[ctx.encrypt_symmetric(
                     kernel.pack_input(vec).astype(np.int64))],
                 giants={j - j % b for j in diagonals},
-                babies={j % b for j in diagonals} - {0}, check=check)
+                babies={j % b for j in diagonals} - {0}, forward=0,
+                check=check)
 
 
 def _conv_case(ctx):
@@ -107,7 +102,8 @@ def _conv_case(ctx):
     return dict(kernel=kernel, inputs=ctx.encrypt_symmetric_many(
                     [v.astype(np.int64) for v in kernel.pack_input(image)]),
                 giants={shift for _, _, shift, _ in terms},
-                babies={tap for _, tap, _, _ in terms} - {0}, check=check)
+                babies={tap for _, tap, _, _ in terms} - {0}, forward=0,
+                check=check)
 
 
 def _collapsed_case(ctx):
@@ -128,7 +124,10 @@ def _collapsed_case(ctx):
     return dict(kernel=kernel, inputs=kernel.encrypt_points(points)
                 + kernel.encrypt_query(query),
                 giants=set(range(0, kernel.occupied, b)),
-                babies={a * stride for a in range(1, b)}, check=check)
+                babies={a * stride for a in range(1, b)},
+                # The square's operand, transformed once: public-key
+                # uploads arrive in coefficient form (2 components x 3 limbs).
+                forward=6, check=check)
 
 
 CASES = {"fc": (_fc_case, "set_b"), "conv": (_conv_case, "set_b"),
@@ -186,7 +185,8 @@ def test_spans_share_one_decompose_and_charge_each_baby_once(served):
     assert spent["rotate"] == (len(case["babies"])
                                + len(_live(program, "rotate"))
                                + sum(n.width - 1 for n in sums))
-    assert spent["ntt_forward"] == 0, "a warm span transforms no row"
+    assert spent["ntt_forward"] == case["forward"], \
+        "a warm span transforms no row (only a square's operand does)"
 
 
 def test_results_match_the_oracle_and_the_reference(served):
@@ -226,34 +226,3 @@ def test_single_consumer_bfv_span_bytes_did_not_move():
         h.update(bytes([c.is_ntt]))
         h.update(np.ascontiguousarray(c.data, dtype=np.int64).tobytes())
     assert h.hexdigest() == FIG15_SPAN_DIGEST
-
-
-#: ``ScheduleReport`` fields (level plan totals flattened) of the span-free
-#: KNN packings at the e2e shape, recorded before the change.
-SPAN_FREE_SCHEDULES = {
-    "dimension-major": dict(
-        rotation_groups=0, fused_rotations=0, weighted_sum_spans=0,
-        weighted_sum_terms=0, rescales_sunk=15, mod_switches_sunk=0,
-        relins_sunk=15, resident_nodes=31, batched_consts=0,
-        limb_drops=32, align_switches=0, replans=0, limb_rows_before=333,
-        limb_rows_after=223, predicted_unsafe=0),
-    "stacked-point": dict(
-        rotation_groups=0, fused_rotations=0, weighted_sum_spans=0,
-        weighted_sum_terms=0, rescales_sunk=0, mod_switches_sunk=0,
-        relins_sunk=0, resident_nodes=1, batched_consts=0,
-        limb_drops=2, align_switches=0, replans=0, limb_rows_before=21,
-        limb_rows_after=14, predicted_unsafe=0),
-}
-
-
-@pytest.mark.parametrize("variant", sorted(SPAN_FREE_SCHEDULES))
-def test_span_free_schedules_did_not_move(variant):
-    kernel = KERNEL_VARIANTS[variant](types.SimpleNamespace(params=E2E_CKKS),
-                                      DistanceProblem(64, 16))
-    sched = compile_ir(kernel.program(kernel.input_shape), E2E_CKKS.scheme,
-                       params=E2E_CKKS)
-    report = asdict(sched.report)
-    plan = report.pop("level_plan")
-    report.update({k: v for k, v in plan.items()
-                   if k not in ("chain", "segments")})
-    assert report == SPAN_FREE_SCHEDULES[variant]

@@ -1,8 +1,9 @@
 """Tests for the ciphertext-program IR and its fusing scheduler.
 
 Covers the tracer/builder surface, each scheduling pass in isolation
-(weighted-sum fusion, rotation grouping, level-drop and relinearisation
-sinking, NTT residency), the residency telemetry counters, and — the main
+(weighted-sum fusion, product-sum fusion, rotation grouping, level-drop
+and relinearisation sinking, NTT residency), the residency telemetry
+counters, and — the main
 invariant — randomized expression DAGs where the scheduled execution must
 match a scheduler-off reference that runs one primitive call per IR node,
 and where no 3-component value (a ct x ct product or a sum of them) feeds
@@ -26,6 +27,7 @@ from repro.core.distance import (
 )
 from repro.core.ir import (
     IrBuilder,
+    IrNode,
     IrProgram,
     ScheduledProgram,
     ScheduleError,
@@ -40,7 +42,10 @@ from repro.core.lola import AlternatingMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
+from repro.hecore.ntt import NttStackPlan
 from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.rns import RnsBase
+from repro.hecore.serialize import serialize_ciphertext
 
 
 def _raw(program, scheme):
@@ -263,6 +268,167 @@ def test_fusion_skips_multi_consumer_leaves(bfv_params):
     assert sched.report.weighted_sum_spans == 0
 
 
+# ---------------------------------------------------- pass: product sums
+
+@pytest.fixture(scope="module")
+def own(bfv_params, ckks_params):
+    """Contexts of these tests' own: their encryptions draw from them, not
+    from the session ``bfv`` / ``ckks`` streams the later tests' noise
+    follows."""
+    return {"bfv": BfvContext(bfv_params, seed=b"product-sums"),
+            "ckks": CkksContext(ckks_params, seed=b"product-sums")}
+
+
+def _bare_products(forms, inputs):
+    """``Σ a_i·b_i`` as raw IR with no ``relin``, so the 3-component sum is
+    the output: *forms* holds one ``"square"`` / ``"pair"`` per product,
+    over *inputs* ciphertexts read round-robin (a pair shares its operands
+    with its neighbours)."""
+    b = IrBuilder()
+    xs = [b.input(f"x{i}") for i in range(inputs)]
+    acc = None
+    for i, form in enumerate(forms):
+        x = xs[i % inputs]
+        y = x if form == "square" else xs[(i + 1) % inputs]
+        term = b._emit(IrNode("mul", (x, y)))
+        acc = term if acc is None else b.add(acc, term)
+    b.output("out0", acc)
+    return b.program
+
+
+def _ckks_inputs(ctx, rng, count, limbs):
+    """*count* CKKS ciphertexts on the first *limbs* limbs of the chain,
+    alternately public-key (coefficient form) and symmetric (evaluation
+    form) encryptions."""
+    base = RnsBase.of(ctx.params.data_base.moduli[:limbs])
+    pts = ctx.encoder.encode_many(
+        [rng.uniform(-0.5, 0.5, 512) for _ in range(count)], base=base)
+    return {f"x{i}": (ctx.encrypt if i % 2 else ctx.encrypt_symmetric)(pt)
+            for i, pt in enumerate(pts)}
+
+
+def _blob(outputs):
+    return {name: serialize_ciphertext(ct) for name, ct in outputs.items()}
+
+
+PRODUCT_FORMS = {
+    "squares": lambda k: ["square"] * k,
+    "pairs": lambda k: ["pair"] * k,
+    "mixed": lambda k: ["square", "pair"] * (k // 2) + ["square"] * (k % 2),
+}
+
+
+@pytest.mark.parametrize("limbs", [1, 2, 3])
+@pytest.mark.parametrize("forms", sorted(PRODUCT_FORMS))
+@pytest.mark.parametrize("k", [2, 8, 9, 17])
+def test_product_sum_is_byte_identical_to_the_add_tree(own, k, forms,
+                                                       limbs):
+    """Add-trees of 2, 8, 9 and 17 products (either side of a lazy-sum
+    chunk boundary) fuse into one ``product_sum`` whose 3-component result
+    is, byte for byte, the scheduler-off add-tree of ``multiply`` calls."""
+    program = _bare_products(PRODUCT_FORMS[forms](k), inputs=max(2, k // 2))
+    sched = compile_ir(program, SchemeType.CKKS)
+    assert (sched.report.product_sums, sched.report.product_sum_terms) \
+        == (1, k)
+    assert _live_kind(sched, "mul") == _live_kind(sched, "add") == []
+
+    ckks = own["ckks"]
+    inputs = _ckks_inputs(ckks, np.random.default_rng(k), max(2, k // 2),
+                          limbs)
+    before = ckks.counts.copy()
+    got = sched.run(ckks, inputs)
+    assert ckks.counts["multiply"] - before["multiply"] == k
+    assert ckks.counts["add"] - before["add"] == k - 1
+    assert _blob(got) == _blob(sched.run_reference(ckks, inputs))
+
+
+def _unfused(case):
+    """(program, scheme, product sums expected, whether it runs): products
+    the pass must not fold, or not fold together."""
+    b = IrBuilder()
+    x, y = b.input("x0"), b.input("x1")
+
+    def mul(a, c):
+        return b._emit(IrNode("mul", (a, c)))
+
+    scheme, sums, runs = SchemeType.CKKS, 0, True
+    if case == "shared_product":
+        shared = mul(x, y)
+        b.output("out0", b.add(b.add(shared, mul(x, x)), mul(y, y)))
+        b.output("out1", shared)
+    elif case == "shared_add":              # fuses as a tree of its own
+        shared = b.add(mul(x, x), mul(y, y))
+        b.output("out0", b.add(shared, b.add(mul(x, y), mul(y, x))))
+        b.output("out1", shared)
+        sums = 2
+    elif case == "levels":
+        low = b.mod_switch(y)
+        b.output("out0", b.add(mul(x, x), mul(low, low)))
+    elif case == "scales":                  # s**2 + s**3: never addable
+        scaled = b.mul(y, b.const(np.full(512, 0.5)))
+        b.output("out0", b.add(mul(x, x), mul(y, scaled)))
+        runs = False
+    elif case == "lone_product":
+        b.output("out0", b.mul(x, y))
+    else:                                   # "bfv"
+        b.output("out0", b.add(mul(x, x), mul(y, y)))
+        scheme = SchemeType.BFV
+    return b.program, scheme, sums, runs
+
+
+@pytest.mark.parametrize("case", ["shared_product", "shared_add", "levels",
+                                  "scales", "lone_product", "bfv"])
+def test_product_sum_fusion_leaves(case, own):
+    """No fusion through a product or a sum with a second consumer (a sum
+    read twice fuses as a tree of its own), of leaves at two levels or two
+    scale exponents, of a lone product, or under BFV, whose tensor product
+    rounds per product."""
+    program, scheme, sums, runs = _unfused(case)
+    sched = compile_ir(program, scheme)
+    assert sched.report.product_sums == sums
+    assert sched.report.product_sum_terms == 2 * sums
+    if not runs:
+        return
+    rng = np.random.default_rng(43)
+    if scheme is SchemeType.BFV:
+        ctx = own["bfv"]
+        inputs = _encrypt_inputs(ctx, rng, ["x0", "x1"])
+    else:
+        ctx = own["ckks"]
+        inputs = _ckks_inputs(ctx, rng, 2, limbs=3)
+    assert _blob(sched.run(ctx, inputs)) \
+        == _blob(sched.run_reference(ctx, inputs))
+
+
+def test_square_of_a_coefficient_form_value_is_transformed_once(
+        own, ckks_params, monkeypatch):
+    """``mul(x, x)`` of a coefficient-form ``x`` (a public-key upload, a
+    rescaled value) transforms ``x`` once, one ``forward`` call per
+    component, and charges it: ``ntt_forward`` is 2 components x limbs
+    rows."""
+    forward = []
+    transform = NttStackPlan.forward
+
+    def counted(plan, *args, **kwargs):
+        forward.append(plan)
+        return transform(plan, *args, **kwargs)
+
+    program = trace_program(ckks_params, lambda tr, x: tr.multiply(x, x),
+                            ["x"])
+    sched = compile_ir(program, SchemeType.CKKS)
+    ckks = own["ckks"]
+    ct = ckks.encrypt(ckks.encode(np.linspace(-0.5, 0.5, 512)))
+    assert not ct.is_ntt
+    want = _blob(sched.run_reference(ckks, {"x": ct}))
+    monkeypatch.setattr(NttStackPlan, "forward", counted)
+    before = ckks.counts["ntt_forward"]
+    got = _blob(sched.run(ckks, {"x": ct}))
+    assert len(forward) == len(ct.components)
+    assert (ckks.counts["ntt_forward"] - before
+            == len(ct.components) * len(ct.level_base))
+    assert got == want
+
+
 # -------------------------------------------------- pass: rotation grouping
 
 def test_rotation_grouping_shares_one_decompose(ckks, ckks_params):
@@ -333,7 +499,8 @@ def _assert_three_components_reach_only_relin(sched):
         node = program.nodes[nid]
         ct_args = program.ct_args(nid)
         fed = [a for a in ct_args if a in wide]
-        if node.kind == "mul" and len(ct_args) == 2:
+        if node.kind == "product_sum" or (node.kind == "mul"
+                                          and len(ct_args) == 2):
             wide.add(nid)
         elif fed and node.kind in ("add", "sub", "neg"):
             assert fed == list(ct_args), f"node {nid} mixes sizes"
@@ -616,7 +783,9 @@ def test_randomized_dag_bfv_scheduled_matches_reference(bfv, bfv_params,
             f"seed {seed} output {name} diverged"
 
 
-def _random_ckks_program(params, rng, n_ops):
+def _random_ckks_program(params, rng, n_ops, n_products=0):
+    """A random CKKS DAG; with *n_products*, one of its level-1 values is
+    a sum of that many rescaled ct x ct products of level-0 values."""
     def body(tr, x, y):
         level0 = [x, y]
         level1 = []
@@ -636,6 +805,14 @@ def _random_ckks_program(params, rng, n_ops):
                 level1.append(tr.rescale(tr.multiply(pick(), pick())))
             else:
                 bucket.append(tr.negate(pick()))
+        if n_products:
+            pick = lambda: level0[rng.integers(len(level0))]
+            terms = [tr.rescale(tr.multiply(pick(), pick()))
+                     for _ in range(n_products)]
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = tr.add(acc, term)
+            level1.append(acc)
         return [level0[-1], (level1 or level0)[-1]]
 
     return trace_program(params, body, ["x", "y"])
@@ -645,11 +822,14 @@ def _random_ckks_program(params, rng, n_ops):
 def test_randomized_dag_ckks_scheduled_matches_reference(ckks, ckks_params,
                                                          seed):
     rng = np.random.default_rng(100 + seed)
-    program = _random_ckks_program(ckks_params, rng, n_ops=10)
+    n_products = 8 + seed if seed % 2 else 0       # 9, 11 and 13 products
+    program = _random_ckks_program(ckks_params, rng, n_ops=10,
+                                   n_products=n_products)
     x = ckks.encrypt(ckks.encode(rng.uniform(-0.5, 0.5, 512)))
     y = ckks.encrypt(ckks.encode(rng.uniform(-0.5, 0.5, 512)))
     sched, got, want = _run_both(ckks, program, {"x": x, "y": y})
     _assert_three_components_reach_only_relin(sched)
+    assert sched.report.product_sum_terms >= n_products
     for name in got:
         assert np.allclose(ckks.decrypt(got[name]),
                            ckks.decrypt(want[name]), atol=1e-3), \
