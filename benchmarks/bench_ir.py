@@ -19,8 +19,9 @@ N=4096, two BFV and two CKKS:
 * ``knn_collapsed`` — the served client-optimal KNN query (CKKS, 64 points
   x 16 dims, three 30-bit limbs): the collapse round's baby rotations must
   share one decompose (``naive_decompose`` <= 7 per call, where the naive
-  run pays one per rotation, 29), distances checked against numpy.  Must
-  win by at least 1.7x.
+  run pays one per rotation, 29), and its giant rotations must sum as one
+  ``rotation_sum`` of 8 terms (one mod-down for all seven), distances
+  checked against numpy.  Must win by at least 1.7x.
 * ``knn_dimmajor`` — the served dimension-major KNN query (same set and
   shape, evaluation-form uploads): the scheduled run sums the 16 squares
   in evaluation form as one lazily reduced product sum (the report's one
@@ -164,6 +165,20 @@ parent -> change: ``knn_dimmajor`` scheduled 9.3-11.3 -> 5.6-6.2 ms, ratio
 as before within the host's spread.  No floor moved; the record is the
 median change run.
 
+Rotation-sum fusion then folded the collapse round's seven giant
+rotations and its unrotated shift-0 step into one ``rotation_sum`` (one
+inverse transform and one mod-down for the sum); ``_measure_knn_collapsed``
+asserts that one sum of 8 terms, so the gate fails if the fusion stops
+applying, and the ``naive_decompose`` <= 7 check keeps its meaning (one per
+giant source).  Six alternating runs per side, parent -> change:
+``knn_collapsed`` scheduled 40.9-63.5 (median 51.6) -> 39.5-51.4 (median
+41.0) ms, ratio 3.31-3.92x -> 4.45-5.51x.  The hoisted gathers became one
+``np.take`` per rotation in the same change, and the BFV kernels' scheduled
+medians moved with it: ``fig15_matvec`` 23.0 -> 19.8 ms, ``dnn_slice``
+32.4 -> 28.1 ms, ``cold_second_session`` 82.0 -> 58.7 ms (its warm side);
+``knn_dimmajor`` 6.3 -> 6.6 ms, within the host's spread.  No floor moved;
+the record is the change's last run.
+
 ``--check`` exits non-zero on a missed floor, a missing residency signal,
 or a >20% regression against the previous recorded run.  Results go to
 ``benchmarks/results/BENCH_ir.json``.
@@ -210,6 +225,9 @@ MIN_SPEEDUP = {
 #: unshared key-switch decomposes (the collapse round's giant rotations).
 KNN_SHAPE = dict(n_points=64, dims=16)
 KNN_NAIVE_DECOMPOSES = 7
+#: (rotation sums, terms) of its schedule: the seven giant rotations and
+#: the unrotated shift-0 step, finished with one mod-down.
+KNN_ROTATION_SUM = (1, 8)
 KNN_TOLERANCE = 1e-2
 
 MATVEC_DIM = 32
@@ -342,8 +360,12 @@ def _knn_query(kernel_cls, encrypt):
 
 def _measure_knn_collapsed():
     """Collapsed point-major KNN query (CKKS), scheduled vs the naive oracle."""
-    ctx, naive, scheduled, _ = _knn_query(CollapsedPointMajorKernel,
-                                          "encrypt_many")
+    ctx, naive, scheduled, report = _knn_query(CollapsedPointMajorKernel,
+                                               "encrypt_many")
+    fused = (report.rotation_sums, report.rotation_sum_terms)
+    assert fused == KNN_ROTATION_SUM, \
+        f"collapse round fused {fused} (rotation sums, terms), not one " \
+        f"rotation sum of {KNN_ROTATION_SUM[1]}"
     before = ctx.counts["naive_decompose"]
     scheduled()
     unshared = ctx.counts["naive_decompose"] - before

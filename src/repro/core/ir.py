@@ -22,7 +22,9 @@ runs ordered passes over the DAG:
 2. **Rotation fusion** — remaining live rotations are grouped by source
    ciphertext and lowered onto one hoisted decompose per group
    (``rotate_many``); ``rotate_sum`` nodes pick flat or BSGS spans by
-   width inside :func:`repro.hecore.hoisting.rotate_and_sum`.
+   width inside :func:`repro.hecore.hoisting.rotate_and_sum`.  It runs
+   after rotation-sum fusion (6), which takes the add-trees of rotations
+   of different ciphertexts first.
 3. **Batch grouping** — plaintext constants consumed by a BFV program are
    encoded in one stacked :meth:`BatchEncoder.encode_many` pass; encrypts
    and decrypts batch at the program boundary (``encrypt_many`` /
@@ -42,7 +44,15 @@ runs ordered passes over the DAG:
    (:func:`repro.hecore.modmath.mod_mac`), bit-identical to the add-tree
    because modular sums are exact.  BFV keeps its add-trees: its tensor
    product rounds per product.
-6. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
+6. **Rotation-sum fusion** (BFV and CKKS) — each maximal add-tree of
+   single-consumer adds with at least two single-consumer rotations of at
+   least two different ciphertexts, every leaf at one static level and
+   scale exponent (a baby-step/giant-step sum's giant steps), becomes one
+   ``rotation_sum`` node, run as :func:`repro.hecore.hoisting.rotation_sum`:
+   one decompose per source, one key-switch inner product over every
+   rotation, and one inverse transform and one mod-down for the whole
+   sum (BFV decrypts bit-identically; CKKS moves by rounding).
+7. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
    products, stay in evaluation (NTT) form; adds/subs/negs of resident
    values accumulate without leaving it, and the deferred inverse
    transform is paid once at the first coefficient-domain consumer (a
@@ -122,7 +132,8 @@ class IrNode:
     width: int = 0                  # rotate_sum
     values: Optional[np.ndarray] = None   # const
     name: str = ""                  # input
-    terms: Tuple[Tuple[int, int], ...] = ()  # weighted_sum: (step, const id)
+    #: weighted_sum: (step, const id); rotation_sum: (step, source id)
+    terms: Tuple[Tuple[int, int], ...] = ()
     normalize: bool = False         # rescale: snap scale back to nominal
     planned: bool = False           # mod_switch inserted by the level planner
 
@@ -201,7 +212,7 @@ class IrProgram:
                 steps.add(node.steps)
             elif node.kind == "rotate_sum":
                 steps |= hoisting.rotate_and_sum_steps(node.width)
-            elif node.kind == "weighted_sum":
+            elif node.kind in ("weighted_sum", "rotation_sum"):
                 steps |= {s for s, _ in node.terms}
         steps.discard(0)
         return steps
@@ -581,6 +592,8 @@ class ScheduleReport:
     relins_sunk: int = 0            # relinearisation pairs merged likewise
     product_sums: int = 0           # ct x ct add-trees fused to product sums
     product_sum_terms: int = 0      # products those sums absorbed
+    rotation_sums: int = 0          # multi-source rotation add-trees fused
+    rotation_sum_terms: int = 0     # leaves (rotated or not) they absorbed
     resident_nodes: int = 0         # values planned to stay in NTT form
     batched_consts: int = 0         # BFV consts encoded in one stacked pass
     #: The level planner's :class:`repro.core.levelplan.LevelPlan`, when the
@@ -596,6 +609,8 @@ class ScheduleReport:
                 f"and {self.relins_sunk} relinearisation(s) sunk, "
                 f"{self.product_sums} product sum(s) "
                 f"({self.product_sum_terms} terms), "
+                f"{self.rotation_sums} rotation sum(s) "
+                f"({self.rotation_sum_terms} terms), "
                 f"{self.resident_nodes} NTT-resident node(s), "
                 f"{self.batched_consts} const(s) batch-encoded")
         if self.level_plan is not None:
@@ -852,6 +867,62 @@ def _fuse_product_sums(program: IrProgram, scheme: SchemeType,
         report.product_sum_terms += len(pairs) // 2
 
 
+def _fuse_rotation_sums(program: IrProgram, scheme: SchemeType,
+                        report: ScheduleReport) -> None:
+    """Fold add-trees of rotations of different ciphertexts into
+    ``rotation_sum`` nodes.
+
+    A tree is a maximal add-tree of single-consumer ciphertext adds; each
+    leaf is a term ``(source, step)``: a single-consumer ``rotate`` of
+    ``source`` by ``step``, or any other value as itself (step 0).  A tree
+    fuses when it has at least two rotated leaves over at least two
+    distinct sources and every leaf sits at one static level and scale
+    exponent — a baby-step/giant-step sum's giant steps, each a rotation
+    of its own weighted sum.  The node's args are its distinct sources,
+    its terms the ``(step, source)`` pairs left to right; it runs as
+    :func:`repro.hecore.hoisting.rotation_sum` (one inverse transform and
+    one mod-down for the whole sum).  Trees whose rotations all read one
+    source are left to rotation grouping and ``rotate_sum``, and leaves at
+    different levels or scales stay unfused.
+    """
+    nodes = program.nodes
+    level = program.levels(scheme)             # live, dependency order
+    consumers = program.consumers(set(level))
+    out_ids = set(program.outputs.values())
+
+    def single_consumer(nid: int) -> bool:
+        return len(consumers.get(nid, ())) == 1 and nid not in out_ids
+
+    def ct_add(nid: int) -> bool:
+        return (nodes[nid].kind == "add"
+                and len(program.ct_args(nid)) == 2)
+
+    def inner(nid: int) -> bool:
+        return (ct_add(nid) and single_consumer(nid)
+                and ct_add(consumers[nid][0]))
+
+    for root in [nid for nid in level if ct_add(nid) and not inner(nid)]:
+        leaves, stack = [], [root]
+        while stack:
+            nid = stack.pop()
+            if nid == root or inner(nid):
+                stack.extend(reversed(nodes[nid].args))
+            else:
+                leaves.append(nid)
+        terms = [(nodes[leaf].steps, nodes[leaf].args[0])
+                 if nodes[leaf].kind == "rotate" and single_consumer(leaf)
+                 else (0, leaf) for leaf in leaves]
+        rotated = [src for step, src in terms if step]
+        if (len(rotated) < 2 or len(set(rotated)) < 2
+                or len({level[leaf] for leaf in leaves}) > 1):
+            continue
+        nodes[root] = IrNode("rotation_sum",
+                             tuple(dict.fromkeys(src for _, src in terms)),
+                             terms=tuple(terms))
+        report.rotation_sums += 1
+        report.rotation_sum_terms += len(terms)
+
+
 def _group_rotations(program: IrProgram, report: ScheduleReport
                      ) -> Dict[int, List[int]]:
     """Group live rotations by source: one hoisted decompose per group.
@@ -919,6 +990,7 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
         program, report.level_plan = plan_levels(program, params)
     _sink_level_drops(program, scheme, report)
     _fuse_product_sums(program, scheme, report)
+    _fuse_rotation_sums(program, scheme, report)
     groups = _group_rotations(program, report)
     resident = _mark_residency(program, scheme, report)
     return ScheduledProgram(program, scheme, report, groups, resident,
@@ -1424,6 +1496,23 @@ class _IrRunner:
                           [RnsPoly(base, n, c, is_ntt=True) for c in comps],
                           scale=scales[0])
 
+    def _rotation_sum(self, nid: int, terms: Tuple[Tuple[int, int], ...]):
+        """``Σ rotate(source, step)`` over a ``rotation_sum`` node's terms,
+        each source in coefficient form, finished once.  The terms must
+        share one level base: a term off the first's is refused, not
+        aligned (the pass fused one static level)."""
+        cts = {src: self._to_coeff(self.memo[src]) for _, src in terms}
+        base = cts[terms[0][1]].level_base
+        off = [src for src, ct in cts.items() if ct.level_base != base]
+        if off:
+            raise ScheduleError(
+                f"rotation_sum node {nid}: term(s) {off} arrive off the "
+                f"{len(base)}-limb level base of its first term")
+        out = hoisting.rotation_sum(
+            self.ctx, [(cts[src], step) for step, src in terms], self.keys)
+        self.ctx.counts["add"] += len(terms) - 1    # the add-tree it replaces
+        return out
+
     def _rotator(self, src_nid: int) -> hoisting.HoistedRotator:
         """The run's one hoisted decompose of node *src_nid*'s value,
         shared by every span and rotation group over it."""
@@ -1582,6 +1671,8 @@ class _IrRunner:
                 ct = ctx.add(ct, ctx.rotate(ct, step, self.keys))
                 step //= 2
             return ct
+        if kind == "rotation_sum":
+            return self._rotation_sum(nid, node.terms)
         if kind == "weighted_sum":
             rotator = self._rotator(node.args[0])
             return self.sched._span(ctx, nid, rotator.current).apply(rotator)

@@ -28,10 +28,13 @@ primitives consumed across the eval hot path:
 
 * :func:`rotate_many` — any set of rotations of one ciphertext, bit-exact
   with sequential ``rotate_rows`` calls;
+* :func:`rotation_sum` — a sum of rotations of any ciphertexts (the giant
+  steps of a baby-step/giant-step sum): one decompose per source, every
+  key switch accumulated over the extended base, and one inverse
+  transform + one special-prime rescale for the whole sum;
 * :func:`rotate_and_sum` — the all-prefix rotation sum used by the distance
-  kernels, with NTT-domain accumulation (one inverse transform + one
-  special-prime rescale for the whole span) and a baby-step/giant-step
-  split for wide spans;
+  kernels, each phase a one-source :func:`rotation_sum`, with a
+  baby-step/giant-step split for wide spans;
 * :class:`WeightedSumSpan` — the masked rotation sum behind every
   diagonal matvec, conv and baby-step/giant-step collapse: plaintext
   multipliers weight the rotations' key-switch accumulators in the NTT
@@ -83,6 +86,19 @@ def _steps_available(keys: Optional[GaloisKeys], steps, n: int) -> bool:
     )
 
 
+def _gather(blocks: np.ndarray, owners: Sequence[int],
+            columns: Sequence[np.ndarray]) -> np.ndarray:
+    """``(R, ..., n)`` gather of ``(S, ..., n)`` blocks: entry ``r`` is
+    block ``owners[r]`` with its last axis read through ``columns[r]`` (a
+    Galois element's cached permutation), written contiguous, one
+    ``np.take`` per entry (a broadcast fancy index over every axis is
+    slower)."""
+    out = np.empty((len(owners),) + blocks.shape[1:], blocks.dtype)
+    for r, (owner, cols) in enumerate(zip(owners, columns)):
+        np.take(blocks[owner], cols, axis=-1, out=out[r])
+    return out
+
+
 class HoistedRotator:
     """Shares one key-switch digit decomposition across every rotation of a
     single ciphertext.
@@ -109,24 +125,16 @@ class HoistedRotator:
         self.plan = ntt.get_stack_plan(self.n, self.ext_base.moduli)
         # The hoisted half, paid once per ciphertext.
         self.digits_ntt = decompose_for_keyswitch(
-            ct.components[1].from_ntt(), self.ext_base)
+            ct.components[1].from_ntt().data, self.current, self.ext_base)
         ctx.counts["hoisted_decompose"] += 1
         self._accs: dict = {}
 
     # ------------------------------------------------------------ kernels
     def _gathered_digits(self, galois_elts: Sequence[int]) -> np.ndarray:
-        """``(R, L, k_ext, n)`` contiguous gather of the decomposed digits
-        through every element's cached NTT permutation."""
-        n_digits, k_ext, _ = self.digits_ntt.shape
-        perms = np.stack([ntt_permutation(self.n, g) for g in galois_elts])
-        # Broadcast fancy index writes the gather R-major and contiguous in
-        # one pass (a plain axis gather would land (L, k, R, n) and need a
-        # copy to flatten).
-        return self.digits_ntt[
-            np.arange(n_digits)[None, :, None, None],
-            np.arange(k_ext)[None, None, :, None],
-            perms[:, None, None, :],
-        ]
+        """``(R, L, k_ext, n)`` gather of the decomposed digits through
+        every element's cached NTT permutation."""
+        return _gather(self.digits_ntt[None], [0] * len(galois_elts),
+                       [ntt_permutation(self.n, g) for g in galois_elts])
 
     def inner_product_many(self, galois_elts: Sequence[int]) -> np.ndarray:
         """``(R, 2, k_ext, n)`` key-switch accumulators, one numpy pass.
@@ -141,22 +149,6 @@ class HoistedRotator:
                                        len(self.current))
         return keyswitch_inner_product(self._gathered_digits(galois_elts),
                                        keys, self.ext_base)
-
-    def inner_product_sum(self, galois_elts: Sequence[int]) -> np.ndarray:
-        """``(2, k_ext, n)`` sum of every element's key-switch accumulator.
-
-        The span-sum kernel: summing over rotations and digits alike, the
-        ``R·L`` gathered digits against the flattened key block are ONE
-        inner product with ``R·L`` digits — no per-rotation result is
-        materialized, and the result is bit-exact with summing
-        :meth:`inner_product_many` over the batch.
-        """
-        gathered = self._gathered_digits(galois_elts)   # (R, L, k, n)
-        keys = self.keys.stacked_block(
-            galois_elts, self.rows, len(self.current))
-        return keyswitch_inner_product(
-            gathered.reshape(-1, *gathered.shape[2:]),
-            keys.reshape(-1, *keys.shape[2:]), self.ext_base)
 
     def accumulators(self, galois_elts: Sequence[int]) -> np.ndarray:
         """``(R, 2, k_ext, n)`` NTT-form accumulators of every element's
@@ -177,8 +169,8 @@ class HoistedRotator:
             if live:
                 self.ctx.counts["rotate"] += len(live)
                 blocks = self.inner_product_many(live)
-                perms = np.stack([ntt_permutation(self.n, g) for g in live])
-                moved = np.moveaxis(p_c[0][:, perms], 1, 0)     # (R, k, n)
+                moved = _gather(p_c[0][None], [0] * len(live),  # (R, k, n)
+                                [ntt_permutation(self.n, g) for g in live])
                 blocks[:, 0, :k] = self.current.add(blocks[:, 0, :k], moved)
                 self._accs.update(zip(live, blocks))
             if 1 in missing:
@@ -264,48 +256,80 @@ def rotate_and_sum_steps(width: int) -> Set[int]:
     return {*phase1, *phase2}
 
 
-def _hoisted_span_sum(ctx, ct: Ciphertext, steps: Sequence[int],
-                      keys: GaloisKeys) -> Ciphertext:
-    """``ct + sum(rotate(ct, s) for s in steps)`` with one hoisted decompose.
+def rotation_sum(ctx, terms: Sequence[Tuple[Ciphertext, int]],
+                 galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
+    """``sum(rotate(ct, step) for ct, step in terms)``, a step of 0 being
+    the unrotated ciphertext: every key switch of the sum shares one
+    inverse transform and one mod-down.
 
-    All rotations' key-switch products accumulate over the extended base in
-    the NTT domain, so the whole span pays ONE inverse transform pair and
-    ONE special-prime rescale.  The ``c0`` parts stay in the coefficient
-    domain: every rotation is a cached signed gather
-    (:func:`coeff_automorphism_perm`), the gathered columns sum lazily in
-    int64, and one final mod recovers the canonical sum — no NTT round
-    trip at all.
+    Each distinct source (by identity) is decomposed once, every source in
+    one batched forward transform.  Each rotated term gathers its source's
+    digits through its element's NTT permutation, and all ``(term, digit)``
+    pairs meet the flattened key block (:meth:`GaloisKeys.stacked_block`)
+    in ONE inner product, accumulated over the extended base.  The sum is
+    then finished once (:func:`~repro.hecore.keys.keyswitch_finish`): a sum
+    of mod-downs becomes the mod-down of a sum, so the result moves by
+    rounding only (BFV decrypts bit-identically; its noise can only lose
+    rounding terms).  The ``c0`` parts stay in the coefficient domain:
+    every rotation is a cached signed gather
+    (:func:`coeff_automorphism_perm`), summed lazily in int64 with the
+    unrotated terms' components and reduced once.
+
+    Charges one ``rotate`` per rotated term and one decompose per source
+    it rotates: ``hoisted_decompose`` when that decompose serves two or
+    more rotations, ``naive_decompose`` when it serves one.  Every term
+    must sit on one level base; a missing key raises
+    :class:`~repro.hecore.keys.MissingEvaluationKey`.
     """
-    rotator = HoistedRotator(ctx, ct, keys)
-    n = rotator.n
-    elements = [galois_element_for_step(s, n) for s in steps]
-    live = [g for g in elements if g != 1]
-    identity_extra = len(elements) - len(live)
-    ctx.counts["rotate"] += len(live)
-
-    current = ct.level_base
-    cur_pcol = current.moduli_col
-    c0 = ct.components[0].from_ntt()
-    c1 = ct.components[1].from_ntt()
-    c1_sum = c1
-    for _ in range(identity_extra):
-        c1_sum = c1_sum + c1
-    # Canonical residues are < 2**30; a span sums far fewer than 2**33
+    if not terms:
+        raise ValueError("rotation_sum needs at least one term")
+    params = ctx.params
+    n = params.poly_degree
+    current = terms[0][0].level_base
+    slot: dict = {}                     # id(source) -> source index
+    sources: List[Ciphertext] = []
+    for ct, _ in terms:
+        if len(ct) != 2:
+            raise ValueError("relinearize before rotating")
+        if ct.level_base != current:
+            raise ValueError("rotation_sum terms must share one level base")
+        if id(ct) not in slot:
+            slot[id(ct)] = len(sources)
+            sources.append(ct)
+    coeffs = np.stack([[c.from_ntt().data for c in ct.components]
+                       for ct in sources])                  # (S, 2, k, n)
+    owner = np.array([slot[id(ct)] for ct, _ in terms])
+    elements = np.array([galois_element_for_step(s, n) for _, s in terms])
+    rotated = elements != 1
+    # Canonical residues are < 2**30; a sum has far fewer than 2**33
     # terms, so the whole accumulation is exact in int64 with one final mod.
-    acc0 = (1 + identity_extra) * c0.data
-    if live:
+    acc = coeffs[owner[~rotated]].sum(axis=0)               # (2, k, n)
+    if rotated.any():
+        keys = ctx._resolve_galois(galois_keys)
+        live, live_owner = elements[rotated].tolist(), owner[rotated]
+        decomposed, local = np.unique(live_owner, return_inverse=True)
+        shared = np.bincount(local) > 1
+        ctx.counts["rotate"] += len(live)
+        ctx.counts["hoisted_decompose"] += int(shared.sum())
+        ctx.counts["naive_decompose"] += int((~shared).sum())
         gathers = [coeff_automorphism_perm(n, g) for g in live]
-        sources = np.stack([src for src, _ in gathers])
-        signs = np.stack([sign for _, sign in gathers])
-        acc0 = acc0 + np.einsum('krn,rn->kn', c0.data[:, sources], signs)
-    c0_sum = RnsPoly(current, n, np.mod(acc0, cur_pcol), is_ntt=False)
-    if not live:
-        return Ciphertext(rotator.params, [c0_sum, c1_sum], scale=ct.scale)
-
-    acc = rotator.inner_product_sum(live)           # (2, k_ext, n)
-    ((u0, u1),) = rotator.finish_batch(acc[None])
-    return Ciphertext(rotator.params, [c0_sum + u0, c1_sum + u1],
-                      scale=ct.scale)
+        acc[0] += np.einsum(
+            'tkn,tn->kn',
+            _gather(coeffs[:, 0], live_owner, [src for src, _ in gathers]),
+            np.stack([sign for _, sign in gathers]))
+        ext_base = keyswitch_ext_base(current, params)
+        digits = decompose_for_keyswitch(coeffs[decomposed, 1], current,
+                                         ext_base)
+        gathered = _gather(digits, local,                   # (T, L, k, n)
+                           [ntt_permutation(n, g) for g in live])
+        key_block = keys.stacked_block(
+            live, keyswitch_rows(current, params), len(current))
+        acc += keyswitch_finish(keyswitch_inner_product(
+            gathered.reshape(-1, *gathered.shape[2:]),
+            key_block.reshape(-1, *key_block.shape[2:]), ext_base), ext_base)
+    return Ciphertext(params, [RnsPoly(current, n, part, is_ntt=False)
+                               for part in np.mod(acc, current.moduli_col)],
+                      scale=terms[0][0].scale)
 
 
 def rotate_and_sum(ctx, ct: Ciphertext, width: int,
@@ -329,9 +353,9 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
     n = ctx.params.poly_degree
     phase1, phase2 = _sum_span_steps(width)
     if _steps_available(keys, phase1 + phase2, n):
-        out = _hoisted_span_sum(ctx, ct, phase1, keys)
+        out = rotation_sum(ctx, [(ct, s) for s in [0, *phase1]], keys)
         if phase2:
-            out = _hoisted_span_sum(ctx, out, phase2, keys)
+            out = rotation_sum(ctx, [(out, s) for s in [0, *phase2]], keys)
         return out
     # Log-tree fallback: rotates the updated accumulator each level, so no
     # decompose can be shared — but it only needs the power-of-two keys.

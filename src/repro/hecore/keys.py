@@ -362,13 +362,16 @@ def keyswitch_rows(current: RnsBase, params: EncryptionParameters) -> List[int]:
     return list(range(len(current))) + [len(params.full_base) - 1]
 
 
-def decompose_for_keyswitch(target: RnsPoly, ext_base: RnsBase) -> np.ndarray:
-    """Digit decomposition of *target*, lifted to *ext_base* and NTT'd.
+def decompose_for_keyswitch(block: np.ndarray, base: RnsBase,
+                            ext_base: RnsBase) -> np.ndarray:
+    """Digit decomposition of a ``(..., k, n)`` coefficient-form *block*
+    over *base*, lifted to *ext_base* and NTT'd.
 
     This is the expensive first half of every key switch — and the half
     Halevi–Shoup hoisting shares across rotations.  Returns an
-    ``(L, k_ext, n)`` int64 block (digit ``i`` in slab ``i``, NTT form)
-    produced by one batched forward transform.
+    ``(..., L, k_ext, n)`` int64 block (digit ``i`` of each polynomial in
+    slab ``i``, NTT form, ``L = k``) produced by one batched forward
+    transform, however many polynomials *block* stacks.
 
     The lift is CENTERED: digit residues ``v in [0, p_i)`` are mapped to
     ``(-p_i/2, p_i/2]`` before reduction mod each extended modulus.  Negation
@@ -378,12 +381,12 @@ def decompose_for_keyswitch(target: RnsPoly, ext_base: RnsBase) -> np.ndarray:
     byte-equal to the naive per-rotation path.  (It also shaves a little
     key-switch noise: centered digits are half the magnitude.)
     """
-    if target.is_ntt:
-        target = target.from_ntt()
-    pcol = target.base.moduli_col
-    centered = np.where(target.data > pcol >> 1, target.data - pcol, target.data)
-    plan = ntt.get_stack_plan(target.degree, ext_base.moduli)
-    return plan.forward_batch(ext_base.lift_signed(centered))
+    pcol = base.moduli_col
+    centered = np.where(block > pcol >> 1, block - pcol, block)
+    lifted = ext_base.lift_signed(centered)
+    plan = ntt.get_stack_plan(block.shape[-1], ext_base.moduli)
+    return plan.forward_batch(
+        lifted.reshape(-1, *lifted.shape[-2:])).reshape(lifted.shape)
 
 
 def keyswitch_inner_product(digits_ntt: np.ndarray,
@@ -416,12 +419,18 @@ def keyswitch_finish(accs: np.ndarray, ext_base: RnsBase) -> np.ndarray:
 
 
 def switch_key(
-    target: RnsPoly, ksk: KeySwitchKey, params: EncryptionParameters
+    target: RnsPoly, ksk: KeySwitchKey, params: EncryptionParameters,
+    fold: Optional[Tuple[RnsPoly, RnsPoly]] = None,
 ) -> Tuple[RnsPoly, RnsPoly]:
-    """Key-switch *target* (coefficient form, over the current data base).
+    """Key-switch *target* (either form, over the current data base).
 
     Returns ``(u0, u1)`` over the same base such that
-    ``u0 + u1 * s ≈ target * s_src`` with small added noise.
+    ``u0 + u1 * s ≈ target * s_src`` with small added noise.  With *fold*,
+    two evaluation-form polys ``(x0, x1)`` over that base, it returns
+    ``(x0 + u0, x1 + u1)`` with no inverse transform of its own:
+    ``P·(x0, x1)`` joins the accumulator's data rows before the mod-down,
+    and ``P·x`` vanishes mod ``P``, so the divide-and-round by ``P`` returns
+    ``x`` plus exactly the ``u`` it would have returned.
     """
     if target.is_ntt:
         target = target.from_ntt()
@@ -430,9 +439,13 @@ def switch_key(
     ext_base = keyswitch_ext_base(current, params)
     rows = keyswitch_rows(current, params)
 
-    digits_ntt = decompose_for_keyswitch(target, ext_base)
+    digits_ntt = decompose_for_keyswitch(target.data, current, ext_base)
     key_block = ksk.stacked_digits(rows, len(current))
     acc = keyswitch_inner_product(digits_ntt, key_block, ext_base)
+    if fold is not None:
+        p_fold = current.scale(np.stack([f.data for f in fold]),
+                               params.special_prime)
+        acc[:, :len(current)] = current.add(acc[:, :len(current)], p_fold)
     u0, u1 = keyswitch_finish(acc, ext_base)
     return (RnsPoly(current, n, u0, is_ntt=False),
             RnsPoly(current, n, u1, is_ntt=False))

@@ -157,7 +157,9 @@ class NoiseEstimator:
         the one per-kind table :meth:`budget_after` spends forward and the
         level planner sums backward.  ``rotate_sum`` / ``weighted_sum`` are
         hoisted spans (:meth:`after_hoisted_rotations`) plus their
-        accumulation, and a ``product_sum`` is a ct-ct ``mul`` plus its;
+        accumulation, a ``rotation_sum`` is one rotation plus a deepest
+        add chain over its terms, and a ``product_sum`` is a ct-ct ``mul``
+        plus its accumulation;
         kinds that move no noise (``neg``, ``rescale``, ``mod_switch``,
         crypto boundaries) cost nothing, and neither does
         ``relin``: a ct-ct ``mul`` prices its own key switch, so a sum whose
@@ -174,6 +176,8 @@ class NoiseEstimator:
         if kind == "rotate_sum":
             rounds = max(1, math.ceil(math.log2(max(node.width, 2))))
             return ROTATION_BITS + math.log2(rounds + 1) + rounds
+        if kind == "rotation_sum":
+            return ROTATION_BITS + len(node.terms) - 1
         if kind == "product_sum":
             return (self.t_bits + self.log_n + 8
                     + math.ceil(math.log2(len(node.args) // 2)))

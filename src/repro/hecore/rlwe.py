@@ -477,12 +477,16 @@ class RlweContext:
         if len(ct) != 3:
             raise ValueError("relinearize expects a 3-component ciphertext")
         self.counts["relinearize"] += 1
-        u0, u1 = switch_key(ct.components[2].from_ntt(), self.relin_keys(), self.params)
-        return Ciphertext(
-            self.params,
-            [ct.components[0].from_ntt() + u0, ct.components[1].from_ntt() + u1],
-            scale=ct.scale,
-        )
+        c0, c1, c2 = ct.components
+        if c0.is_ntt and c1.is_ntt:
+            # An evaluation-form pair joins the key switch before its
+            # mod-down, so c0 and c1 pay no inverse transform of their own.
+            parts = switch_key(c2, self.relin_keys(), self.params,
+                               fold=(c0, c1))
+        else:
+            u0, u1 = switch_key(c2, self.relin_keys(), self.params)
+            parts = [c0.from_ntt() + u0, c1.from_ntt() + u1]
+        return Ciphertext(self.params, list(parts), scale=ct.scale)
 
     def _align_down(self, ct: Ciphertext) -> Ciphertext:
         """One :meth:`align` step: shed the last residue of *ct*, decrypted

@@ -9,7 +9,8 @@ kernels (the e2e fc and conv at Table-3 set B, the collapsed KNN round at
 the e2e CKKS set):
 
 * the compiled program: one span per giant step, no live baby rotation,
-  and the traced key set;
+  the giant rotations summed as one ``rotation_sum``, and the traced key
+  set;
 * the run: one hoisted decompose per span source, each baby charged as
   one rotation;
 * the values: BFV bit for bit against the scheduler-off oracle and the
@@ -161,6 +162,11 @@ def test_each_giant_step_is_one_span_and_no_baby_stays(served):
     assert {s for span in spans for s, _ in span.terms} - {0} == case["babies"]
     assert not {n.steps for n in _live(compiled, "rotate")} & case["babies"]
     assert case["babies"] <= {n.steps for n in _live(traced, "rotate")}
+    # The giant rotations, one per span but the unrotated one, finish as
+    # one rotation sum.
+    (giant_sum,) = _live(compiled, "rotation_sum")
+    assert len(giant_sum.terms) == len(case["giants"])
+    assert [s for s, _ in giant_sum.terms].count(0) == 1
     # The key set is read off the trace: fusion moved no step.
     assert compiled.rotation_steps() == traced.rotation_steps()
 
@@ -184,7 +190,9 @@ def test_spans_share_one_decompose_and_charge_each_baby_once(served):
     assert spent["hoisted_decompose"] == len(sources) + len(sums)
     assert spent["rotate"] == (len(case["babies"])
                                + len(_live(program, "rotate"))
-                               + sum(n.width - 1 for n in sums))
+                               + sum(n.width - 1 for n in sums)
+                               + sum(1 for n in _live(program, "rotation_sum")
+                                     for step, _ in n.terms if step))
     assert spent["ntt_forward"] == case["forward"], \
         "a warm span transforms no row (only a square's operand does)"
 

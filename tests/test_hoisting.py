@@ -1,5 +1,9 @@
 """Hoisted rotations: bit-exactness, fused kernels, counters, and noise."""
 
+import hashlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +210,29 @@ def test_encrypted_matvec_uses_fused_kernel():
     assert ctx.counts["hoisted_decompose"] == before + 1
     assert np.array_equal(mv.unpack_output(ctx.decrypt(out)),
                           mv.reference(vec))
+
+
+#: SHA-256 of the serialized ``rotate_and_sum`` results of
+#: ``bench_hoisting``'s context (BFV, N = 4096, two limbs) at its width 8
+#: and at width 64 (a baby-step/giant-step span), recorded before the
+#: span sums ran through ``hoisting.rotation_sum``.
+BENCH_HOISTING_SUM_DIGESTS = {
+    8: "7618eba9fcee01bf1d0d1a8bc5f1fe319f512848b7e9a8312517dbde6dc04513",
+    64: "5070175272d0d7a4719a8553e79412e115913194ac1bbbfae65f4903e517c8f3",
+}
+
+
+def test_bench_hoisting_rotate_and_sum_bytes_did_not_move():
+    sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+    import bench_hoisting
+
+    ctx = bench_hoisting._make_context()
+    msg = np.arange(ctx.params.poly_degree // 2, dtype=np.int64) % 251
+    for width, digest in BENCH_HOISTING_SUM_DIGESTS.items():
+        ctx.make_galois_keys(rotate_and_sum_steps(width))
+        ct = ctx.encrypt(ctx.encode(msg))
+        out = serialize_ciphertext(ctx.rotate_and_sum(ct, width))
+        assert hashlib.sha256(out).hexdigest() == digest, width
 
 
 # ------------------------------------------------------------------ counters

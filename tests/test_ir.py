@@ -42,6 +42,7 @@ from repro.core.lola import AlternatingMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
+from repro.hecore.keys import MissingEvaluationKey
 from repro.hecore.ntt import NttStackPlan
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.rns import RnsBase
@@ -194,9 +195,12 @@ def test_fusion_takes_every_giant_step_over_shared_babies(bfv, bfv_params):
     sched = compile_ir(program, SchemeType.BFV)
     assert sched.report.weighted_sum_spans == 4
     assert sched.report.weighted_sum_terms == 16
-    live = sched.program.live_set()
-    assert sorted(sched.program.nodes[n].steps for n in live
-                  if sched.program.nodes[n].kind == "rotate") == [4, 8, 12]
+    assert (sched.report.rotation_sums, sched.report.rotation_sum_terms) \
+        == (1, 4)
+    live = [sched.program.nodes[n] for n in sched.program.live_set()]
+    assert sorted([n.steps for n in live if n.kind == "rotate"]
+                  + [step for n in live if n.kind == "rotation_sum"
+                     for step, _ in n.terms if step]) == [4, 8, 12]
     assert sched.rotation_steps() == program.rotation_steps()
 
     keys = ensure_galois_keys(bfv, sched.rotation_steps())
@@ -427,6 +431,173 @@ def test_square_of_a_coefficient_form_value_is_transformed_once(
     assert (ckks.counts["ntt_forward"] - before
             == len(ct.components) * len(ct.level_base))
     assert got == want
+
+
+# ---------------------------------------------------- pass: rotation sums
+
+SCHEMES = {"bfv": SchemeType.BFV, "ckks": SchemeType.CKKS}
+
+
+def _giant_steps(sources, unrotated=False, twice=False):
+    """``Σ_i rotate(x_i, 3i + 1)`` over *sources* inputs — the giant steps
+    of a baby-step/giant-step sum, each rotating a ciphertext of its own —
+    led by ``x0`` itself with *unrotated*, and with ``rotate(x0, 2)`` too
+    with *twice*."""
+    b = IrBuilder()
+    xs = [b.input(f"x{i}") for i in range(sources)]
+    leaves = [b.rotate(x, 3 * i + 1) for i, x in enumerate(xs)]
+    if twice:
+        leaves.append(b.rotate(xs[0], 2))
+    if unrotated:
+        leaves.insert(0, xs[0])
+    acc = leaves[0]
+    for leaf in leaves[1:]:
+        acc = b.add(acc, leaf)
+    b.output("out0", acc)
+    return b.program
+
+
+def _rotation_inputs(ctx, count, seed):
+    """*count* inputs ``x0..``; CKKS ones alternate coefficient and
+    evaluation form."""
+    rng = np.random.default_rng(seed)
+    if ctx.params.scheme is SchemeType.CKKS:
+        return _ckks_inputs(ctx, rng, count, limbs=3)
+    return _encrypt_inputs(ctx, rng, [f"x{i}" for i in range(count)])
+
+
+def _spent(ctx, before):
+    return {name: ctx.counts[name] - before[name]
+            for name in ("rotate", "add", "hoisted_decompose",
+                         "naive_decompose")}
+
+
+@pytest.mark.parametrize("unrotated", [False, True])
+@pytest.mark.parametrize("sources", [2, 3, 8])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_giant_steps_fuse_into_one_rotation_sum(scheme, sources, unrotated,
+                                                own):
+    """Rotations of 2, 3 and 8 different ciphertexts (plus an unrotated
+    leaf) summed by an add-tree become one ``rotation_sum``: charged as
+    the scheduler-off oracle charges the tree (each rotation once, each
+    source's one decompose naive, each add once), and its result the
+    oracle's (BFV decrypts equal, CKKS within tolerance)."""
+    program = _giant_steps(sources, unrotated)
+    sched = compile_ir(program, SCHEMES[scheme])
+    assert (sched.report.rotation_sums, sched.report.rotation_sum_terms) \
+        == (1, sources + unrotated)
+    assert _live_kind(sched, "rotate") == _live_kind(sched, "add") == []
+    assert sched.report.rotation_groups == 0
+    assert sched.rotation_steps() == program.rotation_steps()
+
+    ctx = own[scheme]
+    keys = ensure_galois_keys(ctx, sched.rotation_steps())
+    inputs = _rotation_inputs(ctx, sources, seed=sources)
+    before = ctx.counts.copy()
+    got = sched.run(ctx, inputs, keys)
+    spent = _spent(ctx, before)
+    assert spent == {"rotate": sources, "add": sources + unrotated - 1,
+                     "hoisted_decompose": 0, "naive_decompose": sources}
+    before = ctx.counts.copy()
+    want = sched.run_reference(ctx, inputs, keys)
+    assert _spent(ctx, before) == spent
+    _assert_same_decrypt(ctx, got, want)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_a_source_rotated_twice_pays_one_decompose(scheme, own):
+    """``x0`` rotated by two steps in one sum is decomposed once, and that
+    decompose, serving two rotations, is charged as hoisted."""
+    program = _giant_steps(3, unrotated=True, twice=True)
+    sched = compile_ir(program, SCHEMES[scheme])
+    assert (sched.report.rotation_sums, sched.report.rotation_sum_terms) \
+        == (1, 5)
+    ctx = own[scheme]
+    keys = ensure_galois_keys(ctx, sched.rotation_steps())
+    inputs = _rotation_inputs(ctx, 3, seed=5)
+    before = ctx.counts.copy()
+    got = sched.run(ctx, inputs, keys)
+    assert _spent(ctx, before) == {"rotate": 4, "add": 4,
+                                   "hoisted_decompose": 1,
+                                   "naive_decompose": 2}
+    _assert_same_decrypt(ctx, got, sched.run_reference(ctx, inputs, keys))
+
+
+def _unfused_rotations(case):
+    """(program, scheme, (rotation sums, terms) expected, whether it runs):
+    rotation add-trees the pass must not fold, or not fold whole."""
+    b = IrBuilder()
+    x, y = b.input("x0"), b.input("x1")
+    scheme, fused, runs = SchemeType.CKKS, (0, 0), True
+    if case == "shared_rotate":
+        shared = b.rotate(x, 1)
+        b.output("out0", b.add(shared, b.rotate(y, 2)))
+        b.output("out1", b.sub(shared, y))
+    elif case == "shared_add":              # fuses as a tree of its own
+        shared = b.add(b.rotate(x, 1), b.rotate(y, 2))
+        b.output("out0", b.add(shared, b.rotate(x, 3)))
+        b.output("out1", shared)
+        fused = (1, 2)
+    elif case == "levels":
+        b.output("out0", b.add(b.rotate(x, 1), b.rotate(b.mod_switch(y), 2)))
+    elif case == "scales":                  # s + s**2: never addable
+        scaled = b.mul(y, b.const(np.full(512, 0.5)))
+        b.output("out0", b.add(b.rotate(x, 1), b.rotate(scaled, 2)))
+        runs = False
+    elif case == "single_rotation":
+        b.output("out0", b.add(b.rotate(x, 1), y))
+    else:                                   # "one_source"
+        b.output("out0", b.add(b.add(b.rotate(x, 1), b.rotate(x, 2)), y))
+    return b.program, scheme, fused, runs
+
+
+@pytest.mark.parametrize("case", ["shared_rotate", "shared_add", "levels",
+                                  "scales", "single_rotation", "one_source"])
+def test_rotation_sum_fusion_leaves(case, own):
+    """No fusion of a rotation with a second consumer or through a sum with
+    one (a sum read twice fuses as a tree of its own), of leaves at two
+    levels or two scale exponents, of a single rotated leaf, or of a tree
+    whose rotations all read one source — rotation grouping keeps that
+    one."""
+    program, scheme, fused, runs = _unfused_rotations(case)
+    sched = compile_ir(program, scheme)
+    report = sched.report
+    assert (report.rotation_sums, report.rotation_sum_terms) == fused
+    assert report.rotation_groups == (case == "one_source")
+    if not runs:
+        return
+    ctx = own["ckks"]
+    keys = ensure_galois_keys(ctx, sched.rotation_steps())
+    inputs = _rotation_inputs(ctx, 2, seed=47)
+    _assert_same_decrypt(ctx, sched.run(ctx, inputs, keys),
+                         sched.run_reference(ctx, inputs, keys))
+
+
+def test_rotation_sum_without_its_galois_key_raises(bfv_params):
+    """A ``rotation_sum`` missing a Galois key raises
+    ``MissingEvaluationKey``, as the rotations it replaces do."""
+    sched = compile_ir(_giant_steps(2), SchemeType.BFV)
+    ctx = BfvContext(bfv_params, seed=b"no-keys")
+    inputs = _rotation_inputs(ctx, 2, seed=3)
+    with pytest.raises(MissingEvaluationKey):
+        sched.run(ctx, inputs)                  # no key set at all
+    keys = ctx.make_galois_keys([1])            # step 4 missing
+    with pytest.raises(MissingEvaluationKey):
+        sched.run(ctx, inputs, keys)
+    with pytest.raises(MissingEvaluationKey):
+        sched.run_reference(ctx, inputs, keys)
+
+
+def test_rotation_sum_refuses_a_term_off_its_level(own):
+    """The pass fuses one static level; a run whose terms arrive on two
+    level bases raises ``ScheduleError`` instead of aligning them."""
+    sched = compile_ir(_giant_steps(2), SchemeType.CKKS)
+    ctx = own["ckks"]
+    keys = ensure_galois_keys(ctx, sched.rotation_steps())
+    inputs = _rotation_inputs(ctx, 2, seed=9)
+    inputs["x1"] = ctx.mod_switch_down(inputs["x1"])
+    with pytest.raises(ScheduleError, match="level base"):
+        sched.run(ctx, inputs, keys)
 
 
 # -------------------------------------------------- pass: rotation grouping
@@ -734,7 +905,29 @@ def test_shared_multiplicand_is_transformed_once(scheme, request):
 
 # ---------------------------------------------------------- randomized DAGs
 
-def _random_bfv_program(params, rng, n_ops):
+def _rotation_trees(tr, rng, inputs, pool, count):
+    """*count* add-trees of rotations of several ciphertexts, an
+    unrotated leaf leading half of them.  The first rotates *inputs*
+    alone (one level, so it fuses whatever else was drawn), the others
+    random picks of *pool* (a BFV pool's scale exponents may differ, and
+    such a tree stays unfused)."""
+    trees = []
+    for t in range(count):
+        sources = pool if t else inputs
+        picks = list(inputs) if t == 0 else []
+        picks += [sources[rng.integers(len(sources))]
+                  for _ in range(rng.integers(0 if t == 0 else 2, 4))]
+        leaves = [tr.rotate(src, int(rng.integers(1, 9))) for src in picks]
+        if rng.integers(2):
+            leaves.insert(0, sources[rng.integers(len(sources))])
+        acc = leaves[0]
+        for leaf in leaves[1:]:
+            acc = tr.add(acc, leaf)
+        trees.append(acc)
+    return trees
+
+
+def _random_bfv_program(params, rng, n_ops, rotation_trees=0):
     slots = params.poly_degree // 2
 
     def body(tr, x, y):
@@ -763,7 +956,8 @@ def _random_bfv_program(params, rng, n_ops):
                 vals.append(tr.multiply(pick(), pick()))
             else:
                 vals.append(tr.rotate_and_sum(pick(), 4))
-        return vals[-2:]
+        return vals[-2:] + _rotation_trees(tr, rng, [x, y], vals,
+                                           rotation_trees)
 
     return trace_program(params, body, ["x", "y"])
 
@@ -772,20 +966,25 @@ def _random_bfv_program(params, rng, n_ops):
 def test_randomized_dag_bfv_scheduled_matches_reference(bfv, bfv_params,
                                                         seed):
     rng = np.random.default_rng(seed)
-    program = _random_bfv_program(bfv_params, rng, n_ops=12)
+    program = _random_bfv_program(bfv_params, rng, n_ops=12,
+                                  rotation_trees=2)
     x = bfv.encrypt(rng.integers(0, 7, 512))
     y = bfv.encrypt(rng.integers(0, 7, 512))
     sched, got, want = _run_both(bfv, program, {"x": x, "y": y})
     _assert_three_components_reach_only_relin(sched)
+    assert sched.report.rotation_sums >= 1
     for name in got:
         assert np.array_equal(np.asarray(bfv.decrypt(got[name])),
                               np.asarray(bfv.decrypt(want[name]))), \
             f"seed {seed} output {name} diverged"
 
 
-def _random_ckks_program(params, rng, n_ops, n_products=0):
+def _random_ckks_program(params, rng, n_ops, n_products=0,
+                         rotation_trees=0):
     """A random CKKS DAG; with *n_products*, one of its level-1 values is
-    a sum of that many rescaled ct x ct products of level-0 values."""
+    a sum of that many rescaled ct x ct products of level-0 values; with
+    *rotation_trees*, that many multi-source rotation sums are outputs
+    too."""
     def body(tr, x, y):
         level0 = [x, y]
         level1 = []
@@ -813,7 +1012,12 @@ def _random_ckks_program(params, rng, n_ops, n_products=0):
             for term in terms[1:]:
                 acc = tr.add(acc, term)
             level1.append(acc)
-        return [level0[-1], (level1 or level0)[-1]]
+        outputs = [level0[-1], (level1 or level0)[-1]]
+        if rotation_trees:
+            bucket = level1 if (level1 and rng.integers(2)) else level0
+            outputs += _rotation_trees(tr, rng, [x, y], bucket,
+                                       rotation_trees)
+        return outputs
 
     return trace_program(params, body, ["x", "y"])
 
@@ -824,12 +1028,13 @@ def test_randomized_dag_ckks_scheduled_matches_reference(ckks, ckks_params,
     rng = np.random.default_rng(100 + seed)
     n_products = 8 + seed if seed % 2 else 0       # 9, 11 and 13 products
     program = _random_ckks_program(ckks_params, rng, n_ops=10,
-                                   n_products=n_products)
+                                   n_products=n_products, rotation_trees=2)
     x = ckks.encrypt(ckks.encode(rng.uniform(-0.5, 0.5, 512)))
     y = ckks.encrypt(ckks.encode(rng.uniform(-0.5, 0.5, 512)))
     sched, got, want = _run_both(ckks, program, {"x": x, "y": y})
     _assert_three_components_reach_only_relin(sched)
     assert sched.report.product_sum_terms >= n_products
+    assert sched.report.rotation_sums >= 1
     for name in got:
         assert np.allclose(ckks.decrypt(got[name]),
                            ckks.decrypt(want[name]), atol=1e-3), \

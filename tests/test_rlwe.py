@@ -48,6 +48,9 @@ from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
 from repro.hecore.hoisting import rotate_and_sum_steps
 from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.polyring import RnsPoly
+from repro.hecore.rns import RnsBase
+from repro.hecore.serialize import serialize_ciphertext
 
 SCHEMES = {
     "bfv": (BfvContext, SchemeType.BFV, (30, 30, 30)),
@@ -239,6 +242,32 @@ def test_unrelinearized_ckks_product_stays_in_evaluation_form():
     assert relinearized == _digest(ctx.relinearize(coeff))
     assert relinearized == GOLDEN["ckks"]["relinearize"]
     assert _digest(ctx.multiply(a, b)) == relinearized
+
+
+@pytest.mark.parametrize("limbs", [1, 2, 3])
+def test_evaluation_form_relinearisation_folds_into_its_key_switch(
+        limbs, monkeypatch):
+    """An evaluation-form ``(c0, c1)`` joins the relinearisation's key
+    switch as ``P·(c0, c1)`` before the mod-down (``P·x`` vanishes mod
+    ``P``): no inverse transform of its own, and the result is, byte for
+    byte, the coefficient-form relinearisation's."""
+    ctx = _context("ckks")
+    base = RnsBase.of(ctx.params.data_base.moduli[:limbs])
+    rng = np.random.default_rng(limbs)
+    a, b = ctx.encrypt_symmetric_many(ctx.encoder.encode_many(
+        [rng.uniform(-0.5, 0.5, 512) for _ in range(2)], base=base))
+    product = ctx.multiply(a, b, relinearize=False)
+    assert len(product) == 3 and all(c.is_ntt for c in product.components)
+    want = serialize_ciphertext(ctx.relinearize(product.from_ntt()))
+
+    inverse = []
+    from_ntt = RnsPoly.from_ntt
+    monkeypatch.setattr(RnsPoly, "from_ntt", lambda poly: (
+        inverse.append(poly), from_ntt(poly))[1])
+    got = serialize_ciphertext(ctx.relinearize(product))
+    assert inverse == [product.components[2]], \
+        "only c2 leaves evaluation form (to be decomposed)"
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ CKKS set (three 30-bit limbs), compiled with the level planner as served:
   sums) are one node since; every other count is as recorded before it;
 * the bytes of one served query's result (the ``knn/query`` op on
   evaluation-form uploads, fixed seeds) are pinned, recorded before the
-  fusion: fusing the squares' sum moved no result bit.
+  fusion: fusing the squares' sum moved no result bit, and neither did
+  folding an evaluation-form relinearisation's ``(c0, c1)`` into its key
+  switch.  Collapsed alone was re-pinned when its giant rotations became
+  one ``rotation_sum`` (8 terms): one mod-down of the sum instead of seven
+  moves CKKS rounding, so its decoded distances are checked against numpy
+  too.
 """
 
 import hashlib
@@ -33,14 +38,15 @@ E2E_PROBLEM = DistanceProblem(n_points=64, dims=16)
 _ALL_ZERO = dict(rotation_groups=0, fused_rotations=0,
                      weighted_sum_spans=0, weighted_sum_terms=0,
                      rescales_sunk=0, mod_switches_sunk=0, relins_sunk=0,
-                     product_sums=0, product_sum_terms=0, batched_consts=0,
+                     product_sums=0, product_sum_terms=0, rotation_sums=0,
+                     rotation_sum_terms=0, batched_consts=0,
                      align_switches=0, replans=0, predicted_unsafe=0)
 
 #: ``ScheduleReport`` fields with the level plan's totals flattened.
 SERVED_SCHEDULES = {
     "collapsed": dict(
         _ALL_ZERO, weighted_sum_spans=8, weighted_sum_terms=64,
-        resident_nodes=1, limb_drops=0, limb_rows_before=111,
+        rotation_sums=1, rotation_sum_terms=8, resident_nodes=1, limb_drops=0, limb_rows_before=111,
         limb_rows_after=57),
     "dimension-major": dict(
         _ALL_ZERO, rescales_sunk=15, relins_sunk=15, product_sums=1,
@@ -59,8 +65,10 @@ SERVED_SCHEDULES = {
 
 #: SHA-256 over the serialized result ciphertexts of one served query.
 SERVED_RESULT_DIGESTS = {
+    # Before the giant rotations fused into one rotation_sum:
+    # 838ead77a91eddd5302a9414431c5ae5ff8fe6e00586eb345fadb76415f8f883
     "collapsed":
-        "838ead77a91eddd5302a9414431c5ae5ff8fe6e00586eb345fadb76415f8f883",
+        "9daeb2c2e186d323fb1bd6fafa5ecb3a1622b03d53c0d5ac268919a8b8817299",
     "dimension-major":
         "69d04c3daeac2bdbe2f4da5c14cef99eb4df15d8c027e246868b7249533702f0",
     "point-major":
@@ -71,6 +79,17 @@ SERVED_RESULT_DIGESTS = {
         "8ba872319d2caf88c2c0ac4561f860ea091559751c6ef328da30ab829a3f7836",
 }
 
+
+#: The e2e benchmark's distance tolerance.
+E2E_TOL = 1e-2
+
+#: The collapsed query's RMS distance error against numpy (fixed seeds
+#: below) with seven mod-downs, before its giant rotations fused: one
+#: mod-down of the sum may move the result by rounding, not farther.  (The
+#: largest single error on these seeds moved 2.28e-3 -> 2.41e-3, a
+#: rounding-sized draw: over 30 other seeds the fused sum was nearer
+#: numpy in 18 on the largest error and 22 on RMS.)
+PARENT_COLLAPSED_RMS = 8.243e-4
 
 #: (ct x ct multiplies, relinearisations) per query: one multiply per
 #: product and one key switch per sum, fused or not.
@@ -119,6 +138,11 @@ def test_served_query_result_bytes(variant):
     for ct in outputs:
         h.update(serialize_ciphertext(ct))
     assert h.hexdigest() == SERVED_RESULT_DIGESTS[variant]
+    if variant == "collapsed":
+        error = (kernel.decode([np.real(ctx.decrypt(ct)) for ct in outputs])
+                 - kernel.reference(points, query))
+        assert np.max(np.abs(error)) < E2E_TOL
+        assert np.sqrt(np.mean(error ** 2)) <= PARENT_COLLAPSED_RMS
     multiplies, relins = PRODUCTS_PER_QUERY[variant]
     assert ctx.counts["multiply"] - before["multiply"] == multiplies
     assert ctx.counts["relinearize"] - before["relinearize"] == relins
