@@ -75,6 +75,9 @@ class _Iteration(_FinalIteration):
     serves them from one hoisted key-switch decompose.
     """
 
+    #: The next iteration consumes the output: keep the full chain.
+    terminal_outputs = False
+
     def _body(self, ev, cts):
         out = super()._body(ev, cts)
         return ev.add(ev.add(out, ev.rotate(out, self.dim)),

@@ -131,6 +131,9 @@ class EncryptedMatVec(TracedKernel):
     cheap ciphertext rotation.  Used for fully-connected layers.
     """
 
+    #: Every product goes back to the client; a chaining caller says so.
+    terminal_outputs = True
+
     def __init__(self, ctx, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:

@@ -59,6 +59,9 @@ class TiledLayout:
 class TiledEncryptedConv2d(TracedKernel):
     """Encrypted convolution over channel-tiled ciphertext lists."""
 
+    #: Every convolution goes back to the client for the nonlinearity.
+    terminal_outputs = True
+
     def __init__(self, ctx, spec: Conv2dSpec, weights: np.ndarray):
         weights = np.asarray(weights)
         if weights.shape != (spec.out_channels, spec.in_channels,

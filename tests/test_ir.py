@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps.pagerank import ClientAidedPageRank
+from repro.apps.pagerank import ClientAidedPageRank, _Iteration
 from repro.core.compiler import EvaProgram, Input, compile_program
 from repro.core.distance import (
     KERNEL_VARIANTS,
@@ -1066,7 +1066,11 @@ def test_matvec_scheduled_matches_direct(bfv):
 
     report = kernel.schedule_report()
     assert report.weighted_sum_spans == 1
-    assert report.level_plan is None, "linalg outputs chain: planner off"
+    assert report.level_plan is not None, "mat-vec outputs go to the client"
+    # The one kernel whose output feeds another keeps the full chain.
+    iteration = _Iteration(bfv, matrix)
+    assert iteration.schedule_report().level_plan is None, \
+        "PageRank iterations chain: planner off"
 
 
 def test_bsgs_scheduled_matches_direct(bfv):

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.apps.pagerank import _Iteration, google_matrix
 from repro.core.ir import (
     INPUT_KINDS,
     ScheduledProgram,
@@ -33,10 +34,13 @@ from repro.core.ir import (
 )
 from repro.core.levelplan import LevelPlan, plan_levels
 from repro.core.protocol import ClientAidedSession
+from repro.hecore.bfv import BfvContext
+from repro.hecore.ckks import CkksContext
 from repro.hecore.keys import MissingEvaluationKey
 from repro.hecore.noise import NoiseEstimator
-from repro.hecore.params import SchemeType
+from repro.hecore.params import PARAMETER_SET_B, SchemeType
 from tests.test_ir import _random_bfv_program, _random_ckks_program
+from tests.test_rotation_bases import _e2e_layers
 
 KNN_INSTALLER = "repro.apps.knn:KnnOffloadService.install"
 
@@ -190,7 +194,6 @@ def wide_bfv():
     """A five-limb chain: wide enough that a recrypt segment's trimmed
     entry still clears the paramsearch feasibility floor (~70 bits at
     these parameters), so replans actually fire."""
-    from repro.hecore.bfv import BfvContext
     from repro.hecore.params import small_test_parameters
     params = small_test_parameters(SchemeType.BFV, poly_degree=1024,
                                    plain_bits=16,
@@ -282,6 +285,42 @@ def test_planned_drop_skips_on_level_divergence(bfv, bfv_params):
     assert len(want.level_base) == 1
 
 
+def test_bfv_terminal_result_fed_to_a_kernel_is_refused():
+    """A conv result leaves on its planned 2 limbs; a caller that chains
+    it into the fc without declaring so gets an error, not a decrypt."""
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"forgotten-declaration")
+    conv, fc, rng = _e2e_layers(ctx, 0)
+    ensure_galois_keys(ctx, conv.required_rotation_steps(),
+                       fc.required_rotation_steps())
+    (out,) = conv.run((ctx.encrypt_symmetric_many(
+        [v.astype(np.int64)
+         for v in conv.pack_input(rng.integers(0, 16, (1, 12, 12)))]),))
+    assert len(out.level_base) == 2
+    with pytest.raises(ScheduleError,
+                       match=r"input 'in0' arrives on 2 limb\(s\), below "
+                             r"its entry level: the level plan enters it on "
+                             r"3 of all 3"):
+        fc(out)
+
+
+def test_ckks_undeclared_chaining_iteration_is_refused(ckks_params):
+    """PageRank's ``_Iteration`` declares that its output feeds the next
+    iteration; forced terminal, the second iteration is refused."""
+    class Undeclared(_Iteration):
+        terminal_outputs = True
+
+    ctx = CkksContext(ckks_params, seed=b"forgotten-declaration")
+    matrix = google_matrix(np.ones((4, 4)) - np.eye(4))
+    declared, undeclared = _Iteration(ctx, matrix), Undeclared(ctx, matrix)
+    ctx.make_galois_keys(declared.required_rotation_steps())
+    ct = ctx.encrypt(declared.pack_input(np.full(4, 0.25)))
+    declared(declared(ct))
+    with pytest.raises(ScheduleError,
+                       match=r"input 'in0' arrives on 1 limb\(s\), below "
+                             r"its entry level"):
+        undeclared(undeclared(ct))
+
+
 def test_schedule_refuses_a_foreign_chain(bfv_params, wide_bfv):
     """A level plan is made for one modulus chain; a context with another
     raises instead of executing drops priced for different limbs."""
@@ -297,8 +336,6 @@ def test_schedule_refuses_a_foreign_chain(bfv_params, wide_bfv):
 def test_failed_run_is_not_metered(wide_bfv):
     """A run that dies on a missing Galois key is billed no replan, no
     limb drop and no limbs-live: level telemetry is charged on return."""
-    from repro.hecore.bfv import BfvContext
-
     params = wide_bfv.params
     sched = compile_ir(_recrypt_program(params, np.random.default_rng(31)),
                        SchemeType.BFV, params=params)
@@ -338,7 +375,6 @@ def test_diverged_entry_over_the_wire_fails_one_request(ckks_params):
     session serves the next well-formed query."""
     from repro.apps.knn import KnnOffloadService, RemoteKnn
     from repro.core.protocol import KERNEL_COUNTER_NAMES
-    from repro.hecore.ckks import CkksContext
     from repro.runtime import OffloadClient, OffloadError, OffloadServer
     from repro.runtime.framing import ErrorCode
 
@@ -615,7 +651,6 @@ def test_fleet_knn_resume_after_eviction_planner_on(ckks_params):
     session survives a key eviction plus a connection drop (RESUME), and
     the aggregated metrics carry the planner's limbs-live telemetry."""
     from repro.apps.knn import KnnOffloadService, RemoteKnn
-    from repro.hecore.ckks import CkksContext
     from repro.runtime import OffloadClient
     from repro.runtime.fleet import FleetServer
 

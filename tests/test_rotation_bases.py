@@ -205,8 +205,9 @@ def test_e2e_layers_keep_a_noise_floor_at_set_b():
     """Rotating after the weight multiplies (3 giant steps in the conv, 3 +
     2 fold steps in the fc) spends budget the one-rotation-per-term bodies
     kept: 6-7 bits left after the e2e conv (was 8-9) and 4-5 after the fc
-    (was 6), over 20 draws of the e2e benchmark's weight range.  The
-    estimator stays on the safe side of every measurement."""
+    (was 6), over 20 draws of the e2e benchmark's weight range, each run
+    as served: planned, its result on 2 limbs.  The estimator, reading the
+    program that runs, stays on the safe side of every measurement."""
     ctx = BfvContext(PARAMETER_SET_B, seed=b"rotation-bases")
     estimator = NoiseEstimator(PARAMETER_SET_B)
     for seed in range(20):
@@ -223,7 +224,8 @@ def test_e2e_layers_keep_a_noise_floor_at_set_b():
             measured = ctx.noise_budget(out)
             assert measured >= floor, (seed, type(kernel).__name__, measured)
             predicted = estimator.budget_after(
-                kernel.program(kernel.input_shape))["out0"].budget_bits
+                kernel.scheduled(kernel.input_shape).program
+            )["out0"].budget_bits
             assert predicted <= measured
 
 

@@ -16,6 +16,12 @@ CKKS set (three 30-bit limbs), compiled with the level planner as served:
   one ``rotation_sum`` (8 terms): one mod-down of the sum instead of seven
   moves CKKS rounding, so its decoded distances are checked against numpy
   too.
+
+The e2e DNN layers (``dnn_cold_sessions``: conv 1 -> 4 at 12x12 and fc
+10x64, BFV set B) send every result to the client, so they compile with
+the level planner too: their reports, result size and plaintexts against
+the planner-off compile are pinned below, and so is the in-process
+LeNetSm inference's ledger.
 """
 
 import hashlib
@@ -25,12 +31,24 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro.apps.dnn import (
+    quantize_network_for_encryption,
+    run_encrypted_inference,
+    run_reference_inference,
+)
 from repro.apps.knn import KnnOffloadService
 from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
 from repro.core.ir import compile_ir, ensure_galois_keys
+from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
-from repro.hecore.params import SchemeType, small_test_parameters
+from repro.hecore.params import (
+    PARAMETER_SET_B,
+    SchemeType,
+    small_test_parameters,
+)
 from repro.hecore.serialize import serialize_ciphertext
+from repro.nn.models import lenet_small
+from tests.test_rotation_bases import _e2e_layers
 
 E2E_CKKS = small_test_parameters(SchemeType.CKKS, 4096, data_bits=(30, 30, 30))
 E2E_PROBLEM = DistanceProblem(n_points=64, dims=16)
@@ -98,6 +116,15 @@ PRODUCTS_PER_QUERY = {"collapsed": (1, 1), "dimension-major": (16, 1),
                       "stacked-point": (1, 1)}
 
 
+def _flat_report(sched) -> dict:
+    """*sched*'s ``ScheduleReport`` with the level plan's totals flattened."""
+    report = asdict(sched.report)
+    plan = report.pop("level_plan")
+    report.update({k: v for k, v in plan.items()
+                   if k not in ("chain", "segments")})
+    return report
+
+
 def test_every_variant_is_pinned():
     assert (set(SERVED_SCHEDULES) == set(SERVED_RESULT_DIGESTS)
             == set(PRODUCTS_PER_QUERY) == set(KERNEL_VARIANTS))
@@ -109,11 +136,7 @@ def test_served_schedule_reports(variant):
                                       E2E_PROBLEM)
     sched = compile_ir(kernel.program(kernel.input_shape), E2E_CKKS.scheme,
                        params=E2E_CKKS)
-    report = asdict(sched.report)
-    plan = report.pop("level_plan")
-    report.update({k: v for k, v in plan.items()
-                   if k not in ("chain", "segments")})
-    assert report == SERVED_SCHEDULES[variant]
+    assert _flat_report(sched) == SERVED_SCHEDULES[variant]
 
 
 @pytest.mark.parametrize("variant", sorted(SERVED_RESULT_DIGESTS))
@@ -146,3 +169,77 @@ def test_served_query_result_bytes(variant):
     multiplies, relins = PRODUCTS_PER_QUERY[variant]
     assert ctx.counts["multiply"] - before["multiply"] == multiplies
     assert ctx.counts["relinearize"] - before["relinearize"] == relins
+
+
+# ------------------------------------------------------------ served DNN
+
+
+#: The e2e conv and fc (``_e2e_layers`` draw 0), compiled as served: four
+#: planned limb drops each, so the giant ``rotation_sum`` runs on 2 of the 3
+#: limbs.  The noise model's floor flags the output (it predicts no budget
+#: left planner-off too; the measured floors are in ``test_rotation_bases``).
+SERVED_DNN_SCHEDULES = {
+    "conv": dict(
+        _ALL_ZERO, weighted_sum_spans=4, weighted_sum_terms=36,
+        rotation_sums=1, rotation_sum_terms=4, resident_nodes=0,
+        limb_drops=4, limb_rows_before=33, limb_rows_after=27,
+        predicted_unsafe=1),
+    "fc": dict(
+        _ALL_ZERO, weighted_sum_spans=4, weighted_sum_terms=16,
+        rotation_sums=1, rotation_sum_terms=4, resident_nodes=0,
+        limb_drops=4, limb_rows_before=45, limb_rows_after=35,
+        predicted_unsafe=1),
+}
+
+#: One served DNN result on its planned 2 limbs (3 limbs: 98,349 B).
+SERVED_DNN_RESULT_BYTES = 65_573
+
+
+def _e2e_dnn_inputs(ctx, seed):
+    """Draw *seed*'s layers with Galois keys, and each one's input."""
+    conv, fc, rng = _e2e_layers(ctx, seed)
+    ensure_galois_keys(ctx, conv.required_rotation_steps(),
+                       fc.required_rotation_steps())
+    image, vec = rng.integers(0, 16, (1, 12, 12)), rng.integers(0, 8, 64)
+    return {"conv": (conv, ctx.encrypt_symmetric_many(
+                [v.astype(np.int64) for v in conv.pack_input(image)])),
+            "fc": (fc, ctx.encrypt_symmetric_many(
+                [fc.pack_input(vec).astype(np.int64)]))}
+
+
+@pytest.mark.parametrize("layer", sorted(SERVED_DNN_SCHEDULES))
+def test_served_dnn_schedule_and_result_size(layer):
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"served-schedules")
+    kernel, cts = _e2e_dnn_inputs(ctx, 0)[layer]
+    sched = kernel.scheduled(kernel.input_shape)
+    assert _flat_report(sched) == SERVED_DNN_SCHEDULES[layer]
+    (out,) = kernel.run((cts,))
+    assert len(out.level_base) == 2
+    assert len(serialize_ciphertext(out)) == SERVED_DNN_RESULT_BYTES
+
+
+def test_served_dnn_results_decrypt_as_planner_off():
+    """Dropping the limbs moves no plaintext: every draw's planned result
+    decrypts to the full-chain compile's."""
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"served-schedules")
+    for seed in range(20):
+        for layer, (kernel, cts) in _e2e_dnn_inputs(ctx, seed).items():
+            (got,) = kernel.run((cts,))
+            full = compile_ir(kernel.program(kernel.input_shape),
+                              SchemeType.BFV).run(ctx, {"in0": cts[0]})
+            assert np.array_equal(ctx.decrypt(got),
+                                  ctx.decrypt(full["out0"])), (seed, layer)
+
+
+def test_lenet_small_downloads_its_planned_limbs():
+    """The whole LeNetSm at set B in-process: bit-exact logits, and each of
+    the 7 results on 2 limbs instead of 3 (ledger 917,504 -> 611,667 B
+    down); the 3 uploads stay on the full chain."""
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"served-schedules")
+    net = quantize_network_for_encryption(lenet_small(), bits=3)
+    image = np.random.default_rng(4).integers(0, 4, (1, 28, 28))
+    logits, ledger = run_encrypted_inference(ctx, net, image, bits=3)
+    assert np.array_equal(logits, run_reference_inference(net, image, bits=3))
+    assert (ledger.client_encrypt_ops, ledger.client_decrypt_ops) == (3, 7)
+    assert (ledger.bytes_up, ledger.bytes_down) == (393_216, 611_667)
+    assert ledger.limb_drops == 36
