@@ -9,7 +9,8 @@ rotation span.  Two micro-benchmarks quantify what the hot paths gain:
 * ``rotate_and_sum_8`` — the 8-slot rotate-and-sum reduction of the distance
   kernels, hoisted flat span vs the log-tree of naive rotations;
 * ``dnn_matvec`` — the Figure 15 style fully-connected diagonal matvec,
-  fused rotate-weighted-sum vs the rotate/multiply/add chain.
+  one weighted :func:`~repro.hecore.hoisting.keyswitch_sum` vs the
+  rotate/multiply/add chain.
 
 Both run BFV at N=4096 and assert decrypt-level equality between the two
 implementations before timing anything.  ``--check`` exits non-zero when a
@@ -28,7 +29,13 @@ import numpy as np
 from _gate import best_of_pair, run_speedup_gate
 from repro.core.linalg import EncryptedMatVec
 from repro.hecore.bfv import BfvContext
-from repro.hecore.hoisting import WeightedSumSpan, rotate_and_sum_steps
+from repro.hecore.hoisting import (
+    HoistedRotator,
+    keyswitch_sum,
+    rotate_and_sum_steps,
+    weight_table,
+)
+from repro.hecore.keys import keyswitch_ext_base
 from repro.hecore.params import SchemeType, small_test_parameters
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_hoisting.json"
@@ -102,11 +109,13 @@ def _measure_dnn_matvec(ctx):
         return acc
 
     # Held across calls, as the IR scheduler holds one per fused node.
-    span = WeightedSumSpan.of_coeffs(ctx, ct.level_base,
-                                     [(j, pt.coeffs) for j, pt in encoded])
+    ext = keyswitch_ext_base(ct.level_base, ctx.params)
+    table = weight_table(ctx, ct.level_base,
+                         [(j, 0, ext.lift_signed(pt.coeffs))
+                          for j, pt in encoded])
 
     def hoisted():
-        return span(ctx, ct)
+        return keyswitch_sum(ctx, [HoistedRotator(ctx, ct)], weights=table)
 
     reference = mv.reference(vec) % ctx.params.plain_modulus
     for impl in (naive, hoisted):

@@ -20,8 +20,8 @@ N=4096, two BFV and two CKKS:
   x 16 dims, three 30-bit limbs): the collapse round's baby rotations must
   share one decompose (``naive_decompose`` <= 7 per call, where the naive
   run pays one per rotation, 29), and its giant rotations must sum as one
-  ``rotation_sum`` of 8 terms (one mod-down for all seven), distances
-  checked against numpy.  Must win by at least 1.7x.
+  unweighted ``keyswitch_sum`` of 8 terms (one mod-down for all seven),
+  distances checked against numpy.  Must win by at least 1.7x.
 * ``knn_dimmajor`` — the served dimension-major KNN query (same set and
   shape, evaluation-form uploads): the scheduled run sums the 16 squares
   in evaluation form as one lazily reduced product sum (the report's one
@@ -179,6 +179,12 @@ medians moved with it: ``fig15_matvec`` 23.0 -> 19.8 ms, ``dnn_slice``
 ``knn_dimmajor`` 6.3 -> 6.6 ms, within the host's spread.  No floor moved;
 the record is the change's last run.
 
+Spans, rotation sums and rotation groups then became one ``keyswitch_sum``
+node run by one primitive (:func:`repro.hecore.hoisting.keyswitch_sum`).
+The structural checks read the compiled nodes instead of the report, with
+the same numbers: one weighted key-switch sum on ``fig15_matvec``, and one
+unweighted sum of 8 terms on ``knn_collapsed``.
+
 ``--check`` exits non-zero on a missed floor, a missing residency signal,
 or a >20% regression against the previous recorded run.  Results go to
 ``benchmarks/results/BENCH_ir.json``.
@@ -225,8 +231,8 @@ MIN_SPEEDUP = {
 #: unshared key-switch decomposes (the collapse round's giant rotations).
 KNN_SHAPE = dict(n_points=64, dims=16)
 KNN_NAIVE_DECOMPOSES = 7
-#: (rotation sums, terms) of its schedule: the seven giant rotations and
-#: the unrotated shift-0 step, finished with one mod-down.
+#: (unweighted key-switch sums, terms) of its schedule: the seven giant
+#: rotations and the unrotated shift-0 step, finished with one mod-down.
 KNN_ROTATION_SUM = (1, 8)
 KNN_TOLERANCE = 1e-2
 
@@ -245,6 +251,15 @@ def _make_context():
     params = small_test_parameters(SchemeType.BFV, poly_degree=4096,
                                    plain_bits=16, data_bits=(30, 30))
     return BfvContext(params, seed=b"bench-ir")
+
+
+def _keyswitch_sums(sched, weighted):
+    """The compiled program's live weighted (or unweighted)
+    ``keyswitch_sum`` nodes."""
+    program = sched.program
+    return [program.nodes[nid] for nid in sorted(program.live_set())
+            if program.nodes[nid].kind == "keyswitch_sum"
+            and bool(program.nodes[nid].weights()) == weighted]
 
 
 def _naive(ctx, kernel, ct):
@@ -272,7 +287,7 @@ def _measure_fig15_matvec(ctx):
             "scheduled matvec produced wrong values"
 
     report = mv.schedule_report()
-    assert report.weighted_sum_spans == 1, \
+    assert len(_keyswitch_sums(mv.scheduled((1,)), weighted=True)) == 1, \
         "scheduler failed to fuse the diagonal add-tree into one span"
     assert report.batched_consts == MATVEC_DIM, \
         "scheduler failed to batch-encode the diagonal constants"
@@ -328,8 +343,8 @@ def _measure_dnn_slice(ctx):
 def _knn_query(kernel_cls, encrypt):
     """A served-shape KNN query (CKKS, 64 points x 16 dims, three 30-bit
     limbs) uploaded through ``ctx.<encrypt>``: its context and the naive /
-    scheduled calls, both checked against numpy, and the schedule's
-    report."""
+    scheduled calls, both checked against numpy, and the compiled
+    schedule."""
     ctx = CkksContext(small_test_parameters(SchemeType.CKKS, poly_degree=4096,
                                             data_bits=(30, 30, 30)),
                       seed=b"bench-ir")
@@ -355,17 +370,18 @@ def _knn_query(kernel_cls, encrypt):
         got = kernel.decode([np.real(v) for v in ctx.decrypt_many(run())])
         assert np.max(np.abs(got - want)) < KNN_TOLERANCE, \
             f"{kernel.name} knn kernel produced wrong distances"
-    return ctx, naive, scheduled, sched.report
+    return ctx, naive, scheduled, sched
 
 
 def _measure_knn_collapsed():
     """Collapsed point-major KNN query (CKKS), scheduled vs the naive oracle."""
-    ctx, naive, scheduled, report = _knn_query(CollapsedPointMajorKernel,
-                                               "encrypt_many")
-    fused = (report.rotation_sums, report.rotation_sum_terms)
+    ctx, naive, scheduled, sched = _knn_query(CollapsedPointMajorKernel,
+                                              "encrypt_many")
+    sums = _keyswitch_sums(sched, weighted=False)
+    fused = (len(sums), sum(len(node.terms) for node in sums))
     assert fused == KNN_ROTATION_SUM, \
-        f"collapse round fused {fused} (rotation sums, terms), not one " \
-        f"rotation sum of {KNN_ROTATION_SUM[1]}"
+        f"collapse round fused {fused} (unweighted key-switch sums, " \
+        f"terms), not one sum of {KNN_ROTATION_SUM[1]}"
     before = ctx.counts["naive_decompose"]
     scheduled()
     unshared = ctx.counts["naive_decompose"] - before
@@ -379,9 +395,9 @@ def _measure_knn_dimmajor():
     """Dimension-major KNN query (CKKS, evaluation-form uploads as served):
     the scheduled run sums its 16 squares as one product sum and
     relinearises the sum once, the naive run each square."""
-    ctx, naive, scheduled, report = _knn_query(DimensionMajorKernel,
-                                               "encrypt_symmetric_many")
-    fused = (report.product_sums, report.product_sum_terms)
+    ctx, naive, scheduled, sched = _knn_query(DimensionMajorKernel,
+                                              "encrypt_symmetric_many")
+    fused = (sched.report.product_sums, sched.report.product_sum_terms)
     assert fused == (1, KNN_SHAPE["dims"]), \
         f"dimension-major schedule fused {fused} (sums, terms), not " \
         f"one product sum of {KNN_SHAPE['dims']}"

@@ -10,33 +10,36 @@ consumer, so a traced program relinearises every product on the spot and
 the scheduler decides where the key switches happen.  A scheduler then
 runs ordered passes over the DAG:
 
-1. **Weighted-sum fusion** (BFV and CKKS) — maximal add-trees of
-   ``mul(rotate(x, s_j), const_j)`` over one source ciphertext collapse
-   into a single ``weighted_sum`` node, run as a
-   :class:`repro.hecore.hoisting.WeightedSumSpan`: one inverse transform
-   and one mod-down for the whole masked sum, with the plaintext NTT
-   tables cached across calls.  Baby rotations shared by the giant steps
-   of a baby-step/giant-step sum fuse into every span that reads them:
-   all spans over one source share its one hoisted decompose and one
-   key-switch inner product per Galois element (double hoisting).
-2. **Rotation fusion** — remaining live rotations are grouped by source
-   ciphertext and lowered onto one hoisted decompose per group
-   (``rotate_many``); ``rotate_sum`` nodes pick flat or BSGS spans by
-   width inside :func:`repro.hecore.hoisting.rotate_and_sum`.  It runs
-   after rotation-sum fusion (6), which takes the add-trees of rotations
-   of different ciphertexts first.
-3. **Batch grouping** — plaintext constants consumed by a BFV program are
+1. **Key-switch-sum fusion** (BFV and CKKS) — one add-tree matcher
+   (:func:`_add_trees`: a maximal tree of single-consumer adds over
+   leaves at one static level and scale) serves this pass and product-sum
+   fusion (4).  It runs twice.  Before the level planner it takes the
+   weighted trees: add-trees of ``mul(rotate(x, s_j), const_j)`` leaves
+   over any sources (one input tile or several) become one weighted
+   ``keyswitch_sum`` node.  Baby rotations shared by the giant steps of a
+   baby-step/giant-step sum fuse into every node that reads them.  After
+   sinking it takes the unweighted trees: two or more single-consumer
+   rotations among the leaves (the giant steps, or PageRank's repacking
+   rotations) become one unweighted ``keyswitch_sum``.  Each node runs as
+   :func:`repro.hecore.hoisting.keyswitch_sum`: one decompose per source
+   per run, shared by every node over it (double hoisting), one
+   key-switch inner product per distinct (source, Galois element), and one
+   inverse transform and one mod-down for the whole sum, with the
+   plaintext weight tables cached across calls (BFV decrypts
+   bit-identically; CKKS moves by rounding).  A rotation left outside
+   every tree runs alone.
+2. **Batch grouping** — plaintext constants consumed by a BFV program are
    encoded in one stacked :meth:`BatchEncoder.encode_many` pass; encrypts
    and decrypts batch at the program boundary (``encrypt_many`` /
    ``decrypt_many`` in the callers).
-4. **Mod-switch and relinearisation sinking** — ``add(rescale(a),
+3. **Mod-switch and relinearisation sinking** — ``add(rescale(a),
    rescale(b))`` rewrites to ``rescale(add(a, b))`` whenever both operands
    sit at the same level and scale exponent, merging redundant level drops
    (same for ``mod_switch``).  Exact for BFV (mod-switch only moves noise);
    rounding-noise-level drift for CKKS.  ``relin`` pairs sink the same way
    (relinearisation is linear): a sum of k products pays one key switch,
    and the 3-component sum feeds only its ``relin``.
-5. **Product-sum fusion** (CKKS) — each maximal add-tree of single-consumer
+4. **Product-sum fusion** (CKKS) — each maximal add-tree of single-consumer
    ct×ct products at one static level and scale exponent (what sinking
    leaves under one ``relin``) becomes one ``product_sum`` node: the
    operands are stacked once and the three tensor components are summed
@@ -44,15 +47,7 @@ runs ordered passes over the DAG:
    (:func:`repro.hecore.modmath.mod_mac`), bit-identical to the add-tree
    because modular sums are exact.  BFV keeps its add-trees: its tensor
    product rounds per product.
-6. **Rotation-sum fusion** (BFV and CKKS) — each maximal add-tree of
-   single-consumer adds with at least two single-consumer rotations of at
-   least two different ciphertexts, every leaf at one static level and
-   scale exponent (a baby-step/giant-step sum's giant steps), becomes one
-   ``rotation_sum`` node, run as :func:`repro.hecore.hoisting.rotation_sum`:
-   one decompose per source, one key-switch inner product over every
-   rotation, and one inverse transform and one mod-down for the whole
-   sum (BFV decrypts bit-identically; CKKS moves by rounding).
-7. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
+5. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
    products, stay in evaluation (NTT) form; adds/subs/negs of resident
    values accumulate without leaving it, and the deferred inverse
    transform is paid once at the first coefficient-domain consumer (a
@@ -82,7 +77,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import os
 import threading
 from collections import Counter, OrderedDict
@@ -92,7 +86,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.hecore import hoisting
-from repro.hecore.keys import galois_element_for_step, keyswitch_ext_base
+from repro.hecore.keys import keyswitch_ext_base
 from repro.hecore.modmath import mod_mac
 from repro.hecore.params import SchemeType
 
@@ -132,10 +126,24 @@ class IrNode:
     width: int = 0                  # rotate_sum
     values: Optional[np.ndarray] = None   # const
     name: str = ""                  # input
-    #: weighted_sum: (step, const id); rotation_sum: (step, source id)
-    terms: Tuple[Tuple[int, int], ...] = ()
+    #: keyswitch_sum: (step, source index into args, weight const id or
+    #: -1 for an unweighted term)
+    terms: Tuple[Tuple[int, int, int], ...] = ()
     normalize: bool = False         # rescale: snap scale back to nominal
     planned: bool = False           # mod_switch inserted by the level planner
+
+    def weights(self) -> Tuple[int, ...]:
+        """The const ids a ``keyswitch_sum``'s weighted terms read."""
+        return tuple(c for _, _, c in self.terms if c >= 0)
+
+    def deps(self) -> Tuple[int, ...]:
+        """Every node this one reads: its args, then its weights."""
+        return self.args + self.weights()
+
+    def remapped(self, args: Tuple[int, ...], new_id) -> "IrNode":
+        """A copy reading *args*, its weights renumbered through *new_id*."""
+        return replace(self, args=args, terms=tuple(
+            (s, i, c if c < 0 else new_id[c]) for s, i, c in self.terms))
 
 
 #: A ciphertext value's static level: (limbs dropped since entry, CKKS scale
@@ -149,13 +157,21 @@ def level_after(node: IrNode, scheme: SchemeType,
     operands' levels.  Binary operands meet at the lower one (the executor
     aligns them); ``mod_switch`` drops a limb and keeps the scale; a CKKS
     ``rescale`` drops a limb and a scale power (BFV has no rescale: it
-    costs no level); multiplies stack scale powers, a ``weighted_sum`` is a
-    sum of plain multiplies and a ``product_sum`` (operand pairs) one of
-    ct×ct multiplies at one level; ``relin`` moves neither."""
+    costs no level); multiplies stack scale powers, and a ``product_sum``
+    (operand pairs) is a sum of ct×ct multiplies at one level; ``relin``
+    moves neither.  A ``keyswitch_sum``'s sources must share one level,
+    which a weighted sum (of plain multiplies) raises by one scale power
+    and an unweighted one keeps."""
     if node.kind in ENTRY_KINDS or not operands:
         return 0, 1
+    if node.kind == "keyswitch_sum":
+        if len(set(operands)) > 1:
+            raise ScheduleError(f"keyswitch_sum sources sit at two levels: "
+                                f"{sorted(set(operands))}")
+        dropped, sexp = operands[0]
+        return dropped, sexp + bool(node.weights())
     dropped = max(d for d, _ in operands)
-    if node.kind not in ("mul", "weighted_sum", "product_sum"):
+    if node.kind not in ("mul", "product_sum"):
         sexp = max(s for _, s in operands)
     elif len(operands) >= 2:
         sexp = operands[0][1] + operands[1][1]
@@ -190,8 +206,7 @@ class IrProgram:
                 stack.pop()
                 continue
             node = nodes[nid]
-            missing = [a for a in (*node.args, *(c for _, c in node.terms))
-                       if a not in levels]
+            missing = [a for a in node.deps() if a not in levels]
             if missing:
                 stack.extend(missing)
                 continue
@@ -212,8 +227,8 @@ class IrProgram:
                 steps.add(node.steps)
             elif node.kind == "rotate_sum":
                 steps |= hoisting.rotate_and_sum_steps(node.width)
-            elif node.kind in ("weighted_sum", "rotation_sum"):
-                steps |= {s for s, _ in node.terms}
+            elif node.kind == "keyswitch_sum":
+                steps |= {s for s, _, _ in node.terms}
         steps.discard(0)
         return steps
 
@@ -232,9 +247,7 @@ class IrProgram:
             if nid in live:
                 continue
             live.add(nid)
-            stack.extend(self.nodes[nid].args)
-            for _, cid in self.nodes[nid].terms:
-                stack.append(cid)
+            stack.extend(self.nodes[nid].deps())
         return live
 
     def consumers(self, live: Optional[Set[int]] = None) -> Dict[int, List[int]]:
@@ -366,8 +379,8 @@ class TracerContext:
     """A recording stand-in for a BFV/CKKS context.
 
     Implements exactly the evaluator surface the kernel bodies use.
-    Deliberately does **not** expose the fused primitives (weighted-sum
-    spans, ``rotate_many``): tracing captures the *unfused* rotate/mul/add
+    Deliberately does **not** expose the fused primitives (key-switch
+    sums, ``rotate_many``): tracing captures the *unfused* rotate/mul/add
     chain and the scheduler re-derives the fusions as passes.
     """
 
@@ -567,9 +580,8 @@ def concat_programs(first: IrProgram, second: IrProgram,
             else:
                 mapping[nid] = src
             continue
-        out.nodes.append(replace(
-            node, args=tuple(mapping[a] for a in node.args),
-            terms=tuple((s, mapping[c]) for s, c in node.terms)))
+        out.nodes.append(node.remapped(
+            tuple(mapping[a] for a in node.args), mapping))
         mapping[nid] = len(out.nodes) - 1
     out.outputs = {name: mapping[nid] for name, nid in second.outputs.items()}
     return out
@@ -583,16 +595,14 @@ def concat_programs(first: IrProgram, second: IrProgram,
 class ScheduleReport:
     """What the passes did — asserted by the pass-level unit tests."""
 
-    rotation_groups: int = 0        # fused multi-rotation groups
-    fused_rotations: int = 0        # rotations covered by those groups
-    weighted_sum_spans: int = 0     # add-trees collapsed to hoisted spans
-    weighted_sum_terms: int = 0     # mul terms those spans absorbed
+    weighted_sum_spans: int = 0     # weighted keyswitch_sum nodes
+    weighted_sum_terms: int = 0     # mul terms those nodes absorbed
     rescales_sunk: int = 0          # rescale pairs merged below an add/sub
     mod_switches_sunk: int = 0      # mod-switch pairs merged likewise
     relins_sunk: int = 0            # relinearisation pairs merged likewise
     product_sums: int = 0           # ct x ct add-trees fused to product sums
     product_sum_terms: int = 0      # products those sums absorbed
-    rotation_sums: int = 0          # multi-source rotation add-trees fused
+    rotation_sums: int = 0          # unweighted keyswitch_sum nodes
     rotation_sum_terms: int = 0     # leaves (rotated or not) they absorbed
     resident_nodes: int = 0         # values planned to stay in NTT form
     batched_consts: int = 0         # BFV consts encoded in one stacked pass
@@ -601,15 +611,13 @@ class ScheduleReport:
     level_plan: object = None
 
     def describe(self) -> str:
-        text = (f"{self.weighted_sum_spans} weighted-sum span(s) "
+        text = (f"{self.weighted_sum_spans} weighted key-switch sum(s) "
                 f"({self.weighted_sum_terms} terms), "
-                f"{self.rotation_groups} rotation group(s) "
-                f"({self.fused_rotations} rotations), "
                 f"{self.rescales_sunk + self.mod_switches_sunk} level drop(s) "
                 f"and {self.relins_sunk} relinearisation(s) sunk, "
                 f"{self.product_sums} product sum(s) "
                 f"({self.product_sum_terms} terms), "
-                f"{self.rotation_sums} rotation sum(s) "
+                f"{self.rotation_sums} unweighted key-switch sum(s) "
                 f"({self.rotation_sum_terms} terms), "
                 f"{self.resident_nodes} NTT-resident node(s), "
                 f"{self.batched_consts} const(s) batch-encoded")
@@ -618,119 +626,124 @@ class ScheduleReport:
         return text
 
 
-def _fuse_weighted_sums(program: IrProgram, report: ScheduleReport) -> None:
-    """Collapse masked rotation sums into ``weighted_sum`` nodes.
+def _single_consumer(program: IrProgram, consumers: Dict[int, List[int]]):
+    """Whether a node has exactly one consumer and is no output."""
+    out_ids = set(program.outputs.values())
+    return lambda nid: len(consumers.get(nid, ())) == 1 and nid not in out_ids
 
-    A *leaf* is a single-consumer ``mul(rotate(x, s) | x, const)``; a
-    *tree* is a maximal add-tree of single-consumer adds over leaves that
-    all read one source ``x`` (a lone leaf is a one-leaf tree), inside an
-    add-tree whose leaves read no other source (multi-source trees are
-    left to rotation grouping).  A ``rotate`` is absorbed when every
-    consumer is a leaf of a fused tree: a baby rotation shared by the
-    giant steps of a baby-step/giant-step sum fuses into each of their
-    spans, and one consumed anywhere else stays — and so does every tree
-    reading it, to a fixpoint.  A tree fuses when it has a rotation term
-    and either reads a shared rotation or carries at least two leaves over
-    two distinct rotations.
 
-    Liveness and consumers are computed once: every decision is made
-    before the first rewrite, and a rewrite only kills nodes.
+def _add_trees(program: IrProgram, level: Dict[int, Optional[Level]],
+               single, leaf) -> List[Tuple[int, List[int]]]:
+    """The one add-tree matcher: every maximal tree of single-consumer adds
+    over leaves at one static level and scale exponent.
+
+    *level* is :meth:`IrProgram.levels` (live nodes, dependency order),
+    *single* the single-consumer test, *leaf* which nodes may be leaves.
+    An add joins a tree when each operand is a leaf or a single-consumer
+    add of a tree, both at one level.  Returns ``(root, leaves left to
+    right)`` per maximal tree in dependency order; a leaf in no tree is a
+    one-leaf tree, and a tree whose root has other consumers may be a leaf
+    of a tree above it too.  No tree reads inside another, so rewriting
+    roots in place keeps every returned tree valid.
     """
     nodes = program.nodes
-    live = program.live_set()
-    consumers = program.consumers(live)
-    out_ids = set(program.outputs.values())
-
-    def single_consumer(nid: int) -> bool:
-        return len(consumers.get(nid, ())) == 1 and nid not in out_ids
-
-    leaves: Dict[int, Tuple[int, int]] = {}     # leaf -> (ct operand, const)
-    for nid in live:
+    joined: Set[int] = set()
+    for nid in level:
         node = nodes[nid]
-        if node.kind != "mul" or not single_consumer(nid):
+        if node.kind != "add":
+            continue
+        a, b = node.args
+        if (level[a] is not None and level[a] == level[b]
+                and all((x in joined and single(x)) or leaf(x)
+                        for x in (a, b))):
+            joined.add(nid)
+    inner = {a for nid in joined for a in nodes[nid].args
+             if a in joined and single(a)}
+    in_tree = {a for nid in joined for a in nodes[nid].args}
+    trees = []
+    for root in level:
+        if root in inner or not (root in joined
+                                 or (leaf(root) and root not in in_tree)):
+            continue
+        leaves, stack = [], [root]
+        while stack:
+            nid = stack.pop()
+            if nid in inner or (nid == root and nid in joined):
+                stack.extend(reversed(nodes[nid].args))
+            else:
+                leaves.append(nid)
+        trees.append((root, leaves))
+    return trees
+
+
+def _fuse_weighted_sums(program: IrProgram, scheme: SchemeType,
+                        report: ScheduleReport) -> None:
+    """Collapse masked rotation sums into weighted ``keyswitch_sum`` nodes.
+
+    A *leaf* is a single-consumer ``mul(rotate(x, s) | x, const)``; a
+    *tree* is what :func:`_add_trees` matches over such leaves, over one
+    source or several (a multi-tile conv's giant step reads every input
+    tile).  A ``rotate`` is absorbed when every consumer is a leaf of a
+    fused tree: a baby rotation shared by the giant steps of a
+    baby-step/giant-step sum fuses into each of their nodes, and one
+    consumed anywhere else stays — and so does every tree reading it, to a
+    fixpoint.  A tree fuses when it has a rotation term and either reads a
+    shared rotation or carries at least two leaves over two distinct
+    rotations.  The node's args are its distinct sources, its terms the
+    ``(step, source index, const)`` triples, sorted.
+
+    Levels and consumers are computed once: every decision is made before
+    the first rewrite, and a rewrite only kills nodes.
+    """
+    nodes = program.nodes
+    level = program.levels(scheme)
+    consumers = program.consumers(set(level))
+    single = _single_consumer(program, consumers)
+    out_ids = set(program.outputs.values())
+    operand: Dict[int, Tuple[int, int]] = {}    # leaf -> (ct operand, const)
+    for nid in level:
+        node = nodes[nid]
+        if node.kind != "mul" or not single(nid):
             continue
         a, b = node.args
         if program.is_const(a):
             a, b = b, a
         if program.is_const(b) and not program.is_const(a):
-            leaves[nid] = (a, b)
-    absorbable = {nid for nid in live
+            operand[nid] = (a, b)
+    trees = _add_trees(program, level, single, operand.__contains__)
+    absorbable = {nid for nid in level
                   if nodes[nid].kind == "rotate" and nid not in out_ids
-                  and all(c in leaves for c in consumers[nid])}
-    adds = sorted(nid for nid in live if nodes[nid].kind == "add")
+                  and all(c in operand for c in consumers[nid])}
 
     def term(leaf: int) -> Tuple[int, int, int]:
         """(source, step, const) of *leaf* under the current absorption."""
-        a, cid = leaves[leaf]
+        a, cid = operand[leaf]
         if a in absorbable:
             return nodes[a].args[0], nodes[a].steps, cid
         return a, 0, cid
 
     while True:
-        # Pure nodes (leaves, and adds of single-consumer pure nodes over
-        # one source) and their source; args precede their consumers.
-        source = {leaf: term(leaf)[0] for leaf in leaves}
-        for nid in adds:
-            args = nodes[nid].args
-            if (all(a in source and single_consumer(a) for a in args)
-                    and source[args[0]] == source[args[1]]):
-                source[nid] = source[args[0]]
-        mixed: Dict[int, bool] = {}
-
-        def multi_source(root: int) -> bool:
-            """Whether the maximal add-tree holding *root* has leaves over
-            more than one source (a multi-tile conv's giant step): such a
-            tree is left whole to rotation grouping."""
-            top = root
-            while (single_consumer(top)
-                   and nodes[consumers[top][0]].kind == "add"):
-                top = consumers[top][0]
-            if top not in mixed:
-                sources, stack = set(), [top]
-                while stack:
-                    nid = stack.pop()
-                    if nid in leaves:
-                        sources.add(term(nid)[0])
-                    elif nodes[nid].kind == "add" and (
-                            nid == top or single_consumer(nid)):
-                        stack.extend(nodes[nid].args)
-                mixed[top] = len(sources) > 1
-            return mixed[top]
-
-        fused: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}
+        fused: Dict[int, List[Tuple[int, int, int]]] = {}
         covered: Set[int] = set()
-        for root in source:
-            cons = consumers.get(root, ())
-            if (single_consumer(root) and cons[0] in source
-                    and nodes[cons[0]].kind == "add"):
-                continue                    # inside a larger pure tree
-            if multi_source(root):
-                continue
-            tree_leaves, stack = [], [root]
-            while stack:
-                nid = stack.pop()
-                if nid in leaves:
-                    tree_leaves.append(nid)
-                else:
-                    stack.extend(nodes[nid].args)
-            terms = [term(leaf) for leaf in tree_leaves]
-            steps = {step for _, step, _ in terms if step}
-            shared = any(len(consumers[leaves[leaf][0]]) > 1
-                         for leaf in tree_leaves
-                         if leaves[leaf][0] in absorbable)
-            if steps and (shared or (len(terms) > 1 and len(steps) > 1)):
-                fused[root] = (source[root], tuple(sorted(
-                    (step, cid) for _, step, cid in terms)))
-                covered.update(tree_leaves)
+        for root, leaves in trees:
+            terms = [term(leaf) for leaf in leaves]
+            rotations = {(src, step) for src, step, _ in terms if step}
+            shared = any(len(consumers[operand[leaf][0]]) > 1
+                         for leaf in leaves if operand[leaf][0] in absorbable)
+            if rotations and (shared or (len(terms) > 1
+                                         and len(rotations) > 1)):
+                fused[root] = terms
+                covered.update(leaves)
         kept = {nid for nid in absorbable
                 if not all(c in covered for c in consumers[nid])}
         if not kept:
             break
         absorbable -= kept
 
-    for root in sorted(fused):
-        src, terms = fused[root]
-        nodes[root] = IrNode("weighted_sum", (src,), terms=terms)
+    for root, terms in fused.items():
+        sources = tuple(dict.fromkeys(src for src, _, _ in terms))
+        nodes[root] = IrNode("keyswitch_sum", sources, terms=tuple(sorted(
+            (step, sources.index(src), cid) for src, step, cid in terms)))
         report.weighted_sum_spans += 1
         report.weighted_sum_terms += len(terms)
 
@@ -769,7 +782,7 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
     level = program.levels(scheme)
     live = program.live_set()
     consumers = program.consumers(live)
-    out_ids = set(program.outputs.values())
+    single = _single_consumer(program, consumers)
 
     def qualifies(root: int) -> bool:
         node = nodes[root]
@@ -781,8 +794,7 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
                 and da.normalize == db.normalize
                 and not any(d.planned and nodes[d.args[0]].kind in INPUT_KINDS
                             for d in (da, db))
-                and all(len(consumers.get(d, ())) == 1 and d not in out_ids
-                        for d in (a, b))
+                and single(a) and single(b)
                 and level[da.args[0]] == level[db.args[0]])
 
     heap = [nid for nid in sorted(live) if qualifies(nid)]
@@ -817,128 +829,67 @@ def _fuse_product_sums(program: IrProgram, scheme: SchemeType,
                        report: ScheduleReport) -> None:
     """Fold CKKS add-trees of ct×ct products into ``product_sum`` nodes.
 
-    A *leaf* is a single-consumer ``mul`` of two ciphertexts; a tree is a
-    maximal add-tree of single-consumer adds over leaves that all sit at
-    one static level and scale exponent — the shape relinearisation
-    sinking leaves under one ``relin``.  A tree of two or more leaves
-    becomes one ``product_sum`` whose args are its leaves' operand pairs,
-    left to right (the leftmost product's scale is the sum's, as for the
-    adds).  Leaves at different levels or scales stay unfused.  BFV is
-    left alone: its tensor product rounds per product, so a lazily reduced
-    sum would change its results.
+    A *leaf* is a single-consumer ``mul`` of two ciphertexts; each tree
+    :func:`_add_trees` matches over them (the shape relinearisation
+    sinking leaves under one ``relin``) of two or more leaves becomes one
+    ``product_sum`` whose args are its leaves' operand pairs, left to
+    right (the leftmost product's scale is the sum's, as for the adds).
+    Leaves at different levels or scales stay unfused.  BFV is left alone:
+    its tensor product rounds per product, so a lazily reduced sum would
+    change its results.
     """
     if scheme is not SchemeType.CKKS:
         return
     nodes = program.nodes
-    level = program.levels(scheme)             # live, dependency order
-    consumers = program.consumers(set(level))
-    out_ids = set(program.outputs.values())
+    level = program.levels(scheme)
+    single = _single_consumer(program, program.consumers(set(level)))
 
-    def single_consumer(nid: int) -> bool:
-        return len(consumers.get(nid, ())) == 1 and nid not in out_ids
-
-    # Pure nodes (leaves, and adds of single-consumer pure nodes at one
-    # level) -> that level; args precede their consumers.
-    pure: Dict[int, Level] = {}
-    for nid in level:
-        node = nodes[nid]
-        if node.kind == "mul":
-            if single_consumer(nid) and len(program.ct_args(nid)) == 2:
-                pure[nid] = level[nid]
-        elif node.kind == "add":
-            a, b = node.args
-            if (a in pure and b in pure and pure[a] == pure[b]
-                    and single_consumer(a) and single_consumer(b)):
-                pure[nid] = pure[a]
-    inner = {a for nid in pure if nodes[nid].kind == "add"
-             for a in nodes[nid].args}
-    for root in pure:
-        if nodes[root].kind != "add" or root in inner:
-            continue
-        pairs, stack = [], [root]
-        while stack:
-            node = nodes[stack.pop()]
-            if node.kind == "mul":
-                pairs.extend(node.args)
-            else:
-                stack.extend(reversed(node.args))
-        nodes[root] = IrNode("product_sum", tuple(pairs))
-        report.product_sums += 1
-        report.product_sum_terms += len(pairs) // 2
-
-
-def _fuse_rotation_sums(program: IrProgram, scheme: SchemeType,
-                        report: ScheduleReport) -> None:
-    """Fold add-trees of rotations of different ciphertexts into
-    ``rotation_sum`` nodes.
-
-    A tree is a maximal add-tree of single-consumer ciphertext adds; each
-    leaf is a term ``(source, step)``: a single-consumer ``rotate`` of
-    ``source`` by ``step``, or any other value as itself (step 0).  A tree
-    fuses when it has at least two rotated leaves over at least two
-    distinct sources and every leaf sits at one static level and scale
-    exponent — a baby-step/giant-step sum's giant steps, each a rotation
-    of its own weighted sum.  The node's args are its distinct sources,
-    its terms the ``(step, source)`` pairs left to right; it runs as
-    :func:`repro.hecore.hoisting.rotation_sum` (one inverse transform and
-    one mod-down for the whole sum).  Trees whose rotations all read one
-    source are left to rotation grouping and ``rotate_sum``, and leaves at
-    different levels or scales stay unfused.
-    """
-    nodes = program.nodes
-    level = program.levels(scheme)             # live, dependency order
-    consumers = program.consumers(set(level))
-    out_ids = set(program.outputs.values())
-
-    def single_consumer(nid: int) -> bool:
-        return len(consumers.get(nid, ())) == 1 and nid not in out_ids
-
-    def ct_add(nid: int) -> bool:
-        return (nodes[nid].kind == "add"
+    def product(nid: int) -> bool:
+        return (nodes[nid].kind == "mul" and single(nid)
                 and len(program.ct_args(nid)) == 2)
 
-    def inner(nid: int) -> bool:
-        return (ct_add(nid) and single_consumer(nid)
-                and ct_add(consumers[nid][0]))
-
-    for root in [nid for nid in level if ct_add(nid) and not inner(nid)]:
-        leaves, stack = [], [root]
-        while stack:
-            nid = stack.pop()
-            if nid == root or inner(nid):
-                stack.extend(reversed(nodes[nid].args))
-            else:
-                leaves.append(nid)
-        terms = [(nodes[leaf].steps, nodes[leaf].args[0])
-                 if nodes[leaf].kind == "rotate" and single_consumer(leaf)
-                 else (0, leaf) for leaf in leaves]
-        rotated = [src for step, src in terms if step]
-        if (len(rotated) < 2 or len(set(rotated)) < 2
-                or len({level[leaf] for leaf in leaves}) > 1):
+    for root, leaves in _add_trees(program, level, single, product):
+        if len(leaves) < 2:
             continue
-        nodes[root] = IrNode("rotation_sum",
-                             tuple(dict.fromkeys(src for _, src in terms)),
-                             terms=tuple(terms))
+        nodes[root] = IrNode("product_sum", tuple(
+            a for leaf in leaves for a in nodes[leaf].args))
+        report.product_sums += 1
+        report.product_sum_terms += len(leaves)
+
+
+def _fuse_unweighted_sums(program: IrProgram, scheme: SchemeType,
+                          report: ScheduleReport) -> None:
+    """Fold add-trees of rotations into unweighted ``keyswitch_sum`` nodes.
+
+    Every ciphertext value may be a leaf of the trees :func:`_add_trees`
+    matches; each leaf is a term ``(step, source)``: a single-consumer
+    ``rotate`` of ``source`` by ``step``, or any other value as itself
+    (step 0).  A tree with at least two rotated leaves fuses — a
+    baby-step/giant-step sum's giant steps, each a rotation of its own
+    weighted sum, or two rotations of one value (PageRank's repacking).
+    The node's args are its distinct sources, its terms the ``(step,
+    source index, -1)`` triples left to right.
+    """
+    nodes = program.nodes
+    level = program.levels(scheme)
+    single = _single_consumer(program, program.consumers(set(level)))
+
+    def term(leaf: int) -> Tuple[int, int]:
+        node = nodes[leaf]
+        if node.kind == "rotate" and single(leaf):
+            return node.steps, node.args[0]
+        return 0, leaf
+
+    for root, leaves in _add_trees(program, level, single,
+                                   lambda nid: level[nid] is not None):
+        terms = [term(leaf) for leaf in leaves]
+        if sum(1 for step, _ in terms if step) < 2:
+            continue
+        sources = tuple(dict.fromkeys(src for _, src in terms))
+        nodes[root] = IrNode("keyswitch_sum", sources, terms=tuple(
+            (step, sources.index(src), -1) for step, src in terms))
         report.rotation_sums += 1
         report.rotation_sum_terms += len(terms)
-
-
-def _group_rotations(program: IrProgram, report: ScheduleReport
-                     ) -> Dict[int, List[int]]:
-    """Group live rotations by source: one hoisted decompose per group.
-
-    Returns source node id -> rotate node ids (groups of 2+ only)."""
-    live = program.live_set()
-    by_source: Dict[int, List[int]] = {}
-    for nid in live:
-        node = program.nodes[nid]
-        if node.kind == "rotate":
-            by_source.setdefault(node.args[0], []).append(nid)
-    groups = {src: sorted(members, key=lambda m: program.nodes[m].steps)
-              for src, members in by_source.items() if len(members) > 1}
-    report.rotation_groups = len(groups)
-    report.fused_rotations = sum(len(m) for m in groups.values())
-    return groups
 
 
 def _mark_residency(program: IrProgram, scheme: SchemeType,
@@ -948,7 +899,7 @@ def _mark_residency(program: IrProgram, scheme: SchemeType,
     Plain-multiplies produce NTT-form values, and so do CKKS ct-ct
     multiplies and product sums (the tensor product is dyadic);
     adds/subs/negs stay resident when every ciphertext operand is.
-    Everything else (rotation spans, level drops, ``relin``, BFV ct-ct
+    Everything else (key-switch sums, level drops, ``relin``, BFV ct-ct
     multiplies, outputs) consumes or produces coefficient form — the
     deferred inverse is paid there, once."""
     resident: Set[int] = set()
@@ -983,18 +934,19 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
     program = IrProgram(nodes=[replace(n) for n in source.nodes],
                         outputs=dict(source.outputs), slots=source.slots)
     report = ScheduleReport()
-    _fuse_weighted_sums(program, report)
+    _fuse_weighted_sums(program, scheme, report)
     if params is not None:
         from repro.core.levelplan import plan_levels
 
         program, report.level_plan = plan_levels(program, params)
     _sink_level_drops(program, scheme, report)
     _fuse_product_sums(program, scheme, report)
-    _fuse_rotation_sums(program, scheme, report)
-    groups = _group_rotations(program, report)
+    _fuse_unweighted_sums(program, scheme, report)
     resident = _mark_residency(program, scheme, report)
-    return ScheduledProgram(program, scheme, report, groups, resident,
-                            source=source)
+    if scheme is SchemeType.BFV:
+        report.batched_consts = sum(program.nodes[nid].kind == "const"
+                                    for nid in program.live_set())
+    return ScheduledProgram(program, scheme, report, resident, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1018,7 @@ def shared_schedule(program: IrProgram, params, planned: bool,
 
     Keyed by content (:func:`_program_digest`), so a false hit is
     impossible by construction: sessions share a :class:`ScheduledProgram`
-    — node list, plaintext, NTT and weighted-sum-span tables — exactly when
+    — node list, plaintext, NTT and weight tables — exactly when
     they traced the same computation over the same constants for the same
     parameter set.  *planned* runs the level planner (``compile_ir(...,
     params=params)``).  A cached program owns read-only copies of its
@@ -1126,9 +1078,9 @@ class ScheduledProgram:
     """An IR program plus its schedule; reusable across calls and contexts
     on the planned chain (any chain when compiled without a level plan).
 
-    Plaintext encodings, NTT-form plaintext tables, and weighted-sum spans
-    are cached per modulus chain, so repeated executions (the static-weight
-    inference loop) skip all plaintext transform work.
+    Plaintext encodings, NTT-form plaintext tables, and key-switch-sum
+    weight tables are cached per modulus chain, so repeated executions
+    (the static-weight inference loop) skip all plaintext transform work.
 
     One instance serves every session of the process that runs the same
     program (:func:`shared_schedule`), possibly from several threads at
@@ -1141,16 +1093,14 @@ class ScheduledProgram:
     """
 
     def __init__(self, program: IrProgram, scheme: SchemeType,
-                 report: ScheduleReport, groups: Dict[int, List[int]],
-                 resident: Set[int], source: Optional[IrProgram] = None):
+                 report: ScheduleReport, resident: Set[int],
+                 source: Optional[IrProgram] = None):
         self.program = program
         #: The program as traced, before any pass: what the oracle runs.
         self.source = program if source is None else source
         self.scheme = scheme
         self.report = report
-        self.groups = groups
         self.resident = resident
-        self._group_of = {m: src for src, ms in groups.items() for m in ms}
         plan = report.level_plan
         #: Planned live-limb count of every live ciphertext node, read once
         #: off the static levels; empty without a level plan.
@@ -1165,7 +1115,7 @@ class ScheduledProgram:
             {} if plan is None else self._entry_chains())
         self._entry_drop_ids = frozenset(
             nid for chain in self.entry_chains.values() for nid in chain)
-        self._spans: Dict[Tuple, hoisting.WeightedSumSpan] = {}
+        self._weight_tables: Dict[Tuple, hoisting.WeightTable] = {}
         self._plain_cache: Dict[Tuple, object] = {}
         self._ntt_plain_cache: Dict[Tuple, object] = {}
         self._bfv_batch: Dict[int, Dict[int, object]] = {}
@@ -1180,14 +1130,14 @@ class ScheduledProgram:
         nodes = program.nodes
         live = program.live_set()
         consumers = program.consumers(live)
-        out_ids = set(program.outputs.values())
+        single = _single_consumer(program, consumers)
         chains: Dict[str, Tuple[int, ...]] = {}
         for nid in sorted(live):
             if nodes[nid].kind not in INPUT_KINDS:
                 continue
             chain: List[int] = []
             cur = nid
-            while cur not in out_ids and len(consumers.get(cur, ())) == 1:
+            while single(cur):
                 nxt = consumers[cur][0]
                 if nodes[nxt].kind != "mod_switch" or not nodes[nxt].planned:
                     break
@@ -1229,7 +1179,6 @@ class ScheduledProgram:
                 [np.asarray(self._const_values(c), dtype=np.int64)
                  for c in cids])
             batch = self._bfv_batch[t] = dict(zip(cids, pts))
-            self.report.batched_consts = len(cids)
         return batch[cid]
 
     def _ckks_plain(self, ctx, cid: int, base, scale=None):
@@ -1263,34 +1212,37 @@ class ScheduledProgram:
             ctx.counts["ntt_elided"] += len(base)
         return self._ntt_plain_cache[key]
 
-    def _span(self, ctx, nid: int, current) -> hoisting.WeightedSumSpan:
-        """Node *nid*'s span over the chain *current*: its multipliers are
-        the plaintexts :meth:`_IrRunner._mul_plain` would use (the BFV
+    def _weights(self, ctx, nid: int, current) -> hoisting.WeightTable:
+        """Node *nid*'s weight table over the chain *current*: its weights
+        are the plaintexts :meth:`_IrRunner._mul_plain` would use (the BFV
         plaintext, the CKKS encoding at the default scale), over the
         chain's extended base.  Built once per chain and encoding — a
         reuse charges ``ntt_elided`` the rows the build transformed."""
-        node = self.program.nodes[nid]
+        terms = [(step, src, cid)
+                 for step, src, cid in self.program.nodes[nid].terms
+                 if cid >= 0]
         bfv = self.scheme is SchemeType.BFV
         key = (nid, current.moduli,
                ctx.params.plain_modulus if bfv else ctx.params.scale)
-        span = self._spans.get(key)
-        if span is not None:
-            ctx.counts["ntt_elided"] += span.rows
-            return span
+        table = self._weight_tables.get(key)
+        if table is not None:
+            ctx.counts["ntt_elided"] += table.rows
+            return table
+        ext = keyswitch_ext_base(current, ctx.params)
         if bfv:
-            span = hoisting.WeightedSumSpan.of_coeffs(ctx, current, [
-                (step, self._bfv_plain(ctx, cid).coeffs)
-                for step, cid in node.terms])
+            residues = [ext.lift_signed(self._bfv_plain(ctx, cid).coeffs)
+                        for _, _, cid in terms]
+            scale = 1.0
         else:
             pts = ctx.encoder.encode_many(
                 [np.asarray(self._const_values(cid), dtype=np.float64)
-                 for _, cid in node.terms],
-                base=keyswitch_ext_base(current, ctx.params))
-            span = hoisting.WeightedSumSpan(
-                ctx, current, [(step, pt.poly.data) for (step, _), pt
-                               in zip(node.terms, pts)], scale=pts[0].scale)
-        self._spans[key] = span
-        return span
+                 for _, _, cid in terms], base=ext)
+            residues = [pt.poly.data for pt in pts]
+            scale = pts[0].scale
+        table = self._weight_tables[key] = hoisting.weight_table(
+            ctx, current, [(step, src, r) for (step, src, _), r
+                           in zip(terms, residues)], scale)
+        return table
 
     # ------------------------------------------------------------ execution
     def run(self, ctx, inputs: Dict[str, object], galois_keys=None):
@@ -1337,7 +1289,7 @@ class ScheduledProgram:
         call per node — no pass output, no hoisting, no residency, and
         nothing cached from one call to the next."""
         raw = ScheduledProgram(self.source, self.scheme, ScheduleReport(),
-                               {}, set())
+                               set())
         return _IrRunner(raw, ctx, inputs, galois_keys, fused=False).run()
 
 
@@ -1496,47 +1448,37 @@ class _IrRunner:
                           [RnsPoly(base, n, c, is_ntt=True) for c in comps],
                           scale=scales[0])
 
-    def _rotation_sum(self, nid: int, terms: Tuple[Tuple[int, int], ...]):
-        """``Σ rotate(source, step)`` over a ``rotation_sum`` node's terms,
-        each source in coefficient form, finished once.  The terms must
-        share one level base: a term off the first's is refused, not
-        aligned (the pass fused one static level)."""
-        cts = {src: self._to_coeff(self.memo[src]) for _, src in terms}
-        base = cts[terms[0][1]].level_base
-        off = [src for src, ct in cts.items() if ct.level_base != base]
+    def _keyswitch_sum(self, nid: int, node: IrNode):
+        """A ``keyswitch_sum`` node, from the run's rotator of each source
+        (a source's decompose and weighted blocks are shared by every node
+        over it).  The sources must share one level base: one off the
+        first's is refused, not aligned (the passes fused one static
+        level)."""
+        rotators = [self._rotator(src) for src in node.args]
+        base = rotators[0].current
+        off = [src for src, r in zip(node.args, rotators) if r.current != base]
         if off:
             raise ScheduleError(
-                f"rotation_sum node {nid}: term(s) {off} arrive off the "
-                f"{len(base)}-limb level base of its first term")
-        out = hoisting.rotation_sum(
-            self.ctx, [(cts[src], step) for step, src in terms], self.keys)
-        self.ctx.counts["add"] += len(terms) - 1    # the add-tree it replaces
-        return out
+                f"keyswitch_sum node {nid}: source(s) {off} arrive off the "
+                f"{len(base)}-limb level base of its first source")
+        if node.weights():
+            return hoisting.keyswitch_sum(
+                self.ctx, rotators,
+                weights=self.sched._weights(self.ctx, nid, base))
+        # Charged as the add-tree it replaces.
+        self.ctx.counts["add"] += len(node.terms) - 1
+        return hoisting.keyswitch_sum(
+            self.ctx, rotators, [(step, i) for step, i, _ in node.terms])
 
     def _rotator(self, src_nid: int) -> hoisting.HoistedRotator:
-        """The run's one hoisted decompose of node *src_nid*'s value,
-        shared by every span and rotation group over it."""
+        """The run's one hoisted rotator of node *src_nid*'s value, shared
+        by every key-switch sum over it."""
         key = ("rotator", src_nid)
         rotator = self.memo.get(key)
         if rotator is None:
             rotator = self.memo[key] = hoisting.HoistedRotator(
                 self.ctx, self.memo[src_nid], self.keys)
         return rotator
-
-    def _group_results(self, src_nid: int):
-        """All rotations of a fused group, from the source's rotator."""
-        key = ("group", src_nid)
-        results = self.memo.get(key)
-        if results is None:
-            members = self.sched.groups[src_nid]
-            n = self.ctx.params.poly_degree
-            elements = [galois_element_for_step(self.program.nodes[m].steps, n)
-                        for m in members]
-            self.ctx.counts["rotate"] += len(elements)
-            results = dict(zip(members,
-                               self._rotator(src_nid).apply_many(elements)))
-            self.memo[key] = results
-        return results
 
     # ----------------------------------------------------------- evaluation
     def run(self):
@@ -1599,8 +1541,6 @@ class _IrRunner:
         if kind == "neg":
             return ctx.negate(self.memo[node.args[0]])
         if kind == "rotate":
-            if self.fused and nid in self.sched._group_of:
-                return self._group_results(self.sched._group_of[nid])[nid]
             return ctx.rotate(self._to_coeff(self.memo[node.args[0]]),
                               node.steps, self.keys)
         if kind in ("add", "sub"):
@@ -1671,11 +1611,8 @@ class _IrRunner:
                 ct = ctx.add(ct, ctx.rotate(ct, step, self.keys))
                 step //= 2
             return ct
-        if kind == "rotation_sum":
-            return self._rotation_sum(nid, node.terms)
-        if kind == "weighted_sum":
-            rotator = self._rotator(node.args[0])
-            return self.sched._span(ctx, nid, rotator.current).apply(rotator)
+        if kind == "keyswitch_sum":
+            return self._keyswitch_sum(nid, node)
         raise ScheduleError(f"unknown IR node kind {kind!r}")
 
 

@@ -51,9 +51,9 @@ from repro.hecore.noise import (
 from repro.hecore.params import SchemeType
 
 #: Node kinds after which an eager limb drop is considered.  Chosen to sit
-#: at coefficient-form reduction points (span outputs, ct-ct multiplies,
+#: at coefficient-form reduction points (key-switch sums, ct-ct multiplies,
 #: fresh entries) so the NTT-residency pass keeps its plain-multiply chains.
-DROP_SITE_KINDS = ENTRY_KINDS | {"rotate_sum", "weighted_sum"}
+DROP_SITE_KINDS = ENTRY_KINDS | {"rotate_sum", "keyswitch_sum"}
 
 #: Margin kept above the modeled downstream spend before a BFV drop.
 SLACK_BITS = SAFETY_BITS + 1.0
@@ -115,8 +115,7 @@ def _segment_ids(program: IrProgram) -> Dict[int, int]:
     """Client-refresh segment index per node (recrypt boundaries +1)."""
     seg: Dict[int, int] = {}
     for nid, node in enumerate(program.nodes):
-        deps = list(node.args) + [c for _, c in node.terms]
-        base = max((seg[a] for a in deps), default=0)
+        base = max((seg[a] for a in node.deps()), default=0)
         seg[nid] = base + (1 if node.kind == "recrypt_boundary" else 0)
     return seg
 
@@ -143,14 +142,14 @@ def _segment_profile(program: IrProgram, seg: Dict[int, int], index: int,
         elif node.kind == "rotate_sum":
             rotations += max(1, math.ceil(math.log2(max(node.width, 2))))
             fan_in = max(fan_in, node.width)
-        elif node.kind == "weighted_sum":
-            # Spans over one source share its rotations: each distinct
+        elif node.kind == "keyswitch_sum":
+            # Sums over one source share its rotations: each distinct
             # one is counted once, as its traced ``rotate`` node was.
-            steps = {(node.args[0], s) for s, _ in node.terms if s}
+            steps = {(node.args[i], s) for s, i, _ in node.terms if s}
             rotations += len(steps - span_rotations)
             span_rotations |= steps
             fan_in = max(fan_in, len(node.terms))
-            p += 1
+            p += bool(node.weights())
         elif node.kind == "mul":
             if any(nodes[a].kind == "const" for a in node.args):
                 p += 1
@@ -261,8 +260,7 @@ class _Planner:
                 new_id[nid], level[nid] = self._emit(replace(node)), None
                 continue
             args, operands = self._aligned_args(node, new_id, level)
-            nid2 = self._emit(replace(node, args=args, terms=tuple(
-                (s, new_id[c]) for s, c in node.terms)))
+            nid2 = self._emit(node.remapped(args, new_id))
             lv = level_after(node, self.scheme, operands)
             # mod_switch rows are bookkeeping (no NTT/key-switch work):
             # count only the limbs real compute nodes touch, so the
@@ -289,11 +287,14 @@ class _Planner:
     def _aligned_args(self, node: IrNode, new_id: Dict[int, int],
                       level: Dict[int, Optional[Level]]
                       ) -> Tuple[Tuple[int, ...], List[Level]]:
-        """Map args, level-matching binary ciphertext operands."""
+        """Map args, level-matching the ciphertext operands of a binary op
+        or a key-switch sum; returns them with their aligned levels."""
         operands = [level[a] for a in node.args if level[a] is not None]
-        align = node.kind in ("add", "sub", "mul") and len(operands) == 2
+        align = (node.kind in ("add", "sub", "mul", "keyswitch_sum")
+                 and len(operands) >= 2)
         target = max((lv[0] for lv in operands), default=0)
         args: List[int] = []
+        aligned: List[Level] = []
         for a in node.args:
             mapped = new_id[a]
             if align and level[a][0] < target:
@@ -301,7 +302,9 @@ class _Planner:
                 mapped = self._drop_chain(mapped, gap)
                 self.plan.align_switches += gap
             args.append(mapped)
-        return tuple(args), operands     # level_after meets them at target
+            if level[a] is not None:
+                aligned.append((target, level[a][1]) if align else level[a])
+        return tuple(args), aligned
 
 
 def plan_levels(program: IrProgram, params) -> Tuple[IrProgram, LevelPlan]:

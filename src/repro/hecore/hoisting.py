@@ -1,4 +1,4 @@
-"""Halevi–Shoup hoisted rotations and fused multi-rotation kernels.
+"""Halevi–Shoup hoisted rotations and the one fused key-switch sum.
 
 A naive slot rotation pays a full key switch: decompose the ciphertext's
 second component into RNS digits, lift each digit to the extended
@@ -23,31 +23,32 @@ HElib") reorders the pipeline so the expensive half runs once:
   (rotation x residue) pairs, and the inverse transforms of a whole batch of
   rotations run as one :meth:`NttStackPlan.inverse_batch` pass.
 
-On top of :class:`HoistedRotator` this module provides the fused
-primitives consumed across the eval hot path:
+On top of :class:`HoistedRotator` this module provides:
 
-* :func:`rotate_many` — any set of rotations of one ciphertext, bit-exact
-  with sequential ``rotate_rows`` calls;
-* :func:`rotation_sum` — a sum of rotations of any ciphertexts (the giant
-  steps of a baby-step/giant-step sum): one decompose per source, every
-  key switch accumulated over the extended base, and one inverse
-  transform + one special-prime rescale for the whole sum;
+* :func:`keyswitch_sum` — ``Σ_j w_j ⊙ rotate(x_j, s_j)`` over any sources,
+  plaintext-weighted or not, finished once.  Its cost split is *HEAAN
+  Demystified*'s: one decompose per source (kept on the source's
+  :class:`HoistedRotator`, so sums over one ciphertext share it and its
+  per-element key-switch blocks — double hoisting, Bossuat et al.,
+  Eurocrypt 2021), one key-switch inner product per distinct (source,
+  Galois element), one inner product of the weights with those
+  extended-base blocks, and one inverse transform and one mod-down for the
+  whole sum.  It runs every ``keyswitch_sum`` IR node: the masked spans of
+  the diagonal matvec, conv and baby-step/giant-step collapse, and the
+  giant-step sums after them;
 * :func:`rotate_and_sum` — the all-prefix rotation sum used by the distance
-  kernels, each phase a one-source :func:`rotation_sum`, with a
+  kernels, each phase a one-source :func:`keyswitch_sum`, with a
   baby-step/giant-step split for wide spans;
-* :class:`WeightedSumSpan` — the masked rotation sum behind every
-  diagonal matvec, conv and baby-step/giant-step collapse: plaintext
-  multipliers weight the rotations' key-switch accumulators in the NTT
-  domain over the extended base, and the whole sum pays a single inverse
-  transform + mod-down.  Spans over one ciphertext share its
-  :class:`HoistedRotator` and so its accumulators (double hoisting).
+* :func:`rotate_many` — any set of rotations of one ciphertext, bit-exact
+  with sequential ``rotate_rows`` calls.
 
 Everything is server-local: ciphertext and key wire formats are unchanged.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from itertools import groupby
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -86,28 +87,29 @@ def _steps_available(keys: Optional[GaloisKeys], steps, n: int) -> bool:
     )
 
 
-def _gather(blocks: np.ndarray, owners: Sequence[int],
+def _gather(blocks, owners: Sequence[int],
             columns: Sequence[np.ndarray]) -> np.ndarray:
-    """``(R, ..., n)`` gather of ``(S, ..., n)`` blocks: entry ``r`` is
-    block ``owners[r]`` with its last axis read through ``columns[r]`` (a
-    Galois element's cached permutation), written contiguous, one
-    ``np.take`` per entry (a broadcast fancy index over every axis is
-    slower)."""
-    out = np.empty((len(owners),) + blocks.shape[1:], blocks.dtype)
+    """``(R, ..., n)`` gather of equally shaped blocks (an array or a list
+    indexed by owner): entry ``r`` is block ``owners[r]`` with its last
+    axis read through ``columns[r]`` (a Galois element's cached
+    permutation), written contiguous, one ``np.take`` per entry (a
+    broadcast fancy index over every axis is slower)."""
+    first = blocks[owners[0]]
+    out = np.empty((len(owners),) + first.shape, first.dtype)
     for r, (owner, cols) in enumerate(zip(owners, columns)):
         np.take(blocks[owner], cols, axis=-1, out=out[r])
     return out
 
 
 class HoistedRotator:
-    """Shares one key-switch digit decomposition across every rotation of a
-    single ciphertext.
+    """One ciphertext's share of every key switch that rotates it.
 
-    Construction runs the hoisted (expensive) half — centered digit
-    decomposition, lift to the extended base, one batched forward NTT —
-    and each subsequent Galois element costs a cached column permutation
-    plus one stacked dyadic inner product with the pre-stacked key digits.
-    Results are bit-exact with the naive per-rotation path.
+    The hoisted (expensive) half — centered digit decomposition, lift to
+    the extended base, one batched forward NTT — is made once, on the first
+    rotation (:func:`_decompose`), and each Galois element then costs a
+    cached column permutation plus one stacked dyadic inner product with
+    the pre-stacked key digits.  Results are bit-exact with the naive
+    per-rotation path.
     """
 
     def __init__(self, ctx, ct: Ciphertext,
@@ -116,26 +118,22 @@ class HoistedRotator:
             raise ValueError("relinearize before rotating")
         self.ctx = ctx
         self.ct = ct
-        self.keys = ctx._resolve_galois(galois_keys)
+        self.galois_keys = galois_keys
         self.params = ctx.params
         self.n = self.params.poly_degree
         self.current = ct.level_base
         self.ext_base = keyswitch_ext_base(self.current, self.params)
         self.rows = keyswitch_rows(self.current, self.params)
-        self.plan = ntt.get_stack_plan(self.n, self.ext_base.moduli)
-        # The hoisted half, paid once per ciphertext.
-        self.digits_ntt = decompose_for_keyswitch(
-            ct.components[1].from_ntt().data, self.current, self.ext_base)
-        ctx.counts["hoisted_decompose"] += 1
+        #: ``(L, k_ext, n)`` NTT-form digits of ``c1``; ``None`` until the
+        #: first rotation decomposes it.
+        self.digits_ntt: Optional[np.ndarray] = None
         self._accs: dict = {}
 
-    # ------------------------------------------------------------ kernels
-    def _gathered_digits(self, galois_elts: Sequence[int]) -> np.ndarray:
-        """``(R, L, k_ext, n)`` gather of the decomposed digits through
-        every element's cached NTT permutation."""
-        return _gather(self.digits_ntt[None], [0] * len(galois_elts),
-                       [ntt_permutation(self.n, g) for g in galois_elts])
+    @property
+    def keys(self) -> GaloisKeys:
+        return self.ctx._resolve_galois(self.galois_keys)
 
+    # ------------------------------------------------------------ kernels
     def inner_product_many(self, galois_elts: Sequence[int]) -> np.ndarray:
         """``(R, 2, k_ext, n)`` key-switch accumulators, one numpy pass.
 
@@ -147,19 +145,20 @@ class HoistedRotator:
         """
         keys = self.keys.stacked_block(galois_elts, self.rows,
                                        len(self.current))
-        return keyswitch_inner_product(self._gathered_digits(galois_elts),
-                                       keys, self.ext_base)
+        digits = _gather([self.digits_ntt], [0] * len(galois_elts),
+                         [ntt_permutation(self.n, g) for g in galois_elts])
+        return keyswitch_inner_product(digits, keys, self.ext_base)
 
-    def accumulators(self, galois_elts: Sequence[int]) -> np.ndarray:
-        """``(R, 2, k_ext, n)`` NTT-form accumulators of every element's
+    def accumulators(self, galois_elts: Sequence[int]) -> List[np.ndarray]:
+        """``(2, k_ext, n)`` NTT-form accumulators of every element's
         rotation *before* its mod-down: ``P·(c0∘g, 0)`` plus the key-switch
         inner product (``P·(c0, c1)`` for the identity).  ``P·x`` vanishes
         mod ``P``, so finishing one returns exactly the rotated ciphertext,
         and a plaintext-weighted sum of them finishes to the weighted sum
         of rotations with one mod-down.  Each element's block is built once
-        per rotator (the missing ones in one batch), and each non-identity
-        one is charged as one ``rotate``: every span over this ciphertext
-        shares them (double hoisting)."""
+        per rotator (the missing ones in one batch, after the decompose),
+        and each non-identity one is charged as one ``rotate``: every sum
+        over this ciphertext shares them (double hoisting)."""
         missing = [g for g in dict.fromkeys(galois_elts) if g not in self._accs]
         if missing:
             k = len(self.current)
@@ -177,39 +176,44 @@ class HoistedRotator:
                 block = np.zeros((2, len(self.ext_base), self.n), np.int64)
                 block[:, :k] = p_c
                 self._accs[1] = block
-        return np.stack([self._accs[g] for g in galois_elts])
-
-    def finish_batch(self, accs: np.ndarray) -> List[Tuple[RnsPoly, RnsPoly]]:
-        """Inverse-transform + special-prime rescale of ``(R, 2, k_ext, n)``
-        accumulators: the whole rotation batch goes through the key-switch
-        tail (:func:`~repro.hecore.keys.keyswitch_finish`) as one
-        ``(2R, k_ext, n)`` block."""
-        r = accs.shape[0]
-        rescaled = keyswitch_finish(
-            accs.reshape(r * 2, len(self.ext_base), self.n), self.ext_base)
-        return [
-            (RnsPoly(self.current, self.n, rescaled[2 * i], is_ntt=False),
-             RnsPoly(self.current, self.n, rescaled[2 * i + 1], is_ntt=False))
-            for i in range(r)
-        ]
+        return [self._accs[g] for g in galois_elts]
 
     # --------------------------------------------------------- public API
     def apply_many(self, galois_elts: Sequence[int]) -> List[Ciphertext]:
         """One ciphertext per Galois element, sharing the hoisted decompose."""
-        out: List[Optional[Ciphertext]] = [None] * len(galois_elts)
-        live: List[Tuple[int, int]] = []
-        for i, g in enumerate(galois_elts):
-            if g == 1:
-                out[i] = self.ct.copy()
-            else:
-                live.append((i, g))
+        out = [self.ct.copy() if g == 1 else None for g in galois_elts]
+        live = [(i, g) for i, g in enumerate(galois_elts) if g != 1]
         if live:
+            if self.digits_ntt is None:
+                _decompose(self.ctx, [self], [len(live)])
             accs = self.inner_product_many([g for _, g in live])
-            for (i, g), (u0, u1) in zip(live, self.finish_batch(accs)):
+            finished = keyswitch_finish(
+                accs.reshape(-1, *accs.shape[2:]), self.ext_base)
+            for r, (i, g) in enumerate(live):
                 c0 = self.ct.components[0].apply_automorphism(g).from_ntt()
+                u0, u1 = (RnsPoly(self.current, self.n, part, is_ntt=False)
+                          for part in finished[2 * r: 2 * r + 2])
                 out[i] = Ciphertext(self.params, [c0 + u0, u1],
                                     scale=self.ct.scale)
         return out
+
+
+def _decompose(ctx, rotators: Sequence[HoistedRotator],
+               reads: Sequence[int]) -> None:
+    """The hoisted half of every one of *rotators* (each not yet
+    decomposed, all on one level base) in one batched forward transform.
+    A decompose is charged ``hoisted_decompose`` when it serves two or
+    more rotations (its entry in *reads*), ``naive_decompose`` when it
+    serves one."""
+    first = rotators[0]
+    digits = decompose_for_keyswitch(
+        np.stack([r.ct.components[1].from_ntt().data for r in rotators]),
+        first.current, first.ext_base)
+    for rotator, block in zip(rotators, digits):
+        rotator.digits_ntt = block
+    shared = sum(count > 1 for count in reads)
+    ctx.counts["hoisted_decompose"] += shared
+    ctx.counts["naive_decompose"] += len(reads) - shared
 
 
 def rotate_many(ctx, ct: Ciphertext, steps: Sequence[int],
@@ -221,12 +225,154 @@ def rotate_many(ctx, ct: Ciphertext, steps: Sequence[int],
     *include_conjugation* an extra conjugated (rows-swapped) ciphertext is
     appended after the rotations.
     """
-    rotator = HoistedRotator(ctx, ct, galois_keys)
+    rotator = HoistedRotator(ctx, ct, ctx._resolve_galois(galois_keys))
     elements = [galois_element_for_step(s, rotator.n) for s in steps]
     if include_conjugation:
         elements.append(galois_element_for_conjugation(rotator.n))
     ctx.counts["rotate"] += len(elements)
     return rotator.apply_many(elements)
+
+
+# ---------------------------------------------------------------------------
+# The key-switch sum
+# ---------------------------------------------------------------------------
+
+class WeightTable(NamedTuple):
+    """The static plaintext side of a weighted :func:`keyswitch_sum`: it
+    depends on the terms and the modulus chain only, never on a
+    ciphertext, so a caller builds it once (:func:`weight_table`) and keeps
+    it across calls."""
+
+    #: Distinct ``(source, Galois element)`` pairs, sorted.
+    pairs: Tuple[Tuple[int, int], ...]
+    #: ``(len(pairs), k_ext, n)`` NTT-form weights, each pair's summed.
+    m_ntt: np.ndarray
+    #: The weights' CKKS scale (the sum carries ``source scale * scale``).
+    scale: float
+    #: Weighted terms the table folds (charged one ``multiply_plain`` each).
+    terms: int
+
+    @property
+    def rows(self) -> int:
+        """Residue rows the build forward-transformed."""
+        return self.m_ntt.shape[0] * self.m_ntt.shape[1]
+
+
+def weight_table(ctx, current: RnsBase,
+                 terms: Sequence[Tuple[int, int, np.ndarray]],
+                 scale: float = 1.0) -> WeightTable:
+    """The :class:`WeightTable` of ``(step, source, residues)`` terms, each
+    weight a ``(k_ext, n)`` coefficient-form residue block over
+    ``keyswitch_ext_base(current)``.  Terms on one (source, Galois element)
+    share one row set; the forward transforms are charged to
+    ``ctx.counts['ntt_forward']`` (units: residue rows)."""
+    if not terms:
+        raise ValueError("a weight table needs at least one term")
+    n = ctx.params.poly_degree
+    ext = keyswitch_ext_base(current, ctx.params)
+    by_pair: dict = {}
+    for step, source, residues in terms:
+        pair = (source, galois_element_for_step(step, n))
+        by_pair[pair] = np.mod(by_pair.get(pair, 0) + residues,
+                               ext.moduli_col)
+    pairs = tuple(sorted(by_pair))
+    m_ntt = ntt.get_stack_plan(n, ext.moduli).forward_batch(
+        np.stack([by_pair[pair] for pair in pairs]))
+    table = WeightTable(pairs, m_ntt, float(scale), len(terms))
+    ctx.counts["ntt_forward"] += table.rows
+    return table
+
+
+def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
+                  terms: Sequence[Tuple[int, int]] = (),
+                  weights: Optional[WeightTable] = None) -> Ciphertext:
+    """``Σ w_j ⊙ rotate(x_j, s_j)`` with one inverse transform and one
+    mod-down for the whole sum.
+
+    *sources* are the ciphertexts' rotators, all on one level base and at
+    one scale; *terms* the unweighted ``(step, source index)`` terms, a
+    step of 0 being the unrotated source; *weights* the weighted terms'
+    table.  The steps, and no others:
+
+    * one decompose per source a rotation reads, unless its rotator holds
+      one already (every missing one in one batched forward transform);
+    * one key-switch inner product per distinct (source, Galois element)
+      of a weighted term, kept on the rotator as its extended-base block
+      (:meth:`HoistedRotator.accumulators`), and one for every unweighted
+      rotated term, all in one inner product with the flattened key block;
+    * one inner product of the weights with their blocks;
+    * one inverse transform and one mod-down of the summed accumulator
+      (:func:`~repro.hecore.keys.keyswitch_finish`): a sum of mod-downs
+      becomes the mod-down of a sum, so a result moves by rounding only
+      (BFV decrypts bit-identically; its noise can only lose rounding
+      terms).
+
+    Unweighted terms' ``c0`` parts stay in the coefficient domain: every
+    rotation is a cached signed gather (:func:`coeff_automorphism_perm`),
+    summed lazily in int64 with the unrotated terms' components and
+    reduced once.  Charges one ``rotate`` per unweighted rotated term and
+    per new weighted block, one ``multiply_plain`` per weighted term, and
+    one decompose per source it decomposes (:func:`_decompose`).  A
+    missing key raises :class:`~repro.hecore.keys.MissingEvaluationKey`.
+    """
+    if not terms and weights is None:
+        raise ValueError("keyswitch_sum needs at least one term")
+    params = ctx.params
+    n = params.poly_degree
+    first = sources[0]
+    current, ext = first.current, first.ext_base
+    elements = [galois_element_for_step(step, n) for step, _ in terms]
+    rotated = [(i, g) for g, (_, i) in zip(elements, terms) if g != 1]
+    reads: dict = {}                    # source index -> elements it serves
+    for i, g in [*rotated, *(weights.pairs if weights else ())]:
+        if g != 1:
+            reads.setdefault(i, set()).add(g)
+    fresh = [i for i in reads if sources[i].digits_ntt is None]
+    if fresh:
+        _decompose(ctx, [sources[i] for i in fresh],
+                   [len(reads[i]) for i in fresh])
+    acc = None                          # (2, k_ext, n), NTT form
+    if weights is not None:
+        ctx.counts["multiply_plain"] += weights.terms
+        blocks = np.stack([block for i, pairs in groupby(weights.pairs,
+                                                         key=lambda p: p[0])
+                           for block in sources[i].accumulators(
+                               [g for _, g in pairs])])
+        acc = keyswitch_inner_product(weights.m_ntt, blocks, ext)
+    if rotated:
+        ctx.counts["rotate"] += len(rotated)
+        live = [g for _, g in rotated]
+        digits = _gather([r.digits_ntt for r in sources],   # (T, L, k, n)
+                         [i for i, _ in rotated],
+                         [ntt_permutation(n, g) for g in live])
+        key_block = sources[rotated[0][0]].keys.stacked_block(
+            live, first.rows, len(current))
+        unweighted = keyswitch_inner_product(
+            digits.reshape(-1, *digits.shape[2:]),
+            key_block.reshape(-1, *key_block.shape[2:]), ext)
+        acc = unweighted if acc is None else ext.add(acc, unweighted)
+    out = None if acc is None else keyswitch_finish(acc, ext)  # (2, k, n)
+    if terms:
+        coeffs = np.stack([[c.from_ntt().data for c in r.ct.components]
+                           for r in sources])               # (S, 2, k, n)
+        owner = np.array([i for _, i in terms])
+        turned = np.array(elements) != 1
+        # Canonical residues are < 2**30; a sum has far fewer than 2**33
+        # terms, so the accumulation is exact in int64 with one final mod.
+        total = coeffs[owner[~turned]].sum(axis=0)          # (2, k, n)
+        if rotated:
+            gathers = [coeff_automorphism_perm(n, g) for g in live]
+            total[0] += np.einsum(
+                'tkn,tn->kn',
+                _gather(coeffs[:, 0], owner[turned],
+                        [src for src, _ in gathers]),
+                np.stack([sign for _, sign in gathers]))
+        if out is not None:
+            total += out
+        out = np.mod(total, current.moduli_col)
+    scale = first.ct.scale * (1.0 if weights is None else weights.scale)
+    return Ciphertext(params, [RnsPoly(current, n, part, is_ntt=False)
+                               for part in out], scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -256,82 +402,6 @@ def rotate_and_sum_steps(width: int) -> Set[int]:
     return {*phase1, *phase2}
 
 
-def rotation_sum(ctx, terms: Sequence[Tuple[Ciphertext, int]],
-                 galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-    """``sum(rotate(ct, step) for ct, step in terms)``, a step of 0 being
-    the unrotated ciphertext: every key switch of the sum shares one
-    inverse transform and one mod-down.
-
-    Each distinct source (by identity) is decomposed once, every source in
-    one batched forward transform.  Each rotated term gathers its source's
-    digits through its element's NTT permutation, and all ``(term, digit)``
-    pairs meet the flattened key block (:meth:`GaloisKeys.stacked_block`)
-    in ONE inner product, accumulated over the extended base.  The sum is
-    then finished once (:func:`~repro.hecore.keys.keyswitch_finish`): a sum
-    of mod-downs becomes the mod-down of a sum, so the result moves by
-    rounding only (BFV decrypts bit-identically; its noise can only lose
-    rounding terms).  The ``c0`` parts stay in the coefficient domain:
-    every rotation is a cached signed gather
-    (:func:`coeff_automorphism_perm`), summed lazily in int64 with the
-    unrotated terms' components and reduced once.
-
-    Charges one ``rotate`` per rotated term and one decompose per source
-    it rotates: ``hoisted_decompose`` when that decompose serves two or
-    more rotations, ``naive_decompose`` when it serves one.  Every term
-    must sit on one level base; a missing key raises
-    :class:`~repro.hecore.keys.MissingEvaluationKey`.
-    """
-    if not terms:
-        raise ValueError("rotation_sum needs at least one term")
-    params = ctx.params
-    n = params.poly_degree
-    current = terms[0][0].level_base
-    slot: dict = {}                     # id(source) -> source index
-    sources: List[Ciphertext] = []
-    for ct, _ in terms:
-        if len(ct) != 2:
-            raise ValueError("relinearize before rotating")
-        if ct.level_base != current:
-            raise ValueError("rotation_sum terms must share one level base")
-        if id(ct) not in slot:
-            slot[id(ct)] = len(sources)
-            sources.append(ct)
-    coeffs = np.stack([[c.from_ntt().data for c in ct.components]
-                       for ct in sources])                  # (S, 2, k, n)
-    owner = np.array([slot[id(ct)] for ct, _ in terms])
-    elements = np.array([galois_element_for_step(s, n) for _, s in terms])
-    rotated = elements != 1
-    # Canonical residues are < 2**30; a sum has far fewer than 2**33
-    # terms, so the whole accumulation is exact in int64 with one final mod.
-    acc = coeffs[owner[~rotated]].sum(axis=0)               # (2, k, n)
-    if rotated.any():
-        keys = ctx._resolve_galois(galois_keys)
-        live, live_owner = elements[rotated].tolist(), owner[rotated]
-        decomposed, local = np.unique(live_owner, return_inverse=True)
-        shared = np.bincount(local) > 1
-        ctx.counts["rotate"] += len(live)
-        ctx.counts["hoisted_decompose"] += int(shared.sum())
-        ctx.counts["naive_decompose"] += int((~shared).sum())
-        gathers = [coeff_automorphism_perm(n, g) for g in live]
-        acc[0] += np.einsum(
-            'tkn,tn->kn',
-            _gather(coeffs[:, 0], live_owner, [src for src, _ in gathers]),
-            np.stack([sign for _, sign in gathers]))
-        ext_base = keyswitch_ext_base(current, params)
-        digits = decompose_for_keyswitch(coeffs[decomposed, 1], current,
-                                         ext_base)
-        gathered = _gather(digits, local,                   # (T, L, k, n)
-                           [ntt_permutation(n, g) for g in live])
-        key_block = keys.stacked_block(
-            live, keyswitch_rows(current, params), len(current))
-        acc += keyswitch_finish(keyswitch_inner_product(
-            gathered.reshape(-1, *gathered.shape[2:]),
-            key_block.reshape(-1, *key_block.shape[2:]), ext_base), ext_base)
-    return Ciphertext(params, [RnsPoly(current, n, part, is_ntt=False)
-                               for part in np.mod(acc, current.moduli_col)],
-                      scale=terms[0][0].scale)
-
-
 def rotate_and_sum(ctx, ct: Ciphertext, width: int,
                    galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
     """Sum of ``rotate(ct, i)`` for ``i in range(width)`` (power-of-two span).
@@ -340,9 +410,10 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
     each of its positions.  A log2(width) rotate/add tree remains the
     fallback when the session only holds the power-of-two key ladder.  With
     the hoisted step set available (see :func:`rotate_and_sum_steps`) the
-    span runs as one or two hoisted phases: flat up to ``FLAT_SUM_LIMIT``,
-    baby-step/giant-step beyond it (two decomposes + ~2*sqrt(width) cheap
-    rotations, versus log2(width) full key switches for the tree).
+    span runs as one or two one-source :func:`keyswitch_sum` phases: flat
+    up to ``FLAT_SUM_LIMIT``, baby-step/giant-step beyond it (two
+    decomposes + ~2*sqrt(width) cheap rotations, versus log2(width) full
+    key switches for the tree).
     """
     width = int(width)
     if width <= 1:
@@ -353,10 +424,11 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
     n = ctx.params.poly_degree
     phase1, phase2 = _sum_span_steps(width)
     if _steps_available(keys, phase1 + phase2, n):
-        out = rotation_sum(ctx, [(ct, s) for s in [0, *phase1]], keys)
-        if phase2:
-            out = rotation_sum(ctx, [(out, s) for s in [0, *phase2]], keys)
-        return out
+        for phase in (phase1, phase2):
+            if phase:
+                ct = keyswitch_sum(ctx, [HoistedRotator(ctx, ct, keys)],
+                                   [(s, 0) for s in [0, *phase]])
+        return ct
     # Log-tree fallback: rotates the updated accumulator each level, so no
     # decompose can be shared — but it only needs the power-of-two keys.
     step = width // 2
@@ -364,83 +436,3 @@ def rotate_and_sum(ctx, ct: Ciphertext, width: int,
         ct = ctx.add(ct, ctx.rotate(ct, step, keys))
         step //= 2
     return ct
-
-
-# ---------------------------------------------------------------------------
-# Fused weighted rotation sums (double-hoisted: weight, accumulate, one
-# mod-down — all in NTT form over the extended base)
-# ---------------------------------------------------------------------------
-
-class WeightedSumSpan:
-    """A reusable ``sum(m_j (*) rotate(ct, s_j))`` over one modulus chain.
-
-    The plaintext side of a weighted rotation span is static: the Galois
-    elements, their NTT permutations and the forward transforms of every
-    multiplier over the extended (current + special) base depend only on
-    the terms and the chain, not on the ciphertext.  A span builds them
-    once, at construction (charging ``ctx.counts['ntt_forward']``, units:
-    residue-row transforms; terms on one Galois element share one row
-    set); the IR scheduler keeps one span per fused ``weighted_sum`` node
-    and chain, so steady-state calls pay no plaintext transform.
-
-    Evaluation is double-hoisted (Bossuat et al., Eurocrypt 2021): the
-    rotations come from the source's :class:`HoistedRotator` as
-    extended-base accumulators, not yet mod-downed
-    (:meth:`HoistedRotator.accumulators`), so every span over one
-    ciphertext shares its one decompose and one inner product per Galois
-    element.  A span is then one inner product of its multipliers with
-    those accumulators, one inverse transform and one mod-down.  BFV
-    results are bit-identical to the rotate → multiply → add chain's
-    plaintext; CKKS ones differ by mod-down rounding only.
-    """
-
-    def __init__(self, ctx, current: RnsBase,
-                 terms: Sequence[Tuple[int, np.ndarray]], scale: float = 1.0):
-        """*terms* are ``(step, residues)``: each multiplier as a
-        ``(k_ext, n)`` coefficient-form residue block over
-        ``keyswitch_ext_base(current)``.  *scale* is the multipliers'
-        CKKS scale (the product carries ``ct.scale * scale``)."""
-        if not terms:
-            raise ValueError("WeightedSumSpan needs at least one term")
-        params = ctx.params
-        n = params.poly_degree
-        ext = keyswitch_ext_base(current, params)
-        self.scale = float(scale)
-        self.term_count = len(terms)
-        by_element: dict = {}
-        for step, residues in terms:
-            g = galois_element_for_step(step, n)
-            by_element[g] = np.mod(by_element.get(g, 0) + residues,
-                                   ext.moduli_col)
-        self.elements = sorted(by_element)
-        self.m_ntt = ntt.get_stack_plan(n, ext.moduli).forward_batch(
-            np.stack([by_element[g] for g in self.elements]))
-        self.rows = len(self.elements) * len(ext)
-        ctx.counts["ntt_forward"] += self.rows
-
-    @classmethod
-    def of_coeffs(cls, ctx, current: RnsBase,
-                  terms: Sequence[Tuple[int, np.ndarray]]) -> "WeightedSumSpan":
-        """A span over *current* from ``(step, coeffs)`` terms whose
-        multipliers are small signed integer polynomials (BFV plaintext
-        coefficients)."""
-        ext = keyswitch_ext_base(current, ctx.params)
-        return cls(ctx, current, [(step, ext.lift_signed(coeffs))
-                                  for step, coeffs in terms])
-
-    def __call__(self, ctx, ct: Ciphertext,
-                 galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-        """One span over *ct* with its own hoisted decompose."""
-        return self.apply(HoistedRotator(ctx, ct, galois_keys))
-
-    def apply(self, rotator: HoistedRotator) -> Ciphertext:
-        """The span over *rotator*'s ciphertext, sharing its decompose and
-        rotation accumulators with every other span over it: one inner
-        product of the multipliers with those accumulators, one inverse
-        transform, one mod-down."""
-        rotator.ctx.counts["multiply_plain"] += self.term_count
-        acc = keyswitch_inner_product(
-            self.m_ntt, rotator.accumulators(self.elements), rotator.ext_base)
-        ((u0, u1),) = rotator.finish_batch(acc[None])
-        return Ciphertext(rotator.params, [u0, u1],
-                          scale=rotator.ct.scale * self.scale)

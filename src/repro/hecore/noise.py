@@ -7,6 +7,13 @@ mirrors the empirical model of :mod:`repro.core.paramsearch` at the
 granularity of individual operations, so a planned operation sequence can
 be budget-checked in microseconds instead of seconds of real HE.
 
+Every IR kind is priced by one table, :meth:`NoiseEstimator.node_cost_bits`.
+The fused nodes are priced as what they fuse: a ``keyswitch_sum`` as one
+rotation's key switch plus its accumulation (and one plain multiply when
+its terms are weighted), a ``product_sum`` as a ct-ct multiply plus its
+accumulation.  A multi-source weighted sum is priced as the deepest add
+chain over its terms, never below the add-tree it replaces.
+
 Validated against measured budgets in ``tests/test_noise_estimator.py``.
 """
 
@@ -155,11 +162,13 @@ class NoiseEstimator:
     def node_cost_bits(self, node, nodes) -> float:
         """Noise bits IR node *node* charges the value flowing into it —
         the one per-kind table :meth:`budget_after` spends forward and the
-        level planner sums backward.  ``rotate_sum`` / ``weighted_sum`` are
-        hoisted spans (:meth:`after_hoisted_rotations`) plus their
-        accumulation, a ``rotation_sum`` is one rotation plus a deepest
-        add chain over its terms, and a ``product_sum`` is a ct-ct ``mul``
-        plus its accumulation;
+        level planner sums backward.  A ``rotate_sum`` is a hoisted span
+        (:meth:`after_hoisted_rotations`) plus its accumulation.  A
+        ``keyswitch_sum`` is one rotation plus its accumulation, plus one
+        plain multiply when weighted: a one-source weighted sum (a span)
+        accumulates like a hoisted span, any other one like the deepest add
+        chain over its terms — never below the add-tree it replaces.  A
+        ``product_sum`` is a ct-ct ``mul`` plus its accumulation;
         kinds that move no noise (``neg``, ``rescale``, ``mod_switch``,
         crypto boundaries) cost nothing, and neither does
         ``relin``: a ct-ct ``mul`` prices its own key switch, so a sum whose
@@ -176,15 +185,17 @@ class NoiseEstimator:
         if kind == "rotate_sum":
             rounds = max(1, math.ceil(math.log2(max(node.width, 2))))
             return ROTATION_BITS + math.log2(rounds + 1) + rounds
-        if kind == "rotation_sum":
-            return ROTATION_BITS + len(node.terms) - 1
+        if kind == "keyswitch_sum":
+            count = len(node.terms)
+            if not node.weights():
+                return ROTATION_BITS + count - 1
+            if len(node.args) == 1:
+                return (ROTATION_BITS + math.log2(count + 1) + self.t_bits
+                        + self.log_n / 2 + math.ceil(math.log2(count + 1)))
+            return ROTATION_BITS + self.t_bits + self.log_n / 2 + count - 1
         if kind == "product_sum":
             return (self.t_bits + self.log_n + 8
                     + math.ceil(math.log2(len(node.args) // 2)))
-        if kind == "weighted_sum":
-            count = max(1, len(node.terms))
-            return (ROTATION_BITS + math.log2(count + 1) + self.t_bits
-                    + self.log_n / 2 + math.ceil(math.log2(count + 1)))
         return 0.0
 
     def budget_after(self, program) -> dict:

@@ -18,8 +18,8 @@ from repro.hecore.params import SchemeType, small_test_parameters
 @pytest.fixture(autouse=True)
 def _cold_program_cache():
     """Every test starts with an empty shared schedule cache: first-call
-    fill counts (``ntt_forward`` rows, ``batched_consts``) must not depend
-    on which test compiled the same program earlier."""
+    fill counts (``ntt_forward`` rows) must not depend on which test
+    compiled the same program earlier."""
     ir.clear_program_cache()
 
 

@@ -2,15 +2,15 @@
 
 Every giant step of a baby-step/giant-step (BSGS) sum is a masked sum over
 baby rotations that the other giant steps share.  The weighted-sum fusion
-pass turns each into one ``weighted_sum`` span, and the runner serves all
-spans over one source from one hoisted decompose and one key-switch inner
-product per baby Galois element.  Covered here, for the three served BSGS
-kernels (the e2e fc and conv at Table-3 set B, the collapsed KNN round at
-the e2e CKKS set):
+pass turns each into one weighted ``keyswitch_sum`` node, and the runner
+serves all nodes over one source from one hoisted decompose and one
+key-switch inner product per baby Galois element.  Covered here, for the
+three served BSGS kernels (the e2e fc and conv at Table-3 set B, the
+collapsed KNN round at the e2e CKKS set):
 
-* the compiled program: one span per giant step, no live baby rotation,
-  the giant rotations summed as one ``rotation_sum``, and the traced key
-  set;
+* the compiled program: one weighted sum per giant step, no live baby
+  rotation, the giant rotations summed as one unweighted
+  ``keyswitch_sum``, and the traced key set;
 * the run: one hoisted decompose per span source, each baby charged as
   one rotation;
 * the values: BFV bit for bit against the scheduler-off oracle and the
@@ -150,23 +150,30 @@ def _live(program, kind):
             if program.nodes[nid].kind == kind]
 
 
+def _sums(program, weighted):
+    """The live weighted (or unweighted) ``keyswitch_sum`` nodes."""
+    return [node for node in _live(program, "keyswitch_sum")
+            if bool(node.weights()) == weighted]
+
+
 def test_each_giant_step_is_one_span_and_no_baby_stays(served):
     _, case = served
     kernel = case["kernel"]
     shape = kernel.input_shape
     traced = kernel.program(shape)
     compiled = kernel.scheduled(shape).program
-    spans = _live(compiled, "weighted_sum")
+    spans = _sums(compiled, weighted=True)
     assert len(spans) == len(case["giants"])
     assert kernel.scheduled(shape).report.weighted_sum_spans == len(spans)
-    assert {s for span in spans for s, _ in span.terms} - {0} == case["babies"]
+    assert {s for span in spans for s, _, _ in span.terms} - {0} \
+        == case["babies"]
     assert not {n.steps for n in _live(compiled, "rotate")} & case["babies"]
     assert case["babies"] <= {n.steps for n in _live(traced, "rotate")}
     # The giant rotations, one per span but the unrotated one, finish as
-    # one rotation sum.
-    (giant_sum,) = _live(compiled, "rotation_sum")
+    # one unweighted key-switch sum.
+    (giant_sum,) = _sums(compiled, weighted=False)
     assert len(giant_sum.terms) == len(case["giants"])
-    assert [s for s, _ in giant_sum.terms].count(0) == 1
+    assert [s for s, _, _ in giant_sum.terms].count(0) == 1
     # The key set is read off the trace: fusion moved no step.
     assert compiled.rotation_steps() == traced.rotation_steps()
 
@@ -184,15 +191,15 @@ def test_spans_share_one_decompose_and_charge_each_baby_once(served):
              for name in ("hoisted_decompose", "rotate", "ntt_forward")}
 
     program = sched.program
-    sources = {n.args[0] for n in _live(program, "weighted_sum")}
+    sources = {n.args[0] for n in _sums(program, weighted=True)}
     sums = _live(program, "rotate_sum")
     assert len(sources) == 1
     assert spent["hoisted_decompose"] == len(sources) + len(sums)
     assert spent["rotate"] == (len(case["babies"])
                                + len(_live(program, "rotate"))
                                + sum(n.width - 1 for n in sums)
-                               + sum(1 for n in _live(program, "rotation_sum")
-                                     for step, _ in n.terms if step))
+                               + sum(1 for n in _sums(program, weighted=False)
+                                     for step, _, _ in n.terms if step))
     assert spent["ntt_forward"] == case["forward"], \
         "a warm span transforms no row (only a square's operand does)"
 

@@ -18,6 +18,7 @@ from repro.hecore.hoisting import (
     ntt_permutation,
     rotate_and_sum_steps,
 )
+from repro.hecore.keys import keyswitch_ext_base
 from repro.hecore.noise import NoiseEstimator
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.serialize import serialize_ciphertext
@@ -191,7 +192,11 @@ def test_rotate_weighted_sum_matches_naive_chain():
         shifted = ctx.rotate_rows(ct, j) if j else ct
         term = ctx.multiply_plain(shifted, encoded)
         naive = term if naive is None else ctx.add(naive, term)
-    fused = hoisting.WeightedSumSpan.of_coeffs(ctx, ct.level_base, terms)(ctx, ct)
+    ext = keyswitch_ext_base(ct.level_base, ctx.params)
+    table = hoisting.weight_table(ctx, ct.level_base, [
+        (j, 0, ext.lift_signed(coeffs)) for j, coeffs in terms])
+    fused = hoisting.keyswitch_sum(ctx, [HoistedRotator(ctx, ct)],
+                                   weights=table)
     assert np.array_equal(ctx.decrypt(fused), ctx.decrypt(naive))
     assert np.array_equal(mv.unpack_output(ctx.decrypt(fused)),
                           mv.reference(vec))
@@ -215,7 +220,7 @@ def test_encrypted_matvec_uses_fused_kernel():
 #: SHA-256 of the serialized ``rotate_and_sum`` results of
 #: ``bench_hoisting``'s context (BFV, N = 4096, two limbs) at its width 8
 #: and at width 64 (a baby-step/giant-step span), recorded before the
-#: span sums ran through ``hoisting.rotation_sum``.
+#: span sums ran through one fused key-switch sum.
 BENCH_HOISTING_SUM_DIGESTS = {
     8: "7618eba9fcee01bf1d0d1a8bc5f1fe319f512848b7e9a8312517dbde6dc04513",
     64: "5070175272d0d7a4719a8553e79412e115913194ac1bbbfae65f4903e517c8f3",

@@ -11,6 +11,7 @@ anything but a ``relin``.
 """
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.core.ir import (
     _fuse_weighted_sums,
     compile_ir,
     ensure_galois_keys,
+    level_after,
     trace_program,
 )
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
@@ -52,7 +54,7 @@ from repro.hecore.serialize import serialize_ciphertext
 def _raw(program, scheme):
     """A pass-free schedule: the scheduler-off oracle (one primitive call
     per traced node, no fusion, no residency, no caching)."""
-    return ScheduledProgram(program, scheme, ScheduleReport(), {}, set())
+    return ScheduledProgram(program, scheme, ScheduleReport(), set())
 
 
 def _run_both(ctx, program, inputs):
@@ -199,8 +201,9 @@ def test_fusion_takes_every_giant_step_over_shared_babies(bfv, bfv_params):
         == (1, 4)
     live = [sched.program.nodes[n] for n in sched.program.live_set()]
     assert sorted([n.steps for n in live if n.kind == "rotate"]
-                  + [step for n in live if n.kind == "rotation_sum"
-                     for step, _ in n.terms if step]) == [4, 8, 12]
+                  + [step for n in live if n.kind == "keyswitch_sum"
+                     and not n.weights()
+                     for step, _, _ in n.terms if step]) == [4, 8, 12]
     assert sched.rotation_steps() == program.rotation_steps()
 
     keys = ensure_galois_keys(bfv, sched.rotation_steps())
@@ -239,21 +242,22 @@ def test_shared_baby_fuses_into_a_one_term_giant_step(bfv_params):
 
 
 def test_fusion_pass_walks_liveness_once(bfv_params, monkeypatch):
-    """Liveness and consumers are computed once per pass, however many
-    trees fuse (the pass used to recompute both after every root)."""
+    """Liveness (the static level walk, which visits the live nodes) and
+    consumers are computed once per pass, however many trees fuse (the
+    pass used to recompute both after every root)."""
     calls = []
-    live_set = IrProgram.live_set
+    levels = IrProgram.levels
 
-    def counted(self):
+    def counted(self, scheme):
         calls.append(self)
-        return live_set(self)
+        return levels(self, scheme)
 
-    monkeypatch.setattr(IrProgram, "live_set", counted)
+    monkeypatch.setattr(IrProgram, "levels", counted)
     for giants in (2, 16):
         program = _bsgs_trace(bfv_params, giants)
         report = ScheduleReport()
         calls.clear()
-        _fuse_weighted_sums(program, report)
+        _fuse_weighted_sums(program, SchemeType.BFV, report)
         assert report.weighted_sum_spans == giants
         assert len(calls) == 1
 
@@ -270,6 +274,65 @@ def test_fusion_skips_multi_consumer_leaves(bfv_params):
     program = trace_program(bfv_params, body, ["x"])
     sched = compile_ir(program, SchemeType.BFV)
     assert sched.report.weighted_sum_spans == 0
+
+
+def _two_source_weighted_sum(params, drop):
+    """``Σ mask_j (*) rotate(x_i, s_j)`` over two inputs, each first
+    dropped by *drop* = (limbs for x0, limbs for x1), left as the output:
+    the weighted tree of a multi-tile conv's giant step."""
+    b = IrBuilder()
+    xs = []
+    for i, limbs in enumerate(drop):
+        x = b.input(f"x{i}")
+        for _ in range(limbs):
+            x = b.mod_switch(x)
+        xs.append(x)
+    rng = np.random.default_rng(8)
+    acc = None
+    for src, step in ((0, 1), (1, 2), (0, 3), (1, 0)):
+        term = b.mul(b.rotate(xs[src], step),
+                     b.const(rng.uniform(-1, 1, 512)))
+        acc = term if acc is None else b.add(acc, term)
+    b.output("out0", acc)
+    return b.program
+
+
+def test_two_source_weighted_sum_runs_at_its_static_level(ckks_params):
+    """A weighted sum over two sources is one ``keyswitch_sum`` at its
+    sources' shared level with one more scale power, and its executed
+    value sits exactly there: on that many limbs, at that scale."""
+    program = _two_source_weighted_sum(ckks_params, (1, 1))
+    sched = compile_ir(program, SchemeType.CKKS)
+    root = program.outputs["out0"]
+    node = sched.program.nodes[root]
+    assert node.kind == "keyswitch_sum" and len(node.args) == 2
+    assert (sched.report.weighted_sum_spans,
+            sched.report.weighted_sum_terms) == (1, 4)
+    assert sched.program.levels(SchemeType.CKKS)[root] == (1, 2)
+
+    ctx = CkksContext(ckks_params, seed=b"two-source")
+    keys = ensure_galois_keys(ctx, sched.rotation_steps())
+    rng = np.random.default_rng(9)
+    inputs = {f"x{i}": ctx.encrypt(ctx.encode(rng.uniform(-1, 1, 512)))
+              for i in range(2)}
+    got = sched.run(ctx, inputs, keys)["out0"]
+    assert len(got.level_base) == len(ckks_params.data_base) - 1
+    assert got.scale == ckks_params.scale ** 2
+    want = sched.run_reference(ctx, inputs, keys)["out0"]
+    assert want.scale == got.scale
+    assert np.allclose(ctx.decrypt(got), ctx.decrypt(want), atol=1e-3)
+
+
+def test_weighted_sum_sources_at_two_levels_do_not_fuse(ckks_params):
+    """Leaves over sources at two levels are no one tree, and a
+    ``keyswitch_sum`` over two levels has no level at all."""
+    sched = compile_ir(_two_source_weighted_sum(ckks_params, (0, 1)),
+                       SchemeType.CKKS)
+    assert sched.report.weighted_sum_spans == 0
+    node = IrNode("keyswitch_sum", (0, 1), terms=((1, 0, 2), (2, 1, 3)))
+    with pytest.raises(ScheduleError, match="two levels"):
+        level_after(node, SchemeType.CKKS, [(0, 1), (1, 1)])
+    assert level_after(node, SchemeType.CKKS, [(1, 1), (1, 1)]) == (1, 2)
 
 
 # ---------------------------------------------------- pass: product sums
@@ -478,7 +541,8 @@ def _spent(ctx, before):
 def test_giant_steps_fuse_into_one_rotation_sum(scheme, sources, unrotated,
                                                 own):
     """Rotations of 2, 3 and 8 different ciphertexts (plus an unrotated
-    leaf) summed by an add-tree become one ``rotation_sum``: charged as
+    leaf) summed by an add-tree become one unweighted ``keyswitch_sum``:
+    charged as
     the scheduler-off oracle charges the tree (each rotation once, each
     source's one decompose naive, each add once), and its result the
     oracle's (BFV decrypts equal, CKKS within tolerance)."""
@@ -487,7 +551,7 @@ def test_giant_steps_fuse_into_one_rotation_sum(scheme, sources, unrotated,
     assert (sched.report.rotation_sums, sched.report.rotation_sum_terms) \
         == (1, sources + unrotated)
     assert _live_kind(sched, "rotate") == _live_kind(sched, "add") == []
-    assert sched.report.rotation_groups == 0
+    assert len(_live_kind(sched, "keyswitch_sum")) == 1
     assert sched.rotation_steps() == program.rotation_steps()
 
     ctx = own[scheme]
@@ -546,8 +610,9 @@ def _unfused_rotations(case):
         runs = False
     elif case == "single_rotation":
         b.output("out0", b.add(b.rotate(x, 1), y))
-    else:                                   # "one_source"
+    else:                                   # "one_source": fuses too
         b.output("out0", b.add(b.add(b.rotate(x, 1), b.rotate(x, 2)), y))
+        fused = (1, 3)
     return b.program, scheme, fused, runs
 
 
@@ -556,25 +621,27 @@ def _unfused_rotations(case):
 def test_rotation_sum_fusion_leaves(case, own):
     """No fusion of a rotation with a second consumer or through a sum with
     one (a sum read twice fuses as a tree of its own), of leaves at two
-    levels or two scale exponents, of a single rotated leaf, or of a tree
-    whose rotations all read one source — rotation grouping keeps that
-    one."""
+    levels or two scale exponents, or of a single rotated leaf.  A tree
+    whose rotations all read one source fuses like any other, and its
+    source is decomposed once."""
     program, scheme, fused, runs = _unfused_rotations(case)
     sched = compile_ir(program, scheme)
     report = sched.report
     assert (report.rotation_sums, report.rotation_sum_terms) == fused
-    assert report.rotation_groups == (case == "one_source")
     if not runs:
         return
     ctx = own["ckks"]
     keys = ensure_galois_keys(ctx, sched.rotation_steps())
     inputs = _rotation_inputs(ctx, 2, seed=47)
-    _assert_same_decrypt(ctx, sched.run(ctx, inputs, keys),
-                         sched.run_reference(ctx, inputs, keys))
+    before = ctx.counts.copy()
+    got = sched.run(ctx, inputs, keys)
+    if case == "one_source":
+        assert _spent(ctx, before)["hoisted_decompose"] == 1
+    _assert_same_decrypt(ctx, got, sched.run_reference(ctx, inputs, keys))
 
 
 def test_rotation_sum_without_its_galois_key_raises(bfv_params):
-    """A ``rotation_sum`` missing a Galois key raises
+    """A ``keyswitch_sum`` missing a Galois key raises
     ``MissingEvaluationKey``, as the rotations it replaces do."""
     sched = compile_ir(_giant_steps(2), SchemeType.BFV)
     ctx = BfvContext(bfv_params, seed=b"no-keys")
@@ -600,26 +667,36 @@ def test_rotation_sum_refuses_a_term_off_its_level(own):
         sched.run(ctx, inputs, keys)
 
 
-# -------------------------------------------------- pass: rotation grouping
+# ------------------------------------------ one source, several rotations
 
 def test_rotation_grouping_shares_one_decompose(ckks, ckks_params):
+    """Three rotations of one value summed: one unweighted
+    ``keyswitch_sum`` over that one source, decomposed once."""
     def body(tr, x):
         return tr.add(tr.add(tr.rotate(x, 1), tr.rotate(x, 2)),
                       tr.rotate(x, 5))
 
     program = trace_program(ckks_params, body, ["x"])
     sched = compile_ir(program, SchemeType.CKKS)
-    assert sched.report.rotation_groups == 1
-    assert sched.report.fused_rotations == 3
+    assert (sched.report.rotation_sums, sched.report.rotation_sum_terms) \
+        == (1, 3)
+    (node,) = [sched.program.nodes[n]
+               for n in _live_kind(sched, "keyswitch_sum")]
+    assert len(node.args) == 1
 
     keys = ensure_galois_keys(ckks, sched.rotation_steps())
-    ct = ckks.encrypt(ckks.encode(np.linspace(0, 1, 512)))
+    values = np.linspace(0, 1, 512)
+    ct = ckks.encrypt(ckks.encode(values))
     before = ckks.counts["hoisted_decompose"]
-    got = sched.run(ckks, {"x": ct}, keys)["out0"]
+    got = sched.run(ckks, {"x": ct}, keys)
     assert ckks.counts["hoisted_decompose"] - before == 1
-    want = _raw(program, SchemeType.CKKS).run_reference(
-        ckks, {"x": ct}, keys)["out0"]
-    assert np.allclose(ckks.decrypt(got), ckks.decrypt(want), atol=1e-9)
+    # One mod-down of the sum instead of one per rotation moves the
+    # result by rounding, as for every key-switch sum.
+    _assert_same_decrypt(ckks, got, _raw(program, SchemeType.CKKS)
+                         .run_reference(ckks, {"x": ct}, keys))
+    assert np.allclose(np.real(ckks.decrypt(got["out0"])),
+                       sum(np.roll(values, -s) for s in (1, 2, 5)),
+                       atol=1e-3)
 
 
 # ------------------------------------------------- pass: level-drop sinking
@@ -1092,6 +1169,27 @@ def test_bsgs_scheduled_matches_direct(bfv):
     kernel(ct)
     assert bfv.counts["ntt_forward"] == before["ntt_forward"]
     assert bfv.counts["hoisted_decompose"] - before["hoisted_decompose"] == 1
+
+
+def test_a_run_leaves_the_shared_report_unchanged(bfv, ckks):
+    """A report is the compile's alone: ``batched_consts`` counts the live
+    consts under BFV (0 under CKKS) before any run, and no run of the
+    shared schedule writes to it."""
+    rng = np.random.default_rng(14)
+    kernel = BsgsMatVec(bfv, rng.integers(0, 8, (16, 16)))
+    bfv.make_galois_keys(kernel.required_rotation_steps())
+    sched = kernel.scheduled((1,))
+    consts = sum(sched.program.nodes[nid].kind == "const"
+                 for nid in sched.program.live_set())
+    assert sched.report.batched_consts == consts > 0
+    before = replace(sched.report)
+    kernel(bfv.encrypt(kernel.pack_input(rng.integers(0, 9, 16))
+                       .astype(np.int64)))
+    assert sched.report == before
+    problem = DistanceProblem(n_points=4, dims=3)
+    knn = DimensionMajorKernel(ckks, problem)
+    report = knn.schedule_report(knn.input_shape)
+    assert report.batched_consts == 0
 
 
 def test_distance_kernel_scheduled_matches_direct(ckks):

@@ -47,7 +47,7 @@ KNN_INSTALLER = "repro.apps.knn:KnnOffloadService.install"
 
 def _raw(program, scheme):
     """Pass-free oracle: one primitive call per traced node, full chain."""
-    return ScheduledProgram(program, scheme, ScheduleReport(), {}, set())
+    return ScheduledProgram(program, scheme, ScheduleReport(), set())
 
 
 def _diag_matvec_trace(params, mats, dim):

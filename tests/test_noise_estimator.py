@@ -96,7 +96,7 @@ def _run_reference(ctx, program, rng):
     from repro.core.ir import (ScheduledProgram, ScheduleReport,
                                ensure_galois_keys)
     raw = ScheduledProgram(program, ctx.params.scheme, ScheduleReport(),
-                           {}, set())
+                           set())
     keys = ensure_galois_keys(ctx, raw.rotation_steps())
     inputs = {name: ctx.encrypt(rng.integers(0, 7, 512))
               for name in ("x", "y")}

@@ -53,8 +53,7 @@ from tests.test_rotation_bases import _e2e_layers
 E2E_CKKS = small_test_parameters(SchemeType.CKKS, 4096, data_bits=(30, 30, 30))
 E2E_PROBLEM = DistanceProblem(n_points=64, dims=16)
 
-_ALL_ZERO = dict(rotation_groups=0, fused_rotations=0,
-                     weighted_sum_spans=0, weighted_sum_terms=0,
+_ALL_ZERO = dict(weighted_sum_spans=0, weighted_sum_terms=0,
                      rescales_sunk=0, mod_switches_sunk=0, relins_sunk=0,
                      product_sums=0, product_sum_terms=0, rotation_sums=0,
                      rotation_sum_terms=0, batched_consts=0,
@@ -175,18 +174,22 @@ def test_served_query_result_bytes(variant):
 
 
 #: The e2e conv and fc (``_e2e_layers`` draw 0), compiled as served: four
-#: planned limb drops each, so the giant ``rotation_sum`` runs on 2 of the 3
-#: limbs.  The noise model's floor flags the output (it predicts no budget
-#: left planner-off too; the measured floors are in ``test_rotation_bases``).
+#: planned limb drops each, so the giant-step sum runs on 2 of the 3 limbs.
+#: The noise model's floor flags the output (it predicts no budget left
+#: planner-off too; the measured floors are in ``test_rotation_bases``).
+#: ``batched_consts`` counts the live consts since the compile sets it
+#: (it read 0 while the first BFV run wrote it).
 SERVED_DNN_SCHEDULES = {
     "conv": dict(
         _ALL_ZERO, weighted_sum_spans=4, weighted_sum_terms=36,
         rotation_sums=1, rotation_sum_terms=4, resident_nodes=0,
+        batched_consts=36,
         limb_drops=4, limb_rows_before=33, limb_rows_after=27,
         predicted_unsafe=1),
     "fc": dict(
         _ALL_ZERO, weighted_sum_spans=4, weighted_sum_terms=16,
         rotation_sums=1, rotation_sum_terms=4, resident_nodes=0,
+        batched_consts=16,
         limb_drops=4, limb_rows_before=45, limb_rows_after=35,
         predicted_unsafe=1),
 }

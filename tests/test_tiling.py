@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.linalg import Conv2dSpec
 from repro.core.tiling import TiledEncryptedConv2d, TiledLayout
+from repro.hecore.bfv import BfvContext
+from repro.hecore.params import PARAMETER_SET_B
 
 
 def test_layout_positions():
@@ -126,3 +128,44 @@ def test_tiled_no_masking_permutations(bfv):
     # channel shift mod the 8-span row: the tile-position differences -3..7
     # fold onto 7 non-zero rotations — never a masking permutation.
     assert rotations == 2 * 8 + 7
+
+
+def test_multi_tile_giant_steps_are_weighted_keyswitch_sums():
+    """The set-B 12 -> 12 conv at 12x12 (span 256: two input and two
+    output tiles).  Each giant step, a masked sum over the tap rotations
+    of every input tile it reads, is one weighted ``keyswitch_sum``; a warm
+    run decomposes each input tile once; BFV decrypts bit-exact against
+    the scheduler-off oracle and the plaintext conv."""
+    ctx = BfvContext(PARAMETER_SET_B, seed=b"multi-tile")
+    spec = Conv2dSpec(12, 12, 12, 12, 3)
+    rng = np.random.default_rng(12)
+    shape = (12, 12, 3, 3)
+    conv = TiledEncryptedConv2d(
+        ctx, spec, rng.integers(1, 4, shape) * rng.choice((-1, 1), shape))
+    ctx.make_galois_keys(conv.required_rotation_steps())
+    sched = conv.scheduled(conv.input_shape)
+    program = sched.program
+    live = [program.nodes[nid] for nid in sorted(program.live_set())]
+    weighted = [n for n in live if n.kind == "keyswitch_sum" and n.weights()]
+    giants = sum(len({shift for _, _, shift, _ in terms})
+                 for terms in conv._plan)
+    assert len(weighted) == giants == sched.report.weighted_sum_spans
+    assert max(len(n.args) for n in weighted) == conv.input_shape[0] == 2
+    assert not [n for n in live if n.kind in ("mul", "add")]
+
+    image = rng.integers(0, 16, (12, 12, 12))
+    cts = ctx.encrypt_symmetric_many(
+        [v.astype(np.int64) for v in conv.pack_input(image)])
+    inputs = {f"in{i}": ct for i, ct in enumerate(cts)}
+    sched.run(ctx, inputs)                      # fill the weight tables
+    before = ctx.counts.copy()
+    got = sched.run(ctx, inputs)
+    assert ctx.counts["hoisted_decompose"] - before["hoisted_decompose"] \
+        == len(cts)
+    want = sched.run_reference(ctx, inputs)
+    for name in want:
+        assert np.array_equal(ctx.decrypt(got[name]), ctx.decrypt(want[name]))
+    t = ctx.params.plain_modulus
+    slots = [ctx.decrypt(got[f"out{i}"]) for i in range(len(got))]
+    assert np.array_equal(np.mod(conv.unpack_outputs(slots), t),
+                          np.mod(conv.reference(image), t))
