@@ -27,8 +27,8 @@ a change:
   2-layer dnn slice), plus the NTT-residency telemetry signal;
 * ``bench_level_planner`` — the level-aware parameter planner against the
   planner-off scheduled paths (fig15 matvec chain and a Table-5 dnn
-  slice with a recrypt boundary), plus limb-drop telemetry and wire-byte
-  reductions;
+  slice served as two programs, conv -> client round trip -> fc), plus
+  limb-drop telemetry and wire-byte reductions;
 * ``figures`` — regenerates every paper table and figure (``figures.py``)
   and diffs each untimed report byte for byte against
   ``benchmarks/results/``, so a change that moves a figure shows the diff.

@@ -7,8 +7,11 @@ input ciphertexts and plaintext constants — instead of calling scheme
 primitives directly.  A ciphertext×ciphertext ``mul`` is the 3-component
 tensor product; the builder emits it with the ``relin`` that is its only
 consumer, so a traced program relinearises every product on the spot and
-the scheduler decides where the key switches happen.  A scheduler then
-runs ordered passes over the DAG:
+the scheduler decides where the key switches happen.  ``input`` is the
+one way into a program: a ciphertext the caller supplies, at its entry
+level (:meth:`ScheduledProgram.entry_limbs`).  A client round trip
+(decrypt, refresh, re-encrypt) lies between two programs, never inside
+one.  A scheduler then runs ordered passes over the DAG:
 
 1. **Key-switch-sum fusion** (BFV and CKKS) — one add-tree matcher
    (:func:`_add_trees`: a maximal tree of single-consumer adds over
@@ -99,19 +102,6 @@ class ScheduleError(ValueError):
 # IR nodes
 # ---------------------------------------------------------------------------
 
-#: Crypto-boundary kinds: the value crossing them is fresh (full budget).
-#: ``encrypt`` enters the encrypted domain from named plaintext inputs,
-#: ``recrypt_boundary`` is a client round trip (decrypt, refresh, re-encrypt)
-#: made visible to the scheduler, and ``decrypt`` exits to plaintext.
-BOUNDARY_KINDS = frozenset({"encrypt", "decrypt", "recrypt_boundary"})
-
-#: Kinds whose value enters the encrypted domain fresh, on the full chain.
-ENTRY_KINDS = frozenset({"input", "encrypt", "recrypt_boundary"})
-
-#: Kinds whose ciphertext the caller supplies: each has an entry level
-#: (:meth:`ScheduledProgram.entry_limbs`).
-INPUT_KINDS = frozenset({"input", "encrypt"})
-
 #: Kinds whose output may legally stay in NTT (evaluation) form.
 _FORM_AGNOSTIC = frozenset({"add", "sub", "neg"})
 
@@ -162,7 +152,7 @@ def level_after(node: IrNode, scheme: SchemeType,
     moves neither.  A ``keyswitch_sum``'s sources must share one level,
     which a weighted sum (of plain multiplies) raises by one scale power
     and an unweighted one keeps."""
-    if node.kind in ENTRY_KINDS or not operands:
+    if not operands:                # an input enters fresh
         return 0, 1
     if node.kind == "keyswitch_sum":
         if len(set(operands)) > 1:
@@ -280,20 +270,6 @@ class IrBuilder:
     def input(self, name: str) -> int:
         return self._emit(IrNode("input", name=name))
 
-    def encrypt(self, name: str) -> int:
-        """A named plaintext input encrypted at the program boundary."""
-        return self._emit(IrNode("encrypt", name=name))
-
-    def decrypt(self, a: int) -> int:
-        """Exit the encrypted domain: the node's value is a slot vector."""
-        self._require_ct(a, "decrypt")
-        return self._emit(IrNode("decrypt", (a,)))
-
-    def recrypt(self, a: int) -> int:
-        """A client round trip: decrypt, refresh the budget, re-encrypt."""
-        self._require_ct(a, "recrypt")
-        return self._emit(IrNode("recrypt_boundary", (a,)))
-
     def const(self, values) -> int:
         return self._emit(IrNode("const", values=np.asarray(values)))
 
@@ -345,8 +321,7 @@ class IrBuilder:
         return self._emit(IrNode("rotate_sum", (a,), width=int(width)))
 
     def output(self, name: str, a: int) -> None:
-        if self.program.nodes[a].kind != "decrypt":
-            self._require_ct(a, "output")
+        self._require_ct(a, "output")
         self.program.outputs[name] = a
 
 
@@ -392,10 +367,6 @@ class TracerContext:
     # ------------------------------------------------------------ plumbing
     def trace_input(self, name: str) -> _TraceValue:
         return _TraceValue(self.builder.input(name))
-
-    def trace_encrypt(self, name: str) -> _TraceValue:
-        """A named plaintext input entering through an ``encrypt`` node."""
-        return _TraceValue(self.builder.encrypt(name))
 
     def _ct(self, value) -> int:
         if isinstance(value, _TraceValue):
@@ -445,30 +416,16 @@ class TracerContext:
     def rotate_and_sum(self, ct, width: int, galois_keys=None) -> _TraceValue:
         return _TraceValue(self.builder.rotate_sum(self._ct(ct), width))
 
-    def recrypt(self, ct) -> _TraceValue:
-        """Record a client-aided refresh (decrypt + re-encrypt) boundary."""
-        return _TraceValue(self.builder.recrypt(self._ct(ct)))
 
-    def decrypt(self, ct) -> _TraceValue:
-        """Record the exit to plaintext; the handle may only be an output."""
-        return _TraceValue(self.builder.decrypt(self._ct(ct)))
-
-
-def trace_program(params, fn, input_names: Sequence[str],
-                  encrypt_inputs: bool = False) -> IrProgram:
+def trace_program(params, fn, input_names: Sequence[str]) -> IrProgram:
     """Run *fn(tracer, \\*handles)* and return the recorded program.
 
     *fn* receives a :class:`TracerContext` followed by one symbolic handle
     per input name, and returns a handle or a sequence of handles; outputs
     are named ``out0..outN`` (a single handle still gets ``out0``).
-
-    With ``encrypt_inputs=True`` the inputs enter through explicit
-    ``encrypt`` nodes (the executor encrypts raw slot vectors at the
-    program boundary) instead of expecting pre-encrypted ciphertexts.
     """
     tracer = TracerContext(params)
-    enter = tracer.trace_encrypt if encrypt_inputs else tracer.trace_input
-    handles = [enter(name) for name in input_names]
+    handles = [tracer.trace_input(name) for name in input_names]
     result = fn(tracer, *handles)
     if isinstance(result, _TraceValue):
         result = [result]
@@ -549,42 +506,6 @@ class TracedKernel:
                   for i, ct in enumerate(ct for g in groups for ct in g)}
         outputs = sched.run(self.ctx, inputs, galois_keys)
         return [outputs[f"out{i}"] for i in range(len(outputs))]
-
-
-def concat_programs(first: IrProgram, second: IrProgram,
-                    boundary: str = "recrypt") -> IrProgram:
-    """Splice *second* after *first* through explicit crypto boundaries.
-
-    Each of *second*'s inputs must name one of *first*'s outputs; the
-    spliced program routes that output through a ``recrypt_boundary`` node
-    (``boundary="recrypt"``, the client-aided round trip between dnn/knn
-    segments) or feeds it directly (``boundary="none"``).  The combined
-    program carries *second*'s output names — making the round trip visible
-    to the scheduler instead of implicit between two separate programs.
-    """
-    if boundary not in ("recrypt", "none"):
-        raise ScheduleError(f"unknown boundary kind {boundary!r}")
-    out = IrProgram(slots=first.slots or second.slots)
-    out.nodes = [replace(n) for n in first.nodes]
-    mapping: Dict[int, int] = {}
-    for nid, node in enumerate(second.nodes):
-        if node.kind == "input":
-            if node.name not in first.outputs:
-                raise ScheduleError(
-                    f"second program's input {node.name!r} matches no "
-                    f"output of the first ({sorted(first.outputs)})")
-            src = first.outputs[node.name]
-            if boundary == "recrypt":
-                out.nodes.append(IrNode("recrypt_boundary", (src,)))
-                mapping[nid] = len(out.nodes) - 1
-            else:
-                mapping[nid] = src
-            continue
-        out.nodes.append(node.remapped(
-            tuple(mapping[a] for a in node.args), mapping))
-        mapping[nid] = len(out.nodes) - 1
-    out.outputs = {name: mapping[nid] for name, nid in second.outputs.items()}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +688,9 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
     ``c2`` once — relinearisation is linear, so the sum decrypts the same
     and carries one key switch's noise instead of one per product.  The
     3-component sum only ever feeds its ``relin``.  A planned drop taken
-    directly on an input (:data:`INPUT_KINDS`) stays where it is: it marks
-    that input's entry level (:meth:`ScheduledProgram.entry_limbs`), which
-    the client encrypts at instead of uploading a limb the server drops.
+    directly on an input stays where it is: it marks that input's entry
+    level (:meth:`ScheduledProgram.entry_limbs`), which the client encrypts
+    at instead of uploading a limb the server drops.
 
     One pass, rewriting the lowest-numbered qualifying root first (the
     order, and so the node list, of rescanning from node 0 after every
@@ -792,7 +713,7 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
         da, db = nodes[a], nodes[b]
         return (da.kind == db.kind and da.kind in _SINKABLE
                 and da.normalize == db.normalize
-                and not any(d.planned and nodes[d.args[0]].kind in INPUT_KINDS
+                and not any(d.planned and nodes[d.args[0]].kind == "input"
                             for d in (da, db))
                 and single(a) and single(b)
                 and level[da.args[0]] == level[db.args[0]])
@@ -923,12 +844,12 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
     With *params* (an :class:`EncryptionParameters`) the level planner runs
     between weighted-sum fusion and the remaining passes: it walks the
     program with the static noise estimator, drops modulus-chain limbs the
-    moment no downstream consumer needs their headroom, and re-plans each
-    post-``recrypt_boundary`` segment onto a trimmed entry chain (see
-    :mod:`repro.core.levelplan`).  The schedule is then a contract for
-    *params*' modulus chain: :meth:`ScheduledProgram.run` refuses any other
-    chain and any input that does not arrive on all of it.  Without
-    *params* the planner never runs and the schedule serves any chain.
+    moment no downstream consumer needs their headroom, each input at its
+    entry level (see :mod:`repro.core.levelplan`).  The schedule is then a
+    contract for *params*' modulus chain: :meth:`ScheduledProgram.run`
+    refuses any other chain and any input that does not arrive on all of
+    it.  Without *params* the planner never runs and the schedule serves
+    any chain.
     """
     source = program                 # the passes rewrite a private copy
     program = IrProgram(nodes=[replace(n) for n in source.nodes],
@@ -1133,7 +1054,7 @@ class ScheduledProgram:
         single = _single_consumer(program, consumers)
         chains: Dict[str, Tuple[int, ...]] = {}
         for nid in sorted(live):
-            if nodes[nid].kind not in INPUT_KINDS:
+            if nodes[nid].kind != "input":
                 continue
             chain: List[int] = []
             cur = nid
@@ -1259,10 +1180,7 @@ class ScheduledProgram:
         plan = self.report.level_plan
         if plan is not None:
             self._check_entry(ctx, inputs, plan.chain)
-        outputs = _IrRunner(self, ctx, inputs, galois_keys, fused=True).run()
-        if plan is not None:        # metered once the work has happened
-            ctx.counts["level_replans"] += plan.replans
-        return outputs
+        return _IrRunner(self, ctx, inputs, galois_keys, fused=True).run()
 
     def _check_entry(self, ctx, inputs, chain: Tuple[int, ...]) -> None:
         live_chain = ctx.params.data_base.moduli
@@ -1461,12 +1379,12 @@ class _IrRunner:
             raise ScheduleError(
                 f"keyswitch_sum node {nid}: source(s) {off} arrive off the "
                 f"{len(base)}-limb level base of its first source")
+        # Charged as the add-tree it replaces, weighted or not.
+        self.ctx.counts["add"] += len(node.terms) - 1
         if node.weights():
             return hoisting.keyswitch_sum(
                 self.ctx, rotators,
                 weights=self.sched._weights(self.ctx, nid, base))
-        # Charged as the add-tree it replaces.
-        self.ctx.counts["add"] += len(node.terms) - 1
         return hoisting.keyswitch_sum(
             self.ctx, rotators, [(step, i) for step, i, _ in node.terms])
 
@@ -1485,10 +1403,7 @@ class _IrRunner:
         outputs = {}
         for name, nid in self.program.outputs.items():
             self._eval(nid)
-            value = self.memo[nid]
-            if hasattr(value, "components"):
-                value = self._to_coeff(value)
-            outputs[name] = value
+            outputs[name] = self._to_coeff(self.memo[nid])
         self.ctx.counts.update(self.tally)
         return outputs
 
@@ -1506,10 +1421,9 @@ class _IrRunner:
                 stack.extend(missing)
                 continue
             value = self.memo[nid] = self._compute(nid)
-            if hasattr(value, "level_base"):
-                # Limbs-live integral: live limb count summed over every
-                # executed ciphertext-producing op (CostLedger telemetry).
-                self.tally["limbs_live"] += len(value.level_base)
+            # Limbs-live integral: live limb count summed over every
+            # executed op, each producing a ciphertext (CostLedger telemetry).
+            self.tally["limbs_live"] += len(value.level_base)
             stack.pop()
 
     def _compute(self, nid: int):
@@ -1523,21 +1437,6 @@ class _IrRunner:
                     f"input {node.name!r} must be a ciphertext (encrypt "
                     "program inputs at the batch boundary)")
             return value
-        if kind == "encrypt":
-            value = self.inputs[node.name]
-            if hasattr(value, "components"):
-                return value          # already encrypted upstream
-            return ctx.encrypt(value)
-        if kind == "decrypt":
-            return ctx.decrypt(self._to_coeff(self.memo[node.args[0]]))
-        if kind == "recrypt_boundary":
-            # The client-aided round trip: decrypt, refresh the budget,
-            # re-encrypt at the full chain.  Only a client-side context can
-            # execute this node — running it under ``server_compute`` trips
-            # the ProtocolViolation guard, by design.
-            values = ctx.decrypt(self._to_coeff(self.memo[node.args[0]]))
-            ctx.counts["recrypt"] += 1
-            return ctx.encrypt(values)
         if kind == "neg":
             return ctx.negate(self.memo[node.args[0]])
         if kind == "rotate":

@@ -59,8 +59,6 @@ KERNEL_COUNTERS = {
                                    "arrived above their entry level"),
     "limbs_live": ("limbs_live", "live residue count summed over every "
                                  "ciphertext the server produced"),
-    "level_replans": ("level_replans",
-                      "recrypt segments re-entered on a trimmed chain"),
     # Shared schedule cache (``core.ir``), once per kernel instance and
     # shape.  A cold session of a model another session already ran shows
     # hits and no misses.

@@ -169,8 +169,8 @@ class NoiseEstimator:
         accumulates like a hoisted span, any other one like the deepest add
         chain over its terms — never below the add-tree it replaces.  A
         ``product_sum`` is a ct-ct ``mul`` plus its accumulation;
-        kinds that move no noise (``neg``, ``rescale``, ``mod_switch``,
-        crypto boundaries) cost nothing, and neither does
+        kinds that move no noise (``neg``, ``rescale``, ``mod_switch``)
+        cost nothing, and neither does
         ``relin``: a ct-ct ``mul`` prices its own key switch, so a sum whose
         ``relin`` the scheduler sank is over-priced, never under."""
         kind = node.kind
@@ -222,8 +222,7 @@ class NoiseEstimator:
             operands = [state[a] for a in node.args if state[a] is not None]
             if level is None:
                 state[nid] = None
-            elif node.kind in ("input", "encrypt", "recrypt_boundary") \
-                    or not operands:
+            elif not operands:          # an input
                 state[nid] = self.fresh()
             elif node.kind == "mod_switch":
                 state[nid] = self.after_mod_switch(

@@ -478,6 +478,8 @@ class RlweContext:
             raise ValueError("relinearize expects a 3-component ciphertext")
         self.counts["relinearize"] += 1
         c0, c1, c2 = ct.components
+        if c2.is_ntt:       # switch_key decomposes it in coefficient form
+            self.counts["ntt_inverse"] += len(c2.base)
         if c0.is_ntt and c1.is_ntt:
             # An evaluation-form pair joins the key switch before its
             # mod-down, so c0 and c1 pay no inverse transform of their own.

@@ -173,8 +173,7 @@ class RuntimeMetrics:
             f"{total['ntt_inverse']} inverse row(s), "
             f"{total['ntt_elided']} pair(s) elided",
             f"  level planner: {total['limb_drops']} limb drop(s), "
-            f"{total['limbs_live']} limb-row(s) live, "
-            f"{total['level_replans']} replan(s)",
+            f"{total['limbs_live']} limb-row(s) live",
             f"  schedule cache: {total['program_cache_hits']} hit(s) / "
             f"{total['program_cache_misses']} miss(es)",
             f"  resilience: {total['sessions_resumed']} resume(s), "

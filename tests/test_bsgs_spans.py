@@ -135,14 +135,17 @@ CASES = {"fc": (_fc_case, "set_b"), "conv": (_conv_case, "set_b"),
          "collapsed": (_collapsed_case, "e2e_ckks")}
 
 
-@pytest.fixture(params=sorted(CASES))
-def served(request):
-    build, ctx_fixture = CASES[request.param]
+def _served(request, name):
+    build, ctx_fixture = CASES[name]
     ctx = request.getfixturevalue(ctx_fixture)
     case = build(ctx)
-    kernel = case["kernel"]
-    ensure_galois_keys(ctx, kernel.required_rotation_steps())
+    ensure_galois_keys(ctx, case["kernel"].required_rotation_steps())
     return ctx, case
+
+
+@pytest.fixture(params=sorted(CASES))
+def served(request):
+    return _served(request, request.param)
 
 
 def _live(program, kind):
@@ -213,6 +216,23 @@ def test_results_match_the_oracle_and_the_reference(served):
     oracle = sched.run_reference(ctx, inputs)
     case["check"]([got[name] for name in sorted(got)],
                   [oracle[name] for name in sorted(oracle)])
+
+
+@pytest.mark.parametrize("name", ["conv", "fc"])
+def test_a_sum_charges_the_adds_of_the_tree_it_replaces(request, name):
+    """Every ``keyswitch_sum``, weighted or not, charges ``add`` for the
+    add-tree it replaces, so a run of the BFV kernels (no ``rotate_sum``)
+    meters the oracle's adds."""
+    ctx, case = _served(request, name)
+    kernel = case["kernel"]
+    sched = kernel.scheduled(kernel.input_shape)
+    inputs = {f"in{i}": ct for i, ct in enumerate(case["inputs"])}
+    adds = []
+    for run in (sched.run, sched.run_reference):
+        before = ctx.counts["add"]
+        run(ctx, inputs)
+        adds.append(ctx.counts["add"] - before)
+    assert adds[0] == adds[1] > 0
 
 
 # ------------------------------------------------------ what must not move

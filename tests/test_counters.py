@@ -215,7 +215,7 @@ SESSION_COUNTERS = (
     "resumes", "pings", "ciphertexts_in", "ciphertexts_out", "bytes_up",
     "bytes_down", "queue_depth", "rotations", "hoisted_decomposes",
     "naive_decomposes", "ntt_forward", "ntt_inverse", "ntt_elided",
-    "limb_drops", "limbs_live", "level_replans", "key_evictions",
+    "limb_drops", "limbs_live", "key_evictions",
     "reupload_signals", "program_cache_hits", "program_cache_misses",
     "key_bytes", "galois_keys_held", "entry_drops",
 )
@@ -223,15 +223,14 @@ SESSION_COUNTERS = (
 SESSION_KEYS = frozenset(SESSION_COUNTERS) | {
     "session_id", "peer", "latency_p50_ms", "latency_p99_ms"}
 
-#: The 25 per-session counters the worker snapshot totals.
+#: The 24 per-session counters the worker snapshot totals.
 RUNTIME_TOTALS = (
     "key_evictions", "reupload_signals", "handler_invocations",
     "duplicates_suppressed", "results_replayed", "requests", "responses",
     "errors", "busy_rejections", "bytes_up", "bytes_down", "rotations",
     "hoisted_decomposes", "naive_decomposes", "ntt_forward", "ntt_inverse",
-    "ntt_elided", "limb_drops", "limbs_live", "level_replans",
-    "program_cache_hits", "program_cache_misses", "key_bytes",
-    "galois_keys_held", "entry_drops",
+    "ntt_elided", "limb_drops", "limbs_live", "program_cache_hits",
+    "program_cache_misses", "key_bytes", "galois_keys_held", "entry_drops",
 )
 
 RUNTIME_KEYS = frozenset(RUNTIME_TOTALS) | {
@@ -244,8 +243,7 @@ FLEET_KEYS = frozenset({
     "sessions_routed", "resumes_routed", "resumes_bounced",
     "connections_total", "connections_active", "queue_depth",
     "handler_invocations", "responses", "key_evictions", "reupload_signals",
-    "limb_drops", "entry_drops", "limbs_live", "level_replans",
-    "scheduler_restarts",
+    "limb_drops", "entry_drops", "limbs_live", "scheduler_restarts",
     "executor_utilization", "per_worker"})
 
 RUNTIME_RENDER = """\
@@ -254,8 +252,8 @@ offload-server metrics: 2 session(s), 3016/3002 requests served, \
   physical bytes: 3170 up / 3184 down
   rotations: 3212 (3226 hoisted / 3240 naive decomposes)
   ntt residency: 3254 forward / 3268 inverse row(s), 3282 pair(s) elided
-  level planner: 3296 limb drop(s), 3310 limb-row(s) live, 3324 replan(s)
-  schedule cache: 3366 hit(s) / 3380 miss(es)
+  level planner: 3296 limb drop(s), 3310 limb-row(s) live
+  schedule cache: 3352 hit(s) / 3366 miss(es)
   resilience: 2 resume(s), 3 reaped, 3086 duplicate(s) suppressed, \
 3100 result(s) replayed
   sess peer                  reqs  resp  busy  err       up B     down B \
@@ -268,9 +266,9 @@ offload-server metrics: 2 session(s), 3016/3002 requests served, \
 FLEET_RENDER = """\
 fleet metrics: 2 live worker(s), 1 restart(s), 6 session(s) routed, \
 2 admission rejection(s)
-  fleet totals: 69048 response(s), queue depth 6, 70014 eviction(s) / \
-70056 re-upload signal(s)
-  schedule cache: 70098 hit(s) / 70140 miss(es)
+  fleet totals: 69048 response(s), queue depth 6, 69972 eviction(s) / \
+70014 re-upload signal(s)
+  schedule cache: 70056 hit(s) / 70098 miss(es)
   worker 1 (retired): 2 session(s), queue 2, 23016 response(s), \
 exec util 0.50
   worker 0: 2 session(s), queue 1, 3016 response(s), exec util 0.25

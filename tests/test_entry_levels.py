@@ -16,6 +16,7 @@ exactly what the rewrite-and-rescan fixpoint emitted.
 
 import asyncio
 import contextlib
+import itertools
 import types
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.runtime import OffloadClient, OffloadError, OffloadServer
 from repro.runtime.evalpool import EvalPool
 from repro.runtime.framing import ErrorCode
 from repro.runtime.transport import SimulatedLink
-from tests.test_level_corpus import CORPUS
+from tests.test_level_corpus import CORPUS, corpus_programs
 
 KNN_POOLED = "repro.apps.knn:KnnOffloadService.install_pooled"
 
@@ -334,7 +335,7 @@ def _fixpoint_sink(program, scheme, report):
                 continue
             if da.normalize != db.normalize:
                 continue
-            if any(d.planned and nodes[d.args[0]].kind in ir.INPUT_KINDS
+            if any(d.planned and nodes[d.args[0]].kind == "input"
                    for d in (da, db)):
                 continue
             if any(len(consumers.get(d, ())) != 1 or d in out_ids
@@ -353,9 +354,9 @@ def _fixpoint_sink(program, scheme, report):
 
 
 def _sink_programs():
-    """name -> (traced program, params): the level corpus plus the served
+    """name -> (traced programs, params): the level corpus plus the served
     DNN kernels at set B."""
-    programs = dict(CORPUS)
+    programs = {name: corpus_programs(name) for name in CORPUS}
     ctx = types.SimpleNamespace(params=PARAMETER_SET_B)
     rng = np.random.default_rng(3)
     spec = Conv2dSpec(in_channels=1, out_channels=4, height=12, width=12,
@@ -363,7 +364,7 @@ def _sink_programs():
     conv = TiledEncryptedConv2d(ctx, spec, rng.integers(1, 4, (4, 1, 3, 3)))
     fc = BsgsMatVec(ctx, rng.integers(1, 4, (10, 64)))
     for name, kernel in (("dnn/conv", conv), ("dnn/fc", fc)):
-        programs[name] = kernel.program(kernel.input_shape), PARAMETER_SET_B
+        programs[name] = (kernel.program(kernel.input_shape),), PARAMETER_SET_B
     return programs
 
 
@@ -372,8 +373,8 @@ SINK_PROGRAMS = _sink_programs()
 
 @pytest.mark.parametrize("name", sorted(SINK_PROGRAMS))
 def test_one_pass_sinking_emits_what_the_fixpoint_emitted(name, monkeypatch):
-    program, params = SINK_PROGRAMS[name]
-    for planned in (params, None):
+    programs, params = SINK_PROGRAMS[name]
+    for program, planned in itertools.product(programs, (params, None)):
         one_pass = compile_ir(program, params.scheme, params=planned)
         with monkeypatch.context() as patch:
             patch.setattr(ir, "_sink_level_drops", _fixpoint_sink)

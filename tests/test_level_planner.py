@@ -2,8 +2,7 @@
 
 Covers the planner's contract end to end: eager limb drops at
 coefficient-form sites with bit-exact BFV (and tight-tolerance CKKS)
-results, per-segment replanning across explicit ``recrypt_boundary``
-nodes, the plan as a checked contract (a diverged entry level or a foreign
+results, the plan as a checked contract (a diverged entry level or a foreign
 modulus chain is refused before anything runs, and a refused or failed run
 is not metered), the static level analysis against what the executor
 counts over everything shipped, the single noise-cost table, telemetry
@@ -23,12 +22,10 @@ import pytest
 
 from repro.apps.pagerank import _Iteration, google_matrix
 from repro.core.ir import (
-    INPUT_KINDS,
     ScheduledProgram,
     ScheduleError,
     ScheduleReport,
     compile_ir,
-    concat_programs,
     ensure_galois_keys,
     trace_program,
 )
@@ -187,13 +184,10 @@ def test_ckks_drop_is_value_exact(ckks, ckks_params):
     assert np.allclose(ckks.decrypt(got), ckks.decrypt(want), atol=1e-4)
 
 
-# ------------------------------------------------- recrypt-boundary replans
-
 @pytest.fixture(scope="module")
 def wide_bfv():
-    """A five-limb chain: wide enough that a recrypt segment's trimmed
-    entry still clears the paramsearch feasibility floor (~70 bits at
-    these parameters), so replans actually fire."""
+    """A five-limb chain: the foreign chain of the contract tests and the
+    chain the bench programs are checked on."""
     from repro.hecore.params import small_test_parameters
     params = small_test_parameters(SchemeType.BFV, poly_degree=1024,
                                    plain_bits=16,
@@ -201,61 +195,9 @@ def wide_bfv():
     return BfvContext(params, seed=77)
 
 
-def _recrypt_program(params, rng):
-    first = _diag_matvec_trace(params, [rng.integers(0, 7, (8, 8))], dim=8)
-
-    def tail(tr, x):
-        return tr.add_plain(tr.rotate(x, 1),
-                            tr.encode(np.ones(params.poly_degree)))
-
-    second = trace_program(params, tail, ["out0"])
-    return concat_programs(first, second, boundary="recrypt")
-
-
-def test_recrypt_boundary_replans_segment(wide_bfv):
-    params = wide_bfv.params
-    rng = np.random.default_rng(31)
-    program = _recrypt_program(params, rng)
-    assert any(n.kind == "recrypt_boundary" for n in program.nodes)
-
-    sched = compile_ir(program, SchemeType.BFV, params=params)
-    plan = sched.report.level_plan
-    assert plan is not None
-    assert plan.replans >= 1
-    assert plan.segments, "each boundary must record a SegmentPlan"
-    seg = plan.segments[-1]
-    assert seg.entry_limbs < seg.full_limbs
-    assert seg.spend_bits > 0
-
-    raw = _raw(program, SchemeType.BFV)
-    keys = ensure_galois_keys(wide_bfv, sched.rotation_steps(),
-                              raw.rotation_steps())
-    vec = rng.integers(0, 7, 8)
-    ct = wide_bfv.encrypt(np.tile(vec, params.poly_degree // 8))
-    before = {k: wide_bfv.counts.get(k, 0)
-              for k in ("level_replans", "recrypt")}
-    got = sched.run(wide_bfv, {"x": ct}, keys)["out0"]
-    assert wide_bfv.counts["level_replans"] - before["level_replans"] >= 1
-    assert wide_bfv.counts["recrypt"] - before["recrypt"] >= 1
-    want = raw.run_reference(wide_bfv, {"x": ct}, keys)["out0"]
-    assert np.array_equal(np.asarray(wide_bfv.decrypt(got)),
-                          np.asarray(wide_bfv.decrypt(want)))
-
-
-def test_shallow_chain_keeps_segment_at_full_depth(bfv_params):
-    """On the three-limb test chain the paramsearch floor forbids a
-    trimmed entry — the planner must record the segment and leave it at
-    the full chain rather than replan below feasibility."""
-    rng = np.random.default_rng(31)
-    _, plan = plan_levels(_recrypt_program(bfv_params, rng), bfv_params)
-    assert plan.replans == 0
-    assert plan.segments
-    assert plan.segments[-1].entry_limbs == plan.segments[-1].full_limbs
-
-
 # ------------------------------------------------ the plan is a contract
 
-LEVEL_COUNTERS = ("level_replans", "limb_drops", "limbs_live")
+LEVEL_COUNTERS = ("limb_drops", "limbs_live")
 
 
 def _level_counts(ctx):
@@ -334,12 +276,13 @@ def test_schedule_refuses_a_foreign_chain(bfv_params, wide_bfv):
 
 
 def test_failed_run_is_not_metered(wide_bfv):
-    """A run that dies on a missing Galois key is billed no replan, no
-    limb drop and no limbs-live: level telemetry is charged on return."""
+    """A run that dies on a missing Galois key is billed no limb drop and
+    no limbs-live: level telemetry is charged on return."""
     params = wide_bfv.params
-    sched = compile_ir(_recrypt_program(params, np.random.default_rng(31)),
+    mats = [np.random.default_rng(31).integers(0, 7, (8, 8))]
+    sched = compile_ir(_diag_matvec_trace(params, mats, dim=8),
                        SchemeType.BFV, params=params)
-    assert sched.report.level_plan.replans >= 1
+    assert sched.report.level_plan.limb_drops > 0
     keyless = BfvContext(params, seed=78)
     ct = keyless.encrypt(np.arange(512, dtype=np.int64) % 7)
     with pytest.raises(MissingEvaluationKey):
@@ -427,11 +370,11 @@ def _assert_static_matches_run(sched, ctx, inputs, keys=None):
     nodes = sched.program.nodes
     levels = sched.program.levels(sched.scheme)
     limbs = {nid: full - level[0] for nid, level in levels.items()
-             if level is not None and nodes[nid].kind != "decrypt"}
+             if level is not None}
     entry = {nid for chain in sched.entry_chains.values() for nid in chain}
     taken = 0
     for nid, node in enumerate(nodes):
-        if nid in limbs and node.kind in INPUT_KINDS:
+        if nid in limbs and node.kind == "input":
             limbs[nid] = arrived = len(inputs[node.name].level_base)
             for drop in sched.entry_chains[node.name]:
                 taken += arrived > limbs[drop]
@@ -484,9 +427,11 @@ def test_evaluation_form_uploads_reach_the_first_multiply_untransformed(ckks):
     form (``encrypt_symmetric_many``), the plan drops a limb on each of
     them (a CKKS limb drop is a row slice in either form), the subtracts
     feed the squares, and the squares' 3-component sum stays in evaluation
-    form down to its one ``relin`` — which takes it in that form.  So the
-    whole query charges no ``ntt_inverse`` row and one relinearization,
-    and static levels still equal executed ``limbs_live``."""
+    form down to its one ``relin``, which takes it in that form.  So the
+    whole query charges one relinearization and, as its only
+    ``ntt_inverse`` rows, the two of the ``c2`` the key switch decomposes
+    in coefficient form; static levels still equal executed
+    ``limbs_live``."""
     from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
 
     rng = np.random.default_rng(19)
@@ -507,7 +452,7 @@ def test_evaluation_form_uploads_reach_the_first_multiply_untransformed(ckks):
     before = Counter(ckks.counts)
     _assert_static_matches_run(sched, ckks, inputs)
     delta = ckks.counts - before
-    assert (delta["ntt_inverse"], delta["relinearize"]) == (0, 1)
+    assert (delta["ntt_inverse"], delta["relinearize"]) == (2, 1)
 
     got = kernel.decode([np.real(v) for v in ckks.decrypt_many(
         [sched.run(ckks, inputs)["out0"]])])
@@ -529,8 +474,8 @@ def test_static_levels_match_executed_eva_program(ckks):
 
 @pytest.mark.parametrize("which", ["matvec_chain", "dnn_slice"])
 def test_static_levels_match_executed_bench_programs(wide_bfv, which):
-    """The two BFV programs ``bench_level_planner.py`` gates on (four
-    matvec layers; conv -> recrypt -> fc), on the five-limb test chain."""
+    """The BFV programs ``bench_level_planner.py`` gates on (four matvec
+    layers; the slice's conv and fc), on the five-limb test chain."""
     sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
     import bench_level_planner as bench
 
@@ -539,14 +484,15 @@ def test_static_levels_match_executed_bench_programs(wide_bfv, which):
     if which == "matvec_chain":
         mats = [rng.integers(0, 7, size=(bench.CHAIN_DIM, bench.CHAIN_DIM))
                 for _ in range(bench.CHAIN_LAYERS)]
-        program, name = bench._trace_chain(wide_bfv, mats), "x"
+        programs, name = [bench._trace_chain(wide_bfv, mats)], "x"
     else:
-        program, name = bench._trace_slice(wide_bfv, rng)[0], "in0"
-    sched = compile_ir(program, SchemeType.BFV, params=params)
-    assert sched.report.level_plan.limb_drops > 0
-    keys = ensure_galois_keys(wide_bfv, sched.rotation_steps())
-    ct = wide_bfv.encrypt(rng.integers(0, 4, params.poly_degree))
-    _assert_static_matches_run(sched, wide_bfv, {name: ct}, keys)
+        programs, name = bench._trace_slice(wide_bfv, rng)[0], "in0"
+    for program in programs:
+        sched = compile_ir(program, SchemeType.BFV, params=params)
+        assert sched.report.level_plan.limb_drops > 0
+        keys = ensure_galois_keys(wide_bfv, sched.rotation_steps())
+        ct = wide_bfv.encrypt(rng.integers(0, 4, params.poly_degree))
+        _assert_static_matches_run(sched, wide_bfv, {name: ct}, keys)
 
 
 # ------------------------------------------------------- telemetry surfaces
@@ -567,11 +513,9 @@ def test_planner_counters_reach_ledger_and_metrics(bfv, bfv_params):
     m = metrics.open_session(1)
     m.limb_drops = session.ledger.limb_drops
     m.limbs_live = session.ledger.limbs_live
-    m.level_replans = 2
     snapshot = metrics.snapshot()
     assert snapshot["limb_drops"] == session.ledger.limb_drops
     assert snapshot["limbs_live"] == session.ledger.limbs_live
-    assert snapshot["level_replans"] == 2
     rendered = metrics.render()
     assert "level planner:" in rendered
     assert f"{session.ledger.limb_drops} limb drop(s)" in rendered

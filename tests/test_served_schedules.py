@@ -57,7 +57,7 @@ _ALL_ZERO = dict(weighted_sum_spans=0, weighted_sum_terms=0,
                      rescales_sunk=0, mod_switches_sunk=0, relins_sunk=0,
                      product_sums=0, product_sum_terms=0, rotation_sums=0,
                      rotation_sum_terms=0, batched_consts=0,
-                     align_switches=0, replans=0, predicted_unsafe=0)
+                     align_switches=0, predicted_unsafe=0)
 
 #: ``ScheduleReport`` fields with the level plan's totals flattened.
 SERVED_SCHEDULES = {

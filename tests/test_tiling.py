@@ -162,7 +162,11 @@ def test_multi_tile_giant_steps_are_weighted_keyswitch_sums():
     got = sched.run(ctx, inputs)
     assert ctx.counts["hoisted_decompose"] - before["hoisted_decompose"] \
         == len(cts)
+    # Each sum charges the adds of the tree it replaces: the oracle's.
+    adds = ctx.counts["add"] - before["add"]
+    before = ctx.counts.copy()
     want = sched.run_reference(ctx, inputs)
+    assert adds == ctx.counts["add"] - before["add"] == 277
     for name in want:
         assert np.array_equal(ctx.decrypt(got[name]), ctx.decrypt(want[name]))
     t = ctx.params.plain_modulus
