@@ -18,7 +18,9 @@ server time, client time, and communication that Figure 11 explores:
   client-optimized choice (§5.4).
 
 All variants run on CKKS.  Dimensions are padded to a power of two so the
-dimension sum is one ``rotate_and_sum`` span.
+dimension sum is one window sum (:func:`repro.core.linalg._window_sum`):
+traced as plain rotations and adds, compiled to one unweighted key-switch
+sum per phase.
 
 A kernel's slot layout (``pack_points``, ``query_slots``) is separate from
 its encoding: :meth:`DistanceKernel.pack_query` encodes each query vector on
@@ -39,7 +41,7 @@ from typing import Dict, List, Optional, Tuple, Type
 import numpy as np
 
 from repro.core.ir import TracedKernel
-from repro.core.linalg import _masked_sum, row_slot_count
+from repro.core.linalg import _masked_sum, _window_sum, row_slot_count
 from repro.hecore.modmath import next_power_of_two
 from repro.hecore.rns import RnsBase
 
@@ -176,8 +178,8 @@ class StackedPointMajorKernel(DistanceKernel):
 
     def _body(self, ev, point_cts, query_cts):
         q = query_cts[0]
-        return [ev.rotate_and_sum(self._squared_diff(ev, p, q),
-                                  self.problem.padded_dims)
+        return [_window_sum(ev, self._squared_diff(ev, p, q),
+                            self.problem.padded_dims)
                 for p in point_cts]
 
     def decode(self, outputs):

@@ -22,8 +22,9 @@ one.  A scheduler then runs ordered passes over the DAG:
    ``keyswitch_sum`` node.  Baby rotations shared by the giant steps of a
    baby-step/giant-step sum fuse into every node that reads them.  After
    sinking it takes the unweighted trees: two or more single-consumer
-   rotations among the leaves (the giant steps, or PageRank's repacking
-   rotations) become one unweighted ``keyswitch_sum``.  Each node runs as
+   rotations among the leaves (the giant steps, each phase of a distance
+   kernel's window sum, or PageRank's repacking rotations) become one
+   unweighted ``keyswitch_sum``.  Each node runs as
    :func:`repro.hecore.hoisting.keyswitch_sum`: one decompose per source
    per run, shared by every node over it (double hoisting), one
    key-switch inner product per distinct (source, Galois element), and one
@@ -113,7 +114,6 @@ class IrNode:
     kind: str
     args: Tuple[int, ...] = ()
     steps: int = 0                  # rotate
-    width: int = 0                  # rotate_sum
     values: Optional[np.ndarray] = None   # const
     name: str = ""                  # input
     #: keyswitch_sum: (step, source index into args, weight const id or
@@ -215,8 +215,6 @@ class IrProgram:
             node = self.nodes[nid]
             if node.kind == "rotate":
                 steps.add(node.steps)
-            elif node.kind == "rotate_sum":
-                steps |= hoisting.rotate_and_sum_steps(node.width)
             elif node.kind == "keyswitch_sum":
                 steps |= {s for s, _, _ in node.terms}
         steps.discard(0)
@@ -311,15 +309,6 @@ class IrBuilder:
         self._require_ct(a, "mod_switch")
         return self._emit(IrNode("mod_switch", (a,)))
 
-    def rotate_sum(self, a: int, width: int) -> int:
-        self._require_ct(a, "rotate_sum")
-        if width <= 1:
-            return a
-        if width & (width - 1):
-            raise ScheduleError(
-                f"rotate_sum width {width} must be a power of two")
-        return self._emit(IrNode("rotate_sum", (a,), width=int(width)))
-
     def output(self, name: str, a: int) -> None:
         self._require_ct(a, "output")
         self.program.outputs[name] = a
@@ -355,7 +344,7 @@ class TracerContext:
 
     Implements exactly the evaluator surface the kernel bodies use.
     Deliberately does **not** expose the fused primitives (key-switch
-    sums, ``rotate_many``): tracing captures the *unfused* rotate/mul/add
+    sums, window sums): tracing captures the *unfused* rotate/mul/add
     chain and the scheduler re-derives the fusions as passes.
     """
 
@@ -412,9 +401,6 @@ class TracerContext:
 
     def rotate(self, ct, steps: int, galois_keys=None) -> _TraceValue:
         return _TraceValue(self.builder.rotate(self._ct(ct), steps))
-
-    def rotate_and_sum(self, ct, width: int, galois_keys=None) -> _TraceValue:
-        return _TraceValue(self.builder.rotate_sum(self._ct(ct), width))
 
 
 def trace_program(params, fn, input_names: Sequence[str]) -> IrProgram:
@@ -787,7 +773,9 @@ def _fuse_unweighted_sums(program: IrProgram, scheme: SchemeType,
     ``rotate`` of ``source`` by ``step``, or any other value as itself
     (step 0).  A tree with at least two rotated leaves fuses — a
     baby-step/giant-step sum's giant steps, each a rotation of its own
-    weighted sum, or two rotations of one value (PageRank's repacking).
+    weighted sum, a window sum's phase (one value and its rotations,
+    :func:`repro.core.linalg._window_sum`), or two rotations of one value
+    (PageRank's repacking).
     The node's args are its distinct sources, its terms the ``(step,
     source index, -1)`` triples left to right.
     """
@@ -1500,15 +1488,6 @@ class _IrRunner:
             for _ in range(drops):
                 ct = ctx.mod_switch_down(ct if self.ckks
                                          else self._to_coeff(ct))
-            return ct
-        if kind == "rotate_sum":
-            ct = self._to_coeff(self.memo[node.args[0]])
-            if self.fused:
-                return ctx.rotate_and_sum(ct, node.width, self.keys)
-            step = node.width // 2
-            while step >= 1:
-                ct = ctx.add(ct, ctx.rotate(ct, step, self.keys))
-                step //= 2
             return ct
         if kind == "keyswitch_sum":
             return self._keyswitch_sum(nid, node)

@@ -50,7 +50,7 @@ from repro.hecore.params import SchemeType
 #: Node kinds after which an eager limb drop is considered.  Chosen to sit
 #: at coefficient-form reduction points (key-switch sums, ct-ct multiplies,
 #: inputs) so the NTT-residency pass keeps its plain-multiply chains.
-DROP_SITE_KINDS = frozenset({"input", "rotate_sum", "keyswitch_sum"})
+DROP_SITE_KINDS = frozenset({"input", "keyswitch_sum"})
 
 #: Margin kept above the modeled downstream spend before a BFV drop.
 SLACK_BITS = SAFETY_BITS + 1.0

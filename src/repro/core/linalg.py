@@ -6,7 +6,8 @@ rotation is a single ciphertext rotation.  :class:`Conv2dSpec` describes a
 convolutional layer; its kernel is
 :class:`repro.core.tiling.TiledEncryptedConv2d`, for layers of one
 ciphertext or many.  The baby-step/giant-step loop both layer kinds share
-is :func:`_baby_giant_sums`.
+is :func:`_baby_giant_sums`; the distance kernels' dimension reduction is
+:func:`_window_sum`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.ir import TracedKernel
+from repro.core.ir import ScheduleError, TracedKernel
 from repro.core.packing import RedundantPacking
+from repro.hecore.hoisting import window_phases
 from repro.hecore.modmath import next_power_of_two
 
 
@@ -36,6 +38,24 @@ def _masked_sum(ev, terms):
         term = ev.multiply_plain(ct, _encode_vector(ev, mask, ct))
         acc = term if acc is None else ev.add(acc, term)
     return acc
+
+
+def _window_sum(ev, ct, width: int):
+    """``sum_{i < width} rotate(ct, i)`` for a power-of-two *width*, as
+    plain rotations and adds: per phase of
+    :func:`repro.hecore.hoisting.window_phases`, a left-to-right chain of
+    the phase's input and its rotations (each phase compiles to one
+    unweighted key-switch sum).  Any other width is refused at tracing."""
+    try:
+        phases = window_phases(width)
+    except ValueError as exc:
+        raise ScheduleError(str(exc)) from None
+    for phase in phases:
+        acc = ct
+        for step in phase:
+            acc = ev.add(acc, ev.rotate(ct, step))
+        ct = acc
+    return ct
 
 
 def _baby_giant_sums(ev, cts, plans):

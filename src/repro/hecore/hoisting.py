@@ -36,11 +36,14 @@ On top of :class:`HoistedRotator` this module provides:
   whole sum.  It runs every ``keyswitch_sum`` IR node: the masked spans of
   the diagonal matvec, conv and baby-step/giant-step collapse, and the
   giant-step sums after them;
-* :func:`rotate_and_sum` — the all-prefix rotation sum used by the distance
-  kernels, each phase a one-source :func:`keyswitch_sum`, with a
-  baby-step/giant-step split for wide spans;
-* :func:`rotate_many` — any set of rotations of one ciphertext, bit-exact
-  with sequential ``rotate_rows`` calls.
+* :func:`window_phases` — the one step policy of a window sum
+  ``Σ_{i<w} rotate(x, i)`` (the distance kernels' dimension reduction):
+  flat up to ``FLAT_SUM_LIMIT``, babies then giants beyond.  A traced
+  body emits each phase as plain rotations and adds
+  (:func:`repro.core.linalg._window_sum`), which the scheduler compiles
+  to one unweighted ``keyswitch_sum`` per phase;
+* :func:`rotate_and_sum` — the same phases run directly as one-source
+  :func:`keyswitch_sum` calls, for callers outside a traced kernel.
 
 Everything is server-local: ciphertext and key wire formats are unchanged.
 """
@@ -57,7 +60,6 @@ from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.keys import (
     GaloisKeys,
     decompose_for_keyswitch,
-    galois_element_for_conjugation,
     galois_element_for_step,
     keyswitch_ext_base,
     keyswitch_finish,
@@ -71,20 +73,11 @@ from repro.hecore.polyring import (
 )
 from repro.hecore.rns import RnsBase
 
-#: rotate_and_sum spans up to this width run flat (one hoisted decompose,
-#: width-1 cheap rotations); wider spans split baby-step/giant-step so the
+#: Window sums up to this width run as one phase (one hoisted decompose,
+#: width-1 cheap rotations); wider ones split baby-step/giant-step so the
 #: cheap-rotation count stays ~2*sqrt(width) at the cost of one extra
-#: decompose.
+#: decompose (:func:`window_phases`).
 FLAT_SUM_LIMIT = 32
-
-
-def _steps_available(keys: Optional[GaloisKeys], steps, n: int) -> bool:
-    if keys is None:
-        return False
-    return all(
-        g == 1 or g in keys
-        for g in (galois_element_for_step(s, n) for s in steps)
-    )
 
 
 def _gather(blocks, owners: Sequence[int],
@@ -178,26 +171,6 @@ class HoistedRotator:
                 self._accs[1] = block
         return [self._accs[g] for g in galois_elts]
 
-    # --------------------------------------------------------- public API
-    def apply_many(self, galois_elts: Sequence[int]) -> List[Ciphertext]:
-        """One ciphertext per Galois element, sharing the hoisted decompose."""
-        out = [self.ct.copy() if g == 1 else None for g in galois_elts]
-        live = [(i, g) for i, g in enumerate(galois_elts) if g != 1]
-        if live:
-            if self.digits_ntt is None:
-                _decompose(self.ctx, [self], [len(live)])
-            accs = self.inner_product_many([g for _, g in live])
-            finished = keyswitch_finish(
-                accs.reshape(-1, *accs.shape[2:]), self.ext_base)
-            for r, (i, g) in enumerate(live):
-                c0 = self.ct.components[0].apply_automorphism(g).from_ntt()
-                u0, u1 = (RnsPoly(self.current, self.n, part, is_ntt=False)
-                          for part in finished[2 * r: 2 * r + 2])
-                out[i] = Ciphertext(self.params, [c0 + u0, u1],
-                                    scale=self.ct.scale)
-        return out
-
-
 def _decompose(ctx, rotators: Sequence[HoistedRotator],
                reads: Sequence[int]) -> None:
     """The hoisted half of every one of *rotators* (each not yet
@@ -214,23 +187,6 @@ def _decompose(ctx, rotators: Sequence[HoistedRotator],
     shared = sum(count > 1 for count in reads)
     ctx.counts["hoisted_decompose"] += shared
     ctx.counts["naive_decompose"] += len(reads) - shared
-
-
-def rotate_many(ctx, ct: Ciphertext, steps: Sequence[int],
-                galois_keys: Optional[GaloisKeys] = None,
-                include_conjugation: bool = False) -> List[Ciphertext]:
-    """Rotate *ct* by every step in *steps* with one hoisted decompose.
-
-    Bit-exact with sequential ``rotate_rows``/``rotate`` calls.  With
-    *include_conjugation* an extra conjugated (rows-swapped) ciphertext is
-    appended after the rotations.
-    """
-    rotator = HoistedRotator(ctx, ct, ctx._resolve_galois(galois_keys))
-    elements = [galois_element_for_step(s, rotator.n) for s in steps]
-    if include_conjugation:
-        elements.append(galois_element_for_conjugation(rotator.n))
-    ctx.counts["rotate"] += len(elements)
-    return rotator.apply_many(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -376,63 +332,42 @@ def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
 
 
 # ---------------------------------------------------------------------------
-# Fused rotate-and-sum
+# Window sums
 # ---------------------------------------------------------------------------
 
-def _sum_span_steps(width: int) -> Tuple[List[int], List[int]]:
-    """Step sets for the (up to two) hoisted phases of a width-sum."""
+def window_phases(width: int) -> List[List[int]]:
+    """The steps of each phase of the window sum ``Σ_{i<width} rotate(x,
+    i)`` for a power-of-two *width*: a phase replaces its input ``y`` by
+    ``y + Σ_s rotate(y, s)`` over its steps.  One flat phase ``1 ..
+    width-1`` up to ``FLAT_SUM_LIMIT``; beyond it the babies ``1 .. b-1``
+    then the giants ``b, 2b, ..`` (``b = 2**ceil(log2(width) / 2)``), so
+    ~2*sqrt(width) rotations over two sources.  Every
+    width-aligned window of slots ends up holding its total in each of its
+    positions.  No phases for a width up to one."""
+    width = int(width)
+    if width <= 1:
+        return []
+    if width & (width - 1):
+        raise ValueError(f"window width {width} must be a power of two")
     if width <= FLAT_SUM_LIMIT:
-        return list(range(1, width)), []
-    baby = 1 << ((width.bit_length() - 1 + 1) // 2)
-    return (list(range(1, baby)),
-            [j * baby for j in range(1, width // baby)])
+        return [list(range(1, width))]
+    baby = 1 << (width.bit_length() // 2)
+    return [list(range(1, baby)), list(range(baby, width, baby))]
 
 
 def rotate_and_sum_steps(width: int) -> Set[int]:
-    """Galois-key steps :func:`rotate_and_sum` wants for a power-of-two
-    *width*: the hoisted step set (baby steps plus giant multiples for wide
-    spans).  The power-of-two ladder of the log-tree fallback is always
-    inside it — powers below the baby count are baby steps, the rest are
-    giant multiples — so one key upload serves either path.
-    """
-    width = int(width)
-    if width <= 1:
-        return set()
-    phase1, phase2 = _sum_span_steps(width)
-    return {*phase1, *phase2}
+    """The Galois-key steps of a *width* window sum (every phase's)."""
+    return {step for phase in window_phases(width) for step in phase}
 
 
 def rotate_and_sum(ctx, ct: Ciphertext, width: int,
                    galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-    """Sum of ``rotate(ct, i)`` for ``i in range(width)`` (power-of-two span).
-
-    Every width-aligned window of slots ends up holding the window total in
-    each of its positions.  A log2(width) rotate/add tree remains the
-    fallback when the session only holds the power-of-two key ladder.  With
-    the hoisted step set available (see :func:`rotate_and_sum_steps`) the
-    span runs as one or two one-source :func:`keyswitch_sum` phases: flat
-    up to ``FLAT_SUM_LIMIT``, baby-step/giant-step beyond it (two
-    decomposes + ~2*sqrt(width) cheap rotations, versus log2(width) full
-    key switches for the tree).
-    """
-    width = int(width)
-    if width <= 1:
-        return ct
-    if width & (width - 1):
-        raise ValueError(f"rotate_and_sum width {width} must be a power of two")
-    keys = galois_keys or ctx.held_galois_keys()
-    n = ctx.params.poly_degree
-    phase1, phase2 = _sum_span_steps(width)
-    if _steps_available(keys, phase1 + phase2, n):
-        for phase in (phase1, phase2):
-            if phase:
-                ct = keyswitch_sum(ctx, [HoistedRotator(ctx, ct, keys)],
-                                   [(s, 0) for s in [0, *phase]])
-        return ct
-    # Log-tree fallback: rotates the updated accumulator each level, so no
-    # decompose can be shared — but it only needs the power-of-two keys.
-    step = width // 2
-    while step >= 1:
-        ct = ctx.add(ct, ctx.rotate(ct, step, keys))
-        step //= 2
+    """The *width* window sum of *ct*, each of its :func:`window_phases` one
+    one-source unweighted :func:`keyswitch_sum` — what a traced window sum
+    compiles to, for a caller outside a traced kernel.  A session without
+    every step's key gets
+    :class:`~repro.hecore.keys.MissingEvaluationKey`."""
+    for phase in window_phases(width):
+        ct = keyswitch_sum(ctx, [HoistedRotator(ctx, ct, galois_keys)],
+                           [(s, 0) for s in [0, *phase]])
     return ct

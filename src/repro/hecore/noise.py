@@ -99,21 +99,6 @@ class NoiseEstimator:
     def after_rotation(self, est: NoiseEstimate) -> NoiseEstimate:
         return self._spend(est, ROTATION_BITS)
 
-    def after_hoisted_rotations(self, est: NoiseEstimate,
-                                count: int) -> NoiseEstimate:
-        """*count* rotations of one ciphertext sharing a hoisted decompose.
-
-        Each rotation adds the same key-switch term as the naive path (the
-        shared centered decompose changes where the digits are computed, not
-        their magnitude), and the fused rotate-and-sum primitives combine
-        all rotated copies before the single rescale — so the growth is one
-        rotation's key-switch bits plus log2(count + 1) accumulation bits,
-        not ``count * ROTATION_BITS``.
-        """
-        if count <= 0:
-            return est
-        return self._spend(est, ROTATION_BITS + math.log2(count + 1))
-
     def after_multiply_plain(self, est: NoiseEstimate) -> NoiseEstimate:
         """Plain multiply scales noise by ~||encoded plaintext||: t·sqrt(N)."""
         return self._spend(est, self.t_bits + self.log_n / 2)
@@ -162,12 +147,11 @@ class NoiseEstimator:
     def node_cost_bits(self, node, nodes) -> float:
         """Noise bits IR node *node* charges the value flowing into it —
         the one per-kind table :meth:`budget_after` spends forward and the
-        level planner sums backward.  A ``rotate_sum`` is a hoisted span
-        (:meth:`after_hoisted_rotations`) plus its accumulation.  A
-        ``keyswitch_sum`` is one rotation plus its accumulation, plus one
-        plain multiply when weighted: a one-source weighted sum (a span)
-        accumulates like a hoisted span, any other one like the deepest add
-        chain over its terms — never below the add-tree it replaces.  A
+        level planner sums backward.  A ``keyswitch_sum`` is one rotation
+        plus its accumulation, plus one plain multiply when weighted: a
+        one-source weighted sum (a span) accumulates ``log2`` of its term
+        count twice over, any other sum like the deepest add chain over its
+        terms — never below the add-tree it replaces.  A
         ``product_sum`` is a ct-ct ``mul`` plus its accumulation;
         kinds that move no noise (``neg``, ``rescale``, ``mod_switch``)
         cost nothing, and neither does
@@ -182,9 +166,6 @@ class NoiseEstimator:
         if kind == "mul":
             return self.t_bits + (self.log_n / 2 if plain
                                   else self.log_n + 8)
-        if kind == "rotate_sum":
-            rounds = max(1, math.ceil(math.log2(max(node.width, 2))))
-            return ROTATION_BITS + math.log2(rounds + 1) + rounds
         if kind == "keyswitch_sum":
             count = len(node.terms)
             if not node.weights():

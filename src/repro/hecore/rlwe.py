@@ -540,17 +540,8 @@ class RlweContext:
         return Ciphertext(self.params, [c0 + u0, u1], scale=ct.scale)
 
     # ------------------------------------------------- hoisted rotations
-    def rotate_many(self, ct: Ciphertext, steps: Sequence[int],
-                    galois_keys: Optional[GaloisKeys] = None,
-                    include_conjugation: bool = False) -> List[Ciphertext]:
-        """Rotate *ct* by every step in *steps*, sharing one hoisted
-        key-switch decomposition; bit-exact with sequential :meth:`rotate`
-        calls (see :mod:`repro.hecore.hoisting`).  With
-        *include_conjugation* the conjugated ciphertext is appended."""
-        return hoisting.rotate_many(self, ct, steps, galois_keys,
-                                    include_conjugation=include_conjugation)
-
     def rotate_and_sum(self, ct: Ciphertext, width: int,
                        galois_keys: Optional[GaloisKeys] = None) -> Ciphertext:
-        """Fused sum of the first *width* rotations of *ct* (power of two)."""
+        """The sum of the first *width* rotations of *ct* (a power of two),
+        as :func:`repro.hecore.hoisting.rotate_and_sum`'s hoisted phases."""
         return hoisting.rotate_and_sum(self, ct, width, galois_keys)

@@ -26,7 +26,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.distance import CollapsedPointMajorKernel, DistanceProblem
+from repro.core.distance import (
+    CollapsedPointMajorKernel,
+    DistanceProblem,
+    StackedPointMajorKernel,
+)
 from repro.core.ir import compile_ir, ensure_galois_keys
 from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
 from repro.core.tiling import TiledEncryptedConv2d
@@ -83,7 +87,7 @@ def _fc_case(ctx):
                     kernel.pack_input(vec).astype(np.int64))],
                 giants={j - j % b for j in diagonals},
                 babies={j % b for j in diagonals} - {0}, forward=0,
-                check=check)
+                windows=0, check=check)
 
 
 def _conv_case(ctx):
@@ -104,7 +108,7 @@ def _conv_case(ctx):
                     [v.astype(np.int64) for v in kernel.pack_input(image)]),
                 giants={shift for _, _, shift, _ in terms},
                 babies={tap for _, tap, _, _ in terms} - {0}, forward=0,
-                check=check)
+                windows=0, check=check)
 
 
 def _collapsed_case(ctx):
@@ -128,15 +132,27 @@ def _collapsed_case(ctx):
                 babies={a * stride for a in range(1, b)},
                 # The square's operand, transformed once: public-key
                 # uploads arrive in coefficient form (2 components x 3 limbs).
-                forward=6, check=check)
+                forward=6, windows=1, check=check)
+
+
+def _stacked_point_case(ctx):
+    """The collapse's point-major half alone: one window sum, no span."""
+    rng = np.random.default_rng(4)
+    kernel = StackedPointMajorKernel(ctx, DistanceProblem(64, 16))
+    return dict(kernel=kernel, inputs=kernel.encrypt_points(
+                    rng.uniform(-0.5, 0.5, (64, 16)))
+                + kernel.encrypt_query(rng.uniform(-0.5, 0.5, 16)))
 
 
 CASES = {"fc": (_fc_case, "set_b"), "conv": (_conv_case, "set_b"),
          "collapsed": (_collapsed_case, "e2e_ckks")}
 
+#: Every served kernel with a key-switch sum, for the meter comparison.
+METERED = dict(CASES, **{"stacked-point": (_stacked_point_case, "e2e_ckks")})
+
 
 def _served(request, name):
-    build, ctx_fixture = CASES[name]
+    build, ctx_fixture = METERED[name]
     ctx = request.getfixturevalue(ctx_fixture)
     case = build(ctx)
     ensure_galois_keys(ctx, case["kernel"].required_rotation_steps())
@@ -173,8 +189,13 @@ def test_each_giant_step_is_one_span_and_no_baby_stays(served):
     assert not {n.steps for n in _live(compiled, "rotate")} & case["babies"]
     assert case["babies"] <= {n.steps for n in _live(traced, "rotate")}
     # The giant rotations, one per span but the unrotated one, finish as
-    # one unweighted key-switch sum.
-    (giant_sum,) = _sums(compiled, weighted=False)
+    # one unweighted key-switch sum, after the kernel's window sums (each
+    # one too: a value and its rotations by 1 .. width-1).
+    *windows, giant_sum = _sums(compiled, weighted=False)
+    assert len(windows) == case["windows"]
+    for window in windows:
+        assert [s for s, _, _ in window.terms] == list(range(len(
+            window.terms)))
     assert len(giant_sum.terms) == len(case["giants"])
     assert [s for s, _, _ in giant_sum.terms].count(0) == 1
     # The key set is read off the trace: fusion moved no step.
@@ -195,12 +216,10 @@ def test_spans_share_one_decompose_and_charge_each_baby_once(served):
 
     program = sched.program
     sources = {n.args[0] for n in _sums(program, weighted=True)}
-    sums = _live(program, "rotate_sum")
     assert len(sources) == 1
-    assert spent["hoisted_decompose"] == len(sources) + len(sums)
+    assert spent["hoisted_decompose"] == len(sources) + case["windows"]
     assert spent["rotate"] == (len(case["babies"])
                                + len(_live(program, "rotate"))
-                               + sum(n.width - 1 for n in sums)
                                + sum(1 for n in _sums(program, weighted=False)
                                      for step, _, _ in n.terms if step))
     assert spent["ntt_forward"] == case["forward"], \
@@ -218,21 +237,25 @@ def test_results_match_the_oracle_and_the_reference(served):
                   [oracle[name] for name in sorted(oracle)])
 
 
-@pytest.mark.parametrize("name", ["conv", "fc"])
+@pytest.mark.parametrize("name", sorted(METERED))
 def test_a_sum_charges_the_adds_of_the_tree_it_replaces(request, name):
     """Every ``keyswitch_sum``, weighted or not, charges ``add`` for the
-    add-tree it replaces, so a run of the BFV kernels (no ``rotate_sum``)
-    meters the oracle's adds."""
+    add-tree it replaces and ``rotate`` for each rotation it absorbs, so a
+    scheduled run meters the oracle's adds and rotations: the BFV fc and
+    conv, and the CKKS collapse and stacked-point packing, whose window
+    sums are key-switch sums too."""
     ctx, case = _served(request, name)
     kernel = case["kernel"]
     sched = kernel.scheduled(kernel.input_shape)
     inputs = {f"in{i}": ct for i, ct in enumerate(case["inputs"])}
-    adds = []
+    spent = []
     for run in (sched.run, sched.run_reference):
-        before = ctx.counts["add"]
+        before = ctx.counts.copy()
         run(ctx, inputs)
-        adds.append(ctx.counts["add"] - before)
-    assert adds[0] == adds[1] > 0
+        spent.append({name: ctx.counts[name] - before[name]
+                      for name in ("add", "rotate")})
+    assert spent[0] == spent[1]
+    assert spent[0]["add"] > 0 and spent[0]["rotate"] > 0
 
 
 # ------------------------------------------------------ what must not move

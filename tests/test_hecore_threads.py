@@ -21,7 +21,11 @@ from repro.core.distance import CollapsedPointMajorKernel, DistanceProblem
 from repro.core.linalg import Conv2dSpec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore import context_for, ntt, polyring
-from repro.hecore.hoisting import rotate_and_sum_steps
+from repro.hecore.hoisting import (
+    HoistedRotator,
+    keyswitch_sum,
+    rotate_and_sum_steps,
+)
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.rns import RnsBase
 from repro.hecore.serialize import serialize_ciphertext
@@ -48,7 +52,9 @@ def _every_op(ctx, a, b, product) -> bytes:
               else ctx.mod_switch_down)
     results = [ctx.add(a, b), ctx.sub(a, b), ctx.negate(a), shrink(a),
                ctx.relinearize(product), ctx.rotate(a, 3),
-               *ctx.rotate_many(b, STEPS), ctx.rotate_and_sum(a, WIDTH)]
+               keyswitch_sum(ctx, [HoistedRotator(ctx, b)],
+                             [(s, 0) for s in (0, *STEPS)]),
+               ctx.rotate_and_sum(a, WIDTH)]
     return b"".join(serialize_ciphertext(ct) for ct in results)
 
 

@@ -33,13 +33,19 @@ from repro.core.ir import (
     ScheduledProgram,
     ScheduleError,
     ScheduleReport,
+    TracerContext,
     _fuse_weighted_sums,
     compile_ir,
     ensure_galois_keys,
     level_after,
     trace_program,
 )
-from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
+from repro.core.linalg import (
+    BsgsMatVec,
+    Conv2dSpec,
+    EncryptedMatVec,
+    _window_sum,
+)
 from repro.core.lola import AlternatingMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
@@ -87,9 +93,6 @@ def test_builder_rejects_const_const_and_elides_identity_ops():
     with pytest.raises(ScheduleError):
         b.add(c, b.const(np.zeros(4)))
     assert b.rotate(x, 0) == x          # rotation by zero is the identity
-    assert b.rotate_sum(x, 1) == x      # width-1 fold is the identity
-    with pytest.raises(ScheduleError):
-        b.rotate_sum(x, 6)              # a fold is a power-of-two log tree
     with pytest.raises(ScheduleError):
         b.rotate(c, 1)                  # constants never rotate
 
@@ -98,12 +101,26 @@ def test_tracer_records_kernel_surface(bfv_params):
     def body(tr, x):
         pt = tr.encode(np.arange(512))
         return tr.add(tr.multiply_plain(tr.rotate(x, 3), pt),
-                      tr.rotate_and_sum(x, 4))
+                      _window_sum(tr, x, 4))
 
     program = trace_program(bfv_params, body, ["x"])
     kinds = {n.kind for n in program.nodes}
-    assert {"input", "rotate", "const", "mul", "rotate_sum", "add"} <= kinds
+    assert kinds == {"input", "rotate", "const", "mul", "add"}
     assert list(program.outputs) == ["out0"]
+
+
+#: The evaluator surface a traced body may call: every method records one
+#: unfused node (or none), so each fusion is the scheduler's to find.
+UNFUSED_SURFACE = {"encode", "add", "sub", "negate", "add_plain",
+                   "multiply_plain", "multiply", "square", "rescale",
+                   "mod_switch_down", "align", "rotate", "trace_input"}
+
+
+def test_tracer_exposes_no_fused_primitive():
+    """No ``rotate_and_sum``, ``keyswitch_sum`` or other fused call can
+    come back into a traced body: the tracer has exactly this surface."""
+    public = {name for name in dir(TracerContext) if not name.startswith("_")}
+    assert public == UNFUSED_SURFACE
 
 
 # ------------------------------------------------------ pass: weighted sums
@@ -1012,7 +1029,7 @@ def _random_bfv_program(params, rng, n_ops, rotation_trees=0):
         muls = 0
         for _ in range(n_ops):
             op = rng.choice(["rotate", "add", "sub", "neg", "mul_plain",
-                             "add_plain", "mul", "rotate_sum"])
+                             "add_plain", "mul", "window_sum"])
             pick = lambda: vals[rng.integers(len(vals))]
             if op == "rotate":
                 vals.append(tr.rotate(pick(), int(rng.integers(1, 9))))
@@ -1032,7 +1049,7 @@ def _random_bfv_program(params, rng, n_ops, rotation_trees=0):
                 muls += 1
                 vals.append(tr.multiply(pick(), pick()))
             else:
-                vals.append(tr.rotate_and_sum(pick(), 4))
+                vals.append(_window_sum(tr, pick(), 4))
         return vals[-2:] + _rotation_trees(tr, rng, [x, y], vals,
                                            rotation_trees)
 

@@ -48,6 +48,17 @@ trip between them, so ``bench/slice/bfv3`` and ``bench/slice/bfv6`` were
 recorded anew as a pair of fingerprints, the conv's then the fc's; they
 are new entries, not comparable with the one joined program they replace.
 
+``knn/collapsed``, ``knn/point-major``, ``knn/stacked-point`` and
+``light/bfv3`` were re-recorded when a window sum began to trace as plain
+rotations and adds (the ``rotate_sum`` node kind was deleted): the planner
+sees each window as its rotate/add chain, fused to one key-switch sum only
+after planning, so ``limb_rows_before`` / ``limb_rows_after`` count the
+chain's nodes (111 -> 198 and 57 -> 115 for ``knn/collapsed``, 1155 ->
+6723 and 707 -> 2563 for ``knn/point-major``, 21 -> 108 and 14 -> 43 for
+``knn/stacked-point``, 12 -> 27 and 9 -> 19 for ``light/bfv3``).  Every
+``limb_drops``, ``align_switches``, sunk count and planned switch
+repeated.
+
 Re-record (only for a deliberate planner or kernel-body change) with
 ``PYTHONPATH=src python -m tests.test_level_corpus > tests/level_corpus.json``.
 """

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core.ir import ScheduleError, TracedKernel, _program_digest
-from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
+from repro.core.linalg import (
+    BsgsMatVec,
+    Conv2dSpec,
+    EncryptedMatVec,
+    _window_sum,
+)
 from repro.core.tiling import TiledEncryptedConv2d
+from repro.hecore.keys import MissingEvaluationKey
 
 
 def test_conv_spec_properties():
@@ -194,34 +200,39 @@ def test_vectorised_masks_leave_the_program_digest_alone(bfv, cls):
 
 
 class _WindowSum(TracedKernel):
-    """The smallest kernel there is: one rotate-and-sum span."""
+    """The smallest kernel there is: one window sum."""
 
     def __init__(self, ctx, width):
         super().__init__(ctx)
         self.width = width
 
     def _body(self, ev, cts):
-        return ev.rotate_and_sum(cts[0], self.width)
+        return _window_sum(ev, cts[0], self.width)
 
 
 def test_rotate_and_accumulate(bfv):
-    """The power-of-two ladder is enough keys for a traced window sum."""
+    """A traced window sum needs the key of every step it rotates by, read
+    off the trace: the power-of-two ladder alone is refused by name, not
+    summed some other way."""
     width = 8
     kernel = _WindowSum(bfv, width)
-    assert {1, 2, 4} <= kernel.required_rotation_steps()
-    bfv.make_galois_keys([1, 2, 4])
+    assert kernel.required_rotation_steps() == set(range(1, width))
     values = np.zeros(bfv.params.poly_degree, dtype=np.int64)
     values[:width] = np.arange(1, width + 1)
     values[width: 2 * width] = 10
-    (ct,) = kernel.run(([bfv.encrypt(values)],))
+    groups = ([bfv.encrypt(values)],)
+    ladder = bfv.keygen.galois_keys([1, 2, 4])
+    with pytest.raises(MissingEvaluationKey):
+        kernel.run(groups, galois_keys=ladder)
+    bfv.make_galois_keys(kernel.required_rotation_steps())
+    (ct,) = kernel.run(groups)
     out = bfv.decrypt(ct)
     assert out[0] == np.arange(1, width + 1).sum()
     assert out[width] == 10 * width
 
 
 def test_rotate_and_accumulate_rejects_non_pow2(bfv):
-    """Refused when the body is traced — not at execution, and not summed
-    over the wrong slots by the oracle's log tree."""
+    """Refused when the body is traced, not at execution."""
     with pytest.raises(ScheduleError):
         _WindowSum(bfv, 6).required_rotation_steps()
 

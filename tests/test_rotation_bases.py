@@ -233,10 +233,12 @@ def test_e2e_layers_keep_a_noise_floor_at_set_b():
 # ``_program_digest(kernel.program(kernel.input_shape), params, True).hex()``
 # recorded before the single-ciphertext conv became the one-tile case of
 # the tiled kernel: the conv's shifts of -256 / -512 / -768 already lie in
-# ``(-row/2, row/2]``, so its program did not move.
+# ``(-row/2, row/2]``, so its program did not move.  Re-recorded when
+# ``IrNode`` lost its ``width`` field (the ``rotate_sum`` kind's): the
+# digest hashes every node field, so every digest moved with no node.
 DNN_DIGESTS = {
-    "conv": "06c46dfc5ac5325cc944869a0c75c043d85919405dff439a7047cd65bb83427c",
-    "fc": "c148dfcae989037fcc213a249f333d8080bd9fcda838126c2d821af2df71485c",
+    "conv": "bb7f044614c8a845e3abe5776e8c0cf10b4771e6bd2dd8a1fa8d2008709f13d7",
+    "fc": "db07446fa24ba894345fae0fb109f1c0f7500276f69ca76a7a03be69ef46d519",
 }
 
 
@@ -257,30 +259,34 @@ def test_dnn_workload_programs_did_not_move(layer):
 # (the parameter fingerprint moved).  FORMER_KNN_DIGESTS were recorded at
 # the parent of the taps x shifts / hybrid-diagonal change, under the former
 # fingerprint: base prime the largest 30-bit NTT prime, two special primes
-# below it.
+# below it.  All three tables were re-recorded when ``IrNode`` lost its
+# ``width`` field (every node's hashed fields moved) and the window sums of
+# collapsed and stacked-point began to trace as plain rotations and adds;
+# UNSPLIT and FORMER still pin the same two transformations (``relin``
+# nodes deleted, the former fingerprint) of today's programs.
 KNN_DIGESTS = {
     "collapsed":
-        "e69c28ff7d17e8c45f7426e565e2981d70f79ca58d88226b6274d3eceacd6883",
+        "16ca17148362dac456b7a277e782477d2d6ae07672c97407c3be2cad4b2957d1",
     "dimension-major":
-        "c2084cfcbedda69c496ff079f3d2595d6e163c6a370c35828088f7b5b8c76134",
+        "b4f1e6f8a932f9dc87ecbdb96ebb4fafe04461855a41fbbfc4cb1e340770d93c",
     "stacked-point":
-        "a67895ed51cd5374e810de34e4034dc3fefce2c38b6e9ec1c343bb81e2f11e63",
+        "572fb124eba2cf9a1fe9db2a0119737a9b009b25d7049abdf971a5876dc243ee",
 }
 UNSPLIT_KNN_DIGESTS = {
     "collapsed":
-        "c06e21c1d67930c9741214f78d7342b29d621870a9c2b11863dd0c243813f27f",
+        "b075b9003c2944408beb9a842585781393c9c3a981a994c36c98ef979e4771b1",
     "dimension-major":
-        "6c60840a37ff184d07c484cf64e4db381c180e01551562eec40119f794af34ac",
+        "9b4d5f07dbf03589c70c7b104e0aa9f359c58a34a59bb097e37b323e2ba8848c",
     "stacked-point":
-        "7b00f5a00ad65ad32f0115a5a68a899e2fe5a3e43ed71c29359584089d51cc03",
+        "b96edc6be1ac5359c319a621313cd215d51766f22a71be3e818efcbd4d05acfc",
 }
 FORMER_KNN_DIGESTS = {
     "collapsed":
-        "9502c91af0386006bf28acb23be66637a9ea465fa0bdcbfda1e4b96e11fc6e1e",
+        "cd6d16c629ee8abb69af32c8a369ee7c21b43630bf65b499358c7129a2e178f5",
     "dimension-major":
-        "1093bcef9ad1f42757859a8792412a65bfc8d737e4d53c9d6b3990962bb8ab5b",
+        "6c038deeb015bfed15b55133d3f0a13c94c31af12dfb1016536ae3d18c12eacf",
     "stacked-point":
-        "35bb28ef518b80b98f43e664e1a62ad57294a2d896db3a71f8c7c1cc53f852e9",
+        "a7a7ce6e84bbad2bd35681952df6551847bc2febf5bf752a8ed55b0a4ba35bd2",
 }
 
 
