@@ -1,18 +1,50 @@
-"""The speedup-gate harness shared by the paired-implementation benches.
+"""The speedup-gate harness shared by the paired-implementation benches,
+and the record options every gate shares.
 
 ``bench_hoisting``, ``bench_ir``, ``bench_level_planner`` and
 ``bench_client_crypto`` each time a baseline against an optimized
 implementation of the same work and gate the ratio twice: against a fixed
-per-kernel floor, and against the previous recorded run of the same JSON
+per-kernel floor, and against the committed record of the same JSON
 file.  The timing discipline and the gate loop live here once.
+
+Every gate reads its committed record and leaves it byte-identical: only
+``--record`` rewrites it (:func:`record_options`, :func:`save_record`), so
+a second run compares against the same numbers as the first.
 """
 
 import json
 import sys
 import time
+from pathlib import Path
 
 #: A kernel may lose this share of its previously recorded speedup.
 REGRESSION_TOLERANCE = 0.20
+
+
+def record_options(parser, default: Path) -> None:
+    """``--output``, the committed record a run compares against, and
+    ``--record``, the one way to rewrite it with the run."""
+    parser.add_argument(
+        "--output", type=Path, default=default,
+        help="the recorded run to compare against (rewritten by --record)")
+    parser.add_argument(
+        "--record", action="store_true",
+        help="write this run to --output; without it nothing is written")
+
+
+def load_record(output: Path):
+    """The record at *output*, or ``None`` before the first one."""
+    return json.loads(output.read_text()) if output.exists() else None
+
+
+def save_record(report, args) -> None:
+    """Write *report* to ``args.output`` when ``args.record`` is set."""
+    if not args.record:
+        print(f"not recorded: {args.output} is unchanged (--record writes it)")
+        return
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {args.output}")
 
 
 def best_of_pair(base_fn, fast_fn, reps, rounds=6):
@@ -31,20 +63,19 @@ def best_of_pair(base_fn, fast_fn, reps, rounds=6):
     return tuple(bests)
 
 
-def run_speedup_gate(measurements, floors, labels, extra, output, check):
-    """Report, record and gate ``{kernel: (base_s, fast_s)}``.
+def run_speedup_gate(measurements, floors, labels, extra, args):
+    """Report, gate and (with ``--record``) record ``{kernel: (base_s,
+    fast_s)}``.
 
     *floors* maps each kernel to its minimum speedup, *labels* names the
     two sides (``("naive", "hoisted")`` → the ``naive_ms`` / ``hoisted_ms``
     record keys), *extra* is the record's header (everything beside
-    ``tolerance`` and ``kernels``).  Writes the record to *output* and
-    returns the process exit code: 1 when *check* is set and a kernel
-    misses its floor or falls more than :data:`REGRESSION_TOLERANCE` below
-    the speedup *output* held before this run.
+    ``tolerance`` and ``kernels``), *args* the parsed ``--check`` and
+    :func:`record_options`.  Returns the process exit code: 1 when
+    ``--check`` is set and a kernel misses its floor or falls more than
+    :data:`REGRESSION_TOLERANCE` below the speedup ``--output`` records.
     """
-    previous = {}
-    if output.exists():
-        previous = json.loads(output.read_text()).get("kernels", {})
+    previous = (load_record(args.output) or {}).get("kernels", {})
 
     base_label, fast_label = labels
     report = {**extra, "tolerance": REGRESSION_TOLERANCE, "kernels": {}}
@@ -69,14 +100,11 @@ def run_speedup_gate(measurements, floors, labels, extra, output, check):
                 and speedup < reference * (1.0 - REGRESSION_TOLERANCE)):
             failures.append(
                 f"{name}: {speedup:.2f}x is more than "
-                f"{REGRESSION_TOLERANCE:.0%} below the previous run "
+                f"{REGRESSION_TOLERANCE:.0%} below the recorded run "
                 f"({reference:.2f}x)")
 
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-
-    if check and failures:
+    save_record(report, args)
+    if args.check and failures:
         for line in failures:
             print(f"REGRESSION: {line}", file=sys.stderr)
         return 1

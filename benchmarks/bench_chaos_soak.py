@@ -14,15 +14,16 @@ session, auditing the same end-state invariants each time:
 * zero leaked pending futures, worker tasks, or server sessions.
 
 Unlike the throughput gates there is no tolerance: any violated invariant
-in any seed is a hard failure.
+in any seed is a hard failure.  Only ``--record`` rewrites
+``results/BENCH_chaos_soak.json``.
 """
 
 import argparse
 import asyncio
-import json
 import sys
 from pathlib import Path
 
+from _gate import record_options, save_record
 from _soak import soak
 from repro.runtime import DEFAULT_PLAN, FaultPlan
 
@@ -51,8 +52,7 @@ def main(argv=None):
                         help="concurrent sessions per scenario")
     parser.add_argument("--requests", type=int, default=6,
                         help="logical requests per session")
-    parser.add_argument("--output", type=Path, default=RESULTS_PATH,
-                        help="JSON output path")
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
     failures = []
@@ -71,9 +71,7 @@ def main(argv=None):
         "requests_per_session": args.requests,
         "scenarios": scenarios,
     }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(out, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    save_record(out, args)
 
     if args.check and failures:
         for line in failures:

@@ -46,8 +46,9 @@ race, so it is recorded, not gated.
 Every kernel asserts equality between its two implementations before
 timing anything (values for the BFV pairs, bits for the CKKS ones).
 ``--check`` exits non-zero when a batched kernel falls below its minimum
-required speedup or regresses more than 20% against the previous recorded
-run.  Results go to ``benchmarks/results/BENCH_client_crypto.json``.
+required speedup or regresses more than 20% against the committed record,
+``benchmarks/results/BENCH_client_crypto.json``, which only ``--record``
+rewrites.
 """
 
 import argparse
@@ -57,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _gate import best_of_pair, run_speedup_gate
+from _gate import best_of_pair, record_options, run_speedup_gate
 from repro.hecore import ckks, ntt
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
@@ -245,11 +246,9 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit non-zero if a batched kernel misses its minimum speedup "
-        "or regresses >20%% vs the previous recorded run",
+        "or regresses >20%% vs the committed record",
     )
-    parser.add_argument(
-        "--output", type=Path, default=RESULTS_PATH, help="JSON output path"
-    )
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
     measurements = {}
@@ -277,7 +276,7 @@ def main(argv=None):
     print(f"  {'keygen (set B)':18s} {1e3 * key_s:9.2f} ms per key-switch key "
           f"({extra['ntt_rows_per_key']} forward-NTT rows)")
     return run_speedup_gate(measurements, MIN_SPEEDUP, ("looped", "batched"),
-                            extra, args.output, args.check)
+                            extra, args)
 
 
 if __name__ == "__main__":

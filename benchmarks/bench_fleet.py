@@ -21,11 +21,11 @@ Usage::
 
     python benchmarks/bench_fleet.py --check            # full gate
     python benchmarks/bench_fleet.py --check --quick    # tier-2 budget
+    python benchmarks/bench_fleet.py --record           # rewrite the record
 """
 
 import argparse
 import asyncio
-import json
 import os
 import sys
 import time
@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from _gate import record_options, save_record
 from _soak import soak
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
@@ -139,8 +140,7 @@ def main(argv=None):
     parser.add_argument("--queries", type=int, default=None,
                         help="classifications per session (default 6; "
                              "--quick 3)")
-    parser.add_argument("--output", type=Path, default=RESULTS_PATH,
-                        help="JSON output path")
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
     n_sessions = args.sessions or (3 if args.quick else 4)
@@ -196,9 +196,7 @@ def main(argv=None):
         "soak": report.as_dict(),
         "failures": failures,
     }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(out, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    save_record(out, args)
 
     if args.check and failures:
         for line in failures:

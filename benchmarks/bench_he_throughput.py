@@ -11,13 +11,13 @@ rotate, BFV ciphertext multiply) and the residue primitives every operation
 is assembled from (polynomial add, modulus switch, NTT-form automorphism) at
 the seed parameter sets and writes
 ``benchmarks/results/BENCH_he_kernels.json`` with the pre-refactor baseline,
-current throughput, and speedup per op.  ``--check`` exits non-zero if any op
-regresses more than 20% against the previous recorded run (or, on a first
-run, against the pre-refactor baseline).
+current throughput, and speedup per op when passed ``--record`` (a run
+without it writes nothing).  ``--check`` exits non-zero if any op regresses
+more than 40% against the committed record (or, with none, more than 20%
+against the pre-refactor baseline).
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -28,6 +28,8 @@ import pytest
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
+
+from _gate import load_record, record_options, save_record
 
 
 @pytest.fixture(scope="module", params=[1024, 4096])
@@ -127,7 +129,7 @@ REGRESSION_TOLERANCE = 0.20
 
 #: Cross-run comparisons measure absolute throughput on a shared host, where
 #: back-to-back runs routinely swing ~30% with background load; the fixed
-#: pre-refactor floors above are the hard gate, and the previous-run check
+#: pre-refactor floors above are the hard gate, and the record check
 #: only catches order-of-magnitude slips.
 CROSS_RUN_TOLERANCE = 0.40
 
@@ -202,17 +204,15 @@ def main(argv=None):
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero if any op regresses >20%% vs the previous run "
-        "(first run: vs the pre-refactor baseline)",
+        help="exit non-zero if any op regresses >40%% vs the committed "
+        "record (none: >20%% vs the pre-refactor baseline)",
     )
     parser.add_argument(
         "--sets",
         default="B,A",
         help="comma-separated parameter sets to measure (default: B,A)",
     )
-    parser.add_argument(
-        "--output", type=Path, default=RESULTS_PATH, help="JSON output path"
-    )
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
     presets = {"A": PARAMETER_SET_A, "B": PARAMETER_SET_B}
@@ -225,9 +225,7 @@ def main(argv=None):
             f"unknown parameter set(s) {', '.join(unknown)}; "
             f"choose from {', '.join(sorted(presets))}"
         )
-    previous = None
-    if args.output.exists():
-        previous = json.loads(args.output.read_text())
+    previous = load_record(args.output)
 
     report = {"tolerance": REGRESSION_TOLERANCE, "sets": {}}
     failures = []
@@ -256,7 +254,7 @@ def main(argv=None):
                 )
                 if prev_op is not None:
                     reference = prev_op["current_ops_per_sec"]
-                    source = "previous run"
+                    source = "committed record"
                     tolerance = CROSS_RUN_TOLERANCE
             if rate < reference * (1.0 - tolerance):
                 failures.append(
@@ -270,9 +268,7 @@ def main(argv=None):
             "ops": ops,
         }
 
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    save_record(report, args)
 
     if args.check and failures:
         for line in failures:

@@ -16,8 +16,8 @@ Both run BFV at N=4096 and assert decrypt-level equality between the two
 implementations before timing anything.  ``--check`` exits non-zero when a
 fused kernel falls below its minimum required speedup (1.3x for the
 rotate-and-sum span, 1.5x for the matvec) or regresses more than 20%
-against the previous recorded run.  Results go to
-``benchmarks/results/BENCH_hoisting.json``.
+against the committed record, ``benchmarks/results/BENCH_hoisting.json``,
+which only ``--record`` rewrites.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _gate import best_of_pair, run_speedup_gate
+from _gate import best_of_pair, record_options, run_speedup_gate
 from repro.core.linalg import EncryptedMatVec
 from repro.hecore.bfv import BfvContext
 from repro.hecore.hoisting import (
@@ -131,11 +131,9 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit non-zero if a fused kernel misses its minimum speedup or "
-        "regresses >20%% vs the previous recorded run",
+        "regresses >20%% vs the committed record",
     )
-    parser.add_argument(
-        "--output", type=Path, default=RESULTS_PATH, help="JSON output path"
-    )
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
     ctx = _make_context()
@@ -148,7 +146,7 @@ def main(argv=None):
         "data_moduli": [int(p) for p in ctx.params.data_base.moduli],
     }
     return run_speedup_gate(measurements, MIN_SPEEDUP, ("naive", "hoisted"),
-                            extra, args.output, args.check)
+                            extra, args)
 
 
 if __name__ == "__main__":

@@ -80,7 +80,7 @@ four-step ratio) and only because every four-step ``scheduled_ms`` is at
 or below the parent's median: the scheduled program is no slower, its
 naive reference is just cheaper.  No count assertion moved
 (``relinearize`` 1, ``weighted_sum_spans`` 1, ``naive_decompose`` <= 7,
-``ntt_elided`` > 0).  Each previous-run record is that kernel's
+``ntt_elided`` > 0).  Each committed record is that kernel's
 lower-median four-step run.
 
 The old matvec baseline already ran one fused weighted-sum span
@@ -118,7 +118,7 @@ a schedule that relinearises per product again.  Since ``pack_query``
 returns plaintexts on the query's entry chain, the naive reference runs on
 the same two-limb queries as the scheduled side, so the input changed under
 both: ten runs on it read reference 237-254 ms, scheduled 16.0-16.9 ms,
-14.51-15.09x (the last table row).  The previous-run record is the
+14.51-15.09x (the last table row).  The committed record is the
 lower-median run (14.89x); the floor stays 11.0x.
 
 ``cold_second_session`` prices something else: not the passes but sharing
@@ -186,8 +186,8 @@ the same numbers: one weighted key-switch sum on ``fig15_matvec``, and one
 unweighted sum of 8 terms on ``knn_collapsed``.
 
 ``--check`` exits non-zero on a missed floor, a missing residency signal,
-or a >20% regression against the previous recorded run.  Results go to
-``benchmarks/results/BENCH_ir.json``.
+or a >20% regression against the committed record,
+``benchmarks/results/BENCH_ir.json``, which only ``--record`` rewrites.
 """
 
 import argparse
@@ -196,7 +196,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _gate import best_of_pair, run_speedup_gate
+from _gate import best_of_pair, record_options, run_speedup_gate
 from repro.core import ir
 from repro.core.distance import (
     CollapsedPointMajorKernel,
@@ -469,11 +469,9 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit non-zero if the scheduler misses its floors or regresses "
-        ">20%% vs the previous recorded run",
+        ">20%% vs the committed record",
     )
-    parser.add_argument(
-        "--output", type=Path, default=RESULTS_PATH, help="JSON output path"
-    )
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
     ctx = _make_context()
@@ -493,8 +491,7 @@ def main(argv=None):
     }
     print(f"  ntt pairs elided per scheduled dnn slice: {elided}")
     return run_speedup_gate(measurements, MIN_SPEEDUP,
-                            ("reference", "scheduled"), extra, args.output,
-                            args.check)
+                            ("reference", "scheduled"), extra, args)
 
 
 if __name__ == "__main__":

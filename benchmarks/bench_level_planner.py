@@ -24,8 +24,9 @@ runs on both sides).  BFV at N=4096 with a six-limb data chain:
   1.25x, exactness asserted at decrypt level.
 
 ``--check`` exits non-zero on a missed floor, missing telemetry, a
-non-shrinking wire format, or a >20% regression against the previous
-recorded run.  Results go to ``benchmarks/results/BENCH_level_planner.json``.
+non-shrinking wire format, or a >20% regression against the committed
+record, ``benchmarks/results/BENCH_level_planner.json``, which only
+``--record`` rewrites.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _gate import best_of_pair, run_speedup_gate
+from _gate import best_of_pair, record_options, run_speedup_gate
 from repro.core.ir import compile_ir, trace_program
 from repro.core.linalg import BsgsMatVec, Conv2dSpec
 from repro.core.protocol import ClientAidedSession
@@ -195,11 +196,9 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit non-zero if the planner misses its floors or regresses "
-        ">20%% vs the previous recorded run",
+        ">20%% vs the committed record",
     )
-    parser.add_argument(
-        "--output", type=Path, default=RESULTS_PATH, help="JSON output path"
-    )
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
     ctx = _make_context()
@@ -225,8 +224,7 @@ def main(argv=None):
     print(f"  result ciphertext: {bytes_off} B -> {bytes_on} B "
           f"({bytes_off / bytes_on:.2f}x smaller)")
     return run_speedup_gate(measurements, MIN_SPEEDUP,
-                            ("planner_off", "planner_on"), extra,
-                            args.output, args.check)
+                            ("planner_off", "planner_on"), extra, args)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ report (``results/wire_format.txt``) is the ``wire_format`` row of
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -24,6 +23,8 @@ from repro.hecore.bfv import BfvContext
 from repro.hecore.params import PARAMETER_SET_B
 from repro.hecore.serialize import serialize_ciphertext
 
+from _gate import load_record, record_options, save_record
+
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_wire_format.json"
 
 #: Conservative throughput floors (ops/sec) from the reference container
@@ -31,8 +32,8 @@ RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_wire_format.json"
 #: idle-host measurement because these ops are microsecond-scale and the
 #: shared host swings ~2x.  Sizes are exact — any byte drift is a protocol
 #: break, not a perf regression — so only the throughput entries carry a
-#: tolerance.  After the first run, ``--check`` compares against the
-#: previous recorded run instead.
+#: tolerance.  With a committed record, ``--check`` compares against it
+#: instead.
 #:
 #: The key floors follow the seeded key format (evaluation keys ship ``k0``
 #: + a 32-byte seed; the receiver regenerates the uniform halves).
@@ -66,7 +67,7 @@ REGRESSION_TOLERANCE = 0.20
 
 #: Cross-run comparisons measure absolute throughput on a shared host (see
 #: bench_he_throughput.CROSS_RUN_TOLERANCE); the recorded baselines are the
-#: hard gate and the previous-run check only catches order-of-magnitude slips.
+#: hard gate and the record check only catches order-of-magnitude slips.
 CROSS_RUN_TOLERANCE = 0.40
 
 
@@ -165,16 +166,12 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit non-zero on any size drift, or if throughput regresses "
-        ">20%% vs the previous run (first run: vs the recorded baseline)",
+        ">20%% vs the committed record (none: vs the recorded baseline)",
     )
-    parser.add_argument(
-        "--output", type=Path, default=RESULTS_PATH, help="JSON output path"
-    )
+    record_options(parser, RESULTS_PATH)
     args = parser.parse_args(argv)
 
-    previous = None
-    if args.output.exists():
-        previous = json.loads(args.output.read_text())
+    previous = load_record(args.output)
 
     params = PARAMETER_SET_B
     print(f"set B (N={params.poly_degree}, "
@@ -208,7 +205,7 @@ def main(argv=None):
             prev_op = previous.get("ops", {}).get(op)
             if prev_op is not None:
                 reference = prev_op["current_ops_per_sec"]
-                source = "previous run"
+                source = "committed record"
                 tolerance = CROSS_RUN_TOLERANCE
         if rate < reference * (1.0 - tolerance):
             failures.append(
@@ -224,9 +221,7 @@ def main(argv=None):
         "expected_sizes_bytes": expected,
         "ops": ops,
     }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    save_record(report, args)
 
     if args.check and failures:
         for line in failures:

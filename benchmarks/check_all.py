@@ -33,13 +33,20 @@ a change:
   and diffs each untimed report byte for byte against
   ``benchmarks/results/``, so a change that moves a figure shows the diff.
 
+Every gate compares against its committed record
+(``benchmarks/results/BENCH_*.json``) and leaves it byte-identical: each
+runs on a scratch copy of its record, so a second run compares against the
+same numbers as the first.  ``--record`` runs the gates on the committed
+records instead, which rewrites them: a change that claims a number
+re-records on purpose.
+
 A per-gate wall-clock summary prints at the end, so a gate quietly eating
 the tier's time budget is visible before it becomes a problem.  The same
 summary is written as JSON (``benchmarks/results/check_all_summary.json``
 by default) so tooling can consume gate outcomes without scraping stdout;
 for the paired-implementation gates it carries every kernel's ``speedup``
-and ``min_speedup`` (CI prints them on the run's summary page, so a
-re-derived floor is visible on the PR that re-derives it).
+(this run's) and ``min_speedup`` (CI prints them on the run's summary page,
+so a re-derived floor is visible on the PR that re-derives it).
 
 Usage::
 
@@ -48,20 +55,24 @@ Usage::
     python benchmarks/check_all.py --only bench_ir # run one gate by exact name
     python benchmarks/check_all.py --only he_kernels,ir,wire_format  # aliases
     python benchmarks/check_all.py --only figures  # the figure-drift gate
+    python benchmarks/check_all.py --record        # rewrite BENCH_*.json
 """
 
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).parent
 SUMMARY_PATH = BENCH_DIR / "results" / "check_all_summary.json"
 
-#: (script, extra arguments beyond --check)
+#: (script, extra arguments beyond --check); every script but figures.py
+#: takes ``--output`` / ``--record`` (``_gate.record_options``).
 GATES = [
     ("bench_he_throughput.py", []),
     ("bench_wire_format.py", []),
@@ -74,11 +85,14 @@ GATES = [
     ("figures.py", []),
 ]
 
-#: Where the paired-implementation gates (``_gate.run_speedup_gate``) record
-#: their kernels; the summary carries each one's speedup beside its floor.
-SPEEDUP_RECORDS = {
+#: Each recording gate's committed record.
+RECORDS = {
+    "bench_he_throughput.py": "BENCH_he_kernels.json",
+    "bench_wire_format.py": "BENCH_wire_format.json",
     "bench_hoisting.py": "BENCH_hoisting.json",
     "bench_client_crypto.py": "BENCH_client_crypto.json",
+    "bench_chaos_soak.py": "BENCH_chaos_soak.json",
+    "bench_fleet.py": "BENCH_fleet.json",
     "bench_ir.py": "BENCH_ir.json",
     "bench_level_planner.py": "BENCH_level_planner.json",
 }
@@ -126,11 +140,25 @@ def _select(patterns, only):
     return (selected or None), patterns
 
 
-def _recorded_speedups(gate):
-    """``{kernel: {speedup, min_speedup}}`` from the record *gate* just
-    wrote, or ``{}`` for a gate that records no speedups."""
-    path = BENCH_DIR / "results" / SPEEDUP_RECORDS.get(gate, "")
-    if not path.is_file():
+def _record_args(gate, record, scratch):
+    """*gate*'s record arguments: the committed record with ``--record``;
+    otherwise a scratch copy of it, which the run may rewrite and the
+    committed file never sees.  Returns them and the record's path."""
+    if gate not in RECORDS:
+        return [], None
+    committed = BENCH_DIR / "results" / RECORDS[gate]
+    if record:
+        return ["--record"], committed
+    path = Path(scratch) / RECORDS[gate]
+    if committed.is_file():
+        shutil.copyfile(committed, path)
+    return ["--output", str(path), "--record"], path
+
+
+def _recorded_speedups(path):
+    """``{kernel: {speedup, min_speedup}}`` from the record a gate just
+    wrote at *path*, or ``{}`` for a gate that records no speedups."""
+    if path is None or not path.is_file():
         return {}
     kernels = json.loads(path.read_text()).get("kernels", {})
     return {name: {"speedup": kernel["speedup"],
@@ -147,6 +175,9 @@ def main(argv=None):
     parser.add_argument(
         "--only", action="append", default=[], metavar="GATE",
         help="run exactly this gate (script name, .py optional); repeatable")
+    parser.add_argument(
+        "--record", action="store_true",
+        help="rewrite the committed BENCH_*.json records with this run")
     parser.add_argument(
         "--summary", type=Path, default=SUMMARY_PATH,
         help="where to write the machine-readable JSON summary")
@@ -167,22 +198,26 @@ def main(argv=None):
 
     failed = []
     timings = []
-    for gate, extra in selected:
-        print(f"=== {gate} ===", flush=True)
-        started = time.monotonic()
-        result = subprocess.run(
-            [sys.executable, str(BENCH_DIR / gate), "--check", *extra],
-            env=env,
-        )
-        elapsed = time.monotonic() - started
-        timings.append((gate, elapsed, result.returncode == 0))
-        if result.returncode != 0:
-            failed.append(gate)
-        print(flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for gate, extra in selected:
+            print(f"=== {gate} ===", flush=True)
+            record, path = _record_args(gate, args.record, scratch)
+            started = time.monotonic()
+            result = subprocess.run(
+                [sys.executable, str(BENCH_DIR / gate), "--check", *extra,
+                 *record],
+                env=env,
+            )
+            elapsed = time.monotonic() - started
+            timings.append((gate, elapsed, result.returncode == 0,
+                            _recorded_speedups(path)))
+            if result.returncode != 0:
+                failed.append(gate)
+            print(flush=True)
 
-    total = sum(elapsed for _, elapsed, _ in timings)
+    total = sum(elapsed for _, elapsed, _, _ in timings)
     print("gate timing summary:")
-    for gate, elapsed, ok in timings:
+    for gate, elapsed, ok, _ in timings:
         print(f"  {'PASS' if ok else 'FAIL'}  {elapsed:7.2f}s  {gate}")
     print(f"        {total:7.2f}s  total")
 
@@ -191,8 +226,8 @@ def main(argv=None):
         "total_seconds": round(total, 3),
         "gates": [
             {"gate": gate, "seconds": round(elapsed, 3), "ok": ok,
-             "kernels": _recorded_speedups(gate)}
-            for gate, elapsed, ok in timings
+             "kernels": kernels}
+            for gate, elapsed, ok, kernels in timings
         ],
     }
     args.summary.parent.mkdir(parents=True, exist_ok=True)

@@ -16,15 +16,15 @@ one.  A scheduler then runs ordered passes over the DAG:
 1. **Key-switch-sum fusion** (BFV and CKKS) — one add-tree matcher
    (:func:`_add_trees`: a maximal tree of single-consumer adds over
    leaves at one static level and scale) serves this pass and product-sum
-   fusion (4).  It runs twice.  Before the level planner it takes the
-   weighted trees: add-trees of ``mul(rotate(x, s_j), const_j)`` leaves
-   over any sources (one input tile or several) become one weighted
-   ``keyswitch_sum`` node.  Baby rotations shared by the giant steps of a
-   baby-step/giant-step sum fuse into every node that reads them.  After
-   sinking it takes the unweighted trees: two or more single-consumer
-   rotations among the leaves (the giant steps, each phase of a distance
-   kernel's window sum, or PageRank's repacking rotations) become one
-   unweighted ``keyswitch_sum``.  Each node runs as
+   fusion (4).  It runs twice, both before the level planner, so the
+   planner prices the nodes that run.  First the weighted trees: add-trees of
+   ``mul(rotate(x, s_j), const_j)`` leaves over any sources (one input
+   tile or several) become one weighted ``keyswitch_sum`` node.  Baby
+   rotations shared by the giant steps of a baby-step/giant-step sum fuse
+   into every node that reads them.  Then the unweighted trees: two or
+   more single-consumer rotations among the leaves (the giant steps, each
+   phase of a distance kernel's window sum, or PageRank's repacking
+   rotations) become one unweighted ``keyswitch_sum``.  Each node runs as
    :func:`repro.hecore.hoisting.keyswitch_sum`: one decompose per source
    per run, shared by every node over it (double hoisting), one
    key-switch inner product per distinct (source, Galois element), and one
@@ -829,11 +829,14 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
                params=None) -> "ScheduledProgram":
     """Run the pass pipeline and return an executable scheduled program.
 
-    With *params* (an :class:`EncryptionParameters`) the level planner runs
-    between weighted-sum fusion and the remaining passes: it walks the
-    program with the static noise estimator, drops modulus-chain limbs the
-    moment no downstream consumer needs their headroom, each input at its
-    entry level (see :mod:`repro.core.levelplan`).  The schedule is then a
+    With *params* (an :class:`EncryptionParameters`) the level planner
+    runs between key-switch-sum fusion and sinking: it walks the fused
+    program (each sum one node) with the static noise estimator, drops
+    modulus-chain limbs the moment no downstream consumer needs their
+    headroom, each input at its entry level (see
+    :mod:`repro.core.levelplan`).  Sinking, which appends each merged node
+    after its consumer, and product-sum fusion follow it: the planner
+    reads emission order as topological.  The schedule is then a
     contract for *params*' modulus chain: :meth:`ScheduledProgram.run`
     refuses any other chain and any input that does not arrive on all of
     it.  Without *params* the planner never runs and the schedule serves
@@ -844,13 +847,13 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
                         outputs=dict(source.outputs), slots=source.slots)
     report = ScheduleReport()
     _fuse_weighted_sums(program, scheme, report)
+    _fuse_unweighted_sums(program, scheme, report)
     if params is not None:
         from repro.core.levelplan import plan_levels
 
         program, report.level_plan = plan_levels(program, params)
     _sink_level_drops(program, scheme, report)
     _fuse_product_sums(program, scheme, report)
-    _fuse_unweighted_sums(program, scheme, report)
     resident = _mark_residency(program, scheme, report)
     if scheme is SchemeType.BFV:
         report.batched_consts = sum(program.nodes[nid].kind == "const"

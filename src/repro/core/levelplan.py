@@ -16,7 +16,10 @@ trailing limbs whose headroom exceeds the remaining spend (plus
 :data:`SLACK_BITS`) are switched away.  CKKS uses the level/scale analog:
 limbs beyond the downstream rescale depth drop via the scale-preserving
 ``drop_modulus`` as long as the coefficient magnitude still fits.  Levels
-come from the one per-node rule, :func:`repro.core.ir.level_after`.
+come from the one per-node rule, :func:`repro.core.ir.level_after`.  The
+planner walks the program after key-switch-sum fusion, each sum one node,
+and before sinking, which appends merged nodes after their consumers
+(:func:`_downstream` reads emission order as topological).
 
 A drop taken right on an ``input`` is that input's entry level
 (:meth:`repro.core.ir.ScheduledProgram.entry_limbs`): the client encrypts
@@ -48,8 +51,8 @@ from repro.hecore.noise import (
 from repro.hecore.params import SchemeType
 
 #: Node kinds after which an eager limb drop is considered.  Chosen to sit
-#: at coefficient-form reduction points (key-switch sums, ct-ct multiplies,
-#: inputs) so the NTT-residency pass keeps its plain-multiply chains.
+#: at coefficient-form reduction points (key-switch sums, weighted or not,
+#: and inputs) so the NTT-residency pass keeps its plain-multiply chains.
 DROP_SITE_KINDS = frozenset({"input", "keyswitch_sum"})
 
 #: Margin kept above the modeled downstream spend before a BFV drop.
@@ -115,7 +118,6 @@ class _Planner:
             self.scale_bits = max(1.0, math.log2(max(2.0, params.scale)))
             self.ahead = _downstream(
                 program, lambda node: int(node.kind == "rescale"))
-        self.live_set = program.live_set()
         # Values about to leave the program: dropping there shrinks the
         # download even when no compute follows.
         self.outputs = set(program.outputs.values())
@@ -159,8 +161,8 @@ class _Planner:
         new_id: Dict[int, int] = {}
         level: Dict[int, Optional[Level]] = {}
         for nid, node in enumerate(nodes):
-            if nid not in self.live_set:
-                continue        # live_set is dependency-closed over outputs
+            if nid not in self.ahead:
+                continue        # ahead: every live node, dependency-closed
             if node.kind == "const":
                 new_id[nid], level[nid] = self._emit(replace(node)), None
                 continue

@@ -269,7 +269,8 @@ def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
     reduced once.  Charges one ``rotate`` per unweighted rotated term and
     per new weighted block, one ``multiply_plain`` per weighted term, and
     one decompose per source it decomposes (:func:`_decompose`).  A
-    missing key raises :class:`~repro.hecore.keys.MissingEvaluationKey`.
+    missing key raises :class:`~repro.hecore.keys.MissingEvaluationKey`
+    before any of that work, so a refused sum charges no counter.
     """
     if not terms and weights is None:
         raise ValueError("keyswitch_sum needs at least one term")
@@ -283,6 +284,9 @@ def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
     for i, g in [*rotated, *(weights.pairs if weights else ())]:
         if g != 1:
             reads.setdefault(i, set()).add(g)
+    for i, needed in reads.items():     # a refused sum charges nothing
+        for g in needed:
+            sources[i].keys.key_for(g)
     fresh = [i for i in reads if sources[i].digits_ntt is None]
     if fresh:
         _decompose(ctx, [sources[i] for i in fresh],

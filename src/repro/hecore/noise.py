@@ -8,11 +8,9 @@ granularity of individual operations, so a planned operation sequence can
 be budget-checked in microseconds instead of seconds of real HE.
 
 Every IR kind is priced by one table, :meth:`NoiseEstimator.node_cost_bits`.
-The fused nodes are priced as what they fuse: a ``keyswitch_sum`` as one
-rotation's key switch plus its accumulation (and one plain multiply when
-its terms are weighted), a ``product_sum`` as a ct-ct multiply plus its
-accumulation.  A multi-source weighted sum is priced as the deepest add
-chain over its terms, never below the add-tree it replaces.
+The fused nodes are priced by their own accumulation: a ``keyswitch_sum``
+as one rotation's key switch plus its sum (and one plain multiply when its
+terms are weighted), a ``product_sum`` as a ct-ct multiply plus its sum.
 
 Validated against measured budgets in ``tests/test_noise_estimator.py``.
 """
@@ -64,9 +62,6 @@ class NoiseEstimate:
     def is_safe(self, slack: float = SAFETY_BITS) -> bool:
         """Whether decryption is predicted to succeed with margin."""
         return self.budget_bits >= slack
-
-    def spent(self, fresh: "NoiseEstimate") -> float:
-        return fresh.budget_bits - self.budget_bits
 
 
 class NoiseEstimator:
@@ -147,11 +142,10 @@ class NoiseEstimator:
     def node_cost_bits(self, node, nodes) -> float:
         """Noise bits IR node *node* charges the value flowing into it —
         the one per-kind table :meth:`budget_after` spends forward and the
-        level planner sums backward.  A ``keyswitch_sum`` is one rotation
-        plus its accumulation, plus one plain multiply when weighted: a
-        one-source weighted sum (a span) accumulates ``log2`` of its term
-        count twice over, any other sum like the deepest add chain over its
-        terms — never below the add-tree it replaces.  A
+        level planner sums backward.  A ``keyswitch_sum`` of ``T`` terms is
+        one rotation plus its accumulation, ``ceil(log2(T + 1))`` bits, and
+        when weighted one plain multiply plus that accumulation again (the
+        planner sees the fused node, never the add chain it replaces).  A
         ``product_sum`` is a ct-ct ``mul`` plus its accumulation;
         kinds that move no noise (``neg``, ``rescale``, ``mod_switch``)
         cost nothing, and neither does
@@ -167,13 +161,9 @@ class NoiseEstimator:
             return self.t_bits + (self.log_n / 2 if plain
                                   else self.log_n + 8)
         if kind == "keyswitch_sum":
-            count = len(node.terms)
-            if not node.weights():
-                return ROTATION_BITS + count - 1
-            if len(node.args) == 1:
-                return (ROTATION_BITS + math.log2(count + 1) + self.t_bits
-                        + self.log_n / 2 + math.ceil(math.log2(count + 1)))
-            return ROTATION_BITS + self.t_bits + self.log_n / 2 + count - 1
+            depth = math.ceil(math.log2(len(node.terms) + 1))
+            return ROTATION_BITS + depth + bool(node.weights()) * (
+                self.t_bits + self.log_n / 2 + depth)
         if kind == "product_sum":
             return (self.t_bits + self.log_n + 8
                     + math.ceil(math.log2(len(node.args) // 2)))

@@ -201,6 +201,28 @@ def test_rotate_and_sum_refuses_without_hoisted_keys():
         ctx.rotate_and_sum(ct, width)
 
 
+def test_a_refused_sum_charges_no_counter():
+    """Every Galois key a sum reads is resolved before its decompose and
+    its ``rotate`` / ``multiply_plain`` charges: a window sum short of a
+    phase step's key, or a weighted sum short of one term's, raises with
+    every counter where it was."""
+    ctx = _fresh_bfv(seed=11)
+    ctx.make_galois_keys([1, 2, 4])
+    ct = ctx.encrypt(ctx.encode(np.arange(256, dtype=np.int64)))
+    ext = keyswitch_ext_base(ct.level_base, ctx.params)
+    mask = ext.lift_signed(ctx.encode(np.ones(8, dtype=np.int64)).coeffs)
+    table = hoisting.weight_table(ctx, ct.level_base,
+                                  [(1, 0, mask), (3, 0, mask)])
+    refused = [lambda: ctx.rotate_and_sum(ct, 8),
+               lambda: hoisting.keyswitch_sum(
+                   ctx, [HoistedRotator(ctx, ct)], weights=table)]
+    for call in refused:
+        before = dict(ctx.counts)
+        with pytest.raises(MissingEvaluationKey, match="no Galois key"):
+            call()
+        assert dict(ctx.counts) == before
+
+
 def test_rotate_weighted_sum_matches_naive_chain():
     ctx = _fresh_bfv(seed=21)
     dim = 8

@@ -59,6 +59,16 @@ chain's nodes (111 -> 198 and 57 -> 115 for ``knn/collapsed``, 1155 ->
 ``limb_drops``, ``align_switches``, sunk count and planned switch
 repeated.
 
+The same four plus ``bench/slice/bfv3`` and ``bench/slice/bfv6`` were
+re-recorded when both key-switch-sum fusions moved ahead of the planner:
+the planner walks each fused window, giant-step or repacking sum as one
+node, so the limb-row integrals count the program that runs (72 / 44 for
+``knn/collapsed``, 1155 / 707 for ``knn/point-major``, 21 / 14 for
+``knn/stacked-point``, 12 / 9 for ``light/bfv3``; the slices' fc 39 / 31 ->
+24 / 21 and 78 / 34 -> 48 / 24), and the slices' fc switches after its
+giant sum sit at the fused program's node ids.  Every ``limb_drops``,
+``align_switches`` and sunk count repeated.
+
 Re-record (only for a deliberate planner or kernel-body change) with
 ``PYTHONPATH=src python -m tests.test_level_corpus > tests/level_corpus.json``.
 """
@@ -66,6 +76,7 @@ Re-record (only for a deliberate planner or kernel-body change) with
 import json
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +84,22 @@ import pytest
 
 from repro.core.compiler import Constant, EvaProgram, Input, Scalar, lower_to_ir
 from repro.core.distance import KERNEL_VARIANTS, DistanceProblem
-from repro.core.ir import compile_ir
-from repro.hecore.params import SchemeType, small_test_parameters
+from repro.core import levelplan
+from repro.core.ir import (
+    IrProgram,
+    ScheduleReport,
+    _fuse_unweighted_sums,
+    _fuse_weighted_sums,
+    compile_ir,
+)
+from repro.core.levelplan import plan_levels
+from repro.hecore.params import (
+    PARAMETER_SET_B,
+    SchemeType,
+    small_test_parameters,
+)
 from tests.test_level_planner import _light_trace
+from tests.test_rotation_bases import _e2e_layers
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 import bench_level_planner as bench  # noqa: E402
@@ -174,6 +198,41 @@ def test_no_pass_adds_or_removes_a_rotation_step(name):
         for planned in (None, params):
             sched = compile_ir(program, params.scheme, params=planned)
             assert sched.rotation_steps() == program.rotation_steps()
+
+
+def _planned_programs():
+    """name -> (programs, parameters): every corpus entry (its ``knn/*``
+    entries are the ``KERNEL_VARIANTS`` programs at the e2e CKKS set) and
+    the e2e conv and fc at set B, as served."""
+    conv, fc, _ = _e2e_layers(types.SimpleNamespace(params=PARAMETER_SET_B), 0)
+    return {**{name: corpus_programs(name) for name in CORPUS},
+            "e2e/conv": ((conv.program(conv.input_shape),), PARAMETER_SET_B),
+            "e2e/fc": ((fc.program(fc.input_shape),), PARAMETER_SET_B)}
+
+
+@pytest.mark.parametrize("name", sorted(_planned_programs()))
+def test_the_planner_receives_a_fusion_fixpoint(name, monkeypatch):
+    """The planner prices the program that runs: every key-switch sum is
+    fused before it sees the program, so re-running both fusion passes on
+    what it receives fuses nothing."""
+    programs, params = _planned_programs()[name]
+    received = []
+
+    def spy(program, params):
+        received.append(IrProgram(nodes=[replace(n) for n in program.nodes],
+                                  outputs=dict(program.outputs),
+                                  slots=program.slots))
+        return plan_levels(program, params)
+
+    monkeypatch.setattr(levelplan, "plan_levels", spy)
+    for program in programs:
+        compile_ir(program, params.scheme, params=params)
+    assert len(received) == len(programs)
+    for program in received:
+        report = ScheduleReport()
+        _fuse_weighted_sums(program, params.scheme, report)
+        _fuse_unweighted_sums(program, params.scheme, report)
+        assert (report.weighted_sum_spans, report.rotation_sums) == (0, 0)
 
 
 def test_golden_covers_exactly_the_corpus():
