@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,27 +221,31 @@ class RemoteKnn:
         self._batches: List[Tuple[DistanceKernel, int]] = []
         #: What this client already holds for the session (and replays by
         #: itself after an eviction or failover): provisioning sends each
-        #: key once, never the merged set again.
+        #: key once per level, never the merged set again.  Galois element
+        #: -> the limbs of the key sent for it.
         self._relin_sent = False
-        self._galois_sent: Set[int] = set()
+        self._galois_sent: Dict[int, int] = {}
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     async def _upload_missing_keys(self, kernel: DistanceKernel) -> None:
-        """Send the relin key once and only the Galois elements *kernel*
-        needs that no earlier batch sent.  A rotation-free packing
+        """Send the relin key once and only the Galois keys *kernel* needs
+        that no earlier batch sent at its level: an element *kernel*
+        rotates higher than the key sent is regenerated at that level
+        (:func:`~repro.core.ir.ensure_galois_keys`) and sent again, once;
+        one it rotates lower reuses the key sent.  A rotation-free packing
         (dimension-major) needs no Galois keys."""
         steps = kernel.required_rotation_steps()
         held = ensure_galois_keys(self.ctx, steps).keys if steps else {}
-        missing = set(held) - self._galois_sent
+        missing = {g: key for g, key in held.items()
+                   if self._galois_sent.get(g, 0) < key.limbs}
         await self.client.upload_keys(
             relin=None if self._relin_sent else self.ctx.relin_keys(),
-            galois=(GaloisKeys({g: held[g] for g in missing})
-                    if missing else None))
+            galois=GaloisKeys(missing) if missing else None)
         self._relin_sent = True
-        self._galois_sent |= missing
+        self._galois_sent.update((g, key.limbs) for g, key in missing.items())
 
     def _encrypt_many(self, values_list):
         """Batch upload path: one stacked client pass for the whole list

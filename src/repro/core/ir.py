@@ -90,7 +90,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.hecore import hoisting
-from repro.hecore.keys import keyswitch_ext_base
+from repro.hecore.keys import (
+    RotationSteps,
+    galois_element_for_step,
+    keyswitch_ext_base,
+)
 from repro.hecore.modmath import mod_mac
 from repro.hecore.params import SchemeType
 
@@ -206,19 +210,25 @@ class IrProgram:
             stack.pop()
         return levels
 
-    def rotation_steps(self) -> Set[int]:
-        """The Galois steps the live program rotates by: the one definition
-        of the keys a computation needs (no scheduling pass adds or removes
-        a step, so the traced and the compiled program agree)."""
-        steps: Set[int] = set()
+    def rotations(self) -> List[Tuple[int, int]]:
+        """``(step, source node)`` of every rotation the live program
+        makes, step 0 (no rotation) left out."""
+        pairs: List[Tuple[int, int]] = []
         for nid in self.live_set():
             node = self.nodes[nid]
             if node.kind == "rotate":
-                steps.add(node.steps)
+                pairs.append((node.steps, node.args[0]))
             elif node.kind == "keyswitch_sum":
-                steps |= {s for s, _, _ in node.terms}
-        steps.discard(0)
-        return steps
+                pairs += [(step, node.args[i]) for step, i, _ in node.terms]
+        return [(step, src) for step, src in pairs if step]
+
+    def rotation_steps(self) -> RotationSteps:
+        """The Galois steps the live program rotates by, all at the top
+        level: the one definition of the keys a computation needs (no
+        scheduling pass adds or removes a step, so the traced and the
+        compiled program agree; :meth:`ScheduledProgram.rotation_steps`
+        adds the planned levels)."""
+        return RotationSteps(step for step, _ in self.rotations())
 
     def is_const(self, nid: int) -> bool:
         return self.nodes[nid].kind == "const"
@@ -465,10 +475,11 @@ class TracedKernel:
                 self.ctx.params, body, [f"in{i}" for i in range(sum(shape))])
         return program
 
-    def required_rotation_steps(self) -> Set[int]:
-        """The Galois keys a session must hold to run this kernel: read off
-        the traced program, never kept by hand next to the body."""
-        return self.program(self.input_shape).rotation_steps()
+    def required_rotation_steps(self) -> RotationSteps:
+        """The Galois keys a session must hold to run this kernel, each at
+        the level its schedule rotates it at: read off the compiled
+        program, never kept by hand next to the body."""
+        return self.scheduled(self.input_shape).rotation_steps()
 
     def scheduled(self, shape: Tuple[int, ...]) -> "ScheduledProgram":
         """The compiled schedule for *shape*: the compiled program the
@@ -1033,9 +1044,17 @@ class ScheduledProgram:
         self._bfv_batch: Dict[int, Dict[int, object]] = {}
 
     # ------------------------------------------------------------ metadata
-    def rotation_steps(self) -> Set[int]:
-        """The compiled program's :meth:`IrProgram.rotation_steps`."""
-        return self.program.rotation_steps()
+    def rotation_steps(self) -> RotationSteps:
+        """The compiled program's :meth:`IrProgram.rotation_steps`, each
+        step mapped to the most live limbs the level plan rotates it at
+        (every step at the top level without a plan): what a session's
+        Galois keys are made for."""
+        if not self.limbs:
+            return self.program.rotation_steps()
+        levels: Dict[int, int] = {}
+        for step, src in self.program.rotations():
+            levels[step] = max(levels.get(step, 0), self.limbs[src])
+        return RotationSteps(levels)
 
     def _entry_chains(self) -> Dict[str, Tuple[int, ...]]:
         program = self.program
@@ -1370,14 +1389,29 @@ class _IrRunner:
             raise ScheduleError(
                 f"keyswitch_sum node {nid}: source(s) {off} arrive off the "
                 f"{len(base)}-limb level base of its first source")
-        # Charged as the add-tree it replaces, weighted or not.
-        self.ctx.counts["add"] += len(node.terms) - 1
+        self._require_keys([step for step, _, _ in node.terms], len(base))
         if node.weights():
-            return hoisting.keyswitch_sum(
+            out = hoisting.keyswitch_sum(
                 self.ctx, rotators,
                 weights=self.sched._weights(self.ctx, nid, base))
-        return hoisting.keyswitch_sum(
-            self.ctx, rotators, [(step, i) for step, i, _ in node.terms])
+        else:
+            out = hoisting.keyswitch_sum(
+                self.ctx, rotators, [(step, i) for step, i, _ in node.terms])
+        # Charged as the add-tree it replaces, weighted or not (once the
+        # sum ran: a refused one charges nothing).
+        self.ctx.counts["add"] += len(node.terms) - 1
+        return out
+
+    def _require_keys(self, steps: Sequence[int], limbs: int) -> None:
+        """Raise :class:`MissingEvaluationKey` unless every step's key
+        covers *limbs*: a planned run fixed the level, so a key made below
+        it is missing, refused before the node charges anything."""
+        keys = self.ctx._resolve_galois(self.keys)
+        n = self.ctx.params.poly_degree
+        for step in steps:
+            g = galois_element_for_step(step, n)
+            if g != 1:
+                keys.key_for(g, limbs)
 
     def _rotator(self, src_nid: int) -> hoisting.HoistedRotator:
         """The run's one hoisted rotator of node *src_nid*'s value, shared
@@ -1431,8 +1465,10 @@ class _IrRunner:
         if kind == "neg":
             return ctx.negate(self.memo[node.args[0]])
         if kind == "rotate":
-            return ctx.rotate(self._to_coeff(self.memo[node.args[0]]),
-                              node.steps, self.keys)
+            ct = self._to_coeff(self.memo[node.args[0]])
+            if self.fused:
+                self._require_keys([node.steps], len(ct.level_base))
+            return ctx.rotate(ct, node.steps, self.keys)
         if kind in ("add", "sub"):
             a, b = node.args
             a_const = self.program.is_const(a)
@@ -1505,10 +1541,9 @@ def ensure_galois_keys(ctx, *step_sets):
     """Union *step_sets* and make ONE merged Galois key set.
 
     The dnn/knn pipelines call this once per session instead of generating
-    keys per-op; ``make_galois_keys`` reuses already-present elements.
-    Returns the context's Galois key object (extended in place)."""
-    steps: Set[int] = set()
-    for s in step_sets:
-        steps |= set(s)
-    steps.discard(0)
-    return ctx.make_galois_keys(steps)
+    keys per-op.  A :class:`RotationSteps` set keeps its levels (the
+    higher one where two sets share a step), a plain set asks for full
+    keys; ``make_galois_keys`` reuses already-present elements at a high
+    enough level.  Returns the context's Galois key object (extended in
+    place)."""
+    return ctx.make_galois_keys(RotationSteps().union(*step_sets))

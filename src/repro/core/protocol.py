@@ -59,6 +59,16 @@ KERNEL_COUNTERS = {
                                    "arrived above their entry level"),
     "limbs_live": ("limbs_live", "live residue count summed over every "
                                  "ciphertext the server produced"),
+    # Level-trimmed Galois keys.  A planned run never drops to a key (the
+    # plan fixed every level and the keys follow it); the unplanned oracle
+    # and ad-hoc rotations take a ciphertext down to its key's level.
+    "key_drops": ("key_drops", "limbs dropped to meet a Galois key made "
+                               "for a lower level"),
+    # The decrypt's exact fallback: coefficients too close to a rounding
+    # boundary for the int64 path, recomputed through big integers.
+    "decrypt_exact_coeffs": ("decrypt_exact_coeffs",
+                             "decrypted coefficients recomputed through "
+                             "big integers"),
     # Shared schedule cache (``core.ir``), once per kernel instance and
     # shape.  A cold session of a model another session already ran shows
     # hits and no misses.

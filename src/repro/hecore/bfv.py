@@ -120,11 +120,13 @@ class BfvContext(RlweContext):
 
         The bigint-free RNS scaling (:meth:`RnsBase.scale_and_round_mod`);
         coefficients whose float correction lands inside the guard band are
-        recomputed exactly — identical results either way, pinned by tests.
+        recomputed exactly — identical results either way, pinned by tests
+        — and counted (``decrypt_exact_coeffs``).
         """
         t = self.params.plain_modulus
         values, unsafe = base.scale_and_round_mod(block, t)
         if unsafe.any():
+            self.counts["decrypt_exact_coeffs"] += int(unsafe.sum())
             q = base.modulus
             for mi, col in zip(*np.nonzero(unsafe)):
                 x = base.compose(block[mi][:, [col]])

@@ -167,11 +167,12 @@ class CkksContext(RlweContext):
         compose_centered_small`) — CKKS message coefficients are tiny
         relative to ``q``, so almost every coefficient is recovered without
         big integers; flagged ones take the exact path, with identical
-        results.
+        results, and are counted (``decrypt_exact_coeffs``).
         """
         values, unsafe = base.compose_centered_small(block)
         out = values.astype(np.float64)
         if unsafe.any():
+            self.counts["decrypt_exact_coeffs"] += int(unsafe.sum())
             for mi, col in zip(*np.nonzero(unsafe)):
                 out[mi, col] = float(
                     base.compose_centered(block[mi][:, [col]])[0])

@@ -64,7 +64,6 @@ from repro.hecore.keys import (
     keyswitch_ext_base,
     keyswitch_finish,
     keyswitch_inner_product,
-    keyswitch_rows,
 )
 from repro.hecore.polyring import (
     RnsPoly,
@@ -116,7 +115,6 @@ class HoistedRotator:
         self.n = self.params.poly_degree
         self.current = ct.level_base
         self.ext_base = keyswitch_ext_base(self.current, self.params)
-        self.rows = keyswitch_rows(self.current, self.params)
         #: ``(L, k_ext, n)`` NTT-form digits of ``c1``; ``None`` until the
         #: first rotation decomposes it.
         self.digits_ntt: Optional[np.ndarray] = None
@@ -136,8 +134,7 @@ class HoistedRotator:
         multi-key block (:meth:`GaloisKeys.stacked_block`) are the R-key
         case of the one key-switch inner product.
         """
-        keys = self.keys.stacked_block(galois_elts, self.rows,
-                                       len(self.current))
+        keys = self.keys.stacked_block(galois_elts, len(self.current))
         digits = _gather([self.digits_ntt], [0] * len(galois_elts),
                          [ntt_permutation(self.n, g) for g in galois_elts])
         return keyswitch_inner_product(digits, keys, self.ext_base)
@@ -269,8 +266,10 @@ def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
     reduced once.  Charges one ``rotate`` per unweighted rotated term and
     per new weighted block, one ``multiply_plain`` per weighted term, and
     one decompose per source it decomposes (:func:`_decompose`).  A
-    missing key raises :class:`~repro.hecore.keys.MissingEvaluationKey`
-    before any of that work, so a refused sum charges no counter.
+    missing key, or one made for fewer limbs than the sources carry,
+    raises :class:`~repro.hecore.keys.MissingEvaluationKey` before any of
+    that work, so a refused sum charges no counter: the level plan fixed
+    the sum's level, so a key below it is never dropped to.
     """
     if not terms and weights is None:
         raise ValueError("keyswitch_sum needs at least one term")
@@ -286,7 +285,7 @@ def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
             reads.setdefault(i, set()).add(g)
     for i, needed in reads.items():     # a refused sum charges nothing
         for g in needed:
-            sources[i].keys.key_for(g)
+            sources[i].keys.key_for(g, len(current))
     fresh = [i for i in reads if sources[i].digits_ntt is None]
     if fresh:
         _decompose(ctx, [sources[i] for i in fresh],
@@ -306,7 +305,7 @@ def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
                          [i for i, _ in rotated],
                          [ntt_permutation(n, g) for g in live])
         key_block = sources[rotated[0][0]].keys.stacked_block(
-            live, first.rows, len(current))
+            live, len(current))
         unweighted = keyswitch_inner_product(
             digits.reshape(-1, *digits.shape[2:]),
             key_block.reshape(-1, *key_block.shape[2:]), ext)

@@ -10,10 +10,17 @@ above every data prime (SEAL's hybrid method): each digit of the target
 polynomial multiplies a key that encrypts ``P · s_src`` concentrated on that
 digit's residue, and the accumulated result is scaled down by ``1/P``,
 keeping the added noise small.
+
+A key switches ciphertexts of at most as many data limbs as it has digits.
+A Galois key made for ``L`` limbs is the full key cut to digits
+``0..L-1`` and rows ``q_0..q_{L-1}, P``: its program rotates that element
+at ``L`` limbs or fewer (:class:`RotationSteps`), so nothing above is ever
+read.  Relinearization keys are always full.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set as AbstractSet
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,47 +88,68 @@ class PublicKey:
 class KeySwitchKey:
     """One key-switching key: a pair of NTT polys per data-residue digit.
 
-    Every digit's uniform half ``k1 = a_i`` is the expansion of the key's
-    one public 32-byte *seed* (:func:`expand_keyswitch_uniform`), so the
-    wire format ships ``k0`` and the seed and the receiver regenerates the
+    A key for ``L`` limbs has digits ``0..L-1``, each over the base
+    ``q_0..q_{L-1}, P`` (:func:`key_base`); a full key has every digit over
+    the full base.  Every digit's uniform half ``k1 = a_i`` is the
+    expansion of the key's one public 32-byte *seed*
+    (:func:`expand_keyswitch_uniform`), cut to those rows, so the wire
+    format ships ``k0`` and the seed and the receiver regenerates the
     rest.  A key assembled by hand from digits has no seed and cannot be
     serialized.
     """
 
     def __init__(self, digits: List[Tuple[RnsPoly, RnsPoly]],
-                 seed: Optional[bytes] = None):
+                 seed: Optional[bytes] = None,
+                 full_base: Optional[RnsBase] = None):
         self.digits = digits
         self.seed = seed
-        #: Per-restriction stacked views of the digit polys, filled lazily by
+        #: The parameter set's full base the key was cut from (its own
+        #: base when it is full): what its seed expands over.
+        self.full_base = digits[0][0].base if full_base is None else full_base
+        #: Per-level stacked views of the digit polys, filled lazily by
         #: :meth:`stacked_digits` (and pre-seeded by deserialization, which
-        #: lays key blobs out contiguously so the full-level entry is free).
-        self._stacked: Dict[Tuple[Tuple[int, ...], int], np.ndarray] = {}
+        #: lays key blobs out contiguously so the key's own level is free).
+        self._stacked: Dict[int, np.ndarray] = {}
 
-    def stacked_digits(self, rows: Sequence[int], count: int) -> np.ndarray:
-        """Digits ``0..count-1`` restricted to base *rows*, as one block.
+    @property
+    def limbs(self) -> int:
+        """The most data limbs a ciphertext this key switches may have."""
+        return len(self.digits)
 
-        Returns a ``(count, 2, len(rows), n)`` int64 array (NTT form): axis 0
-        is the digit, axis 1 the key component, axis 2 the residue row.  The
-        restriction is cached on the key, so every key switch at one modulus
-        level — naive or hoisted — shares a single re-layout instead of
-        re-gathering ``2 * count`` row subsets per call.
+    def stacked_digits(self, limbs: int) -> np.ndarray:
+        """The key restricted to a *limbs*-limb ciphertext, as one block.
+
+        Returns a ``(limbs, 2, limbs + 1, n)`` int64 array (NTT form): axis
+        0 is the digit, axis 1 the key component, axis 2 the residue row of
+        ``q_0..q_{limbs-1}, P``.  The restriction is cached on the key, so
+        every key switch at one modulus level — naive or hoisted — shares a
+        single re-layout instead of re-gathering ``2 * limbs`` row subsets
+        per call.  A key made for fewer limbs raises
+        :class:`MissingEvaluationKey`.
         """
-        cache_key = (tuple(int(r) for r in rows), int(count))
-        block = self._stacked.get(cache_key)
+        block = self._stacked.get(limbs)
         if block is None:
-            row_list = list(cache_key[0])
+            if limbs > self.limbs:
+                raise MissingEvaluationKey(
+                    f"key made for {self.limbs} limb(s) cannot switch a "
+                    f"{limbs}-limb ciphertext")
+            # The key's special-prime row is its last, after its own limbs.
+            rows = list(range(limbs)) + [self.limbs]
             block = np.stack([
-                np.stack([k0.data[row_list], k1.data[row_list]])
-                for k0, k1 in self.digits[:count]
+                np.stack([k0.data[rows], k1.data[rows]])
+                for k0, k1 in self.digits[:limbs]
             ])
-            self._stacked[cache_key] = block
+            self._stacked[limbs] = block
         return block
 
     def size_bytes(self, params: EncryptionParameters) -> int:
         """Serialized size under logical accounting (k residues, 8 B words):
-        every digit's ``k0`` plus the seed the uniform halves expand from."""
-        k = params.logical_residue_count
-        return len(self.digits) * k * params.poly_degree * 8 + SEED_BYTES
+        every digit's ``k0`` plus the seed the uniform halves expand from.
+        A key made for fewer limbs lacks one residue per data limb above
+        its own."""
+        k = params.logical_residue_count - (len(params.data_base)
+                                            - self.limbs)
+        return self.limbs * k * params.poly_degree * 8 + SEED_BYTES
 
 
 class RelinKeys(KeySwitchKey):
@@ -132,42 +160,100 @@ class MissingEvaluationKey(ValueError):
     """An operation needed an evaluation key that was never provided."""
 
 
+class RotationSteps(frozenset):
+    """Rotation steps, each with the most live limbs it is rotated at.
+
+    A ``frozenset`` of steps, so equality, hashing and iteration are the
+    set's.  :meth:`limbs` maps a step to the live-limb count of the
+    highest level a program rotates it at, ``None`` for the top level.  A
+    union (``|`` or :meth:`union`) keeps the higher level per step, and a
+    plain set's steps are at the top level: whatever loses the type asks
+    for full keys, never for a key too low.
+    """
+
+    def __new__(cls, levels=()):
+        """From a step -> limbs mapping (``None``: the top level), or
+        from plain steps, all at the top level."""
+        if not isinstance(levels, Mapping):
+            levels = dict.fromkeys(levels)
+        self = super().__new__(cls, levels)
+        self._limbs = dict(levels)
+        return self
+
+    def limbs(self, step: int) -> Optional[int]:
+        """The most live limbs *step* is rotated at; ``None``: the top."""
+        return self._limbs[step]
+
+    def union(self, *others: Iterable[int]) -> "RotationSteps":
+        merged = dict(self._limbs)
+        for other in others:
+            levels = (other._limbs if isinstance(other, RotationSteps)
+                      else dict.fromkeys(other))
+            for step, limbs in levels.items():
+                have = merged.get(step, 0)
+                merged[step] = (None if have is None or limbs is None
+                                else max(have, limbs))
+        return RotationSteps(merged)
+
+    def __or__(self, other):
+        if not isinstance(other, AbstractSet):
+            return NotImplemented
+        return self.union(other)
+
+    __ror__ = __or__
+
+    def __repr__(self) -> str:
+        return f"RotationSteps({dict(sorted(self._limbs.items()))!r})"
+
+
 class GaloisKeys:
-    """Key-switching keys for a set of Galois automorphisms (rotations)."""
+    """Key-switching keys for a set of Galois automorphisms (rotations),
+    each made for the most limbs its element is rotated at."""
 
     def __init__(self, keys: Dict[int, KeySwitchKey]):
         self.keys = keys
         #: Multi-element key blocks for hoisted batches, filled lazily by
-        #: :meth:`stacked_block` and keyed by (elements, rows, digit count).
+        #: :meth:`stacked_block` and keyed by (elements, limbs).
         self._stacked_blocks: Dict[Tuple, np.ndarray] = {}
 
     def __contains__(self, galois_elt: int) -> bool:
         return galois_elt in self.keys
 
-    def key_for(self, galois_elt: int) -> KeySwitchKey:
-        try:
-            return self.keys[galois_elt]
-        except KeyError:
+    def key_for(self, galois_elt: int, limbs: int = 0) -> KeySwitchKey:
+        """The key of *galois_elt*; :class:`MissingEvaluationKey` when there
+        is none, or when it was made for fewer than *limbs* limbs."""
+        key = self.keys.get(galois_elt)
+        if key is None:
             raise MissingEvaluationKey(
                 f"no Galois key for element {galois_elt}; generate it with "
-                f"KeyGenerator.galois_keys"
-            ) from None
+                f"KeyGenerator.galois_keys")
+        if key.limbs < limbs:
+            raise MissingEvaluationKey(
+                f"the Galois key for element {galois_elt} was made for "
+                f"{key.limbs} limb(s); this rotation reads {limbs}")
+        return key
 
-    def stacked_block(self, galois_elts: Sequence[int], rows: Sequence[int],
-                      count: int) -> np.ndarray:
-        """``(len(galois_elts), count, 2, len(rows), n)`` stacked key block.
+    def update(self, keys: Dict[int, KeySwitchKey]) -> None:
+        """Add *keys*, replacing any element held already (one regenerated
+        at a higher level): the stacked blocks of a replaced key go."""
+        if any(g in self.keys for g in keys):
+            self._stacked_blocks.clear()
+        self.keys.update(keys)
+
+    def stacked_block(self, galois_elts: Sequence[int],
+                      limbs: int) -> np.ndarray:
+        """``(len(galois_elts), limbs, 2, limbs + 1, n)`` stacked key block.
 
         The hoisted batch kernels inner-product one decomposed ciphertext
         against EVERY requested element's key in a single numpy pass; this
         pre-stacks (and caches, per modulus level) the keys in that layout so
         repeated hoisted batches pay no per-rotation gathering.
         """
-        key = (tuple(int(g) for g in galois_elts),
-               tuple(int(r) for r in rows), int(count))
+        key = (tuple(int(g) for g in galois_elts), int(limbs))
         block = self._stacked_blocks.get(key)
         if block is None:
             block = np.stack([
-                self.key_for(g).stacked_digits(rows, count)
+                self.key_for(g, limbs).stacked_digits(limbs)
                 for g in key[0]
             ])
             self._stacked_blocks[key] = block
@@ -175,6 +261,18 @@ class GaloisKeys:
 
     def size_bytes(self, params: EncryptionParameters) -> int:
         return sum(k.size_bytes(params) for k in self.keys.values())
+
+
+def key_base(params: EncryptionParameters, limbs: int) -> RnsBase:
+    """The rows of a key made for *limbs* limbs: ``q_0..q_{limbs-1}, P``
+    (the full base at every limb; the extended base of a key switch at
+    that level)."""
+    return RnsBase.of(params.data_base.moduli[:limbs] + (params.special_prime,))
+
+
+def key_rows(params: EncryptionParameters, limbs: int) -> List[int]:
+    """Full-base row indices of :func:`key_base`'s residues."""
+    return list(range(limbs)) + [len(params.full_base) - 1]
 
 
 def expand_keyswitch_uniform(seed: bytes, full_base: RnsBase, degree: int,
@@ -252,15 +350,20 @@ class KeyGenerator:
         # stream is ever published.
         self._seed_prng = self._prng.fork("keyswitch-seed")
 
-    def _minus_as_plus_e(self, a: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    def _minus_as_plus_e(self, a: np.ndarray, errors: np.ndarray,
+                          base: Optional[RnsBase] = None) -> np.ndarray:
         """``-(a·s + e)`` in evaluation form for a block of uniform ``a``
-        (``(..., k, n)``) and the matching ``(m, n)`` signed error rows,
-        as ``NTT(-e) - a·s``: the transform is linear, so negating the
-        small rows saves a pass over the block."""
+        (``(..., k, n)`` over *base*, default the full base) and the
+        matching ``(m, n)`` signed error rows, as ``NTT(-e) - a·s``: the
+        transform is linear, so negating the small rows saves a pass over
+        the block.  Every row is its own modulus's, so a sub-base gives
+        exactly those rows of the full-base result."""
         full = self.params.full_base
-        minus_e = self._plan.forward_small(-errors).reshape(a.shape)
-        return full.sub(minus_e,
-                        batchcrypt.dyadic_block(full, a, self._secret.poly_ntt))
+        base = full if base is None else base
+        plan = ntt.get_stack_plan(self.params.poly_degree, base.moduli)
+        minus_e = plan.forward_small(-errors).reshape(a.shape)
+        return base.sub(minus_e, batchcrypt.dyadic_block(
+            base, a, self._secret.restricted_ntt(base, full)))
 
     def _make_public_key(self) -> PublicKey:
         full = self.params.full_base
@@ -277,19 +380,24 @@ class KeyGenerator:
     def public_key(self) -> PublicKey:
         return self._public
 
-    def _make_keyswitch_keys(self, source: RnsPoly,
-                             galois_elts: Sequence[int]) -> List[KeySwitchKey]:
+    def _make_keyswitch_keys(self, source: RnsPoly, galois_elts: Sequence[int],
+                             limbs: Optional[Sequence[int]] = None,
+                             ) -> List[KeySwitchKey]:
         """Key-switching keys to s from each image ``source(x^g)`` of
         *source* (NTT form, over the full base), one per element of
-        *galois_elts*, in order (``g = 1`` is *source* itself).
+        *galois_elts*, in order (``g = 1`` is *source* itself), each made
+        for its entry of *limbs* (default: every data limb).
 
         Every seed is drawn first, then every error as one ``(keys ×
-        digits, n)`` draw — the stream a per-key, per-digit loop consumes.
-        The kernels then run over cache-sized tiles of keys
-        (:func:`batchcrypt.tile_size`): one stacked small-input transform of
-        the tile's errors, one dyadic product, and ``P · s_src`` added to
-        digit ``i``'s own residue row ``i`` (NTT form is per-row linear, so
-        a row-local addition is valid).  Each tile permutes only its own
+        digits, n)`` draw — the stream a per-key, per-digit loop consumes,
+        whatever the keys' levels: a key for ``L`` limbs computes only
+        digits ``0..L-1`` over ``q_0..q_{L-1}, P`` from the full key's own
+        seed and errors, so it is a byte slice of the full key.  The
+        kernels then run over cache-sized tiles of one level's keys
+        (:func:`batchcrypt.tile_size`): one stacked small-input transform
+        of the tile's errors, one dyadic product, and ``P · s_src`` added
+        to digit ``i``'s own residue row ``i`` (NTT form is per-row linear,
+        so a row-local addition is valid).  Each tile permutes only its own
         sources (the NTT-form automorphism is a column permutation): a
         source per key made up front would leave one freed hole per key
         between the long-lived key blocks, and later allocations slow down.
@@ -298,28 +406,37 @@ class KeyGenerator:
         full = params.full_base
         n = params.poly_degree
         digits = len(params.data_base)
+        levels = [digits] * len(galois_elts) if limbs is None else list(limbs)
         seeds = [self._seed_prng.random_bytes(SEED_BYTES) for _ in galois_elts]
-        errors = self._prng.sample_error((len(galois_elts) * digits, n))
-        pcol = full.moduli_col[:digits]
-        factors = params.special_prime % pcol
-        diag = np.arange(digits)
-        tile = batchcrypt.tile_size(full, n, parts=digits)
-        keys: List[KeySwitchKey] = []
-        for start in range(0, len(galois_elts), tile):
-            stop = min(start + tile, len(galois_elts))
-            uniform = np.stack([expand_keyswitch_uniform(seed, full, n, digits)
-                                for seed in seeds[start:stop]])
-            k0 = self._minus_as_plus_e(uniform,
-                                       errors[start * digits:stop * digits])
-            src = np.stack([source.apply_automorphism(g).data[:digits]
-                            for g in galois_elts[start:stop]])
-            k0[:, diag, diag] = mod_add(k0[:, diag, diag],
-                                        mod_mul(src, factors, pcol), pcol)
-            keys.extend(
-                KeySwitchKey([(RnsPoly(full, n, k0_i, is_ntt=True),
-                               RnsPoly(full, n, a_i, is_ntt=True))
-                              for k0_i, a_i in zip(key_k0, key_a)], seed)
-                for key_k0, key_a, seed in zip(k0, uniform, seeds[start:stop]))
+        errors = self._prng.sample_error(
+            (len(galois_elts) * digits, n)).reshape(len(galois_elts), digits, n)
+        keys: List[Optional[KeySwitchKey]] = [None] * len(galois_elts)
+        for level in sorted(set(levels)):
+            at = [i for i, lv in enumerate(levels) if lv == level]
+            base = key_base(params, level)
+            rows = None if level == digits else key_rows(params, level)
+            pcol = base.moduli_col[:level]
+            factors = params.special_prime % pcol
+            diag = np.arange(level)
+            tile = batchcrypt.tile_size(base, n, parts=level)
+            for start in range(0, len(at), tile):
+                chunk = at[start:start + tile]
+                uniform = np.stack([
+                    expand_keyswitch_uniform(seeds[i], full, n, level)
+                    for i in chunk])
+                if rows is not None:
+                    uniform = uniform[:, :, rows]
+                k0 = self._minus_as_plus_e(
+                    uniform, errors[chunk, :level].reshape(-1, n), base)
+                src = np.stack([source.apply_automorphism(
+                    galois_elts[i]).data[:level] for i in chunk])
+                k0[:, diag, diag] = mod_add(k0[:, diag, diag],
+                                            mod_mul(src, factors, pcol), pcol)
+                for i, key_k0, key_a in zip(chunk, k0, uniform):
+                    keys[i] = KeySwitchKey(
+                        [(RnsPoly(base, n, k0_i, is_ntt=True),
+                          RnsPoly(base, n, a_i, is_ntt=True))
+                         for k0_i, a_i in zip(key_k0, key_a)], seeds[i], full)
         return keys
 
     def relin_keys(self) -> RelinKeys:
@@ -332,34 +449,49 @@ class KeyGenerator:
                     existing: Optional[GaloisKeys] = None) -> GaloisKeys:
         """Galois keys for the given rotation *steps* and/or raw elements.
 
-        With *existing*, elements already present keep their generated keys
-        (same :class:`KeySwitchKey` objects, so stacked caches survive) and
-        only the missing ones are generated, in one sorted batch; the
+        A :class:`RotationSteps` step's key is made for the limbs it is
+        rotated at (elements several steps share: the most of them); a
+        plain step, a raw element and conjugation get full keys.  With
+        *existing*, elements already present at a high enough level keep
+        their generated keys (same :class:`KeySwitchKey` objects, so stacked
+        caches survive) and only the missing ones, and those held below
+        the level now asked for, are generated, in one sorted batch; the
         extended *existing* object is returned.
         """
         n = self.params.poly_degree
-        elements = {galois_element_for_step(s, n) for s in steps}
-        elements.update(galois_elts)
+        top = len(self.params.data_base)
+        wanted: Dict[int, int] = {}
+
+        def want(elt: int, limbs: Optional[int]) -> None:
+            limbs = top if limbs is None else min(limbs, top)
+            wanted[elt] = max(wanted.get(elt, 0), limbs)
+
+        for step in steps:
+            want(galois_element_for_step(step, n),
+                 steps.limbs(step) if isinstance(steps, RotationSteps)
+                 else None)
+        for elt in galois_elts:
+            want(elt, None)
         if include_conjugation:
-            elements.add(galois_element_for_conjugation(n))
+            want(galois_element_for_conjugation(n), None)
         # The identity automorphism never needs a key-switch key (rotations
         # by step 0 are handled without key switching).
-        elements.discard(1)
-        keys = {} if existing is None else existing.keys
-        missing = sorted(g for g in elements if g not in keys)
-        keys.update(zip(missing, self._make_keyswitch_keys(
-            self._secret.poly_ntt, missing)))
-        return existing if existing is not None else GaloisKeys(keys)
+        wanted.pop(1, None)
+        held = {} if existing is None else existing.keys
+        missing = sorted(g for g, limbs in wanted.items()
+                         if g not in held or held[g].limbs < limbs)
+        made = dict(zip(missing, self._make_keyswitch_keys(
+            self._secret.poly_ntt, missing, [wanted[g] for g in missing])))
+        if existing is None:
+            return GaloisKeys(made)
+        existing.update(made)
+        return existing
 
 
 def keyswitch_ext_base(current: RnsBase, params: EncryptionParameters) -> RnsBase:
-    """The extended base (current data moduli + the special prime) of a switch."""
-    return RnsBase.of(current.moduli + (params.special_prime,))
-
-
-def keyswitch_rows(current: RnsBase, params: EncryptionParameters) -> List[int]:
-    """Full-base row indices of the extended base's residues."""
-    return list(range(len(current))) + [len(params.full_base) - 1]
+    """The extended base (current data moduli + the special prime) of a
+    switch: the rows of a key made for that level (:func:`key_base`)."""
+    return key_base(params, len(current))
 
 
 def decompose_for_keyswitch(block: np.ndarray, base: RnsBase,
@@ -437,10 +569,9 @@ def switch_key(
     current = target.base
     n = params.poly_degree
     ext_base = keyswitch_ext_base(current, params)
-    rows = keyswitch_rows(current, params)
 
     digits_ntt = decompose_for_keyswitch(target.data, current, ext_base)
-    key_block = ksk.stacked_digits(rows, len(current))
+    key_block = ksk.stacked_digits(len(current))
     acc = keyswitch_inner_product(digits_ntt, key_block, ext_base)
     if fold is not None:
         p_fold = current.scale(np.stack([f.data for f in fold]),

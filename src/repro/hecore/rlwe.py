@@ -531,12 +531,19 @@ class RlweContext:
         keys = self._resolve_galois(galois_keys)
         if len(ct) != 2:
             raise ValueError("relinearize before rotating")
+        key = keys.key_for(galois_elt)
+        # A key made for fewer limbs than *ct* carries: take *ct* down to
+        # it first (the unplanned oracle and ad-hoc rotations; a planned
+        # run refuses such a key before it gets here).
+        while len(ct.level_base) > key.limbs:
+            ct = self._align_down(ct)
+            self.counts["key_drops"] += 1
         self.counts["naive_decompose"] += 1
         # apply_automorphism is form-agnostic (NTT form permutes evaluations
         # in place); switch_key converts to coefficient form itself.
         c0 = ct.components[0].apply_automorphism(galois_elt).from_ntt()
         c1 = ct.components[1].apply_automorphism(galois_elt)
-        u0, u1 = switch_key(c1, keys.key_for(galois_elt), self.params)
+        u0, u1 = switch_key(c1, key, self.params)
         return Ciphertext(self.params, [c0 + u0, u1], scale=ct.scale)
 
     # ------------------------------------------------- hoisted rotations

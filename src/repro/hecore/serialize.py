@@ -20,9 +20,12 @@ Moduli themselves stay ``u64`` header entries.
 
 Evaluation keys (relinearization and Galois) are always seed-compressed:
 a key-switching key is ``L`` digit pairs ``(k0, k1 = a_i)`` over the
-data+special base whose uniform halves all expand from one public seed
-(:func:`repro.hecore.keys.expand_keyswitch_uniform`), so only ``k0``
-travels.  There is no "full" key format.  A real offload server needs
+rows ``q_0..q_{L-1}, P`` whose uniform halves all expand from one public
+seed (:func:`repro.hecore.keys.expand_keyswitch_uniform`, cut to those
+rows), so only ``k0`` travels.  A relinearization key has a digit per
+data limb; a Galois key has ``1..k`` (it is made for the level its
+program rotates it at), each key's ``n_digits`` giving its own length.
+There is no "full" key format.  A real offload server needs
 keys on the wire once per key lifetime (the offline phase of
 ``docs/PROTOCOL.md``).  Public keys ship both components.
 
@@ -394,7 +397,9 @@ class _RelinHeader(_KeyHeader):
 
 class _GaloisHeader(_KeyHeader):
     """A Galois-key blob's header: ``n_keys`` entries follow, each an
-    element id and its key-switching key, ascending element."""
+    element id and its key-switching key, ascending element.  The moduli
+    are the full base; a key of ``d`` digits carries rows ``q_0..q_{d-1},
+    P`` of it."""
 
     what = "Galois-key"
     kind: int = _f(U8, _WRONG_KIND, default=KeyKind.GALOIS)
@@ -407,9 +412,11 @@ class _GaloisHeader(_KeyHeader):
 
 
 class _KskHeader(_Record):
-    """One key-switching key: ``k0`` of every digit follows; the uniform
-    halves expand from the seed."""
+    """One key-switching key: ``k0`` of every digit follows, each over the
+    key's ``n_digits + 1`` rows; the uniform halves expand from the
+    seed."""
 
+    what = "key-switching key"
     n_digits: int = _f(U8)
     seed: bytes = _f(_SEED)
 
@@ -417,6 +424,7 @@ class _KskHeader(_Record):
 class _GaloisEntry(_Record):
     """One key of a Galois set: its element id, then its key."""
 
+    what = "Galois-key"
     elt: int = _f(U32)
 
 
@@ -545,16 +553,17 @@ def deserialize_ciphertext(blob: bytes,
 # ---------------------------------------------------------------------------
 
 def _check_key(header: _KeyHeader, blob: bytes,
-               params: Optional[EncryptionParameters], expected: int) -> None:
+               params: Optional[EncryptionParameters],
+               expected: Optional[int]) -> None:
     """Refuse a key blob that is not over *params*' full base (when given)
-    or is not exactly *expected* bytes long."""
+    or is not exactly *expected* bytes long (when given)."""
     if params is not None and header.poly_degree != params.poly_degree:
         raise ValueError(f"{header.what} degree does not match the supplied "
                          f"parameters")
     if params is not None and header.moduli != params.full_base.moduli:
         raise ValueError(f"{header.what} moduli do not match the supplied "
                          f"parameters")
-    if len(blob) != expected:
+    if expected is not None and len(blob) != expected:
         raise ValueError(
             f"{header.what} blob is {len(blob)} bytes, expected {expected} "
             f"(truncated or trailing bytes)")
@@ -598,25 +607,31 @@ def _ksk_parts(ksk: KeySwitchKey) -> list:
             *(_words(k0.data) for k0, _k1 in ksk.digits)]
 
 
-def _ksk_size(params: EncryptionParameters) -> int:
-    """Exact wire size of one key-switching key under *params*."""
-    return _KskHeader.SIZE + _WORD.itemsize * (len(params.data_base)
-                                               * len(params.full_base)
+def _ksk_size(params: EncryptionParameters, n_digits: int) -> int:
+    """Exact wire size of one *n_digits*-digit key-switching key."""
+    return _KskHeader.SIZE + _WORD.itemsize * (n_digits * (n_digits + 1)
                                                * params.poly_degree)
+
+
+def _check_digits(header: _KskHeader, params: EncryptionParameters,
+                  trimmed: bool) -> None:
+    """Refuse a digit count *params* cannot use: anything but one per data
+    limb, or (*trimmed*, a Galois key) none or more than that."""
+    k = len(params.data_base)
+    if header.n_digits != k and not (trimmed and 1 <= header.n_digits < k):
+        raise ValueError(
+            f"key-switching key has {header.n_digits} digits, parameters "
+            f"require {'1..' if trimmed else ''}{k}")
 
 
 def _check_ksk(blob: bytes, offset: int, params: EncryptionParameters,
                what: str):
-    """Validate the key at *offset* of a blob of checked length — its digit
-    count, then every ``k0`` residue — and return its header and ``k0``
-    words."""
+    """Validate the ``k0`` residues of the key at *offset* of a blob whose
+    length and digit counts are checked, and return its header and
+    ``k0`` words."""
     header, offset = _KskHeader.unpack_from(blob, offset)
-    if header.n_digits != len(params.data_base):
-        raise ValueError(
-            f"key-switching key has {header.n_digits} digits, parameters "
-            f"require {len(params.data_base)}"
-        )
-    return header, _checked_words(blob, offset, params.full_base,
+    return header, _checked_words(blob, offset,
+                                  _keys.key_base(params, header.n_digits),
                                   header.n_digits, params.poly_degree, what,
                                   "digit")
 
@@ -626,27 +641,30 @@ def _unpack_ksk(header: _KskHeader, words: np.ndarray,
                 cls=KeySwitchKey) -> KeySwitchKey:
     """Build a key from its :func:`_check_ksk`-validated header and ``k0``
     *words* (nothing is allocated or expanded before that)."""
-    base, degree = params.full_base, params.poly_degree
-    n_digits, n_moduli = header.n_digits, len(base)
+    n_digits, degree = header.n_digits, params.poly_degree
+    base = _keys.key_base(params, n_digits)
     # Deserialize straight into the stacked cache layout: one contiguous
-    # (digits, 2, k, n) block whose slices back the per-digit RnsPolys as
-    # views.  The full-level stacked_digits() restriction — what every key
-    # switch at the top level (and every hoisted rotation) asks for — is
-    # then the block itself, so deserialized keys skip the re-layout copy
-    # entirely.  k0 is widened off the wire; k1 is regenerated from the seed
-    # by the key generator's own expansion (looked up on the module at each
-    # call: there is one definition of a key's uniform half).
-    store = np.empty((n_digits, 2, n_moduli, degree), dtype=np.int64)
+    # (digits, 2, rows, n) block whose slices back the per-digit RnsPolys
+    # as views.  The key's own-level stacked_digits() restriction — what
+    # every key switch at that level (and every hoisted rotation) asks for
+    # — is then the block itself, so deserialized keys skip the re-layout
+    # copy entirely.  k0 is widened off the wire; k1 is regenerated from
+    # the seed by the key generator's own expansion (looked up on the
+    # module at each call: there is one definition of a key's uniform
+    # half), through the key's own digits only and cut to its rows.
+    store = np.empty((n_digits, 2, len(base), degree), dtype=np.int64)
     store[:, 0] = words
-    store[:, 1] = _keys.expand_keyswitch_uniform(header.seed, base, degree,
-                                                 n_digits)
+    uniform = _keys.expand_keyswitch_uniform(header.seed, params.full_base,
+                                             degree, n_digits)
+    store[:, 1] = (uniform if n_digits == len(params.data_base)
+                   else uniform[:, _keys.key_rows(params, n_digits)])
     digits = [
         (RnsPoly(base, degree, store[d, 0], is_ntt=True),
          RnsPoly(base, degree, store[d, 1], is_ntt=True))
         for d in range(n_digits)
     ]
-    ksk = cls(digits, header.seed)
-    ksk._stacked[(tuple(range(n_moduli)), n_digits)] = store
+    ksk = cls(digits, header.seed, params.full_base)
+    ksk._stacked[n_digits] = store
     return ksk
 
 
@@ -660,17 +678,23 @@ def serialize_relin_key(rk: RelinKeys) -> bytes:
 def deserialize_relin_key(blob: bytes,
                           params: EncryptionParameters) -> RelinKeys:
     header, offset = _RelinHeader.unpack_from(blob)
-    _check_key(header, blob, params, offset + _ksk_size(params))
+    _check_key(header, blob, params,
+               offset + _ksk_size(params, len(params.data_base)))
+    _check_digits(_KskHeader.unpack_from(blob, offset)[0], params, False)
     ksk, words = _check_ksk(blob, offset, params, header.what)
     return _unpack_ksk(ksk, words, params, RelinKeys)
 
 
 def serialize_galois_keys(gk: GaloisKeys) -> bytes:
-    """Serialize a Galois key set: ``(galois_elt, key)`` pairs."""
+    """Serialize a Galois key set: ``(galois_elt, key)`` pairs, each key
+    at its own level, after a header that carries the full base."""
     if not gk.keys:
         raise ValueError("cannot serialize an empty Galois key set")
-    k0 = next(iter(gk.keys.values())).digits[0][0]
-    parts = [_GaloisHeader(k0.degree, k0.base.moduli, len(gk.keys)).pack()]
+    first = next(iter(gk.keys.values()))
+    if any(key.full_base != first.full_base for key in gk.keys.values()):
+        raise ValueError("Galois keys of one set must share a full base")
+    parts = [_GaloisHeader(first.digits[0][0].degree, first.full_base.moduli,
+                           len(gk.keys)).pack()]
     for elt in sorted(gk.keys):
         parts += [_GaloisEntry(elt).pack(), *_ksk_parts(gk.keys[elt])]
     return b"".join(parts)
@@ -679,15 +703,24 @@ def serialize_galois_keys(gk: GaloisKeys) -> bytes:
 def deserialize_galois_keys(blob: bytes,
                             params: EncryptionParameters) -> GaloisKeys:
     header, offset = _GaloisHeader.unpack_from(blob)
-    # Every key has the same size under *params*, so the whole blob —
-    # length, element ids, digit counts, every k0 residue — is checked at
-    # fixed strides before the first key is built.
-    stride = _GaloisEntry.SIZE + _ksk_size(params)
-    _check_key(header, blob, params, offset + header.n_keys * stride)
-    checked = {}
-    for at in range(offset, len(blob), stride):
+    _check_key(header, blob, params, None)
+    # Each key's size follows from its digit count, so one walk over the
+    # entry headers finds every key's offset and the blob's exact length;
+    # the length, element ids, digit counts and every k0 residue are then
+    # checked before the first key is built.
+    at, entries = offset, []
+    for _ in range(header.n_keys):
         entry, key_at = _GaloisEntry.unpack_from(blob, at)
-        elt = entry.elt
+        ksk, _ = _KskHeader.unpack_from(blob, key_at)
+        _check_digits(ksk, params, True)
+        entries.append((entry.elt, key_at))
+        at = key_at + _ksk_size(params, ksk.n_digits)
+    if len(blob) != at:
+        raise ValueError(
+            f"{header.what} blob is {len(blob)} bytes, its keys' digits "
+            f"make {at} (truncated or trailing bytes)")
+    checked = {}
+    for elt, key_at in entries:
         if elt < 3 or elt >= 2 * header.poly_degree or elt % 2 == 0:
             raise ValueError(f"invalid Galois element {elt}")
         if elt in checked:

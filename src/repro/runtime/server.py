@@ -717,11 +717,12 @@ class SessionEvaluator:
 
     def install_key(self, kind: KeyKind, blob: bytes) -> None:
         """Deserialize one uploaded blob (``ValueError`` if malformed).
-        Galois uploads extend the held set; public and relin replace."""
+        Galois uploads extend the held set (an element sent again, at a
+        higher level, replaces its key); public and relin replace."""
         key = _KEY_READERS[kind](blob, self.params)
         held = self.keystore.get(kind)
         if kind is KeyKind.GALOIS and held is not None:
-            held.keys.update(key.keys)
+            held.update(key.keys)
         else:
             self.keystore[kind] = key
 

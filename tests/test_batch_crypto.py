@@ -326,3 +326,37 @@ def test_accelerator_batch_cost_amortizes_fixed_overhead():
     assert hw.decrypt_many_cost(0).cycles == 0.0
     assert hw.decrypt_many_cost(1).cycles == pytest.approx(
         hw.decrypt_cost().cycles)
+
+
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_decrypt_counts_its_exact_fallback(bfv, ckks, monkeypatch, scheme):
+    """Coefficients the int64 path flags are recomputed through big
+    integers, counted in ``decrypt_exact_coeffs``, and the decrypt still
+    equals ``_decrypt_bigint``: every third coefficient is forced onto the
+    exact path with a wrong fast value."""
+    ctx = bfv if scheme == "bfv" else ckks
+    name = ("scale_and_round_mod" if scheme == "bfv"
+            else "compose_centered_small")
+    fast = getattr(RnsBase, name)
+    forced = []
+
+    def flagging(self, residues, *args, **kwargs):
+        values, unsafe = fast(self, residues, *args, **kwargs)
+        unsafe = unsafe.copy()
+        unsafe[..., ::3] = True
+        values = np.where(unsafe, 0, values)
+        forced.append(int(unsafe.sum()))
+        return values, unsafe
+
+    vals = (_bfv_vectors(2, seed=53) if scheme == "bfv"
+            else _ckks_vectors(2, seed=53))
+    cts = ctx.encrypt_many(vals)
+    want = [ctx._decrypt_bigint(ct) for ct in cts]
+    monkeypatch.setattr(RnsBase, name, flagging)
+    before = ctx.counts["decrypt_exact_coeffs"]
+    got = [ctx.decrypt(cts[0]), *ctx.decrypt_many(cts)]
+    assert ctx.counts["decrypt_exact_coeffs"] - before == sum(forced)
+    # Three ciphertexts decrypted, each with every third coefficient forced.
+    assert sum(forced) >= 3 * len(range(0, ctx.params.poly_degree, 3))
+    for a, b in zip(got, [want[0], *want]):
+        assert np.array_equal(a, b)

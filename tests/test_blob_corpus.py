@@ -3,8 +3,9 @@ corpus.
 
 ``tests/blob_corpus.json`` holds, at small test parameters (N = 16):
 ciphertexts of both schemes in coefficient and evaluation form, seeded,
-three-component and mod-switched; one public key, one relinearization key
-and a two-element Galois set; and parameter specs with and without
+three-component and mod-switched; one public key, one relinearization key,
+a two-element Galois set and one whose keys sit at two levels (1 and 2 of
+the 2 limbs); and parameter specs with and without
 ``plain_bits`` / ``scale_bits``, with an empty and a non-ASCII label.  It
 was recorded before the blob headers became declared records; every entry
 must decode and re-encode byte-equal, and the builder below must still
@@ -33,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.hecore import context_for
+from repro.hecore.keys import RotationSteps
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.serialize import (
     deserialize_ciphertext,
@@ -95,6 +97,10 @@ def _blobs():
             out["relin_key/bfv"] = serialize_relin_key(ctx.relin_keys())
             out["galois_keys/bfv"] = serialize_galois_keys(
                 ctx.make_galois_keys([1, 2]))
+            # Keys at their programs' levels: step 1 on 1 of the 2 limbs.
+            out["galois_keys/bfv/trimmed"] = serialize_galois_keys(
+                context_for(params, seed=b"blob-corpus-trimmed")
+                .make_galois_keys(RotationSteps({1: 1, 2: 2})))
     # A spec carries only what ``create`` takes, so ``replace`` makes one.
     out["params/bfv/plain_bits"] = serialize_params(PARAMS["bfv"])
     out["params/bfv/both_bits_empty_label"] = serialize_params(
@@ -135,6 +141,8 @@ def test_corpus_covers_every_kind_form_and_option():
         assert {len(ct.level_base) for ct in mine} == {
             len(scheme.data_base), len(scheme.data_base) - 1}
     assert len(decoded["galois_keys/bfv"].keys) == 2
+    assert sorted(key.limbs for key in
+                  decoded["galois_keys/bfv/trimmed"].keys.values()) == [1, 2]
     specs = [p for name, p in decoded.items() if name.startswith("params/")]
     assert {(p.plain_bits is None, p.scale_bits is None) for p in specs} == {
         (False, True), (True, False), (False, False)}
@@ -163,7 +171,9 @@ def _fields(kind, blob):
     scale f64 | n_moduli u8 | u64[n_moduli]``, a key blob ``kind u8 |
     poly_degree u32 | n_moduli u8 | u64[n_moduli]`` (a Galois set then
     ``n_keys u16`` and per key ``elt u32``), every key-switching key starts
-    ``n_digits u8 | seed 32 B``, and a parameter spec continues ``scheme u8
+    ``n_digits u8 | seed 32 B`` followed by ``n_digits * (n_digits + 1)``
+    residue rows of ``poly_degree`` 4-byte words, and a parameter spec
+    continues ``scheme u8
     | poly_degree u32 | plain_bits i16 | scale_bits i16 | n_logical u8 |
     n_special u8 | u16[n_logical] | label_len u16 | label``."""
     out = {"magic": (0, 4), "version": (4, 1)}
@@ -179,10 +189,13 @@ def _fields(kind, blob):
         out["n_digits"] = (end, 1)
     if kind == "galois_keys":
         n_keys = int.from_bytes(blob[end:end + 2], "little")
-        stride = (len(blob) - end - 2) // n_keys
+        degree = int.from_bytes(blob[6:10], "little")
         out["n_keys"] = (end, 2)
+        at = end + 2
         for i in range(n_keys):
-            out[f"n_digits_{i}"] = (end + 2 + i * stride + 4, 1)
+            out[f"n_digits_{i}"] = (at + 4, 1)
+            digits = blob[at + 4]
+            at += 4 + 1 + 32 + 4 * digits * (digits + 1) * degree
     return out
 
 

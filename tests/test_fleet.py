@@ -706,13 +706,18 @@ def test_remote_knn_sends_each_key_once(ckks_params):
             assert cached() == first
             assert metrics.key_uploads == 2
 
-            # A new shape: one more Galois blob holding only new elements.
+            # A new shape: one more Galois blob holding only new elements
+            # and the held ones its program rotates at a higher level.
             await knn.add_points(rng.normal(size=(24, 4)), labels)
             held = cached()
             assert held[KeyKind.RELIN] == first[KeyKind.RELIN]
             assert held[KeyKind.GALOIS][:1] == first[KeyKind.GALOIS]
             old, new = map(elements, held[KeyKind.GALOIS])
-            assert new and not new & old
+            old_keys, new_keys = (deserialize_galois_keys(blob, ckks_params)
+                                  for blob in held[KeyKind.GALOIS])
+            assert new - old
+            assert all(new_keys.keys[g].limbs > old_keys.keys[g].limbs
+                       for g in new & old)
             assert metrics.key_uploads == 3
             assert ledger.bytes_up == 0              # provisioning is offline
             held_bytes = sum(len(b) for blobs in held.values() for b in blobs)
@@ -749,6 +754,65 @@ def test_remote_knn_sends_each_key_once(ckks_params):
             await server.stop()
             for task in tasks:
                 task.cancel()
+
+    run(main())
+
+
+def test_remote_knn_regenerates_a_key_whose_level_rises_once(ckks_params):
+    """A later batch whose program rotates a held element higher than the
+    key sent makes the client regenerate that element at the new level and
+    upload it, once; a batch that rotates it lower, or as high, reuses the
+    held key and sends nothing.  The server keeps each element at the
+    highest level sent, and every batch still classifies."""
+    from repro.apps.knn import KnnOffloadService, RemoteKnn
+    from repro.hecore.serialize import deserialize_galois_keys
+    from repro.runtime import KeyKind
+
+    rng = np.random.default_rng(12)
+    small, large = rng.normal(size=(8, 4)), rng.normal(size=(24, 4))
+    labels = (np.arange(24) % 3).tolist()
+
+    async def main():
+        server = OffloadServer(ckks_params)
+        KnnOffloadService.install(server)
+        client_end, server_end = SimulatedLink.pair()
+        task = asyncio.ensure_future(server.serve_transport(server_end))
+        try:
+            ctx = CkksContext(ckks_params, seed=38)
+            client = await OffloadClient(ckks_params,
+                                         transport=client_end).connect()
+            knn = RemoteKnn(client, ctx, k=3, variant="collapsed")
+            session = server._sessions[client.session_id]
+
+            def sent():
+                return [deserialize_galois_keys(blob, ckks_params).keys
+                        for blob in client._key_blob_cache[KeyKind.GALOIS]]
+
+            await knn.add_points(small, labels[:8])
+            (first,) = sent()
+            await knn.add_points(large, labels)
+            _, second = sent()
+            rose = set(first) & set(second)
+            assert rose
+            assert all(second[g].limbs > first[g].limbs for g in rose)
+            # Lower, then as high: nothing more to send.
+            await knn.add_points(small, labels[:8])
+            await knn.add_points(large, labels)
+            assert len(sent()) == 2
+            held = session.evaluator.keystore[KeyKind.GALOIS].keys
+            assert set(held) == set(first) | set(second)
+            for g, key in held.items():
+                assert key.limbs == (second[g] if g in second
+                                     else first[g]).limbs
+            query = rng.normal(size=4)
+            result = await knn.classify(query)
+            points = np.concatenate([small, large, small, large])
+            want = np.sum((points - query) ** 2, axis=1)
+            assert np.allclose(result.distances, want, atol=1e-2)
+            await client.close()
+        finally:
+            await server.stop()
+            task.cancel()
 
     run(main())
 

@@ -156,9 +156,10 @@ def test_second_ckks_session_reuses_the_first_ones_program(ckks_params):
         ctx = CkksContext(ckks_params, seed=seed)
         kernel = CollapsedPointMajorKernel(ctx, DistanceProblem(8, 4))
         ctx.relin_keys()
-        ctx.make_galois_keys(kernel.required_rotation_steps())
-        # Packing the query looks the schedule up (its entry levels).
+        # Key provisioning looks the schedule up (its rotation levels), and
+        # so does packing the query (its entry levels).
         before = Counter(ctx.counts)
+        ctx.make_galois_keys(kernel.required_rotation_steps())
         p_cts, q_cts = kernel.encrypt_points(points), kernel.encrypt_query(query)
         got = kernel.distances(p_cts, q_cts)
         cold = ctx.counts - before
@@ -304,6 +305,9 @@ def test_dropped_session_state_dies_while_the_shared_program_lives(
     client = BfvContext(bfv_params, seed=21)
     probe = EncryptedMatVec(client, matrix)
     galois = client.make_galois_keys(probe.required_rotation_steps())
+    # Provisioning compiled the program on the client: the worker's first
+    # session starts cold.
+    ir.clear_program_cache()
 
     def session():
         """What a worker holds for one session, all of it session-owned."""
@@ -351,12 +355,15 @@ def test_threads_cold_starting_one_program_compile_it_once(bfv_params,
         compiles.append(threading.get_ident())
         return real_compile(*args, **kwargs)
 
-    monkeypatch.setattr(ir, "compile_ir", counting_compile)
-
     contexts = [BfvContext(bfv_params, seed=50 + i) for i in range(n_threads)]
-    probe = EncryptedMatVec(contexts[0], matrix)
+    # Provisioning compiles the program on a context of its own; the
+    # threads then start cold.
+    probe = EncryptedMatVec(BfvContext(bfv_params, seed=49), matrix)
+    steps = probe.required_rotation_steps()
     for ctx in contexts:
-        ctx.make_galois_keys(probe.required_rotation_steps())
+        ctx.make_galois_keys(steps)
+    ir.clear_program_cache()
+    monkeypatch.setattr(ir, "compile_ir", counting_compile)
     barrier = threading.Barrier(n_threads)
     results = [None] * n_threads
 

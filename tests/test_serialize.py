@@ -302,6 +302,23 @@ def test_ckks_scale_preserved_exactly(ckks):
 # Evaluation keys on the wire
 # ---------------------------------------------------------------------------
 
+def _full_keys(ctx, steps, include_conjugation=False):
+    """Full-level keys for exactly *steps*: a shared context also holds the
+    keys other tests' kernels made, at their own levels."""
+    from repro.hecore.keys import (
+        GaloisKeys,
+        galois_element_for_conjugation,
+        galois_element_for_step,
+    )
+
+    n = ctx.params.poly_degree
+    held = ctx.make_galois_keys(steps, include_conjugation).keys
+    elts = {galois_element_for_step(s, n) for s in steps}
+    if include_conjugation:
+        elts.add(galois_element_for_conjugation(n))
+    return GaloisKeys({g: held[g] for g in elts})
+
+
 def _ksk_equal(a, b) -> bool:
     return len(a.digits) == len(b.digits) and all(
         np.array_equal(x0.data, y0.data) and np.array_equal(x1.data, y1.data)
@@ -316,9 +333,9 @@ def _assert_same_key(restored, generated, params):
     assert _ksk_equal(generated, restored)
     assert restored.seed == generated.seed
     assert all(k0.is_ntt and k1.is_ntt for k0, k1 in restored.digits)
-    rows, count = range(len(params.full_base)), len(params.data_base)
-    assert np.array_equal(restored.stacked_digits(rows, count),
-                          generated.stacked_digits(rows, count))
+    count = len(params.data_base)
+    assert np.array_equal(restored.stacked_digits(count),
+                          generated.stacked_digits(count))
 
 
 def test_relin_key_roundtrip(bfv, ckks):
@@ -332,7 +349,7 @@ def test_relin_key_roundtrip(bfv, ckks):
 
 def test_galois_keys_roundtrip(bfv, ckks):
     for ctx in (bfv, ckks):
-        gk = ctx.make_galois_keys([1, 2, 4], include_conjugation=True)
+        gk = _full_keys(ctx, [1, 2, 4], include_conjugation=True)
         blob = serialize_galois_keys(gk)
         restored = deserialize_galois_keys(blob, ctx.params)
         assert set(restored.keys) == set(gk.keys)
@@ -349,7 +366,7 @@ def test_key_wire_size_is_k0_plus_seed(bfv):
                * params.poly_degree * WORD_BYTES)
     header = 11 + 8 * len(params.full_base)
     assert len(serialize_relin_key(bfv.relin_keys())) == header + per_key
-    gk = bfv.make_galois_keys([1, 2, 4])
+    gk = _full_keys(bfv, [1, 2, 4])
     assert (len(serialize_galois_keys(gk))
             == header + 2 + len(gk.keys) * (4 + per_key))
 
@@ -377,7 +394,7 @@ def test_logical_key_accounting_reconciles_with_the_wire():
         rk = ctx.relin_keys()
         physical = len(serialize_relin_key(rk)) - header - 1 - 32
         assert rk.size_bytes(params) - 32 == 2 * physical
-        gk = ctx.make_galois_keys([1, 2, 4])
+        gk = _full_keys(ctx, [1, 2, 4])
         framing = header + 2 + len(gk.keys) * (4 + 1)
         seeds = 32 * len(gk.keys)
         physical = len(serialize_galois_keys(gk)) - framing - seeds
@@ -426,14 +443,13 @@ def test_deserialized_galois_keys_prestack_without_copy(bfv):
     for ksk in restored.keys.values():
         k_full = ksk.digits[0][0].data.shape[0]
         n_digits = len(ksk.digits)
-        rows = list(range(k_full))
-        block = ksk.stacked_digits(rows, n_digits)
+        block = ksk.stacked_digits(n_digits)
         assert block.shape == (n_digits, 2, k_full, bfv.params.poly_degree)
         # Same storage, not a stacking copy.
         assert np.shares_memory(block, ksk.digits[0][0].data)
         assert np.shares_memory(block, ksk.digits[-1][1].data)
         # Cache hit returns the identical array.
-        assert ksk.stacked_digits(rows, n_digits) is block
+        assert ksk.stacked_digits(n_digits) is block
         for d, (k0, k1) in enumerate(ksk.digits):
             assert np.array_equal(block[d, 0], k0.data)
             assert np.array_equal(block[d, 1], k1.data)
@@ -446,10 +462,10 @@ def test_stacked_digits_partial_rows(bfv):
     ksk = next(iter(restored.keys.values()))
     k_full = ksk.digits[0][0].data.shape[0]
     rows = [0, k_full - 1]
-    block = ksk.stacked_digits(rows, 1)
+    block = ksk.stacked_digits(1)
     assert block.shape == (1, 2, 2, bfv.params.poly_degree)
     assert np.array_equal(block[0, 0], ksk.digits[0][0].data[rows])
-    assert ksk.stacked_digits(rows, 1) is block
+    assert ksk.stacked_digits(1) is block
 
 
 def test_deserialized_galois_keys_bitexact_rotation(bfv):
@@ -505,7 +521,7 @@ def no_expansion(monkeypatch):
 def test_key_blob_truncation_rejected(bfv, no_expansion):
     """Cuts in the header, the key count, an element id, inside the seed,
     inside k0 of the first and of the last key, and one byte short."""
-    blob = serialize_galois_keys(bfv.make_galois_keys([1, 2]))
+    blob = serialize_galois_keys(_full_keys(bfv, [1, 2]))
     first, stride = _galois_layout(bfv.params)
     cuts = (3, first - 1, first + 2, first + 4 + 1 + 16, first + stride // 2,
             first + stride + stride // 2, len(blob) - 1)
@@ -530,7 +546,7 @@ def test_key_blob_length_is_checked_before_anything_is_built(
         raise AssertionError("allocated a key store for a malformed blob")
 
     monkeypatch.setattr(serialize, "_unpack_ksk", refuse)
-    gblob = serialize_galois_keys(bfv.make_galois_keys([1, 2, 4]))
+    gblob = serialize_galois_keys(_full_keys(bfv, [1, 2, 4]))
     rblob = serialize_relin_key(bfv.relin_keys())
     for bad in (gblob[:-1], gblob + b"\0"):
         with pytest.raises(ValueError, match="truncated or trailing"):
@@ -543,7 +559,7 @@ def test_key_blob_length_is_checked_before_anything_is_built(
 def test_key_blob_digit_count_must_match_parameters(bfv, no_expansion):
     """A digit count that disagrees with the parameter set is refused in
     any key of the set — the last one too — before the first is built."""
-    gk = bfv.make_galois_keys([1, 2])
+    gk = _full_keys(bfv, [1, 2])
     first, stride = _galois_layout(bfv.params)
     for index in range(len(gk.keys)):
         blob = bytearray(serialize_galois_keys(gk))
@@ -556,8 +572,99 @@ def test_key_blob_digit_count_must_match_parameters(bfv, no_expansion):
         deserialize_relin_key(bytes(rblob), bfv.params)
 
 
+@pytest.fixture(scope="module")
+def trimmed_galois(bfv_params):
+    """A Galois blob whose keys sit at 1, 2 and 3 (all) of the 3 limbs,
+    and each entry's offset: ``(blob, [(offset, n_digits), ...])``."""
+    from repro.hecore.keys import KeyGenerator, RotationSteps
+
+    keys = KeyGenerator(bfv_params, seed=41).galois_keys(
+        RotationSteps({1: 1, 2: 2, 4: None}))
+    blob = serialize_galois_keys(keys)
+    at, entries = 11 + 8 * len(bfv_params.full_base) + 2, []
+    for elt in sorted(keys.keys):
+        digits = keys.keys[elt].limbs
+        entries.append((at, digits))
+        at += 4 + 1 + 32 + (digits * (digits + 1) * bfv_params.poly_degree
+                            * WORD_BYTES)
+    assert at == len(blob) and [d for _, d in entries] == [1, 2, 3]
+    return blob, entries
+
+
+@pytest.fixture
+def no_key_built(monkeypatch, no_expansion):
+    """Fails the test if a key is built from a malformed blob."""
+    from repro.hecore import serialize
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built a key from a malformed blob")
+
+    monkeypatch.setattr(serialize, "_unpack_ksk", refuse)
+
+
+def test_trimmed_galois_blob_round_trips(bfv_params, trimmed_galois):
+    blob, entries = trimmed_galois
+    keys = deserialize_galois_keys(blob, bfv_params)
+    assert sorted(k.limbs for k in keys.keys.values()) == [1, 2, 3]
+    assert serialize_galois_keys(keys) == blob
+
+
+@pytest.mark.parametrize("digits", [0, 4, 0xFF])
+def test_galois_key_digit_count_outside_one_to_k_is_refused(
+        bfv_params, trimmed_galois, no_key_built, digits):
+    blob, entries = trimmed_galois
+    for at, _ in entries:
+        bad = bytearray(blob)
+        bad[at + 4] = digits
+        with pytest.raises(ValueError, match=f"has {digits} digits, "
+                                             f"parameters require 1..3"):
+            deserialize_galois_keys(bytes(bad), bfv_params)
+
+
+def test_galois_digit_counts_that_disagree_with_the_length_are_refused(
+        bfv_params, trimmed_galois, no_key_built):
+    """Every in-range lie about any key's digit count moves the offsets of
+    what follows or the blob's length: refused, whatever it lands on."""
+    blob, entries = trimmed_galois
+    for at, digits in entries:
+        for lie in {1, 2, 3} - {digits}:
+            bad = bytearray(blob)
+            bad[at + 4] = lie
+            with pytest.raises(ValueError):
+                deserialize_galois_keys(bytes(bad), bfv_params)
+    # The last key's lie leaves nothing to misread: the length tells.
+    at, _ = entries[-1]
+    bad = bytearray(blob)
+    bad[at + 4] = 2
+    with pytest.raises(ValueError, match="keys' digits make .*truncated"):
+        deserialize_galois_keys(bytes(bad), bfv_params)
+
+
+def test_galois_blob_truncated_inside_a_trimmed_key_is_refused(
+        bfv_params, trimmed_galois, no_key_built):
+    blob, entries = trimmed_galois
+    for (at, _), end in zip(entries, [e for e, _ in entries[1:]] + [len(blob)]):
+        for cut in (at + 4 + 1 + 16, at + 37 + 1, (at + end) // 2, end - 1):
+            with pytest.raises(ValueError):
+                deserialize_galois_keys(blob[:cut], bfv_params)
+
+
+def test_galois_blob_with_one_element_at_two_levels_is_refused(
+        bfv_params, trimmed_galois, no_key_built):
+    """The 1-digit key's entry twice, once relabelled as the 2-digit key's
+    element: one element at two levels."""
+    blob, entries = trimmed_galois
+    (one, _), (two, _), (three, _) = entries
+    head = bytearray(blob[:one])
+    head[-2:] = (2).to_bytes(2, "little")
+    twice = bytes(head) + blob[one:two] + blob[two:three]
+    twice = twice[:two] + blob[one:one + 4] + twice[two + 4:]
+    with pytest.raises(ValueError, match="duplicate Galois element"):
+        deserialize_galois_keys(twice, bfv_params)
+
+
 def test_galois_blob_duplicate_element_rejected(bfv, no_expansion):
-    gk = bfv.make_galois_keys([1, 2])
+    gk = _full_keys(bfv, [1, 2])
     blob = bytearray(serialize_galois_keys(gk))
     first, stride = _galois_layout(bfv.params)
     blob[first + stride: first + stride + 4] = blob[first: first + 4]
@@ -615,7 +722,7 @@ def _hostile_site(kind, ctx):
         blob = serialize_relin_key(ctx.relin_keys())
         return (deserialize_relin_key, blob, key_header + 33 + last,
                 full[-1], where)
-    gk = ctx.make_galois_keys([1, 2])
+    gk = _full_keys(ctx, [1, 2])
     first, stride = _galois_layout(params)
     return (deserialize_galois_keys, serialize_galois_keys(gk),
             first + stride + 4 + 33 + last, full[-1],

@@ -236,11 +236,16 @@ def test_served_dnn_results_decrypt_as_planner_off():
     """Dropping the limbs moves no plaintext: every draw's planned result
     decrypts to the full-chain compile's."""
     ctx = BfvContext(PARAMETER_SET_B, seed=b"served-schedules")
+    # The full-chain compile rotates every step on all 3 limbs: it runs on
+    # full keys, made by a twin of the context (the same secret key).
+    twin = BfvContext(PARAMETER_SET_B, seed=b"served-schedules")
     for seed in range(20):
         for layer, (kernel, cts) in _e2e_dnn_inputs(ctx, seed).items():
             (got,) = kernel.run((cts,))
-            full = compile_ir(kernel.program(kernel.input_shape),
-                              SchemeType.BFV).run(ctx, {"in0": cts[0]})
+            unplanned = compile_ir(kernel.program(kernel.input_shape),
+                                   SchemeType.BFV)
+            full = unplanned.run(ctx, {"in0": cts[0]}, ensure_galois_keys(
+                twin, unplanned.rotation_steps()))
             assert np.array_equal(ctx.decrypt(got),
                                   ctx.decrypt(full["out0"])), (seed, layer)
 
