@@ -16,8 +16,7 @@ one.  A scheduler then runs ordered passes over the DAG:
 1. **Key-switch-sum fusion** (BFV and CKKS) — one add-tree matcher
    (:func:`_add_trees`: a maximal tree of single-consumer adds over
    leaves at one static level and scale) serves this pass and product-sum
-   fusion (4).  It runs twice, both before the level planner, so the
-   planner prices the nodes that run.  First the weighted trees: add-trees of
+   fusion (4).  It runs twice.  First the weighted trees: add-trees of
    ``mul(rotate(x, s_j), const_j)`` leaves over any sources (one input
    tile or several) become one weighted ``keyswitch_sum`` node.  Baby
    rotations shared by the giant steps of a baby-step/giant-step sum fuse
@@ -50,7 +49,9 @@ one.  A scheduler then runs ordered passes over the DAG:
    as lazily reduced multiply-accumulates
    (:func:`repro.hecore.modmath.mod_mac`), bit-identical to the add-tree
    because modular sums are exact.  BFV keeps its add-trees: its tensor
-   product rounds per product.
+   product rounds per product.  Every rewrite (1, 3, 4) is done before
+   the level planner (:mod:`repro.core.levelplan`) runs, so the planner
+   prices the nodes that run.
 5. **NTT-domain residency** — plain-multiply products, and CKKS ct×ct
    products, stay in evaluation (NTT) form; adds/subs/negs of resident
    values accumulate without leaving it, and the deferred inverse
@@ -132,7 +133,7 @@ class IrNode:
 
     def deps(self) -> Tuple[int, ...]:
         """Every node this one reads: its args, then its weights."""
-        return self.args + self.weights()
+        return self.args + self.weights() if self.terms else self.args
 
     def remapped(self, args: Tuple[int, ...], new_id) -> "IrNode":
         """A copy reading *args*, its weights renumbered through *new_id*."""
@@ -188,12 +189,14 @@ class IrProgram:
 
     def levels(self, scheme: SchemeType) -> Dict[int, Optional[Level]]:
         """The static level analysis: :func:`level_after` over every live
-        node, ``None`` for consts.  Demand-driven from the outputs (sunk
-        drops reference nodes appended after them), so the returned dict
-        iterates in dependency order."""
+        node, ``None`` for consts, in the one dependency order every pass
+        and the level planner walk: ascending id, each node right after the
+        unlisted nodes it reads.  That is emission order for a program
+        emitted topologically; a node sinking appended after its consumer
+        comes just before that consumer."""
         nodes = self.nodes
         levels: Dict[int, Optional[Level]] = {}
-        stack = list(self.outputs.values())
+        stack = sorted(self.live_set(), reverse=True)   # lowest id on top
         while stack:
             nid = stack[-1]
             if nid in levels:
@@ -202,7 +205,7 @@ class IrProgram:
             node = nodes[nid]
             missing = [a for a in node.deps() if a not in levels]
             if missing:
-                stack.extend(missing)
+                stack.extend(sorted(missing, reverse=True))
                 continue
             levels[nid] = None if node.kind == "const" else level_after(
                 node, scheme, [levels[a] for a in node.args
@@ -684,10 +687,7 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
     construction), and the merged ``relin`` key-switches the summed
     ``c2`` once — relinearisation is linear, so the sum decrypts the same
     and carries one key switch's noise instead of one per product.  The
-    3-component sum only ever feeds its ``relin``.  A planned drop taken
-    directly on an input stays where it is: it marks that input's entry
-    level (:meth:`ScheduledProgram.entry_limbs`), which the client encrypts
-    at instead of uploading a limb the server drops.
+    3-component sum only ever feeds its ``relin``.
 
     One pass, rewriting the lowest-numbered qualifying root first (the
     order, and so the node list, of rescanning from node 0 after every
@@ -698,7 +698,7 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
     """
     nodes = program.nodes
     level = program.levels(scheme)
-    live = program.live_set()
+    live = set(level)
     consumers = program.consumers(live)
     single = _single_consumer(program, consumers)
 
@@ -710,8 +710,6 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
         da, db = nodes[a], nodes[b]
         return (da.kind == db.kind and da.kind in _SINKABLE
                 and da.normalize == db.normalize
-                and not any(d.planned and nodes[d.args[0]].kind == "input"
-                            for d in (da, db))
                 and single(a) and single(b)
                 and level[da.args[0]] == level[db.args[0]])
 
@@ -726,8 +724,7 @@ def _sink_level_drops(program: IrProgram, scheme: SchemeType,
         x, y = da.args[0], db.args[0]
         inner = len(nodes)
         nodes.append(IrNode(node.kind, (x, y)))
-        nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize,
-                             planned=da.planned and db.planned)
+        nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize)
         field_name = _SINKABLE[da.kind]
         setattr(report, field_name, getattr(report, field_name) + 1)
         live -= {a, b}
@@ -840,18 +837,16 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
                params=None) -> "ScheduledProgram":
     """Run the pass pipeline and return an executable scheduled program.
 
-    With *params* (an :class:`EncryptionParameters`) the level planner
-    runs between key-switch-sum fusion and sinking: it walks the fused
-    program (each sum one node) with the static noise estimator, drops
+    Every rewrite runs first: weighted, then unweighted key-switch-sum
+    fusion, sinking, product-sum fusion.  With *params* (an
+    :class:`EncryptionParameters`) the level planner then walks the
+    program that runs with the static noise estimator and drops
     modulus-chain limbs the moment no downstream consumer needs their
     headroom, each input at its entry level (see
-    :mod:`repro.core.levelplan`).  Sinking, which appends each merged node
-    after its consumer, and product-sum fusion follow it: the planner
-    reads emission order as topological.  The schedule is then a
-    contract for *params*' modulus chain: :meth:`ScheduledProgram.run`
-    refuses any other chain and any input that does not arrive on all of
-    it.  Without *params* the planner never runs and the schedule serves
-    any chain.
+    :mod:`repro.core.levelplan`).  The schedule is then a contract for
+    *params*' modulus chain: :meth:`ScheduledProgram.run` refuses any
+    other chain and any input that does not arrive on all of it.  Without
+    *params* the planner never runs and the schedule serves any chain.
     """
     source = program                 # the passes rewrite a private copy
     program = IrProgram(nodes=[replace(n) for n in source.nodes],
@@ -859,12 +854,12 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
     report = ScheduleReport()
     _fuse_weighted_sums(program, scheme, report)
     _fuse_unweighted_sums(program, scheme, report)
+    _sink_level_drops(program, scheme, report)
+    _fuse_product_sums(program, scheme, report)
     if params is not None:
         from repro.core.levelplan import plan_levels
 
         program, report.level_plan = plan_levels(program, params)
-    _sink_level_drops(program, scheme, report)
-    _fuse_product_sums(program, scheme, report)
     resident = _mark_residency(program, scheme, report)
     if scheme is SchemeType.BFV:
         report.batched_consts = sum(program.nodes[nid].kind == "const"

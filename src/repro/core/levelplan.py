@@ -17,9 +17,8 @@ trailing limbs whose headroom exceeds the remaining spend (plus
 limbs beyond the downstream rescale depth drop via the scale-preserving
 ``drop_modulus`` as long as the coefficient magnitude still fits.  Levels
 come from the one per-node rule, :func:`repro.core.ir.level_after`.  The
-planner walks the program after key-switch-sum fusion, each sum one node,
-and before sinking, which appends merged nodes after their consumers
-(:func:`_downstream` reads emission order as topological).
+planner walks the program every rewrite pass has finished, each fused sum
+one node, in the dependency order of :meth:`repro.core.ir.IrProgram.levels`.
 
 A drop taken right on an ``input`` is that input's entry level
 (:meth:`repro.core.ir.ScheduledProgram.entry_limbs`): the client encrypts
@@ -71,8 +70,12 @@ class LevelPlan:
     chain: Tuple[int, ...] = ()
     limb_drops: int = 0             # eager drops inserted at drop sites
     align_switches: int = 0         # switches inserted to level-match operands
-    limb_rows_before: int = 0       # static limbs-live integral, planner off
-    limb_rows_after: int = 0        # same integral over the planned program
+    #: Static limb-row integrals over the program that runs: live limbs
+    #: summed over every ciphertext node but ``mod_switch`` — one run's
+    #: ``limbs_live`` less its switch rows, every input on the full chain
+    #: — with the planner off (every node on the full chain) and on.
+    limb_rows_before: int = 0
+    limb_rows_after: int = 0
     predicted_unsafe: int = 0       # outputs the noise model flags as unsafe
 
     def describe(self) -> str:
@@ -82,14 +85,14 @@ class LevelPlan:
                 f"{saved} limb-row(s) saved")
 
 
-def _downstream(program: IrProgram, cost) -> Dict[int, float]:
+def _downstream(program: IrProgram, order: List[int],
+                cost) -> Dict[int, float]:
     """Largest sum of *cost(node)* over any consumer path ahead of each
-    live node."""
+    live node; *order* lists the live nodes in dependency order."""
     nodes = program.nodes
-    live = program.live_set()
-    consumers = program.consumers(live)
+    consumers = program.consumers(set(order))
     ahead: Dict[int, float] = {}
-    for nid in sorted(live, reverse=True):      # emission order = topological
+    for nid in reversed(order):
         ahead[nid] = max(
             (cost(nodes[c]) + ahead[c] for c in consumers.get(nid, ())),
             default=0)
@@ -107,17 +110,19 @@ class _Planner:
         self.full = len(self.limb_bits)
         self.out = IrProgram(slots=program.slots)
         nodes = program.nodes
+        self.order = list(program.levels(self.scheme))
         if self.scheme is SchemeType.BFV:
             # Noise bits every node's consumers will still spend on it.
             self.estimator = est = NoiseEstimator(params)
             self.ahead = _downstream(
-                program, lambda node: est.node_cost_bits(node, nodes))
+                program, self.order,
+                lambda node: est.node_cost_bits(node, nodes))
         else:
             # The CKKS analog: rescale depth still ahead of a node.
             self.estimator = None
             self.scale_bits = max(1.0, math.log2(max(2.0, params.scale)))
             self.ahead = _downstream(
-                program, lambda node: int(node.kind == "rescale"))
+                program, self.order, lambda node: int(node.kind == "rescale"))
         # Values about to leave the program: dropping there shrinks the
         # download even when no compute follows.
         self.outputs = set(program.outputs.values())
@@ -160,19 +165,15 @@ class _Planner:
         plan = self.plan
         new_id: Dict[int, int] = {}
         level: Dict[int, Optional[Level]] = {}
-        for nid, node in enumerate(nodes):
-            if nid not in self.ahead:
-                continue        # ahead: every live node, dependency-closed
+        for nid in self.order:
+            node = nodes[nid]
             if node.kind == "const":
                 new_id[nid], level[nid] = self._emit(replace(node)), None
                 continue
             args, operands = self._aligned_args(node, new_id, level)
             nid2 = self._emit(node.remapped(args, new_id))
             lv = level_after(node, self.scheme, operands)
-            # mod_switch rows are bookkeeping (no NTT/key-switch work):
-            # count only the limbs real compute nodes touch, so the
-            # before/after delta reflects saved kernel work.
-            if node.kind != "mod_switch":
+            if node.kind != "mod_switch":      # bookkeeping, no kernel work
                 plan.limb_rows_before += self.full
                 plan.limb_rows_after += self.full - lv[0]
             if node.kind in DROP_SITE_KINDS or nid in self.outputs:
@@ -188,24 +189,24 @@ class _Planner:
     def _aligned_args(self, node: IrNode, new_id: Dict[int, int],
                       level: Dict[int, Optional[Level]]
                       ) -> Tuple[Tuple[int, ...], List[Level]]:
-        """Map args, level-matching the ciphertext operands of a binary op
-        or a key-switch sum; returns them with their aligned levels."""
+        """Map args, level-matching the ciphertext operands of a binary op,
+        a product sum or a key-switch sum; returns them with their aligned
+        levels."""
         operands = [level[a] for a in node.args if level[a] is not None]
-        align = (node.kind in ("add", "sub", "mul", "keyswitch_sum")
+        align = (node.kind in ("add", "sub", "mul", "product_sum",
+                               "keyswitch_sum")
                  and len(operands) >= 2)
         target = max((lv[0] for lv in operands), default=0)
-        args: List[int] = []
-        aligned: List[Level] = []
-        for a in node.args:
-            mapped = new_id[a]
+        mapped: Dict[int, int] = {}
+        for a in dict.fromkeys(node.args):      # a square drops its one operand
+            mapped[a] = new_id[a]
             if align and level[a][0] < target:
                 gap = target - level[a][0]
-                mapped = self._drop_chain(mapped, gap)
+                mapped[a] = self._drop_chain(mapped[a], gap)
                 self.plan.align_switches += gap
-            args.append(mapped)
-            if level[a] is not None:
-                aligned.append((target, level[a][1]) if align else level[a])
-        return tuple(args), aligned
+        aligned = [(target, level[a][1]) if align else level[a]
+                   for a in node.args if level[a] is not None]
+        return tuple(mapped[a] for a in node.args), aligned
 
 
 def plan_levels(program: IrProgram, params) -> Tuple[IrProgram, LevelPlan]:

@@ -149,8 +149,9 @@ class NoiseEstimator:
         ``product_sum`` is a ct-ct ``mul`` plus its accumulation;
         kinds that move no noise (``neg``, ``rescale``, ``mod_switch``)
         cost nothing, and neither does
-        ``relin``: a ct-ct ``mul`` prices its own key switch, so a sum whose
-        ``relin`` the scheduler sank is over-priced, never under."""
+        ``relin``: a ct-ct ``mul`` prices its own key switch, so a BFV sum
+        of products under one sunk ``relin`` is over-priced, never under
+        (a CKKS ``product_sum`` pays its one)."""
         kind = node.kind
         plain = any(nodes[a].kind == "const" for a in node.args)
         if kind == "rotate":

@@ -335,9 +335,6 @@ def _fixpoint_sink(program, scheme, report):
                 continue
             if da.normalize != db.normalize:
                 continue
-            if any(d.planned and nodes[d.args[0]].kind == "input"
-                   for d in (da, db)):
-                continue
             if any(len(consumers.get(d, ())) != 1 or d in out_ids
                    for d in (a, b)):
                 continue
@@ -345,8 +342,7 @@ def _fixpoint_sink(program, scheme, report):
                 continue
             inner = len(nodes)
             nodes.append(IrNode(node.kind, (da.args[0], db.args[0])))
-            nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize,
-                                 planned=da.planned and db.planned)
+            nodes[root] = IrNode(da.kind, (inner,), normalize=da.normalize)
             field_name = ir._SINKABLE[da.kind]
             setattr(report, field_name, getattr(report, field_name) + 1)
             changed = True

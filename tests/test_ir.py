@@ -35,6 +35,7 @@ from repro.core.ir import (
     ScheduleReport,
     TracerContext,
     _fuse_weighted_sums,
+    _sink_level_drops,
     compile_ir,
     ensure_galois_keys,
     level_after,
@@ -749,6 +750,28 @@ def test_sinking_respects_multi_consumer_drops(ckks_params):
     program = trace_program(ckks_params, body, ["x", "y"])
     sched = compile_ir(program, SchemeType.CKKS)
     assert sched.report.rescales_sunk == 0
+
+
+def test_levels_iterate_one_dependency_order(ckks_params):
+    """``IrProgram.levels`` lists a topologically emitted program in
+    emission order, and a node the sinking pass appended after its
+    consumer just before that consumer: the one order the passes and the
+    level planner walk."""
+    def body(tr, x, y):
+        return tr.add(tr.rescale(tr.multiply(x, x)),
+                      tr.rescale(tr.multiply(y, y)))
+
+    program = trace_program(ckks_params, body, ["x", "y"])
+    assert list(program.levels(SchemeType.CKKS)) == list(
+        range(len(program.nodes)))
+    report = ScheduleReport()
+    _sink_level_drops(program, SchemeType.CKKS, report)
+    assert (report.rescales_sunk, report.relins_sunk) == (1, 1)
+    # rescale 8 <- relin 9 <- add 10 of the products 2 and 5.
+    assert [program.nodes[nid].kind for nid in (8, 9, 10)] == [
+        "rescale", "relin", "add"]
+    order = list(program.levels(SchemeType.CKKS))
+    assert order == [0, 1, 2, 5, 10, 9, 8]
 
 
 # ------------------------------------------- pass: relinearisation sinking

@@ -190,6 +190,37 @@ def test_ckks_drop_is_value_exact(ckks_params):
     assert np.allclose(ckks.decrypt(got), ckks.decrypt(want), atol=1e-4)
 
 
+def test_a_product_sum_reads_its_operands_at_one_level(ckks, ckks_params):
+    """The planner drops ``y`` a limb at entry and keeps ``x``, which a
+    deeper path reads too: the product sum ``x·x + y·y`` reads ``x``
+    through one align switch, as a ``mul`` would, keeps ``x·x`` a square,
+    and decrypts as the oracle does."""
+    def body(tr, x, y):
+        total = tr.rescale(tr.add(tr.multiply(x, x), tr.multiply(y, y)))
+        deep = tr.rescale(tr.multiply(tr.rescale(tr.multiply(x, x)), x))
+        return [total, deep]
+
+    program = trace_program(ckks_params, body, ["x", "y"])
+    sched = compile_ir(program, SchemeType.CKKS, params=ckks_params)
+    assert sched.report.product_sums == 1
+    assert sched.entry_limbs() == {"x": 3, "y": 2}
+    nodes = sched.program.nodes
+    (psum,) = [nid for nid in sched.program.live_set()
+               if nodes[nid].kind == "product_sum"]
+    x2, x2_, y2, y2_ = nodes[psum].args
+    assert (x2, y2) == (x2_, y2_)
+    assert nodes[x2].kind == "mod_switch" and nodes[x2].planned
+    assert sched.limbs[x2] == sched.limbs[y2] == 2
+    rng = np.random.default_rng(17)
+    inputs = {name: ckks.encrypt(ckks.encode(rng.uniform(-0.5, 0.5, 512)))
+              for name in ("x", "y")}
+    got = sched.run(ckks, inputs)
+    want = _raw(program, SchemeType.CKKS).run_reference(ckks, inputs)
+    for name in want:
+        assert np.allclose(ckks.decrypt(got[name]), ckks.decrypt(want[name]),
+                           atol=1e-3), name
+
+
 @pytest.fixture(scope="module")
 def wide_bfv():
     """A five-limb chain: the foreign chain of the contract tests and the
