@@ -112,9 +112,10 @@ class ScheduleError(ValueError):
 _FORM_AGNOSTIC = frozenset({"add", "sub", "neg"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrNode:
-    """One IR operation.  ``args`` index earlier nodes."""
+    """One IR operation.  ``args`` index earlier nodes.  Frozen: passes
+    replace list entries, never fields, so programs share nodes."""
 
     kind: str
     args: Tuple[int, ...] = ()
@@ -848,8 +849,8 @@ def compile_ir(program: IrProgram, scheme: SchemeType,
     other chain and any input that does not arrive on all of it.  Without
     *params* the planner never runs and the schedule serves any chain.
     """
-    source = program                 # the passes rewrite a private copy
-    program = IrProgram(nodes=[replace(n) for n in source.nodes],
+    source = program                 # the passes rewrite a private list
+    program = IrProgram(nodes=list(source.nodes),
                         outputs=dict(source.outputs), slots=source.slots)
     report = ScheduleReport()
     _fuse_weighted_sums(program, scheme, report)
@@ -957,8 +958,8 @@ def shared_schedule(program: IrProgram, params, planned: bool,
             counts["program_cache_hits"] += 1
             return sched
         private = IrProgram(
-            nodes=[replace(n, values=None if n.values is None
-                           else _frozen(n.values)) for n in program.nodes],
+            nodes=[replace(n, values=_frozen(n.values)) if n.kind == "const"
+                   else n for n in program.nodes],
             outputs=dict(program.outputs), slots=program.slots)
         sched = compile_ir(private, params.scheme,
                            params=params if planned else None)

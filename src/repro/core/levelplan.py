@@ -38,7 +38,7 @@ planned switch executes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.ir import IrNode, IrProgram, Level, level_after
@@ -168,7 +168,7 @@ class _Planner:
         for nid in self.order:
             node = nodes[nid]
             if node.kind == "const":
-                new_id[nid], level[nid] = self._emit(replace(node)), None
+                new_id[nid], level[nid] = self._emit(node), None
                 continue
             args, operands = self._aligned_args(node, new_id, level)
             nid2 = self._emit(node.remapped(args, new_id))

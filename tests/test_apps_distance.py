@@ -1,8 +1,14 @@
 """Tests for encrypted KNN and K-Means."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.apps.kmeans import EncryptedKMeans
 from repro.apps.knn import EncryptedKnn
 from repro.core.protocol import ClientAidedSession
@@ -88,6 +94,18 @@ def test_knn_add_points_validates(ckks, clusters):
         knn.add_points(points[:2], [0])
     with pytest.raises(ValueError):
         knn.add_points(np.ones((2, 5)), [0, 1])
+
+
+def test_knn_client_import_loads_no_runtime_module():
+    """The KNN client drives the runtime by duck type: a fresh interpreter
+    that imports ``repro.apps.knn`` loads no ``repro.runtime`` module."""
+    code = ("import sys, repro.apps.knn; print(*sorted(m for m in sys.modules"
+            " if m.startswith('repro.runtime')))")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []
 
 
 def test_kmeans_matches_reference(ckks, clusters):

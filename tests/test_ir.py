@@ -11,7 +11,7 @@ anything but a ``relin``.
 """
 
 import ast
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +85,19 @@ def test_builder_records_linear_program():
     kinds = [n.kind for n in b.program.nodes]
     assert kinds == ["input", "rotate", "const", "mul", "add"]
     assert b.program.outputs == {"out0": 4}
+
+
+def test_ir_nodes_are_frozen():
+    """A pass rewrites a program by replacing list entries, never a node's
+    fields, so a compiled program shares its source's nodes."""
+    b = IrBuilder(slots=8)
+    b.output("out0", b.rotate(b.input("x"), 1))
+    node = b.program.nodes[1]
+    with pytest.raises(FrozenInstanceError):
+        node.steps = 2
+    sched = compile_ir(b.program, SchemeType.BFV)
+    assert sched.program.nodes[0] is b.program.nodes[0]
+    assert sched.program.nodes is not b.program.nodes
 
 
 def test_builder_rejects_const_const_and_elides_identity_ops():
@@ -1279,7 +1292,10 @@ def _conv_case(channels, seed):
 
 
 def _distance_case(cls, n_points=6, dims=4, **extra):
-    def build(_bfv, ckks):
+    def build(_bfv, shared):
+        # A context of its own, with the fixture's params and seed: the
+        # shared one's noise and keys depend on which tests ran before.
+        ckks = CkksContext(shared.params, seed=5678)
         rng = np.random.default_rng(34)
         kernel = cls(ckks, DistanceProblem(n_points=n_points, dims=dims),
                      **extra)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps.knn import EncryptedKnn, KnnOffloadService, RemoteKnn
+from repro.core.distance import KERNEL_VARIANTS
 from repro.core.protocol import ClientAidedSession
 from repro.hecore.bfv import BfvContext
 from repro.hecore.params import SchemeType, small_test_parameters
@@ -805,6 +806,52 @@ def test_simulated_link_matches_cost_ledger(ckks_params):
     assert ledger.communication_energy(radio) > 0
     # Physical frame bytes flowed in both directions too.
     assert link.bytes_sent > 0 and link.bytes_received > 0
+
+
+@pytest.mark.parametrize("variant", sorted(KERNEL_VARIANTS))
+def test_both_sessions_run_one_knn_procedure(ckks_params, variant):
+    """Every packing, two contributions: in-process ``EncryptedKnn`` and
+    served ``RemoteKnn`` over the SimulatedLink run one procedure against
+    one pair of served ops, so they charge equal bytes and rounds and
+    find the same neighbors."""
+    from repro.hecore.ckks import CkksContext
+
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(12, 4))
+    labels = rng.integers(0, 3, size=12)
+    query = points[9] + 0.01
+
+    local = EncryptedKnn(CkksContext(ckks_params, seed=21), points[:7],
+                         labels[:7], k=3, variant=variant)
+    local.add_points(points[7:], labels[7:])
+    session = ClientAidedSession(local.ctx)
+    local_result = local.classify(query, session)
+
+    async def main():
+        client_end, server_end = SimulatedLink.pair()
+        server = OffloadServer(ckks_params)
+        KnnOffloadService.install(server)
+        serve_task = asyncio.ensure_future(server.serve_transport(server_end))
+        client = await OffloadClient(ckks_params,
+                                     transport=client_end).connect()
+        knn = RemoteKnn(client, CkksContext(ckks_params, seed=22), k=3,
+                        variant=variant, symmetric=False)
+        await knn.add_points(points[:7], labels[:7])
+        await knn.add_points(points[7:], labels[7:])
+        result = await knn.classify(query)
+        await client.close()
+        await server.stop()
+        serve_task.cancel()
+        return client.ledger, result
+
+    ledger, remote_result = run(main())
+    assert len(local._batches) == 2
+    assert (ledger.bytes_up, ledger.bytes_down, ledger.rounds) == (
+        session.ledger.bytes_up, session.ledger.bytes_down,
+        session.ledger.rounds)
+    assert remote_result.label == local_result.label
+    assert list(remote_result.neighbor_indices) == \
+        list(local_result.neighbor_indices)
 
 
 def test_v2_resilience_payload_roundtrips():
