@@ -360,3 +360,30 @@ def test_decrypt_counts_its_exact_fallback(bfv, ckks, monkeypatch, scheme):
     assert sum(forced) >= 3 * len(range(0, ctx.params.poly_degree, 3))
     for a, b in zip(got, [want[0], *want]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["bfv", "ckks"])
+def test_decrypt_many_counts_its_one_at_a_time_fallback(bfv, ckks, scheme):
+    """A 3-component and a mixed-form ciphertext leave the stacked pass for
+    ``decrypt``, one ``decrypt_fallback`` each; the two-component ones in
+    the same call charge none, and every result is ``decrypt``'s."""
+    from repro.hecore.ciphertext import Ciphertext
+
+    ctx = bfv if scheme == "bfv" else ckks
+    vals = (_bfv_vectors(2, seed=61) if scheme == "bfv"
+            else _ckks_vectors(2, seed=61))
+    cts = ctx.encrypt_many(vals)
+    three = ctx.multiply(cts[0], cts[1], relinearize=False)
+    c0, c1 = cts[1].components
+    mixed = Ciphertext(ctx.params, [c0.to_ntt(), c1.from_ntt()],
+                       scale=cts[1].scale)
+    batch = [cts[0], three, mixed, cts[1]]
+    before = ctx.counts.copy()
+    got = ctx.decrypt_many(batch)
+    assert ctx.counts["decrypt_fallback"] - before["decrypt_fallback"] == 2
+    assert ctx.counts["decrypt"] - before["decrypt"] == 4
+    before = ctx.counts["decrypt_fallback"]
+    ctx.decrypt_many(cts)
+    assert ctx.counts["decrypt_fallback"] == before
+    for values, ct in zip(got, batch):
+        assert np.array_equal(values, ctx.decrypt(ct))

@@ -100,6 +100,29 @@ def test_ir_nodes_are_frozen():
     assert sched.program.nodes is not b.program.nodes
 
 
+def test_ir_nodes_default_like_a_dataclass():
+    """A node keeps only its set fields but reads, compares, replaces and
+    pickles as the dataclass it declares: defaults read back, a node built
+    with every default spelled out is equal, and ``replace`` writes
+    nothing into the original."""
+    import pickle
+    from dataclasses import fields
+
+    bare = IrNode("add", (1, 2))
+    spelled = IrNode("add", (1, 2), steps=0, values=None, name="",
+                     terms=(), normalize=False, planned=False)
+    assert bare == spelled
+    assert {f.name: getattr(bare, f.name) for f in fields(IrNode)} == dict(
+        kind="add", args=(1, 2), steps=0, values=None, name="", terms=(),
+        normalize=False, planned=False)
+    moved = replace(bare, args=(3, 4), planned=True)
+    assert (moved.args, moved.planned, bare.args, bare.planned) == (
+        (3, 4), True, (1, 2), False)
+    assert pickle.loads(pickle.dumps(moved)) == moved
+    with pytest.raises(FrozenInstanceError):
+        bare.planned = True
+
+
 def test_builder_rejects_const_const_and_elides_identity_ops():
     b = IrBuilder(slots=4)
     x = b.input("x")
