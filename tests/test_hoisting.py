@@ -337,3 +337,38 @@ def test_hoisted_span_noise_within_modeled_bound():
     measured_drop = (ctx.noise_budget(ct)
                      - ctx.noise_budget(sched.run(ctx, {"x": ct})["out0"]))
     assert 0 < measured_drop <= price
+
+
+def test_sibling_sums_share_one_accumulator_block():
+    """Two weighted sums over one rotator and one element tuple read one
+    stacked block, built once, each element's key switch charged once; a
+    sum over another tuple stacks its own block, charging only its new
+    element, and the blocks are the rotator's only copies."""
+    ctx = _fresh_bfv(seed=92)
+    ctx.make_galois_keys([1, 2, 3])
+    ct = ctx.encrypt(np.arange(16))
+    ext = keyswitch_ext_base(ct.level_base, ctx.params)
+    mask = ext.lift_signed(ctx.encode(np.ones(16, dtype=np.int64)).coeffs)
+    sibling = [hoisting.weight_table(ctx, ct.level_base, [
+        (0, 0, mask * w), (1, 0, mask), (2, 0, mask)]) for w in (1, 2)]
+    other = hoisting.weight_table(ctx, ct.level_base,
+                                  [(1, 0, mask), (3, 0, mask)])
+    rotator = HoistedRotator(ctx, ct)
+    before = ctx.counts["rotate"]
+    sums = [hoisting.keyswitch_sum(ctx, [rotator], weights=t)
+            for t in sibling]
+    assert ctx.counts["rotate"] - before == 2
+    assert len(rotator._blocks) == 1
+    (block,) = rotator._blocks.values()
+    assert rotator.accumulators([g for _, g in sibling[0].pairs]) is block
+    hoisting.keyswitch_sum(ctx, [rotator], weights=other)
+    assert ctx.counts["rotate"] - before == 3
+    assert len(rotator._blocks) == 2
+    blocks = list(rotator._blocks.values())
+    assert all(any(np.shares_memory(row, b) for b in blocks)
+               for row in rotator._rows.values())
+    # The shared block gives what a fresh rotator gives each sum.
+    for table, got in zip(sibling, sums):
+        fresh = hoisting.keyswitch_sum(ctx, [HoistedRotator(ctx, ct)],
+                                       weights=table)
+        assert serialize_ciphertext(got) == serialize_ciphertext(fresh)
