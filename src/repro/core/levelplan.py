@@ -18,7 +18,8 @@ limbs beyond the downstream rescale depth drop via the scale-preserving
 ``drop_modulus`` as long as the coefficient magnitude still fits.  Levels
 come from the one per-node rule, :func:`repro.core.ir.level_after`.  The
 planner walks the program every rewrite pass has finished, each fused sum
-one node, in the dependency order of :meth:`repro.core.ir.IrProgram.levels`.
+one node, in the dependency order of its one analysis
+(:meth:`repro.core.ir.IrProgram.analysis`), which it does not walk again.
 
 A drop taken right on an ``input`` is that input's entry level
 (:meth:`repro.core.ir.ScheduledProgram.entry_limbs`): the client encrypts
@@ -85,47 +86,33 @@ class LevelPlan:
                 f"{saved} limb-row(s) saved")
 
 
-def _downstream(program: IrProgram, order: List[int],
-                cost) -> Dict[int, float]:
-    """Largest sum of *cost(node)* over any consumer path ahead of each
-    live node; *order* lists the live nodes in dependency order."""
-    nodes = program.nodes
-    consumers = program.consumers(set(order))
-    ahead: Dict[int, float] = {}
-    for nid in reversed(order):
-        ahead[nid] = max(
-            (cost(nodes[c]) + ahead[c] for c in consumers.get(nid, ())),
-            default=0)
-    return ahead
-
-
 class _Planner:
     """Single forward rebuild of the program with eager drop frontiers."""
 
     def __init__(self, program: IrProgram, params, plan: LevelPlan):
-        self.src = program
         self.scheme = params.scheme
         self.plan = plan
         self.limb_bits = [p.bit_length() for p in plan.chain]
         self.full = len(self.limb_bits)
         self.out = IrProgram(slots=program.slots)
         nodes = program.nodes
-        self.order = list(program.levels(self.scheme))
+        self.analysis = analysis = program.analysis(self.scheme)
         if self.scheme is SchemeType.BFV:
             # Noise bits every node's consumers will still spend on it.
             self.estimator = est = NoiseEstimator(params)
-            self.ahead = _downstream(
-                program, self.order,
-                lambda node: est.node_cost_bits(node, nodes))
+            cost = {nid: est.node_cost_bits(nodes[nid], nodes)
+                    for nid in analysis.level}
         else:
             # The CKKS analog: rescale depth still ahead of a node.
             self.estimator = None
             self.scale_bits = max(1.0, math.log2(max(2.0, params.scale)))
-            self.ahead = _downstream(
-                program, self.order, lambda node: int(node.kind == "rescale"))
-        # Values about to leave the program: dropping there shrinks the
-        # download even when no compute follows.
-        self.outputs = set(program.outputs.values())
+            cost = {nid: int(nodes[nid].kind == "rescale")
+                    for nid in analysis.level}
+        #: The largest cost summed over any consumer path ahead of a node.
+        self.ahead: Dict[int, float] = {}
+        for nid in reversed(analysis.level):
+            self.ahead[nid] = max((cost[c] + self.ahead[c] for c in
+                                   analysis.consumers.get(nid, ())), default=0)
 
     # ------------------------------------------------------------ plumbing
     def _emit(self, node: IrNode) -> int:
@@ -161,11 +148,11 @@ class _Planner:
 
     # ------------------------------------------------------------- rebuild
     def run(self) -> Tuple[IrProgram, LevelPlan]:
-        nodes = self.src.nodes
+        nodes = self.analysis.nodes
         plan = self.plan
         new_id: Dict[int, int] = {}
         level: Dict[int, Optional[Level]] = {}
-        for nid in self.order:
+        for nid in self.analysis.level:
             node = nodes[nid]
             if node.kind == "const":
                 new_id[nid], level[nid] = self._emit(node), None
@@ -176,13 +163,15 @@ class _Planner:
             if node.kind != "mod_switch":      # bookkeeping, no kernel work
                 plan.limb_rows_before += self.full
                 plan.limb_rows_after += self.full - lv[0]
-            if node.kind in DROP_SITE_KINDS or nid in self.outputs:
+            # Values about to leave the program drop too: that shrinks the
+            # download even when no compute follows.
+            if node.kind in DROP_SITE_KINDS or nid in self.analysis.out_ids:
                 drops = self._droppable(nid, lv)
                 nid2 = self._drop_chain(nid2, drops)
                 lv = (lv[0] + drops, lv[1])
                 plan.limb_drops += drops
             new_id[nid], level[nid] = nid2, lv
-        for name, nid in self.src.outputs.items():
+        for name, nid in self.analysis.outputs.items():
             self.out.outputs[name] = new_id[nid]
         return self.out, plan
 

@@ -174,7 +174,7 @@ class NoiseEstimator:
         """Predicted budget for every output of a ciphertext IR program.
 
         Walks a :class:`repro.core.ir.IrProgram` in the dependency order of
-        its static level analysis (``program.levels``), spending
+        its one static analysis (``program.analysis``), spending
         :meth:`node_cost_bits` from the tightest operand at every node and
         pricing ``mod_switch`` limb drops (planner-inserted or traced) at
         the analysed level.  Returns ``{output_name: NoiseEstimate}``.
@@ -189,7 +189,7 @@ class NoiseEstimator:
         limb_bits = [int(p).bit_length()
                      for p in self.params.data_base.moduli]
         state: dict = {}        # nid -> NoiseEstimate (None for consts)
-        for nid, level in program.levels(self.params.scheme).items():
+        for nid, level in program.analysis(self.params.scheme).level.items():
             node = nodes[nid]
             operands = [state[a] for a in node.args if state[a] is not None]
             if level is None:
