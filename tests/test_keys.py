@@ -1,7 +1,5 @@
 """Direct tests for key generation and key switching internals."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,7 @@ from repro.hecore.polyring import RnsPoly
 from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.random import BlakePrng
 from repro.hecore.rns import RnsBase
-from repro.hecore.serialize import serialize_galois_keys, serialize_relin_key
+from tests.value_digest import value_digest
 
 
 @pytest.fixture(scope="module")
@@ -282,17 +280,17 @@ def _extended_in_two_calls():
 
 @pytest.mark.parametrize("make, n_galois, digest", [
     (_dnn_session, 17,
-     "9b3ae3550393a2522380c1101d01a537a8d037a16b3f1628c2bd60384dd7612e"),
+     "ca0529d750f7920e7bbcaf83010100f094be3c9eb46b6c2209383d882d0cc247"),
     (_ckks_collapsed_session, 28,
-     "a1f9ddcfa02afb89287b291bd74f6c669f19bfec3936a14b26aed4575911a22a"),
+     "8b02322602e976134456f637c779ca1c04a4f9eb3a5576cecd2174555989af2d"),
     (_extended_in_two_calls, 9,
-     "9b884191475dab4f10bd7d2254d623e1697c53ce641f58724f47f62790545261"),
+     "1e3128f6577c510f1881b2e8a06abc4f968639a62b554c89c300041905264c78"),
 ], ids=["dnn-set-B", "ckks-collapsed", "two-call-extension"])
 def test_served_key_sets_are_byte_identical(make, n_galois, digest):
-    """The relin + Galois blobs a served session uploads, pinned by SHA-256
-    as the per-key, per-digit generator made them: same seeds, same draws,
-    same residues, whatever the kernels that produce them."""
+    """The relin + Galois keys a served session uploads, pinned by
+    ``value_digest`` (seeds and ``k0`` rows, not the wire bytes) as the
+    per-key, per-digit generator made them: same seeds, same draws, same
+    residues, whatever the kernels that produce them."""
     relin, galois = make()
     assert len(galois.keys) == n_galois
-    blob = serialize_relin_key(relin) + serialize_galois_keys(galois)
-    assert hashlib.sha256(blob).hexdigest() == digest
+    assert value_digest(relin, galois) == digest
