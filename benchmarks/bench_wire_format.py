@@ -3,9 +3,11 @@
 Table 3 sizes use the *logical* view: ``(k−1)`` residues of 8-byte words.
 This repository's computational limbs are ≤30-bit (DESIGN.md substitution),
 so the physical blob of a set-B ciphertext carries 3 rows where SEAL would
-carry 2 — but each residue travels as one 4-byte word, so the blob sits
-*below* the logical size: 98,349 B physical against 131,072 B logical
-(196,653 B while residues travelled as 8-byte words).  This benchmark
+carry 2 — but each row travels at its modulus' byte width (3 bytes for set
+B's 24-bit limbs, 4 for the 30-bit special prime), so the blob sits well
+*below* the logical size: 73,773 B physical against 131,072 B logical
+(98,349 B while every residue was a 4-byte word, 196,653 B while it was
+an 8-byte one).  This benchmark
 serializes real ciphertexts and keys, checks every blob against its exact
 size formula and gates (de)serialization throughput; the logical-vs-physical
 report (``results/wire_format.txt``) is the ``wire_format`` row of
@@ -90,23 +92,26 @@ def _expected_sizes(params):
     Sizes here are exact — any drift means old clients can no longer talk
     to new servers, so ``--check`` fails hard rather than within a
     tolerance.  Layout: 21-byte CHOC header, one u64 per modulus, then
-    rows of 4-byte residue words (and a 32-byte seed in place of the second
-    component for seed-compressed blobs).  Key blobs: 11-byte header, one
-    u64 per full-base modulus, then per key-switching key a digit-count
-    byte, the 32-byte seed and ``k0`` of every digit over the full base —
-    the uniform halves never travel.  A Galois set adds a u16 key count and
-    a u32 element id per key.
+    each component's residue rows, a row of ``n`` residues at its
+    modulus' byte width ``ceil(bits / 8)`` (and a 32-byte seed in place of
+    the second component for seed-compressed blobs).  Key blobs: 11-byte
+    header, one u64 per full-base modulus, then per key-switching key a
+    digit-count byte, the 32-byte seed and ``k0`` of every digit over the
+    full base — the uniform halves never travel.  A Galois set adds a u16
+    key count and a u32 element id per key.
     """
     n = params.poly_degree
+    widths = [(q.bit_length() + 7) // 8 for q in params.full_base.moduli]
     limbs = len(params.data_base)
     header = 21 + 8 * limbs
-    body = n * 4                     # one component-limb row of u32 words
+    component = n * sum(widths[:limbs])          # every data row once
+    switched = n * sum(widths[:limbs - 1])       # the top limb dropped
     key_header = 11 + 8 * len(params.full_base)
-    switch_key = 1 + 32 + limbs * len(params.full_base) * body
+    switch_key = 1 + 32 + limbs * n * sum(widths)
     return {
-        "public_fresh": header + 2 * limbs * body,
-        "symmetric_seeded": header + limbs * body + 32,
-        "after_mod_switch": (header - 8) + 2 * (limbs - 1) * body,
+        "public_fresh": header + 2 * component,
+        "symmetric_seeded": header + component + 32,
+        "after_mod_switch": (header - 8) + 2 * switched,
         "relin_key": key_header + switch_key,
         "galois_keys": key_header + 2 + GALOIS_ELEMENTS * (4 + switch_key),
     }

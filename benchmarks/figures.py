@@ -894,13 +894,16 @@ def wire_format() -> dict:
     ]
 
     assert public_ct.size_bytes() == 131072
-    # Physical blob: header + 2 components x limbs x N x 4B.
-    body = 2 * len(PARAMETER_SET_B.data_base) * 4096 * 4
+    # Physical blob: header + 2 components x N x the data rows' byte widths
+    # (each row at its modulus' width, ceil(bits / 8)).
+    widths = [(q.bit_length() + 7) // 8
+              for q in PARAMETER_SET_B.data_base.moduli]
+    body = 2 * 4096 * sum(widths)
     assert len(blob_public) == serialized_size(public_ct)
     assert body < len(blob_public) < body + 128
     assert len(blob_seeded) < 0.55 * len(blob_public)
-    # Mod-switching sheds one limb of payload and its 8-byte modulus entry.
-    assert len(blob_public) - len(blob_switched) == 2 * 4096 * 4 + 8
+    # Mod-switching sheds the top limb's row and its 8-byte modulus entry.
+    assert len(blob_public) - len(blob_switched) == 2 * 4096 * widths[-1] + 8
     restored = deserialize_ciphertext(blob_seeded, PARAMETER_SET_B)
     assert np.array_equal(ctx.decrypt(restored)[:64], values)
 

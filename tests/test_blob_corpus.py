@@ -5,12 +5,17 @@ corpus.
 ciphertexts of both schemes in coefficient and evaluation form, seeded,
 three-component and mod-switched; one public key, one relinearization key,
 a two-element Galois set and one whose keys sit at two levels (1 and 2 of
-the 2 limbs); and parameter specs with and without
-``plain_bits`` / ``scale_bits``, with an empty and a non-ASCII label.  It
-was recorded before the blob headers became declared records; every entry
-must decode and re-encode byte-equal, and the builder below must still
-produce it (CKKS entries encrypt zeros, whose encoding is exact, so no
-floating-point rounding enters the bytes).
+the 2 limbs); a CKKS relinearization key and a CKKS Galois set at two
+levels; and parameter specs with and without ``plain_bits`` /
+``scale_bits``, with an empty and a non-ASCII label.  The BFV rows are
+28-bit limbs and a 30-bit special prime, 4 bytes a residue; the CKKS set's
+second limb is 24 bits, 3 bytes a residue, so its ciphertexts and keys mix
+3- and 4-byte rows.  It was recorded before the blob headers became
+declared records and re-recorded when residues began to travel at their
+modulus' byte width (version 5); every entry must decode and re-encode
+byte-equal, and the builder below must still produce it (CKKS entries
+encrypt zeros, whose encoding is exact, so no floating-point rounding
+enters the bytes).
 
 The mutation tests damage every header at its field boundaries:
 truncation at every offset, magic / version / kind / scheme codes out of
@@ -19,7 +24,10 @@ special primes, label length) moved by one and set to its maximum.  A
 damaged blob is either refused with :class:`ValueError` (never
 ``struct.error``, ``IndexError`` or ``KeyError``) or it decodes to a value
 that re-encodes to exactly those bytes, so no damage is silently absorbed.
-``_fields`` spells each header out independently of ``serialize.py``.
+``_fields`` spells each header out independently of ``serialize.py``, and
+``_planes`` each residue body: every blob's planes are walked to its last
+byte and read back as the decoded residues, a cut at any plane boundary is
+refused, and a version-4 blob of any kind is refused by name.
 
 Re-record (only for a deliberate wire change, which also bumps
 ``serialize.VERSION``) with ``PYTHONPATH=src python -m
@@ -101,6 +109,10 @@ def _blobs():
             out["galois_keys/bfv/trimmed"] = serialize_galois_keys(
                 context_for(params, seed=b"blob-corpus-trimmed")
                 .make_galois_keys(RotationSteps({1: 1, 2: 2})))
+        else:
+            out["relin_key/ckks"] = serialize_relin_key(ctx.relin_keys())
+            out["galois_keys/ckks/trimmed"] = serialize_galois_keys(
+                ctx.make_galois_keys(RotationSteps({1: 1, 2: 2})))
     # A spec carries only what ``create`` takes, so ``replace`` makes one.
     out["params/bfv/plain_bits"] = serialize_params(PARAMS["bfv"])
     out["params/bfv/both_bits_empty_label"] = serialize_params(
@@ -171,9 +183,10 @@ def _fields(kind, blob):
     scale f64 | n_moduli u8 | u64[n_moduli]``, a key blob ``kind u8 |
     poly_degree u32 | n_moduli u8 | u64[n_moduli]`` (a Galois set then
     ``n_keys u16`` and per key ``elt u32``), every key-switching key starts
-    ``n_digits u8 | seed 32 B`` followed by ``n_digits * (n_digits + 1)``
-    residue rows of ``poly_degree`` 4-byte words, and a parameter spec
-    continues ``scheme u8
+    ``n_digits u8 | seed 32 B`` followed by ``n_digits`` blocks of rows
+    ``q_0..q_{n_digits-1}, P`` of ``poly_degree`` residues, each row at its
+    modulus' byte width (``_widths``), and a parameter spec continues
+    ``scheme u8
     | poly_degree u32 | plain_bits i16 | scale_bits i16 | n_logical u8 |
     n_special u8 | u16[n_logical] | label_len u16 | label``."""
     out = {"magic": (0, 4), "version": (4, 1)}
@@ -190,20 +203,33 @@ def _fields(kind, blob):
     if kind == "galois_keys":
         n_keys = int.from_bytes(blob[end:end + 2], "little")
         degree = int.from_bytes(blob[6:10], "little")
+        widths = _widths(_moduli(blob, 10))
         out["n_keys"] = (end, 2)
         at = end + 2
         for i in range(n_keys):
             out[f"n_digits_{i}"] = (at + 4, 1)
             digits = blob[at + 4]
-            at += 4 + 1 + 32 + 4 * digits * (digits + 1) * degree
+            rows = sum(widths[:digits]) + widths[-1]
+            at += 4 + 1 + 32 + digits * rows * degree
     return out
+
+
+def _moduli(blob, at):
+    """The ``n u8 | u64[n]`` moduli list at *at*."""
+    return [int.from_bytes(blob[at + 1 + 8 * i:at + 9 + 8 * i], "little")
+            for i in range(blob[at])]
+
+
+def _widths(moduli):
+    """Each row's bytes per residue: its modulus' byte width."""
+    return [(q.bit_length() + 7) // 8 for q in moduli]
 
 
 #: Values no reader may accept, per field (and each blob gets the other
 #: family's magic: ``CHOP`` is a parameter spec's, ``CHOC`` every other's).
 OUT_OF_RANGE = {
     "magic": (b"HCOC", b"CHOF", b"\0\0\0\0"),
-    "version": (0, 1, 3, 5, 0xFF),
+    "version": (0, 1, 3, 4, 6, 0xFF),
     "scheme": (2, 0xFF),
     "kind": (0, 1, 2, 3, 4, 0xFF),
 }
@@ -263,6 +289,119 @@ def test_counts_off_by_one_or_maxed_are_refused_or_canonical(name):
             if 0 <= lie <= top:
                 _refused_or_canonical(decode, encode,
                                       _with(blob, offset, width, lie))
+
+
+# ---------------------------------------------------------------------------
+# Residue bodies: every row at its modulus' byte width, as byte planes
+# ---------------------------------------------------------------------------
+
+def _bodies(kind, blob):
+    """Every residue body of *blob* as ``(offset, row moduli, blocks,
+    degree)``, read off its header fields as ``_fields`` reads them."""
+    if kind == "ciphertext":
+        moduli, seeded = _moduli(blob, 20), blob[6] & 1
+        return [(21 + 8 * len(moduli) + 32 * seeded, moduli,
+                 blob[7] - seeded, int.from_bytes(blob[8:12], "little"))]
+    moduli, degree = _moduli(blob, 10), int.from_bytes(blob[6:10], "little")
+    at = 11 + 8 * len(moduli)
+    if kind == "public_key":
+        return [(at, moduli, 2, degree)]
+    n_keys = 1
+    if kind == "galois_keys":
+        n_keys, at = int.from_bytes(blob[at:at + 2], "little"), at + 2
+    bodies = []
+    for _ in range(n_keys):
+        at += 4 if kind == "galois_keys" else 0
+        digits, at = blob[at], at + 33
+        rows = moduli[:digits] + moduli[-1:]
+        bodies.append((at, rows, digits, degree))
+        at += digits * sum(_widths(rows)) * degree
+    return bodies
+
+
+def _planes(moduli, degree):
+    """Every byte plane of one block over *moduli* as ``(offset in the
+    block, row, dtype, shift)``, and the block's length: row by row, each
+    row's residues as power-of-two-wide planes, low byte first (a 3-byte
+    row is a ``u16`` plane, then a ``u8`` one)."""
+    planes, at = [], 0
+    for row, width in enumerate(_widths(moduli)):
+        low = 0
+        for size in (4, 2, 1):
+            if width & size:
+                planes.append((at, row, np.dtype(f"<u{size}"), 8 * low))
+                at, low = at + size * degree, low + size
+    return planes, at
+
+
+def _residues(kind, value):
+    """The residue blocks a decoded *value* stores, in wire order."""
+    if kind == "ciphertext":
+        stored = value.components[:len(value.components)
+                                   - (value.seed is not None)]
+        return [np.stack([c.data for c in stored])]
+    if kind == "public_key":
+        return [np.stack([value.p0.data, value.p1.data])]
+    keys = ([value] if kind == "relin_key"
+            else [value.keys[elt] for elt in sorted(value.keys)])
+    return [np.stack([k0.data for k0, _k1 in key.digits]) for key in keys]
+
+
+BODY_NAMES = [name for name in NAMES if not name.startswith("params/")]
+
+
+def test_the_corpus_has_three_and_four_byte_rows():
+    widths = {width for name in BODY_NAMES
+              for _, moduli, _, _ in _bodies(name.split("/")[0],
+                                             bytes.fromhex(CORPUS[name]))
+              for width in _widths(moduli)}
+    assert widths == {3, 4}
+
+
+@pytest.mark.parametrize("name", BODY_NAMES)
+def test_residue_planes_hold_the_decoded_residues(name):
+    """Walked plane by plane from the header alone, every body reads back
+    as the decoded value's residues, and the last one ends the blob."""
+    kind, blob, decode, _ = _case(name)
+    bodies = _bodies(kind, blob)
+    end = 0
+    for (at, moduli, blocks, degree), want in zip(
+            bodies, _residues(kind, decode(blob)), strict=True):
+        planes, block = _planes(moduli, degree)
+        got = np.zeros((blocks, len(moduli), degree), dtype=np.int64)
+        for b in range(blocks):
+            for offset, row, dtype, shift in planes:
+                got[b, row] |= np.frombuffer(
+                    blob, dtype, degree, at + b * block + offset
+                ).astype(np.int64) << shift
+        assert np.array_equal(got, want)
+        end = at + blocks * block
+    assert end == len(blob)
+
+
+@pytest.mark.parametrize("name", BODY_NAMES)
+def test_cut_at_every_plane_boundary_is_refused(name):
+    kind, blob, decode, _ = _case(name)
+    cuts = set()
+    for at, moduli, blocks, degree in _bodies(kind, blob):
+        planes, block = _planes(moduli, degree)
+        cuts |= {at + b * block + offset + edge
+                 for b in range(blocks) for offset, _, dtype, _ in planes
+                 for edge in (0, dtype.itemsize * degree)}
+    assert max(cuts) == len(blob)
+    for cut in sorted(cuts - {len(blob)}):
+        with pytest.raises(ValueError):
+            decode(blob[:cut])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_version_4_blob_of_every_kind_is_refused_by_name(name):
+    """Version 4 sent every residue as a ``u32`` word; there is no
+    negotiation, so its blobs are refused, whatever their kind."""
+    _, blob, decode, _ = _case(name)
+    assert blob[4] == 5
+    with pytest.raises(ValueError, match="unsupported version 4"):
+        decode(_with(blob, 4, 1, 4))
 
 
 if __name__ == "__main__":
