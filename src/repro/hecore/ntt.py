@@ -134,9 +134,10 @@ class NttPlan:
         return self.inverse(mod_mul(self.forward(a), self.forward(b), self.p))
 
 
-#: Capacity of each plan memo (:func:`get_plan`, :func:`get_stack_plan`).
-#: Degree and moduli arrive from clients, so this is what bounds a worker's
-#: tables; an evicted plan is rebuilt on use.
+#: Capacity of each plan memo (:func:`get_plan`, :func:`get_stack_plan`,
+#: and the per-modulus tables those stack, :func:`_modulus_steps`).  Degree
+#: and moduli arrive from clients, so this is what bounds a worker's tables;
+#: an evicted plan is rebuilt on use.
 PLAN_MEMO_SIZE = 64
 
 
@@ -147,20 +148,22 @@ def get_plan(n: int, p: int) -> NttPlan:
 
 
 def _power_table_stack(bases: Sequence[int], count: int, pcol: np.ndarray) -> np.ndarray:
-    """``(k, count)`` table of ``bases[r] ** j mod p_r`` via binary exponentiation.
+    """``(k, count)`` table of ``bases[r] ** j mod p_r``, doubling the known
+    prefix each pass (``table[m:2m] = table[:m] * base**m``).
 
-    ``count`` vectorized squarings/multiplies replace the per-element Python
-    loop of :meth:`NttPlan._power_table`; all products stay below ``2**62``.
+    ``log2(count)`` vectorized multiplies replace the per-element Python
+    loop of :meth:`NttPlan._power_table`; all products stay below ``2**60``.
     """
-    p = pcol.reshape(-1)
-    result = np.ones((len(p), count), dtype=np.int64)
-    square = np.mod(np.asarray(bases, dtype=np.int64), p)
-    exponents = np.arange(count, dtype=np.int64)
-    for bit in range(max(count - 1, 1).bit_length()):
-        mask = ((exponents >> bit) & 1).astype(bool)
-        if mask.any():
-            result[:, mask] = (result[:, mask] * square[:, None]) % p[:, None]
-        square = (square * square) % p
+    p = pcol.reshape(-1, 1)
+    result = np.empty((len(p), count), dtype=np.int64)
+    result[:, :1] = 1
+    step = np.mod(np.asarray(bases, dtype=np.int64).reshape(-1, 1), p)
+    known = 1
+    while known < count:
+        grow = min(known, count - known)
+        result[:, known:known + grow] = result[:, :grow] * step % p
+        step = step * step % p
+        known += grow
     return result
 
 
@@ -246,7 +249,7 @@ class _FourStep:
 
     def __init__(self, n: int, moduli: Tuple[int, ...], psis: Tuple[int, ...]):
         k = len(moduli)
-        self.k = k
+        self.k, self.psis = k, psis
         self.n1 = n1 = 1 << ((n.bit_length() - 1) // 2)
         self.n2 = n2 = n // n1
         # Work arrays are modulus-major, (k, g, n2, n1) for a group of g
@@ -282,6 +285,36 @@ class _FourStep:
         self._p_inv = 1.0 / self._p
         self._p_u = pcol.reshape(k, 1).astype(np.uint64)
         self._local = threading.local()
+
+    @classmethod
+    def stacked(cls, parts: Sequence["_FourStep"]) -> "_FourStep":
+        """The kernel over every row of *parts*, in order: each table is
+        its parts' tables stacked along the modulus axis, nothing derived
+        again (one part is returned as it is)."""
+        if len(parts) == 1:
+            return parts[0]
+        self = cls.__new__(cls)
+        self.k = sum(part.k for part in parts)
+        self.n1, self.n2 = parts[0].n1, parts[0].n2
+        self.psis = sum((part.psis for part in parts), ())
+
+        def stack(arrays):
+            return np.concatenate(arrays)
+
+        def matmul(column):
+            return _MatmulStep(stack([step.hi for step in column]),
+                               stack([step.lo for step in column]),
+                               column[0].left, column[0].blocks)
+
+        def direction(name):
+            first, table, second = zip(*(getattr(part, name) for part in parts))
+            return matmul(first), tuple(map(stack, zip(*table))), matmul(second)
+
+        self._forward, self._inverse = direction("_forward"), direction("_inverse")
+        for name in ("_w2", "_pcol", "_p", "_p_inv", "_p_u"):
+            setattr(self, name, stack([getattr(part, name) for part in parts]))
+        self._local = threading.local()
+        return self
 
     def _scratch(self, shape: Tuple[int, ...]) -> List[np.ndarray]:
         """Four float64 work buffers of *shape*, carved from one per-thread
@@ -448,18 +481,12 @@ class NttStackPlan:
         k = len(self.moduli)
         self._pcol = np.array(self.moduli, dtype=np.int64).reshape(k, 1)
         self._p_row = self._pcol.reshape(k).astype(np.uint64)
-        # A base repeated b times (batch_plan) shares its period's tables.
-        period = next(d for d in range(1, k + 1)
-                      if self.moduli == self.moduli[:d] * (k // d))
-        if period < k:
-            base = get_stack_plan(n, self.moduli[:period])
-            self.psis: Tuple[int, ...] = base.psis * (k // period)
-            self._steps = base._steps
-        else:
-            # Same deterministic primitive-root search as NttPlan => same psi
-            # per row => bit-identical outputs.
-            self.psis = tuple(primitive_root_of_unity(2 * n, p) for p in self.moduli)
-            self._steps = _FourStep(n, self.moduli, self.psis)
+        # Each modulus' tables are derived once per process and stacked here,
+        # so a sub-base (the special prime alone, a lower level's extended
+        # base) of a plan already built derives nothing.
+        self._steps = _FourStep.stacked([_modulus_steps(n, p)
+                                         for p in self.moduli])
+        self.psis: Tuple[int, ...] = self._steps.psis
         n2 = n // n1
         #: :meth:`forward_small` takes inputs below this magnitude: ``n2``
         #: products with a centred ``W2`` entry (below ``2**29``) then sum
@@ -547,21 +574,6 @@ class NttStackPlan:
                                check_bounds, out)
 
     # --------------------------------------------------------- batch axis
-    def batch_plan(self, batch: int) -> "NttStackPlan":
-        """Plan over *batch* tiled copies of this plan's residue stack.
-
-        Every kernel is purely row-wise, so transforming ``batch`` stacks at
-        once is exactly the plan whose moduli sequence is this one's
-        repeated ``batch`` times.  That plan shares this one's per-modulus
-        tables (broadcast over the batch axis), so its table bytes do not
-        grow with *batch*.
-        """
-        if batch < 1:
-            raise ValueError(f"batch size {batch} must be >= 1")
-        if batch == 1:
-            return self
-        return get_stack_plan(self.n, self.moduli * batch)
-
     def forward_batch(self, stacks: np.ndarray, check_bounds: bool = False,
                       unscramble: bool = True) -> np.ndarray:
         """Forward NTT of a ``(B, k, n)`` batch of residue stacks.
@@ -596,14 +608,11 @@ class NttStackPlan:
         if peak >= self.small_bound:
             raise ValueError(f"small-input transform needs |v| < "
                              f"{self.small_bound}, got {peak}")
-        reps = len(self.moduli) // self._steps.k
-        if reps > 1:            # a batch plan: every period sees the row
-            values = np.repeat(values, reps, axis=0)
         out = np.empty((len(values), self._steps.k, self.n), dtype=np.int64)
         group = self._batch_group(len(values))
         for rows in (slice(i, i + group) for i in range(0, len(values), group)):
             self._steps.run_small(values[rows], check_bounds, out[rows])
-        return out.reshape(-1, len(self.moduli), self.n)
+        return out
 
     def inverse_batch(self, stacks: np.ndarray, check_bounds: bool = False,
                       prescrambled: bool = False) -> np.ndarray:
@@ -618,6 +627,23 @@ class NttStackPlan:
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise product in ``Z_{p_r}[x]/(x^n + 1)`` for every residue row."""
         return self.inverse(self.dyadic_multiply(self.forward(a), self.forward(b)))
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _modulus_steps(n: int, p: int) -> _FourStep:
+    """The four-step tables of one modulus at degree *n*, which every stack
+    plan over it shares (read-only).  The root is found by the same
+    deterministic search as :class:`NttPlan`'s, so every row is
+    bit-identical to it."""
+    steps = _FourStep(n, (p,), (primitive_root_of_unity(2 * n, p),))
+    tables = list(vars(steps).values())
+    while tables:
+        table = tables.pop()
+        if isinstance(table, np.ndarray):
+            table.setflags(write=False)
+        elif isinstance(table, tuple):
+            tables.extend(table)
+    return steps
 
 
 _memoised_stack_plan = functools.lru_cache(maxsize=PLAN_MEMO_SIZE)(NttStackPlan)

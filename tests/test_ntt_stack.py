@@ -230,32 +230,36 @@ def test_check_bounds_catches_a_sum_outside_the_envelope():
         plan.forward(a, check_bounds=True)
 
 
-def _table_bytes(plan) -> int:
-    def arrays(obj):
-        if isinstance(obj, np.ndarray):
-            yield obj
-        elif isinstance(obj, tuple):
-            for item in obj:
-                yield from arrays(item)
-    return sum(a.nbytes for value in vars(plan._steps).values()
-               for a in arrays(value))
+def test_a_sub_base_plan_takes_its_rows_from_the_tables_already_built():
+    """Each modulus' tables are derived once and stacked per plan: once a
+    base's plan exists, a plan over any sub-tuple of it (the special prime
+    alone, a lower level's extended base) derives no table, holds exactly
+    its rows of the wider plan's tables, and transforms as those rows do."""
+    wide = ntt.get_stack_plan(N, PRIMES)
+    built = ntt._modulus_steps.cache_info().misses
+    rng = np.random.default_rng(21)
+    stack = _random_stack(rng, PRIMES, N)
+    for rows in ([2], [0, 2], [1, 0]):
+        sub = ntt.get_stack_plan(N, [PRIMES[r] for r in rows])
+        assert ntt._modulus_steps.cache_info().misses == built
+        assert sub.psis == tuple(wide.psis[r] for r in rows)
+        assert np.array_equal(sub._steps._w2, wide._steps._w2[rows])
+        assert np.array_equal(sub.forward(stack[rows]),
+                              wide.forward(stack)[rows])
+        assert np.array_equal(sub.inverse(stack[rows]),
+                              wide.inverse(stack)[rows])
 
 
-def test_batch_plan_shares_its_base_tables():
-    """A batch plan broadcasts the base plan's per-modulus tables over the
-    batch axis: its table bytes do not grow with the batch, and it still
-    transforms every tiled stack (and every small row) as the base plan
-    does."""
+def test_a_tiled_base_transforms_every_tile_as_its_base_does():
+    """A plan over a base repeated ``b`` times transforms each stack (and
+    each small row) as the base plan does: tiling is plain stacking."""
     plan = ntt.get_stack_plan(N, PRIMES)
     rng = np.random.default_rng(21)
     for b in (2, 3, 8):
-        tiled = plan.batch_plan(b)
-        assert tiled.moduli == PRIMES * b
-        assert _table_bytes(tiled) == _table_bytes(plan) > 0
+        tiled = ntt.get_stack_plan(N, PRIMES * b)
         stacks = np.stack([_random_stack(rng, PRIMES, N) for _ in range(b)])
         want = plan.forward_batch(stacks).reshape(b * len(PRIMES), N)
         assert np.array_equal(tiled.forward(stacks.reshape(-1, N)), want)
-        # A small row lifted to the tiled base is b copies of its stack.
         small = rng.integers(-19, 20, (2, N))
         assert np.array_equal(tiled.forward_small(small),
                               np.tile(plan.forward_small(small), (1, b, 1)))
