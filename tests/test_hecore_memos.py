@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro.hecore
-from repro.hecore import ntt, polyring
+from repro.hecore import ntt, polyring, serialize
 from repro.hecore.polyring import (
     GALOIS_MEMO_SIZE,
     RnsPoly,
@@ -192,16 +192,19 @@ def test_bases_are_interned_and_the_table_is_bounded():
 
 def test_foreign_moduli_are_refused_before_the_base_lookup(bfv):
     """A blob's moduli must be a prefix of the chain *before* they are used
-    as a key of the intern table: a hostile blob costs no entry."""
+    as a key of the intern table or of the wire's row-width table: a
+    hostile blob costs no entry."""
     blob = bytearray(serialize_ciphertext(bfv.encrypt([1, 2, 3])))
     first = bfv.params.data_base.moduli[0]
     at = blob.index(struct.pack("<Q", first))
     blob[at:at + 8] = struct.pack("<Q", first + 2)
-    before = RnsBase.of.cache_info()
+    memos = (RnsBase.of, serialize._rows)
+    before = [memo.cache_info() for memo in memos]
     with pytest.raises(ValueError, match="moduli do not match"):
         deserialize_ciphertext(bytes(blob), bfv.params)
-    after = RnsBase.of.cache_info()
-    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    for memo, was in zip(memos, before):
+        now = memo.cache_info()
+        assert (now.misses, now.currsize) == (was.misses, was.currsize)
 
 
 def test_aux_base_memo_is_bounded():
