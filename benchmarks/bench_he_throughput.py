@@ -77,12 +77,14 @@ def test_throughput_ckks_multiply(benchmark, ckks_small):
 
 
 def test_throughput_ntt(benchmark):
-    from repro.hecore import ntt
     from repro.hecore.primes import generate_ntt_primes
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.oracles import get_plan
 
     n = 8192
     p = generate_ntt_primes(29, 1, n)[0]
-    plan = ntt.get_plan(n, p)
+    plan = get_plan(n, p)
     data = np.random.default_rng(0).integers(0, p, n, dtype=np.int64)
     benchmark(plan.forward, data)
 

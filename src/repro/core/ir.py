@@ -1380,10 +1380,10 @@ class _IrRunner:
                          ).reshape(len(order), 2, k, n)
         s, d = len(squares), len(distinct)
         x, a, b = block[:s], block[s:s + d], block[s + d:]
-        pcol, add = base.moduli_col, base.add
+        moduli, add = base.moduli, base.add
 
         def mac(u, v):
-            return mod_mac("tkn,tkn->kn", u, v, pcol)
+            return mod_mac("tkn,tkn->kn", u, v, moduli)
 
         parts = []
         if s:

@@ -20,12 +20,12 @@ results are bit-identical to the looped single-shot path
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.hecore import ntt
-from repro.hecore.modmath import mod_mul, shoup_mul_mod
+from repro.hecore.modmath import mod_mul
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.rns import RnsBase
 
@@ -70,35 +70,27 @@ def inverse_block(base: RnsBase, degree: int, block: np.ndarray,
 
 def dyadic_block(base: RnsBase, block: np.ndarray, poly: RnsPoly) -> np.ndarray:
     """Pointwise NTT-domain product of every block row with one poly."""
-    return mod_mul(block, poly.data, base.moduli_col)
+    return mod_mul(block, poly.data, base.moduli)
 
 
-def raw_tables(poly: RnsPoly) -> Tuple[np.ndarray, np.ndarray]:
-    """This NTT poly's residues in raw order, plus Shoup quotients.
+def raw_table(poly: RnsPoly) -> np.ndarray:
+    """This NTT poly's residues in raw order.
 
-    Cached on the poly (see ``RnsPoly._raw_tables``), so it must only be used
-    on long-lived key material that is never mutated in place — the secret
+    Cached on the poly (see ``RnsPoly._raw``), so it must only be used on
+    long-lived key material that is never mutated in place — the secret
     key's restricted forms and the public key components.
     """
-    cached = poly._raw_tables
-    if cached is None:
+    if poly._raw is None:
         plan = ntt.get_stack_plan(poly.degree, poly.base.moduli)
-        data = np.ascontiguousarray(poly.data[:, plan.scramble_order])
-        cached = (data, (data << 32) // poly.base.moduli_col)
-        poly._raw_tables = cached
-    return cached
+        poly._raw = np.ascontiguousarray(poly.data[:, plan.scramble_order])
+    return poly._raw
 
 
 def dyadic_block_raw(base: RnsBase, block: np.ndarray, poly: RnsPoly) -> np.ndarray:
     """Pointwise product with a cached key poly, both sides in raw order
-    (``forward_block(..., raw=True)`` output).
-
-    Shoup's precomputed-quotient multiply, so the hot dyadic step contains
-    no division; bit-identical to :func:`dyadic_block` up to the (cancelled)
-    permutation.
-    """
-    data, shoup = raw_tables(poly)
-    return shoup_mul_mod(block, data, shoup, base.moduli_col)
+    (``forward_block(..., raw=True)`` output); bit-identical to
+    :func:`dyadic_block` up to the (cancelled) permutation."""
+    return mod_mul(block, raw_table(poly), base.moduli)
 
 
 def split_polys(

@@ -65,6 +65,7 @@ from repro.hecore.keys import (
     keyswitch_finish,
     keyswitch_inner_product,
 )
+from repro.hecore.modmath import mod_reduce
 from repro.hecore.polyring import (
     RnsPoly,
     coeff_automorphism_perm,
@@ -248,8 +249,8 @@ def weight_table(ctx, current: RnsBase,
     by_pair: dict = {}
     for step, source, residues in terms:
         pair = (source, galois_element_for_step(step, n))
-        by_pair[pair] = np.mod(by_pair.get(pair, 0) + residues,
-                               ext.moduli_col)
+        by_pair[pair] = mod_reduce(by_pair.get(pair, 0) + residues,
+                                   ext.moduli)
     pairs = tuple(sorted(by_pair))
     m_ntt = ntt.get_stack_plan(n, ext.moduli).forward_batch(
         np.stack([by_pair[pair] for pair in pairs]))
@@ -352,7 +353,7 @@ def keyswitch_sum(ctx, sources: Sequence[HoistedRotator],
                 np.stack([sign for _, sign in gathers]))
         if out is not None:
             total += out
-        out = current.reduce(total)
+        out = mod_reduce(total, current.moduli)
     scale = first.ct.scale * (1.0 if weights is None else weights.scale)
     return Ciphertext(params, [RnsPoly(current, n, part, is_ntt=False)
                                for part in out], scale=scale)

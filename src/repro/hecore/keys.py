@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hecore import batchcrypt, ntt
-from repro.hecore.modmath import mod_add, mod_mac, mod_mul
+from repro.hecore.modmath import mod_add, mod_mac, mod_mul, mod_reduce
 from repro.hecore.params import EncryptionParameters
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.random import BlakePrng
@@ -415,8 +415,9 @@ class KeyGenerator:
             at = [i for i, lv in enumerate(levels) if lv == level]
             base = key_base(params, level)
             rows = None if level == digits else key_rows(params, level)
-            pcol = base.moduli_col[:level]
-            factors = params.special_prime % pcol
+            moduli = base.moduli[:level]
+            factors = np.array([params.special_prime % p for p in moduli],
+                               dtype=np.int64)[:, None]
             diag = np.arange(level)
             tile = batchcrypt.tile_size(base, n, parts=level)
             for start in range(0, len(at), tile):
@@ -431,7 +432,7 @@ class KeyGenerator:
                 src = np.stack([source.apply_automorphism(
                     galois_elts[i]).data[:level] for i in chunk])
                 k0[:, diag, diag] = mod_add(k0[:, diag, diag],
-                                            mod_mul(src, factors, pcol), pcol)
+                                            mod_mul(src, factors, moduli), moduli)
                 for i, key_k0, key_a in zip(chunk, k0, uniform):
                     keys[i] = KeySwitchKey(
                         [(RnsPoly(base, n, k0_i, is_ntt=True),
@@ -538,12 +539,12 @@ def decompose_for_keyswitch(block: np.ndarray, base: RnsBase,
     out[..., rows, rows, :] = evaluated
     if k > 1:
         digits = (rows + np.arange(1, k)[:, None]) % k        # (k-1, k)
-        stacks = np.mod(centered[..., digits, :], pcol)        # (.., k-1, k, n)
+        stacks = mod_reduce(centered[..., digits, :], base.moduli)  # (.., k-1, k, n)
         out[..., digits, rows, :] = ntt.get_stack_plan(
             n, base.moduli).forward_batch(
                 stacks.reshape(-1, k, n)).reshape(stacks.shape)
     special = ext_base.moduli[-1]
-    top = np.mod(centered, special)
+    top = mod_reduce(centered, special)
     out[..., k, :] = ntt.get_stack_plan(n, (special,)).forward_batch(
         top.reshape(-1, 1, n)).reshape(top.shape)
     return out
@@ -563,10 +564,10 @@ def keyswitch_inner_product(digits_ntt: np.ndarray,
     NTT-form accumulators.
 
     The sum over digits is :func:`repro.hecore.modmath.mod_mac`'s lazily
-    reduced multiply-accumulate: one ``mod`` per chunk of digits.
+    reduced multiply-accumulate: one reduction per chunk of digits.
     """
     return mod_mac('...lkn,...lckn->...ckn', digits_ntt, key_block,
-                   ext_base.moduli_col)
+                   ext_base.moduli)
 
 
 def keyswitch_finish(accs: np.ndarray, ext_base: RnsBase) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 Every computational modulus in this library is below ``2**MAX_MODULUS_BITS``
 (``2**30``), so a product of two residues fits exactly in a signed 64-bit
-integer and a Shoup quotient times a residue stays below ``2**62``.  This
-mirrors SEAL's word-sized RNS limbs (SEAL uses up to 60-bit limbs on native
-128-bit arithmetic, which numpy lacks); DESIGN.md documents the
-substitution.  The *total* modulus width, which is what determines noise
-budgets and ciphertext sizes, is preserved by using more limbs.
+integer and eight such products still sum exactly.  This mirrors SEAL's
+word-sized RNS limbs (SEAL uses up to 60-bit limbs on native 128-bit
+arithmetic, which numpy lacks); DESIGN.md documents the substitution.
+The *total* modulus width, which is what determines noise budgets and
+ciphertext sizes, is preserved by using more limbs.
 """
 
 from __future__ import annotations
@@ -28,28 +28,53 @@ def check_modulus(p: int) -> int:
     return p
 
 
-def mod_add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Element-wise ``(a + b) mod p`` for residue arrays."""
-    return np.mod(np.add(a, b, dtype=np.int64), p)
+def mod_reduce(x: np.ndarray, p) -> np.ndarray:
+    """``x mod p`` in ``[0, p)``, in place on an int64 array the caller
+    owns, which is returned — the one array reduction of ``hecore``.
+
+    *p* is one modulus for the whole array, or a sequence of moduli, one
+    per row along axis ``-2`` of a ``(..., k, n)`` block.  Each row is
+    reduced against its modulus as a Python-int scalar, as
+    ``x - (x // p)·p``: numpy divides by a scalar with a multiply and a
+    shift, where ``np.mod`` against a ``(k, 1)`` column pays a hardware
+    division per element (docs/KERNELS.md has the measurements).  Exact
+    for every int64 ``x``.
+    """
+    if isinstance(p, (int, np.integer)):
+        rows = ((x, int(p)),)
+    elif len(p) != x.shape[-2]:
+        raise ValueError(f"{len(p)} moduli for {x.shape[-2]} rows")
+    else:
+        rows = ((x[..., i, :], int(m)) for i, m in enumerate(p))
+    for row, m in rows:
+        q = row // m
+        q *= m
+        row -= q
+    return x
 
 
-def mod_sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Element-wise ``(a - b) mod p`` for residue arrays."""
-    return np.mod(np.subtract(a, b, dtype=np.int64), p)
+def mod_add(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """Element-wise ``(a + b) mod p``; *p* as :func:`mod_reduce`'s."""
+    return mod_reduce(np.add(a, b, dtype=np.int64), p)
 
 
-def mod_neg(a: np.ndarray, p: int) -> np.ndarray:
-    """Element-wise ``(-a) mod p``."""
-    return np.mod(np.negative(a.astype(np.int64)), p)
+def mod_sub(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """Element-wise ``(a - b) mod p``; *p* as :func:`mod_reduce`'s."""
+    return mod_reduce(np.subtract(a, b, dtype=np.int64), p)
+
+
+def mod_neg(a: np.ndarray, p) -> np.ndarray:
+    """Element-wise ``(-a) mod p``; *p* as :func:`mod_reduce`'s."""
+    return mod_reduce(np.negative(a, dtype=np.int64), p)
 
 
 def mod_mul(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Element-wise ``(a * b) mod p`` — the one dyadic product; *p* is a
-    modulus or a ``(k, 1)`` column of them against ``(..., k, n)`` blocks.
+    modulus, or one per row of ``(..., k, n)`` blocks (:func:`mod_reduce`).
 
     Exact because residues are below ``2**30`` (see :data:`MAX_MODULUS_BITS`).
     """
-    return np.mod(np.multiply(a, b, dtype=np.int64), p)
+    return mod_reduce(np.multiply(a, b, dtype=np.int64), p)
 
 
 #: Residue products (each below ``2**(2 * MAX_MODULUS_BITS)``) that sum
@@ -61,45 +86,27 @@ def mod_mac(subscripts: str, a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """``einsum(subscripts, a, b) mod p`` over canonical residues — the one
     lazily reduced multiply-accumulate.  *subscripts* contracts exactly the
     first explicit axis of each operand (the one right after ``...``, e.g.
-    ``'...lkn,...lckn->...ckn'``); *p* broadcasts against the output like
-    :func:`mod_mul`'s.
+    ``'...lkn,...lckn->...ckn'``); *p* holds one modulus per row along the
+    output's axis ``-2``, as :func:`mod_mul`'s.
 
     That axis is cut into chunks of :data:`LAZY_SUM_TERMS` terms, each
     summed exactly in int64 by one fused einsum that never materialises
-    the product tensor and reduced once: one ``mod`` per chunk instead of
+    the product tensor and reduced once: one reduction per chunk instead of
     one per product."""
     sa, sb = subscripts.split("->")[0].replace("...", "").split(",")
     n_terms = a.shape[-len(sa)]
     acc = None
     for lo in range(0, n_terms, LAZY_SUM_TERMS):
         chunk = slice(lo, lo + LAZY_SUM_TERMS)
-        part = np.mod(np.einsum(
+        part = mod_reduce(np.einsum(
             subscripts,
             a[(Ellipsis, chunk) + (slice(None),) * (len(sa) - 1)],
             b[(Ellipsis, chunk) + (slice(None),) * (len(sb) - 1)]), p)
-        acc = part if acc is None else acc + part
-    return acc if n_terms <= LAZY_SUM_TERMS else np.mod(acc, p)
-
-
-def shoup_mul_mod(x: np.ndarray, c: np.ndarray, c_shoup: np.ndarray,
-                  p: np.ndarray) -> np.ndarray:
-    """Element-wise ``(x * c) mod p`` against a precomputed constant, without
-    a division: with Shoup's quotient ``c_shoup = floor(c * 2**32 / p)``,
-    ``q = (x * c_shoup) >> 32`` and ``x*c - q*p`` lands in ``[0, 2p)`` for
-    canonical ``x < p`` (every product int64-exact under
-    :data:`MAX_MODULUS_BITS`); one conditional subtract restores the
-    canonical range, so the fresh array returned is bit-identical to
-    :func:`mod_mul`'s.  *p* is an int64 array broadcast like *c*.
-    """
-    q = (x * c_shoup) >> 32
-    q *= p
-    prod = x * c
-    prod -= q
-    # Unsigned-minimum conditional subtract: prod - p wraps above 2**63 for
-    # prod < p, so the elementwise minimum reduces [0, 2p) -> [0, p).
-    pu = prod.view(np.uint64)
-    np.minimum(pu, pu - p.view(np.uint64), out=pu)
-    return prod
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    return acc if n_terms <= LAZY_SUM_TERMS else mod_reduce(acc, p)
 
 
 def mod_pow(base: int, exponent: int, p: int) -> int:
@@ -153,13 +160,13 @@ def mod_inv_array(a: np.ndarray, p: int) -> np.ndarray:
 
 def center(a: np.ndarray, p: int) -> np.ndarray:
     """Map residues in ``[0, p)`` to the centered range ``(-p/2, p/2]``."""
-    a = np.mod(a.astype(np.int64), p)
+    a = uncenter(a, p)
     return np.where(a > p // 2, a - p, a)
 
 
 def uncenter(a: np.ndarray, p: int) -> np.ndarray:
     """Map centered values back to canonical residues in ``[0, p)``."""
-    return np.mod(a.astype(np.int64), p)
+    return mod_reduce(np.array(a, dtype=np.int64), p)
 
 
 def is_power_of_two(n: int) -> bool:

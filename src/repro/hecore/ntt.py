@@ -4,164 +4,54 @@ The NTT is the workhorse of RLWE cryptography — it is also the computation
 that prior hardware (HEAX, BFV FPGA designs) accelerates and that the
 CHOCO-TACO polynomial-multiplication module implements with an iterative
 butterfly dataflow.  This module provides the software implementation used by
-the functional HE schemes.
+the functional HE schemes (docs/KERNELS.md has the full story).
 
-Two implementations coexist (docs/KERNELS.md has the full story):
-
-* :class:`NttPlan` — the original scalar plan for a single residue row.
-  Multiplication in ``Z_p[x]/(x^N + 1)`` (negacyclic convolution) uses the
-  standard psi-twist: scale coefficient *i* by ``psi**i`` (psi a primitive
-  ``2N``-th root of unity), apply a cyclic NTT with ``omega = psi**2``,
-  multiply point-wise, invert, and unscale.  It is retained as the bit-exact
-  reference oracle for the stacked kernels.
-* :class:`NttStackPlan` — the production kernel.  It transforms all ``k``
-  residue rows of a ``(k, N)`` RNS matrix at once (the per-residue
-  parallelism CHOCO-TACO exploits in hardware) as a four-step (Bailey)
-  factorisation ``N = n1 * n2``: per modulus, each row viewed as an
-  ``(n2, n1)`` matrix is multiplied by a constant matrix, twiddled
-  elementwise and multiplied by a second constant matrix, with the
-  negacyclic psi-twist and the inverse's ``1/N`` folded into the constants.
-  Every modular matmul is two float64 BLAS matmuls against the constant's
-  signed 15-bit digits, exact in any summation order because every partial
-  sum stays below ``2**52``: inputs below ``2**MAX_MODULUS_BITS``, digits at
-  most ``2**14``, at most :data:`MAX_SUM_TERMS` terms.  Plan construction
-  refuses a modulus or a degree outside that envelope.
+:class:`NttStackPlan` transforms all ``k`` residue rows of a ``(k, N)`` RNS
+matrix at once (the per-residue parallelism CHOCO-TACO exploits in hardware)
+as a four-step (Bailey) factorisation ``N = n1 * n2``: per modulus, each row
+viewed as an ``(n2, n1)`` matrix is multiplied by a constant matrix,
+twiddled elementwise and multiplied by a second constant matrix, with the
+negacyclic psi-twist and the inverse's ``1/N`` folded into the constants.
+Every modular matmul is two float64 BLAS matmuls against the constant's
+signed 15-bit digits, exact in any summation order because every partial
+sum stays below ``2**52``: inputs below ``2**MAX_MODULUS_BITS``, digits at
+most ``2**14``, at most :data:`MAX_SUM_TERMS` terms.  Plan construction
+refuses a modulus or a degree outside that envelope.  Its bit-exact
+reference, the scalar butterfly plan, is test code (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.hecore.modmath import (
-    MAX_MODULUS_BITS, check_modulus, mod_inv, mod_mul, mod_pow,
+    MAX_MODULUS_BITS, check_modulus, mod_inv, mod_mul, mod_reduce,
 )
 from repro.hecore.primes import primitive_root_of_unity
 
 
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    """Index permutation that reorders an array into bit-reversed order."""
-    bits = n.bit_length() - 1
-    indices = np.arange(n, dtype=np.int64)
-    reversed_indices = np.zeros(n, dtype=np.int64)
-    for bit in range(bits):
-        reversed_indices |= ((indices >> bit) & 1) << (bits - 1 - bit)
-    return reversed_indices
-
-
-@dataclass(frozen=True)
-class _StageTwiddles:
-    """Per-stage twiddle factors for the iterative butterfly network."""
-
-    length: int
-    factors: np.ndarray  # shape (length // 2,)
-
-
-class NttPlan:
-    """Precomputed tables for negacyclic NTT/INTT over one prime.
-
-    Plans are cached per ``(n, p)`` via :func:`get_plan`; creating one costs a
-    primitive-root search plus table generation, after which every transform
-    is a sequence of ``log2(n)`` vectorized butterfly passes.
-    """
-
-    def __init__(self, n: int, p: int):
-        if n & (n - 1) or n < 2:
-            raise ValueError(f"transform size {n} must be a power of two >= 2")
-        if (p - 1) % (2 * n) != 0:
-            raise ValueError(f"prime {p} is not NTT-friendly for degree {n}")
-        self.n = n
-        self.p = p
-        self.psi = primitive_root_of_unity(2 * n, p)
-        self.omega = mod_pow(self.psi, 2, p)
-        self._bitrev = _bit_reverse_permutation(n)
-        self._psi_powers = self._power_table(self.psi, n)
-        psi_inv = mod_inv(self.psi, p)
-        n_inv = mod_inv(n, p)
-        # Fold the 1/N scaling of the inverse transform into the psi unscale.
-        self._psi_inv_scaled = mod_mul(self._power_table(psi_inv, n), np.int64(n_inv), p)
-        self._fwd_stages = self._stage_tables(self.omega)
-        self._inv_stages = self._stage_tables(mod_inv(self.omega, p))
-
-    def _power_table(self, base: int, count: int) -> np.ndarray:
-        table = np.empty(count, dtype=np.int64)
-        acc = 1
-        for i in range(count):
-            table[i] = acc
-            acc = (acc * base) % self.p
-        return table
-
-    def _stage_tables(self, omega: int) -> List[_StageTwiddles]:
-        stages = []
-        length = 2
-        while length <= self.n:
-            step_root = mod_pow(omega, self.n // length, self.p)
-            stages.append(
-                _StageTwiddles(length=length, factors=self._power_table(step_root, length // 2))
-            )
-            length *= 2
-        return stages
-
-    def _butterflies(self, values: np.ndarray, stages: List[_StageTwiddles]) -> np.ndarray:
-        p = self.p
-        work = values[self._bitrev].astype(np.int64)
-        for stage in stages:
-            half = stage.length // 2
-            blocks = work.reshape(-1, stage.length)
-            even = blocks[:, :half].copy()
-            odd = mod_mul(blocks[:, half:], stage.factors, p)
-            blocks[:, :half] = np.mod(even + odd, p)
-            blocks[:, half:] = np.mod(even - odd, p)
-            work = blocks.reshape(-1)
-        return work
-
-    def forward(self, coefficients: np.ndarray) -> np.ndarray:
-        """Negacyclic forward NTT of a length-``n`` coefficient vector."""
-        twisted = mod_mul(coefficients.astype(np.int64), self._psi_powers, self.p)
-        return self._butterflies(twisted, self._fwd_stages)
-
-    def inverse(self, evaluations: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`forward`."""
-        untwisted = self._butterflies(evaluations.astype(np.int64), self._inv_stages)
-        return mod_mul(untwisted, self._psi_inv_scaled, self.p)
-
-    def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two polynomials in ``Z_p[x]/(x^n + 1)``."""
-        return self.inverse(mod_mul(self.forward(a), self.forward(b), self.p))
-
-
-#: Capacity of each plan memo (:func:`get_plan`, :func:`get_stack_plan`,
-#: and the per-modulus tables those stack, :func:`_modulus_steps`).  Degree
-#: and moduli arrive from clients, so this is what bounds a worker's tables;
-#: an evicted plan is rebuilt on use.
+#: Capacity of each plan memo (:func:`get_stack_plan` and the per-modulus
+#: tables it stacks, :func:`_modulus_steps`).  Degree and moduli arrive from
+#: clients, so this is what bounds a worker's tables; an evicted plan is
+#: rebuilt on use.
 PLAN_MEMO_SIZE = 64
 
 
-@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
-def get_plan(n: int, p: int) -> NttPlan:
-    """Return (and memoise) the :class:`NttPlan` for transform size *n* mod *p*."""
-    return NttPlan(n, p)
-
-
-def _power_table_stack(bases: Sequence[int], count: int, pcol: np.ndarray) -> np.ndarray:
-    """``(k, count)`` table of ``bases[r] ** j mod p_r``, doubling the known
-    prefix each pass (``table[m:2m] = table[:m] * base**m``).
-
-    ``log2(count)`` vectorized multiplies replace the per-element Python
-    loop of :meth:`NttPlan._power_table`; all products stay below ``2**60``.
-    """
-    p = pcol.reshape(-1, 1)
-    result = np.empty((len(p), count), dtype=np.int64)
-    result[:, :1] = 1
-    step = np.mod(np.asarray(bases, dtype=np.int64).reshape(-1, 1), p)
+def _power_table(base: int, count: int, p: int) -> np.ndarray:
+    """``base ** j mod p`` for ``j < count``, doubling the known prefix each
+    pass (``table[m:2m] = table[:m] * base**m``): ``log2(count)`` vectorized
+    multiplies, every product below ``2**60``."""
+    result = np.empty(count, dtype=np.int64)
+    result[0] = 1
+    step = base % p
     known = 1
     while known < count:
         grow = min(known, count - known)
-        result[:, known:known + grow] = result[:, :grow] * step % p
+        result[known:known + grow] = mod_mul(result[:grow], step, p)
         step = step * step % p
         known += grow
     return result
@@ -190,9 +80,9 @@ MAX_SUM_TERMS = 1 << (_EXACT_BITS - MAX_MODULUS_BITS - (_DIGIT_BITS - 1))
 _BATCH_CHUNK_BYTES = 3 << 17
 
 
-def _centred(table: np.ndarray, pcol: np.ndarray) -> np.ndarray:
-    """A ``(k, ...)`` residue table moved to ``|c| <= p // 2``."""
-    return np.where(table > pcol // 2, table - pcol, table)
+def _centred(table: np.ndarray, p: int) -> np.ndarray:
+    """A residue table moved to ``|c| <= p // 2``."""
+    return np.where(table > p // 2, table - p, table)
 
 
 def _digits(centred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -247,30 +137,27 @@ class _FourStep:
     the raw layout with negated exponents, ``1/N`` folded into its ``W2``.
     """
 
-    def __init__(self, n: int, moduli: Tuple[int, ...], psis: Tuple[int, ...]):
-        k = len(moduli)
-        self.k, self.psis = k, psis
+    def __init__(self, n: int, p: int, psi: int):
+        self.k, self.psis = 1, (psi,)
         self.n1 = n1 = 1 << ((n.bit_length() - 1) // 2)
         self.n2 = n2 = n // n1
         # Work arrays are modulus-major, (k, g, n2, n1) for a group of g
         # stacks, so every table broadcasts over the group axis.
-        pcol = np.array(moduli, dtype=np.int64).reshape(k, 1, 1, 1)
-        psi_pow = _power_table_stack(psis, 2 * n, pcol)[:, None]
+        pcol = np.full((1, 1, 1, 1), p, dtype=np.int64)
+        psi_pow = _power_table(psi, 2 * n, p)[None, None]
         odd = 2 * np.arange(n2)[:, None] + 1                # 2*j2 + 1
         cols = np.arange(n1)
         w2 = (n1 * np.arange(n2)[None, :] * odd) % (2 * n)  # [j2, i2]
         tw = (cols[None, :] * odd) % (2 * n)                # [j2, i1]
         w1 = (2 * n2 * cols[:, None] * cols[None, :]) % (2 * n)  # [i1, j1]
-        n_inv = np.array([mod_inv(n, p) for p in moduli],
-                         dtype=np.int64).reshape(pcol.shape)
 
         def matmul(exponents, left, scale=1):
-            hi, lo = _digits(_centred(psi_pow[..., exponents] * scale % pcol, pcol))
+            hi, lo = _digits(_centred(mod_mul(psi_pow[..., exponents], scale, p), p))
             return _MatmulStep.of(hi, lo, left, n2, n1)
 
         def twiddle(exponents):
-            centred = _centred(psi_pow[..., exponents], pcol)
-            return centred / pcol.astype(np.float64), centred
+            centred = _centred(psi_pow[..., exponents], p)
+            return centred / float(p), centred
 
         def negated(exponents):
             return (2 * n - exponents) % (2 * n)
@@ -279,18 +166,18 @@ class _FourStep:
         # The small-input first stage's full-width W2, in the digits' layout.
         self._w2 = self._forward[0].hi * _RADIX + self._forward[0].lo
         self._inverse = (matmul(negated(w1), False), twiddle(negated(tw)),
-                         matmul(negated(w2).T, True, n_inv))
+                         matmul(negated(w2).T, True, mod_inv(n, p)))
         self._pcol = pcol
         self._p = pcol.astype(np.float64)
         self._p_inv = 1.0 / self._p
-        self._p_u = pcol.reshape(k, 1).astype(np.uint64)
+        self._p_u = pcol.reshape(1, 1).astype(np.uint64)
         self._local = threading.local()
 
     @classmethod
     def stacked(cls, parts: Sequence["_FourStep"]) -> "_FourStep":
         """The kernel over every row of *parts*, in order: each table is
         its parts' tables stacked along the modulus axis, nothing derived
-        again (one part is returned as it is)."""
+        again (one part is returned as it is).  Read-only, like the parts."""
         if len(parts) == 1:
             return parts[0]
         self = cls.__new__(cls)
@@ -299,7 +186,7 @@ class _FourStep:
         self.psis = sum((part.psis for part in parts), ())
 
         def stack(arrays):
-            return np.concatenate(arrays)
+            return _read_only(np.concatenate(arrays))
 
         def matmul(column):
             return _MatmulStep(stack([step.hi for step in column]),
@@ -456,7 +343,7 @@ class NttStackPlan:
     :class:`_FourStep`: two exact float64 modular matmuls per modulus and an
     elementwise twiddle between them, every table broadcast over the batch.
 
-    Outputs are bit-exact with the per-row scalar :class:`NttPlan` (same
+    Outputs are bit-exact with a per-row scalar butterfly plan (same
     primitive roots, same natural evaluation ordering: position ``j`` of row
     ``r`` holds the evaluation at ``psi_r ** (2j + 1)``).
     """
@@ -478,9 +365,7 @@ class NttStackPlan:
             if (p - 1) % (2 * n) != 0:
                 raise ValueError(f"prime {p} is not NTT-friendly for degree {n}")
         self.n = n
-        k = len(self.moduli)
-        self._pcol = np.array(self.moduli, dtype=np.int64).reshape(k, 1)
-        self._p_row = self._pcol.reshape(k).astype(np.uint64)
+        self._p_row = _read_only(np.array(self.moduli, dtype=np.uint64))
         # Each modulus' tables are derived once per process and stacked here,
         # so a sub-base (the special prime alone, a lower level's extended
         # base) of a plan already built derives nothing.
@@ -493,7 +378,8 @@ class NttStackPlan:
         #: below ``2**52`` (``2**17`` at ``N = 4096``, ``2**15`` at ``2**16``).
         self.small_bound = 1 << (_EXACT_BITS - (MAX_MODULUS_BITS - 1)
                                  - (n2.bit_length() - 1))
-        self._scramble = (np.arange(n2)[:, None] + n2 * np.arange(n1)).reshape(-1)
+        self._scramble = _read_only(
+            (np.arange(n2)[:, None] + n2 * np.arange(n1)).reshape(-1))
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -513,7 +399,7 @@ class NttStackPlan:
         uint64, negative int64 values wrap above ``2**63 > p``."""
         if bool((work.view(np.uint64).max(axis=-1) < self._p_row).all()):
             return work
-        return np.mod(work, self._pcol)
+        return mod_reduce(work.copy(), self.moduli)
 
     @property
     def scramble_order(self) -> np.ndarray:
@@ -622,25 +508,33 @@ class NttStackPlan:
 
     def dyadic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Point-wise product of two stacked evaluation matrices."""
-        return mod_mul(a, b, self._pcol)
+        return mod_mul(a, b, self.moduli)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise product in ``Z_{p_r}[x]/(x^n + 1)`` for every residue row."""
         return self.inverse(self.dyadic_multiply(self.forward(a), self.forward(b)))
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """*table*, no longer writable: plans are shared by every context of
+    the process, so a stray in-place write must raise, not corrupt every
+    later transform."""
+    table.setflags(write=False)
+    return table
+
+
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
 def _modulus_steps(n: int, p: int) -> _FourStep:
     """The four-step tables of one modulus at degree *n*, which every stack
     plan over it shares (read-only).  The root is found by the same
-    deterministic search as :class:`NttPlan`'s, so every row is
+    deterministic search as the scalar test oracle's, so every row is
     bit-identical to it."""
-    steps = _FourStep(n, (p,), (primitive_root_of_unity(2 * n, p),))
+    steps = _FourStep(n, p, primitive_root_of_unity(2 * n, p))
     tables = list(vars(steps).values())
     while tables:
         table = tables.pop()
         if isinstance(table, np.ndarray):
-            table.setflags(write=False)
+            _read_only(table)
         elif isinstance(table, tuple):
             tables.extend(table)
     return steps
@@ -652,22 +546,3 @@ _memoised_stack_plan = functools.lru_cache(maxsize=PLAN_MEMO_SIZE)(NttStackPlan)
 def get_stack_plan(n: int, moduli: Sequence[int]) -> NttStackPlan:
     """Return (and memoise) the :class:`NttStackPlan` for ``(n, moduli)``."""
     return _memoised_stack_plan(n, tuple(int(p) for p in moduli))
-
-
-def negacyclic_multiply_naive(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """O(n^2) schoolbook negacyclic product, used as a test oracle."""
-    n = len(a)
-    result = np.zeros(n, dtype=np.int64)
-    a = a.astype(np.int64) % p
-    b = b.astype(np.int64) % p
-    for i in range(n):
-        if a[i] == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            term = int(a[i]) * int(b[j])
-            if k < n:
-                result[k] = (result[k] + term) % p
-            else:
-                result[k - n] = (result[k - n] - term) % p
-    return np.mod(result, p)

@@ -70,11 +70,11 @@ def coeff_automorphism_perm(n: int, galois_elt: int) -> Tuple[np.ndarray,
 class RnsPoly:
     """A polynomial over an RNS base, optionally in NTT form."""
 
-    # _raw_tables caches this poly's residues permuted into the NTT's raw
-    # order (plus Shoup quotients) for the batch dyadic kernels; it is only
-    # populated for long-lived, never-mutated key material (see
-    # :func:`repro.hecore.batchcrypt.raw_tables`).
-    __slots__ = ("base", "degree", "data", "is_ntt", "_raw_tables")
+    # _raw caches this poly's residues permuted into the NTT's raw order for
+    # the batch dyadic kernels; it is only populated for long-lived,
+    # never-mutated key material (see
+    # :func:`repro.hecore.batchcrypt.raw_table`).
+    __slots__ = ("base", "degree", "data", "is_ntt", "_raw")
 
     def __init__(self, base: RnsBase, degree: int, data: np.ndarray, is_ntt: bool = False):
         if data.shape != (len(base), degree):
@@ -83,7 +83,7 @@ class RnsPoly:
         self.degree = degree
         self.data = data.astype(np.int64, copy=False)
         self.is_ntt = is_ntt
-        self._raw_tables = None
+        self._raw = None
 
     # ------------------------------------------------------------------ ctor
     @classmethod
@@ -228,18 +228,3 @@ class RnsPoly:
 def aux_base_for(degree: int, bound_bits: int) -> RnsBase:
     """An RNS base of NTT-friendly primes whose product exceeds 2**bound_bits."""
     return RnsBase(generate_ntt_primes(29, bound_bits // 28 + 2, degree))
-
-
-def exact_negacyclic_multiply(
-    a: Sequence[int], b: Sequence[int], degree: int, coeff_bound_bits: int
-) -> List[int]:
-    """Exact product of integer polynomials in ``Z[x]/(x^N + 1)``.
-
-    *coeff_bound_bits* bounds ``log2`` of the largest absolute result
-    coefficient; the function picks an auxiliary CRT base large enough to
-    recover the product exactly.
-    """
-    base = aux_base_for(degree, coeff_bound_bits + 1)
-    pa = RnsPoly.from_int_coeffs(base, list(a), degree)
-    pb = RnsPoly.from_int_coeffs(base, list(b), degree)
-    return (pa * pb).to_int_coeffs(centered=True)

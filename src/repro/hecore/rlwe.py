@@ -236,9 +236,9 @@ class RlweContext:
             stop = min(start + tile, m)
             g = stop - start
             u = full.lift_signed(u_all[start:stop])
-            e1 = full.lift_signed(e1_all[start:stop])
-            e2 = full.lift_signed(e2_all[start:stop])
-            # Raw-order sandwich: forward without the final transpose, Shoup
+            errors = full.lift_signed(np.concatenate(
+                [e1_all[start:stop], e2_all[start:stop]]))
+            # Raw-order sandwich: forward without the final transpose, the
             # dyadic against the pre-permuted public key, and a prescrambled
             # inverse — the two permutation passes cancel.
             u_ntt = batchcrypt.forward_block(full, n, u, raw=True)
@@ -249,7 +249,7 @@ class RlweContext:
                 batchcrypt.dyadic_block_raw(full, u_ntt, p1),
             ])
             block = batchcrypt.inverse_block(full, n, prod, raw=True)
-            block = full.add(block, np.concatenate([e1, e2]))
+            block = full.add(block, errors)
             base, block = full.divide_and_round_by_last(block)
             tile_pts = plaintexts[start:stop]
             c0 = base.add(block[:g], self._message_block(base, tile_pts))

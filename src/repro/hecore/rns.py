@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.hecore.modmath import check_modulus, mod_inv, shoup_mul_mod
+from repro.hecore.modmath import check_modulus, mod_inv, mod_mul, mod_reduce
 
 #: Distance from the rounding boundary below which the floating-point
 #: correction of :meth:`RnsBase.scale_and_round_mod` is not trusted and the
@@ -63,13 +63,6 @@ class RnsBase:
         self._punctured = [self.modulus // p for p in moduli]
         self._punctured_inv = [mod_inv(q_i % p, p) for q_i, p in zip(self._punctured, moduli)]
         self._punctured_inv_col = np.array(self._punctured_inv, dtype=np.int64).reshape(-1, 1)
-        # Shoup quotients floor(c * 2**32 / p) for the punctured inverses:
-        # for canonical x < p (below 2**MAX_MODULUS_BITS) every product in
-        # the division-free mul-mod stays int64-exact.
-        self._punctured_inv_shoup_col = np.array(
-            [(c << 32) // p for c, p in zip(self._punctured_inv, moduli)],
-            dtype=np.int64,
-        ).reshape(-1, 1)
         #: Float reciprocals of the moduli: the fractional estimators multiply
         #: by these instead of dividing (same ~ulp accuracy, ~3x the speed).
         self._recip_moduli_col = 1.0 / self.moduli_col.astype(np.float64)
@@ -120,8 +113,9 @@ class RnsBase:
     def lift_signed(self, values: np.ndarray) -> np.ndarray:
         """Small signed integers ``(..., n)`` (error and ternary samples,
         plaintext coefficients) → canonical residues ``(..., k, n)``."""
-        return np.mod(np.asarray(values, dtype=np.int64)[..., None, :],
-                      self.moduli_col)
+        values = np.asarray(values, dtype=np.int64)[..., None, :]
+        return mod_reduce(np.repeat(values, len(self.moduli), axis=-2),
+                          self.moduli)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise modular sum of canonical blocks.
@@ -146,23 +140,13 @@ class RnsBase:
         np.minimum(du, du + self.moduli_col.view(np.uint64), out=du)
         return diff
 
-    def reduce(self, block: np.ndarray) -> np.ndarray:
-        """Canonical residues of any int64 ``(..., k, n)`` block, row by
-        row against each modulus as a scalar (:func:`_residue`)."""
-        out = np.empty(block.shape, dtype=np.int64)
-        for i, p in enumerate(self.moduli):
-            out[..., i, :] = _residue(block[..., i, :], p)
-        return out
-
     def scale(self, block: np.ndarray, scalar: int) -> np.ndarray:
         """Multiply every coefficient of a canonical ``(..., k, n)`` block
-        by a (possibly big) integer scalar, reducing row by row against
-        each modulus as a scalar (:func:`_residue`)."""
+        by a (possibly big) integer scalar: one product per row against
+        the scalar's residue, then one reduction."""
         scalar = int(scalar)
-        out = np.empty(block.shape, dtype=np.int64)
-        for i, p in enumerate(self.moduli):
-            out[..., i, :] = _residue(block[..., i, :] * (scalar % p), p)
-        return out
+        factors = np.array([scalar % p for p in self.moduli], dtype=np.int64)
+        return mod_mul(block, factors[:, None], self.moduli)
 
     def divide_and_round_by_last(
         self, block: np.ndarray
@@ -171,48 +155,43 @@ class RnsBase:
         prime ``P``, scaling by ``1/P``.
 
         Computes ``round(x / P)`` (up to ±1 rounding slack, as in SEAL) using
-        only word arithmetic: subtract the centered residue mod ``P``, then
-        multiply by ``P^-1`` modulo each remaining prime.  This is the "Mod
+        only word arithmetic: subtract the centered residue ``c`` mod ``P``,
+        then multiply by ``P^-1`` modulo each remaining prime, with one
+        reduction per row: ``|x_i - c| < p + P/2 < 2**31`` and ``P^-1 < p <
+        2**30``, so the product stays below ``2**61``.  This is the "Mod
         Switching" module of the CHOCO-TACO pipeline (Figure 5) and the only
         step that couples RNS residues.  Returns ``(dropped_base,
         (..., k-1, n) block)``.
         """
         target, inv_col = self._switch_down
         last = self.moduli[-1]
-        c = block[..., -1, :]
+        c = block[..., -1:, :]
         c = np.where(c > last // 2, c - last, c)
-        out = np.empty(block.shape[:-2] + (len(target), block.shape[-1]),
-                       dtype=np.int64)
-        for i, p in enumerate(target.moduli):
-            # x_i - [c]_p lies in (-p, p): its product with the inverse
-            # (below 2**30) stays far inside int64.
-            out[..., i, :] = _residue(
-                (block[..., i, :] - _residue(c, p)) * inv_col[i, 0], p)
-        return target, out
+        out = block[..., :-1, :] - c
+        out *= inv_col
+        return target, mod_reduce(out, target.moduli)
 
     def decompose(self, values: Sequence[int]) -> np.ndarray:
         """Integer vector → residue matrix of shape ``(k, len(values))``.
 
         Accepts arbitrarily large (and negative) Python integers.  Values
-        already fitting int64 reduce in one vectorized ``np.mod`` against the
-        moduli column; wider values take a pair-folded big-integer path (one
-        Python-level reduction per *pair* of moduli, then word-sized ``np.mod``
-        per member).
+        already fitting int64 are :meth:`lift_signed`; wider values take a
+        pair-folded big-integer path (one Python-level reduction per *pair*
+        of moduli, then one word-sized reduction of both rows).
         """
         try:
             arr = np.asarray(values, dtype=np.int64)
         except (OverflowError, TypeError):
             arr = None
         if arr is not None:
-            return np.mod(arr[None, :], self.moduli_col)
+            return self.lift_signed(arr)
         big = [int(v) for v in values]
         k = len(self.moduli)
         out = np.empty((k, len(big)), dtype=np.int64)
         for i in range(0, k - 1, 2):
             pair = self.moduli[i] * self.moduli[i + 1]
-            folded = np.array([v % pair for v in big], dtype=np.int64)
-            np.mod(folded, self.moduli[i], out=out[i])
-            np.mod(folded, self.moduli[i + 1], out=out[i + 1])
+            out[i] = out[i + 1] = [v % pair for v in big]
+            mod_reduce(out[i:i + 2], self.moduli[i:i + 2])
         if k % 2:
             p = self.moduli[-1]
             out[-1] = np.array([v % p for v in big], dtype=np.int64)
@@ -237,7 +216,7 @@ class RnsBase:
             return self._compose_array62(residues).tolist()
         q = self.modulus
         n = residues.shape[1]
-        scaled = np.mod(residues * self._punctured_inv_col, self.moduli_col)
+        scaled = self._y_residues(residues)
         k = len(self.moduli)
         acc = [0] * n
         for i in range(0, k - 1, 2):
@@ -277,11 +256,10 @@ class RnsBase:
         """``y_i = x_i * (q/p_i)^{-1} mod p_i`` for canonical residues
         (``[0, p)`` rows, the :class:`RnsPoly` invariant), in a fresh array.
 
-        The CRT reconstruction coefficients shared by the float estimators
-        and the RNS decrypt scaling; division-free (Shoup).
+        The CRT reconstruction coefficients shared by the float estimators,
+        the RNS decrypt scaling and the CRT compositions.
         """
-        return shoup_mul_mod(residues, self._punctured_inv_col,
-                             self._punctured_inv_shoup_col, self.moduli_col)
+        return mod_mul(residues, self._punctured_inv_col, self.moduli)
 
     def scale_and_round_mod(
         self,
@@ -339,9 +317,9 @@ class RnsBase:
         else:
             quot = w // self.moduli_col
             rem = w - quot * self.moduli_col
-        int_part = np.mod(quot.sum(axis=-2), np.int64(t))
+        int_part = mod_reduce(quot.sum(axis=-2), t)
         shifted = (rem * self._recip_moduli_col).sum(axis=-2) + 0.5
-        out = np.mod(int_part + np.floor(shifted).astype(np.int64), np.int64(t))
+        out = mod_reduce(int_part + np.floor(shifted).astype(np.int64), t)
         unsafe = np.abs(shifted - np.round(shifted)) < guard
         return out, unsafe
 
@@ -367,11 +345,11 @@ class RnsBase:
         """
         if self.bit_size > 62:
             raise ValueError("base too wide for the vectorized int64 compose")
-        scaled = np.mod(residues * self._punctured_inv_col, self.moduli_col)
+        scaled = self._y_residues(residues)
         acc = np.zeros(residues.shape[:-2] + residues.shape[-1:], dtype=np.int64)
         for row, q_i in enumerate(self._punctured):
             acc += scaled[..., row, :] * np.int64(q_i)
-            np.mod(acc, np.int64(self.modulus), out=acc)
+            mod_reduce(acc, self.modulus)
         return acc
 
     def compose_centered_small(
@@ -400,14 +378,6 @@ class RnsBase:
         magnitude = np.minimum(f, 1.0 - f) * float(self.modulus)
         unsafe = magnitude >= float(sub.modulus) / 4.0
         return vals, unsafe
-
-
-def _residue(x: np.ndarray, p: int) -> np.ndarray:
-    """``x mod p`` in ``[0, p)`` for an int64 array and one modulus, as
-    ``x - (x // p)·p``: numpy divides by a scalar with a multiply and a
-    shift, where ``np.mod`` against a column of moduli pays a hardware
-    division per element (2-3x slower on the modulus switch)."""
-    return x - (x // p) * p
 
 
 def scale_and_round(values: Sequence[int], numerator: int, denominator: int) -> List[int]:

@@ -51,7 +51,7 @@ blob length *before* touching numpy or expanding a seed, and — when
 parameters are supplied — checks the declared moduli against them.  It then
 unpacks the planes straight into the ``int64`` arrays the arithmetic uses
 and checks every residue row against its modulus (one max reduction)
-before any value is used: the NTT and Shoup kernels assume canonical
+before any value is used: the NTT and the dyadic kernels assume canonical
 inputs, and a row's byte width holds values up to ``2**(8 * width) - 1``,
 so a residue at or above its modulus is refused by name, not computed
 with.  Malformed input raises

@@ -27,6 +27,7 @@ from repro.hecore.polyring import (
 from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.rns import BASE_MEMO_SIZE, RnsBase
 from repro.hecore.serialize import deserialize_ciphertext, serialize_ciphertext
+from tests import oracles
 
 HECORE = pathlib.Path(repro.hecore.__file__).parent
 MODULES = sorted(HECORE.glob("*.py"))
@@ -102,8 +103,7 @@ def test_limb_width_is_spelled_only_in_modmath():
     """``modmath.MAX_MODULUS_BITS`` is the one statement of the limb width:
     a ``1 << 30``, a ``2 ** 31``, either value as a bare integer, or a
     ``bit_length()`` compared to 30 or 31 anywhere else is a second copy of
-    the decision (four of them, and a 31-bit kernel path, at f39ace9).
-    Shoup's ``<< 32`` word shifts are another constant and pass."""
+    the decision (four of them, and a 31-bit kernel path, at f39ace9)."""
     widths = {30, 31}
     offenders = []
     for path in MODULES:
@@ -123,6 +123,51 @@ def test_limb_width_is_spelled_only_in_modmath():
                 if (any(_call_name(s) == "bit_length" for s in sides)
                         and any(_int(s) in widths for s in sides)):
                     offenders.append(f"{where} {ast.unparse(node)}")
+    assert not offenders, offenders
+
+
+#: Every module of the package, for the guards that cover more than hecore.
+PACKAGE = sorted(HECORE.parent.rglob("*.py"))
+
+
+def _is_moduli_column(node: ast.AST) -> bool:
+    """A ``(k, 1)`` column of moduli by name: ``moduli_col``, ``pcol``,
+    ``_pcol`` or any ``*_col``, also sliced or reshaped."""
+    while isinstance(node, (ast.Subscript, ast.Call)):
+        node = node.value if isinstance(node, ast.Subscript) else node.func
+        if isinstance(node, ast.Attribute) and node.attr in {
+                "reshape", "astype", "view", "ravel"}:
+            node = node.value
+    name = getattr(node, "id", getattr(node, "attr", ""))
+    return name in {"moduli_col", "pcol", "_pcol"} or name.endswith("_col")
+
+
+def test_one_reduction_idiom():
+    """``modmath.mod_reduce`` is the one array reduction: a ``np.mod`` /
+    ``np.remainder`` / ``%`` against a column of moduli pays a hardware
+    division per element, and a Shoup quotient (``(c << 32) // p``, a
+    ``>> 32`` of a product, anything named ``shoup``) is a second
+    reduction body.  Outside ``modmath.py``, neither may come back (nine
+    column reductions and two Shoup products at 5e7c02a)."""
+    offenders = []
+    for path in PACKAGE:
+        if path.name == "modmath.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(HECORE.parent)}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Call) and _call_name(node) in {"mod", "remainder"}
+                    and len(node.args) > 1 and _is_moduli_column(node.args[1])):
+                offenders.append(f"{where} {ast.unparse(node)}")
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and _is_moduli_column(node.right)):
+                offenders.append(f"{where} {ast.unparse(node)}")
+            if (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, (ast.LShift, ast.RShift))
+                    and _int(node.right) == 32):
+                offenders.append(f"{where} {ast.unparse(node)}")
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", "")))
+            if isinstance(name, str) and "shoup" in name.lower():
+                offenders.append(f"{where} {name}")
     assert not offenders, offenders
 
 
@@ -169,11 +214,45 @@ def test_plan_memos_stay_at_their_capacity():
     rows = np.arange(n, dtype=np.int64)[None, :]
     want = ntt.get_stack_plan(n, primes[:1]).forward(rows)
     for p in primes:
-        ntt.get_plan(n, p)
+        oracles.get_plan(n, p)
         ntt.get_stack_plan(n, (p,))
-    assert ntt.get_plan.cache_info().currsize == ntt.PLAN_MEMO_SIZE
+    assert oracles.get_plan.cache_info().currsize == ntt.PLAN_MEMO_SIZE
     assert ntt._memoised_stack_plan.cache_info().currsize == ntt.PLAN_MEMO_SIZE
     assert np.array_equal(ntt.get_stack_plan(n, primes[:1]).forward(rows), want)
+
+
+def _reachable_arrays(obj, path="plan", seen=None):
+    """``(path, array)`` for every ndarray reachable from *obj* through
+    attributes, tuples and lists, skipping the per-thread scratch."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from _reachable_arrays(item, f"{path}[{i}]", seen)
+    elif type(obj).__module__.startswith("repro."):
+        for name, value in vars(obj).items():
+            if name != "_local":
+                yield from _reachable_arrays(value, f"{path}.{name}", seen)
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_every_shared_ntt_table_is_read_only(rows):
+    """A plan from ``get_stack_plan`` is shared by every context of the
+    process: every array it holds, stacked or per modulus, refuses an
+    in-place write (a reduction in place on one would corrupt every later
+    transform in the worker)."""
+    moduli = generate_ntt_primes(28, rows, 64)
+    plan = ntt.get_stack_plan(64, moduli)
+    plan.forward(np.ones((rows, 64), dtype=np.int64))   # fills the scratch
+    arrays = list(_reachable_arrays(plan))
+    assert len(arrays) >= 10
+    assert [path for path, table in arrays if table.flags.writeable] == []
+    with pytest.raises(ValueError, match="read-only"):
+        plan._steps._pcol[...] = 0
 
 
 def test_bases_are_interned_and_the_table_is_bounded():

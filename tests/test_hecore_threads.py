@@ -36,9 +36,9 @@ WIDTH = 8
 
 
 def _make_cold(bases) -> None:
-    """Forget everything derived: the seven process-wide memos, and the
+    """Forget everything derived: the six process-wide memos, and the
     per-base constants of every base the ciphertexts arrive on."""
-    for memo in (ntt.get_plan, ntt._memoised_stack_plan, ntt._modulus_steps,
+    for memo in (ntt._memoised_stack_plan, ntt._modulus_steps,
                  polyring.ntt_permutation, polyring.coeff_automorphism_perm,
                  polyring.aux_base_for, RnsBase.of):
         memo.cache_clear()

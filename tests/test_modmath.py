@@ -1,11 +1,14 @@
 """Unit tests for vectorized modular arithmetic."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hecore import modmath
+from repro.hecore.params import PARAMETER_SET_B
 from repro.hecore.primes import generate_ntt_primes
 
 PRIME = (1 << 30) - 35  # 30-bit prime 1073741789
@@ -81,16 +84,55 @@ def test_check_modulus_rejects_wide():
 #: The largest NTT-friendly primes below the limb width at N = 4096.
 EDGE_PRIMES = generate_ntt_primes(modmath.MAX_MODULUS_BITS, 3, 4096)
 
+#: Set B's 24-bit data rows, and half its 30-bit special prime ``P``.
+SET_B_ROWS = list(PARAMETER_SET_B.data_base.moduli)
+HALF_P = PARAMETER_SET_B.special_prime // 2
+
+#: Signed values every reduction must take: ``P/2``, ``P/2 + 1`` and
+#: int64 values down to ``-2**62``.
+SIGNED_EDGES = [0, 1, -1, HALF_P, HALF_P + 1, -HALF_P, -HALF_P - 1,
+                2**62, -2**62, -2**62 + 1, 2**62 - 1]
+
 
 @pytest.mark.parametrize("p", [PRIME] + EDGE_PRIMES)
-def test_shoup_mul_mod_matches_python_ints(p):
+def test_mod_reduce_matches_python_ints(p):
+    """The one reducer, against one modulus and as the row of a block:
+    edge residues, products of edge residues and int64 extremes."""
     rng = np.random.default_rng(p)
     x = np.concatenate([[0, 1, p - 1], rng.integers(0, p, 500)])
     c = np.concatenate([[p - 1, p - 1, p - 1], rng.integers(0, p, 500)])
-    pcol = np.array([p], dtype=np.int64)
-    got = modmath.shoup_mul_mod(x, c, (c << 32) // pcol, pcol)
+    got = modmath.mod_mul(x, c, p)
     assert got.tolist() == [int(a) * int(b) % p for a, b in zip(x, c)]
-    assert np.array_equal(got, modmath.mod_mul(x, c, p))
+    wide = np.concatenate([[p - 1, p, (p - 1) ** 2] + SIGNED_EDGES,
+                           rng.integers(-2**62, 2**62, 500)])
+    want = [int(v) % p for v in wide]
+    owned = wide.copy()
+    assert modmath.mod_reduce(owned, p) is owned
+    assert owned.tolist() == want
+    block = np.stack([wide, wide[::-1]])[None]          # (1, 2, n) rows
+    assert modmath.mod_reduce(block, (p, PRIME)).tolist() == [[
+        want, [int(v) % PRIME for v in wide[::-1]]]]
+
+
+def test_mod_reduce_refuses_a_row_count_mismatch():
+    with pytest.raises(ValueError, match="2 moduli for 3 rows"):
+        modmath.mod_reduce(np.zeros((3, 4), dtype=np.int64), (97, 193))
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES + SET_B_ROWS)
+def test_elementwise_ops_match_python_ints(p):
+    """Every pair of edge residues through the routed elementwise ops."""
+    edges = [0, 1, p - 1, p // 2, p // 2 + 1, HALF_P % p, (HALF_P + 1) % p]
+    a, b = np.array(list(itertools.product(edges, repeat=2)), dtype=np.int64).T
+    x, y = a.tolist(), b.tolist()
+    assert modmath.mod_add(a, b, p).tolist() == [(u + v) % p for u, v in zip(x, y)]
+    assert modmath.mod_sub(a, b, p).tolist() == [(u - v) % p for u, v in zip(x, y)]
+    assert modmath.mod_mul(a, b, p).tolist() == [u * v % p for u, v in zip(x, y)]
+    assert modmath.mod_neg(a, p).tolist() == [-u % p for u in x]
+    assert modmath.center(a, p).tolist() == [u - p if u > p // 2 else u for u in x]
+    signed = np.array(SIGNED_EDGES, dtype=np.int64)
+    assert modmath.uncenter(signed, p).tolist() == [v % p for v in SIGNED_EDGES]
+    assert signed.tolist() == SIGNED_EDGES          # inputs are not reduced
 
 
 def test_next_power_of_two():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hecore.modmath import MAX_MODULUS_BITS
-from repro.hecore.polyring import RnsPoly, exact_negacyclic_multiply
+from repro.hecore.polyring import RnsPoly
 from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.rns import RnsBase
+from tests.oracles import exact_negacyclic_multiply
 
 N = 64
 

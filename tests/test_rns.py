@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hecore.modmath import mod_reduce
 from repro.hecore.rns import RnsBase, centered_mod, scale_and_round
 
 MODULI = [1073741789, 1073741783, 1073741741]
@@ -121,8 +122,8 @@ def _edge_columns(ext: RnsBase) -> np.ndarray:
        seed=st.integers(0, 2**32 - 1), edges=st.booleans())
 @settings(max_examples=30)
 def test_row_residues_match_the_column_mod(name, shape, seed, edges):
-    """``divide_and_round_by_last``, ``scale`` and ``reduce`` reduce row
-    by row against each modulus as a scalar: on random blocks of any
+    """``divide_and_round_by_last``, ``scale`` and ``mod_reduce`` reduce
+    row by row against each modulus as a scalar: on random blocks of any
     leading shape (with the edge columns spliced in) they equal the
     ``np.mod``-against-the-column forms bit for bit."""
     ext = EXT_BASES[name]
@@ -146,4 +147,4 @@ def test_row_residues_match_the_column_mod(name, shape, seed, edges):
         block * np.array([scalar % p for p in ext.moduli],
                          dtype=np.int64).reshape(-1, 1), col))
     wide = rng.integers(-2**40, 2**40, block.shape)
-    assert np.array_equal(ext.reduce(wide), np.mod(wide, col))
+    assert np.array_equal(mod_reduce(wide.copy(), ext.moduli), np.mod(wide, col))
