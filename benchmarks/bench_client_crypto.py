@@ -7,8 +7,9 @@ Engineering telemetry for the batched client-crypto engine
 block, and one vectorized RNS scale-and-round, instead of M independent
 passes.  Two BFV kernels, each at N=2048 and N=4096:
 
-* ``encrypt`` — ``encrypt_many`` of M=16 packed vectors vs a loop of
-  single-shot ``encrypt`` calls (public-key, pre-encoded plaintexts);
+* ``encrypt`` — ``encrypt_many`` of M=16 packed vectors vs a loop of the
+  per-ciphertext ``RnsPoly`` composition of public-key encryption
+  (``tests/oracles.py``'s ``encrypt``; pre-encoded plaintexts);
 * ``decrypt`` — ``decrypt_many`` (vectorized CRT scaling with float
   correction) vs a loop of the exact big-integer decrypt path it replaced
   (``compose`` + per-coefficient ``scale_and_round``).  The N=4096 context
@@ -24,7 +25,13 @@ seed-compressed evaluation-form ciphertexts out — CKKS, N=4096, three
   coefficients of 2**62 and beyond (the per-coefficient loop every encode
   used to run);
 * ``ckks_symmetric`` — ``encrypt_symmetric_many`` of M=16 raw vectors vs
-  a loop of ``encrypt_symmetric``, encode included on both sides.
+  a loop of the per-ciphertext ``RnsPoly`` composition
+  (``tests/oracles.py``'s ``encrypt_symmetric``), encode included on both
+  sides.
+
+A single-shot ``encrypt`` is the one-row case of the batch kernel, so the
+looped side of those rows is the reference composition the batch kernels
+replaced, not the context's own one-shot call.
 
 The record's header also prices one ``ckks_symmetric`` ciphertext in units
 of one ``NttStackPlan.forward`` residue row (``ntt_rows_per_symmetric_ct``;
@@ -69,6 +76,11 @@ from repro.hecore.params import (
 )
 from repro.hecore.random import BlakePrng
 
+# The looped sides time the per-ciphertext reference compositions, which
+# are test code.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests import oracles  # noqa: E402
+
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_client_crypto.json"
 
 #: The N=4096 decrypt floor (three data limbs, bigint baseline) is the hard
@@ -109,7 +121,8 @@ def _make_context(degree):
 
 
 def _measure_encrypt(ctx):
-    """One stacked encrypt of BATCH vectors vs BATCH single-shot encrypts."""
+    """One stacked encrypt of BATCH vectors vs BATCH per-ciphertext
+    reference compositions."""
     rng = np.random.default_rng(3)
     t = ctx.params.plain_modulus
     vals = [rng.integers(0, t, size=ctx.params.poly_degree)
@@ -117,7 +130,7 @@ def _measure_encrypt(ctx):
     plaintexts = [ctx.encode(v) for v in vals]  # time the crypto, not encode
 
     def looped():
-        return [ctx.encrypt(pt) for pt in plaintexts]
+        return [oracles.encrypt(ctx, pt) for pt in plaintexts]
 
     def batched():
         return ctx.encrypt_many(plaintexts)
@@ -192,11 +205,12 @@ class _SymmetricSchedule:
 
 def _measure_ckks_symmetric(ctx):
     """The served upload: BATCH raw slot vectors through one
-    ``encrypt_symmetric_many`` vs BATCH ``encrypt_symmetric`` calls."""
+    ``encrypt_symmetric_many`` vs BATCH per-ciphertext reference
+    compositions."""
     vals = _ckks_vectors(ctx)
 
     def looped(rng=None):
-        return [ctx.encrypt_symmetric(v, rng=rng) for v in vals]
+        return [oracles.encrypt_symmetric(ctx, v, rng=rng) for v in vals]
 
     def batched(rng=None):
         return ctx.encrypt_symmetric_many(vals, rng=rng)

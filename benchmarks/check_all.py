@@ -12,8 +12,8 @@ a change:
 * ``bench_hoisting`` — fused hoisted-rotation kernels against the naive
   per-rotation paths;
 * ``bench_client_crypto`` — batched encrypt/decrypt engine against looped
-  single-shot calls (including the RNS-decrypt floor over the bigint
-  baseline at N=4096);
+  per-ciphertext reference compositions (including the RNS-decrypt floor
+  over the bigint baseline at N=4096);
 * ``bench_chaos_soak`` — the runtime's resilience invariants (exactly-once
   execution, ledger parity, leak-free shutdown) under long randomized
   fault schedules;

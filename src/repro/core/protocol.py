@@ -69,11 +69,6 @@ KERNEL_COUNTERS = {
     "decrypt_exact_coeffs": ("decrypt_exact_coeffs",
                              "decrypted coefficients recomputed through "
                              "big integers"),
-    # The batch decrypt's per-ciphertext fallback: 3-component and
-    # mixed-form ciphertexts leave the stacked pass for ``decrypt``.
-    "decrypt_fallback": ("decrypt_fallbacks",
-                         "ciphertexts decrypt_many decrypted one at a "
-                         "time"),
     # Shared schedule cache (``core.ir``), once per kernel instance and
     # shape.  A cold session of a model another session already ran shows
     # hits and no misses.

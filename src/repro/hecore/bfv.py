@@ -234,7 +234,7 @@ class BfvContext(RlweContext):
         if len(ct.level_base) < 2:
             raise ValueError("cannot drop the only remaining residue")
         self.counts["mod_switch"] += 1
-        comps = [c.from_ntt().divide_and_round_by_last() for c in ct.components]
+        comps = self._mod_down(ct)
         return Ciphertext(self.params, comps)
 
     def _align_down(self, ct: Ciphertext) -> Ciphertext:

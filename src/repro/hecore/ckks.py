@@ -222,7 +222,7 @@ class CkksContext(RlweContext):
         """Drop the last prime, dividing the scale by it (CKKS rescaling)."""
         self.counts["rescale"] += 1
         dropped = ct.level_base.moduli[-1]
-        comps = [c.from_ntt().divide_and_round_by_last() for c in ct.components]
+        comps = self._mod_down(ct)
         return Ciphertext(self.params, comps, scale=ct.scale / dropped)
 
     def drop_modulus(self, ct: Ciphertext) -> Ciphertext:

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hecore import batchcrypt, ntt
+from repro.hecore import ntt
 from repro.hecore.modmath import mod_add, mod_mac, mod_mul, mod_reduce
 from repro.hecore.params import EncryptionParameters
 from repro.hecore.polyring import RnsPoly
@@ -35,6 +35,19 @@ from repro.hecore.rns import RnsBase
 
 #: Length of the public seed a key-switching key's uniform halves expand from.
 SEED_BYTES = 32
+
+#: Target bytes of residue payload per pipeline tile.  A stacked pipeline
+#: (keygen here, the batch encrypt/decrypt in :mod:`repro.hecore.rlwe`) draws
+#: its randomness up front, then runs its kernels over tiles of about this
+#: many bytes, so consecutive steps reuse cache-warm blocks instead of
+#: streaming multi-MB intermediates through every step.
+_TILE_BYTES = 3 << 18
+
+
+def tile_size(base: RnsBase, degree: int, parts: int = 1) -> int:
+    """Items per pipeline tile for blocks of ``parts`` ``(k, n)`` stacks."""
+    per_item = parts * len(base.moduli) * degree * 8
+    return max(1, _TILE_BYTES // per_item)
 
 
 class SecretKey:
@@ -72,8 +85,8 @@ class PublicKey:
 
     def restricted(self, base: RnsBase) -> Tuple[RnsPoly, RnsPoly]:
         """``(P0, P1)`` over a sub-base of the full base (a data-chain
-        prefix plus the special prime), cached per base: the batch
-        encryptor caches raw-order tables on the polys it is given."""
+        prefix plus the special prime), cached per base, so each level's
+        rows are gathered once."""
         if base == self.p0.base:
             return self.p0, self.p1
         cached = self._restricted.get(base.moduli)
@@ -362,8 +375,8 @@ class KeyGenerator:
         base = full if base is None else base
         plan = ntt.get_stack_plan(self.params.poly_degree, base.moduli)
         minus_e = plan.forward_small(-errors).reshape(a.shape)
-        return base.sub(minus_e, batchcrypt.dyadic_block(
-            base, a, self._secret.restricted_ntt(base, full)))
+        return base.sub(minus_e, mod_mul(
+            a, self._secret.restricted_ntt(base, full).data, base.moduli))
 
     def _make_public_key(self) -> PublicKey:
         full = self.params.full_base
@@ -394,7 +407,7 @@ class KeyGenerator:
         digits ``0..L-1`` over ``q_0..q_{L-1}, P`` from the full key's own
         seed and errors, so it is a byte slice of the full key.  The
         kernels then run over cache-sized tiles of one level's keys
-        (:func:`batchcrypt.tile_size`): one stacked small-input transform
+        (:func:`tile_size`): one stacked small-input transform
         of the tile's errors, one dyadic product, and ``P · s_src`` added
         to digit ``i``'s own residue row ``i`` (NTT form is per-row linear,
         so a row-local addition is valid).  Each tile permutes only its own
@@ -419,7 +432,7 @@ class KeyGenerator:
             factors = np.array([params.special_prime % p for p in moduli],
                                dtype=np.int64)[:, None]
             diag = np.arange(level)
-            tile = batchcrypt.tile_size(base, n, parts=level)
+            tile = tile_size(base, n, parts=level)
             for start in range(0, len(at), tile):
                 chunk = at[start:start + tile]
                 uniform = np.stack([

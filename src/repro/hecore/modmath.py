@@ -122,42 +122,6 @@ def mod_inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def mod_inv_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Element-wise modular inverse modulo prime *p*.
-
-    Montgomery batch inversion: one scalar inverse plus O(n log n) vectorized
-    modular multiplies.  Running prefix and suffix products are built with
-    log-depth (Hillis–Steele) scans, the combined product is inverted once
-    with Fermat's little theorem, and each element's inverse is recovered as
-    ``prefix[i-1] * suffix[i+1] * total**-1``.  All intermediate products
-    stay below ``2**60`` because residues are below ``2**30``.
-    """
-    flat = np.mod(a.astype(np.int64).ravel(), p)
-    n = flat.size
-    if n == 0:
-        return np.empty(a.shape, dtype=np.int64)
-    if bool((flat == 0).any()):
-        raise ZeroDivisionError(f"0 has no inverse modulo {p}")
-    prefix = flat.copy()
-    suffix = flat.copy()
-    shift = 1
-    while shift < n:
-        # The right-hand sides are evaluated into fresh arrays before the
-        # assignment, so the overlapping in-place update is well-defined.
-        prefix[shift:] = (prefix[shift:] * prefix[:-shift]) % p
-        suffix[:-shift] = (suffix[:-shift] * suffix[shift:]) % p
-        shift <<= 1
-    total_inv = mod_inv(int(prefix[-1]), p)
-    left = np.empty_like(flat)
-    left[0] = 1
-    left[1:] = prefix[:-1]
-    right = np.empty_like(flat)
-    right[-1] = 1
-    right[:-1] = suffix[1:]
-    out = ((left * right) % p) * np.int64(total_inv) % p
-    return out.reshape(a.shape)
-
-
 def center(a: np.ndarray, p: int) -> np.ndarray:
     """Map residues in ``[0, p)`` to the centered range ``(-p/2, p/2]``."""
     a = uncenter(a, p)

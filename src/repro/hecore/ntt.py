@@ -132,9 +132,10 @@ class _FourStep:
     with ``W2[j2, i2] = psi**(n1*i2*(2*j2 + 1))``,
     ``T[j2, i1] = psi**(i1*(2*j2 + 1))`` and ``W1[i1, j1] = psi**(2*n2*i1*j1)``
     — the row as an ``(n2, n1)`` matrix ``D`` goes to ``(W2 @ D) * T @ W1``,
-    an ``(n2, n1)`` matrix indexed ``[j2, j1]`` (the raw order; natural order
-    is its transpose).  The inverse runs the same factorisation backwards on
-    the raw layout with negated exponents, ``1/N`` folded into its ``W2``.
+    an ``(n2, n1)`` matrix indexed ``[j2, j1]`` whose transpose is the natural
+    evaluation order.  The inverse transposes its input back to that layout
+    and runs the same factorisation backwards with negated exponents,
+    ``1/N`` folded into its ``W2``.
     """
 
     def __init__(self, n: int, p: int, psi: int):
@@ -272,25 +273,20 @@ class _FourStep:
         if check:
             assert bool((np.abs(y) < self._p).all()), "twiddled value outside (-p, p)"
 
-    def run(self, block: np.ndarray, inverse: bool, raw: bool, check: bool,
+    def run(self, block: np.ndarray, inverse: bool, check: bool,
             out: np.ndarray) -> None:
-        """Transform a canonical ``(g, k, n)`` int64 block into *out*.
-
-        ``raw`` keeps evaluations in the untransposed ``[j2, j1]`` layout
-        (forward output / inverse input); see :attr:`NttStackPlan.scramble_order`.
-        """
+        """Transform a canonical ``(g, k, n)`` int64 block into *out*."""
         g, k, n = block.shape
         n1, n2 = self.n1, self.n2
         x, s, t, u = self._scratch((k, g, n2, n1))
-        if inverse and not raw:
+        if inverse:
             np.copyto(x, block.reshape(g, k, n1, n2).transpose(1, 0, 3, 2),
                       casting="unsafe")
         else:
             np.copyto(x, block.reshape(g, k, n2, n1).swapaxes(0, 1), casting="unsafe")
         first, table, second = self._inverse if inverse else self._forward
         y = self._matmul(first, x, s, t, u, check)
-        self._finish(table, second, y, (x, t, u), not (inverse or raw), check,
-                     out)
+        self._finish(table, second, y, (x, t, u), not inverse, check, out)
 
     def run_small(self, values: np.ndarray, check: bool, out: np.ndarray) -> None:
         """Forward-transform ``(g, n)`` signed rows below
@@ -378,8 +374,6 @@ class NttStackPlan:
         #: below ``2**52`` (``2**17`` at ``N = 4096``, ``2**15`` at ``2**16``).
         self.small_bound = 1 << (_EXACT_BITS - (MAX_MODULUS_BITS - 1)
                                  - (n2.bit_length() - 1))
-        self._scramble = _read_only(
-            (np.arange(n2)[:, None] + n2 * np.arange(n1)).reshape(-1))
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -401,20 +395,13 @@ class NttStackPlan:
             return work
         return mod_reduce(work.copy(), self.moduli)
 
-    @property
-    def scramble_order(self) -> np.ndarray:
-        """Permutation taking standard evaluation order to the raw order the
-        four-step kernel produces (see :meth:`forward`'s ``unscramble``):
-        raw position ``j2*n1 + j1`` holds evaluation ``j2 + n2*j1``."""
-        return self._scramble
-
     def _batch_group(self, b: int) -> int:
         """Stacks per kernel call out of *b* (a stack being one run of the
         distinct moduli): the full batch only while the float64 work buffers
         stay cache-resident (``_BATCH_CHUNK_BYTES``)."""
         return max(1, min(b, _BATCH_CHUNK_BYTES // (8 * self.n * self._steps.k)))
 
-    def _transform(self, stacks: np.ndarray, inverse: bool, raw: bool,
+    def _transform(self, stacks: np.ndarray, inverse: bool,
                    check_bounds: bool, out: np.ndarray = None) -> np.ndarray:
         """Transform a ``(k, n)`` stack or a ``(B, k, n)`` batch, in
         cache-sized groups of stacks; *out* must be C-contiguous."""
@@ -424,11 +411,10 @@ class NttStackPlan:
         results = out.reshape(blocks.shape)
         group = self._batch_group(len(blocks))
         for rows in (slice(i, i + group) for i in range(0, len(blocks), group)):
-            self._steps.run(blocks[rows], inverse, raw, check_bounds, results[rows])
+            self._steps.run(blocks[rows], inverse, check_bounds, results[rows])
         return out
 
     def forward(self, stack: np.ndarray, check_bounds: bool = False,
-                unscramble: bool = True,
                 out: np.ndarray = None) -> np.ndarray:
         """Negacyclic forward NTT of every row of a ``(k, n)`` matrix.
 
@@ -436,42 +422,27 @@ class NttStackPlan:
         at every step: every matmul partial sum below ``2**52`` and every
         reduced value in ``(-p, p)`` (used by the property tests; costs extra
         matmuls, so production callers leave it off).
-
-        With ``unscramble=False`` the final transpose into standard
-        evaluation order is skipped: the rows come back permuted by
-        :attr:`scramble_order`.  A pointwise product in that order fed to
-        :meth:`inverse` with ``prescrambled=True`` skips both transposes —
-        the forward → dyadic → inverse sandwich of the batch encrypt/decrypt
-        pipelines.
         """
-        return self._transform(self._checked(stack, False), False, not unscramble,
+        return self._transform(self._checked(stack, False), False,
                                check_bounds, out)
 
     def inverse(self, stack: np.ndarray, check_bounds: bool = False,
-                prescrambled: bool = False,
                 out: np.ndarray = None) -> np.ndarray:
-        """Inverse of :meth:`forward` (``1/N`` folded into the last matmul).
-
-        ``prescrambled=True`` declares the input already permuted by
-        :attr:`scramble_order` (i.e. produced by ``forward(...,
-        unscramble=False)`` plus pointwise ops), skipping the entry transpose.
-        """
-        return self._transform(self._checked(stack, False), True, prescrambled,
+        """Inverse of :meth:`forward` (``1/N`` folded into the last matmul)."""
+        return self._transform(self._checked(stack, False), True,
                                check_bounds, out)
 
     # --------------------------------------------------------- batch axis
-    def forward_batch(self, stacks: np.ndarray, check_bounds: bool = False,
-                      unscramble: bool = True) -> np.ndarray:
+    def forward_batch(self, stacks: np.ndarray,
+                      check_bounds: bool = False) -> np.ndarray:
         """Forward NTT of a ``(B, k, n)`` batch of residue stacks.
 
         Bit-exact with ``B`` separate :meth:`forward` calls, but the batch
         runs as cache-sized groups of stacks through one set of matmul
         calls each — the stacked kernel hoisted rotations use to transform
         every key-switch digit (and every rotation's accumulator) at once.
-        ``unscramble=False`` keeps rows in raw order (see :meth:`forward`).
         """
-        return self._transform(self._checked(stacks, True), False,
-                               not unscramble, check_bounds)
+        return self._transform(self._checked(stacks, True), False, check_bounds)
 
     def forward_small(self, values: np.ndarray,
                       check_bounds: bool = False) -> np.ndarray:
@@ -500,11 +471,10 @@ class NttStackPlan:
             self._steps.run_small(values[rows], check_bounds, out[rows])
         return out
 
-    def inverse_batch(self, stacks: np.ndarray, check_bounds: bool = False,
-                      prescrambled: bool = False) -> np.ndarray:
+    def inverse_batch(self, stacks: np.ndarray,
+                      check_bounds: bool = False) -> np.ndarray:
         """Inverse of :meth:`forward_batch` (same cache-sized groups)."""
-        return self._transform(self._checked(stacks, True), True,
-                               prescrambled, check_bounds)
+        return self._transform(self._checked(stacks, True), True, check_bounds)
 
     def dyadic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Point-wise product of two stacked evaluation matrices."""

@@ -70,11 +70,7 @@ def coeff_automorphism_perm(n: int, galois_elt: int) -> Tuple[np.ndarray,
 class RnsPoly:
     """A polynomial over an RNS base, optionally in NTT form."""
 
-    # _raw caches this poly's residues permuted into the NTT's raw order for
-    # the batch dyadic kernels; it is only populated for long-lived,
-    # never-mutated key material (see
-    # :func:`repro.hecore.batchcrypt.raw_table`).
-    __slots__ = ("base", "degree", "data", "is_ntt", "_raw")
+    __slots__ = ("base", "degree", "data", "is_ntt")
 
     def __init__(self, base: RnsBase, degree: int, data: np.ndarray, is_ntt: bool = False):
         if data.shape != (len(base), degree):
@@ -83,7 +79,6 @@ class RnsPoly:
         self.degree = degree
         self.data = data.astype(np.int64, copy=False)
         self.is_ntt = is_ntt
-        self._raw = None
 
     # ------------------------------------------------------------------ ctor
     @classmethod

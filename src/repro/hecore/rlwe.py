@@ -14,21 +14,25 @@ level alignment and rotation; a scheme sets three class attributes and
 defines the methods that raise ``NotImplementedError`` here (plus its own
 multiplies).
 
-The one-shot entry points are not ``*_many([v])[0]``: they draw from the
-context PRNG stream directly, the batch ones from labeled forks of it, so
-seeded outputs differ by design (the equivalence tests replay the fork
-schedule through the *rng* arguments).
+Each client operation is one block kernel over a tile of ciphertexts
+(:meth:`RlweContext._encrypt_block`, :meth:`~RlweContext._encrypt_symmetric_block`,
+:meth:`~RlweContext._raw_decrypt_block`), and a one-shot entry point is its
+one-row case with its own draw order: ``encrypt`` and ``encrypt_symmetric``
+draw from the context PRNG stream directly, the batch entry points from
+labeled forks of it, so seeded outputs differ by design (the equivalence
+tests replay the fork schedule through the *rng* arguments);
+``decrypt(ct)`` is ``decrypt_many([ct])[0]``.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.hecore import batchcrypt, hoisting
+from repro.hecore import hoisting, ntt
 from repro.hecore.ciphertext import Ciphertext
 from repro.hecore.keys import (
     GaloisKeys,
@@ -39,11 +43,24 @@ from repro.hecore.keys import (
     galois_element_for_conjugation,
     galois_element_for_step,
     switch_key,
+    tile_size,
 )
+from repro.hecore.modmath import mod_mul
 from repro.hecore.params import EncryptionParameters, SchemeType
 from repro.hecore.polyring import RnsPoly
 from repro.hecore.random import BlakePrng
 from repro.hecore.rns import RnsBase
+
+
+def _tiles(count: int, tile: int) -> Iterator[slice]:
+    """Consecutive slices of at most *tile* items covering ``range(count)``."""
+    return (slice(start, start + tile) for start in range(0, count, tile))
+
+
+def _split_polys(base: RnsBase, block: np.ndarray,
+                 is_ntt: bool = False) -> List[RnsPoly]:
+    """``(m, k, n)`` block → m :class:`RnsPoly`, one per row."""
+    return [RnsPoly(base, block.shape[-1], row, is_ntt=is_ntt) for row in block]
 
 
 class RlweContext:
@@ -170,6 +187,31 @@ class RlweContext:
                        self._message_block(base, [plaintext])[0], is_ntt=False)
 
     # ------------------------------------------------------- encrypt/decrypt
+    def _encrypt_block(self, full: RnsBase, plaintexts: Sequence,
+                       u: np.ndarray, e1: np.ndarray,
+                       e2: np.ndarray) -> List[Ciphertext]:
+        """Public-key encryption of a tile of plaintexts on one chain, from
+        their drawn ``(g, n)`` ternary ``u`` and error ``e1`` / ``e2`` rows,
+        over *full* (the chain plus the special prime): one stacked forward
+        transform of ``u``, the two public-key products stacked into one
+        ``(2g, k, n)`` block so a single inverse transform covers both
+        components of every ciphertext, the errors, one modulus switch of
+        the special prime away (Figure 5's Mod Switching stage) and the
+        message embedding."""
+        g = len(plaintexts)
+        plan = ntt.get_stack_plan(self.params.poly_degree, full.moduli)
+        p0, p1 = self.keygen.public_key().restricted(full)
+        u_ntt = plan.forward_small(u)
+        prod = np.concatenate([mod_mul(u_ntt, p0.data, full.moduli),
+                               mod_mul(u_ntt, p1.data, full.moduli)])
+        block = full.add(plan.inverse_batch(prod),
+                         full.lift_signed(np.concatenate([e1, e2])))
+        base, block = full.divide_and_round_by_last(block)
+        c0 = base.add(block[:g], self._message_block(base, plaintexts))
+        return [Ciphertext(self.params, [a, b], scale=pt.scale)
+                for a, b, pt in zip(_split_polys(base, c0),
+                                    _split_polys(base, block[g:]), plaintexts)]
+
     def encrypt(self, values, rng: Optional[BlakePrng] = None) -> Ciphertext:
         """Encrypt a slot vector (or a pre-encoded plaintext) over the
         plaintext's chain (:meth:`_level_base`): a CKKS plaintext encoded on
@@ -177,28 +219,21 @@ class RlweContext:
         to the full-chain ciphertext of the same draws with its trailing
         rows cut.
 
-        *rng* overrides the context PRNG (used by the batch-equivalence
-        property tests to replay :meth:`encrypt_many`'s fork schedule); the
-        default draws from the context stream exactly as before.
+        :meth:`_encrypt_block`'s one-row case, drawing ``u``, ``e1``, ``e2``
+        in that order from *rng*, by default the context stream (the
+        batch-equivalence tests pass one that replays :meth:`encrypt_many`'s
+        fork schedule).
         """
         plaintext = self._as_plaintext(values)
         self.counts["encrypt"] += 1
-        params = self.params
-        n = params.poly_degree
         full = self._key_base(self._level_base(plaintext))
-        p0, p1 = self.keygen.public_key().restricted(full)
+        n = self.params.poly_degree
         rng = self._prng if rng is None else rng
-
-        u = RnsPoly.from_signed_array(full, rng.sample_ternary(n)).to_ntt()
-        e1 = RnsPoly.from_signed_array(full, rng.sample_error(n))
-        e2 = RnsPoly.from_signed_array(full, rng.sample_error(n))
-        c0 = (p0 * u).from_ntt() + e1
-        c1 = (p1 * u).from_ntt() + e2
-        # Modulus-switch away the special prime (Figure 5's Mod Switching stage).
-        c0 = c0.divide_and_round_by_last()
-        c1 = c1.divide_and_round_by_last()
-        c0 = c0 + self._message_poly(c0.base, plaintext)
-        return Ciphertext(params, [c0, c1], scale=plaintext.scale)
+        u = rng.sample_ternary(n)
+        e1 = rng.sample_error(n)
+        e2 = rng.sample_error(n)
+        return self._encrypt_block(full, [plaintext], u[None], e1[None],
+                                   e2[None])[0]
 
     def encrypt_many(self, values_list: Sequence,
                      rng: Optional[BlakePrng] = None) -> List[Ciphertext]:
@@ -208,10 +243,9 @@ class RlweContext:
         labeled forks of the context PRNG (``batch-encrypt`` → ``u`` /
         ``e1`` / ``e2``), so row ``i`` of each block equals the ``i``-th
         sequential draw from the same fork — the schedule the equivalence
-        tests replay.  Both public-key products run through a single
-        ``(2M·k, N)`` stacked NTT pair, and the mod-switch and message
-        embedding are one vectorized pass over the whole block, over the
-        batch's one chain (:meth:`_batch_base`).
+        tests replay.  :meth:`_encrypt_block` then runs over cache-sized
+        tiles (:func:`~repro.hecore.keys.tile_size`), over the batch's one
+        chain (:meth:`_batch_base`).
         """
         plaintexts = self._as_plaintexts(values_list)
         m = len(plaintexts)
@@ -219,45 +253,34 @@ class RlweContext:
             return []
         full = self._key_base(self._batch_base(plaintexts))
         self.counts["encrypt"] += m
-        params = self.params
-        n = params.poly_degree
-        p0, p1 = self.keygen.public_key().restricted(full)
+        n = self.params.poly_degree
         rng = self._prng.fork("batch-encrypt") if rng is None else rng
-
-        u_all = rng.fork("u").sample_ternary((m, n))
-        e1_all = rng.fork("e1").sample_error((m, n))
-        e2_all = rng.fork("e2").sample_error((m, n))
+        u = rng.fork("u").sample_ternary((m, n))
+        e1 = rng.fork("e1").sample_error((m, n))
+        e2 = rng.fork("e2").sample_error((m, n))
         out: List[Ciphertext] = []
-        # Sampling above is one (M, N) draw per stream; the kernel pipeline
-        # below runs over cache-sized ciphertext tiles so each tile's blocks
-        # stay resident from the NTT through the message embedding.
-        tile = batchcrypt.tile_size(full, n, parts=2)
-        for start in range(0, m, tile):
-            stop = min(start + tile, m)
-            g = stop - start
-            u = full.lift_signed(u_all[start:stop])
-            errors = full.lift_signed(np.concatenate(
-                [e1_all[start:stop], e2_all[start:stop]]))
-            # Raw-order sandwich: forward without the final transpose, the
-            # dyadic against the pre-permuted public key, and a prescrambled
-            # inverse — the two permutation passes cancel.
-            u_ntt = batchcrypt.forward_block(full, n, u, raw=True)
-            # c0 and c1 products stacked into one (2g, k, n) block: a single
-            # inverse transform covers both components of every ciphertext.
-            prod = np.concatenate([
-                batchcrypt.dyadic_block_raw(full, u_ntt, p0),
-                batchcrypt.dyadic_block_raw(full, u_ntt, p1),
-            ])
-            block = batchcrypt.inverse_block(full, n, prod, raw=True)
-            block = full.add(block, errors)
-            base, block = full.divide_and_round_by_last(block)
-            tile_pts = plaintexts[start:stop]
-            c0 = base.add(block[:g], self._message_block(base, tile_pts))
-            c0_polys = batchcrypt.split_polys(base, n, c0)
-            c1_polys = batchcrypt.split_polys(base, n, block[g:])
-            out.extend(Ciphertext(params, [a, b], scale=pt.scale)
-                       for a, b, pt in zip(c0_polys, c1_polys, tile_pts))
+        for rows in _tiles(m, tile_size(full, n, parts=2)):
+            out += self._encrypt_block(full, plaintexts[rows], u[rows],
+                                       e1[rows], e2[rows])
         return out
+
+    def _encrypt_symmetric_block(self, base: RnsBase, plaintexts: Sequence,
+                                 seeds: Sequence[bytes],
+                                 e: np.ndarray) -> List[Ciphertext]:
+        """Symmetric encryption of a tile of plaintexts over *base*, from
+        their 32-byte seeds and drawn ``(g, n)`` error rows: each seed
+        expands to ``a`` in evaluation form, and the ``e + m`` sums share
+        one stacked forward transform, the only one."""
+        n = self.params.poly_degree
+        noisy = base.add(base.lift_signed(e), self._message_block(base, plaintexts))
+        a_polys = [expand_uniform_poly(seed, base, n) for seed in seeds]
+        c0 = base.sub(
+            ntt.get_stack_plan(n, base.moduli).forward_batch(noisy),
+            mod_mul(np.stack([a.data for a in a_polys]),
+                    self._secret_ntt(base).data, base.moduli))
+        return [Ciphertext(self.params, [c, a], scale=pt.scale, seed=bytes(seed))
+                for c, a, pt, seed in zip(_split_polys(base, c0, is_ntt=True),
+                                          a_polys, plaintexts, seeds)]
 
     def encrypt_symmetric(self, values, seed: Optional[bytes] = None,
                           rng: Optional[BlakePrng] = None) -> Ciphertext:
@@ -274,21 +297,20 @@ class RlweContext:
         sampled small in the coefficient domain.  It lives on the
         plaintext's chain; the seed expands row by row, so a prefix chain
         gives the full-chain ciphertext's leading rows.
+
+        :meth:`_encrypt_symmetric_block`'s one-row case: the seed (unless
+        given) then ``e`` are drawn from *rng*, by default the context
+        stream.
         """
         plaintext = self._as_plaintext(values)
         self.counts["encrypt"] += 1
-        params = self.params
-        n = params.poly_degree
         base = self._level_base(plaintext)
         rng = self._prng if rng is None else rng
         if seed is None:
             seed = rng.random_bytes(32)
-        a = expand_uniform_poly(seed, base, n)
-        e = RnsPoly.from_signed_array(base, rng.sample_error(n))
-        c0 = ((e + self._message_poly(base, plaintext)).to_ntt()
-              - a * self._secret_ntt(base))
-        return Ciphertext(params, [c0, a], scale=plaintext.scale,
-                          seed=bytes(seed))
+        e = rng.sample_error(self.params.poly_degree)
+        return self._encrypt_symmetric_block(base, [plaintext], [seed],
+                                             e[None])[0]
 
     def encrypt_symmetric_many(self, values_list: Sequence,
                                rng: Optional[BlakePrng] = None
@@ -297,9 +319,8 @@ class RlweContext:
 
         PRNG schedule: the 32-byte seeds come sequentially from the ``seed``
         fork of a ``batch-encrypt-symmetric`` fork, the error block as one
-        ``(M, N)`` draw from its ``e`` fork.  The ``e + m`` sums share one
-        stacked forward NTT across the batch — the only transform, since
-        every ``a`` is drawn in evaluation form.
+        ``(M, N)`` draw from its ``e`` fork; :meth:`_encrypt_symmetric_block`
+        then runs over cache-sized tiles.
         """
         plaintexts = self._as_plaintexts(values_list)
         m = len(plaintexts)
@@ -307,52 +328,49 @@ class RlweContext:
             return []
         base = self._batch_base(plaintexts)
         self.counts["encrypt"] += m
-        params = self.params
-        n = params.poly_degree
+        n = self.params.poly_degree
         rng = (self._prng.fork("batch-encrypt-symmetric")
                if rng is None else rng)
         seed_rng = rng.fork("seed")
         seeds = [seed_rng.random_bytes(32) for _ in range(m)]
-        e_all = rng.fork("e").sample_error((m, n))
-        s_ntt = self._secret_ntt(base)
+        e = rng.fork("e").sample_error((m, n))
         out: List[Ciphertext] = []
-        tile = batchcrypt.tile_size(base, n, parts=2)
-        for start in range(0, m, tile):
-            stop = min(start + tile, m)
-            tile_pts = plaintexts[start:stop]
-            noisy = base.add(base.lift_signed(e_all[start:stop]),
-                             self._message_block(base, tile_pts))
-            a_polys = [expand_uniform_poly(seed, base, n)
-                       for seed in seeds[start:stop]]
-            c0 = base.sub(
-                batchcrypt.forward_block(base, n, noisy),
-                batchcrypt.dyadic_block(
-                    base, np.stack([a.data for a in a_polys]), s_ntt))
-            c0_polys = batchcrypt.split_polys(base, n, c0, is_ntt=True)
-            out.extend(
-                Ciphertext(params, [p0, a], scale=pt.scale, seed=bytes(seed))
-                for p0, a, pt, seed in zip(c0_polys, a_polys, tile_pts,
-                                           seeds[start:stop]))
+        for rows in _tiles(m, tile_size(base, n, parts=2)):
+            out += self._encrypt_symmetric_block(base, plaintexts[rows],
+                                                 seeds[rows], e[rows])
         return out
 
-    def _raw_decrypt_poly(self, ct: Ciphertext) -> RnsPoly:
-        """``[c0 + c1 s (+ c2 s^2)]_q`` in coefficient form over the level
-        base.  Components are used in the form they arrive in: the products
-        accumulate in evaluation form and an evaluation-form ``c0`` joins
-        them before the single inverse transform."""
-        s_ntt = self._secret_ntt(ct.level_base)
-        c0 = ct.components[0]
+    def _raw_decrypt_block(self, cts: Sequence[Ciphertext]) -> np.ndarray:
+        """``[c0 + Σ_{i≥1} c_i·s^i]_q`` in coefficient form, an ``(m, k, n)``
+        block over the level base, for ciphertexts that share a level base,
+        a component count and their component forms.  Components are used
+        in the form they arrive in: the products accumulate in evaluation
+        form, an evaluation-form ``c0`` joins them before the one inverse
+        transform and a coefficient-form one after it."""
+        first = cts[0]
+        base = first.level_base
+        plan = ntt.get_stack_plan(self.params.poly_degree, base.moduli)
+        s = power = self._secret_ntt(base).data
         acc = None
-        s_power = s_ntt
-        for comp in ct.components[1:]:
-            term = comp.to_ntt() * s_power
-            acc = term if acc is None else acc + term
-            s_power = s_power * s_ntt
-        if acc is None:
-            return c0.from_ntt()
-        if c0.is_ntt:
-            return (c0 + acc).from_ntt()
-        return c0 + acc.from_ntt()
+        for i, comp in enumerate(first.components[1:], start=1):
+            term = np.stack([ct.components[i].data for ct in cts])
+            if not comp.is_ntt:
+                term = plan.forward_batch(term)
+            if i > 1:
+                power = mod_mul(power, s, base.moduli)
+            term = mod_mul(term, power, base.moduli)
+            acc = term if acc is None else base.add(acc, term)
+        # Stacked last, so c0's block is not live through the transforms.
+        c0 = np.stack([ct.components[0].data for ct in cts])
+        if first.components[0].is_ntt:
+            return plan.inverse_batch(c0 if acc is None else base.add(c0, acc))
+        return c0 if acc is None else base.add(c0, plan.inverse_batch(acc))
+
+    def _raw_decrypt_poly(self, ct: Ciphertext) -> RnsPoly:
+        """:meth:`_raw_decrypt_block`'s one-row case, as a coefficient-form
+        poly over the level base."""
+        return RnsPoly(ct.level_base, self.params.poly_degree,
+                       self._raw_decrypt_block([ct])[0])
 
     def _plain_rows(self, base: RnsBase, block: np.ndarray) -> np.ndarray:
         """Message coefficients ``(m, n)`` of an ``(m, k, n)`` block of raw
@@ -363,70 +381,51 @@ class RlweContext:
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
         """Decrypt to the slot vector (BFV: Eq. 3, ``round(t/q ⋅ [c0 + c1 s]_q)
-        mod t``, exact; CKKS: the approximate values at the ciphertext's scale).
-
-        Runs entirely in vectorized RNS arithmetic — no big-integer CRT
-        composition; see :meth:`_plain_rows`.
-        """
-        self.counts["decrypt"] += 1
-        acc = self._raw_decrypt_poly(ct)
-        rows = self._plain_rows(acc.base, acc.data[None])
-        return self.encoder.decode_rows(rows, np.array([ct.scale]))[0]
+        mod t``, exact; CKKS: the approximate values at the ciphertext's
+        scale): ``decrypt_many([ct])[0]``."""
+        return self.decrypt_many([ct])[0]
 
     def decrypt_many(self, cts: Sequence[Ciphertext]) -> List[np.ndarray]:
         """Decrypt M ciphertexts as stacked batches.
 
-        Two-component ciphertexts sharing a level base and a form make one
-        ``(M, k, n)`` block: the ``c1·s`` products run stacked (a forward /
-        inverse NTT pair for coefficient-form ciphertexts, the inverse alone
-        for evaluation-form ones), then one vectorized message recovery and
-        one stacked decode.  Odd ciphertexts (3-component, mixed-form) fall
-        back to :meth:`decrypt` individually, each charged to
-        ``counts["decrypt_fallback"]``.  Results are bit-identical to looped
-        :meth:`decrypt` calls.
+        Ciphertexts sharing a level base, a component count and their
+        component forms make one group: :meth:`_raw_decrypt_block` over
+        cache-sized tiles of it, then one vectorized message recovery per
+        tile (:meth:`_plain_rows`, no big-integer CRT composition) and one
+        stacked decode per group.  Results come back in input order.
         """
         results: List[Optional[np.ndarray]] = [None] * len(cts)
         groups = {}
         for i, ct in enumerate(cts):
-            forms = {c.is_ntt for c in ct.components}
-            if len(ct) == 2 and len(forms) == 1:
-                key = (ct.level_base.moduli, forms.pop())
-                groups.setdefault(key, []).append(i)
-            else:
-                self.counts["decrypt_fallback"] += 1
-                results[i] = self.decrypt(ct)
+            key = (ct.level_base.moduli, tuple(c.is_ntt for c in ct.components))
+            groups.setdefault(key, []).append(i)
         n = self.params.poly_degree
-        for (_, is_ntt), indices in groups.items():
-            base = cts[indices[0]].level_base
-            s_ntt = self._secret_ntt(base)
-            coeff_rows = []
-            # Cache-sized ciphertext tiles: each tile's block stays resident
-            # from the c1 forward transform through the message recovery.
-            tile = batchcrypt.tile_size(base, n, parts=2)
-            for start in range(0, len(indices), tile):
-                chunk = indices[start:start + tile]
-                c0, c1 = (np.stack([cts[i].components[part].data
-                                    for i in chunk]) for part in (0, 1))
-                if is_ntt:
-                    acc = batchcrypt.inverse_block(
-                        base, n,
-                        base.add(c0, batchcrypt.dyadic_block(base, c1, s_ntt)))
-                else:
-                    prod = batchcrypt.inverse_block(
-                        base, n,
-                        batchcrypt.dyadic_block_raw(
-                            base,
-                            batchcrypt.forward_block(base, n, c1, raw=True),
-                            s_ntt),
-                        raw=True)
-                    acc = base.add(c0, prod)
-                coeff_rows.append(self._plain_rows(base, acc))
-            scales = np.array([cts[i].scale for i in indices])
-            slots = self.encoder.decode_rows(np.concatenate(coeff_rows), scales)
-            for row, i in enumerate(indices):
-                results[i] = slots[row]
+        for indices in groups.values():
+            group = [cts[i] for i in indices]
+            base = group[0].level_base
+            tile = tile_size(base, n, parts=len(group[0]))
+            rows = [self._plain_rows(base, self._raw_decrypt_block(group[part]))
+                    for part in _tiles(len(group), tile)]
+            slots = self.encoder.decode_rows(
+                np.concatenate(rows), np.array([ct.scale for ct in group]))
+            for i, values in zip(indices, slots):
+                results[i] = values
             self.counts["decrypt"] += len(indices)
         return results
+
+    def _mod_down(self, ct: Ciphertext) -> List[RnsPoly]:
+        """*ct*'s components switched down by the last prime of its level
+        (scaled by ``1/p``), in coefficient form: one ``(c, k, n)`` block,
+        one inverse transform of its evaluation-form rows and one
+        :meth:`RnsBase.divide_and_round_by_last`."""
+        base = ct.level_base
+        block = np.stack([c.data for c in ct.components])
+        rows = [i for i, c in enumerate(ct.components) if c.is_ntt]
+        if rows:
+            block[rows] = ntt.get_stack_plan(
+                self.params.poly_degree, base.moduli).inverse_batch(block[rows])
+        target, block = base.divide_and_round_by_last(block)
+        return _split_polys(target, block)
 
     # ------------------------------------------------------------ evaluator
     def _check_aligned(self, a: Ciphertext, b: Ciphertext) -> None:

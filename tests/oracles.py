@@ -1,9 +1,9 @@
 """Reference oracles for the hecore kernels.
 
-Independent of the production arithmetic on purpose: every reduction here
-is a plain ``%`` (never :func:`repro.hecore.modmath.mod_reduce`), so a
-stacked kernel or the shared reducer compared against these cannot agree
-with them by sharing a bug.
+The arithmetic oracles are independent of the production arithmetic on
+purpose: every reduction in them is a plain ``%`` (never
+:func:`repro.hecore.modmath.mod_reduce`), so a stacked kernel or the shared
+reducer compared against these cannot agree with them by sharing a bug.
 
 * :class:`NttPlan` — the scalar negacyclic NTT for one residue row.
   Multiplication in ``Z_p[x]/(x^N + 1)`` (negacyclic convolution) uses the
@@ -15,6 +15,13 @@ with them by sharing a bug.
 * :func:`exact_negacyclic_multiply` — an exact product over ``Z``: one
   :class:`NttPlan` product per prime of an auxiliary base, composed by the
   CRT in Python integers.
+
+The looped client references (last section) are not arithmetic oracles:
+:func:`encrypt`, :func:`encrypt_symmetric`, :func:`raw_decrypt` and
+:func:`decrypt` compose one ciphertext at a time from the production
+:class:`~repro.hecore.polyring.RnsPoly` operations.  Compared with a
+context's block kernels they check the block composition — tiling,
+stacking, the batch fork schedule — not the residue arithmetic both share.
 """
 
 from __future__ import annotations
@@ -26,9 +33,11 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.hecore.ciphertext import Ciphertext
+from repro.hecore.keys import expand_uniform_poly
 from repro.hecore.modmath import mod_inv, mod_pow
 from repro.hecore.ntt import PLAN_MEMO_SIZE
-from repro.hecore.polyring import aux_base_for
+from repro.hecore.polyring import RnsPoly, aux_base_for
 from repro.hecore.primes import primitive_root_of_unity
 
 
@@ -168,3 +177,74 @@ def exact_negacyclic_multiply(
         lift = (q // p) * pow(q // p, -1, p)
         acc = [s + int(r) * lift for s, r in zip(acc, rows)]
     return [v - q if v > q // 2 else v for v in (s % q for s in acc)]
+
+
+# --------------------------------------------------------------------------
+# Looped client references: one ciphertext at a time, production RnsPoly
+# arithmetic (see the module docstring).
+# --------------------------------------------------------------------------
+
+def encrypt(ctx, values, rng=None) -> Ciphertext:
+    """Public-key encryption of one slot vector or plaintext, as the Figure 5
+    pipeline composed poly by poly: ``u``, ``e1``, ``e2`` drawn in that
+    order from *rng* (default the context stream), both public-key
+    products, the errors, the special prime switched away per component,
+    then the message."""
+    plaintext = ctx._as_plaintext(values)
+    n = ctx.params.poly_degree
+    full = ctx._key_base(ctx._level_base(plaintext))
+    p0, p1 = ctx.keygen.public_key().restricted(full)
+    rng = ctx._prng if rng is None else rng
+    u = RnsPoly.from_signed_array(full, rng.sample_ternary(n)).to_ntt()
+    e1 = RnsPoly.from_signed_array(full, rng.sample_error(n))
+    e2 = RnsPoly.from_signed_array(full, rng.sample_error(n))
+    c0 = ((p0 * u).from_ntt() + e1).divide_and_round_by_last()
+    c1 = ((p1 * u).from_ntt() + e2).divide_and_round_by_last()
+    c0 = c0 + ctx._message_poly(c0.base, plaintext)
+    return Ciphertext(ctx.params, [c0, c1], scale=plaintext.scale)
+
+
+def encrypt_symmetric(ctx, values, seed=None, rng=None) -> Ciphertext:
+    """Seed-compressed symmetric encryption of one slot vector or plaintext:
+    the seed (unless given) then ``e`` drawn from *rng*, and
+    ``c0 = NTT(e + m) − a ⊙ s`` in evaluation form."""
+    plaintext = ctx._as_plaintext(values)
+    n = ctx.params.poly_degree
+    base = ctx._level_base(plaintext)
+    rng = ctx._prng if rng is None else rng
+    if seed is None:
+        seed = rng.random_bytes(32)
+    a = expand_uniform_poly(seed, base, n)
+    e = RnsPoly.from_signed_array(base, rng.sample_error(n))
+    c0 = ((e + ctx._message_poly(base, plaintext)).to_ntt()
+          - a * ctx._secret_ntt(base))
+    return Ciphertext(ctx.params, [c0, a], scale=plaintext.scale,
+                      seed=bytes(seed))
+
+
+def raw_decrypt(ctx, ct: Ciphertext) -> RnsPoly:
+    """``[c0 + c1 s (+ c2 s^2 ...)]_q`` in coefficient form over the level
+    base, one component at a time: the products accumulate in evaluation
+    form, an evaluation-form ``c0`` joins them before the inverse
+    transform and a coefficient-form one after it."""
+    s_ntt = ctx._secret_ntt(ct.level_base)
+    c0 = ct.components[0]
+    acc = None
+    s_power = s_ntt
+    for comp in ct.components[1:]:
+        term = comp.to_ntt() * s_power
+        acc = term if acc is None else acc + term
+        s_power = s_power * s_ntt
+    if acc is None:
+        return c0.from_ntt()
+    if c0.is_ntt:
+        return (c0 + acc).from_ntt()
+    return c0 + acc.from_ntt()
+
+
+def decrypt(ctx, ct: Ciphertext) -> np.ndarray:
+    """One ciphertext's slot vector: :func:`raw_decrypt`, the context's
+    message recovery and a one-row decode."""
+    acc = raw_decrypt(ctx, ct)
+    rows = ctx._plain_rows(acc.base, acc.data[None])
+    return ctx.encoder.decode_rows(rows, np.array([ct.scale]))[0]

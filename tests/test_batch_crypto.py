@@ -1,6 +1,7 @@
 """Batched client-crypto engine: equivalence and accounting properties.
 
-The batch APIs must be *drop-in* replacements for looped single-shot calls:
+The batch APIs must be *drop-in* replacements for looped single-shot calls
+(the per-ciphertext ``RnsPoly`` compositions in ``tests/oracles.py``):
 
 * ``encrypt_many`` / ``encrypt_symmetric_many`` produce ciphertexts
   bit-identical to looped ``encrypt`` / ``encrypt_symmetric`` under the
@@ -23,6 +24,7 @@ from repro.hecore.ckks import CkksContext
 from repro.hecore.params import SchemeType, small_test_parameters
 from repro.hecore.random import BlakePrng
 from repro.hecore.rns import RnsBase, scale_and_round
+from tests import oracles
 
 N = 1024
 
@@ -119,7 +121,7 @@ def test_bfv_encrypt_many_matches_looped(bfv):
     vals = _bfv_vectors(6)
     batch = bfv.encrypt_many(vals, rng=BlakePrng(b"pin-asym"))
     shim = AsymmetricForkShim(BlakePrng(b"pin-asym"))
-    looped = [bfv.encrypt(v, rng=shim) for v in vals]
+    looped = [oracles.encrypt(bfv, v, rng=shim) for v in vals]
     for a, b in zip(batch, looped):
         _assert_ct_equal(a, b)
 
@@ -128,7 +130,7 @@ def test_bfv_encrypt_symmetric_many_matches_looped(bfv):
     vals = _bfv_vectors(5, seed=21)
     batch = bfv.encrypt_symmetric_many(vals, rng=BlakePrng(b"pin-sym"))
     shim = SymmetricForkShim(BlakePrng(b"pin-sym"))
-    looped = [bfv.encrypt_symmetric(v, rng=shim) for v in vals]
+    looped = [oracles.encrypt_symmetric(bfv, v, rng=shim) for v in vals]
     for a, b in zip(batch, looped):
         assert a.seed is not None and len(a.seed) == 32
         _assert_ct_equal(a, b)
@@ -138,7 +140,7 @@ def test_ckks_encrypt_many_matches_looped(ckks):
     vals = _ckks_vectors(4)
     batch = ckks.encrypt_many(vals, rng=BlakePrng(b"pin-casym"))
     shim = AsymmetricForkShim(BlakePrng(b"pin-casym"))
-    looped = [ckks.encrypt(v, rng=shim) for v in vals]
+    looped = [oracles.encrypt(ckks, v, rng=shim) for v in vals]
     for a, b in zip(batch, looped):
         _assert_ct_equal(a, b)
         assert a.scale == b.scale
@@ -148,7 +150,7 @@ def test_ckks_encrypt_symmetric_many_matches_looped(ckks):
     vals = _ckks_vectors(4, seed=22)
     batch = ckks.encrypt_symmetric_many(vals, rng=BlakePrng(b"pin-csym"))
     shim = SymmetricForkShim(BlakePrng(b"pin-csym"))
-    looped = [ckks.encrypt_symmetric(v, rng=shim) for v in vals]
+    looped = [oracles.encrypt_symmetric(ckks, v, rng=shim) for v in vals]
     for a, b in zip(batch, looped):
         _assert_ct_equal(a, b)
 
@@ -171,7 +173,7 @@ def test_bfv_decrypt_many_matches_looped_across_levels(bfv):
     cts[1] = bfv.mod_switch_down(cts[1])
     cts[4] = bfv.mod_switch_down(cts[4])
     cts[2] = bfv.multiply(cts[2], cts[3], relinearize=False)
-    looped = [bfv.decrypt(ct) for ct in cts]
+    looped = [oracles.decrypt(bfv, ct) for ct in cts]
     batch = bfv.decrypt_many(cts)
     for a, b in zip(looped, batch):
         assert np.array_equal(a, b)
@@ -182,7 +184,7 @@ def test_ckks_decrypt_many_matches_looped_across_levels(ckks):
     cts = ckks.encrypt_many(vals)
     cts[1] = ckks.rescale(ckks.multiply(cts[1], cts[2]))
     cts[3] = ckks.drop_modulus(cts[3])
-    looped = [ckks.decrypt(ct) for ct in cts]
+    looped = [oracles.decrypt(ckks, ct) for ct in cts]
     batch = ckks.decrypt_many(cts)
     for a, b in zip(looped, batch):
         assert np.array_equal(a, b)
@@ -363,27 +365,31 @@ def test_decrypt_counts_its_exact_fallback(bfv, ckks, monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["bfv", "ckks"])
-def test_decrypt_many_counts_its_one_at_a_time_fallback(bfv, ckks, scheme):
-    """A 3-component and a mixed-form ciphertext leave the stacked pass for
-    ``decrypt``, one ``decrypt_fallback`` each; the two-component ones in
-    the same call charge none, and every result is ``decrypt``'s."""
+def test_decrypt_many_mixed_batch_matches_looped_reference(bfv, ckks, scheme):
+    """One ``decrypt_many`` call over every group shape a client meets —
+    two-component ciphertexts in coefficient and in evaluation form, a
+    three-component product, a mixed-form ciphertext, two level bases —
+    equals the looped reference bit for bit, one count per ciphertext."""
     from repro.hecore.ciphertext import Ciphertext
 
     ctx = bfv if scheme == "bfv" else ckks
-    vals = (_bfv_vectors(2, seed=61) if scheme == "bfv"
-            else _ckks_vectors(2, seed=61))
-    cts = ctx.encrypt_many(vals)
-    three = ctx.multiply(cts[0], cts[1], relinearize=False)
-    c0, c1 = cts[1].components
+    vals = (_bfv_vectors(3, seed=61) if scheme == "bfv"
+            else _ckks_vectors(3, seed=61))
+    coeff = ctx.encrypt_many(vals)
+    evaluation = ctx.encrypt_symmetric_many(vals)
+    three = ctx.multiply(coeff[0], coeff[1], relinearize=False)
+    c0, c1 = coeff[1].components
     mixed = Ciphertext(ctx.params, [c0.to_ntt(), c1.from_ntt()],
-                       scale=cts[1].scale)
-    batch = [cts[0], three, mixed, cts[1]]
-    before = ctx.counts.copy()
+                       scale=coeff[1].scale)
+    lower = (ctx.mod_switch_down(coeff[2]) if scheme == "bfv"
+             else ctx.rescale(ctx.multiply(coeff[1], coeff[2])))
+    batch = [coeff[0], three, evaluation[0], mixed, lower, coeff[1],
+             evaluation[1], ctx.mod_switch_down(evaluation[2])]
+    assert {ct.is_ntt for ct in batch} == {True, False}
+    assert len({ct.level_base for ct in batch}) == 2
+    assert {len(ct) for ct in batch} == {2, 3}
+    before = ctx.counts["decrypt"]
     got = ctx.decrypt_many(batch)
-    assert ctx.counts["decrypt_fallback"] - before["decrypt_fallback"] == 2
-    assert ctx.counts["decrypt"] - before["decrypt"] == 4
-    before = ctx.counts["decrypt_fallback"]
-    ctx.decrypt_many(cts)
-    assert ctx.counts["decrypt_fallback"] == before
+    assert ctx.counts["decrypt"] - before == len(batch)
     for values, ct in zip(got, batch):
-        assert np.array_equal(values, ctx.decrypt(ct))
+        assert np.array_equal(values, oracles.decrypt(ctx, ct))

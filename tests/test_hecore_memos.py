@@ -10,6 +10,7 @@ not in production).
 """
 
 import ast
+import importlib.util
 import pathlib
 import struct
 
@@ -168,6 +169,32 @@ def test_one_reduction_idiom():
             name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", "")))
             if isinstance(name, str) and "shoup" in name.lower():
                 offenders.append(f"{where} {name}")
+    assert not offenders, offenders
+
+
+def test_one_client_pipeline():
+    """Each client operation is one block kernel in ``rlwe``, its one-shot
+    call the one-row case.  The second paths it replaced may not come back
+    anywhere in the package: the ``batchcrypt`` module, the NTT's raw-order
+    mode (the ``unscramble`` / ``prescrambled`` flags, ``scramble_order``),
+    raw-order key tables cached on ``RnsPoly`` (``_raw``) and
+    ``decrypt_many``'s one-at-a-time fallback (``decrypt_fallback``); all
+    six were there at 8b0af39."""
+    assert importlib.util.find_spec("repro.hecore.batchcrypt") is None
+    assert "_raw" not in RnsPoly.__slots__
+    banned = {"batchcrypt", "unscramble", "prescrambled", "scramble_order",
+              "_raw", "decrypt_fallback"}
+    offenders = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(HECORE.parent)}:{getattr(node, 'lineno', 0)}"
+            names = {getattr(node, field, None)
+                     for field in ("id", "attr", "arg", "name", "module")}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            names = {part for name in names if isinstance(name, str)
+                     for part in name.split(".")}
+            offenders += [f"{where} {name}" for name in sorted(names & banned)]
     assert not offenders, offenders
 
 

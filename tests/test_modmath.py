@@ -52,12 +52,6 @@ def test_mod_inv_zero_raises():
         modmath.mod_inv(0, PRIME)
 
 
-def test_mod_inv_array():
-    a = np.array([1, 2, 3, PRIME - 1], dtype=np.int64)
-    inv = modmath.mod_inv_array(a, PRIME)
-    assert list(modmath.mod_mul(a, inv, PRIME)) == [1, 1, 1, 1]
-
-
 def test_center_roundtrip():
     a = np.array([0, 1, PRIME // 2, PRIME // 2 + 1, PRIME - 1], dtype=np.int64)
     centered = modmath.center(a, PRIME)

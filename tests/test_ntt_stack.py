@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.hecore import ntt
 from repro.hecore.bfv import BfvContext
-from repro.hecore.modmath import MAX_MODULUS_BITS, mod_inv, mod_inv_array
+from repro.hecore.modmath import MAX_MODULUS_BITS
 from repro.hecore.params import (
     PARAMETER_SET_A,
     PARAMETER_SET_B,
@@ -171,11 +171,6 @@ def test_seed_parameter_sets_bit_exact(n, moduli):
         for j in (0, 1, n // 2, n - 1):
             assert evals[r, j] == _evaluate_at(a[r], plan.psis[r], j, p)
     assert np.array_equal(plan.inverse(evals, check_bounds=True), a)
-    # Raw butterfly order: the same values permuted, and back.
-    raw = plan.forward(a, check_bounds=True, unscramble=False)
-    assert np.array_equal(raw, evals[:, plan.scramble_order])
-    assert np.array_equal(
-        plan.inverse(raw, check_bounds=True, prescrambled=True), a)
     # A batch large enough to run in cache-sized groups of stacks.
     batch = np.stack([a] + [_random_stack(rng, moduli, n) for _ in range(4)])
     assert plan._batch_group(len(batch)) < len(batch)
@@ -316,23 +311,6 @@ def test_automorphism_rejects_even_element():
     poly = RnsPoly.zero(base, N)
     with pytest.raises(ValueError):
         poly.apply_automorphism(4)
-
-
-# ------------------------------------------------------ batch modular inverse
-@settings(max_examples=25)
-@given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(1, 97))
-def test_batch_inverse_matches_scalar(seed, size):
-    p = PRIMES[0]
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, p, size, dtype=np.int64)
-    out = mod_inv_array(a, p)
-    for x, y in zip(a.tolist(), out.tolist()):
-        assert y == mod_inv(x, p)
-
-
-def test_batch_inverse_rejects_zero():
-    with pytest.raises(ZeroDivisionError):
-        mod_inv_array(np.array([1, 0, 2], dtype=np.int64), PRIMES[0])
 
 
 # ------------------------------------------- RNS decompose/compose fast paths

@@ -16,11 +16,10 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.hecore import batchcrypt, hoisting, ntt
+from repro.hecore import hoisting, ntt
 from repro.hecore.keys import decompose_for_keyswitch, keyswitch_ext_base
-from repro.hecore.modmath import LAZY_SUM_TERMS, MAX_MODULUS_BITS, mod_mac
+from repro.hecore.modmath import LAZY_SUM_TERMS, MAX_MODULUS_BITS, mod_mac, mod_mul
 from repro.hecore.params import PARAMETER_SET_B
-from repro.hecore.polyring import RnsPoly
 from repro.hecore.primes import generate_ntt_primes
 from repro.hecore.rns import RnsBase
 
@@ -84,14 +83,9 @@ def test_dyadic_products(ext):
     a = _edge_block(ext)
     b = a[:, ::-1].copy()
     want = _python_rows(a.astype(object) * b.astype(object), ext.moduli)
-    poly = RnsPoly(ext, N, b, is_ntt=True)
-    assert batchcrypt.dyadic_block(ext, a[None], poly)[0].tolist() == want
+    assert mod_mul(a[None], b, ext.moduli)[0].tolist() == want
     plan = ntt.get_stack_plan(N, ext.moduli)
     assert plan.dyadic_multiply(a, b).tolist() == want
-    raw = a[:, plan.scramble_order]
-    got = batchcrypt.dyadic_block_raw(ext, raw[None], poly)[0]
-    assert got.tolist() == [[row[j] for j in plan.scramble_order]
-                            for row in want]
 
 
 @pytest.mark.parametrize("terms", [LAZY_SUM_TERMS, LAZY_SUM_TERMS + 1,
