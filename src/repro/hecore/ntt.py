@@ -402,11 +402,11 @@ class NttStackPlan:
         return max(1, min(b, _BATCH_CHUNK_BYTES // (8 * self.n * self._steps.k)))
 
     def _transform(self, stacks: np.ndarray, inverse: bool,
-                   check_bounds: bool, out: np.ndarray = None) -> np.ndarray:
+                   check_bounds: bool) -> np.ndarray:
         """Transform a ``(k, n)`` stack or a ``(B, k, n)`` batch, in
-        cache-sized groups of stacks; *out* must be C-contiguous."""
+        cache-sized groups of stacks."""
         work = self._canonical(stacks)
-        out = np.empty(work.shape, dtype=np.int64) if out is None else out
+        out = np.empty(work.shape, dtype=np.int64)
         blocks = work.reshape(-1, self._steps.k, self.n)
         results = out.reshape(blocks.shape)
         group = self._batch_group(len(blocks))
@@ -414,8 +414,8 @@ class NttStackPlan:
             self._steps.run(blocks[rows], inverse, check_bounds, results[rows])
         return out
 
-    def forward(self, stack: np.ndarray, check_bounds: bool = False,
-                out: np.ndarray = None) -> np.ndarray:
+    def forward(self, stack: np.ndarray,
+                check_bounds: bool = False) -> np.ndarray:
         """Negacyclic forward NTT of every row of a ``(k, n)`` matrix.
 
         With ``check_bounds=True`` the kernel asserts the exactness envelope
@@ -423,14 +423,12 @@ class NttStackPlan:
         reduced value in ``(-p, p)`` (used by the property tests; costs extra
         matmuls, so production callers leave it off).
         """
-        return self._transform(self._checked(stack, False), False,
-                               check_bounds, out)
+        return self._transform(self._checked(stack, False), False, check_bounds)
 
-    def inverse(self, stack: np.ndarray, check_bounds: bool = False,
-                out: np.ndarray = None) -> np.ndarray:
+    def inverse(self, stack: np.ndarray,
+                check_bounds: bool = False) -> np.ndarray:
         """Inverse of :meth:`forward` (``1/N`` folded into the last matmul)."""
-        return self._transform(self._checked(stack, False), True,
-                               check_bounds, out)
+        return self._transform(self._checked(stack, False), True, check_bounds)
 
     # --------------------------------------------------------- batch axis
     def forward_batch(self, stacks: np.ndarray,

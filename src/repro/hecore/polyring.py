@@ -175,14 +175,6 @@ class RnsPoly:
             out = np.where(sign < 0, self.base.sub(0, moved), moved)
         return RnsPoly(self.base, n, out, self.is_ntt)
 
-    def divide_and_round_by_last(self) -> "RnsPoly":
-        """Exact modulus switch: drop the base's last prime, scaling by 1/P
-        (:meth:`RnsBase.divide_and_round_by_last` on this one polynomial)."""
-        if self.is_ntt:
-            raise ValueError("modulus switching requires coefficient form")
-        target, out = self.base.divide_and_round_by_last(self.data)
-        return RnsPoly(target, self.degree, out, is_ntt=False)
-
     def switch_base(self, target: RnsBase) -> "RnsPoly":
         """Re-express this polynomial's rows over *target* without scaling.
 

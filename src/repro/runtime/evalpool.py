@@ -121,11 +121,13 @@ def close_inherited_sockets(keep: Iterable[int] = ()) -> None:
 
     A child forked while the parent serves TCP traffic inherits duplicate
     descriptors for every open connection — including the parent's listen
-    socket and any relayed client links.  Those duplicates keep the
-    underlying connections half-open after the parent closes its copy: the
-    peer never receives FIN and blocks forever on a read.  The child needs
-    none of them (its control pipe is in *keep*; servers it runs open their
-    own sockets), so the safe move is to drop them all on entry.
+    socket, a fleet router's client sockets still in their first-frame
+    window and a worker's adopted client connections.  Those duplicates
+    keep the underlying connections half-open after the parent closes its
+    copy: the peer never receives FIN and blocks forever on a read.  The
+    child needs none of them (its control pipe is in *keep*; a fleet worker
+    is handed its client sockets over that pipe), so the safe move is to
+    drop them all on entry.
 
     Only sockets are touched — pipes and files (multiprocessing's resource
     tracker, logging, stdio) keep their descriptors.  Best-effort and

@@ -3,10 +3,10 @@
 One :class:`~repro.runtime.server.OffloadServer` process tops out at one
 core: the GIL serializes its HE kernels and a single asyncio loop carries
 every session.  A :class:`FleetServer` scales out instead of up — a
-front-end **router** process accepts CHOF connections and relays each one
+front-end **router** process accepts CHOF connections and hands each one
 to a shared-nothing **worker** process, each worker being a full
 ``OffloadServer`` (optionally with its own
-:class:`~repro.runtime.evalpool.EvalPool`) listening on a loopback port.
+:class:`~repro.runtime.evalpool.EvalPool`) that serves it as its own.
 
 The sharding trick is in the session ids.  Worker *i* of *n* allocates ids
 from the arithmetic progression ``start=i+1, step=n``, so the owner of any
@@ -17,17 +17,19 @@ rows of :data:`repro.runtime.framing.TRANSITIONS`, the server's own: a
 ``HELLO`` goes to the least-loaded live worker while the fleet is under
 ``session_cap``, else it is answered ``BUSY`` and retried; a ``RESUME``
 goes to the owner of its session id, else it is ``RESUME_REJECTED`` and a
-failover client opens a fresh session.  After that the router is a byte
-pump: it never parses ciphertexts and adds no per-request work.  A
-supervisor respawns dead workers and retires each dead generation's last
-metrics snapshot into :class:`~repro.runtime.metrics.FleetMetrics`
-(docs/PROTOCOL.md, *Fleet serving*).
+failover client opens a fresh session.  The router then passes the socket
+itself, and the bytes it read off it, to the worker: it is on no byte's
+path after the first frame.  A supervisor respawns dead workers and retires
+each dead generation's last metrics snapshot into
+:class:`~repro.runtime.metrics.FleetMetrics` (docs/PROTOCOL.md, *Fleet
+serving*).
 
-Workers are driven over a control pipe (``snapshot`` / ``kill_idle`` /
-``stop``); ``kill_idle`` is the one injected death (``kill_worker``) — the
-worker ``os._exit(17)``-s at the next instant no handler is executing and
-no queue holds work, which kills it *between* requests, so exactly-once can
-be asserted across it without racing a half-executed handler.
+Workers are driven over a control pipe (``adopt``, carrying a client
+socket, ``snapshot``, ``kill_idle``, ``stop``); ``kill_idle`` is the one
+injected death (``kill_worker``) — the worker ``os._exit(17)``-s at the
+next instant no handler is executing and no queue holds work, which kills
+it *between* requests, so exactly-once can be asserted across it without
+racing a half-executed handler.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ import dataclasses
 import logging
 import multiprocessing.util
 import os
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.reduction import recv_handle, send_handle
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hecore.params import EncryptionParameters
@@ -66,6 +70,7 @@ from repro.runtime.framing import (
 )
 from repro.runtime.metrics import FleetMetrics
 from repro.runtime.server import OffloadServer
+from repro.runtime.transport import TcpTransport
 
 logger = logging.getLogger("repro.runtime.fleet")
 
@@ -127,21 +132,20 @@ class WorkerConfig:
 # Worker process side
 # ---------------------------------------------------------------------------
 
-def _worker_main(conn, config: WorkerConfig) -> None:
+def _worker_main(conn, config: WorkerConfig, held) -> None:
     """Process entry point: run one sharded worker until told to stop."""
-    # A worker respawned mid-traffic forks off a router that is actively
-    # relaying traffic; the inherited socket duplicates would hold every
-    # in-flight client connection half-open after the router closes its
-    # side (no FIN reaches the client, which then blocks forever).  Drop
-    # them before serving anything.
+    # A worker respawned mid-traffic forks off a router that holds client
+    # sockets in their first-frame window; an inherited duplicate would hold
+    # such a connection half-open after its worker closes it (no FIN reaches
+    # the client, which then blocks forever).  Drop them before serving.
     close_inherited_sockets(keep=(conn.fileno(),))
     try:
-        asyncio.run(_worker_serve(conn, config))
+        asyncio.run(_worker_serve(conn, config, held))
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         pass
 
 
-async def _worker_serve(conn, config: WorkerConfig) -> None:
+async def _worker_serve(conn, config: WorkerConfig, held) -> None:
     params = deserialize_params(config.params_blob)
     eval_pool = None
     if config.eval_workers > 0 and config.pooled_installers:
@@ -154,18 +158,36 @@ async def _worker_serve(conn, config: WorkerConfig) -> None:
     for spec in config.pooled_installers:
         resolve_spec(spec)(server.ops)
 
-    _host, port = await server.start("127.0.0.1", 0)
     loop = asyncio.get_running_loop()
     stop_event = asyncio.Event()
     kill_flag = asyncio.Event()
     send_lock = threading.Lock()
+    adopted = set()  # the connection tasks, held until they finish
+
+    async def _serve(sock: socket.socket, data: bytes, is_hello: bool) -> None:
+        """Serve a connection the router handed over, its *data* first."""
+        try:
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            transport, protocol = await loop.connect_accepted_socket(
+                lambda: asyncio.StreamReaderProtocol(reader), sock)
+            writer = asyncio.StreamWriter(transport, protocol, reader, loop)
+            await server.serve_transport(TcpTransport(reader, writer))
+        finally:
+            with held.get_lock():
+                held[0] -= 1
+                held[1] -= is_hello
+
+    def _adopt(sock: socket.socket, data: bytes, is_hello: bool) -> None:
+        task = asyncio.ensure_future(_serve(sock, data, is_hello))
+        adopted.add(task)
+        task.add_done_callback(adopted.discard)
 
     async def _snapshot() -> Dict:
         queue_depth = sum(len(s.queue) for s in server._sessions.values())
         return {
             "worker": config.index,
             "pid": os.getpid(),
-            "port": port,
             "sessions": len(server._sessions),
             "queue_depth": queue_depth,
             "metrics": server.metrics.snapshot(),
@@ -178,6 +200,9 @@ async def _worker_serve(conn, config: WorkerConfig) -> None:
         while True:
             try:
                 msg = conn.recv()
+                if msg[0] == "adopt":
+                    sock = socket.socket(fileno=recv_handle(conn))
+                    loop.call_soon_threadsafe(_adopt, sock, *msg[1:])
             except (EOFError, OSError):
                 loop.call_soon_threadsafe(stop_event.set)
                 return
@@ -220,7 +245,7 @@ async def _worker_serve(conn, config: WorkerConfig) -> None:
     reader_thread.start()
     killer_task = asyncio.ensure_future(_idle_killer())
     with send_lock:
-        conn.send(("ready", port))
+        conn.send(("ready",))
 
     try:
         await stop_event.wait()
@@ -242,14 +267,14 @@ async def _worker_serve(conn, config: WorkerConfig) -> None:
 class WorkerHandle:
     """Router-side view of one live worker generation."""
 
-    def __init__(self, index: int, generation: int, process, conn,
-                 port: int):
+    def __init__(self, index: int, generation: int, process, conn, held):
         self.index = index
         self.generation = generation
         self.process = process
         self.conn = conn
-        self.port = port
-        self.active_conns = 0
+        #: Shared with the worker: connections held, and how many came from
+        #: ``HELLO``; raised at a hand-over, lowered when serving ends.
+        self.held = held
         self._lock = asyncio.Lock()
 
     def alive(self) -> bool:
@@ -262,10 +287,35 @@ class WorkerHandle:
                 pipe_roundtrip, self.conn, msg, timeout,
                 f"worker {self.index} control pipe")
 
-    async def send(self, msg: tuple) -> None:
-        """Fire-and-forget control message (kill fates have no reply)."""
+    async def send(self, msg: tuple, sock=None) -> None:
+        """Fire-and-forget control message (kill fates have no reply); a
+        *sock* follows it as a passed descriptor."""
         async with self._lock:
-            await asyncio.to_thread(self.conn.send, msg)
+            await asyncio.to_thread(self._send, msg, sock)
+
+    def _send(self, msg: tuple, sock) -> None:
+        self.conn.send(msg)
+        if sock is not None:
+            send_handle(self.conn, sock.fileno(), self.process.pid)
+
+    async def hand_over(self, writer: asyncio.StreamWriter, data: bytes,
+                        is_hello: bool) -> bool:
+        """Pass the client socket under *writer*, and the bytes read off it,
+        *data*, to this worker; False when the worker cannot be reached."""
+        # Counted before the first await so concurrent HELLOs spread
+        # instead of dog-piling one worker; the worker uncounts it.
+        with self.held.get_lock():
+            self.held[0] += 1
+            self.held[1] += is_hello
+        try:
+            await self.send(("adopt", data, is_hello),
+                            writer.get_extra_info("socket"))
+        except OSError:
+            with self.held.get_lock():
+                self.held[0] -= 1
+                self.held[1] -= is_hello
+            return False
+        return True
 
     def close(self) -> None:
         with contextlib.suppress(OSError):
@@ -319,7 +369,6 @@ class FleetServer:
         multiprocessing.util.Finalize(self, _reap_workers,
                                       args=(self._workers,), exitpriority=10)
         self._generation = 0
-        self._admitted = 0
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._supervisor_task: Optional[asyncio.Task] = None
         self.host: Optional[str] = None
@@ -383,28 +432,26 @@ class FleetServer:
     def _spawn_worker_sync(self, index: int,
                            generation: int) -> WorkerHandle:
         parent_conn, child_conn = self._mp.Pipe()
+        held = self._mp.Array("i", 2)
         process = self._mp.Process(
             target=_worker_main,
             args=(child_conn,
-                  dataclasses.replace(self._config, index=index)),
+                  dataclasses.replace(self._config, index=index), held),
             daemon=False,  # workers may own eval-pool subprocess children
             name=f"choco-worker-{index}.g{generation}")
         process.start()
         child_conn.close()
-        if not parent_conn.poll(_SPAWN_TIMEOUT_S):
+        if (not parent_conn.poll(_SPAWN_TIMEOUT_S)
+                or parent_conn.recv() != ("ready",)):
             process.terminate()
             raise RuntimeError(f"worker {index} never reported ready")
-        msg = parent_conn.recv()
-        if msg[0] != "ready":
-            process.terminate()
-            raise RuntimeError(
-                f"worker {index} sent {msg[0]!r} instead of ready")
-        return WorkerHandle(index, generation, process, parent_conn, msg[1])
+        return WorkerHandle(index, generation, process, parent_conn, held)
 
     async def _supervisor(self) -> None:
         """Respawn dead workers; retire their metrics first."""
         while True:
             await asyncio.sleep(0.05)
+            self.metrics.connections_active = self._held(0)
             for index in range(self.n_workers):
                 handle = self._workers[index]
                 if handle is None or handle.alive():
@@ -427,6 +474,13 @@ class FleetServer:
         """Sticky routing: the worker whose id progression minted *sid*."""
         return (session_id - 1) % self.n_workers
 
+    def _live(self) -> List[WorkerHandle]:
+        return [h for h in self._workers if h is not None and h.alive()]
+
+    def _held(self, slot: int) -> int:
+        """``held[slot]`` summed over the live workers' generations."""
+        return sum(h.held[slot] for h in self._live())
+
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         """Route a connection by its first frame, read through the opening
@@ -444,40 +498,38 @@ class FleetServer:
                 await self._reply(writer, Error(0, ErrorCode.BAD_FRAME,
                                                 str(exc)))
                 return
-            await getattr(self, f"_open_{row.action}")(
-                first, encode_frame(mtype, payload), reader, writer)
+            # Every byte buffered goes with the socket, so a frame pipelined
+            # behind the first is not lost; no await until the pause.
+            reader.feed_eof()
+            data = encode_frame(mtype, payload) + await reader.read()
+            writer.transport.pause_reading()
+            await getattr(self, f"_open_{row.action}")(first, data, writer)
         finally:
-            writer.close()
+            writer.close()  # the router's copy; a worker holds its own
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _open_hello(self, hello: Hello, frame: bytes,
-                          reader, writer) -> None:
+    async def _open_hello(self, hello: Hello, data: bytes, writer) -> None:
         """To the least-loaded live worker (the lowest index on a tie)
         under the session cap; else, or unreachable, ``BUSY``: retryable."""
-        live = [h for h in self._workers if h is not None and h.alive()]
+        live = self._live()
         if live and (self.session_cap is None
-                     or self._admitted < self.session_cap):
+                     or self._held(1) < self.session_cap):
             self.metrics.sessions_routed += 1
-            self._admitted += 1
-            try:
-                handle = min(live, key=lambda h: h.active_conns)
-                if await self._relay(handle, frame, reader, writer):
-                    return
-            finally:
-                self._admitted -= 1
+            handle = min(live, key=lambda h: h.held[0])
+            if await handle.hand_over(writer, data, True):
+                return
         self.metrics.admission_rejections += 1
         await self._reply(writer, Busy(0, self._config.retry_after_ms,
-                                       min(self._admitted, 0xFFFF)))
+                                       min(self._held(1), 0xFFFF)))
 
-    async def _open_resume(self, resume: Resume, frame: bytes,
-                           reader, writer) -> None:
+    async def _open_resume(self, resume: Resume, data: bytes, writer) -> None:
         """To the worker that minted the session id; while it is down or
         unreachable, ``RESUME_REJECTED`` (a failover client starts afresh)."""
         handle = self._workers[self.owner_index(resume.session_id)]
         if handle is not None and handle.alive():
             self.metrics.resumes_routed += 1
-            if await self._relay(handle, frame, reader, writer):
+            if await handle.hand_over(writer, data, False):
                 return
         self.metrics.resumes_bounced += 1
         await self._reply(writer, Error(
@@ -490,66 +542,13 @@ class FleetServer:
             writer.write(encode_frame(record.TYPE, record.pack()))
             await writer.drain()
 
-    async def _relay(self, handle: WorkerHandle, frame: bytes,
-                     client_reader: asyncio.StreamReader,
-                     client_writer: asyncio.StreamWriter) -> bool:
-        """Forward the sniffed first *frame*, then pump raw bytes both
-        ways; False when the worker cannot be reached."""
-        # Counted before the first await so concurrent HELLOs spread
-        # instead of dog-piling one worker.
-        handle.active_conns += 1
-        try:
-            backend_reader, backend_writer = await asyncio.open_connection(
-                "127.0.0.1", handle.port)
-        except OSError:
-            handle.active_conns -= 1
-            return False
-        self.metrics.connections_active += 1
-        try:
-            backend_writer.write(frame)
-            await backend_writer.drain()
-            up = asyncio.ensure_future(
-                self._pipe(client_reader, backend_writer))
-            down = asyncio.ensure_future(
-                self._pipe(backend_reader, client_writer))
-            # Either side closing ends the relay; the other pipe is torn
-            # down by closing both transports in the finally below.
-            done, pending = await asyncio.wait(
-                {up, down}, return_when=asyncio.FIRST_COMPLETED)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        finally:
-            handle.active_conns -= 1
-            self.metrics.connections_active -= 1
-            backend_writer.close()
-            with contextlib.suppress(Exception):
-                await backend_writer.wait_closed()
-        return True
-
-    @staticmethod
-    async def _pipe(reader: asyncio.StreamReader,
-                    writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                writer.write(chunk)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            return
-
     # -------------------------------------------------------------- control
     def worker(self, index: int) -> Optional[WorkerHandle]:
         return self._workers[index]
 
     async def refresh_metrics(self) -> Dict:
         """Poll every live worker's snapshot; returns the fleet aggregate."""
-        for handle in list(self._workers):
-            if handle is None or not handle.alive():
-                continue
+        for handle in self._live():
             try:
                 reply = await handle.control(("snapshot",))
             except Exception:  # noqa: BLE001 - a dying worker is retired

@@ -184,6 +184,13 @@ def exact_negacyclic_multiply(
 # arithmetic (see the module docstring).
 # --------------------------------------------------------------------------
 
+def divide_and_round_by_last(poly: RnsPoly) -> RnsPoly:
+    """Exact modulus switch of one coefficient-form polynomial:
+    :meth:`RnsBase.divide_and_round_by_last` on its rows."""
+    target, rows = poly.base.divide_and_round_by_last(poly.data)
+    return RnsPoly(target, poly.degree, rows, is_ntt=False)
+
+
 def encrypt(ctx, values, rng=None) -> Ciphertext:
     """Public-key encryption of one slot vector or plaintext, as the Figure 5
     pipeline composed poly by poly: ``u``, ``e1``, ``e2`` drawn in that
@@ -198,8 +205,8 @@ def encrypt(ctx, values, rng=None) -> Ciphertext:
     u = RnsPoly.from_signed_array(full, rng.sample_ternary(n)).to_ntt()
     e1 = RnsPoly.from_signed_array(full, rng.sample_error(n))
     e2 = RnsPoly.from_signed_array(full, rng.sample_error(n))
-    c0 = ((p0 * u).from_ntt() + e1).divide_and_round_by_last()
-    c1 = ((p1 * u).from_ntt() + e2).divide_and_round_by_last()
+    c0 = divide_and_round_by_last((p0 * u).from_ntt() + e1)
+    c1 = divide_and_round_by_last((p1 * u).from_ntt() + e2)
     c0 = c0 + ctx._message_poly(c0.base, plaintext)
     return Ciphertext(ctx.params, [c0, c1], scale=plaintext.scale)
 

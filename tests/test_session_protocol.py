@@ -14,7 +14,6 @@ peer sees, not how the server books it.
 
 import asyncio
 import re
-import socket
 from pathlib import Path
 
 import pytest
@@ -381,27 +380,26 @@ def test_first_frame_refusal_is_one_message(bfv_params):
     assert re.search(r"HELLO or RESUME", error.message)
 
 
-def _closed_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def test_a_hello_the_router_cannot_deliver_is_retryable(bfv_params):
-    """A HELLO whose worker cannot be reached is answered ``BUSY`` (as when
-    no worker is live), so a client retrying across the outage connects."""
+    """A HELLO whose worker cannot take the connection is answered ``BUSY``
+    (as when no worker is live), so a client retrying across the outage
+    connects."""
+    async def unreachable(msg, sock=None):
+        raise OSError("control pipe down")
+
     async def main():
         async with FleetServer(bfv_params, 1, retry_after_ms=20) as fleet:
             handle = fleet.worker(0)
-            port, handle.port = handle.port, _closed_port()
+            handle.send = unreachable
             mtype, _flags, payload = await _first_reply(
                 fleet.host, fleet.port, MessageType.HELLO,
                 Hello.from_params(bfv_params).pack())
             assert mtype is MessageType.BUSY
             assert Busy.unpack(payload).retry_after_ms == 20
 
-            asyncio.get_running_loop().call_later(0.15, setattr, handle,
-                                                  "port", port)
+            # The hand-over works again once the instance override is gone.
+            asyncio.get_running_loop().call_later(0.15, delattr, handle,
+                                                  "send")
             client = OffloadClient(bfv_params, fleet.host, fleet.port,
                                    request_timeout=REPLY_TIMEOUT_S,
                                    max_retries=10, backoff_s=0.02)
