@@ -1186,20 +1186,20 @@ class ScheduledProgram:
         if table is not None:
             ctx.counts["ntt_elided"] += table.rows
             return table
-        ext = keyswitch_ext_base(current, ctx.params)
         if bfv:
-            residues = [ext.lift_signed(self._bfv_plain(ctx, cid).coeffs)
-                        for _, _, cid in terms]
+            # Plaintext coefficients: the table lifts each pair's sum once.
+            weights = [self._bfv_plain(ctx, cid).coeffs for _, _, cid in terms]
             scale = 1.0
         else:
             pts = ctx.encoder.encode_many(
                 [np.asarray(self.program.nodes[cid].values, dtype=np.float64)
-                 for _, _, cid in terms], base=ext)
-            residues = [pt.poly.data for pt in pts]
+                 for _, _, cid in terms],
+                base=keyswitch_ext_base(current, ctx.params))
+            weights = [pt.poly.data for pt in pts]
             scale = pts[0].scale
         table = self._weight_tables[key] = hoisting.weight_table(
-            ctx, current, [(step, src, r) for (step, src, _), r
-                           in zip(terms, residues)], scale)
+            ctx, current, [(step, src, w) for (step, src, _), w
+                           in zip(terms, weights)], scale)
         return table
 
     # ------------------------------------------------------------ execution

@@ -67,7 +67,8 @@ def _baby_giant_sums(ev, cts, plans):
     plan (the scheduler serves them from one hoisted decompose per input);
     each giant rotation is paid once, after the multiplies, and brings the
     pre-rolled masks home — the rotation (and Galois key) count is
-    babies + giants, not their product.
+    babies + giants, not their product.  A giant step's masks (one row
+    length) are rolled by one shared gather index, not an ``np.roll`` each.
     """
     babies = {}
 
@@ -84,8 +85,12 @@ def _baby_giant_sums(ev, cts, plans):
         acc = None
         for giant, group in itertools.groupby(sorted(terms, key=giant_of),
                                               key=giant_of):
+            group = list(group)
+            # np.roll(mask, giant) for every mask: slot j reads j - giant.
+            slots = len(group[0][3])
+            index = (np.arange(slots) - giant) % slots
             inner = ev.rotate(_masked_sum(ev, (
-                (baby(i, step), np.roll(mask, giant))
+                (baby(i, step), mask.take(index))
                 for i, step, _, mask in group)), giant)
             acc = inner if acc is None else ev.add(acc, inner)
         sums.append(acc)

@@ -237,23 +237,31 @@ class WeightTable(NamedTuple):
 def weight_table(ctx, current: RnsBase,
                  terms: Sequence[Tuple[int, int, np.ndarray]],
                  scale: float = 1.0) -> WeightTable:
-    """The :class:`WeightTable` of ``(step, source, residues)`` terms, each
+    """The :class:`WeightTable` of ``(step, source, weight)`` terms, every
     weight a ``(k_ext, n)`` coefficient-form residue block over
-    ``keyswitch_ext_base(current)``.  Terms on one (source, Galois element)
-    share one row set; the forward transforms are charged to
-    ``ctx.counts['ntt_forward']`` (units: residue rows)."""
+    ``keyswitch_ext_base(current)`` or every one an ``(n,)`` row of integer
+    coefficients (lifted to that base by :meth:`RnsBase.lift_signed`).  Terms on one (source, Galois
+    element) share one row set: their weights are summed in int64, then
+    lifted or reduced once per pair, which is the per-term reduction bit
+    for bit (it is a ring homomorphism).  The forward transforms are
+    charged to ``ctx.counts['ntt_forward']`` (units: residue rows)."""
     if not terms:
         raise ValueError("a weight table needs at least one term")
     n = ctx.params.poly_degree
     ext = keyswitch_ext_base(current, ctx.params)
     by_pair: dict = {}
-    for step, source, residues in terms:
+    for step, source, weight in terms:
         pair = (source, galois_element_for_step(step, n))
-        by_pair[pair] = mod_reduce(by_pair.get(pair, 0) + residues,
-                                   ext.moduli)
+        total = by_pair.get(pair)
+        if total is None:
+            by_pair[pair] = np.array(weight, dtype=np.int64)
+        else:
+            total += weight
     pairs = tuple(sorted(by_pair))
-    m_ntt = ntt.get_stack_plan(n, ext.moduli).forward_batch(
-        np.stack([by_pair[pair] for pair in pairs]))
+    totals = np.stack([by_pair[pair] for pair in pairs])
+    blocks = (ext.lift_signed(totals) if totals.ndim == 2
+              else mod_reduce(totals, ext.moduli))
+    m_ntt = ntt.get_stack_plan(n, ext.moduli).forward_batch(blocks)
     table = WeightTable(pairs, m_ntt, float(scale), len(terms))
     ctx.counts["ntt_forward"] += table.rows
     return table

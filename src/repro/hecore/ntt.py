@@ -12,19 +12,30 @@ as a four-step (Bailey) factorisation ``N = n1 * n2``: per modulus, each row
 viewed as an ``(n2, n1)`` matrix is multiplied by a constant matrix,
 twiddled elementwise and multiplied by a second constant matrix, with the
 negacyclic psi-twist and the inverse's ``1/N`` folded into the constants.
-Every modular matmul is two float64 BLAS matmuls against the constant's
-signed 15-bit digits, exact in any summation order because every partial
-sum stays below ``2**52``: inputs below ``2**MAX_MODULUS_BITS``, digits at
-most ``2**14``, at most :data:`MAX_SUM_TERMS` terms.  Plan construction
-refuses a modulus or a degree outside that envelope.  Its bit-exact
+Every matmul is float64 BLAS, exact in any summation order because every
+partial sum stays below ``2**52``.  Each modulus has a width class, set by
+``(N, p)`` alone (:func:`is_narrow`):
+
+- *narrow* when ``n2 * (p//2 + 1) * (p//2) < 2**52`` (primes below
+  ``2**24`` at ``N = 4096``): a matmul step is one matmul of a centred input
+  against the full-width centred constant, and the twiddle is one float
+  multiply and one reduction;
+- *wide* otherwise: a step is two matmuls against the constant's signed
+  15-bit digits (inputs below ``2**MAX_MODULUS_BITS``, digits at most
+  ``2**14``, at most :data:`MAX_SUM_TERMS` terms), and the twiddle takes
+  its remainder in int64.
+
+A plan runs each class's rows as one stacked kernel.  Plan construction
+refuses a modulus or a degree outside the wide envelope.  Its bit-exact
 reference, the scalar butterfly plan, is test code (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +68,7 @@ def _power_table(base: int, count: int, p: int) -> np.ndarray:
     return result
 
 
-#: Constants are split into signed digits of this many bits: a centred
+#: Wide constants are split into signed digits of this many bits: a centred
 #: residue ``c = hi * 2**15 + lo`` with ``|hi|, |lo| <= 2**14``.
 _DIGIT_BITS = 15
 _RADIX = float(1 << _DIGIT_BITS)
@@ -66,7 +77,7 @@ _RADIX = float(1 << _DIGIT_BITS)
 #: partial sum below ``2**_EXACT_BITS``, so BLAS may add in any order.
 _EXACT_BITS = 52
 
-#: Longest exact sum: ``2**8`` products of an input below
+#: Longest exact wide sum: ``2**8`` products of an input below
 #: ``2**MAX_MODULUS_BITS`` and a digit of at most ``2**14`` stay below
 #: ``2**52``.  A four-step sum runs over ``n2 = 2**ceil(log2(N) / 2)`` terms,
 #: so degrees up to ``2**16`` fit.
@@ -78,6 +89,22 @@ MAX_SUM_TERMS = 1 << (_EXACT_BITS - MAX_MODULUS_BITS - (_DIGIT_BITS - 1))
 #: 2-vCPU host: the per-row cost is flat from 8 to 16 rows and rises ~10 %
 #: by 32, ~25 % at 4 or fewer).
 _BATCH_CHUNK_BYTES = 3 << 17
+
+
+def _split(n: int) -> Tuple[int, int]:
+    """The four-step split ``N = n1 * n2``, ``n2 = n1`` or ``2 * n1``."""
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    return n1, n // n1
+
+
+def is_narrow(n: int, p: int) -> bool:
+    """Whether *p* is in the narrow width class at degree *n*: ``n2``
+    products of a centred value (``|x| <= p//2 + 1``, what every reduction
+    leaves) and a centred constant (``|c| <= p//2``) sum below ``2**52``,
+    so a matmul step is one float64 matmul against the full-width constant
+    and a twiddle product (one such product) is exact in float64.  Every
+    other modulus is wide."""
+    return _split(n)[1] * (p // 2 + 1) * (p // 2) < 1 << _EXACT_BITS
 
 
 def _centred(table: np.ndarray, p: int) -> np.ndarray:
@@ -100,29 +127,42 @@ def _digits(centred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 _GEMM_MAX_MACS = 1 << 18
 
 
+#: Where a kernel's rows sit in its plan: ``(plan rows, kernel rows)``
+#: slice pairs, one per run of consecutive plan rows of one width class.
+Runs = Tuple[Tuple[slice, slice], ...]
+
+
 class _MatmulStep(NamedTuple):
     """One modular matmul, ``W @ x`` (*left*) or ``x @ W``, for a per-modulus
-    constant ``W`` kept as its two digits and run as row blocks of at most
-    ``_GEMM_MAX_MACS``: a left ``W`` is stored ``(k, 1, blocks, m / blocks,
-    m)`` against ``x`` viewed ``(k, g, 1, m, c)``, a right one ``(k, 1, 1, m,
-    m)`` against ``x`` viewed ``(k, g, blocks, rows / blocks, m)``.  Either
-    way the product lands in ``x``'s own layout."""
+    constant ``W`` kept as its *digits*: the full-width centred ``W`` alone
+    (one BLAS matmul) or its signed 15-bit ``(hi, lo)`` (two).  Each runs as
+    row blocks of at most ``_GEMM_MAX_MACS``: a left ``W`` is stored ``(k,
+    1, blocks, m / blocks, m)`` against ``x`` viewed ``(k, g, 1, m, c)``, a
+    right one ``(k, 1, 1, m, m)`` against ``x`` viewed ``(k, g, blocks, rows
+    / blocks, m)``.  Either way the product lands in ``x``'s own layout.
 
-    hi: np.ndarray
-    lo: np.ndarray
+    *fix*, when set, is added to the product before its reduction: the
+    step's input arrives offset by ``-(p//2)``, and ``fix = (p//2) · (W @
+    1)`` (``(k, 1, m, 1)``: row sums; ``(k, 1, 1, m)`` for a right ``W``:
+    column sums), centred, puts the offset back."""
+
+    digits: Tuple[np.ndarray, ...]
     left: bool
     blocks: int
+    fix: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, hi: np.ndarray, lo: np.ndarray, left: bool, rows: int, cols: int):
-        k, _, m, _ = hi.shape
+    def of(cls, digits: Sequence[np.ndarray], left: bool, rows: int,
+           cols: int, fix: Optional[np.ndarray] = None) -> "_MatmulStep":
+        k, _, m, _ = digits[0].shape
         blocks = max(1, rows * m * cols // _GEMM_MAX_MACS)
         shape = (k, 1, blocks, -1, m) if left else (k, 1, 1, m, m)
-        return cls(hi.reshape(shape), lo.reshape(shape), left, blocks)
+        return cls(tuple(d.reshape(shape) for d in digits), left, blocks, fix)
 
 
 class _FourStep:
-    """Per-modulus tables and the kernel of the four-step negacyclic NTT.
+    """Per-modulus tables and the kernel of the four-step negacyclic NTT,
+    over rows of one width class (:func:`is_narrow`, :attr:`narrow`).
 
     With ``i = i1 + n1*i2`` and ``j = j2 + n2*j1`` the forward transform is
 
@@ -140,8 +180,8 @@ class _FourStep:
 
     def __init__(self, n: int, p: int, psi: int):
         self.k, self.psis = 1, (psi,)
-        self.n1 = n1 = 1 << ((n.bit_length() - 1) // 2)
-        self.n2 = n2 = n // n1
+        self.n1, self.n2 = n1, n2 = _split(n)
+        self.narrow = narrow = is_narrow(n, p)
         # Work arrays are modulus-major, (k, g, n2, n1) for a group of g
         # stacks, so every table broadcasts over the group axis.
         pcol = np.full((1, 1, 1, 1), p, dtype=np.int64)
@@ -152,54 +192,72 @@ class _FourStep:
         tw = (cols[None, :] * odd) % (2 * n)                # [j2, i1]
         w1 = (2 * n2 * cols[:, None] * cols[None, :]) % (2 * n)  # [i1, j1]
 
-        def matmul(exponents, left, scale=1):
-            hi, lo = _digits(_centred(mod_mul(psi_pow[..., exponents], scale, p), p))
-            return _MatmulStep.of(hi, lo, left, n2, n1)
+        def matmul(exponents, left, scale=1, first=False, full=narrow):
+            table = mod_mul(psi_pow[..., exponents], scale, p)
+            centred = _centred(table, p)
+            digits = (centred.astype(np.float64),) if full else _digits(centred)
+            fix = None
+            if first and narrow:
+                sums = mod_reduce(table.sum(axis=-1 if left else -2,
+                                            keepdims=True), p)
+                fix = _centred(mod_mul(sums, p // 2, p), p).astype(np.float64)
+            return _MatmulStep.of(digits, left, n2, n1, fix)
 
         def twiddle(exponents):
             centred = _centred(psi_pow[..., exponents], p)
+            if narrow:
+                return (centred.astype(np.float64),)
             return centred / float(p), centred
 
         def negated(exponents):
             return (2 * n - exponents) % (2 * n)
 
-        self._forward = (matmul(w2, True), twiddle(tw), matmul(w1, False))
-        # The small-input first stage's full-width W2, in the digits' layout.
-        self._w2 = self._forward[0].hi * _RADIX + self._forward[0].lo
-        self._inverse = (matmul(negated(w1), False), twiddle(negated(tw)),
+        self._forward = (matmul(w2, True, first=True), twiddle(tw),
+                         matmul(w1, False))
+        self._inverse = (matmul(negated(w1), False, first=True),
+                         twiddle(negated(tw)),
                          matmul(negated(w2).T, True, mod_inv(n, p)))
+        # The small-input first stage: one matmul against the full-width
+        # W2, with no offset (its input is signed already).
+        self._small = self._forward[0]._replace(fix=None) if narrow \
+            else matmul(w2, True, full=True)
         self._pcol = pcol
         self._p = pcol.astype(np.float64)
         self._p_inv = 1.0 / self._p
         self._p_u = pcol.reshape(1, 1).astype(np.uint64)
+        self._half = self._p // 2
         self._local = threading.local()
 
     @classmethod
     def stacked(cls, parts: Sequence["_FourStep"]) -> "_FourStep":
-        """The kernel over every row of *parts*, in order: each table is
-        its parts' tables stacked along the modulus axis, nothing derived
-        again (one part is returned as it is).  Read-only, like the parts."""
+        """The kernel over every row of *parts*, in order, all of one width
+        class: each table is its parts' tables stacked along the modulus
+        axis, nothing derived again (one part is returned as it is).
+        Read-only, like the parts."""
         if len(parts) == 1:
             return parts[0]
         self = cls.__new__(cls)
         self.k = sum(part.k for part in parts)
         self.n1, self.n2 = parts[0].n1, parts[0].n2
+        (self.narrow,) = {part.narrow for part in parts}
         self.psis = sum((part.psis for part in parts), ())
 
         def stack(arrays):
             return _read_only(np.concatenate(arrays))
 
         def matmul(column):
-            return _MatmulStep(stack([step.hi for step in column]),
-                               stack([step.lo for step in column]),
-                               column[0].left, column[0].blocks)
+            fix = column[0].fix
+            return column[0]._replace(
+                digits=tuple(map(stack, zip(*(step.digits for step in column)))),
+                fix=None if fix is None else stack([step.fix for step in column]))
 
         def direction(name):
             first, table, second = zip(*(getattr(part, name) for part in parts))
             return matmul(first), tuple(map(stack, zip(*table))), matmul(second)
 
         self._forward, self._inverse = direction("_forward"), direction("_inverse")
-        for name in ("_w2", "_pcol", "_p", "_p_inv", "_p_u"):
+        self._small = matmul([part._small for part in parts])
+        for name in ("_pcol", "_p", "_p_inv", "_p_u", "_half"):
             setattr(self, name, stack([getattr(part, name) for part in parts]))
         self._local = threading.local()
         return self
@@ -211,7 +269,7 @@ class _FourStep:
         and the ufuncs, so two threads never share a buffer."""
         views = getattr(self._local, "views", None)
         if views is None or views[0].shape != shape:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             buf = getattr(self._local, "buf", None)
             if buf is None or buf.size < 4 * size:
                 buf = self._local.buf = np.empty(4 * size)
@@ -227,6 +285,9 @@ class _FourStep:
         tmp *= self._p
         x -= tmp
 
+    def _check_reduced(self, x: np.ndarray, what: str) -> None:
+        assert bool((np.abs(x) < self._p).all()), f"{what} value outside (-p, p)"
+
     @staticmethod
     def _gemm(pair: Tuple[np.ndarray, np.ndarray], out: np.ndarray,
               check: bool) -> None:
@@ -239,96 +300,147 @@ class _FourStep:
             assert bound.max() < 2.0 ** _EXACT_BITS, \
                 "a matmul partial sum left the 2**52 exact envelope"
 
-    def _matmul(self, step: _MatmulStep, x: np.ndarray, hi: np.ndarray,
+    def _matmul(self, step: _MatmulStep, x: np.ndarray, out: np.ndarray,
                 lo: np.ndarray, tmp: np.ndarray, check: bool) -> np.ndarray:
-        """``step`` applied to ``x`` (``|x| < 2**30``), reduced into *hi*."""
-        blocked = x.shape[:2] + (step.blocks, -1, x.shape[-1])
+        """``step`` applied to ``x``, reduced into *out*.  Two digits take
+        ``|x| < 2**30``; one full-width digit takes ``|x| <= p//2 + 1`` on a
+        narrow row (:func:`is_narrow`) or ``|x| <`` ``small_bound``.  A
+        leading axis of 1 on *x* broadcasts it over every modulus."""
+        blocked = out.shape[:2] + (step.blocks, -1, out.shape[-1])
         xv = x[:, :, None] if step.left else x.reshape(blocked)
-        for w, out in ((step.hi, hi), (step.lo, lo)):
-            self._gemm((w, xv) if step.left else (xv, w),
-                       out.reshape(blocked), check)
-        self._reduce(hi, tmp)           # |hi| <= p/2 + 1, so hi * 2**15 + lo
-        hi *= _RADIX                    # stays below 2**52 + 2**44
-        hi += lo
-        self._reduce(hi, tmp)
+        for w, dst in zip(step.digits, (out, lo)):
+            self._gemm((w, xv) if step.left else (xv, w), dst.reshape(blocked),
+                       check)
+        if len(step.digits) == 2:
+            self._reduce(out, tmp)      # |hi| <= p/2 + 1, so hi * 2**15 + lo
+            out *= _RADIX               # stays below 2**52 + 2**44
+            out += lo
+        elif step.fix is not None:
+            # |x| <= p//2 (canonical input offset by -(p//2)), so the sum
+            # plus |fix| <= p//2 stays below n2·(p//2 + 1)·(p//2) < 2**52.
+            out += step.fix
+        self._reduce(out, tmp)
         if check:
-            assert bool((np.abs(hi) < self._p).all()), "reduced value outside (-p, p)"
-        return hi
+            self._check_reduced(out, "reduced")
+        return out
 
     def _twiddle(self, table: Tuple[np.ndarray, ...], y: np.ndarray,
                  q: np.ndarray, a: np.ndarray, b: np.ndarray, check: bool) -> None:
-        """``y = y * T mod p`` in place, for ``|y| <= p/2 + 1``: the quotient
-        ``q = rint(y * T / p)`` from the float ratio, then ``y*T - q*p`` in
-        int64 (both products below ``2**59``), in ``(-p, p)``."""
-        ratio, centred = table
-        np.multiply(y, ratio, out=q)
-        np.rint(q, out=q)
-        a, b = a.view(np.int64), b.view(np.int64)
-        np.copyto(a, y, casting="unsafe")
-        np.copyto(b, q, casting="unsafe")
-        a *= centred
-        b *= self._pcol
-        a -= b
-        np.copyto(y, a, casting="unsafe")
-        if check:
-            assert bool((np.abs(y) < self._p).all()), "twiddled value outside (-p, p)"
-
-    def run(self, block: np.ndarray, inverse: bool, check: bool,
-            out: np.ndarray) -> None:
-        """Transform a canonical ``(g, k, n)`` int64 block into *out*."""
-        g, k, n = block.shape
-        n1, n2 = self.n1, self.n2
-        x, s, t, u = self._scratch((k, g, n2, n1))
-        if inverse:
-            np.copyto(x, block.reshape(g, k, n1, n2).transpose(1, 0, 3, 2),
-                      casting="unsafe")
+        """``y = y * T mod p`` in place, for ``|y| <= p/2 + 1``, into
+        ``(-p, p)``.  Narrow: the product in float64 (below ``(p//2 + 1)
+        · (p//2) < 2**52``, :func:`is_narrow`), then one reduction.  Wide:
+        the quotient ``q = rint(y * T / p)`` from the float ratio, then
+        ``y*T - q*p`` in int64 (both products below ``2**59``)."""
+        if self.narrow:
+            (centred,) = table
+            y *= centred
+            if check:
+                assert np.abs(y).max() < 2.0 ** _EXACT_BITS, \
+                    "a twiddle product left the 2**52 exact envelope"
+            self._reduce(y, q)
         else:
-            np.copyto(x, block.reshape(g, k, n2, n1).swapaxes(0, 1), casting="unsafe")
-        first, table, second = self._inverse if inverse else self._forward
-        y = self._matmul(first, x, s, t, u, check)
-        self._finish(table, second, y, (x, t, u), not inverse, check, out)
+            ratio, centred = table
+            np.multiply(y, ratio, out=q)
+            np.rint(q, out=q)
+            a, b = a.view(np.int64), b.view(np.int64)
+            np.copyto(a, y, casting="unsafe")
+            np.copyto(b, q, casting="unsafe")
+            a *= centred
+            b *= self._pcol
+            a -= b
+            np.copyto(y, a, casting="unsafe")
+        if check:
+            self._check_reduced(y, "twiddled")
 
-    def run_small(self, values: np.ndarray, check: bool, out: np.ndarray) -> None:
-        """Forward-transform ``(g, n)`` signed rows below
-        :attr:`NttStackPlan.small_bound` into a natural-order ``(g, k, n)``
-        block *out*.  The rows are the same under every modulus, so the
-        first stage is one matmul of each row against every modulus's
-        full-width centred ``W2``: no lift, no digit split."""
-        g = len(values)
+    def run(self, block: np.ndarray, runs: Runs, inverse: bool, check: bool,
+            out: np.ndarray) -> None:
+        """Transform this kernel's rows of a canonical ``(g, K, n)`` int64
+        block into the same rows of *out* (*runs* maps them)."""
+        g = len(block)
         n1, n2 = self.n1, self.n2
         x, s, t, u = self._scratch((self.k, g, n2, n1))
+        for rows, mine in runs:
+            src = block[:, rows]
+            src = (src.reshape(g, -1, n1, n2).transpose(1, 0, 3, 2) if inverse
+                   else src.reshape(g, -1, n2, n1).swapaxes(0, 1))
+            if self.narrow:
+                # Centred by a constant offset in the cast: [0, p) becomes
+                # [-(p//2), p//2]; the first step's fix puts it back.
+                np.subtract(src, self._half[mine], out=x[mine], casting="unsafe")
+            else:
+                np.copyto(x[mine], src, casting="unsafe")
+        first, table, second = self._inverse if inverse else self._forward
+        y = self._matmul(first, x, s, t, u, check)
+        self._finish(table, second, y, (x, t, u), not inverse, check, runs, out)
+
+    def run_small(self, values: np.ndarray, runs: Runs, check: bool,
+                  out: np.ndarray) -> None:
+        """Forward-transform ``(g, n)`` signed rows below
+        :attr:`NttStackPlan.small_bound` into this kernel's rows of a
+        natural-order ``(g, K, n)`` block *out*.  The rows are the same
+        under every modulus, so the first stage is one matmul of each row
+        against every modulus's full-width centred ``W2``: no lift, no
+        offset, no digit split."""
+        g = len(values)
+        x, s, t, u = self._scratch((self.k, g, self.n2, self.n1))
         d = u[0]
-        np.copyto(d, values.reshape(g, n2, n1), casting="unsafe")
-        self._gemm((self._w2, d[None, :, None]),
-                   s.reshape(self.k, g, self._w2.shape[2], -1, n1), check)
-        self._reduce(s, x)
-        if check:
-            assert bool((np.abs(s) < self._p).all()), "reduced value outside (-p, p)"
-        self._finish(self._forward[1], self._forward[2], s, (x, t, u), True,
-                     check, out)
+        np.copyto(d, values.reshape(d.shape), casting="unsafe")
+        y = self._matmul(self._small, d[None], s, t, x, check)
+        self._finish(self._forward[1], self._forward[2], y, (x, t, u), True,
+                     check, runs, out)
 
     def _finish(self, table: Tuple[np.ndarray, ...], second: _MatmulStep,
                 y: np.ndarray, scratch: Tuple[np.ndarray, ...], transpose: bool,
-                check: bool, out: np.ndarray) -> None:
+                check: bool, runs: Runs, out: np.ndarray) -> None:
         """The twiddle and the second matmul of a reduced first stage *y*,
-        stored into *out* in ``[0, p)``: transposed when *transpose* (the
-        forward's natural evaluation order), else in *y*'s own layout."""
+        stored into *out*'s rows (*runs*) in ``[0, p)``: transposed when
+        *transpose* (the forward's natural evaluation order), else in *y*'s
+        own layout."""
         x, t, u = scratch
-        k, g = y.shape[:2]
+        g = y.shape[1]
         n1, n2 = self.n1, self.n2
         self._twiddle(table, y, x, t, u, check)
         z = self._matmul(second, y, x, t, u, check)
-        if transpose:
-            np.copyto(out.reshape(g, k, n1, n2), z.transpose(1, 0, 3, 2),
-                      casting="unsafe")
-        else:
-            np.copyto(out.reshape(g, k, n2, n1), z.swapaxes(0, 1), casting="unsafe")
-        # (-p, p) -> [0, p): a negative value wraps above 2**63 as uint64,
-        # so min(v, v + p) picks v + p exactly for those.
-        ou = out.view(np.uint64)
-        tu = t.view(np.uint64).reshape(out.shape)
-        np.add(ou, self._p_u, out=tu)
-        np.minimum(ou, tu, out=ou)
+        spare = t.view(np.uint64).reshape(-1)
+        for rows, mine in runs:
+            dst = out[:, rows]
+            if transpose:
+                np.copyto(dst.reshape(g, -1, n1, n2), z[mine].transpose(1, 0, 3, 2),
+                          casting="unsafe")
+            else:
+                np.copyto(dst.reshape(g, -1, n2, n1), z[mine].swapaxes(0, 1),
+                          casting="unsafe")
+            # (-p, p) -> [0, p): a negative value wraps above 2**63 as
+            # uint64, so min(v, v + p) picks v + p exactly for those.
+            du = dst.view(np.uint64)
+            tu = spare[:du.size].reshape(du.shape)
+            np.add(du, self._p_u[mine], out=tu)
+            np.minimum(du, tu, out=du)
+
+
+def _runs(rows: Sequence[int]) -> Runs:
+    """The runs of consecutive plan *rows*, each paired with its slice of
+    the kernel that stacks exactly those rows in order."""
+    runs, start = [], 0
+    for i in range(1, len(rows) + 1):
+        if i == len(rows) or rows[i] != rows[i - 1] + 1:
+            runs.append((slice(rows[start], rows[i - 1] + 1), slice(start, i)))
+            start = i
+    return tuple(runs)
+
+
+def _width_groups(parts: Sequence[_FourStep]) -> Tuple[Tuple[_FourStep, Runs], ...]:
+    """A plan's rows grouped by width class: one stacked :class:`_FourStep`
+    per class present (narrow first) with the :data:`Runs` that place its
+    rows.  Set B's full base is its three narrow data rows, then the wide
+    special prime."""
+    groups = []
+    for narrow in (True, False):
+        rows = [r for r, part in enumerate(parts) if part.narrow == narrow]
+        if rows:
+            groups.append((_FourStep.stacked([parts[r] for r in rows]),
+                           _runs(rows)))
+    return tuple(groups)
 
 
 class NttStackPlan:
@@ -336,8 +448,9 @@ class NttStackPlan:
 
     Operates on ``(k, N)`` residue matrices — one row per modulus — and on
     ``(B, k, N)`` batches of them, as the four-step factorisation of
-    :class:`_FourStep`: two exact float64 modular matmuls per modulus and an
-    elementwise twiddle between them, every table broadcast over the batch.
+    :class:`_FourStep`: two exact float64 modular matmul steps per modulus
+    and an elementwise twiddle between them, every table broadcast over the
+    batch, the rows of each width class stacked into one kernel.
 
     Outputs are bit-exact with a per-row scalar butterfly plan (same
     primitive roots, same natural evaluation ordering: position ``j`` of row
@@ -347,10 +460,10 @@ class NttStackPlan:
     def __init__(self, n: int, moduli: Sequence[int]):
         if n & (n - 1) or n < 2:
             raise ValueError(f"transform size {n} must be a power of two >= 2")
-        n1 = 1 << ((n.bit_length() - 1) // 2)
-        if n // n1 > MAX_SUM_TERMS:
+        n2 = _split(n)[1]
+        if n2 > MAX_SUM_TERMS:
             raise ValueError(
-                f"transform size {n} sums {n // n1} terms; the float64 "
+                f"transform size {n} sums {n2} terms; the float64 "
                 f"envelope (every partial sum below 2**{_EXACT_BITS}) allows "
                 f"{MAX_SUM_TERMS}")
         self.moduli: Tuple[int, ...] = tuple(int(p) for p in moduli)
@@ -362,13 +475,12 @@ class NttStackPlan:
                 raise ValueError(f"prime {p} is not NTT-friendly for degree {n}")
         self.n = n
         self._p_row = _read_only(np.array(self.moduli, dtype=np.uint64))
-        # Each modulus' tables are derived once per process and stacked here,
-        # so a sub-base (the special prime alone, a lower level's extended
-        # base) of a plan already built derives nothing.
-        self._steps = _FourStep.stacked([_modulus_steps(n, p)
-                                         for p in self.moduli])
-        self.psis: Tuple[int, ...] = self._steps.psis
-        n2 = n // n1
+        # Each modulus' tables are derived once per process and stacked here
+        # by width class, so a sub-base (the special prime alone, a lower
+        # level's extended base) of a plan already built derives nothing.
+        parts = [_modulus_steps(n, p) for p in self.moduli]
+        self._groups = _width_groups(parts)
+        self.psis: Tuple[int, ...] = sum((part.psis for part in parts), ())
         #: :meth:`forward_small` takes inputs below this magnitude: ``n2``
         #: products with a centred ``W2`` entry (below ``2**29``) then sum
         #: below ``2**52`` (``2**17`` at ``N = 4096``, ``2**15`` at ``2**16``).
@@ -399,7 +511,7 @@ class NttStackPlan:
         """Stacks per kernel call out of *b* (a stack being one run of the
         distinct moduli): the full batch only while the float64 work buffers
         stay cache-resident (``_BATCH_CHUNK_BYTES``)."""
-        return max(1, min(b, _BATCH_CHUNK_BYTES // (8 * self.n * self._steps.k)))
+        return max(1, min(b, _BATCH_CHUNK_BYTES // (8 * self.n * len(self.moduli))))
 
     def _transform(self, stacks: np.ndarray, inverse: bool,
                    check_bounds: bool) -> np.ndarray:
@@ -407,11 +519,13 @@ class NttStackPlan:
         cache-sized groups of stacks."""
         work = self._canonical(stacks)
         out = np.empty(work.shape, dtype=np.int64)
-        blocks = work.reshape(-1, self._steps.k, self.n)
+        blocks = work.reshape(-1, len(self.moduli), self.n)
         results = out.reshape(blocks.shape)
         group = self._batch_group(len(blocks))
         for rows in (slice(i, i + group) for i in range(0, len(blocks), group)):
-            self._steps.run(blocks[rows], inverse, check_bounds, results[rows])
+            for steps, runs in self._groups:
+                steps.run(blocks[rows], runs, inverse, check_bounds,
+                          results[rows])
         return out
 
     def forward(self, stack: np.ndarray,
@@ -450,7 +564,8 @@ class NttStackPlan:
 
         A row is the same integers under every modulus, so the first stage
         is one exact float64 matmul against each modulus's full-width
-        centred ``W2`` instead of the lift and two 15-bit digit matmuls.
+        centred ``W2`` (the narrow rows' own first step, without its
+        offset), instead of the lift and a full first step.
         That is exact only below :attr:`small_bound`; larger input is
         refused with ``ValueError``.  ``check_bounds`` asserts the envelope
         as :meth:`forward` does.
@@ -463,10 +578,11 @@ class NttStackPlan:
         if peak >= self.small_bound:
             raise ValueError(f"small-input transform needs |v| < "
                              f"{self.small_bound}, got {peak}")
-        out = np.empty((len(values), self._steps.k, self.n), dtype=np.int64)
+        out = np.empty((len(values), len(self.moduli), self.n), dtype=np.int64)
         group = self._batch_group(len(values))
         for rows in (slice(i, i + group) for i in range(0, len(values), group)):
-            self._steps.run_small(values[rows], check_bounds, out[rows])
+            for steps, runs in self._groups:
+                steps.run_small(values[rows], runs, check_bounds, out[rows])
         return out
 
     def inverse_batch(self, stacks: np.ndarray,
@@ -493,8 +609,9 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
 def _modulus_steps(n: int, p: int) -> _FourStep:
-    """The four-step tables of one modulus at degree *n*, which every stack
-    plan over it shares (read-only).  The root is found by the same
+    """The four-step tables of one modulus at degree *n*, of its width
+    class (:func:`is_narrow`), which every stack plan over it shares
+    (read-only).  The root is found by the same
     deterministic search as the scalar test oracle's, so every row is
     bit-identical to it."""
     steps = _FourStep(n, p, primitive_root_of_unity(2 * n, p))

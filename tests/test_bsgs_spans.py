@@ -36,11 +36,15 @@ from repro.core.linalg import BsgsMatVec, Conv2dSpec, EncryptedMatVec
 from repro.core.tiling import TiledEncryptedConv2d
 from repro.hecore.bfv import BfvContext
 from repro.hecore.ckks import CkksContext
+from repro.hecore.keys import galois_element_for_step, keyswitch_ext_base
+from repro.hecore.modmath import mod_reduce
+from repro.hecore.ntt import get_stack_plan
 from repro.hecore.params import (
     PARAMETER_SET_B,
     SchemeType,
     small_test_parameters,
 )
+from repro.hecore.rns import RnsBase
 
 E2E_CKKS = small_test_parameters(SchemeType.CKKS, 4096, data_bits=(30, 30, 30))
 E2E_CONV = Conv2dSpec(in_channels=1, out_channels=4, height=12, width=12,
@@ -256,6 +260,38 @@ def test_a_sum_charges_the_adds_of_the_tree_it_replaces(request, name):
                       for name in ("add", "rotate")})
     assert spent[0] == spent[1]
     assert spent[0]["add"] > 0 and spent[0]["rotate"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_weight_tables_match_the_per_term_construction(request, name):
+    """A served program's weight tables sum each (source, Galois element)
+    pair's weights in int64 and lift or reduce once: bit for bit the
+    tables built term by term, each weight lifted (BFV) or encoded (CKKS)
+    over the extended base and added and reduced into its pair."""
+    ctx, case = _served(request, name)
+    kernel = case["kernel"]
+    sched = kernel.scheduled(kernel.input_shape)
+    sched.run(ctx, {f"in{i}": ct for i, ct in enumerate(case["inputs"])})
+    assert sched._weight_tables
+    n = ctx.params.poly_degree
+    for (nid, moduli, _), table in sched._weight_tables.items():
+        ext = keyswitch_ext_base(RnsBase.of(moduli), ctx.params)
+        by_pair = {}
+        for step, src, cid in sched.program.nodes[nid].terms:
+            if cid < 0:
+                continue
+            if ctx.params.scheme is SchemeType.BFV:
+                residues = ext.lift_signed(sched._bfv_plain(ctx, cid).coeffs)
+            else:
+                residues = ctx.encoder.encode(
+                    sched.program.nodes[cid].values, base=ext).poly.data
+            pair = (src, galois_element_for_step(step, n))
+            by_pair[pair] = mod_reduce(by_pair.get(pair, 0) + residues,
+                                       ext.moduli)
+        assert table.pairs == tuple(sorted(by_pair))
+        want = get_stack_plan(n, ext.moduli).forward_batch(
+            np.stack([by_pair[pair] for pair in table.pairs]))
+        assert np.array_equal(table.m_ntt, want)
 
 
 # ------------------------------------------------------ what must not move

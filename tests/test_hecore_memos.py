@@ -279,7 +279,7 @@ def test_every_shared_ntt_table_is_read_only(rows):
     assert len(arrays) >= 10
     assert [path for path, table in arrays if table.flags.writeable] == []
     with pytest.raises(ValueError, match="read-only"):
-        plan._steps._pcol[...] = 0
+        plan._groups[0][0]._pcol[...] = 0
 
 
 def test_bases_are_interned_and_the_table_is_bounded():

@@ -6,7 +6,9 @@ reference plan (:class:`tests.oracles.NttPlan`) and with the schoolbook
 negacyclic product — across random inputs, every power-of-two degree from 2
 to ``2**15`` (square and 1:2 splits), every seed parameter set and the widest
 moduli the limb width admits (the largest NTT primes below
-``2**MAX_MODULUS_BITS``, with all-``(p-1)`` and all-``p//2`` inputs),
+``2**MAX_MODULUS_BITS``, with all-``(p-1)`` and all-``p//2`` inputs), both
+width classes (the widest narrow primes at every degree to ``2**16``, at
+``0``, ``p//2``, ``p//2 + 1`` and ``p - 1``; each set's class per row),
 canonical and non-canonical inputs, natural and raw order, single stacks and
 cache-grouped batches, and the small-input transform of signed rows at the
 edge of its envelope.  ``check_bounds=True`` asserts the exactness envelope
@@ -15,6 +17,8 @@ summation order, every reduced or twiddled value in ``(-p, p)``.  A modulus
 at or above the limb width, or a degree whose sums would leave the envelope,
 is refused where it enters.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -32,9 +36,10 @@ from repro.hecore.params import (
     small_test_parameters,
 )
 from repro.hecore.polyring import RnsPoly
-from repro.hecore.primes import generate_ntt_primes
+from repro.hecore.primes import generate_ntt_primes, is_prime
 from repro.hecore.rns import RnsBase
 from tests import oracles
+from tests.test_hecore_memos import _reachable_arrays
 
 N = 64
 PRIMES = tuple(generate_ntt_primes(20, 3, N))
@@ -43,6 +48,35 @@ PRIMES = tuple(generate_ntt_primes(20, 3, N))
 #: NTT-friendly primes below ``2**MAX_MODULUS_BITS`` for N = 4096.
 EDGE_N = 4096
 EDGE_PRIMES = tuple(generate_ntt_primes(MAX_MODULUS_BITS, 3, EDGE_N))
+
+#: The e2e benchmark's CKKS set: one narrow row (16,760,833) among wide ones.
+E2E_CKKS = small_test_parameters(SchemeType.CKKS, 4096, data_bits=(30, 30, 30))
+
+
+def _widest_narrow_primes(n, count=3):
+    """The largest NTT-friendly primes for degree *n* in the narrow width
+    class: ``n2 * (p//2 + 1) * (p//2)`` just below ``2**52``."""
+    n2 = n // (1 << ((n.bit_length() - 1) // 2))
+    candidate = 2 * math.isqrt((1 << 52) // n2) + 1
+    candidate -= (candidate - 1) % (2 * n)
+    primes = []
+    while len(primes) < count:
+        if ntt.is_narrow(n, candidate) and is_prime(candidate):
+            primes.append(candidate)
+        candidate -= 2 * n
+    return tuple(primes)
+
+
+def _class_edges(moduli, n):
+    """``(k, n)`` stacks that drive every sum to its extreme: the canonical
+    ``0``, ``p//2``, ``p//2 + 1`` and ``p - 1`` cycled along each row at
+    every phase (so each value sits at every position mod 4, even at
+    ``n = 2``), then all-``(p - 1)`` and all-``p//2`` rows."""
+    pcol = np.array(moduli, dtype=np.int64)[:, None]
+    cycle = np.concatenate([0 * pcol, pcol // 2, pcol // 2 + 1, pcol - 1], axis=1)
+    index = np.arange(n)
+    return ([cycle[:, (index + phase) % 4] for phase in range(4)]
+            + [pcol - 1 + 0 * index, pcol // 2 + 0 * index])
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +190,10 @@ def _evaluate_at(coeffs, psi, j, p):
 @pytest.mark.parametrize(
     "n, moduli",
     [(params.poly_degree, params.full_base.moduli)
-     for params in (PARAMETER_SET_A, PARAMETER_SET_B, PARAMETER_SET_C)]
+     for params in (PARAMETER_SET_A, PARAMETER_SET_B, PARAMETER_SET_C,
+                    E2E_CKKS)]
     + [(EDGE_N, EDGE_PRIMES)],
-    ids=["A", "B", "C", "edge30"],
+    ids=["A", "B", "C", "e2e_ckks", "edge30"],
 )
 def test_seed_parameter_sets_bit_exact(n, moduli):
     plan = ntt.get_stack_plan(n, moduli)
@@ -215,14 +250,151 @@ def test_every_degree_bit_exact_at_the_widest_primes(n):
             plan.forward_small(small)
 
 
+def _corrupt_first_digit(plan):
+    """Replace the one kernel's first forward step by one whose leading
+    digit is ``2**20`` times too wide (the tables are read-only)."""
+    ((steps, _),) = plan._groups
+    first, table, second = steps._forward
+    digits = (first.digits[0] * 2 ** 20,) + first.digits[1:]
+    steps._forward = (first._replace(digits=digits), table, second)
+    return steps
+
+
+# ------------------------------------------------------ the two width classes
+def _placed(plan):
+    """Each plan row's ``(narrow, psi)`` as its class kernel holds it."""
+    placed = {}
+    for steps, runs in plan._groups:
+        for rows, mine in runs:
+            for r, m in zip(range(rows.start, rows.stop),
+                            range(mine.start, mine.stop)):
+                placed[r] = (steps.narrow, steps.psis[m])
+    return placed
+
+
+def _batch_matches_the_oracle(plan, stacks):
+    """Forward and inverse of a ``(B, k, n)`` batch, batched and one stack
+    at a time, with the envelope asserted, against the scalar oracle, and
+    the round trip."""
+    evals = plan.forward_batch(stacks, check_bounds=True)
+    coeffs = plan.inverse_batch(stacks, check_bounds=True)
+    for a, want_evals, want_coeffs in zip(stacks, evals, coeffs):
+        assert np.array_equal(plan.forward(a, check_bounds=True), want_evals)
+        assert np.array_equal(plan.inverse(a, check_bounds=True), want_coeffs)
+        for r, p in enumerate(plan.moduli):
+            scalar = oracles.get_plan(plan.n, p)
+            assert np.array_equal(want_evals[r], scalar.forward(a[r]))
+            assert np.array_equal(want_coeffs[r], scalar.inverse(a[r]))
+    assert np.array_equal(plan.inverse_batch(evals, check_bounds=True), stacks)
+
+
+@pytest.mark.parametrize("params, narrow", [
+    (PARAMETER_SET_A, ()),
+    (PARAMETER_SET_B, PARAMETER_SET_B.data_base.moduli),
+    (PARAMETER_SET_C, ()),
+    (E2E_CKKS, (16_760_833,)),
+], ids=["A", "B", "C", "e2e_ckks"])
+def test_each_set_pins_its_width_class_per_row(params, narrow):
+    """Which rows take the one-matmul path: set B's three data rows, the
+    e2e CKKS set's 16,760,833 row and nothing else; each plan row sits in
+    exactly one class kernel, at its own root."""
+    n, moduli = params.poly_degree, params.full_base.moduli
+    assert tuple(p for p in moduli if ntt.is_narrow(n, p)) == narrow
+    plan = ntt.get_stack_plan(n, moduli)
+    assert _placed(plan) == {r: (p in narrow, plan.psis[r])
+                             for r, p in enumerate(moduli)}
+    assert len(plan._groups) == 1 + (0 < len(narrow) < len(moduli))
+
+
+def test_the_class_bound_at_the_served_degree():
+    """At N = 4096 (64-term sums) a prime is narrow exactly below 2**24.
+    The NTT-friendly primes on either side of that bound are the e2e CKKS
+    set's two rescale primes; each transforms bit-exactly at its
+    extremes, one on each path."""
+    n = 4096
+    below = generate_ntt_primes(24, 1, n)[0]
+    above = (1 << 24) + 1
+    while not is_prime(above):
+        above += 2 * n
+    assert (below, above) == (16_760_833, 16_801_793)
+    assert ntt.is_narrow(n, below) and ntt.is_narrow(n, (1 << 24) - 1)
+    assert not ntt.is_narrow(n, 1 << 24) and not ntt.is_narrow(n, above)
+    for p in (below, above):
+        plan = ntt.get_stack_plan(n, (p,))
+        assert _placed(plan) == {0: (p == below, plan.psis[0])}
+        _batch_matches_the_oracle(plan, np.stack(_class_edges((p,), n)))
+
+
+def test_set_b_rows_match_the_oracle_at_the_class_edges():
+    """Set B's full base (three narrow data rows, the wide special prime)
+    at the centred extremes, single stacks and a batch that runs in
+    cache-sized groups, and the small-input transform at its edge."""
+    n, moduli = PARAMETER_SET_B.poly_degree, PARAMETER_SET_B.full_base.moduli
+    plan = ntt.get_stack_plan(n, moduli)
+    rng = np.random.default_rng(57)
+    stacks = np.stack(_class_edges(moduli, n) + [_random_stack(rng, moduli, n)])
+    assert plan._batch_group(len(stacks)) < len(stacks)
+    _batch_matches_the_oracle(plan, stacks)
+    edge = plan.small_bound - 1
+    small = np.stack([np.full(n, edge), np.full(n, -edge),
+                      rng.integers(-edge, edge + 1, n), rng.integers(-19, 20, n)])
+    lifted = RnsBase.of(moduli).lift_signed(small)
+    out = plan.forward_small(small, check_bounds=True)
+    for i in range(len(small)):
+        for r, p in enumerate(moduli):
+            assert np.array_equal(out[i, r],
+                                  oracles.get_plan(n, p).forward(lifted[i, r]))
+
+
+@pytest.mark.parametrize("n", [2 ** e for e in range(1, 17)])
+def test_every_degree_bit_exact_at_the_widest_narrow_primes(n):
+    """Every degree the float64 envelope admits has narrow primes: the
+    largest of them, at the centred extremes, forward and inverse, single
+    and batched, and the small-input transform at the edge of its
+    envelope, against the scalar oracle with the envelope asserted."""
+    moduli = _widest_narrow_primes(n)
+    plan = ntt.get_stack_plan(n, moduli)
+    assert [steps.narrow for steps, _ in plan._groups] == [True]
+    rng = np.random.default_rng(n)
+    stacks = np.stack(_class_edges(moduli, n) + [_random_stack(rng, moduli, n)])
+    _batch_matches_the_oracle(plan, stacks)
+    edge = plan.small_bound - 1
+    small = np.stack([np.full(n, edge), np.full(n, -edge),
+                      rng.integers(-edge, edge + 1, n)])
+    assert np.array_equal(plan.forward_small(small, check_bounds=True),
+                          plan.forward_batch(RnsBase.of(moduli).lift_signed(small)))
+
+
+@pytest.mark.parametrize("params", [PARAMETER_SET_B, E2E_CKKS],
+                         ids=["B", "e2e_ckks"])
+def test_every_table_of_a_mixed_plan_is_read_only(params):
+    """A plan of both classes is shared like any other: every array its
+    kernel reaches, in either class group, refuses an in-place write."""
+    plan = ntt.get_stack_plan(params.poly_degree, params.full_base.moduli)
+    plan.forward(np.zeros((len(plan), plan.n), dtype=np.int64))  # fills scratch
+    assert sorted(steps.narrow for steps, _ in plan._groups) == [False, True]
+    arrays = list(_reachable_arrays(plan._groups, "plan._groups"))
+    assert len(arrays) >= 20
+    assert [path for path, table in arrays if table.flags.writeable] == []
+
+
 def test_check_bounds_catches_a_sum_outside_the_envelope():
     """The envelope check is live: a constant whose digits are 2**20 times
     too wide would let a partial sum pass 2**52, and check_bounds says so."""
     moduli = tuple(generate_ntt_primes(MAX_MODULUS_BITS, 3, N))
     plan = ntt.NttStackPlan(N, moduli)      # a private plan, not the memo's
-    # The tables are read-only, so the corrupted one replaces its step.
-    first, table, second = plan._steps._forward
-    plan._steps._forward = (first._replace(hi=first.hi * 2 ** 20), table, second)
+    assert not _corrupt_first_digit(plan).narrow
+    a = np.array(moduli, dtype=np.int64)[:, None] - 1 + np.zeros((1, N), np.int64)
+    with pytest.raises(AssertionError, match="2\\*\\*52"):
+        plan.forward(a, check_bounds=True)
+
+
+def test_check_bounds_catches_a_narrow_sum_outside_the_envelope():
+    """The same on the narrow path: its one full-width matmul is asserted
+    against the same envelope."""
+    moduli = _widest_narrow_primes(N)
+    plan = ntt.NttStackPlan(N, moduli)
+    assert _corrupt_first_digit(plan).narrow
     a = np.array(moduli, dtype=np.int64)[:, None] - 1 + np.zeros((1, N), np.int64)
     with pytest.raises(AssertionError, match="2\\*\\*52"):
         plan.forward(a, check_bounds=True)
@@ -233,6 +405,9 @@ def test_a_sub_base_plan_takes_its_rows_from_the_tables_already_built():
     base's plan exists, a plan over any sub-tuple of it (the special prime
     alone, a lower level's extended base) derives no table, holds exactly
     its rows of the wider plan's tables, and transforms as those rows do."""
+    # Both memos are bounded and earlier tests fill them: start cold.
+    ntt._memoised_stack_plan.cache_clear()
+    ntt._modulus_steps.cache_clear()
     wide = ntt.get_stack_plan(N, PRIMES)
     built = ntt._modulus_steps.cache_info().misses
     rng = np.random.default_rng(21)
@@ -241,7 +416,10 @@ def test_a_sub_base_plan_takes_its_rows_from_the_tables_already_built():
         sub = ntt.get_stack_plan(N, [PRIMES[r] for r in rows])
         assert ntt._modulus_steps.cache_info().misses == built
         assert sub.psis == tuple(wide.psis[r] for r in rows)
-        assert np.array_equal(sub._steps._w2, wide._steps._w2[rows])
+        ((sub_steps, _),) = sub._groups
+        ((wide_steps, _),) = wide._groups
+        assert np.array_equal(sub_steps._small.digits[0],
+                              wide_steps._small.digits[0][rows])
         assert np.array_equal(sub.forward(stack[rows]),
                               wide.forward(stack)[rows])
         assert np.array_equal(sub.inverse(stack[rows]),

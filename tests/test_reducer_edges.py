@@ -168,3 +168,21 @@ def test_weight_table_sums_reduce_like_python_ints(bfv):
                      for p in ext.moduli], dtype=np.int64)
     assert np.array_equal(table.m_ntt[0],
                           ntt.get_stack_plan(n, ext.moduli).forward(want))
+
+
+def test_weight_table_lifts_summed_coefficient_rows_like_python_ints(bfv):
+    """Rows of integer coefficients (BFV plaintexts) on one pair are summed
+    in int64 and lifted once: the table of the lifted sum, negative and
+    above-``t`` sums included, next to a pair of one term."""
+    current = bfv.params.data_base
+    ext = keyswitch_ext_base(current, bfv.params)
+    n, t = bfv.params.poly_degree, bfv.params.plain_modulus
+    rows = [np.full(n, t - 1), np.full(n, t - 1), np.full(n, -(t // 2))]
+    table = hoisting.weight_table(bfv, current,
+                                  [(1, 0, r) for r in rows] + [(2, 0, rows[2])])
+    assert table.terms == 4 and len(table.pairs) == 2
+    totals = (2 * (t - 1) - t // 2, -(t // 2))
+    want = np.array([[[v % p] * n for p in ext.moduli] for v in totals],
+                    dtype=np.int64)
+    assert np.array_equal(table.m_ntt,
+                          ntt.get_stack_plan(n, ext.moduli).forward_batch(want))
